@@ -37,18 +37,22 @@ impl BigUint {
         if s.is_empty() {
             return Err(BigIntError::ParseError(s.into()));
         }
-        let mut out = BigUint::zero();
-        for c in s.bytes() {
-            let d = match c {
-                b'0'..=b'9' => (c - b'0') as u64,
-                b'a'..=b'f' => (c - b'a' + 10) as u64,
-                b'A'..=b'F' => (c - b'A' + 10) as u64,
-                _ => return Err(BigIntError::ParseError(s.into())),
-            };
-            out = &out << 4;
-            out.add_assign_u64(d);
+        // One limb per 16 digits, least significant chunk first.
+        let mut limbs = Vec::with_capacity(s.len().div_ceil(16));
+        for chunk in s.as_bytes().rchunks(16) {
+            let mut limb = 0u64;
+            for &c in chunk {
+                let d = match c {
+                    b'0'..=b'9' => c - b'0',
+                    b'a'..=b'f' => c - b'a' + 10,
+                    b'A'..=b'F' => c - b'A' + 10,
+                    _ => return Err(BigIntError::ParseError(s.into())),
+                };
+                limb = (limb << 4) | d as u64;
+            }
+            limbs.push(limb);
         }
-        Ok(out)
+        Ok(BigUint::from_limbs(limbs))
     }
 
     /// Big-endian byte encoding with no leading zero bytes (empty for zero).
@@ -67,12 +71,7 @@ impl BigUint {
 
     /// Builds from big-endian bytes. Leading zero bytes are accepted.
     pub fn from_bytes_be(bytes: &[u8]) -> BigUint {
-        let mut out = BigUint::zero();
-        for &b in bytes {
-            out = &out << 8;
-            out.add_assign_u64(b as u64);
-        }
-        out
+        BigUint::from_limbs(limbs_of_be(bytes).collect())
     }
 
     /// Fixed-width big-endian encoding, left-padded with zeros.
@@ -116,6 +115,15 @@ impl BigUint {
         }
         BigUint::from_limbs(v)
     }
+}
+
+/// The limbs of a big-endian byte string, least significant first: one limb
+/// per 8 bytes, the short chunk (if any) last.
+pub(crate) fn limbs_of_be(bytes: &[u8]) -> impl ExactSizeIterator<Item = u64> + '_ {
+    bytes.rchunks(8).map(|chunk| match <[u8; 8]>::try_from(chunk) {
+        Ok(full) => u64::from_be_bytes(full),
+        Err(_) => chunk.iter().fold(0, |limb, &b| (limb << 8) | b as u64),
+    })
 }
 
 impl std::str::FromStr for BigUint {

@@ -14,6 +14,7 @@
 //!   exponentiation and recombination (RSA-CRT, Paillier-CRT) avoid ever
 //!   touching the full-width modulus.
 
+use crate::convert::limbs_of_be;
 use crate::signed::BigInt;
 use crate::uint::BigUint;
 use crate::BigIntError;
@@ -310,6 +311,54 @@ impl MontgomeryCtx {
         let mut out = vec![0u64; k];
         self.mont_mul_into(&am, &pad(b, k), &mut out, &mut t);
         BigUint::from_limbs(out)
+    }
+
+    /// Product of big-endian byte strings: `Π operands mod n` (1 for none).
+    ///
+    /// The streaming form of a [`MontgomeryCtx::mul_mod`] chain: each
+    /// operand is decoded straight into one reused `k`-limb buffer and
+    /// costs a single CIOS pass, with no allocation. Every pass divides the
+    /// accumulator by `R`; starting from `R mod n`, after `count` operands
+    /// it holds `Π · R^(1−count)`, and one closing pass with `R^count mod n`
+    /// (`O(log count)` squarings) cancels the drift exactly. Operands `≥ n`
+    /// or wider than `k` limbs are reduced first (hostile input only), so
+    /// the result equals the left-to-right `modmul` chain for any input.
+    pub fn product_be<'a>(&self, operands: impl IntoIterator<Item = &'a [u8]>) -> BigUint {
+        if self.n.is_one() {
+            return BigUint::zero();
+        }
+        let k = self.n_limbs;
+        let mut t = vec![0u64; k + 2];
+        let mut x = vec![0u64; k];
+        let mut acc = self.one.clone();
+        let mut tmp = vec![0u64; k];
+        let mut count = 0u64;
+        for bytes in operands {
+            self.reduced_limbs_of_be(bytes, &mut x);
+            self.mont_mul_into(&acc, &x, &mut tmp, &mut t);
+            std::mem::swap(&mut acc, &mut tmp);
+            count += 1;
+        }
+        let r_count = self.modpow(&BigUint::from_limbs(self.one.clone()), &BigUint::from(count));
+        self.mont_mul_into(&acc, &pad(&r_count, k), &mut tmp, &mut t);
+        BigUint::from_limbs(tmp)
+    }
+
+    /// Decodes big-endian `bytes` into the `k`-limb buffer `out` as a value
+    /// `< n`. Only an operand `≥ n` or wider than `k` limbs pays an
+    /// allocation and a division.
+    fn reduced_limbs_of_be(&self, bytes: &[u8], out: &mut [u64]) {
+        let bytes = &bytes[bytes.iter().take_while(|&&b| b == 0).count()..];
+        if bytes.len() <= 8 * out.len() {
+            let limbs = limbs_of_be(bytes).chain(std::iter::repeat(0));
+            out.iter_mut().zip(limbs).for_each(|(limb, v)| *limb = v);
+            if !ge_fixed(out, &self.n.limbs) {
+                return;
+            }
+        }
+        let reduced = &BigUint::from_bytes_be(bytes) % &self.n;
+        out.fill(0);
+        out[..reduced.limbs.len()].copy_from_slice(&reduced.limbs);
     }
 
     /// `base^exp mod n` using a 4-bit fixed window.

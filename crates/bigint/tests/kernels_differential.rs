@@ -136,3 +136,83 @@ fn reduced_fast_paths_match_general_modadd_modsub() {
         }
     }
 }
+
+/// The decoder `from_bytes_be` replaced: shift the whole number left by one
+/// byte and add, per input byte. Quadratic, kept here as the oracle only.
+fn shift_and_add_from_bytes_be(bytes: &[u8]) -> BigUint {
+    let mut out = BigUint::zero();
+    for &b in bytes {
+        out = &(&out << 8) + &BigUint::from(b as u64);
+    }
+    out
+}
+
+#[test]
+fn from_bytes_be_matches_shift_and_add_for_every_length() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xBE);
+    for len in 0..=300usize {
+        let mut bytes = vec![0u8; len];
+        rand::RngCore::fill_bytes(&mut rng, &mut bytes);
+        for lead in [None, Some(0u8), Some(0xff)] {
+            if let (Some(b), Some(first)) = (lead, bytes.first_mut()) {
+                *first = b;
+            }
+            let v = BigUint::from_bytes_be(&bytes);
+            assert_eq!(v, shift_and_add_from_bytes_be(&bytes), "length {len}, lead {lead:?}");
+            // The minimal encoding is what the WAL, snapshots and the wire carry.
+            let skip = bytes.iter().take_while(|&&b| b == 0).count();
+            assert_eq!(v.to_bytes_be(), &bytes[skip..], "length {len}, lead {lead:?}");
+        }
+    }
+}
+
+#[test]
+fn from_hex_str_matches_byte_decoder_across_limb_boundaries() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x4E);
+    for len in 1..=80usize {
+        let mut bytes = vec![0u8; len];
+        rand::RngCore::fill_bytes(&mut rng, &mut bytes);
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        let expect = BigUint::from_bytes_be(&bytes);
+        assert_eq!(BigUint::from_hex_str(&hex).unwrap(), expect, "{len} bytes");
+        assert_eq!(BigUint::from_hex_str(&hex.to_uppercase()).unwrap(), expect, "{len} bytes, upper case");
+        // An odd digit count puts the short chunk first.
+        assert_eq!(BigUint::from_hex_str(&hex[1..]).unwrap(), expect.low_bits(8 * len - 4), "{len} bytes, odd");
+        let mut bad = hex.clone().into_bytes();
+        bad[len / 2] = b'g';
+        assert!(BigUint::from_hex_str(std::str::from_utf8(&bad).unwrap()).is_err());
+    }
+}
+
+#[test]
+fn product_fold_matches_left_to_right_modmul() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xF01D);
+    for bits in [64usize, 65, 128, 1024] {
+        let m = random_odd(&mut rng, bits);
+        let ctx = MontgomeryCtx::new(&m);
+        let k_bytes = 8 * bits.div_ceil(64);
+        // Boundary operands first, so every count above zero meets some.
+        let mut operands: Vec<Vec<u8>> = vec![
+            (&m - &BigUint::one()).to_bytes_be(),                       // n − 1
+            [vec![0u8; 5], BigUint::from(7u64).to_bytes_be()].concat(), // leading zero bytes
+            m.to_bytes_be(),                                            // = n
+            (&m + &BigUint::from(12345u64)).to_bytes_be(),              // > n, same width
+            vec![0xff; k_bytes + 1],                                    // wider than k limbs
+            [vec![0u8; 3 * k_bytes], (&m - &BigUint::from(2u64)).to_bytes_be()].concat(), // long, but < n
+        ];
+        operands.extend((0..300).map(|_| BigUint::random_below(&mut rng, &m).to_bytes_be()));
+        for count in [0usize, 1, 2, 3, 17, 300] {
+            let expect = operands[..count]
+                .iter()
+                .fold(&BigUint::one() % &m, |acc, b| acc.modmul(&BigUint::from_bytes_be(b), &m));
+            let got = ctx.product_be(operands[..count].iter().map(Vec::as_slice));
+            assert_eq!(got, expect, "{bits}-bit modulus, {count} operands");
+        }
+        // A zero operand (empty or all-zero bytes) annihilates the product.
+        for zero in [&[][..], &[0u8; 9][..]] {
+            let with_zero = operands[..17].iter().map(Vec::as_slice).chain([zero]);
+            assert_eq!(ctx.product_be(with_zero), BigUint::zero(), "{bits}-bit modulus, zero operand");
+        }
+    }
+    assert_eq!(MontgomeryCtx::new(&BigUint::one()).product_be([&[5u8][..]]), BigUint::zero(), "modulus 1");
+}

@@ -8,7 +8,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use datablinder_docstore::{DocStore, Filter, Value};
+use datablinder_docstore::{DocStore, Document, Filter, Value};
 use datablinder_kvstore::{crc32, KvStore, LogRecord};
 use datablinder_netsim::{CloudService, NetError};
 use datablinder_obs::Recorder;
@@ -673,22 +673,14 @@ impl CloudEngine {
                 }
                 let want_max = rest[0] == 1;
                 let field = std::str::from_utf8(&rest[1..]).map_err(|_| CoreError::Wire("utf8 field"))?;
-                let docs = self.docs.collection(&collection).find(&Filter::Exists(field.to_string()));
-                let best = docs
-                    .iter()
-                    .filter_map(|d| d.get(field).and_then(Value::as_bytes).map(|b| (b.to_vec(), d.id().to_string())))
-                    .reduce(|a, b| {
-                        let a_wins = if want_max { a.0 >= b.0 } else { a.0 <= b.0 };
-                        if a_wins {
-                            a
-                        } else {
-                            b
-                        }
-                    });
-                match best {
-                    None => Ok(Vec::new()),
-                    Some((_, id)) => Ok(id.into_bytes()),
-                }
+                let id = self.docs.collection(&collection).scan(&Filter::Exists(field.to_string()), |docs| {
+                    let hits = docs.filter_map(|d| d.get(field).and_then(Value::as_bytes).map(|b| (b, d.id())));
+                    // Ties go to the smaller id, whatever order the scan visits in.
+                    let best =
+                        if want_max { hits.max_by_key(|&(b, id)| (b, std::cmp::Reverse(id))) } else { hits.min() };
+                    best.map(|(_, id)| id.as_bytes().to_vec())
+                });
+                Ok(id.unwrap_or_default())
             }
             "list_ids" => {
                 let (collection, _) = split_collection(payload)?;
@@ -707,13 +699,11 @@ impl CloudEngine {
             }
             "find_ids_eq" => {
                 let req = FindIdsEq::decode(payload)?;
-                let hits = self.docs.collection(&req.collection).find(&Filter::eq(req.field, req.value));
-                Ok(ids_of(&hits))
+                Ok(self.docs.collection(&req.collection).scan(&Filter::eq(req.field, req.value), ids_of))
             }
             "find_ids_range" => {
                 let req = FindIdsRange::decode(payload)?;
-                let hits = self.docs.collection(&req.collection).find(&Filter::between(req.field, req.lo, req.hi));
-                Ok(ids_of(&hits))
+                Ok(self.docs.collection(&req.collection).scan(&Filter::between(req.field, req.lo, req.hi), ids_of))
             }
             "find_ids_dnf" => {
                 let req = FindIdsDnf::decode(payload)?;
@@ -723,26 +713,19 @@ impl CloudEngine {
                         .map(|conj| Filter::and(conj.into_iter().map(|(f, v)| Filter::eq(f, v)).collect()))
                         .collect(),
                 );
-                let hits = self.docs.collection(&req.collection).find(&filter);
-                Ok(ids_of(&hits))
+                Ok(self.docs.collection(&req.collection).scan(&filter, ids_of))
             }
             "agg_plain" => {
                 // Plaintext aggregate for the S_A baseline: avg/sum over a
                 // numeric field, like a database would compute natively.
                 let (collection, rest) = split_collection(payload)?;
                 let field = std::str::from_utf8(rest).map_err(|_| CoreError::Wire("utf8 field"))?;
-                let docs = self.docs.collection(&collection).find(&Filter::Exists(field.to_string()));
-                let mut sum = 0.0f64;
-                let mut count = 0u64;
-                for d in &docs {
-                    if let Some(v) = d.get(field).and_then(Value::as_f64) {
-                        sum += v;
-                        count += 1;
-                    }
-                }
-                let mut out = sum.to_be_bytes().to_vec();
-                out.extend_from_slice(&count.to_be_bytes());
-                Ok(out)
+                Ok(self.docs.collection(&collection).scan(&Filter::Exists(field.to_string()), |docs| {
+                    // f64 addition is not associative: sum in id order.
+                    let mut docs: Vec<&Document> = docs.collect();
+                    docs.sort_by(|a, b| a.id().cmp(b.id()));
+                    sum_plain(field, &mut docs.into_iter())
+                }))
             }
             "agg_plain_ids" => {
                 // Like `agg_plain` restricted to an explicit id set — the
@@ -753,21 +736,8 @@ impl CloudEngine {
                 let field = String::from_utf8(r.bytes()?).map_err(|_| CoreError::Wire("utf8 field"))?;
                 let ids = r.list()?;
                 r.finish()?;
-                let coll = self.docs.collection(&collection);
-                let mut sum = 0.0f64;
-                let mut count = 0u64;
-                for id in &ids {
-                    let Some(doc) = std::str::from_utf8(id).ok().and_then(|s| coll.get(s)) else {
-                        continue;
-                    };
-                    if let Some(v) = doc.get(&field).and_then(Value::as_f64) {
-                        sum += v;
-                        count += 1;
-                    }
-                }
-                let mut out = sum.to_be_bytes().to_vec();
-                out.extend_from_slice(&count.to_be_bytes());
-                Ok(out)
+                let ids = ids.iter().filter_map(|id| std::str::from_utf8(id).ok());
+                Ok(self.docs.collection(&collection).lookup(ids, |docs| sum_plain(&field, docs)))
             }
             other => Err(CoreError::UnsupportedOperation(format!("doc op {other}"))),
         }
@@ -874,10 +844,24 @@ pub(crate) fn split_collection(payload: &[u8]) -> Result<(String, &[u8]), CoreEr
 }
 
 /// Extracts and encodes the DocIds of documents whose ids are DocId-hex.
-fn ids_of(docs: &[datablinder_docstore::Document]) -> Vec<u8> {
-    let mut ids: Vec<DocId> = docs.iter().filter_map(|d| DocId::from_hex(d.id())).collect();
+fn ids_of(docs: &mut dyn Iterator<Item = &Document>) -> Vec<u8> {
+    let mut ids: Vec<DocId> = docs.filter_map(|d| DocId::from_hex(d.id())).collect();
     ids.sort();
     encode_ids(&ids)
+}
+
+/// The `agg_plain*` response: the f64 sum of `field` over `docs` in the
+/// order given, then the number of documents that had a numeric value.
+fn sum_plain(field: &str, docs: &mut dyn Iterator<Item = &Document>) -> Vec<u8> {
+    let mut sum = 0.0f64;
+    let mut count = 0u64;
+    for v in docs.filter_map(|d| d.get(field).and_then(Value::as_f64)) {
+        sum += v;
+        count += 1;
+    }
+    let mut out = sum.to_be_bytes().to_vec();
+    out.extend_from_slice(&count.to_be_bytes());
+    out
 }
 
 /// Encodes a `get_many` request body.
@@ -890,7 +874,6 @@ pub fn get_many_payload(collection: &str, ids: &[DocId]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datablinder_docstore::Document;
 
     fn engine() -> CloudEngine {
         CloudEngine::new()

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use datablinder_bigint::BigUint;
-use datablinder_docstore::{DocStore, Value};
+use datablinder_docstore::{DocStore, Document, Filter, Value};
 use datablinder_kvstore::KvStore;
 use datablinder_obs::Recorder;
 use datablinder_paillier::{Ciphertext, Keypair, PublicKey, RandomizerPool};
@@ -248,8 +248,16 @@ impl CloudTactic for PaillierCloud {
     fn handle(&self, scope: &str, op: &str, payload: &[u8]) -> Result<Vec<u8>, CoreError> {
         match op {
             "setup" => {
+                // Every aggregate re-sends the key: building it costs `n·n`
+                // and the Montgomery context's full-width division, so an
+                // unchanged key is acknowledged from what is already held.
+                let key = Self::pk_key(scope);
+                let held = self.pk_cache.lock().get(scope).is_some_and(|pk| pk.to_bytes() == payload);
+                if held && self.kv.get(&key).as_deref() == Some(payload) {
+                    return Ok(Vec::new());
+                }
                 let pk = PublicKey::from_bytes(payload)?;
-                self.kv.set(&Self::pk_key(scope), payload);
+                self.kv.set(&key, payload);
                 self.pk_cache.lock().insert(scope.to_string(), pk);
                 Ok(Vec::new())
             }
@@ -257,26 +265,22 @@ impl CloudTactic for PaillierCloud {
                 let req = PaillierSum::decode(payload)?;
                 let pk = self.scope_pk(scope)?;
                 let coll = self.docs.collection(&req.collection);
-                let docs: Vec<_> = if req.ids.is_empty() {
-                    coll.find(&datablinder_docstore::Filter::Exists(req.field.clone()))
-                } else {
-                    req.ids.iter().filter_map(|id| coll.get(id)).collect()
-                };
-                let mut acc: Option<Ciphertext> = None;
                 let mut count = 0u64;
-                for doc in &docs {
-                    let Some(Value::Bytes(ct_bytes)) = doc.get(&req.field) else {
-                        continue;
-                    };
-                    let ct = Ciphertext::from_bytes(ct_bytes);
-                    acc = Some(match acc {
-                        None => ct,
-                        Some(prev) => pk.add(&prev, &ct),
-                    });
-                    count += 1;
-                }
-                let resp = PaillierSumResponse { ciphertext: acc.map(|c| c.to_bytes()).unwrap_or_default(), count };
-                Ok(resp.encode())
+                let fold = |docs: &mut dyn Iterator<Item = &Document>| {
+                    pk.sum(
+                        docs.filter_map(|doc| match doc.get(&req.field) {
+                            Some(Value::Bytes(ct)) => Some(ct.as_slice()),
+                            _ => None,
+                        })
+                        .inspect(|_| count += 1),
+                    )
+                };
+                let sum = if req.ids.is_empty() {
+                    coll.scan(&Filter::Exists(req.field.clone()), fold)
+                } else {
+                    coll.lookup(req.ids.iter().map(String::as_str), fold)
+                };
+                Ok(PaillierSumResponse { ciphertext: sum.map(|c| c.to_bytes()).unwrap_or_default(), count }.encode())
             }
             "combine" => {
                 // Folds per-replica partial sums into one accumulator: a
@@ -287,22 +291,10 @@ impl CloudTactic for PaillierCloud {
                 let partials = r.list().map_err(|_| CoreError::Wire("combine partials"))?;
                 r.finish().map_err(|_| CoreError::Wire("combine trailing"))?;
                 let pk = self.scope_pk(scope)?;
-                let mut acc: Option<Ciphertext> = None;
-                let mut count = 0u64;
-                for partial in &partials {
-                    let part = PaillierSumResponse::decode(partial)?;
-                    count += part.count;
-                    if part.ciphertext.is_empty() {
-                        continue;
-                    }
-                    let ct = Ciphertext::from_bytes(&part.ciphertext);
-                    acc = Some(match acc {
-                        None => ct,
-                        Some(prev) => pk.add(&prev, &ct),
-                    });
-                }
-                let resp = PaillierSumResponse { ciphertext: acc.map(|c| c.to_bytes()).unwrap_or_default(), count };
-                Ok(resp.encode())
+                let parts = partials.iter().map(|p| PaillierSumResponse::decode(p)).collect::<Result<Vec<_>, _>>()?;
+                let count = parts.iter().fold(0u64, |n, p| n.saturating_add(p.count));
+                let sum = pk.sum(parts.iter().map(|p| p.ciphertext.as_slice()).filter(|ct| !ct.is_empty()));
+                Ok(PaillierSumResponse { ciphertext: sum.map(|c| c.to_bytes()).unwrap_or_default(), count }.encode())
             }
             other => Err(CoreError::UnsupportedOperation(format!("paillier cloud op {other}"))),
         }
@@ -312,7 +304,6 @@ impl CloudTactic for PaillierCloud {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datablinder_docstore::Document;
     use rand::SeedableRng;
 
     fn setup() -> (PaillierTactic, PaillierCloud, rand::rngs::StdRng) {
@@ -399,5 +390,78 @@ mod tests {
         let (_, cloud, _) = setup();
         let req = PaillierSum { collection: "obs".into(), field: "value__phe".into(), ids: vec![] };
         assert!(cloud.handle("fresh", "sum", &req.encode()).is_err());
+    }
+
+    /// Every aggregate re-sends `setup`; an unchanged key must not be
+    /// rebuilt (same Montgomery context afterwards), a different key must
+    /// replace both the stored bytes and the cached key.
+    #[test]
+    fn repeated_setup_keeps_the_built_key_and_a_new_key_replaces_it() {
+        let (gw, cloud, mut rng) = setup();
+        let ctx_of = |scope: &str| cloud.pk_cache.lock().get(scope).map(|pk| pk.montgomery_ctx() as *const _);
+        let first = gw.keypair.public().to_bytes();
+        cloud.handle("s", "setup", &first).unwrap();
+        let built = ctx_of("s").unwrap();
+        cloud.handle("s", "setup", &first).unwrap();
+        assert_eq!(ctx_of("s"), Some(built), "same bytes: acknowledged without a rebuild");
+
+        // A cold cache (restart: kv restored, nothing decoded yet) rebuilds.
+        cloud.pk_cache.lock().clear();
+        cloud.handle("s", "setup", &first).unwrap();
+        assert!(ctx_of("s").is_some());
+
+        let second = Keypair::generate(&mut rng, 256).public().to_bytes();
+        cloud.handle("s", "setup", &second).unwrap();
+        assert_eq!(cloud.kv.get(&PaillierCloud::pk_key("s")), Some(second.clone()));
+        assert_eq!(cloud.scope_pk("s").unwrap().to_bytes(), second);
+        assert!(cloud.handle("s", "setup", &[4]).is_err(), "an even modulus is still rejected");
+        assert_eq!(cloud.scope_pk("s").unwrap().to_bytes(), second);
+    }
+
+    /// The cloud is the untrusted zone: whatever it stores or answers as a
+    /// "ciphertext" must come back as a typed error or a reduced group
+    /// element, without a panic and in time linear in its length (the old
+    /// byte-at-a-time decoder needed minutes for 1 MiB).
+    #[test]
+    fn hostile_ciphertexts_are_bounded_and_typed() {
+        let (mut gw, cloud, mut rng) = setup();
+        store_doc(&cloud, &mut gw, &mut rng, 1, 41.0);
+        let honest = match cloud.docs.collection("obs").get(&DocId([1; 16]).to_hex()).unwrap().get("value__phe") {
+            Some(Value::Bytes(ct)) => ct.clone(),
+            other => panic!("stored shadow field: {other:?}"),
+        };
+        let oversize = vec![0xffu8; 1 << 20];
+        let padded = [vec![0u8; 1 << 20], honest.clone()].concat();
+        let started = std::time::Instant::now();
+
+        // Gateway side: the cloud's answer goes straight into decryption.
+        let answer =
+            |ciphertext: &[u8]| vec![PaillierSumResponse { ciphertext: ciphertext.to_vec(), count: 1 }.encode()];
+        assert!(matches!(gw.agg_resolve(AggFn::Sum, &answer(&oversize)), Err(CoreError::Crypto(_))));
+        assert!(matches!(gw.agg_resolve(AggFn::Sum, &answer(&[])), Err(CoreError::Crypto(_))));
+        assert_eq!(gw.agg_resolve(AggFn::Sum, &answer(&padded)).unwrap(), 41.0);
+
+        // Cloud side: a poisoned document and poisoned partials fold to the
+        // reduced element; padding and empty partials change nothing.
+        for (id, ct) in [(2u8, &oversize), (3, &padded)] {
+            let doc = Document::new(DocId([id; 16]).to_hex()).with("value__phe", Value::Bytes(ct.clone()));
+            cloud.docs.collection("obs").insert(doc).unwrap();
+        }
+        let scope = gw.route_sum.split('/').nth(2).unwrap().to_string();
+        let sum = PaillierSum { collection: "obs".into(), field: "value__phe".into(), ids: vec![] };
+        let summed = PaillierSumResponse::decode(&cloud.handle(&scope, "sum", &sum.encode()).unwrap()).unwrap();
+        assert_eq!(summed.count, 3);
+        let n2 = gw.keypair.public().modulus_squared();
+        assert!(BigUint::from_bytes_be(&summed.ciphertext) < *n2, "sum is reduced mod n²");
+
+        let partial =
+            |ciphertext: &[u8], count| PaillierSumResponse { ciphertext: ciphertext.to_vec(), count }.encode();
+        let mut w = datablinder_sse::encoding::Writer::new();
+        w.list(&[partial(&padded, 1), partial(&[], u64::MAX), partial(&oversize, 1), partial(&honest, 1)]);
+        let combined = PaillierSumResponse::decode(&cloud.handle(&scope, "combine", &w.finish()).unwrap()).unwrap();
+        assert_eq!(combined.count, u64::MAX, "hostile counts saturate");
+        assert_eq!(combined.ciphertext, summed.ciphertext, "same three operands, same element");
+
+        assert!(started.elapsed() < std::time::Duration::from_secs(10), "took {:?}", started.elapsed());
     }
 }

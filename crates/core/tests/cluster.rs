@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use datablinder_core::cloud::{with_collection, CloudEngine};
-use datablinder_core::cloudproto::{Idempotent, IDEM_ROUTE};
+use datablinder_core::cloudproto::{Idempotent, PaillierSum, PaillierSumResponse, IDEM_ROUTE};
 use datablinder_core::cluster::{ClusterCloud, ClusterConfig};
 use datablinder_core::durability::wal_path;
 use datablinder_core::gateway::GatewayEngine;
@@ -20,6 +20,7 @@ use datablinder_kvstore::read_frames;
 use datablinder_netsim::{
     Channel, CloudService, CrashInjector, CrashPlan, CrashPoint, LatencyModel, NetError, NodeEvent, NodeFailurePlan,
 };
+use datablinder_paillier::{Ciphertext, Keypair};
 use datablinder_sse::DocId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -526,4 +527,47 @@ fn membership_churn_storm_converges() {
     assert_eq!(cluster.read_repairs(), repairs_before, "no lazy repairs outstanding after anti-entropy");
     assert!(gw.fsck("patients").unwrap().is_clean());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The distributed Paillier aggregate is the same group element as the
+/// single-engine one: five nodes each fold their partition, one of them
+/// `combine`s the partials, and because modular multiplication is exact and
+/// commutative the response — ciphertext bytes and count — equals what one
+/// `CloudEngine` holding every document answers.
+#[test]
+fn paillier_sum_over_five_nodes_matches_single_engine_bytes() {
+    let mut rng = StdRng::seed_from_u64(0x5A11);
+    let kp = Keypair::generate(&mut rng, 256);
+    let cluster = ClusterCloud::new(ClusterConfig::volatile(5, 3, 2, 0x5A11)).unwrap();
+    let single = CloudEngine::new();
+    let services: [&dyn CloudService; 2] = [&cluster, &single];
+
+    let setup = kp.public().to_bytes();
+    let mut ids = Vec::new();
+    let mut total = 0u64;
+    for svc in services {
+        svc.handle("tactic/paillier/value/setup", &setup).unwrap();
+    }
+    for i in 0..60u8 {
+        let id = DocId([i; 16]).to_hex();
+        let ct = kp.public().encrypt_u64(&mut rng, 1000 + u64::from(i)).to_bytes();
+        let doc = Document::new(id.clone()).with("value__phe", Value::Bytes(ct));
+        for svc in services {
+            svc.handle("doc/insert", &with_collection("obs", &encode_document(&doc))).unwrap();
+        }
+        total += 1000 + u64::from(i);
+        ids.push(id);
+    }
+    let holders = (0..5).filter(|&n| cluster.with_node_engine(n, |e| !e.docs().collection("obs").is_empty()).unwrap());
+    assert!(holders.count() > 1, "the documents are spread over several nodes, so the sum is combined");
+
+    let whole = PaillierSum { collection: "obs".into(), field: "value__phe".into(), ids: Vec::new() };
+    let some = PaillierSum { ids: ids.iter().step_by(3).cloned().collect(), ..whole.clone() };
+    for (req, expect, count) in [(&whole, total, 60), (&some, (0..60).step_by(3).map(|i| 1000 + i).sum(), 20)] {
+        let [clustered, alone] = services.map(|svc| svc.handle("tactic/paillier/value/sum", &req.encode()).unwrap());
+        assert_eq!(clustered, alone, "same ciphertext bytes, same count");
+        let resp = PaillierSumResponse::decode(&alone).unwrap();
+        assert_eq!(resp.count, count);
+        assert_eq!(kp.decrypt_u64(&Ciphertext::from_bytes(&resp.ciphertext)), Some(expect));
+    }
 }

@@ -128,29 +128,44 @@ impl Collection {
         Ok(())
     }
 
-    /// Finds documents matching `filter`, using a secondary index when an
-    /// equality conjunct on an indexed field is present.
+    /// Finds documents matching `filter` (cloned, id-sorted), using a
+    /// secondary index when an equality conjunct on an indexed field is
+    /// present.
     pub fn find(&self, filter: &Filter) -> Vec<Document> {
+        let mut out: Vec<Document> = self.scan(filter, |hits| hits.cloned().collect());
+        out.sort_by(|a, b| a.id().cmp(b.id()));
+        out
+    }
+
+    /// Runs `f` over the documents [`Collection::find`] would return,
+    /// borrowed under the read lock: nothing is cloned, and the order is
+    /// unspecified (a caller that needs id order sorts the references).
+    /// `f` must not write to this collection.
+    pub fn scan<R>(&self, filter: &Filter, f: impl FnOnce(&mut dyn Iterator<Item = &Document>) -> R) -> R {
         let inner = self.inner.read();
         if let Some((field, value)) = filter.index_candidate() {
             if let Some(index) = inner.indexes.get(field) {
-                let mut out = Vec::new();
-                if let Some(ids) = index.get(&IndexKey(value.clone())) {
-                    for id in ids {
-                        if let Some(doc) = inner.docs.get(id) {
-                            if filter.matches(doc) {
-                                out.push(doc.clone());
-                            }
-                        }
-                    }
-                }
-                out.sort_by(|a, b| a.id().cmp(b.id()));
-                return out;
+                let ids = index.get(&IndexKey(value.clone()));
+                return f(&mut ids
+                    .into_iter()
+                    .flatten()
+                    .filter_map(|id| inner.docs.get(id))
+                    .filter(|d| filter.matches(d)));
             }
         }
-        let mut out: Vec<Document> = inner.docs.values().filter(|d| filter.matches(d)).cloned().collect();
-        out.sort_by(|a, b| a.id().cmp(b.id()));
-        out
+        f(&mut inner.docs.values().filter(|d| filter.matches(d)))
+    }
+
+    /// Runs `f` over the documents with the given ids, in the order given
+    /// and skipping unknown ids, borrowed under the read lock like
+    /// [`Collection::scan`].
+    pub fn lookup<'i, R>(
+        &self,
+        ids: impl IntoIterator<Item = &'i str>,
+        f: impl FnOnce(&mut dyn Iterator<Item = &Document>) -> R,
+    ) -> R {
+        let inner = self.inner.read();
+        f(&mut ids.into_iter().filter_map(|id| inner.docs.get(id)))
     }
 
     /// Counts matches without materializing documents.

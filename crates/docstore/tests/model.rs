@@ -21,6 +21,8 @@ fn arb_filter() -> impl Strategy<Value = Filter> {
         Just(Filter::All),
         arb_value().prop_map(|v| Filter::eq("x", v)),
         arb_value().prop_map(|v| Filter::lt("x", v)),
+        arb_value().prop_map(|v| Filter::lte("y", v)),
+        arb_value().prop_map(|v| Filter::gt("x", v)),
         arb_value().prop_map(|v| Filter::gte("y", v)),
         Just(Filter::Exists("x".into())),
     ];
@@ -55,7 +57,23 @@ proptest! {
         }
         let a: Vec<String> = indexed.find(&filter).iter().map(|d| d.id().to_string()).collect();
         let b: Vec<String> = plain.find(&filter).iter().map(|d| d.id().to_string()).collect();
-        prop_assert_eq!(a, b);
+        prop_assert_eq!(&a, &b);
+
+        // The borrowing scan hands out exactly those documents (in any
+        // order), judged against the predicate itself rather than `find`.
+        let mut expect: Vec<Document> = docs.iter().filter(|d| filter.matches(d)).cloned().collect();
+        expect.sort_by(|x, y| x.id().cmp(y.id()));
+        for coll in [&indexed, &plain] {
+            let mut seen: Vec<Document> = coll.scan(&filter, |hits| hits.cloned().collect());
+            seen.sort_by(|x, y| x.id().cmp(y.id()));
+            prop_assert_eq!(&seen, &expect);
+            prop_assert_eq!(coll.find(&filter), expect.clone());
+        }
+        // Point lookups keep the caller's order and skip unknown ids.
+        let asked: Vec<String> = a.iter().rev().cloned().chain(["nope".to_string()]).collect();
+        let got: Vec<String> =
+            indexed.lookup(asked.iter().map(String::as_str), |hits| hits.map(|d| d.id().to_string()).collect());
+        prop_assert_eq!(got, a.iter().rev().cloned().collect::<Vec<_>>());
     }
 
     #[test]

@@ -39,6 +39,11 @@ cargo test --release -q --test concurrency
 echo "==> cargo test --release --test symmetric_props (table-GHASH / batched-CTR / batch-seal differential oracles)"
 cargo test --release -q -p datablinder-primitives --test symmetric_props
 
+echo "==> cargo test --release: Paillier aggregate differentials (Montgomery product fold + linear decode, sum ≡ iterated add, borrowing scan ≡ predicate)"
+cargo test --release -q -p datablinder-bigint --test kernels_differential
+cargo test --release -q -p datablinder-paillier --test sum_differential
+cargo test --release -q -p datablinder-docstore --test model
+
 echo "==> cargo test --release --test cluster (replicated-cloud crash + membership-churn storms under optimization)"
 cargo test --release -q -p datablinder-core --test cluster
 cargo test --release -q -p datablinder-core --test cluster membership_churn_storm_converges -- --exact
