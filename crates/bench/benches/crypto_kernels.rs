@@ -74,7 +74,7 @@ fn bench_paillier_amortized(c: &mut Criterion) {
     g.bench_function("encrypt_cached_ctx", |b| {
         b.iter(|| pk.encrypt(&mut rng, &m).unwrap());
     });
-    let pool = RandomizerPool::new(pk.clone(), 4096);
+    let pool = RandomizerPool::new(kp.clone(), 4096);
     pool.refill(&mut rng);
     g.bench_function("encrypt_pooled", |b| {
         b.iter(|| {
@@ -94,7 +94,7 @@ fn bench_paillier_amortized(c: &mut Criterion) {
     let batch = 64u64;
     g.throughput(Throughput::Elements(batch));
     g.bench_function("batch_sum_64", |b| {
-        let sum_pool = RandomizerPool::new(pk.clone(), batch as usize);
+        let sum_pool = RandomizerPool::new(kp.clone(), batch as usize);
         b.iter(|| {
             sum_pool.refill(&mut rng);
             let mut acc = pk.encrypt_with(&BigUint::zero(), &sum_pool.take(&mut rng)).unwrap();

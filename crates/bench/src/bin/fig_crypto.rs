@@ -13,9 +13,11 @@
 //! * `modpow_per_call_ctx` vs `modpow_cached_ctx` — square-and-multiply
 //!   through [`BigUint::modpow`] (rebuilds the Montgomery domain per call)
 //!   against a long-lived [`MontgomeryCtx`];
-//! * `encrypt_legacy` vs `encrypt_cached_ctx` vs `encrypt_pooled` — the
-//!   pre-rework Paillier encrypt (per-call `r^n mod n²` with no cached
-//!   context), the cached-context encrypt, and completion from a
+//! * `encrypt_legacy` vs `encrypt_cached_ctx` vs `encrypt_keypair` vs
+//!   `encrypt_pooled` — the pre-rework Paillier encrypt (per-call
+//!   `r^n mod n²` with no cached context), the cached-context encrypt
+//!   through the public key, the same through the keypair (obfuscator
+//!   drawn by CRT from the factors), and completion from a
 //!   [`RandomizerPool`] obfuscator;
 //! * `decrypt_plain` vs `decrypt_crt` — full-width `c^λ mod n²` against
 //!   the two half-width CRT exponentiations;
@@ -144,8 +146,9 @@ fn main() {
     // cached context, then a division-based modular multiply.
     let mut rng_legacy = rand::rngs::StdRng::seed_from_u64(1);
     let mut rng_enc = rand::rngs::StdRng::seed_from_u64(1);
+    let mut rng_kp = rand::rngs::StdRng::seed_from_u64(1);
     let mut rng_pool = rand::rngs::StdRng::seed_from_u64(1);
-    let pool = RandomizerPool::new(pk.clone(), ((iters + 1) * rounds) as usize * 2);
+    let pool = RandomizerPool::new(kp.clone(), ((iters + 1) * rounds) as usize * 2);
     pool.refill(&mut rng);
     let timings = race(
         iters,
@@ -166,17 +169,22 @@ fn main() {
                 std::hint::black_box(pk.encrypt(&mut rng_enc, &m_plain).unwrap());
             },
             &mut || {
+                std::hint::black_box(kp.encrypt(&mut rng_kp, &m_plain).unwrap());
+            },
+            &mut || {
                 let obf = pool.take(&mut rng_pool);
                 std::hint::black_box(pk.encrypt_with(&m_plain, &obf).unwrap());
             },
         ],
     );
-    let (ns_legacy, ns_cached, ns_pooled) = (timings[0], timings[1], timings[2]);
+    let (ns_legacy, ns_cached, ns_keypair, ns_pooled) = (timings[0], timings[1], timings[2], timings[3]);
     push(&mut kernels, "encrypt_legacy", reps, ns_legacy);
     push(&mut kernels, "encrypt_cached_ctx", reps, ns_cached);
+    push(&mut kernels, "encrypt_keypair", reps, ns_keypair);
     push(&mut kernels, "encrypt_pooled", reps, ns_pooled);
     assert_eq!(pool.stats().misses, 0, "pool sized to cover the whole run");
     let speedup_encrypt = ns_legacy / ns_cached;
+    let speedup_encrypt_keypair = ns_cached / ns_keypair;
     let speedup_encrypt_pooled = ns_legacy / ns_pooled;
 
     // --- decrypt: plain λ path vs CRT ------------------------------------
@@ -201,7 +209,7 @@ fn main() {
 
     // --- batch sum: the gateway aggregate path end to end -----------------
     let batch: u64 = if args.quick { 16 } else { 64 };
-    let sum_pool = RandomizerPool::new(pk.clone(), batch as usize);
+    let sum_pool = RandomizerPool::new(kp.clone(), batch as usize);
     let timings = race(
         iters.max(3),
         rounds.min(3),
@@ -380,6 +388,7 @@ fn main() {
     json.push_str("],");
     json.push_str(&format!("\"speedup_modpow_cached\":{speedup_modpow:.2},"));
     json.push_str(&format!("\"speedup_encrypt_cached\":{speedup_encrypt:.2},"));
+    json.push_str(&format!("\"speedup_encrypt_keypair\":{speedup_encrypt_keypair:.2},"));
     json.push_str(&format!("\"speedup_encrypt_pooled\":{speedup_encrypt_pooled:.2},"));
     json.push_str(&format!("\"speedup_decrypt_crt\":{speedup_decrypt:.2},"));
     json.push_str(&format!("\"batch_sum_elements_per_sec\":{batch_sum_per_sec:.0},"));
@@ -404,7 +413,7 @@ fn main() {
 
     std::fs::write(&args.out, &json).expect("write BENCH_crypto.json");
     println!(
-        "\nspeedups: modpow cached {speedup_modpow:.2}x, encrypt cached {speedup_encrypt:.2}x, encrypt pooled {speedup_encrypt_pooled:.2}x, CRT decrypt {speedup_decrypt:.2}x"
+        "\nspeedups: modpow cached {speedup_modpow:.2}x, encrypt cached {speedup_encrypt:.2}x, keypair over cached {speedup_encrypt_keypair:.2}x, encrypt pooled {speedup_encrypt_pooled:.2}x, CRT decrypt {speedup_decrypt:.2}x"
     );
     println!("batch sum: {batch_sum_per_sec:.0} elements/s");
     println!(

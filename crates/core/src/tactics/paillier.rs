@@ -28,7 +28,7 @@ use crate::spi::{CloudCall, CloudTactic, GatewayTactic, ProtectedField};
 pub const DEFAULT_MODULUS_BITS: usize = 512;
 
 /// Obfuscators precomputed per randomizer-pool refill. The total number of
-/// `r^n mod n²` exponentiations is unchanged versus computing one per
+/// `r^n mod n²` obfuscators is unchanged versus computing one per
 /// encryption — they are just batched off the per-value path.
 const POOL_BATCH: usize = 16;
 
@@ -57,7 +57,8 @@ pub fn descriptor() -> TacticDescriptor {
 /// The tactic instance is long-lived (it persists in the gateway's tactic
 /// map across channel round trips), so it amortizes the expensive pieces
 /// of every encryption: the keypair's cached Montgomery contexts and a
-/// [`RandomizerPool`] of precomputed `r^n mod n²` obfuscators.
+/// [`RandomizerPool`] of precomputed `r^n mod n²` obfuscators, which the
+/// pool draws through the keypair's factors (`Keypair::fresh_obfuscator`).
 pub struct PaillierTactic {
     keypair: Keypair,
     pool: RandomizerPool,
@@ -93,7 +94,7 @@ impl PaillierTactic {
             ctx.kms.put_secret(&secret_name, kp.to_bytes());
             kp
         };
-        let pool = RandomizerPool::new(keypair.public().clone(), POOL_BATCH);
+        let pool = RandomizerPool::new(keypair.clone(), POOL_BATCH);
         Ok(PaillierTactic {
             keypair,
             pool,
@@ -374,6 +375,27 @@ mod tests {
         let responses: Vec<Vec<u8>> = calls.iter().map(|c| run(&cloud, c)).collect();
         let sum = gw.agg_resolve(AggFn::Sum, &responses).unwrap();
         assert!((sum + 3.5).abs() < 1e-9, "sum = {sum}");
+    }
+
+    /// 50 protects drain the pool through four refills of `POOL_BATCH`,
+    /// every obfuscator drawn through the keypair's factors: the cloud's
+    /// homomorphic sum must still decrypt to the plaintext sum, and every
+    /// take must have been a hit.
+    #[test]
+    fn fifty_protects_refill_from_the_keypair_and_sum_exactly() {
+        let (mut gw, cloud, mut rng) = setup();
+        assert!(gw.keypair.has_crt());
+        let values: Vec<f64> = (0..50).map(|i| (i * 37 % 101) as f64 - 50.0 + 0.125 * (i % 8) as f64).collect();
+        for (i, v) in values.iter().enumerate() {
+            store_doc(&cloud, &mut gw, &mut rng, i as u8 + 1, *v);
+        }
+        let calls = gw.agg_query("value", AggFn::Sum, &[]).unwrap();
+        let responses: Vec<Vec<u8>> = calls.iter().map(|c| run(&cloud, c)).collect();
+        let sum = gw.agg_resolve(AggFn::Sum, &responses).unwrap();
+        assert_eq!(sum, values.iter().sum::<f64>(), "eighths are exact in f64 and in the fixed-point scale");
+        assert_eq!(gw.agg_resolve(AggFn::Count, &responses).unwrap(), 50.0);
+        let stats = gw.pool.stats();
+        assert_eq!((stats.hits, stats.misses, stats.precomputed, stats.size), (50, 0, 64, 14));
     }
 
     #[test]

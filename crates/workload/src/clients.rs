@@ -316,7 +316,7 @@ impl BenchClient for HardcodedClient {
         // Paillier value.
         let value = doc.get("value").and_then(Value::as_f64).ok_or("missing value")?;
         let scaled = (value * 1000.0).round() as u64;
-        let ct = self.paillier.public().encrypt_u64(&mut self.rng, scaled);
+        let ct = self.paillier.encrypt_u64(&mut self.rng, scaled);
         stored.set(shadow_field("value", "phe"), Value::Bytes(ct.to_bytes()));
 
         self.channel

@@ -39,9 +39,10 @@ cargo test --release -q --test concurrency
 echo "==> cargo test --release --test symmetric_props (table-GHASH / batched-CTR / batch-seal differential oracles)"
 cargo test --release -q -p datablinder-primitives --test symmetric_props
 
-echo "==> cargo test --release: Paillier aggregate differentials (Montgomery product fold + linear decode, sum ≡ iterated add, borrowing scan ≡ predicate)"
+echo "==> cargo test --release: Paillier differentials (Montgomery product fold + linear decode, sum ≡ iterated add, factor-drawn obfuscators ≡ r^n mod n², borrowing scan ≡ predicate)"
 cargo test --release -q -p datablinder-bigint --test kernels_differential
 cargo test --release -q -p datablinder-paillier --test sum_differential
+cargo test --release -q -p datablinder-paillier --test obfuscator_differential
 cargo test --release -q -p datablinder-docstore --test model
 
 echo "==> cargo test --release --test cluster (replicated-cloud crash + membership-churn storms under optimization)"
