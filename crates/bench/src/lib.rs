@@ -392,7 +392,7 @@ pub struct ClusterRungReport {
 }
 
 impl ClusterRungReport {
-    /// The rung as one JSON object (no serde in the bench path).
+    /// The rung as one JSON object (hand-written: the bench path has no serializer).
     pub fn to_json(&self) -> String {
         format!(
             "{{\"nodes\":{},\"replication\":{},\"write_quorum\":{},\"quorum_write_per_s\":{:.1},\

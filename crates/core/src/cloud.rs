@@ -8,11 +8,11 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use datablinder_codec::{crc32, Reader, Writer};
 use datablinder_docstore::{DocStore, Document, Filter, Value};
-use datablinder_kvstore::{crc32, KvStore, LogRecord};
+use datablinder_kvstore::{KvStore, LogRecord};
 use datablinder_netsim::{CloudService, NetError};
 use datablinder_obs::Recorder;
-use datablinder_sse::encoding::{Reader, Writer};
 use datablinder_sse::DocId;
 use parking_lot::Mutex;
 
@@ -388,11 +388,11 @@ impl CloudEngine {
                 let mut w = Writer::new();
                 let mut responses = Vec::with_capacity(items.len() / 2);
                 for pair in items.chunks(2) {
-                    let route = std::str::from_utf8(&pair[0]).map_err(|_| CoreError::Wire("utf8 route"))?;
+                    let route = std::str::from_utf8(pair[0]).map_err(|_| CoreError::Wire("utf8 route"))?;
                     if route == "batch" {
                         return Err(CoreError::UnsupportedOperation("nested batch".into()));
                     }
-                    responses.push(self.dispatch(route, &pair[1])?);
+                    responses.push(self.dispatch(route, pair[1])?);
                 }
                 w.list(&responses);
                 Ok(w.finish())
@@ -413,8 +413,8 @@ impl CloudEngine {
                     return Err(CoreError::Wire("bulk_put pair count"));
                 }
                 for kv in pairs.chunks(2) {
-                    self.kv.set(&kv[0], &kv[1]);
-                    self.note(&MutationScope::KvKey(kv[0].clone()));
+                    self.kv.set(kv[0], kv[1]);
+                    self.note(&MutationScope::KvKey(kv[0].to_vec()));
                 }
                 Ok(Vec::new())
             }
@@ -621,16 +621,16 @@ impl CloudEngine {
             "insert" => {
                 let (collection, rest) = split_collection(payload)?;
                 let doc = decode_document(rest)?;
-                let key = crate::sync::doc_key(&collection, doc.id().as_bytes());
-                self.docs.collection(&collection).insert(doc)?;
+                let key = crate::sync::doc_key(collection, doc.id().as_bytes());
+                self.docs.collection(collection).insert(doc)?;
                 self.note(&MutationScope::Routing(key));
                 Ok(Vec::new())
             }
             "update" => {
                 let (collection, rest) = split_collection(payload)?;
                 let doc = decode_document(rest)?;
-                let key = crate::sync::doc_key(&collection, doc.id().as_bytes());
-                self.docs.collection(&collection).update(doc)?;
+                let key = crate::sync::doc_key(collection, doc.id().as_bytes());
+                self.docs.collection(collection).update(doc)?;
                 self.note(&MutationScope::Routing(key));
                 Ok(Vec::new())
             }
@@ -638,15 +638,13 @@ impl CloudEngine {
                 let (collection, rest) = split_collection(payload)?;
                 let id = std::str::from_utf8(rest).map_err(|_| CoreError::Wire("utf8 id"))?;
                 let doc =
-                    self.docs.collection(&collection).get(id).ok_or_else(|| CoreError::NotFound(id.to_string()))?;
+                    self.docs.collection(collection).get(id).ok_or_else(|| CoreError::NotFound(id.to_string()))?;
                 Ok(encode_document(&doc))
             }
             "get_many" => {
                 let (collection, rest) = split_collection(payload)?;
-                let mut r = Reader::new(rest);
-                let ids = r.list()?;
-                r.finish()?;
-                let coll = self.docs.collection(&collection);
+                let ids = datablinder_codec::decode(rest, |r| Ok::<_, CoreError>(r.list()?))?;
+                let coll = self.docs.collection(collection);
                 let docs: Vec<_> =
                     ids.iter().filter_map(|id| std::str::from_utf8(id).ok().and_then(|s| coll.get(s))).collect();
                 Ok(encode_documents(&docs))
@@ -654,13 +652,13 @@ impl CloudEngine {
             "delete" => {
                 let (collection, rest) = split_collection(payload)?;
                 let id = std::str::from_utf8(rest).map_err(|_| CoreError::Wire("utf8 id"))?;
-                self.docs.collection(&collection).delete(id)?;
-                self.note(&MutationScope::Routing(crate::sync::doc_key(&collection, id.as_bytes())));
+                self.docs.collection(collection).delete(id)?;
+                self.note(&MutationScope::Routing(crate::sync::doc_key(collection, id.as_bytes())));
                 Ok(Vec::new())
             }
             "count" => {
                 let (collection, _) = split_collection(payload)?;
-                let n = self.docs.collection(&collection).len() as u64;
+                let n = self.docs.collection(collection).len() as u64;
                 Ok(n.to_be_bytes().to_vec())
             }
             "extreme" => {
@@ -673,7 +671,7 @@ impl CloudEngine {
                 }
                 let want_max = rest[0] == 1;
                 let field = std::str::from_utf8(&rest[1..]).map_err(|_| CoreError::Wire("utf8 field"))?;
-                let id = self.docs.collection(&collection).scan(&Filter::Exists(field.to_string()), |docs| {
+                let id = self.docs.collection(collection).scan(&Filter::Exists(field.to_string()), |docs| {
                     let hits = docs.filter_map(|d| d.get(field).and_then(Value::as_bytes).map(|b| (b, d.id())));
                     // Ties go to the smaller id, whatever order the scan visits in.
                     let best =
@@ -684,16 +682,16 @@ impl CloudEngine {
             }
             "list_ids" => {
                 let (collection, _) = split_collection(payload)?;
-                let mut ids = self.docs.collection(&collection).ids();
+                let mut ids = self.docs.collection(collection).ids();
                 ids.sort();
                 let mut w = Writer::new();
-                w.list(&ids.into_iter().map(String::into_bytes).collect::<Vec<_>>());
+                w.list(&ids);
                 Ok(w.finish())
             }
             "ensure_index" => {
                 let (collection, rest) = split_collection(payload)?;
                 let field = std::str::from_utf8(rest).map_err(|_| CoreError::Wire("utf8 field"))?;
-                self.docs.collection(&collection).create_index(field);
+                self.docs.collection(collection).create_index(field);
                 self.note(&MutationScope::Broadcast);
                 Ok(Vec::new())
             }
@@ -720,7 +718,7 @@ impl CloudEngine {
                 // numeric field, like a database would compute natively.
                 let (collection, rest) = split_collection(payload)?;
                 let field = std::str::from_utf8(rest).map_err(|_| CoreError::Wire("utf8 field"))?;
-                Ok(self.docs.collection(&collection).scan(&Filter::Exists(field.to_string()), |docs| {
+                Ok(self.docs.collection(collection).scan(&Filter::Exists(field.to_string()), |docs| {
                     // f64 addition is not associative: sum in id order.
                     let mut docs: Vec<&Document> = docs.collect();
                     docs.sort_by(|a, b| a.id().cmp(b.id()));
@@ -732,12 +730,9 @@ impl CloudEngine {
                 // cluster partitions a collection across replicas and asks
                 // each node to aggregate only the documents it owns.
                 let (collection, rest) = split_collection(payload)?;
-                let mut r = Reader::new(rest);
-                let field = String::from_utf8(r.bytes()?).map_err(|_| CoreError::Wire("utf8 field"))?;
-                let ids = r.list()?;
-                r.finish()?;
+                let (field, ids) = datablinder_codec::decode(rest, |r| Ok::<_, CoreError>((r.str()?, r.list()?)))?;
                 let ids = ids.iter().filter_map(|id| std::str::from_utf8(id).ok());
-                Ok(self.docs.collection(&collection).lookup(ids, |docs| sum_plain(&field, docs)))
+                Ok(self.docs.collection(collection).lookup(ids, |docs| sum_plain(field, docs)))
             }
             other => Err(CoreError::UnsupportedOperation(format!("doc op {other}"))),
         }
@@ -816,11 +811,9 @@ impl CloudService for CloudEngine {
 
 /// Encodes a `(collection, rest)` payload.
 pub fn with_collection(collection: &str, rest: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + collection.len() + rest.len());
-    out.extend_from_slice(&(collection.len() as u32).to_be_bytes());
-    out.extend_from_slice(collection.as_bytes());
-    out.extend_from_slice(rest);
-    out
+    let mut w = Writer::from(Vec::with_capacity(4 + collection.len() + rest.len()));
+    w.str(collection).raw(rest);
+    w.finish()
 }
 
 /// Splits a doc entry key (collection ‖ 0x00 ‖ id) back into its parts.
@@ -831,16 +824,9 @@ pub(crate) fn split_doc_key(key: &[u8]) -> Result<(String, String), CoreError> {
     Ok((collection, id))
 }
 
-pub(crate) fn split_collection(payload: &[u8]) -> Result<(String, &[u8]), CoreError> {
-    if payload.len() < 4 {
-        return Err(CoreError::Wire("collection header"));
-    }
-    let len = u32::from_be_bytes(payload[..4].try_into().unwrap()) as usize;
-    if payload.len() < 4 + len {
-        return Err(CoreError::Wire("collection name"));
-    }
-    let name = String::from_utf8(payload[4..4 + len].to_vec()).map_err(|_| CoreError::Wire("utf8 collection"))?;
-    Ok((name, &payload[4 + len..]))
+pub(crate) fn split_collection(payload: &[u8]) -> Result<(&str, &[u8]), CoreError> {
+    let mut r = Reader::new(payload);
+    Ok((r.str()?, r.rest()))
 }
 
 /// Extracts and encodes the DocIds of documents whose ids are DocId-hex.
@@ -952,10 +938,10 @@ mod tests {
         let mut w = Writer::new();
         w.list(&[b"doc/insert".to_vec(), ins, b"doc/count".to_vec(), with_collection("obs", b"")]);
         let out = e.dispatch("batch", &w.finish()).unwrap();
-        let mut r = datablinder_sse::encoding::Reader::new(&out);
+        let mut r = datablinder_codec::Reader::new(&out);
         let responses = r.list().unwrap();
         assert_eq!(responses.len(), 2);
-        assert_eq!(u64::from_be_bytes(responses[1].clone().try_into().unwrap()), 1);
+        assert_eq!(u64::from_be_bytes(responses[1].try_into().unwrap()), 1);
 
         // Nested batches are rejected.
         let mut inner = Writer::new();

@@ -1,10 +1,11 @@
 //! Request/response payload codecs for the document-level cloud routes —
 //! shared by gateway tactic adapters and the cloud engine.
 
+use datablinder_codec::{decode, Malformed, Reader, Writer};
 use datablinder_docstore::Value;
 
 use crate::error::CoreError;
-use crate::wire::{decode_value, encode_value};
+use crate::wire::{put_value, take_value};
 
 /// `doc/find_ids_eq`: equality projection query over one stored field.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,11 +21,9 @@ pub struct FindIdsEq {
 impl FindIdsEq {
     /// Serializes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_str(&mut out, &self.collection);
-        put_str(&mut out, &self.field);
-        encode_value(&self.value, &mut out);
-        out
+        let mut w = Writer::new();
+        put_value(&self.value, w.str(&self.collection).str(&self.field));
+        w.finish()
     }
 
     /// Deserializes.
@@ -32,13 +31,8 @@ impl FindIdsEq {
     /// # Errors
     ///
     /// [`CoreError::Wire`] on malformed input.
-    pub fn decode(mut buf: &[u8]) -> Result<Self, CoreError> {
-        let buf = &mut buf;
-        let collection = take_str(buf)?;
-        let field = take_str(buf)?;
-        let value = decode_value(buf)?;
-        ensure_empty(buf)?;
-        Ok(FindIdsEq { collection, field, value })
+    pub fn decode(buf: &[u8]) -> Result<Self, CoreError> {
+        decode(buf, |r| Ok(FindIdsEq { collection: r.str()?.into(), field: r.str()?.into(), value: take_value(r, 0)? }))
     }
 }
 
@@ -58,12 +52,10 @@ pub struct FindIdsRange {
 impl FindIdsRange {
     /// Serializes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_str(&mut out, &self.collection);
-        put_str(&mut out, &self.field);
-        encode_value(&self.lo, &mut out);
-        encode_value(&self.hi, &mut out);
-        out
+        let mut w = Writer::new();
+        put_value(&self.lo, w.str(&self.collection).str(&self.field));
+        put_value(&self.hi, &mut w);
+        w.finish()
     }
 
     /// Deserializes.
@@ -71,14 +63,15 @@ impl FindIdsRange {
     /// # Errors
     ///
     /// [`CoreError::Wire`] on malformed input.
-    pub fn decode(mut buf: &[u8]) -> Result<Self, CoreError> {
-        let buf = &mut buf;
-        let collection = take_str(buf)?;
-        let field = take_str(buf)?;
-        let lo = decode_value(buf)?;
-        let hi = decode_value(buf)?;
-        ensure_empty(buf)?;
-        Ok(FindIdsRange { collection, field, lo, hi })
+    pub fn decode(buf: &[u8]) -> Result<Self, CoreError> {
+        decode(buf, |r| {
+            Ok(FindIdsRange {
+                collection: r.str()?.into(),
+                field: r.str()?.into(),
+                lo: take_value(r, 0)?,
+                hi: take_value(r, 0)?,
+            })
+        })
     }
 }
 
@@ -94,17 +87,15 @@ pub struct FindIdsDnf {
 impl FindIdsDnf {
     /// Serializes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_str(&mut out, &self.collection);
-        out.extend_from_slice(&(self.dnf.len() as u32).to_be_bytes());
+        let mut w = Writer::new();
+        w.str(&self.collection).u32(self.dnf.len() as u32);
         for conj in &self.dnf {
-            out.extend_from_slice(&(conj.len() as u32).to_be_bytes());
+            w.u32(conj.len() as u32);
             for (f, v) in conj {
-                put_str(&mut out, f);
-                encode_value(v, &mut out);
+                put_value(v, w.str(f));
             }
         }
-        out
+        w.finish()
     }
 
     /// Deserializes.
@@ -112,23 +103,19 @@ impl FindIdsDnf {
     /// # Errors
     ///
     /// [`CoreError::Wire`] on malformed input.
-    pub fn decode(mut buf: &[u8]) -> Result<Self, CoreError> {
-        let buf = &mut buf;
-        let collection = take_str(buf)?;
-        let nconj = take_count(buf)?;
-        let mut dnf = Vec::with_capacity(nconj);
-        for _ in 0..nconj {
-            let nlit = take_count(buf)?;
-            let mut conj = Vec::with_capacity(nlit);
-            for _ in 0..nlit {
-                let f = take_str(buf)?;
-                let v = decode_value(buf)?;
-                conj.push((f, v));
+    pub fn decode(buf: &[u8]) -> Result<Self, CoreError> {
+        decode(buf, |r| {
+            let collection = r.str()?.into();
+            let mut dnf = Vec::new();
+            for _ in 0..r.count()? {
+                let mut conj = Vec::new();
+                for _ in 0..r.count()? {
+                    conj.push((r.str()?.into(), take_value(r, 0)?));
+                }
+                dnf.push(conj);
             }
-            dnf.push(conj);
-        }
-        ensure_empty(buf)?;
-        Ok(FindIdsDnf { collection, dnf })
+            Ok(FindIdsDnf { collection, dnf })
+        })
     }
 }
 
@@ -146,14 +133,9 @@ pub struct PaillierSum {
 impl PaillierSum {
     /// Serializes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_str(&mut out, &self.collection);
-        put_str(&mut out, &self.field);
-        out.extend_from_slice(&(self.ids.len() as u32).to_be_bytes());
-        for id in &self.ids {
-            put_str(&mut out, id);
-        }
-        out
+        let mut w = Writer::new();
+        w.str(&self.collection).str(&self.field).list(&self.ids);
+        w.finish()
     }
 
     /// Deserializes.
@@ -161,17 +143,12 @@ impl PaillierSum {
     /// # Errors
     ///
     /// [`CoreError::Wire`] on malformed input.
-    pub fn decode(mut buf: &[u8]) -> Result<Self, CoreError> {
-        let buf = &mut buf;
-        let collection = take_str(buf)?;
-        let field = take_str(buf)?;
-        let n = take_count(buf)?;
-        let mut ids = Vec::with_capacity(n);
-        for _ in 0..n {
-            ids.push(take_str(buf)?);
-        }
-        ensure_empty(buf)?;
-        Ok(PaillierSum { collection, field, ids })
+    pub fn decode(buf: &[u8]) -> Result<Self, CoreError> {
+        decode(buf, |r| {
+            let (collection, field) = (r.str()?.into(), r.str()?.into());
+            let ids = (0..r.count()?).map(|_| r.str().map(String::from)).collect::<Result<_, _>>()?;
+            Ok(PaillierSum { collection, field, ids })
+        })
     }
 }
 
@@ -187,10 +164,9 @@ pub struct PaillierSumResponse {
 impl PaillierSumResponse {
     /// Serializes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&self.count.to_be_bytes());
-        out.extend_from_slice(&self.ciphertext);
-        out
+        let mut w = Writer::new();
+        w.u64(self.count).raw(&self.ciphertext);
+        w.finish()
     }
 
     /// Deserializes.
@@ -198,9 +174,8 @@ impl PaillierSumResponse {
     /// # Errors
     ///
     /// [`CoreError::Wire`] on malformed input.
-    pub fn decode(mut buf: &[u8]) -> Result<Self, CoreError> {
-        let count = u64::from_be_bytes(take_array(&mut buf, "sum response")?);
-        Ok(PaillierSumResponse { count, ciphertext: buf.to_vec() })
+    pub fn decode(buf: &[u8]) -> Result<Self, CoreError> {
+        decode(buf, |r| Ok(PaillierSumResponse { count: r.u64()?, ciphertext: r.rest().to_vec() }))
     }
 }
 
@@ -228,12 +203,9 @@ pub struct Idempotent {
 impl Idempotent {
     /// Serializes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + 8 + self.route.len() + self.payload.len());
-        out.extend_from_slice(&self.token);
-        put_str(&mut out, &self.route);
-        out.extend_from_slice(&(self.payload.len() as u32).to_be_bytes());
-        out.extend_from_slice(&self.payload);
-        out
+        let mut w = Writer::from(Vec::with_capacity(16 + 8 + self.route.len() + self.payload.len()));
+        w.raw(&self.token).str(&self.route).bytes(&self.payload);
+        w.finish()
     }
 
     /// Deserializes.
@@ -241,14 +213,8 @@ impl Idempotent {
     /// # Errors
     ///
     /// [`CoreError::Wire`] on malformed input.
-    pub fn decode(mut buf: &[u8]) -> Result<Self, CoreError> {
-        let buf = &mut buf;
-        let token = take_array(buf, "idem token")?;
-        let route = take_str(buf)?;
-        let len = take_count(buf)?;
-        let payload = take_bytes(buf, len, "idem payload")?.to_vec();
-        ensure_empty(buf)?;
-        Ok(Idempotent { token, route, payload })
+    pub fn decode(buf: &[u8]) -> Result<Self, CoreError> {
+        decode(buf, |r| Ok(Idempotent { token: r.raw()?, route: r.str()?.into(), payload: r.bytes()?.to_vec() }))
     }
 }
 
@@ -280,25 +246,17 @@ pub struct SyncEntry {
 }
 
 impl SyncEntry {
-    /// Serializes into `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(self.kind);
-        out.extend_from_slice(&(self.key.len() as u32).to_be_bytes());
-        out.extend_from_slice(&self.key);
-        out.extend_from_slice(&(self.value.len() as u32).to_be_bytes());
-        out.extend_from_slice(&self.value);
+    /// Serializes into `w`.
+    pub fn encode_into(&self, w: &mut Writer) {
+        w.u8(self.kind).bytes(&self.key).bytes(&self.value);
     }
 
-    fn take(buf: &mut &[u8]) -> Result<Self, CoreError> {
-        let [kind] = take_array::<1>(buf, "entry kind")?;
+    fn take(r: &mut Reader) -> Result<Self, Malformed> {
+        let kind = r.u8()?;
         if !matches!(kind, ENTRY_DOC | ENTRY_KV | ENTRY_INDEX) {
-            return Err(CoreError::Wire("unknown entry kind"));
+            return Err(Malformed("unknown entry kind"));
         }
-        let klen = take_count(buf)?;
-        let key = take_bytes(buf, klen, "entry key")?.to_vec();
-        let vlen = take_count(buf)?;
-        let value = take_bytes(buf, vlen, "entry value")?.to_vec();
-        Ok(SyncEntry { kind, key, value })
+        Ok(SyncEntry { kind, key: r.bytes()?.to_vec(), value: r.bytes()?.to_vec() })
     }
 }
 
@@ -313,12 +271,12 @@ pub struct SyncEntries {
 impl SyncEntries {
     /// Serializes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(self.entries.len() as u32).to_be_bytes());
+        let mut w = Writer::new();
+        w.u32(self.entries.len() as u32);
         for e in &self.entries {
-            e.encode_into(&mut out);
+            e.encode_into(&mut w);
         }
-        out
+        w.finish()
     }
 
     /// Deserializes.
@@ -326,15 +284,11 @@ impl SyncEntries {
     /// # Errors
     ///
     /// [`CoreError::Wire`] on malformed input.
-    pub fn decode(mut buf: &[u8]) -> Result<Self, CoreError> {
-        let buf = &mut buf;
-        let n = take_count(buf)?;
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            entries.push(SyncEntry::take(buf)?);
-        }
-        ensure_empty(buf)?;
-        Ok(SyncEntries { entries })
+    pub fn decode(buf: &[u8]) -> Result<Self, CoreError> {
+        decode(buf, |r| {
+            let entries = (0..r.count()?).map(|_| SyncEntry::take(r)).collect::<Result<_, _>>()?;
+            Ok(SyncEntries { entries })
+        })
     }
 }
 
@@ -357,15 +311,12 @@ pub struct RangeSelect {
 impl RangeSelect {
     /// Serializes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&self.seed.to_be_bytes());
-        out.push(self.include_broadcast as u8);
-        out.extend_from_slice(&(self.ranges.len() as u32).to_be_bytes());
-        for (lo, hi) in &self.ranges {
-            out.extend_from_slice(&lo.to_be_bytes());
-            out.extend_from_slice(&hi.to_be_bytes());
+        let mut w = Writer::new();
+        w.u64(self.seed).u8(self.include_broadcast as u8).u32(self.ranges.len() as u32);
+        for &(lo, hi) in &self.ranges {
+            w.u64(lo).u64(hi);
         }
-        out
+        w.finish()
     }
 
     /// Deserializes.
@@ -373,22 +324,16 @@ impl RangeSelect {
     /// # Errors
     ///
     /// [`CoreError::Wire`] on malformed input.
-    pub fn decode(mut buf: &[u8]) -> Result<Self, CoreError> {
-        let buf = &mut buf;
-        let seed = u64::from_be_bytes(take_array(buf, "select seed")?);
-        let [flag] = take_array::<1>(buf, "select flag")?;
-        if flag > 1 {
-            return Err(CoreError::Wire("select flag"));
-        }
-        let n = take_count(buf)?;
-        let mut ranges = Vec::with_capacity(n);
-        for _ in 0..n {
-            let lo = u64::from_be_bytes(take_array(buf, "range lo")?);
-            let hi = u64::from_be_bytes(take_array(buf, "range hi")?);
-            ranges.push((lo, hi));
-        }
-        ensure_empty(buf)?;
-        Ok(RangeSelect { seed, ranges, include_broadcast: flag == 1 })
+    pub fn decode(buf: &[u8]) -> Result<Self, CoreError> {
+        decode(buf, |r| {
+            let seed = r.u64()?;
+            let flag = r.u8()?;
+            if flag > 1 {
+                return Err(CoreError::Wire("select flag"));
+            }
+            let ranges = (0..r.count()?).map(|_| Ok((r.u64()?, r.u64()?))).collect::<Result<_, Malformed>>()?;
+            Ok(RangeSelect { seed, ranges, include_broadcast: flag == 1 })
+        })
     }
 }
 
@@ -412,11 +357,8 @@ impl TransferBegin {
     /// # Errors
     ///
     /// [`CoreError::Wire`] on malformed input.
-    pub fn decode(mut buf: &[u8]) -> Result<Self, CoreError> {
-        let buf = &mut buf;
-        let token = take_array(buf, "transfer token")?;
-        ensure_empty(buf)?;
-        Ok(TransferBegin { token })
+    pub fn decode(buf: &[u8]) -> Result<Self, CoreError> {
+        decode(buf, |r| Ok(TransferBegin { token: r.raw()? }))
     }
 }
 
@@ -437,11 +379,9 @@ pub struct TransferInfo {
 impl TransferInfo {
     /// Serializes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(20);
-        out.extend_from_slice(&self.total_len.to_be_bytes());
-        out.extend_from_slice(&self.snapshot_seq.to_be_bytes());
-        out.extend_from_slice(&self.crc.to_be_bytes());
-        out
+        let mut w = Writer::new();
+        w.u64(self.total_len).u64(self.snapshot_seq).u32(self.crc);
+        w.finish()
     }
 
     /// Deserializes.
@@ -449,13 +389,8 @@ impl TransferInfo {
     /// # Errors
     ///
     /// [`CoreError::Wire`] on malformed input.
-    pub fn decode(mut buf: &[u8]) -> Result<Self, CoreError> {
-        let buf = &mut buf;
-        let total_len = u64::from_be_bytes(take_array(buf, "transfer len")?);
-        let snapshot_seq = u64::from_be_bytes(take_array(buf, "transfer seq")?);
-        let crc = u32::from_be_bytes(take_array(buf, "transfer crc")?);
-        ensure_empty(buf)?;
-        Ok(TransferInfo { total_len, snapshot_seq, crc })
+    pub fn decode(buf: &[u8]) -> Result<Self, CoreError> {
+        decode(buf, |r| Ok(TransferInfo { total_len: r.u64()?, snapshot_seq: r.u64()?, crc: r.u32()? }))
     }
 }
 
@@ -475,11 +410,9 @@ pub struct ChunkRequest {
 impl ChunkRequest {
     /// Serializes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(28);
-        out.extend_from_slice(&self.token);
-        out.extend_from_slice(&self.offset.to_be_bytes());
-        out.extend_from_slice(&self.max_len.to_be_bytes());
-        out
+        let mut w = Writer::new();
+        w.raw(&self.token).u64(self.offset).u32(self.max_len);
+        w.finish()
     }
 
     /// Deserializes.
@@ -487,13 +420,8 @@ impl ChunkRequest {
     /// # Errors
     ///
     /// [`CoreError::Wire`] on malformed input.
-    pub fn decode(mut buf: &[u8]) -> Result<Self, CoreError> {
-        let buf = &mut buf;
-        let token = take_array(buf, "chunk token")?;
-        let offset = u64::from_be_bytes(take_array(buf, "chunk offset")?);
-        let max_len = u32::from_be_bytes(take_array(buf, "chunk max")?);
-        ensure_empty(buf)?;
-        Ok(ChunkRequest { token, offset, max_len })
+    pub fn decode(buf: &[u8]) -> Result<Self, CoreError> {
+        decode(buf, |r| Ok(ChunkRequest { token: r.raw()?, offset: r.u64()?, max_len: r.u32()? }))
     }
 }
 
@@ -512,12 +440,9 @@ pub struct ChunkResponse {
 impl ChunkResponse {
     /// Serializes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.data.len());
-        out.extend_from_slice(&self.offset.to_be_bytes());
-        out.extend_from_slice(&self.crc.to_be_bytes());
-        out.extend_from_slice(&(self.data.len() as u32).to_be_bytes());
-        out.extend_from_slice(&self.data);
-        out
+        let mut w = Writer::from(Vec::with_capacity(16 + self.data.len()));
+        w.u64(self.offset).u32(self.crc).bytes(&self.data);
+        w.finish()
     }
 
     /// Deserializes.
@@ -525,14 +450,8 @@ impl ChunkResponse {
     /// # Errors
     ///
     /// [`CoreError::Wire`] on malformed input.
-    pub fn decode(mut buf: &[u8]) -> Result<Self, CoreError> {
-        let buf = &mut buf;
-        let offset = u64::from_be_bytes(take_array(buf, "chunk offset")?);
-        let crc = u32::from_be_bytes(take_array(buf, "chunk crc")?);
-        let len = take_count(buf)?;
-        let data = take_bytes(buf, len, "chunk data")?.to_vec();
-        ensure_empty(buf)?;
-        Ok(ChunkResponse { offset, crc, data })
+    pub fn decode(buf: &[u8]) -> Result<Self, CoreError> {
+        decode(buf, |r| Ok(ChunkResponse { offset: r.u64()?, crc: r.u32()?, data: r.bytes()?.to_vec() }))
     }
 }
 
@@ -548,7 +467,9 @@ pub struct WalTailRequest {
 impl WalTailRequest {
     /// Serializes.
     pub fn encode(&self) -> Vec<u8> {
-        self.from_seq.to_be_bytes().to_vec()
+        let mut w = Writer::new();
+        w.u64(self.from_seq);
+        w.finish()
     }
 
     /// Deserializes.
@@ -556,11 +477,8 @@ impl WalTailRequest {
     /// # Errors
     ///
     /// [`CoreError::Wire`] on malformed input.
-    pub fn decode(mut buf: &[u8]) -> Result<Self, CoreError> {
-        let buf = &mut buf;
-        let from_seq = u64::from_be_bytes(take_array(buf, "tail seq")?);
-        ensure_empty(buf)?;
-        Ok(WalTailRequest { from_seq })
+    pub fn decode(buf: &[u8]) -> Result<Self, CoreError> {
+        decode(buf, |r| Ok(WalTailRequest { from_seq: r.u64()? }))
     }
 }
 
@@ -574,13 +492,9 @@ pub struct BlobList {
 impl BlobList {
     /// Serializes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(self.items.len() as u32).to_be_bytes());
-        for item in &self.items {
-            out.extend_from_slice(&(item.len() as u32).to_be_bytes());
-            out.extend_from_slice(item);
-        }
-        out
+        let mut w = Writer::new();
+        w.list(&self.items);
+        w.finish()
     }
 
     /// Deserializes.
@@ -588,16 +502,8 @@ impl BlobList {
     /// # Errors
     ///
     /// [`CoreError::Wire`] on malformed input.
-    pub fn decode(mut buf: &[u8]) -> Result<Self, CoreError> {
-        let buf = &mut buf;
-        let n = take_count(buf)?;
-        let mut items = Vec::with_capacity(n);
-        for _ in 0..n {
-            let len = take_count(buf)?;
-            items.push(take_bytes(buf, len, "blob body")?.to_vec());
-        }
-        ensure_empty(buf)?;
-        Ok(BlobList { items })
+    pub fn decode(buf: &[u8]) -> Result<Self, CoreError> {
+        decode(buf, |r| Ok(BlobList { items: r.list()?.into_iter().map(<[u8]>::to_vec).collect() }))
     }
 }
 
@@ -617,13 +523,12 @@ pub struct DigestRequest {
 impl DigestRequest {
     /// Serializes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(12 + self.boundaries.len() * 8);
-        out.extend_from_slice(&self.seed.to_be_bytes());
-        out.extend_from_slice(&(self.boundaries.len() as u32).to_be_bytes());
-        for b in &self.boundaries {
-            out.extend_from_slice(&b.to_be_bytes());
+        let mut w = Writer::from(Vec::with_capacity(12 + self.boundaries.len() * 8));
+        w.u64(self.seed).u32(self.boundaries.len() as u32);
+        for &b in &self.boundaries {
+            w.u64(b);
         }
-        out
+        w.finish()
     }
 
     /// Deserializes.
@@ -631,16 +536,12 @@ impl DigestRequest {
     /// # Errors
     ///
     /// [`CoreError::Wire`] on malformed input.
-    pub fn decode(mut buf: &[u8]) -> Result<Self, CoreError> {
-        let buf = &mut buf;
-        let seed = u64::from_be_bytes(take_array(buf, "digest seed")?);
-        let n = take_count(buf)?;
-        let mut boundaries = Vec::with_capacity(n);
-        for _ in 0..n {
-            boundaries.push(u64::from_be_bytes(take_array(buf, "digest boundary")?));
-        }
-        ensure_empty(buf)?;
-        Ok(DigestRequest { seed, boundaries })
+    pub fn decode(buf: &[u8]) -> Result<Self, CoreError> {
+        decode(buf, |r| {
+            let seed = r.u64()?;
+            let boundaries = (0..r.count()?).map(|_| r.u64()).collect::<Result<_, _>>()?;
+            Ok(DigestRequest { seed, boundaries })
+        })
     }
 }
 
@@ -660,14 +561,13 @@ pub struct DigestResponse {
 impl DigestResponse {
     /// Serializes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(68 + self.leaves.len() * 32);
-        out.extend_from_slice(&(self.leaves.len() as u32).to_be_bytes());
+        let mut w = Writer::from(Vec::with_capacity(68 + self.leaves.len() * 32));
+        w.u32(self.leaves.len() as u32);
         for leaf in &self.leaves {
-            out.extend_from_slice(leaf);
+            w.raw(leaf);
         }
-        out.extend_from_slice(&self.broadcast);
-        out.extend_from_slice(&self.root);
-        out
+        w.raw(&self.broadcast).raw(&self.root);
+        w.finish()
     }
 
     /// Deserializes.
@@ -675,17 +575,11 @@ impl DigestResponse {
     /// # Errors
     ///
     /// [`CoreError::Wire`] on malformed input.
-    pub fn decode(mut buf: &[u8]) -> Result<Self, CoreError> {
-        let buf = &mut buf;
-        let n = take_count(buf)?;
-        let mut leaves = Vec::with_capacity(n);
-        for _ in 0..n {
-            leaves.push(take_array(buf, "leaf digest")?);
-        }
-        let broadcast = take_array(buf, "broadcast digest")?;
-        let root = take_array(buf, "merkle root")?;
-        ensure_empty(buf)?;
-        Ok(DigestResponse { leaves, broadcast, root })
+    pub fn decode(buf: &[u8]) -> Result<Self, CoreError> {
+        decode(buf, |r| {
+            let leaves = (0..r.count()?).map(|_| r.raw()).collect::<Result<_, _>>()?;
+            Ok(DigestResponse { leaves, broadcast: r.raw()?, root: r.raw()? })
+        })
     }
 }
 
@@ -721,98 +615,9 @@ pub fn is_write_route(route: &str) -> bool {
     true
 }
 
-// ----------------------------------------------------------------- helpers
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_be_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Splits the leading `N` bytes off the cursor. The slice-pattern split is
-/// the *only* length check — there is no index arithmetic left to get
-/// wrong, so truncated input can error but never panic.
-fn take_array<const N: usize>(buf: &mut &[u8], what: &'static str) -> Result<[u8; N], CoreError> {
-    let (head, rest) = buf.split_first_chunk::<N>().ok_or(CoreError::Wire(what))?;
-    let out = *head;
-    *buf = rest;
-    Ok(out)
-}
-
-/// Splits `len` bytes off the cursor, checked, zero-copy.
-fn take_bytes<'a>(buf: &mut &'a [u8], len: usize, what: &'static str) -> Result<&'a [u8], CoreError> {
-    let (head, rest) = buf.split_at_checked(len).ok_or(CoreError::Wire(what))?;
-    *buf = rest;
-    Ok(head)
-}
-
-fn take_str(buf: &mut &[u8]) -> Result<String, CoreError> {
-    let len = u32::from_be_bytes(take_array(buf, "truncated string")?) as usize;
-    let body = take_bytes(buf, len, "truncated string body")?;
-    String::from_utf8(body.to_vec()).map_err(|_| CoreError::Wire("utf8"))
-}
-
-fn take_count(buf: &mut &[u8]) -> Result<usize, CoreError> {
-    let n = u32::from_be_bytes(take_array(buf, "truncated count")?) as usize;
-    if n > buf.len() {
-        return Err(CoreError::Wire("count exceeds buffer"));
-    }
-    Ok(n)
-}
-
-fn ensure_empty(buf: &&[u8]) -> Result<(), CoreError> {
-    if buf.is_empty() {
-        Ok(())
-    } else {
-        Err(CoreError::Wire("trailing bytes"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn find_ids_eq_roundtrip() {
-        let r = FindIdsEq { collection: "obs".into(), field: "status__det".into(), value: Value::Bytes(vec![1, 2, 3]) };
-        assert_eq!(FindIdsEq::decode(&r.encode()).unwrap(), r);
-        assert!(FindIdsEq::decode(&[1]).is_err());
-    }
-
-    #[test]
-    fn find_ids_range_roundtrip() {
-        let r = FindIdsRange {
-            collection: "obs".into(),
-            field: "eff__ope".into(),
-            lo: Value::Bytes(vec![0; 16]),
-            hi: Value::Bytes(vec![255; 16]),
-        };
-        assert_eq!(FindIdsRange::decode(&r.encode()).unwrap(), r);
-    }
-
-    #[test]
-    fn find_ids_dnf_roundtrip() {
-        let r = FindIdsDnf {
-            collection: "obs".into(),
-            dnf: vec![
-                vec![("a".into(), Value::from(1i64)), ("b".into(), Value::from("x"))],
-                vec![("c".into(), Value::Bytes(vec![9]))],
-            ],
-        };
-        assert_eq!(FindIdsDnf::decode(&r.encode()).unwrap(), r);
-        // Empty DNF is legal (matches nothing).
-        let e = FindIdsDnf { collection: "obs".into(), dnf: vec![] };
-        assert_eq!(FindIdsDnf::decode(&e.encode()).unwrap(), e);
-    }
-
-    #[test]
-    fn idempotent_roundtrip() {
-        let env = Idempotent { token: [7; 16], route: "doc/insert".into(), payload: vec![1, 2, 3] };
-        assert_eq!(Idempotent::decode(&env.encode()).unwrap(), env);
-        assert!(Idempotent::decode(&[0; 10]).is_err());
-        let mut truncated = env.encode();
-        truncated.pop();
-        assert!(Idempotent::decode(&truncated).is_err());
-    }
 
     #[test]
     fn write_route_classification() {
@@ -860,15 +665,5 @@ mod tests {
         ] {
             assert!(!is_write_route(read), "{read} should be a read");
         }
-    }
-
-    #[test]
-    fn paillier_sum_roundtrip() {
-        let r =
-            PaillierSum { collection: "obs".into(), field: "value__phe".into(), ids: vec!["aa".into(), "bb".into()] };
-        assert_eq!(PaillierSum::decode(&r.encode()).unwrap(), r);
-        let resp = PaillierSumResponse { ciphertext: vec![1, 2, 3], count: 7 };
-        assert_eq!(PaillierSumResponse::decode(&resp.encode()).unwrap(), resp);
-        assert!(PaillierSumResponse::decode(&[1, 2]).is_err());
     }
 }

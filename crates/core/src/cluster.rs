@@ -52,15 +52,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use datablinder_codec::{crc32, Reader, Writer};
 use datablinder_docstore::{DocStore, Value};
-use datablinder_kvstore::{crc32, read_frames, KvStore};
+use datablinder_kvstore::{read_frames, KvStore};
 use datablinder_netsim::{
     BreakerConfig, Channel, CloudService, CrashInjector, LatencyModel, NetError, NodeEvent, NodeFailureInjector,
     NodeFailurePlan, ResilienceConfig, ResilientChannel, RetryPolicy,
 };
 use datablinder_obs::{ClusterSnapshot, Recorder, Snapshot};
 use datablinder_primitives::sha256::Sha256;
-use datablinder_sse::encoding::{Reader, Writer};
 use datablinder_sse::DocId;
 use parking_lot::{Mutex, RwLock};
 
@@ -376,11 +376,7 @@ enum WriteTarget {
 /// first length-prefixed field — by design, so routing never decodes the
 /// whole document).
 fn encoded_doc_id(rest: &[u8]) -> Result<&[u8], CoreError> {
-    let Some(header) = rest.get(..4) else {
-        return Err(CoreError::Wire("doc id header"));
-    };
-    let len = u32::from_be_bytes(header.try_into().expect("4-byte slice")) as usize;
-    rest.get(4..4 + len).ok_or(CoreError::Wire("doc id body"))
+    Ok(Reader::new(rest).bytes()?)
 }
 
 /// Derives the idempotency token of batch item `idx` from the enclosing
@@ -1530,8 +1526,8 @@ fn write_target(route: &str, payload: &[u8]) -> Result<WriteTarget, CoreError> {
     if let Some(op) = route.strip_prefix("doc/") {
         let (collection, rest) = split_collection(payload)?;
         return Ok(match op {
-            "insert" | "update" => WriteTarget::Key(doc_key(&collection, encoded_doc_id(rest)?)),
-            "delete" => WriteTarget::Key(doc_key(&collection, rest)),
+            "insert" | "update" => WriteTarget::Key(doc_key(collection, encoded_doc_id(rest)?)),
+            "delete" => WriteTarget::Key(doc_key(collection, rest)),
             // ensure_index and future doc-level writes shape every
             // replica's view of the collection.
             _ => WriteTarget::Broadcast,
@@ -1626,12 +1622,12 @@ impl ClusterCloud {
         }
         let mut responses = Vec::with_capacity(items.len() / 2);
         for (idx, pair) in items.chunks(2).enumerate() {
-            let route = std::str::from_utf8(&pair[0]).map_err(|_| remote(CoreError::Wire("utf8 route")))?;
+            let route = std::str::from_utf8(pair[0]).map_err(|_| remote(CoreError::Wire("utf8 route")))?;
             if route == "batch" || route == IDEM_ROUTE {
                 return Err(remote(CoreError::UnsupportedOperation("nested batch".into())));
             }
             let resp = if is_write_route(route) {
-                let target = write_target(route, &pair[1]).map_err(remote)?;
+                let target = write_target(route, pair[1]).map_err(remote)?;
                 let sub = Idempotent {
                     token: sub_token(&env.token, idx as u64),
                     route: route.to_string(),
@@ -1639,7 +1635,7 @@ impl ClusterCloud {
                 };
                 self.quorum_write(topo, &target, IDEM_ROUTE, &sub.encode())?
             } else {
-                self.clustered_read(topo, route, &pair[1])?
+                self.clustered_read(topo, route, pair[1])?
             };
             responses.push(resp);
         }
@@ -1654,14 +1650,14 @@ impl ClusterCloud {
             "doc/get_many" => self.read_get_many(topo, payload),
             "doc/count" => {
                 let (collection, _) = split_collection(payload).map_err(remote)?;
-                let ids = self.union_ids(topo, &collection)?;
+                let ids = self.union_ids(topo, collection)?;
                 Ok((ids.len() as u64).to_be_bytes().to_vec())
             }
             "doc/list_ids" => {
                 let (collection, _) = split_collection(payload).map_err(remote)?;
-                let ids = self.union_ids(topo, &collection)?;
+                let ids = self.union_ids(topo, collection)?;
                 let mut w = Writer::new();
-                w.list(&ids.into_iter().map(String::into_bytes).collect::<Vec<_>>());
+                w.list(&ids);
                 Ok(w.finish())
             }
             "doc/find_ids_eq" | "doc/find_ids_range" | "doc/find_ids_dnf" => {
@@ -1682,7 +1678,7 @@ impl ClusterCloud {
     /// deterministic) and repairs divergent or missing replicas in place.
     fn read_doc(&self, topo: &Topology, payload: &[u8]) -> Result<Vec<u8>, NetError> {
         let (collection, id) = split_collection(payload).map_err(remote)?;
-        let replicas = topo.ring.replicas(&doc_key(&collection, id));
+        let replicas = topo.ring.replicas(&doc_key(collection, id));
         let mut results: Vec<(usize, Result<Vec<u8>, NetError>)> = Vec::with_capacity(replicas.len());
         for &i in &replicas {
             if !topo.alive(i) {
@@ -1720,7 +1716,7 @@ impl ClusterCloud {
                 Err(e) if is_not_found(e) => "doc/insert",
                 _ => continue,
             };
-            if topo.channels[*i].call(repair_route, &with_collection(&collection, &winner)).is_ok() {
+            if topo.channels[*i].call(repair_route, &with_collection(collection, &winner)).is_ok() {
                 self.read_repairs.fetch_add(1, Ordering::Relaxed);
                 self.obs.count("cluster.read_repair", 1);
             }
@@ -1763,7 +1759,7 @@ impl ClusterCloud {
         }
         let mut best: Option<(Vec<u8>, String)> = None;
         for id in candidates {
-            let body = match self.read_doc(topo, &with_collection(&collection, id.as_bytes())) {
+            let body = match self.read_doc(topo, &with_collection(collection, id.as_bytes())) {
                 Ok(body) => body,
                 // The candidate vanished between the scatter and the fetch.
                 Err(e) if is_not_found(&e) => continue,
@@ -1799,14 +1795,13 @@ impl ClusterCloud {
     fn read_agg_plain(&self, topo: &Topology, payload: &[u8]) -> Result<Vec<u8>, NetError> {
         let (collection, rest) = split_collection(payload).map_err(remote)?;
         let field = std::str::from_utf8(rest).map_err(|_| remote(CoreError::Wire("utf8 field")))?;
-        let per_node = self.partition_ids(topo, &collection, self.union_ids(topo, &collection)?)?;
+        let per_node = self.partition_ids(topo, collection, self.union_ids(topo, collection)?)?;
         let mut sum = 0.0f64;
         let mut count = 0u64;
         for (node, ids) in per_node {
             let mut w = Writer::new();
-            w.bytes(field.as_bytes());
-            w.list(&ids.into_iter().map(String::into_bytes).collect::<Vec<_>>());
-            let resp = match topo.channels[node].call("doc/agg_plain_ids", &with_collection(&collection, &w.finish())) {
+            w.str(field).list(&ids);
+            let resp = match topo.channels[node].call("doc/agg_plain_ids", &with_collection(collection, &w.finish())) {
                 Ok(resp) => resp,
                 Err(NetError::Remote(m)) => return Err(NetError::Remote(m)),
                 Err(_) => {
@@ -1955,7 +1950,7 @@ impl ClusterCloud {
         for resp in self.scatter(topo, "doc/list_ids", &payload)? {
             let mut r = Reader::new(&resp);
             for id in r.list().map_err(|e| remote(e.into()))? {
-                union.insert(String::from_utf8(id).map_err(|_| remote(CoreError::Wire("utf8 id")))?);
+                union.insert(String::from_utf8(id.to_vec()).map_err(|_| remote(CoreError::Wire("utf8 id")))?);
             }
         }
         Ok(union.into_iter().collect())

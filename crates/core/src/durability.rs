@@ -36,10 +36,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use datablinder_codec::{encode_frame, Malformed, Reader, Writer};
 use datablinder_docstore::DocStore;
-use datablinder_kvstore::{frame_bytes, read_frames, FrameWriter, KvError, KvStore, LogRecord};
+use datablinder_kvstore::{read_frames, FrameWriter, KvError, KvStore, LogRecord};
 use datablinder_netsim::{CloudService, CrashInjector, CrashVerdict, NetError};
-use datablinder_sse::encoding::{Reader, Writer};
 use parking_lot::{Mutex, RwLock};
 
 use crate::cloud::CloudEngine;
@@ -101,10 +101,7 @@ impl WalRecord {
     /// frame).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        w.u64(self.seq);
-        w.bytes(&self.id);
-        w.bytes(self.route.as_bytes());
-        w.bytes(&self.payload);
+        w.u64(self.seq).bytes(&self.id).str(&self.route).bytes(&self.payload);
         w.finish()
     }
 
@@ -115,22 +112,10 @@ impl WalRecord {
     /// [`CoreError::Storage`] on malformed bodies — inside a CRC-valid
     /// frame that is corruption, not truncation.
     pub fn decode(body: &[u8]) -> Result<Self, CoreError> {
-        let mut r = Reader::new(body);
-        let parse = |r: &mut Reader| -> Result<WalRecord, datablinder_sse::SseError> {
-            let seq = r.u64()?;
-            let id = r.array::<16>()?;
-            let route = r.bytes()?;
-            let payload = r.bytes()?;
-            Ok(WalRecord {
-                seq,
-                id,
-                route: String::from_utf8(route).map_err(|_| datablinder_sse::SseError::Malformed("utf8 route"))?,
-                payload,
-            })
-        };
-        let rec = parse(&mut r).map_err(|e| CoreError::Storage(format!("wal record: {e}")))?;
-        r.finish().map_err(|e| CoreError::Storage(format!("wal record trailing: {e}")))?;
-        Ok(rec)
+        datablinder_codec::decode(body, |r| {
+            Ok(WalRecord { seq: r.u64()?, id: r.array()?, route: r.str()?.into(), payload: r.bytes()?.to_vec() })
+        })
+        .map_err(|e: Malformed| CoreError::Storage(format!("wal record: {e}")))
     }
 }
 
@@ -258,7 +243,7 @@ impl Durability {
             let mut q = self.queue.lock();
             let rec = WalRecord::new(q.seq + 1, route, payload);
             let body = rec.encode();
-            let frame = frame_bytes(&body);
+            let frame = encode_frame(&[&body]);
             match inj.on_append(frame.len()) {
                 CrashVerdict::Proceed => {}
                 CrashVerdict::Refuse => return Ok(JournalOutcome::Died),
@@ -286,7 +271,7 @@ impl Durability {
         let seq = {
             let mut q = self.queue.lock();
             let rec = WalRecord::new(q.seq + 1, route, payload);
-            q.pending.extend_from_slice(&frame_bytes(&rec.encode()));
+            q.pending.extend_from_slice(&encode_frame(&[&rec.encode()]));
             q.seq = rec.seq;
             q.since_snapshot += 1;
             rec.seq
@@ -349,7 +334,7 @@ impl Durability {
         self.durable_seq.fetch_max(q.seq, Ordering::AcqRel);
         let body = encode_snapshot(kv, docs, q.seq);
         let tmp = self.dir.join("snapshot.tmp");
-        std::fs::write(&tmp, frame_bytes(&body)).map_err(KvError::from)?;
+        std::fs::write(&tmp, encode_frame(&[&body])).map_err(KvError::from)?;
         // Atomic cutover: a crash before the rename leaves the old
         // snapshot + full WAL; after it, the new snapshot's high-water seq
         // makes any not-yet-truncated WAL prefix a no-op on replay.
@@ -425,8 +410,7 @@ impl Durability {
 /// Encodes the full cloud state as a snapshot body (one CRC frame on disk).
 fn encode_snapshot(kv: &KvStore, docs: &DocStore, seq: u64) -> Vec<u8> {
     let mut w = Writer::new();
-    w.bytes(SNAP_MAGIC);
-    w.u64(seq);
+    w.bytes(SNAP_MAGIC).u64(seq);
     // KV section: the store's own replayable record dump.
     let kv_records: Vec<Vec<u8>> = kv.export_records().iter().map(LogRecord::to_bytes).collect();
     w.list(&kv_records);
@@ -438,8 +422,7 @@ fn encode_snapshot(kv: &KvStore, docs: &DocStore, seq: u64) -> Vec<u8> {
         .map(|name| {
             let coll = docs.collection(name);
             let mut cw = Writer::new();
-            cw.bytes(name.as_bytes());
-            cw.list(&coll.indexed_fields().into_iter().map(String::into_bytes).collect::<Vec<_>>());
+            cw.str(name).list(&coll.indexed_fields());
             let mut ids = coll.ids();
             ids.sort();
             cw.list(&ids.iter().filter_map(|id| coll.get(id)).map(|d| encode_document(&d)).collect::<Vec<_>>());
@@ -453,45 +436,48 @@ fn encode_snapshot(kv: &KvStore, docs: &DocStore, seq: u64) -> Vec<u8> {
 /// Reads just the high-water sequence number out of a snapshot body
 /// (magic + seq header) without restoring it.
 pub(crate) fn snapshot_body_seq(body: &[u8]) -> Result<u64, CoreError> {
-    let mut r = Reader::new(body);
-    let bad = |e: datablinder_sse::SseError| CoreError::Storage(format!("snapshot: {e}"));
-    let magic = r.bytes().map_err(bad)?;
-    if magic != SNAP_MAGIC {
+    snapshot_header(&mut Reader::new(body)).map_err(snapshot_error)
+}
+
+fn snapshot_header(r: &mut Reader) -> Result<u64, CoreError> {
+    if r.bytes()? != SNAP_MAGIC {
         return Err(CoreError::Storage("snapshot: bad magic".into()));
     }
-    r.u64().map_err(bad)
+    Ok(r.u64()?)
+}
+
+/// A malformed snapshot body sits inside a CRC-valid frame: that is storage
+/// corruption, not a wire error.
+fn snapshot_error(e: CoreError) -> CoreError {
+    match e {
+        CoreError::Wire(what) => CoreError::Storage(format!("snapshot: malformed {what}")),
+        other => other,
+    }
 }
 
 /// Restores a snapshot body into `(kv, docs)`; returns the snapshot's
 /// high-water sequence number.
 pub(crate) fn apply_snapshot(kv: &KvStore, docs: &DocStore, body: &[u8]) -> Result<u64, CoreError> {
-    let mut r = Reader::new(body);
-    let bad = |e: datablinder_sse::SseError| CoreError::Storage(format!("snapshot: {e}"));
-    let magic = r.bytes().map_err(bad)?;
-    if magic != SNAP_MAGIC {
-        return Err(CoreError::Storage("snapshot: bad magic".into()));
-    }
-    let seq = r.u64().map_err(bad)?;
-    for rec_body in r.list().map_err(bad)? {
-        kv.apply_record(&LogRecord::from_body(&rec_body)?);
-    }
-    for blob in r.list().map_err(bad)? {
-        let mut cr = Reader::new(&blob);
-        let name = String::from_utf8(cr.bytes().map_err(bad)?)
-            .map_err(|_| CoreError::Storage("snapshot: utf8 collection".into()))?;
-        let coll = docs.collection(&name);
-        for field in cr.list().map_err(bad)? {
-            let field =
-                String::from_utf8(field).map_err(|_| CoreError::Storage("snapshot: utf8 index field".into()))?;
-            coll.create_index(&field);
+    datablinder_codec::decode(body, |r| {
+        let seq = snapshot_header(r)?;
+        for rec_body in r.list()? {
+            kv.apply_record(&LogRecord::from_body(rec_body)?);
         }
-        for doc in cr.list().map_err(bad)? {
-            coll.insert(decode_document(&doc)?)?;
+        for blob in r.list()? {
+            datablinder_codec::decode(blob, |cr| {
+                let coll = docs.collection(cr.str()?);
+                for field in cr.list()? {
+                    coll.create_index(std::str::from_utf8(field).map_err(|_| Malformed("index field utf8"))?);
+                }
+                for doc in cr.list()? {
+                    coll.insert(decode_document(doc)?)?;
+                }
+                Ok::<_, CoreError>(())
+            })?;
         }
-        cr.finish().map_err(bad)?;
-    }
-    r.finish().map_err(bad)?;
-    Ok(seq)
+        Ok(seq)
+    })
+    .map_err(snapshot_error)
 }
 
 /// What recovery found on disk (returned by

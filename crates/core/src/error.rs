@@ -76,6 +76,12 @@ impl CoreError {
 
 impl std::error::Error for CoreError {}
 
+impl From<datablinder_codec::Malformed> for CoreError {
+    fn from(e: datablinder_codec::Malformed) -> Self {
+        CoreError::Wire(e.0)
+    }
+}
+
 impl From<datablinder_sse::SseError> for CoreError {
     fn from(e: datablinder_sse::SseError) -> Self {
         CoreError::Sse(e.to_string())

@@ -453,7 +453,7 @@ impl GatewayEngine {
         let sealed: Vec<(String, Vec<u8>)> = group.iter().map(|c| self.seal_call(c)).collect();
         let key = self.journal.as_ref().map(|j| {
             let key = journal_key(j.seq.fetch_add(1, Ordering::Relaxed));
-            let mut w = datablinder_sse::encoding::Writer::new();
+            let mut w = datablinder_codec::Writer::new();
             let items: Vec<Vec<u8>> = sealed.iter().flat_map(|(r, p)| [r.clone().into_bytes(), p.clone()]).collect();
             w.list(&items);
             j.kv.set(&key, &w.finish());
@@ -512,15 +512,15 @@ impl GatewayEngine {
         let mut report = PendingWriteReport::default();
         for key in kv.keys_with_prefix(JOURNAL_PREFIX) {
             let Some(blob) = kv.get(&key) else { continue };
-            let mut r = datablinder_sse::encoding::Reader::new(&blob);
-            let items = r.list().map_err(|e| CoreError::Sse(e.to_string()))?;
+            let mut r = datablinder_codec::Reader::new(&blob);
+            let items = r.list()?;
             if items.len() % 2 != 0 {
                 return Err(CoreError::Wire("journal entry arity"));
             }
             let mut failure: Option<String> = None;
             for pair in items.chunks(2) {
-                let route = std::str::from_utf8(&pair[0]).map_err(|_| CoreError::Wire("utf8 route"))?;
-                match self.channel.call(route, &pair[1]) {
+                let route = std::str::from_utf8(pair[0]).map_err(|_| CoreError::Wire("utf8 route"))?;
+                match self.channel.call(route, pair[1]) {
                     Ok(_) => {}
                     Err(NetError::Remote(e)) => {
                         failure = Some(e);
@@ -755,17 +755,16 @@ impl GatewayEngine {
         if calls.is_empty() {
             return Ok(Vec::new());
         }
-        let mut w = datablinder_sse::encoding::Writer::new();
+        let mut w = datablinder_codec::Writer::new();
         let items: Vec<Vec<u8>> =
             calls.iter().flat_map(|c| [c.route.clone().into_bytes(), c.payload.clone()]).collect();
         w.list(&items);
         let out = self.call(&CloudCall::new("batch", w.finish()))?;
-        let mut r = datablinder_sse::encoding::Reader::new(&out);
-        let responses = r.list().map_err(|e| CoreError::Sse(e.to_string()))?;
+        let responses = datablinder_codec::Reader::new(&out).list()?;
         if responses.len() != calls.len() {
             return Err(CoreError::Wire("batch response arity"));
         }
-        Ok(responses)
+        Ok(responses.into_iter().map(<[u8]>::to_vec).collect())
     }
 
     /// Computes one document's protected form + index calls (shared by
@@ -1398,13 +1397,12 @@ impl GatewayEngine {
 
         // 1. Recover every document's plaintext value under the current key.
         let ids_bytes = self.call(&CloudCall::new("doc/list_ids", with_collection(schema_name, b"")))?;
-        let mut r = datablinder_sse::encoding::Reader::new(&ids_bytes);
-        let raw_ids = r.list().map_err(|e| CoreError::Sse(e.to_string()))?;
+        let raw_ids = datablinder_codec::Reader::new(&ids_bytes).list()?;
         let mut recovered: Vec<(String, Option<Value>, Document)> = Vec::new();
         {
             let tactic = self.tactic(schema_name, field, &payload_tactic)?;
             for id in &raw_ids {
-                let id = String::from_utf8(id.clone()).map_err(|_| CoreError::Wire("utf8 id"))?;
+                let id = String::from_utf8(id.to_vec()).map_err(|_| CoreError::Wire("utf8 id"))?;
                 let stored = decode_document(
                     &self.call(&CloudCall::new("doc/get", with_collection(schema_name, id.as_bytes())))?,
                 )?;
@@ -1480,13 +1478,12 @@ impl GatewayEngine {
 
         // 1. Recover plaintext values for every stored document.
         let ids_bytes = self.call(&CloudCall::new("doc/list_ids", with_collection(schema_name, b"")))?;
-        let mut r = datablinder_sse::encoding::Reader::new(&ids_bytes);
-        let raw_ids = r.list().map_err(|e| CoreError::Sse(e.to_string()))?;
+        let raw_ids = datablinder_codec::Reader::new(&ids_bytes).list()?;
         let mut recovered: Vec<(DocId, Value)> = Vec::new();
         {
             let payload = self.tactic(schema_name, field, &payload_tactic)?;
             for id in &raw_ids {
-                let id = String::from_utf8(id.clone()).map_err(|_| CoreError::Wire("utf8 id"))?;
+                let id = String::from_utf8(id.to_vec()).map_err(|_| CoreError::Wire("utf8 id"))?;
                 let stored = decode_document(
                     &self.call(&CloudCall::new("doc/get", with_collection(schema_name, id.as_bytes())))?,
                 )?;
@@ -1560,8 +1557,7 @@ impl GatewayEngine {
         // Snapshot the store through the raw id list — NOT get_many, which
         // silently skips missing documents and would hide orphans.
         let ids_bytes = self.call(&CloudCall::new("doc/list_ids", with_collection(schema_name, b"")))?;
-        let mut r = datablinder_sse::encoding::Reader::new(&ids_bytes);
-        let raw_ids = r.list().map_err(|e| CoreError::Sse(e.to_string()))?;
+        let raw_ids = datablinder_codec::Reader::new(&ids_bytes).list()?;
         let mut stored_ids: Vec<DocId> = Vec::new();
         let mut plaintext: Vec<(DocId, Document)> = Vec::new();
         for id in &raw_ids {

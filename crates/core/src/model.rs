@@ -9,12 +9,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// Leakage levels of Fuller et al. (SoK, IEEE S&P 2017), as adopted in
 /// §3.1. Ordered from most protective to least: `Structure` leaks only
 /// sizes, `Order` leaks numeric/lexicographic order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LeakageLevel {
     /// Only the size of the data structure (hideable by padding).
     Structure = 1,
@@ -55,7 +53,7 @@ impl std::fmt::Display for LeakageLevel {
 /// Data protection classes C1..C5 of the data access model (§3.2). Each
 /// class admits tactics whose worst-case leakage is at most its
 /// counterpart leakage level; C1 admits the least leakage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ProtectionClass {
     /// Admits only `Structure` leakage.
     C1 = 1,
@@ -95,7 +93,7 @@ impl std::fmt::Display for ProtectionClass {
 
 /// High-level operations of the data access model (Fig. 2) — what clients
 /// annotate fields with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FieldOp {
     /// Insertion (every annotated field needs it).
     Insert,
@@ -120,7 +118,7 @@ impl std::fmt::Display for FieldOp {
 }
 
 /// Aggregate functions of the data access model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AggFn {
     /// Cloud-side homomorphic sum.
     Sum,
@@ -143,7 +141,7 @@ impl std::fmt::Display for AggFn {
 
 /// Tactic-internal operations (Fig. 1): each carries a leakage profile and
 /// performance metrics, on a per-operation basis as §3.1 argues.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TacticOp {
     /// Setup of cryptographic primitives and data structures.
     Init,
@@ -162,7 +160,7 @@ pub enum TacticOp {
 /// Performance metrics of one tactic operation (Fig. 1's right side).
 /// Coarse-grained ranks rather than measured numbers: the registry uses
 /// them for tie-breaking during selection; benches measure real numbers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfMetrics {
     /// Relative computational cost rank (1 = cheapest).
     pub compute_rank: u8,
@@ -180,7 +178,7 @@ impl PerfMetrics {
 }
 
 /// Descriptor of one tactic operation: leakage + performance (Fig. 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpProfile {
     /// The operation.
     pub op: TacticOp,
@@ -195,7 +193,7 @@ pub struct OpProfile {
 /// Tactic providers register one of these per tactic; the middleware's
 /// selection algorithm consumes only this metadata (crypto agility: no
 /// scheme-specific logic in the selector).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TacticDescriptor {
     /// Unique name, e.g. `"mitra"`.
     pub name: String,
@@ -247,7 +245,7 @@ impl TacticDescriptor {
 }
 
 /// A field annotation in the data access model (Fig. 2 / the §5.1 example).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FieldAnnotation {
     /// Requested protection class.
     pub class: ProtectionClass,
@@ -272,7 +270,7 @@ impl FieldAnnotation {
 }
 
 /// The expected plaintext type of a field (schema validation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FieldType {
     /// UTF-8 text.
     Text,
@@ -285,7 +283,7 @@ pub enum FieldType {
 }
 
 /// One field of a schema: type plus (for sensitive fields) the annotation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FieldSpec {
     /// Expected type.
     pub field_type: FieldType,
@@ -297,7 +295,7 @@ pub struct FieldSpec {
 
 /// An application schema: named fields with annotations (the *Schema*
 /// interface of the deployment view, Fig. 3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schema {
     /// Schema (collection) name.
     pub name: String,

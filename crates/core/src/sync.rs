@@ -23,6 +23,7 @@
 //! here too so the ring, the exports and the digests can never disagree on
 //! what "the hash of a key" means.
 
+use datablinder_codec::Writer;
 use datablinder_docstore::DocStore;
 use datablinder_kvstore::{KvStore, LogRecord};
 use datablinder_primitives::sha256::Sha256;
@@ -247,7 +248,9 @@ fn bucket_digest(entries: &[&SyncEntry]) -> [u8; 32] {
     let mut buf = Vec::new();
     for e in entries {
         buf.clear();
-        e.encode_into(&mut buf);
+        let mut w = Writer::from(buf);
+        e.encode_into(&mut w);
+        buf = w.finish();
         h.update(&buf);
     }
     h.finalize()

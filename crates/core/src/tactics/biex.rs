@@ -24,13 +24,13 @@
 
 use std::collections::HashSet;
 
+use datablinder_codec::{Reader, Writer};
 use datablinder_docstore::Value;
 use datablinder_kvstore::KvStore;
 use datablinder_sse::biex::{
     decode_2lev_response, decode_zmf_response, encode_2lev_response, encode_zmf_response, Biex2LevClient,
     Biex2LevServer, Biex2LevToken, BiexQuery, BiexZmfClient, BiexZmfServer, BiexZmfToken,
 };
-use datablinder_sse::encoding::{Reader, Writer};
 use datablinder_sse::mitra::{MitraClient, MitraSearchToken, MitraServer, MitraUpdateToken};
 use datablinder_sse::{DocId, UpdateOp};
 use rand::RngCore;
@@ -445,7 +445,7 @@ impl GatewayTactic for BiexTactic {
     fn import_state(&mut self, state: &[u8]) -> Result<(), CoreError> {
         let mut r = Reader::new(state);
         let overlay = r.bytes()?;
-        self.overlay.import_state(&overlay)?;
+        self.overlay.import_state(overlay)?;
         self.base_seeded = r.u8()? != 0;
         r.finish()?;
         Ok(())
@@ -540,7 +540,7 @@ mod tests {
             let mut r = Reader::new(&call.payload);
             let items = r.list().unwrap();
             for kv in items.chunks(2) {
-                cloud.kv.set(&kv[0], &kv[1]);
+                cloud.kv.set(kv[0], kv[1]);
             }
             return Vec::new();
         }

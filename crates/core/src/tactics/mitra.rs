@@ -1,9 +1,9 @@
 //! The Mitra tactic adapter: forward/backward-private equality search,
 //! class 2.
 
+use datablinder_codec::{Reader, Writer};
 use datablinder_docstore::Value;
 use datablinder_kvstore::KvStore;
-use datablinder_sse::encoding::{Reader, Writer};
 use datablinder_sse::mitra::{MitraClient, MitraSearchToken, MitraServer, MitraUpdateToken};
 use datablinder_sse::{DocId, UpdateOp};
 use rand::RngCore;

@@ -12,6 +12,7 @@ pub mod paillier;
 pub mod rnd;
 pub mod sophos;
 
+use datablinder_codec::Writer;
 use datablinder_docstore::Value;
 use datablinder_sse::DocId;
 
@@ -55,12 +56,12 @@ pub fn shadow_field(field: &str, suffix: &str) -> String {
 
 /// Encodes a list of [`DocId`]s.
 pub fn encode_ids(ids: &[DocId]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + ids.len() * 16);
-    out.extend_from_slice(&(ids.len() as u32).to_be_bytes());
+    let mut w = Writer::from(Vec::with_capacity(4 + ids.len() * 16));
+    w.u32(ids.len() as u32);
     for id in ids {
-        out.extend_from_slice(&id.0);
+        w.raw(&id.0);
     }
-    out
+    w.finish()
 }
 
 /// Decodes a list of [`DocId`]s.
@@ -69,21 +70,7 @@ pub fn encode_ids(ids: &[DocId]) -> Vec<u8> {
 ///
 /// [`CoreError::Wire`] on malformed input.
 pub fn decode_ids(buf: &[u8]) -> Result<Vec<DocId>, CoreError> {
-    if buf.len() < 4 {
-        return Err(CoreError::Wire("ids header"));
-    }
-    let n = u32::from_be_bytes(buf[..4].try_into().unwrap()) as usize;
-    if buf.len() != 4 + n * 16 {
-        return Err(CoreError::Wire("ids body"));
-    }
-    Ok(buf[4..]
-        .chunks(16)
-        .map(|c| {
-            let mut id = [0u8; 16];
-            id.copy_from_slice(c);
-            DocId(id)
-        })
-        .collect())
+    datablinder_codec::decode(buf, |r| (0..r.count()?).map(|_| Ok(DocId(r.raw()?))).collect())
 }
 
 /// Maps a numeric [`Value`] to an order-preserving `u64` (for OPE/ORE):

@@ -6,10 +6,10 @@
 //! ciphertexts. Slower per query (linear scan) but leaks order only for
 //! compared pairs, not at rest.
 
+use datablinder_codec::{Reader, Writer};
 use datablinder_docstore::Value;
 use datablinder_kvstore::KvStore;
 use datablinder_ore::{Comparison, LewiWuLeft, LewiWuOre, LewiWuRight};
-use datablinder_sse::encoding::{Reader, Writer};
 use datablinder_sse::DocId;
 use rand::RngCore;
 
@@ -135,8 +135,8 @@ impl CloudTactic for OreCloud {
                 let right = r.bytes()?;
                 r.finish()?;
                 // Validate before storing.
-                LewiWuRight::from_bytes(&right).ok_or(CoreError::Wire("ore right ciphertext"))?;
-                self.kv.hset(&key, &id, &right)?;
+                LewiWuRight::from_bytes(right).ok_or(CoreError::Wire("ore right ciphertext"))?;
+                self.kv.hset(&key, &id, right)?;
                 Ok(Vec::new())
             }
             "delete" => {
@@ -148,8 +148,8 @@ impl CloudTactic for OreCloud {
             }
             "range" => {
                 let mut r = Reader::new(payload);
-                let lo = LewiWuLeft::from_bytes(&r.bytes()?).ok_or(CoreError::Wire("ore left ciphertext"))?;
-                let hi = LewiWuLeft::from_bytes(&r.bytes()?).ok_or(CoreError::Wire("ore left ciphertext"))?;
+                let lo = LewiWuLeft::from_bytes(r.bytes()?).ok_or(CoreError::Wire("ore left ciphertext"))?;
+                let hi = LewiWuLeft::from_bytes(r.bytes()?).ok_or(CoreError::Wire("ore left ciphertext"))?;
                 r.finish()?;
                 let mut ids = Vec::new();
                 for (idb, right_bytes) in self.kv.hgetall(&key) {

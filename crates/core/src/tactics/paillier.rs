@@ -288,7 +288,7 @@ impl CloudTactic for PaillierCloud {
                 // clustered cloud computes `sum` on each document partition
                 // and any node holding the scope key merges the partials —
                 // homomorphic addition needs only the public modulus.
-                let mut r = datablinder_sse::encoding::Reader::new(payload);
+                let mut r = datablinder_codec::Reader::new(payload);
                 let partials = r.list().map_err(|_| CoreError::Wire("combine partials"))?;
                 r.finish().map_err(|_| CoreError::Wire("combine trailing"))?;
                 let pk = self.scope_pk(scope)?;
@@ -478,7 +478,7 @@ mod tests {
 
         let partial =
             |ciphertext: &[u8], count| PaillierSumResponse { ciphertext: ciphertext.to_vec(), count }.encode();
-        let mut w = datablinder_sse::encoding::Writer::new();
+        let mut w = datablinder_codec::Writer::new();
         w.list(&[partial(&padded, 1), partial(&[], u64::MAX), partial(&oversize, 1), partial(&honest, 1)]);
         let combined = PaillierSumResponse::decode(&cloud.handle(&scope, "combine", &w.finish()).unwrap()).unwrap();
         assert_eq!(combined.count, u64::MAX, "hostile counts saturate");

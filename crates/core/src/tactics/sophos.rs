@@ -8,9 +8,9 @@
 
 use std::collections::HashSet;
 
+use datablinder_codec::{Reader, Writer};
 use datablinder_docstore::Value;
 use datablinder_kvstore::KvStore;
-use datablinder_sse::encoding::{Reader, Writer};
 use datablinder_sse::sophos::{
     SophosClient, SophosKeypair, SophosPublicKey, SophosSearchToken, SophosServer, SophosUpdateToken,
 };
@@ -179,13 +179,13 @@ impl GatewayTactic for SophosTactic {
     fn import_state(&mut self, state: &[u8]) -> Result<(), CoreError> {
         let mut r = Reader::new(state);
         let client_state = r.bytes()?;
-        self.client.import_state(&client_state)?;
+        self.client.import_state(client_state)?;
         let n = r.u32()?;
         self.revoked.clear();
         for _ in 0..n {
             let kw = r.bytes()?;
             let idb: [u8; 16] = r.array()?;
-            self.revoked.insert((kw, DocId(idb)));
+            self.revoked.insert((kw.to_vec(), DocId(idb)));
         }
         self.setup_sent = r.u8()? != 0;
         r.finish()?;

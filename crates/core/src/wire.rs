@@ -7,98 +7,95 @@
 
 use std::collections::BTreeMap;
 
+use datablinder_codec::{Malformed, Reader, Writer};
 use datablinder_docstore::{Document, Value};
 
 use crate::error::CoreError;
 use crate::model::{AggFn, FieldAnnotation, FieldOp, FieldSpec, FieldType, ProtectionClass, Schema};
 
-/// Encodes a [`Value`].
+/// Deepest array/object nesting [`decode_value`] follows. The decoder
+/// recurses once per level and a level costs an attacker five bytes, so
+/// without a bound a response far below the frame limit overflows the
+/// stack; no schema in the system nests anywhere near this deep.
+pub const MAX_VALUE_DEPTH: usize = 64;
+
+/// Encodes a [`Value`], appending to `out`.
 pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
+    let mut w = Writer::from(std::mem::take(out));
+    put_value(v, &mut w);
+    *out = w.finish();
+}
+
+pub(crate) fn put_value(v: &Value, w: &mut Writer) {
+    // Every arm yields the writer, so the scalar arms stay one chain each.
     match v {
-        Value::Null => out.push(0),
-        Value::Bool(b) => {
-            out.push(1);
-            out.push(*b as u8);
-        }
-        Value::I64(i) => {
-            out.push(2);
-            out.extend_from_slice(&i.to_be_bytes());
-        }
-        Value::F64(f) => {
-            out.push(3);
-            out.extend_from_slice(&f.to_be_bytes());
-        }
-        Value::Str(s) => {
-            out.push(4);
-            put_bytes(out, s.as_bytes());
-        }
-        Value::Bytes(b) => {
-            out.push(5);
-            put_bytes(out, b);
-        }
+        Value::Null => w.u8(0),
+        Value::Bool(b) => w.u8(1).u8(*b as u8),
+        Value::I64(i) => w.u8(2).raw(&i.to_be_bytes()),
+        Value::F64(f) => w.u8(3).raw(&f.to_be_bytes()),
+        Value::Str(s) => w.u8(4).str(s),
+        Value::Bytes(b) => w.u8(5).bytes(b),
         Value::Array(items) => {
-            out.push(6);
-            out.extend_from_slice(&(items.len() as u32).to_be_bytes());
+            w.u8(6).u32(items.len() as u32);
             for item in items {
-                encode_value(item, out);
+                put_value(item, w);
             }
+            w
         }
         Value::Object(map) => {
-            out.push(7);
-            out.extend_from_slice(&(map.len() as u32).to_be_bytes());
+            w.u8(7).u32(map.len() as u32);
             for (k, val) in map {
-                put_bytes(out, k.as_bytes());
-                encode_value(val, out);
+                put_value(val, w.str(k));
             }
+            w
         }
-    }
+    };
 }
 
 /// Decodes a [`Value`], advancing `buf`.
 ///
 /// # Errors
 ///
-/// [`CoreError::Wire`] on truncation or unknown tags.
+/// [`CoreError::Wire`] on truncation, unknown tags or nesting deeper than
+/// [`MAX_VALUE_DEPTH`].
 pub fn decode_value(buf: &mut &[u8]) -> Result<Value, CoreError> {
-    let tag = take_u8(buf)?;
-    Ok(match tag {
+    let mut r = Reader::new(buf);
+    let v = take_value(&mut r, 0)?;
+    *buf = r.rest();
+    Ok(v)
+}
+
+pub(crate) fn take_value(r: &mut Reader, depth: usize) -> Result<Value, Malformed> {
+    if depth > MAX_VALUE_DEPTH {
+        return Err(Malformed("value nesting"));
+    }
+    Ok(match r.u8()? {
         0 => Value::Null,
-        1 => Value::Bool(take_u8(buf)? != 0),
-        2 => Value::I64(i64::from_be_bytes(take_n::<8>(buf)?)),
-        3 => Value::F64(f64::from_be_bytes(take_n::<8>(buf)?)),
-        4 => Value::Str(String::from_utf8(take_bytes(buf)?).map_err(|_| CoreError::Wire("utf8"))?),
-        5 => Value::Bytes(take_bytes(buf)?),
-        6 => {
-            let n = take_count(buf)?;
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push(decode_value(buf)?);
-            }
-            Value::Array(items)
-        }
+        1 => Value::Bool(r.u8()? != 0),
+        2 => Value::I64(i64::from_be_bytes(r.raw()?)),
+        3 => Value::F64(f64::from_be_bytes(r.raw()?)),
+        4 => Value::Str(r.str()?.to_string()),
+        5 => Value::Bytes(r.bytes()?.to_vec()),
+        6 => Value::Array((0..r.count()?).map(|_| take_value(r, depth + 1)).collect::<Result<_, _>>()?),
         7 => {
-            let n = take_count(buf)?;
             let mut map = BTreeMap::new();
-            for _ in 0..n {
-                let k = String::from_utf8(take_bytes(buf)?).map_err(|_| CoreError::Wire("utf8 key"))?;
-                map.insert(k, decode_value(buf)?);
+            for _ in 0..r.count()? {
+                map.insert(r.str()?.to_string(), take_value(r, depth + 1)?);
             }
             Value::Object(map)
         }
-        _ => return Err(CoreError::Wire("unknown value tag")),
+        _ => return Err(Malformed("unknown value tag")),
     })
 }
 
 /// Encodes a [`Document`] (id + fields).
 pub fn encode_document(doc: &Document) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_bytes(&mut out, doc.id().as_bytes());
-    out.extend_from_slice(&(doc.len() as u32).to_be_bytes());
+    let mut w = Writer::new();
+    w.str(doc.id()).u32(doc.len() as u32);
     for (name, value) in doc.iter() {
-        put_bytes(&mut out, name.as_bytes());
-        encode_value(value, &mut out);
+        put_value(value, w.str(name));
     }
-    out
+    w.finish()
 }
 
 /// Decodes a [`Document`].
@@ -106,39 +103,22 @@ pub fn encode_document(doc: &Document) -> Vec<u8> {
 /// # Errors
 ///
 /// [`CoreError::Wire`] on malformed input.
-pub fn decode_document(mut buf: &[u8]) -> Result<Document, CoreError> {
-    let doc = decode_document_from(&mut buf)?;
-    if !buf.is_empty() {
-        return Err(CoreError::Wire("trailing bytes after document"));
-    }
-    Ok(doc)
-}
-
-/// Decodes a [`Document`], advancing `buf` (for streams of documents).
-///
-/// # Errors
-///
-/// [`CoreError::Wire`] on malformed input.
-pub fn decode_document_from(buf: &mut &[u8]) -> Result<Document, CoreError> {
-    let id = String::from_utf8(take_bytes(buf)?).map_err(|_| CoreError::Wire("utf8 id"))?;
-    let n = take_count(buf)?;
-    let mut doc = Document::new(id);
-    for _ in 0..n {
-        let name = String::from_utf8(take_bytes(buf)?).map_err(|_| CoreError::Wire("utf8 field"))?;
-        let value = decode_value(buf)?;
-        doc.set(name, value);
-    }
-    Ok(doc)
+pub fn decode_document(buf: &[u8]) -> Result<Document, CoreError> {
+    datablinder_codec::decode(buf, |r| {
+        let mut doc = Document::new(r.str()?);
+        for _ in 0..r.count()? {
+            let name = r.str()?.to_string();
+            doc.set(name, take_value(r, 0)?);
+        }
+        Ok(doc)
+    })
 }
 
 /// Encodes a list of documents.
 pub fn encode_documents(docs: &[Document]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&(docs.len() as u32).to_be_bytes());
-    for d in docs {
-        put_bytes(&mut out, &encode_document(d));
-    }
-    out
+    let mut w = Writer::new();
+    w.list(&docs.iter().map(encode_document).collect::<Vec<_>>());
+    w.finish()
 }
 
 /// Decodes a list of documents.
@@ -146,14 +126,8 @@ pub fn encode_documents(docs: &[Document]) -> Vec<u8> {
 /// # Errors
 ///
 /// [`CoreError::Wire`] on malformed input.
-pub fn decode_documents(mut buf: &[u8]) -> Result<Vec<Document>, CoreError> {
-    let n = take_count(&mut buf)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let blob = take_bytes(&mut buf)?;
-        out.push(decode_document(&blob)?);
-    }
-    Ok(out)
+pub fn decode_documents(buf: &[u8]) -> Result<Vec<Document>, CoreError> {
+    datablinder_codec::decode(buf, |r| r.list()?.into_iter().map(decode_document).collect())
 }
 
 /// The canonical index-keyword encoding of a value: the byte string SSE
@@ -177,44 +151,39 @@ pub fn field_keyword(field: &str, v: &Value) -> Vec<u8> {
 
 /// Encodes a [`Schema`] for the metadata subsystem.
 pub fn encode_schema(s: &Schema) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_bytes(&mut out, s.name.as_bytes());
-    out.extend_from_slice(&(s.fields.len() as u32).to_be_bytes());
+    let mut w = Writer::new();
+    w.str(&s.name).u32(s.fields.len() as u32);
     for (name, spec) in &s.fields {
-        put_bytes(&mut out, name.as_bytes());
-        out.push(match spec.field_type {
+        w.str(name).u8(match spec.field_type {
             FieldType::Text => 0,
             FieldType::Integer => 1,
             FieldType::Float => 2,
             FieldType::Boolean => 3,
         });
-        out.push(spec.required as u8);
-        match &spec.annotation {
-            None => out.push(0),
-            Some(a) => {
-                out.push(1);
-                out.push(a.class as u8);
-                out.push(a.ops.len() as u8);
-                for op in &a.ops {
-                    out.push(match op {
-                        FieldOp::Insert => 0,
-                        FieldOp::Equality => 1,
-                        FieldOp::Boolean => 2,
-                        FieldOp::Range => 3,
-                    });
-                }
-                out.push(a.aggs.len() as u8);
-                for agg in &a.aggs {
-                    out.push(match agg {
-                        AggFn::Sum => 0,
-                        AggFn::Avg => 1,
-                        AggFn::Count => 2,
-                    });
-                }
-            }
+        w.u8(spec.required as u8);
+        let Some(a) = &spec.annotation else {
+            w.u8(0);
+            continue;
+        };
+        w.u8(1).u8(a.class as u8).u8(a.ops.len() as u8);
+        for op in &a.ops {
+            w.u8(match op {
+                FieldOp::Insert => 0,
+                FieldOp::Equality => 1,
+                FieldOp::Boolean => 2,
+                FieldOp::Range => 3,
+            });
+        }
+        w.u8(a.aggs.len() as u8);
+        for agg in &a.aggs {
+            w.u8(match agg {
+                AggFn::Sum => 0,
+                AggFn::Avg => 1,
+                AggFn::Count => 2,
+            });
         }
     }
-    out
+    w.finish()
 }
 
 /// Decodes a [`Schema`].
@@ -222,103 +191,54 @@ pub fn encode_schema(s: &Schema) -> Vec<u8> {
 /// # Errors
 ///
 /// [`CoreError::Wire`] on malformed input.
-pub fn decode_schema(mut buf: &[u8]) -> Result<Schema, CoreError> {
-    let buf = &mut buf;
-    let name = String::from_utf8(take_bytes(buf)?).map_err(|_| CoreError::Wire("utf8 schema name"))?;
-    let n = take_count(buf)?;
-    let mut schema = Schema::new(name);
-    for _ in 0..n {
-        let fname = String::from_utf8(take_bytes(buf)?).map_err(|_| CoreError::Wire("utf8 field name"))?;
-        let field_type = match take_u8(buf)? {
-            0 => FieldType::Text,
-            1 => FieldType::Integer,
-            2 => FieldType::Float,
-            3 => FieldType::Boolean,
-            _ => return Err(CoreError::Wire("field type")),
-        };
-        let required = take_u8(buf)? != 0;
-        let annotation = match take_u8(buf)? {
-            0 => None,
-            1 => {
-                let class = match take_u8(buf)? {
-                    1 => ProtectionClass::C1,
-                    2 => ProtectionClass::C2,
-                    3 => ProtectionClass::C3,
-                    4 => ProtectionClass::C4,
-                    5 => ProtectionClass::C5,
-                    _ => return Err(CoreError::Wire("protection class")),
-                };
-                let nops = take_u8(buf)? as usize;
-                let mut ops = Vec::with_capacity(nops);
-                for _ in 0..nops {
-                    ops.push(match take_u8(buf)? {
-                        0 => FieldOp::Insert,
-                        1 => FieldOp::Equality,
-                        2 => FieldOp::Boolean,
-                        3 => FieldOp::Range,
-                        _ => return Err(CoreError::Wire("field op")),
+pub fn decode_schema(buf: &[u8]) -> Result<Schema, CoreError> {
+    datablinder_codec::decode(buf, |r| {
+        let mut schema = Schema::new(r.str()?);
+        for _ in 0..r.count()? {
+            let fname = r.str()?.to_string();
+            let field_type = match r.u8()? {
+                0 => FieldType::Text,
+                1 => FieldType::Integer,
+                2 => FieldType::Float,
+                3 => FieldType::Boolean,
+                _ => return Err(CoreError::Wire("field type")),
+            };
+            let required = r.u8()? != 0;
+            let annotation = match r.u8()? {
+                0 => None,
+                1 => {
+                    let class = match r.u8()? {
+                        1 => ProtectionClass::C1,
+                        2 => ProtectionClass::C2,
+                        3 => ProtectionClass::C3,
+                        4 => ProtectionClass::C4,
+                        5 => ProtectionClass::C5,
+                        _ => return Err(CoreError::Wire("protection class")),
+                    };
+                    let nops = r.u8()? as usize;
+                    let ops = r.take(nops)?.iter().map(|op| match op {
+                        0 => Ok(FieldOp::Insert),
+                        1 => Ok(FieldOp::Equality),
+                        2 => Ok(FieldOp::Boolean),
+                        3 => Ok(FieldOp::Range),
+                        _ => Err(CoreError::Wire("field op")),
                     });
-                }
-                let naggs = take_u8(buf)? as usize;
-                let mut aggs = Vec::with_capacity(naggs);
-                for _ in 0..naggs {
-                    aggs.push(match take_u8(buf)? {
-                        0 => AggFn::Sum,
-                        1 => AggFn::Avg,
-                        2 => AggFn::Count,
-                        _ => return Err(CoreError::Wire("agg fn")),
+                    let ops = ops.collect::<Result<_, _>>()?;
+                    let naggs = r.u8()? as usize;
+                    let aggs = r.take(naggs)?.iter().map(|agg| match agg {
+                        0 => Ok(AggFn::Sum),
+                        1 => Ok(AggFn::Avg),
+                        2 => Ok(AggFn::Count),
+                        _ => Err(CoreError::Wire("agg fn")),
                     });
+                    Some(FieldAnnotation { class, ops, aggs: aggs.collect::<Result<_, _>>()? })
                 }
-                Some(FieldAnnotation { class, ops, aggs })
-            }
-            _ => return Err(CoreError::Wire("annotation flag")),
-        };
-        schema.fields.insert(fname, FieldSpec { field_type, annotation, required });
-    }
-    Ok(schema)
-}
-
-// ----------------------------------------------------------------- helpers
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_be_bytes());
-    out.extend_from_slice(b);
-}
-
-fn take_u8(buf: &mut &[u8]) -> Result<u8, CoreError> {
-    if buf.is_empty() {
-        return Err(CoreError::Wire("truncated"));
-    }
-    let b = buf[0];
-    *buf = &buf[1..];
-    Ok(b)
-}
-
-fn take_n<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], CoreError> {
-    if buf.len() < N {
-        return Err(CoreError::Wire("truncated"));
-    }
-    let (head, rest) = buf.split_at(N);
-    *buf = rest;
-    Ok(head.try_into().unwrap())
-}
-
-fn take_bytes(buf: &mut &[u8]) -> Result<Vec<u8>, CoreError> {
-    let len = u32::from_be_bytes(take_n::<4>(buf)?) as usize;
-    if buf.len() < len {
-        return Err(CoreError::Wire("truncated bytes"));
-    }
-    let (head, rest) = buf.split_at(len);
-    *buf = rest;
-    Ok(head.to_vec())
-}
-
-fn take_count(buf: &mut &[u8]) -> Result<usize, CoreError> {
-    let n = u32::from_be_bytes(take_n::<4>(buf)?) as usize;
-    if n > buf.len() {
-        return Err(CoreError::Wire("count exceeds buffer"));
-    }
-    Ok(n)
+                _ => return Err(CoreError::Wire("annotation flag")),
+            };
+            schema.fields.insert(fname, FieldSpec { field_type, annotation, required });
+        }
+        Ok(schema)
+    })
 }
 
 #[cfg(test)]

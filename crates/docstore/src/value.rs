@@ -2,13 +2,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// A JSON-like value.
 ///
 /// `Bytes` exists because encrypted field values are raw ciphertexts;
 /// MongoDB's BSON has the same distinction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Absent/null.
     Null,
@@ -166,7 +164,7 @@ impl From<Vec<u8>> for Value {
 }
 
 /// A document: a string id plus named fields.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Document {
     id: String,
     fields: BTreeMap<String, Value>,

@@ -24,8 +24,7 @@ mod log;
 mod store;
 
 pub use log::{
-    crc32, frame_bytes, read_frames, replay_log, replay_log_report, scan_frames, AppendLog, FrameScan, FrameWriter,
-    LogRecord, ReplayReport,
+    read_frames, replay_log, replay_log_report, scan_frames, AppendLog, FrameScan, FrameWriter, LogRecord, ReplayReport,
 };
 pub use store::{KvStats, KvStore};
 
@@ -61,6 +60,14 @@ impl std::fmt::Display for KvError {
 }
 
 impl std::error::Error for KvError {}
+
+/// A malformed record body sits inside a CRC-valid frame: structural
+/// corruption, reported at the body's own offset 0.
+impl From<datablinder_codec::Malformed> for KvError {
+    fn from(_: datablinder_codec::Malformed) -> Self {
+        KvError::CorruptLog { offset: 0 }
+    }
+}
 
 impl From<std::io::Error> for KvError {
     fn from(e: std::io::Error) -> Self {

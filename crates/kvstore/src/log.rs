@@ -1,11 +1,7 @@
 //! Append-only log for the paper's "semi-persistent durability mode".
 //!
-//! Every record travels in a CRC-checked frame:
-//!
-//! ```text
-//! len:u32 (BE) || body[len] || crc32:u32 (BE, IEEE, over body)
-//! ```
-//!
+//! Every record travels in the workspace's one CRC frame
+//! ([`datablinder_codec::encode_frame`]), `len ‖ body ‖ crc32(body)`.
 //! The body of a KV record is `tag:u8 || nfields:u8 || (len:u32 || bytes)*`.
 //! On replay, an *incomplete* trailing frame is a torn tail (the crash
 //! window of a buffered append) and is truncated away; a *complete* frame
@@ -18,50 +14,11 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
-use bytes::{Buf, BufMut, BytesMut};
+use datablinder_codec::{encode_frame, split_frame, Split, Writer};
 
 use crate::KvError;
 
-// ------------------------------------------------------------------ CRC32
-
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) lookup table,
-/// built at compile time so the hot replay path stays table-driven without
-/// pulling in a crc crate.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE) of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
-
 // ------------------------------------------------------------- frame layer
-
-/// Frames an opaque body as `len || body || crc32(body)`.
-pub fn frame_bytes(body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(body.len() + 8);
-    out.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    out.extend_from_slice(body);
-    out.extend_from_slice(&crc32(body).to_be_bytes());
-    out
-}
 
 /// Outcome of scanning a frame file.
 #[derive(Debug)]
@@ -99,24 +56,16 @@ pub fn read_frames(path: &Path) -> Result<FrameScan, KvError> {
 pub fn scan_frames(raw: &[u8]) -> Result<FrameScan, KvError> {
     let mut frames = Vec::new();
     let mut offset = 0usize;
-    while raw.len() - offset >= 4 {
-        let len = u32::from_be_bytes([raw[offset], raw[offset + 1], raw[offset + 2], raw[offset + 3]]) as usize;
-        let total = 4 + len + 4;
-        if raw.len() - offset < total {
-            break; // torn tail: frame announced but not fully on disk
+    loop {
+        match split_frame(&raw[offset..], 0..=u32::MAX) {
+            Split::Frame { covered, total } => {
+                frames.push(covered.to_vec());
+                offset += total;
+            }
+            // Torn tail: frame announced but not fully on disk.
+            Split::NeedMore => break,
+            Split::BadCrc | Split::BadLength(_) => return Err(KvError::CorruptLog { offset: offset as u64 }),
         }
-        let body = &raw[offset + 4..offset + 4 + len];
-        let stored = u32::from_be_bytes([
-            raw[offset + 4 + len],
-            raw[offset + 4 + len + 1],
-            raw[offset + 4 + len + 2],
-            raw[offset + 4 + len + 3],
-        ]);
-        if crc32(body) != stored {
-            return Err(KvError::CorruptLog { offset: offset as u64 });
-        }
-        frames.push(body.to_vec());
-        offset += total;
     }
     Ok(FrameScan { frames, valid_len: offset as u64, torn_tail: offset < raw.len() })
 }
@@ -155,7 +104,7 @@ impl FrameWriter {
     ///
     /// Propagates write errors.
     pub fn append(&mut self, body: &[u8]) -> Result<u64, KvError> {
-        let frame = frame_bytes(body);
+        let frame = encode_frame(&[body]);
         self.writer.write_all(&frame)?;
         self.appended += 1;
         if self.flush_every == 0 || self.appended.is_multiple_of(self.flush_every.max(1)) {
@@ -279,74 +228,20 @@ impl LogRecord {
         }
     }
 
-    /// Encodes the record *body* (frame-less) into `buf`.
-    pub fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u8(self.tag());
-        let fields = self.fields();
-        buf.put_u8(fields.len() as u8 + matches!(self, LogRecord::Incr { .. }) as u8);
-        for f in fields {
-            buf.put_u32(f.len() as u32);
-            buf.put_slice(f);
-        }
-        if let LogRecord::Incr { by, .. } = self {
-            buf.put_u32(8);
-            buf.put_i64(*by);
-        }
-    }
-
-    /// Encoded body as a standalone buffer.
+    /// Encodes the record *body* (frame-less).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(64);
-        self.encode(&mut buf);
-        buf.to_vec()
-    }
-
-    /// Decodes one record from the front of `buf`; `None` means the buffer
-    /// holds only a partial record (clean truncation handling).
-    pub fn decode(buf: &mut BytesMut) -> Result<Option<LogRecord>, KvError> {
-        if buf.len() < 2 {
-            return Ok(None);
+        let mut fields = self.fields();
+        let by;
+        if let LogRecord::Incr { by: delta, .. } = self {
+            by = delta.to_be_bytes();
+            fields.push(&by);
         }
-        let tag = buf[0];
-        let nfields = buf[1] as usize;
-        // Pre-scan field lengths without consuming.
-        let mut offset = 2usize;
-        let mut field_ranges = Vec::with_capacity(nfields);
-        for _ in 0..nfields {
-            if buf.len() < offset + 4 {
-                return Ok(None);
-            }
-            let len = u32::from_be_bytes([buf[offset], buf[offset + 1], buf[offset + 2], buf[offset + 3]]) as usize;
-            offset += 4;
-            if buf.len() < offset + len {
-                return Ok(None);
-            }
-            field_ranges.push((offset, len));
-            offset += len;
+        let mut w = Writer::from(Vec::with_capacity(64));
+        w.u8(self.tag()).u8(fields.len() as u8);
+        for f in fields {
+            w.bytes(f);
         }
-        let mut fields: Vec<Vec<u8>> = field_ranges.iter().map(|&(o, l)| buf[o..o + l].to_vec()).collect();
-        buf.advance(offset);
-        let take = |fields: &mut Vec<Vec<u8>>| fields.remove(0);
-        let rec = match (tag, fields.len()) {
-            (1, 2) => LogRecord::Set { key: take(&mut fields), value: take(&mut fields) },
-            (2, 1) => LogRecord::Del { key: take(&mut fields) },
-            (3, 3) => LogRecord::HSet { key: take(&mut fields), field: take(&mut fields), value: take(&mut fields) },
-            (4, 2) => LogRecord::HDel { key: take(&mut fields), field: take(&mut fields) },
-            (5, 2) => LogRecord::SAdd { key: take(&mut fields), member: take(&mut fields) },
-            (6, 2) => LogRecord::SRem { key: take(&mut fields), member: take(&mut fields) },
-            (7, 2) => {
-                let key = take(&mut fields);
-                let byb = take(&mut fields);
-                if byb.len() != 8 {
-                    return Err(KvError::CorruptLog { offset: 0 });
-                }
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&byb);
-                LogRecord::Incr { key, by: i64::from_be_bytes(b) }
-            }
-            _ => return Err(KvError::CorruptLog { offset: 0 }),
-        };
-        Ok(Some(rec))
+        w.finish()
     }
 
     /// Decodes a record from a complete frame body.
@@ -357,11 +252,25 @@ impl LogRecord {
     /// trailing bytes — inside a CRC-valid frame that is structural
     /// corruption, not truncation.
     pub fn from_body(body: &[u8]) -> Result<LogRecord, KvError> {
-        let mut buf = BytesMut::from(body);
-        match LogRecord::decode(&mut buf)? {
-            Some(rec) if buf.is_empty() => Ok(rec),
-            _ => Err(KvError::CorruptLog { offset: 0 }),
-        }
+        datablinder_codec::decode(body, |r| {
+            let tag = r.u8()?;
+            let fields = (0..r.u8()?).map(|_| r.bytes()).collect::<Result<Vec<_>, _>>()?;
+            Ok(match (tag, fields.as_slice()) {
+                (1, [key, value]) => LogRecord::Set { key: key.to_vec(), value: value.to_vec() },
+                (2, [key]) => LogRecord::Del { key: key.to_vec() },
+                (3, [key, field, value]) => {
+                    LogRecord::HSet { key: key.to_vec(), field: field.to_vec(), value: value.to_vec() }
+                }
+                (4, [key, field]) => LogRecord::HDel { key: key.to_vec(), field: field.to_vec() },
+                (5, [key, member]) => LogRecord::SAdd { key: key.to_vec(), member: member.to_vec() },
+                (6, [key, member]) => LogRecord::SRem { key: key.to_vec(), member: member.to_vec() },
+                (7, [key, by]) => {
+                    let by = (*by).try_into().map_err(|_| KvError::CorruptLog { offset: 0 })?;
+                    LogRecord::Incr { key: key.to_vec(), by: i64::from_be_bytes(by) }
+                }
+                _ => return Err(KvError::CorruptLog { offset: 0 }),
+            })
+        })
     }
 }
 
@@ -449,14 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn crc32_known_vectors() {
-        // Published IEEE CRC-32 check values.
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
-    }
-
-    #[test]
     fn encode_decode_roundtrip() {
         let records = vec![
             LogRecord::Set { key: b"k".to_vec(), value: b"v".to_vec() },
@@ -467,34 +368,18 @@ mod tests {
             LogRecord::SRem { key: b"s".to_vec(), member: b"m".to_vec() },
             LogRecord::Incr { key: b"c".to_vec(), by: -42 },
         ];
-        let mut buf = BytesMut::new();
         for r in &records {
-            r.encode(&mut buf);
-        }
-        let mut decoded = Vec::new();
-        while let Some(r) = LogRecord::decode(&mut buf).unwrap() {
-            decoded.push(r);
-        }
-        assert_eq!(decoded, records);
-    }
-
-    #[test]
-    fn partial_record_returns_none() {
-        let mut buf = BytesMut::new();
-        LogRecord::Set { key: b"key".to_vec(), value: b"value".to_vec() }.encode(&mut buf);
-        let full_len = buf.len();
-        for cut in 0..full_len {
-            let mut partial = BytesMut::from(&buf[..cut]);
-            assert_eq!(LogRecord::decode(&mut partial).unwrap(), None, "cut at {cut}");
+            assert_eq!(&LogRecord::from_body(&r.to_bytes()).unwrap(), r);
         }
     }
 
     #[test]
-    fn unknown_tag_is_corrupt() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(99);
-        buf.put_u8(0);
-        assert!(matches!(LogRecord::decode(&mut buf), Err(KvError::CorruptLog { .. })));
+    fn partial_record_and_unknown_tag_are_corrupt() {
+        let body = LogRecord::Set { key: b"key".to_vec(), value: b"value".to_vec() }.to_bytes();
+        for cut in 0..body.len() {
+            assert!(matches!(LogRecord::from_body(&body[..cut]), Err(KvError::CorruptLog { .. })), "cut at {cut}");
+        }
+        assert!(matches!(LogRecord::from_body(&[99, 0]), Err(KvError::CorruptLog { .. })));
     }
 
     /// Flipping any byte of a mid-file record — its frame length (low
@@ -507,9 +392,9 @@ mod tests {
         // A long second record so a ±255 perturbation of the first frame's
         // low length byte still lands inside the file.
         let second = LogRecord::Set { key: b"pad".to_vec(), value: vec![0x5A; 400] };
-        let mut file = frame_bytes(&first.to_bytes());
+        let mut file = encode_frame(&[&first.to_bytes()]);
         let first_len = file.len();
-        file.extend_from_slice(&frame_bytes(&second.to_bytes()));
+        file.extend_from_slice(&encode_frame(&[&second.to_bytes()]));
 
         // Byte 3 is the low byte of the length header; 4.. is the body
         // (tag, nfields, field lengths, field bytes); the last 4 are the CRC.

@@ -4,7 +4,8 @@
 
 use std::collections::{HashMap, HashSet};
 
-use datablinder_kvstore::{frame_bytes, scan_frames, KvStore, LogRecord};
+use datablinder_codec::encode_frame;
+use datablinder_kvstore::{scan_frames, KvStore, LogRecord};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -127,7 +128,7 @@ proptest! {
         // concatenated stream → scan → decode, identity end to end.
         let mut stream = Vec::new();
         for rec in &recs {
-            stream.extend_from_slice(&frame_bytes(&rec.to_bytes()));
+            stream.extend_from_slice(&encode_frame(&[&rec.to_bytes()]));
         }
         let scan = scan_frames(&stream).expect("a whole stream has no corrupt frames");
         prop_assert!(!scan.torn_tail);

@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::{Buf, BufMut, BytesMut};
+use datablinder_codec::{Malformed, Writer};
 
 pub mod crash;
 pub mod fault;
@@ -83,6 +83,12 @@ pub enum NetError {
     /// closed the connection rather than allocate unboundedly. Not
     /// retryable — the same request would be oversized again.
     FrameTooLarge(String),
+}
+
+impl From<Malformed> for NetError {
+    fn from(_: Malformed) -> Self {
+        NetError::MalformedFrame
+    }
 }
 
 impl std::fmt::Display for NetError {
@@ -431,35 +437,19 @@ impl std::fmt::Debug for Channel {
 /// [`crate::tcp`] carry identical request bytes, which is what makes the
 /// differential transport suite's byte-for-byte comparison meaningful.
 pub fn encode_request(route: &str, payload: &[u8]) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(8 + route.len() + payload.len());
-    buf.put_u32(route.len() as u32);
-    buf.put_slice(route.as_bytes());
-    buf.put_u32(payload.len() as u32);
-    buf.put_slice(payload);
-    buf.to_vec()
+    let mut w = Writer::from(Vec::with_capacity(8 + route.len() + payload.len()));
+    w.str(route).bytes(payload);
+    w.finish()
 }
 
 /// Decodes an [`encode_request`] body back into `(route, payload)`.
 ///
 /// # Errors
 ///
-/// [`NetError::MalformedFrame`] on truncation or non-UTF-8 routes.
+/// [`NetError::MalformedFrame`] on truncation, trailing bytes or a
+/// non-UTF-8 route.
 pub fn decode_request(frame: &[u8]) -> Result<(String, Vec<u8>), NetError> {
-    let mut buf = frame;
-    if buf.remaining() < 4 {
-        return Err(NetError::MalformedFrame);
-    }
-    let rlen = buf.get_u32() as usize;
-    if buf.remaining() < rlen + 4 {
-        return Err(NetError::MalformedFrame);
-    }
-    let route = String::from_utf8(buf[..rlen].to_vec()).map_err(|_| NetError::MalformedFrame)?;
-    buf.advance(rlen);
-    let plen = buf.get_u32() as usize;
-    if buf.remaining() < plen {
-        return Err(NetError::MalformedFrame);
-    }
-    Ok((route, buf[..plen].to_vec()))
+    datablinder_codec::decode(frame, |r| Ok((r.str()?.to_string(), r.bytes()?.to_vec())))
 }
 
 /// Encodes one response body: `tag: u8 | len: u32 | bytes`, where tag 0 is
@@ -467,31 +457,20 @@ pub fn decode_request(frame: &[u8]) -> Result<(String, Vec<u8>), NetError> {
 /// variants (bytes = the error message, possibly empty). Shared by every
 /// transport, like [`encode_request`].
 pub fn encode_response(result: &Result<Vec<u8>, NetError>) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    match result {
-        Ok(payload) => {
-            buf.put_u8(0);
-            buf.put_u32(payload.len() as u32);
-            buf.put_slice(payload);
-        }
-        Err(e) => {
-            let (tag, msg) = match e {
-                NetError::UnknownRoute(r) => (1u8, r.clone()),
-                NetError::Remote(m) => (2, m.clone()),
-                NetError::MalformedFrame => (3, String::new()),
-                NetError::Timeout => (4, String::new()),
-                NetError::CircuitOpen => (5, String::new()),
-                NetError::Unavailable(m) => (6, m.clone()),
-                NetError::Disconnected(m) => (7, m.clone()),
-                NetError::FrameTooLarge(m) => (8, m.clone()),
-            };
-            buf.put_u8(tag);
-            let msg = msg.into_bytes();
-            buf.put_u32(msg.len() as u32);
-            buf.put_slice(&msg);
-        }
-    }
-    buf.to_vec()
+    let (tag, body): (u8, &[u8]) = match result {
+        Ok(payload) => (0, payload),
+        Err(NetError::UnknownRoute(r)) => (1, r.as_bytes()),
+        Err(NetError::Remote(m)) => (2, m.as_bytes()),
+        Err(NetError::MalformedFrame) => (3, &[]),
+        Err(NetError::Timeout) => (4, &[]),
+        Err(NetError::CircuitOpen) => (5, &[]),
+        Err(NetError::Unavailable(m)) => (6, m.as_bytes()),
+        Err(NetError::Disconnected(m)) => (7, m.as_bytes()),
+        Err(NetError::FrameTooLarge(m)) => (8, m.as_bytes()),
+    };
+    let mut w = Writer::new();
+    w.u8(tag).bytes(body);
+    w.finish()
 }
 
 /// Decodes an [`encode_response`] body back into the handler result.
@@ -499,28 +478,20 @@ pub fn encode_response(result: &Result<Vec<u8>, NetError>) -> Vec<u8> {
 /// # Errors
 ///
 /// The decoded error itself, or [`NetError::MalformedFrame`] on
-/// truncation or an unknown tag.
+/// truncation, trailing bytes or an unknown tag.
 pub fn decode_response(response: &[u8]) -> Result<Vec<u8>, NetError> {
-    let mut buf = response;
-    if buf.remaining() < 5 {
-        return Err(NetError::MalformedFrame);
-    }
-    let tag = buf.get_u8();
-    let len = buf.get_u32() as usize;
-    if buf.remaining() < len {
-        return Err(NetError::MalformedFrame);
-    }
-    let body = buf[..len].to_vec();
+    let (tag, body) = datablinder_codec::decode(response, |r| Ok::<_, NetError>((r.u8()?, r.bytes()?)))?;
+    let text = || String::from_utf8_lossy(body).into_owned();
     match tag {
-        0 => Ok(body),
-        1 => Err(NetError::UnknownRoute(String::from_utf8_lossy(&body).into_owned())),
-        2 => Err(NetError::Remote(String::from_utf8_lossy(&body).into_owned())),
+        0 => Ok(body.to_vec()),
+        1 => Err(NetError::UnknownRoute(text())),
+        2 => Err(NetError::Remote(text())),
         3 => Err(NetError::MalformedFrame),
         4 => Err(NetError::Timeout),
         5 => Err(NetError::CircuitOpen),
-        6 => Err(NetError::Unavailable(String::from_utf8_lossy(&body).into_owned())),
-        7 => Err(NetError::Disconnected(String::from_utf8_lossy(&body).into_owned())),
-        8 => Err(NetError::FrameTooLarge(String::from_utf8_lossy(&body).into_owned())),
+        6 => Err(NetError::Unavailable(text())),
+        7 => Err(NetError::Disconnected(text())),
+        8 => Err(NetError::FrameTooLarge(text())),
         _ => Err(NetError::MalformedFrame),
     }
 }
@@ -584,6 +555,13 @@ mod tests {
         assert_eq!(decode_request(&[0, 0, 0, 10, b'a']), Err(NetError::MalformedFrame));
         assert!(decode_response(&[9, 0, 0, 0, 0]).is_err());
         assert_eq!(decode_response(&[]), Err(NetError::MalformedFrame));
+        // Bytes after the announced payload are as malformed as missing ones.
+        let mut request = encode_request("echo", b"hi");
+        request.push(0);
+        assert_eq!(decode_request(&request), Err(NetError::MalformedFrame));
+        let mut response = encode_response(&Ok(b"hi".to_vec()));
+        response.push(0);
+        assert_eq!(decode_response(&response), Err(NetError::MalformedFrame));
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //!   (`route`/`payload` framing); response bodies are
 //!   [`encode_response`](crate::encode_response) bytes (status tag + body),
 //!   exactly as the simulated channel puts them on its wire.
-//! * `crc32` is the same IEEE polynomial the durability WAL frames use;
-//!   a mismatch rejects the frame and kills the connection rather than
+//! * the frame is the one the durability WAL uses
+//!   ([`datablinder_codec::encode_frame`], `covered` = `corr_id || body`);
+//!   a CRC mismatch rejects the frame and kills the connection rather than
 //!   delivering corrupt bytes upward.
 //!
 //! The client side is [`TcpChannel`] (an implementation of
@@ -44,6 +45,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
+use datablinder_codec::{encode_frame, split_frame, Split};
 use parking_lot::Mutex;
 
 use crate::transport::Transport;
@@ -58,33 +60,6 @@ pub const DEFAULT_MAX_FRAME: u32 = 8 * 1024 * 1024;
 /// Route answered by the server itself (payload echo), bypassing the
 /// service — a liveness probe that works against any deployment.
 pub const PING_ROUTE: &str = "sys/ping";
-
-// --------------------------------------------------------------- CRC-32
-
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE) — the polynomial the kvstore WAL frames use.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
 
 // ----------------------------------------------------------- frame codec
 
@@ -140,15 +115,9 @@ pub struct Frame {
     pub body: Vec<u8>,
 }
 
-/// Encodes one wire frame: `len || corr_id || body || crc32`.
+/// Encodes one wire frame: the shared CRC frame over `corr_id || body`.
 pub fn encode_wire_frame(corr_id: u64, body: &[u8]) -> Vec<u8> {
-    let len = 8 + body.len();
-    let mut out = Vec::with_capacity(4 + len + 4);
-    out.extend_from_slice(&(len as u32).to_be_bytes());
-    out.extend_from_slice(&corr_id.to_be_bytes());
-    out.extend_from_slice(body);
-    out.extend_from_slice(&crc32(&out[4..]).to_be_bytes());
-    out
+    encode_frame(&[&corr_id.to_be_bytes(), body])
 }
 
 /// Incremental frame decoder, tolerant of arbitrary read boundaries: feed
@@ -188,35 +157,20 @@ impl FrameDecoder {
     /// [`FrameError`] on an oversized announcement, a runt length or a CRC
     /// mismatch. The stream is unusable afterwards; close the connection.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
-        let avail = &self.buf[self.consumed..];
-        if avail.len() < 4 {
-            return Ok(None);
+        match split_frame(&self.buf[self.consumed..], 8..=self.max_frame) {
+            Split::NeedMore => Ok(None),
+            Split::Frame { covered, total } => {
+                let (corr_id, body) = covered.split_first_chunk::<8>().expect("split_frame enforces len >= 8");
+                let frame = Frame { corr_id: u64::from_be_bytes(*corr_id), body: body.to_vec() };
+                self.consumed += total;
+                Ok(Some(frame))
+            }
+            Split::BadLength(len) if len > self.max_frame => {
+                Err(FrameError::TooLarge { announced: len as u64, max: self.max_frame as u64 })
+            }
+            Split::BadLength(len) => Err(FrameError::Runt(len)),
+            Split::BadCrc => Err(FrameError::BadCrc),
         }
-        let len = u32::from_be_bytes([avail[0], avail[1], avail[2], avail[3]]);
-        if len > self.max_frame {
-            return Err(FrameError::TooLarge { announced: len as u64, max: self.max_frame as u64 });
-        }
-        if len < 8 {
-            return Err(FrameError::Runt(len));
-        }
-        let total = 4 + len as usize + 4;
-        if avail.len() < total {
-            return Ok(None);
-        }
-        let covered = &avail[4..4 + len as usize];
-        let stored = u32::from_be_bytes([
-            avail[4 + len as usize],
-            avail[5 + len as usize],
-            avail[6 + len as usize],
-            avail[7 + len as usize],
-        ]);
-        if crc32(covered) != stored {
-            return Err(FrameError::BadCrc);
-        }
-        let corr_id = u64::from_be_bytes(covered[..8].try_into().expect("len >= 8"));
-        let body = covered[8..].to_vec();
-        self.consumed += total;
-        Ok(Some(Frame { corr_id, body }))
     }
 
     /// Bytes buffered but not yet consumed by a returned frame.
@@ -805,11 +759,5 @@ mod tests {
         let mut dec = FrameDecoder::new(64);
         dec.extend(&3u32.to_be_bytes());
         assert_eq!(dec.next_frame(), Err(FrameError::Runt(3)));
-    }
-
-    #[test]
-    fn crc32_known_vector() {
-        // Same IEEE polynomial as the kvstore WAL framing.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 }

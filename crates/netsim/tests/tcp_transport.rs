@@ -8,7 +8,8 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use datablinder_netsim::tcp::{crc32, encode_wire_frame, Frame, CONN_ERROR_CORR, PING_ROUTE};
+use datablinder_codec::crc32;
+use datablinder_netsim::tcp::{encode_wire_frame, Frame, CONN_ERROR_CORR, PING_ROUTE};
 use datablinder_netsim::{
     decode_response, encode_request, CloudServer, FrameDecoder, NetError, ResilienceConfig, ResilientChannel,
     RetryPolicy, ServerConfig, TcpChannel, TcpConfig, Transport,

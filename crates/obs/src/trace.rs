@@ -27,6 +27,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
+use datablinder_codec::{Malformed, Writer};
+
 use crate::span::Span;
 
 /// The reserved route carrying a traced envelope. Classified as neither a
@@ -131,39 +133,27 @@ pub(crate) fn close_collector(trace_id: u64) -> Vec<Span> {
 // ---------------------------------------------------------------------------
 
 /// Encodes a traced envelope: `trace_id ‖ span_id ‖ route ‖ payload`, every
-/// field length-prefixed so any strict prefix fails to decode.
+/// field length-prefixed (`u16` for the route, `u32` for the payload) so any
+/// strict prefix fails to decode.
 pub fn encode_traced(ctx: TraceCtx, route: &str, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + 8 + 2 + route.len() + 4 + payload.len());
-    out.extend_from_slice(&ctx.trace_id.to_be_bytes());
-    out.extend_from_slice(&ctx.span_id.to_be_bytes());
-    out.extend_from_slice(&(route.len() as u16).to_be_bytes());
-    out.extend_from_slice(route.as_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(payload);
-    out
+    let mut w = Writer::from(Vec::with_capacity(8 + 8 + 2 + route.len() + 4 + payload.len()));
+    w.u64(ctx.trace_id).u64(ctx.span_id).u16(route.len() as u16).raw(route.as_bytes()).bytes(payload);
+    w.finish()
 }
 
 /// Decodes a traced envelope, borrowing the inner route and payload.
 ///
 /// # Errors
 ///
-/// A static message naming the first malformed field; truncated input at
-/// any strict prefix is always an error, never a partial decode.
-pub fn decode_traced(buf: &[u8]) -> Result<(TraceCtx, &str, &[u8]), &'static str> {
-    let (trace_bytes, rest) = buf.split_first_chunk::<8>().ok_or("traced: short trace id")?;
-    let (span_bytes, rest) = rest.split_first_chunk::<8>().ok_or("traced: short span id")?;
-    let (route_len, rest) = rest.split_first_chunk::<2>().ok_or("traced: short route length")?;
-    let route_len = u16::from_be_bytes(*route_len) as usize;
-    let (route_bytes, rest) = rest.split_at_checked(route_len).ok_or("traced: short route")?;
-    let route = std::str::from_utf8(route_bytes).map_err(|_| "traced: route not utf-8")?;
-    let (payload_len, rest) = rest.split_first_chunk::<4>().ok_or("traced: short payload length")?;
-    let payload_len = u32::from_be_bytes(*payload_len) as usize;
-    let (payload, rest) = rest.split_at_checked(payload_len).ok_or("traced: short payload")?;
-    if !rest.is_empty() {
-        return Err("traced: trailing bytes");
-    }
-    let ctx = TraceCtx { trace_id: u64::from_be_bytes(*trace_bytes), span_id: u64::from_be_bytes(*span_bytes) };
-    Ok((ctx, route, payload))
+/// [`Malformed`] naming the first bad field; truncated input at any strict
+/// prefix and trailing bytes are always an error, never a partial decode.
+pub fn decode_traced(buf: &[u8]) -> Result<(TraceCtx, &str, &[u8]), Malformed> {
+    datablinder_codec::decode(buf, |r| {
+        let ctx = TraceCtx { trace_id: r.u64()?, span_id: r.u64()? };
+        let route_len = r.u16()? as usize;
+        let route = std::str::from_utf8(r.take(route_len)?).map_err(|_| Malformed("traced route utf8"))?;
+        Ok((ctx, route, r.bytes()?))
+    })
 }
 
 // ---------------------------------------------------------------------------

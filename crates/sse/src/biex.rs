@@ -28,10 +28,10 @@ use datablinder_primitives::prf::{HmacPrf, Prf};
 use rand::Rng;
 
 use crate::bloom::BloomFilter;
-use crate::encoding::{Reader, Writer};
 use crate::inverted::InvertedIndex;
 use crate::twolev::{TwoLevClient, TwoLevServer, TwoLevToken};
 use crate::{DocId, SseError};
+use datablinder_codec::{Reader, Writer};
 
 /// A boolean query in disjunctive normal form: `OR of (AND of keywords)`.
 ///
@@ -123,7 +123,7 @@ impl Biex2LevToken {
         let mut conjunctions = Vec::with_capacity(n);
         for _ in 0..n {
             match r.u8()? {
-                0 => conjunctions.push(Biex2LevConjToken::Global(TwoLevToken::decode(&r.bytes()?)?)),
+                0 => conjunctions.push(Biex2LevConjToken::Global(TwoLevToken::decode(r.bytes()?)?)),
                 1 => {
                     let labels = r
                         .list()?
@@ -153,6 +153,10 @@ pub fn encode_2lev_response(response: &Biex2LevResponse) -> Vec<u8> {
     w.finish()
 }
 
+fn owned(list: Vec<&[u8]>) -> Vec<Vec<u8>> {
+    list.into_iter().map(<[u8]>::to_vec).collect()
+}
+
 /// Deserializes a [`Biex2LevResponse`].
 ///
 /// # Errors
@@ -163,7 +167,7 @@ pub fn decode_2lev_response(buf: &[u8]) -> Result<Biex2LevResponse, SseError> {
     let n = r.count()?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        out.push(r.list()?);
+        out.push(owned(r.list()?));
     }
     r.finish()?;
     Ok(out)
@@ -410,7 +414,7 @@ impl BiexZmfToken {
         let n = r.count()?;
         let mut conjunctions = Vec::with_capacity(n);
         for _ in 0..n {
-            let t = TwoLevToken::decode(&r.bytes()?)?;
+            let t = TwoLevToken::decode(r.bytes()?)?;
             let labels = r
                 .list()?
                 .into_iter()
@@ -447,8 +451,8 @@ pub fn decode_zmf_response(buf: &[u8]) -> Result<BiexZmfResponse, SseError> {
     let n = r.count()?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        let buckets = r.list()?;
-        let filters = r.list()?;
+        let buckets = owned(r.list()?);
+        let filters = owned(r.list()?);
         out.push((buckets, filters));
     }
     r.finish()?;

@@ -1,8 +1,8 @@
 //! Bloom filters — the substrate for the BIEX-ZMF ("matryoshka filter")
 //! boolean tactic.
 
-use crate::encoding::{Reader, Writer};
 use crate::SseError;
+use datablinder_codec::{Reader, Writer};
 
 /// A fixed-size Bloom filter with double hashing over two 64-bit seeds.
 ///

@@ -23,7 +23,6 @@
 pub mod biex;
 pub mod bloom;
 pub mod det;
-pub mod encoding;
 pub mod inverted;
 pub mod mitra;
 pub mod rnd;
@@ -117,6 +116,12 @@ impl std::fmt::Display for SseError {
 }
 
 impl std::error::Error for SseError {}
+
+impl From<datablinder_codec::Malformed> for SseError {
+    fn from(e: datablinder_codec::Malformed) -> Self {
+        SseError::Malformed(e.0)
+    }
+}
 
 impl From<CryptoError> for SseError {
     fn from(e: CryptoError) -> Self {

@@ -25,8 +25,8 @@ use datablinder_kvstore::KvStore;
 use datablinder_primitives::keys::SymmetricKey;
 use datablinder_primitives::prf::{HmacPrf, Prf};
 
-use crate::encoding::{Reader, Writer};
 use crate::{DocId, SseError, UpdateOp};
+use datablinder_codec::{Reader, Writer};
 
 /// One masked index entry travelling gateway → cloud.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -143,9 +143,10 @@ impl MitraClient {
     ///
     /// [`SseError::Malformed`] if a present entry has the wrong size or op
     /// byte.
-    pub fn resolve(&self, keyword: &[u8], values: &[Vec<u8>]) -> Result<Vec<DocId>, SseError> {
+    pub fn resolve<V: AsRef<[u8]>>(&self, keyword: &[u8], values: &[V]) -> Result<Vec<DocId>, SseError> {
         let mut live: Vec<DocId> = Vec::new();
         for (i, v) in values.iter().enumerate() {
+            let v = v.as_ref();
             if v.is_empty() {
                 continue;
             }
@@ -201,7 +202,7 @@ impl MitraClient {
         for _ in 0..n {
             let k = r.bytes()?;
             let v = r.u64()?;
-            counters.insert(k, v);
+            counters.insert(k.to_vec(), v);
         }
         r.finish()?;
         self.counters = counters;
@@ -296,7 +297,7 @@ mod tests {
         let token = client.search_token(b"never-seen");
         assert!(token.addrs.is_empty());
         assert!(server.search(&token).is_empty());
-        assert_eq!(client.resolve(b"never-seen", &[]).unwrap(), vec![]);
+        assert_eq!(client.resolve(b"never-seen", &[] as &[&[u8]]).unwrap(), vec![]);
     }
 
     #[test]

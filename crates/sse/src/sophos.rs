@@ -32,8 +32,8 @@ use datablinder_primitives::prf::{HmacPrf, Prf};
 use datablinder_primitives::sha256::Sha256;
 use rand::Rng;
 
-use crate::encoding::{Reader, Writer};
 use crate::{DocId, SseError};
+use datablinder_codec::{Reader, Writer};
 
 /// The public half of the trapdoor permutation (cloud side).
 ///
@@ -89,8 +89,8 @@ impl SophosPublicKey {
     /// be an RSA modulus (zero or even).
     pub fn decode(buf: &[u8]) -> Result<Self, SseError> {
         let mut r = Reader::new(buf);
-        let n = BigUint::from_bytes_be(&r.bytes()?);
-        let e = BigUint::from_bytes_be(&r.bytes()?);
+        let n = BigUint::from_bytes_be(r.bytes()?);
+        let e = BigUint::from_bytes_be(r.bytes()?);
         r.finish()?;
         if n.is_zero() || n.is_even() {
             return Err(SseError::Malformed("sophos modulus"));
@@ -146,9 +146,9 @@ impl SophosKeypair {
     /// [`SseError::Malformed`] on framing errors.
     pub fn decode(buf: &[u8]) -> Result<Self, SseError> {
         let mut r = Reader::new(buf);
-        let n = BigUint::from_bytes_be(&r.bytes()?);
-        let e = BigUint::from_bytes_be(&r.bytes()?);
-        let d = BigUint::from_bytes_be(&r.bytes()?);
+        let n = BigUint::from_bytes_be(r.bytes()?);
+        let e = BigUint::from_bytes_be(r.bytes()?);
+        let d = BigUint::from_bytes_be(r.bytes()?);
         r.finish()?;
         if n.is_zero() || n.is_even() {
             return Err(SseError::Malformed("sophos modulus"));
@@ -228,7 +228,7 @@ impl SophosSearchToken {
         let st = r.bytes()?;
         let count = r.u64()?;
         r.finish()?;
-        Ok(SophosSearchToken { k_w, st, count })
+        Ok(SophosSearchToken { k_w, st: st.to_vec(), count })
     }
 }
 
@@ -303,10 +303,11 @@ impl SophosClient {
     /// # Errors
     ///
     /// [`SseError::Malformed`] on wrong-size entries.
-    pub fn resolve(&self, keyword: &[u8], entries: &[(Vec<u8>, Vec<u8>)]) -> Result<Vec<DocId>, SseError> {
+    pub fn resolve<B: AsRef<[u8]>>(&self, keyword: &[u8], entries: &[(B, B)]) -> Result<Vec<DocId>, SseError> {
         let k_w = self.k_w(keyword);
         let mut out = Vec::with_capacity(entries.len());
         for (st_bytes, masked) in entries {
+            let (st_bytes, masked) = (st_bytes.as_ref(), masked.as_ref());
             if masked.len() != 16 {
                 return Err(SseError::Malformed("sophos entry"));
             }
@@ -350,9 +351,9 @@ impl SophosClient {
         let mut map = HashMap::new();
         for _ in 0..count {
             let kw = r.bytes()?;
-            let st = BigUint::from_bytes_be(&r.bytes()?);
+            let st = BigUint::from_bytes_be(r.bytes()?);
             let c = r.u64()?;
-            map.insert(kw, KeywordState { st, count: c });
+            map.insert(kw.to_vec(), KeywordState { st, count: c });
         }
         r.finish()?;
         self.state = map;

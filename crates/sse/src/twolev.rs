@@ -26,9 +26,9 @@ use datablinder_primitives::prf::{HmacPrf, Prf};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::encoding::{Reader, Writer};
 use crate::inverted::InvertedIndex;
 use crate::{DocId, SseError};
+use datablinder_codec::{Reader, Writer};
 
 /// Entries per array bucket (postings are padded to a multiple of this).
 pub const BUCKET_CAPACITY: usize = 8;
@@ -325,7 +325,7 @@ impl TwoLevServer {
             0 => {
                 let blob = r.bytes()?;
                 r.finish()?;
-                Ok(vec![blob])
+                Ok(vec![blob.to_vec()])
             }
             1 => {
                 let count = r.u32()? as usize;

@@ -14,6 +14,7 @@
 //! exactly (a) tactic cost (S_A→S_B) and (b) middleware overhead
 //! (S_B→S_C).
 
+use datablinder_codec::Reader;
 use datablinder_core::cloud::{get_many_payload, with_collection};
 use datablinder_core::cloudproto::{FindIdsEq, PaillierSum, PaillierSumResponse};
 use datablinder_core::gateway::GatewayEngine;
@@ -27,7 +28,6 @@ use datablinder_obs::Recorder;
 use datablinder_paillier::{Ciphertext, Keypair};
 use datablinder_primitives::keys::SymmetricKey;
 use datablinder_sse::det::DetCipher;
-use datablinder_sse::encoding::Reader;
 use datablinder_sse::mitra::MitraClient;
 use datablinder_sse::rnd::RndCipher;
 use datablinder_sse::{DocId, UpdateOp};

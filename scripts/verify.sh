@@ -24,6 +24,15 @@ fi
 echo "==> metric-name registry lint (scripts/check_metrics.sh)"
 bash scripts/check_metrics.sh
 
+echo "==> one CRC table, five external crates"
+crc_files="$(grep -rl '0xEDB8_8320' crates/*/src)"
+[ "$crc_files" = crates/codec/src/frame.rs ] ||
+    { echo "the CRC-32 polynomial must appear in crates/codec/src/frame.rs only, found in: $crc_files" >&2; exit 1; }
+if grep -nE '^(bytes|serde)\b' Cargo.toml crates/*/Cargo.toml; then
+    echo "bytes and serde left the build in PR 14; framing is datablinder-codec, core::wire is the format" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 

@@ -10,6 +10,7 @@
 //! * [`core`] — the middleware itself (models, SPI, registry, engines),
 //! * [`sse`], [`ope`], [`ore`], [`paillier`] — the cryptographic tactics,
 //! * [`primitives`], [`bigint`] — the crypto substrate,
+//! * [`codec`] — the one wire cursor pair and CRC frame,
 //! * [`kvstore`], [`docstore`], [`kms`], [`netsim`] — the system substrate,
 //! * [`fhir`], [`workload`] — the healthcare validation case and the
 //!   evaluation harness.
@@ -45,6 +46,7 @@
 
 #![warn(missing_docs)]
 pub use datablinder_bigint as bigint;
+pub use datablinder_codec as codec;
 pub use datablinder_core as core;
 pub use datablinder_docstore as docstore;
 pub use datablinder_fhir as fhir;

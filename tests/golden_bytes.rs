@@ -1,0 +1,300 @@
+//! Golden bytes: the encoding of one fixed instance of every message type,
+//! record and frame, captured at the commit *before* the codecs were merged
+//! into `datablinder-codec`. The test asserts today's encoders reproduce
+//! them exactly and today's decoders read them back — a WAL, snapshot or
+//! socket peer from that commit stays readable, and any later change to a
+//! byte on the wire has to change a constant here.
+
+use std::fmt::Debug;
+
+use datablinder::codec::{encode_frame, split_frame, Split};
+use datablinder::core::cloudproto::*;
+use datablinder::core::durability::WalRecord;
+use datablinder::core::model::*;
+use datablinder::core::tactics::{decode_ids, encode_ids};
+use datablinder::core::wire::{
+    decode_document, decode_documents, decode_schema, encode_document, encode_documents, encode_schema,
+};
+use datablinder::docstore::{Document, Value};
+use datablinder::kvstore::{scan_frames, LogRecord};
+use datablinder::netsim::tcp::{encode_wire_frame, Frame, FrameDecoder, DEFAULT_MAX_FRAME};
+use datablinder::netsim::{decode_request, decode_response, encode_request, encode_response, NetError};
+use datablinder::obs::trace::{decode_traced, encode_traced, TraceCtx};
+use datablinder::sse::DocId;
+
+const FIND_IDS_EQ: &str = "000000036f62730000000b7374617475735f5f6465740500000003010203";
+const FIND_IDS_RANGE: &str = "000000036f6273000000086566665f5f6f706502fffffffffffffffb0500000004ffffffff";
+const FIND_IDS_DNF: &str = concat!(
+    "000000036f62730000000300000002000000016102000000000000000100000001620400000001780000000100000001",
+    "6305000000010900000000"
+);
+const PAILLIER_SUM: &str = "000000036f62730000000a76616c75655f5f70686500000002000000026161000000026262";
+const PAILLIER_SUM_RESPONSE: &str = "0000000000000007010203";
+const IDEMPOTENT: &str = "070707070707070707070707070707070000000a646f632f696e7365727400000003010203";
+const SYNC_ENTRIES: &str = "0000000364000000066f62730064310000000204056b000000016b0000000069000000036f62730000000106";
+const RANGE_SELECT: &str = "000000000000002a010000000200000000000000010000000000000002ffffffffffffffff0000000000000000";
+const TRANSFER_BEGIN: &str = "09090909090909090909090909090909";
+const TRANSFER_INFO: &str = "0000000000011170000000000000000cdeadbeef";
+const CHUNK_REQUEST: &str = "03030303030303030303030303030303000000000000400000004000";
+const CHUNK_RESPONSE: &str = "0000000000004000010203040000000308090a";
+const WAL_TAIL_REQUEST: &str = "0000000000000063";
+const BLOB_LIST: &str = "00000003000000010100000000000000020203";
+const DIGEST_REQUEST: &str = "000000000000000700000003000000000000000a0000000000000014ffffffffffffffff";
+const DIGEST_RESPONSE: &str = concat!(
+    "000000020101010101010101010101010101010101010101010101010101010101010101020202020202020202020202",
+    "020202020202020202020202020202020202020203030303030303030303030303030303030303030303030303030303",
+    "030303030404040404040404040404040404040404040404040404040404040404040404"
+);
+const WAL_RECORD: &str =
+    concat!("000000000000000500000010abababababababababababababababab0000000a646f632f696e73657274000000040102", "0304");
+const WAL_FRAME: &str = concat!(
+    "00000032000000000000000500000010abababababababababababababababab0000000a646f632f696e736572740000",
+    "000401020304e221ee6a"
+);
+const LOG_SET: &str = "0102000000016b0000000176";
+const LOG_DEL: &str = "0201000000016b";
+const LOG_HSET: &str = "0303000000016800000001660000000176";
+const LOG_HDEL: &str = "040200000001680000000166";
+const LOG_SADD: &str = "05020000000173000000016d";
+const LOG_SREM: &str = "06020000000173000000016d";
+const LOG_INCR: &str = "0702000000016300000008ffffffffffffffd6";
+const LOG_FRAME: &str = "0000001103030000000168000000016600000001761aa82762";
+const REQUEST: &str = "00000007646f632f67657400000003010203";
+const RESPONSE_OK: &str = "00000000020405";
+const RESPONSE_ERR: &str = "0200000004626f6f6d";
+const RESPONSE_ERR_BARE: &str = "0400000000";
+const TCP_FRAME: &str = "0000001a0000000000000009000000087379732f70696e6700000002686944ceb937";
+const TRACED: &str = "000000000000002a0000000000000007000a646f632f696e73657274000000077061796c6f6164";
+const DOCUMENT: &str = concat!(
+    "000000026431000000070000000361727206000000020200000000000000010700000001000000016b02000000000000",
+    "00010000000162050000000300ff0700000004666c61670101000000016e02ffffffffffffffd6000000046e756c6c00",
+    "00000001730400000004746578740000000178034004000000000000"
+);
+const DOCUMENTS: &str = concat!(
+    "000000020000007c00000002643100000007000000036172720600000002020000000000000001070000000100000001",
+    "6b0200000000000000010000000162050000000300ff0700000004666c61670101000000016e02ffffffffffffffd600",
+    "0000046e756c6c00000000017304000000047465787400000001780340040000000000000000000d00000005656d7074",
+    "7900000000"
+);
+const SCHEMA: &str = concat!(
+    "000000036f627300000003000000046e6f7465000000000000067374617475730001010303000102000000000576616c",
+    "75650201010502000303000102"
+);
+const IDS: &str = "000000020101010101010101010101010101010102020202020202020202020202020202";
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len()).step_by(2).map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap()).collect()
+}
+
+/// `value` encodes to exactly `golden`, and `golden` decodes back to it.
+fn pin<T: PartialEq + Debug, E: Debug>(
+    golden: &str,
+    value: T,
+    encode: impl Fn(&T) -> Vec<u8>,
+    decode: impl Fn(&[u8]) -> Result<T, E>,
+) {
+    assert_eq!(hex(&encode(&value)), golden, "encoding moved: {value:?}");
+    assert_eq!(decode(&unhex(golden)).unwrap(), value, "golden bytes no longer decode");
+}
+
+fn sample_doc() -> Document {
+    let mut obj = std::collections::BTreeMap::new();
+    obj.insert("k".to_string(), Value::from(1i64));
+    Document::new("d1")
+        .with("null", Value::Null)
+        .with("flag", Value::from(true))
+        .with("n", Value::from(-42i64))
+        .with("x", Value::from(2.5f64))
+        .with("s", Value::from("text"))
+        .with("b", Value::Bytes(vec![0, 255, 7]))
+        .with("arr", Value::Array(vec![Value::from(1i64), Value::Object(obj)]))
+}
+
+#[test]
+fn cloud_protocol_messages() {
+    pin(
+        FIND_IDS_EQ,
+        FindIdsEq { collection: "obs".into(), field: "status__det".into(), value: Value::Bytes(vec![1, 2, 3]) },
+        FindIdsEq::encode,
+        FindIdsEq::decode,
+    );
+    pin(
+        FIND_IDS_RANGE,
+        FindIdsRange {
+            collection: "obs".into(),
+            field: "eff__ope".into(),
+            lo: Value::from(-5i64),
+            hi: Value::Bytes(vec![255; 4]),
+        },
+        FindIdsRange::encode,
+        FindIdsRange::decode,
+    );
+    pin(
+        FIND_IDS_DNF,
+        FindIdsDnf {
+            collection: "obs".into(),
+            dnf: vec![
+                vec![("a".into(), Value::from(1i64)), ("b".into(), Value::from("x"))],
+                vec![("c".into(), Value::Bytes(vec![9]))],
+                vec![],
+            ],
+        },
+        FindIdsDnf::encode,
+        FindIdsDnf::decode,
+    );
+    pin(
+        PAILLIER_SUM,
+        PaillierSum { collection: "obs".into(), field: "value__phe".into(), ids: vec!["aa".into(), "bb".into()] },
+        PaillierSum::encode,
+        PaillierSum::decode,
+    );
+    pin(
+        PAILLIER_SUM_RESPONSE,
+        PaillierSumResponse { ciphertext: vec![1, 2, 3], count: 7 },
+        PaillierSumResponse::encode,
+        PaillierSumResponse::decode,
+    );
+    pin(
+        IDEMPOTENT,
+        Idempotent { token: [7; 16], route: "doc/insert".into(), payload: vec![1, 2, 3] },
+        Idempotent::encode,
+        Idempotent::decode,
+    );
+    pin(
+        SYNC_ENTRIES,
+        SyncEntries {
+            entries: vec![
+                SyncEntry { kind: ENTRY_DOC, key: b"obs\0d1".to_vec(), value: vec![4, 5] },
+                SyncEntry { kind: ENTRY_KV, key: b"k".to_vec(), value: vec![] },
+                SyncEntry { kind: ENTRY_INDEX, key: b"obs".to_vec(), value: vec![6] },
+            ],
+        },
+        SyncEntries::encode,
+        SyncEntries::decode,
+    );
+    pin(
+        RANGE_SELECT,
+        RangeSelect { seed: 42, ranges: vec![(1, 2), (u64::MAX, 0)], include_broadcast: true },
+        RangeSelect::encode,
+        RangeSelect::decode,
+    );
+    pin(TRANSFER_BEGIN, TransferBegin { token: [9; 16] }, TransferBegin::encode, TransferBegin::decode);
+    pin(
+        TRANSFER_INFO,
+        TransferInfo { total_len: 70_000, snapshot_seq: 12, crc: 0xDEAD_BEEF },
+        TransferInfo::encode,
+        TransferInfo::decode,
+    );
+    pin(
+        CHUNK_REQUEST,
+        ChunkRequest { token: [3; 16], offset: 16_384, max_len: 16_384 },
+        ChunkRequest::encode,
+        ChunkRequest::decode,
+    );
+    pin(
+        CHUNK_RESPONSE,
+        ChunkResponse { offset: 16_384, crc: 0x0102_0304, data: vec![8, 9, 10] },
+        ChunkResponse::encode,
+        ChunkResponse::decode,
+    );
+    pin(WAL_TAIL_REQUEST, WalTailRequest { from_seq: 99 }, WalTailRequest::encode, WalTailRequest::decode);
+    pin(BLOB_LIST, BlobList { items: vec![vec![1], vec![], vec![2, 3]] }, BlobList::encode, BlobList::decode);
+    pin(
+        DIGEST_REQUEST,
+        DigestRequest { seed: 7, boundaries: vec![10, 20, u64::MAX] },
+        DigestRequest::encode,
+        DigestRequest::decode,
+    );
+    pin(
+        DIGEST_RESPONSE,
+        DigestResponse { leaves: vec![[1; 32], [2; 32]], broadcast: [3; 32], root: [4; 32] },
+        DigestResponse::encode,
+        DigestResponse::decode,
+    );
+}
+
+#[test]
+fn documents_schemas_and_id_lists() {
+    pin(DOCUMENT, sample_doc(), encode_document, decode_document);
+    pin(DOCUMENTS, vec![sample_doc(), Document::new("empty")], |d| encode_documents(d), decode_documents);
+    let schema = Schema::new("obs")
+        .plain_field("note", FieldType::Text, false)
+        .sensitive_field(
+            "status",
+            FieldType::Text,
+            true,
+            FieldAnnotation::new(ProtectionClass::C3, vec![FieldOp::Insert, FieldOp::Equality, FieldOp::Boolean]),
+        )
+        .sensitive_field(
+            "value",
+            FieldType::Float,
+            true,
+            FieldAnnotation::new(ProtectionClass::C5, vec![FieldOp::Insert, FieldOp::Range]).with_aggs(vec![
+                AggFn::Sum,
+                AggFn::Avg,
+                AggFn::Count,
+            ]),
+        );
+    pin(SCHEMA, schema, encode_schema, decode_schema);
+    pin(IDS, vec![DocId([1; 16]), DocId([2; 16])], |ids| encode_ids(ids), decode_ids);
+}
+
+#[test]
+fn wal_and_log_records_and_their_frames() {
+    let wal = WalRecord { seq: 5, id: [0xAB; 16], route: "doc/insert".into(), payload: vec![1, 2, 3, 4] };
+    pin(WAL_RECORD, wal.clone(), WalRecord::encode, WalRecord::decode);
+    let records = [
+        (LOG_SET, LogRecord::Set { key: b"k".to_vec(), value: b"v".to_vec() }),
+        (LOG_DEL, LogRecord::Del { key: b"k".to_vec() }),
+        (LOG_HSET, LogRecord::HSet { key: b"h".to_vec(), field: b"f".to_vec(), value: b"v".to_vec() }),
+        (LOG_HDEL, LogRecord::HDel { key: b"h".to_vec(), field: b"f".to_vec() }),
+        (LOG_SADD, LogRecord::SAdd { key: b"s".to_vec(), member: b"m".to_vec() }),
+        (LOG_SREM, LogRecord::SRem { key: b"s".to_vec(), member: b"m".to_vec() }),
+        (LOG_INCR, LogRecord::Incr { key: b"c".to_vec(), by: -42 }),
+    ];
+    for (golden, record) in records {
+        pin(golden, record, LogRecord::to_bytes, LogRecord::from_body);
+    }
+
+    // One WAL frame and one KV-log frame, back to back as they would sit in
+    // a file: the shared frame writes them and the file scanner reads them.
+    assert_eq!(hex(&encode_frame(&[&unhex(WAL_RECORD)])), WAL_FRAME);
+    assert_eq!(hex(&encode_frame(&[&unhex(LOG_HSET)])), LOG_FRAME);
+    let mut file = unhex(WAL_FRAME);
+    file.extend_from_slice(&unhex(LOG_FRAME));
+    let scan = scan_frames(&file).unwrap();
+    assert_eq!(scan.frames, vec![unhex(WAL_RECORD), unhex(LOG_HSET)]);
+    assert_eq!((scan.valid_len, scan.torn_tail), (file.len() as u64, false));
+}
+
+#[test]
+fn requests_responses_the_traced_envelope_and_the_tcp_frame() {
+    pin(
+        REQUEST,
+        ("doc/get".to_string(), vec![1, 2, 3]),
+        |(route, payload)| encode_request(route, payload),
+        decode_request,
+    );
+    assert_eq!(hex(&encode_response(&Ok(vec![4, 5]))), RESPONSE_OK);
+    assert_eq!(decode_response(&unhex(RESPONSE_OK)), Ok(vec![4, 5]));
+    for (golden, error) in [(RESPONSE_ERR, NetError::Remote("boom".into())), (RESPONSE_ERR_BARE, NetError::Timeout)] {
+        assert_eq!(hex(&encode_response(&Err(error.clone()))), golden);
+        assert_eq!(decode_response(&unhex(golden)), Err(error));
+    }
+
+    let ctx = TraceCtx { trace_id: 42, span_id: 7 };
+    assert_eq!(hex(&encode_traced(ctx, "doc/insert", b"payload")), TRACED);
+    assert_eq!(decode_traced(&unhex(TRACED)), Ok((ctx, "doc/insert", b"payload".as_slice())));
+
+    // The TCP frame is the shared frame over `corr_id ‖ body`.
+    let body = encode_request("sys/ping", b"hi");
+    assert_eq!(hex(&encode_wire_frame(9, &body)), TCP_FRAME);
+    let mut decoder = FrameDecoder::new(DEFAULT_MAX_FRAME);
+    decoder.extend(&unhex(TCP_FRAME));
+    assert_eq!(decoder.next_frame(), Ok(Some(Frame { corr_id: 9, body })));
+    assert!(matches!(split_frame(&unhex(TCP_FRAME), 8..=DEFAULT_MAX_FRAME), Split::Frame { total: 34, .. }));
+}
