@@ -9,11 +9,14 @@
 
 use std::ops::RangeInclusive;
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) lookup table,
-/// built at compile time so the hot replay path stays table-driven without
-/// pulling in a crc crate.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) lookup tables for
+/// slicing-by-8, built at compile time so every frame, WAL record and
+/// snapshot chunk stays table-driven without pulling in a crc crate.
+/// `CRC32_TABLES[0]` is the classic byte table; `CRC32_TABLES[k][b]` is the
+/// CRC state after byte `b` followed by `k` zero bytes, which is what lets
+/// eight input bytes be folded with eight independent lookups.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -22,10 +25,20 @@ const CRC32_TABLE: [u32; 256] = {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC-32 (IEEE) of `data`.
@@ -33,9 +46,26 @@ pub fn crc32(data: &[u8]) -> u32 {
     crc32_update(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
 }
 
+/// Advances the running (pre-inversion) CRC state `c` over `data`, eight
+/// bytes per step; the up-to-seven bytes left take the byte table. The state
+/// is the whole carry, so splitting `data` anywhere gives the same result.
 fn crc32_update(mut c: u32, data: &[u8]) -> u32 {
-    for &b in data {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let t = &CRC32_TABLES;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c
 }

@@ -133,6 +133,32 @@ impl Writer {
         self
     }
 
+    /// Appends a count-prefixed list whose byte fields `put` encodes in
+    /// place, one per item: the same bytes as [`Writer::list`] over the
+    /// items' separate encodings, without a buffer per item or knowing the
+    /// count up front. Each prefix is reserved, then patched once the field
+    /// (or the list) is complete.
+    #[inline]
+    pub fn list_with<T>(
+        &mut self,
+        items: impl IntoIterator<Item = T>,
+        mut put: impl FnMut(T, &mut Writer),
+    ) -> &mut Self {
+        let count_at = self.buf.len();
+        self.u32(0);
+        let mut count = 0u32;
+        for item in items {
+            let len_at = self.buf.len();
+            self.u32(0);
+            put(item, self);
+            let len = (self.buf.len() - len_at - 4) as u32;
+            self.buf[len_at..len_at + 4].copy_from_slice(&len.to_be_bytes());
+            count += 1;
+        }
+        self.buf[count_at..count_at + 4].copy_from_slice(&count.to_be_bytes());
+        self
+    }
+
     /// Finishes, returning the encoded buffer.
     #[inline]
     pub fn finish(self) -> Vec<u8> {
@@ -322,6 +348,26 @@ mod tests {
         assert_eq!(r.raw::<2>().unwrap(), [9, 8]);
         assert_eq!(r.list().unwrap(), vec![b"a".as_slice(), b"bb".as_slice()]);
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn list_with_writes_the_bytes_of_list_over_separate_encodings() {
+        let items: [&[u8]; 4] = [b"a", b"", b"ccc", &[0xFF; 300]];
+        let mut separate = Writer::new();
+        separate.u8(9).list(&items).u8(7);
+        let mut in_place = Writer::new();
+        in_place
+            .u8(9)
+            .list_with(items, |item, w| {
+                w.raw(item);
+            })
+            .u8(7);
+        assert_eq!(in_place.finish(), separate.finish());
+        let mut empty = Writer::new();
+        empty.list_with(std::iter::empty::<&[u8]>(), |item, w| {
+            w.raw(item);
+        });
+        assert_eq!(empty.finish(), [0, 0, 0, 0]);
     }
 
     #[test]

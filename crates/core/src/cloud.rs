@@ -616,6 +616,20 @@ impl CloudEngine {
         Ok(applied.to_be_bytes().to_vec())
     }
 
+    /// The sorted, encoded DocIds of the documents matching `filter`,
+    /// counting whether the docstore served it from a secondary index
+    /// (`cloud.doc.scan.indexed`) or had to visit every document
+    /// (`cloud.doc.scan.full`) — a search that silently fell off its index
+    /// shows in the counters, not only in its latency.
+    fn find_ids(&self, collection: &str, filter: &Filter) -> Vec<u8> {
+        let coll = self.docs.collection(collection);
+        if self.obs.is_enabled() {
+            let served = if coll.index_serves(filter) { "cloud.doc.scan.indexed" } else { "cloud.doc.scan.full" };
+            self.obs.count(served, 1);
+        }
+        coll.scan(filter, ids_of)
+    }
+
     fn handle_doc(&self, op: &str, payload: &[u8]) -> Result<Vec<u8>, CoreError> {
         match op {
             "insert" => {
@@ -637,17 +651,20 @@ impl CloudEngine {
             "get" => {
                 let (collection, rest) = split_collection(payload)?;
                 let id = std::str::from_utf8(rest).map_err(|_| CoreError::Wire("utf8 id"))?;
-                let doc =
-                    self.docs.collection(collection).get(id).ok_or_else(|| CoreError::NotFound(id.to_string()))?;
-                Ok(encode_document(&doc))
+                // Encoded from the stored document, borrowed under the read
+                // lock: the answer is the only copy made.
+                self.docs
+                    .collection(collection)
+                    .lookup([id], |docs| docs.next().map(encode_document))
+                    .ok_or_else(|| CoreError::NotFound(id.to_string()))
             }
             "get_many" => {
                 let (collection, rest) = split_collection(payload)?;
                 let ids = datablinder_codec::decode(rest, |r| Ok::<_, CoreError>(r.list()?))?;
-                let coll = self.docs.collection(collection);
-                let docs: Vec<_> =
-                    ids.iter().filter_map(|id| std::str::from_utf8(id).ok().and_then(|s| coll.get(s))).collect();
-                Ok(encode_documents(&docs))
+                // Unknown and non-UTF-8 ids are skipped; the rest keep the
+                // caller's order. One buffer, one lock hold, no clone.
+                let ids = ids.iter().filter_map(|id| std::str::from_utf8(id).ok());
+                Ok(self.docs.collection(collection).lookup(ids, |docs| encode_documents(docs)))
             }
             "delete" => {
                 let (collection, rest) = split_collection(payload)?;
@@ -697,11 +714,11 @@ impl CloudEngine {
             }
             "find_ids_eq" => {
                 let req = FindIdsEq::decode(payload)?;
-                Ok(self.docs.collection(&req.collection).scan(&Filter::eq(req.field, req.value), ids_of))
+                Ok(self.find_ids(&req.collection, &Filter::eq(req.field, req.value)))
             }
             "find_ids_range" => {
                 let req = FindIdsRange::decode(payload)?;
-                Ok(self.docs.collection(&req.collection).scan(&Filter::between(req.field, req.lo, req.hi), ids_of))
+                Ok(self.find_ids(&req.collection, &Filter::between(req.field, req.lo, req.hi)))
             }
             "find_ids_dnf" => {
                 let req = FindIdsDnf::decode(payload)?;
@@ -711,7 +728,7 @@ impl CloudEngine {
                         .map(|conj| Filter::and(conj.into_iter().map(|(f, v)| Filter::eq(f, v)).collect()))
                         .collect(),
                 );
-                Ok(self.docs.collection(&req.collection).scan(&filter, ids_of))
+                Ok(self.find_ids(&req.collection, &filter))
             }
             "agg_plain" => {
                 // Plaintext aggregate for the S_A baseline: avg/sum over a
@@ -915,6 +932,61 @@ mod tests {
         let req = get_many_payload("obs", &[id, DocId([9; 16])]);
         let docs = crate::wire::decode_documents(&e.dispatch("doc/get_many", &req).unwrap()).unwrap();
         assert_eq!(docs.len(), 1);
+    }
+
+    #[test]
+    fn get_many_bytes_are_the_list_of_the_stored_documents_in_request_order() {
+        let e = engine();
+        for (i, status) in [(1u8, "final"), (2, "draft"), (3, "amended")] {
+            e.dispatch("doc/insert", &doc(i, status).1).unwrap();
+        }
+        let hex = |i: u8| DocId([i; 16]).to_hex().into_bytes();
+        // Out of order, repeated, unknown, not DocId-shaped and not UTF-8.
+        let asked: Vec<Vec<u8>> =
+            vec![hex(3), hex(9), hex(1), b"no-such-id".to_vec(), vec![0xFF, 0xFE], hex(3), Vec::new(), hex(2)];
+        let mut w = Writer::new();
+        w.list(&asked);
+        let answer = e.dispatch("doc/get_many", &with_collection("obs", &w.finish())).unwrap();
+
+        let coll = e.docs().collection("obs");
+        let expected: Vec<Document> =
+            asked.iter().filter_map(|id| std::str::from_utf8(id).ok().and_then(|id| coll.get(id))).collect();
+        assert_eq!(expected.len(), 4);
+        assert_eq!(answer, encode_documents(&expected));
+        // `doc/get` answers with the same per-document bytes.
+        let one = e.dispatch("doc/get", &with_collection("obs", &hex(2))).unwrap();
+        assert_eq!(one, encode_document(&coll.get(&DocId([2; 16]).to_hex()).unwrap()));
+
+        let mut none = Writer::new();
+        none.list(&[b"nope".to_vec()]);
+        let empty = e.dispatch("doc/get_many", &with_collection("obs", &none.finish())).unwrap();
+        assert_eq!(empty, encode_documents(&[]));
+    }
+
+    #[test]
+    fn find_ids_routes_count_indexed_and_full_scans() {
+        let mut e = engine();
+        let recorder = Recorder::new();
+        e.set_recorder(recorder.clone());
+        e.dispatch("doc/ensure_index", &with_collection("obs", b"status")).unwrap();
+        e.dispatch("doc/insert", &doc(1, "final").1).unwrap();
+        let scans = |name: &str| recorder.snapshot().counter(name);
+
+        let eq = |field: &str| FindIdsEq { collection: "obs".into(), field: field.into(), value: Value::from("final") };
+        e.dispatch("doc/find_ids_eq", &eq("status").encode()).unwrap();
+        let range = FindIdsRange {
+            collection: "obs".into(),
+            field: "status".into(),
+            lo: Value::from("a"),
+            hi: Value::from("z"),
+        };
+        e.dispatch("doc/find_ids_range", &range.encode()).unwrap();
+        assert_eq!((scans("cloud.doc.scan.indexed"), scans("cloud.doc.scan.full")), (2, 0));
+
+        e.dispatch("doc/find_ids_eq", &eq("other").encode()).unwrap();
+        let dnf = FindIdsDnf { collection: "obs".into(), dnf: vec![vec![("status".into(), Value::from("final"))]] };
+        e.dispatch("doc/find_ids_dnf", &dnf.encode()).unwrap();
+        assert_eq!((scans("cloud.doc.scan.indexed"), scans("cloud.doc.scan.full")), (2, 2));
     }
 
     #[test]

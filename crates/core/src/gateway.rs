@@ -77,6 +77,38 @@ struct SchemaPlan {
     /// Name of the shared boolean tactic (e.g. `biex-2lev`), if any field
     /// requested boolean search served by a cross-field tactic.
     bool_tactic: Option<String>,
+    /// The recover table: every sensitive field with the handle of its
+    /// payload tactic, resolved once here so decrypting a document looks
+    /// nothing up by name. Sorted by field. The handles are the ones in
+    /// [`GatewayEngine::tactics`]; key rotation replaces the instance
+    /// *inside* a handle, so the table never goes stale.
+    recover: Vec<(String, SharedTactic)>,
+}
+
+impl SchemaPlan {
+    /// Decrypts a stored cloud document back into application form, in
+    /// place: every sensitive field is recovered by its payload tactic, the
+    /// shadow fields are dropped and the plaintext fields stay where they
+    /// are.
+    ///
+    /// Shadow fields are recognized as `<sensitive-base>__<suffix>`;
+    /// consequently a *plaintext* field named `<sensitive field>__x` would
+    /// be mistaken for a shadow field. Avoid such names (the schema is
+    /// under application control, so this is a naming convention, not an
+    /// attack surface).
+    fn recover_document(&self, mut stored: Document) -> Result<Document, CoreError> {
+        let mut recovered = Vec::with_capacity(self.recover.len());
+        for (field, payload) in &self.recover {
+            if let Some(value) = payload.lock().recover(field, &stored)? {
+                recovered.push((field, value));
+            }
+        }
+        stored.retain(|name, _| !name.rsplit_once("__").is_some_and(|(base, _)| self.fields.contains_key(base)));
+        for (field, value) in recovered {
+            stored.set(field.clone(), value);
+        }
+        Ok(stored)
+    }
 }
 
 /// Key prefix of journaled write groups in the gateway's journal store.
@@ -376,8 +408,14 @@ impl GatewayEngine {
             self.call(&CloudCall::new("doc/ensure_index", with_collection(&schema.name, shadow.as_bytes())))?;
         }
 
+        let mut recover = fields
+            .iter()
+            .map(|(field, plan)| Ok((field.clone(), self.tactic(&schema.name, field, &plan.selection.payload)?)))
+            .collect::<Result<Vec<_>, CoreError>>()?;
+        recover.sort_by(|a, b| a.0.cmp(&b.0));
+
         self.schema_store.put(&schema);
-        self.plans.write().insert(schema.name.clone(), Arc::new(SchemaPlan { schema, fields, bool_tactic }));
+        self.plans.write().insert(schema.name.clone(), Arc::new(SchemaPlan { schema, fields, bool_tactic, recover }));
         Ok(())
     }
 
@@ -1023,9 +1061,8 @@ impl GatewayEngine {
     /// [`CoreError::NotFound`], decryption failures.
     pub fn get(&self, schema_name: &str, id: DocId) -> Result<Document, CoreError> {
         self.observed("gateway.get", |g| {
-            g.plan(schema_name)?;
-            let stored = g.fetch_raw(schema_name, id)?;
-            g.recover_document(schema_name, &stored)
+            let plan = g.plan(schema_name)?;
+            plan.recover_document(g.fetch_raw(schema_name, id)?)
         })
     }
 
@@ -1033,34 +1070,6 @@ impl GatewayEngine {
         let payload = with_collection(schema_name, id.to_hex().as_bytes());
         let bytes = self.call(&CloudCall::new("doc/get", payload))?;
         decode_document(&bytes)
-    }
-
-    /// Decrypts a stored cloud document back into application form.
-    ///
-    /// Shadow fields are recognized as `<sensitive-base>__<suffix>`;
-    /// consequently a *plaintext* field named `<sensitive field>__x` would
-    /// be mistaken for a shadow field. Avoid such names (the schema is
-    /// under application control, so this is a naming convention, not an
-    /// attack surface).
-    fn recover_document(&self, schema_name: &str, stored: &Document) -> Result<Document, CoreError> {
-        let plan = self.plan(schema_name)?;
-        let mut out = Document::new(stored.id());
-        for (field, value) in stored.iter() {
-            if let Some((base, _)) = field.rsplit_once("__") {
-                if plan.fields.contains_key(base) {
-                    continue; // shadow field, handled below
-                }
-            }
-            out.set(field.clone(), value.clone());
-        }
-        for (field, fp) in &plan.fields {
-            let payload_tactic = self.tactic(schema_name, field, &fp.selection.payload)?;
-            let recovered = payload_tactic.lock().recover(field, stored)?;
-            if let Some(v) = recovered {
-                out.set(field.clone(), v);
-            }
-        }
-        Ok(out)
     }
 
     /// Deletes a document, revoking its index entries.
@@ -1370,9 +1379,9 @@ impl GatewayEngine {
         if ids.is_empty() {
             return Ok(Vec::new());
         }
+        let plan = self.plan(schema_name)?;
         let bytes = self.call(&CloudCall::new("doc/get_many", get_many_payload(schema_name, ids)))?;
-        let stored = decode_documents(&bytes)?;
-        stored.iter().map(|d| self.recover_document(schema_name, d)).collect()
+        decode_documents(&bytes)?.into_iter().map(|stored| plan.recover_document(stored)).collect()
     }
 
     /// Rotates the payload-encryption key of one field and re-encrypts
@@ -1399,20 +1408,19 @@ impl GatewayEngine {
         let ids_bytes = self.call(&CloudCall::new("doc/list_ids", with_collection(schema_name, b"")))?;
         let raw_ids = datablinder_codec::Reader::new(&ids_bytes).list()?;
         let mut recovered: Vec<(String, Option<Value>, Document)> = Vec::new();
-        {
-            let tactic = self.tactic(schema_name, field, &payload_tactic)?;
-            for id in &raw_ids {
-                let id = String::from_utf8(id.to_vec()).map_err(|_| CoreError::Wire("utf8 id"))?;
-                let stored = decode_document(
-                    &self.call(&CloudCall::new("doc/get", with_collection(schema_name, id.as_bytes())))?,
-                )?;
-                let value = tactic.lock().recover(field, &stored)?;
-                recovered.push((id, value, stored));
-            }
+        let tactic = self.tactic(schema_name, field, &payload_tactic)?;
+        for id in &raw_ids {
+            let id = String::from_utf8(id.to_vec()).map_err(|_| CoreError::Wire("utf8 id"))?;
+            let stored =
+                decode_document(&self.call(&CloudCall::new("doc/get", with_collection(schema_name, id.as_bytes())))?)?;
+            let value = tactic.lock().recover(field, &stored)?;
+            recovered.push((id, value, stored));
         }
 
         // 2. Rotate the KMS scope and rebuild the tactic instance so it
-        //    derives the new key version.
+        //    derives the new key version. The fresh instance goes *into*
+        //    the existing handle: the plan's recover table and every other
+        //    holder of the handle decrypt with the new key from here on.
         let ctx = TacticContext {
             application: self.application.clone(),
             schema: schema_name.to_string(),
@@ -1426,14 +1434,13 @@ impl GatewayEngine {
             registry.build_gateway(&payload_tactic, &ctx, &mut *rng)?
         };
         fresh.attach_recorder(&self.obs);
-        self.tactics.write().insert(Self::tactic_key(schema_name, field, &payload_tactic), Arc::new(Mutex::new(fresh)));
+        *tactic.lock() = fresh;
 
         // 3. Re-protect each value and update the stored documents.
         for (id, value, mut stored) in recovered {
             let Some(value) = value else { continue };
             let doc_id = DocId::from_hex(&id).ok_or(CoreError::Wire("doc id"))?;
             let mut rng = self.fork_rng();
-            let tactic = self.tactic(schema_name, field, &payload_tactic)?;
             let protected = tactic.lock().protect(&mut rng, field, &value, doc_id)?;
             for (f, v) in protected.stored {
                 stored.set(f, v);
@@ -1512,11 +1519,12 @@ impl GatewayEngine {
             registry.build_gateway(&tactic, &ctx, &mut *rng)?
         };
         fresh.attach_recorder(&self.obs);
-        self.tactics.write().insert(Self::tactic_key(schema_name, field, &tactic), Arc::new(Mutex::new(fresh)));
+        // Into the existing handle, as in `rotate_payload_key`.
+        let t = self.tactic(schema_name, field, &tactic)?;
+        *t.lock() = fresh;
 
         // 4. Re-index everything, batched.
         let mut batch = Vec::with_capacity(recovered.len());
-        let t = self.tactic(schema_name, field, &tactic)?;
         for (id, value) in &recovered {
             let mut rng = self.fork_rng();
             let protected = t.lock().protect(&mut rng, field, value, *id)?;
@@ -1558,13 +1566,13 @@ impl GatewayEngine {
         // silently skips missing documents and would hide orphans.
         let ids_bytes = self.call(&CloudCall::new("doc/list_ids", with_collection(schema_name, b"")))?;
         let raw_ids = datablinder_codec::Reader::new(&ids_bytes).list()?;
+        let plan = self.plan(schema_name)?;
         let mut stored_ids: Vec<DocId> = Vec::new();
         let mut plaintext: Vec<(DocId, Document)> = Vec::new();
         for id in &raw_ids {
             let hex = std::str::from_utf8(id).map_err(|_| CoreError::Wire("utf8 id"))?;
             let doc_id = DocId::from_hex(hex).ok_or(CoreError::Wire("doc id"))?;
-            let stored = self.fetch_raw(schema_name, doc_id)?;
-            plaintext.push((doc_id, self.recover_document(schema_name, &stored)?));
+            plaintext.push((doc_id, plan.recover_document(self.fetch_raw(schema_name, doc_id)?)?));
             stored_ids.push(doc_id);
         }
 

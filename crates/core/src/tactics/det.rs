@@ -10,7 +10,7 @@ use datablinder_sse::det::DetCipher;
 use datablinder_sse::DocId;
 use rand::RngCore;
 
-use super::{decode_ids, shadow_field, TacticContext};
+use super::{decode_ids, shadow_field, ScopedShadow, TacticContext};
 use crate::cloudproto::{FindIdsDnf, FindIdsEq};
 use crate::error::CoreError;
 use crate::model::*;
@@ -45,6 +45,7 @@ pub fn descriptor() -> TacticDescriptor {
 pub struct DetTactic {
     cipher: DetCipher,
     collection: String,
+    shadow: ScopedShadow,
 }
 
 impl DetTactic {
@@ -55,7 +56,11 @@ impl DetTactic {
     /// Key-schedule failures.
     pub fn build(ctx: &TacticContext) -> Result<Self, CoreError> {
         let key = ctx.kms.key_for(&ctx.key_scope("det"));
-        Ok(DetTactic { cipher: DetCipher::new(&key)?, collection: ctx.schema.clone() })
+        Ok(DetTactic {
+            cipher: DetCipher::new(&key)?,
+            collection: ctx.schema.clone(),
+            shadow: ScopedShadow::new(ctx, "det"),
+        })
     }
 
     /// The stored literal for a plaintext value — used by the engine to
@@ -100,7 +105,7 @@ impl GatewayTactic for DetTactic {
     }
 
     fn recover(&self, field: &str, stored: &Document) -> Result<Option<Value>, CoreError> {
-        let Some(Value::Bytes(ct)) = stored.get(&shadow_field(field, "det")) else {
+        let Some(Value::Bytes(ct)) = stored.get(&self.shadow.of(field)) else {
             return Ok(None);
         };
         let plain = self.cipher.decrypt(ct)?;

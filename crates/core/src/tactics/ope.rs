@@ -2,8 +2,12 @@
 //!
 //! Like DET, legacy-friendly: the stored ciphertext is a big-endian `u128`
 //! whose byte order equals plaintext order, so range queries ride the
-//! generic `doc/find_ids_range` route against the document store's
-//! secondary index — no tactic-specific cloud component.
+//! generic `doc/find_ids_range` route — no tactic-specific cloud component.
+//! `register_schema` has the cloud index the `<field>__ope` shadow field,
+//! and the document store answers a range with one ordered walk of that
+//! index between the two encrypted bounds (O(log N + hits), see
+//! `Collection::scan`); without the index the same route visits every
+//! document.
 
 use datablinder_docstore::{Document, Value};
 use datablinder_ope::{Ope, OpeParams};

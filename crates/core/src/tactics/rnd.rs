@@ -6,7 +6,7 @@ use datablinder_sse::rnd::RndCipher;
 use datablinder_sse::DocId;
 use rand::RngCore;
 
-use super::{shadow_field, TacticContext};
+use super::{shadow_field, ScopedShadow, TacticContext};
 use crate::error::CoreError;
 use crate::model::*;
 use crate::spi::{GatewayTactic, ProtectItem, ProtectedField};
@@ -33,6 +33,7 @@ pub fn descriptor() -> TacticDescriptor {
 /// Gateway half of RND.
 pub struct RndTactic {
     cipher: RndCipher,
+    shadow: ScopedShadow,
 }
 
 impl RndTactic {
@@ -43,7 +44,7 @@ impl RndTactic {
     /// Key-schedule failures.
     pub fn build(ctx: &TacticContext) -> Result<Self, CoreError> {
         let key = ctx.kms.key_for(&ctx.key_scope("rnd"));
-        Ok(RndTactic { cipher: RndCipher::new(&key)? })
+        Ok(RndTactic { cipher: RndCipher::new(&key)?, shadow: ScopedShadow::new(ctx, "rnd") })
     }
 }
 
@@ -92,7 +93,7 @@ impl GatewayTactic for RndTactic {
     }
 
     fn recover(&self, field: &str, stored: &Document) -> Result<Option<Value>, CoreError> {
-        let Some(Value::Bytes(ct)) = stored.get(&shadow_field(field, "rnd")) else {
+        let Some(Value::Bytes(ct)) = stored.get(&self.shadow.of(field)) else {
             return Ok(None);
         };
         let plain = self.cipher.decrypt(ct)?;

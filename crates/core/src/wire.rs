@@ -91,11 +91,15 @@ pub(crate) fn take_value(r: &mut Reader, depth: usize) -> Result<Value, Malforme
 /// Encodes a [`Document`] (id + fields).
 pub fn encode_document(doc: &Document) -> Vec<u8> {
     let mut w = Writer::new();
+    put_document(doc, &mut w);
+    w.finish()
+}
+
+pub(crate) fn put_document(doc: &Document, w: &mut Writer) {
     w.str(doc.id()).u32(doc.len() as u32);
     for (name, value) in doc.iter() {
         put_value(value, w.str(name));
     }
-    w.finish()
 }
 
 /// Decodes a [`Document`].
@@ -114,10 +118,11 @@ pub fn decode_document(buf: &[u8]) -> Result<Document, CoreError> {
     })
 }
 
-/// Encodes a list of documents.
-pub fn encode_documents(docs: &[Document]) -> Vec<u8> {
+/// Encodes a list of documents: a count-prefixed list of
+/// [`encode_document`] byte fields, written into one buffer.
+pub fn encode_documents<'a>(docs: impl IntoIterator<Item = &'a Document>) -> Vec<u8> {
     let mut w = Writer::new();
-    w.list(&docs.iter().map(encode_document).collect::<Vec<_>>());
+    w.list_with(docs, put_document);
     w.finish()
 }
 

@@ -1,13 +1,17 @@
 //! Gateway-engine edge cases not naturally reached by the happy-path
 //! integration suites.
 
-use datablinder_core::cloud::CloudEngine;
+use datablinder_core::cloud::{with_collection, CloudEngine};
+use datablinder_core::cloudproto::FindIdsRange;
+use datablinder_core::cluster::{ClusterCloud, ClusterConfig};
 use datablinder_core::gateway::GatewayEngine;
 use datablinder_core::model::*;
+use datablinder_core::tactics::decode_ids;
+use datablinder_core::wire::encode_document;
 use datablinder_core::CoreError;
 use datablinder_docstore::{Document, Value};
 use datablinder_kms::Kms;
-use datablinder_netsim::{Channel, LatencyModel};
+use datablinder_netsim::{Channel, CloudService, LatencyModel};
 use datablinder_sse::DocId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -127,6 +131,41 @@ fn range_with_inverted_bounds_is_empty() {
     gw.insert("s", &Document::new("x").with("n", Value::from(5i64))).unwrap();
     let hits = gw.find_range("s", "n", &Value::from(10i64), &Value::from(1i64)).unwrap();
     assert!(hits.is_empty());
+}
+
+/// `doc/find_ids_range` walks the field's index with `BTreeMap::range`,
+/// which panics on an inverted interval; the bounds are whatever a request
+/// carries. Inverted bounds are an empty answer — with and without an index
+/// on the field, on one engine and on every node of a cluster.
+#[test]
+fn find_ids_range_with_inverted_bounds_is_empty_on_engine_and_cluster() {
+    let engine = CloudEngine::new();
+    let cluster = ClusterCloud::new(ClusterConfig::volatile(3, 2, 2, 0x1E7)).unwrap();
+    for cloud in [&engine as &dyn CloudService, &cluster] {
+        cloud.handle("doc/ensure_index", &with_collection("c", b"at__ope")).unwrap();
+        for i in 0..12u8 {
+            let doc = Document::new(DocId([i; 16]).to_hex())
+                .with("at__ope", Value::Bytes(vec![0, i]))
+                .with("unindexed", Value::Bytes(vec![0, i]));
+            cloud.handle("doc/insert", &with_collection("c", &encode_document(&doc))).unwrap();
+        }
+        for field in ["at__ope", "unindexed"] {
+            let ids = |lo: u8, hi: u8| {
+                let req = FindIdsRange {
+                    collection: "c".into(),
+                    field: field.into(),
+                    lo: Value::Bytes(vec![0, lo]),
+                    hi: Value::Bytes(vec![0, hi]),
+                };
+                decode_ids(&cloud.handle("doc/find_ids_range", &req.encode()).unwrap()).unwrap()
+            };
+            assert_eq!(ids(3, 6), (3..=6).map(|i| DocId([i; 16])).collect::<Vec<_>>(), "{field}");
+            assert_eq!(ids(4, 4), vec![DocId([4; 16])], "{field}");
+            assert_eq!(ids(6, 3), vec![], "{field}: inverted");
+            assert_eq!(ids(200, 0), vec![], "{field}: inverted, both outside the stored values");
+            assert_eq!(ids(20, 30), vec![], "{field}: above every stored value");
+        }
+    }
 }
 
 #[test]

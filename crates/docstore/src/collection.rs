@@ -1,11 +1,13 @@
 //! Collections and the store root.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::cmp::Ordering;
+use std::collections::{btree_map, BTreeMap, HashMap, HashSet};
+use std::ops::Bound;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use crate::filter::Filter;
+use crate::filter::{bounds_on, Filter};
 use crate::value::{Document, Value};
 use crate::DocStoreError;
 
@@ -28,11 +30,54 @@ impl Ord for IndexKey {
     }
 }
 
+/// One secondary index: value -> ids, in [`Value::total_cmp`] order.
+type Index = BTreeMap<IndexKey, HashSet<String>>;
+
 #[derive(Default)]
 struct CollectionInner {
     docs: HashMap<String, Document>,
-    /// field -> (value -> ids)
-    indexes: HashMap<String, BTreeMap<IndexKey, HashSet<String>>>,
+    /// field -> index
+    indexes: HashMap<String, Index>,
+}
+
+impl CollectionInner {
+    /// The index entries that hold every document `filter` can match, in
+    /// key order, when a conjunct of it is an equality or a range predicate
+    /// on an indexed field: one key for an equality (preferred), else the
+    /// keys inside the interval the range conjuncts on that field span.
+    /// `None` when no index serves the filter and the caller must visit
+    /// every document. The entries over-approximate — the caller still
+    /// applies the whole filter.
+    fn index_walk(&self, filter: &Filter) -> Option<btree_map::Range<'_, IndexKey, HashSet<String>>> {
+        let conjuncts = filter.conjuncts();
+        let indexed = |field: &String| self.indexes.get(field);
+        let point = conjuncts.iter().find_map(|c| match c {
+            Filter::Eq(f, v) => indexed(f).map(|index| (index, Bound::Included(v), Bound::Included(v))),
+            _ => None,
+        });
+        let interval = || {
+            conjuncts.iter().find_map(|c| match c {
+                Filter::Gte(f, _) | Filter::Gt(f, _) | Filter::Lte(f, _) | Filter::Lt(f, _) => {
+                    let (lo, hi) = bounds_on(&conjuncts, f);
+                    indexed(f).map(|index| (index, lo, hi))
+                }
+                _ => None,
+            })
+        };
+        let (index, lo, hi) = point.or_else(interval)?;
+        // `BTreeMap::range` panics on an inverted interval and on an empty
+        // open one; both hold no key.
+        if let (Bound::Included(a) | Bound::Excluded(a), Bound::Included(b) | Bound::Excluded(b)) = (lo, hi) {
+            let closed = matches!((lo, hi), (Bound::Included(_), Bound::Included(_)));
+            match a.total_cmp(b) {
+                Ordering::Greater => return Some(btree_map::Range::default()),
+                Ordering::Equal if !closed => return Some(btree_map::Range::default()),
+                _ => {}
+            }
+        }
+        let key = |v: &Value| IndexKey(v.clone());
+        Some(index.range((lo.map(key), hi.map(key))))
+    }
 }
 
 /// A named set of documents with optional secondary indexes.
@@ -73,7 +118,7 @@ impl Collection {
         if inner.indexes.contains_key(field) {
             return;
         }
-        let mut index: BTreeMap<IndexKey, HashSet<String>> = BTreeMap::new();
+        let mut index = Index::new();
         for (id, doc) in &inner.docs {
             if let Some(v) = doc.get(field) {
                 index.entry(IndexKey(v.clone())).or_default().insert(id.clone());
@@ -128,32 +173,42 @@ impl Collection {
         Ok(())
     }
 
-    /// Finds documents matching `filter` (cloned, id-sorted), using a
-    /// secondary index when an equality conjunct on an indexed field is
-    /// present.
+    /// Finds documents matching `filter` (cloned, id-sorted); see
+    /// [`Collection::scan`] for which filters a secondary index serves.
     pub fn find(&self, filter: &Filter) -> Vec<Document> {
         let mut out: Vec<Document> = self.scan(filter, |hits| hits.cloned().collect());
         out.sort_by(|a, b| a.id().cmp(b.id()));
         out
     }
 
-    /// Runs `f` over the documents [`Collection::find`] would return,
-    /// borrowed under the read lock: nothing is cloned, and the order is
-    /// unspecified (a caller that needs id order sorts the references).
-    /// `f` must not write to this collection.
+    /// Runs `f` over the documents matching `filter`, borrowed under the
+    /// read lock: nothing is cloned, and the order is unspecified (a caller
+    /// that needs id order sorts the references). `f` must not write to
+    /// this collection.
+    ///
+    /// When a conjunct of `filter` is an equality or a range predicate
+    /// (`>=`, `>`, `<=`, `<`) on an indexed field, only the index entries
+    /// under that key or inside that interval are visited — O(log N + hits)
+    /// — and the whole filter is still applied to each, so any other
+    /// conjunct, mixed value types and several bounds on one field mean
+    /// what they mean on a full scan. An interval no value can lie in
+    /// (`lo > hi`, or `lo == hi` with a strict side) yields no documents.
+    /// Every other filter visits every document.
     pub fn scan<R>(&self, filter: &Filter, f: impl FnOnce(&mut dyn Iterator<Item = &Document>) -> R) -> R {
         let inner = self.inner.read();
-        if let Some((field, value)) = filter.index_candidate() {
-            if let Some(index) = inner.indexes.get(field) {
-                let ids = index.get(&IndexKey(value.clone()));
-                return f(&mut ids
-                    .into_iter()
-                    .flatten()
-                    .filter_map(|id| inner.docs.get(id))
-                    .filter(|d| filter.matches(d)));
-            }
+        match inner.index_walk(filter) {
+            Some(entries) => f(&mut entries
+                .flat_map(|(_, ids)| ids)
+                .filter_map(|id| inner.docs.get(id))
+                .filter(|d| filter.matches(d))),
+            None => f(&mut inner.docs.values().filter(|d| filter.matches(d))),
         }
-        f(&mut inner.docs.values().filter(|d| filter.matches(d)))
+    }
+
+    /// Whether [`Collection::scan`] serves `filter` from a secondary index
+    /// rather than by visiting every document.
+    pub fn index_serves(&self, filter: &Filter) -> bool {
+        self.inner.read().index_walk(filter).is_some()
     }
 
     /// Runs `f` over the documents with the given ids, in the order given
@@ -166,11 +221,6 @@ impl Collection {
     ) -> R {
         let inner = self.inner.read();
         f(&mut ids.into_iter().filter_map(|id| inner.docs.get(id)))
-    }
-
-    /// Counts matches without materializing documents.
-    pub fn count(&self, filter: &Filter) -> usize {
-        self.inner.read().docs.values().filter(|d| filter.matches(d)).count()
     }
 
     /// All document ids (unordered).
@@ -214,8 +264,12 @@ impl DocStore {
         DocStore::default()
     }
 
-    /// Gets or creates the named collection.
+    /// Gets or creates the named collection. Only the first use of a name
+    /// takes the write lock (and allocates the name).
     pub fn collection(&self, name: &str) -> Collection {
+        if let Some(existing) = self.collections.read().get(name) {
+            return existing.clone();
+        }
         self.collections.write().entry(name.to_string()).or_default().clone()
     }
 
@@ -271,7 +325,6 @@ mod tests {
         assert_eq!(c.find(&Filter::eq("status", Value::from("final"))).len(), 5);
         assert_eq!(c.find(&Filter::between("value", Value::from(3i64), Value::from(6i64))).len(), 4);
         assert_eq!(c.find(&Filter::All).len(), 10);
-        assert_eq!(c.count(&Filter::eq("status", Value::from("draft"))), 5);
         // Results are id-sorted for determinism.
         let hits = c.find(&Filter::All);
         let ids: Vec<&str> = hits.iter().map(|d| d.id()).collect();
@@ -308,6 +361,42 @@ mod tests {
         }
         let f = Filter::and(vec![Filter::eq("status", Value::from("final")), Filter::gte("value", Value::from(8i64))]);
         assert_eq!(c.find(&f).len(), 2);
+    }
+
+    #[test]
+    fn range_conjuncts_walk_the_index_and_empty_intervals_hold_nothing() {
+        let indexed = Collection::new();
+        indexed.create_index("value");
+        let plain = Collection::new();
+        for i in 0..10 {
+            indexed.insert(sample(&format!("d{i}"), "final", i)).unwrap();
+            plain.insert(sample(&format!("d{i}"), "final", i)).unwrap();
+        }
+        let v = |i: i64| Value::from(i);
+        let cases = [
+            (Filter::between("value", v(3), v(6)), 4),
+            (Filter::gt("value", v(7)), 2),
+            (Filter::lte("value", v(0)), 1),
+            (Filter::between("value", v(4), v(4)), 1),
+            // `BTreeMap::range` would panic on each of these.
+            (Filter::between("value", v(6), v(3)), 0),
+            (Filter::and(vec![Filter::gt("value", v(4)), Filter::lt("value", v(4))]), 0),
+            (Filter::and(vec![Filter::gte("value", v(4)), Filter::lt("value", v(4))]), 0),
+            (Filter::and(vec![Filter::gt("value", v(4)), Filter::lte("value", v(4))]), 0),
+            // Bounds of another type order by type rank, as on a full scan.
+            (Filter::between("value", Value::from(false), Value::from("z")), 10),
+            (Filter::between("value", Value::from("a"), Value::from("z")), 0),
+        ];
+        for (filter, hits) in &cases {
+            assert!(indexed.index_serves(filter) && !plain.index_serves(filter), "{filter:?}");
+            assert_eq!(indexed.find(filter).len(), *hits, "{filter:?}");
+            assert_eq!(plain.find(filter), indexed.find(filter), "{filter:?}");
+        }
+        // An equality on an indexed field is preferred to a range on another.
+        indexed.create_index("status");
+        let mixed = Filter::and(vec![Filter::gte("value", v(8)), Filter::eq("status", Value::from("final"))]);
+        assert_eq!(indexed.find(&mixed).len(), 2);
+        assert!(!indexed.index_serves(&Filter::or(vec![Filter::gte("value", v(8))])));
     }
 
     #[test]

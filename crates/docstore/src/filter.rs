@@ -1,5 +1,8 @@
 //! Query filters: equality, range and boolean combinations over fields.
 
+use std::cmp::Ordering;
+use std::ops::Bound;
+
 use crate::value::{Document, Value};
 
 /// A predicate over documents.
@@ -90,7 +93,6 @@ impl Filter {
 
     /// Evaluates the filter against a document.
     pub fn matches(&self, doc: &Document) -> bool {
-        use std::cmp::Ordering;
         match self {
             Filter::All => true,
             Filter::Eq(f, v) => doc.get(f).is_some_and(|x| x.total_cmp(v) == Ordering::Equal),
@@ -105,15 +107,38 @@ impl Filter {
         }
     }
 
-    /// If this filter (or a conjunct of it) is an equality on an indexed
-    /// field, returns `(field, value)` so the collection can use the index.
-    pub(crate) fn index_candidate(&self) -> Option<(&str, &Value)> {
-        match self {
-            Filter::Eq(f, v) => Some((f, v)),
-            Filter::And(fs) => fs.iter().find_map(|f| f.index_candidate()),
-            _ => None,
+    /// The conjuncts of this filter, nested conjunctions flattened: every
+    /// document the filter matches also matches each of them, which is what
+    /// lets the collection serve one from an index and keep the whole filter
+    /// as the residual check.
+    pub(crate) fn conjuncts(&self) -> Vec<&Filter> {
+        fn collect<'a>(filter: &'a Filter, out: &mut Vec<&'a Filter>) {
+            match filter {
+                Filter::And(fs) => fs.iter().for_each(|f| collect(f, out)),
+                leaf => out.push(leaf),
+            }
+        }
+        let mut out = Vec::new();
+        collect(self, &mut out);
+        out
+    }
+}
+
+/// The interval `conjuncts` confine `field` to: one lower and one upper
+/// bound among them (the last of each; any other is left to the residual
+/// check), unbounded on a side none of them bounds.
+pub(crate) fn bounds_on<'a>(conjuncts: &[&'a Filter], field: &str) -> (Bound<&'a Value>, Bound<&'a Value>) {
+    let (mut lo, mut hi) = (Bound::Unbounded, Bound::Unbounded);
+    for conjunct in conjuncts {
+        match conjunct {
+            Filter::Gte(f, v) if f == field => lo = Bound::Included(v),
+            Filter::Gt(f, v) if f == field => lo = Bound::Excluded(v),
+            Filter::Lte(f, v) if f == field => hi = Bound::Included(v),
+            Filter::Lt(f, v) if f == field => hi = Bound::Excluded(v),
+            _ => {}
         }
     }
+    (lo, hi)
 }
 
 #[cfg(test)]
@@ -172,9 +197,33 @@ mod tests {
     }
 
     #[test]
-    fn index_candidate_extraction() {
-        let f = Filter::and(vec![Filter::gt("age", Value::from(10i64)), Filter::eq("name", Value::from("alice"))]);
-        assert_eq!(f.index_candidate(), Some(("name", &Value::from("alice"))));
-        assert_eq!(Filter::All.index_candidate(), None);
+    fn conjuncts_flatten_nested_conjunctions_only() {
+        let or = Filter::or(vec![Filter::All]);
+        let f = Filter::and(vec![
+            Filter::gt("age", Value::from(10i64)),
+            Filter::and(vec![Filter::eq("name", Value::from("alice")), or.clone()]),
+        ]);
+        assert_eq!(
+            f.conjuncts(),
+            vec![&Filter::gt("age", Value::from(10i64)), &Filter::eq("name", Value::from("alice")), &or]
+        );
+        assert_eq!(Filter::All.conjuncts(), vec![&Filter::All]);
+    }
+
+    #[test]
+    fn bounds_take_one_conjunct_per_side_of_the_named_field() {
+        let (v3, v5, v9) = (Value::from(3i64), Value::from(5i64), Value::from(9i64));
+        let f = Filter::and(vec![
+            Filter::gte("age", v3.clone()),
+            Filter::gt("age", v5.clone()),
+            Filter::lte("age", v9.clone()),
+            Filter::lt("other", v3.clone()),
+        ]);
+        assert_eq!(bounds_on(&f.conjuncts(), "age"), (Bound::Excluded(&v5), Bound::Included(&v9)));
+        assert_eq!(bounds_on(&f.conjuncts(), "other"), (Bound::Unbounded, Bound::Excluded(&v3)));
+        assert_eq!(bounds_on(&f.conjuncts(), "missing"), (Bound::Unbounded, Bound::Unbounded));
+        // A disjunction is one opaque conjunct: it confines nothing.
+        let or = Filter::or(vec![Filter::gt("age", v3)]);
+        assert_eq!(bounds_on(&or.conjuncts(), "age"), (Bound::Unbounded, Bound::Unbounded));
     }
 }

@@ -204,6 +204,11 @@ impl Document {
         self.fields.remove(field)
     }
 
+    /// Keeps only the fields `keep` returns `true` for.
+    pub fn retain(&mut self, mut keep: impl FnMut(&str, &mut Value) -> bool) {
+        self.fields.retain(|name, value| keep(name, value));
+    }
+
     /// Iterates fields in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&String, &Value)> {
         self.fields.iter()
@@ -270,6 +275,9 @@ mod tests {
         assert_eq!(d.remove("a"), Some(Value::from(1i64)));
         assert_eq!(d.get("a"), None);
         assert!(!d.is_empty());
+        d.set("c", Value::from(2i64));
+        d.retain(|name, _| name != "b");
+        assert_eq!(d.field_names().collect::<Vec<_>>(), ["c"]);
         let d2 = Document::new("d2").with("f", Value::from(true));
         assert_eq!(d2.get("f"), Some(&Value::from(true)));
     }

@@ -1,5 +1,6 @@
-//! Property tests: indexed `find` must agree with a naive full scan for
-//! arbitrary filters and mutation sequences.
+//! Property tests: indexed `find` and `scan` must agree with a naive full
+//! scan and with the predicate itself, for arbitrary filters — range
+//! predicates of every shape in particular — and mutation sequences.
 
 use datablinder_docstore::{Collection, Document, Filter, Value};
 use proptest::prelude::*;
@@ -10,6 +11,40 @@ fn arb_value() -> impl Strategy<Value = Value> {
         prop::sample::select(vec!["a", "b", "c", "d"]).prop_map(Value::from),
         any::<bool>().prop_map(Value::from),
     ]
+}
+
+/// [`arb_value`] plus half-integer floats: a field then holds every type a
+/// range bound can meet, and numerics compare across `I64` and `F64`.
+fn arb_mixed_value() -> impl Strategy<Value = Value> {
+    prop_oneof![3 => arb_value(), 1 => (-100i64..100).prop_map(|i| Value::from(i as f64 / 2.0))]
+}
+
+/// A range predicate on `x` (indexed in one collection) or `y` (indexed in
+/// none): `between`, one-sided, strict on either side, and — since the
+/// bounds are independent draws — equal, inverted, of another type than
+/// the stored values, or absent from the index.
+fn arb_range_filter() -> impl Strategy<Value = Filter> {
+    let field = prop::sample::select(vec!["x", "y"]);
+    (field, arb_mixed_value(), arb_mixed_value(), 0usize..4, 0usize..3, any::<bool>()).prop_map(
+        |(field, lo, hi, lower, upper, equal)| {
+            let hi = if equal { lo.clone() } else { hi };
+            if lower == 3 {
+                return Filter::between(field, lo, hi);
+            }
+            let mut conjuncts = Vec::new();
+            match lower {
+                0 => {}
+                1 => conjuncts.push(Filter::gte(field, lo)),
+                _ => conjuncts.push(Filter::gt(field, lo)),
+            }
+            match upper {
+                0 => {}
+                1 => conjuncts.push(Filter::lte(field, hi)),
+                _ => conjuncts.push(Filter::lt(field, hi)),
+            }
+            Filter::and(conjuncts)
+        },
+    )
 }
 
 fn arb_doc(id: usize) -> impl Strategy<Value = Document> {
@@ -112,5 +147,54 @@ proptest! {
             prop_assert_eq!(hits, expect, "value {:?}", v);
         }
         prop_assert_eq!(coll.len(), oracle.iter().flatten().count());
+    }
+
+    #[test]
+    fn range_scan_equals_predicate_through_mutations(
+        initial in prop::collection::vec((arb_mixed_value(), arb_mixed_value()), 1..24),
+        updates in prop::collection::vec((0usize..24, arb_mixed_value(), arb_mixed_value()), 0..16),
+        deletes in prop::collection::vec(0usize..24, 0..8),
+        filters in prop::collection::vec(arb_range_filter(), 1..8),
+        residual in arb_filter(),
+    ) {
+        let doc = |i: usize, x: &Value, y: &Value| Document::new(format!("d{i}")).with("x", x.clone()).with("y", y.clone());
+        let indexed = Collection::new();
+        indexed.create_index("x");
+        let plain = Collection::new();
+        let mut oracle: Vec<Option<Document>> = Vec::new();
+        for (i, (x, y)) in initial.iter().enumerate() {
+            for coll in [&indexed, &plain] {
+                coll.insert(doc(i, x, y)).unwrap();
+            }
+            oracle.push(Some(doc(i, x, y)));
+        }
+        for (i, x, y) in &updates {
+            if oracle.get(*i).is_some_and(Option::is_some) {
+                for coll in [&indexed, &plain] {
+                    coll.update(doc(*i, x, y)).unwrap();
+                }
+                oracle[*i] = Some(doc(*i, x, y));
+            }
+        }
+        for i in &deletes {
+            if oracle.get(*i).is_some_and(Option::is_some) {
+                for coll in [&indexed, &plain] {
+                    coll.delete(&format!("d{i}")).unwrap();
+                }
+                oracle[*i] = None;
+            }
+        }
+        // Each range alone, then with an arbitrary second conjunct.
+        let with_residual: Vec<Filter> = filters.iter().map(|f| Filter::and(vec![f.clone(), residual.clone()])).collect();
+        for filter in filters.iter().chain(&with_residual) {
+            let mut expect: Vec<Document> = oracle.iter().flatten().filter(|d| filter.matches(d)).cloned().collect();
+            expect.sort_by(|a, b| a.id().cmp(b.id()));
+            for coll in [&indexed, &plain] {
+                let mut seen: Vec<Document> = coll.scan(filter, |hits| hits.cloned().collect());
+                seen.sort_by(|a, b| a.id().cmp(b.id()));
+                prop_assert_eq!(&seen, &expect, "scan, {:?}", filter);
+                prop_assert_eq!(&coll.find(filter), &expect, "find, {:?}", filter);
+            }
+        }
     }
 }

@@ -24,7 +24,7 @@ fi
 echo "==> metric-name registry lint (scripts/check_metrics.sh)"
 bash scripts/check_metrics.sh
 
-echo "==> one CRC table, five external crates"
+echo "==> one CRC implementation, five external crates"
 crc_files="$(grep -rl '0xEDB8_8320' crates/*/src)"
 [ "$crc_files" = crates/codec/src/frame.rs ] ||
     { echo "the CRC-32 polynomial must appear in crates/codec/src/frame.rs only, found in: $crc_files" >&2; exit 1; }
@@ -48,10 +48,13 @@ cargo test --release -q --test concurrency
 echo "==> cargo test --release --test symmetric_props (table-GHASH / batched-CTR / batch-seal differential oracles)"
 cargo test --release -q -p datablinder-primitives --test symmetric_props
 
-echo "==> cargo test --release: Paillier differentials (Montgomery product fold + linear decode, sum ≡ iterated add, factor-drawn obfuscators ≡ r^n mod n², borrowing scan ≡ predicate)"
+echo "==> cargo test --release: Paillier differentials (Montgomery product fold + linear decode, sum ≡ iterated add, factor-drawn obfuscators ≡ r^n mod n²)"
 cargo test --release -q -p datablinder-bigint --test kernels_differential
 cargo test --release -q -p datablinder-paillier --test sum_differential
 cargo test --release -q -p datablinder-paillier --test obfuscator_differential
+
+echo "==> cargo test --release: read-path differentials (sliced CRC-32 ≡ the bitwise definition, index-walking scan ≡ predicate ≡ find)"
+cargo test --release -q -p datablinder-codec --test crc_differential
 cargo test --release -q -p datablinder-docstore --test model
 
 echo "==> cargo test --release --test cluster (replicated-cloud crash + membership-churn storms under optimization)"

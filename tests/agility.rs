@@ -195,6 +195,71 @@ fn index_key_rotation_rebuilds_searchable_index() {
     assert_eq!(gw.find_equal("notes", "owner", &Value::from("ann")).unwrap().len(), 3);
 }
 
+/// The gateway decrypts through payload-tactic handles its schema plan
+/// resolved at registration. Rotation rebuilds tactic instances; every
+/// search and point read afterwards must decrypt *content* correctly —
+/// through those same handles — for the rotated field and its neighbours.
+#[test]
+fn searches_and_reads_decrypt_correctly_after_every_rotation() {
+    let channel = Channel::connect(CloudEngine::new(), LatencyModel::instant());
+    let mut rng = StdRng::seed_from_u64(0x1D2);
+    let gw = GatewayEngine::new("rotplan", Kms::generate(&mut rng), channel, 11);
+    let schema = Schema::new("notes")
+        .plain_field("seq", FieldType::Integer, true)
+        .sensitive_field(
+            "owner", // Mitra index, RND payload
+            FieldType::Text,
+            true,
+            FieldAnnotation::new(ProtectionClass::C2, vec![FieldOp::Insert, FieldOp::Equality]),
+        )
+        .sensitive_field(
+            "kind", // DET index and payload
+            FieldType::Text,
+            true,
+            FieldAnnotation::new(ProtectionClass::C4, vec![FieldOp::Insert, FieldOp::Equality]),
+        );
+    gw.register_schema(schema).unwrap();
+    assert_eq!(gw.selection("notes", "owner").unwrap().payload, "rnd");
+    assert_eq!(gw.selection("notes", "kind").unwrap().payload, "det");
+
+    let mut stored = Vec::new();
+    for (seq, (owner, kind)) in [("ann", "memo"), ("ann", "todo"), ("bob", "memo")].into_iter().enumerate() {
+        let doc = Document::new("x")
+            .with("seq", Value::from(seq as i64))
+            .with("owner", Value::from(owner))
+            .with("kind", Value::from(kind));
+        stored.push((gw.insert("notes", &doc).unwrap(), doc));
+    }
+    let check = |stage: &str| {
+        let fields = |d: &Document| d.iter().map(|(f, v)| (f.clone(), v.clone())).collect::<Vec<_>>();
+        for (id, doc) in &stored {
+            assert_eq!(fields(&gw.get("notes", *id).unwrap()), fields(doc), "{stage}: get");
+        }
+        for (field, value) in [("owner", "ann"), ("owner", "bob"), ("kind", "memo"), ("kind", "todo")] {
+            let mut hits: Vec<_> =
+                gw.find_equal("notes", field, &Value::from(value)).unwrap().iter().map(fields).collect();
+            let mut expect: Vec<_> = stored
+                .iter()
+                .filter(|(_, d)| d.get(field) == Some(&Value::from(value)))
+                .map(|(_, d)| fields(d))
+                .collect();
+            // Fields iterate in name order: kind, owner, seq.
+            hits.sort_by(|a, b| a[2].1.total_cmp(&b[2].1));
+            expect.sort_by(|a, b| a[2].1.total_cmp(&b[2].1));
+            assert_eq!(hits, expect, "{stage}: find_equal {field}={value}");
+        }
+    };
+    check("before any rotation");
+    gw.rotate_payload_key("notes", "owner").unwrap();
+    check("after rotating the RND payload key of owner");
+    gw.rotate_index_key("notes", "owner").unwrap();
+    check("after rotating the Mitra index key of owner");
+    gw.rotate_payload_key("notes", "kind").unwrap();
+    check("after rotating the DET key of kind");
+    gw.rotate_payload_key("notes", "owner").unwrap();
+    check("after a second RND rotation");
+}
+
 #[test]
 fn index_rotation_rejects_non_index_tactics() {
     let channel = Channel::connect(CloudEngine::new(), LatencyModel::instant());

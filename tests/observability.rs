@@ -275,3 +275,33 @@ fn cloud_engine_counts_tactic_ops_and_dedup_hits() {
     let tactic_ops: u64 = snap.counters_with_prefix("cloud.tactic.").iter().map(|(_, v)| *v).sum();
     assert!(tactic_ops > 0, "cloud-side tactic index ops counted: {:?}", snap.counters);
 }
+
+/// Every search a registered schema routes to the document store — OPE
+/// ranges, DET equality — must be served from the secondary index that
+/// `register_schema` asked the cloud to build; one that falls back to
+/// visiting every document shows as `cloud.doc.scan.full`.
+#[test]
+fn registered_schema_searches_never_fall_back_to_a_full_scan() {
+    let mut cloud = CloudEngine::new();
+    let recorder = Recorder::new();
+    cloud.set_recorder(recorder.clone());
+    let channel = Channel::from_arc(Arc::new(cloud), LatencyModel::instant());
+    let mut rng = StdRng::seed_from_u64(0x0B56);
+    let gw = GatewayEngine::new("obs-test", Kms::generate(&mut rng), channel, 0x0B56);
+    gw.register_schema(observation_schema()).unwrap();
+    let docs = corpus(0x0B56, 10);
+    for doc in &docs {
+        gw.insert("observation", doc).unwrap();
+    }
+    let issued = docs[0].get("issued").unwrap();
+
+    let all = gw.find_range("observation", "effective", &Value::from(0i64), &Value::from(i64::MAX)).unwrap();
+    assert_eq!(all.len(), docs.len());
+    assert!(!gw.find_range("observation", "issued", issued, issued).unwrap().is_empty());
+    assert!(gw.find_range("observation", "issued", &Value::from(9i64), &Value::from(3i64)).unwrap().is_empty());
+    assert!(!gw.find_equal("observation", "issued", issued).unwrap().is_empty());
+
+    let snap = recorder.snapshot();
+    assert_eq!(snap.counter("cloud.doc.scan.indexed"), 4, "{:?}", snap.counters);
+    assert_eq!(snap.counter("cloud.doc.scan.full"), 0, "{:?}", snap.counters);
+}
