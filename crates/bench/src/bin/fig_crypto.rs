@@ -24,21 +24,21 @@
 //! * `batch_sum` — the gateway aggregate path end to end: pooled
 //!   encryption of a batch, cloud-side homomorphic sum, one CRT decrypt.
 //!
-//! Plus four symmetric rungs pinning the batched hot path:
+//! Plus four symmetric rungs on the tier this host runs
+//! (`datablinder_primitives::backend()`, reported as `"backend"`):
 //!
-//! * `ghash_bitloop` vs `ghash_tables` — the 128-round `gf_mul` loop
-//!   against the per-key multiplication table;
-//! * `ctr_legacy` vs `ctr_scalar` vs `ctr_batched` — byte-wise AES per
-//!   block, scalar T-table loop, and the 8-block batched keystream;
-//! * `seal_scalar_per_field` vs `seal_batched_per_field` — the pre-rework
-//!   AEAD pipeline per field against one `seal_many` call over the batch;
+//! * `ghash` — GHASH over a 4 KiB message;
+//! * `ctr` — the CTR keystream over 64 KiB;
+//! * `seal_many_per_field` — one `seal_many` call over a 64-field batch;
 //! * `hmac_oneshot` vs `hmac_ctx_reuse` — per-call key preparation
 //!   against reused ipad/opad midstates.
 //!
 //! The JSON document carries raw `ns_per_op` per kernel plus derived
-//! speedups and five booleans (`crt_not_slower`, `cached_encrypt_faster`,
-//! `ghash_tables_faster`, `ctr_batched_faster`, `seal_batched_faster`)
-//! that `scripts/verify.sh` asserts on.
+//! speedups and two booleans (`crt_not_slower`, `cached_encrypt_faster`)
+//! that `scripts/verify.sh` asserts on. The symmetric kernels have no
+//! same-run rival any more: their other tier is compared for equality in
+//! `crates/primitives/tests/isa_differential.rs`, and for speed by the
+//! benchmark's `primitives.*` rungs across commits.
 
 use std::time::Instant;
 
@@ -228,111 +228,58 @@ fn main() {
     push(&mut kernels, "batch_sum_per_element", iters.max(3) * rounds.min(3), ns_batch_per_element);
     let batch_sum_per_sec = 1e9 / ns_batch_per_element;
 
-    // --- symmetric hot path: GHASH tables, batched CTR, batch seal, HMAC --
+    // --- symmetric hot path: GHASH, CTR, batch seal, HMAC ------------------
     use datablinder_primitives::aes::Aes;
-    use datablinder_primitives::ctr::{counter_block, ctr_xor, ctr_xor_scalar, increment_counter};
+    use datablinder_primitives::ctr::{counter_block, ctr_xor};
     use datablinder_primitives::gcm::{AesGcm, NONCE_LEN};
     use datablinder_primitives::hmac::{hmac_sha256, HmacCtx};
 
     let sym_key = datablinder_primitives::keys::SymmetricKey::from_bytes(&[0x5Au8; 32]);
     let gcm = AesGcm::new(&sym_key).unwrap();
     let aes = Aes::new(&sym_key.as_bytes()[..16]).unwrap();
-
-    // GHASH over a 4 KiB message: per-key multiplication table vs the
-    // 128-round bit-loop it replaced.
-    let ghash_msg = vec![0xA7u8; 4096];
-    let timings = race(
-        iters,
-        rounds,
-        &mut [
-            &mut || {
-                std::hint::black_box(gcm.ghash_ref(b"", &ghash_msg));
-            },
-            &mut || {
-                std::hint::black_box(gcm.ghash(b"", &ghash_msg));
-            },
-        ],
-    );
-    let (ns_ghash_bitloop, ns_ghash_tables) = (timings[0], timings[1]);
-    push(&mut kernels, "ghash_bitloop", reps, ns_ghash_bitloop);
-    push(&mut kernels, "ghash_tables", reps, ns_ghash_tables);
-    let speedup_ghash = ns_ghash_bitloop / ns_ghash_tables;
     let mib = |bytes: f64, ns: f64| bytes / (1024.0 * 1024.0) / (ns / 1e9);
-    let ghash_tables_mib_s = mib(ghash_msg.len() as f64, ns_ghash_tables);
-    let ghash_bitloop_mib_s = mib(ghash_msg.len() as f64, ns_ghash_bitloop);
 
-    // CTR keystream over 64 KiB: the pre-rework per-block loop (byte-wise
-    // AES, byte-wise XOR), the scalar loop over the T-table AES, and the
-    // 8-block batched path.
-    let mut buf_legacy = vec![0x3Cu8; 64 * 1024];
-    let mut buf_scalar = buf_legacy.clone();
-    let mut buf_batched = buf_legacy.clone();
-    let iv = [0u8; 16];
-    let timings = race(
+    // GHASH over a 4 KiB message.
+    let ghash_msg = vec![0xA7u8; 4096];
+    let ns_ghash = race(
         iters,
         rounds,
-        &mut [
-            &mut || {
-                // Legacy CTR, reproduced exactly: one byte-wise block
-                // encryption and a byte XOR per 16-byte chunk.
-                let mut counter = iv;
-                for chunk in buf_legacy.chunks_mut(16) {
-                    let mut ks = counter;
-                    aes.encrypt_block_ref(&mut ks);
-                    for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-                        *b ^= k;
-                    }
-                    increment_counter(&mut counter);
-                }
-                std::hint::black_box(&buf_legacy);
-            },
-            &mut || {
-                ctr_xor_scalar(&aes, &iv, &mut buf_scalar);
-                std::hint::black_box(&buf_scalar);
-            },
-            &mut || {
-                ctr_xor(&aes, &iv, &mut buf_batched);
-                std::hint::black_box(&buf_batched);
-            },
-        ],
-    );
-    let (ns_ctr_legacy, ns_ctr_scalar, ns_ctr_batched) = (timings[0], timings[1], timings[2]);
-    push(&mut kernels, "ctr_legacy", reps, ns_ctr_legacy);
-    push(&mut kernels, "ctr_scalar", reps, ns_ctr_scalar);
-    push(&mut kernels, "ctr_batched", reps, ns_ctr_batched);
-    let speedup_ctr = ns_ctr_legacy / ns_ctr_batched;
-    let ctr_batched_mib_s = mib((64 * 1024) as f64, ns_ctr_batched);
-    let ctr_scalar_mib_s = mib((64 * 1024) as f64, ns_ctr_scalar);
+        &mut [&mut || {
+            std::hint::black_box(gcm.ghash(b"", &ghash_msg));
+        }],
+    )[0];
+    push(&mut kernels, "ghash", reps, ns_ghash);
+    let ghash_mib_s = mib(ghash_msg.len() as f64, ns_ghash);
 
-    // AEAD seal of a 64-field batch (64-byte fields): the pre-rework
-    // scalar pipeline per field vs one `seal_many` call.
+    // CTR keystream over 64 KiB.
+    let mut ctr_buf = vec![0x3Cu8; 64 * 1024];
+    let iv = [0u8; 16];
+    let ns_ctr = race(
+        iters,
+        rounds,
+        &mut [&mut || {
+            ctr_xor(&aes, &iv, &mut ctr_buf);
+            std::hint::black_box(&ctr_buf);
+        }],
+    )[0];
+    push(&mut kernels, "ctr", reps, ns_ctr);
+    let ctr_mib_s = mib((64 * 1024) as f64, ns_ctr);
+
+    // AEAD seal of a 64-field batch (64-byte fields) in one `seal_many`.
     let fields: u64 = 64;
     let field_bytes = vec![0x11u8; 64];
     let nonces: Vec<[u8; NONCE_LEN]> =
         (0..fields).map(|i| counter_block(&[7u8; 12], i as u32)[..NONCE_LEN].try_into().unwrap()).collect();
     let seal_items: Vec<(&[u8; NONCE_LEN], &[u8])> = nonces.iter().map(|n| (n, field_bytes.as_slice())).collect();
-    let timings = race(
+    let ns_seal = race(
         iters,
         rounds,
-        &mut [
-            &mut || {
-                for n in &nonces {
-                    std::hint::black_box(gcm.seal_scalar(n, b"bench", &field_bytes));
-                }
-            },
-            &mut || {
-                std::hint::black_box(gcm.seal_many(b"bench", &seal_items));
-            },
-        ],
-    );
-    let (ns_seal_scalar_batch, ns_seal_many_batch) = (timings[0], timings[1]);
-    let ns_seal_scalar = ns_seal_scalar_batch / fields as f64;
-    let ns_seal_batched = ns_seal_many_batch / fields as f64;
-    push(&mut kernels, "seal_scalar_per_field", reps, ns_seal_scalar);
-    push(&mut kernels, "seal_batched_per_field", reps, ns_seal_batched);
-    let speedup_seal = ns_seal_scalar / ns_seal_batched;
-    let seal_scalar_ops_s = 1e9 / ns_seal_scalar;
-    let seal_batched_ops_s = 1e9 / ns_seal_batched;
+        &mut [&mut || {
+            std::hint::black_box(gcm.seal_many(b"bench", &seal_items));
+        }],
+    )[0] / fields as f64;
+    push(&mut kernels, "seal_many_per_field", reps, ns_seal);
+    let seal_ops_s = 1e9 / ns_seal;
 
     // HMAC-SHA256 of a 64-byte message: one-shot (key prep per call) vs a
     // reused context (ipad/opad midstates prepared once).
@@ -363,15 +310,6 @@ fn main() {
     // The shipped encryption path completes from a pooled obfuscator over
     // the cached context; the per-call-context path is what it replaced.
     let cached_encrypt_faster = ns_pooled < ns_legacy && ns_cached < ns_legacy * 1.10;
-    // Never-regress gates for the symmetric rework. The GHASH table is a
-    // ≥5x algorithmic win (16 table steps vs 128 shift-xor rounds per
-    // block); the other two only have to beat the paths they replaced.
-    let ghash_tables_faster = speedup_ghash >= 5.0;
-    // Batched CTR must beat the pre-rework byte-wise path outright and not
-    // regress against the scalar T-table loop (same 10% guard band the
-    // encrypt gate uses — AES dominates both, so their gap is small).
-    let ctr_batched_faster = ns_ctr_batched < ns_ctr_legacy && ns_ctr_batched < ns_ctr_scalar * 1.10;
-    let seal_batched_faster = ns_seal_batched < ns_seal_scalar;
 
     let mut json = String::new();
     json.push('{');
@@ -392,23 +330,15 @@ fn main() {
     json.push_str(&format!("\"speedup_encrypt_pooled\":{speedup_encrypt_pooled:.2},"));
     json.push_str(&format!("\"speedup_decrypt_crt\":{speedup_decrypt:.2},"));
     json.push_str(&format!("\"batch_sum_elements_per_sec\":{batch_sum_per_sec:.0},"));
-    json.push_str(&format!("\"ghash_tables_mib_per_sec\":{ghash_tables_mib_s:.1},"));
-    json.push_str(&format!("\"ghash_bitloop_mib_per_sec\":{ghash_bitloop_mib_s:.1},"));
-    json.push_str(&format!("\"speedup_ghash_tables\":{speedup_ghash:.2},"));
-    json.push_str(&format!("\"ctr_batched_mib_per_sec\":{ctr_batched_mib_s:.1},"));
-    json.push_str(&format!("\"ctr_scalar_mib_per_sec\":{ctr_scalar_mib_s:.1},"));
-    json.push_str(&format!("\"speedup_ctr_batched\":{speedup_ctr:.2},"));
-    json.push_str(&format!("\"seal_scalar_ops_per_sec\":{seal_scalar_ops_s:.0},"));
-    json.push_str(&format!("\"seal_batched_ops_per_sec\":{seal_batched_ops_s:.0},"));
-    json.push_str(&format!("\"speedup_seal_batched\":{speedup_seal:.2},"));
+    json.push_str(&format!("\"backend\":\"{}\",", datablinder_primitives::backend()));
+    json.push_str(&format!("\"ghash_mib_per_sec\":{ghash_mib_s:.1},"));
+    json.push_str(&format!("\"ctr_mib_per_sec\":{ctr_mib_s:.1},"));
+    json.push_str(&format!("\"seal_ops_per_sec\":{seal_ops_s:.0},"));
     json.push_str(&format!("\"hmac_oneshot_ops_per_sec\":{hmac_oneshot_ops_s:.0},"));
     json.push_str(&format!("\"hmac_ctx_ops_per_sec\":{hmac_ctx_ops_s:.0},"));
     json.push_str(&format!("\"speedup_hmac_ctx\":{speedup_hmac:.2},"));
     json.push_str(&format!("\"crt_not_slower\":{crt_not_slower},"));
-    json.push_str(&format!("\"cached_encrypt_faster\":{cached_encrypt_faster},"));
-    json.push_str(&format!("\"ghash_tables_faster\":{ghash_tables_faster},"));
-    json.push_str(&format!("\"ctr_batched_faster\":{ctr_batched_faster},"));
-    json.push_str(&format!("\"seal_batched_faster\":{seal_batched_faster}"));
+    json.push_str(&format!("\"cached_encrypt_faster\":{cached_encrypt_faster}"));
     json.push('}');
 
     std::fs::write(&args.out, &json).expect("write BENCH_crypto.json");
@@ -417,7 +347,8 @@ fn main() {
     );
     println!("batch sum: {batch_sum_per_sec:.0} elements/s");
     println!(
-        "symmetric: GHASH tables {speedup_ghash:.2}x ({ghash_tables_mib_s:.0} MiB/s), CTR batched {speedup_ctr:.2}x ({ctr_batched_mib_s:.0} MiB/s), seal batched {speedup_seal:.2}x ({seal_batched_ops_s:.0} ops/s), HMAC ctx {speedup_hmac:.2}x"
+        "symmetric ({}): GHASH {ghash_mib_s:.0} MiB/s, CTR {ctr_mib_s:.0} MiB/s, seal {seal_ops_s:.0} ops/s, HMAC ctx {speedup_hmac:.2}x",
+        datablinder_primitives::backend()
     );
     println!("wrote {}", args.out);
     println!("{json}");

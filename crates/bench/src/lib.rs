@@ -9,6 +9,7 @@
 //!   introspection).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 use std::sync::Arc;
 
 use datablinder_core::cloud::CloudEngine;

@@ -36,6 +36,7 @@
 //! protect real keys.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 mod convert;
 mod div;
 mod modular;

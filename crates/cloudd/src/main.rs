@@ -11,7 +11,11 @@
 //!
 //! `--listen` defaults to `127.0.0.1:0` (kernel-picked ephemeral port; the
 //! daemon prints `LISTENING <addr>` so scripts can parse the actual port —
-//! the port-in-use-safe pattern `scripts/verify.sh` relies on).
+//! the port-in-use-safe pattern `scripts/verify.sh` relies on). Before
+//! that it prints `BACKEND <tier>`: which symmetric kernels this host runs
+//! (`datablinder_primitives::backend()`).
+
+#![forbid(unsafe_code)]
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -93,6 +97,8 @@ fn run() -> Result<(), String> {
     let server =
         CloudServer::bind(opts.listen.as_str(), service, config).map_err(|e| format!("bind {}: {e}", opts.listen))?;
 
+    // Which tier this host's symmetric kernels (digests, here) run on.
+    println!("BACKEND {}", datablinder_primitives::backend());
     // Parsed by scripts: the kernel-assigned port when --listen used :0.
     println!("LISTENING {}", server.local_addr());
     use std::io::Write;

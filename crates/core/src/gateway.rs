@@ -254,13 +254,16 @@ impl GatewayEngine {
     /// Attaches an observability [`Recorder`]: gateway routes, per-tactic
     /// latencies and the leakage audit ledger record into it, and a clone
     /// is forwarded to the resilient channel so retries/breaker activity
-    /// land in the same domain. The default recorder is disabled, so an
-    /// un-instrumented gateway pays one atomic load per operation.
+    /// land in the same domain; the tier the symmetric kernels run on is
+    /// exported once, as `primitives.backend`. The default recorder is
+    /// disabled, so an un-instrumented gateway pays one atomic load per
+    /// operation.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.channel.set_recorder(recorder.clone());
         if recorder.label().is_none() {
             recorder.set_label("gateway");
         }
+        datablinder_primitives::record_backend(&recorder);
         self.obs = recorder;
     }
 

@@ -55,6 +55,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 pub mod cloud;
 pub mod cloudproto;
 pub mod cluster;

@@ -9,6 +9,7 @@
 //! DESIGN.md §5).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 use datablinder_core::model::{AggFn, FieldAnnotation, FieldOp, FieldType, ProtectionClass, Schema};
 use datablinder_docstore::{Document, Value};
 use rand::seq::SliceRandom;

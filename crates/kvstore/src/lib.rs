@@ -20,6 +20,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 mod log;
 mod store;
 

@@ -30,6 +30,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 use datablinder_primitives::hmac::HmacCtx;
 use datablinder_primitives::keys::SymmetricKey;
 use rand::rngs::StdRng;

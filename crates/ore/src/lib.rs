@@ -27,6 +27,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 use datablinder_primitives::hmac::{hmac_sha256, HmacCtx};
 use datablinder_primitives::keys::SymmetricKey;
 use datablinder_primitives::prf::{HmacPrf, Prf};

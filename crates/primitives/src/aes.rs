@@ -1,10 +1,16 @@
 //! AES block cipher (FIPS 197), supporting 128/192/256-bit keys.
 //!
+//! Encryption runs on one of two tiers, chosen once when the key is
+//! expanded: AES-NI where the CPU has it (`isa`), the T-table rounds below
+//! everywhere else. Both produce the same bytes; only the portable tier's
+//! timing depends on the data (table lookups indexed by key and state).
+//!
 //! The S-box is derived at first use from the GF(2^8) inverse + affine map
 //! rather than transcribed, eliminating table-transcription errors.
 
 use std::sync::OnceLock;
 
+use crate::isa::AesNi;
 use crate::CryptoError;
 
 /// AES block size in bytes.
@@ -104,12 +110,18 @@ fn gmul(mut a: u8, mut b: u8) -> u8 {
 /// ```
 #[derive(Clone)]
 pub struct Aes {
-    round_keys: Vec<[u8; 16]>,
-    /// Round keys as big-endian column words, the layout the T-table
-    /// encrypt path consumes directly.
-    enc_keys: Vec<[u32; 4]>,
+    /// Round keys in FIPS 197 byte order; `rounds + 1` are in use. What
+    /// decryption and the AES-NI tier consume.
+    round_keys: [[u8; 16]; MAX_ROUND_KEYS],
+    /// The same round keys as big-endian column words, the layout the
+    /// T-table encrypt path consumes directly.
+    enc_keys: [[u32; 4]; MAX_ROUND_KEYS],
     rounds: usize,
+    hw: Option<AesNi>,
 }
+
+/// Round keys of AES-256, the longest schedule.
+const MAX_ROUND_KEYS: usize = 15;
 
 impl Aes {
     /// Expands a 16-, 24- or 32-byte key.
@@ -118,6 +130,15 @@ impl Aes {
     ///
     /// Returns [`CryptoError::InvalidKeyLength`] for other key sizes.
     pub fn new(key: &[u8]) -> Result<Self, CryptoError> {
+        Self::on(AesNi::detect(), key)
+    }
+
+    /// The same cipher pinned to the portable tier.
+    pub(crate) fn portable(key: &[u8]) -> Result<Self, CryptoError> {
+        Self::on(None, key)
+    }
+
+    fn on(hw: Option<AesNi>, key: &[u8]) -> Result<Self, CryptoError> {
         let (nk, rounds) = match key.len() {
             16 => (4usize, 10usize),
             24 => (6, 12),
@@ -126,56 +147,52 @@ impl Aes {
         };
         let (sbox, _) = sboxes();
         let nwords = 4 * (rounds + 1);
-        let mut w: Vec<[u8; 4]> = Vec::with_capacity(nwords);
-        for i in 0..nk {
-            w.push([key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]]);
+        // The schedule as big-endian column words (a word is a register,
+        // not four byte stores the next step must wait for).
+        let mut w = [0u32; 4 * MAX_ROUND_KEYS];
+        for (word, bytes) in w.iter_mut().zip(key.chunks_exact(4)) {
+            *word = u32::from_be_bytes(bytes.try_into().expect("exact 4-byte word"));
         }
+        let sub_word = |word: u32| u32::from_be_bytes(word.to_be_bytes().map(|b| sbox[b as usize]));
         let mut rcon: u8 = 1;
         for i in nk..nwords {
             let mut temp = w[i - 1];
             if i % nk == 0 {
-                temp.rotate_left(1);
-                for b in temp.iter_mut() {
-                    *b = sbox[*b as usize];
-                }
-                temp[0] ^= rcon;
+                temp = sub_word(temp.rotate_left(8)) ^ u32::from(rcon) << 24;
                 rcon = xtime(rcon);
             } else if nk > 6 && i % nk == 4 {
-                for b in temp.iter_mut() {
-                    *b = sbox[*b as usize];
-                }
+                temp = sub_word(temp);
             }
-            let prev = w[i - nk];
-            w.push([temp[0] ^ prev[0], temp[1] ^ prev[1], temp[2] ^ prev[2], temp[3] ^ prev[3]]);
+            w[i] = w[i - nk] ^ temp;
         }
-        let round_keys: Vec<[u8; 16]> = (0..=rounds)
-            .map(|r| {
-                let mut rk = [0u8; 16];
-                for c in 0..4 {
-                    rk[4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
-                }
-                rk
-            })
-            .collect();
-        let enc_keys = round_keys
-            .iter()
-            .map(|rk| {
-                let mut words = [0u32; 4];
-                for (c, word) in words.iter_mut().enumerate() {
-                    *word = u32::from_be_bytes([rk[4 * c], rk[4 * c + 1], rk[4 * c + 2], rk[4 * c + 3]]);
-                }
-                words
-            })
-            .collect();
-        Ok(Aes { round_keys, enc_keys, rounds })
+        let mut round_keys = [[0u8; 16]; MAX_ROUND_KEYS];
+        let mut enc_keys = [[0u32; 4]; MAX_ROUND_KEYS];
+        for ((rk, words), w) in round_keys.iter_mut().zip(&mut enc_keys).zip(w.chunks_exact(4)) {
+            words.copy_from_slice(w);
+            for (bytes, word) in rk.chunks_exact_mut(4).zip(w) {
+                bytes.copy_from_slice(&word.to_be_bytes());
+            }
+        }
+        Ok(Aes { round_keys, enc_keys, rounds, hw })
     }
 
-    /// Encrypts one 16-byte block in place (T-table round function).
-    ///
-    /// The state lives in four big-endian column words; each round combines
-    /// ShiftRows + SubBytes + MixColumns + AddRoundKey into four table-lookup
-    /// XOR chains. Byte-identical to [`Aes::encrypt_block_ref`].
+    /// The tier this cipher runs on and the round keys that tier takes.
+    pub(crate) fn hw(&self) -> Option<(AesNi, &[[u8; 16]])> {
+        self.hw.map(|hw| (hw, &self.round_keys[..=self.rounds]))
+    }
+
+    /// Encrypts one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; BLOCK_LEN]) {
+        match self.hw() {
+            Some((hw, round_keys)) => hw.encrypt_block(round_keys, block),
+            None => self.encrypt_block_portable(block),
+        }
+    }
+
+    /// The T-table round function: the state lives in four big-endian
+    /// column words, and each round combines ShiftRows + SubBytes +
+    /// MixColumns + AddRoundKey into four table-lookup XOR chains.
+    pub(crate) fn encrypt_block_portable(&self, block: &mut [u8; BLOCK_LEN]) {
         let te = enc_tables();
         let rk = &self.enc_keys;
         let mut s0 = u32::from_be_bytes([block[0], block[1], block[2], block[3]]) ^ rk[0][0];
@@ -224,25 +241,6 @@ impl Aes {
         block[12..16].copy_from_slice(&t3.to_be_bytes());
     }
 
-    /// Encrypts one 16-byte block with the straight-line byte-wise round
-    /// passes (SubBytes → ShiftRows → MixColumns → AddRoundKey).
-    ///
-    /// Kept as the differential oracle for [`Aes::encrypt_block`] and as the
-    /// legacy baseline the symmetric benchmarks measure against.
-    pub fn encrypt_block_ref(&self, block: &mut [u8; BLOCK_LEN]) {
-        let (sbox, _) = sboxes();
-        add_round_key(block, &self.round_keys[0]);
-        for r in 1..self.rounds {
-            sub_bytes(block, sbox);
-            shift_rows(block);
-            mix_columns(block);
-            add_round_key(block, &self.round_keys[r]);
-        }
-        sub_bytes(block, sbox);
-        shift_rows(block);
-        add_round_key(block, &self.round_keys[self.rounds]);
-    }
-
     /// Decrypts one 16-byte block in place.
     pub fn decrypt_block(&self, block: &mut [u8; BLOCK_LEN]) {
         let (_, inv_sbox) = sboxes();
@@ -273,32 +271,12 @@ fn sub_bytes(state: &mut [u8; 16], sbox: &[u8; 256]) {
     }
 }
 
-fn shift_rows(state: &mut [u8; 16]) {
-    // Row r rotates left by r. Byte (r, c) is at 4*c + r.
-    for r in 1..4 {
-        let row = [state[r], state[4 + r], state[8 + r], state[12 + r]];
-        for c in 0..4 {
-            state[4 * c + r] = row[(c + r) % 4];
-        }
-    }
-}
-
 fn inv_shift_rows(state: &mut [u8; 16]) {
     for r in 1..4 {
         let row = [state[r], state[4 + r], state[8 + r], state[12 + r]];
         for c in 0..4 {
             state[4 * c + r] = row[(c + 4 - r) % 4];
         }
-    }
-}
-
-fn mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [state[4 * c], state[4 * c + 1], state[4 * c + 2], state[4 * c + 3]];
-        state[4 * c] = xtime(col[0]) ^ gmul3(col[1]) ^ col[2] ^ col[3];
-        state[4 * c + 1] = col[0] ^ xtime(col[1]) ^ gmul3(col[2]) ^ col[3];
-        state[4 * c + 2] = col[0] ^ col[1] ^ xtime(col[2]) ^ gmul3(col[3]);
-        state[4 * c + 3] = gmul3(col[0]) ^ col[1] ^ col[2] ^ xtime(col[3]);
     }
 }
 
@@ -375,25 +353,6 @@ mod tests {
     fn invalid_key_length() {
         assert!(matches!(Aes::new(&[0u8; 15]), Err(CryptoError::InvalidKeyLength { .. })));
         assert!(matches!(Aes::new(&[0u8; 0]), Err(CryptoError::InvalidKeyLength { .. })));
-    }
-
-    #[test]
-    fn ttable_encrypt_matches_bytewise_reference() {
-        use rand::{RngCore, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(4242);
-        for keylen in [16usize, 24, 32] {
-            let mut key = vec![0u8; keylen];
-            rng.fill_bytes(&mut key);
-            let aes = Aes::new(&key).unwrap();
-            for _ in 0..200 {
-                let mut fast = [0u8; 16];
-                rng.fill_bytes(&mut fast);
-                let mut slow = fast;
-                aes.encrypt_block(&mut fast);
-                aes.encrypt_block_ref(&mut slow);
-                assert_eq!(fast, slow);
-            }
-        }
     }
 
     #[test]

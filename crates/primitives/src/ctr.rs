@@ -3,7 +3,7 @@
 
 use crate::aes::{Aes, BLOCK_LEN};
 
-/// Keystream blocks generated per batch on the multi-block fast path.
+/// Keystream blocks generated per batch on the portable tier.
 const BATCH_BLOCKS: usize = 8;
 const BATCH_BYTES: usize = BATCH_BLOCKS * BLOCK_LEN;
 
@@ -13,12 +13,20 @@ const BATCH_BYTES: usize = BATCH_BLOCKS * BLOCK_LEN;
 /// are incremented (big-endian, wrapping) per keystream block. Encryption
 /// and decryption are the same operation.
 ///
-/// Keystream is generated [`BATCH_BLOCKS`] blocks at a time into a stack
-/// buffer and XORed in `u64` lanes, so the eight independent block
-/// encryptions and the wide XOR both expose instruction-level parallelism
-/// that the one-block-at-a-time byte loop ([`ctr_xor_scalar`]) cannot.
-/// Byte-identical to the scalar path for every input length.
+/// Runs on the tier `aes` was built for: eight blocks in flight through
+/// AES-NI, or the portable batches below.
 pub fn ctr_xor(aes: &Aes, iv_block: &[u8; BLOCK_LEN], data: &mut [u8]) {
+    match aes.hw() {
+        Some((hw, round_keys)) => hw.ctr_xor(round_keys, iv_block, data),
+        None => ctr_xor_portable(aes, iv_block, data),
+    }
+}
+
+/// The portable tier: keystream is generated [`BATCH_BLOCKS`] blocks at a
+/// time into a stack buffer and XORed in `u64` lanes, so the eight
+/// independent T-table encryptions and the wide XOR both expose
+/// instruction-level parallelism.
+fn ctr_xor_portable(aes: &Aes, iv_block: &[u8; BLOCK_LEN], data: &mut [u8]) {
     let mut counter = *iv_block;
     let mut keystream = [0u8; BATCH_BYTES];
     let mut chunks = data.chunks_exact_mut(BATCH_BYTES);
@@ -28,7 +36,7 @@ pub fn ctr_xor(aes: &Aes, iv_block: &[u8; BLOCK_LEN], data: &mut [u8]) {
             increment_counter(&mut counter);
         }
         for block in keystream.chunks_exact_mut(BLOCK_LEN) {
-            aes.encrypt_block(block.try_into().expect("exact 16-byte chunk"));
+            aes.encrypt_block_portable(block.try_into().expect("exact 16-byte chunk"));
         }
         for (d, k) in chunk.chunks_exact_mut(8).zip(keystream.chunks_exact(8)) {
             let lane = u64::from_ne_bytes(d.try_into().expect("exact 8-byte lane"))
@@ -38,24 +46,8 @@ pub fn ctr_xor(aes: &Aes, iv_block: &[u8; BLOCK_LEN], data: &mut [u8]) {
     }
     for chunk in chunks.into_remainder().chunks_mut(BLOCK_LEN) {
         let mut block = counter;
-        aes.encrypt_block(&mut block);
+        aes.encrypt_block_portable(&mut block);
         for (d, k) in chunk.iter_mut().zip(block.iter()) {
-            *d ^= k;
-        }
-        increment_counter(&mut counter);
-    }
-}
-
-/// One-block-at-a-time CTR with a per-byte XOR loop.
-///
-/// The pre-batching implementation, kept as the differential oracle for
-/// [`ctr_xor`] and as the scalar baseline the symmetric benchmarks measure.
-pub fn ctr_xor_scalar(aes: &Aes, iv_block: &[u8; BLOCK_LEN], data: &mut [u8]) {
-    let mut counter = *iv_block;
-    for chunk in data.chunks_mut(BLOCK_LEN) {
-        let mut keystream = counter;
-        aes.encrypt_block(&mut keystream);
-        for (d, k) in chunk.iter_mut().zip(keystream.iter()) {
             *d ^= k;
         }
         increment_counter(&mut counter);
@@ -95,31 +87,6 @@ mod tests {
             ctr_xor(&aes, &iv, &mut data);
             assert_eq!(data, orig, "len {len}");
         }
-    }
-
-    #[test]
-    fn batched_matches_scalar_all_lengths() {
-        let aes = Aes::new(&[0x17; 24]).unwrap();
-        let iv = counter_block(&[5u8; 12], 2);
-        for len in 0..=(3 * BATCH_BYTES + 5) {
-            let mut fast: Vec<u8> = (0..len as u32).map(|i| (i * 7) as u8).collect();
-            let mut slow = fast.clone();
-            ctr_xor(&aes, &iv, &mut fast);
-            ctr_xor_scalar(&aes, &iv, &mut slow);
-            assert_eq!(fast, slow, "len {len}");
-        }
-    }
-
-    #[test]
-    fn batched_counter_wrap_mid_batch_matches_scalar() {
-        // Start close enough to u32::MAX that the wrap lands inside a batch.
-        let aes = Aes::new(&[0x2a; 16]).unwrap();
-        let iv = counter_block(&[8u8; 12], u32::MAX - 3);
-        let mut fast = vec![0xEEu8; 2 * BATCH_BYTES];
-        let mut slow = fast.clone();
-        ctr_xor(&aes, &iv, &mut fast);
-        ctr_xor_scalar(&aes, &iv, &mut slow);
-        assert_eq!(fast, slow);
     }
 
     #[test]

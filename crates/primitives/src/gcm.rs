@@ -1,17 +1,19 @@
 //! AES-GCM authenticated encryption (NIST SP 800-38D) with GHASH over
 //! GF(2^128).
 //!
-//! GHASH is table-driven: [`AesGcm::new`] precomputes a per-key 256-entry
-//! multiplication table from the hash subkey `h`, so absorbing a block
-//! costs 16 table lookups instead of the 128-round bit loop. The bit loop
-//! ([`gf_mul`]) is kept as the differential oracle, and [`AesGcm::seal_scalar`]
-//! preserves the whole pre-table seal path for benchmarks and tests.
+//! GHASH runs on one of two tiers, chosen once in [`AesGcm::new`]:
+//! carry-less multiplication where the CPU has PCLMULQDQ (`isa`; nothing
+//! per key but the subkey itself), and per-key multiplication tables
+//! everywhere else, so absorbing a block costs 16 table lookups instead of
+//! the 128-round bit loop of the definition. The AES tier is chosen
+//! independently by [`Aes`].
 
 use std::sync::OnceLock;
 
 use crate::aes::{Aes, BLOCK_LEN};
 use crate::ct::constant_time_eq;
-use crate::ctr::{counter_block, ctr_xor, ctr_xor_scalar};
+use crate::ctr::{counter_block, ctr_xor};
+use crate::isa::Clmul;
 use crate::keys::SymmetricKey;
 use crate::CryptoError;
 
@@ -24,27 +26,6 @@ pub const TAG_LEN: usize = 16;
 /// The GHASH reduction polynomial constant (x^128 + x^7 + x^2 + x + 1 in
 /// GCM's reflected representation).
 const R: u128 = 0xE1u128 << 120;
-
-/// Multiplication in GF(2^128) with GCM bit ordering.
-///
-/// The 128-round bit loop. No longer on the hot path — kept public as the
-/// differential oracle the table-driven GHASH is checked against, and as
-/// the baseline the symmetric benchmarks measure.
-pub fn gf_mul(x: u128, y: u128) -> u128 {
-    let mut z = 0u128;
-    let mut v = y;
-    for i in 0..128 {
-        if (x >> (127 - i)) & 1 == 1 {
-            z ^= v;
-        }
-        let lsb = v & 1;
-        v >>= 1;
-        if lsb == 1 {
-            v ^= R;
-        }
-    }
-    z
-}
 
 /// Multiply by x in GCM's reflected representation (bit 127 = coefficient
 /// of x^0, so "times x" is a right shift plus conditional reduction).
@@ -96,7 +77,7 @@ fn r16lo_table() -> &'static [u128; 256] {
 /// hash subkey `h` with the one-byte polynomial `b` placed at the top of
 /// the block (coefficients x^0..x^7), and `t8[b] = x^8 · t[b]` so the
 /// Horner loop can consume two bytes per step. 2 × 256 × 16 bytes = 8 KiB
-/// per key, built once in [`AesGcm::new`].
+/// per key, built once in [`AesGcm::new`] on the portable tier only.
 #[derive(Clone)]
 struct GhashTable {
     t: Box<[u128; 256]>,
@@ -159,6 +140,39 @@ impl GhashTable {
     }
 }
 
+/// The GHASH key in the form its tier multiplies by.
+#[derive(Clone)]
+enum Ghash {
+    /// Portable tier.
+    Tables(GhashTable),
+    /// Hardware tier: the subkey as [`Clmul::ghash_key`] leaves it.
+    Clmul(Clmul, u128),
+}
+
+impl Ghash {
+    fn new(hw: Option<Clmul>, h: u128) -> Self {
+        match hw {
+            Some(hw) => Ghash::Clmul(hw, hw.ghash_key(h)),
+            None => Ghash::Tables(GhashTable::new(h)),
+        }
+    }
+
+    /// Folds `data`, zero-padded to whole blocks, into the accumulator.
+    fn absorb(&self, mut y: u128, data: &[u8]) -> u128 {
+        match self {
+            Ghash::Clmul(hw, key) => hw.ghash_absorb(*key, y, data),
+            Ghash::Tables(table) => {
+                for chunk in data.chunks(BLOCK_LEN) {
+                    let mut block = [0u8; BLOCK_LEN];
+                    block[..chunk.len()].copy_from_slice(chunk);
+                    y = table.mul_h(y ^ u128::from_be_bytes(block));
+                }
+                y
+            }
+        }
+    }
+}
+
 /// An AES-GCM AEAD instance.
 ///
 /// # Examples
@@ -177,25 +191,32 @@ impl GhashTable {
 #[derive(Clone)]
 pub struct AesGcm {
     aes: Aes,
-    h: u128,
-    table: GhashTable,
+    ghash: Ghash,
 }
 
 impl AesGcm {
     /// Creates a GCM instance from a 16/24/32-byte key.
     ///
-    /// Builds the AES key schedule and the 4 KiB per-key GHASH table once;
-    /// every subsequent seal/open reuses both.
+    /// Builds the AES key schedule and the GHASH key once (on the portable
+    /// tier an 8 KiB table, on the hardware tier 16 bytes); every
+    /// subsequent seal/open reuses both.
     ///
     /// # Errors
     ///
     /// Returns [`CryptoError::InvalidKeyLength`] for unsupported sizes.
     pub fn new(key: &SymmetricKey) -> Result<Self, CryptoError> {
-        let aes = Aes::new(key.as_bytes())?;
-        let mut hb = [0u8; BLOCK_LEN];
-        aes.encrypt_block(&mut hb);
-        let h = u128::from_be_bytes(hb);
-        Ok(AesGcm { aes, h, table: GhashTable::new(h) })
+        Ok(Self::over(Aes::new(key.as_bytes())?, Clmul::detect()))
+    }
+
+    /// The same cipher with AES and GHASH pinned to the portable tier.
+    pub(crate) fn portable(key: &SymmetricKey) -> Result<Self, CryptoError> {
+        Ok(Self::over(Aes::portable(key.as_bytes())?, None))
+    }
+
+    fn over(aes: Aes, hw: Option<Clmul>) -> Self {
+        let mut h = [0u8; BLOCK_LEN];
+        aes.encrypt_block(&mut h);
+        AesGcm { aes, ghash: Ghash::new(hw, u128::from_be_bytes(h)) }
     }
 
     /// Encrypts `plaintext` with `nonce` and `aad`; output is
@@ -222,8 +243,8 @@ impl AesGcm {
     /// cipher context, returning one `ciphertext || tag` record per item.
     ///
     /// Each record is produced with a single exact-capacity allocation via
-    /// [`AesGcm::seal_into`]; the AES schedule, GHASH table and the CTR
-    /// stack keystream buffer are shared across the whole batch.
+    /// [`AesGcm::seal_into`]; the AES schedule and the GHASH key are shared
+    /// across the whole batch.
     pub fn seal_many(&self, aad: &[u8], items: &[(&[u8; NONCE_LEN], &[u8])]) -> Vec<Vec<u8>> {
         items
             .iter()
@@ -295,57 +316,15 @@ impl AesGcm {
             .collect()
     }
 
-    /// The pre-table seal path: bit-loop GHASH, one-block scalar CTR and
-    /// the original copy-then-extend allocation pattern.
+    /// GHASH over `aad` and `ciphertext`.
     ///
-    /// Kept as the differential oracle for [`AesGcm::seal`] /
-    /// [`AesGcm::seal_many`] and as the legacy baseline the symmetric
-    /// benchmarks measure against. Byte-identical output to `seal`.
-    pub fn seal_scalar(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-        let mut out = plaintext.to_vec();
-        ctr_xor_scalar(&self.aes, &counter_block(nonce, 2), &mut out);
-        let s = self.ghash_ref(aad, &out);
-        let mut j0 = counter_block(nonce, 1);
-        self.aes.encrypt_block_ref(&mut j0);
-        let tag = (u128::from_be_bytes(s) ^ u128::from_be_bytes(j0)).to_be_bytes();
-        out.extend_from_slice(&tag);
-        out
-    }
-
-    /// GHASH over `aad` and `ciphertext` via the per-key table.
-    ///
-    /// Exposed for the differential proptests and the symmetric benchmark;
-    /// production callers go through seal/open.
+    /// Exposed for the differential tests; production callers go through
+    /// seal/open.
     pub fn ghash(&self, aad: &[u8], ciphertext: &[u8]) -> [u8; BLOCK_LEN] {
-        let mut y = 0u128;
-        let mut absorb = |data: &[u8]| {
-            for chunk in data.chunks(BLOCK_LEN) {
-                let mut block = [0u8; BLOCK_LEN];
-                block[..chunk.len()].copy_from_slice(chunk);
-                y = self.table.mul_h(y ^ u128::from_be_bytes(block));
-            }
-        };
-        absorb(aad);
-        absorb(ciphertext);
+        let y = self.ghash.absorb(0, aad);
+        let y = self.ghash.absorb(y, ciphertext);
         let lengths = ((aad.len() as u128 * 8) << 64) | (ciphertext.len() as u128 * 8);
-        self.table.mul_h(y ^ lengths).to_be_bytes()
-    }
-
-    /// GHASH via the 128-round [`gf_mul`] bit loop — the differential
-    /// oracle for [`AesGcm::ghash`].
-    pub fn ghash_ref(&self, aad: &[u8], ciphertext: &[u8]) -> [u8; BLOCK_LEN] {
-        let mut y = 0u128;
-        let mut absorb = |data: &[u8]| {
-            for chunk in data.chunks(BLOCK_LEN) {
-                let mut block = [0u8; BLOCK_LEN];
-                block[..chunk.len()].copy_from_slice(chunk);
-                y = gf_mul(y ^ u128::from_be_bytes(block), self.h);
-            }
-        };
-        absorb(aad);
-        absorb(ciphertext);
-        let lengths = ((aad.len() as u128 * 8) << 64) | (ciphertext.len() as u128 * 8);
-        gf_mul(y ^ lengths, self.h).to_be_bytes()
+        self.ghash.absorb(y, &lengths.to_be_bytes()).to_be_bytes()
     }
 
     fn tag(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {
@@ -421,22 +400,6 @@ mod tests {
     }
 
     #[test]
-    fn table_seal_matches_scalar_oracle() {
-        for keylen in [16usize, 24, 32] {
-            let cipher = AesGcm::new(&SymmetricKey::from_bytes(&vec![7u8; keylen])).unwrap();
-            let nonce = [9u8; 12];
-            for len in [0usize, 1, 15, 16, 17, 64, 100, 255] {
-                let pt: Vec<u8> = (0..len as u32).map(|i| (i * 3) as u8).collect();
-                assert_eq!(
-                    cipher.seal(&nonce, b"aad", &pt),
-                    cipher.seal_scalar(&nonce, b"aad", &pt),
-                    "keylen {keylen} len {len}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn seal_many_matches_per_field_seal() {
         let cipher = AesGcm::new(&SymmetricKey::from_bytes(&[11u8; 16])).unwrap();
         let nonces: Vec<[u8; 12]> = (0..5u8).map(|i| [i; 12]).collect();
@@ -490,34 +453,5 @@ mod tests {
     fn truncated_input_rejected() {
         let cipher = AesGcm::new(&SymmetricKey::from_bytes(&[3u8; 16])).unwrap();
         assert_eq!(cipher.open(&[0u8; 12], b"", &[0u8; 15]), Err(CryptoError::MalformedCiphertext));
-    }
-
-    #[test]
-    fn gf_mul_identity_and_commutativity() {
-        // The multiplicative identity in GCM's representation is the MSB-set block.
-        let one = 1u128 << 127;
-        for x in [0u128, 1, one, 0xdead_beef_u128 << 64 | 77] {
-            assert_eq!(gf_mul(x, one), x);
-            assert_eq!(gf_mul(one, x), x);
-        }
-        let a = 0x0123_4567_89ab_cdef_u128;
-        let b = 0xfeed_face_cafe_beef_u128 << 32;
-        assert_eq!(gf_mul(a, b), gf_mul(b, a));
-    }
-
-    #[test]
-    fn ghash_table_matches_gf_mul_oracle() {
-        use rand::{RngCore, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2718);
-        let mut key = [0u8; 16];
-        rng.fill_bytes(&mut key);
-        let cipher = AesGcm::new(&SymmetricKey::from_bytes(&key)).unwrap();
-        for len in [0usize, 1, 16, 17, 33, 100, 4096] {
-            let mut aad = vec![0u8; len / 3];
-            let mut ct = vec![0u8; len];
-            rng.fill_bytes(&mut aad);
-            rng.fill_bytes(&mut ct);
-            assert_eq!(cipher.ghash(&aad, &ct), cipher.ghash_ref(&aad, &ct), "len {len}");
-        }
     }
 }

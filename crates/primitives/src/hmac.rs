@@ -3,10 +3,10 @@
 //! [`HmacCtx`] precomputes the ipad/opad SHA-256 midstates once per key;
 //! each subsequent MAC then skips key preparation and both pad
 //! compressions (half the compression-function calls of a from-scratch
-//! HMAC for short messages). [`hmac_sha256`] stays as a thin wrapper for
-//! one-off call sites.
+//! HMAC for short messages) and finishes straight from the two midstates.
+//! [`hmac_sha256`] stays as a thin wrapper for one-off call sites.
 
-use crate::sha256::{digest, Sha256, BLOCK_LEN, DIGEST_LEN};
+use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 
 /// A reusable HMAC-SHA256 key context holding the ipad/opad midstates.
 ///
@@ -27,22 +27,25 @@ impl HmacCtx {
     /// Prepares the key (any length; hashed down if long) and absorbs the
     /// ipad/opad blocks into two hasher midstates.
     pub fn new(key: &[u8]) -> Self {
+        Self::over(Sha256::new(), key)
+    }
+
+    /// The same context with its hashers pinned to the portable tier.
+    pub(crate) fn portable(key: &[u8]) -> Self {
+        Self::over(Sha256::portable(), key)
+    }
+
+    /// Keys a context whose hashers are copies of the fresh hasher `h`.
+    fn over(h: Sha256, key: &[u8]) -> Self {
         let mut block_key = [0u8; BLOCK_LEN];
         if key.len() > BLOCK_LEN {
-            block_key[..DIGEST_LEN].copy_from_slice(&digest(key));
+            block_key[..DIGEST_LEN].copy_from_slice(&h.digest_after(key));
         } else {
             block_key[..key.len()].copy_from_slice(key);
         }
-        let mut ipad = [0u8; BLOCK_LEN];
-        let mut opad = [0u8; BLOCK_LEN];
-        for i in 0..BLOCK_LEN {
-            ipad[i] = block_key[i] ^ 0x36;
-            opad[i] = block_key[i] ^ 0x5c;
-        }
-        let mut inner = Sha256::new();
-        inner.update(&ipad);
-        let mut outer = Sha256::new();
-        outer.update(&opad);
+        let (mut inner, mut outer) = (h.clone(), h);
+        inner.update(&block_key.map(|b| b ^ 0x36));
+        outer.update(&block_key.map(|b| b ^ 0x5c));
         HmacCtx { inner, outer }
     }
 
@@ -53,9 +56,24 @@ impl HmacCtx {
 
     /// One-shot MAC of `message` under this key.
     pub fn mac(&self, message: &[u8]) -> [u8; DIGEST_LEN] {
-        let mut m = self.begin();
-        m.update(message);
-        m.finalize()
+        self.outer.digest_after(&self.inner.digest_after(message))
+    }
+
+    /// HKDF-Expand (RFC 5869 §2.3) with this context's key as the PRK.
+    pub(crate) fn expand(&self, info: &[u8], len: usize) -> Vec<u8> {
+        assert!(len <= 255 * DIGEST_LEN, "HKDF output too long");
+        let mut okm = Vec::with_capacity(len.next_multiple_of(DIGEST_LEN));
+        let mut counter = 1u8;
+        while okm.len() < len {
+            let mut mac = self.begin();
+            mac.update(&okm[okm.len().saturating_sub(DIGEST_LEN)..]);
+            mac.update(info);
+            mac.update(&[counter]);
+            okm.extend_from_slice(&mac.finalize());
+            counter = counter.wrapping_add(1); // loop exits before a 256th block is needed
+        }
+        okm.truncate(len);
+        okm
     }
 }
 
@@ -90,10 +108,7 @@ impl HmacSha256 {
 
     /// Produces the 32-byte tag.
     pub fn finalize(self) -> [u8; DIGEST_LEN] {
-        let inner_digest = self.inner.finalize();
-        let mut outer = self.outer;
-        outer.update(&inner_digest);
-        outer.finalize()
+        self.outer.digest_after(&self.inner.finalize())
     }
 }
 
@@ -113,22 +128,7 @@ pub fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
 ///
 /// Panics if `len > 255 * 32` (the RFC limit).
 pub fn hkdf_expand(prk: &[u8], info: &[u8], len: usize) -> Vec<u8> {
-    assert!(len <= 255 * DIGEST_LEN, "HKDF output too long");
-    let ctx = HmacCtx::new(prk);
-    let mut okm = Vec::with_capacity(len);
-    let mut t: Vec<u8> = Vec::new();
-    let mut counter = 1u8;
-    while okm.len() < len {
-        let mut mac = ctx.begin();
-        mac.update(&t);
-        mac.update(info);
-        mac.update(&[counter]);
-        t = mac.finalize().to_vec();
-        okm.extend_from_slice(&t);
-        counter = counter.wrapping_add(1); // loop exits before a 256th block is needed
-    }
-    okm.truncate(len);
-    okm
+    HmacCtx::new(prk).expand(info, len)
 }
 
 /// HKDF extract-then-expand in one call.

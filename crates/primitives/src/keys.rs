@@ -64,10 +64,12 @@ impl SymmetricKey {
 }
 
 impl Drop for SymmetricKey {
+    #[allow(unsafe_code)]
     fn drop(&mut self) {
         // Best-effort wipe; the optimizer may elide this, acceptable for a
         // research reproduction.
         for b in self.bytes.iter_mut() {
+            // SAFETY: `b` is a unique reference to one initialised byte.
             unsafe { std::ptr::write_volatile(b, 0) };
         }
     }

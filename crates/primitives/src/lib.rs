@@ -31,13 +31,25 @@
 //! # }
 //! ```
 //!
+//! # Two tiers
+//!
+//! AES, GHASH and the SHA-256 compression function each have two
+//! implementations: a portable one compiled on every architecture, and on
+//! x86-64 a hardware one (AES-NI, PCLMULQDQ, SHA-NI) in the private `isa`
+//! module. Each context picks its tier once, when it is created, from what
+//! the CPU reports; outputs are byte-identical, and [`backend`] says which
+//! tier is running. Nothing selects a tier from outside.
+//!
 //! # Security note
 //!
 //! Faithful to the algorithms but **not audited and not constant time**
-//! throughout (table-based AES, variable-time big-integer ops upstream).
-//! Do not reuse outside this reproduction.
+//! throughout (the portable tier's table-based AES and GHASH,
+//! variable-time big-integer ops upstream; the hardware tier's AES and
+//! GHASH instructions are data-independent). Do not reuse outside this
+//! reproduction.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 pub mod aes;
 pub mod cache;
 pub mod ct;
@@ -47,6 +59,121 @@ pub mod hmac;
 pub mod keys;
 pub mod prf;
 pub mod sha256;
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod isa;
+
+/// No hardware tier off x86-64: the witnesses cannot exist, every `detect`
+/// says so, and the methods behind them are unreachable.
+#[cfg(not(target_arch = "x86_64"))]
+mod isa {
+    #[derive(Clone, Copy)]
+    pub(crate) enum AesNi {}
+    #[derive(Clone, Copy)]
+    pub(crate) enum Clmul {}
+    #[derive(Clone, Copy)]
+    pub(crate) enum ShaNi {}
+
+    impl AesNi {
+        pub(crate) fn detect() -> Option<Self> {
+            None
+        }
+        pub(crate) fn encrypt_block(self, _: &[[u8; 16]], _: &mut [u8; 16]) {
+            match self {}
+        }
+        pub(crate) fn ctr_xor(self, _: &[[u8; 16]], _: &[u8; 16], _: &mut [u8]) {
+            match self {}
+        }
+    }
+
+    impl Clmul {
+        pub(crate) fn detect() -> Option<Self> {
+            None
+        }
+        pub(crate) fn ghash_key(self, _: u128) -> u128 {
+            match self {}
+        }
+        pub(crate) fn ghash_absorb(self, _: u128, _: u128, _: &[u8]) -> u128 {
+            match self {}
+        }
+    }
+
+    impl ShaNi {
+        pub(crate) fn detect() -> Option<Self> {
+            None
+        }
+        pub(crate) fn compress(self, _: &mut [u32; 8], _: &[[u8; 64]]) {
+            match self {}
+        }
+    }
+}
+
+/// Which tier the symmetric kernels run on in this process: the hardware
+/// kernels in use joined by `+` (`"aes-ni+pclmulqdq+sha-ni"` when all three
+/// are), or `"portable"` when none is.
+pub fn backend() -> &'static str {
+    const NAMES: [&str; 8] = [
+        "portable",
+        "aes-ni",
+        "pclmulqdq",
+        "aes-ni+pclmulqdq",
+        "sha-ni",
+        "aes-ni+sha-ni",
+        "pclmulqdq+sha-ni",
+        "aes-ni+pclmulqdq+sha-ni",
+    ];
+    NAMES[backend_bits() as usize]
+}
+
+/// [`backend`] as a bit set: 1 AES-NI, 2 PCLMULQDQ, 4 SHA-NI.
+fn backend_bits() -> u8 {
+    u8::from(isa::AesNi::detect().is_some())
+        | u8::from(isa::Clmul::detect().is_some()) << 1
+        | u8::from(isa::ShaNi::detect().is_some()) << 2
+}
+
+/// Exports the running tier as the info gauge `primitives.backend`
+/// ([`backend`] as a bit set: 1 AES-NI, 2 PCLMULQDQ, 4 SHA-NI; 0 is the
+/// portable tier), so a slow host can be told from a slow build by what
+/// the process itself reports.
+pub fn record_backend(recorder: &datablinder_obs::Recorder) {
+    recorder.gauge_set("primitives.backend", i64::from(backend_bits()));
+}
+
+/// The portable tier by name, for `tests/isa_differential.rs`: the contexts
+/// the public constructors build, pinned to the implementation every
+/// architecture compiles. Not a configuration surface: nothing in the
+/// product calls these, and no argument or variable switches a tier.
+#[doc(hidden)]
+pub mod portable {
+    use crate::{aes::Aes, gcm::AesGcm, hmac::HmacCtx, keys::SymmetricKey, sha256::Sha256, CryptoError};
+
+    /// [`Aes::new`] on the portable tier.
+    pub fn aes(key: &[u8]) -> Result<Aes, CryptoError> {
+        Aes::portable(key)
+    }
+
+    /// [`AesGcm::new`] on the portable tier.
+    pub fn gcm(key: &SymmetricKey) -> Result<AesGcm, CryptoError> {
+        AesGcm::portable(key)
+    }
+
+    /// [`Sha256::new`] on the portable tier.
+    pub fn sha256() -> Sha256 {
+        Sha256::portable()
+    }
+
+    /// [`HmacCtx::new`] on the portable tier.
+    pub fn hmac(key: &[u8]) -> HmacCtx {
+        HmacCtx::portable(key)
+    }
+
+    /// [`crate::hmac::hkdf`] on the portable tier.
+    pub fn hkdf(salt: &[u8], ikm: &[u8], info: &[u8], len: usize) -> Vec<u8> {
+        HmacCtx::portable(&HmacCtx::portable(salt).mac(ikm)).expand(info, len)
+    }
+}
 
 /// Errors produced by the primitives crate.
 #[derive(Debug, Clone, PartialEq, Eq)]

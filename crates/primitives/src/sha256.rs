@@ -1,11 +1,13 @@
 //! SHA-256 (FIPS 180-4).
 
+use crate::isa::ShaNi;
+
 /// Output size of SHA-256 in bytes.
 pub const DIGEST_LEN: usize = 32;
 /// Internal block size in bytes.
 pub const BLOCK_LEN: usize = 64;
 
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5, 0xd807aa98,
     0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
     0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da, 0x983e5152, 0xa831c66d, 0xb00327c8,
@@ -19,6 +21,10 @@ const K: [u32; 64] = [
 const H0: [u32; 8] = [0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19];
 
 /// Incremental SHA-256 hasher.
+///
+/// The compression function runs on one of two tiers, chosen when the
+/// hasher is created: SHA-NI where the CPU has it (`isa`), the portable
+/// scalar rounds below everywhere else. Digests are identical.
 ///
 /// # Examples
 ///
@@ -37,6 +43,7 @@ pub struct Sha256 {
     buffer: [u8; BLOCK_LEN],
     buffer_len: usize,
     total_len: u64,
+    hw: Option<ShaNi>,
 }
 
 impl Default for Sha256 {
@@ -48,7 +55,16 @@ impl Default for Sha256 {
 impl Sha256 {
     /// Creates a fresh hasher.
     pub fn new() -> Self {
-        Sha256 { state: H0, buffer: [0; BLOCK_LEN], buffer_len: 0, total_len: 0 }
+        Self::on(ShaNi::detect())
+    }
+
+    /// A fresh hasher pinned to the portable tier.
+    pub(crate) fn portable() -> Self {
+        Self::on(None)
+    }
+
+    fn on(hw: Option<ShaNi>) -> Self {
+        Sha256 { state: H0, buffer: [0; BLOCK_LEN], buffer_len: 0, total_len: 0, hw }
     }
 
     /// Absorbs `data`.
@@ -60,95 +76,96 @@ impl Sha256 {
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
             self.buffer_len += take;
             data = &data[take..];
-            if self.buffer_len == BLOCK_LEN {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
+            if self.buffer_len < BLOCK_LEN {
+                return;
             }
+            compress(&mut self.state, self.hw, std::slice::from_ref(&self.buffer));
+            self.buffer_len = 0;
         }
-        while data.len() >= BLOCK_LEN {
-            let (block, rest) = data.split_at(BLOCK_LEN);
-            let mut b = [0u8; BLOCK_LEN];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            data = rest;
-        }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffer_len = data.len();
-        }
+        // Whole blocks go to the compression function where they lie.
+        let (blocks, rest) = data.as_chunks::<BLOCK_LEN>();
+        compress(&mut self.state, self.hw, blocks);
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffer_len = rest.len();
     }
 
     /// Produces the digest, consuming the hasher.
-    pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80 then zeros until 8 bytes remain in the block.
-        self.update_padding();
-        let mut lenb = [0u8; 8];
-        lenb.copy_from_slice(&bit_len.to_be_bytes());
-        self.raw_absorb(&lenb);
-        let mut out = [0u8; DIGEST_LEN];
-        for (i, w) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
-        }
-        out
+    pub fn finalize(self) -> [u8; DIGEST_LEN] {
+        finish(self.state, self.hw, &self.buffer[..self.buffer_len], self.total_len)
     }
 
-    fn update_padding(&mut self) {
-        self.raw_absorb(&[0x80]);
-        while self.buffer_len != BLOCK_LEN - 8 {
-            self.raw_absorb(&[0]);
-        }
+    /// The digest of everything absorbed so far followed by `rest`, without
+    /// copying the hasher: what a MAC under a prepared key needs from its
+    /// midstate.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless a whole number of blocks has been absorbed.
+    pub(crate) fn digest_after(&self, rest: &[u8]) -> [u8; DIGEST_LEN] {
+        assert_eq!(self.buffer_len, 0, "digest_after continues from a block boundary");
+        let mut state = self.state;
+        let (blocks, tail) = rest.as_chunks::<BLOCK_LEN>();
+        compress(&mut state, self.hw, blocks);
+        finish(state, self.hw, tail, self.total_len.wrapping_add(rest.len() as u64))
     }
+}
 
-    /// Absorb without advancing `total_len` (used only for padding).
-    fn raw_absorb(&mut self, data: &[u8]) {
-        for &b in data {
-            self.buffer[self.buffer_len] = b;
-            self.buffer_len += 1;
-            if self.buffer_len == BLOCK_LEN {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
-            }
-        }
+/// Pads `tail` (the bytes after the last whole block, fewer than 64) as the
+/// end of a `total_len`-byte message and returns the digest: `0x80`, zeros
+/// and the bit length fill one block, or two when fewer than nine bytes are
+/// free, in one call of the compression function.
+fn finish(mut state: [u32; 8], hw: Option<ShaNi>, tail: &[u8], total_len: u64) -> [u8; DIGEST_LEN] {
+    let mut last = [[0u8; BLOCK_LEN]; 2];
+    let blocks = if tail.len() < BLOCK_LEN - 8 { 1 } else { 2 };
+    last[0][..tail.len()].copy_from_slice(tail);
+    last[0][tail.len()] = 0x80;
+    last[blocks - 1][BLOCK_LEN - 8..].copy_from_slice(&total_len.wrapping_mul(8).to_be_bytes());
+    compress(&mut state, hw, &last[..blocks]);
+    let mut out = [0u8; DIGEST_LEN];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
     }
+    out
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([block[4 * i], block[4 * i + 1], block[4 * i + 2], block[4 * i + 3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+/// The compression function over every block of `blocks`, on the tier the
+/// hasher was created with.
+fn compress(state: &mut [u32; 8], hw: Option<ShaNi>, blocks: &[[u8; BLOCK_LEN]]) {
+    match hw {
+        Some(hw) => hw.compress(state, blocks),
+        None => blocks.iter().for_each(|block| compress_portable(state, block)),
+    }
+}
+
+fn compress_portable(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    let mut w = [0u32; 64];
+    for (w, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *w = u32::from_be_bytes(bytes.try_into().expect("exact 4-byte word"));
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -160,9 +177,7 @@ impl Sha256 {
 /// assert_eq!(d[0], 0xba);
 /// ```
 pub fn digest(data: &[u8]) -> [u8; DIGEST_LEN] {
-    let mut h = Sha256::new();
-    h.update(data);
-    h.finalize()
+    Sha256::new().digest_after(data)
 }
 
 #[cfg(test)]

@@ -1,14 +1,13 @@
-//! Differential property tests for the batched/table-driven symmetric
-//! fast paths against their straight-line oracles.
-//!
-//! Every optimization in the symmetric layer keeps its predecessor as a
-//! reference implementation: `gf_mul` for table GHASH,
-//! `Aes::encrypt_block_ref` for the T-table rounds, `ctr_xor_scalar` for
-//! the multi-block keystream, and `AesGcm::seal_scalar` for the whole
-//! seal pipeline. These proptests pin the pairs byte-for-byte.
+//! Differential property tests for the symmetric kernels against the
+//! bitwise definitions in `bitwise/`: the AES rounds, the CTR keystream,
+//! GHASH and the whole seal pipeline must equal them byte for byte on
+//! whichever tier this CPU selects (`isa_differential` pins the two tiers
+//! to each other).
+
+mod bitwise;
 
 use datablinder_primitives::aes::Aes;
-use datablinder_primitives::ctr::{counter_block, ctr_xor, ctr_xor_scalar};
+use datablinder_primitives::ctr::{counter_block, ctr_xor};
 use datablinder_primitives::gcm::AesGcm;
 use datablinder_primitives::hmac::{hmac_sha256, HmacCtx};
 use datablinder_primitives::keys::SymmetricKey;
@@ -24,47 +23,48 @@ fn any_key() -> impl Strategy<Value = Vec<u8>> {
 
 proptest! {
     #[test]
-    fn ttable_aes_matches_bytewise_oracle(key in any_key(),
-                                          block in prop::collection::vec(any::<u8>(), 16..=16)) {
+    fn aes_matches_bytewise_definition(key in any_key(),
+                                       block in prop::collection::vec(any::<u8>(), 16..=16)) {
         let aes = Aes::new(&key).unwrap();
         let mut fast: [u8; 16] = block.clone().try_into().unwrap();
         let mut slow = fast;
         aes.encrypt_block(&mut fast);
-        aes.encrypt_block_ref(&mut slow);
+        bitwise::Aes::new(&key).encrypt_block(&mut slow);
         prop_assert_eq!(fast, slow);
     }
 
     #[test]
-    fn batched_ctr_matches_scalar_oracle(key in any_key(),
-                                         nonce in prop::collection::vec(any::<u8>(), 12..=12),
-                                         count in any::<u32>(),
-                                         data in prop::collection::vec(any::<u8>(), 0..600)) {
+    fn ctr_matches_block_at_a_time_definition(key in any_key(),
+                                              nonce in prop::collection::vec(any::<u8>(), 12..=12),
+                                              count in any::<u32>(),
+                                              data in prop::collection::vec(any::<u8>(), 0..600)) {
         let aes = Aes::new(&key).unwrap();
         let iv = counter_block(&nonce.try_into().unwrap(), count);
         let mut fast = data.clone();
         let mut slow = data;
         ctr_xor(&aes, &iv, &mut fast);
-        ctr_xor_scalar(&aes, &iv, &mut slow);
+        bitwise::ctr_xor(&bitwise::Aes::new(&key), &iv, &mut slow);
         prop_assert_eq!(fast, slow);
     }
 
     #[test]
-    fn table_ghash_matches_gf_mul_oracle(key in any_key(),
+    fn ghash_matches_bit_loop_definition(key in any_key(),
                                          aad in prop::collection::vec(any::<u8>(), 0..64),
                                          ct in prop::collection::vec(any::<u8>(), 0..300)) {
         let cipher = AesGcm::new(&SymmetricKey::from_bytes(&key)).unwrap();
-        prop_assert_eq!(cipher.ghash(&aad, &ct), cipher.ghash_ref(&aad, &ct));
+        let h = bitwise::hash_subkey(&bitwise::Aes::new(&key));
+        prop_assert_eq!(cipher.ghash(&aad, &ct), bitwise::ghash(h, &aad, &ct));
     }
 
     #[test]
-    fn seal_matches_scalar_seal_oracle(key in any_key(),
-                                       nonce in prop::collection::vec(any::<u8>(), 12..=12),
-                                       aad in prop::collection::vec(any::<u8>(), 0..32),
-                                       pt in prop::collection::vec(any::<u8>(), 0..300)) {
+    fn seal_matches_definition(key in any_key(),
+                               nonce in prop::collection::vec(any::<u8>(), 12..=12),
+                               aad in prop::collection::vec(any::<u8>(), 0..32),
+                               pt in prop::collection::vec(any::<u8>(), 0..300)) {
         let cipher = AesGcm::new(&SymmetricKey::from_bytes(&key)).unwrap();
         let nonce: [u8; 12] = nonce.try_into().unwrap();
         let fast = cipher.seal(&nonce, &aad, &pt);
-        let slow = cipher.seal_scalar(&nonce, &aad, &pt);
+        let slow = bitwise::seal(&key, &nonce, &aad, &pt);
         prop_assert_eq!(&fast, &slow);
         prop_assert_eq!(cipher.open(&nonce, &aad, &fast).unwrap(), pt);
     }

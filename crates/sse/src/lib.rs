@@ -20,6 +20,7 @@
 //! the simulated gateway↔cloud channel.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 pub mod biex;
 pub mod bloom;
 pub mod det;

@@ -28,6 +28,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 pub mod clients;
 pub mod report;
 pub mod runner;

@@ -33,6 +33,22 @@ if grep -nE '^(bytes|serde)\b' Cargo.toml crates/*/Cargo.toml; then
     exit 1
 fi
 
+echo "==> unsafe inventory: crates/primitives/src/isa.rs and the key wipe in keys.rs, nowhere else"
+# Comments may say the word; code may not. Every other crate root carries
+# #![forbid(unsafe_code)], and primitives denies it outside these two files.
+unsafe_files="$(grep -rlE '^[^/]*\bunsafe\b' --include='*.rs' crates/*/src src | sort | tr '\n' ' ')"
+[ "$unsafe_files" = "crates/primitives/src/isa.rs crates/primitives/src/keys.rs " ] ||
+    { echo "unsafe outside the inventory: $unsafe_files" >&2; exit 1; }
+[ "$(grep -cE '^[^/]*\bunsafe\b' crates/primitives/src/keys.rs)" = 1 ] ||
+    { echo "keys.rs may hold one unsafe block, the zeroizing drop" >&2; exit 1; }
+for root in crates/*/src/lib.rs crates/cloudd/src/main.rs src/lib.rs; do
+    [ "$root" = crates/primitives/src/lib.rs ] || grep -q '^#!\[forbid(unsafe_code)\]' "$root" ||
+        { echo "$root must carry #![forbid(unsafe_code)]" >&2; exit 1; }
+done
+# Each unsafe block states why it is sound within the three lines above it.
+awk '/^[^\/]*unsafe \{/ && (p1 p2 p3) !~ /SAFETY:/ { print FILENAME ":" FNR ": unsafe block without a SAFETY comment"; bad = 1 }
+     { p3 = p2; p2 = p1; p1 = $0 } END { exit bad }' crates/primitives/src/isa.rs crates/primitives/src/keys.rs
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -45,7 +61,8 @@ cargo test --release -q --test resilience
 echo "==> cargo test --release --test concurrency (shared-gateway model suite)"
 cargo test --release -q --test concurrency
 
-echo "==> cargo test --release --test symmetric_props (table-GHASH / batched-CTR / batch-seal differential oracles)"
+echo "==> cargo test --release: symmetric differentials (hardware tier ≡ portable tier ≡ published vectors; both ≡ the bitwise definitions)"
+cargo test --release -q -p datablinder-primitives --test isa_differential
 cargo test --release -q -p datablinder-primitives --test symmetric_props
 
 echo "==> cargo test --release: Paillier differentials (Montgomery product fold + linear decode, sum ≡ iterated add, factor-drawn obfuscators ≡ r^n mod n²)"
@@ -86,15 +103,10 @@ grep -q '"crt_not_slower":true' "$CRYPTO_JSON" ||
     { echo "crypto smoke: CRT decrypt slower than plain-lambda decrypt" >&2; cat "$CRYPTO_JSON" >&2; exit 1; }
 grep -q '"cached_encrypt_faster":true' "$CRYPTO_JSON" ||
     { echo "crypto smoke: amortized encryption not faster than per-call-context path" >&2; cat "$CRYPTO_JSON" >&2; exit 1; }
-grep -q '"ghash_tables_mib_per_sec":' "$CRYPTO_JSON" && grep -q '"ctr_batched_mib_per_sec":' "$CRYPTO_JSON" &&
-    grep -q '"seal_batched_ops_per_sec":' "$CRYPTO_JSON" && grep -q '"hmac_ctx_ops_per_sec":' "$CRYPTO_JSON" ||
-    { echo "crypto smoke: symmetric throughput fields missing" >&2; cat "$CRYPTO_JSON" >&2; exit 1; }
-grep -q '"ghash_tables_faster":true' "$CRYPTO_JSON" ||
-    { echo "crypto smoke: table GHASH under the 5x floor over the bit-loop" >&2; cat "$CRYPTO_JSON" >&2; exit 1; }
-grep -q '"ctr_batched_faster":true' "$CRYPTO_JSON" ||
-    { echo "crypto smoke: batched CTR regressed against the path it replaced" >&2; cat "$CRYPTO_JSON" >&2; exit 1; }
-grep -q '"seal_batched_faster":true' "$CRYPTO_JSON" ||
-    { echo "crypto smoke: batch seal not faster than the scalar seal pipeline" >&2; cat "$CRYPTO_JSON" >&2; exit 1; }
+grep -q '"backend":"' "$CRYPTO_JSON" && grep -q '"ghash_mib_per_sec":' "$CRYPTO_JSON" &&
+    grep -q '"ctr_mib_per_sec":' "$CRYPTO_JSON" && grep -q '"seal_ops_per_sec":' "$CRYPTO_JSON" &&
+    grep -q '"hmac_ctx_ops_per_sec":' "$CRYPTO_JSON" ||
+    { echo "crypto smoke: symmetric backend or throughput fields missing" >&2; cat "$CRYPTO_JSON" >&2; exit 1; }
 rm -f "$CRYPTO_JSON"
 
 echo "==> cluster-bench smoke: node-count ladder emits BENCH_cluster.json with quorum throughput fields"
@@ -142,6 +154,8 @@ for _ in $(seq 1 50); do
 done
 [ -n "$CLOUDD_ADDR" ] ||
     { echo "tcp smoke: daemon never printed LISTENING" >&2; cat "$CLOUDD_LOG" >&2; exit 1; }
+grep -q '^BACKEND ' "$CLOUDD_LOG" ||
+    { echo "tcp smoke: daemon did not say which symmetric backend it runs" >&2; cat "$CLOUDD_LOG" >&2; exit 1; }
 ./target/release/datablinder-cloudd --smoke "$CLOUDD_ADDR" | grep -q '^PONG' ||
     { echo "tcp smoke: ping against $CLOUDD_ADDR failed" >&2; exit 1; }
 kill "$CLOUDD_PID" 2> /dev/null || true

@@ -45,6 +45,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 pub use datablinder_bigint as bigint;
 pub use datablinder_codec as codec;
 pub use datablinder_core as core;
