@@ -179,7 +179,7 @@ impl CloudEngine {
         engine.register(Arc::new(tactics::mitra::MitraCloud::new(kv.clone())));
         engine.register(Arc::new(tactics::sophos::SophosCloud::new(kv.clone())));
         engine.register(Arc::new(tactics::ore::OreCloud::new(kv.clone())));
-        engine.register(Arc::new(tactics::paillier::PaillierCloud::new(kv.clone(), docs.clone())));
+        engine.register(Arc::new(tactics::paillier::PaillierCloud::new(docs.clone())));
         engine.register(Arc::new(tactics::biex::BiexCloud::new(kv.clone(), tactics::biex::BiexVariant::TwoLev)));
         engine.register(Arc::new(tactics::biex::BiexCloud::new(kv, tactics::biex::BiexVariant::Zmf)));
         engine
@@ -221,7 +221,7 @@ impl CloudEngine {
         let started = recorder.start();
         std::fs::create_dir_all(dir).map_err(datablinder_kvstore::KvError::from)?;
         let mut engine = CloudEngine::with_dedup_capacity(opts.dedup_capacity.unwrap_or(DEFAULT_DEDUP_CAPACITY));
-        engine.obs = recorder;
+        engine.set_recorder(recorder);
         let engine = engine;
         // Replay journaled mutations through the normal dispatcher so
         // every tactic index rebuilds exactly as it was built live, and
@@ -306,6 +306,7 @@ impl CloudEngine {
 
     /// Registers a cloud tactic handler (SPI extension point).
     pub fn register(&mut self, tactic: Arc<dyn CloudTactic>) {
+        tactic.attach_recorder(&self.obs);
         self.tactics.insert(tactic.name(), tactic);
     }
 
@@ -313,6 +314,9 @@ impl CloudEngine {
     /// counters, dedup-cache hits and WAL/snapshot activity record into
     /// it. The default recorder is disabled (one atomic load per call).
     pub fn set_recorder(&mut self, recorder: Recorder) {
+        for tactic in self.tactics.values() {
+            tactic.attach_recorder(&recorder);
+        }
         self.obs = recorder;
     }
 

@@ -119,13 +119,17 @@ impl FindIdsDnf {
     }
 }
 
-/// `agg/paillier/.../sum`: homomorphic sum over a stored ciphertext field.
+/// `tactic/paillier/<scope>/sum`: homomorphic sum over a stored ciphertext
+/// field. The request names the key it is evaluated under, so the cloud
+/// keeps nothing per scope and any node can answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PaillierSum {
     /// Target collection.
     pub collection: String,
     /// Stored (shadow) field with Paillier ciphertexts.
     pub field: String,
+    /// The public modulus `n`, big-endian.
+    pub modulus: Vec<u8>,
     /// Restrict to these document ids (hex); empty = whole collection.
     pub ids: Vec<String>,
 }
@@ -134,7 +138,7 @@ impl PaillierSum {
     /// Serializes.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        w.str(&self.collection).str(&self.field).list(&self.ids);
+        w.str(&self.collection).str(&self.field).bytes(&self.modulus).list(&self.ids);
         w.finish()
     }
 
@@ -145,9 +149,41 @@ impl PaillierSum {
     /// [`CoreError::Wire`] on malformed input.
     pub fn decode(buf: &[u8]) -> Result<Self, CoreError> {
         decode(buf, |r| {
-            let (collection, field) = (r.str()?.into(), r.str()?.into());
+            let (collection, field, modulus) = (r.str()?.into(), r.str()?.into(), r.bytes()?.to_vec());
             let ids = (0..r.count()?).map(|_| r.str().map(String::from)).collect::<Result<_, _>>()?;
-            Ok(PaillierSum { collection, field, ids })
+            Ok(PaillierSum { collection, field, modulus, ids })
+        })
+    }
+}
+
+/// `tactic/paillier/<scope>/combine`: folds the partial sums of a clustered
+/// cloud's partitions into one, under the key the partials were summed
+/// under.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PaillierCombine {
+    /// The public modulus `n`, big-endian.
+    pub modulus: Vec<u8>,
+    /// Encoded [`PaillierSumResponse`]s, one per partition.
+    pub partials: Vec<Vec<u8>>,
+}
+
+impl PaillierCombine {
+    /// Serializes.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.bytes(&self.modulus).list(&self.partials);
+        w.finish()
+    }
+
+    /// Deserializes.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Wire`] on malformed input.
+    pub fn decode(buf: &[u8]) -> Result<Self, CoreError> {
+        decode(buf, |r| {
+            let modulus = r.bytes()?.to_vec();
+            Ok(PaillierCombine { modulus, partials: r.list()?.into_iter().map(<[u8]>::to_vec).collect() })
         })
     }
 }
@@ -633,7 +669,7 @@ mod tests {
             "tactic/mitra/notes:owner/insert",
             "tactic/sophos/notes:owner/update",
             "tactic/ore/notes:eff/delete",
-            "tactic/paillier/notes:value/setup",
+            "tactic/sophos/notes:owner/setup",
             "sync/put",
             "sync/retire",
             "something/new",
@@ -654,6 +690,7 @@ mod tests {
             "tactic/biex2lev/notes:flags/base_search",
             "tactic/ore/notes:eff/range",
             "tactic/paillier/notes:value/sum",
+            "tactic/paillier/notes:value/combine",
             "sync/begin",
             "sync/chunk",
             "sync/end",

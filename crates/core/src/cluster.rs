@@ -66,9 +66,9 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::cloud::{split_collection, with_collection, CloudEngine};
 use crate::cloudproto::{
-    is_write_route, BlobList, ChunkRequest, ChunkResponse, DigestRequest, DigestResponse, Idempotent, PaillierSum,
-    PaillierSumResponse, RangeSelect, SyncEntries, SyncEntry, TransferBegin, TransferInfo, WalTailRequest, ENTRY_DOC,
-    ENTRY_INDEX, ENTRY_KV, IDEM_ROUTE,
+    is_write_route, BlobList, ChunkRequest, ChunkResponse, DigestRequest, DigestResponse, Idempotent, PaillierCombine,
+    PaillierSum, PaillierSumResponse, RangeSelect, SyncEntries, SyncEntry, TransferBegin, TransferInfo, WalTailRequest,
+    ENTRY_DOC, ENTRY_INDEX, ENTRY_KV, IDEM_ROUTE,
 };
 use crate::durability::{apply_snapshot, snapshot_path, wal_path, DurabilityOptions, WalRecord};
 use crate::error::CoreError;
@@ -1837,9 +1837,10 @@ impl ClusterCloud {
     }
 
     /// Distributes a Paillier sum: each partition node folds its own
-    /// documents under the scope's public key, and one of them multiplies
-    /// the partial ciphertexts together (`combine`) — the cluster never
-    /// needs the secret key, preserving the tactic's security model.
+    /// documents under the public key the request carries, and one of them
+    /// multiplies the partial ciphertexts together (`combine`) — the cluster
+    /// never needs the secret key, preserving the tactic's security model,
+    /// and no node needs to have seen the key before.
     fn read_paillier_sum(
         &self,
         topo: &Topology,
@@ -1848,15 +1849,16 @@ impl ClusterCloud {
         payload: &[u8],
     ) -> Result<Vec<u8>, NetError> {
         let req = PaillierSum::decode(payload).map_err(remote)?;
-        let ids = if req.ids.is_empty() { self.union_ids(topo, &req.collection)? } else { req.ids.clone() };
+        let ids = if req.ids.is_empty() { self.union_ids(topo, &req.collection)? } else { req.ids };
         if ids.is_empty() {
             return Ok(PaillierSumResponse { ciphertext: Vec::new(), count: 0 }.encode());
         }
         let per_node = self.partition_ids(topo, &req.collection, ids)?;
         let mut partials = Vec::with_capacity(per_node.len());
         let mut combine_at = None;
+        let mut sub = PaillierSum { ids: Vec::new(), ..req };
         for (node, ids) in per_node {
-            let sub = PaillierSum { collection: req.collection.clone(), field: req.field.clone(), ids };
+            sub.ids = ids;
             match topo.channels[node].call(route, &sub.encode()) {
                 Ok(resp) => {
                     combine_at.get_or_insert(node);
@@ -1872,12 +1874,11 @@ impl ClusterCloud {
         if partials.len() == 1 {
             return Ok(partials.pop().expect("one partial"));
         }
-        let mut w = Writer::new();
-        w.list(&partials);
+        let combine = PaillierCombine { modulus: sub.modulus, partials };
         let combine_route = format!("tactic/paillier/{scope}/combine");
-        // Any node that served a partial holds the scope key.
+        // A node that just served a partial is reachable.
         let at = combine_at.expect("at least one partition");
-        match topo.channels[at].call(&combine_route, &w.finish()) {
+        match topo.channels[at].call(&combine_route, &combine.encode()) {
             Ok(resp) => Ok(resp),
             Err(NetError::Remote(m)) => Err(NetError::Remote(m)),
             Err(_) => Err(NetError::Unavailable(format!("paillier combine on node {at} unreachable"))),

@@ -1315,11 +1315,15 @@ impl GatewayEngine {
                 .get(field)
                 .and_then(|p| p.selection.agg_tactics.first().cloned())
                 .ok_or_else(|| CoreError::UnsupportedOperation(format!("field {field} has no aggregate tactic")))?;
-            let ids: Vec<DocId> = match filter {
+            let ids = match filter {
                 None => Vec::new(),
                 Some(dnf) => {
-                    let docs = g.find_boolean(schema_name, dnf)?;
-                    docs.iter().filter_map(|d| DocId::from_hex(d.id())).collect()
+                    let ids = g.boolean_ids(schema_name, dnf)?;
+                    if ids.is_empty() {
+                        // To the cloud an empty id list is the whole collection.
+                        return Ok(0.0);
+                    }
+                    ids
                 }
             };
             let started = g.obs.start();

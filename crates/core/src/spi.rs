@@ -290,6 +290,11 @@ pub trait CloudTactic: Send + Sync {
     /// The tactic name this handler serves.
     fn name(&self) -> &'static str;
 
+    /// Hands the handler the engine's observability recorder (at
+    /// registration and whenever the engine's changes). Handlers that count
+    /// nothing ignore it.
+    fn attach_recorder(&self, _recorder: &Recorder) {}
+
     /// Handles one operation for a scope.
     ///
     /// # Errors

@@ -501,13 +501,9 @@ mod tests {
             assert_eq!(kv_domain(key), Domain::Scoped(routing.to_vec()), "{}", String::from_utf8_lossy(key));
         }
         // Broadcast: setup keys, base builds, non-tactic state.
-        for key in [
-            &b"t/sophos/notes:owner/__pk__"[..],
-            b"t/paillier/notes:value/__pk__",
-            b"t/biex-zmf/notes:flags/b/esk",
-            b"meta/schema/notes",
-            b"t/weird",
-        ] {
+        for key in
+            [&b"t/sophos/notes:owner/__pk__"[..], b"t/biex-zmf/notes:flags/b/esk", b"meta/schema/notes", b"t/weird"]
+        {
             assert_eq!(kv_domain(key), Domain::Broadcast, "{}", String::from_utf8_lossy(key));
         }
     }

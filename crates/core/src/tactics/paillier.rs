@@ -4,21 +4,22 @@
 //! values encoded in `Z_n`'s upper half) into a shadow field; the cloud
 //! multiplies ciphertexts — adding the plaintexts — without a decryption
 //! key. Table 2 lists key management as the integration challenge: the
-//! keypair lives in the KMS, only the public modulus goes to the cloud.
+//! keypair lives in the KMS, and the public modulus travels inside every
+//! `sum` request, so the cloud stores no key and an aggregate is one read.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use datablinder_bigint::BigUint;
-use datablinder_docstore::{DocStore, Document, Filter, Value};
-use datablinder_kvstore::KvStore;
+use datablinder_docstore::{Cursor, DocStore, Document, Value};
 use datablinder_obs::Recorder;
 use datablinder_paillier::{Ciphertext, Keypair, PublicKey, RandomizerPool};
 use datablinder_sse::DocId;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use rand::RngCore;
 
 use super::{aggregable_i64, shadow_field, TacticContext, AGG_SCALE};
-use crate::cloudproto::{PaillierSum, PaillierSumResponse};
+use crate::cloudproto::{PaillierCombine, PaillierSum, PaillierSumResponse};
 use crate::error::CoreError;
 use crate::model::*;
 use crate::spi::{CloudCall, CloudTactic, GatewayTactic, ProtectedField};
@@ -63,9 +64,7 @@ pub struct PaillierTactic {
     keypair: Keypair,
     pool: RandomizerPool,
     collection: String,
-    route_setup: String,
     route_sum: String,
-    setup_sent: bool,
 }
 
 impl PaillierTactic {
@@ -95,14 +94,7 @@ impl PaillierTactic {
             kp
         };
         let pool = RandomizerPool::new(keypair.clone(), POOL_BATCH);
-        Ok(PaillierTactic {
-            keypair,
-            pool,
-            collection: ctx.schema.clone(),
-            route_setup: ctx.route("paillier", "setup"),
-            route_sum: ctx.route("paillier", "sum"),
-            setup_sent: false,
-        })
+        Ok(PaillierTactic { keypair, pool, collection: ctx.schema.clone(), route_sum: ctx.route("paillier", "sum") })
     }
 
     /// Encodes a signed scaled value into `Z_n` (upper half = negative).
@@ -116,23 +108,20 @@ impl PaillierTactic {
     }
 
     /// Decodes a `Z_n` plaintext back to a signed value.
-    fn decode_plain(&self, m: &BigUint) -> i64 {
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Crypto`] when the magnitude does not fit an `i64`: no
+    /// sum of stored values gets there, so the cloud's answer was not one.
+    fn decode_plain(&self, m: &BigUint) -> Result<i64, CoreError> {
         let n = self.keypair.public().modulus();
         let half = n / &BigUint::from(2u64);
-        if m > &half {
-            let mag = n - m;
-            -(mag.to_u64().unwrap_or(u64::MAX) as i64)
+        let decoded = if m > &half {
+            (n - m).to_u64().and_then(|magnitude| 0i64.checked_sub_unsigned(magnitude))
         } else {
-            m.to_u64().unwrap_or(u64::MAX) as i64
-        }
-    }
-
-    fn setup_call(&mut self) -> Option<CloudCall> {
-        if self.setup_sent {
-            return None;
-        }
-        self.setup_sent = true;
-        Some(CloudCall::new(self.route_setup.clone(), self.keypair.public().to_bytes()))
+            m.to_u64().and_then(|v| i64::try_from(v).ok())
+        };
+        decoded.ok_or_else(|| CoreError::Crypto("aggregate out of range".into()))
     }
 }
 
@@ -159,40 +148,31 @@ impl GatewayTactic for PaillierTactic {
         }
         let obfuscator = self.pool.take(rng);
         let ct = self.keypair.public().encrypt_with(&m, &obfuscator)?;
-        let mut index_calls = Vec::new();
-        if let Some(setup) = self.setup_call() {
-            index_calls.push(setup);
-        }
-        Ok(ProtectedField { stored: vec![(shadow_field(field, "phe"), Value::Bytes(ct.to_bytes()))], index_calls })
+        Ok(ProtectedField {
+            stored: vec![(shadow_field(field, "phe"), Value::Bytes(ct.to_bytes()))],
+            index_calls: Vec::new(),
+        })
     }
 
     fn agg_query(&mut self, field: &str, _agg: AggFn, ids: &[DocId]) -> Result<Vec<CloudCall>, CoreError> {
-        // The setup call rides along unconditionally: it is idempotent, and
-        // gating it on `setup_sent` races under a shared gateway — another
-        // thread's insert may have claimed the flag without its group having
-        // reached the cloud yet, letting this `sum` arrive at a cloud that
-        // has no public key. In-batch ordering puts setup before sum.
-        self.setup_sent = true;
-        let mut calls = vec![CloudCall::new(self.route_setup.clone(), self.keypair.public().to_bytes())];
         let req = PaillierSum {
             collection: self.collection.clone(),
             field: shadow_field(field, "phe"),
+            modulus: self.keypair.public().to_bytes(),
             ids: ids.iter().map(|id| id.to_hex()).collect(),
         };
-        calls.push(CloudCall::new(self.route_sum.clone(), req.encode()));
-        Ok(calls)
+        Ok(vec![CloudCall::new(self.route_sum.clone(), req.encode())])
     }
 
     fn agg_resolve(&self, agg: AggFn, responses: &[Vec<u8>]) -> Result<f64, CoreError> {
-        // The sum response is the last one (a setup call may precede it).
-        let response = responses.last().ok_or(CoreError::Wire("paillier response arity"))?;
+        let [response] = responses else { return Err(CoreError::Wire("paillier response arity")) };
         let resp = PaillierSumResponse::decode(response)?;
         if resp.count == 0 {
             return Ok(0.0);
         }
         let ct = Ciphertext::from_bytes(&resp.ciphertext);
         let m = self.keypair.decrypt(&ct)?;
-        let sum = self.decode_plain(&m) as f64 / AGG_SCALE;
+        let sum = self.decode_plain(&m)? as f64 / AGG_SCALE;
         Ok(match agg {
             AggFn::Sum => sum,
             AggFn::Avg => sum / resp.count as f64,
@@ -201,44 +181,103 @@ impl GatewayTactic for PaillierTactic {
     }
 }
 
-/// Cloud half: multiplies stored ciphertexts under the scope's public key.
-///
-/// Decoded public keys are cached per scope so the `n²` Montgomery context
-/// survives across sum requests instead of being rebuilt from the stored
-/// modulus bytes on every call.
+/// Widest modulus (8192 bits) the cloud builds an evaluation context for:
+/// the bytes come off the wire, and a context costs a full-width square and
+/// division.
+const MAX_MODULUS_BYTES: usize = 1024;
+
+/// What earlier whole-collection sums of one field already multiplied
+/// together. Derived from stored ciphertexts alone and never persisted: a
+/// restart, like anything else that voids `cursor`, costs one full fold.
+struct Carried {
+    key: Arc<PublicKey>,
+    /// Where the fold stopped ([`datablinder_docstore::Collection::scan_from`]).
+    cursor: Cursor,
+    /// The product of the field's ciphertexts before `cursor`, reduced mod
+    /// `n²` ([`Ciphertext::to_bytes`] form); `None` while there are none.
+    product: Option<Vec<u8>>,
+    /// How many ciphertexts `product` holds.
+    count: u64,
+}
+
+/// Cloud half: multiplies stored ciphertexts under the key each request
+/// names. Nothing here outlives the process or is needed to answer — the
+/// evaluation contexts (the `n²` Montgomery domain) and the carried
+/// products are caches over the request and the stored documents.
 pub struct PaillierCloud {
-    kv: KvStore,
     docs: DocStore,
-    pk_cache: Mutex<HashMap<String, PublicKey>>,
+    /// Evaluation contexts by modulus bytes as sent.
+    keys: Mutex<HashMap<Vec<u8>, Arc<PublicKey>>>,
+    /// `(scope, collection, field)` -> what its whole-collection sum holds.
+    carried: Mutex<HashMap<(String, String, String), Arc<Carried>>>,
+    obs: RwLock<Recorder>,
 }
 
 impl PaillierCloud {
-    /// Creates the handler over the cloud stores.
-    pub fn new(kv: KvStore, docs: DocStore) -> Self {
-        PaillierCloud { kv, docs, pk_cache: Mutex::new(HashMap::new()) }
-    }
-
-    fn pk_key(scope: &str) -> Vec<u8> {
-        let mut k = b"t/paillier/".to_vec();
-        k.extend_from_slice(scope.as_bytes());
-        k.extend_from_slice(b"/__pk__");
-        k
-    }
-
-    /// The scope's public key, decoded once and cached (kv remains the
-    /// durable source of truth; setup refreshes the cache).
-    fn scope_pk(&self, scope: &str) -> Result<PublicKey, CoreError> {
-        if let Some(pk) = self.pk_cache.lock().get(scope) {
-            return Ok(pk.clone());
+    /// Creates the handler over the cloud's document store.
+    pub fn new(docs: DocStore) -> Self {
+        PaillierCloud {
+            docs,
+            keys: Mutex::new(HashMap::new()),
+            carried: Mutex::new(HashMap::new()),
+            obs: RwLock::new(Recorder::default()),
         }
-        let pk_bytes = self
-            .kv
-            .get(&Self::pk_key(scope))
-            .ok_or_else(|| CoreError::Storage(format!("paillier scope {scope} not set up")))?;
-        let pk = PublicKey::from_bytes(&pk_bytes)?;
-        self.pk_cache.lock().insert(scope.to_string(), pk.clone());
-        Ok(pk)
     }
+
+    /// The evaluation context for `modulus`, built on first sight.
+    fn key(&self, modulus: &[u8]) -> Result<Arc<PublicKey>, CoreError> {
+        if modulus.len() > MAX_MODULUS_BYTES {
+            return Err(CoreError::Crypto("paillier modulus too wide".into()));
+        }
+        if let Some(key) = self.keys.lock().get(modulus) {
+            return Ok(key.clone());
+        }
+        let key = Arc::new(PublicKey::from_bytes(modulus)?);
+        self.keys.lock().insert(modulus.to_vec(), key.clone());
+        Ok(key)
+    }
+
+    /// The whole-collection sum: the carried product times the ciphertexts
+    /// of the documents that arrived since, which is the product of them
+    /// all whenever nothing is carried.
+    fn sum_collection(&self, scope: &str, req: &PaillierSum, key: &Arc<PublicKey>) -> PaillierSumResponse {
+        let slot = (scope.to_string(), req.collection.clone(), req.field.clone());
+        let held = self.carried.lock().get(&slot).filter(|c| c.key == *key).cloned();
+        let since = held.as_ref().map(|c| c.cursor).unwrap_or_default();
+        let (cursor, (skipped, product, count)) =
+            self.docs.collection(&req.collection).scan_from(since, |skipped, docs| {
+                let carried = held.as_deref().filter(|_| skipped > 0);
+                let (product, fresh) = fold(key, &req.field, carried.and_then(|c| c.product.as_deref()), docs);
+                (skipped, product, carried.map_or(0, |c| c.count) + fresh)
+            });
+        let obs = self.obs.read();
+        obs.count("cloud.paillier.fold.carried", skipped as u64);
+        if held.as_ref().is_none_or(|c| skipped < c.cursor.position()) {
+            obs.count("cloud.paillier.fold.rescans", 1);
+        }
+        if held.is_none_or(|c| c.cursor != cursor) {
+            let carried = Carried { key: key.clone(), cursor, product: product.clone(), count };
+            self.carried.lock().insert(slot, Arc::new(carried));
+        }
+        PaillierSumResponse { ciphertext: product.unwrap_or_default(), count }
+    }
+}
+
+/// Multiplies `carried` and the `field` ciphertexts of `docs` together
+/// under `key`; also returns how many documents contributed one.
+fn fold<'a, 'd: 'a>(
+    key: &PublicKey,
+    field: &str,
+    carried: Option<&'a [u8]>,
+    docs: &'a mut dyn Iterator<Item = &'d Document>,
+) -> (Option<Vec<u8>>, u64) {
+    let mut count = 0u64;
+    let stored = docs.filter_map(|doc| match doc.get(field) {
+        Some(Value::Bytes(ct)) => Some(ct.as_slice()),
+        _ => None,
+    });
+    let product = key.sum(carried.into_iter().chain(stored.inspect(|_| count += 1)));
+    (product.map(|c| c.to_bytes()), count)
 }
 
 impl CloudTactic for PaillierCloud {
@@ -246,55 +285,34 @@ impl CloudTactic for PaillierCloud {
         "paillier"
     }
 
+    fn attach_recorder(&self, recorder: &Recorder) {
+        *self.obs.write() = recorder.clone();
+    }
+
     fn handle(&self, scope: &str, op: &str, payload: &[u8]) -> Result<Vec<u8>, CoreError> {
         match op {
-            "setup" => {
-                // Every aggregate re-sends the key: building it costs `n·n`
-                // and the Montgomery context's full-width division, so an
-                // unchanged key is acknowledged from what is already held.
-                let key = Self::pk_key(scope);
-                let held = self.pk_cache.lock().get(scope).is_some_and(|pk| pk.to_bytes() == payload);
-                if held && self.kv.get(&key).as_deref() == Some(payload) {
-                    return Ok(Vec::new());
-                }
-                let pk = PublicKey::from_bytes(payload)?;
-                self.kv.set(&key, payload);
-                self.pk_cache.lock().insert(scope.to_string(), pk);
-                Ok(Vec::new())
-            }
             "sum" => {
                 let req = PaillierSum::decode(payload)?;
-                let pk = self.scope_pk(scope)?;
-                let coll = self.docs.collection(&req.collection);
-                let mut count = 0u64;
-                let fold = |docs: &mut dyn Iterator<Item = &Document>| {
-                    pk.sum(
-                        docs.filter_map(|doc| match doc.get(&req.field) {
-                            Some(Value::Bytes(ct)) => Some(ct.as_slice()),
-                            _ => None,
-                        })
-                        .inspect(|_| count += 1),
-                    )
-                };
-                let sum = if req.ids.is_empty() {
-                    coll.scan(&Filter::Exists(req.field.clone()), fold)
-                } else {
-                    coll.lookup(req.ids.iter().map(String::as_str), fold)
-                };
-                Ok(PaillierSumResponse { ciphertext: sum.map(|c| c.to_bytes()).unwrap_or_default(), count }.encode())
+                let key = self.key(&req.modulus)?;
+                if req.ids.is_empty() {
+                    return Ok(self.sum_collection(scope, &req, &key).encode());
+                }
+                let ids = req.ids.iter().map(String::as_str);
+                let (product, count) =
+                    self.docs.collection(&req.collection).lookup(ids, |docs| fold(&key, &req.field, None, docs));
+                Ok(PaillierSumResponse { ciphertext: product.unwrap_or_default(), count }.encode())
             }
             "combine" => {
                 // Folds per-replica partial sums into one accumulator: a
                 // clustered cloud computes `sum` on each document partition
-                // and any node holding the scope key merges the partials —
-                // homomorphic addition needs only the public modulus.
-                let mut r = datablinder_codec::Reader::new(payload);
-                let partials = r.list().map_err(|_| CoreError::Wire("combine partials"))?;
-                r.finish().map_err(|_| CoreError::Wire("combine trailing"))?;
-                let pk = self.scope_pk(scope)?;
-                let parts = partials.iter().map(|p| PaillierSumResponse::decode(p)).collect::<Result<Vec<_>, _>>()?;
+                // and any node merges the partials — homomorphic addition
+                // needs only the public modulus, which the request carries.
+                let req = PaillierCombine::decode(payload)?;
+                let key = self.key(&req.modulus)?;
+                let parts =
+                    req.partials.iter().map(|p| PaillierSumResponse::decode(p)).collect::<Result<Vec<_>, _>>()?;
                 let count = parts.iter().fold(0u64, |n, p| n.saturating_add(p.count));
-                let sum = pk.sum(parts.iter().map(|p| p.ciphertext.as_slice()).filter(|ct| !ct.is_empty()));
+                let sum = key.sum(parts.iter().map(|p| p.ciphertext.as_slice()).filter(|ct| !ct.is_empty()));
                 Ok(PaillierSumResponse { ciphertext: sum.map(|c| c.to_bytes()).unwrap_or_default(), count }.encode())
             }
             other => Err(CoreError::UnsupportedOperation(format!("paillier cloud op {other}"))),
@@ -316,7 +334,7 @@ mod tests {
             kms: datablinder_kms::Kms::generate(&mut rng),
         };
         let gw = PaillierTactic::build_with_bits(&ctx, &mut rng, 256).unwrap();
-        let cloud = PaillierCloud::new(KvStore::new(), DocStore::new());
+        let cloud = PaillierCloud::new(DocStore::new());
         (gw, cloud, rng)
     }
 
@@ -327,9 +345,7 @@ mod tests {
 
     fn store_doc(cloud: &PaillierCloud, gw: &mut PaillierTactic, rng: &mut rand::rngs::StdRng, id: u8, v: f64) {
         let p = gw.protect(rng, "value", &Value::from(v), DocId([id; 16])).unwrap();
-        for call in &p.index_calls {
-            run(cloud, call);
-        }
+        assert!(p.index_calls.is_empty(), "protecting a value sends the cloud nothing");
         let mut doc = Document::new(DocId([id; 16]).to_hex());
         for (f, val) in &p.stored {
             doc.set(f.clone(), val.clone());
@@ -407,37 +423,103 @@ mod tests {
         assert_eq!(gw.agg_resolve(AggFn::Avg, &responses).unwrap(), 0.0);
     }
 
-    #[test]
-    fn sum_without_setup_rejected() {
-        let (_, cloud, _) = setup();
-        let req = PaillierSum { collection: "obs".into(), field: "value__phe".into(), ids: vec![] };
-        assert!(cloud.handle("fresh", "sum", &req.encode()).is_err());
+    fn whole(gw: &PaillierTactic) -> PaillierSum {
+        PaillierSum {
+            collection: "obs".into(),
+            field: "value__phe".into(),
+            modulus: gw.keypair.public().to_bytes(),
+            ids: vec![],
+        }
     }
 
-    /// Every aggregate re-sends `setup`; an unchanged key must not be
-    /// rebuilt (same Montgomery context afterwards), a different key must
-    /// replace both the stored bytes and the cached key.
+    /// The key arrives with the request: a cloud that was never told about
+    /// a scope answers, the evaluation context is built once per modulus,
+    /// and a modulus no Paillier key has is refused before one is built.
     #[test]
-    fn repeated_setup_keeps_the_built_key_and_a_new_key_replaces_it() {
-        let (gw, cloud, mut rng) = setup();
-        let ctx_of = |scope: &str| cloud.pk_cache.lock().get(scope).map(|pk| pk.montgomery_ctx() as *const _);
-        let first = gw.keypair.public().to_bytes();
-        cloud.handle("s", "setup", &first).unwrap();
-        let built = ctx_of("s").unwrap();
-        cloud.handle("s", "setup", &first).unwrap();
-        assert_eq!(ctx_of("s"), Some(built), "same bytes: acknowledged without a rebuild");
+    fn the_request_carries_the_key_and_bad_moduli_are_refused() {
+        let (mut gw, cloud, mut rng) = setup();
+        store_doc(&cloud, &mut gw, &mut rng, 1, 2.5);
+        let req = whole(&gw);
+        for scope in ["never-seen", "nor-this-one"] {
+            let resp = cloud.handle(scope, "sum", &req.encode()).unwrap();
+            assert_eq!(gw.agg_resolve(AggFn::Sum, &[resp]).unwrap(), 2.5);
+        }
+        assert_eq!(cloud.keys.lock().len(), 1, "one context, whatever the scope");
 
-        // A cold cache (restart: kv restored, nothing decoded yet) rebuilds.
-        cloud.pk_cache.lock().clear();
-        cloud.handle("s", "setup", &first).unwrap();
-        assert!(ctx_of("s").is_some());
+        let too_wide = [vec![1u8; MAX_MODULUS_BYTES], vec![1]].concat();
+        for bad in [vec![], vec![0, 0], vec![4], too_wide] {
+            let sum = PaillierSum { modulus: bad.clone(), ..req.clone() };
+            assert!(matches!(cloud.handle("s", "sum", &sum.encode()), Err(CoreError::Crypto(_))), "{bad:?}");
+            let combine = PaillierCombine { modulus: bad.clone(), partials: vec![] };
+            assert!(matches!(cloud.handle("s", "combine", &combine.encode()), Err(CoreError::Crypto(_))), "{bad:?}");
+        }
+        assert_eq!(cloud.keys.lock().len(), 1, "a refused modulus leaves nothing behind");
+    }
 
-        let second = Keypair::generate(&mut rng, 256).public().to_bytes();
-        cloud.handle("s", "setup", &second).unwrap();
-        assert_eq!(cloud.kv.get(&PaillierCloud::pk_key("s")), Some(second.clone()));
-        assert_eq!(cloud.scope_pk("s").unwrap().to_bytes(), second);
-        assert!(cloud.handle("s", "setup", &[4]).is_err(), "an even modulus is still rejected");
-        assert_eq!(cloud.scope_pk("s").unwrap().to_bytes(), second);
+    /// A whole-collection sum multiplies only what arrived since the last
+    /// one; an update, a delete or another key starts over. The recorder
+    /// says which happened, and the answer is the same either way.
+    #[test]
+    fn whole_collection_sums_carry_the_product_until_a_stored_document_changes() {
+        let (mut gw, cloud, mut rng) = setup();
+        let recorder = Recorder::new();
+        cloud.attach_recorder(&recorder);
+        let folds = || {
+            let snap = recorder.snapshot();
+            (snap.counter("cloud.paillier.fold.carried"), snap.counter("cloud.paillier.fold.rescans"))
+        };
+        let sum = |gw: &PaillierTactic| {
+            let resp = cloud.handle("s", "sum", &whole(gw).encode()).unwrap();
+            let fresh = PaillierCloud::new(cloud.docs.clone()).handle("s", "sum", &whole(gw).encode()).unwrap();
+            assert_eq!(resp, fresh, "a carried product answers what a first scan answers");
+            gw.agg_resolve(AggFn::Sum, &[resp]).unwrap()
+        };
+        for id in 1..=3 {
+            store_doc(&cloud, &mut gw, &mut rng, id, f64::from(id));
+        }
+        assert_eq!((sum(&gw), folds()), (6.0, (0, 1)), "first sight of the field: one full fold");
+        assert_eq!((sum(&gw), folds()), (6.0, (3, 1)), "nothing arrived: all three skipped");
+        store_doc(&cloud, &mut gw, &mut rng, 4, 4.0);
+        assert_eq!((sum(&gw), folds()), (10.0, (6, 1)), "one arrived: three skipped again");
+
+        let coll = cloud.docs.collection("obs");
+        let mut doc = coll.get(&DocId([4; 16]).to_hex()).unwrap();
+        doc.set("other", Value::from(1i64));
+        coll.update(doc).unwrap();
+        assert_eq!((sum(&gw), folds()), (10.0, (6, 2)), "an update voids the product");
+        coll.delete(&DocId([1; 16]).to_hex()).unwrap();
+        assert_eq!((sum(&gw), folds()), (9.0, (6, 3)), "so does a delete");
+        assert_eq!((sum(&gw), folds()), (9.0, (9, 3)));
+
+        // Another key: its own context, and the old product is not reused.
+        let ctx = TacticContext {
+            application: "other-app".into(),
+            schema: "obs".into(),
+            scope: "value".into(),
+            kms: datablinder_kms::Kms::generate(&mut rng),
+        };
+        let other = PaillierTactic::build_with_bits(&ctx, &mut rng, 256).unwrap();
+        let resp = cloud.handle("s", "sum", &whole(&other).encode()).unwrap();
+        assert_eq!(PaillierSumResponse::decode(&resp).unwrap().count, 3);
+        assert_eq!(folds(), (9, 4), "a new modulus starts over");
+        assert_eq!((sum(&gw), folds()), (9.0, (9, 5)), "and so does the old one after it");
+    }
+
+    /// The cloud is untrusted: a sum whose plaintext no stored values add up
+    /// to (here ±2⁶⁴ scaled units) is an error, not a saturated number.
+    #[test]
+    fn a_forged_sum_beyond_i64_is_refused() {
+        let (gw, _, mut rng) = setup();
+        let pk = gw.keypair.public();
+        let beyond = &BigUint::from(u64::MAX) + &BigUint::one();
+        for m in [beyond.clone(), pk.modulus() - &beyond] {
+            let forged = PaillierSumResponse { ciphertext: pk.encrypt(&mut rng, &m).unwrap().to_bytes(), count: 2 };
+            let err = gw.agg_resolve(AggFn::Sum, &[forged.encode()]).unwrap_err();
+            assert_eq!(err, CoreError::Crypto("aggregate out of range".into()));
+        }
+        let lowest = pk.modulus() - &BigUint::from(i64::MIN.unsigned_abs());
+        let edge = PaillierSumResponse { ciphertext: pk.encrypt(&mut rng, &lowest).unwrap().to_bytes(), count: 1 };
+        assert_eq!(gw.agg_resolve(AggFn::Sum, &[edge.encode()]).unwrap(), i64::MIN as f64 / AGG_SCALE);
     }
 
     /// The cloud is the untrusted zone: whatever it stores or answers as a
@@ -470,17 +552,19 @@ mod tests {
             cloud.docs.collection("obs").insert(doc).unwrap();
         }
         let scope = gw.route_sum.split('/').nth(2).unwrap().to_string();
-        let sum = PaillierSum { collection: "obs".into(), field: "value__phe".into(), ids: vec![] };
-        let summed = PaillierSumResponse::decode(&cloud.handle(&scope, "sum", &sum.encode()).unwrap()).unwrap();
+        let summed = PaillierSumResponse::decode(&cloud.handle(&scope, "sum", &whole(&gw).encode()).unwrap()).unwrap();
         assert_eq!(summed.count, 3);
         let n2 = gw.keypair.public().modulus_squared();
         assert!(BigUint::from_bytes_be(&summed.ciphertext) < *n2, "sum is reduced mod n²");
 
         let partial =
             |ciphertext: &[u8], count| PaillierSumResponse { ciphertext: ciphertext.to_vec(), count }.encode();
-        let mut w = datablinder_codec::Writer::new();
-        w.list(&[partial(&padded, 1), partial(&[], u64::MAX), partial(&oversize, 1), partial(&honest, 1)]);
-        let combined = PaillierSumResponse::decode(&cloud.handle(&scope, "combine", &w.finish()).unwrap()).unwrap();
+        let combine = PaillierCombine {
+            modulus: gw.keypair.public().to_bytes(),
+            partials: vec![partial(&padded, 1), partial(&[], u64::MAX), partial(&oversize, 1), partial(&honest, 1)],
+        };
+        let combined =
+            PaillierSumResponse::decode(&cloud.handle(&scope, "combine", &combine.encode()).unwrap()).unwrap();
         assert_eq!(combined.count, u64::MAX, "hostile counts saturate");
         assert_eq!(combined.ciphertext, summed.ciphertext, "same three operands, same element");
 

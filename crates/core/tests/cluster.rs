@@ -542,12 +542,8 @@ fn paillier_sum_over_five_nodes_matches_single_engine_bytes() {
     let single = CloudEngine::new();
     let services: [&dyn CloudService; 2] = [&cluster, &single];
 
-    let setup = kp.public().to_bytes();
     let mut ids = Vec::new();
     let mut total = 0u64;
-    for svc in services {
-        svc.handle("tactic/paillier/value/setup", &setup).unwrap();
-    }
     for i in 0..60u8 {
         let id = DocId([i; 16]).to_hex();
         let ct = kp.public().encrypt_u64(&mut rng, 1000 + u64::from(i)).to_bytes();
@@ -561,7 +557,12 @@ fn paillier_sum_over_five_nodes_matches_single_engine_bytes() {
     let holders = (0..5).filter(|&n| cluster.with_node_engine(n, |e| !e.docs().collection("obs").is_empty()).unwrap());
     assert!(holders.count() > 1, "the documents are spread over several nodes, so the sum is combined");
 
-    let whole = PaillierSum { collection: "obs".into(), field: "value__phe".into(), ids: Vec::new() };
+    let whole = PaillierSum {
+        collection: "obs".into(),
+        field: "value__phe".into(),
+        modulus: kp.public().to_bytes(),
+        ids: Vec::new(),
+    };
     let some = PaillierSum { ids: ids.iter().step_by(3).cloned().collect(), ..whole.clone() };
     for (req, expect, count) in [(&whole, total, 60), (&some, (0..60).step_by(3).map(|i| 1000 + i).sum(), 20)] {
         let [clustered, alone] = services.map(|svc| svc.handle("tactic/paillier/value/sum", &req.encode()).unwrap());
@@ -570,4 +571,71 @@ fn paillier_sum_over_five_nodes_matches_single_engine_bytes() {
         assert_eq!(resp.count, count);
         assert_eq!(kp.decrypt_u64(&Ciphertext::from_bytes(&resp.ciphertext)), Some(expect));
     }
+}
+
+/// The same equality after churn, and with a member that never saw a key:
+/// one node is down while a third of the documents are written at quorum,
+/// rejoins and is healed by anti-entropy; then a sixth node joins. The
+/// clustered sum still equals the single engine's bytes, the new member
+/// answers for the documents it took over, and no node stores anything for
+/// the tactic — the modulus arrives with each request.
+#[test]
+fn paillier_sum_equals_the_oracle_after_churn_and_a_new_member_needs_no_key() {
+    let dir = temp_dir("paillier-churn");
+    let mut rng = StdRng::seed_from_u64(0x5A12);
+    let kp = Keypair::generate(&mut rng, 256);
+    let cluster = ClusterCloud::new(ClusterConfig::volatile(5, 3, 2, 0x5A12).durable(&dir)).unwrap();
+    let single = CloudEngine::new();
+    let services: [&dyn CloudService; 2] = [&cluster, &single];
+    let mut total = 0u64;
+    let mut insert = |i: u8| {
+        let ct = kp.public().encrypt_u64(&mut rng, 500 + u64::from(i)).to_bytes();
+        let doc = Document::new(DocId([i; 16]).to_hex()).with("value__phe", Value::Bytes(ct));
+        for svc in services {
+            svc.handle("doc/insert", &with_collection("obs", &encode_document(&doc))).unwrap();
+        }
+        total += 500 + u64::from(i);
+    };
+    for i in 0..40 {
+        insert(i);
+    }
+    cluster.kill_node(1);
+    for i in 40..60 {
+        insert(i);
+    }
+    cluster.rejoin_node(1).unwrap();
+    let mut rounds = 0;
+    while !cluster.run_anti_entropy().converged() {
+        rounds += 1;
+        assert!(rounds < 32, "anti-entropy must converge on a quiet cluster");
+    }
+
+    let whole = PaillierSum {
+        collection: "obs".into(),
+        field: "value__phe".into(),
+        modulus: kp.public().to_bytes(),
+        ids: Vec::new(),
+    };
+    let check = |when: &str| {
+        let [clustered, alone] = services.map(|svc| svc.handle("tactic/paillier/value/sum", &whole.encode()).unwrap());
+        assert_eq!(clustered, alone, "{when}: same ciphertext bytes, same count");
+        let resp = PaillierSumResponse::decode(&alone).unwrap();
+        assert_eq!((resp.count, kp.decrypt_u64(&Ciphertext::from_bytes(&resp.ciphertext))), (60, Some(total)));
+    };
+    check("after kill, quorum writes, rejoin and anti-entropy");
+
+    let joined = cluster.add_node().unwrap();
+    let (held, answered) = cluster
+        .with_node_engine(joined, |e| {
+            let resp = e.handle("tactic/paillier/value/sum", &whole.encode()).expect("a node nobody sent a key");
+            (e.docs().collection("obs").len() as u64, PaillierSumResponse::decode(&resp).unwrap().count)
+        })
+        .unwrap();
+    assert!(held > 0 && answered == held, "the new member sums the {held} documents it took over");
+    check("with the new member serving partials");
+    for node in cluster.members() {
+        let stored = cluster.with_node_engine(node, |e| e.kv().keys_with_prefix(b"t/paillier/").len()).unwrap();
+        assert_eq!(stored, 0, "node {node} stores nothing for the tactic");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

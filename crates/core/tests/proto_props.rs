@@ -11,8 +11,8 @@ use std::fmt::Debug;
 
 use datablinder_core::cloudproto::{
     BlobList, ChunkRequest, ChunkResponse, DigestRequest, DigestResponse, FindIdsDnf, FindIdsEq, FindIdsRange,
-    Idempotent, PaillierSum, PaillierSumResponse, RangeSelect, SyncEntries, SyncEntry, TransferBegin, TransferInfo,
-    WalTailRequest, ENTRY_DOC, ENTRY_INDEX, ENTRY_KV,
+    Idempotent, PaillierCombine, PaillierSum, PaillierSumResponse, RangeSelect, SyncEntries, SyncEntry, TransferBegin,
+    TransferInfo, WalTailRequest, ENTRY_DOC, ENTRY_INDEX, ENTRY_KV,
 };
 use datablinder_core::durability::WalRecord;
 use datablinder_core::model::{AggFn, FieldAnnotation, FieldOp, FieldType, ProtectionClass, Schema};
@@ -54,6 +54,7 @@ enum Msg {
     FindIdsRange(FindIdsRange),
     FindIdsDnf(FindIdsDnf),
     PaillierSum(PaillierSum),
+    PaillierCombine(PaillierCombine),
     Idempotent(Idempotent),
     SyncEntries(SyncEntries),
     RangeSelect(RangeSelect),
@@ -83,6 +84,7 @@ impl Msg {
             Msg::FindIdsRange(m) => laws(m, FindIdsRange::encode, |b| FindIdsRange::decode(b).ok(), noise),
             Msg::FindIdsDnf(m) => laws(m, FindIdsDnf::encode, |b| FindIdsDnf::decode(b).ok(), noise),
             Msg::PaillierSum(m) => laws(m, PaillierSum::encode, |b| PaillierSum::decode(b).ok(), noise),
+            Msg::PaillierCombine(m) => laws(m, PaillierCombine::encode, |b| PaillierCombine::decode(b).ok(), noise),
             Msg::Idempotent(m) => laws(m, Idempotent::encode, |b| Idempotent::decode(b).ok(), noise),
             Msg::SyncEntries(m) => laws(m, SyncEntries::encode, |b| SyncEntries::decode(b).ok(), noise),
             Msg::RangeSelect(m) => laws(m, RangeSelect::encode, |b| RangeSelect::decode(b).ok(), noise),
@@ -243,8 +245,11 @@ fn msg() -> impl Strategy<Value = Msg> {
             hi
         })),
         (name(), dnf).prop_map(|(collection, dnf)| Msg::FindIdsDnf(FindIdsDnf { collection, dnf })),
-        (name(), name(), prop::collection::vec(name(), 0..5))
-            .prop_map(|(collection, field, ids)| Msg::PaillierSum(PaillierSum { collection, field, ids })),
+        (name(), name(), blob(24), prop::collection::vec(name(), 0..5)).prop_map(
+            |(collection, field, modulus, ids)| { Msg::PaillierSum(PaillierSum { collection, field, modulus, ids }) }
+        ),
+        (blob(24), prop::collection::vec(blob(24), 0..4))
+            .prop_map(|(modulus, partials)| Msg::PaillierCombine(PaillierCombine { modulus, partials })),
         (token(), name(), blob(48)).prop_map(|(token, route, payload)| Msg::Idempotent(Idempotent {
             token,
             route,

@@ -3,6 +3,7 @@
 use std::cmp::Ordering;
 use std::collections::{btree_map, BTreeMap, HashMap, HashSet};
 use std::ops::Bound;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -33,14 +34,56 @@ impl Ord for IndexKey {
 /// One secondary index: value -> ids, in [`Value::total_cmp`] order.
 type Index = BTreeMap<IndexKey, HashSet<String>>;
 
-#[derive(Default)]
+/// Source of collection epochs, unique across every collection of the
+/// process so that a [`Cursor`] taken from a dropped collection never
+/// matches the one recreated under its name. Only uniqueness matters —
+/// a collection's own epoch is published by its lock — so `Relaxed` does.
+static NEXT_EPOCH: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_epoch() -> u64 {
+    NEXT_EPOCH.fetch_add(1, AtomicOrdering::Relaxed)
+}
+
+/// How far a [`Collection::scan_from`] has read. It stays valid while the
+/// collection it came from only gains documents; the default cursor is
+/// valid nowhere and reads from the start.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Cursor {
+    epoch: u64,
+    position: usize,
+}
+
+impl Cursor {
+    /// How many documents lie before the cursor.
+    pub fn position(self) -> usize {
+        self.position
+    }
+}
+
 struct CollectionInner {
-    docs: HashMap<String, Document>,
+    /// Documents in arrival order; `delete` moves the last one into the
+    /// hole it leaves.
+    docs: Vec<Document>,
+    /// id -> position in `docs`
+    positions: HashMap<String, usize>,
     /// field -> index
     indexes: HashMap<String, Index>,
+    /// Renewed whenever a stored document changes, moves or leaves: within
+    /// one epoch `docs` only grows at its end.
+    epoch: u64,
+}
+
+impl Default for CollectionInner {
+    fn default() -> Self {
+        CollectionInner { docs: Vec::new(), positions: HashMap::new(), indexes: HashMap::new(), epoch: fresh_epoch() }
+    }
 }
 
 impl CollectionInner {
+    fn doc(&self, id: &str) -> Option<&Document> {
+        self.positions.get(id).map(|&position| &self.docs[position])
+    }
+
     /// The index entries that hold every document `filter` can match, in
     /// key order, when a conjunct of it is an equality or a range predicate
     /// on an indexed field: one key for an equality (preferred), else the
@@ -82,7 +125,9 @@ impl CollectionInner {
 
 /// A named set of documents with optional secondary indexes.
 ///
-/// Cloning shares the underlying collection.
+/// Documents are kept in arrival order, which is what lets a reader that
+/// folds the whole collection come back for only what arrived since
+/// ([`Collection::scan_from`]). Cloning shares the underlying collection.
 #[derive(Clone, Default)]
 pub struct Collection {
     inner: Arc<RwLock<CollectionInner>>,
@@ -119,9 +164,9 @@ impl Collection {
             return;
         }
         let mut index = Index::new();
-        for (id, doc) in &inner.docs {
+        for doc in &inner.docs {
             if let Some(v) = doc.get(field) {
-                index.entry(IndexKey(v.clone())).or_default().insert(id.clone());
+                index.entry(IndexKey(v.clone())).or_default().insert(doc.id().to_string());
             }
         }
         inner.indexes.insert(field.to_string(), index);
@@ -133,18 +178,19 @@ impl Collection {
     ///
     /// [`DocStoreError::DuplicateId`] if the id exists.
     pub fn insert(&self, doc: Document) -> Result<(), DocStoreError> {
-        let mut inner = self.inner.write();
-        if inner.docs.contains_key(doc.id()) {
+        let inner = &mut *self.inner.write();
+        if inner.positions.contains_key(doc.id()) {
             return Err(DocStoreError::DuplicateId(doc.id().to_string()));
         }
-        index_doc(&mut inner, &doc, true);
-        inner.docs.insert(doc.id().to_string(), doc);
+        index_doc(&mut inner.indexes, &doc, true);
+        inner.positions.insert(doc.id().to_string(), inner.docs.len());
+        inner.docs.push(doc);
         Ok(())
     }
 
     /// Fetches by id.
     pub fn get(&self, id: &str) -> Option<Document> {
-        self.inner.read().docs.get(id).cloned()
+        self.inner.read().doc(id).cloned()
     }
 
     /// Replaces the document with the same id.
@@ -153,11 +199,12 @@ impl Collection {
     ///
     /// [`DocStoreError::NotFound`] if the id does not exist.
     pub fn update(&self, doc: Document) -> Result<(), DocStoreError> {
-        let mut inner = self.inner.write();
-        let old = inner.docs.get(doc.id()).cloned().ok_or_else(|| DocStoreError::NotFound(doc.id().to_string()))?;
-        index_doc(&mut inner, &old, false);
-        index_doc(&mut inner, &doc, true);
-        inner.docs.insert(doc.id().to_string(), doc);
+        let inner = &mut *self.inner.write();
+        let position = *inner.positions.get(doc.id()).ok_or_else(|| DocStoreError::NotFound(doc.id().to_string()))?;
+        index_doc(&mut inner.indexes, &inner.docs[position], false);
+        index_doc(&mut inner.indexes, &doc, true);
+        inner.docs[position] = doc;
+        inner.epoch = fresh_epoch();
         Ok(())
     }
 
@@ -167,9 +214,14 @@ impl Collection {
     ///
     /// [`DocStoreError::NotFound`] if the id does not exist.
     pub fn delete(&self, id: &str) -> Result<(), DocStoreError> {
-        let mut inner = self.inner.write();
-        let old = inner.docs.remove(id).ok_or_else(|| DocStoreError::NotFound(id.to_string()))?;
-        index_doc(&mut inner, &old, false);
+        let inner = &mut *self.inner.write();
+        let position = inner.positions.remove(id).ok_or_else(|| DocStoreError::NotFound(id.to_string()))?;
+        let old = inner.docs.swap_remove(position);
+        if let Some(moved) = inner.docs.get(position) {
+            *inner.positions.get_mut(moved.id()).expect("every stored document has a position") = position;
+        }
+        index_doc(&mut inner.indexes, &old, false);
+        inner.epoch = fresh_epoch();
         Ok(())
     }
 
@@ -197,12 +249,34 @@ impl Collection {
     pub fn scan<R>(&self, filter: &Filter, f: impl FnOnce(&mut dyn Iterator<Item = &Document>) -> R) -> R {
         let inner = self.inner.read();
         match inner.index_walk(filter) {
-            Some(entries) => f(&mut entries
-                .flat_map(|(_, ids)| ids)
-                .filter_map(|id| inner.docs.get(id))
-                .filter(|d| filter.matches(d))),
-            None => f(&mut inner.docs.values().filter(|d| filter.matches(d))),
+            Some(entries) => {
+                f(&mut entries.flat_map(|(_, ids)| ids).filter_map(|id| inner.doc(id)).filter(|d| filter.matches(d)))
+            }
+            None => f(&mut inner.docs.iter().filter(|d| filter.matches(d))),
         }
+    }
+
+    /// Runs `f` over the documents that arrived after `since` was handed
+    /// out, in arrival order and borrowed under the read lock like
+    /// [`Collection::scan`], and returns the cursor that resumes after
+    /// them. `f` is also told how many documents that skipped — the ones a
+    /// caller folding the collection has already seen. A `since` that is
+    /// the default, from another collection (a dropped one of the same name
+    /// included) or older than the last `update` or `delete` skips nothing:
+    /// every document is visited, and whatever the caller derived from
+    /// earlier visits is void.
+    pub fn scan_from<R>(
+        &self,
+        since: Cursor,
+        f: impl FnOnce(usize, &mut dyn Iterator<Item = &Document>) -> R,
+    ) -> (Cursor, R) {
+        let inner = self.inner.read();
+        let fresh = match inner.docs.get(since.position..) {
+            Some(fresh) if since.epoch == inner.epoch => fresh,
+            _ => &inner.docs[..],
+        };
+        let out = f(inner.docs.len() - fresh.len(), &mut fresh.iter());
+        (Cursor { epoch: inner.epoch, position: inner.docs.len() }, out)
     }
 
     /// Whether [`Collection::scan`] serves `filter` from a secondary index
@@ -220,18 +294,17 @@ impl Collection {
         f: impl FnOnce(&mut dyn Iterator<Item = &Document>) -> R,
     ) -> R {
         let inner = self.inner.read();
-        f(&mut ids.into_iter().filter_map(|id| inner.docs.get(id)))
+        f(&mut ids.into_iter().filter_map(|id| inner.doc(id)))
     }
 
     /// All document ids (unordered).
     pub fn ids(&self) -> Vec<String> {
-        self.inner.read().docs.keys().cloned().collect()
+        self.inner.read().docs.iter().map(|d| d.id().to_string()).collect()
     }
 }
 
-fn index_doc(inner: &mut CollectionInner, doc: &Document, add: bool) {
-    // Split borrows: iterate index fields, read doc fields.
-    for (field, index) in inner.indexes.iter_mut() {
+fn index_doc(indexes: &mut HashMap<String, Index>, doc: &Document, add: bool) {
+    for (field, index) in indexes.iter_mut() {
         if let Some(v) = doc.get(field) {
             let key = IndexKey(v.clone());
             if add {

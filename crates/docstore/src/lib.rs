@@ -30,7 +30,7 @@ mod collection;
 mod filter;
 mod value;
 
-pub use collection::{Collection, DocStore};
+pub use collection::{Collection, Cursor, DocStore};
 pub use filter::Filter;
 pub use value::{Document, Value};
 

@@ -2,7 +2,7 @@
 //! scan and with the predicate itself, for arbitrary filters — range
 //! predicates of every shape in particular — and mutation sequences.
 
-use datablinder_docstore::{Collection, Document, Filter, Value};
+use datablinder_docstore::{Collection, Cursor, DocStore, Document, Filter, Value};
 use proptest::prelude::*;
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -194,6 +194,47 @@ proptest! {
                 seen.sort_by(|a, b| a.id().cmp(b.id()));
                 prop_assert_eq!(&seen, &expect, "scan, {:?}", filter);
                 prop_assert_eq!(&coll.find(filter), &expect, "find, {:?}", filter);
+            }
+        }
+    }
+
+    /// A reader keeps what `scan_from` shows it, dropping everything when
+    /// told nothing was skipped. After every read that is exactly the
+    /// collection's content; a read skips everything already seen unless a
+    /// stored document was updated or deleted, or the collection dropped
+    /// and recreated, since the last one.
+    #[test]
+    fn resumed_scans_see_each_document_once_until_a_stored_one_changes(
+        steps in prop::collection::vec((0usize..10, 0usize..12, arb_value()), 1..60),
+    ) {
+        let store = DocStore::new();
+        let mut cursor = Cursor::default();
+        let mut seen: Vec<Document> = Vec::new();
+        let mut void = true;
+        for (n, (op, i, x)) in steps.into_iter().enumerate() {
+            let coll = store.collection("c");
+            let id = format!("d{i}");
+            match op {
+                0..=3 => {
+                    let _ = coll.insert(Document::new(format!("d{i}-{n}")).with("x", x));
+                }
+                4 => void |= coll.update(Document::new(id).with("x", x)).is_ok(),
+                5 => void |= coll.delete(&id).is_ok(),
+                6 => {
+                    let _ = coll.insert(Document::new(id).with("x", x));
+                }
+                7 => void |= store.drop_collection("c"),
+                _ => {
+                    let (next, (skipped, fresh)) =
+                        coll.scan_from(cursor, |skipped, docs| (skipped, docs.cloned().collect::<Vec<_>>()));
+                    prop_assert_eq!(skipped, if void { 0 } else { seen.len() }, "step {}", n);
+                    seen.truncate(skipped);
+                    seen.extend(fresh);
+                    (cursor, void) = (next, false);
+                    let mut stored = seen.clone();
+                    stored.sort_by(|a, b| a.id().cmp(b.id()));
+                    prop_assert_eq!(stored, coll.find(&Filter::All), "step {}", n);
+                }
             }
         }
     }

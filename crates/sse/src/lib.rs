@@ -42,17 +42,22 @@ pub struct DocId(pub [u8; 16]);
 impl DocId {
     /// Lowercase hex rendering (the form stored in the document store).
     pub fn to_hex(self) -> String {
-        self.0.iter().map(|b| format!("{b:02x}")).collect()
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        let mut out = String::with_capacity(32);
+        for b in self.0 {
+            out.push(DIGITS[usize::from(b >> 4)] as char);
+            out.push(DIGITS[usize::from(b & 0xf)] as char);
+        }
+        out
     }
 
-    /// Parses the hex rendering.
+    /// Parses the hex rendering (either case).
     pub fn from_hex(s: &str) -> Option<DocId> {
-        if s.len() != 32 {
-            return None;
-        }
+        let nibble = |c: u8| (c as char).to_digit(16).map(|d| d as u8);
+        let digits: &[u8; 32] = s.as_bytes().try_into().ok()?;
         let mut out = [0u8; 16];
-        for i in 0..16 {
-            out[i] = u8::from_str_radix(&s[2 * i..2 * i + 2], 16).ok()?;
+        for (byte, pair) in out.iter_mut().zip(digits.chunks_exact(2)) {
+            *byte = nibble(pair[0])? << 4 | nibble(pair[1])?;
         }
         Some(DocId(out))
     }
@@ -148,6 +153,21 @@ mod tests {
         assert_eq!(DocId::from_hex(&hex), Some(id));
         assert_eq!(DocId::from_hex("short"), None);
         assert_eq!(DocId::from_hex(&"zz".repeat(16)), None);
+
+        // The digit table writes what `{:02x}` writes, for every byte.
+        for chunk in (0..=255u8).collect::<Vec<_>>().chunks(16) {
+            let id = DocId(chunk.try_into().unwrap());
+            let formatted: String = chunk.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(id.to_hex(), formatted);
+            assert_eq!(DocId::from_hex(&formatted), Some(id));
+            assert_eq!(DocId::from_hex(&formatted.to_uppercase()), Some(id));
+        }
+        // Ids come back from the untrusted cloud: 32 bytes that are not 32
+        // hex digits are no id (`from_str_radix` took "+f" for 15, and a
+        // two-byte character used to split mid-slice and panic).
+        assert_eq!(DocId::from_hex(&"+f".repeat(16)), None);
+        assert_eq!(DocId::from_hex(&"é".repeat(16)), None);
+        assert_eq!(DocId::from_hex(&format!("a{}b", "é".repeat(15))), None);
     }
 
     #[test]

@@ -213,7 +213,6 @@ pub struct HardcodedClient {
     rnd: RndCipher,
     mitra: MitraClient,
     paillier: Keypair,
-    paillier_setup_sent: bool,
     scope: String,
     rng: StdRng,
     counter: u64,
@@ -245,7 +244,6 @@ impl HardcodedClient {
             rnd: RndCipher::new(&master.derive(b"rnd/performer", 32)).expect("rnd key"),
             mitra: MitraClient::new(&master.derive(b"mitra/subject", 32)),
             paillier: Keypair::generate(&mut rng, paillier_bits),
-            paillier_setup_sent: false,
             scope: format!("hardcoded-w{worker}"),
             rng,
             counter: 0,
@@ -266,23 +264,11 @@ impl HardcodedClient {
         id[8..].copy_from_slice(&self.counter.to_be_bytes());
         DocId(id)
     }
-
-    fn ensure_paillier_setup(&mut self) -> Result<(), String> {
-        if self.paillier_setup_sent {
-            return Ok(());
-        }
-        self.channel
-            .call(&format!("tactic/paillier/{}/setup", self.scope), &self.paillier.public().to_bytes())
-            .map_err(|e| e.to_string())?;
-        self.paillier_setup_sent = true;
-        Ok(())
-    }
 }
 
 impl BenchClient for HardcodedClient {
     fn insert(&mut self, doc: &Document) -> Result<(), String> {
         let id = self.next_id();
-        self.ensure_paillier_setup()?;
         let mut stored = Document::new(id.to_hex());
         // Plain metadata fields.
         for f in ["identifier", "interpretation"] {
@@ -366,8 +352,12 @@ impl BenchClient for HardcodedClient {
     }
 
     fn average_value(&mut self) -> Result<f64, String> {
-        self.ensure_paillier_setup()?;
-        let req = PaillierSum { collection: self.collection.clone(), field: shadow_field("value", "phe"), ids: vec![] };
+        let req = PaillierSum {
+            collection: self.collection.clone(),
+            field: shadow_field("value", "phe"),
+            modulus: self.paillier.public().to_bytes(),
+            ids: vec![],
+        };
         let out = self
             .channel
             .call(&format!("tactic/paillier/{}/sum", self.scope), &req.encode())

@@ -65,10 +65,11 @@ echo "==> cargo test --release: symmetric differentials (hardware tier ≡ porta
 cargo test --release -q -p datablinder-primitives --test isa_differential
 cargo test --release -q -p datablinder-primitives --test symmetric_props
 
-echo "==> cargo test --release: Paillier differentials (Montgomery product fold + linear decode, sum ≡ iterated add, factor-drawn obfuscators ≡ r^n mod n²)"
+echo "==> cargo test --release: Paillier differentials (Montgomery product fold + linear decode, sum ≡ iterated add, factor-drawn obfuscators ≡ r^n mod n², carried cloud sum ≡ a fresh fold over 1,000 seeded schedules)"
 cargo test --release -q -p datablinder-bigint --test kernels_differential
 cargo test --release -q -p datablinder-paillier --test sum_differential
 cargo test --release -q -p datablinder-paillier --test obfuscator_differential
+cargo test --release -q -p datablinder-core --test paillier_fold_differential
 
 echo "==> cargo test --release: read-path differentials (sliced CRC-32 ≡ the bitwise definition, index-walking scan ≡ predicate ≡ find)"
 cargo test --release -q -p datablinder-codec --test crc_differential

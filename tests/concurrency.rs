@@ -363,3 +363,30 @@ fn four_threads_match_oracle() {
 fn eight_threads_match_oracle() {
     run_model(8, 0xC0_03, 10);
 }
+
+/// The very first insert racing an aggregate on a shared gateway: there is
+/// no key to deliver before a `sum` can be answered — it travels inside the
+/// request — so neither order can fail, and the aggregate sees the empty
+/// collection or the one document. The barrier releases both threads into
+/// the race; thirty fresh engines give the scheduler thirty tries.
+#[test]
+fn first_insert_racing_an_aggregate_never_errors() {
+    for round in 0..30 {
+        let gw = engine(0xC0_10 + round, 0);
+        let start = std::sync::Barrier::new(2);
+        let sum = thread::scope(|s| {
+            let writer = s.spawn(|| {
+                start.wait();
+                gw.insert(SCHEMA, &doc_of("o0", 7)).expect("first insert");
+            });
+            let reader = s.spawn(|| {
+                start.wait();
+                gw.aggregate(SCHEMA, "score", AggFn::Sum, None).expect("aggregate beside the first insert")
+            });
+            writer.join().expect("writer must not panic");
+            reader.join().expect("reader must not panic")
+        });
+        assert!(sum == 0.0 || sum == 7.0, "round {round}: sum {sum}");
+        assert_eq!(gw.aggregate(SCHEMA, "score", AggFn::Sum, None).unwrap(), 7.0);
+    }
+}

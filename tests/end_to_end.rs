@@ -109,6 +109,63 @@ fn homomorphic_average_matches_oracle() {
     assert_eq!(count as usize, glucose.len());
 }
 
+/// What an aggregate costs on the wire: one bare `sum` read without a
+/// filter; with one, the boolean search for the ids and the `sum` over them
+/// — the matching documents are never fetched, let alone decrypted, only to
+/// learn their ids again. A filter nothing matches aggregates nothing (to
+/// the cloud an empty id list means the whole collection).
+#[test]
+fn aggregates_fetch_no_documents() {
+    use datablinder::netsim::{CloudService, NetError};
+    use std::sync::{Arc, Mutex};
+
+    struct Routes {
+        inner: CloudEngine,
+        seen: Mutex<Vec<String>>,
+    }
+    impl CloudService for Routes {
+        fn handle(&self, route: &str, payload: &[u8]) -> Result<Vec<u8>, NetError> {
+            self.seen.lock().unwrap().push(route.to_string());
+            self.inner.handle(route, payload)
+        }
+    }
+    let svc = Arc::new(Routes { inner: CloudEngine::new(), seen: Mutex::new(Vec::new()) });
+    let mut rng = StdRng::seed_from_u64(0xE2F);
+    let gw = GatewayEngine::new("e2e", Kms::generate(&mut rng), Channel::from_arc(svc.clone(), LatencyModel::lan()), 6);
+    gw.register_schema(observation_schema()).unwrap();
+    let mut generator = ObservationGenerator::new(6);
+    let corpus: Vec<Document> = (0..40).map(|_| generator.generate(&mut rng)).collect();
+    for doc in &corpus {
+        gw.insert("observation", doc).unwrap();
+    }
+    let value = |d: &Document| d.get("value").unwrap().as_f64().unwrap();
+    let routes = |f: &dyn Fn() -> f64| {
+        svc.seen.lock().unwrap().clear();
+        let out = f();
+        (out, std::mem::take(&mut *svc.seen.lock().unwrap()))
+    };
+
+    let (sum, seen) = routes(&|| gw.aggregate("observation", "value", AggFn::Sum, None).unwrap());
+    assert!((sum - corpus.iter().map(value).sum::<f64>()).abs() < 0.01);
+    assert_eq!(seen.len(), 1, "{seen:?}");
+    assert!(seen[0].starts_with("tactic/paillier/") && seen[0].ends_with("/sum"), "{seen:?}");
+
+    let glucose: DnfLiterals = vec![vec![("code".into(), Value::from("glucose"))]];
+    let expect: f64 = corpus.iter().filter(|d| d.get("code") == Some(&Value::from("glucose"))).map(value).sum();
+    assert!(expect > 0.0, "the corpus has glucose observations");
+    let (sum, seen) = routes(&|| gw.aggregate("observation", "value", AggFn::Sum, Some(&glucose)).unwrap());
+    assert!((sum - expect).abs() < 0.01, "{sum} vs {expect}");
+    assert!(seen.iter().all(|r| r.starts_with("tactic/")), "ids, then the sum over them: {seen:?}");
+    assert!(seen.last().unwrap().ends_with("/sum") && !seen.contains(&"doc/get_many".to_string()), "{seen:?}");
+
+    let nothing: DnfLiterals = vec![vec![("code".into(), Value::from("no such code"))]];
+    for agg in [AggFn::Sum, AggFn::Avg, AggFn::Count] {
+        let (out, seen) = routes(&|| gw.aggregate("observation", "value", agg, Some(&nothing)).unwrap());
+        assert_eq!(out, 0.0, "{agg:?} over no documents");
+        assert!(!seen.iter().any(|r| r.ends_with("/sum")), "nothing to sum: {seen:?}");
+    }
+}
+
 #[test]
 fn get_roundtrips_every_field() {
     let (gw, _) = setup();

@@ -4,6 +4,11 @@
 //! them exactly and today's decoders read them back — a WAL, snapshot or
 //! socket peer from that commit stays readable, and any later change to a
 //! byte on the wire has to change a constant here.
+//!
+//! Changed since: `PAILLIER_SUM` gained the public modulus between `field`
+//! and `ids` when the `setup` route went away, and `PAILLIER_COMBINE` pins
+//! the `combine` payload (modulus, then the partials list it always was).
+//! Both travel only in read requests — no WAL or snapshot holds them.
 
 use std::fmt::Debug;
 
@@ -28,7 +33,8 @@ const FIND_IDS_DNF: &str = concat!(
     "000000036f62730000000300000002000000016102000000000000000100000001620400000001780000000100000001",
     "6305000000010900000000"
 );
-const PAILLIER_SUM: &str = "000000036f62730000000a76616c75655f5f70686500000002000000026161000000026262";
+const PAILLIER_SUM: &str = "000000036f62730000000a76616c75655f5f70686500000002c50100000002000000026161000000026262";
+const PAILLIER_COMBINE: &str = "00000002c501000000020000000b000000000000000701020300000000";
 const PAILLIER_SUM_RESPONSE: &str = "0000000000000007010203";
 const IDEMPOTENT: &str = "070707070707070707070707070707070000000a646f632f696e7365727400000003010203";
 const SYNC_ENTRIES: &str = "0000000364000000066f62730064310000000204056b000000016b0000000069000000036f62730000000106";
@@ -148,9 +154,23 @@ fn cloud_protocol_messages() {
     );
     pin(
         PAILLIER_SUM,
-        PaillierSum { collection: "obs".into(), field: "value__phe".into(), ids: vec!["aa".into(), "bb".into()] },
+        PaillierSum {
+            collection: "obs".into(),
+            field: "value__phe".into(),
+            modulus: vec![0xc5, 0x01],
+            ids: vec!["aa".into(), "bb".into()],
+        },
         PaillierSum::encode,
         PaillierSum::decode,
+    );
+    pin(
+        PAILLIER_COMBINE,
+        PaillierCombine {
+            modulus: vec![0xc5, 0x01],
+            partials: vec![PaillierSumResponse { ciphertext: vec![1, 2, 3], count: 7 }.encode(), vec![]],
+        },
+        PaillierCombine::encode,
+        PaillierCombine::decode,
     );
     pin(
         PAILLIER_SUM_RESPONSE,

@@ -119,7 +119,10 @@ fn leakage_audit_stays_within_declared_bounds() {
     gw.find_range("observation", "issued", &Value::from(0i64), &Value::from(i64::MAX)).unwrap();
     let dnf: DnfLiterals = vec![vec![("status".into(), Value::from("final")), ("code".into(), Value::from("glucose"))]];
     gw.find_boolean("observation", &dnf).unwrap();
-    gw.aggregate("observation", "value", AggFn::Avg, None).unwrap();
+    // Twice: the second average is answered from the product the cloud
+    // carried over from the first.
+    let first = gw.aggregate("observation", "value", AggFn::Avg, None).unwrap();
+    assert_eq!(gw.aggregate("observation", "value", AggFn::Avg, None).unwrap(), first);
 
     let snap = gw.recorder().snapshot();
     assert!(!snap.ledger.is_empty(), "audited operations populate the ledger");
@@ -149,6 +152,15 @@ fn leakage_audit_stays_within_declared_bounds() {
         snap.ledger.iter().find(|e| e.field == "subject" && e.op == "equality").expect("subject equality audited");
     assert_eq!(subject_eq.declared, LeakageLevel::Identifiers as u8);
     assert!(subject_eq.observed <= subject_eq.declared);
+    // And the aggregate: the carried product is a function of ciphertexts
+    // the cloud already stores, so a carried sum opens no flow a scanned one
+    // did not — the cell reads what it always read.
+    let value_agg =
+        snap.ledger.iter().find(|e| e.field == "value" && e.op == "aggregate").expect("value aggregate audited");
+    assert_eq!(
+        (value_agg.tactic.as_str(), value_agg.observed, value_agg.count),
+        ("paillier", LeakageLevel::Structure as u8, 2)
+    );
 }
 
 #[test]

@@ -906,3 +906,85 @@ fn wal_and_recovery_counters_reach_the_recorder() {
     assert_eq!(gw.count("notes").unwrap(), (docs + 5) as u64);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// An aggregate is one read call. A hundred of them reach a durable cloud as
+/// a hundred bare `sum` routes — no idempotency envelope, so no dedup slot
+/// and no WAL record — and leave its journal counters where the inserts left
+/// them. The product the cloud carries between sums lives in memory only: a
+/// power cut loses it, the first aggregate after the reopen folds the
+/// recovered documents again (one rescan, exact), and the next one carries.
+#[test]
+fn aggregates_write_nothing_and_are_exact_across_a_restart() {
+    use datablinder::obs::Recorder;
+    use std::sync::Mutex;
+
+    struct Routes {
+        inner: CloudEngine,
+        seen: Mutex<Vec<String>>,
+    }
+    impl CloudService for Routes {
+        fn handle(&self, route: &str, payload: &[u8]) -> Result<Vec<u8>, NetError> {
+            self.seen.lock().unwrap().push(route.to_string());
+            self.inner.handle(route, payload)
+        }
+    }
+    let schema = || {
+        Schema::new("ledger").sensitive_field(
+            "amount",
+            FieldType::Integer,
+            true,
+            FieldAnnotation::new(ProtectionClass::C1, vec![FieldOp::Insert]).with_aggs(vec![AggFn::Sum]),
+        )
+    };
+    // Both gateway incarnations share the KMS (the Paillier keypair lives
+    // there) and mint document ids from different seeds.
+    let kms = Kms::generate(&mut StdRng::seed_from_u64(21));
+    let gateway = |svc: Arc<Routes>, seed: u64| {
+        let gw = GatewayEngine::new("ledger", kms.clone(), Channel::from_arc(svc, LatencyModel::instant()), seed);
+        gw.register_schema(schema()).unwrap();
+        gw
+    };
+    let folds = |obs: &Recorder| {
+        let snap = obs.snapshot();
+        (snap.counter("cloud.paillier.fold.carried"), snap.counter("cloud.paillier.fold.rescans"))
+    };
+
+    let dir = crash_dir("agg");
+    let opts = DurabilityOptions { snapshot_every: Some(1000), dedup_capacity: Some(1024), crash: None };
+    let obs = Recorder::new();
+    let engine = CloudEngine::open_durable_observed(&dir, opts.clone(), obs.clone()).unwrap();
+    let svc = Arc::new(Routes { inner: engine, seen: Mutex::new(Vec::new()) });
+    let gw = gateway(svc.clone(), 21);
+    let docs = 40i64;
+    for amount in 1..=docs {
+        gw.insert("ledger", &Document::new("x").with("amount", Value::from(amount))).unwrap();
+    }
+    let total = (docs * (docs + 1) / 2) as f64;
+
+    let journal = |e: &CloudEngine| (e.wal_seq(), e.wal_group_commits(), e.dedup_hits());
+    let before = (journal(&svc.inner), obs.snapshot().counter("cloud.wal.appends"));
+    svc.seen.lock().unwrap().clear();
+    for _ in 0..100 {
+        assert_eq!(gw.aggregate("ledger", "amount", AggFn::Sum, None).unwrap(), total);
+    }
+    assert_eq!((journal(&svc.inner), obs.snapshot().counter("cloud.wal.appends")), before, "reads do not write");
+    let seen = std::mem::take(&mut *svc.seen.lock().unwrap());
+    assert_eq!(seen.len(), 100, "one call per aggregate");
+    assert!(seen.iter().all(|r| r.starts_with("tactic/paillier/") && r.ends_with("/sum")), "bare reads: {seen:?}");
+    assert_eq!(folds(&obs), (99 * docs as u64, 1), "one full fold, then every document skipped 99 times");
+
+    // Power cut: the WAL holds the documents and nothing about any key.
+    drop(gw);
+    drop(svc);
+    let obs = Recorder::new();
+    let reopened = CloudEngine::open_durable_observed(&dir, opts, obs.clone()).unwrap();
+    assert_eq!(reopened.recovery_report().replayed, before.0 .0, "everything journaled was a write");
+    let svc = Arc::new(Routes { inner: reopened, seen: Mutex::new(Vec::new()) });
+    let gw = gateway(svc.clone(), 22);
+    assert_eq!(gw.aggregate("ledger", "amount", AggFn::Sum, None).unwrap(), total);
+    assert_eq!(folds(&obs), (0, 1), "rebuilt by one rescan of the recovered documents");
+    gw.insert("ledger", &Document::new("x").with("amount", Value::from(1000i64))).unwrap();
+    assert_eq!(gw.aggregate("ledger", "amount", AggFn::Sum, None).unwrap(), total + 1000.0);
+    assert_eq!(folds(&obs), (docs as u64, 1), "and carried from then on");
+    let _ = std::fs::remove_dir_all(&dir);
+}
