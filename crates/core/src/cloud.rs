@@ -142,16 +142,24 @@ pub struct CloudEngine {
     dedup_hits: AtomicU64,
     durability: Option<Durability>,
     recovery: RecoveryReport,
-    /// Pinned snapshot bodies for in-flight `sync/begin`..`sync/end`
-    /// transfers, keyed by transfer token — chunk requests at any offset
-    /// read one immutable body, which is what makes transfers resumable.
-    transfers: Mutex<HashMap<[u8; 16], Arc<Vec<u8>>>>,
+    /// The in-flight `sync/begin`..`sync/end` transfer. One slot: pulls
+    /// serialize on the cluster's membership mutex, so a `begin` with a
+    /// new token replaces a transfer whose puller never sent `end`.
+    transfer: Mutex<Option<PinnedTransfer>>,
     /// Incremental Merkle digest state (see [`DigestCache`]); populated on
     /// the first `sync/digest` request, dirty-tracked by every write.
     digests: Mutex<Option<DigestCache>>,
     /// Observability recorder (disabled by default; see
     /// [`CloudEngine::set_recorder`]).
     obs: Recorder,
+}
+
+/// A snapshot body pinned under its transfer token: chunk requests at any
+/// offset read one immutable body, which is what makes a transfer
+/// resumable.
+struct PinnedTransfer {
+    token: [u8; 16],
+    body: Arc<Vec<u8>>,
 }
 
 impl CloudEngine {
@@ -172,7 +180,7 @@ impl CloudEngine {
             dedup_hits: AtomicU64::new(0),
             durability: None,
             recovery: RecoveryReport::default(),
-            transfers: Mutex::new(HashMap::new()),
+            transfer: Mutex::new(None),
             digests: Mutex::new(None),
             obs: Recorder::default(),
         };
@@ -459,6 +467,11 @@ impl CloudEngine {
         DigestCache::note(&mut self.digests.lock(), scope);
     }
 
+    /// The pinned body, if `token` names the in-flight transfer.
+    fn pinned(&self, token: &[u8; 16]) -> Option<Arc<Vec<u8>>> {
+        self.transfer.lock().as_ref().filter(|t| t.token == *token).map(|t| t.body.clone())
+    }
+
     /// Cluster-synchronization routes: snapshot streaming (`begin`/`chunk`/
     /// `end`), WAL tails, Merkle digests, range exports, and the two
     /// journaled apply ops (`put`, `retire`). See
@@ -467,19 +480,15 @@ impl CloudEngine {
         match op {
             "begin" => {
                 let req = TransferBegin::decode(payload)?;
-                let body = {
-                    let mut transfers = self.transfers.lock();
-                    match transfers.get(&req.token) {
-                        Some(body) => body.clone(),
-                        None => {
-                            let body = match &self.durability {
-                                Some(d) => d.snapshot_body()?.unwrap_or_default(),
-                                None => Vec::new(),
-                            };
-                            let body = Arc::new(body);
-                            transfers.insert(req.token, body.clone());
-                            body
-                        }
+                let body = match self.pinned(&req.token) {
+                    Some(body) => body,
+                    None => {
+                        let body = Arc::new(match &self.durability {
+                            Some(d) => d.snapshot_body()?.unwrap_or_default(),
+                            None => Vec::new(),
+                        });
+                        *self.transfer.lock() = Some(PinnedTransfer { token: req.token, body: body.clone() });
+                        body
                     }
                 };
                 let snapshot_seq = if body.is_empty() { 0 } else { durability::snapshot_body_seq(&body)? };
@@ -488,12 +497,8 @@ impl CloudEngine {
             }
             "chunk" => {
                 let req = ChunkRequest::decode(payload)?;
-                let body = self
-                    .transfers
-                    .lock()
-                    .get(&req.token)
-                    .cloned()
-                    .ok_or_else(|| CoreError::Storage("sync: unknown transfer token".into()))?;
+                let body =
+                    self.pinned(&req.token).ok_or_else(|| CoreError::Storage("sync: unknown transfer token".into()))?;
                 let start = (req.offset as usize).min(body.len());
                 let end = start.saturating_add(req.max_len as usize).min(body.len());
                 let data = body[start..end].to_vec();
@@ -502,7 +507,7 @@ impl CloudEngine {
             }
             "end" => {
                 let req = TransferBegin::decode(payload)?;
-                self.transfers.lock().remove(&req.token);
+                self.transfer.lock().take_if(|t| t.token == req.token);
                 Ok(Vec::new())
             }
             "tail" => {

@@ -400,7 +400,6 @@ mod tests {
     #[test]
     fn fifty_protects_refill_from_the_keypair_and_sum_exactly() {
         let (mut gw, cloud, mut rng) = setup();
-        assert!(gw.keypair.has_crt());
         let values: Vec<f64> = (0..50).map(|i| (i * 37 % 101) as f64 - 50.0 + 0.125 * (i % 8) as f64).collect();
         for (i, v) in values.iter().enumerate() {
             store_doc(&cloud, &mut gw, &mut rng, i as u8 + 1, *v);

@@ -8,7 +8,9 @@
 use std::sync::Arc;
 
 use datablinder_core::cloud::{with_collection, CloudEngine};
-use datablinder_core::cloudproto::{Idempotent, PaillierSum, PaillierSumResponse, IDEM_ROUTE};
+use datablinder_core::cloudproto::{
+    ChunkRequest, ChunkResponse, Idempotent, PaillierSum, PaillierSumResponse, TransferBegin, TransferInfo, IDEM_ROUTE,
+};
 use datablinder_core::cluster::{ClusterCloud, ClusterConfig};
 use datablinder_core::durability::wal_path;
 use datablinder_core::gateway::GatewayEngine;
@@ -364,6 +366,50 @@ fn snapshot_resync_closes_wal_gap() {
         cluster.handle("doc/get", &with_collection("c", DocId([i; 16]).to_hex().as_bytes())).unwrap();
     }
     assert_eq!(cluster.read_repairs(), 0, "no lazy repairs outstanding after resync");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Regression: `sync/begin` used to pin one whole-snapshot body per token
+/// it had ever seen and free it only at `sync/end`, which a crashed or
+/// failed puller never sends. The engine now holds one transfer: a `begin`
+/// with a new token replaces the abandoned one, and the live transfer
+/// still resumes at any offset.
+#[test]
+fn abandoned_sync_transfer_is_replaced_not_pinned() {
+    let dir = temp_dir("sync-slot");
+    let engine = CloudEngine::open_durable(&dir).unwrap();
+    for i in 1..=3u8 {
+        let doc = Document::new(DocId([i; 16]).to_hex()).with("v", Value::from(i64::from(i)));
+        engine.handle("doc/insert", &with_collection("c", &encode_document(&doc))).unwrap();
+    }
+    engine.snapshot_now().unwrap();
+    let begin = |token: [u8; 16]| {
+        TransferInfo::decode(&engine.handle("sync/begin", &TransferBegin { token }.encode()).unwrap()).unwrap()
+    };
+    let chunk = |token: [u8; 16], offset: u64| {
+        engine
+            .handle("sync/chunk", &ChunkRequest { token, offset, max_len: 8 }.encode())
+            .map(|resp| ChunkResponse::decode(&resp).unwrap())
+    };
+    let (a, b) = ([0xA; 16], [0xB; 16]);
+    let info = begin(a);
+    assert!(info.total_len > 16, "the snapshot has a body to stream");
+    assert_eq!(chunk(a, 0).unwrap().data.len(), 8);
+    // The puller of `a` dies here; the next pull opens `b`.
+    assert_eq!(begin(b), info);
+    match chunk(a, 8) {
+        Err(NetError::Remote(msg)) => assert!(msg.contains("unknown transfer token"), "{msg}"),
+        other => panic!("the abandoned transfer must be gone: {other:?}"),
+    }
+    let resumed = chunk(b, 8).unwrap();
+    assert_eq!((resumed.offset, resumed.data.len()), (8, 8));
+    // A repeated `begin` of the live token keeps the transfer, and an `end`
+    // of a stale one does not close it.
+    assert_eq!(begin(b), info);
+    engine.handle("sync/end", &TransferBegin { token: a }.encode()).unwrap();
+    assert_eq!(chunk(b, 8).unwrap(), resumed);
+    engine.handle("sync/end", &TransferBegin { token: b }.encode()).unwrap();
+    assert!(chunk(b, 8).is_err());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

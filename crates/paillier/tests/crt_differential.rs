@@ -1,9 +1,8 @@
 //! Differential tests of CRT decryption against the plain `λ` path, plus
-//! serialization-format compatibility.
+//! the serialization format.
 //!
 //! The CRT decryptor is an *optimization* — every observable behavior must
-//! be identical to the single-exponentiation path it replaced, and legacy
-//! 3-field keypair blobs (no factors) must keep loading and decrypting.
+//! be identical to the single-exponentiation path it replaced.
 
 use datablinder_bigint::BigUint;
 use datablinder_paillier::{Ciphertext, Keypair, PaillierError};
@@ -13,28 +12,11 @@ fn rng(seed: u64) -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(seed)
 }
 
-/// Strips a v2 keypair blob down to the legacy 3-field framing
-/// (`n, λ, μ`, each u32-BE length prefixed), exactly as the pre-CRT
-/// serializer emitted it.
-fn to_legacy_bytes(kp: &Keypair) -> Vec<u8> {
-    let v2 = kp.to_bytes();
-    assert_eq!(&v2[..4], b"DBK2", "generated keypairs serialize as v2");
-    let mut legacy = Vec::new();
-    let mut cursor = &v2[4..];
-    for _ in 0..3 {
-        let len = u32::from_be_bytes(cursor[..4].try_into().unwrap()) as usize;
-        legacy.extend_from_slice(&cursor[..4 + len]);
-        cursor = &cursor[4 + len..];
-    }
-    legacy
-}
-
 #[test]
 fn crt_and_plain_decrypt_agree_over_random_plaintexts() {
     for seed in [1u64, 2, 3] {
         let mut r = rng(seed);
         let kp = Keypair::generate(&mut r, 256);
-        assert!(kp.has_crt());
         let n = kp.public().modulus().clone();
         for _ in 0..16 {
             let m = BigUint::random_below(&mut r, &n);
@@ -78,31 +60,11 @@ fn crt_decrypt_survives_homomorphic_pipelines() {
 }
 
 #[test]
-fn legacy_blobs_load_and_decrypt_without_crt() {
-    let mut r = rng(21);
-    let kp = Keypair::generate(&mut r, 256);
-    let legacy = to_legacy_bytes(&kp);
-    let old = Keypair::from_bytes(&legacy).unwrap();
-    assert!(!old.has_crt(), "legacy blobs carry no factors");
-    assert_eq!(old.public(), kp.public());
-    let n = kp.public().modulus().clone();
-    for _ in 0..8 {
-        let m = BigUint::random_below(&mut r, &n);
-        let c = kp.public().encrypt(&mut r, &m).unwrap();
-        assert_eq!(old.decrypt(&c).unwrap(), m, "legacy keypair must decrypt new ciphertexts");
-        assert_eq!(kp.decrypt(&c).unwrap(), m);
-    }
-    // Legacy keypairs re-serialize byte-for-byte (no silent upgrade).
-    assert_eq!(old.to_bytes(), legacy);
-}
-
-#[test]
 fn v2_blobs_roundtrip_and_stay_stable() {
     let mut r = rng(31);
     let kp = Keypair::generate(&mut r, 256);
     let bytes = kp.to_bytes();
     let kp2 = Keypair::from_bytes(&bytes).unwrap();
-    assert!(kp2.has_crt());
     assert_eq!(kp2.to_bytes(), bytes, "v2 serialization is deterministic");
     let c = kp.public().encrypt_u64(&mut r, 424_242);
     assert_eq!(kp2.decrypt_u64(&c), Some(424_242));

@@ -11,7 +11,7 @@
 use std::collections::BTreeSet;
 
 use datablinder_bigint::BigUint;
-use datablinder_paillier::{Keypair, RandomizerPool};
+use datablinder_paillier::Keypair;
 use rand::rngs::mock::StepRng;
 use rand::SeedableRng;
 
@@ -19,12 +19,10 @@ fn rng(seed: u64) -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(seed)
 }
 
-/// The length-prefixed fields of a keypair blob: `n, λ, μ, p, q` for v2
-/// (after the magic), `n, λ, μ` for the legacy format.
-fn fields(mut blob: &[u8]) -> Vec<BigUint> {
-    if blob.starts_with(b"DBK2") {
-        blob = &blob[4..];
-    }
+/// The length-prefixed fields of a keypair blob: `n, λ, μ, p, q` after the
+/// magic.
+fn fields(blob: &[u8]) -> Vec<BigUint> {
+    let mut blob = blob.strip_prefix(b"DBK2").expect("keypair magic");
     let mut out = Vec::new();
     while !blob.is_empty() {
         let len = u32::from_be_bytes(blob[..4].try_into().unwrap()) as usize;
@@ -32,19 +30,6 @@ fn fields(mut blob: &[u8]) -> Vec<BigUint> {
         blob = &blob[4 + len..];
     }
     out
-}
-
-/// The keypair as the pre-CRT serializer emitted it: no factors.
-fn without_factors(kp: &Keypair) -> Keypair {
-    let mut legacy = Vec::new();
-    for part in &fields(&kp.to_bytes())[..3] {
-        let b = part.to_bytes_be();
-        legacy.extend_from_slice(&(b.len() as u32).to_be_bytes());
-        legacy.extend_from_slice(&b);
-    }
-    let old = Keypair::from_bytes(&legacy).unwrap();
-    assert!(!old.has_crt());
-    old
 }
 
 fn pow_mod(mut base: u64, mut exp: u64, modulus: u64) -> u64 {
@@ -105,7 +90,6 @@ fn sampled_obfuscators_are_nth_residues_and_encrypt_correctly() {
     for (bits, seed) in [(256usize, 3u64), (512, 4)] {
         let mut r = rng(seed);
         let kp = Keypair::generate(&mut r, bits);
-        assert!(kp.has_crt());
         let pk = kp.public();
         let (n, n2) = (pk.modulus().clone(), pk.modulus_squared().clone());
         let lambda = fields(&kp.to_bytes())[1].clone();
@@ -140,26 +124,4 @@ fn keypair_encrypt_matches_public_encrypt_semantics() {
     let mixed = kp.public().add(&c1, &kp.public().encrypt_u64(&mut r, 35));
     assert_eq!(kp.decrypt_u64(&mixed), Some(42));
     assert!(kp.encrypt(&mut r, &n).is_err(), "plaintext range is still checked");
-}
-
-/// A legacy 3-field blob has no factors: its keypair draws obfuscators
-/// through the public key — the very same values for the same randomness —
-/// and a pool built from it works as before.
-#[test]
-fn factorless_keypair_falls_back_to_the_public_route() {
-    let mut r = rng(6);
-    let kp = Keypair::generate(&mut r, 256);
-    let old = without_factors(&kp);
-    assert_eq!(old.fresh_obfuscator(&mut rng(9)), kp.public().fresh_obfuscator(&mut rng(9)));
-    assert_ne!(kp.fresh_obfuscator(&mut rng(9)), kp.public().fresh_obfuscator(&mut rng(9)));
-
-    let c = old.encrypt_u64(&mut r, 1234);
-    assert_eq!(old.decrypt_u64(&c), Some(1234));
-    assert_eq!(kp.decrypt_u64(&c), Some(1234));
-
-    let pool = RandomizerPool::new(old.clone(), 4);
-    pool.refill(&mut r);
-    let c = old.public().encrypt_with(&BigUint::from(99u64), &pool.take(&mut r)).unwrap();
-    assert_eq!(kp.decrypt_u64(&c), Some(99));
-    assert_eq!((pool.stats().hits, pool.stats().precomputed), (1, 4));
 }

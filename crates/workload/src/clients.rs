@@ -23,8 +23,7 @@ use datablinder_core::tactics::{decode_ids, shadow_field};
 use datablinder_core::wire::{canonical_bytes, decode_documents, decode_value, encode_document, field_keyword};
 use datablinder_docstore::{Document, Value};
 use datablinder_kms::Kms;
-use datablinder_netsim::{Channel, ResilienceConfig, ResilientChannel};
-use datablinder_obs::Recorder;
+use datablinder_netsim::Channel;
 use datablinder_paillier::{Ciphertext, Keypair};
 use datablinder_primitives::keys::SymmetricKey;
 use datablinder_sse::det::DetCipher;
@@ -403,26 +402,6 @@ impl MiddlewareClient {
         MiddlewareClient { engine, schema }
     }
 
-    /// As [`MiddlewareClient::new`], but with `recorder` installed on the
-    /// gateway before the schema registers, so every route the workload
-    /// drives lands in the shared recorder (and through it, the channel
-    /// metrics of the gateway↔cloud path). Workers typically share one
-    /// recorder: its internals are sharded atomics, clones share state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the benchmark schema fails to register (a bug, not an
-    /// input condition).
-    pub fn new_observed(channel: Channel, worker: u64, recorder: Recorder) -> Self {
-        let mut rng = StdRng::seed_from_u64(0x5C + worker);
-        let kms = Kms::generate(&mut rng);
-        let mut engine = GatewayEngine::new(&format!("bench-w{worker}"), kms, channel, 0xC0DE + worker);
-        engine.set_recorder(recorder);
-        let schema = format!("observation-w{worker}");
-        engine.register_schema(bench_schema_named(&schema)).expect("bench schema registers");
-        MiddlewareClient { engine, schema }
-    }
-
     /// Access to the engine (used by the healthcare example and tests).
     pub fn engine_mut(&mut self) -> &mut GatewayEngine {
         &mut self.engine
@@ -447,94 +426,6 @@ impl BenchClient for MiddlewareClient {
 
     fn label(&self) -> &'static str {
         "S_C"
-    }
-}
-
-// ====================================================================
-// S_C, shared gateway
-// ====================================================================
-
-/// Collection name used by shared-gateway runs (one tenant, many threads —
-/// in contrast to the per-worker collections of the per-worker clients).
-pub const SHARED_SCHEMA: &str = "observation-shared";
-
-/// Builds ONE gateway engine for all workers to share: registers the
-/// benchmark schema, installs `recorder`, and (optionally) attaches a
-/// worker pool for parallel batch encryption. This is the deployment shape
-/// the `&self` engine routes exist for — one middleware instance behind
-/// many application threads, not one engine per thread.
-///
-/// # Panics
-///
-/// Panics if the benchmark schema fails to register (a bug, not an input
-/// condition).
-pub fn shared_gateway(
-    channel: Channel,
-    recorder: Recorder,
-    pool: Option<std::sync::Arc<datablinder_core::pool::WorkerPool>>,
-) -> std::sync::Arc<GatewayEngine> {
-    let resilient = ResilientChannel::new(channel, ResilienceConfig { seed: 0xC0DE, ..ResilienceConfig::default() });
-    shared_gateway_over(resilient, recorder, pool)
-}
-
-/// [`shared_gateway`] over any pre-wrapped resilient transport — the same
-/// engine, schema and seeds whether the hop underneath is the simulated
-/// channel or a real TCP connection to `datablinder-cloudd` (the `--tcp`
-/// bench rung uses this).
-///
-/// # Panics
-///
-/// Panics if the benchmark schema fails to register (a bug, not an input
-/// condition).
-pub fn shared_gateway_over(
-    channel: ResilientChannel,
-    recorder: Recorder,
-    pool: Option<std::sync::Arc<datablinder_core::pool::WorkerPool>>,
-) -> std::sync::Arc<GatewayEngine> {
-    let mut rng = StdRng::seed_from_u64(0x5C);
-    let kms = Kms::generate(&mut rng);
-    let mut engine = GatewayEngine::with_resilience("bench-shared", kms, channel, 0xC0DE);
-    engine.set_recorder(recorder);
-    if let Some(pool) = pool {
-        engine.set_worker_pool(pool);
-    }
-    engine.register_schema(bench_schema_named(SHARED_SCHEMA)).expect("bench schema registers");
-    std::sync::Arc::new(engine)
-}
-
-/// A thin per-worker handle onto one shared [`GatewayEngine`]: every
-/// worker issues its operations against the *same* engine instance, so a
-/// run measures the engine's internal concurrency (sharded locks,
-/// per-tactic mutexes) instead of N independent gateways.
-pub struct SharedMiddlewareClient {
-    engine: std::sync::Arc<GatewayEngine>,
-}
-
-impl SharedMiddlewareClient {
-    /// Wraps a handle to `engine` (built by [`shared_gateway`]).
-    pub fn new(engine: std::sync::Arc<GatewayEngine>) -> Self {
-        SharedMiddlewareClient { engine }
-    }
-}
-
-impl BenchClient for SharedMiddlewareClient {
-    fn insert(&mut self, doc: &Document) -> Result<(), String> {
-        self.engine.insert(SHARED_SCHEMA, doc).map(|_| ()).map_err(|e| e.to_string())
-    }
-
-    fn search_subject(&mut self, subject: &str) -> Result<usize, String> {
-        self.engine
-            .find_equal(SHARED_SCHEMA, "subject", &Value::from(subject))
-            .map(|docs| docs.len())
-            .map_err(|e| e.to_string())
-    }
-
-    fn average_value(&mut self) -> Result<f64, String> {
-        self.engine.aggregate(SHARED_SCHEMA, "value", AggFn::Avg, None).map_err(|e| e.to_string())
-    }
-
-    fn label(&self) -> &'static str {
-        "S_C/shared"
     }
 }
 

@@ -26,52 +26,55 @@ fn fmt_dur(d: Duration) -> String {
     }
 }
 
+/// The three operation classes with the titles Figure 5 gives them.
+const CLASSES: [(&str, OpKind); 3] =
+    [("insert", OpKind::Insert), ("equality search", OpKind::Search), ("aggregate", OpKind::Aggregate)];
+
+/// Percentage of `from` lost at `to` (both "larger is better").
+fn loss_pct(from: f64, to: f64) -> f64 {
+    100.0 * (1.0 - to / from)
+}
+
 /// Renders the Figure 5 throughput comparison: per-operation and overall
-/// bars for the three scenarios.
+/// bars for the three scenarios, then — given exactly `[S_A, S_B, S_C]` —
+/// the two headline losses of §5.2, overall and per operation class.
 pub fn render_figure5(reports: &[&ScenarioReport]) -> String {
     let mut out = String::new();
     out.push_str("Figure 5 — Per-operation and overall throughput comparison\n");
     out.push_str("(requests/second; larger is better)\n\n");
-    for (title, extract) in [
-        (
-            "insert",
-            Box::new(|r: &ScenarioReport| r.op_throughput(OpKind::Insert)) as Box<dyn Fn(&ScenarioReport) -> f64>,
-        ),
-        ("equality search", Box::new(|r: &ScenarioReport| r.op_throughput(OpKind::Search))),
-        ("aggregate", Box::new(|r: &ScenarioReport| r.op_throughput(OpKind::Aggregate))),
-        ("overall", Box::new(|r: &ScenarioReport| r.throughput())),
-    ] {
+    let classes = CLASSES.iter().map(|(title, op)| (*title, Some(*op)));
+    for (title, op) in classes.chain([("overall", None)]) {
+        let rate = |r: &ScenarioReport| op.map_or(r.throughput(), |op| r.op_throughput(op));
         out.push_str(&format!("{title}:\n"));
-        let max = reports.iter().map(|r| extract(r)).fold(0.0f64, f64::max);
+        let max = reports.iter().map(|r| rate(r)).fold(0.0f64, f64::max);
         for r in reports {
-            let v = extract(r);
-            out.push_str(&format!("  {:<4} {} {:>10.1} req/s\n", r.label, bar(v, max, 40), v));
+            out.push_str(&format!("  {:<4} {} {:>10.1} req/s\n", r.label, bar(rate(r), max, 40), rate(r)));
         }
         out.push('\n');
     }
-    // The headline numbers of §5.2.
     if let [sa, sb, sc] = reports {
-        let tactic_loss = 100.0 * (1.0 - sc.throughput() / sa.throughput());
-        let middleware_loss = 100.0 * (1.0 - sc.throughput() / sb.throughput());
-        out.push_str(&format!("overall throughput loss S_A -> S_C (tactics): {tactic_loss:.1}% (paper: ~44%)\n"));
-        out.push_str(&format!("additional loss S_B -> S_C (middleware):      {middleware_loss:.1}% (paper: ~1.4%)\n"));
+        let (tactics, middleware) =
+            (loss_pct(sa.throughput(), sc.throughput()), loss_pct(sb.throughput(), sc.throughput()));
+        out.push_str(&format!("overall throughput loss S_A -> S_C (tactics): {tactics:.1}% (paper: ~44%)\n"));
+        out.push_str(&format!("additional loss S_B -> S_C (middleware):      {middleware:.1}% (paper: ~1.4%)\n"));
+        // The mix gives every class the same share of requests, so a
+        // class's own cost shows in its service rate (1 / mean latency),
+        // not in its share of the run's throughput.
+        out.push_str("per operation class, by service rate (mean latency S_A / S_B / S_C):\n");
+        for (title, op) in CLASSES {
+            let mean = |r: &ScenarioReport| r.histogram(op).mean();
+            let rate = |r: &ScenarioReport| 1.0 / mean(r).as_secs_f64().max(1e-9);
+            out.push_str(&format!(
+                "  {title:<16} S_A -> S_C {:>5.1}%   S_B -> S_C {:>5.1}%   ({} / {} / {})\n",
+                loss_pct(rate(sa), rate(sc)),
+                loss_pct(rate(sb), rate(sc)),
+                fmt_dur(mean(sa)),
+                fmt_dur(mean(sb)),
+                fmt_dur(mean(sc)),
+            ));
+        }
     }
     out
-}
-
-/// Renders a scenario's observability snapshot as aligned text tables
-/// (counters, gauges, histograms, EWMAs and the leakage ledger). Returns
-/// a note instead when the run used a disabled recorder.
-pub fn render_snapshot(report: &ScenarioReport) -> String {
-    if report.snapshot.counters.is_empty() && report.snapshot.histograms.is_empty() {
-        return format!("{}: no observability snapshot (run used a disabled recorder)\n", report.label);
-    }
-    format!("observability snapshot — {}\n\n{}", report.label, report.snapshot.to_text())
-}
-
-/// Renders a scenario's observability snapshot as a JSON document.
-pub fn render_snapshot_json(report: &ScenarioReport) -> String {
-    report.snapshot.to_json()
 }
 
 /// Renders every slow operation captured in `recorder`'s ring as a text
@@ -130,7 +133,6 @@ mod tests {
             search: LatencyHistogram::new(),
             aggregate: LatencyHistogram::new(),
             overall,
-            snapshot: datablinder_obs::Snapshot::default(),
         }
     }
 
@@ -141,23 +143,14 @@ mod tests {
         assert!(fig.contains("S_A"));
         assert!(fig.contains("overall"));
         assert!(fig.contains("paper: ~44%"));
+        // S_A inserts at 1 ms, S_B and S_C at 2 ms: half the service rate, no middleware loss.
+        assert!(
+            fig.contains("insert           S_A -> S_C  50.0%   S_B -> S_C   0.0%   (1.00ms / 2.00ms / 2.00ms)"),
+            "{fig}"
+        );
         let tbl = render_latency_table(&[&a, &b, &c]);
         assert!(tbl.contains("p99"));
         assert!(tbl.contains("S_C"));
-    }
-
-    #[test]
-    fn snapshot_renderers_handle_empty_and_populated() {
-        let r = fake("S_C", 1);
-        assert!(render_snapshot(&r).contains("disabled recorder"));
-        let rec = datablinder_obs::Recorder::new();
-        rec.count("gateway.insert.count", 3);
-        let mut r = fake("S_C", 1);
-        r.snapshot = rec.snapshot();
-        assert!(render_snapshot(&r).contains("gateway.insert.count"));
-        let json = render_snapshot_json(&r);
-        let doc = datablinder_obs::Json::parse(&json).expect("snapshot JSON parses");
-        assert!(doc.get("counters").is_some());
     }
 
     #[test]

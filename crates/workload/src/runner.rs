@@ -5,13 +5,14 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use datablinder_core::cloud::CloudEngine;
 use datablinder_fhir::ObservationGenerator;
-use datablinder_obs::{Recorder, Snapshot};
+use datablinder_netsim::{Channel, LatencyModel};
+use datablinder_obs::histogram::LatencyHistogram;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::clients::BenchClient;
-use datablinder_obs::histogram::LatencyHistogram;
+use crate::clients::{BenchClient, HardcodedClient, MiddlewareClient, PlainClient};
 
 /// The kinds of operation in the mix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -100,11 +101,6 @@ pub struct ScenarioReport {
     pub aggregate: LatencyHistogram,
     /// All operations combined.
     pub overall: LatencyHistogram,
-    /// Observability snapshot taken at the end of the run: workload
-    /// metrics plus whatever the supplied recorder collected from the
-    /// layers underneath (gateway routes, channel retries, WAL, ledger).
-    /// Empty when the run used a disabled recorder.
-    pub snapshot: Snapshot,
 }
 
 impl ScenarioReport {
@@ -113,14 +109,18 @@ impl ScenarioReport {
         self.completed as f64 / self.elapsed.as_secs_f64().max(1e-9)
     }
 
+    /// The latency histogram of one operation class.
+    pub fn histogram(&self, op: OpKind) -> &LatencyHistogram {
+        match op {
+            OpKind::Insert => &self.insert,
+            OpKind::Search => &self.search,
+            OpKind::Aggregate => &self.aggregate,
+        }
+    }
+
     /// Per-operation throughput (ops of that kind per second of run).
     pub fn op_throughput(&self, op: OpKind) -> f64 {
-        let count = match op {
-            OpKind::Insert => self.insert.count(),
-            OpKind::Search => self.search.count(),
-            OpKind::Aggregate => self.aggregate.count(),
-        };
-        count as f64 / self.elapsed.as_secs_f64().max(1e-9)
+        self.histogram(op).count() as f64 / self.elapsed.as_secs_f64().max(1e-9)
     }
 }
 
@@ -134,167 +134,102 @@ pub fn run_scenario<F>(label: &'static str, spec: ScenarioSpec, factory: F) -> S
 where
     F: Fn(usize) -> Box<dyn BenchClient> + Sync,
 {
-    run_scenario_observed(label, spec, factory, Recorder::disabled())
-}
-
-/// As [`run_scenario`], but measured through `recorder`: each operation
-/// also lands in the recorder's `workload.<op>.latency` histogram and
-/// `workload.<op>.count` / `workload.<op>.errors` counters, and the
-/// returned report carries `recorder.snapshot()` — which therefore also
-/// contains whatever the layers under the client recorded, when they
-/// share the same recorder.
-pub fn run_scenario_observed<F>(
-    label: &'static str,
-    spec: ScenarioSpec,
-    factory: F,
-    recorder: Recorder,
-) -> ScenarioReport
-where
-    F: Fn(usize) -> Box<dyn BenchClient> + Sync,
-{
     let per_worker = spec.requests / spec.workers.max(1);
-    let completed = AtomicU64::new(0);
     let failed = AtomicU64::new(0);
     // Client construction (key generation!) happens before the barrier so
     // setup cost is excluded from the measured window.
     let barrier = std::sync::Barrier::new(spec.workers + 1);
 
     let mut start = Instant::now();
-    let histograms: Vec<(LatencyHistogram, LatencyHistogram, LatencyHistogram)> = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for w in 0..spec.workers {
-            let factory = &factory;
-            let completed = &completed;
-            let failed = &failed;
-            let barrier = &barrier;
-            let recorder = &recorder;
-            handles.push(scope.spawn(move |_| {
-                let mut client = factory(w);
-                barrier.wait();
-                let mut rng = StdRng::seed_from_u64(spec.seed ^ (w as u64).wrapping_mul(0x9E37_79B9));
-                let mut gen = ObservationGenerator::new(spec.patient_pool);
-                let mut insert_h = LatencyHistogram::new();
-                let mut search_h = LatencyHistogram::new();
-                let mut agg_h = LatencyHistogram::new();
-                // Prime each worker with a few documents so early
-                // searches/aggregates have data.
-                for _ in 0..4 {
-                    let doc = gen.generate(&mut rng);
-                    let t = Instant::now();
-                    let ok = client.insert(&doc).is_ok();
-                    let d = t.elapsed();
-                    recorder.record_op("workload.insert", None, None, d, ok);
-                    if ok {
-                        insert_h.record(d);
-                        completed.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        failed.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                for _ in 0..per_worker.saturating_sub(4) {
-                    match spec.mix.pick(&mut rng) {
-                        OpKind::Insert => {
-                            let doc = gen.generate(&mut rng);
-                            let t = Instant::now();
-                            let ok = client.insert(&doc).is_ok();
-                            let d = t.elapsed();
-                            recorder.record_op("workload.insert", None, None, d, ok);
-                            if ok {
-                                insert_h.record(d);
-                                completed.fetch_add(1, Ordering::Relaxed);
-                            } else {
-                                failed.fetch_add(1, Ordering::Relaxed);
+    // Per worker: [insert, search, aggregate], indexed by `OpKind as usize`.
+    let histograms: Vec<[LatencyHistogram; 3]> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..spec.workers)
+            .map(|w| {
+                let (factory, failed, barrier) = (&factory, &failed, &barrier);
+                scope.spawn(move || {
+                    let mut client = factory(w);
+                    barrier.wait();
+                    let mut rng = StdRng::seed_from_u64(spec.seed ^ (w as u64).wrapping_mul(0x9E37_79B9));
+                    let mut gen = ObservationGenerator::new(spec.patient_pool);
+                    let mut histograms: [LatencyHistogram; 3] = Default::default();
+                    for i in 0..per_worker {
+                        // Prime each worker with a few documents so early
+                        // searches/aggregates have data.
+                        let op = if i < 4 { OpKind::Insert } else { spec.mix.pick(&mut rng) };
+                        // Inputs are drawn outside the timed call.
+                        let (t, ok) = match op {
+                            OpKind::Insert => {
+                                let doc = gen.generate(&mut rng);
+                                let t = Instant::now();
+                                (t, client.insert(&doc).is_ok())
                             }
-                        }
-                        OpKind::Search => {
-                            let subject = gen.patient(rng.gen_range(0..spec.patient_pool));
-                            let t = Instant::now();
-                            let ok = client.search_subject(&subject).is_ok();
-                            let d = t.elapsed();
-                            recorder.record_op("workload.search", None, None, d, ok);
-                            if ok {
-                                search_h.record(d);
-                                completed.fetch_add(1, Ordering::Relaxed);
-                            } else {
-                                failed.fetch_add(1, Ordering::Relaxed);
+                            OpKind::Search => {
+                                let subject = gen.patient(rng.gen_range(0..spec.patient_pool));
+                                let t = Instant::now();
+                                (t, client.search_subject(&subject).is_ok())
                             }
-                        }
-                        OpKind::Aggregate => {
-                            let t = Instant::now();
-                            let ok = client.average_value().is_ok();
-                            let d = t.elapsed();
-                            recorder.record_op("workload.aggregate", None, None, d, ok);
-                            if ok {
-                                agg_h.record(d);
-                                completed.fetch_add(1, Ordering::Relaxed);
-                            } else {
-                                failed.fetch_add(1, Ordering::Relaxed);
+                            OpKind::Aggregate => {
+                                let t = Instant::now();
+                                (t, client.average_value().is_ok())
                             }
+                        };
+                        let d = t.elapsed();
+                        if ok {
+                            histograms[op as usize].record(d);
+                        } else {
+                            failed.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                }
-                (insert_h, search_h, agg_h)
-            }));
-        }
+                    histograms
+                })
+            })
+            .collect();
         barrier.wait();
         start = Instant::now();
         handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-    })
-    .expect("scope");
+    });
     let elapsed = start.elapsed();
 
-    let mut insert = LatencyHistogram::new();
-    let mut search = LatencyHistogram::new();
-    let mut aggregate = LatencyHistogram::new();
-    for (i, s, a) in &histograms {
-        insert.merge(i);
-        search.merge(s);
-        aggregate.merge(a);
-    }
+    let mut merged: [LatencyHistogram; 3] = Default::default();
     let mut overall = LatencyHistogram::new();
-    overall.merge(&insert);
-    overall.merge(&search);
-    overall.merge(&aggregate);
+    for worker in &histograms {
+        for (class, h) in merged.iter_mut().zip(worker) {
+            class.merge(h);
+            overall.merge(h);
+        }
+    }
+    let [insert, search, aggregate] = merged;
 
     ScenarioReport {
         label,
         elapsed,
-        completed: completed.load(Ordering::Relaxed),
+        completed: overall.count(),
         failed: failed.load(Ordering::Relaxed),
         insert,
         search,
         aggregate,
         overall,
-        snapshot: recorder.snapshot(),
     }
 }
 
-/// Runs a scenario against ONE shared gateway engine: every worker gets a
-/// [`SharedMiddlewareClient`] handle onto `engine` instead of its own
-/// gateway, so the run exercises the engine's internal concurrency (the
-/// shape of a middleware instance behind a thread-pooled app server).
-/// Measure with the same `recorder` the engine carries to see gateway
-/// routes, pool gauges and shard contention in the report snapshot.
-pub fn run_shared_scenario(
-    label: &'static str,
-    spec: ScenarioSpec,
-    engine: &std::sync::Arc<datablinder_core::gateway::GatewayEngine>,
-    recorder: Recorder,
-) -> ScenarioReport {
-    run_scenario_observed(
-        label,
-        spec,
-        |_| Box::new(crate::clients::SharedMiddlewareClient::new(std::sync::Arc::clone(engine))),
-        recorder,
-    )
+/// Runs the three §5.2 scenarios — S_A plain, S_B hard-coded tactics, S_C
+/// DataBlinder — one after the other, each against a fresh cloud engine
+/// behind `model`, and returns `[S_A, S_B, S_C]`. Every worker gets its own
+/// channel handle onto its scenario's one engine.
+pub fn run_three_scenarios(spec: ScenarioSpec, model: LatencyModel) -> [ScenarioReport; 3] {
+    let fresh = || Channel::connect(CloudEngine::new(), model);
+    let (cloud_a, cloud_b, cloud_c) = (fresh(), fresh(), fresh());
+    [
+        run_scenario("S_A", spec, |w| Box::new(PlainClient::new(cloud_a.clone(), w as u64))),
+        // 512-bit Paillier: the registry default S_C runs with.
+        run_scenario("S_B", spec, |w| Box::new(HardcodedClient::new(cloud_b.clone(), w as u64, 512))),
+        run_scenario("S_C", spec, |w| Box::new(MiddlewareClient::new(cloud_c.clone(), w as u64))),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clients::PlainClient;
-    use datablinder_core::cloud::CloudEngine;
-    use datablinder_netsim::{Channel, LatencyModel};
 
     #[test]
     fn runner_completes_all_requests() {
@@ -306,42 +241,6 @@ mod tests {
         assert_eq!(report.completed, 200);
         assert!(report.throughput() > 0.0);
         assert_eq!(report.insert.count() + report.search.count() + report.aggregate.count(), report.overall.count());
-    }
-
-    #[test]
-    fn observed_runner_populates_snapshot() {
-        let spec = ScenarioSpec { workers: 2, requests: 100, ..ScenarioSpec::default() };
-        let rec = Recorder::new();
-        let report = run_scenario_observed(
-            "S_A",
-            spec,
-            |w| Box::new(PlainClient::new(Channel::connect(CloudEngine::new(), LatencyModel::instant()), w as u64)),
-            rec.clone(),
-        );
-        assert_eq!(report.failed, 0);
-        let total: u64 = report
-            .snapshot
-            .counters_with_prefix("workload.")
-            .iter()
-            .filter(|(name, _)| name.ends_with(".count"))
-            .map(|(_, v)| v)
-            .sum();
-        assert_eq!(total, report.completed, "recorder counted every completed op");
-        assert!(report.snapshot.histogram("workload.insert.latency").is_some());
-    }
-
-    #[test]
-    fn shared_gateway_runner_completes_all_requests() {
-        use crate::clients::shared_gateway;
-        let rec = Recorder::new();
-        let channel = Channel::connect(CloudEngine::new(), LatencyModel::instant());
-        let pool = std::sync::Arc::new(datablinder_core::pool::WorkerPool::new(2));
-        let engine = shared_gateway(channel, rec.clone(), Some(pool));
-        let spec = ScenarioSpec { workers: 4, requests: 120, ..ScenarioSpec::default() };
-        let report = run_shared_scenario("S_C/shared", spec, &engine, rec);
-        assert_eq!(report.failed, 0);
-        assert_eq!(report.completed, 120);
-        assert!(report.snapshot.counters_with_prefix("gateway.").iter().any(|(n, _)| n == "gateway.insert.count"));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! module docs of `spi` for the exact method mapping).
 //!
 //! ```sh
-//! cargo run -p datablinder-bench --bin table1_spi
+//! cargo run --example table1_spi
 //! ```
 
 /// (operation, gateway interfaces, cloud interfaces) — Table 1 verbatim.

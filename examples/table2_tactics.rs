@@ -3,11 +3,11 @@
 //! introspection*, so the table is guaranteed to match the running code.
 //!
 //! ```sh
-//! cargo run -p datablinder-bench --bin table2_tactics
+//! cargo run --example table2_tactics
 //! ```
 
-use datablinder_core::model::{AggFn, FieldOp};
-use datablinder_core::registry::TacticRegistry;
+use datablinder::core::model::{AggFn, FieldOp};
+use datablinder::core::registry::TacticRegistry;
 
 /// The paper's Table 2 rows for comparison: (operation, scheme name,
 /// class, leakage, gateway ifaces, cloud ifaces, challenge).

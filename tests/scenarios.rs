@@ -2,10 +2,8 @@
 //! asserting the paper's qualitative result stays true —
 //! `S_A` fastest, `S_B ≈ S_C`, zero failures.
 
-use datablinder::core::cloud::CloudEngine;
-use datablinder::netsim::{Channel, LatencyModel};
-use datablinder::workload::clients::{HardcodedClient, MiddlewareClient, PlainClient};
-use datablinder::workload::runner::{run_scenario, OpKind, ScenarioSpec};
+use datablinder::netsim::LatencyModel;
+use datablinder::workload::runner::{run_three_scenarios, OpKind, ScenarioSpec};
 
 fn spec() -> ScenarioSpec {
     ScenarioSpec { workers: 4, requests: 400, patient_pool: 16, ..ScenarioSpec::default() }
@@ -13,12 +11,7 @@ fn spec() -> ScenarioSpec {
 
 #[test]
 fn figure5_shape_holds() {
-    let cloud_a = Channel::connect(CloudEngine::new(), LatencyModel::instant());
-    let sa = run_scenario("S_A", spec(), |w| Box::new(PlainClient::new(cloud_a.clone(), w as u64)));
-    let cloud_b = Channel::connect(CloudEngine::new(), LatencyModel::instant());
-    let sb = run_scenario("S_B", spec(), |w| Box::new(HardcodedClient::new(cloud_b.clone(), w as u64, 512)));
-    let cloud_c = Channel::connect(CloudEngine::new(), LatencyModel::instant());
-    let sc = run_scenario("S_C", spec(), |w| Box::new(MiddlewareClient::new(cloud_c.clone(), w as u64)));
+    let [sa, sb, sc] = run_three_scenarios(spec(), LatencyModel::instant());
 
     for r in [&sa, &sb, &sc] {
         assert_eq!(r.failed, 0, "{}: no request may fail", r.label);
