@@ -12,8 +12,9 @@
 //! `--listen` defaults to `127.0.0.1:0` (kernel-picked ephemeral port; the
 //! daemon prints `LISTENING <addr>` so scripts can parse the actual port —
 //! the port-in-use-safe pattern `scripts/verify.sh` relies on). Before
-//! that it prints `BACKEND <tier>`: which symmetric kernels this host runs
-//! (`datablinder_primitives::backend()`).
+//! that it prints `BACKEND <tier> crc32=<tier>`: which symmetric kernels
+//! this host runs (`datablinder_primitives::backend()`) and which CRC-32
+//! frames every request and response (`datablinder_codec::crc_backend()`).
 
 #![forbid(unsafe_code)]
 
@@ -97,8 +98,9 @@ fn run() -> Result<(), String> {
     let server =
         CloudServer::bind(opts.listen.as_str(), service, config).map_err(|e| format!("bind {}: {e}", opts.listen))?;
 
-    // Which tier this host's symmetric kernels (digests, here) run on.
-    println!("BACKEND {}", datablinder_primitives::backend());
+    // Which tier this host's symmetric kernels (digests, here) and the
+    // frame CRC run on.
+    println!("BACKEND {} crc32={}", datablinder_primitives::backend(), datablinder_codec::crc_backend());
     // Parsed by scripts: the kernel-assigned port when --listen used :0.
     println!("LISTENING {}", server.local_addr());
     use std::io::Write;

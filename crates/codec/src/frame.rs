@@ -9,9 +9,14 @@
 
 use std::ops::RangeInclusive;
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) lookup tables for
-/// slicing-by-8, built at compile time so every frame, WAL record and
-/// snapshot chunk stays table-driven without pulling in a crc crate.
+use crate::clmul::Clmul;
+
+/// The IEEE 802.3 CRC-32 polynomial, reflected: bit `i` is the coefficient
+/// of `x^(31 - i)`, and `x^32` is implied.
+pub(crate) const POLY: u32 = 0xEDB8_8320;
+
+/// CRC-32 (IEEE 802.3, reflected) lookup tables for slicing-by-8, built at
+/// compile time so the portable tier needs no crc crate.
 /// `CRC32_TABLES[0]` is the classic byte table; `CRC32_TABLES[k][b]` is the
 /// CRC state after byte `b` followed by `k` zero bytes, which is what lets
 /// eight input bytes be folded with eight independent lookups.
@@ -22,7 +27,7 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
         tables[0][i] = c;
@@ -46,10 +51,30 @@ pub fn crc32(data: &[u8]) -> u32 {
     crc32_update(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
 }
 
-/// Advances the running (pre-inversion) CRC state `c` over `data`, eight
-/// bytes per step; the up-to-seven bytes left take the byte table. The state
-/// is the whole carry, so splitting `data` anywhere gives the same result.
-fn crc32_update(mut c: u32, data: &[u8]) -> u32 {
+/// Which tier [`crc32`] and the frame functions run on in this process:
+/// `"pclmulqdq"` (carry-less-multiply folding, x86-64 with the instruction)
+/// or `"portable"` (slicing-by-8). Nothing selects a tier from outside.
+pub fn crc_backend() -> &'static str {
+    match Clmul::detect() {
+        Some(_) => "pclmulqdq",
+        None => "portable",
+    }
+}
+
+/// Advances the running (pre-inversion) CRC state `c` over `data`. The state
+/// is the whole carry, so splitting `data` anywhere gives the same result —
+/// on either tier, and across them.
+fn crc32_update(c: u32, data: &[u8]) -> u32 {
+    match Clmul::detect() {
+        Some(clmul) => clmul.crc32_update(c, data),
+        None => crc32_update_portable(c, data),
+    }
+}
+
+/// [`crc32_update`] by slicing-by-8: eight bytes per step, the up-to-seven
+/// bytes left take the byte table. The only tier off x86-64, what the
+/// folding tier finishes with, and the oracle it is tested against.
+pub(crate) fn crc32_update_portable(mut c: u32, data: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
     let mut words = data.chunks_exact(8);
     for w in &mut words {

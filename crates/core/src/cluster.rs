@@ -74,7 +74,7 @@ use crate::durability::{apply_snapshot, snapshot_path, wal_path, DurabilityOptio
 use crate::error::CoreError;
 use crate::sync::{doc_key, empty_bucket_digest, export_entries, hash_bytes, mix64, Selector};
 use crate::tactics::{decode_ids, encode_ids};
-use crate::wire::{decode_document, decode_documents, encode_documents};
+use crate::wire::decode_document;
 
 /// Default virtual nodes per physical node: enough to spread keys evenly
 /// for single-digit cluster sizes without making replica lookups slow.
@@ -400,6 +400,12 @@ fn entry_key(e: &SyncEntry) -> Vec<u8> {
 
 fn remote(e: CoreError) -> NetError {
     NetError::Remote(e.to_string())
+}
+
+/// A whole buffer as one count-prefixed list of byte fields: a `get_many`
+/// request's ids, a node's answer to it.
+fn byte_list(buf: &[u8]) -> Result<Vec<&[u8]>, NetError> {
+    datablinder_codec::decode(buf, |r| Ok::<_, CoreError>(r.list()?)).map_err(remote)
 }
 
 fn is_not_found(err: &NetError) -> bool {
@@ -1724,21 +1730,93 @@ impl ClusterCloud {
         Ok(winner)
     }
 
-    /// Scatter-gathers `get_many`: every live node contributes the subset
-    /// it holds; the union is reassembled in request order.
+    /// Answers `get_many` from where the documents live: each id is asked of
+    /// its first live replica only, an id that node does not return is asked
+    /// of the id's next live replica, and the answer is the byte slices the
+    /// nodes sent, spliced together in request order — no document is
+    /// decoded or encoded here. Like one engine, it skips ids nobody holds;
+    /// an id none of whose replicas answered at all is
+    /// [`NetError::Unavailable`], since the document may exist.
     fn read_get_many(&self, topo: &Topology, payload: &[u8]) -> Result<Vec<u8>, NetError> {
-        let (_, rest) = split_collection(payload).map_err(remote)?;
-        let mut r = Reader::new(rest);
-        let requested = r.list().map_err(|e| remote(e.into()))?;
-        let mut found: HashMap<String, datablinder_docstore::Document> = HashMap::new();
-        for resp in self.scatter(topo, "doc/get_many", payload)? {
-            for doc in decode_documents(&resp).map_err(remote)? {
-                found.entry(doc.id().to_string()).or_insert(doc);
+        /// One requested id still looking for its document.
+        struct Want {
+            /// Position in the request.
+            pos: usize,
+            /// Replicas not yet asked, in ring order.
+            untried: std::vec::IntoIter<usize>,
+            /// Whether any replica has answered for this id.
+            answered: bool,
+        }
+
+        let (collection, rest) = split_collection(payload).map_err(remote)?;
+        let requested = byte_list(rest)?;
+        // Non-UTF-8 ids name nothing, here as on one engine.
+        let mut wanted: Vec<Want> = (0..requested.len())
+            .filter(|&pos| std::str::from_utf8(requested[pos]).is_ok())
+            .map(|pos| Want {
+                pos,
+                untried: topo.ring.replicas(&doc_key(collection, requested[pos])).into_iter(),
+                answered: false,
+            })
+            .collect();
+
+        // Node answers, and per requested position the answer and the place
+        // in it where the document lies.
+        let mut answers: Vec<Vec<u8>> = Vec::new();
+        let mut found: Vec<Option<(usize, usize)>> = vec![None; requested.len()];
+        while !wanted.is_empty() {
+            let mut per_node: BTreeMap<usize, Vec<Want>> = BTreeMap::new();
+            for mut want in wanted.drain(..) {
+                match want.untried.find(|&node| topo.alive(node)) {
+                    Some(node) => per_node.entry(node).or_default().push(want),
+                    None if want.answered => {}
+                    None => {
+                        let id = String::from_utf8_lossy(requested[want.pos]);
+                        return Err(NetError::Unavailable(format!("every replica of document {id} is unreachable")));
+                    }
+                }
+            }
+            for (node, asked) in per_node {
+                let mut w = Writer::new();
+                w.list_with(&asked, |want, w| {
+                    w.raw(requested[want.pos]);
+                });
+                self.obs.count(&topo.node_ops[node], 1);
+                let answer = match topo.channels[node].call("doc/get_many", &with_collection(collection, &w.finish())) {
+                    Ok(answer) => answer,
+                    Err(NetError::Remote(m)) => return Err(NetError::Remote(m)),
+                    Err(_) => {
+                        self.note_node_failure(topo, node);
+                        wanted.extend(asked);
+                        continue;
+                    }
+                };
+                // The node answers in the order asked and leaves out what it
+                // does not hold: one walk over both pairs them up.
+                let docs = byte_list(&answer)?;
+                let mut asked = asked.into_iter().map(|want| Want { answered: true, ..want });
+                for (at, doc) in docs.iter().enumerate() {
+                    let id = Reader::new(doc).bytes().map_err(|e| remote(e.into()))?;
+                    loop {
+                        let want = asked.next().ok_or_else(|| remote(CoreError::Wire("get_many answer")))?;
+                        if requested[want.pos] == id {
+                            found[want.pos] = Some((answers.len(), at));
+                            break;
+                        }
+                        wanted.push(want);
+                    }
+                }
+                wanted.extend(asked);
+                answers.push(answer);
             }
         }
-        let docs: Vec<_> =
-            requested.iter().filter_map(|id| std::str::from_utf8(id).ok()).filter_map(|id| found.remove(id)).collect();
-        Ok(encode_documents(&docs))
+
+        let answers: Vec<Vec<&[u8]>> = answers.iter().map(|answer| byte_list(answer)).collect::<Result<_, _>>()?;
+        let mut w = Writer::new();
+        w.list_with(found.into_iter().flatten(), |(answer, at), w| {
+            w.raw(answers[answer][at]);
+        });
+        Ok(w.finish())
     }
 
     /// Scatter-gathers `extreme`: each node nominates its local extreme,

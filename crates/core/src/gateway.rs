@@ -38,8 +38,8 @@ use crate::model::{AggFn, FieldOp, Schema, TacticOp};
 use crate::pool::WorkerPool;
 use crate::registry::{Selection, TacticRegistry};
 use crate::spi::{CloudCall, DnfLiterals, DocIdGen, GatewayTactic, ProtectItem, ProtectedField, RandomDocIdGen};
-use crate::tactics::{decode_ids, TacticContext};
-use crate::wire::{decode_document, decode_documents, encode_document};
+use crate::tactics::{decode_ids, shadow_field, TacticContext};
+use crate::wire::{decode_document, encode_document, skip_value, take_ciphertext, take_value};
 
 /// Scope name of the shared cross-field boolean tactic instance.
 const BOOL_SCOPE: &str = "__bool__";
@@ -77,37 +77,75 @@ struct SchemaPlan {
     /// Name of the shared boolean tactic (e.g. `biex-2lev`), if any field
     /// requested boolean search served by a cross-field tactic.
     bool_tactic: Option<String>,
-    /// The recover table: every sensitive field with the handle of its
-    /// payload tactic, resolved once here so decrypting a document looks
-    /// nothing up by name. Sorted by field. The handles are the ones in
-    /// [`GatewayEngine::tactics`]; key rotation replaces the instance
-    /// *inside* a handle, so the table never goes stale.
-    recover: Vec<(String, SharedTactic)>,
+    /// The recover table: one row per sensitive field, sorted by shadow
+    /// name — the order the fields of a stored document arrive in.
+    payloads: Vec<PayloadShadow>,
+}
+
+/// One row of a plan's recover table: where a sensitive field's payload
+/// ciphertext is stored, and who opens it.
+struct PayloadShadow {
+    /// The stored name, `<field>__<payload tactic>`.
+    shadow: String,
+    field: String,
+    /// The handle in [`GatewayEngine::tactics`], resolved once here so
+    /// decrypting a document looks nothing up by name; key rotation replaces
+    /// the instance *inside* the handle, so the row never goes stale.
+    tactic: SharedTactic,
 }
 
 impl SchemaPlan {
-    /// Decrypts a stored cloud document back into application form, in
-    /// place: every sensitive field is recovered by its payload tactic, the
-    /// shadow fields are dropped and the plaintext fields stay where they
-    /// are.
+    /// The recover-table row of `field`.
+    fn payload_of(&self, field: &str) -> Result<&PayloadShadow, CoreError> {
+        self.payloads
+            .iter()
+            .find(|p| p.field == field)
+            .ok_or_else(|| CoreError::UnsupportedOperation(format!("field {field} is not annotated")))
+    }
+
+    /// Decrypts one stored document, as the cloud sent it, into application
+    /// form in a single pass over the bytes: the ciphertext under each name
+    /// in `rows` goes to its tactic as it lies in `stored` and comes back as
+    /// the sensitive field's value, every other shadow of a sensitive field
+    /// is passed over, and plaintext fields are copied. `rows` is the
+    /// plan's table, or one row of it when only that field is wanted.
+    ///
+    /// The cloud is not trusted to send what was stored. A listed shadow
+    /// that is not a byte string, and names that do not strictly ascend (as
+    /// `put_document` writes them — so none can repeat and overwrite an
+    /// earlier one), are [`CoreError::Wire`]; a shadow the document lacks
+    /// leaves its field out, as an optional field never written does.
     ///
     /// Shadow fields are recognized as `<sensitive-base>__<suffix>`;
     /// consequently a *plaintext* field named `<sensitive field>__x` would
     /// be mistaken for a shadow field. Avoid such names (the schema is
     /// under application control, so this is a naming convention, not an
     /// attack surface).
-    fn recover_document(&self, mut stored: Document) -> Result<Document, CoreError> {
-        let mut recovered = Vec::with_capacity(self.recover.len());
-        for (field, payload) in &self.recover {
-            if let Some(value) = payload.lock().recover(field, &stored)? {
-                recovered.push((field, value));
+    fn recover_stored(&self, rows: &[PayloadShadow], stored: &[u8]) -> Result<Document, CoreError> {
+        datablinder_codec::decode(stored, |r| {
+            let mut doc = Document::new(r.str()?);
+            let mut rows = rows.iter().peekable();
+            let mut previous: Option<&str> = None;
+            for _ in 0..r.count()? {
+                let name = r.str()?;
+                if previous.is_some_and(|p| p >= name) {
+                    return Err(CoreError::Wire("stored field names out of order"));
+                }
+                previous = Some(name);
+                // Both sides ascend: rows whose shadow this document lacks
+                // fall behind the cursor and are dropped.
+                while rows.next_if(|row| row.shadow.as_str() < name).is_some() {}
+                if let Some(row) = rows.next_if(|row| row.shadow == name) {
+                    let value = row.tactic.lock().recover(take_ciphertext(r)?)?;
+                    doc.set(row.field.clone(), value);
+                } else if name.rsplit_once("__").is_some_and(|(base, _)| self.fields.contains_key(base)) {
+                    skip_value(r, 0)?;
+                } else {
+                    doc.set(name, take_value(r, 0)?);
+                }
             }
-        }
-        stored.retain(|name, _| !name.rsplit_once("__").is_some_and(|(base, _)| self.fields.contains_key(base)));
-        for (field, value) in recovered {
-            stored.set(field.clone(), value);
-        }
-        Ok(stored)
+            Ok(doc)
+        })
     }
 }
 
@@ -411,14 +449,20 @@ impl GatewayEngine {
             self.call(&CloudCall::new("doc/ensure_index", with_collection(&schema.name, shadow.as_bytes())))?;
         }
 
-        let mut recover = fields
+        let mut payloads = fields
             .iter()
-            .map(|(field, plan)| Ok((field.clone(), self.tactic(&schema.name, field, &plan.selection.payload)?)))
+            .map(|(field, plan)| {
+                Ok(PayloadShadow {
+                    shadow: shadow_field(field, &plan.selection.payload),
+                    field: field.clone(),
+                    tactic: self.tactic(&schema.name, field, &plan.selection.payload)?,
+                })
+            })
             .collect::<Result<Vec<_>, CoreError>>()?;
-        recover.sort_by(|a, b| a.0.cmp(&b.0));
+        payloads.sort_by(|a, b| a.shadow.cmp(&b.shadow));
 
         self.schema_store.put(&schema);
-        self.plans.write().insert(schema.name.clone(), Arc::new(SchemaPlan { schema, fields, bool_tactic, recover }));
+        self.plans.write().insert(schema.name.clone(), Arc::new(SchemaPlan { schema, fields, bool_tactic, payloads }));
         Ok(())
     }
 
@@ -1065,14 +1109,13 @@ impl GatewayEngine {
     pub fn get(&self, schema_name: &str, id: DocId) -> Result<Document, CoreError> {
         self.observed("gateway.get", |g| {
             let plan = g.plan(schema_name)?;
-            plan.recover_document(g.fetch_raw(schema_name, id)?)
+            plan.recover_stored(&plan.payloads, &g.fetch_stored(schema_name, &id.to_hex())?)
         })
     }
 
-    fn fetch_raw(&self, schema_name: &str, id: DocId) -> Result<Document, CoreError> {
-        let payload = with_collection(schema_name, id.to_hex().as_bytes());
-        let bytes = self.call(&CloudCall::new("doc/get", payload))?;
-        decode_document(&bytes)
+    /// One stored document as the cloud holds it, still encoded.
+    fn fetch_stored(&self, schema_name: &str, id: &str) -> Result<Vec<u8>, CoreError> {
+        self.call(&CloudCall::new("doc/get", with_collection(schema_name, id.as_bytes())))
     }
 
     /// Deletes a document, revoking its index entries.
@@ -1388,7 +1431,9 @@ impl GatewayEngine {
         }
         let plan = self.plan(schema_name)?;
         let bytes = self.call(&CloudCall::new("doc/get_many", get_many_payload(schema_name, ids)))?;
-        decode_documents(&bytes)?.into_iter().map(|stored| plan.recover_document(stored)).collect()
+        datablinder_codec::decode(&bytes, |r| {
+            (0..r.count()?).map(|_| plan.recover_stored(&plan.payloads, r.bytes()?)).collect()
+        })
     }
 
     /// Rotates the payload-encryption key of one field and re-encrypts
@@ -1405,22 +1450,19 @@ impl GatewayEngine {
     /// stay on the new version, which remains decryptable).
     pub fn rotate_payload_key(&self, schema_name: &str, field: &str) -> Result<u64, CoreError> {
         let plan = self.plan(schema_name)?;
-        let fp = plan
-            .fields
-            .get(field)
-            .ok_or_else(|| CoreError::UnsupportedOperation(format!("field {field} is not annotated")))?;
-        let payload_tactic = fp.selection.payload.clone();
+        let row = plan.payload_of(field)?;
+        let payload_tactic = plan.fields[field].selection.payload.clone();
+        let tactic = &row.tactic;
 
-        // 1. Recover every document's plaintext value under the current key.
+        // 1. Recover every document's plaintext value under the current
+        //    key, and keep the stored form the new ciphertext goes into.
         let ids_bytes = self.call(&CloudCall::new("doc/list_ids", with_collection(schema_name, b"")))?;
         let raw_ids = datablinder_codec::Reader::new(&ids_bytes).list()?;
-        let mut recovered: Vec<(String, Option<Value>, Document)> = Vec::new();
-        let tactic = self.tactic(schema_name, field, &payload_tactic)?;
+        let mut recovered: Vec<(&str, Option<Value>, Vec<u8>)> = Vec::new();
         for id in &raw_ids {
-            let id = String::from_utf8(id.to_vec()).map_err(|_| CoreError::Wire("utf8 id"))?;
-            let stored =
-                decode_document(&self.call(&CloudCall::new("doc/get", with_collection(schema_name, id.as_bytes())))?)?;
-            let value = tactic.lock().recover(field, &stored)?;
+            let id = std::str::from_utf8(id).map_err(|_| CoreError::Wire("utf8 id"))?;
+            let stored = self.fetch_stored(schema_name, id)?;
+            let value = plan.recover_stored(std::slice::from_ref(row), &stored)?.remove(field);
             recovered.push((id, value, stored));
         }
 
@@ -1444,9 +1486,10 @@ impl GatewayEngine {
         *tactic.lock() = fresh;
 
         // 3. Re-protect each value and update the stored documents.
-        for (id, value, mut stored) in recovered {
+        for (id, value, stored) in recovered {
             let Some(value) = value else { continue };
-            let doc_id = DocId::from_hex(&id).ok_or(CoreError::Wire("doc id"))?;
+            let doc_id = DocId::from_hex(id).ok_or(CoreError::Wire("doc id"))?;
+            let mut stored = decode_document(&stored)?;
             let mut rng = self.fork_rng();
             let protected = tactic.lock().protect(&mut rng, field, &value, doc_id)?;
             for (f, v) in protected.stored {
@@ -1477,33 +1520,22 @@ impl GatewayEngine {
     /// [`CoreError::UnsupportedOperation`] if the field's equality tactic
     /// is not a field-scoped index tactic; decryption/channel failures.
     pub fn rotate_index_key(&self, schema_name: &str, field: &str) -> Result<u64, CoreError> {
-        let (tactic, payload_tactic) = {
-            let plan = self.plan(schema_name)?;
-            let fp = plan
-                .fields
-                .get(field)
-                .ok_or_else(|| CoreError::UnsupportedOperation(format!("field {field} is not annotated")))?;
-            let tactic =
-                fp.eq_tactic.clone().filter(|t| matches!(t.as_str(), "mitra" | "sophos")).ok_or_else(|| {
-                    CoreError::UnsupportedOperation(format!("field {field} has no rotatable index tactic"))
-                })?;
-            (tactic, fp.selection.payload.clone())
-        };
+        let plan = self.plan(schema_name)?;
+        let row = plan.payload_of(field)?;
+        let tactic =
+            plan.fields[field].eq_tactic.clone().filter(|t| matches!(t.as_str(), "mitra" | "sophos")).ok_or_else(
+                || CoreError::UnsupportedOperation(format!("field {field} has no rotatable index tactic")),
+            )?;
 
         // 1. Recover plaintext values for every stored document.
         let ids_bytes = self.call(&CloudCall::new("doc/list_ids", with_collection(schema_name, b"")))?;
         let raw_ids = datablinder_codec::Reader::new(&ids_bytes).list()?;
         let mut recovered: Vec<(DocId, Value)> = Vec::new();
-        {
-            let payload = self.tactic(schema_name, field, &payload_tactic)?;
-            for id in &raw_ids {
-                let id = String::from_utf8(id.to_vec()).map_err(|_| CoreError::Wire("utf8 id"))?;
-                let stored = decode_document(
-                    &self.call(&CloudCall::new("doc/get", with_collection(schema_name, id.as_bytes())))?,
-                )?;
-                if let Some(value) = payload.lock().recover(field, &stored)? {
-                    recovered.push((DocId::from_hex(&id).ok_or(CoreError::Wire("doc id"))?, value));
-                }
+        for id in &raw_ids {
+            let id = std::str::from_utf8(id).map_err(|_| CoreError::Wire("utf8 id"))?;
+            let stored = self.fetch_stored(schema_name, id)?;
+            if let Some(value) = plan.recover_stored(std::slice::from_ref(row), &stored)?.remove(field) {
+                recovered.push((DocId::from_hex(id).ok_or(CoreError::Wire("doc id"))?, value));
             }
         }
 
@@ -1579,7 +1611,7 @@ impl GatewayEngine {
         for id in &raw_ids {
             let hex = std::str::from_utf8(id).map_err(|_| CoreError::Wire("utf8 id"))?;
             let doc_id = DocId::from_hex(hex).ok_or(CoreError::Wire("doc id"))?;
-            plaintext.push((doc_id, plan.recover_document(self.fetch_raw(schema_name, doc_id)?)?));
+            plaintext.push((doc_id, plan.recover_stored(&plan.payloads, &self.fetch_stored(schema_name, hex)?)?));
             stored_ids.push(doc_id);
         }
 

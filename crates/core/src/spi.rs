@@ -25,7 +25,7 @@
 //! Cloud interfaces (Insertion, Update, Retrieval, Deletion, EqQuery,
 //! BoolQuery, AggFunction) are routes handled by [`CloudTactic::handle`].
 
-use datablinder_docstore::{Document, Value};
+use datablinder_docstore::Value;
 use datablinder_obs::Recorder;
 use datablinder_sse::DocId;
 use rand::RngCore;
@@ -175,15 +175,17 @@ pub trait GatewayTactic: Send {
         Ok(Vec::new())
     }
 
-    /// Recovers the plaintext value from a stored cloud document, if this
-    /// tactic owns the payload encryption of the field. (Retrieval +
-    /// SecureEnc.)
+    /// Recovers the plaintext value from the ciphertext this tactic stored
+    /// for its field — implemented by the tactics that own payload
+    /// encryption (DET, RND). The engine reads the ciphertext out of the
+    /// shadow field `<field>__<tactic name>` of a fetched document and
+    /// hands it over as it lies on the wire. (Retrieval + SecureEnc.)
     ///
     /// # Errors
     ///
-    /// Decryption failures.
-    fn recover(&self, field: &str, stored: &Document) -> Result<Option<Value>, CoreError> {
-        Ok(None)
+    /// Decryption failures; [`CoreError::UnsupportedOperation`] by default.
+    fn recover(&self, ciphertext: &[u8]) -> Result<Value, CoreError> {
+        Err(CoreError::UnsupportedOperation(format!("{}: payload recovery", self.descriptor().name)))
     }
 
     /// Builds the cloud calls for an equality search. (EqQuery.)

@@ -5,12 +5,12 @@
 //! equality and boolean search ride the generic `doc/find_ids_*` routes
 //! with no tactic-specific cloud component.
 
-use datablinder_docstore::{Document, Value};
+use datablinder_docstore::Value;
 use datablinder_sse::det::DetCipher;
 use datablinder_sse::DocId;
 use rand::RngCore;
 
-use super::{decode_ids, shadow_field, ScopedShadow, TacticContext};
+use super::{decode_ids, shadow_field, TacticContext};
 use crate::cloudproto::{FindIdsDnf, FindIdsEq};
 use crate::error::CoreError;
 use crate::model::*;
@@ -45,7 +45,6 @@ pub fn descriptor() -> TacticDescriptor {
 pub struct DetTactic {
     cipher: DetCipher,
     collection: String,
-    shadow: ScopedShadow,
 }
 
 impl DetTactic {
@@ -56,11 +55,7 @@ impl DetTactic {
     /// Key-schedule failures.
     pub fn build(ctx: &TacticContext) -> Result<Self, CoreError> {
         let key = ctx.kms.key_for(&ctx.key_scope("det"));
-        Ok(DetTactic {
-            cipher: DetCipher::new(&key)?,
-            collection: ctx.schema.clone(),
-            shadow: ScopedShadow::new(ctx, "det"),
-        })
+        Ok(DetTactic { cipher: DetCipher::new(&key)?, collection: ctx.schema.clone() })
     }
 
     /// The stored literal for a plaintext value — used by the engine to
@@ -104,13 +99,9 @@ impl GatewayTactic for DetTactic {
             .collect()
     }
 
-    fn recover(&self, field: &str, stored: &Document) -> Result<Option<Value>, CoreError> {
-        let Some(Value::Bytes(ct)) = stored.get(&self.shadow.of(field)) else {
-            return Ok(None);
-        };
-        let plain = self.cipher.decrypt(ct)?;
-        let mut slice = plain.as_slice();
-        Ok(Some(decode_value(&mut slice)?))
+    fn recover(&self, ciphertext: &[u8]) -> Result<Value, CoreError> {
+        let plain = self.cipher.decrypt(ciphertext)?;
+        decode_value(&mut plain.as_slice())
     }
 
     fn eq_query(&mut self, field: &str, value: &Value) -> Result<Vec<CloudCall>, CoreError> {
@@ -167,9 +158,9 @@ mod tests {
         let b = t.protect(&mut rng, "effective", &Value::from(1359966610i64), DocId([2; 16])).unwrap();
         assert_eq!(a.stored, b.stored, "determinism enables cloud equality");
 
-        let mut doc = Document::new("x");
-        doc.set(a.stored[0].0.clone(), a.stored[0].1.clone());
-        assert_eq!(t.recover("effective", &doc).unwrap(), Some(Value::from(1359966610i64)));
+        assert_eq!(a.stored[0].0, "effective__det");
+        let Value::Bytes(ct) = &a.stored[0].1 else { panic!("DET stores bytes") };
+        assert_eq!(t.recover(ct).unwrap(), Value::from(1359966610i64));
     }
 
     #[test]

@@ -12,8 +12,6 @@ pub mod paillier;
 pub mod rnd;
 pub mod sophos;
 
-use std::borrow::Cow;
-
 use datablinder_codec::Writer;
 use datablinder_docstore::Value;
 use datablinder_sse::DocId;
@@ -54,31 +52,6 @@ impl TacticContext {
 /// The shadow-field name a tactic stores its ciphertext under.
 pub fn shadow_field(field: &str, suffix: &str) -> String {
     format!("{field}__{suffix}")
-}
-
-/// The shadow-field name of the field a tactic instance is scoped to,
-/// formatted once when the instance is built: a payload tactic is asked for
-/// it on every document it decrypts.
-pub(crate) struct ScopedShadow {
-    scope: String,
-    suffix: &'static str,
-    name: String,
-}
-
-impl ScopedShadow {
-    pub(crate) fn new(ctx: &TacticContext, suffix: &'static str) -> Self {
-        ScopedShadow { scope: ctx.scope.clone(), suffix, name: shadow_field(&ctx.scope, suffix) }
-    }
-
-    /// [`shadow_field`]`(field, suffix)`, borrowed when `field` is the
-    /// instance's own scope (as it is for every call the gateway makes).
-    pub(crate) fn of(&self, field: &str) -> Cow<'_, str> {
-        if field == self.scope {
-            Cow::Borrowed(&self.name)
-        } else {
-            Cow::Owned(shadow_field(field, self.suffix))
-        }
-    }
 }
 
 /// Encodes a list of [`DocId`]s.

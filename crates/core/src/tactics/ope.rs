@@ -9,7 +9,7 @@
 //! `Collection::scan`); without the index the same route visits every
 //! document.
 
-use datablinder_docstore::{Document, Value};
+use datablinder_docstore::Value;
 use datablinder_ope::{Ope, OpeParams};
 use datablinder_sse::DocId;
 use rand::RngCore;
@@ -89,23 +89,6 @@ impl GatewayTactic for OpeTactic {
         };
         decode_ids(response)
     }
-
-    fn recover(&self, field: &str, stored: &Document) -> Result<Option<Value>, CoreError> {
-        // OPE is decryptable but lossy w.r.t. the original Value type
-        // (everything is an orderable u64); the payload tactic (RND/DET)
-        // owns recovery. Exposed only as a fallback for integer fields.
-        let Some(Value::Bytes(ct)) = stored.get(&shadow_field(field, "ope")) else {
-            return Ok(None);
-        };
-        if ct.len() != 16 {
-            return Err(CoreError::Wire("ope ciphertext size"));
-        }
-        let c = u128::from_be_bytes(ct.as_slice().try_into().unwrap());
-        match self.ope.decrypt(c) {
-            Some(m) => Ok(Some(Value::I64((m ^ (1 << 63)) as i64))),
-            None => Err(CoreError::Crypto("invalid OPE ciphertext".into())),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -147,16 +130,6 @@ mod tests {
         assert_eq!(req.field, "effective__ope");
         let (Value::Bytes(lo), Value::Bytes(hi)) = (&req.lo, &req.hi) else { panic!() };
         assert!(lo < hi);
-    }
-
-    #[test]
-    fn recover_integer_roundtrip() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let mut t = OpeTactic::build(&ctx()).unwrap();
-        let p = t.protect(&mut rng, "f", &Value::from(424242i64), DocId([0; 16])).unwrap();
-        let mut doc = Document::new("x");
-        doc.set(p.stored[0].0.clone(), p.stored[0].1.clone());
-        assert_eq!(t.recover("f", &doc).unwrap(), Some(Value::from(424242i64)));
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! The RND tactic adapter: probabilistic payload encryption, class 1.
 
-use datablinder_docstore::{Document, Value};
+use datablinder_docstore::Value;
 use datablinder_primitives::gcm::NONCE_LEN;
 use datablinder_sse::rnd::RndCipher;
 use datablinder_sse::DocId;
 use rand::RngCore;
 
-use super::{shadow_field, ScopedShadow, TacticContext};
+use super::{shadow_field, TacticContext};
 use crate::error::CoreError;
 use crate::model::*;
 use crate::spi::{GatewayTactic, ProtectItem, ProtectedField};
@@ -33,7 +33,6 @@ pub fn descriptor() -> TacticDescriptor {
 /// Gateway half of RND.
 pub struct RndTactic {
     cipher: RndCipher,
-    shadow: ScopedShadow,
 }
 
 impl RndTactic {
@@ -44,7 +43,7 @@ impl RndTactic {
     /// Key-schedule failures.
     pub fn build(ctx: &TacticContext) -> Result<Self, CoreError> {
         let key = ctx.kms.key_for(&ctx.key_scope("rnd"));
-        Ok(RndTactic { cipher: RndCipher::new(&key)?, shadow: ScopedShadow::new(ctx, "rnd") })
+        Ok(RndTactic { cipher: RndCipher::new(&key)? })
     }
 }
 
@@ -92,14 +91,9 @@ impl GatewayTactic for RndTactic {
             .collect()
     }
 
-    fn recover(&self, field: &str, stored: &Document) -> Result<Option<Value>, CoreError> {
-        let Some(Value::Bytes(ct)) = stored.get(&self.shadow.of(field)) else {
-            return Ok(None);
-        };
-        let plain = self.cipher.decrypt(ct)?;
-        let mut slice = plain.as_slice();
-        let value = decode_value(&mut slice)?;
-        Ok(Some(value))
+    fn recover(&self, ciphertext: &[u8]) -> Result<Value, CoreError> {
+        let plain = self.cipher.decrypt(ciphertext)?;
+        decode_value(&mut plain.as_slice())
     }
 }
 
@@ -125,16 +119,20 @@ mod tests {
         let p = t.protect(&mut rng, "performer", &Value::from("John Smith"), DocId([1; 16])).unwrap();
         assert_eq!(p.stored.len(), 1);
         assert!(p.index_calls.is_empty());
-        let mut doc = Document::new("x");
-        doc.set(p.stored[0].0.clone(), p.stored[0].1.clone());
-        let recovered = t.recover("performer", &doc).unwrap();
-        assert_eq!(recovered, Some(Value::from("John Smith")));
+        assert_eq!(p.stored[0].0, "performer__rnd");
+        let Value::Bytes(ct) = &p.stored[0].1 else { panic!("RND stores bytes") };
+        assert_eq!(t.recover(ct).unwrap(), Value::from("John Smith"));
     }
 
     #[test]
-    fn recover_absent_field_is_none() {
-        let t = RndTactic::build(&ctx()).unwrap();
-        assert_eq!(t.recover("performer", &Document::new("x")).unwrap(), None);
+    fn recover_rejects_a_tampered_ciphertext() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+        let mut t = RndTactic::build(&ctx()).unwrap();
+        let p = t.protect(&mut rng, "performer", &Value::from("John Smith"), DocId([1; 16])).unwrap();
+        let Value::Bytes(mut ct) = p.stored[0].1.clone() else { panic!("RND stores bytes") };
+        *ct.last_mut().unwrap() ^= 1;
+        assert!(t.recover(&ct).is_err());
+        assert!(t.recover(&[]).is_err());
     }
 
     #[test]

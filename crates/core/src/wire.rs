@@ -88,6 +88,51 @@ pub(crate) fn take_value(r: &mut Reader, depth: usize) -> Result<Value, Malforme
     })
 }
 
+/// Passes over one encoded [`Value`] under the checks of [`take_value`] —
+/// tags, lengths, UTF-8, nesting — and builds nothing.
+pub(crate) fn skip_value(r: &mut Reader, depth: usize) -> Result<(), Malformed> {
+    if depth > MAX_VALUE_DEPTH {
+        return Err(Malformed("value nesting"));
+    }
+    match r.u8()? {
+        0 => {}
+        1 => {
+            r.u8()?;
+        }
+        2 | 3 => {
+            r.raw::<8>()?;
+        }
+        4 => {
+            r.str()?;
+        }
+        5 => {
+            r.bytes()?;
+        }
+        6 => {
+            for _ in 0..r.count()? {
+                skip_value(r, depth + 1)?;
+            }
+        }
+        7 => {
+            for _ in 0..r.count()? {
+                r.str()?;
+                skip_value(r, depth + 1)?;
+            }
+        }
+        _ => return Err(Malformed("unknown value tag")),
+    }
+    Ok(())
+}
+
+/// Reads one encoded [`Value`] that has to be `Bytes` and lends its
+/// contents: how a ciphertext gets from a fetched document to its tactic.
+pub(crate) fn take_ciphertext<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], Malformed> {
+    match r.u8()? {
+        5 => r.bytes(),
+        _ => Err(Malformed("ciphertext field is not bytes")),
+    }
+}
+
 /// Encodes a [`Document`] (id + fields).
 pub fn encode_document(doc: &Document) -> Vec<u8> {
     let mut w = Writer::new();
@@ -273,6 +318,38 @@ mod tests {
         let mut slice = buf.as_slice();
         assert_eq!(decode_value(&mut slice).unwrap(), v);
         assert!(slice.is_empty());
+    }
+
+    #[test]
+    fn skip_value_passes_over_exactly_what_take_value_reads() {
+        let mut buf = Vec::new();
+        encode_value(&sample_value(), &mut buf);
+        buf.push(0xEE);
+        let mut r = Reader::new(&buf);
+        skip_value(&mut r, 0).unwrap();
+        assert_eq!(r.rest(), [0xEE]);
+        // Every truncation, and every tag the reader does not know, fails
+        // in both or in neither.
+        for cut in 0..buf.len() - 1 {
+            assert!(skip_value(&mut Reader::new(&buf[..cut]), 0).is_err(), "cut {cut}");
+            assert!(take_value(&mut Reader::new(&buf[..cut]), 0).is_err(), "cut {cut}");
+        }
+        assert!(skip_value(&mut Reader::new(&[8]), 0).is_err());
+        assert!(skip_value(&mut Reader::new(&[4, 0, 0, 0, 1, 0xFF]), 0).is_err(), "not UTF-8");
+        let deep: Vec<u8> = [6u8, 0, 0, 0, 1].repeat(MAX_VALUE_DEPTH + 2);
+        assert_eq!(skip_value(&mut Reader::new(&deep), 0), Err(Malformed("value nesting")));
+    }
+
+    #[test]
+    fn take_ciphertext_lends_bytes_and_rejects_every_other_tag() {
+        let mut buf = Vec::new();
+        encode_value(&Value::Bytes(vec![1, 2, 3]), &mut buf);
+        assert_eq!(take_ciphertext(&mut Reader::new(&buf)), Ok(&[1u8, 2, 3][..]));
+        for other in [Value::Null, Value::from("ct"), Value::from(7i64), Value::Array(vec![])] {
+            let mut buf = Vec::new();
+            encode_value(&other, &mut buf);
+            assert!(take_ciphertext(&mut Reader::new(&buf)).is_err(), "{other:?}");
+        }
     }
 
     #[test]

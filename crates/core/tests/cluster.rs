@@ -5,7 +5,10 @@
 //! cross-replica retry/idempotency regression and durability under a crash
 //! in the middle of rejoin-resync.
 
+use std::collections::HashMap;
 use std::sync::Arc;
+
+use datablinder_codec::Writer;
 
 use datablinder_core::cloud::{with_collection, CloudEngine};
 use datablinder_core::cloudproto::{
@@ -15,7 +18,7 @@ use datablinder_core::cluster::{ClusterCloud, ClusterConfig};
 use datablinder_core::durability::wal_path;
 use datablinder_core::gateway::GatewayEngine;
 use datablinder_core::model::{FieldAnnotation, FieldOp, FieldType, ProtectionClass, Schema};
-use datablinder_core::wire::encode_document;
+use datablinder_core::wire::{decode_documents, encode_document, encode_documents};
 use datablinder_docstore::{Document, Value};
 use datablinder_kms::Kms;
 use datablinder_kvstore::read_frames;
@@ -126,6 +129,108 @@ fn reads_survive_r_minus_one_failures() {
     assert_eq!(doc.get("ward"), Some(&Value::from("icu")));
     // Scatter queries still see the full collection (2 < R nodes down).
     assert_eq!(gw.find_equal("patients", "ward", &Value::from("icu")).unwrap().len(), 10);
+}
+
+/// `doc/get_many` as the cluster answered it until ISSUE 23, written out:
+/// every live node is asked for every id, the first copy in member order
+/// wins, and the documents are decoded and encoded again in request order.
+fn scatter_get_many(cluster: &ClusterCloud, request: &[u8], ids: &[String]) -> Vec<u8> {
+    let mut found: HashMap<String, Document> = HashMap::new();
+    for node in cluster.members() {
+        let Some(answer) = cluster.with_node_engine(node, |engine| engine.handle("doc/get_many", request)) else {
+            continue;
+        };
+        for doc in decode_documents(&answer.unwrap()).unwrap() {
+            found.entry(doc.id().to_string()).or_insert(doc);
+        }
+    }
+    encode_documents(ids.iter().filter_map(|id| found.get(id)))
+}
+
+/// The partitioned `get_many` — each id asked of its first live replica,
+/// what that replica lacks asked of the next, the nodes' bytes spliced —
+/// gives the bytes the all-node scatter gave: in whatever order the ids
+/// come, with ids nobody holds, with a document missing from its first
+/// replica (a W=2 write acknowledged without it), with a node down, and
+/// with a single replica per document.
+#[test]
+fn get_many_from_each_documents_own_replicas_answers_as_the_scatter_did() {
+    for (replication, quorum) in [(3, 2), (1, 1)] {
+        let cluster = ClusterCloud::new(ClusterConfig::volatile(5, replication, quorum, 0x6E7)).unwrap();
+        let ids: Vec<String> = (0..24u32).map(|i| format!("{:032x}", i.wrapping_mul(0x9E37_79B9))).collect();
+        for (i, id) in ids.iter().enumerate() {
+            let doc = Document::new(id.clone()).with("n", Value::from(i as i64)).with("blob", Value::Bytes(vec![7; i]));
+            cluster.handle("doc/insert", &with_collection("notes", &encode_document(&doc))).unwrap();
+        }
+        let check = |ids: &[String], expect_docs: usize, what: &str| {
+            let mut w = Writer::new();
+            w.list(ids);
+            let request = with_collection("notes", &w.finish());
+            let answer = cluster.handle("doc/get_many", &request).unwrap();
+            assert_eq!(answer, scatter_get_many(&cluster, &request, ids), "R={replication}, {what}");
+            assert_eq!(decode_documents(&answer).unwrap().len(), expect_docs, "R={replication}, {what}");
+        };
+
+        // The ids hash onto the ring, so no request order is ring order;
+        // ask in three different ones, and for ids nobody holds.
+        check(&ids, 24, "insertion order");
+        let reversed: Vec<String> = ids.iter().rev().cloned().collect();
+        check(&reversed, 24, "reverse order");
+        let mut holes: Vec<String> = ids.iter().step_by(3).cloned().collect();
+        holes.insert(1, "ff".repeat(16));
+        holes.push("not hex at all".into());
+        check(&holes, 8, "every third id among unknown ones");
+        check(&[], 0, "no ids");
+
+        if replication == 3 {
+            // A replica that missed a write: W=2 acknowledged it without.
+            let first = cluster.doc_replicas("notes", &ids[5])[0];
+            let gone = cluster.with_node_engine(first, |engine| {
+                engine.handle("doc/delete", &with_collection("notes", ids[5].as_bytes()))
+            });
+            gone.unwrap().unwrap();
+            check(&ids, 24, "a document absent from its first replica");
+            // A node down: its documents come from their next replicas.
+            let down = cluster.doc_replicas("notes", &ids[9])[0];
+            cluster.kill_node(down);
+            check(&ids, 24, "one node down");
+            check(&reversed, 24, "one node down, reverse order");
+        }
+        assert_eq!(cluster.read_repairs(), 0, "get_many repairs nothing, before and after");
+    }
+}
+
+/// An id is asked for as often as the request names it, as one engine does
+/// (the scatter's union answered a repeated id once); and documents whose
+/// replicas are all down are `Unavailable`, not silently left out.
+#[test]
+fn get_many_repeats_like_one_engine_and_refuses_to_drop_unreachable_documents() {
+    let cluster = ClusterCloud::new(ClusterConfig::volatile(5, 1, 1, 0x6E8)).unwrap();
+    let single = CloudEngine::new();
+    let ids: Vec<String> = (0..8u32).map(|i| format!("{i:032x}")).collect();
+    for id in &ids {
+        let insert =
+            with_collection("notes", &encode_document(&Document::new(id.clone()).with("n", Value::from(1i64))));
+        cluster.handle("doc/insert", &insert).unwrap();
+        single.handle("doc/insert", &insert).unwrap();
+    }
+    let request = |ids: &[&String]| {
+        let mut w = Writer::new();
+        w.list(ids);
+        with_collection("notes", &w.finish())
+    };
+    let twice = request(&[&ids[3], &ids[1], &ids[3]]);
+    assert_eq!(cluster.handle("doc/get_many", &twice).unwrap(), single.handle("doc/get_many", &twice).unwrap());
+
+    let home = cluster.doc_replicas("notes", &ids[0])[0];
+    cluster.kill_node(home);
+    let (lost, kept): (Vec<&String>, Vec<&String>) =
+        ids.iter().partition(|id| cluster.doc_replicas("notes", id)[0] == home);
+    assert!(matches!(cluster.handle("doc/get_many", &request(&lost)), Err(NetError::Unavailable(_))));
+    if !kept.is_empty() {
+        let answer = cluster.handle("doc/get_many", &request(&kept)).unwrap();
+        assert_eq!(decode_documents(&answer).unwrap().len(), kept.len(), "documents on live nodes stay readable");
+    }
 }
 
 /// An unsatisfiable quorum is a typed `Unavailable` error, never a hang:

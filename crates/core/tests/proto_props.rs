@@ -109,7 +109,7 @@ impl Msg {
             Msg::Response(m) => laws(
                 m,
                 encode_response,
-                |b| match decode_response(b) {
+                |b| match decode_response(b.to_vec()) {
                     Err(NetError::MalformedFrame) => None,
                     outcome => Some(outcome),
                 },

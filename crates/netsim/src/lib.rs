@@ -393,7 +393,7 @@ impl Channel {
         }
         self.charge(cost);
 
-        decode_response(&response)
+        decode_response(response)
     }
 
     /// Advances the channel clock by `delta` without any traffic. Retry
@@ -458,7 +458,19 @@ pub fn decode_request(frame: &[u8]) -> Result<(String, Vec<u8>), NetError> {
 /// variants (bytes = the error message, possibly empty). Shared by every
 /// transport, like [`encode_request`].
 pub fn encode_response(result: &Result<Vec<u8>, NetError>) -> Vec<u8> {
-    let (tag, body): (u8, &[u8]) = match result {
+    let (head, bytes) = response_parts(result);
+    let mut w = Writer::from(Vec::with_capacity(head.len() + bytes.len()));
+    w.raw(&head).raw(bytes);
+    w.finish()
+}
+
+/// `tag: u8 ‖ len: u32`, the part of a response body before its bytes.
+const RESPONSE_HEAD_LEN: usize = 5;
+
+/// [`encode_response`] in two parts, `tag ‖ len` and the bytes they
+/// announce, for a transport that frames them without joining them first.
+pub(crate) fn response_parts(result: &Result<Vec<u8>, NetError>) -> ([u8; RESPONSE_HEAD_LEN], &[u8]) {
+    let (tag, bytes): (u8, &[u8]) = match result {
         Ok(payload) => (0, payload),
         Err(NetError::UnknownRoute(r)) => (1, r.as_bytes()),
         Err(NetError::Remote(m)) => (2, m.as_bytes()),
@@ -469,22 +481,27 @@ pub fn encode_response(result: &Result<Vec<u8>, NetError>) -> Vec<u8> {
         Err(NetError::Disconnected(m)) => (7, m.as_bytes()),
         Err(NetError::FrameTooLarge(m)) => (8, m.as_bytes()),
     };
-    let mut w = Writer::new();
-    w.u8(tag).bytes(body);
-    w.finish()
+    let mut head = [tag; RESPONSE_HEAD_LEN];
+    head[1..].copy_from_slice(&(bytes.len() as u32).to_be_bytes());
+    (head, bytes)
 }
 
-/// Decodes an [`encode_response`] body back into the handler result.
+/// Decodes an [`encode_response`] body back into the handler result. Takes
+/// the body by value: a success payload is what is left of it once the
+/// five-byte head is dropped, not a copy.
 ///
 /// # Errors
 ///
 /// The decoded error itself, or [`NetError::MalformedFrame`] on
 /// truncation, trailing bytes or an unknown tag.
-pub fn decode_response(response: &[u8]) -> Result<Vec<u8>, NetError> {
-    let (tag, body) = datablinder_codec::decode(response, |r| Ok::<_, NetError>((r.u8()?, r.bytes()?)))?;
+pub fn decode_response(mut response: Vec<u8>) -> Result<Vec<u8>, NetError> {
+    let (tag, body) = datablinder_codec::decode(&response, |r| Ok::<_, NetError>((r.u8()?, r.bytes()?)))?;
     let text = || String::from_utf8_lossy(body).into_owned();
     match tag {
-        0 => Ok(body.to_vec()),
+        0 => {
+            response.drain(..RESPONSE_HEAD_LEN);
+            Ok(response)
+        }
         1 => Err(NetError::UnknownRoute(text())),
         2 => Err(NetError::Remote(text())),
         3 => Err(NetError::MalformedFrame),
@@ -554,15 +571,15 @@ mod tests {
     fn frame_decode_rejects_garbage() {
         assert_eq!(decode_request(&[]), Err(NetError::MalformedFrame));
         assert_eq!(decode_request(&[0, 0, 0, 10, b'a']), Err(NetError::MalformedFrame));
-        assert!(decode_response(&[9, 0, 0, 0, 0]).is_err());
-        assert_eq!(decode_response(&[]), Err(NetError::MalformedFrame));
+        assert!(decode_response(vec![9, 0, 0, 0, 0]).is_err());
+        assert_eq!(decode_response(vec![]), Err(NetError::MalformedFrame));
         // Bytes after the announced payload are as malformed as missing ones.
         let mut request = encode_request("echo", b"hi");
         request.push(0);
         assert_eq!(decode_request(&request), Err(NetError::MalformedFrame));
         let mut response = encode_response(&Ok(b"hi".to_vec()));
         response.push(0);
-        assert_eq!(decode_response(&response), Err(NetError::MalformedFrame));
+        assert_eq!(decode_response(response), Err(NetError::MalformedFrame));
     }
 
     #[test]
@@ -650,15 +667,15 @@ mod tests {
     #[test]
     fn new_error_variants_cross_the_wire() {
         let timeout = encode_response(&Err(NetError::Timeout));
-        assert_eq!(decode_response(&timeout), Err(NetError::Timeout));
+        assert_eq!(decode_response(timeout), Err(NetError::Timeout));
         let open = encode_response(&Err(NetError::CircuitOpen));
-        assert_eq!(decode_response(&open), Err(NetError::CircuitOpen));
+        assert_eq!(decode_response(open), Err(NetError::CircuitOpen));
         let unavail = encode_response(&Err(NetError::Unavailable("1/2 acks".into())));
-        assert_eq!(decode_response(&unavail), Err(NetError::Unavailable("1/2 acks".into())));
+        assert_eq!(decode_response(unavail), Err(NetError::Unavailable("1/2 acks".into())));
         let gone = encode_response(&Err(NetError::Disconnected("reset".into())));
-        assert_eq!(decode_response(&gone), Err(NetError::Disconnected("reset".into())));
+        assert_eq!(decode_response(gone), Err(NetError::Disconnected("reset".into())));
         let big = encode_response(&Err(NetError::FrameTooLarge("9 > 8".into())));
-        assert_eq!(decode_response(&big), Err(NetError::FrameTooLarge("9 > 8".into())));
+        assert_eq!(decode_response(big), Err(NetError::FrameTooLarge("9 > 8".into())));
     }
 
     #[test]

@@ -49,7 +49,10 @@ use datablinder_codec::{encode_frame, split_frame, Split};
 use parking_lot::Mutex;
 
 use crate::transport::Transport;
-use crate::{decode_request, decode_response, encode_request, encode_response, ChannelMetrics, CloudService, NetError};
+use crate::{
+    decode_request, decode_response, encode_request, encode_response, response_parts, ChannelMetrics, CloudService,
+    NetError,
+};
 
 /// Correlation id reserved for connection-level error frames.
 pub const CONN_ERROR_CORR: u64 = 0;
@@ -120,33 +123,65 @@ pub fn encode_wire_frame(corr_id: u64, body: &[u8]) -> Vec<u8> {
     encode_frame(&[&corr_id.to_be_bytes(), body])
 }
 
+/// Smallest room [`FrameDecoder::read_from`] offers one `read`.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// Incremental frame decoder, tolerant of arbitrary read boundaries: feed
 /// it whatever `read()` returned and take complete frames out. Splitting
 /// one valid byte stream at any boundaries yields the same frames as
 /// decoding it in one piece (the split/coalesce proptests pin this).
 #[derive(Debug)]
 pub struct FrameDecoder {
+    /// Storage, initialised once when it grows: `buf[consumed..filled]` is
+    /// the stream not yet returned as frames, `buf[filled..]` is room.
     buf: Vec<u8>,
     /// Bytes of `buf` already consumed by returned frames.
     consumed: usize,
+    /// Bytes of `buf` holding stream data.
+    filled: usize,
     max_frame: u32,
 }
 
 impl FrameDecoder {
     /// A decoder enforcing `max_frame` as the `len` cap.
     pub fn new(max_frame: u32) -> Self {
-        FrameDecoder { buf: Vec::new(), consumed: 0, max_frame }
+        FrameDecoder { buf: Vec::new(), consumed: 0, filled: 0, max_frame }
     }
 
     /// Appends raw bytes from the stream.
     pub fn extend(&mut self, bytes: &[u8]) {
-        // Reclaim consumed prefix before growing, keeping the buffer
-        // bounded by one frame plus one read.
+        self.room(bytes.len())[..bytes.len()].copy_from_slice(bytes);
+        self.filled += bytes.len();
+    }
+
+    /// Does one `read` from `source` straight into the decoder's own
+    /// buffer — all the room it has, at least 16 KiB — and returns what the
+    /// `read` returned. A socket's bytes so land where frames are split
+    /// from, with no buffer in between.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `source.read` returns; the decoder is unchanged then.
+    pub fn read_from(&mut self, source: &mut impl Read) -> std::io::Result<usize> {
+        let n = source.read(self.room(READ_CHUNK))?;
+        self.filled += n;
+        Ok(n)
+    }
+
+    /// The unfilled end of the buffer, at least `min` bytes of it. The
+    /// consumed prefix is reclaimed first, which keeps the buffer bounded
+    /// by one frame plus one read; growth zeroes the new storage once, and
+    /// it is then reused for as long as the connection lives.
+    fn room(&mut self, min: usize) -> &mut [u8] {
         if self.consumed > 0 {
-            self.buf.drain(..self.consumed);
+            self.buf.copy_within(self.consumed..self.filled, 0);
+            self.filled -= self.consumed;
             self.consumed = 0;
         }
-        self.buf.extend_from_slice(bytes);
+        if self.buf.len() - self.filled < min {
+            self.buf.resize(self.filled + min, 0);
+        }
+        &mut self.buf[self.filled..]
     }
 
     /// Takes the next complete frame, or `Ok(None)` when more bytes are
@@ -157,7 +192,7 @@ impl FrameDecoder {
     /// [`FrameError`] on an oversized announcement, a runt length or a CRC
     /// mismatch. The stream is unusable afterwards; close the connection.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
-        match split_frame(&self.buf[self.consumed..], 8..=self.max_frame) {
+        match split_frame(&self.buf[self.consumed..self.filled], 8..=self.max_frame) {
             Split::NeedMore => Ok(None),
             Split::Frame { covered, total } => {
                 let (corr_id, body) = covered.split_first_chunk::<8>().expect("split_frame enforces len >= 8");
@@ -175,7 +210,7 @@ impl FrameDecoder {
 
     /// Bytes buffered but not yet consumed by a returned frame.
     pub fn pending_bytes(&self) -> usize {
-        self.buf.len() - self.consumed
+        self.filled - self.consumed
     }
 }
 
@@ -409,7 +444,7 @@ impl PendingReply {
         let result = match received {
             Some(Ok(body)) => {
                 self.metrics.round_trips.fetch_add(1, Ordering::Relaxed);
-                decode_response(&body)
+                decode_response(body)
             }
             Some(Err(e)) => Err(e),
             None => {
@@ -427,22 +462,20 @@ impl PendingReply {
 /// Drains response frames into the pending table until the stream dies.
 fn reader_loop(conn: Arc<Conn>, mut stream: TcpStream, metrics: Arc<ChannelMetrics>, max_frame: u32) {
     let mut decoder = FrameDecoder::new(max_frame);
-    let mut buf = [0u8; 16 * 1024];
     loop {
-        let n = match stream.read(&mut buf) {
+        let n = match decoder.read_from(&mut stream) {
             Ok(0) => return conn.fail_all(&NetError::Disconnected("connection closed by peer".into())),
             Ok(n) => n,
             Err(e) => return conn.fail_all(&NetError::Disconnected(format!("read: {e}"))),
         };
         metrics.bytes_received.fetch_add(n as u64, Ordering::Relaxed);
-        decoder.extend(&buf[..n]);
         loop {
             match decoder.next_frame() {
                 Ok(Some(frame)) => {
                     if frame.corr_id == CONN_ERROR_CORR {
                         // Connection-level error: the server is telling us
                         // why it is about to hang up.
-                        let err = match decode_response(&frame.body) {
+                        let err = match decode_response(frame.body) {
                             Err(e) => e,
                             Ok(_) => NetError::MalformedFrame,
                         };
@@ -637,20 +670,18 @@ fn serve_conn(
     // peer holds the connection open silently.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let mut decoder = FrameDecoder::new(max_frame);
-    let mut buf = [0u8; 16 * 1024];
     loop {
         if shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let n = match stream.read(&mut buf) {
+        match decoder.read_from(&mut stream) {
             Ok(0) => return,
-            Ok(n) => n,
+            Ok(_) => {}
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock || e.kind() == std::io::ErrorKind::TimedOut => {
                 continue;
             }
             Err(_) => return,
-        };
-        decoder.extend(&buf[..n]);
+        }
         loop {
             match decoder.next_frame() {
                 Ok(Some(frame)) => {
@@ -682,7 +713,7 @@ fn respond(
     max_frame: u32,
     frame: &Frame,
 ) -> bool {
-    let result = match decode_request(&frame.body) {
+    let mut result = match decode_request(&frame.body) {
         Ok((route, payload)) => {
             if route == PING_ROUTE {
                 Ok(payload)
@@ -700,16 +731,15 @@ fn respond(
         return false;
     }
 
-    let mut body = encode_response(&result);
-    if body.len() as u64 + 8 > max_frame as u64 {
+    let (head, bytes) = response_parts(&result);
+    let covered = 8 + head.len() + bytes.len();
+    if covered as u64 > max_frame as u64 {
         // Clamp instead of shipping a frame the client must reject.
-        body = encode_response(&Err(NetError::FrameTooLarge(format!(
-            "{} byte response exceeds {} byte frame limit",
-            body.len() + 8,
-            max_frame
-        ))));
+        result = Err(NetError::FrameTooLarge(format!("{covered} byte response exceeds {max_frame} byte frame limit")));
     }
-    stream.write_all(&encode_wire_frame(frame.corr_id, &body)).is_ok()
+    // Framed from its parts: the payload is copied once, into the frame.
+    let (head, bytes) = response_parts(&result);
+    stream.write_all(&encode_frame(&[&frame.corr_id.to_be_bytes(), &head, bytes])).is_ok()
 }
 
 #[cfg(test)]
@@ -725,6 +755,38 @@ mod tests {
         assert_eq!(got, Frame { corr_id: 42, body: b"hello".to_vec() });
         assert_eq!(dec.next_frame().unwrap(), None);
         assert_eq!(dec.pending_bytes(), 0);
+    }
+
+    #[test]
+    fn read_from_splits_the_same_frames_at_any_read_boundary() {
+        /// A source that hands out at most `step` bytes per `read`.
+        struct Trickle<'a>(&'a [u8], usize);
+        impl Read for Trickle<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let n = self.0.len().min(self.1).min(buf.len());
+                let (head, rest) = self.0.split_at(n);
+                buf[..n].copy_from_slice(head);
+                self.0 = rest;
+                Ok(n)
+            }
+        }
+        let big = vec![0xAB; 3 * READ_CHUNK + 5];
+        let bodies: [&[u8]; 4] = [b"a", &big, b"", b"tail"];
+        let stream: Vec<u8> = (1u64..).zip(bodies).flat_map(|(corr, body)| encode_wire_frame(corr, body)).collect();
+        for step in [1, 7, 4096, READ_CHUNK, usize::MAX] {
+            let mut source = Trickle(&stream, step);
+            let mut dec = FrameDecoder::new(DEFAULT_MAX_FRAME);
+            let mut got = Vec::new();
+            while dec.read_from(&mut source).unwrap() > 0 {
+                while let Some(frame) = dec.next_frame().unwrap() {
+                    got.push(frame);
+                }
+            }
+            let want: Vec<Frame> =
+                (1u64..).zip(bodies).map(|(corr_id, body)| Frame { corr_id, body: body.to_vec() }).collect();
+            assert_eq!(got, want, "step {step}");
+            assert_eq!(dec.pending_bytes(), 0);
+        }
     }
 
     #[test]

@@ -87,9 +87,9 @@ fn pipelined_requests_come_back_in_order_with_matching_corr_ids() {
     stream.write_all(&blob).unwrap();
 
     let frames = read_frames(&mut stream, n as usize);
-    for (idx, frame) in frames.iter().enumerate() {
+    for (idx, frame) in frames.into_iter().enumerate() {
         assert_eq!(frame.corr_id, idx as u64 + 1, "responses arrive in request order");
-        let body = decode_response(&frame.body).expect("success response");
+        let body = decode_response(frame.body).expect("success response");
         assert_eq!(body, format!("req-{idx}").as_bytes());
     }
 }
@@ -151,7 +151,7 @@ fn oversized_frame_closes_connection_with_typed_error() {
 
     let frames = read_frames(&mut stream, 1);
     assert_eq!(frames[0].corr_id, CONN_ERROR_CORR);
-    let err = decode_response(&frames[0].body).unwrap_err();
+    let err = decode_response(frames[0].body.clone()).unwrap_err();
     assert!(matches!(err, NetError::FrameTooLarge(_)), "got {err:?}");
     // And the server hangs up.
     let mut rest = Vec::new();
@@ -170,7 +170,7 @@ fn corrupt_crc_closes_connection_with_typed_error() {
 
     let frames = read_frames(&mut stream, 1);
     assert_eq!(frames[0].corr_id, CONN_ERROR_CORR);
-    assert_eq!(decode_response(&frames[0].body), Err(NetError::MalformedFrame));
+    assert_eq!(decode_response(frames[0].body.clone()), Err(NetError::MalformedFrame));
     let mut rest = Vec::new();
     stream.read_to_end(&mut rest).unwrap();
     assert!(rest.is_empty());

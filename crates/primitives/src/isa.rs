@@ -2,10 +2,11 @@
 //! rounds with AES-NI, GHASH by carry-less multiply (PCLMULQDQ) and SHA-256
 //! compression with SHA-NI.
 //!
-//! This is the only module in the workspace that uses `std::arch`, and with
-//! the key wipe in `keys.rs` the only home of `unsafe`
-//! (`scripts/verify.sh` checks the inventory). The safety argument has two
-//! parts, and both are closed inside this file:
+//! With the CRC fold in `crates/codec/src/clmul.rs` this is the only module
+//! in the workspace that uses `std::arch`, and those two and the key wipe
+//! in `keys.rs` are the only homes of `unsafe` (`scripts/verify.sh` checks
+//! the inventory). The safety argument has two parts, and both are closed
+//! inside this file:
 //!
 //! * **CPU features.** Every kernel is a `#[target_feature]` function and
 //!   is reachable only through a method of a witness ([`AesNi`], [`Clmul`],

@@ -300,10 +300,10 @@ fn requests_responses_the_traced_envelope_and_the_tcp_frame() {
         decode_request,
     );
     assert_eq!(hex(&encode_response(&Ok(vec![4, 5]))), RESPONSE_OK);
-    assert_eq!(decode_response(&unhex(RESPONSE_OK)), Ok(vec![4, 5]));
+    assert_eq!(decode_response(unhex(RESPONSE_OK)), Ok(vec![4, 5]));
     for (golden, error) in [(RESPONSE_ERR, NetError::Remote("boom".into())), (RESPONSE_ERR_BARE, NetError::Timeout)] {
         assert_eq!(hex(&encode_response(&Err(error.clone()))), golden);
-        assert_eq!(decode_response(&unhex(golden)), Err(error));
+        assert_eq!(decode_response(unhex(golden)), Err(error));
     }
 
     let ctx = TraceCtx { trace_id: 42, span_id: 7 };

@@ -1,9 +1,14 @@
 //! Adversarial integration tests: what the untrusted zone sees, and how
 //! the system fails when the cloud misbehaves.
 
+use std::sync::{Arc, Mutex};
+
+use datablinder::codec::{Reader, Writer};
 use datablinder::core::cloud::CloudEngine;
 use datablinder::core::gateway::GatewayEngine;
-use datablinder::docstore::{Filter, Value};
+use datablinder::core::wire::{decode_document, encode_value};
+use datablinder::core::CoreError;
+use datablinder::docstore::{Document, Filter, Value};
 use datablinder::fhir::{example_observation, observation_schema};
 use datablinder::kms::Kms;
 use datablinder::netsim::{Channel, CloudService, LatencyModel, NetError};
@@ -103,6 +108,128 @@ fn tampered_ciphertexts_fail_closed() {
 
     // Decryption must fail loudly, not return corrupted data.
     assert!(gw.get("observation", id).is_err());
+}
+
+/// How a [`ForgingCloud`] rewrites a stored document on its way out.
+#[derive(Clone, Copy, Debug)]
+enum Forgery {
+    /// The payload ciphertext of `subject` swapped for `Null`.
+    WrongType,
+    /// `subject__rnd` sent twice, the second time as `Null`: were the later
+    /// one to win, the field would vanish.
+    DuplicateName,
+    /// The first two fields swapped.
+    OutOfOrder,
+    /// The document cut short inside its last value.
+    TruncatedValue,
+    /// One bit of the `subject` ciphertext flipped.
+    FlippedBit,
+}
+
+/// A cloud that stores faithfully and lies on the way back: every document
+/// in a `doc/get` or `doc/get_many` answer goes through the armed forgery.
+struct ForgingCloud {
+    inner: CloudEngine,
+    armed: Arc<Mutex<Option<Forgery>>>,
+}
+
+impl ForgingCloud {
+    fn forge(forgery: Forgery, stored: &[u8]) -> Vec<u8> {
+        let doc = decode_document(stored).unwrap();
+        let mut fields: Vec<(String, Value)> = doc.iter().map(|(n, v)| (n.clone(), v.clone())).collect();
+        let subject = fields.iter().position(|(n, _)| n == "subject__rnd").expect("a payload shadow to forge");
+        match forgery {
+            Forgery::WrongType => fields[subject].1 = Value::Null,
+            Forgery::DuplicateName => fields.insert(subject + 1, ("subject__rnd".into(), Value::Null)),
+            Forgery::OutOfOrder => fields.swap(0, 1),
+            Forgery::FlippedBit => {
+                let Value::Bytes(ct) = &mut fields[subject].1 else { panic!("payload shadows hold bytes") };
+                let middle = ct.len() / 2;
+                ct[middle] ^= 1;
+            }
+            Forgery::TruncatedValue => {}
+        }
+        // `encode_document` cannot write what a `Document` cannot hold — a
+        // repeated or misplaced name — so the same layout by hand.
+        let mut w = Writer::new();
+        w.str(doc.id()).u32(fields.len() as u32);
+        for (name, value) in &fields {
+            let mut encoded = Vec::new();
+            encode_value(value, &mut encoded);
+            w.str(name).raw(&encoded);
+        }
+        let mut out = w.finish();
+        if let Forgery::TruncatedValue = forgery {
+            out.truncate(out.len() - 3);
+        }
+        out
+    }
+}
+
+impl CloudService for ForgingCloud {
+    fn handle(&self, route: &str, payload: &[u8]) -> Result<Vec<u8>, NetError> {
+        let answer = self.inner.handle(route, payload)?;
+        let Some(forgery) = *self.armed.lock().unwrap() else { return Ok(answer) };
+        Ok(match route {
+            "doc/get" => Self::forge(forgery, &answer),
+            "doc/get_many" => {
+                let docs: Vec<Vec<u8>> =
+                    Reader::new(&answer).list().unwrap().into_iter().map(|doc| Self::forge(forgery, doc)).collect();
+                let mut w = Writer::new();
+                w.list(&docs);
+                w.finish()
+            }
+            _ => answer,
+        })
+    }
+}
+
+#[test]
+fn a_cloud_that_rewrites_its_answers_gets_an_error_never_a_shorter_document() {
+    let armed = Arc::new(Mutex::new(None));
+    let cloud = ForgingCloud { inner: CloudEngine::new(), armed: Arc::clone(&armed) };
+    let mut rng = StdRng::seed_from_u64(31);
+    let gw = GatewayEngine::new("sec", Kms::generate(&mut rng), Channel::connect(cloud, LatencyModel::instant()), 31);
+    gw.register_schema(observation_schema()).unwrap();
+    let id = gw.insert("observation", &example_observation()).unwrap();
+    gw.insert("observation", &example_observation()).unwrap();
+
+    let subject = Value::from("John Doe");
+    let when = Value::from(1359966610i64);
+    let dnf = vec![vec![("status".to_string(), Value::from("final")), ("code".to_string(), Value::from("glucose"))]];
+    type Read<'a> = (&'a str, Box<dyn Fn() -> Result<Vec<Document>, CoreError> + 'a>);
+    let reads: [Read<'_>; 5] = [
+        ("get", Box::new(|| gw.get("observation", id).map(|doc| vec![doc]))),
+        ("find_equal", Box::new(|| gw.find_equal("observation", "subject", &subject))),
+        ("find_boolean", Box::new(|| gw.find_boolean("observation", &dnf))),
+        ("find_range", Box::new(|| gw.find_range("observation", "effective", &when, &when))),
+        ("fsck", Box::new(|| gw.fsck("observation").map(|_| Vec::new()))),
+    ];
+
+    // Faithful answers first: whole documents, so a forged one that came
+    // back `Ok` below could only be a shorter one.
+    let fields = example_observation().len();
+    for (name, read) in &reads[..4] {
+        let docs = read().unwrap();
+        assert!(!docs.is_empty() && docs.iter().all(|doc| doc.len() == fields), "{name}");
+    }
+    assert!(gw.fsck("observation").unwrap().is_clean());
+
+    for forgery in
+        [Forgery::WrongType, Forgery::DuplicateName, Forgery::OutOfOrder, Forgery::TruncatedValue, Forgery::FlippedBit]
+    {
+        *armed.lock().unwrap() = Some(forgery);
+        for (name, read) in &reads {
+            let err = read().expect_err(&format!("{name} accepted a {forgery:?} answer"));
+            match forgery {
+                // Authentication, not parsing, catches a changed ciphertext.
+                Forgery::FlippedBit => assert!(matches!(err, CoreError::Sse(_)), "{name}, {forgery:?}: {err}"),
+                _ => assert!(matches!(err, CoreError::Wire(_)), "{name}, {forgery:?}: {err}"),
+            }
+        }
+    }
+    *armed.lock().unwrap() = None;
+    assert_eq!(gw.get("observation", id).unwrap().get("subject"), Some(&subject));
 }
 
 #[test]

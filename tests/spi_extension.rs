@@ -74,13 +74,9 @@ impl GatewayTactic for HmacIndexGateway {
         })
     }
 
-    fn recover(&self, field: &str, stored: &Document) -> Result<Option<Value>, CoreError> {
-        let Some(Value::Bytes(ct)) = stored.get(&shadow_field(field, "hmacidx")) else {
-            return Ok(None);
-        };
-        let plain = self.payload.decrypt(ct).map_err(|e| CoreError::Sse(e.to_string()))?;
-        let mut slice = plain.as_slice();
-        Ok(Some(decode_value(&mut slice)?))
+    fn recover(&self, ciphertext: &[u8]) -> Result<Value, CoreError> {
+        let plain = self.payload.decrypt(ciphertext).map_err(|e| CoreError::Sse(e.to_string()))?;
+        decode_value(&mut plain.as_slice())
     }
 
     fn eq_query(&mut self, field: &str, value: &Value) -> Result<Vec<CloudCall>, CoreError> {
