@@ -250,7 +250,18 @@ impl Idempotent {
     ///
     /// [`CoreError::Wire`] on malformed input.
     pub fn decode(buf: &[u8]) -> Result<Self, CoreError> {
-        decode(buf, |r| Ok(Idempotent { token: r.raw()?, route: r.str()?.into(), payload: r.bytes()?.to_vec() }))
+        let (token, route, payload) = Idempotent::parts(buf)?;
+        Ok(Idempotent { token, route: route.into(), payload: payload.to_vec() })
+    }
+
+    /// The token, route and payload of an encoded envelope, lent from `buf`
+    /// — for a router that only looks inside and forwards the envelope whole.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Wire`] on malformed input.
+    pub fn parts(buf: &[u8]) -> Result<([u8; 16], &str, &[u8]), CoreError> {
+        decode(buf, |r| Ok((r.raw()?, r.str()?, r.bytes()?)))
     }
 }
 

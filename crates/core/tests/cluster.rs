@@ -352,6 +352,50 @@ fn crash_during_rejoin_resync_recovers_cleanly() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Rejoining a member that is serving leaves it alone. Reopening its engine
+/// would run WAL recovery — tail truncation included — over a directory the
+/// running engine is still appending to, and swap engines under live
+/// traffic; so the rejoin answers `Ok(0)` with no counter and no resync
+/// span, the node keeps its engine (same WAL sequence, same documents, a
+/// recovery report that never replayed anything), and the insert stream it
+/// interrupted carries on into the same WAL.
+#[test]
+fn rejoin_of_a_serving_node_is_a_no_op() {
+    let dir = temp_dir("rejoin-live");
+    let recorder = datablinder_obs::Recorder::new();
+    let mut cluster = ClusterCloud::new(ClusterConfig::volatile(3, 3, 2, 0x11FE).durable(&dir)).unwrap();
+    cluster.set_recorder(recorder.clone());
+    let insert = |i: u8| {
+        let doc = Document::new(DocId([i; 16]).to_hex()).with("v", Value::from(i64::from(i)));
+        cluster.handle("doc/insert", &with_collection("c", &encode_document(&doc))).unwrap();
+    };
+    let node1 = || {
+        let state = |e: &CloudEngine| (e.wal_seq(), e.docs().collection("c").len(), e.recovery_report().replayed);
+        cluster.with_node_engine(1, state).unwrap()
+    };
+    for i in 1..=6 {
+        insert(i);
+    }
+    let before = node1();
+    assert_eq!(before, (6, 6, 0));
+
+    assert_eq!(cluster.rejoin_node(1).unwrap(), 0, "nothing to replay into a serving node");
+    assert!(cluster.node_alive(1));
+    assert_eq!(node1(), before, "same engine: WAL sequence, documents and recovery report untouched");
+    assert_eq!((cluster.rejoins(), cluster.resync_filled(), cluster.resync_replayed()), (0, 0, 0));
+    let snap = recorder.snapshot();
+    assert_eq!(snap.counter("cluster.rejoin"), 0);
+    assert!(snap.trace_spans.iter().all(|s| s.route != "cluster.resync"), "no resync ran");
+
+    for i in 7..=12 {
+        insert(i);
+    }
+    assert_eq!(node1(), (12, 12, 0), "the stream went on into the same WAL");
+    let count = cluster.handle("doc/count", &with_collection("c", b"")).unwrap();
+    assert_eq!(u64::from_be_bytes(count[..8].try_into().unwrap()), 12);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The cluster's counters, gauges and quorum-latency histogram all flow
 /// through an attached recorder: per-node op counts, membership gauges,
 /// kill/rejoin/read-repair/resync counters.
@@ -367,6 +411,53 @@ fn cluster_metrics_flow_through_recorder() {
     cluster.handle("doc/get", &with_collection("c", DocId([1; 16]).to_hex().as_bytes())).unwrap();
     cluster.kill_node(1);
     cluster.rejoin_node(1).unwrap();
+
+    // Aggregates are client-path calls too: every partition node the
+    // coordinator asks shows up in that node's op count.
+    let node_ops = || -> u64 {
+        let snap = recorder.snapshot();
+        (0..3).map(|i| snap.counter(&format!("cluster.node.{i}.ops"))).sum()
+    };
+    let ids: Vec<String> = (0..8u8).map(|i| DocId([i + 1; 16]).to_hex()).collect();
+    let partitions_of = |collection: &str| -> u64 {
+        let first: std::collections::BTreeSet<usize> =
+            ids.iter().map(|id| cluster.doc_replicas(collection, id)[0]).collect();
+        first.len() as u64
+    };
+    let before = node_ops();
+    let agg = cluster.handle("doc/agg_plain", &with_collection("c", b"v")).unwrap();
+    assert_eq!(f64::from_be_bytes(agg[..8].try_into().unwrap()), 28.0);
+    assert_eq!(u64::from_be_bytes(agg[8..16].try_into().unwrap()), 8);
+    assert!(partitions_of("c") > 1, "the aggregate is really partitioned");
+    assert_eq!(
+        node_ops() - before,
+        3 + partitions_of("c"),
+        "one id scatter over the three members, then one partial per partition"
+    );
+
+    let mut rng = StdRng::seed_from_u64(0x0B5);
+    let kp = Keypair::generate(&mut rng, 256);
+    for (i, id) in ids.iter().enumerate() {
+        let ct = kp.public().encrypt_u64(&mut rng, 100 + i as u64).to_bytes();
+        let doc = Document::new(id.clone()).with("value__phe", Value::Bytes(ct));
+        cluster.handle("doc/insert", &with_collection("phe", &encode_document(&doc))).unwrap();
+    }
+    let sum = PaillierSum {
+        collection: "phe".into(),
+        field: "value__phe".into(),
+        modulus: kp.public().to_bytes(),
+        ids: ids.clone(),
+    };
+    let before = node_ops();
+    let resp = PaillierSumResponse::decode(&cluster.handle("tactic/paillier/value/sum", &sum.encode()).unwrap());
+    let resp = resp.unwrap();
+    assert_eq!(kp.decrypt_u64(&Ciphertext::from_bytes(&resp.ciphertext)), Some((100..108).sum()));
+    assert!(partitions_of("phe") > 1, "the sum is really partitioned");
+    assert_eq!(
+        node_ops() - before,
+        partitions_of("phe") + 1,
+        "one partial per partition (the ids came with the request), then one combine"
+    );
 
     let snap = recorder.snapshot();
     assert!(snap.counter("cluster.ops") >= 9);

@@ -59,6 +59,24 @@ done
 awk '/^[^\/]*unsafe \{/ && (p1 p2 p3) !~ /SAFETY:/ { print FILENAME ":" FNR ": unsafe block without a SAFETY comment"; bad = 1 }
      { p3 = p2; p2 = p1; p1 = $0 } END { exit bad }' $unsafe_inventory
 
+echo "==> cluster layering: only cluster/replica.rs names the engine and its files on disk; one Vec per slot"
+# The coordinator's data path speaks routes to a Replica. Comments may name
+# the engine; code may not, beyond `with_node_engine`'s public signature.
+cluster=crates/core/src/cluster
+[ ! -e "$cluster.rs" ] ||
+    { echo "$cluster.rs is back; the cluster lives in $cluster/" >&2; exit 1; }
+engine_leaks="$(grep -nE 'CloudEngine|open_durable_with|wal_path|snapshot_path|read_frames' "$cluster"/*.rs |
+    grep -vE "^$cluster/replica\.rs:|^[^:]+:[0-9]+: *//" |
+    grep -vE "^$cluster/mod\.rs:[0-9]+:(use crate::cloud::CloudEngine;|    pub fn with_node_engine<T>\()" || true)"
+[ -z "$engine_leaks" ] ||
+    { echo "the engine or its disk layout named outside $cluster/replica.rs:" >&2; echo "$engine_leaks" >&2; exit 1; }
+[ "$(cat "$cluster"/*.rs | grep -c 'open_durable_with')" = 1 ] ||
+    { echo "a node's engine is opened in one place, LocalNode::restart" >&2; exit 1; }
+if grep -nE '(channels|node_ops|node_errors)\[' "$cluster"/*.rs; then
+    echo "per-slot state lives in Topology's one Vec<Replica>, not in parallel arrays" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 
