@@ -16,9 +16,9 @@ use datablinder_obs::Recorder;
 use datablinder_sse::DocId;
 
 use crate::cloudproto::{
-    is_write_route, BlobList, ChunkRequest, ChunkResponse, DigestRequest, FindIdsDnf, FindIdsEq, FindIdsRange,
-    Idempotent, RangeSelect, SyncEntries, TransferBegin, TransferInfo, WalTailRequest, ENTRY_DOC, ENTRY_INDEX,
-    ENTRY_KV, IDEM_ROUTE,
+    batch_items, is_write_route, BlobList, ChunkRequest, ChunkResponse, DigestRequest, FindIdsDnf, FindIdsEq,
+    FindIdsRange, Idempotent, RangeSelect, SyncEntries, TransferBegin, TransferInfo, WalTailRequest, ENTRY_DOC,
+    ENTRY_INDEX, ENTRY_KV, IDEM_ROUTE,
 };
 use crate::durability::{self, Durability, DurabilityOptions, JournalOutcome, RecoveryReport, WalRecord};
 use crate::error::CoreError;
@@ -388,27 +388,10 @@ impl CloudEngine {
                 self.dedup.lock_shard(shard).put(req.token, fingerprint, outcome.clone());
                 outcome
             }
-            ["batch"] => {
-                // Executes a list of (route, payload) calls in one round
-                // trip; responses are returned in order. Amortizes channel
-                // latency for multi-call operations (batched inserts).
-                let mut r = Reader::new(payload);
-                let items = r.list()?;
-                if items.len() % 2 != 0 {
-                    return Err(CoreError::Wire("batch item count"));
-                }
-                let mut w = Writer::new();
-                let mut responses = Vec::with_capacity(items.len() / 2);
-                for pair in items.chunks(2) {
-                    let route = std::str::from_utf8(pair[0]).map_err(|_| CoreError::Wire("utf8 route"))?;
-                    if route == "batch" {
-                        return Err(CoreError::UnsupportedOperation("nested batch".into()));
-                    }
-                    responses.push(self.dispatch(route, pair[1])?);
-                }
-                w.list(&responses);
-                Ok(w.finish())
-            }
+            // A list of (route, payload) calls in one round trip, answered in
+            // order: a write group, or (read-only) the reads of one query.
+            ["batch"] => self.run_batch(payload, false),
+            ["batch", "read"] => self.run_batch(payload, true),
             ["kv", "del_prefix"] => {
                 let n = self.kv.del_prefix(payload) as u64;
                 if n > 0 {
@@ -459,6 +442,19 @@ impl CloudEngine {
             ["sync", op] => self.handle_sync(op, payload),
             _ => Err(CoreError::UnsupportedOperation(format!("unknown route {route}"))),
         }
+    }
+
+    /// Executes a batch's items in order, aborting on the first failure,
+    /// and answers them as one list. Every item is checked before the first
+    /// runs ([`batch_items`]).
+    fn run_batch(&self, payload: &[u8], read_only: bool) -> Result<Vec<u8>, CoreError> {
+        let responses = batch_items(payload, read_only)?
+            .into_iter()
+            .map(|(route, payload)| self.dispatch(route, payload))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut w = Writer::new();
+        w.list(&responses);
+        Ok(w.finish())
     }
 
     /// Marks the digest cache dirty for a mutation's scope (no-op until the
@@ -892,6 +888,8 @@ pub fn get_many_payload(collection: &str, ids: &[DocId]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cloudproto::encode_batch;
+    use crate::spi::CloudCall;
 
     fn engine() -> CloudEngine {
         CloudEngine::new()
@@ -1041,6 +1039,40 @@ mod tests {
         let mut odd = Writer::new();
         odd.list(&[b"doc/count".to_vec()]);
         assert!(e.dispatch("batch", &odd.finish()).is_err());
+    }
+
+    #[test]
+    fn read_batch_answers_reads_and_refuses_writes_and_nesting_before_running_any() {
+        let e = engine();
+        let (id, ins) = doc(1, "final");
+        e.dispatch("doc/insert", &ins).unwrap();
+        let count = || CloudCall::new("doc/count", with_collection("obs", b""));
+        let get = CloudCall::new("doc/get", with_collection("obs", id.to_hex().as_bytes()));
+        let out = e.dispatch("batch/read", &encode_batch(&[count(), get.clone()])).unwrap();
+        let answers = crate::cloudproto::decode_batch_answer(&out, 2).unwrap();
+        assert_eq!(u64::from_be_bytes(answers[0].clone().try_into().unwrap()), 1);
+        assert_eq!(answers[1], e.dispatch("doc/get", &get.payload).unwrap());
+
+        // A write item, a nested batch of either kind or an envelope is
+        // refused.
+        let (_, second) = doc(2, "draft");
+        let envelope = Idempotent { token: [3; 16], route: "doc/count".into(), payload: Vec::new() };
+        let nested = [
+            CloudCall::new("batch", encode_batch(&[count()])),
+            CloudCall::new("batch/read", encode_batch(&[count()])),
+            CloudCall::new("idem", envelope.encode()),
+        ];
+        for refused in nested.iter().cloned().chain([CloudCall::new("doc/insert", second.clone())]) {
+            let err = e.dispatch("batch/read", &encode_batch(&[count(), refused.clone()])).unwrap_err();
+            assert!(matches!(err, CoreError::UnsupportedOperation(_)), "{}: {err}", refused.route);
+        }
+        // Every item is checked before the first runs: the insert ahead of
+        // a nested batch never happens.
+        for refused in nested {
+            let err = e.dispatch("batch", &encode_batch(&[CloudCall::new("doc/insert", second.clone()), refused]));
+            assert!(matches!(err, Err(CoreError::UnsupportedOperation(_))), "{err:?}");
+        }
+        assert_eq!(e.docs().collection("obs").len(), 1, "nothing in a refused batch ran");
     }
 
     #[test]

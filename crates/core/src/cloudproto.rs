@@ -5,6 +5,7 @@ use datablinder_codec::{decode, Malformed, Reader, Writer};
 use datablinder_docstore::Value;
 
 use crate::error::CoreError;
+use crate::spi::CloudCall;
 use crate::wire::{put_value, take_value};
 
 /// `doc/find_ids_eq`: equality projection query over one stored field.
@@ -217,6 +218,83 @@ impl PaillierSumResponse {
 
 /// Route for idempotent write envelopes (see [`Idempotent`]).
 pub const IDEM_ROUTE: &str = "idem";
+
+/// Route of a batch: several calls in one round trip, executed in order,
+/// aborting on the first failure, and answered as one list. A write; the
+/// gateway seals it in one [`Idempotent`] envelope.
+pub const BATCH_ROUTE: &str = "batch";
+
+/// Route of a read-only batch: the independent reads one query needs, in
+/// one round trip. [`is_write_route`] calls it a read, so it is never
+/// journaled, deduplicated or sealed, and an engine refuses any write item
+/// inside it.
+pub const READ_BATCH_ROUTE: &str = "batch/read";
+
+/// Encodes `calls` as the payload of either batch route: one list of
+/// route, payload, route, payload, …
+pub fn encode_batch(calls: &[CloudCall]) -> Vec<u8> {
+    let len = calls.iter().map(|c| 8 + c.route.len() + c.payload.len()).sum::<usize>();
+    let mut w = Writer::from(Vec::with_capacity(4 + len));
+    w.u32(2 * calls.len() as u32);
+    for c in calls {
+        w.str(&c.route).bytes(&c.payload);
+    }
+    w.finish()
+}
+
+/// The `(route, payload)` items of a batch payload, all checked before any
+/// runs: whole pairs, UTF-8 routes, no nested batch or envelope and — when
+/// `read_only` — no write route. The one item decoder of both batch routes,
+/// on an engine and on a cluster.
+///
+/// # Errors
+///
+/// [`CoreError::Wire`] on malformed input; [`CoreError::UnsupportedOperation`]
+/// on a nested batch or envelope, or a write inside a read-only batch.
+pub fn batch_items(payload: &[u8], read_only: bool) -> Result<Vec<(&str, &[u8])>, CoreError> {
+    let items = decode_calls(payload)?;
+    for &(route, _) in &items {
+        if route == BATCH_ROUTE || route == READ_BATCH_ROUTE || route == IDEM_ROUTE {
+            return Err(CoreError::UnsupportedOperation(format!("nested {route} in a batch")));
+        }
+        if read_only && is_write_route(route) {
+            return Err(CoreError::UnsupportedOperation(format!("write {route} in a read-only batch")));
+        }
+    }
+    Ok(items)
+}
+
+/// The `(route, payload)` pairs of an [`encode_batch`] list — a batch
+/// payload, or a gateway journal entry.
+///
+/// # Errors
+///
+/// [`CoreError::Wire`] on trailing bytes, truncation, an odd field count
+/// or a non-UTF-8 route.
+pub fn decode_calls(payload: &[u8]) -> Result<Vec<(&str, &[u8])>, CoreError> {
+    let fields = decode(payload, |r| Ok::<_, CoreError>(r.list()?))?;
+    if fields.len() % 2 != 0 {
+        return Err(CoreError::Wire("batch item count"));
+    }
+    fields
+        .chunks(2)
+        .map(|pair| Ok((std::str::from_utf8(pair[0]).map_err(|_| CoreError::Wire("utf8 route"))?, pair[1])))
+        .collect()
+}
+
+/// The answers to a batch of `calls` items: exactly one list of that many
+/// answers, and nothing after it.
+///
+/// # Errors
+///
+/// [`CoreError::Wire`] on trailing bytes, truncation or a wrong arity.
+pub fn decode_batch_answer(answer: &[u8], calls: usize) -> Result<Vec<Vec<u8>>, CoreError> {
+    let answers = decode(answer, |r| Ok::<_, CoreError>(r.list()?))?;
+    if answers.len() != calls {
+        return Err(CoreError::Wire("batch answer arity"));
+    }
+    Ok(answers.into_iter().map(<[u8]>::to_vec).collect())
+}
 
 /// An idempotent envelope around a chain-advancing write.
 ///
@@ -656,6 +734,10 @@ pub fn is_write_route(route: &str) -> bool {
         // after the service unwraps it, before any journal decision.
         return false;
     }
+    if route == READ_BATCH_ROUTE {
+        // Engines refuse anything but reads inside one.
+        return false;
+    }
     // kv/*, batch and idem envelopes mutate; unknown routes are assumed to
     // mutate too — degrading to "needlessly deduplicated" is safer than
     // "double-applied".
@@ -710,8 +792,22 @@ mod tests {
             "sync/entries",
             "obs/snapshot",
             "obs/traced",
+            "batch/read",
         ] {
             assert!(!is_write_route(read), "{read} should be a read");
         }
+        // Only the exact route: anything else under `batch/` stays a write.
+        assert!(is_write_route("batch/other"));
+    }
+
+    #[test]
+    fn batch_payloads_round_trip_and_refuse_trailing_bytes() {
+        let calls = [CloudCall::new("doc/count", b"c".to_vec()), CloudCall::new("tactic/mitra/s:f/search", vec![1, 2])];
+        let payload = encode_batch(&calls);
+        let items = batch_items(&payload, true).unwrap();
+        assert_eq!(items, vec![("doc/count", &b"c"[..]), ("tactic/mitra/s:f/search", &[1u8, 2][..])]);
+        let mut trailing = payload.clone();
+        trailing.push(0);
+        assert_eq!(batch_items(&trailing, false), Err(CoreError::Wire("trailing bytes")));
     }
 }

@@ -34,7 +34,7 @@
 //! | `ring` | key → member slots; the ranges a membership change moves (pure) |
 //! | `replica` | one member: `LocalNode` (engine, disk, liveness) behind a `Replica` handle whose `call` answers *answered / refused / unreachable* |
 //! | `write` | where a write route lands, the quorum fan-out, batch decomposition |
-//! | `read` | replica probes with read repair, partitioned `get_many`, scatter-gather |
+//! | `read` | replica probes with read repair, partitioned `get_many`, scatter-gather, read-only batches |
 //! | `membership` | kill / rejoin / add / remove and the resync and handoff pulls |
 //! | `repair` | the digest sweep, anti-entropy repair, the `sync/put` envelope |
 //!
@@ -82,7 +82,7 @@ use self::replica::{LocalNode, Replica};
 use self::ring::Ring;
 use self::write::{unwrap_envelope, write_target};
 use crate::cloud::CloudEngine;
-use crate::cloudproto::is_write_route;
+use crate::cloudproto::{is_write_route, BATCH_ROUTE};
 use crate::error::CoreError;
 use crate::sync::doc_key;
 
@@ -505,7 +505,7 @@ impl CloudService for ClusterCloud {
         };
         let topo = &*topo;
         let req = unwrap_envelope(route, payload).map_err(remote)?;
-        if req.route == "batch" {
+        if req.route == BATCH_ROUTE {
             // A bare batch (no envelope) still decomposes; its item tokens
             // derive from the batch content so retries stay idempotent.
             let token = req.token.unwrap_or_else(|| token16(&[req.payload]));

@@ -13,7 +13,7 @@ use datablinder_sse::DocId;
 use super::replica::Reply;
 use super::{remote, ClusterCloud, Topology};
 use crate::cloud::{split_collection, with_collection};
-use crate::cloudproto::{PaillierCombine, PaillierSum, PaillierSumResponse};
+use crate::cloudproto::{batch_items, PaillierCombine, PaillierSum, PaillierSumResponse, READ_BATCH_ROUTE};
 use crate::error::CoreError;
 use crate::sync::doc_key;
 use crate::tactics::{decode_ids, encode_ids};
@@ -56,6 +56,17 @@ impl ClusterCloud {
             }
             "doc/extreme" => self.read_extreme(topo, payload),
             "doc/agg_plain" => self.read_agg_plain(topo, payload),
+            READ_BATCH_ROUTE => {
+                // Each item is answered as if it had come alone.
+                let answers = batch_items(payload, true)
+                    .map_err(remote)?
+                    .into_iter()
+                    .map(|(route, payload)| self.clustered_read(topo, route, payload))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let mut w = Writer::new();
+                w.list(&answers);
+                Ok(w.finish())
+            }
             _ => self.read_tactic(topo, route, payload),
         }
     }
@@ -417,6 +428,38 @@ mod tests {
         let healed =
             cluster.with_node_engine(replicas[1], |e| e.docs().collection("notes").get(&id).is_some()).unwrap();
         assert!(healed, "read repair reinserted the lost replica");
+    }
+
+    #[test]
+    fn read_batch_answers_each_item_as_alone_and_refuses_writes_and_nesting() {
+        use crate::cloudproto::{decode_batch_answer, encode_batch};
+        use crate::spi::CloudCall;
+
+        let cluster = ClusterCloud::new(ClusterConfig::volatile(4, 2, 2, 17)).unwrap();
+        for i in 1..=5u8 {
+            cluster.handle("doc/insert", &insert_payload("notes", i)).unwrap();
+        }
+        let count = CloudCall::new("doc/count", with_collection("notes", &[]));
+        let get = CloudCall::new("doc/get", with_collection("notes", DocId([2; 16]).to_hex().as_bytes()));
+        let out = cluster.handle(READ_BATCH_ROUTE, &encode_batch(&[count.clone(), get.clone()])).unwrap();
+        let answers = decode_batch_answer(&out, 2).unwrap();
+        assert_eq!(answers[0], cluster.handle(&count.route, &count.payload).unwrap());
+        assert_eq!(answers[1], cluster.handle(&get.route, &get.payload).unwrap());
+
+        let count_before = cluster.handle("doc/count", &count.payload).unwrap();
+        for refused in [
+            CloudCall::new("doc/insert", insert_payload("notes", 9)),
+            CloudCall::new("batch", encode_batch(std::slice::from_ref(&count))),
+            CloudCall::new(READ_BATCH_ROUTE, encode_batch(std::slice::from_ref(&count))),
+        ] {
+            let err = cluster.handle(READ_BATCH_ROUTE, &encode_batch(&[count.clone(), refused.clone()])).unwrap_err();
+            assert!(
+                matches!(&err, NetError::Remote(m) if m.starts_with("unsupported operation")),
+                "{}: {err}",
+                refused.route
+            );
+        }
+        assert_eq!(cluster.handle("doc/count", &count.payload).unwrap(), count_before, "the write never ran");
     }
 
     #[test]

@@ -8,7 +8,7 @@ use datablinder_netsim::NetError;
 use super::replica::Reply;
 use super::{remote, token16, ClusterCloud, Topology};
 use crate::cloud::split_collection;
-use crate::cloudproto::{is_write_route, Idempotent, IDEM_ROUTE};
+use crate::cloudproto::{batch_items, is_write_route, Idempotent, IDEM_ROUTE};
 use crate::error::CoreError;
 use crate::sync::doc_key;
 
@@ -148,27 +148,19 @@ impl ClusterCloud {
     /// keep the original order. Like the single-node engine, the batch
     /// aborts on the first failing item.
     pub(super) fn handle_batch(&self, topo: &Topology, token: &[u8; 16], batch: &[u8]) -> Result<Vec<u8>, NetError> {
-        let mut r = Reader::new(batch);
-        let items = r.list().map_err(|e| remote(e.into()))?;
-        if items.len() % 2 != 0 {
-            return Err(remote(CoreError::Wire("batch item count")));
-        }
-        let mut responses = Vec::with_capacity(items.len() / 2);
-        for (idx, pair) in items.chunks(2).enumerate() {
-            let route = std::str::from_utf8(pair[0]).map_err(|_| remote(CoreError::Wire("utf8 route")))?;
-            if route == "batch" || route == IDEM_ROUTE {
-                return Err(remote(CoreError::UnsupportedOperation("nested batch".into())));
-            }
+        let items = batch_items(batch, false).map_err(remote)?;
+        let mut responses = Vec::with_capacity(items.len());
+        for (idx, (route, payload)) in items.into_iter().enumerate() {
             let resp = if is_write_route(route) {
-                let target = write_target(route, pair[1]).map_err(remote)?;
+                let target = write_target(route, payload).map_err(remote)?;
                 let sub = Idempotent {
                     token: sub_token(token, idx as u64),
                     route: route.to_string(),
-                    payload: pair[1].to_vec(),
+                    payload: payload.to_vec(),
                 };
                 self.quorum_write(topo, &target, IDEM_ROUTE, &sub.encode())?
             } else {
-                self.clustered_read(topo, route, pair[1])?
+                self.clustered_read(topo, route, payload)?
             };
             responses.push(resp);
         }

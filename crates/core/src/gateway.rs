@@ -30,7 +30,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::cloud::{get_many_payload, with_collection};
-use crate::cloudproto::{is_write_route, Idempotent, IDEM_ROUTE};
+use crate::cloudproto::{
+    decode_batch_answer, decode_calls, encode_batch, is_write_route, Idempotent, BATCH_ROUTE, IDEM_ROUTE,
+    READ_BATCH_ROUTE,
+};
 use crate::error::CoreError;
 use crate::metadata::{validate_document, SchemaStore};
 use crate::model::{AggFn, FieldOp, Schema, TacticOp};
@@ -156,11 +159,11 @@ fn journal_key(seq: u64) -> Vec<u8> {
     format!("gwj/{seq:016x}").into_bytes()
 }
 
-/// The gateway's small write journal: multi-call write groups (index
-/// updates + the document write) are recorded here in their pre-minted
-/// on-wire form before anything ships, and cleared once every call is
-/// acknowledged. A gateway that dies mid-group finds the entry on restart
-/// and rolls it forward ([`GatewayEngine::recover_pending`]).
+/// The gateway's small write journal: each write group (index updates +
+/// the document write) is recorded here as the one sealed call it ships
+/// as, before it ships, and cleared once acknowledged. A gateway that dies
+/// in between finds the entry on restart and rolls it forward
+/// ([`GatewayEngine::recover_pending`]).
 struct WriteJournal {
     kv: KvStore,
     seq: AtomicU64,
@@ -172,10 +175,11 @@ pub struct PendingWriteReport {
     /// Journal entries found pending.
     pub entries: usize,
     /// Entries whose every call completed on replay (the cloud's dedup
-    /// cache absorbs the already-applied prefix).
+    /// cache answers a call that had already applied).
     pub rolled_forward: usize,
-    /// Entries aborted by an application-level error; their groups did
-    /// not complete and are reported in `failures`.
+    /// Entries aborted by an application-level error, or that did not
+    /// decode; their groups did not complete and are reported in
+    /// `failures`.
     pub failed: usize,
     /// One message per failed entry.
     pub failures: Vec<String>,
@@ -525,53 +529,70 @@ impl GatewayEngine {
         StdRng::from_rng(&mut *self.rng.lock().unwrap_or_else(PoisonError::into_inner)).expect("rng fork")
     }
 
-    /// Pre-mints the on-wire form of one call. Chain-advancing writes must
+    /// Pre-mints the on-wire form of one write. Chain-advancing writes must
     /// not re-execute when the channel retries them (SSE chains would
-    /// double-advance): they get a fresh idempotency envelope the cloud
-    /// deduplicates. Reads are naturally idempotent and pass through bare.
-    fn seal_call(&self, call: &CloudCall) -> (String, Vec<u8>) {
-        if is_write_route(&call.route) && call.route != IDEM_ROUTE {
-            let env =
-                Idempotent { token: self.next_idem_token(), route: call.route.clone(), payload: call.payload.clone() };
-            (IDEM_ROUTE.to_string(), env.encode())
-        } else {
-            (call.route.clone(), call.payload.clone())
-        }
+    /// double-advance): they travel in a fresh idempotency envelope the
+    /// cloud deduplicates.
+    fn seal(&self, route: &str, payload: Vec<u8>) -> Vec<u8> {
+        Idempotent { token: self.next_idem_token(), route: route.to_string(), payload }.encode()
     }
 
+    /// One call, sealed if it writes; reads are naturally idempotent and
+    /// travel bare.
     fn call(&self, call: &CloudCall) -> Result<Vec<u8>, CoreError> {
-        let (route, payload) = self.seal_call(call);
-        Ok(self.channel.call(&route, &payload)?)
+        if is_write_route(&call.route) && call.route != IDEM_ROUTE {
+            return Ok(self.channel.call(IDEM_ROUTE, &self.seal(&call.route, call.payload.clone()))?);
+        }
+        Ok(self.channel.call(&call.route, &call.payload)?)
     }
 
-    /// Sends a multi-call write group (index updates + the document write)
-    /// atomically with respect to gateway crashes: the whole group is
-    /// journaled in its sealed on-wire form before anything ships, and the
-    /// entry is cleared only after every call is acknowledged. A gateway
-    /// that dies mid-fan-out replays the entry on restart; the cloud's
-    /// dedup cache absorbs the already-applied prefix (same tokens, same
-    /// bytes), so the group completes exactly once — a document is never
-    /// left queryable-but-half-indexed.
+    /// Sends a write group — index updates and the document write, or a
+    /// bulk load — in one round trip: one sealed call, a `batch` of the
+    /// group when it has several, in one idempotency envelope. With a
+    /// journal attached, that sealed call is recorded before it ships and
+    /// cleared once acknowledged; a gateway that dies in between replays
+    /// it on restart, and the cloud's dedup cache answers a replay that had
+    /// already applied, so the group completes exactly once. The cloud runs
+    /// a batch's items in order, so each document's index updates land
+    /// before the document itself.
     fn send_write_group(&self, group: &[CloudCall]) -> Result<(), CoreError> {
-        let sealed: Vec<(String, Vec<u8>)> = group.iter().map(|c| self.seal_call(c)).collect();
+        let sealed = match group {
+            [] => return Ok(()),
+            [call] => self.seal(&call.route, call.payload.clone()),
+            calls => self.seal(BATCH_ROUTE, encode_batch(calls)),
+        };
         let key = self.journal.as_ref().map(|j| {
             let key = journal_key(j.seq.fetch_add(1, Ordering::Relaxed));
             let mut w = datablinder_codec::Writer::new();
-            let items: Vec<Vec<u8>> = sealed.iter().flat_map(|(r, p)| [r.clone().into_bytes(), p.clone()]).collect();
-            w.list(&items);
+            w.list(&[IDEM_ROUTE.as_bytes(), sealed.as_slice()]);
             j.kv.set(&key, &w.finish());
             self.obs.count("gateway.journal.writes", 1);
             key
         });
-        for (route, payload) in &sealed {
-            // Any failure leaves the journal entry pending, for
-            // recover_pending to roll forward or report.
-            self.channel.call(route, payload)?;
-        }
+        // A failure leaves the journal entry pending, for recover_pending
+        // to roll forward or report.
+        let answer = self.channel.call(IDEM_ROUTE, &sealed)?;
         if let (Some(j), Some(key)) = (&self.journal, &key) {
             j.kv.del(key);
         }
+        if group.len() > 1 {
+            decode_batch_answer(&answer, group.len())?;
+        }
         Ok(())
+    }
+
+    /// Sends the calls one query needs — independent of each other — in one
+    /// round trip: one call bare, several in a read-only batch. The answers
+    /// come back in call order.
+    fn read_calls(&self, calls: &[CloudCall]) -> Result<Vec<Vec<u8>>, CoreError> {
+        match calls {
+            [] => Ok(Vec::new()),
+            [call] => Ok(vec![self.call(call)?]),
+            calls => {
+                let answer = self.call(&CloudCall::new(READ_BATCH_ROUTE, encode_batch(calls)))?;
+                decode_batch_answer(&answer, calls.len())
+            }
+        }
     }
 
     /// Attaches a write journal backed by `kv` (pair with
@@ -596,17 +617,18 @@ impl GatewayEngine {
         self.journal.as_ref().map_or(0, |j| j.kv.keys_with_prefix(JOURNAL_PREFIX).len())
     }
 
-    /// Replays every pending journaled write group, oldest first. Calls
-    /// already applied before the crash are answered from the cloud's
-    /// dedup cache; the rest execute now, rolling the group forward. A
-    /// group the cloud rejects with an application error is reported
-    /// failed and dropped (its document write never completed, so nothing
-    /// half-indexed is queryable).
+    /// Replays every pending journaled write group, oldest first. An entry
+    /// holds one sealed call; one written before write groups became a
+    /// single batch holds several, replayed in order. A call that had
+    /// applied before the crash is answered from the cloud's dedup cache;
+    /// the rest execute now, rolling the group forward. An entry the cloud
+    /// rejects with an application error, or one that does not decode, is
+    /// reported failed and dropped, and recovery carries on with the next.
     ///
     /// # Errors
     ///
-    /// Transport failures propagate and leave the remaining entries
-    /// pending — call again once the cloud is reachable.
+    /// Transport failures propagate and leave that entry and the ones after
+    /// it pending — call again once the cloud is reachable.
     pub fn recover_pending(&self) -> Result<PendingWriteReport, CoreError> {
         let Some(journal) = &self.journal else {
             return Ok(PendingWriteReport::default());
@@ -615,21 +637,20 @@ impl GatewayEngine {
         let mut report = PendingWriteReport::default();
         for key in kv.keys_with_prefix(JOURNAL_PREFIX) {
             let Some(blob) = kv.get(&key) else { continue };
-            let mut r = datablinder_codec::Reader::new(&blob);
-            let items = r.list()?;
-            if items.len() % 2 != 0 {
-                return Err(CoreError::Wire("journal entry arity"));
-            }
             let mut failure: Option<String> = None;
-            for pair in items.chunks(2) {
-                let route = std::str::from_utf8(pair[0]).map_err(|_| CoreError::Wire("utf8 route"))?;
-                match self.channel.call(route, pair[1]) {
-                    Ok(_) => {}
-                    Err(NetError::Remote(e)) => {
-                        failure = Some(e);
-                        break;
+            match decode_calls(&blob) {
+                Err(e) => failure = Some(format!("malformed journal entry: {e}")),
+                Ok(calls) => {
+                    for (route, payload) in calls {
+                        match self.channel.call(route, payload) {
+                            Ok(_) => {}
+                            Err(NetError::Remote(e)) => {
+                                failure = Some(e);
+                                break;
+                            }
+                            Err(e) => return Err(e.into()),
+                        }
                     }
-                    Err(e) => return Err(e.into()),
                 }
             }
             report.entries += 1;
@@ -743,16 +764,16 @@ impl GatewayEngine {
             validate_document(&plan.schema, doc)?;
         }
         let (cloud_doc, index_calls) = self.protect_document_calls(schema_name, doc, id)?;
-        // Index updates, then the document itself, as one journaled write
-        // group: an insert interrupted across its tactic indexes is rolled
-        // forward on recovery instead of staying half-applied.
+        // Index updates, then the document itself, as one write group in one
+        // round trip: an insert interrupted on its way is rolled forward on
+        // recovery instead of staying half-applied.
         let mut group = index_calls;
         group.push(CloudCall::new("doc/insert", with_collection(schema_name, &encode_document(&cloud_doc))));
         self.send_write_group(&group)
     }
 
-    /// Inserts a batch of documents in (at most) two channel round trips:
-    /// one batched call for all index updates and inserts. Semantically
+    /// Inserts a batch of documents in one channel round trip: one write
+    /// group holding every index update and insert. Semantically
     /// identical to repeated [`GatewayEngine::insert`]; amortizes channel
     /// latency for bulk loads (initial cloud migration). With a worker
     /// pool attached ([`GatewayEngine::set_worker_pool`]) the CPU-heavy
@@ -804,7 +825,7 @@ impl GatewayEngine {
                 batch.extend(index_calls);
                 batch.push(CloudCall::new("doc/insert", with_collection(schema_name, &encode_document(&cloud_doc))));
             }
-            g.call_batch(&batch)?;
+            g.send_write_group(&batch)?;
             Ok(ids)
         })
     }
@@ -854,26 +875,9 @@ impl GatewayEngine {
                     batch.extend(calls);
                 }
             }
-            g.call_batch(&batch)?;
+            g.send_write_group(&batch)?;
             Ok(ids)
         })
-    }
-
-    /// Executes calls through the cloud's `batch` route (one round trip).
-    fn call_batch(&self, calls: &[CloudCall]) -> Result<Vec<Vec<u8>>, CoreError> {
-        if calls.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut w = datablinder_codec::Writer::new();
-        let items: Vec<Vec<u8>> =
-            calls.iter().flat_map(|c| [c.route.clone().into_bytes(), c.payload.clone()]).collect();
-        w.list(&items);
-        let out = self.call(&CloudCall::new("batch", w.finish()))?;
-        let responses = datablinder_codec::Reader::new(&out).list()?;
-        if responses.len() != calls.len() {
-            return Err(CoreError::Wire("batch response arity"));
-        }
-        Ok(responses.into_iter().map(<[u8]>::to_vec).collect())
     }
 
     /// Computes one document's protected form + index calls (shared by
@@ -1196,8 +1200,8 @@ impl GatewayEngine {
                 calls.extend(c);
             }
         }
-        // Revocations + the delete itself as one journaled write group,
-        // mirroring insert: an interrupted delete finishes on recovery.
+        // Revocations + the delete itself as one write group, mirroring
+        // insert: an interrupted delete finishes on recovery.
         calls.push(CloudCall::new("doc/delete", with_collection(schema_name, id.to_hex().as_bytes())));
         self.send_write_group(&calls)
     }
@@ -1246,7 +1250,7 @@ impl GatewayEngine {
         let started = self.obs.start();
         let t = self.tactic(schema_name, &scope, &tactic)?;
         let calls = t.lock().unwrap_or_else(PoisonError::into_inner).eq_query(field, value)?;
-        let responses = calls.iter().map(|c| self.call(c)).collect::<Result<Vec<_>, _>>()?;
+        let responses = self.read_calls(&calls)?;
         let ids = t.lock().unwrap_or_else(PoisonError::into_inner).eq_resolve(field, value, &responses)?;
         if let Some(t0) = started {
             self.obs.ewma_observe(&format!("tactic.{tactic}.eq_query"), t0.elapsed());
@@ -1280,7 +1284,7 @@ impl GatewayEngine {
             used_tactic = bt.clone();
             let t = self.tactic(schema_name, BOOL_SCOPE, &bt)?;
             let calls = t.lock().unwrap_or_else(PoisonError::into_inner).bool_query(dnf)?;
-            let responses = calls.iter().map(|c| self.call(c)).collect::<Result<Vec<_>, _>>()?;
+            let responses = self.read_calls(&calls)?;
             let resolved = t.lock().unwrap_or_else(PoisonError::into_inner).bool_resolve(dnf, &responses)?;
             resolved
         } else {
@@ -1355,7 +1359,7 @@ impl GatewayEngine {
         let started = self.obs.start();
         let t = self.tactic(schema_name, field, &tactic)?;
         let calls = t.lock().unwrap_or_else(PoisonError::into_inner).range_query(field, lo, hi)?;
-        let responses = calls.iter().map(|c| self.call(c)).collect::<Result<Vec<_>, _>>()?;
+        let responses = self.read_calls(&calls)?;
         let ids = t.lock().unwrap_or_else(PoisonError::into_inner).range_resolve(&responses)?;
         if let Some(t0) = started {
             self.obs.ewma_observe(&format!("tactic.{tactic}.range_query"), t0.elapsed());
@@ -1399,7 +1403,7 @@ impl GatewayEngine {
             let started = g.obs.start();
             let t = g.tactic(schema_name, field, &tactic)?;
             let calls = t.lock().unwrap_or_else(PoisonError::into_inner).agg_query(field, agg, &ids)?;
-            let responses = calls.iter().map(|c| g.call(c)).collect::<Result<Vec<_>, _>>()?;
+            let responses = g.read_calls(&calls)?;
             let out = t.lock().unwrap_or_else(PoisonError::into_inner).agg_resolve(agg, &responses)?;
             if let Some(t0) = started {
                 g.obs.ewma_observe(&format!("tactic.{tactic}.aggregate"), t0.elapsed());
@@ -1598,7 +1602,7 @@ impl GatewayEngine {
             debug_assert!(protected.stored.is_empty(), "index tactics store nothing in documents");
             batch.extend(protected.index_calls);
         }
-        self.call_batch(&batch)?;
+        self.send_write_group(&batch)?;
         Ok(new_version)
     }
 

@@ -6,7 +6,10 @@
 //! **gateway** half (trusted zone: key material, token generation,
 //! resolution) and a **cloud** half (untrusted zone: storage and
 //! computation over opaque data). Gateway halves talk to cloud halves only
-//! through serialized [`CloudCall`]s crossing the channel.
+//! through serialized [`CloudCall`]s crossing the channel. The calls one
+//! query method returns are reads that do not depend on each other's
+//! answers: the engine sends them in one round trip, as a read-only batch
+//! when there are several, and an engine refuses a write inside one.
 //!
 //! Mapping to the paper's interface names:
 //!

@@ -19,11 +19,13 @@ use datablinder_core::durability::wal_path;
 use datablinder_core::gateway::GatewayEngine;
 use datablinder_core::model::{FieldAnnotation, FieldOp, FieldType, ProtectionClass, Schema};
 use datablinder_core::wire::{decode_documents, encode_document, encode_documents};
+use datablinder_core::CoreError;
 use datablinder_docstore::{Document, Value};
 use datablinder_kms::Kms;
 use datablinder_kvstore::read_frames;
 use datablinder_netsim::{
     Channel, CloudService, CrashInjector, CrashPlan, CrashPoint, LatencyModel, NetError, NodeEvent, NodeFailurePlan,
+    ResilienceConfig, ResilientChannel, RetryPolicy,
 };
 use datablinder_paillier::{Ciphertext, Keypair};
 use datablinder_sse::DocId;
@@ -50,6 +52,20 @@ fn gateway_over(cluster: Arc<ClusterCloud>) -> GatewayEngine {
     let channel = Channel::from_arc(cluster, LatencyModel::instant());
     let mut rng = StdRng::seed_from_u64(0xC105);
     let gw = GatewayEngine::new("cluster-suite", Kms::generate(&mut rng), channel, 17);
+    gw.register_schema(schema()).unwrap();
+    gw
+}
+
+/// A gateway whose ids come from `seed` and whose channel never retries.
+fn gateway_seeded(channel: Channel, seed: u64) -> GatewayEngine {
+    let config = ResilienceConfig { retry: RetryPolicy::none(), seed, ..ResilienceConfig::default() };
+    let mut rng = StdRng::seed_from_u64(0xC105);
+    let gw = GatewayEngine::with_resilience(
+        "cluster-suite",
+        Kms::generate(&mut rng),
+        ResilientChannel::new(channel, config),
+        seed,
+    );
     gw.register_schema(schema()).unwrap();
     gw
 }
@@ -487,8 +503,10 @@ fn seeded_crash_storm_converges() {
     // the cluster is reachable again.
     gw.enable_write_journal(datablinder_kvstore::KvStore::new());
 
+    // An insert is one cluster op (one sealed batch), so 120 inserts span
+    // the plan's 120-op horizon.
     let mut acked = Vec::new();
-    for i in 0..60u32 {
+    for i in 0..120u32 {
         let doc = Document::new(format!("{i:032x}")).with("ward", Value::from(format!("w{}", i % 3)));
         match gw.insert("patients", &doc) {
             Ok(id) => acked.push(id),
@@ -510,6 +528,70 @@ fn seeded_crash_storm_converges() {
     for id in &acked {
         gw.get("patients", *id).unwrap();
     }
+    assert!(gw.fsck("patients").unwrap().is_clean());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An insert is one sealed batch — the Mitra update, then the document —
+/// and the cluster makes each item its own quorum write under a sub-token.
+/// When the document write misses its quorum after the index update made
+/// its own, the journaled group rolls forward on recovery: every replica
+/// that applied an item, or took it from a peer's WAL while it rejoined,
+/// answers it from its dedup cache, the rest apply it now, nothing applies
+/// twice, and fsck is clean.
+#[test]
+fn batch_whose_second_item_misses_quorum_rolls_forward_via_sub_token_dedup() {
+    const SEED: u64 = 29;
+    // The second id a gateway seeded with SEED mints, from a dry run.
+    let second_id = {
+        let dry = gateway_seeded(Channel::connect(CloudEngine::new(), LatencyModel::instant()), SEED);
+        dry.insert("patients", &Document::new("x").with("ward", Value::from("w"))).unwrap();
+        dry.insert("patients", &Document::new("x").with("ward", Value::from("w"))).unwrap().to_hex()
+    };
+
+    let dir = temp_dir("batch-quorum");
+    let cluster = Arc::new(ClusterCloud::new(ClusterConfig::volatile(5, 3, 2, 0xBA7C).durable(&dir)).unwrap());
+    let mut gw = gateway_seeded(Channel::from_arc(cluster.clone(), LatencyModel::instant()), SEED);
+    gw.enable_write_journal(datablinder_kvstore::KvStore::new());
+    let first = gw.insert("patients", &Document::new("x").with("ward", Value::from("icu"))).unwrap();
+
+    // The Mitra scope's replicas are the nodes holding its index entries;
+    // the second document's replicas come from the ring.
+    let holds_index = |n: usize| {
+        cluster.with_node_engine(n, |e| !e.kv().keys_with_prefix(b"t/mitra/patients:ward/").is_empty()) == Some(true)
+    };
+    let index: Vec<usize> = (0..5).filter(|&n| holds_index(n)).collect();
+    let docs = cluster.doc_replicas("patients", &second_id);
+    assert_eq!(index.len(), 3, "R=3 replicas hold the index");
+    let kept = *docs.iter().find(|n| index.contains(n)).expect("a shared replica");
+    assert!(index.iter().any(|n| !docs.contains(n)), "the index and the document have different replica sets");
+    // Down: everything outside the index's replicas, and every document
+    // replica but one — the index keeps two live replicas, the document one.
+    let down: Vec<usize> = (0..5).filter(|n| !index.contains(n) || (docs.contains(n) && *n != kept)).collect();
+    for &n in &down {
+        cluster.kill_node(n);
+    }
+    assert_eq!(index.iter().filter(|n| !down.contains(n)).count(), 2, "the index update can meet W=2");
+
+    let err = gw.insert("patients", &Document::new("x").with("ward", Value::from("icu"))).unwrap_err();
+    assert!(matches!(err, CoreError::Net(NetError::Unavailable(_))), "{err}");
+    assert_eq!(gw.pending_writes(), 1, "the group stays journaled");
+
+    for &n in &down {
+        cluster.rejoin_node(n).unwrap();
+    }
+    let dedup = || (0..5).filter_map(|n| cluster.with_node_engine(n, CloudEngine::dedup_hits)).sum::<u64>();
+    let before = dedup();
+    let report = gw.recover_pending().unwrap();
+    assert_eq!((report.entries, report.rolled_forward, report.failed), (1, 1, 0), "{report:?}");
+    assert!(dedup() > before, "the applied items were answered from dedup caches, not re-run");
+
+    let mut got: Vec<String> =
+        gw.find_equal("patients", "ward", &Value::from("icu")).unwrap().iter().map(|d| d.id().to_string()).collect();
+    got.sort();
+    let mut want = vec![first.to_hex(), second_id];
+    want.sort();
+    assert_eq!(got, want);
     assert!(gw.fsck("patients").unwrap().is_clean());
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -733,8 +815,10 @@ fn membership_churn_storm_converges() {
     let mut gw = gateway_over(cluster.clone());
     gw.enable_write_journal(datablinder_kvstore::KvStore::new());
 
+    // An insert is one cluster op (one sealed batch): 120 of them outlast
+    // the plan's 100-op horizon.
     let mut acked = Vec::new();
-    for i in 0..60u32 {
+    for i in 0..120u32 {
         let doc = Document::new(format!("{i:032x}")).with("ward", Value::from(format!("w{}", i % 3)));
         match gw.insert("patients", &doc) {
             Ok(id) => acked.push(id),

@@ -63,6 +63,19 @@ if grep -nE '(channels|node_ops|node_errors)\[' "$cluster"/*.rs; then
     exit 1
 fi
 
+echo "==> one write path: gateway.rs builds a batch only in send_write_group, and calls the channel only in call, send_write_group and recover_pending"
+# Every write group (insert, delete, insert_many, migrate, re-index) ships
+# as one sealed call from one function; reads go through `call`. Comments
+# may name either; code may not, anywhere else.
+write_path_leaks="$(awk '
+    /^ *\/\// { next }
+    /^ *(pub(\([a-z]+\))? )?fn / { name = $0; sub(/^.*fn /, "", name); sub(/[^a-z0-9_].*$/, "", name) }
+    /"batch"|(^|[^A-Z_])BATCH_ROUTE/ && name != "" && name != "send_write_group" { print FILENAME ":" FNR ": a batch built in " name }
+    /self\.channel\.call\(/ && name !~ /^(call|send_write_group|recover_pending)$/ { print FILENAME ":" FNR ": the channel called in " name }
+' crates/core/src/gateway.rs)"
+[ -z "$write_path_leaks" ] ||
+    { echo "a second write path in the gateway:" >&2; echo "$write_path_leaks" >&2; exit 1; }
+
 echo "==> cargo build --release"
 cargo build --release
 

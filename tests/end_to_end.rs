@@ -110,10 +110,11 @@ fn homomorphic_average_matches_oracle() {
 }
 
 /// What an aggregate costs on the wire: one bare `sum` read without a
-/// filter; with one, the boolean search for the ids and the `sum` over them
-/// — the matching documents are never fetched, let alone decrypted, only to
-/// learn their ids again. A filter nothing matches aggregates nothing (to
-/// the cloud an empty id list means the whole collection).
+/// filter; with one, the boolean search's tokens as one read batch and the
+/// `sum` over the ids it found — the matching documents are never fetched,
+/// let alone decrypted, only to learn their ids again. A filter nothing
+/// matches aggregates nothing (to the cloud an empty id list means the
+/// whole collection).
 #[test]
 fn aggregates_fetch_no_documents() {
     use datablinder::netsim::{CloudService, NetError};
@@ -155,8 +156,9 @@ fn aggregates_fetch_no_documents() {
     assert!(expect > 0.0, "the corpus has glucose observations");
     let (sum, seen) = routes(&|| gw.aggregate("observation", "value", AggFn::Sum, Some(&glucose)).unwrap());
     assert!((sum - expect).abs() < 0.01, "{sum} vs {expect}");
-    assert!(seen.iter().all(|r| r.starts_with("tactic/")), "ids, then the sum over them: {seen:?}");
-    assert!(seen.last().unwrap().ends_with("/sum") && !seen.contains(&"doc/get_many".to_string()), "{seen:?}");
+    assert_eq!(seen.len(), 2, "ids, then the sum over them: {seen:?}");
+    assert_eq!(seen[0], "batch/read", "the overlay and tombstone searches in one round trip: {seen:?}");
+    assert!(seen[1].starts_with("tactic/paillier/") && seen[1].ends_with("/sum"), "{seen:?}");
 
     let nothing: DnfLiterals = vec![vec![("code".into(), Value::from("no such code"))]];
     for agg in [AggFn::Sum, AggFn::Avg, AggFn::Count] {
@@ -164,6 +166,39 @@ fn aggregates_fetch_no_documents() {
         assert_eq!(out, 0.0, "{agg:?} over no documents");
         assert!(!seen.iter().any(|r| r.ends_with("/sum")), "nothing to sum: {seen:?}");
     }
+}
+
+/// Round trips per operation, pinned: the calls an operation needs that do
+/// not depend on each other share one. An insert's index updates and its
+/// document go as one write batch, a boolean search's base, overlay and
+/// tombstone searches as one read batch; only a fetch that needs the ids a
+/// search found, or a delete that needs the document's values for its
+/// revocation tokens, costs a second.
+#[test]
+fn each_operation_takes_its_pinned_round_trips() {
+    let (gw, _) = setup();
+    let trips = || gw.channel().metrics().round_trips();
+
+    let before = trips();
+    let id = gw.insert("observation", &example_observation()).unwrap();
+    assert_eq!(trips() - before, 1, "single insert");
+
+    let before = trips();
+    let dnf: DnfLiterals = vec![vec![("status".into(), Value::from("final")), ("code".into(), Value::from("glucose"))]];
+    assert!(!gw.find_boolean("observation", &dnf).unwrap().is_empty());
+    assert_eq!(trips() - before, 2, "BIEX boolean: the token set, then get_many");
+
+    let before = trips();
+    assert!(!gw.find_equal("observation", "subject", &Value::from("John Doe")).unwrap().is_empty());
+    assert_eq!(trips() - before, 2, "Mitra equality: the search, then get_many");
+
+    let before = trips();
+    gw.aggregate("observation", "value", AggFn::Avg, None).unwrap();
+    assert_eq!(trips() - before, 1, "unfiltered aggregate");
+
+    let before = trips();
+    gw.delete("observation", id).unwrap();
+    assert_eq!(trips() - before, 2, "delete: the get, then the revocations and the delete");
 }
 
 #[test]

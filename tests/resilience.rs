@@ -9,6 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use datablinder::core::cloud::CloudEngine;
+use datablinder::core::cloudproto::{decode_calls, Idempotent};
 use datablinder::core::durability::{DurabilityOptions, RestartableCloud};
 use datablinder::core::gateway::{GatewayEngine, PendingWriteReport};
 use datablinder::core::model::*;
@@ -591,9 +592,9 @@ fn concurrent_insert_many_crash_storm_leaves_no_partial_documents() {
 
 // ---------------------------------------------------- gateway write journal
 
-/// A cloud whose *write* intake can be cut off after a budget of calls:
-/// reads keep flowing, writes time out — the shape of a mid-fan-out outage
-/// that strands an insert across its tactic indexes.
+/// A cloud whose *write* intake can be cut off after a budget of write
+/// groups: reads keep flowing, writes time out — the shape of an outage
+/// that strands an insert between the gateway and the cloud.
 struct MeteredCloud {
     inner: CloudEngine,
     write_budget: AtomicI64,
@@ -607,8 +608,9 @@ impl MeteredCloud {
 
 impl CloudService for MeteredCloud {
     fn handle(&self, route: &str, payload: &[u8]) -> Result<Vec<u8>, NetError> {
-        // The gateway seals every write into an idempotency envelope, so
-        // gating on the envelope route meters exactly the write groups.
+        // The gateway seals every write group into one idempotency
+        // envelope, so gating on the envelope route meters exactly the
+        // write groups.
         if route == "idem" && self.write_budget.fetch_sub(1, Ordering::SeqCst) <= 0 {
             return Err(NetError::Timeout);
         }
@@ -635,14 +637,14 @@ fn interrupted_insert_rolls_forward_via_write_journal() {
     gw.insert("notes", &Document::new("x").with("owner", Value::from("alice"))).unwrap();
     assert_eq!(gw.pending_writes(), 0);
 
-    // Pull the plug after one more write: bob's index update lands, the
-    // doc/insert does not — the classic half-indexed insert.
-    svc.write_budget.store(1, Ordering::SeqCst);
+    // Pull the plug: bob's write group — index update and document in one
+    // sealed batch — never reaches the cloud.
+    svc.write_budget.store(0, Ordering::SeqCst);
     let err = gw.insert("notes", &Document::new("x").with("owner", Value::from("bob"))).unwrap_err();
     assert!(matches!(err, CoreError::Net(NetError::Timeout)), "{err}");
     assert_eq!(gw.pending_writes(), 1, "the interrupted group stays journaled");
-    // The half-applied insert is invisible to queries (index entry resolves
-    // to a missing document, which search drops).
+    // The interrupted insert is invisible to queries (the chain advanced
+    // locally; the missing entry resolves as no result).
     assert!(gw.find_equal("notes", "owner", &Value::from("bob")).unwrap().is_empty());
 
     // "Restart": plug restored, fresh gateway over the same journal and
@@ -683,7 +685,7 @@ fn unapplyable_journal_entry_is_reported_failed() {
     gw_a.insert("notes", &Document::new("x").with("owner", Value::from("first"))).unwrap();
 
     // Same id seed → gw_b mints the same DocId; its insert is interrupted
-    // after the index update, leaving a pending group that can never apply.
+    // on its way, leaving a pending group that can never apply.
     let journal = KvStore::new();
     let config = ResilienceConfig { retry: RetryPolicy::none(), ..ResilienceConfig::default() };
     let mut gw_b = GatewayEngine::with_resilience(
@@ -694,7 +696,7 @@ fn unapplyable_journal_entry_is_reported_failed() {
     );
     gw_b.register_schema(simple_schema()).unwrap();
     gw_b.enable_write_journal(journal);
-    svc.write_budget.store(1, Ordering::SeqCst);
+    svc.write_budget.store(0, Ordering::SeqCst);
     gw_b.insert("notes", &Document::new("x").with("owner", Value::from("second"))).unwrap_err();
     assert_eq!(gw_b.pending_writes(), 1);
 
@@ -712,6 +714,89 @@ fn unapplyable_journal_entry_is_reported_failed() {
     assert_eq!(hits.len(), 1);
     assert_eq!(hits[0].get("owner"), Some(&Value::from("first")));
     assert_eq!(gw_a.count("notes").unwrap(), 1);
+}
+
+/// A journaling gateway over a [`MeteredCloud`] whose channel never
+/// retries, with `owner` values inserted and acknowledged, then `pending`
+/// inserted with the write intake cut: one journal entry each.
+fn journal_with_pending(acked: &[&str], pending: &[&str]) -> (Arc<MeteredCloud>, KvStore, GatewayEngine) {
+    let svc = Arc::new(MeteredCloud::healthy());
+    let journal = KvStore::new();
+    let config = ResilienceConfig { retry: RetryPolicy::none(), ..ResilienceConfig::default() };
+    let mut gw = GatewayEngine::with_resilience(
+        "journal",
+        Kms::generate(&mut StdRng::seed_from_u64(0x70A2)),
+        ResilientChannel::new(Channel::from_arc(svc.clone(), LatencyModel::instant()), config),
+        0x70A2,
+    );
+    gw.register_schema(simple_schema()).unwrap();
+    gw.enable_write_journal(journal.clone());
+    for owner in acked {
+        gw.insert("notes", &Document::new("x").with("owner", Value::from(*owner))).unwrap();
+    }
+    svc.write_budget.store(0, Ordering::SeqCst);
+    for owner in pending {
+        gw.insert("notes", &Document::new("x").with("owner", Value::from(*owner))).unwrap_err();
+    }
+    svc.write_budget.store(i64::MAX, Ordering::SeqCst);
+    assert_eq!(gw.pending_writes(), pending.len());
+    (svc, journal, gw)
+}
+
+fn owners(gw: &GatewayEngine, owner: &str) -> usize {
+    gw.find_equal("notes", "owner", &Value::from(owner)).unwrap().len()
+}
+
+#[test]
+fn torn_journal_entry_is_reported_and_recovery_carries_on() {
+    // Two entries that cannot decode — a truncated list and an odd field
+    // count — sort ahead of a good one. Recovery reports and clears them
+    // and still rolls the good one forward, instead of stopping at the
+    // first and leaving everything behind it pending forever.
+    let (_, journal, gw) = journal_with_pending(&["alice"], &["bob"]);
+    let good = journal.keys_with_prefix(b"gwj/");
+    let mut odd = datablinder::codec::Writer::new();
+    odd.list(&[b"idem".to_vec()]);
+    journal.set(b"gwj/", &journal.get(&good[0]).unwrap()[..9]);
+    journal.set(b"gwj/0", &odd.finish());
+    assert_eq!(gw.pending_writes(), 3);
+
+    let report = gw.recover_pending().unwrap();
+    assert_eq!((report.entries, report.rolled_forward, report.failed), (3, 1, 2), "{report:?}");
+    assert!(report.failures.iter().all(|f| f.starts_with("malformed journal entry")), "{:?}", report.failures);
+    assert_eq!(gw.pending_writes(), 0);
+    assert_eq!((owners(&gw, "alice"), owners(&gw, "bob")), (1, 1));
+    assert!(gw.fsck("notes").unwrap().is_clean());
+}
+
+#[test]
+fn journal_entry_written_call_by_call_still_replays() {
+    // Before write groups became one batch, an entry held each call of the
+    // group sealed on its own: `idem, envelope, idem, envelope, …`. Rewrite
+    // a pending entry in that form; it replays call by call, in order.
+    let (svc, journal, gw) = journal_with_pending(&["alice"], &["bob"]);
+    let key = journal.keys_with_prefix(b"gwj/").pop().unwrap();
+    let entry = journal.get(&key).unwrap();
+    let [(route, sealed)] = decode_calls(&entry).unwrap()[..] else { panic!("one sealed call per entry") };
+    assert_eq!(route, "idem");
+    let batch = Idempotent::decode(sealed).unwrap();
+    assert_eq!(batch.route, "batch");
+    let calls = decode_calls(&batch.payload).unwrap();
+    assert!(calls.len() > 1, "an index update and the document");
+    let mut old: Vec<Vec<u8>> = Vec::new();
+    for (i, (route, payload)) in calls.into_iter().enumerate() {
+        let envelope = Idempotent { token: [0xE0 + i as u8; 16], route: route.into(), payload: payload.to_vec() };
+        old.extend([b"idem".to_vec(), envelope.encode()]);
+    }
+    let mut w = datablinder::codec::Writer::new();
+    w.list(&old);
+    journal.set(&key, &w.finish());
+
+    let report = gw.recover_pending().unwrap();
+    assert_eq!(report, PendingWriteReport { entries: 1, rolled_forward: 1, failed: 0, failures: Vec::new() });
+    assert_eq!((owners(&gw, "alice"), owners(&gw, "bob")), (1, 1));
+    assert!(gw.fsck("notes").unwrap().is_clean());
+    assert_eq!(svc.inner.dedup_hits(), 0, "nothing had applied: every call ran once");
 }
 
 // ------------------------------------------------------------------- fsck

@@ -5,6 +5,7 @@ use std::sync::{Arc, Mutex};
 
 use datablinder::codec::{Reader, Writer};
 use datablinder::core::cloud::CloudEngine;
+use datablinder::core::cloudproto::Idempotent;
 use datablinder::core::gateway::GatewayEngine;
 use datablinder::core::wire::{decode_document, encode_value};
 use datablinder::core::CoreError;
@@ -230,6 +231,67 @@ fn a_cloud_that_rewrites_its_answers_gets_an_error_never_a_shorter_document() {
     }
     *armed.lock().unwrap() = None;
     assert_eq!(gw.get("observation", id).unwrap().get("subject"), Some(&subject));
+}
+
+/// How a [`BatchForgingCloud`] rewrites the answer to a batch.
+#[derive(Clone, Copy, Debug)]
+enum BatchForgery {
+    /// Bytes after the list of answers.
+    Trailing,
+    /// One answer more than there were calls.
+    ExtraAnswer,
+    /// The last answer left out.
+    MissingAnswer,
+}
+
+/// A cloud that runs every batch faithfully and forges its answer: a write
+/// group's `batch` (inside its idempotency envelope) and a query's
+/// `batch/read` alike.
+struct BatchForgingCloud {
+    inner: CloudEngine,
+    armed: Arc<Mutex<Option<BatchForgery>>>,
+}
+
+impl CloudService for BatchForgingCloud {
+    fn handle(&self, route: &str, payload: &[u8]) -> Result<Vec<u8>, NetError> {
+        let answer = self.inner.handle(route, payload)?;
+        let batch = route == "batch/read"
+            || (route == "idem" && Idempotent::decode(payload).is_ok_and(|env| env.route == "batch"));
+        let (true, Some(forgery)) = (batch, *self.armed.lock().unwrap()) else { return Ok(answer) };
+        let mut answers: Vec<Vec<u8>> = Reader::new(&answer).list().unwrap().into_iter().map(<[u8]>::to_vec).collect();
+        match forgery {
+            BatchForgery::ExtraAnswer => answers.push(Vec::new()),
+            BatchForgery::MissingAnswer => drop(answers.pop()),
+            BatchForgery::Trailing => {}
+        }
+        let mut w = Writer::new();
+        w.list(&answers);
+        let mut out = w.finish();
+        if let BatchForgery::Trailing = forgery {
+            out.extend_from_slice(b"tail");
+        }
+        Ok(out)
+    }
+}
+
+#[test]
+fn a_forged_batch_answer_is_a_wire_error() {
+    let armed = Arc::new(Mutex::new(None));
+    let cloud = BatchForgingCloud { inner: CloudEngine::new(), armed: Arc::clone(&armed) };
+    let mut rng = StdRng::seed_from_u64(32);
+    let gw = GatewayEngine::new("sec", Kms::generate(&mut rng), Channel::connect(cloud, LatencyModel::instant()), 32);
+    gw.register_schema(observation_schema()).unwrap();
+    gw.insert("observation", &example_observation()).unwrap();
+    let dnf = vec![vec![("status".to_string(), Value::from("final")), ("code".to_string(), Value::from("glucose"))]];
+    assert_eq!(gw.find_boolean("observation", &dnf).unwrap().len(), 1, "faithful answers first");
+
+    for forgery in [BatchForgery::Trailing, BatchForgery::ExtraAnswer, BatchForgery::MissingAnswer] {
+        *armed.lock().unwrap() = Some(forgery);
+        let write = gw.insert("observation", &example_observation()).unwrap_err();
+        assert!(matches!(write, CoreError::Wire(_)), "write batch, {forgery:?}: {write}");
+        let read = gw.find_boolean("observation", &dnf).unwrap_err();
+        assert!(matches!(read, CoreError::Wire(_)), "read batch, {forgery:?}: {read}");
+    }
 }
 
 #[test]
