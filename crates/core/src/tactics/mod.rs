@@ -79,10 +79,12 @@ pub fn decode_ids(buf: &[u8]) -> Result<Vec<DocId>, CoreError> {
 ///
 /// # Errors
 ///
-/// [`CoreError::UnsupportedOperation`] for non-numeric values.
+/// [`CoreError::UnsupportedOperation`] for non-numeric values and NaN,
+/// which has no place in the order (its code would sort past ±∞).
 pub fn orderable_u64(v: &Value) -> Result<u64, CoreError> {
     match v {
         Value::I64(i) => Ok((*i as u64) ^ (1 << 63)),
+        Value::F64(f) if f.is_nan() => Err(CoreError::UnsupportedOperation("range/order tactics refuse NaN".into())),
         Value::F64(f) => {
             let bits = f.to_bits();
             // Standard order-preserving transform for IEEE-754 doubles.
@@ -102,10 +104,14 @@ pub const AGG_SCALE: f64 = 1000.0;
 ///
 /// # Errors
 ///
-/// [`CoreError::UnsupportedOperation`] for non-numeric values.
+/// [`CoreError::UnsupportedOperation`] for non-numeric values and for
+/// NaN and ±∞, which no fixed-point integer holds.
 pub fn aggregable_i64(v: &Value) -> Result<i64, CoreError> {
     match v {
         Value::I64(i) => Ok(i.saturating_mul(AGG_SCALE as i64)),
+        Value::F64(f) if !f.is_finite() => {
+            Err(CoreError::UnsupportedOperation(format!("aggregates need finite values, got {f}")))
+        }
         Value::F64(f) => Ok((f * AGG_SCALE).round() as i64),
         other => {
             Err(CoreError::UnsupportedOperation(format!("aggregates need numeric values, got {}", other.type_name())))
@@ -150,11 +156,27 @@ mod tests {
     }
 
     #[test]
+    fn orderable_rejects_nan_and_orders_infinities_outermost() {
+        for nan in [f64::NAN, -f64::NAN] {
+            assert!(matches!(orderable_u64(&Value::F64(nan)), Err(CoreError::UnsupportedOperation(_))));
+        }
+        let code = |f: f64| orderable_u64(&Value::F64(f)).unwrap();
+        assert!(code(f64::NEG_INFINITY) < code(f64::MIN) && code(f64::MAX) < code(f64::INFINITY));
+    }
+
+    #[test]
     fn aggregable_scaling() {
         assert_eq!(aggregable_i64(&Value::I64(5)).unwrap(), 5000);
         assert_eq!(aggregable_i64(&Value::F64(6.3)).unwrap(), 6300);
         assert_eq!(aggregable_i64(&Value::F64(-2.5)).unwrap(), -2500);
         assert!(aggregable_i64(&Value::from("x")).is_err());
+    }
+
+    #[test]
+    fn aggregable_rejects_non_finite_floats() {
+        for f in [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(aggregable_i64(&Value::F64(f)), Err(CoreError::UnsupportedOperation(_))), "{f}");
+        }
     }
 
     #[test]

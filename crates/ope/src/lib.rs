@@ -16,6 +16,16 @@
 //! the evaluation rely on — are unaffected; only the exact ciphertext
 //! distribution differs.
 //!
+//! # Resumed descents
+//!
+//! An encryption walks one tree level per domain bit, and each level's split
+//! is a pure function of the key and the node. An [`Ope`] keeps the levels
+//! of its last descent and a new one reuses every level whose node is the
+//! node it stands at, sampling only from the first node where the paths
+//! diverge. Close plaintexts share long prefixes (a range's two bounds,
+//! time-ordered inserts), so they skip most of the work; the ciphertexts are
+//! the ones a cold descent computes.
+//!
 //! # Examples
 //!
 //! ```
@@ -31,6 +41,8 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+use std::sync::Mutex;
+
 use datablinder_primitives::hmac::HmacCtx;
 use datablinder_primitives::keys::SymmetricKey;
 use rand::rngs::StdRng;
@@ -52,14 +64,41 @@ impl Default for OpeParams {
     }
 }
 
+/// A tree node: the domain window `dlo..=dhi` and the range window
+/// `rlo..=rhi` it maps into.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Node {
+    dlo: u128,
+    dhi: u128,
+    rlo: u128,
+    rhi: u128,
+}
+
+/// One level of a descent: the node and its sampled split `(x, y)`.
+struct Level {
+    node: Node,
+    split: (u128, u128),
+}
+
 /// A deterministic order-preserving cipher for unsigned integers.
-#[derive(Clone)]
 pub struct Ope {
     // HMAC midstates for the coin-tape PRF, prepared once per key: an
     // encryption walks one tree level per domain bit and seeds a coin
     // tape at each, so skipping HMAC key preparation there compounds.
     mac: HmacCtx,
     params: OpeParams,
+    // The levels of the last descent under this key, root first: about
+    // `domain_bits` entries, never more than `range_bits` (each level halves
+    // the range window). A level is reused only where its node is the node
+    // the new descent stands at, so an entry is never stale.
+    memo: Mutex<Vec<Level>>,
+}
+
+impl Clone for Ope {
+    /// The copy starts with an empty memo.
+    fn clone(&self) -> Self {
+        Ope { mac: self.mac.clone(), params: self.params, memo: Mutex::default() }
+    }
 }
 
 impl Ope {
@@ -73,7 +112,7 @@ impl Ope {
         assert!(params.domain_bits >= 1 && params.domain_bits <= 64, "domain_bits must be 1..=64");
         assert!(params.range_bits <= 127, "range_bits must be <= 127");
         assert!(params.range_bits > params.domain_bits, "range must be strictly larger than domain");
-        Ope { mac: HmacCtx::new(key.as_bytes()), params }
+        Ope { mac: HmacCtx::new(key.as_bytes()), params, memo: Mutex::default() }
     }
 
     /// The sizing parameters.
@@ -84,23 +123,8 @@ impl Ope {
     /// Encrypts `m`. Plaintexts wider than `domain_bits` are masked down.
     pub fn encrypt(&self, m: u64) -> u128 {
         let m = self.mask(m) as u128;
-        let mut dlo: u128 = 0;
-        let mut dhi: u128 = self.domain_size() - 1;
-        let mut rlo: u128 = 0;
-        let mut rhi: u128 = self.range_size() - 1;
-        loop {
-            if dlo == dhi {
-                return self.final_sample(dlo as u64, rlo, rhi);
-            }
-            let (x, y) = self.split(dlo, dhi, rlo, rhi);
-            if m <= x {
-                dhi = x;
-                rhi = y;
-            } else {
-                dlo = x + 1;
-                rlo = y + 1;
-            }
-        }
+        let leaf = self.descend(|x, _| m <= x);
+        self.final_sample(leaf)
     }
 
     /// Decrypts a ciphertext produced by [`Ope::encrypt`].
@@ -111,24 +135,42 @@ impl Ope {
         if c >= self.range_size() {
             return None;
         }
-        let mut dlo: u128 = 0;
-        let mut dhi: u128 = self.domain_size() - 1;
-        let mut rlo: u128 = 0;
-        let mut rhi: u128 = self.range_size() - 1;
-        loop {
-            if dlo == dhi {
-                let m = dlo as u64;
-                return if self.final_sample(m, rlo, rhi) == c { Some(m) } else { None };
-            }
-            let (x, y) = self.split(dlo, dhi, rlo, rhi);
-            if c <= y {
-                dhi = x;
-                rhi = y;
+        let leaf = self.descend(|_, y| c <= y);
+        (self.final_sample(leaf) == c).then_some(leaf.dlo as u64)
+    }
+
+    /// Walks from the root to a leaf, going low at a node split at `(x, y)`
+    /// wherever `low(x, y)` holds, and returns the leaf. Levels the last
+    /// descent shares are taken from the memo; from the first node where
+    /// the paths part, splits are sampled and overwrite the memo's tail. If
+    /// another thread holds the memo, the walk runs cold on a local one
+    /// rather than wait.
+    fn descend(&self, low: impl Fn(u128, u128) -> bool) -> Node {
+        let mut shared = self.memo.try_lock().ok();
+        let mut local = Vec::new();
+        let memo = shared.as_deref_mut().unwrap_or(&mut local);
+        let mut node = Node { dlo: 0, dhi: self.domain_size() - 1, rlo: 0, rhi: self.range_size() - 1 };
+        let mut depth = 0;
+        while node.dlo != node.dhi {
+            let (x, y) = match memo.get(depth) {
+                Some(level) if level.node == node => level.split,
+                _ => {
+                    memo.truncate(depth);
+                    let split = self.split(node);
+                    memo.push(Level { node, split });
+                    split
+                }
+            };
+            if low(x, y) {
+                node.dhi = x;
+                node.rhi = y;
             } else {
-                dlo = x + 1;
-                rlo = y + 1;
+                node.dlo = x + 1;
+                node.rlo = y + 1;
             }
+            depth += 1;
         }
+        node
     }
 
     fn mask(&self, m: u64) -> u64 {
@@ -150,7 +192,7 @@ impl Ope {
     /// Splits the current (domain, range) window: the range midpoint `y`
     /// and the deterministically sampled domain pivot `x`, such that
     /// plaintexts `<= x` map below `y` and the rest above.
-    fn split(&self, dlo: u128, dhi: u128, rlo: u128, rhi: u128) -> (u128, u128) {
+    fn split(&self, Node { dlo, dhi, rlo, rhi }: Node) -> (u128, u128) {
         let dsize = dhi - dlo + 1;
         let rsize = rhi - rlo + 1;
         debug_assert!(rsize >= dsize && dsize >= 2);
@@ -161,29 +203,9 @@ impl Ope {
         let upper_range = rsize - lower_range;
         let k_min = dsize.saturating_sub(upper_range);
         let k_max = dsize.min(lower_range);
-        let k = self.sample_pivot(dlo, dhi, rlo, rhi, dsize, lower_range, rsize, k_min, k_max);
-        // Keep both branches non-degenerate: k ∈ [max(k_min,1), min(k_max, dsize-1)].
-        // This interval is provably non-empty for dsize >= 2 and rsize >= dsize.
-        let k = k.clamp(k_min.max(1), k_max.min(dsize - 1));
-        (dlo + k - 1, y)
-    }
-
-    /// Deterministic binomial(dsize, lower/rsize) sample via normal
-    /// approximation, clamped into `[k_min, k_max]`.
-    #[allow(clippy::too_many_arguments)]
-    fn sample_pivot(
-        &self,
-        dlo: u128,
-        dhi: u128,
-        rlo: u128,
-        rhi: u128,
-        dsize: u128,
-        lower_range: u128,
-        rsize: u128,
-        k_min: u128,
-        k_max: u128,
-    ) -> u128 {
-        let mut rng = self.coins(&[&dlo.to_be_bytes(), &dhi.to_be_bytes(), &rlo.to_be_bytes(), &rhi.to_be_bytes()]);
+        // Deterministic binomial(dsize, lower/rsize) sample via normal
+        // approximation.
+        let mut rng = self.coins([&dlo.to_be_bytes(), &dhi.to_be_bytes(), &rlo.to_be_bytes(), &rhi.to_be_bytes()]);
         let n = dsize as f64;
         let p = lower_range as f64 / rsize as f64;
         let mean = n * p;
@@ -193,25 +215,32 @@ impl Ope {
         let u2: f64 = rng.gen::<f64>();
         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
         let sample = (mean + sd * z).round();
-        let sample = if sample.is_finite() && sample >= 0.0 { sample as u128 } else { 0 };
-        sample.clamp(k_min, k_max)
+        let k = if sample.is_finite() && sample >= 0.0 { sample as u128 } else { 0 };
+        // Keep both branches non-degenerate: k ∈ [max(k_min,1), min(k_max, dsize-1)],
+        // a sub-interval of [k_min, k_max] that is provably non-empty for
+        // dsize >= 2 and rsize >= dsize.
+        let k = k.clamp(k_min.max(1), k_max.min(dsize - 1));
+        (dlo + k - 1, y)
     }
 
-    /// Deterministic uniform sample for the leaf bucket of plaintext `m`.
-    fn final_sample(&self, m: u64, rlo: u128, rhi: u128) -> u128 {
-        let mut rng = self.coins(&[b"leaf", &m.to_be_bytes(), &rlo.to_be_bytes(), &rhi.to_be_bytes()]);
+    /// Deterministic uniform sample from a leaf's range window, the bucket
+    /// of its one plaintext `dlo`.
+    fn final_sample(&self, Node { dlo, rlo, rhi, .. }: Node) -> u128 {
+        let mut rng = self.coins([b"leaf", &(dlo as u64).to_be_bytes(), &rlo.to_be_bytes(), &rhi.to_be_bytes()]);
         rng.gen_range(0..=(rhi - rlo)) + rlo
     }
 
-    /// PRF-seeded deterministic coin tape.
-    fn coins(&self, parts: &[&[u8]]) -> StdRng {
-        let mut buf = Vec::new();
+    /// PRF-seeded deterministic coin tape over four length-prefixed fields
+    /// of at most 16 bytes each, laid out on the stack.
+    fn coins(&self, parts: [&[u8]; 4]) -> StdRng {
+        let mut buf = [0u8; 4 * (8 + 16)];
+        let mut len = 0;
         for p in parts {
-            buf.extend_from_slice(&(p.len() as u64).to_be_bytes());
-            buf.extend_from_slice(p);
+            buf[len..len + 8].copy_from_slice(&(p.len() as u64).to_be_bytes());
+            buf[len + 8..len + 8 + p.len()].copy_from_slice(p);
+            len += 8 + p.len();
         }
-        let seed = self.mac.mac(&buf);
-        StdRng::from_seed(seed)
+        StdRng::from_seed(self.mac.mac(&buf[..len]))
     }
 }
 
@@ -284,6 +313,17 @@ mod tests {
             assert_eq!(o.decrypt(c), Some(m));
             prev = Some(c);
         }
+    }
+
+    #[test]
+    fn memo_holds_one_descent() {
+        let o = ope();
+        for m in [0u64, u64::MAX, 7, 1 << 31, 8, 12345] {
+            let c = o.encrypt(m);
+            o.decrypt(c + 1);
+            assert!(o.memo.lock().unwrap().len() <= o.params.range_bits as usize, "m={m}");
+        }
+        assert!(o.clone().memo.lock().unwrap().is_empty(), "a clone starts cold");
     }
 
     #[test]

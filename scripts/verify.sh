@@ -76,6 +76,18 @@ write_path_leaks="$(awk '
 [ -z "$write_path_leaks" ] ||
     { echo "a second write path in the gateway:" >&2; echo "$write_path_leaks" >&2; exit 1; }
 
+echo "==> one OPE descent: ope/src/lib.rs samples a split in one place (descend), and builds the PRF input in coins on the stack"
+# encrypt and decrypt walk the tree through one loop that resumes from the
+# last descent; a second `self.split(` call is a second walk that does not.
+ope=crates/ope/src/lib.rs
+[ "$(grep -v '^ *//' "$ope" | grep -c 'self\.split(')" = 1 ] ||
+    { echo "$ope must call self.split( exactly once, in descend" >&2; exit 1; }
+coins_vec="$(awk '/^    fn coins\(/ { inside = 1 } inside && /Vec|vec!/ { print FILENAME ":" FNR ": " $0 } inside && /^    }$/ { inside = 0 }' "$ope")"
+[ -z "$coins_vec" ] ||
+    { echo "coins allocates a Vec; build the PRF input in a stack array:" >&2; echo "$coins_vec" >&2; exit 1; }
+grep -q '^    fn coins(' "$ope" ||
+    { echo "$ope lost fn coins; update this check" >&2; exit 1; }
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -98,9 +110,10 @@ cargo test --release -q -p datablinder-paillier --test sum_differential
 cargo test --release -q -p datablinder-paillier --test obfuscator_differential
 cargo test --release -q -p datablinder-core --test paillier_fold_differential
 
-echo "==> cargo test --release: read-path differentials (folded CRC-32 ≡ slicing-by-8 ≡ the bitwise definition, one-pass recover ≡ decode-then-recover, index-walking scan ≡ predicate ≡ find)"
+echo "==> cargo test --release: read-path differentials (folded CRC-32 ≡ slicing-by-8 ≡ the bitwise definition, one-pass recover ≡ decode-then-recover, resumed OPE descent ≡ a cold one, index-walking scan ≡ predicate ≡ find)"
 cargo test --release -q -p datablinder-codec --test crc_differential
 cargo test --release -q -p datablinder-core --test recover_differential
+cargo test --release -q -p datablinder-ope --test order
 cargo test --release -q -p datablinder-docstore --test model
 
 echo "==> cargo test --release --test cluster (replicated-cloud crash + membership-churn storms under optimization)"

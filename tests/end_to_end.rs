@@ -264,6 +264,29 @@ fn count_tracks_inserts() {
     assert_eq!(gw.count("observation").unwrap(), corpus.len() as u64 + 1);
 }
 
+/// NaN has no place in an order and no fixed-point value: a range bound or
+/// a Paillier-aggregated value that is NaN is an error, never silently a
+/// one-sided range or a zero that still counts toward an average.
+#[test]
+fn non_finite_floats_are_refused() {
+    let (gw, corpus) = setup();
+    let lo = Value::from(1_400_000_000i64);
+    for (lo, hi) in [(&lo, &Value::F64(f64::NAN)), (&Value::F64(f64::NAN), &lo)] {
+        assert!(gw.find_range("observation", "effective", lo, hi).is_err(), "range {lo:?}..={hi:?}");
+    }
+
+    let aggregates =
+        || [AggFn::Count, AggFn::Avg].map(|agg| gw.aggregate("observation", "value", agg, None).unwrap().to_bits());
+    let before = aggregates();
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut doc = example_observation();
+        doc.set("value", Value::F64(bad));
+        assert!(gw.insert("observation", &doc).is_err(), "value {bad}");
+    }
+    assert_eq!(gw.count("observation").unwrap(), corpus.len() as u64);
+    assert_eq!(aggregates(), before, "a refused value still counts toward the aggregates");
+}
+
 #[test]
 fn tactic_state_survives_gateway_restart() {
     // Export state from one gateway, import into a fresh one over the same

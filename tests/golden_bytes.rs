@@ -16,7 +16,7 @@ use datablinder::codec::{encode_frame, split_frame, Split};
 use datablinder::core::cloudproto::*;
 use datablinder::core::durability::WalRecord;
 use datablinder::core::model::*;
-use datablinder::core::tactics::{decode_ids, encode_ids};
+use datablinder::core::tactics::{decode_ids, encode_ids, orderable_u64};
 use datablinder::core::wire::{
     decode_document, decode_documents, decode_schema, encode_document, encode_documents, encode_schema,
 };
@@ -25,6 +25,8 @@ use datablinder::kvstore::{scan_frames, LogRecord};
 use datablinder::netsim::tcp::{encode_wire_frame, Frame, FrameDecoder, DEFAULT_MAX_FRAME};
 use datablinder::netsim::{decode_request, decode_response, encode_request, encode_response, NetError};
 use datablinder::obs::trace::{decode_traced, encode_traced, TraceCtx};
+use datablinder::ope::{Ope, OpeParams};
+use datablinder::primitives::keys::SymmetricKey;
 use datablinder::sse::DocId;
 
 const FIND_IDS_EQ: &str = "000000036f62730000000b7374617475735f5f6465740500000003010203";
@@ -87,6 +89,28 @@ const SCHEMA: &str = concat!(
     "75650201010502000303000102"
 );
 const IDS: &str = "000000020101010101010101010101010101010102020202020202020202020202020202";
+
+/// `Ope::new(SymmetricKey::from_bytes(&[7; 32]), OpeParams::default())`
+/// ciphertexts, captured before the descent learned to resume from the last
+/// one under its key. Every durable store's `__ope` shadow fields and
+/// indexes hold these values, so a change to any of them is a format break.
+/// The one planned re-pin is ROADMAP item 1's RNG change (the coin tape is
+/// a `StdRng` seeded from HMAC output).
+const OPE_RAW: [(u64, u128); 4] = [
+    (0, 0x0000_0000_0000_0000_0000_0001_78d4_d540),
+    (1, 0x0000_0000_0000_0000_0000_0002_4cdb_f13b),
+    (1 << 63, 0x0000_0000_8000_0001_215f_5eae_e63f_40db),
+    (u64::MAX, 0x0000_0000_ffff_ffff_ffff_ffff_77a6_fbb3),
+];
+/// Timestamps, encrypted as the OPE tactic does, through `orderable_u64`:
+/// a `search_tcp` range's two bounds (era slots 777..801 of 2,048), then two
+/// live timestamps 60 s apart.
+const OPE_TIMESTAMPS: [(i64, u128); 4] = [
+    (1_409_193_321, 0x0000_0000_8000_0001_755d_6bef_dc86_24f6),
+    (1_411_782_272, 0x0000_0000_8000_0001_7584_ef12_af71_e98e),
+    (1_900_000_000, 0x0000_0000_8000_0001_929f_0d83_0ef1_8b25),
+    (1_900_000_060, 0x0000_0000_8000_0001_929f_0dc9_bf25_8c80),
+];
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -261,6 +285,21 @@ fn documents_schemas_and_id_lists() {
         );
     pin(SCHEMA, schema, encode_schema, decode_schema);
     pin(IDS, vec![DocId([1; 16]), DocId([2; 16])], |ids| encode_ids(ids), decode_ids);
+}
+
+#[test]
+fn ope_ciphertexts() {
+    let ope = || Ope::new(SymmetricKey::from_bytes(&[7; 32]), OpeParams::default());
+    let timestamps = OPE_TIMESTAMPS.map(|(t, c)| (orderable_u64(&Value::from(t)).unwrap(), c));
+    let table: Vec<(u64, u128)> = OPE_RAW.into_iter().chain(timestamps).collect();
+    // Each value from a fresh instance, then all of them, in order and back
+    // again, through one instance that resumes each descent from the last.
+    let shared = ope();
+    for (m, c) in table.iter().chain(table.iter().rev()).copied() {
+        assert_eq!(ope().encrypt(m), c, "fresh instance moved: {m:#x}");
+        assert_eq!(shared.encrypt(m), c, "shared instance moved: {m:#x}");
+        assert_eq!(shared.decrypt(c), Some(m), "{c:#x} no longer decrypts");
+    }
 }
 
 #[test]
