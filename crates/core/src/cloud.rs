@@ -8,7 +8,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 
-use datablinder_codec::{crc32, Reader, Writer};
+use datablinder_codec::{Reader, Writer};
 use datablinder_docstore::{DocStore, Document, Filter, Value};
 use datablinder_kvstore::{KvStore, LogRecord};
 use datablinder_netsim::{CloudService, NetError};
@@ -16,9 +16,8 @@ use datablinder_obs::Recorder;
 use datablinder_sse::DocId;
 
 use crate::cloudproto::{
-    batch_items, is_write_route, BlobList, ChunkRequest, ChunkResponse, DigestRequest, FindIdsDnf, FindIdsEq,
-    FindIdsRange, Idempotent, RangeSelect, SyncEntries, TransferBegin, TransferInfo, WalTailRequest, ENTRY_DOC,
-    ENTRY_INDEX, ENTRY_KV, IDEM_ROUTE,
+    batch_items, is_write_route, BlobList, DigestRequest, FindIdsDnf, FindIdsEq, FindIdsRange, Idempotent, RangeSelect,
+    SyncEntries, ENTRY_DOC, ENTRY_INDEX, ENTRY_KV, IDEM_ROUTE,
 };
 use crate::durability::{self, Durability, DurabilityOptions, JournalOutcome, RecoveryReport, WalRecord};
 use crate::error::CoreError;
@@ -142,24 +141,12 @@ pub struct CloudEngine {
     dedup_hits: AtomicU64,
     durability: Option<Durability>,
     recovery: RecoveryReport,
-    /// The in-flight `sync/begin`..`sync/end` transfer. One slot: pulls
-    /// serialize on the cluster's membership mutex, so a `begin` with a
-    /// new token replaces a transfer whose puller never sent `end`.
-    transfer: Mutex<Option<PinnedTransfer>>,
     /// Incremental Merkle digest state (see [`DigestCache`]); populated on
     /// the first `sync/digest` request, dirty-tracked by every write.
     digests: Mutex<Option<DigestCache>>,
     /// Observability recorder (disabled by default; see
     /// [`CloudEngine::set_recorder`]).
     obs: Recorder,
-}
-
-/// A snapshot body pinned under its transfer token: chunk requests at any
-/// offset read one immutable body, which is what makes a transfer
-/// resumable.
-struct PinnedTransfer {
-    token: [u8; 16],
-    body: Arc<Vec<u8>>,
 }
 
 impl CloudEngine {
@@ -180,7 +167,6 @@ impl CloudEngine {
             dedup_hits: AtomicU64::new(0),
             durability: None,
             recovery: RecoveryReport::default(),
-            transfer: Mutex::new(None),
             digests: Mutex::new(None),
             obs: Recorder::default(),
         };
@@ -463,59 +449,14 @@ impl CloudEngine {
         DigestCache::note(&mut self.digests.lock().unwrap_or_else(PoisonError::into_inner), scope);
     }
 
-    /// The pinned body, if `token` names the in-flight transfer.
-    fn pinned(&self, token: &[u8; 16]) -> Option<Arc<Vec<u8>>> {
-        self.transfer
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-            .filter(|t| t.token == *token)
-            .map(|t| t.body.clone())
-    }
-
-    /// Cluster-synchronization routes: snapshot streaming (`begin`/`chunk`/
-    /// `end`), WAL tails, Merkle digests, range exports, and the two
-    /// journaled apply ops (`put`, `retire`). See
+    /// Cluster-synchronization routes: the WAL tail, Merkle digests, range
+    /// exports, and the two journaled apply ops (`put`, `retire`). See
     /// [`sync`](crate::sync) for the state model.
     fn handle_sync(&self, op: &str, payload: &[u8]) -> Result<Vec<u8>, CoreError> {
         match op {
-            "begin" => {
-                let req = TransferBegin::decode(payload)?;
-                let body = match self.pinned(&req.token) {
-                    Some(body) => body,
-                    None => {
-                        let body = Arc::new(match &self.durability {
-                            Some(d) => d.snapshot_body()?.unwrap_or_default(),
-                            None => Vec::new(),
-                        });
-                        *self.transfer.lock().unwrap_or_else(PoisonError::into_inner) =
-                            Some(PinnedTransfer { token: req.token, body: body.clone() });
-                        body
-                    }
-                };
-                let snapshot_seq = if body.is_empty() { 0 } else { durability::snapshot_body_seq(&body)? };
-                self.obs.count("cloud.sync.transfers", 1);
-                Ok(TransferInfo { total_len: body.len() as u64, snapshot_seq, crc: crc32(&body) }.encode())
-            }
-            "chunk" => {
-                let req = ChunkRequest::decode(payload)?;
-                let body =
-                    self.pinned(&req.token).ok_or_else(|| CoreError::Storage("sync: unknown transfer token".into()))?;
-                let start = (req.offset as usize).min(body.len());
-                let end = start.saturating_add(req.max_len as usize).min(body.len());
-                let data = body[start..end].to_vec();
-                self.obs.count("cloud.sync.chunk_bytes", data.len() as u64);
-                Ok(ChunkResponse { offset: req.offset, crc: crc32(&data), data }.encode())
-            }
-            "end" => {
-                let req = TransferBegin::decode(payload)?;
-                self.transfer.lock().unwrap_or_else(PoisonError::into_inner).take_if(|t| t.token == req.token);
-                Ok(Vec::new())
-            }
             "tail" => {
-                let req = WalTailRequest::decode(payload)?;
                 let records = match &self.durability {
-                    Some(d) => d.wal_tail(req.from_seq)?,
+                    Some(d) => d.wal_tail()?,
                     None => Vec::new(),
                 };
                 Ok(BlobList { items: records.iter().map(WalRecord::encode).collect() }.encode())

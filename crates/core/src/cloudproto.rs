@@ -356,10 +356,10 @@ pub const ENTRY_KV: u8 = b'k';
 pub const ENTRY_INDEX: u8 = b'i';
 
 /// One exported unit of replicated cloud state, the common currency of
-/// snapshot-filtered resync, membership key handoff and anti-entropy
-/// repair. Entries are self-describing (`kind` + entry key + canonical
-/// value bytes), so "what do you hold for this key?" and "make your state
-/// for this key exactly these bytes" are the same message.
+/// rejoin resync, membership key handoff and anti-entropy repair. Entries
+/// are self-describing (`kind` + entry key + canonical value bytes), so
+/// "what do you hold for this key?" and "make your state for this key
+/// exactly these bytes" are the same message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyncEntry {
     /// One of [`ENTRY_DOC`], [`ENTRY_KV`], [`ENTRY_INDEX`].
@@ -462,152 +462,9 @@ impl RangeSelect {
     }
 }
 
-/// `sync/begin`: opens a snapshot transfer. The token names the transfer
-/// for subsequent [`ChunkRequest`]s and lets a retried begin re-pin the
-/// same cached body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TransferBegin {
-    /// Unique per transfer attempt; identical across its chunk requests.
-    pub token: [u8; 16],
-}
-
-impl TransferBegin {
-    /// Serializes.
-    pub fn encode(&self) -> Vec<u8> {
-        self.token.to_vec()
-    }
-
-    /// Deserializes.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Wire`] on malformed input.
-    pub fn decode(buf: &[u8]) -> Result<Self, CoreError> {
-        decode(buf, |r| Ok(TransferBegin { token: r.raw()? }))
-    }
-}
-
-/// `sync/begin` response: the pinned snapshot body's size, the WAL seq it
-/// compacts up to, and a whole-body CRC the receiver checks after
-/// reassembly. `total_len == 0` means the donor has no snapshot (nothing
-/// compacted yet) — the receiver goes straight to the WAL tail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TransferInfo {
-    /// Snapshot body length in bytes (0 = no snapshot).
-    pub total_len: u64,
-    /// WAL sequence the snapshot covers through.
-    pub snapshot_seq: u64,
-    /// CRC32 of the whole body.
-    pub crc: u32,
-}
-
-impl TransferInfo {
-    /// Serializes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u64(self.total_len).u64(self.snapshot_seq).u32(self.crc);
-        w.finish()
-    }
-
-    /// Deserializes.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Wire`] on malformed input.
-    pub fn decode(buf: &[u8]) -> Result<Self, CoreError> {
-        decode(buf, |r| Ok(TransferInfo { total_len: r.u64()?, snapshot_seq: r.u64()?, crc: r.u32()? }))
-    }
-}
-
-/// `sync/chunk`: requests one slice of a pinned snapshot body. Offsets are
-/// caller-chosen, so a receiver that lost a response simply re-requests the
-/// same offset — the transfer is resumable at chunk granularity.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChunkRequest {
-    /// Transfer token from [`TransferBegin`].
-    pub token: [u8; 16],
-    /// Byte offset into the pinned body.
-    pub offset: u64,
-    /// Maximum bytes to return.
-    pub max_len: u32,
-}
-
-impl ChunkRequest {
-    /// Serializes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.raw(&self.token).u64(self.offset).u32(self.max_len);
-        w.finish()
-    }
-
-    /// Deserializes.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Wire`] on malformed input.
-    pub fn decode(buf: &[u8]) -> Result<Self, CoreError> {
-        decode(buf, |r| Ok(ChunkRequest { token: r.raw()?, offset: r.u64()?, max_len: r.u32()? }))
-    }
-}
-
-/// `sync/chunk` response: the requested slice plus its own CRC32, so a
-/// corrupted hop is detected per chunk, not only at the end.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChunkResponse {
-    /// Echoed offset of this slice.
-    pub offset: u64,
-    /// CRC32 of `data`.
-    pub crc: u32,
-    /// The slice (shorter than `max_len` at the tail; empty past the end).
-    pub data: Vec<u8>,
-}
-
-impl ChunkResponse {
-    /// Serializes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::from(Vec::with_capacity(16 + self.data.len()));
-        w.u64(self.offset).u32(self.crc).bytes(&self.data);
-        w.finish()
-    }
-
-    /// Deserializes.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Wire`] on malformed input.
-    pub fn decode(buf: &[u8]) -> Result<Self, CoreError> {
-        decode(buf, |r| Ok(ChunkResponse { offset: r.u64()?, crc: r.u32()?, data: r.bytes()?.to_vec() }))
-    }
-}
-
-/// `sync/tail`: asks a donor for every WAL record with `seq > from_seq` —
-/// the tail above a shipped snapshot. The response is a [`BlobList`] of
-/// encoded [`WalRecord`](crate::durability::WalRecord)s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WalTailRequest {
-    /// Replay records strictly above this sequence number.
-    pub from_seq: u64,
-}
-
-impl WalTailRequest {
-    /// Serializes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u64(self.from_seq);
-        w.finish()
-    }
-
-    /// Deserializes.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Wire`] on malformed input.
-    pub fn decode(buf: &[u8]) -> Result<Self, CoreError> {
-        decode(buf, |r| Ok(WalTailRequest { from_seq: r.u64()? }))
-    }
-}
-
-/// A length-prefixed list of opaque byte blobs (WAL tail responses).
+/// A length-prefixed list of opaque byte blobs: the `sync/tail` answer (one
+/// encoded [`WalRecord`](crate::durability::WalRecord) each), and the value
+/// of a KV or index [`SyncEntry`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BlobList {
     /// The blobs, in order.
@@ -724,8 +581,8 @@ pub fn is_write_route(route: &str) -> bool {
         return matches!(route.rsplit('/').next(), Some("update" | "insert" | "delete" | "setup") | None);
     }
     if let Some(op) = route.strip_prefix("sync/") {
-        // Snapshot streaming, WAL tails, digests and range exports are
-        // reads and retry bare; only the two applying ops mutate.
+        // WAL tails, digests and range exports are reads and retry bare;
+        // only the two applying ops mutate.
         return matches!(op, "put" | "retire");
     }
     if route.starts_with("obs/") {
@@ -784,9 +641,6 @@ mod tests {
             "tactic/ore/notes:eff/range",
             "tactic/paillier/notes:value/sum",
             "tactic/paillier/notes:value/combine",
-            "sync/begin",
-            "sync/chunk",
-            "sync/end",
             "sync/tail",
             "sync/digest",
             "sync/entries",

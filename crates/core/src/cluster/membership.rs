@@ -1,16 +1,14 @@
 //! Membership transitions — kill, rejoin, add, remove — and the state
-//! transfers that make them safe: a rejoining durable node streams its
-//! peers' snapshots and WAL tails, a joining or inheriting node pulls the
-//! hash ranges it gains. Every public entry point takes the membership lock;
-//! add/remove also write-hold the topology for the handoff window.
+//! transfers that make them safe: a rejoining node replays its peers' WAL
+//! tails and then pulls the hash ranges it owns, a joining or inheriting
+//! node pulls the ranges it gains. Every public entry point takes the
+//! membership lock; add/remove also write-hold the topology for the handoff
+//! window.
 
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::PoisonError;
 
-use datablinder_codec::crc32;
-use datablinder_docstore::DocStore;
-use datablinder_kvstore::KvStore;
 use datablinder_netsim::NetError;
 
 use super::repair::{entry_key, sync_put};
@@ -18,30 +16,12 @@ use super::replica::{LocalNode, Replica};
 use super::ring::{gained_ranges, lost_ranges, Ring};
 use super::write::targets_node;
 use super::{token16, ClusterCloud, Topology};
-use crate::cloudproto::{
-    BlobList, ChunkRequest, ChunkResponse, RangeSelect, SyncEntries, SyncEntry, TransferBegin, TransferInfo,
-    WalTailRequest, IDEM_ROUTE,
-};
-use crate::durability::{apply_snapshot, WalRecord};
+use crate::cloudproto::{BlobList, RangeSelect, SyncEntries, SyncEntry, IDEM_ROUTE};
+use crate::durability::WalRecord;
 use crate::error::CoreError;
-use crate::sync::{export_entries, Selector};
-
-/// Snapshot stream chunk size: small enough that a mid-stream crash point
-/// exercises the resumable framing, large enough to amortize per-call cost.
-const SYNC_CHUNK_LEN: u32 = 16 * 1024;
 
 /// Entries per idempotent `sync/put` envelope during a fill.
 const SYNC_PUT_BATCH: usize = 32;
-
-/// Why a state pull from one peer failed.
-enum PullFailure {
-    /// The peer went away or served a corrupt stream; other peers may still
-    /// cover the same ranges.
-    Peer,
-    /// The pulling node itself failed to apply state; the whole resync
-    /// aborts and the node stays down.
-    Local(CoreError),
-}
 
 impl ClusterCloud {
     /// Marks node `idx` down and drops its engine (disk state stays).
@@ -53,9 +33,9 @@ impl ClusterCloud {
     }
 
     /// Restarts node `idx` from its own disk, resyncs it from live peers
-    /// (snapshot stream + WAL tail) and marks it serving. Returns the
-    /// number of replayed tail records; a member that is already serving is
-    /// left alone (`Ok(0)`).
+    /// (their WAL tails, then its owned ranges) and marks it serving.
+    /// Returns the number of replayed tail records; a member that is
+    /// already serving is left alone (`Ok(0)`).
     ///
     /// # Errors
     ///
@@ -103,7 +83,9 @@ impl ClusterCloud {
     /// Brings a restarted node back to its owed state — fill-missing
     /// semantics: local state wins ties, the anti-entropy majority
     /// arbitrates divergence — then retires whatever the node holds outside
-    /// its owned ranges. Returns `(entries filled, tail records replayed)`.
+    /// its owned ranges. Durable and volatile nodes take the same path (a
+    /// volatile peer's tail is empty). Returns `(entries filled, tail
+    /// records replayed)`.
     fn resync(&self, topo: &Topology, idx: usize) -> Result<(u64, u64), CoreError> {
         // Background work: detach from whatever client operation triggered
         // the rejoin so the resync gets its own root trace.
@@ -111,20 +93,18 @@ impl ClusterCloud {
         root.set_detail(&format!("node{idx}"));
         let node = topo.replica(idx).node();
         let owned = topo.ring.ranges_of(idx, true);
-        let out = if node.is_durable() {
-            self.resync_from_snapshots_and_tails(topo, idx, &owned)
-        } else {
-            // No WAL on either side: refill the owned ranges directly.
-            self.pull_ranges(topo, node, None, &owned, true, "cluster.resync.peer_failed").map(|(f, _)| (f, 0))
-        };
-        let out = out.and_then(|counts| {
+        // Tails before ranges. A replayed envelope must find its document
+        // missing: filled first, it fails with `DuplicateId`, and the dedup
+        // cache keeps that failure as the token's outcome for a retry.
+        let out = self.replay_tails(topo, idx).and_then(|replayed| {
+            let (filled, _) = self.pull_ranges(topo, node, None, &owned, true, "cluster.resync.peer_failed")?;
             let unowned = topo.ring.ranges_of(idx, false);
             if !unowned.is_empty() {
                 let sel = RangeSelect { seed: self.cfg.seed, ranges: unowned, include_broadcast: false };
                 node.engine_call("sync/retire", &sel.encode())
                     .map_err(|e| CoreError::Storage(format!("node {idx} failed retiring unowned ranges: {e}")))?;
             }
-            Ok(counts)
+            Ok((filled, replayed))
         });
         match &out {
             Ok((filled, replayed)) => {
@@ -139,163 +119,63 @@ impl ClusterCloud {
         out
     }
 
-    /// The durable resync: every live durable peer's snapshot and WAL tail,
-    /// so a peer that compacted its WAL leaves no gap.
-    fn resync_from_snapshots_and_tails(
-        &self,
-        topo: &Topology,
-        idx: usize,
-        owned: &[(u64, u64)],
-    ) -> Result<(u64, u64), CoreError> {
-        let (mut filled, mut replayed) = (0u64, 0u64);
-        let mut seen = topo.replica(idx).node().journaled_ids();
-        // The resyncing node is not serving, so every live member is a peer.
-        for peer in topo.live_members().filter(|peer| peer.node().is_durable()) {
-            match self.pull_peer_state(topo, idx, peer, owned, &mut seen) {
-                Ok((f, r)) => {
-                    filled += f;
-                    replayed += r;
-                }
-                Err(PullFailure::Peer) => {
-                    self.obs.count("cluster.resync.peer_failed", 1);
-                    if peer.node().wal_compacted() {
-                        // Snapshot shipping normally closes the compaction
-                        // gap; only a failed pull from a compacted peer
-                        // can leave one open.
-                        self.resync_wal_gaps.fetch_add(1, Ordering::Relaxed);
-                        self.obs.count("cluster.resync.wal_gap", 1);
-                    }
-                }
-                Err(PullFailure::Local(e)) => return Err(e),
-            }
-        }
-        Ok((filled, replayed))
-    }
-
-    /// Pulls one peer's state into node `idx`: stream its pinned snapshot,
-    /// install the owned subset the node is missing, then replay the
-    /// peer's WAL tail above the snapshot sequence.
-    fn pull_peer_state(
-        &self,
-        topo: &Topology,
-        idx: usize,
-        peer: &Replica,
-        owned: &[(u64, u64)],
-        seen: &mut HashSet<[u8; 16]>,
-    ) -> Result<(u64, u64), PullFailure> {
+    /// Replays into node `idx` every live peer's WAL records that target it
+    /// and that it has not journaled itself. This is what carries the
+    /// idempotency tokens of the writes it missed. Returns the records
+    /// replayed.
+    fn replay_tails(&self, topo: &Topology, idx: usize) -> Result<u64, CoreError> {
         let node = topo.replica(idx).node();
-        let token = self.transfer_token();
-        let body = self.stream_snapshot(peer, token)?;
-        let mut filled = 0u64;
-        let mut snapshot_seq = 0u64;
-        if !body.is_empty() {
-            let kv = KvStore::new();
-            let docs = DocStore::new();
-            snapshot_seq = apply_snapshot(&kv, &docs, &body).map_err(|_| PullFailure::Peer)?;
-            let sel = Selector::Ranges { ranges: owned, include_broadcast: true };
-            let entries: Vec<SyncEntry> =
-                export_entries(&kv, &docs, self.cfg.seed, &sel).into_iter().map(|(e, _)| e).collect();
-            let held = RangeSelect { seed: self.cfg.seed, ranges: owned.to_vec(), include_broadcast: true };
-            filled = self.fill_missing(node, &held.encode(), &entries, &token).map_err(PullFailure::Local)?;
-        }
-        let tail = peer
-            .call_background("sync/tail", &WalTailRequest { from_seq: snapshot_seq }.encode())
-            .answered()
-            .ok_or(PullFailure::Peer)?;
-        let list = BlobList::decode(&tail).map_err(|_| PullFailure::Peer)?;
+        let mut seen = node.journaled_ids();
         let mut replayed = 0u64;
-        for item in &list.items {
-            let Ok(rec) = WalRecord::decode(item) else { continue };
-            // Sync-apply records are a peer's own resync history, not
-            // client writes: every acked client write is carried as a
-            // normal record by at least W original ackers.
-            if seen.contains(&rec.id)
-                || rec.route.starts_with("sync/")
-                || !targets_node(topo, &rec.route, &rec.payload, idx)
-            {
+        // The resyncing node is not serving, so every live member is a peer.
+        for peer in topo.live_members() {
+            let tail = peer.call_background("sync/tail", &[]).answered();
+            let Some(list) = tail.and_then(|tail| BlobList::decode(&tail).ok()) else {
+                self.obs.count("cluster.resync.peer_failed", 1);
                 continue;
-            }
-            seen.insert(rec.id);
-            match node.engine_call(&rec.route, &rec.payload) {
-                // Application errors are recorded history (e.g. a
-                // duplicate insert whose first application was compacted
-                // out of our own WAL) — not resync failures.
-                Ok(_) | Err(NetError::Remote(_)) => replayed += 1,
-                Err(_) => {
-                    return Err(PullFailure::Local(CoreError::Storage(format!("node {idx} crashed during resync"))));
+            };
+            for item in &list.items {
+                let Ok(rec) = WalRecord::decode(item) else { continue };
+                // Sync-apply records are a peer's own resync history, not
+                // client writes: every acked client write is carried as a
+                // normal record by at least W original ackers.
+                if seen.contains(&rec.id)
+                    || rec.route.starts_with("sync/")
+                    || !targets_node(topo, &rec.route, &rec.payload, idx)
+                {
+                    continue;
+                }
+                seen.insert(rec.id);
+                match node.engine_call(&rec.route, &rec.payload) {
+                    // Application errors are recorded history (e.g. a
+                    // duplicate insert whose first application was compacted
+                    // out of our own WAL) — not resync failures.
+                    Ok(_) | Err(NetError::Remote(_)) => replayed += 1,
+                    Err(_) => return Err(CoreError::Storage(format!("node {idx} crashed during resync"))),
                 }
             }
         }
-        Ok((filled, replayed))
+        Ok(replayed)
     }
 
-    /// Streams a peer's pinned snapshot body in CRC-framed chunks, resuming
-    /// each chunk once on a torn frame, and verifies the whole-body CRC
-    /// advertised at `sync/begin`.
-    fn stream_snapshot(&self, peer: &Replica, token: [u8; 16]) -> Result<Vec<u8>, PullFailure> {
-        let transfer = TransferBegin { token }.encode();
-        let begin = peer.call_background("sync/begin", &transfer).answered().ok_or(PullFailure::Peer)?;
-        let info = TransferInfo::decode(&begin).map_err(|_| PullFailure::Peer)?;
-        let mut body = Vec::with_capacity(info.total_len as usize);
-        while (body.len() as u64) < info.total_len {
-            let req = ChunkRequest { token, offset: body.len() as u64, max_len: SYNC_CHUNK_LEN };
-            let chunk = self.fetch_chunk(peer, &req)?;
-            body.extend_from_slice(&chunk);
-        }
-        peer.call_background("sync/end", &transfer);
-        if crc32(&body) != info.crc {
-            return Err(PullFailure::Peer);
-        }
-        Ok(body)
-    }
-
-    /// One chunk fetch with one resume retry: the transfer stays pinned
-    /// peer-side, so the retry picks back up at the same offset.
-    fn fetch_chunk(&self, peer: &Replica, req: &ChunkRequest) -> Result<Vec<u8>, PullFailure> {
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            let chunk = peer
-                .call_background("sync/chunk", &req.encode())
-                .answered()
-                .and_then(|resp| ChunkResponse::decode(&resp).ok())
-                .filter(|c| c.offset == req.offset && !c.data.is_empty() && crc32(&c.data) == c.crc);
-            match chunk {
-                Some(c) => return Ok(c.data),
-                None if attempts == 1 => self.obs.count("cluster.resync.chunk_retry", 1),
-                None => return Err(PullFailure::Peer),
-            }
-        }
-    }
-
-    /// Installs the subset of `entries` the node does not already hold:
-    /// local keys keep their local value (the anti-entropy majority vote
-    /// arbitrates divergence later), missing keys are applied through the
-    /// idempotent `sync/put` envelope so a torn fill replays exactly once.
-    /// `selector` is the encoded [`RangeSelect`] the entries were chosen by:
-    /// what the node holds is asked for within it, not as the node's whole
-    /// state.
+    /// Installs the `entries` whose keys are not in `held`: local keys keep
+    /// their local value (the anti-entropy majority vote arbitrates
+    /// divergence later), missing keys are applied through the idempotent
+    /// `sync/put` envelope so a torn fill replays exactly once. Installed
+    /// keys join `held`; a key joins before its put lands, which is safe
+    /// because a failed put aborts the whole pull.
     fn fill_missing(
         &self,
         node: &LocalNode,
-        selector: &[u8],
-        entries: &[SyncEntry],
+        held: &mut HashSet<Vec<u8>>,
+        entries: Vec<SyncEntry>,
         salt: &[u8],
     ) -> Result<u64, CoreError> {
-        if entries.is_empty() {
-            return Ok(0);
-        }
-        let have: HashSet<Vec<u8>> = node
-            .engine_call("sync/entries", selector)
-            .ok()
-            .and_then(|resp| SyncEntries::decode(&resp).ok())
-            .map(|local| local.entries.iter().map(entry_key).collect())
-            .unwrap_or_default();
-        let missing: Vec<&SyncEntry> = entries.iter().filter(|e| !have.contains(&entry_key(e))).collect();
+        let missing: Vec<SyncEntry> = entries.into_iter().filter(|e| held.insert(entry_key(e))).collect();
         let mut applied = 0u64;
         for (batch_idx, batch) in missing.chunks(SYNC_PUT_BATCH).enumerate() {
             let salt = [salt, &(batch_idx as u64).to_be_bytes()[..]].concat();
-            let put = sync_put(b"cluster-fill", &salt, batch.iter().map(|&e| e.clone()).collect());
+            let put = sync_put(b"cluster-fill", &salt, batch.to_vec());
             match node.engine_call(IDEM_ROUTE, &put) {
                 Ok(_) => applied += batch.len() as u64,
                 Err(NetError::Remote(m)) => {
@@ -428,8 +308,10 @@ impl ClusterCloud {
     /// Pulls `ranges` into `target` from every live member but `except`
     /// (the target's own slot when it is already a member): each peer
     /// exports what it holds there and the target installs what it lacks.
-    /// A peer that cannot answer counts in `peer_failed` and is skipped.
-    /// Returns the entries installed and whether any peer answered.
+    /// What the target holds within `ranges` is asked once, before the
+    /// first install. A peer that cannot answer counts in `peer_failed` and
+    /// is skipped. Returns the entries installed and whether any peer
+    /// answered.
     fn pull_ranges(
         &self,
         topo: &Topology,
@@ -441,6 +323,7 @@ impl ClusterCloud {
     ) -> Result<(u64, bool), CoreError> {
         let salt = self.transfer_token();
         let selector = RangeSelect { seed: self.cfg.seed, ranges: ranges.to_vec(), include_broadcast }.encode();
+        let mut held: Option<HashSet<Vec<u8>>> = None;
         let (mut filled, mut sourced) = (0u64, false);
         for peer in topo.live_members().filter(|peer| Some(peer.slot()) != except) {
             let exported = peer.call_background("sync/entries", &selector).answered();
@@ -448,8 +331,19 @@ impl ClusterCloud {
                 self.obs.count(peer_failed, 1);
                 continue;
             };
-            filled += self.fill_missing(target, &selector, &entries.entries, &salt)?;
             sourced = true;
+            if entries.entries.is_empty() {
+                continue;
+            }
+            let held = held.get_or_insert_with(|| {
+                target
+                    .engine_call("sync/entries", &selector)
+                    .ok()
+                    .and_then(|resp| SyncEntries::decode(&resp).ok())
+                    .map(|local| local.entries.iter().map(entry_key).collect())
+                    .unwrap_or_default()
+            });
+            filled += self.fill_missing(target, held, entries.entries, &salt)?;
         }
         Ok((filled, sourced))
     }

@@ -12,11 +12,11 @@
 //!
 //! Membership is *elastic*:
 //!
-//! * A rejoining durable node streams each live peer's compacted snapshot
-//!   (chunked, CRC-framed, resumable) plus the WAL tail above the snapshot
-//!   sequence — so a peer that compacted its WAL no longer leaves a resync
-//!   gap. A transfer torn by a crash leaves the node down; the next rejoin
-//!   restarts cleanly from disk.
+//! * A rejoining node replays the records its live peers' WALs hold for it,
+//!   then pulls the hash ranges it owns from their live state, exactly as a
+//!   handoff does — so history a peer compacted out of its WAL still
+//!   arrives. A resync torn by a crash leaves the node down; the next
+//!   rejoin restarts cleanly from disk.
 //! * [`ClusterCloud::add_node`] / [`ClusterCloud::remove_node`] recompute
 //!   vnode ownership and hand off exactly the key ranges that changed
 //!   owners before the new ring serves quorums. Operations arriving during
@@ -201,7 +201,8 @@ fn remote(e: CoreError) -> NetError {
 }
 
 /// The first 16 bytes of SHA-256 over `parts` in order: every idempotency
-/// and transfer token the cluster mints.
+/// token the cluster mints, and the salt of each range pull's `sync/put`
+/// tokens.
 fn token16(parts: &[&[u8]]) -> [u8; 16] {
     let mut h = Sha256::new();
     for part in parts {
@@ -235,7 +236,6 @@ pub struct ClusterCloud {
     read_repairs: AtomicU64,
     resync_replayed: AtomicU64,
     resync_filled: AtomicU64,
-    resync_wal_gaps: AtomicU64,
     ae_rounds: AtomicU64,
     ae_divergent: AtomicU64,
     ae_repaired_bytes: AtomicU64,
@@ -277,7 +277,6 @@ impl ClusterCloud {
             read_repairs: AtomicU64::new(0),
             resync_replayed: AtomicU64::new(0),
             resync_filled: AtomicU64::new(0),
-            resync_wal_gaps: AtomicU64::new(0),
             ae_rounds: AtomicU64::new(0),
             ae_divergent: AtomicU64::new(0),
             ae_repaired_bytes: AtomicU64::new(0),
@@ -296,8 +295,8 @@ impl ClusterCloud {
     }
 
     /// Arms a crash injector for slot `idx`'s *next* rejoin or join: the
-    /// node's engine (re)opens with it, so the snapshot pull or tail replay
-    /// itself can die mid-transfer (satellite: durability under membership
+    /// node's engine (re)opens with it, so the tail replay or range pull
+    /// itself can die mid-resync (tests: durability under membership
     /// change).
     pub fn arm_rejoin_crash(&self, idx: usize, injector: Arc<CrashInjector>) {
         self.rejoin_crash.lock().unwrap_or_else(PoisonError::into_inner).insert(idx, injector);
@@ -399,17 +398,10 @@ impl ClusterCloud {
         self.resync_replayed.load(Ordering::Relaxed)
     }
 
-    /// Entries installed into rejoining nodes from shipped peer snapshots.
+    /// Entries installed into rejoining nodes from their peers' owned-range
+    /// exports.
     pub fn resync_filled(&self) -> u64 {
         self.resync_filled.load(Ordering::Relaxed)
-    }
-
-    /// Resyncs that could not cover a peer's compacted history: the peer
-    /// had compacted its WAL *and* its snapshot pull failed. Snapshot
-    /// shipping keeps this at zero in healthy clusters; anti-entropy closes
-    /// any remaining gap.
-    pub fn resync_wal_gaps(&self) -> u64 {
-        self.resync_wal_gaps.load(Ordering::Relaxed)
     }
 
     /// Anti-entropy passes completed.

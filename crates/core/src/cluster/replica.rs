@@ -18,7 +18,7 @@ use datablinder_obs::Recorder;
 
 use super::ClusterConfig;
 use crate::cloud::CloudEngine;
-use crate::durability::{snapshot_path, wal_path, DurabilityOptions, WalRecord};
+use crate::durability::{wal_path, DurabilityOptions, WalRecord};
 use crate::error::CoreError;
 
 /// How long a rejoining node's channel clock is advanced so an open circuit
@@ -103,24 +103,8 @@ impl LocalNode {
         self.engine.read().unwrap_or_else(PoisonError::into_inner).as_ref().is_some_and(CloudEngine::crashed)
     }
 
-    pub(super) fn is_durable(&self) -> bool {
-        self.dir.is_some()
-    }
-
     pub(super) fn recorder(&self) -> &Recorder {
         &self.obs
-    }
-
-    /// Whether the node's WAL no longer starts at record 1 because a
-    /// snapshot compacted it — the condition under which a *failed*
-    /// snapshot pull from it can leave a resync gap.
-    pub(super) fn wal_compacted(&self) -> bool {
-        let Some(dir) = &self.dir else { return false };
-        if !snapshot_path(dir).exists() {
-            return false;
-        }
-        let Ok(scan) = read_frames(&wal_path(dir)) else { return true };
-        scan.frames.first().and_then(|b| WalRecord::decode(b).ok()).is_none_or(|r| r.seq > 1)
     }
 
     /// Ids of the records the node journaled itself — the "already durable"

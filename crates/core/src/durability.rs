@@ -36,7 +36,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, TryLockError};
 
-use datablinder_codec::{encode_frame, Malformed, Reader, Writer};
+use datablinder_codec::{encode_frame, Malformed, Writer};
 use datablinder_docstore::DocStore;
 use datablinder_kvstore::{read_frames, FrameWriter, KvError, KvStore, LogRecord};
 use datablinder_netsim::{CloudService, CrashInjector, CrashVerdict, NetError};
@@ -361,28 +361,10 @@ impl Durability {
         self.group_commits.load(Ordering::Relaxed)
     }
 
-    /// The current on-disk snapshot body (the bytes inside its CRC frame),
-    /// or `None` when nothing has been compacted yet — what a donor pins
-    /// and streams to a resyncing peer. Read under the io lock so a
-    /// concurrent compaction's rename-and-truncate cutover can't be
-    /// half-observed.
-    pub(crate) fn snapshot_body(&self) -> Result<Option<Vec<u8>>, CoreError> {
-        let _io = self.io.lock().unwrap_or_else(PoisonError::into_inner);
-        let path = snapshot_path(&self.dir);
-        if !path.exists() {
-            return Ok(None);
-        }
-        let scan = read_frames(&path)?;
-        match scan.frames.into_iter().next() {
-            Some(body) => Ok(Some(body)),
-            None => Err(CoreError::Storage("snapshot: no complete frame".into())),
-        }
-    }
-
-    /// Every WAL record with `seq > from_seq`, in order — the tail a donor
-    /// ships above its snapshot. Pending group-commit bytes are flushed
-    /// first, so the tail reflects every record this node has acknowledged.
-    pub(crate) fn wal_tail(&self, from_seq: u64) -> Result<Vec<WalRecord>, CoreError> {
+    /// Every record in the WAL, in order — what a donor ships to a
+    /// rejoining peer. Pending group-commit bytes are flushed first, so the
+    /// tail reflects every record this node has acknowledged.
+    pub(crate) fn wal_tail(&self) -> Result<Vec<WalRecord>, CoreError> {
         let mut io = self.io.lock().unwrap_or_else(PoisonError::into_inner);
         {
             let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
@@ -397,14 +379,7 @@ impl Durability {
         // Still under the io lock: no append or compaction can interleave
         // with the file read below.
         let scan = read_frames(&wal_path(&self.dir))?;
-        let mut out = Vec::new();
-        for body in &scan.frames {
-            let rec = WalRecord::decode(body)?;
-            if rec.seq > from_seq {
-                out.push(rec);
-            }
-        }
-        Ok(out)
+        scan.frames.iter().map(|body| WalRecord::decode(body)).collect()
     }
 }
 
@@ -436,19 +411,6 @@ fn encode_snapshot(kv: &KvStore, docs: &DocStore, seq: u64) -> Vec<u8> {
     w.finish()
 }
 
-/// Reads just the high-water sequence number out of a snapshot body
-/// (magic + seq header) without restoring it.
-pub(crate) fn snapshot_body_seq(body: &[u8]) -> Result<u64, CoreError> {
-    snapshot_header(&mut Reader::new(body)).map_err(snapshot_error)
-}
-
-fn snapshot_header(r: &mut Reader) -> Result<u64, CoreError> {
-    if r.bytes()? != SNAP_MAGIC {
-        return Err(CoreError::Storage("snapshot: bad magic".into()));
-    }
-    Ok(r.u64()?)
-}
-
 /// A malformed snapshot body sits inside a CRC-valid frame: that is storage
 /// corruption, not a wire error.
 fn snapshot_error(e: CoreError) -> CoreError {
@@ -460,9 +422,12 @@ fn snapshot_error(e: CoreError) -> CoreError {
 
 /// Restores a snapshot body into `(kv, docs)`; returns the snapshot's
 /// high-water sequence number.
-pub(crate) fn apply_snapshot(kv: &KvStore, docs: &DocStore, body: &[u8]) -> Result<u64, CoreError> {
+fn apply_snapshot(kv: &KvStore, docs: &DocStore, body: &[u8]) -> Result<u64, CoreError> {
     datablinder_codec::decode(body, |r| {
-        let seq = snapshot_header(r)?;
+        if r.bytes()? != SNAP_MAGIC {
+            return Err(CoreError::Storage("snapshot: bad magic".into()));
+        }
+        let seq = r.u64()?;
         for rec_body in r.list()? {
             kv.apply_record(&LogRecord::from_body(rec_body)?);
         }

@@ -2,8 +2,8 @@
 //!
 //! Three cluster mechanisms need the same primitive — "give me the slice of
 //! a node's state that routes into these hash ranges, in a canonical
-//! encoding": snapshot-filtered resync (a rejoining node applies only what
-//! it owns), membership key handoff (a new owner pulls exactly the ranges
+//! encoding": rejoin resync (a rejoining node pulls the ranges it owns),
+//! membership key handoff (a new owner pulls exactly the ranges
 //! it gained) and Merkle anti-entropy (replicas compare per-leaf digests
 //! and repair the keys that diverge). This module owns that primitive:
 //!

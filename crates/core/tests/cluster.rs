@@ -11,9 +11,7 @@ use std::sync::Arc;
 use datablinder_codec::Writer;
 
 use datablinder_core::cloud::{with_collection, CloudEngine};
-use datablinder_core::cloudproto::{
-    ChunkRequest, ChunkResponse, Idempotent, PaillierSum, PaillierSumResponse, TransferBegin, TransferInfo, IDEM_ROUTE,
-};
+use datablinder_core::cloudproto::{Idempotent, PaillierSum, PaillierSumResponse, IDEM_ROUTE};
 use datablinder_core::cluster::{ClusterCloud, ClusterConfig};
 use datablinder_core::durability::wal_path;
 use datablinder_core::gateway::GatewayEngine;
@@ -596,14 +594,13 @@ fn batch_whose_second_item_misses_quorum_rolls_forward_via_sub_token_dedup() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Tentpole regression: a rejoin across peers that already compacted their
-/// WALs must not leave a resync gap. The snapshot stream covers the
-/// compacted history, the WAL tail covers the rest, and the wal-gap metric
-/// stays at zero — under the old WAL-only resync this exact scenario
-/// counted gaps and leaned on lazy read repair.
+/// A rejoin across peers that already compacted their WALs leaves no gap:
+/// the owned-range pull covers the compacted history, the WAL tails cover
+/// the rest — a WAL-only resync would leave this scenario to lazy read
+/// repair.
 #[test]
-fn snapshot_resync_closes_wal_gap() {
-    let dir = temp_dir("snapshot-resync");
+fn rejoin_across_compacted_peers_leaves_no_gap() {
+    let dir = temp_dir("compacted-peers");
     let mut cfg = ClusterConfig::volatile(3, 3, 2, 0x5AFE).durable(&dir);
     // Aggressive compaction: peers snapshot (and truncate their WALs)
     // every 4 journaled records, so the downed node's missed writes are
@@ -634,8 +631,7 @@ fn snapshot_resync_closes_wal_gap() {
     assert!(compacted, "the scenario requires peers with compacted WALs");
 
     cluster.rejoin_node(2).unwrap();
-    assert_eq!(cluster.resync_wal_gaps(), 0, "snapshot shipping closed the compaction gap");
-    assert!(cluster.resync_filled() > 0, "the snapshot stream installed the compacted history");
+    assert!(cluster.resync_filled() > 0, "the range pull installed the compacted history");
     let held = cluster.with_node_engine(2, |e| e.docs().collection("c").ids().len()).unwrap();
     assert_eq!(held, 16, "the rejoined node holds every document, including compacted ones");
     // The gap is closed eagerly: a full read sweep finds nothing left for
@@ -647,47 +643,33 @@ fn snapshot_resync_closes_wal_gap() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Regression: `sync/begin` used to pin one whole-snapshot body per token
-/// it had ever seen and free it only at `sync/end`, which a crashed or
-/// failed puller never sends. The engine now holds one transfer: a `begin`
-/// with a new token replaces the abandoned one, and the live transfer
-/// still resumes at any offset.
+/// Every cluster write the other tests miss while a replica is down is an
+/// insert. An update, a delete and an insert missed while down all reach the
+/// rejoined node, and it converges with its peers without anti-entropy.
 #[test]
-fn abandoned_sync_transfer_is_replaced_not_pinned() {
-    let dir = temp_dir("sync-slot");
-    let engine = CloudEngine::open_durable(&dir).unwrap();
-    for i in 1..=3u8 {
-        let doc = Document::new(DocId([i; 16]).to_hex()).with("v", Value::from(i64::from(i)));
-        engine.handle("doc/insert", &with_collection("c", &encode_document(&doc))).unwrap();
-    }
-    engine.snapshot_now().unwrap();
-    let begin = |token: [u8; 16]| {
-        TransferInfo::decode(&engine.handle("sync/begin", &TransferBegin { token }.encode()).unwrap()).unwrap()
+fn rejoin_applies_updates_and_deletes_missed_while_down() {
+    let dir = temp_dir("missed-mutations");
+    let cluster = ClusterCloud::new(ClusterConfig::volatile(3, 3, 2, 0xDE1E).durable(&dir)).unwrap();
+    let doc = |i: u8, v: i64| {
+        let doc = Document::new(DocId([i; 16]).to_hex()).with("v", Value::from(v));
+        with_collection("c", &encode_document(&doc))
     };
-    let chunk = |token: [u8; 16], offset: u64| {
-        engine
-            .handle("sync/chunk", &ChunkRequest { token, offset, max_len: 8 }.encode())
-            .map(|resp| ChunkResponse::decode(&resp).unwrap())
-    };
-    let (a, b) = ([0xA; 16], [0xB; 16]);
-    let info = begin(a);
-    assert!(info.total_len > 16, "the snapshot has a body to stream");
-    assert_eq!(chunk(a, 0).unwrap().data.len(), 8);
-    // The puller of `a` dies here; the next pull opens `b`.
-    assert_eq!(begin(b), info);
-    match chunk(a, 8) {
-        Err(NetError::Remote(msg)) => assert!(msg.contains("unknown transfer token"), "{msg}"),
-        other => panic!("the abandoned transfer must be gone: {other:?}"),
+    for i in 1..=4 {
+        cluster.handle("doc/insert", &doc(i, i64::from(i))).unwrap();
     }
-    let resumed = chunk(b, 8).unwrap();
-    assert_eq!((resumed.offset, resumed.data.len()), (8, 8));
-    // A repeated `begin` of the live token keeps the transfer, and an `end`
-    // of a stale one does not close it.
-    assert_eq!(begin(b), info);
-    engine.handle("sync/end", &TransferBegin { token: a }.encode()).unwrap();
-    assert_eq!(chunk(b, 8).unwrap(), resumed);
-    engine.handle("sync/end", &TransferBegin { token: b }.encode()).unwrap();
-    assert!(chunk(b, 8).is_err());
+    cluster.kill_node(2);
+    cluster.handle("doc/update", &doc(1, 100)).unwrap();
+    cluster.handle("doc/delete", &with_collection("c", DocId([2; 16]).to_hex().as_bytes())).unwrap();
+    cluster.handle("doc/insert", &doc(5, 5)).unwrap();
+
+    cluster.rejoin_node(2).unwrap();
+    let on_node2 =
+        |i: u8| cluster.with_node_engine(2, |e| e.docs().collection("c").get(&DocId([i; 16]).to_hex())).unwrap();
+    assert_eq!(on_node2(1).and_then(|d| d.get("v").cloned()), Some(Value::from(100i64)), "the missed update");
+    assert!(on_node2(2).is_none(), "the missed delete");
+    assert!(on_node2(5).is_some(), "the missed insert");
+    assert!(cluster.replica_digests_converged(), "the rejoined node matches its peers");
+    assert_eq!(cluster.anti_entropy_rounds(), 0, "with no anti-entropy pass");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -13,9 +13,8 @@ use std::collections::HashSet;
 use std::fmt::Debug;
 
 use datablinder_core::cloudproto::{
-    BlobList, ChunkRequest, ChunkResponse, DigestRequest, DigestResponse, FindIdsDnf, FindIdsEq, FindIdsRange,
-    Idempotent, PaillierCombine, PaillierSum, PaillierSumResponse, RangeSelect, SyncEntries, SyncEntry, TransferBegin,
-    TransferInfo, WalTailRequest, ENTRY_DOC, ENTRY_INDEX, ENTRY_KV,
+    BlobList, DigestRequest, DigestResponse, FindIdsDnf, FindIdsEq, FindIdsRange, Idempotent, PaillierCombine,
+    PaillierSum, PaillierSumResponse, RangeSelect, SyncEntries, SyncEntry, ENTRY_DOC, ENTRY_INDEX, ENTRY_KV,
 };
 use datablinder_core::durability::WalRecord;
 use datablinder_core::model::{AggFn, FieldAnnotation, FieldOp, FieldType, ProtectionClass, Schema};
@@ -65,11 +64,6 @@ enum Msg {
     Idempotent(Idempotent),
     SyncEntries(SyncEntries),
     RangeSelect(RangeSelect),
-    TransferBegin(TransferBegin),
-    TransferInfo(TransferInfo),
-    ChunkRequest(ChunkRequest),
-    ChunkResponse(ChunkResponse),
-    WalTailRequest(WalTailRequest),
     BlobList(BlobList),
     DigestRequest(DigestRequest),
     DigestResponse(DigestResponse),
@@ -85,7 +79,7 @@ enum Msg {
 }
 
 /// How many variants [`Msg`] has; [`msg`] draws each with equal weight.
-const MSG_VARIANTS: usize = 25;
+const MSG_VARIANTS: usize = 20;
 
 impl Msg {
     fn check(&self, case: u64, noise: &[u8]) {
@@ -100,11 +94,6 @@ impl Msg {
             Msg::Idempotent(m) => laws(case, m, Idempotent::encode, |b| Idempotent::decode(b).ok(), noise),
             Msg::SyncEntries(m) => laws(case, m, SyncEntries::encode, |b| SyncEntries::decode(b).ok(), noise),
             Msg::RangeSelect(m) => laws(case, m, RangeSelect::encode, |b| RangeSelect::decode(b).ok(), noise),
-            Msg::TransferBegin(m) => laws(case, m, TransferBegin::encode, |b| TransferBegin::decode(b).ok(), noise),
-            Msg::TransferInfo(m) => laws(case, m, TransferInfo::encode, |b| TransferInfo::decode(b).ok(), noise),
-            Msg::ChunkRequest(m) => laws(case, m, ChunkRequest::encode, |b| ChunkRequest::decode(b).ok(), noise),
-            Msg::ChunkResponse(m) => laws(case, m, ChunkResponse::encode, |b| ChunkResponse::decode(b).ok(), noise),
-            Msg::WalTailRequest(m) => laws(case, m, WalTailRequest::encode, |b| WalTailRequest::decode(b).ok(), noise),
             Msg::BlobList(m) => laws(case, m, BlobList::encode, |b| BlobList::decode(b).ok(), noise),
             Msg::DigestRequest(m) => laws(case, m, DigestRequest::encode, |b| DigestRequest::decode(b).ok(), noise),
             Msg::DigestResponse(m) => laws(case, m, DigestResponse::encode, |b| DigestResponse::decode(b).ok(), noise),
@@ -286,26 +275,21 @@ fn msg(rng: &mut StdRng) -> Msg {
             ranges: vec_of(rng, 0..5, |rng| (rng.gen(), rng.gen())),
             include_broadcast: rng.gen(),
         }),
-        8 => Msg::TransferBegin(TransferBegin { token: token(rng) }),
-        9 => Msg::TransferInfo(TransferInfo { total_len: rng.gen(), snapshot_seq: rng.gen(), crc: rng.gen() }),
-        10 => Msg::ChunkRequest(ChunkRequest { token: token(rng), offset: rng.gen(), max_len: rng.gen() }),
-        11 => Msg::ChunkResponse(ChunkResponse { offset: rng.gen(), crc: rng.gen(), data: blob(rng, 48) }),
-        12 => Msg::WalTailRequest(WalTailRequest { from_seq: rng.gen() }),
-        13 => Msg::BlobList(BlobList { items: vec_of(rng, 0..5, |rng| blob(rng, 24)) }),
-        14 => Msg::DigestRequest(DigestRequest { seed: rng.gen(), boundaries: vec_of(rng, 0..6, |rng| rng.gen()) }),
-        15 => Msg::DigestResponse(DigestResponse {
+        8 => Msg::BlobList(BlobList { items: vec_of(rng, 0..5, |rng| blob(rng, 24)) }),
+        9 => Msg::DigestRequest(DigestRequest { seed: rng.gen(), boundaries: vec_of(rng, 0..6, |rng| rng.gen()) }),
+        10 => Msg::DigestResponse(DigestResponse {
             leaves: vec_of(rng, 0..4, digest),
             broadcast: digest(rng),
             root: digest(rng),
         }),
-        16 => Msg::WalRecord(WalRecord { seq: rng.gen(), id: token(rng), route: name(rng), payload: blob(rng, 48) }),
-        17 => Msg::LogRecord(log_record(rng)),
-        18 => Msg::Request(name(rng), blob(rng, 48)),
-        19 => Msg::Response(response(rng)),
-        20 => Msg::Traced(TraceCtx { trace_id: rng.gen(), span_id: rng.gen() }, name(rng), blob(rng, 64)),
-        21 => Msg::Document(document(rng)),
-        22 => Msg::Documents(vec_of(rng, 0..3, document)),
-        23 => Msg::Schema(schema(rng)),
+        11 => Msg::WalRecord(WalRecord { seq: rng.gen(), id: token(rng), route: name(rng), payload: blob(rng, 48) }),
+        12 => Msg::LogRecord(log_record(rng)),
+        13 => Msg::Request(name(rng), blob(rng, 48)),
+        14 => Msg::Response(response(rng)),
+        15 => Msg::Traced(TraceCtx { trace_id: rng.gen(), span_id: rng.gen() }, name(rng), blob(rng, 64)),
+        16 => Msg::Document(document(rng)),
+        17 => Msg::Documents(vec_of(rng, 0..3, document)),
+        18 => Msg::Schema(schema(rng)),
         _ => Msg::Ids(vec_of(rng, 0..5, |rng| DocId(token(rng)))),
     }
 }

@@ -63,6 +63,16 @@ if grep -nE '(channels|node_ops|node_errors)\[' "$cluster"/*.rs; then
     exit 1
 fi
 
+echo "==> one resync path: WAL tails, then the owned-range pull; no snapshot stream, no durable/volatile branch"
+if grep -rnE 'sync/(begin|chunk|end)|PinnedTransfer|TransferBegin|ChunkRequest|snapshot_body' crates/*/src; then
+    echo "the snapshot stream is gone; a rejoin pulls its owned ranges like a handoff" >&2
+    exit 1
+fi
+if grep -rn 'is_durable' "$cluster"; then
+    echo "durable and volatile nodes resync through one path in $cluster/" >&2
+    exit 1
+fi
+
 echo "==> one write path: gateway.rs builds a batch only in send_write_group, and calls the channel only in call, send_write_group and recover_pending"
 # Every write group (insert, delete, insert_many, migrate, re-index) ships
 # as one sealed call from one function; reads go through `call`. Comments

@@ -41,11 +41,6 @@ const PAILLIER_SUM_RESPONSE: &str = "0000000000000007010203";
 const IDEMPOTENT: &str = "070707070707070707070707070707070000000a646f632f696e7365727400000003010203";
 const SYNC_ENTRIES: &str = "0000000364000000066f62730064310000000204056b000000016b0000000069000000036f62730000000106";
 const RANGE_SELECT: &str = "000000000000002a010000000200000000000000010000000000000002ffffffffffffffff0000000000000000";
-const TRANSFER_BEGIN: &str = "09090909090909090909090909090909";
-const TRANSFER_INFO: &str = "0000000000011170000000000000000cdeadbeef";
-const CHUNK_REQUEST: &str = "03030303030303030303030303030303000000000000400000004000";
-const CHUNK_RESPONSE: &str = "0000000000004000010203040000000308090a";
-const WAL_TAIL_REQUEST: &str = "0000000000000063";
 const BLOB_LIST: &str = "00000003000000010100000000000000020203";
 const DIGEST_REQUEST: &str = "000000000000000700000003000000000000000a0000000000000014ffffffffffffffff";
 const DIGEST_RESPONSE: &str = concat!(
@@ -226,26 +221,6 @@ fn cloud_protocol_messages() {
         RangeSelect::encode,
         RangeSelect::decode,
     );
-    pin(TRANSFER_BEGIN, TransferBegin { token: [9; 16] }, TransferBegin::encode, TransferBegin::decode);
-    pin(
-        TRANSFER_INFO,
-        TransferInfo { total_len: 70_000, snapshot_seq: 12, crc: 0xDEAD_BEEF },
-        TransferInfo::encode,
-        TransferInfo::decode,
-    );
-    pin(
-        CHUNK_REQUEST,
-        ChunkRequest { token: [3; 16], offset: 16_384, max_len: 16_384 },
-        ChunkRequest::encode,
-        ChunkRequest::decode,
-    );
-    pin(
-        CHUNK_RESPONSE,
-        ChunkResponse { offset: 16_384, crc: 0x0102_0304, data: vec![8, 9, 10] },
-        ChunkResponse::encode,
-        ChunkResponse::decode,
-    );
-    pin(WAL_TAIL_REQUEST, WalTailRequest { from_seq: 99 }, WalTailRequest::encode, WalTailRequest::decode);
     pin(BLOB_LIST, BlobList { items: vec![vec![1], vec![], vec![2, 3]] }, BlobList::encode, BlobList::decode);
     pin(
         DIGEST_REQUEST,
