@@ -17,12 +17,12 @@ use datablinder_sse::DocId;
 
 use crate::cloudproto::{
     batch_items, is_write_route, BlobList, DigestRequest, FindIdsDnf, FindIdsEq, FindIdsRange, Idempotent, RangeSelect,
-    SyncEntries, ENTRY_DOC, ENTRY_INDEX, ENTRY_KV, IDEM_ROUTE,
+    RangedRead, SyncEntries, ENTRY_DOC, ENTRY_INDEX, ENTRY_KV, IDEM_ROUTE,
 };
 use crate::durability::{self, Durability, DurabilityOptions, JournalOutcome, RecoveryReport, WalRecord};
 use crate::error::CoreError;
 use crate::spi::CloudTactic;
-use crate::sync::{DigestCache, DigestWork, MutationScope, Selector};
+use crate::sync::{selects_doc, DigestCache, DigestWork, MutationScope, Selector};
 use crate::tactics;
 use crate::tactics::encode_ids;
 use crate::wire::{decode_document, encode_document, encode_documents};
@@ -682,29 +682,30 @@ impl CloudEngine {
                 );
                 Ok(self.find_ids(&req.collection, &filter))
             }
-            "agg_plain" => {
-                // Plaintext aggregate for the S_A baseline: avg/sum over a
-                // numeric field, like a database would compute natively.
-                let (collection, rest) = split_collection(payload)?;
-                let field = std::str::from_utf8(rest).map_err(|_| CoreError::Wire("utf8 field"))?;
-                Ok(self.docs.collection(collection).scan(&Filter::Exists(field.to_string()), |docs| {
-                    // f64 addition is not associative: sum in id order.
-                    let mut docs: Vec<&Document> = docs.collect();
-                    docs.sort_by(|a, b| a.id().cmp(b.id()));
-                    sum_plain(field, &mut docs.into_iter())
-                }))
-            }
-            "agg_plain_ids" => {
-                // Like `agg_plain` restricted to an explicit id set — the
-                // cluster partitions a collection across replicas and asks
-                // each node to aggregate only the documents it owns.
-                let (collection, rest) = split_collection(payload)?;
-                let (field, ids) = datablinder_codec::decode(rest, |r| Ok::<_, CoreError>((r.str()?, r.list()?)))?;
-                let ids = ids.iter().filter_map(|id| std::str::from_utf8(id).ok());
-                Ok(self.docs.collection(collection).lookup(ids, |docs| sum_plain(field, docs)))
+            // Plaintext aggregate for the S_A baseline: avg/sum over a
+            // numeric field, like a database would compute natively.
+            "agg_plain" => self.agg_plain(payload, None),
+            // The same over the ring ranges a cluster node serves first.
+            "agg_plain_ranges" => {
+                let ranged = RangedRead::decode(payload)?;
+                self.agg_plain(&ranged.request, Some(&ranged.select))
             }
             other => Err(CoreError::UnsupportedOperation(format!("doc op {other}"))),
         }
+    }
+
+    /// The `agg_plain` answer over the documents of the payload's
+    /// collection that have its field and, with `select`, route into its
+    /// ranges — summed in id order, because f64 addition is not associative.
+    fn agg_plain(&self, payload: &[u8], select: Option<&RangeSelect>) -> Result<Vec<u8>, CoreError> {
+        let (collection, rest) = split_collection(payload)?;
+        let field = std::str::from_utf8(rest).map_err(|_| CoreError::Wire("utf8 field"))?;
+        Ok(self.docs.collection(collection).scan(&Filter::Exists(field.to_string()), |docs| {
+            let mut docs: Vec<&Document> =
+                docs.filter(|doc| select.is_none_or(|s| selects_doc(s, collection, doc.id()))).collect();
+            docs.sort_by(|a, b| a.id().cmp(b.id()));
+            sum_plain(field, &mut docs.into_iter())
+        }))
     }
 }
 
@@ -805,7 +806,7 @@ fn ids_of(docs: &mut dyn Iterator<Item = &Document>) -> Vec<u8> {
     encode_ids(&ids)
 }
 
-/// The `agg_plain*` response: the f64 sum of `field` over `docs` in the
+/// The `agg_plain` response: the f64 sum of `field` over `docs` in the
 /// order given, then the number of documents that had a numeric value.
 fn sum_plain(field: &str, docs: &mut dyn Iterator<Item = &Document>) -> Vec<u8> {
     let mut sum = 0.0f64;
@@ -1146,5 +1147,59 @@ mod tests {
         let count = u64::from_be_bytes(out[8..].try_into().unwrap());
         assert_eq!(sum, 30.0);
         assert_eq!(count, 2);
+    }
+
+    /// A ranged plain aggregate counts exactly the documents whose ring hash
+    /// falls in its ranges, so two ranges that split the circle add up to
+    /// the whole collection.
+    #[test]
+    fn ranged_agg_plain_selects_by_ring_hash() {
+        let e = engine();
+        for i in 1..=16u8 {
+            let d = Document::new(DocId([i; 16]).to_hex()).with("value", Value::from(f64::from(i)));
+            e.dispatch("doc/insert", &with_collection("obs", &encode_document(&d))).unwrap();
+        }
+        let mut totals = (0.0, 0);
+        for half in [(u64::MAX, u64::MAX / 2), (u64::MAX / 2, u64::MAX)] {
+            let select = RangeSelect { seed: 9, ranges: vec![half], include_broadcast: false };
+            let held = (1..=16u8).filter(|&i| selects_doc(&select, "obs", &DocId([i; 16]).to_hex())).count() as u64;
+            let ranged = RangedRead { request: with_collection("obs", b"value"), select };
+            let out = e.dispatch("doc/agg_plain_ranges", &ranged.encode()).unwrap();
+            let count = u64::from_be_bytes(out[8..].try_into().unwrap());
+            assert!(count == held && count > 0, "{count} of {held}");
+            totals = (totals.0 + f64::from_be_bytes(out[..8].try_into().unwrap()), totals.1 + count);
+        }
+        assert_eq!(totals, (136.0, 16));
+    }
+
+    /// Both ranged routes decode their range list exactly: a truncated
+    /// list, a count larger than the bytes left and a broadcast flag of 2
+    /// are wire errors, never a panic.
+    #[test]
+    fn malformed_range_lists_are_wire_errors() {
+        let e = engine();
+        let sum = crate::cloudproto::PaillierSum {
+            collection: "obs".into(),
+            field: "value__phe".into(),
+            modulus: vec![0xc5, 0x01],
+            ids: vec![],
+        };
+        for (route, request) in
+            [("doc/agg_plain_ranges", with_collection("obs", b"value")), ("tactic/paillier/s/sum_ranges", sum.encode())]
+        {
+            let select = RangeSelect { seed: 9, ranges: vec![(1, 2), (3, 4)], include_broadcast: false };
+            let honest = RangedRead { request: request.clone(), select }.encode();
+            // The flag follows the request field and the seed; the count follows the flag.
+            let flag_at = 4 + request.len() + 8;
+            let mut overcount = honest.clone();
+            overcount[flag_at + 1..flag_at + 5].copy_from_slice(&33u32.to_be_bytes());
+            let mut flag = honest.clone();
+            flag[flag_at] = 2;
+            let cuts = (flag_at + 1..honest.len()).map(|cut| honest[..cut].to_vec());
+            for bad in cuts.chain([overcount, flag]) {
+                let out = e.dispatch(route, &bad);
+                assert!(matches!(out, Err(CoreError::Wire(_))), "{route}: {out:?} for {bad:02x?}");
+            }
+        }
     }
 }

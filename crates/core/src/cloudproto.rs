@@ -437,10 +437,56 @@ impl RangeSelect {
     /// Serializes.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
+        self.put(&mut w);
+        w.finish()
+    }
+
+    fn put(&self, w: &mut Writer) {
         w.u64(self.seed).u8(self.include_broadcast as u8).u32(self.ranges.len() as u32);
         for &(lo, hi) in &self.ranges {
             w.u64(lo).u64(hi);
         }
+    }
+
+    /// Deserializes.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Wire`] on malformed input.
+    pub fn decode(buf: &[u8]) -> Result<Self, CoreError> {
+        decode(buf, RangeSelect::take)
+    }
+
+    fn take(r: &mut Reader) -> Result<Self, CoreError> {
+        let seed = r.u64()?;
+        let flag = r.u8()?;
+        if flag > 1 {
+            return Err(CoreError::Wire("select flag"));
+        }
+        let ranges = (0..r.count()?).map(|_| Ok((r.u64()?, r.u64()?))).collect::<Result<_, Malformed>>()?;
+        Ok(RangeSelect { seed, ranges, include_broadcast: flag == 1 })
+    }
+}
+
+/// `tactic/paillier/<scope>/sum_ranges` and `doc/agg_plain_ranges`: a
+/// whole-collection aggregate restricted to the documents whose ring hash
+/// falls in `select`'s ranges — the ranges one cluster node serves first,
+/// so the nodes' partials cover every document exactly once.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RangedRead {
+    /// The unranged request's payload, unchanged (a [`PaillierSum`] without
+    /// ids, or `doc/agg_plain`'s collection and field).
+    pub request: Vec<u8>,
+    /// Which documents count; `include_broadcast` selects nothing here.
+    pub select: RangeSelect,
+}
+
+impl RangedRead {
+    /// Serializes.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::from(Vec::with_capacity(17 + self.request.len() + 16 * self.select.ranges.len()));
+        w.bytes(&self.request);
+        self.select.put(&mut w);
         w.finish()
     }
 
@@ -450,15 +496,7 @@ impl RangeSelect {
     ///
     /// [`CoreError::Wire`] on malformed input.
     pub fn decode(buf: &[u8]) -> Result<Self, CoreError> {
-        decode(buf, |r| {
-            let seed = r.u64()?;
-            let flag = r.u8()?;
-            if flag > 1 {
-                return Err(CoreError::Wire("select flag"));
-            }
-            let ranges = (0..r.count()?).map(|_| Ok((r.u64()?, r.u64()?))).collect::<Result<_, Malformed>>()?;
-            Ok(RangeSelect { seed, ranges, include_broadcast: flag == 1 })
-        })
+        decode(buf, |r| Ok(RangedRead { request: r.bytes()?.to_vec(), select: RangeSelect::take(r)? }))
     }
 }
 
@@ -636,11 +674,13 @@ mod tests {
             "doc/find_ids_range",
             "doc/find_ids_dnf",
             "doc/agg_plain",
+            "doc/agg_plain_ranges",
             "tactic/mitra/notes:owner/search",
             "tactic/biex2lev/notes:flags/base_search",
             "tactic/ore/notes:eff/range",
             "tactic/paillier/notes:value/sum",
             "tactic/paillier/notes:value/combine",
+            "tactic/paillier/notes:value/sum_ranges",
             "sync/tail",
             "sync/digest",
             "sync/entries",

@@ -1,6 +1,7 @@
 //! The read path: a key's replicas probed with read repair, ids asked of
-//! the replicas that hold them, and collection-wide queries scattered over
-//! every member and gathered here.
+//! the replicas that hold them, collection-wide queries scattered over
+//! every member and gathered here, and aggregates split by the ring ranges
+//! each node serves first.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::Ordering;
@@ -13,7 +14,9 @@ use datablinder_sse::DocId;
 use super::replica::Reply;
 use super::{remote, ClusterCloud, Topology};
 use crate::cloud::{split_collection, with_collection};
-use crate::cloudproto::{batch_items, PaillierCombine, PaillierSum, PaillierSumResponse, READ_BATCH_ROUTE};
+use crate::cloudproto::{
+    batch_items, PaillierCombine, PaillierSum, PaillierSumResponse, RangeSelect, RangedRead, READ_BATCH_ROUTE,
+};
 use crate::error::CoreError;
 use crate::sync::doc_key;
 use crate::tactics::{decode_ids, encode_ids};
@@ -246,27 +249,18 @@ impl ClusterCloud {
         Ok(best.map(|(_, id)| id.into_bytes()).unwrap_or_default())
     }
 
-    /// Distributes a plaintext aggregate: every document is assigned to its
-    /// first live replica, each node aggregates only its assignment via
-    /// `doc/agg_plain_ids`, and the partial sums/counts are combined here.
+    /// Distributes a plaintext aggregate: each node sums the documents in
+    /// the ring ranges it serves first (`doc/agg_plain_ranges`), and the
+    /// partial sums and counts are added here, in node order.
     fn read_agg_plain(&self, topo: &Topology, payload: &[u8]) -> Result<Vec<u8>, NetError> {
-        let (collection, rest) = split_collection(payload).map_err(remote)?;
-        let field = std::str::from_utf8(rest).map_err(|_| remote(CoreError::Wire("utf8 field")))?;
-        let per_node = self.partition_ids(topo, collection, self.union_ids(topo, collection)?)?;
         let mut sum = 0.0f64;
         let mut count = 0u64;
-        for (node, ids) in per_node {
-            let mut w = Writer::new();
-            w.str(field).list(&ids);
-            let reply = topo.replica(node).call("doc/agg_plain_ids", &with_collection(collection, &w.finish()));
-            let resp = reply.decided().unwrap_or_else(|| {
-                Err(NetError::Unavailable(format!("aggregate partition on node {node} unreachable")))
-            })?;
-            if resp.len() < 16 {
-                return Err(remote(CoreError::Wire("agg response")));
-            }
-            sum += f64::from_be_bytes(resp[..8].try_into().expect("8-byte slice"));
-            count += u64::from_be_bytes(resp[8..16].try_into().expect("8-byte slice"));
+        for (node, ranged) in self.first_live_reads(topo, payload)? {
+            let resp = self.partial(topo, node, "doc/agg_plain_ranges", &ranged)?;
+            let (s, c) = datablinder_codec::decode(&resp, |r| Ok::<_, CoreError>((f64::from_bits(r.u64()?), r.u64()?)))
+                .map_err(remote)?;
+            sum += s;
+            count += c;
         }
         let mut out = sum.to_be_bytes().to_vec();
         out.extend_from_slice(&count.to_be_bytes());
@@ -289,11 +283,14 @@ impl ClusterCloud {
         self.first_live_of(topo, &topo.members.clone(), route, payload)
     }
 
-    /// Distributes a Paillier sum: each partition node folds its own
-    /// documents under the public key the request carries, and one of them
-    /// multiplies the partial ciphertexts together (`combine`) — the cluster
-    /// never needs the secret key, preserving the tactic's security model,
-    /// and no node needs to have seen the key before.
+    /// Distributes a Paillier sum: each node folds its share under the
+    /// public key the request carries, and one of them multiplies the
+    /// partial ciphertexts together (`combine`) — the cluster never needs
+    /// the secret key, preserving the tactic's security model, and no node
+    /// needs to have seen the key before. A whole-collection sum asks each
+    /// node for the ring ranges it serves first (`sum_ranges`), which the
+    /// node carries between requests; a filtered one sends each id to its
+    /// first live replica.
     fn read_paillier_sum(
         &self,
         topo: &Topology,
@@ -302,33 +299,55 @@ impl ClusterCloud {
         payload: &[u8],
     ) -> Result<Vec<u8>, NetError> {
         let req = PaillierSum::decode(payload).map_err(remote)?;
-        let ids = if req.ids.is_empty() { self.union_ids(topo, &req.collection)? } else { req.ids };
-        if ids.is_empty() {
+        let (route, calls) = if req.ids.is_empty() {
+            (format!("tactic/paillier/{scope}/sum_ranges"), self.first_live_reads(topo, payload)?)
+        } else {
+            let mut sub = PaillierSum { ids: Vec::new(), ..req.clone() };
+            let per_node = self.partition_ids(topo, &req.collection, req.ids)?;
+            let calls = per_node.into_iter().map(|(node, ids)| {
+                sub.ids = ids;
+                (node, sub.encode())
+            });
+            (route.to_string(), calls.collect())
+        };
+        let mut partials = Vec::with_capacity(calls.len());
+        for (node, call) in &calls {
+            partials.push(self.partial(topo, *node, &route, call)?);
+        }
+        let Some(&(at, _)) = calls.first() else {
             return Ok(PaillierSumResponse { ciphertext: Vec::new(), count: 0 }.encode());
-        }
-        let per_node = self.partition_ids(topo, &req.collection, ids)?;
-        let mut partials = Vec::with_capacity(per_node.len());
-        let mut combine_at = None;
-        let mut sub = PaillierSum { ids: Vec::new(), ..req };
-        for (node, ids) in per_node {
-            sub.ids = ids;
-            let partial = topo.replica(node).call(route, &sub.encode()).decided().unwrap_or_else(|| {
-                Err(NetError::Unavailable(format!("paillier partition on node {node} unreachable")))
-            })?;
-            combine_at.get_or_insert(node);
-            partials.push(partial);
-        }
+        };
         if partials.len() == 1 {
             return Ok(partials.pop().expect("one partial"));
         }
-        let combine = PaillierCombine { modulus: sub.modulus, partials };
-        let combine_route = format!("tactic/paillier/{scope}/combine");
+        let combine = PaillierCombine { modulus: req.modulus, partials };
         // A node that just served a partial is reachable.
-        let at = combine_at.expect("at least one partition");
-        topo.replica(at)
-            .call(&combine_route, &combine.encode())
+        self.partial(topo, at, &format!("tactic/paillier/{scope}/combine"), &combine.encode())
+    }
+
+    /// One node's part of a distributed aggregate; a node that does not
+    /// answer fails the whole read.
+    fn partial(&self, topo: &Topology, node: usize, route: &str, payload: &[u8]) -> Result<Vec<u8>, NetError> {
+        topo.replica(node)
+            .call(route, payload)
             .decided()
-            .unwrap_or_else(|| Err(NetError::Unavailable(format!("paillier combine on node {at} unreachable"))))
+            .unwrap_or_else(|| Err(NetError::Unavailable(format!("{route} on node {node} unreachable"))))
+    }
+
+    /// `request` restricted, per live node, to the ring ranges that node
+    /// serves first: one [`RangedRead`] each, together covering every
+    /// document once, as `partition_ids` would.
+    fn first_live_reads(&self, topo: &Topology, request: &[u8]) -> Result<Vec<(usize, Vec<u8>)>, NetError> {
+        let per_node = topo.ring.first_live_ranges(|node| topo.replica(node).is_alive()).ok_or_else(|| {
+            NetError::Unavailable("a ring range has no live replica: an aggregate would be partial".into())
+        })?;
+        Ok(per_node
+            .into_iter()
+            .map(|(node, ranges)| {
+                let select = RangeSelect { seed: self.cfg.seed, ranges, include_broadcast: false };
+                (node, RangedRead { request: request.to_vec(), select }.encode())
+            })
+            .collect())
     }
 
     /// Fans a read out to every live node. Fails with

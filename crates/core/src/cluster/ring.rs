@@ -2,6 +2,8 @@
 //! hash ranges change owners when membership does. Pure — no node, lock or
 //! I/O is named here; the same members, vnodes and seed give the same ring.
 
+use std::collections::BTreeMap;
+
 use crate::sync::{hash_bytes, mix64};
 
 /// The consistent-hash ring over the current member slots: `(hash, slot)`
@@ -90,6 +92,43 @@ impl Ring {
             }
         }
         merge_segments(segs)
+    }
+
+    /// The hash ranges each node serves first: every leaf goes to the first
+    /// of its owners that `is_alive`, and each node's leaves merge into
+    /// maximal `(lo, hi]` intervals — one node per document, the one a
+    /// partitioned read would ask. `None` when some leaf has no live owner.
+    pub(super) fn first_live_ranges(
+        &self,
+        is_alive: impl Fn(usize) -> bool,
+    ) -> Option<BTreeMap<usize, Vec<(u64, u64)>>> {
+        let n = self.points.len();
+        let mut per_node: BTreeMap<usize, Vec<(u64, u64)>> = BTreeMap::new();
+        // The distinct dead owners met so far on one leaf's walk.
+        let mut dead = Vec::with_capacity(self.replication);
+        for j in 0..n {
+            dead.clear();
+            let mut walk = (0..n).map(|i| self.points[(j + i) % n].1);
+            let first = walk.find(|&node| {
+                if is_alive(node) {
+                    return true;
+                }
+                if !dead.contains(&node) {
+                    dead.push(node);
+                }
+                false
+            });
+            match first {
+                Some(node) if dead.len() < self.replication => {
+                    per_node.entry(node).or_default().push(self.leaf_range(j))
+                }
+                _ => return None,
+            }
+        }
+        for segs in per_node.values_mut() {
+            *segs = merge_segments(std::mem::take(segs));
+        }
+        Some(per_node)
     }
 }
 
@@ -246,6 +285,32 @@ mod tests {
             assert_eq!(ring.leaf_owners(j), ring.replicas_at(h));
             assert!(in_range(h, ring.leaf_range(j)), "hash falls inside its leaf's range");
         }
+    }
+
+    /// Every hash lands in the first-live ranges of exactly one node, the
+    /// first live node of its replica set; with every owner of some leaf
+    /// down there is no answer.
+    #[test]
+    fn first_live_ranges_pick_each_hash_s_first_live_replica() {
+        let ring = Ring::new(&[0, 1, 2, 3, 4], 16, 3, 21);
+        for dead in [vec![], vec![2], vec![0, 3]] {
+            let alive = |node: usize| !dead.contains(&node);
+            let per_node = ring.first_live_ranges(alive).unwrap();
+            assert!(per_node.keys().all(|&node| alive(node)), "{dead:?}: a dead node serves");
+            for i in 0u32..1024 {
+                let h = hash_bytes(21, &i.to_be_bytes());
+                let first = ring.replicas_at(h).into_iter().find(|&r| alive(r)).unwrap();
+                let serving: Vec<usize> =
+                    per_node.iter().filter(|(_, ranges)| in_any_range(h, ranges)).map(|(&node, _)| node).collect();
+                assert_eq!(serving, vec![first], "{dead:?}: hash {h:#x}");
+            }
+        }
+        // Alone, one node serves the whole circle as one interval.
+        let whole = Ring::new(&[0, 1, 2], 16, 3, 21).first_live_ranges(|node| node == 1).unwrap();
+        assert_eq!(whole.len(), 1);
+        assert!(matches!(whole[&1][..], [(lo, hi)] if lo == hi));
+        // Three of five down with R=3 leaves some leaf with no live owner.
+        assert!(ring.first_live_ranges(|node| node > 2).is_none());
     }
 
     #[test]

@@ -28,7 +28,7 @@ use datablinder_docstore::DocStore;
 use datablinder_kvstore::{KvStore, LogRecord};
 use datablinder_primitives::sha256::Sha256;
 
-use crate::cloudproto::{BlobList, SyncEntry, ENTRY_DOC, ENTRY_INDEX, ENTRY_KV};
+use crate::cloudproto::{BlobList, RangeSelect, SyncEntry, ENTRY_DOC, ENTRY_INDEX, ENTRY_KV};
 
 /// Finalizer from SplitMix64: bijective, well-mixed 64→64 bit hash.
 pub(crate) fn mix64(mut x: u64) -> u64 {
@@ -117,6 +117,12 @@ pub(crate) fn in_range(h: u64, (lo, hi): (u64, u64)) -> bool {
 /// Whether `h` falls in any of `ranges`.
 pub(crate) fn in_any_range(h: u64, ranges: &[(u64, u64)]) -> bool {
     ranges.iter().any(|&r| in_range(h, r))
+}
+
+/// Whether document `id` of `collection` routes into one of `select`'s
+/// ranges — the document filter of a ranged aggregate.
+pub(crate) fn selects_doc(select: &RangeSelect, collection: &str, id: &str) -> bool {
+    in_any_range(hash_bytes(select.seed, &doc_key(collection, id.as_bytes())), &select.ranges)
 }
 
 /// The ring leaf (shard) index owning hash `h` under the sorted vnode

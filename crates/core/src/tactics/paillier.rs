@@ -18,10 +18,11 @@ use datablinder_sse::DocId;
 use rand::RngCore;
 
 use super::{aggregable_i64, shadow_field, TacticContext, AGG_SCALE};
-use crate::cloudproto::{PaillierCombine, PaillierSum, PaillierSumResponse};
+use crate::cloudproto::{PaillierCombine, PaillierSum, PaillierSumResponse, RangeSelect, RangedRead};
 use crate::error::CoreError;
 use crate::model::*;
 use crate::spi::{CloudCall, CloudTactic, GatewayTactic, ProtectedField};
+use crate::sync::selects_doc;
 
 /// Default modulus size. 2048 for real deployments; moderate default so
 /// benchmarks finish.
@@ -190,6 +191,9 @@ const MAX_MODULUS_BYTES: usize = 1024;
 /// restart, like anything else that voids `cursor`, costs one full fold.
 struct Carried {
     key: Arc<PublicKey>,
+    /// The ring ranges the product is restricted to (a cluster node's
+    /// `sum_ranges`); `None` for the whole collection.
+    select: Option<RangeSelect>,
     /// Where the fold stopped ([`datablinder_docstore::Collection::scan_from`]).
     cursor: Cursor,
     /// The product of the field's ciphertexts before `cursor`, reduced mod
@@ -207,7 +211,8 @@ pub struct PaillierCloud {
     docs: DocStore,
     /// Evaluation contexts by modulus bytes as sent.
     keys: Mutex<HashMap<Vec<u8>, Arc<PublicKey>>>,
-    /// `(scope, collection, field)` -> what its whole-collection sum holds.
+    /// `(scope, collection, field)` -> what its whole-collection sum holds,
+    /// under the one range selection it was last asked for.
     carried: Mutex<HashMap<(String, String, String), Arc<Carried>>>,
     obs: RwLock<Recorder>,
 }
@@ -236,27 +241,42 @@ impl PaillierCloud {
         Ok(key)
     }
 
-    /// The whole-collection sum: the carried product times the ciphertexts
-    /// of the documents that arrived since, which is the product of them
-    /// all whenever nothing is carried.
-    fn sum_collection(&self, scope: &str, req: &PaillierSum, key: &Arc<PublicKey>) -> PaillierSumResponse {
+    /// The whole-collection sum — or, with `select`, the sum over the
+    /// documents routing into its ranges: the carried product times the
+    /// ciphertexts of the selected documents that arrived since, which is
+    /// the product of them all whenever nothing is carried.
+    fn sum_collection(
+        &self,
+        scope: &str,
+        req: &PaillierSum,
+        select: Option<RangeSelect>,
+        key: &Arc<PublicKey>,
+    ) -> PaillierSumResponse {
         let slot = (scope.to_string(), req.collection.clone(), req.field.clone());
-        let held =
-            self.carried.lock().unwrap_or_else(PoisonError::into_inner).get(&slot).filter(|c| c.key == *key).cloned();
+        let held = self
+            .carried
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&slot)
+            .filter(|c| c.key == *key && c.select == select)
+            .cloned();
         let since = held.as_ref().map(|c| c.cursor).unwrap_or_default();
-        let (cursor, (skipped, product, count)) =
+        let (cursor, (skipped, carried, product, count)) =
             self.docs.collection(&req.collection).scan_from(since, |skipped, docs| {
                 let carried = held.as_deref().filter(|_| skipped > 0);
-                let (product, fresh) = fold(key, &req.field, carried.and_then(|c| c.product.as_deref()), docs);
-                (skipped, product, carried.map_or(0, |c| c.count) + fresh)
+                let mut selected =
+                    docs.filter(|doc| select.as_ref().is_none_or(|s| selects_doc(s, &req.collection, doc.id())));
+                let (product, fresh) = fold(key, &req.field, carried.and_then(|c| c.product.as_deref()), &mut selected);
+                let carried = carried.map_or(0, |c| c.count);
+                (skipped, carried, product, carried + fresh)
             });
         let obs = self.obs.read().unwrap_or_else(PoisonError::into_inner);
-        obs.count("cloud.paillier.fold.carried", skipped as u64);
+        obs.count("cloud.paillier.fold.carried", carried);
         if held.as_ref().is_none_or(|c| skipped < c.cursor.position()) {
             obs.count("cloud.paillier.fold.rescans", 1);
         }
         if held.is_none_or(|c| c.cursor != cursor) {
-            let carried = Carried { key: key.clone(), cursor, product: product.clone(), count };
+            let carried = Carried { key: key.clone(), select, cursor, product: product.clone(), count };
             self.carried.lock().unwrap_or_else(PoisonError::into_inner).insert(slot, Arc::new(carried));
         }
         PaillierSumResponse { ciphertext: product.unwrap_or_default(), count }
@@ -295,12 +315,23 @@ impl CloudTactic for PaillierCloud {
                 let req = PaillierSum::decode(payload)?;
                 let key = self.key(&req.modulus)?;
                 if req.ids.is_empty() {
-                    return Ok(self.sum_collection(scope, &req, &key).encode());
+                    return Ok(self.sum_collection(scope, &req, None, &key).encode());
                 }
                 let ids = req.ids.iter().map(String::as_str);
                 let (product, count) =
                     self.docs.collection(&req.collection).lookup(ids, |docs| fold(&key, &req.field, None, docs));
                 Ok(PaillierSumResponse { ciphertext: product.unwrap_or_default(), count }.encode())
+            }
+            "sum_ranges" => {
+                // A cluster node's share of a whole-collection sum: the
+                // documents in the ring ranges it serves first.
+                let ranged = RangedRead::decode(payload)?;
+                let req = PaillierSum::decode(&ranged.request)?;
+                if !req.ids.is_empty() {
+                    return Err(CoreError::Wire("ranged sum names ids"));
+                }
+                let key = self.key(&req.modulus)?;
+                Ok(self.sum_collection(scope, &req, Some(ranged.select), &key).encode())
             }
             "combine" => {
                 // Folds per-replica partial sums into one accumulator: a
@@ -510,6 +541,63 @@ mod tests {
         assert_eq!(PaillierSumResponse::decode(&resp).unwrap().count, 3);
         assert_eq!(folds(), (9, 4), "a new modulus starts over");
         assert_eq!((sum(&gw), folds()), (9.0, (9, 5)), "and so does the old one after it");
+    }
+
+    /// A ranged sum carries like a whole-collection one, under its range
+    /// selection. Two selections that split the circle answer two partials
+    /// that `combine` to the whole sum. Alternating between them keeps one
+    /// slot for the field and rescans on every switch. Repeating one
+    /// carries.
+    #[test]
+    fn alternating_range_selections_keep_one_slot_and_rescan_on_each_switch() {
+        let (mut gw, cloud, mut rng) = setup();
+        let recorder = Recorder::new();
+        cloud.attach_recorder(&recorder);
+        let folds = || {
+            let snap = recorder.snapshot();
+            (snap.counter("cloud.paillier.fold.carried"), snap.counter("cloud.paillier.fold.rescans"))
+        };
+        for id in 1..=12 {
+            store_doc(&cloud, &mut gw, &mut rng, id, f64::from(id));
+        }
+        let ranged = |ranges| {
+            let select = RangeSelect { seed: 5, ranges, include_broadcast: false };
+            RangedRead { request: whole(&gw).encode(), select }.encode()
+        };
+        // (MAX, MAX/2] wraps to [0, MAX/2]; (MAX/2, MAX] is the rest.
+        let halves = [ranged(vec![(u64::MAX, u64::MAX / 2)]), ranged(vec![(u64::MAX / 2, u64::MAX)])];
+        let sum = |half: &[u8]| cloud.handle("s", "sum_ranges", half).unwrap();
+        let slots = || cloud.carried.lock().unwrap_or_else(PoisonError::into_inner).len();
+
+        let partials = halves.clone().map(|half| sum(&half));
+        let counts = partials.clone().map(|p| PaillierSumResponse::decode(&p).unwrap().count);
+        assert!(counts.iter().all(|&n| n > 0) && counts.iter().sum::<u64>() == 12, "{counts:?}");
+        let combine = PaillierCombine { modulus: gw.keypair.public().to_bytes(), partials: partials.to_vec() };
+        let combined = cloud.handle("s", "combine", &combine.encode()).unwrap();
+        let fresh = PaillierCloud::new(cloud.docs.clone()).handle("s", "sum", &whole(&gw).encode()).unwrap();
+        assert_eq!(combined, fresh, "the two halves combine to the whole-collection bytes");
+        assert_eq!(gw.agg_resolve(AggFn::Sum, &[combined]).unwrap(), 78.0);
+        assert_eq!((folds(), slots()), ((0, 2), 1), "first sight of each selection");
+
+        for round in 1..=3u64 {
+            for half in &halves {
+                sum(half);
+            }
+            assert_eq!((folds(), slots()), ((0, 2 + 2 * round), 1), "round {round}: a rescan per switch, one slot");
+        }
+        let again = sum(&halves[1]);
+        assert_eq!(again, partials[1], "the same selection twice carries the same answer");
+        assert_eq!(folds(), (counts[1], 8), "and folds nothing");
+    }
+
+    /// The ids of a filtered sum and the ranges of a ranged one do not mix.
+    #[test]
+    fn a_ranged_sum_naming_ids_is_refused() {
+        let (gw, cloud, _) = setup();
+        let with_ids = PaillierSum { ids: vec!["aa".into()], ..whole(&gw) };
+        let select = RangeSelect { seed: 5, ranges: vec![(1, 2)], include_broadcast: false };
+        let named = RangedRead { request: with_ids.encode(), select }.encode();
+        assert_eq!(cloud.handle("s", "sum_ranges", &named), Err(CoreError::Wire("ranged sum names ids")));
     }
 
     /// The cloud is untrusted: a sum whose plaintext no stored values add up

@@ -443,11 +443,7 @@ fn cluster_metrics_flow_through_recorder() {
     assert_eq!(f64::from_be_bytes(agg[..8].try_into().unwrap()), 28.0);
     assert_eq!(u64::from_be_bytes(agg[8..16].try_into().unwrap()), 8);
     assert!(partitions_of("c") > 1, "the aggregate is really partitioned");
-    assert_eq!(
-        node_ops() - before,
-        3 + partitions_of("c"),
-        "one id scatter over the three members, then one partial per partition"
-    );
+    assert_eq!(node_ops() - before, 3, "one partial per member, over the ring ranges it serves first; no id scatter");
 
     let mut rng = StdRng::seed_from_u64(0x0B5);
     let kp = Keypair::generate(&mut rng, 256);
@@ -879,6 +875,114 @@ fn paillier_sum_over_five_nodes_matches_single_engine_bytes() {
         assert_eq!(resp.count, count);
         assert_eq!(kp.decrypt_u64(&Ciphertext::from_bytes(&resp.ciphertext)), Some(expect));
     }
+}
+
+/// Sixty Paillier documents on a five-node cluster (R=3), each also stored
+/// in one engine, the oracle; and the whole-collection request over them.
+fn paillier_cluster_and_oracle(seed: u64) -> (ClusterCloud, CloudEngine, Keypair, StdRng, PaillierSum) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let kp = Keypair::generate(&mut rng, 256);
+    let mut cluster = ClusterCloud::new(ClusterConfig::volatile(5, 3, 2, seed)).unwrap();
+    cluster.set_recorder(datablinder_obs::Recorder::new());
+    let single = CloudEngine::new();
+    for i in 0..60u8 {
+        insert_phe(&[&cluster, &single], &kp, &mut rng, i);
+    }
+    let whole = PaillierSum {
+        collection: "obs".into(),
+        field: "value__phe".into(),
+        modulus: kp.public().to_bytes(),
+        ids: Vec::new(),
+    };
+    (cluster, single, kp, rng, whole)
+}
+
+/// Stores document `i` with the ciphertext of `1000 + i` in every service.
+fn insert_phe(services: &[&dyn CloudService], kp: &Keypair, rng: &mut StdRng, i: u8) {
+    let ct = kp.public().encrypt_u64(rng, 1000 + u64::from(i)).to_bytes();
+    let doc = Document::new(DocId([i; 16]).to_hex()).with("value__phe", Value::Bytes(ct));
+    for svc in services {
+        svc.handle("doc/insert", &with_collection("obs", &encode_document(&doc))).unwrap();
+    }
+}
+
+/// The clustered whole-collection sum, checked against the oracle's bytes
+/// and decrypted: `(count, plaintext sum)`.
+fn clustered_sum(cluster: &ClusterCloud, single: &CloudEngine, kp: &Keypair, req: &PaillierSum) -> (u64, u64) {
+    let services: [&dyn CloudService; 2] = [cluster, single];
+    let [clustered, alone] = services.map(|svc| svc.handle("tactic/paillier/value/sum", &req.encode()).unwrap());
+    assert_eq!(clustered, alone, "same ciphertext bytes, same count");
+    let resp = PaillierSumResponse::decode(&alone).unwrap();
+    (resp.count, kp.decrypt_u64(&Ciphertext::from_bytes(&resp.ciphertext)).unwrap())
+}
+
+/// Per member: `(carried ciphertexts, rescans)` of its Paillier fold.
+fn node_folds(cluster: &ClusterCloud) -> Vec<(u64, u64)> {
+    cluster
+        .members()
+        .into_iter()
+        .map(|n| {
+            cluster
+                .with_node_engine(n, |e| {
+                    let snap = e.recorder().snapshot();
+                    (snap.counter("cloud.paillier.fold.carried"), snap.counter("cloud.paillier.fold.rescans"))
+                })
+                .unwrap_or_default()
+        })
+        .collect()
+}
+
+/// On a quiet cluster each node carries the product of the ring ranges it
+/// serves first: a second sum takes every ciphertext from the carried
+/// products and rescans nowhere; after one insert the cluster folds
+/// exactly one fresh ciphertext; a delete rescans only on the nodes that
+/// hold the document. The answer is the oracle's bytes throughout.
+#[test]
+fn clustered_paillier_sum_carries_each_node_s_first_live_ranges() {
+    let (cluster, single, kp, mut rng, whole) = paillier_cluster_and_oracle(0x5A13);
+    let total = |ids: std::ops::Range<u64>| ids.map(|i| 1000 + i).sum::<u64>();
+    let carried = |folds: &[(u64, u64)]| folds.iter().map(|f| f.0).sum::<u64>();
+
+    assert_eq!(clustered_sum(&cluster, &single, &kp, &whole), (60, total(0..60)));
+    let first = node_folds(&cluster);
+    assert_eq!(carried(&first), 0, "nothing to carry yet");
+    assert!(first.iter().all(|&(_, rescans)| rescans == 1), "one first fold per node: {first:?}");
+
+    assert_eq!(clustered_sum(&cluster, &single, &kp, &whole), (60, total(0..60)));
+    let second = node_folds(&cluster);
+    assert_eq!(carried(&second), 60, "every ciphertext came from a carried product");
+    assert!(second.iter().zip(&first).all(|(s, f)| s.1 == f.1), "no rescans: {second:?}");
+
+    insert_phe(&[&cluster, &single], &kp, &mut rng, 60);
+    assert_eq!(clustered_sum(&cluster, &single, &kp, &whole), (61, total(0..61)));
+    let third = node_folds(&cluster);
+    assert_eq!(61 - (carried(&third) - carried(&second)), 1, "one fresh ciphertext folded cluster-wide");
+    assert!(third.iter().zip(&second).all(|(t, s)| t.1 == s.1), "an insert rescans nowhere: {third:?}");
+
+    let gone = DocId([7; 16]).to_hex();
+    let holders = cluster.doc_replicas("obs", &gone);
+    for svc in [&cluster as &dyn CloudService, &single] {
+        svc.handle("doc/delete", &with_collection("obs", gone.as_bytes())).unwrap();
+    }
+    assert_eq!(clustered_sum(&cluster, &single, &kp, &whole), (60, total(0..61) - 1007));
+    let fourth = node_folds(&cluster);
+    for (node, (after, before)) in fourth.iter().zip(&third).enumerate() {
+        let rescanned = after.1 - before.1;
+        assert_eq!(rescanned, u64::from(holders.contains(&node)), "node {node} (holders {holders:?})");
+    }
+}
+
+/// With one node killed the survivors serve its first-live ranges: the sum
+/// is still the oracle's, over all sixty documents.
+#[test]
+fn clustered_paillier_sum_fails_over_past_a_killed_node() {
+    let (cluster, single, kp, _, whole) = paillier_cluster_and_oracle(0x5A14);
+    let total = (0..60).map(|i| 1000 + i).sum::<u64>();
+    assert_eq!(clustered_sum(&cluster, &single, &kp, &whole), (60, total));
+    cluster.kill_node(2);
+    assert_eq!(clustered_sum(&cluster, &single, &kp, &whole), (60, total));
+    cluster.rejoin_node(2).unwrap();
+    assert_eq!(clustered_sum(&cluster, &single, &kp, &whole), (60, total));
 }
 
 /// The same equality after churn, and with a member that never saw a key:

@@ -14,7 +14,8 @@ use std::fmt::Debug;
 
 use datablinder_core::cloudproto::{
     BlobList, DigestRequest, DigestResponse, FindIdsDnf, FindIdsEq, FindIdsRange, Idempotent, PaillierCombine,
-    PaillierSum, PaillierSumResponse, RangeSelect, SyncEntries, SyncEntry, ENTRY_DOC, ENTRY_INDEX, ENTRY_KV,
+    PaillierSum, PaillierSumResponse, RangeSelect, RangedRead, SyncEntries, SyncEntry, ENTRY_DOC, ENTRY_INDEX,
+    ENTRY_KV,
 };
 use datablinder_core::durability::WalRecord;
 use datablinder_core::model::{AggFn, FieldAnnotation, FieldOp, FieldType, ProtectionClass, Schema};
@@ -64,6 +65,7 @@ enum Msg {
     Idempotent(Idempotent),
     SyncEntries(SyncEntries),
     RangeSelect(RangeSelect),
+    RangedRead(RangedRead),
     BlobList(BlobList),
     DigestRequest(DigestRequest),
     DigestResponse(DigestResponse),
@@ -79,7 +81,7 @@ enum Msg {
 }
 
 /// How many variants [`Msg`] has; [`msg`] draws each with equal weight.
-const MSG_VARIANTS: usize = 20;
+const MSG_VARIANTS: usize = 21;
 
 impl Msg {
     fn check(&self, case: u64, noise: &[u8]) {
@@ -94,6 +96,7 @@ impl Msg {
             Msg::Idempotent(m) => laws(case, m, Idempotent::encode, |b| Idempotent::decode(b).ok(), noise),
             Msg::SyncEntries(m) => laws(case, m, SyncEntries::encode, |b| SyncEntries::decode(b).ok(), noise),
             Msg::RangeSelect(m) => laws(case, m, RangeSelect::encode, |b| RangeSelect::decode(b).ok(), noise),
+            Msg::RangedRead(m) => laws(case, m, RangedRead::encode, |b| RangedRead::decode(b).ok(), noise),
             Msg::BlobList(m) => laws(case, m, BlobList::encode, |b| BlobList::decode(b).ok(), noise),
             Msg::DigestRequest(m) => laws(case, m, DigestRequest::encode, |b| DigestRequest::decode(b).ok(), noise),
             Msg::DigestResponse(m) => laws(case, m, DigestResponse::encode, |b| DigestResponse::decode(b).ok(), noise),
@@ -226,6 +229,14 @@ fn log_record(rng: &mut StdRng) -> LogRecord {
     }
 }
 
+fn range_select(rng: &mut StdRng) -> RangeSelect {
+    RangeSelect {
+        seed: rng.gen(),
+        ranges: vec_of(rng, 0..5, |rng| (rng.gen(), rng.gen())),
+        include_broadcast: rng.gen(),
+    }
+}
+
 fn response(rng: &mut StdRng) -> Result<Vec<u8>, NetError> {
     match rng.gen_range(0..8) {
         0 => Ok(blob(rng, 48)),
@@ -270,26 +281,23 @@ fn msg(rng: &mut StdRng) -> Msg {
                 value: blob(rng, 24),
             }),
         }),
-        7 => Msg::RangeSelect(RangeSelect {
-            seed: rng.gen(),
-            ranges: vec_of(rng, 0..5, |rng| (rng.gen(), rng.gen())),
-            include_broadcast: rng.gen(),
-        }),
-        8 => Msg::BlobList(BlobList { items: vec_of(rng, 0..5, |rng| blob(rng, 24)) }),
-        9 => Msg::DigestRequest(DigestRequest { seed: rng.gen(), boundaries: vec_of(rng, 0..6, |rng| rng.gen()) }),
-        10 => Msg::DigestResponse(DigestResponse {
+        7 => Msg::RangeSelect(range_select(rng)),
+        8 => Msg::RangedRead(RangedRead { request: blob(rng, 48), select: range_select(rng) }),
+        9 => Msg::BlobList(BlobList { items: vec_of(rng, 0..5, |rng| blob(rng, 24)) }),
+        10 => Msg::DigestRequest(DigestRequest { seed: rng.gen(), boundaries: vec_of(rng, 0..6, |rng| rng.gen()) }),
+        11 => Msg::DigestResponse(DigestResponse {
             leaves: vec_of(rng, 0..4, digest),
             broadcast: digest(rng),
             root: digest(rng),
         }),
-        11 => Msg::WalRecord(WalRecord { seq: rng.gen(), id: token(rng), route: name(rng), payload: blob(rng, 48) }),
-        12 => Msg::LogRecord(log_record(rng)),
-        13 => Msg::Request(name(rng), blob(rng, 48)),
-        14 => Msg::Response(response(rng)),
-        15 => Msg::Traced(TraceCtx { trace_id: rng.gen(), span_id: rng.gen() }, name(rng), blob(rng, 64)),
-        16 => Msg::Document(document(rng)),
-        17 => Msg::Documents(vec_of(rng, 0..3, document)),
-        18 => Msg::Schema(schema(rng)),
+        12 => Msg::WalRecord(WalRecord { seq: rng.gen(), id: token(rng), route: name(rng), payload: blob(rng, 48) }),
+        13 => Msg::LogRecord(log_record(rng)),
+        14 => Msg::Request(name(rng), blob(rng, 48)),
+        15 => Msg::Response(response(rng)),
+        16 => Msg::Traced(TraceCtx { trace_id: rng.gen(), span_id: rng.gen() }, name(rng), blob(rng, 64)),
+        17 => Msg::Document(document(rng)),
+        18 => Msg::Documents(vec_of(rng, 0..3, document)),
+        19 => Msg::Schema(schema(rng)),
         _ => Msg::Ids(vec_of(rng, 0..5, |rng| DocId(token(rng)))),
     }
 }

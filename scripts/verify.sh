@@ -73,6 +73,14 @@ if grep -rn 'is_durable' "$cluster"; then
     exit 1
 fi
 
+echo "==> one aggregate split: a whole-collection aggregate asks each node for the ring ranges it serves first, never for an id list"
+if grep -rn 'agg_plain_ids' crates/*/src; then
+    echo "doc/agg_plain_ids is gone; a plain aggregate sends each node doc/agg_plain_ranges" >&2
+    exit 1
+fi
+[ "$(grep -c 'union_ids(' "$cluster"/read.rs)" = 3 ] ||
+    { echo "union_ids( belongs in $cluster/read.rs three times: its definition and the doc/count and doc/list_ids callers" >&2; exit 1; }
+
 echo "==> one write path: gateway.rs builds a batch only in send_write_group, and calls the channel only in call, send_write_group and recover_pending"
 # Every write group (insert, delete, insert_many, migrate, re-index) ships
 # as one sealed call from one function; reads go through `call`. Comments

@@ -9,6 +9,10 @@
 //! and `ids` when the `setup` route went away, and `PAILLIER_COMBINE` pins
 //! the `combine` payload (modulus, then the partials list it always was).
 //! Both travel only in read requests — no WAL or snapshot holds them.
+//! `RANGED_READ` pins the payload of a cluster node's share of a
+//! whole-collection aggregate (`sum_ranges`, `agg_plain_ranges`): the
+//! unranged request as one byte field, then a `RangeSelect`'s fields. It is
+//! a read too.
 
 use std::fmt::Debug;
 
@@ -41,6 +45,10 @@ const PAILLIER_SUM_RESPONSE: &str = "0000000000000007010203";
 const IDEMPOTENT: &str = "070707070707070707070707070707070000000a646f632f696e7365727400000003010203";
 const SYNC_ENTRIES: &str = "0000000364000000066f62730064310000000204056b000000016b0000000069000000036f62730000000106";
 const RANGE_SELECT: &str = "000000000000002a010000000200000000000000010000000000000002ffffffffffffffff0000000000000000";
+const RANGED_READ: &str = concat!(
+    "0000001f000000036f62730000000a76616c75655f5f70686500000002c50100000000000000000000002a0000000002",
+    "00000000000000010000000000000002ffffffffffffffff0000000000000000"
+);
 const BLOB_LIST: &str = "00000003000000010100000000000000020203";
 const DIGEST_REQUEST: &str = "000000000000000700000003000000000000000a0000000000000014ffffffffffffffff";
 const DIGEST_RESPONSE: &str = concat!(
@@ -220,6 +228,21 @@ fn cloud_protocol_messages() {
         RangeSelect { seed: 42, ranges: vec![(1, 2), (u64::MAX, 0)], include_broadcast: true },
         RangeSelect::encode,
         RangeSelect::decode,
+    );
+    pin(
+        RANGED_READ,
+        RangedRead {
+            request: PaillierSum {
+                collection: "obs".into(),
+                field: "value__phe".into(),
+                modulus: vec![0xc5, 0x01],
+                ids: vec![],
+            }
+            .encode(),
+            select: RangeSelect { seed: 42, ranges: vec![(1, 2), (u64::MAX, 0)], include_broadcast: false },
+        },
+        RangedRead::encode,
+        RangedRead::decode,
     );
     pin(BLOB_LIST, BlobList { items: vec![vec![1], vec![], vec![2, 3]] }, BlobList::encode, BlobList::decode);
     pin(
