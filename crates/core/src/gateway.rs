@@ -10,19 +10,20 @@
 //! `plans` and `tactics` behind `RwLock`s (read-mostly after schema
 //! registration), each tactic instance behind its own `Mutex` (stateful SSE
 //! chains serialize per instance, *not* per gateway), and the seeded RNG
-//! behind a `Mutex` that is held only long enough to fork a per-operation
-//! child RNG. Lock order, where more than one is held: `registry` → `rng`;
+//! behind a `Mutex` that is held only long enough to fork an operation's
+//! child RNGs. Lock order, where more than one is held: `registry` → `rng`;
 //! a tactic-instance lock is never held across a channel call that could
 //! re-enter the engine. See DESIGN.md §12.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard};
-use std::time::Duration;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
+use std::time::{Duration, Instant};
 
 use datablinder_docstore::{Document, Value};
 use datablinder_kms::Kms;
 use datablinder_kvstore::KvStore;
+use datablinder_netsim::tcp::DEFAULT_MAX_FRAME;
 use datablinder_netsim::{Channel, NetError, ResilienceConfig, ResilientChannel, Transport};
 use datablinder_obs::Recorder;
 use datablinder_sse::DocId;
@@ -31,8 +32,7 @@ use rand::SeedableRng;
 
 use crate::cloud::{get_many_payload, with_collection};
 use crate::cloudproto::{
-    decode_batch_answer, decode_calls, encode_batch, is_write_route, Idempotent, BATCH_ROUTE, IDEM_ROUTE,
-    READ_BATCH_ROUTE,
+    decode_batch_answer, decode_calls, encode_batch, Idempotent, BATCH_ROUTE, IDEM_ROUTE, READ_BATCH_ROUTE,
 };
 use crate::error::CoreError;
 use crate::metadata::{validate_document, SchemaStore};
@@ -51,6 +51,17 @@ const BOOL_SCOPE: &str = "__bool__";
 /// proceed in parallel.
 type SharedTactic = Arc<Mutex<Box<dyn GatewayTactic>>>;
 
+/// Locks a tactic instance, past a panic in an earlier holder, as every
+/// lock in the gateway does.
+fn lock(tactic: &SharedTactic) -> MutexGuard<'_, Box<dyn GatewayTactic>> {
+    tactic.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Forks a child RNG off `rng`, for one tactic application.
+fn fork(rng: &mut StdRng) -> StdRng {
+    StdRng::from_rng(rng).expect("rng fork")
+}
+
 /// SplitMix64 finalizer: spreads a seed into a well-mixed token prefix so
 /// gateways with nearby seeds still mint far-apart token ranges.
 fn mix64(mut z: u64) -> u64 {
@@ -60,25 +71,47 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Per-field execution plan derived from selection.
-#[derive(Debug, Clone)]
+/// One tactic instance a plan reaches: its registry name and its handle in
+/// [`GatewayEngine::tactics`], resolved when the schema registers, so no
+/// operation looks an instance up by name. Key rotation replaces the
+/// instance *inside* the handle, so a plan never goes stale.
+#[derive(Clone)]
+struct Handle {
+    name: String,
+    tactic: SharedTactic,
+}
+
+/// Per-field execution plan derived from selection, with the handles the
+/// field is written, revoked and queried through.
 struct FieldPlan {
     selection: Selection,
-    /// Tactic serving equality queries, if any.
-    eq_tactic: Option<String>,
-    /// Tactic serving range queries, if any.
-    range_tactic: Option<String>,
+    /// The field-scoped instances a value is protected and revoked through,
+    /// in application order: search, aggregate, then payload tactics.
+    writes: Vec<Handle>,
+    /// The instances serving equality, range and aggregate queries, if any;
+    /// a cross-field equality tactic is the schema's shared boolean one.
+    eq: Option<Handle>,
+    range: Option<Handle>,
+    agg: Option<Handle>,
     /// Whether the field participates in the shared boolean index.
     boolean: bool,
+}
+
+impl FieldPlan {
+    /// The field-scoped instance of `tactic`, if the field is written
+    /// through one.
+    fn write_handle(&self, tactic: &str) -> Option<&Handle> {
+        self.writes.iter().find(|h| h.name == tactic)
+    }
 }
 
 /// Per-schema execution plan.
 struct SchemaPlan {
     schema: Schema,
     fields: HashMap<String, FieldPlan>,
-    /// Name of the shared boolean tactic (e.g. `biex-2lev`), if any field
+    /// The shared boolean tactic (e.g. `biex-2lev`), if any field
     /// requested boolean search served by a cross-field tactic.
-    bool_tactic: Option<String>,
+    bool_tactic: Option<Handle>,
     /// The recover table: one row per sensitive field, sorted by shadow
     /// name — the order the fields of a stored document arrive in.
     payloads: Vec<PayloadShadow>,
@@ -90,9 +123,7 @@ struct PayloadShadow {
     /// The stored name, `<field>__<payload tactic>`.
     shadow: String,
     field: String,
-    /// The handle in [`GatewayEngine::tactics`], resolved once here so
-    /// decrypting a document looks nothing up by name; key rotation replaces
-    /// the instance *inside* the handle, so the row never goes stale.
+    /// The payload tactic's handle, as in the field's plan.
     tactic: SharedTactic,
 }
 
@@ -138,9 +169,7 @@ impl SchemaPlan {
                 // fall behind the cursor and are dropped.
                 while rows.next_if(|row| row.shadow.as_str() < name).is_some() {}
                 if let Some(row) = rows.next_if(|row| row.shadow == name) {
-                    let value =
-                        row.tactic.lock().unwrap_or_else(PoisonError::into_inner).recover(take_ciphertext(r)?)?;
-                    doc.set(row.field.clone(), value);
+                    doc.set(row.field.clone(), lock(&row.tactic).recover(take_ciphertext(r)?)?);
                 } else if name.rsplit_once("__").is_some_and(|(base, _)| self.fields.contains_key(base)) {
                     skip_value(r, 0)?;
                 } else {
@@ -155,8 +184,44 @@ impl SchemaPlan {
 /// Key prefix of journaled write groups in the gateway's journal store.
 const JOURNAL_PREFIX: &[u8] = b"gwj/";
 
+/// The sealed envelope a journal entry holds: the entry itself, or, in an
+/// entry written while entries were a call list, its lone `[idem, sealed]`
+/// pair.
+fn journaled_envelope(entry: &[u8]) -> Result<&[u8], CoreError> {
+    match Idempotent::parts(entry) {
+        Ok(_) => Ok(entry),
+        Err(e) => match decode_calls(entry).as_deref() {
+            Ok(&[(IDEM_ROUTE, sealed)]) if Idempotent::parts(sealed).is_ok() => Ok(sealed),
+            _ => Err(e),
+        },
+    }
+}
+
 fn journal_key(seq: u64) -> Vec<u8> {
     format!("gwj/{seq:016x}").into_bytes()
+}
+
+/// Payload bytes one rotation write group carries at most (1 MiB), an
+/// eighth of the TCP transport's default frame cap; a larger document
+/// travels alone.
+const REWRITE_GROUP_BYTES: usize = DEFAULT_MAX_FRAME as usize / 8;
+
+/// `calls` cut into consecutive write groups of at most
+/// [`REWRITE_GROUP_BYTES`] payload bytes each, none empty.
+fn bounded_groups(calls: &[CloudCall]) -> Vec<&[CloudCall]> {
+    let mut groups = Vec::new();
+    let (mut start, mut bytes) = (0, 0);
+    for (i, call) in calls.iter().enumerate() {
+        if i > start && bytes + call.payload.len() > REWRITE_GROUP_BYTES {
+            groups.push(&calls[start..i]);
+            (start, bytes) = (i, 0);
+        }
+        bytes += call.payload.len();
+    }
+    if start < calls.len() {
+        groups.push(&calls[start..]);
+    }
+    groups
 }
 
 /// The gateway's small write journal: each write group (index updates +
@@ -313,8 +378,8 @@ impl GatewayEngine {
     /// parallelizes its per-field tactic encryption (Paillier
     /// exponentiation, OPE traversal, SSE token PRFs) across the pool
     /// before the single batched round trip. Results are byte-identical to
-    /// the sequential path — see
-    /// [`GatewayEngine::protect_documents_batch`]'s determinism notes.
+    /// a run without the pool — see [`GatewayEngine::insert_group`]'s
+    /// determinism notes.
     pub fn set_worker_pool(&mut self, pool: Arc<WorkerPool>) {
         self.pool = Some(pool);
     }
@@ -381,41 +446,26 @@ impl GatewayEngine {
     /// [`CoreError::PolicyUnsatisfiable`] when an annotation cannot be
     /// served; channel errors during index preparation.
     pub fn register_schema(&self, schema: Schema) -> Result<(), CoreError> {
-        let mut fields = HashMap::new();
+        // (field, selection, equality tactic, range tactic) per sensitive field.
+        let mut selected = Vec::new();
         let mut bool_tactic: Option<String> = None;
-
         {
             let registry = self.registry.read().unwrap_or_else(PoisonError::into_inner);
             for (field, annotation) in schema.sensitive_fields() {
                 let selection = registry.select(field, annotation)?;
-                let eq_tactic = annotation
-                    .ops
-                    .contains(&FieldOp::Equality)
-                    .then(|| {
-                        selection
-                            .search_tactics
-                            .iter()
-                            .find(|n| registry.descriptor(n).is_some_and(|d| d.serves_op(FieldOp::Equality)))
-                            .cloned()
-                    })
-                    .flatten();
-                let range_tactic = annotation
-                    .ops
-                    .contains(&FieldOp::Range)
-                    .then(|| {
-                        selection
-                            .search_tactics
-                            .iter()
-                            .find(|n| registry.descriptor(n).is_some_and(|d| d.serves_op(FieldOp::Range)))
-                            .cloned()
-                    })
-                    .flatten();
-                let boolean = selection.search_tactics.iter().any(|n| n.starts_with("biex"));
-                if boolean {
-                    let name = selection.search_tactics.iter().find(|n| n.starts_with("biex")).unwrap().clone();
+                let serving = |op: FieldOp| {
+                    let serves = |n: &&String| registry.descriptor(n).is_some_and(|d| d.serves_op(op));
+                    annotation
+                        .ops
+                        .contains(&op)
+                        .then(|| selection.search_tactics.iter().find(serves).cloned())
+                        .flatten()
+                };
+                let (eq, range) = (serving(FieldOp::Equality), serving(FieldOp::Range));
+                if let Some(name) = selection.search_tactics.iter().find(|n| n.starts_with("biex")) {
                     match &bool_tactic {
-                        None => bool_tactic = Some(name),
-                        Some(existing) if *existing == name => {}
+                        None => bool_tactic = Some(name.clone()),
+                        Some(existing) if existing == name => {}
                         Some(existing) => {
                             return Err(CoreError::SchemaViolation(format!(
                                 "conflicting boolean tactics {existing} and {name} in one schema"
@@ -423,52 +473,61 @@ impl GatewayEngine {
                         }
                     }
                 }
-                fields.insert(field.clone(), FieldPlan { selection, eq_tactic, range_tactic, boolean });
+                selected.push((field.clone(), selection, eq, range));
             }
         }
 
-        // Instantiate tactics: per-field instances plus one shared boolean
-        // instance, loading implementations at runtime (strategy pattern).
-        for (field, plan) in &fields {
-            for tactic in plan.selection.all_tactics() {
-                if tactic.starts_with("biex") {
-                    continue; // shared instance below
+        // Instantiate tactics: one shared boolean instance plus per-field
+        // instances, loading implementations at runtime (strategy pattern),
+        // and resolve every handle a field is served through.
+        let bool_tactic = bool_tactic.map(|bt| self.ensure_tactic(&schema.name, BOOL_SCOPE, &bt)).transpose()?;
+        let mut fields = HashMap::new();
+        for (field, selection, eq, range) in selected {
+            let writes = selection
+                .all_tactics()
+                .iter()
+                .filter(|t| !t.starts_with("biex"))
+                .map(|t| self.ensure_tactic(&schema.name, &field, t))
+                .collect::<Result<Vec<_>, _>>()?;
+            let handle = |name: &String| {
+                if name.starts_with("biex") {
+                    bool_tactic.clone()
+                } else {
+                    writes.iter().find(|h| &h.name == name).cloned()
                 }
-                self.ensure_tactic(&schema.name, field, &tactic)?;
-            }
-        }
-        if let Some(bt) = &bool_tactic {
-            self.ensure_tactic(&schema.name, BOOL_SCOPE, bt)?;
+            };
+            let (eq, range, agg) = (
+                eq.as_ref().and_then(handle),
+                range.as_ref().and_then(handle),
+                selection.agg_tactics.first().and_then(handle),
+            );
+            let boolean = selection.search_tactics.iter().any(|n| n.starts_with("biex"));
+            fields.insert(field, FieldPlan { selection, writes, eq, range, agg, boolean });
         }
 
         // Cloud-side secondary indexes for legacy-friendly shadow fields.
-        let mut index_calls = Vec::new();
-        for (field, plan) in &fields {
-            for tactic in &plan.selection.search_tactics {
-                match tactic.as_str() {
-                    "det" => index_calls.push(format!("{field}__det")),
-                    "ope" => index_calls.push(format!("{field}__ope")),
-                    _ => {}
-                }
-            }
-            if plan.selection.payload == "det" && !index_calls.contains(&format!("{field}__det")) {
-                index_calls.push(format!("{field}__det"));
-            }
-        }
-        for shadow in index_calls {
-            self.call(&CloudCall::new("doc/ensure_index", with_collection(&schema.name, shadow.as_bytes())))?;
-        }
-
-        let mut payloads = fields
+        let index_calls: Vec<CloudCall> = fields
             .iter()
-            .map(|(field, plan)| {
-                Ok(PayloadShadow {
-                    shadow: shadow_field(field, &plan.selection.payload),
-                    field: field.clone(),
-                    tactic: self.tactic(&schema.name, field, &plan.selection.payload)?,
+            .flat_map(|(field, fp)| {
+                ["det", "ope"].into_iter().filter(|t| fp.write_handle(t).is_some()).map(|t| {
+                    CloudCall::new("doc/ensure_index", with_collection(&schema.name, shadow_field(field, t).as_bytes()))
                 })
             })
-            .collect::<Result<Vec<_>, CoreError>>()?;
+            .collect();
+        self.send_write_groups(&[&index_calls])?;
+
+        let mut payloads: Vec<PayloadShadow> = fields
+            .iter()
+            .map(|(field, fp)| PayloadShadow {
+                shadow: shadow_field(field, &fp.selection.payload),
+                field: field.clone(),
+                tactic: fp
+                    .write_handle(&fp.selection.payload)
+                    .expect("every field is written through its payload")
+                    .tactic
+                    .clone(),
+            })
+            .collect();
         payloads.sort_by(|a, b| a.shadow.cmp(&b.shadow));
 
         self.schema_store.put(&schema);
@@ -479,54 +538,43 @@ impl GatewayEngine {
         Ok(())
     }
 
-    fn ensure_tactic(&self, schema: &str, scope: &str, tactic: &str) -> Result<(), CoreError> {
-        let key = Self::tactic_key(schema, scope, tactic);
-        if self.tactics.read().unwrap_or_else(PoisonError::into_inner).contains_key(&key) {
-            return Ok(());
-        }
-        let ctx = TacticContext {
+    /// The handle of one tactic instance, built on first use.
+    fn ensure_tactic(&self, schema: &str, scope: &str, tactic: &str) -> Result<Handle, CoreError> {
+        let key = format!("{schema}/{scope}/{tactic}");
+        let existing = self.tactics.read().unwrap_or_else(PoisonError::into_inner).get(&key).cloned();
+        let shared = match existing {
+            Some(shared) => shared,
+            // Built outside the map's write lock; a racing builder's
+            // instance is discarded by `or_insert_with`.
+            None => {
+                let instance = self.build_tactic(tactic, &self.context(schema, scope))?;
+                let mut tactics = self.tactics.write().unwrap_or_else(PoisonError::into_inner);
+                tactics.entry(key).or_insert_with(|| Arc::new(Mutex::new(instance))).clone()
+            }
+        };
+        Ok(Handle { name: tactic.to_string(), tactic: shared })
+    }
+
+    /// Where the instances of `schema`'s `scope` derive their keys.
+    fn context(&self, schema: &str, scope: &str) -> TacticContext {
+        TacticContext {
             application: self.application.clone(),
             schema: schema.to_string(),
             scope: scope.to_string(),
             kms: self.kms.clone(),
-        };
-        // Build outside the tactics write lock (lock order registry → rng);
-        // a racing builder's instance is discarded by `or_insert_with`.
+        }
+    }
+
+    /// A fresh instance of `tactic`, recording into the gateway's recorder
+    /// (lock order registry → rng).
+    fn build_tactic(&self, tactic: &str, ctx: &TacticContext) -> Result<Box<dyn GatewayTactic>, CoreError> {
         let mut instance = {
             let registry = self.registry.read().unwrap_or_else(PoisonError::into_inner);
             let mut rng = self.rng.lock().unwrap_or_else(PoisonError::into_inner);
-            registry.build_gateway(tactic, &ctx, &mut *rng)?
+            registry.build_gateway(tactic, ctx, &mut *rng)?
         };
         instance.attach_recorder(&self.obs);
-        self.tactics
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(key)
-            .or_insert_with(|| Arc::new(Mutex::new(instance)));
-        Ok(())
-    }
-
-    fn tactic_key(schema: &str, scope: &str, tactic: &str) -> String {
-        format!("{schema}/{scope}/{tactic}")
-    }
-
-    /// The shared handle of one tactic instance.
-    fn tactic(&self, schema: &str, scope: &str, tactic: &str) -> Result<SharedTactic, CoreError> {
-        self.tactics
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&Self::tactic_key(schema, scope, tactic))
-            .cloned()
-            .ok_or_else(|| {
-                CoreError::UnsupportedOperation(format!("tactic {tactic} not instantiated for {schema}/{scope}"))
-            })
-    }
-
-    /// Forks a per-operation child RNG off the engine's seeded stream. The
-    /// engine lock is held only for the fork, so tactic work never
-    /// serializes on the RNG.
-    fn fork_rng(&self) -> StdRng {
-        StdRng::from_rng(&mut *self.rng.lock().unwrap_or_else(PoisonError::into_inner)).expect("rng fork")
+        Ok(instance)
     }
 
     /// Pre-mints the on-wire form of one write. Chain-advancing writes must
@@ -537,46 +585,49 @@ impl GatewayEngine {
         Idempotent { token: self.next_idem_token(), route: route.to_string(), payload }.encode()
     }
 
-    /// One call, sealed if it writes; reads are naturally idempotent and
-    /// travel bare.
-    fn call(&self, call: &CloudCall) -> Result<Vec<u8>, CoreError> {
-        if is_write_route(&call.route) && call.route != IDEM_ROUTE {
-            return Ok(self.channel.call(IDEM_ROUTE, &self.seal(&call.route, call.payload.clone()))?);
-        }
-        Ok(self.channel.call(&call.route, &call.payload)?)
+    /// One read. Reads are naturally idempotent and travel bare; every
+    /// write is sealed in [`GatewayEngine::send_write_groups`].
+    fn call(&self, route: &str, payload: &[u8]) -> Result<Vec<u8>, CoreError> {
+        Ok(self.channel.call(route, payload)?)
     }
 
-    /// Sends a write group — index updates and the document write, or a
-    /// bulk load — in one round trip: one sealed call, a `batch` of the
-    /// group when it has several, in one idempotency envelope. With a
-    /// journal attached, that sealed call is recorded before it ships and
-    /// cleared once acknowledged; a gateway that dies in between replays
-    /// it on restart, and the cloud's dedup cache answers a replay that had
-    /// already applied, so the group completes exactly once. The cloud runs
-    /// a batch's items in order, so each document's index updates land
+    /// Sends write groups — index updates and the document write, a bulk
+    /// load, a rotation's rewrite, a schema's indexes — one round trip
+    /// each, in order: one sealed call, a `batch` of the group when it has
+    /// several, in one idempotency envelope. With a journal attached, every
+    /// group's sealed call is an entry recorded before the first ships and
+    /// cleared once acknowledged; a gateway that dies, or a send that fails,
+    /// leaves that group and the ones after it for recover_pending to
+    /// replay, and the cloud's dedup cache answers a replay that had
+    /// already applied, so each group completes exactly once. The cloud
+    /// runs a batch's items in order, so each document's index updates land
     /// before the document itself.
-    fn send_write_group(&self, group: &[CloudCall]) -> Result<(), CoreError> {
-        let sealed = match group {
-            [] => return Ok(()),
-            [call] => self.seal(&call.route, call.payload.clone()),
-            calls => self.seal(BATCH_ROUTE, encode_batch(calls)),
-        };
-        let key = self.journal.as_ref().map(|j| {
-            let key = journal_key(j.seq.fetch_add(1, Ordering::Relaxed));
-            let mut w = datablinder_codec::Writer::new();
-            w.list(&[IDEM_ROUTE.as_bytes(), sealed.as_slice()]);
-            j.kv.set(&key, &w.finish());
-            self.obs.count("gateway.journal.writes", 1);
-            key
-        });
-        // A failure leaves the journal entry pending, for recover_pending
-        // to roll forward or report.
-        let answer = self.channel.call(IDEM_ROUTE, &sealed)?;
-        if let (Some(j), Some(key)) = (&self.journal, &key) {
-            j.kv.del(key);
-        }
-        if group.len() > 1 {
-            decode_batch_answer(&answer, group.len())?;
+    fn send_write_groups(&self, groups: &[&[CloudCall]]) -> Result<(), CoreError> {
+        let sealed: Vec<_> = groups
+            .iter()
+            .filter(|group| !group.is_empty())
+            .map(|&group| {
+                let sealed = match group {
+                    [call] => self.seal(&call.route, call.payload.clone()),
+                    calls => self.seal(BATCH_ROUTE, encode_batch(calls)),
+                };
+                let key = self.journal.as_ref().map(|j| {
+                    let key = journal_key(j.seq.fetch_add(1, Ordering::Relaxed));
+                    j.kv.set(&key, &sealed);
+                    self.obs.count("gateway.journal.writes", 1);
+                    key
+                });
+                (group.len(), sealed, key)
+            })
+            .collect();
+        for (len, sealed, key) in sealed {
+            let answer = self.channel.call(IDEM_ROUTE, &sealed)?;
+            if let (Some(j), Some(key)) = (&self.journal, &key) {
+                j.kv.del(key);
+            }
+            if len > 1 {
+                decode_batch_answer(&answer, len)?;
+            }
         }
         Ok(())
     }
@@ -587,11 +638,8 @@ impl GatewayEngine {
     fn read_calls(&self, calls: &[CloudCall]) -> Result<Vec<Vec<u8>>, CoreError> {
         match calls {
             [] => Ok(Vec::new()),
-            [call] => Ok(vec![self.call(call)?]),
-            calls => {
-                let answer = self.call(&CloudCall::new(READ_BATCH_ROUTE, encode_batch(calls)))?;
-                decode_batch_answer(&answer, calls.len())
-            }
+            [call] => Ok(vec![self.call(&call.route, &call.payload)?]),
+            calls => decode_batch_answer(&self.call(READ_BATCH_ROUTE, &encode_batch(calls))?, calls.len()),
         }
     }
 
@@ -618,12 +666,12 @@ impl GatewayEngine {
     }
 
     /// Replays every pending journaled write group, oldest first. An entry
-    /// holds one sealed call; one written before write groups became a
-    /// single batch holds several, replayed in order. A call that had
-    /// applied before the crash is answered from the cloud's dedup cache;
-    /// the rest execute now, rolling the group forward. An entry the cloud
-    /// rejects with an application error, or one that does not decode, is
-    /// reported failed and dropped, and recovery carries on with the next.
+    /// is the sealed call its group shipped as: if it had applied before
+    /// the crash the cloud's dedup cache answers it, otherwise it executes
+    /// now, rolling the group forward. An entry the cloud rejects with an
+    /// application error, one too large for the transport's frame, or one
+    /// that is not a sealed envelope, is reported failed and dropped, and
+    /// recovery carries on with the next.
     ///
     /// # Errors
     ///
@@ -636,23 +684,16 @@ impl GatewayEngine {
         let kv = journal.kv.clone();
         let mut report = PendingWriteReport::default();
         for key in kv.keys_with_prefix(JOURNAL_PREFIX) {
-            let Some(blob) = kv.get(&key) else { continue };
-            let mut failure: Option<String> = None;
-            match decode_calls(&blob) {
-                Err(e) => failure = Some(format!("malformed journal entry: {e}")),
-                Ok(calls) => {
-                    for (route, payload) in calls {
-                        match self.channel.call(route, payload) {
-                            Ok(_) => {}
-                            Err(NetError::Remote(e)) => {
-                                failure = Some(e);
-                                break;
-                            }
-                            Err(e) => return Err(e.into()),
-                        }
-                    }
-                }
-            }
+            let Some(entry) = kv.get(&key) else { continue };
+            let failure = match journaled_envelope(&entry) {
+                Err(e) => Some(format!("malformed journal entry: {e}")),
+                Ok(sealed) => match self.channel.call(IDEM_ROUTE, sealed) {
+                    Ok(_) => None,
+                    // No retry can ship an entry larger than the frame.
+                    Err(NetError::Remote(e) | NetError::FrameTooLarge(e)) => Some(e),
+                    Err(e) => return Err(e.into()),
+                },
+            };
             report.entries += 1;
             match failure {
                 None => report.rolled_forward += 1,
@@ -711,11 +752,10 @@ impl GatewayEngine {
     /// `BoolQuery` profile.
     ///
     /// [`OpProfile`]: crate::model::OpProfile
-    fn audit_leakage(&self, schema_name: &str, field: &str, op: TacticOp, op_name: &str, tactic: &str) {
+    fn audit_leakage(&self, plan: &SchemaPlan, field: &str, op: TacticOp, op_name: &str, tactic: &str) {
         if !self.obs.is_enabled() {
             return;
         }
-        let Ok(plan) = self.plan(schema_name) else { return };
         let Some(declared) =
             plan.schema.sensitive_fields().find(|(f, _)| f.as_str() == field).map(|(_, a)| a.class.max_leakage())
         else {
@@ -741,6 +781,44 @@ impl GatewayEngine {
         self.obs.ledger().record(field, op_name, tactic, observed as u8, declared as u8);
     }
 
+    /// Asks `handle`'s tactic one query: its calls, built under the
+    /// instance lock; one round trip, with the lock released; the answers,
+    /// resolved under the lock again; then the query's observations.
+    fn ask<T>(
+        &self,
+        plan: &SchemaPlan,
+        handle: &Handle,
+        op: TacticOp,
+        fields: &[&str],
+        query: impl FnOnce(&mut dyn GatewayTactic) -> Result<Vec<CloudCall>, CoreError>,
+        resolve: impl FnOnce(&dyn GatewayTactic, &[Vec<u8>]) -> Result<T, CoreError>,
+    ) -> Result<T, CoreError> {
+        let started = self.obs.start();
+        let calls = query(lock(&handle.tactic).as_mut())?;
+        let answers = self.read_calls(&calls)?;
+        let out = resolve(lock(&handle.tactic).as_ref(), &answers)?;
+        self.observe_query(plan, started, op, fields, &handle.name);
+        Ok(out)
+    }
+
+    /// One query's observations: the `tactic.<name>.<op>` EWMA since
+    /// `started`, and a leakage-audit cell per field the query touched.
+    fn observe_query(&self, plan: &SchemaPlan, started: Option<Instant>, op: TacticOp, fields: &[&str], tactic: &str) {
+        // `started` is set exactly when the recorder is enabled.
+        let Some(t0) = started else { return };
+        let (ewma, audit) = match op {
+            TacticOp::EqQuery => (format!("tactic.{tactic}.eq_query"), "equality"),
+            TacticOp::RangeQuery => (format!("tactic.{tactic}.range_query"), "range"),
+            TacticOp::BoolQuery => (format!("tactic.{tactic}.bool_query"), "boolean"),
+            TacticOp::Aggregate => (format!("tactic.{tactic}.aggregate"), "aggregate"),
+            TacticOp::Init | TacticOp::Update => unreachable!("{op:?} is not a query"),
+        };
+        self.obs.ewma_observe(&ewma, t0.elapsed());
+        for field in fields {
+            self.audit_leakage(plan, field, op, audit, tactic);
+        }
+    }
+
     // ---------------------------------------------------- Entities interface
 
     /// Inserts an application document: validates, mints an id, protects
@@ -752,24 +830,8 @@ impl GatewayEngine {
     /// Schema violations, tactic failures, channel failures.
     pub fn insert(&self, schema_name: &str, doc: &Document) -> Result<DocId, CoreError> {
         self.observed("gateway.insert", |g| {
-            let id = g.idgen.lock().unwrap_or_else(PoisonError::into_inner).generate();
-            g.insert_with_id(schema_name, doc, id)?;
-            Ok(id)
+            Ok(g.insert_docs(schema_name, std::slice::from_ref(doc), None, BoolIndex::PerDocument)?[0])
         })
-    }
-
-    fn insert_with_id(&self, schema_name: &str, doc: &Document, id: DocId) -> Result<(), CoreError> {
-        {
-            let plan = self.plan(schema_name)?;
-            validate_document(&plan.schema, doc)?;
-        }
-        let (cloud_doc, index_calls) = self.protect_document_calls(schema_name, doc, id)?;
-        // Index updates, then the document itself, as one write group in one
-        // round trip: an insert interrupted on its way is rolled forward on
-        // recovery instead of staying half-applied.
-        let mut group = index_calls;
-        group.push(CloudCall::new("doc/insert", with_collection(schema_name, &encode_document(&cloud_doc))));
-        self.send_write_group(&group)
     }
 
     /// Inserts a batch of documents in one channel round trip: one write
@@ -801,33 +863,7 @@ impl GatewayEngine {
     /// Validates *all* documents first (nothing is sent if any fails);
     /// then as [`GatewayEngine::insert`].
     pub fn insert_many(&self, schema_name: &str, docs: &[Document]) -> Result<Vec<DocId>, CoreError> {
-        self.observed("gateway.insert_many", |g| {
-            {
-                let plan = g.plan(schema_name)?;
-                for doc in docs {
-                    validate_document(&plan.schema, doc)?;
-                }
-            }
-            let ids: Vec<DocId> = {
-                let mut idgen = g.idgen.lock().unwrap_or_else(PoisonError::into_inner);
-                docs.iter().map(|_| idgen.generate()).collect()
-            };
-            let protected: Vec<(Document, Vec<CloudCall>)> = match &g.pool {
-                Some(pool) if docs.len() > 1 => g.protect_documents_batch(schema_name, docs, &ids, pool)?,
-                _ => docs
-                    .iter()
-                    .zip(&ids)
-                    .map(|(doc, id)| g.protect_document_calls(schema_name, doc, *id))
-                    .collect::<Result<_, _>>()?,
-            };
-            let mut batch: Vec<CloudCall> = Vec::new();
-            for (cloud_doc, index_calls) in protected {
-                batch.extend(index_calls);
-                batch.push(CloudCall::new("doc/insert", with_collection(schema_name, &encode_document(&cloud_doc))));
-            }
-            g.send_write_group(&batch)?;
-            Ok(ids)
-        })
+        self.observed("gateway.insert_many", |g| g.insert_docs(schema_name, docs, None, BoolIndex::PerDocument))
     }
 
     /// Initial cloud migration: inserts a corpus like
@@ -841,294 +877,173 @@ impl GatewayEngine {
     ///
     /// As [`GatewayEngine::insert_many`].
     pub fn migrate(&self, schema_name: &str, docs: &[Document]) -> Result<Vec<DocId>, CoreError> {
-        self.observed("gateway.migrate", |g| {
-            let plan = g.plan(schema_name)?;
-            for doc in docs {
-                validate_document(&plan.schema, doc)?;
-            }
-            let bool_fields: Vec<String> =
-                plan.fields.iter().filter(|(_, fp)| fp.boolean).map(|(f, _)| f.clone()).collect();
-            let bool_tactic = plan.bool_tactic.clone();
-
-            let mut ids = Vec::with_capacity(docs.len());
-            let mut batch: Vec<CloudCall> = Vec::new();
-            let mut entries: Vec<(Vec<(String, Value)>, DocId)> = Vec::new();
-            for doc in docs {
-                let id = g.idgen.lock().unwrap_or_else(PoisonError::into_inner).generate();
-                // Per-field tactics as usual; collect boolean literals for the
-                // bulk build instead of letting protect_document chain them.
-                let literals: Vec<(String, Value)> =
-                    bool_fields.iter().filter_map(|f| doc.get(f).map(|v| (f.clone(), v.clone()))).collect();
-                let (cloud_doc, index_calls) = g.protect_document_calls_inner(schema_name, doc, id, false)?;
-                batch.extend(index_calls);
-                batch.push(CloudCall::new("doc/insert", with_collection(schema_name, &encode_document(&cloud_doc))));
-                if !literals.is_empty() {
-                    entries.push((literals, id));
-                }
-                ids.push(id);
-            }
-            if let (Some(bt), false) = (&bool_tactic, entries.is_empty()) {
-                let mut rng = g.fork_rng();
-                let t = g.tactic(schema_name, BOOL_SCOPE, bt)?;
-                let calls = t.lock().unwrap_or_else(PoisonError::into_inner).bulk_index(&mut rng, &entries)?;
-                if let Some(calls) = calls {
-                    batch.extend(calls);
-                }
-            }
-            g.send_write_group(&batch)?;
-            Ok(ids)
-        })
+        self.observed("gateway.migrate", |g| g.insert_docs(schema_name, docs, None, BoolIndex::Bulk))
     }
 
-    /// Computes one document's protected form + index calls (shared by
-    /// single and batched insert).
-    fn protect_document_calls(
-        &self,
-        schema_name: &str,
-        doc: &Document,
-        id: DocId,
-    ) -> Result<(Document, Vec<CloudCall>), CoreError> {
-        self.protect_document_calls_inner(schema_name, doc, id, true)
-    }
-
-    /// As [`GatewayEngine::protect_document_calls`]; `index_boolean`
-    /// controls whether the shared boolean tactic chains the document
-    /// (false during bulk migration, which static-indexes instead).
-    fn protect_document_calls_inner(
-        &self,
-        schema_name: &str,
-        doc: &Document,
-        id: DocId,
-        index_boolean: bool,
-    ) -> Result<(Document, Vec<CloudCall>), CoreError> {
-        let plan = self.plan(schema_name)?;
-        let mut cloud_doc = Document::new(id.to_hex());
-        let mut index_calls: Vec<CloudCall> = Vec::new();
-        let mut bool_literals: Vec<(String, Value)> = Vec::new();
-
-        let work = plan_field_work(&plan, doc, &mut cloud_doc);
-
-        for w in &work {
-            if w.boolean {
-                bool_literals.push((w.field.clone(), w.value.clone()));
-            }
-            for tactic in &w.tactics {
-                let started = self.obs.start();
-                let mut rng = self.fork_rng();
-                let t = self.tactic(schema_name, &w.field, tactic)?;
-                let protected =
-                    t.lock().unwrap_or_else(PoisonError::into_inner).protect(&mut rng, &w.field, &w.value, id)?;
-                for (f, v) in protected.stored {
-                    cloud_doc.set(f, v);
-                }
-                index_calls.extend(protected.index_calls);
-                if let Some(t0) = started {
-                    self.obs.ewma_observe(&format!("tactic.{tactic}.update"), t0.elapsed());
-                }
-                self.audit_leakage(schema_name, &w.field, TacticOp::Update, "insert", tactic);
-            }
-        }
-        if let (true, Some(bt), false) = (index_boolean, &plan.bool_tactic, bool_literals.is_empty()) {
-            let mut rng = self.fork_rng();
-            let t = self.tactic(schema_name, BOOL_SCOPE, bt)?;
-            let calls =
-                t.lock().unwrap_or_else(PoisonError::into_inner).protect_document(&mut rng, &bool_literals, id)?;
-            if let Some(calls) = calls {
-                index_calls.extend(calls);
-            }
-        }
-        Ok((cloud_doc, index_calls))
-    }
-
-    /// Parallel counterpart of repeated
-    /// [`GatewayEngine::protect_document_calls`] over a batch, used by
-    /// [`GatewayEngine::insert_many`] when a worker pool is attached.
-    ///
-    /// # Determinism
-    ///
-    /// The output is byte-identical to the sequential path:
-    ///
-    /// * Per-operation RNGs are **pre-forked on the submitting thread** in
-    ///   the exact order the sequential path would fork them (doc-major,
-    ///   document field order, tactic order, boolean fork last per doc), so
-    ///   every `(doc, field, tactic)` application sees the same child RNG.
-    /// * Work is partitioned **per tactic instance**; each partition
-    ///   processes its items in document order, so stateful chains (Mitra
-    ///   counters, Sophos chains) advance exactly as sequentially. Distinct
-    ///   instances share no state, so partitions compose in any schedule.
-    /// * Results are reassembled doc-major in the sequential application
-    ///   order before the batch is encoded.
-    ///
-    /// On failure nothing ships (same abort-atomicity as sequential); the
-    /// error returned is the sequentially-first one, though later items may
-    /// already have advanced local chain state — the same tolerated
-    /// run-ahead the batch abort path documents.
-    fn protect_documents_batch(
+    /// Validates every document, mints their ids unless `id` names the one
+    /// document's, and ships them as one write group.
+    fn insert_docs(
         &self,
         schema_name: &str,
         docs: &[Document],
-        ids: &[DocId],
-        pool: &WorkerPool,
-    ) -> Result<Vec<(Document, Vec<CloudCall>)>, CoreError> {
-        struct Item {
-            doc: usize,
-            ord: usize,
-            field: String,
-            value: Value,
-            tactic: String,
-            id: DocId,
-            rng: StdRng,
-        }
-        enum Out {
-            Field {
-                doc: usize,
-                ord: usize,
-                field: String,
-                tactic: String,
-                took: Duration,
-                result: Result<ProtectedField, CoreError>,
-            },
-            Boolean {
-                doc: usize,
-                result: Result<Option<Vec<CloudCall>>, CoreError>,
-            },
-        }
-
+        id: Option<DocId>,
+        boolean: BoolIndex,
+    ) -> Result<Vec<DocId>, CoreError> {
         let plan = self.plan(schema_name)?;
-        let timing = self.obs.is_enabled();
+        for doc in docs {
+            validate_document(&plan.schema, doc)?;
+        }
+        let ids: Vec<DocId> = match id {
+            Some(id) => vec![id],
+            None => {
+                let mut idgen = self.idgen.lock().unwrap_or_else(PoisonError::into_inner);
+                docs.iter().map(|_| idgen.generate()).collect()
+            }
+        };
+        self.send_write_groups(&[&self.insert_group(&plan, docs, &ids, boolean)?])?;
+        Ok(ids)
+    }
 
-        // Plan every doc's work and pre-fork RNGs in sequential fork order.
+    /// The write group inserting `docs` under `ids`: per document, the
+    /// index updates of every protected field, then its `doc/insert`; with
+    /// [`BoolIndex::Bulk`], the boolean tactic's static base last.
+    ///
+    /// # Determinism
+    ///
+    /// The output does not depend on whether, or on how many threads, a
+    /// worker pool runs it:
+    ///
+    /// * Every RNG is forked up front under one lock, in document order:
+    ///   per document, field (document field order) and tactic, then the
+    ///   document's boolean fork; a bulk build's one fork after all of them.
+    /// * Work is partitioned **per tactic instance**, and each partition is
+    ///   one `protect_many` call over its items in document order, so
+    ///   stateful chains (Mitra counters, Sophos chains) advance as a
+    ///   document-at-a-time loop would. Distinct instances share no state,
+    ///   so partitions compose in any schedule.
+    /// * Results are reassembled doc-major in application order.
+    ///
+    /// The jobs run on the pool when one is attached and there is more than
+    /// one document; otherwise on the caller's thread. On failure nothing
+    /// ships and the error returned is the first in application order,
+    /// though later items may already have advanced local chain state — the
+    /// tolerated run-ahead [`GatewayEngine::insert_many`] documents.
+    fn insert_group(
+        &self,
+        plan: &SchemaPlan,
+        docs: &[Document],
+        ids: &[DocId],
+        boolean: BoolIndex,
+    ) -> Result<Vec<CloudCall>, CoreError> {
+        let timing = self.obs.is_enabled();
         let mut skeletons: Vec<Document> = Vec::with_capacity(docs.len());
-        let mut partitions: HashMap<String, (String, String, Vec<Item>)> = HashMap::new();
-        // (doc index, boolean literals, doc id, forked rng) per document.
-        type BoolItem = (usize, Vec<(String, Value)>, DocId, StdRng);
-        let mut bool_items: Vec<BoolItem> = Vec::new();
+        let mut partitions: Vec<(&Handle, Vec<Item>)> = Vec::new();
+        // Each document's boolean literals, if it has some; indexed per
+        // document, each also gets a fork, and a bulk build forks once.
+        let mut entries: Vec<(Vec<(String, Value)>, DocId)> = Vec::new();
+        let mut bool_rngs: Vec<(usize, StdRng)> = Vec::new();
+        let mut bulk_rng = None;
         {
             let mut rng = self.rng.lock().unwrap_or_else(PoisonError::into_inner);
-            for (di, doc) in docs.iter().enumerate() {
-                let mut cloud_doc = Document::new(ids[di].to_hex());
-                let work = plan_field_work(&plan, doc, &mut cloud_doc);
-                let mut ord = 0usize;
-                let mut bool_literals: Vec<(String, Value)> = Vec::new();
-                for w in &work {
-                    if w.boolean {
-                        bool_literals.push((w.field.clone(), w.value.clone()));
-                    }
-                    for tactic in &w.tactics {
-                        let forked = StdRng::from_rng(&mut *rng).expect("rng fork");
-                        let key = Self::tactic_key(schema_name, &w.field, tactic);
-                        partitions.entry(key).or_insert_with(|| (w.field.clone(), tactic.clone(), Vec::new())).2.push(
-                            Item {
-                                doc: di,
-                                ord,
-                                field: w.field.clone(),
-                                value: w.value.clone(),
-                                tactic: tactic.clone(),
-                                id: ids[di],
-                                rng: forked,
-                            },
-                        );
-                        ord += 1;
+            for (d, (doc, id)) in docs.iter().zip(ids).enumerate() {
+                let mut cloud_doc = Document::new(id.to_hex());
+                let work = plan_field_work(plan, doc, &mut cloud_doc);
+                for (ord, (handle, field, value)) in
+                    work.iter().flat_map(|(f, v, fp)| fp.writes.iter().map(move |h| (h, f, v))).enumerate()
+                {
+                    let item = Item {
+                        at: (d, ord),
+                        field: field.to_string(),
+                        value: (*value).clone(),
+                        id: *id,
+                        rng: fork(&mut rng),
+                    };
+                    match partitions.iter_mut().find(|(h, _)| Arc::ptr_eq(&h.tactic, &handle.tactic)) {
+                        Some((_, items)) => items.push(item),
+                        None => partitions.push((handle, vec![item])),
                     }
                 }
-                if let (Some(_), false) = (&plan.bool_tactic, bool_literals.is_empty()) {
-                    let forked = StdRng::from_rng(&mut *rng).expect("rng fork");
-                    bool_items.push((di, bool_literals, ids[di], forked));
+                let literals = bool_literals(&work);
+                if plan.bool_tactic.is_some() && !literals.is_empty() {
+                    if boolean == BoolIndex::PerDocument {
+                        bool_rngs.push((d, fork(&mut rng)));
+                    }
+                    entries.push((literals, *id));
                 }
                 skeletons.push(cloud_doc);
             }
-        }
-
-        // One job per tactic instance + one for the shared boolean tactic.
-        let mut jobs: Vec<Box<dyn FnOnce() -> Vec<Out> + Send>> = Vec::new();
-        for (_, (scope, tactic_name, items)) in partitions {
-            let t = self.tactic(schema_name, &scope, &tactic_name)?;
-            jobs.push(Box::new(move || {
-                let mut guard = t.lock().unwrap_or_else(PoisonError::into_inner);
-                // One `protect_many` call per partition: the tactic sees the
-                // whole contiguous batch and can amortize cipher contexts
-                // (batch seal, shared HMAC midstates). Items keep their own
-                // pre-forked RNGs, so outputs stay byte-identical to the
-                // sequential path.
-                let mut items = items;
-                let t0 = timing.then(std::time::Instant::now);
-                let mut pitems: Vec<ProtectItem<'_>> = items
-                    .iter_mut()
-                    .map(|it| ProtectItem { rng: &mut it.rng, field: &it.field, value: &it.value, id: it.id })
-                    .collect();
-                let results = guard.protect_many(&mut pitems);
-                drop(pitems);
-                // Per-item latency is the amortized share of the batch call
-                // (individual attribution is meaningless inside one batch).
-                let per_item = t0.map_or(Duration::ZERO, |t0| {
-                    t0.elapsed().checked_div(items.len().max(1) as u32).unwrap_or(Duration::ZERO)
-                });
-                items
-                    .into_iter()
-                    .zip(results)
-                    .map(|(it, result)| Out::Field {
-                        doc: it.doc,
-                        ord: it.ord,
-                        field: it.field,
-                        tactic: it.tactic,
-                        took: per_item,
-                        result,
-                    })
-                    .collect()
-            }));
-        }
-        if !bool_items.is_empty() {
-            let bt = plan.bool_tactic.clone().expect("bool items imply a bool tactic");
-            let t = self.tactic(schema_name, BOOL_SCOPE, &bt)?;
-            jobs.push(Box::new(move || {
-                let mut guard = t.lock().unwrap_or_else(PoisonError::into_inner);
-                bool_items
-                    .into_iter()
-                    .map(|(di, literals, id, mut rng)| Out::Boolean {
-                        doc: di,
-                        result: guard.protect_document(&mut rng, &literals, id),
-                    })
-                    .collect()
-            }));
-        }
-
-        self.obs.count("gateway.pool.jobs", jobs.len() as u64);
-        // Queue depth at submission = the whole fan-out; the gauge captures
-        // the high-water mark of this batch (it drains to 0 by return).
-        self.obs.gauge_set("gateway.pool.queue_depth", jobs.len() as i64);
-        let outputs = pool.run_ordered(jobs);
-        self.obs.gauge_set("gateway.pool.queue_depth", pool.queue_depth());
-
-        // Reassemble doc-major in sequential application order; the
-        // sequentially-first error wins.
-        let mut flat: Vec<Out> = outputs.into_iter().flatten().collect();
-        flat.sort_by_key(|o| match o {
-            Out::Field { doc, ord, .. } => (*doc, *ord),
-            Out::Boolean { doc, .. } => (*doc, usize::MAX),
-        });
-        let mut out: Vec<(Document, Vec<CloudCall>)> = skeletons.into_iter().map(|d| (d, Vec::new())).collect();
-        for o in flat {
-            match o {
-                Out::Field { doc, field, tactic, took, result, .. } => {
-                    let protected = result?;
-                    let (cloud_doc, index_calls) = &mut out[doc];
-                    for (f, v) in protected.stored {
-                        cloud_doc.set(f, v);
-                    }
-                    index_calls.extend(protected.index_calls);
-                    if timing {
-                        self.obs.ewma_observe(&format!("tactic.{tactic}.update"), took);
-                    }
-                    self.audit_leakage(schema_name, &field, TacticOp::Update, "insert", &tactic);
-                }
-                Out::Boolean { doc, result } => {
-                    if let Some(calls) = result? {
-                        out[doc].1.extend(calls);
-                    }
-                }
+            if boolean == BoolIndex::Bulk && !entries.is_empty() {
+                bulk_rng = Some(fork(&mut rng));
             }
         }
-        Ok(out)
+
+        let names: Vec<&str> = partitions.iter().map(|(h, _)| h.name.as_str()).collect();
+        let mut jobs: Vec<Box<dyn FnOnce() -> Vec<Out> + Send>> = Vec::new();
+        for (p, (handle, mut items)) in partitions.into_iter().enumerate() {
+            let tactic = handle.tactic.clone();
+            jobs.push(Box::new(move || {
+                let (results, took) = protect_items(&tactic, &mut items, timing);
+                let outs = items.into_iter().zip(results);
+                outs.map(|(it, result)| Out::Field { at: it.at, tactic: p, field: it.field, took, result }).collect()
+            }));
+        }
+        if let (Some(bt), false) = (&plan.bool_tactic, bool_rngs.is_empty()) {
+            let tactic = bt.tactic.clone();
+            let entries = std::mem::take(&mut entries);
+            jobs.push(Box::new(move || {
+                let mut t = lock(&tactic);
+                let docs = entries.into_iter().zip(bool_rngs);
+                docs.map(|((literals, id), (doc, mut rng))| Out::Boolean {
+                    doc,
+                    result: t.protect_document(&mut rng, &literals, id),
+                })
+                .collect()
+            }));
+        }
+        let outputs = match &self.pool {
+            Some(pool) if docs.len() > 1 => {
+                self.obs.count("gateway.pool.jobs", jobs.len() as u64);
+                // Queue depth at submission = the whole fan-out; the gauge
+                // captures the high-water mark of this batch.
+                self.obs.gauge_set("gateway.pool.queue_depth", jobs.len() as i64);
+                let outputs = pool.run_ordered(jobs);
+                self.obs.gauge_set("gateway.pool.queue_depth", pool.queue_depth());
+                outputs
+            }
+            _ => jobs.into_iter().map(|job| job()).collect(),
+        };
+
+        let mut outs: Vec<Out> = outputs.into_iter().flatten().collect();
+        outs.sort_by_key(|o| match o {
+            Out::Field { at, .. } => *at,
+            Out::Boolean { doc, .. } => (*doc, usize::MAX),
+        });
+        let mut index_calls: Vec<Vec<CloudCall>> = docs.iter().map(|_| Vec::new()).collect();
+        for out in outs {
+            match out {
+                Out::Field { at: (d, _), tactic, field, took, result } => {
+                    let protected = result?;
+                    for (f, v) in protected.stored {
+                        skeletons[d].set(f, v);
+                    }
+                    index_calls[d].extend(protected.index_calls);
+                    if timing {
+                        self.obs.ewma_observe(&format!("tactic.{}.update", names[tactic]), took);
+                    }
+                    self.audit_leakage(plan, &field, TacticOp::Update, "insert", names[tactic]);
+                }
+                Out::Boolean { doc, result } => index_calls[doc].extend(result?.into_iter().flatten()),
+            }
+        }
+        let mut group = Vec::new();
+        for (cloud_doc, calls) in skeletons.iter().zip(index_calls) {
+            group.extend(calls);
+            group.push(CloudCall::new("doc/insert", with_collection(&plan.schema.name, &encode_document(cloud_doc))));
+        }
+        if let (Some(bt), Some(mut rng)) = (&plan.bool_tactic, bulk_rng) {
+            group.extend(lock(&bt.tactic).bulk_index(&mut rng, &entries)?.into_iter().flatten());
+        }
+        Ok(group)
     }
 
     /// Fetches and decrypts a document.
@@ -1145,7 +1060,21 @@ impl GatewayEngine {
 
     /// One stored document as the cloud holds it, still encoded.
     fn fetch_stored(&self, schema_name: &str, id: &str) -> Result<Vec<u8>, CoreError> {
-        self.call(&CloudCall::new("doc/get", with_collection(schema_name, id.as_bytes())))
+        self.call("doc/get", &with_collection(schema_name, id.as_bytes()))
+    }
+
+    /// Every stored document as the cloud holds it, still encoded, with its
+    /// id: the raw id list, then one `doc/get` each — not `get_many`, which
+    /// silently skips missing documents and would hide orphans.
+    fn stored_documents(&self, schema_name: &str) -> Result<Vec<(DocId, Vec<u8>)>, CoreError> {
+        let ids = self.call("doc/list_ids", &with_collection(schema_name, b""))?;
+        let ids = datablinder_codec::Reader::new(&ids).list()?;
+        ids.into_iter()
+            .map(|id| {
+                let hex = std::str::from_utf8(id).map_err(|_| CoreError::Wire("utf8 id"))?;
+                Ok((DocId::from_hex(hex).ok_or(CoreError::Wire("doc id"))?, self.fetch_stored(schema_name, hex)?))
+            })
+            .collect()
     }
 
     /// Deletes a document, revoking its index entries.
@@ -1161,49 +1090,21 @@ impl GatewayEngine {
         // Recover plaintext values to produce the revocation tokens.
         let plaintext = self.get(schema_name, id)?;
         let plan = self.plan(schema_name)?;
-
-        struct DeleteWork {
-            field: String,
-            value: Value,
-            tactics: Vec<String>,
-            boolean: bool,
-        }
-        let mut work = Vec::new();
-        for (field, fp) in &plan.fields {
-            if let Some(value) = plaintext.get(field) {
-                work.push(DeleteWork {
-                    field: field.clone(),
-                    value: value.clone(),
-                    tactics: fp.selection.all_tactics().into_iter().filter(|t| !t.starts_with("biex")).collect(),
-                    boolean: fp.boolean,
-                });
-            }
-        }
-        let bool_tactic = plan.bool_tactic.clone();
-
+        let work = plan_field_work(&plan, &plaintext, &mut Document::new(""));
         let mut calls = Vec::new();
-        let mut bool_literals = Vec::new();
-        for w in &work {
-            if w.boolean {
-                bool_literals.push((w.field.clone(), w.value.clone()));
-            }
-            for tactic in &w.tactics {
-                let t = self.tactic(schema_name, &w.field, tactic)?;
-                let revocations = t.lock().unwrap_or_else(PoisonError::into_inner).delete(&w.field, &w.value, id)?;
-                calls.extend(revocations);
+        for (field, value, fp) in &work {
+            for handle in &fp.writes {
+                calls.extend(lock(&handle.tactic).delete(field, value, id)?);
             }
         }
-        if let (Some(bt), false) = (&bool_tactic, bool_literals.is_empty()) {
-            let t = self.tactic(schema_name, BOOL_SCOPE, bt)?;
-            let revocations = t.lock().unwrap_or_else(PoisonError::into_inner).delete_document(&bool_literals, id)?;
-            if let Some(c) = revocations {
-                calls.extend(c);
-            }
+        let literals = bool_literals(&work);
+        if let (Some(bt), false) = (&plan.bool_tactic, literals.is_empty()) {
+            calls.extend(lock(&bt.tactic).delete_document(&literals, id)?.into_iter().flatten());
         }
         // Revocations + the delete itself as one write group, mirroring
         // insert: an interrupted delete finishes on recovery.
         calls.push(CloudCall::new("doc/delete", with_collection(schema_name, id.to_hex().as_bytes())));
-        self.send_write_group(&calls)
+        self.send_write_groups(&[&calls])
     }
 
     /// Replaces a document (delete + insert under the same id).
@@ -1214,7 +1115,7 @@ impl GatewayEngine {
     pub fn update(&self, schema_name: &str, id: DocId, doc: &Document) -> Result<(), CoreError> {
         self.observed("gateway.update", |g| {
             g.delete_inner(schema_name, id)?;
-            g.insert_with_id(schema_name, doc, id)
+            g.insert_docs(schema_name, std::slice::from_ref(doc), Some(id), BoolIndex::PerDocument).map(drop)
         })
     }
 
@@ -1241,22 +1142,18 @@ impl GatewayEngine {
             .fields
             .get(field)
             .ok_or_else(|| CoreError::UnsupportedOperation(format!("field {field} is not annotated")))?;
-        let (scope, tactic) = match (&fp.eq_tactic, fp.boolean) {
-            (Some(t), false) => (field.to_string(), t.clone()),
-            (Some(t), true) if t.starts_with("biex") => (BOOL_SCOPE.to_string(), t.clone()),
-            (Some(t), true) => (field.to_string(), t.clone()),
-            (None, _) => return Err(CoreError::UnsupportedOperation(format!("field {field} has no equality tactic"))),
-        };
-        let started = self.obs.start();
-        let t = self.tactic(schema_name, &scope, &tactic)?;
-        let calls = t.lock().unwrap_or_else(PoisonError::into_inner).eq_query(field, value)?;
-        let responses = self.read_calls(&calls)?;
-        let ids = t.lock().unwrap_or_else(PoisonError::into_inner).eq_resolve(field, value, &responses)?;
-        if let Some(t0) = started {
-            self.obs.ewma_observe(&format!("tactic.{tactic}.eq_query"), t0.elapsed());
-        }
-        self.audit_leakage(schema_name, field, TacticOp::EqQuery, "equality", &tactic);
-        Ok(ids)
+        let handle = fp
+            .eq
+            .as_ref()
+            .ok_or_else(|| CoreError::UnsupportedOperation(format!("field {field} has no equality tactic")))?;
+        self.ask(
+            &plan,
+            handle,
+            TacticOp::EqQuery,
+            &[field],
+            |t| t.eq_query(field, value),
+            |t, answers| t.eq_resolve(field, value, answers),
+        )
     }
 
     /// Boolean (DNF) search across fields, returning decrypted documents.
@@ -1274,57 +1171,41 @@ impl GatewayEngine {
 
     /// Boolean search returning raw ids (see [`GatewayEngine::equality_ids`]).
     fn boolean_ids(&self, schema_name: &str, dnf: &DnfLiterals) -> Result<Vec<DocId>, CoreError> {
-        let started = self.obs.start();
         let plan = self.plan(schema_name)?;
-        let fields: Vec<String> = dnf.iter().flatten().map(|(f, _)| f.clone()).collect();
-        let all_boolean = fields.iter().all(|f| plan.fields.get(f).is_some_and(|p| p.boolean));
-        let mut used_tactic = "det".to_string();
-        let ids = if all_boolean && plan.bool_tactic.is_some() {
-            let bt = plan.bool_tactic.clone().unwrap();
-            used_tactic = bt.clone();
-            let t = self.tactic(schema_name, BOOL_SCOPE, &bt)?;
-            let calls = t.lock().unwrap_or_else(PoisonError::into_inner).bool_query(dnf)?;
-            let responses = self.read_calls(&calls)?;
-            let resolved = t.lock().unwrap_or_else(PoisonError::into_inner).bool_resolve(dnf, &responses)?;
-            resolved
-        } else {
-            // Legacy-friendly path: every field protected by DET can be
-            // boolean-combined cloud-side.
-            let all_det = fields
-                .iter()
-                .all(|f| plan.fields.get(f).is_some_and(|p| p.selection.all_tactics().contains(&"det".to_string())));
-            if !all_det {
-                return Err(CoreError::UnsupportedOperation(
-                    "boolean search requires all fields to share a boolean-capable tactic".into(),
-                ));
-            }
-            // Any DET field adapter can issue the combined query; literals
-            // must be rewritten with each field's own key, so collect them
-            // per field first.
-            let mut rewritten: DnfLiterals = Vec::new();
-            for conj in dnf {
-                let mut out_conj = Vec::new();
-                for (f, v) in conj {
-                    let t = self.tactic(schema_name, f, "det")?;
-                    let lit = t
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .stored_literal(f, v)
-                        .ok_or_else(|| CoreError::UnsupportedOperation(format!("{f}: no stored literal")))?;
-                    out_conj.push(lit);
-                }
-                rewritten.push(out_conj);
-            }
-            let req = crate::cloudproto::FindIdsDnf { collection: schema_name.to_string(), dnf: rewritten };
-            let response = self.call(&CloudCall::new("doc/find_ids_dnf", req.encode()))?;
-            decode_ids(&response)?
-        };
-        if let Some(t0) = started {
-            self.obs.ewma_observe(&format!("tactic.{used_tactic}.bool_query"), t0.elapsed());
+        let fields: Vec<&str> = dnf.iter().flatten().map(|(f, _)| f.as_str()).collect();
+        let all_boolean = fields.iter().all(|f| plan.fields.get(*f).is_some_and(|p| p.boolean));
+        if let (Some(bt), true) = (&plan.bool_tactic, all_boolean) {
+            return self.ask(
+                &plan,
+                bt,
+                TacticOp::BoolQuery,
+                &fields,
+                |t| t.bool_query(dnf),
+                |t, answers| t.bool_resolve(dnf, answers),
+            );
         }
-        for field in &fields {
-            self.audit_leakage(schema_name, field, TacticOp::BoolQuery, "boolean", &used_tactic);
+        // Legacy-friendly path: fields protected by DET are boolean-combined
+        // cloud-side, each literal rewritten under its own field's key.
+        let started = self.obs.start();
+        let mut rewritten: DnfLiterals = Vec::new();
+        for conj in dnf {
+            let mut out_conj = Vec::new();
+            for (f, v) in conj {
+                let det = plan.fields.get(f).and_then(|p| p.write_handle("det")).ok_or_else(|| {
+                    CoreError::UnsupportedOperation(
+                        "boolean search requires all fields to share a boolean-capable tactic".into(),
+                    )
+                })?;
+                let lit = lock(&det.tactic)
+                    .stored_literal(f, v)
+                    .ok_or_else(|| CoreError::UnsupportedOperation(format!("{f}: no stored literal")))?;
+                out_conj.push(lit);
+            }
+            rewritten.push(out_conj);
         }
+        let req = crate::cloudproto::FindIdsDnf { collection: schema_name.to_string(), dnf: rewritten };
+        let ids = decode_ids(&self.call("doc/find_ids_dnf", &req.encode())?)?;
+        self.observe_query(&plan, started, TacticOp::BoolQuery, &fields, "det");
         Ok(ids)
     }
 
@@ -1351,21 +1232,19 @@ impl GatewayEngine {
     /// Range search returning raw ids (see [`GatewayEngine::equality_ids`]).
     fn range_ids(&self, schema_name: &str, field: &str, lo: &Value, hi: &Value) -> Result<Vec<DocId>, CoreError> {
         let plan = self.plan(schema_name)?;
-        let tactic = plan
+        let handle = plan
             .fields
             .get(field)
-            .and_then(|p| p.range_tactic.clone())
+            .and_then(|p| p.range.as_ref())
             .ok_or_else(|| CoreError::UnsupportedOperation(format!("field {field} has no range tactic")))?;
-        let started = self.obs.start();
-        let t = self.tactic(schema_name, field, &tactic)?;
-        let calls = t.lock().unwrap_or_else(PoisonError::into_inner).range_query(field, lo, hi)?;
-        let responses = self.read_calls(&calls)?;
-        let ids = t.lock().unwrap_or_else(PoisonError::into_inner).range_resolve(&responses)?;
-        if let Some(t0) = started {
-            self.obs.ewma_observe(&format!("tactic.{tactic}.range_query"), t0.elapsed());
-        }
-        self.audit_leakage(schema_name, field, TacticOp::RangeQuery, "range", &tactic);
-        Ok(ids)
+        self.ask(
+            &plan,
+            handle,
+            TacticOp::RangeQuery,
+            &[field],
+            |t| t.range_query(field, lo, hi),
+            |t, answers| t.range_resolve(answers),
+        )
     }
 
     /// Cloud-side aggregate over a field, optionally restricted by a
@@ -1384,10 +1263,10 @@ impl GatewayEngine {
     ) -> Result<f64, CoreError> {
         self.observed("gateway.aggregate", |g| {
             let plan = g.plan(schema_name)?;
-            let tactic = plan
+            let handle = plan
                 .fields
                 .get(field)
-                .and_then(|p| p.selection.agg_tactics.first().cloned())
+                .and_then(|p| p.agg.as_ref())
                 .ok_or_else(|| CoreError::UnsupportedOperation(format!("field {field} has no aggregate tactic")))?;
             let ids = match filter {
                 None => Vec::new(),
@@ -1400,16 +1279,14 @@ impl GatewayEngine {
                     ids
                 }
             };
-            let started = g.obs.start();
-            let t = g.tactic(schema_name, field, &tactic)?;
-            let calls = t.lock().unwrap_or_else(PoisonError::into_inner).agg_query(field, agg, &ids)?;
-            let responses = g.read_calls(&calls)?;
-            let out = t.lock().unwrap_or_else(PoisonError::into_inner).agg_resolve(agg, &responses)?;
-            if let Some(t0) = started {
-                g.obs.ewma_observe(&format!("tactic.{tactic}.aggregate"), t0.elapsed());
-            }
-            g.audit_leakage(schema_name, field, TacticOp::Aggregate, "aggregate", &tactic);
-            Ok(out)
+            g.ask(
+                &plan,
+                handle,
+                TacticOp::Aggregate,
+                &[field],
+                |t| t.agg_query(field, agg, &ids),
+                |t, answers| t.agg_resolve(agg, answers),
+            )
         })
     }
 
@@ -1424,19 +1301,19 @@ impl GatewayEngine {
     pub fn find_extreme(&self, schema_name: &str, field: &str, maximum: bool) -> Result<Option<Document>, CoreError> {
         self.observed("gateway.find_extreme", |g| {
             let plan = g.plan(schema_name)?;
-            let tactic = plan.fields.get(field).and_then(|p| p.range_tactic.clone());
-            if tactic.as_deref() != Some("ope") {
+            let tactic = plan.fields.get(field).and_then(|p| p.range.as_ref()).map(|h| h.name.as_str());
+            if tactic != Some("ope") {
                 return Err(CoreError::UnsupportedOperation(format!(
                     "min/max needs an order-preserving stored field; {field} has {tactic:?}"
                 )));
             }
             let mut rest = vec![maximum as u8];
             rest.extend_from_slice(format!("{field}__ope").as_bytes());
-            let out = g.call(&CloudCall::new("doc/extreme", with_collection(schema_name, &rest)))?;
+            let out = g.call("doc/extreme", &with_collection(schema_name, &rest))?;
             if out.is_empty() {
                 return Ok(None);
             }
-            g.audit_leakage(schema_name, field, TacticOp::RangeQuery, "extreme", "ope");
+            g.audit_leakage(&plan, field, TacticOp::RangeQuery, "extreme", "ope");
             let id = String::from_utf8(out).map_err(|_| CoreError::Wire("utf8 id"))?;
             let doc_id = DocId::from_hex(&id).ok_or(CoreError::Wire("doc id"))?;
             Ok(Some(g.get(schema_name, doc_id)?))
@@ -1451,7 +1328,7 @@ impl GatewayEngine {
     pub fn count(&self, schema_name: &str) -> Result<u64, CoreError> {
         self.observed("gateway.count", |g| {
             g.plan(schema_name)?;
-            let out = g.call(&CloudCall::new("doc/count", with_collection(schema_name, b"")))?;
+            let out = g.call("doc/count", &with_collection(schema_name, b""))?;
             out.try_into().map(u64::from_be_bytes).map_err(|_| CoreError::Wire("count response"))
         })
     }
@@ -1461,7 +1338,7 @@ impl GatewayEngine {
             return Ok(Vec::new());
         }
         let plan = self.plan(schema_name)?;
-        let bytes = self.call(&CloudCall::new("doc/get_many", get_many_payload(schema_name, ids)))?;
+        let bytes = self.call("doc/get_many", &get_many_payload(schema_name, ids))?;
         datablinder_codec::decode(&bytes, |r| {
             (0..r.count()?).map(|_| plan.recover_stored(&plan.payloads, r.bytes()?)).collect()
         })
@@ -1476,73 +1353,24 @@ impl GatewayEngine {
     ///
     /// # Errors
     ///
-    /// Decryption failures on corrupt data; channel failures. On error the
-    /// rotation may be partially applied (already re-encrypted documents
-    /// stay on the new version, which remains decryptable).
+    /// Decryption failures on corrupt data; channel failures. The KMS
+    /// scope is rotated before the rewrite ships, one write group per
+    /// megabyte of documents; a journaled gateway whose rewrite fails rolls
+    /// the groups still pending forward with
+    /// [`GatewayEngine::recover_pending`].
     pub fn rotate_payload_key(&self, schema_name: &str, field: &str) -> Result<u64, CoreError> {
         let plan = self.plan(schema_name)?;
-        let row = plan.payload_of(field)?;
-        let payload_tactic = plan.fields[field].selection.payload.clone();
-        let tactic = &row.tactic;
-
-        // 1. Recover every document's plaintext value under the current
-        //    key, and keep the stored form the new ciphertext goes into.
-        let ids_bytes = self.call(&CloudCall::new("doc/list_ids", with_collection(schema_name, b"")))?;
-        let raw_ids = datablinder_codec::Reader::new(&ids_bytes).list()?;
-        let mut recovered: Vec<(&str, Option<Value>, Vec<u8>)> = Vec::new();
-        for id in &raw_ids {
-            let id = std::str::from_utf8(id).map_err(|_| CoreError::Wire("utf8 id"))?;
-            let stored = self.fetch_stored(schema_name, id)?;
-            let value = plan.recover_stored(std::slice::from_ref(row), &stored)?.remove(field);
-            recovered.push((id, value, stored));
-        }
-
-        // 2. Rotate the KMS scope and rebuild the tactic instance so it
-        //    derives the new key version. The fresh instance goes *into*
-        //    the existing handle: the plan's recover table and every other
-        //    holder of the handle decrypt with the new key from here on.
-        let ctx = TacticContext {
-            application: self.application.clone(),
-            schema: schema_name.to_string(),
-            scope: field.to_string(),
-            kms: self.kms.clone(),
-        };
-        let new_version = self.kms.rotate(&ctx.key_scope(&payload_tactic));
-        let mut fresh = {
-            let registry = self.registry.read().unwrap_or_else(PoisonError::into_inner);
-            let mut rng = self.rng.lock().unwrap_or_else(PoisonError::into_inner);
-            registry.build_gateway(&payload_tactic, &ctx, &mut *rng)?
-        };
-        fresh.attach_recorder(&self.obs);
-        *tactic.lock().unwrap_or_else(PoisonError::into_inner) = fresh;
-
-        // 3. Re-protect each value and update the stored documents.
-        for (id, value, stored) in recovered {
-            let Some(value) = value else { continue };
-            let doc_id = DocId::from_hex(id).ok_or(CoreError::Wire("doc id"))?;
-            let mut stored = decode_document(&stored)?;
-            let mut rng = self.fork_rng();
-            let protected =
-                tactic.lock().unwrap_or_else(PoisonError::into_inner).protect(&mut rng, field, &value, doc_id)?;
-            for (f, v) in protected.stored {
-                stored.set(f, v);
-            }
-            // Payload re-encryption produces no index calls; assert the
-            // invariant so index-bearing tactics are never rotated this way.
-            debug_assert!(protected.index_calls.is_empty());
-            self.call(&CloudCall::new("doc/update", with_collection(schema_name, &encode_document(&stored))))?;
-        }
-        Ok(new_version)
+        let fp = plan
+            .fields
+            .get(field)
+            .ok_or_else(|| CoreError::UnsupportedOperation(format!("field {field} is not annotated")))?;
+        self.rotate(schema_name, field, &fp.selection.payload)
     }
 
     /// Rotates the key of a *stateful index* tactic (Mitra/Sophos) on one
-    /// field and rebuilds the encrypted index from scratch:
-    ///
-    /// 1. recovers every document's plaintext value (payload tactic),
-    /// 2. drops the tactic's cloud scope (`kv/del_prefix`),
-    /// 3. rotates the KMS scope and rebuilds the tactic instance (fresh
-    ///    chains under the new key),
-    /// 4. re-indexes every document in one batched round trip.
+    /// field and rebuilds the encrypted index from scratch: fresh chains
+    /// under the new key, the old cloud scope dropped in the same write
+    /// group that re-indexes every document.
     ///
     /// Complements [`GatewayEngine::rotate_payload_key`], which handles the
     /// recoverable-payload tactics.
@@ -1553,57 +1381,72 @@ impl GatewayEngine {
     /// is not a field-scoped index tactic; decryption/channel failures.
     pub fn rotate_index_key(&self, schema_name: &str, field: &str) -> Result<u64, CoreError> {
         let plan = self.plan(schema_name)?;
-        let row = plan.payload_of(field)?;
-        let tactic =
-            plan.fields[field].eq_tactic.clone().filter(|t| matches!(t.as_str(), "mitra" | "sophos")).ok_or_else(
-                || CoreError::UnsupportedOperation(format!("field {field} has no rotatable index tactic")),
-            )?;
+        let tactic = plan.fields.get(field).and_then(|fp| fp.eq.as_ref()).map(|h| h.name.as_str());
+        match tactic {
+            Some(tactic @ ("mitra" | "sophos")) => self.rotate(schema_name, field, tactic),
+            _ => Err(CoreError::UnsupportedOperation(format!("field {field} has no rotatable index tactic"))),
+        }
+    }
 
-        // 1. Recover plaintext values for every stored document.
-        let ids_bytes = self.call(&CloudCall::new("doc/list_ids", with_collection(schema_name, b"")))?;
-        let raw_ids = datablinder_codec::Reader::new(&ids_bytes).list()?;
-        let mut recovered: Vec<(DocId, Value)> = Vec::new();
-        for id in &raw_ids {
-            let id = std::str::from_utf8(id).map_err(|_| CoreError::Wire("utf8 id"))?;
-            let stored = self.fetch_stored(schema_name, id)?;
+    /// Rotates the key of `tactic`, one of the tactics `field` is written
+    /// through, and re-protects every stored value under the new version:
+    ///
+    /// 1. recovers every document's value (payload tactic),
+    /// 2. rotates the KMS scope,
+    /// 3. rebuilds the instance *into* the existing handle, so the plan and
+    ///    every other holder of it use the new key from here on,
+    /// 4. re-protects every value in one `protect_many` call, its RNGs
+    ///    forked after the rebuild's draw,
+    /// 5. ships the rewrite as write groups: an index tactic's old cloud
+    ///    scope dropped (`t/<tactic>/<schema>:<scope>/`, the prefix the
+    ///    cloud handlers use) in one group with every index call, so no
+    ///    search sees the index wiped but not rebuilt; a payload tactic's
+    ///    document updates in groups of at most [`REWRITE_GROUP_BYTES`], so
+    ///    a large collection stays under the transport's frame cap.
+    fn rotate(&self, schema_name: &str, field: &str, tactic: &str) -> Result<u64, CoreError> {
+        let plan = self.plan(schema_name)?;
+        let row = plan.payload_of(field)?;
+        let handle =
+            plan.fields[field].write_handle(tactic).expect("a rotated tactic is one the field is written through");
+        let mut recovered = Vec::new();
+        for (id, stored) in self.stored_documents(schema_name)? {
             if let Some(value) = plan.recover_stored(std::slice::from_ref(row), &stored)?.remove(field) {
-                recovered.push((DocId::from_hex(id).ok_or(CoreError::Wire("doc id"))?, value));
+                recovered.push((id, value, stored));
             }
         }
 
-        // 2. Drop the old cloud scope (prefix convention shared with the
-        //    cloud tactic handlers: `t/<tactic>/<schema>:<scope>/`).
-        let prefix = format!("t/{tactic}/{schema_name}:{field}/");
-        self.call(&CloudCall::new("kv/del_prefix", prefix.into_bytes()))?;
+        let ctx = self.context(schema_name, field);
+        let version = self.kms.rotate(&ctx.key_scope(tactic));
+        *lock(&handle.tactic) = self.build_tactic(tactic, &ctx)?;
 
-        // 3. Rotate the key and rebuild the instance (fresh chains).
-        let ctx = TacticContext {
-            application: self.application.clone(),
-            schema: schema_name.to_string(),
-            scope: field.to_string(),
-            kms: self.kms.clone(),
-        };
-        let new_version = self.kms.rotate(&ctx.key_scope(&tactic));
-        let mut fresh = {
-            let registry = self.registry.read().unwrap_or_else(PoisonError::into_inner);
+        let (mut items, stored): (Vec<Item>, Vec<Vec<u8>>) = {
             let mut rng = self.rng.lock().unwrap_or_else(PoisonError::into_inner);
-            registry.build_gateway(&tactic, &ctx, &mut *rng)?
+            let item = |(i, (id, value, stored))| {
+                (Item { at: (i, 0), field: field.to_string(), value, id, rng: fork(&mut rng) }, stored)
+            };
+            recovered.into_iter().enumerate().map(item).unzip()
         };
-        fresh.attach_recorder(&self.obs);
-        // Into the existing handle, as in `rotate_payload_key`.
-        let t = self.tactic(schema_name, field, &tactic)?;
-        *t.lock().unwrap_or_else(PoisonError::into_inner) = fresh;
+        let (results, _) = protect_items(&handle.tactic, &mut items, false);
 
-        // 4. Re-index everything, batched.
-        let mut batch = Vec::with_capacity(recovered.len());
-        for (id, value) in &recovered {
-            let mut rng = self.fork_rng();
-            let protected = t.lock().unwrap_or_else(PoisonError::into_inner).protect(&mut rng, field, value, *id)?;
-            debug_assert!(protected.stored.is_empty(), "index tactics store nothing in documents");
-            batch.extend(protected.index_calls);
+        let (mut index, mut updates) = (Vec::new(), Vec::new());
+        if tactic != plan.fields[field].selection.payload {
+            index.push(CloudCall::new("kv/del_prefix", format!("t/{tactic}/{schema_name}:{field}/").into_bytes()));
         }
-        self.send_write_group(&batch)?;
-        Ok(new_version)
+        for (stored, result) in stored.iter().zip(results) {
+            let protected = result?;
+            index.extend(protected.index_calls);
+            if !protected.stored.is_empty() {
+                let mut doc = decode_document(stored)?;
+                for (f, v) in protected.stored {
+                    doc.set(f, v);
+                }
+                updates.push(CloudCall::new("doc/update", with_collection(schema_name, &encode_document(&doc))));
+            }
+        }
+        let mut groups = vec![&index[..]];
+        groups.extend(bounded_groups(&updates));
+        self.send_write_groups(&groups)?;
+        Ok(version)
     }
 
     // ------------------------------------------------------------------ fsck
@@ -1623,28 +1466,20 @@ impl GatewayEngine {
     pub fn fsck(&self, schema_name: &str) -> Result<FsckReport, CoreError> {
         // (field, eq?, range?, boolean?) snapshot of the plan, sorted for
         // deterministic reports.
-        let mut field_plans: Vec<(String, bool, bool, bool)> = {
-            let plan = self.plan(schema_name)?;
-            let has_bool = plan.bool_tactic.is_some();
-            plan.fields
-                .iter()
-                .map(|(f, fp)| (f.clone(), fp.eq_tactic.is_some(), fp.range_tactic.is_some(), fp.boolean && has_bool))
-                .collect()
-        };
+        let plan = self.plan(schema_name)?;
+        let has_bool = plan.bool_tactic.is_some();
+        let mut field_plans: Vec<(String, bool, bool, bool)> = plan
+            .fields
+            .iter()
+            .map(|(f, fp)| (f.clone(), fp.eq.is_some(), fp.range.is_some(), fp.boolean && has_bool))
+            .collect();
         field_plans.sort_by(|a, b| a.0.cmp(&b.0));
 
-        // Snapshot the store through the raw id list — NOT get_many, which
-        // silently skips missing documents and would hide orphans.
-        let ids_bytes = self.call(&CloudCall::new("doc/list_ids", with_collection(schema_name, b"")))?;
-        let raw_ids = datablinder_codec::Reader::new(&ids_bytes).list()?;
-        let plan = self.plan(schema_name)?;
         let mut stored_ids: Vec<DocId> = Vec::new();
         let mut plaintext: Vec<(DocId, Document)> = Vec::new();
-        for id in &raw_ids {
-            let hex = std::str::from_utf8(id).map_err(|_| CoreError::Wire("utf8 id"))?;
-            let doc_id = DocId::from_hex(hex).ok_or(CoreError::Wire("doc id"))?;
-            plaintext.push((doc_id, plan.recover_stored(&plan.payloads, &self.fetch_stored(schema_name, hex)?)?));
-            stored_ids.push(doc_id);
+        for (id, stored) in self.stored_documents(schema_name)? {
+            plaintext.push((id, plan.recover_stored(&plan.payloads, &stored)?));
+            stored_ids.push(id);
         }
 
         let mut report = FsckReport { docs_checked: plaintext.len(), ..FsckReport::default() };
@@ -1771,33 +1606,86 @@ impl GatewayEngine {
     }
 }
 
-/// One annotated field of a document, with the tactics to apply in order.
-struct FieldWork {
-    field: String,
-    value: Value,
-    tactics: Vec<String>,
-    boolean: bool,
+/// How [`GatewayEngine::insert_group`] indexes documents for the schema's
+/// shared boolean tactic.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum BoolIndex {
+    /// Chains each document into the dynamic overlay (`protect_document`).
+    PerDocument,
+    /// Builds the static base over the whole batch (`bulk_index`), as a
+    /// migration does.
+    Bulk,
 }
 
-/// Splits a document into protected-field work items (in document field
-/// order — the canonical application order) and copies unannotated fields
+/// One field value to protect, with the RNG forked for it and its place in
+/// the write group: (document, application order within the document).
+struct Item {
+    at: (usize, usize),
+    field: String,
+    value: Value,
+    id: DocId,
+    rng: StdRng,
+}
+
+/// What one protection job produced: a field item's result, with its
+/// partition's index and its share of the partition's time, or a
+/// document's boolean index calls.
+enum Out {
+    Field {
+        at: (usize, usize),
+        tactic: usize,
+        field: String,
+        took: Duration,
+        result: Result<ProtectedField, CoreError>,
+    },
+    Boolean {
+        doc: usize,
+        result: Result<Option<Vec<CloudCall>>, CoreError>,
+    },
+}
+
+/// Protects `items` through one `protect_many` call, so the tactic sees
+/// the whole batch and can amortize cipher contexts (batch seal, shared
+/// HMAC midstates); each item keeps its own RNG, so the outputs are those
+/// of one `protect` per item. The duration is each item's share of the
+/// call when `timed`, zero otherwise.
+fn protect_items(
+    tactic: &SharedTactic,
+    items: &mut [Item],
+    timed: bool,
+) -> (Vec<Result<ProtectedField, CoreError>>, Duration) {
+    let n = items.len().max(1) as u32;
+    let mut batch: Vec<ProtectItem<'_>> = items
+        .iter_mut()
+        .map(|it| ProtectItem { rng: &mut it.rng, field: &it.field, value: &it.value, id: it.id })
+        .collect();
+    let mut tactic = lock(tactic);
+    let t0 = timed.then(Instant::now);
+    let results = tactic.protect_many(&mut batch);
+    (results, t0.map_or(Duration::ZERO, |t0| t0.elapsed() / n))
+}
+
+/// The annotated fields of a document with their plans, in document field
+/// order — the canonical application order; unannotated fields are copied
 /// straight into `cloud_doc`.
-fn plan_field_work(plan: &SchemaPlan, doc: &Document, cloud_doc: &mut Document) -> Vec<FieldWork> {
+fn plan_field_work<'a>(
+    plan: &'a SchemaPlan,
+    doc: &'a Document,
+    cloud_doc: &mut Document,
+) -> Vec<(&'a String, &'a Value, &'a FieldPlan)> {
     let mut work = Vec::new();
     for (field, value) in doc.iter() {
         match plan.fields.get(field) {
             None => {
                 cloud_doc.set(field.clone(), value.clone());
             }
-            Some(fp) => {
-                let mut tactics: Vec<String> =
-                    fp.selection.all_tactics().into_iter().filter(|t| !t.starts_with("biex")).collect();
-                if !tactics.contains(&fp.selection.payload) {
-                    tactics.push(fp.selection.payload.clone());
-                }
-                work.push(FieldWork { field: field.clone(), value: value.clone(), tactics, boolean: fp.boolean });
-            }
+            Some(fp) => work.push((field, value, fp)),
         }
     }
     work
+}
+
+/// The literals of `work` the shared boolean tactic indexes.
+fn bool_literals(work: &[(&String, &Value, &FieldPlan)]) -> Vec<(String, Value)> {
+    work.iter().filter(|(_, _, fp)| fp.boolean).map(|(f, v, _)| ((*f).clone(), (*v).clone())).collect()
 }

@@ -6,7 +6,7 @@
 //! that phase across persistent threads while the caller keeps control
 //! of ordering: [`WorkerPool::run_ordered`] returns results in
 //! submission order, so the batch the gateway assembles is byte-for-byte
-//! identical to the sequential path.
+//! identical to one whose jobs ran on the caller's thread.
 //!
 //! No external dependencies: a `Mutex<VecDeque>` + `Condvar` queue and
 //! `std::thread` workers. Panics inside a job are caught and re-thrown

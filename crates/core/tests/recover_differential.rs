@@ -15,6 +15,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use datablinder_codec::Writer;
+use datablinder_core::cloud::CloudEngine;
 use datablinder_core::gateway::GatewayEngine;
 use datablinder_core::model::{FieldAnnotation, FieldOp, FieldType, ProtectionClass, Schema};
 use datablinder_core::spi::GatewayTactic;
@@ -25,7 +26,7 @@ use datablinder_core::wire::{decode_document, encode_document};
 use datablinder_core::CoreError;
 use datablinder_docstore::{Document, Value};
 use datablinder_kms::Kms;
-use datablinder_netsim::{Channel, LatencyModel, NetError};
+use datablinder_netsim::{Channel, CloudService, LatencyModel, NetError};
 use datablinder_sse::DocId;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -138,14 +139,17 @@ fn random_stored(rng: &mut StdRng, payloads: &mut [Payload], tags: &mut [usize; 
 fn streaming_recover_equals_decode_then_recover_on_seeded_stored_documents() {
     let kms = Kms::generate(&mut StdRng::seed_from_u64(1));
 
-    // A cloud that holds no state: it answers every read with the
-    // documents the test put in `served`, and acknowledges the rest.
+    // A cloud that answers every read with the documents the test put in
+    // `served`; the writes (the schema's indexes, one sealed batch) go to an
+    // engine of their own, which acknowledges them.
     let served: Arc<Mutex<Vec<Vec<u8>>>> = Arc::default();
     let cloud = {
         let served = Arc::clone(&served);
-        move |route: &str, _payload: &[u8]| -> Result<Vec<u8>, NetError> {
+        let writes = CloudEngine::new();
+        move |route: &str, payload: &[u8]| -> Result<Vec<u8>, NetError> {
             let served = served.lock().unwrap();
             Ok(match route {
+                "idem" => writes.handle(route, payload)?,
                 "doc/get" => served[0].clone(),
                 "doc/get_many" => {
                     let mut w = Writer::new();

@@ -81,18 +81,28 @@ fi
 [ "$(grep -c 'union_ids(' "$cluster"/read.rs)" = 3 ] ||
     { echo "union_ids( belongs in $cluster/read.rs three times: its definition and the doc/count and doc/list_ids callers" >&2; exit 1; }
 
-echo "==> one write path: gateway.rs builds a batch only in send_write_group, and calls the channel only in call, send_write_group and recover_pending"
-# Every write group (insert, delete, insert_many, migrate, re-index) ships
-# as one sealed call from one function; reads go through `call`. Comments
-# may name either; code may not, anywhere else.
+echo "==> one write path: gateway.rs seals and batches only in send_write_groups, protects only through protect_many, lists a collection in one place, and calls the channel only in call, send_write_groups and recover_pending"
+# Every write group (insert, delete, insert_many, migrate, a rotation, a
+# schema's indexes) ships as one sealed call from one function, protected
+# by one planner; reads go through `call`. Comments may name any of these;
+# code may not, anywhere else.
+gateway=crates/core/src/gateway.rs
 write_path_leaks="$(awk '
     /^ *\/\// { next }
     /^ *(pub(\([a-z]+\))? )?fn / { name = $0; sub(/^.*fn /, "", name); sub(/[^a-z0-9_].*$/, "", name) }
-    /"batch"|(^|[^A-Z_])BATCH_ROUTE/ && name != "" && name != "send_write_group" { print FILENAME ":" FNR ": a batch built in " name }
-    /self\.channel\.call\(/ && name !~ /^(call|send_write_group|recover_pending)$/ { print FILENAME ":" FNR ": the channel called in " name }
-' crates/core/src/gateway.rs)"
+    /"batch"|(^|[^A-Z_])BATCH_ROUTE/ && name != "" && name != "send_write_groups" { print FILENAME ":" FNR ": a batch built in " name }
+    /self\.seal\(/ && name != "send_write_groups" { print FILENAME ":" FNR ": a write sealed in " name }
+    /\.protect\(/ { print FILENAME ":" FNR ": a per-item protect in " name }
+    /self\.channel\.call\(/ && name !~ /^(call|send_write_groups|recover_pending)$/ { print FILENAME ":" FNR ": the channel called in " name }
+' "$gateway")"
 [ -z "$write_path_leaks" ] ||
     { echo "a second write path in the gateway:" >&2; echo "$write_path_leaks" >&2; exit 1; }
+[ "$(grep -v '^ *//' "$gateway" | grep -c '"doc/list_ids"')" = 1 ] ||
+    { echo "$gateway must list a collection's ids in one place, stored_documents" >&2; exit 1; }
+if grep -rnE 'protect_document_calls|protect_documents_batch|DeleteWork' crates/*/src src tests; then
+    echo "the per-document protection paths are gone; every write protects through insert_group" >&2
+    exit 1
+fi
 
 echo "==> one OPE descent: ope/src/lib.rs samples a split in one place (descend), and builds the PRF input in coins on the stack"
 # encrypt and decrypt walk the tree through one loop that resumes from the

@@ -1,13 +1,21 @@
 //! Crypto-agility integration tests: tactic deprecation re-routing, the
 //! ORE fallback path, and key rotation with live re-encryption.
 
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::Arc;
+
 use datablinder::core::cloud::CloudEngine;
-use datablinder::core::gateway::GatewayEngine;
+use datablinder::core::gateway::{GatewayEngine, PendingWriteReport};
 use datablinder::core::model::*;
 use datablinder::core::registry::TacticRegistry;
+use datablinder::core::CoreError;
 use datablinder::docstore::{Document, Filter, Value};
 use datablinder::kms::Kms;
-use datablinder::netsim::{Channel, LatencyModel};
+use datablinder::kvstore::KvStore;
+use datablinder::netsim::{
+    Channel, CloudServer, CloudService, LatencyModel, NetError, ResilienceConfig, ResilientChannel, RetryPolicy,
+    ServerConfig, TcpChannel, TcpConfig,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -274,4 +282,147 @@ fn index_rotation_rejects_non_index_tactics() {
     gw.register_schema(schema).unwrap();
     // DET is a payload tactic: rotate_payload_key is the right flow.
     assert!(gw.rotate_index_key("cards", "kind").is_err());
+}
+
+/// A cloud that counts the sealed write calls it receives and refuses them,
+/// with a timeout, once its write budget is spent.
+struct WriteMeter {
+    inner: CloudEngine,
+    writes: AtomicU64,
+    write_budget: AtomicI64,
+}
+
+impl CloudService for WriteMeter {
+    fn handle(&self, route: &str, payload: &[u8]) -> Result<Vec<u8>, NetError> {
+        if route == "idem" {
+            self.writes.fetch_add(1, Ordering::SeqCst);
+            if self.write_budget.fetch_sub(1, Ordering::SeqCst) <= 0 {
+                return Err(NetError::Timeout);
+            }
+        }
+        self.inner.handle(route, payload)
+    }
+}
+
+/// A gateway whose channel never retries, over a [`WriteMeter`], with the
+/// Mitra-indexed `notes` schema registered and `owners` inserted.
+fn metered_gateway(owners: &[&str]) -> (Arc<WriteMeter>, GatewayEngine) {
+    let svc = Arc::new(WriteMeter {
+        inner: CloudEngine::new(),
+        writes: AtomicU64::new(0),
+        write_budget: AtomicI64::new(i64::MAX),
+    });
+    let config = ResilienceConfig { retry: RetryPolicy::none(), ..ResilienceConfig::default() };
+    let gw = GatewayEngine::with_resilience(
+        "rotmeter",
+        Kms::generate(&mut StdRng::seed_from_u64(0x1D3)),
+        ResilientChannel::new(Channel::from_arc(svc.clone(), LatencyModel::instant()), config),
+        12,
+    );
+    let schema = Schema::new("notes").sensitive_field(
+        "owner",
+        FieldType::Text,
+        true,
+        FieldAnnotation::new(ProtectionClass::C2, vec![FieldOp::Insert, FieldOp::Equality]),
+    );
+    gw.register_schema(schema).unwrap();
+    for owner in owners {
+        gw.insert("notes", &Document::new("x").with("owner", Value::from(*owner))).unwrap();
+    }
+    (svc, gw)
+}
+
+#[test]
+fn payload_rotation_ships_one_write() {
+    let (svc, gw) = metered_gateway(&["ann", "ann", "bob", "cy", "dee"]);
+    let before = svc.writes.load(Ordering::SeqCst);
+    gw.rotate_payload_key("notes", "owner").unwrap();
+    assert_eq!(svc.writes.load(Ordering::SeqCst) - before, 1, "five documents rewritten in one write group");
+    assert_eq!(gw.find_equal("notes", "owner", &Value::from("ann")).unwrap().len(), 2);
+}
+
+#[test]
+fn payload_rotation_larger_than_a_frame_ships_in_bounded_groups() {
+    // Eight 200 kB documents are more than one 1.5 MiB frame holds, so the
+    // rewrite cannot travel as one call over this TCP transport: it goes
+    // out as two write groups of at most 1 MiB each (five documents, then
+    // three).
+    const FRAME: u32 = 3 << 19;
+    const DOCS: usize = 8;
+    const LEN: usize = 200_000;
+    assert!(DOCS * LEN > FRAME as usize);
+    let svc = Arc::new(WriteMeter {
+        inner: CloudEngine::new(),
+        writes: AtomicU64::new(0),
+        write_budget: AtomicI64::new(i64::MAX),
+    });
+    let server = CloudServer::bind("127.0.0.1:0", svc.clone(), ServerConfig { max_frame: FRAME, workers: 2 })
+        .expect("bind loopback");
+    let transport = TcpChannel::connect(server.local_addr(), TcpConfig { max_frame: FRAME, ..TcpConfig::default() })
+        .expect("loopback resolve");
+    let config = ResilienceConfig { retry: RetryPolicy::none(), ..ResilienceConfig::default() };
+    let gw = GatewayEngine::with_resilience(
+        "rotframe",
+        Kms::generate(&mut StdRng::seed_from_u64(0x1D4)),
+        ResilientChannel::over(Arc::new(transport), config),
+        13,
+    );
+    let schema = Schema::new("vault").sensitive_field(
+        "secret",
+        FieldType::Text,
+        true,
+        FieldAnnotation::new(ProtectionClass::C1, vec![FieldOp::Insert]),
+    );
+    gw.register_schema(schema).unwrap();
+    let value = |i: usize| Value::from(format!("{i}").repeat(LEN));
+    let ids: Vec<_> =
+        (0..DOCS).map(|i| gw.insert("vault", &Document::new("x").with("secret", value(i))).unwrap()).collect();
+
+    let before = svc.writes.load(Ordering::SeqCst);
+    assert_eq!(gw.rotate_payload_key("vault", "secret").unwrap(), 1);
+    assert_eq!(svc.writes.load(Ordering::SeqCst) - before, 2, "five documents, then three");
+    for (i, id) in ids.iter().enumerate() {
+        assert_eq!(gw.get("vault", *id).unwrap().get("secret"), Some(&value(i)), "document {i}");
+    }
+}
+
+#[test]
+fn refused_rewrite_group_stays_journaled_with_every_group_after_it() {
+    // Twelve 200 kB owners rewrite as three groups (five, five, two). The
+    // second is refused: it and the third are still journaled, so
+    // recovery finishes the rotation.
+    let owners: Vec<String> = (0..12).map(|i| format!("{i:x}").repeat(200_000)).collect();
+    let (svc, mut gw) = metered_gateway(&owners.iter().map(String::as_str).collect::<Vec<_>>());
+    gw.enable_write_journal(KvStore::new());
+    svc.write_budget.store(1, Ordering::SeqCst);
+    let err = gw.rotate_payload_key("notes", "owner").unwrap_err();
+    assert!(matches!(err, CoreError::Net(NetError::Timeout)), "{err}");
+    assert_eq!(gw.pending_writes(), 2, "the refused group and the one after it");
+
+    svc.write_budget.store(i64::MAX, Ordering::SeqCst);
+    let report = gw.recover_pending().unwrap();
+    assert_eq!(report, PendingWriteReport { entries: 2, rolled_forward: 2, failed: 0, failures: Vec::new() });
+    let fsck = gw.fsck("notes").unwrap();
+    assert!(fsck.is_clean() && fsck.docs_checked == owners.len(), "{fsck:?}");
+}
+
+#[test]
+fn refused_index_rotation_rolls_forward_from_the_journal() {
+    let owners = ["ann", "ann", "bob", "cy"];
+    let (svc, mut gw) = metered_gateway(&owners);
+    gw.enable_write_journal(KvStore::new());
+    svc.write_budget.store(0, Ordering::SeqCst);
+    let err = gw.rotate_index_key("notes", "owner").unwrap_err();
+    assert!(matches!(err, CoreError::Net(NetError::Timeout)), "{err}");
+    assert_eq!(gw.pending_writes(), 1, "the scope wipe and the re-index are one pending entry");
+
+    svc.write_budget.store(i64::MAX, Ordering::SeqCst);
+    let report = gw.recover_pending().unwrap();
+    assert_eq!(report, PendingWriteReport { entries: 1, rolled_forward: 1, failed: 0, failures: Vec::new() });
+    for owner in ["ann", "bob", "cy"] {
+        let expect = owners.iter().filter(|o| **o == owner).count();
+        assert_eq!(gw.find_equal("notes", "owner", &Value::from(owner)).unwrap().len(), expect, "{owner}");
+    }
+    let fsck = gw.fsck("notes").unwrap();
+    assert!(fsck.is_clean(), "{fsck:?}");
 }

@@ -280,9 +280,9 @@ fn engine_with_cloud(seed: u64, pool_threads: usize) -> (Arc<CloudEngine>, Gatew
     (cloud, gw)
 }
 
-/// Seeded insert_many workload: mixed batch sizes (1..=5) so both the
-/// pooled batch path (len > 1) and the sequential fallback (len == 1)
-/// are exercised in one run.
+/// Seeded insert_many workload: mixed batch sizes (1..=5), so a pooled
+/// gateway runs the planner's jobs on the pool (len > 1) and on the
+/// caller's thread (len == 1) in one run.
 fn drive_batches(gw: &GatewayEngine, seed: u64) -> Vec<DocId> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut ids = Vec::new();
@@ -316,13 +316,14 @@ fn cloud_state(cloud: &CloudEngine) -> (Vec<(String, Vec<Document>)>, Vec<String
     (docs, kv)
 }
 
-/// Satellite of the batch-encryption PR: `insert_many` through the
-/// worker-pool batch path (which protects each tactic partition with one
-/// `protect_many` / `seal_many` call) must leave the cloud **byte-identical**
-/// to the sequential no-pool path — same document ids, same shadow-field
-/// ciphertexts, same index records — at 1, 2 and 4 worker threads. Abort
-/// atomicity is also unchanged: a batch with an invalid document ships
-/// nothing on either path.
+/// `insert_many` with the planner's per-tactic partitions (one
+/// `protect_many` / `seal_many` call each) running on a worker pool must
+/// leave the cloud **byte-identical** to the same run with no pool, where
+/// they run on the caller's thread — same document ids, same shadow-field
+/// ciphertexts, same index records — at 1, 2 and 4 worker threads. The
+/// no-pool run is itself pinned by `tests/golden_bytes.rs::gateway_writes`.
+/// Abort atomicity holds too: a batch with an invalid document ships
+/// nothing, pool or not.
 #[test]
 fn batched_insert_many_is_byte_identical_to_sequential() {
     const SEED: u64 = 0xBA7C4;

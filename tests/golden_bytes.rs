@@ -13,25 +13,42 @@
 //! whole-collection aggregate (`sum_ranges`, `agg_plain_ranges`): the
 //! unranged request as one byte field, then a `RangeSelect`'s fields. It is
 //! a read too.
+//!
+//! `GATEWAY_SCRIPT_STATE` pins what a seeded gateway writes: the SHA-256 of
+//! the cloud's whole state after one fixed script of inserts, batch inserts
+//! (inline and on a worker pool), a migration, an update, a delete and key
+//! rotations. It was recorded while the gateway still protected a single
+//! insert through its own sequential path, and stands in for that path as
+//! the reference every write route must reproduce byte for byte.
 
 use std::fmt::Debug;
+use std::sync::Arc;
 
 use datablinder::codec::{encode_frame, split_frame, Split};
+use datablinder::core::cloud::CloudEngine;
 use datablinder::core::cloudproto::*;
 use datablinder::core::durability::WalRecord;
+use datablinder::core::gateway::GatewayEngine;
 use datablinder::core::model::*;
+use datablinder::core::pool::WorkerPool;
 use datablinder::core::tactics::{decode_ids, encode_ids, orderable_u64};
 use datablinder::core::wire::{
     decode_document, decode_documents, decode_schema, encode_document, encode_documents, encode_schema,
 };
 use datablinder::docstore::{Document, Value};
+use datablinder::kms::Kms;
 use datablinder::kvstore::{scan_frames, LogRecord};
 use datablinder::netsim::tcp::{encode_wire_frame, Frame, FrameDecoder, DEFAULT_MAX_FRAME};
-use datablinder::netsim::{decode_request, decode_response, encode_request, encode_response, NetError};
+use datablinder::netsim::{
+    decode_request, decode_response, encode_request, encode_response, Channel, LatencyModel, NetError,
+};
 use datablinder::obs::trace::{decode_traced, encode_traced, TraceCtx};
 use datablinder::ope::{Ope, OpeParams};
 use datablinder::primitives::keys::SymmetricKey;
+use datablinder::primitives::sha256;
 use datablinder::sse::DocId;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 const FIND_IDS_EQ: &str = "000000036f62730000000b7374617475735f5f6465740500000003010203";
 const FIND_IDS_RANGE: &str = "000000036f6273000000086566665f5f6f706502fffffffffffffffb0500000004ffffffff";
@@ -114,6 +131,8 @@ const OPE_TIMESTAMPS: [(i64, u128); 4] = [
     (1_900_000_000, 0x0000_0000_8000_0001_929f_0d83_0ef1_8b25),
     (1_900_000_060, 0x0000_0000_8000_0001_929f_0dc9_bf25_8c80),
 ];
+/// SHA-256 of the cloud state [`gateway_script`] leaves behind.
+const GATEWAY_SCRIPT_STATE: &str = "049877c5c8181d7c8161b8765fd27e5a827a82d1cbab2d60222537aca83b508e";
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -354,4 +373,87 @@ fn requests_responses_the_traced_envelope_and_the_tcp_frame() {
     decoder.extend(&unhex(TCP_FRAME));
     assert_eq!(decoder.next_frame(), Ok(Some(Frame { corr_id: 9, body })));
     assert!(matches!(split_frame(&unhex(TCP_FRAME), 8..=DEFAULT_MAX_FRAME), Split::Frame { total: 34, .. }));
+}
+
+/// One field per tactic the pin covers: Mitra (and its RND payload), DET,
+/// OPE with Paillier, two BIEX-2Lev boolean fields, and a plaintext one.
+fn script_schema() -> Schema {
+    use FieldOp::*;
+    let field = |class, ops| FieldAnnotation::new(class, ops);
+    Schema::new("ledger")
+        .plain_field("seq", FieldType::Integer, true)
+        .sensitive_field("owner", FieldType::Text, true, field(ProtectionClass::C2, vec![Insert, Equality]))
+        .sensitive_field("kind", FieldType::Text, true, field(ProtectionClass::C4, vec![Insert, Equality]))
+        .sensitive_field(
+            "score",
+            FieldType::Integer,
+            true,
+            field(ProtectionClass::C5, vec![Insert, Range]).with_aggs(vec![AggFn::Sum]),
+        )
+        .sensitive_field("status", FieldType::Text, true, field(ProtectionClass::C3, vec![Insert, Equality, Boolean]))
+        .sensitive_field("code", FieldType::Text, true, field(ProtectionClass::C3, vec![Insert, Equality, Boolean]))
+}
+
+fn script_doc(i: i64) -> Document {
+    Document::new("x")
+        .with("seq", Value::from(i))
+        .with("owner", Value::from(["ann", "bob", "cy"][i as usize % 3]))
+        .with("kind", Value::from(["memo", "todo"][i as usize % 2]))
+        .with("score", Value::from(i * 37 - 200))
+        .with("status", Value::from(["open", "done"][i as usize % 2]))
+        .with("code", Value::from(["a1", "b2", "c3"][i as usize % 3]))
+}
+
+/// The fixed script: inserts, batch inserts of one and of four documents
+/// without a pool and then on a two-worker pool, a migration, an update, a
+/// delete, and payload and index key rotations.
+fn gateway_script(cloud: &Arc<CloudEngine>) {
+    let channel = Channel::from_arc(cloud.clone(), LatencyModel::instant());
+    let mut gw = GatewayEngine::new("golden", Kms::generate(&mut StdRng::seed_from_u64(0x601D)), channel, 0x601D);
+    gw.register_schema(script_schema()).unwrap();
+    let selected = |field| gw.selection("ledger", field).unwrap().all_tactics();
+    assert_eq!(selected("owner"), ["mitra", "rnd"]);
+    assert_eq!(selected("kind"), ["det"]);
+    assert_eq!(selected("score"), ["ope", "paillier", "rnd"]);
+    assert_eq!(selected("status"), ["biex-2lev", "rnd"]);
+
+    let docs = |from: i64, n: i64| (from..from + n).map(script_doc).collect::<Vec<_>>();
+    let mut ids: Vec<DocId> = docs(0, 3).iter().map(|d| gw.insert("ledger", d).unwrap()).collect();
+    ids.extend(gw.insert_many("ledger", &docs(3, 1)).unwrap());
+    ids.extend(gw.insert_many("ledger", &docs(4, 4)).unwrap());
+    gw.set_worker_pool(Arc::new(WorkerPool::new(2)));
+    ids.extend(gw.insert_many("ledger", &docs(8, 1)).unwrap());
+    ids.extend(gw.insert_many("ledger", &docs(9, 4)).unwrap());
+    ids.extend(gw.migrate("ledger", &docs(13, 4)).unwrap());
+    gw.update("ledger", ids[1], &script_doc(100)).unwrap();
+    gw.delete("ledger", ids[2]).unwrap();
+    gw.rotate_payload_key("ledger", "owner").unwrap();
+    gw.rotate_index_key("ledger", "owner").unwrap();
+    gw.rotate_payload_key("ledger", "kind").unwrap();
+    assert_eq!(gw.find_equal("ledger", "owner", &Value::from("ann")).unwrap().len(), 6);
+}
+
+/// SHA-256 over the cloud's documents and key-value records, canonically
+/// ordered: collections by name, documents by id, records sorted.
+fn cloud_state_digest(cloud: &CloudEngine) -> String {
+    let mut state = Vec::new();
+    let mut collections = cloud.docs().collection_names();
+    collections.sort();
+    for name in collections {
+        let collection = cloud.docs().collection(&name);
+        let mut ids = collection.ids();
+        ids.sort();
+        state.extend(encode_documents(ids.iter().map(|id| collection.get(id).unwrap()).collect::<Vec<_>>().iter()));
+    }
+    let mut records: Vec<Vec<u8>> = cloud.kv().export_records().iter().map(LogRecord::to_bytes).collect();
+    records.sort();
+    state.extend(records.concat());
+    hex(&sha256::digest(&state))
+}
+
+#[test]
+fn gateway_writes() {
+    let cloud = Arc::new(CloudEngine::new());
+    gateway_script(&cloud);
+    assert_eq!(cloud_state_digest(&cloud), GATEWAY_SCRIPT_STATE, "a gateway write route moved a byte");
 }

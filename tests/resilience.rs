@@ -9,7 +9,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use datablinder::core::cloud::CloudEngine;
-use datablinder::core::cloudproto::{decode_calls, Idempotent};
 use datablinder::core::durability::{DurabilityOptions, RestartableCloud};
 use datablinder::core::gateway::{GatewayEngine, PendingWriteReport};
 use datablinder::core::model::*;
@@ -770,33 +769,28 @@ fn torn_journal_entry_is_reported_and_recovery_carries_on() {
 }
 
 #[test]
-fn journal_entry_written_call_by_call_still_replays() {
-    // Before write groups became one batch, an entry held each call of the
-    // group sealed on its own: `idem, envelope, idem, envelope, …`. Rewrite
-    // a pending entry in that form; it replays call by call, in order.
+fn journal_entry_in_the_list_format_still_replays() {
+    // Entries were once the call list `[idem, sealed]` around the envelope.
+    // A gateway upgraded with such an entry pending rolls it forward; a
+    // list whose envelope is torn is still reported malformed.
     let (svc, journal, gw) = journal_with_pending(&["alice"], &["bob"]);
     let key = journal.keys_with_prefix(b"gwj/").pop().unwrap();
-    let entry = journal.get(&key).unwrap();
-    let [(route, sealed)] = decode_calls(&entry).unwrap()[..] else { panic!("one sealed call per entry") };
-    assert_eq!(route, "idem");
-    let batch = Idempotent::decode(sealed).unwrap();
-    assert_eq!(batch.route, "batch");
-    let calls = decode_calls(&batch.payload).unwrap();
-    assert!(calls.len() > 1, "an index update and the document");
-    let mut old: Vec<Vec<u8>> = Vec::new();
-    for (i, (route, payload)) in calls.into_iter().enumerate() {
-        let envelope = Idempotent { token: [0xE0 + i as u8; 16], route: route.into(), payload: payload.to_vec() };
-        old.extend([b"idem".to_vec(), envelope.encode()]);
-    }
-    let mut w = datablinder::codec::Writer::new();
-    w.list(&old);
-    journal.set(&key, &w.finish());
+    let sealed = journal.get(&key).unwrap();
+    let listed = |sealed: &[u8]| {
+        let mut w = datablinder::codec::Writer::new();
+        w.list(&[b"idem".as_slice(), sealed]);
+        w.finish()
+    };
+    journal.set(&key, &listed(&sealed));
+    journal.set(b"gwj/", &listed(&sealed[..9]));
 
     let report = gw.recover_pending().unwrap();
-    assert_eq!(report, PendingWriteReport { entries: 1, rolled_forward: 1, failed: 0, failures: Vec::new() });
+    assert_eq!((report.entries, report.rolled_forward, report.failed), (2, 1, 1), "{report:?}");
+    assert!(report.failures[0].starts_with("malformed journal entry"), "{:?}", report.failures);
+    assert_eq!(gw.pending_writes(), 0);
     assert_eq!((owners(&gw, "alice"), owners(&gw, "bob")), (1, 1));
     assert!(gw.fsck("notes").unwrap().is_clean());
-    assert_eq!(svc.inner.dedup_hits(), 0, "nothing had applied: every call ran once");
+    assert_eq!(svc.inner.dedup_hits(), 0, "nothing had applied: the group ran once");
 }
 
 // ------------------------------------------------------------------- fsck
