@@ -39,7 +39,7 @@ use crate::metadata::{validate_document, SchemaStore};
 use crate::model::{AggFn, FieldOp, Schema, TacticOp};
 use crate::pool::WorkerPool;
 use crate::registry::{Selection, TacticRegistry};
-use crate::spi::{CloudCall, DnfLiterals, DocIdGen, GatewayTactic, ProtectItem, ProtectedField, RandomDocIdGen};
+use crate::spi::{CloudCall, DnfLiterals, DocIdGen, GatewayTactic, ProtectedField, RandomDocIdGen};
 use crate::tactics::{decode_ids, shadow_field, TacticContext};
 use crate::wire::{decode_document, encode_document, skip_value, take_ciphertext, take_value};
 
@@ -362,15 +362,17 @@ impl GatewayEngine {
     /// latencies and the leakage audit ledger record into it, and a clone
     /// is forwarded to the resilient channel so retries/breaker activity
     /// land in the same domain; the tier the symmetric kernels run on is
-    /// exported once, as `primitives.backend`. The default recorder is
-    /// disabled, so an un-instrumented gateway pays one atomic load per
-    /// operation.
+    /// exported once, as the info gauge `primitives.backend`
+    /// ([`datablinder_primitives::backend_bits`]), so a slow host can be
+    /// told from a slow build by what the process itself reports. The
+    /// default recorder is disabled, so an un-instrumented gateway pays one
+    /// atomic load per operation.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.channel.set_recorder(recorder.clone());
         if recorder.label().is_none() {
             recorder.set_label("gateway");
         }
-        datablinder_primitives::record_backend(&recorder);
+        recorder.gauge_set("primitives.backend", i64::from(datablinder_primitives::backend_bits()));
         self.obs = recorder;
     }
 
@@ -917,7 +919,7 @@ impl GatewayEngine {
     ///   per document, field (document field order) and tactic, then the
     ///   document's boolean fork; a bulk build's one fork after all of them.
     /// * Work is partitioned **per tactic instance**, and each partition is
-    ///   one `protect_many` call over its items in document order, so
+    ///   one loop over `protect`, its items in document order, so
     ///   stateful chains (Mitra counters, Sophos chains) advance as a
     ///   document-at-a-time loop would. Distinct instances share no state,
     ///   so partitions compose in any schedule.
@@ -1032,7 +1034,7 @@ impl GatewayEngine {
                     }
                     self.audit_leakage(plan, &field, TacticOp::Update, "insert", names[tactic]);
                 }
-                Out::Boolean { doc, result } => index_calls[doc].extend(result?.into_iter().flatten()),
+                Out::Boolean { doc, result } => index_calls[doc].extend(result?),
             }
         }
         let mut group = Vec::new();
@@ -1041,7 +1043,7 @@ impl GatewayEngine {
             group.push(CloudCall::new("doc/insert", with_collection(&plan.schema.name, &encode_document(cloud_doc))));
         }
         if let (Some(bt), Some(mut rng)) = (&plan.bool_tactic, bulk_rng) {
-            group.extend(lock(&bt.tactic).bulk_index(&mut rng, &entries)?.into_iter().flatten());
+            group.extend(lock(&bt.tactic).bulk_index(&mut rng, &entries)?);
         }
         Ok(group)
     }
@@ -1099,7 +1101,7 @@ impl GatewayEngine {
         }
         let literals = bool_literals(&work);
         if let (Some(bt), false) = (&plan.bool_tactic, literals.is_empty()) {
-            calls.extend(lock(&bt.tactic).delete_document(&literals, id)?.into_iter().flatten());
+            calls.extend(lock(&bt.tactic).delete_document(&literals, id)?);
         }
         // Revocations + the delete itself as one write group, mirroring
         // insert: an interrupted delete finishes on recovery.
@@ -1395,8 +1397,8 @@ impl GatewayEngine {
     /// 2. rotates the KMS scope,
     /// 3. rebuilds the instance *into* the existing handle, so the plan and
     ///    every other holder of it use the new key from here on,
-    /// 4. re-protects every value in one `protect_many` call, its RNGs
-    ///    forked after the rebuild's draw,
+    /// 4. re-protects every value in one `protect` loop, its RNGs forked
+    ///    after the rebuild's draw,
     /// 5. ships the rewrite as write groups: an index tactic's old cloud
     ///    scope dropped (`t/<tactic>/<schema>:<scope>/`, the prefix the
     ///    cloud handlers use) in one group with every index call, so no
@@ -1640,28 +1642,22 @@ enum Out {
     },
     Boolean {
         doc: usize,
-        result: Result<Option<Vec<CloudCall>>, CoreError>,
+        result: Result<Vec<CloudCall>, CoreError>,
     },
 }
 
-/// Protects `items` through one `protect_many` call, so the tactic sees
-/// the whole batch and can amortize cipher contexts (batch seal, shared
-/// HMAC midstates); each item keeps its own RNG, so the outputs are those
-/// of one `protect` per item. The duration is each item's share of the
-/// call when `timed`, zero otherwise.
+/// Protects `items` in order under one hold of the instance lock, each
+/// through `protect` with its own forked RNG. The duration is each item's
+/// share of the loop when `timed`, zero otherwise.
 fn protect_items(
     tactic: &SharedTactic,
     items: &mut [Item],
     timed: bool,
 ) -> (Vec<Result<ProtectedField, CoreError>>, Duration) {
     let n = items.len().max(1) as u32;
-    let mut batch: Vec<ProtectItem<'_>> = items
-        .iter_mut()
-        .map(|it| ProtectItem { rng: &mut it.rng, field: &it.field, value: &it.value, id: it.id })
-        .collect();
     let mut tactic = lock(tactic);
     let t0 = timed.then(Instant::now);
-    let results = tactic.protect_many(&mut batch);
+    let results = items.iter_mut().map(|it| tactic.protect(&mut it.rng, &it.field, &it.value, it.id)).collect();
     (results, t0.map_or(Duration::ZERO, |t0| t0.elapsed() / n))
 }
 

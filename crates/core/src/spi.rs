@@ -35,6 +35,7 @@ use rand::RngCore;
 
 use crate::error::CoreError;
 use crate::model::{AggFn, TacticDescriptor};
+use crate::tactics::decode_ids;
 
 /// One serialized request against the cloud side.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,20 +66,13 @@ pub struct ProtectedField {
 /// A boolean query: DNF over `(field, value)` equality literals.
 pub type DnfLiterals = Vec<Vec<(String, Value)>>;
 
-/// One unit of work for the batch insertion path
-/// ([`GatewayTactic::protect_many`]): the same arguments
-/// [`GatewayTactic::protect`] takes, gathered so a tactic can amortize
-/// per-key setup (cipher contexts, HMAC midstates) across a batch.
-pub struct ProtectItem<'a> {
-    /// Per-item randomness source. Each item carries its own RNG so batch
-    /// and sequential protection draw identical streams per document.
-    pub rng: &'a mut dyn RngCore,
-    /// Field name being protected.
-    pub field: &'a str,
-    /// Plaintext value.
-    pub value: &'a Value,
-    /// Document id the field belongs to.
-    pub id: DocId,
+/// The answer of a query that made one call and got back an id list: the
+/// shape of every cloud route that holds ids in the clear.
+fn single_id_list(responses: &[Vec<u8>]) -> Result<Vec<DocId>, CoreError> {
+    let [response] = responses else {
+        return Err(CoreError::Wire("id-list response arity"));
+    };
+    decode_ids(response)
 }
 
 /// Gateway-side tactic SPI (Table 1, left column).
@@ -111,20 +105,10 @@ pub trait GatewayTactic: Send {
         id: DocId,
     ) -> Result<ProtectedField, CoreError>;
 
-    /// Protects a contiguous batch of field values, one result per item in
-    /// order. The contract is *byte-identity with the sequential path*:
-    /// item `k`'s result must equal `self.protect(items[k].rng, ...)` —
-    /// batching may only change throughput, never output. Tactics with
-    /// batch-friendly ciphers (RND's `encrypt_many`, DET's `encrypt_many`)
-    /// override this; the default simply loops over [`GatewayTactic::protect`].
-    fn protect_many(&mut self, items: &mut [ProtectItem<'_>]) -> Vec<Result<ProtectedField, CoreError>> {
-        items.iter_mut().map(|it| self.protect(it.rng, it.field, it.value, it.id)).collect()
-    }
-
     /// Protects a whole document's annotated literals at once — implemented
     /// by *cross-field* tactics (BIEX), which index keyword pairs and thus
-    /// need every literal together. Field-scoped tactics keep the default
-    /// (`None`: engine falls back to per-field [`GatewayTactic::protect`]).
+    /// need every literal together. Field-scoped tactics keep the default:
+    /// no calls.
     ///
     /// # Errors
     ///
@@ -134,28 +118,23 @@ pub trait GatewayTactic: Send {
         rng: &mut dyn RngCore,
         literals: &[(String, Value)],
         id: DocId,
-    ) -> Result<Option<Vec<CloudCall>>, CoreError> {
-        Ok(None)
+    ) -> Result<Vec<CloudCall>, CoreError> {
+        Ok(Vec::new())
     }
 
     /// Document-level revocation counterpart of
-    /// [`GatewayTactic::protect_document`].
+    /// [`GatewayTactic::protect_document`]. Default: no calls.
     ///
     /// # Errors
     ///
     /// Tactic-specific failures.
-    fn delete_document(
-        &mut self,
-        literals: &[(String, Value)],
-        id: DocId,
-    ) -> Result<Option<Vec<CloudCall>>, CoreError> {
-        Ok(None)
+    fn delete_document(&mut self, literals: &[(String, Value)], id: DocId) -> Result<Vec<CloudCall>, CoreError> {
+        Ok(Vec::new())
     }
 
     /// Bulk-migration indexing: builds setup-time (static) structures over
     /// a whole corpus at once — implemented by tactics with a static base
-    /// (BIEX). Default `None`: the engine falls back to per-document
-    /// [`GatewayTactic::protect_document`] calls.
+    /// (BIEX). Default: no calls.
     ///
     /// # Errors
     ///
@@ -164,8 +143,8 @@ pub trait GatewayTactic: Send {
         &mut self,
         rng: &mut dyn RngCore,
         entries: &[(Vec<(String, Value)>, DocId)],
-    ) -> Result<Option<Vec<CloudCall>>, CoreError> {
-        Ok(None)
+    ) -> Result<Vec<CloudCall>, CoreError> {
+        Ok(Vec::new())
     }
 
     /// Produces index-revocation calls when a document is deleted.
@@ -200,13 +179,14 @@ pub trait GatewayTactic: Send {
         Err(CoreError::UnsupportedOperation(format!("{}: equality search", self.descriptor().name)))
     }
 
-    /// Resolves equality-search responses into document ids. (EqResolution.)
+    /// Resolves equality-search responses into document ids.
+    /// (EqResolution.) Default: exactly one answer, an encoded id list.
     ///
     /// # Errors
     ///
     /// Malformed responses.
     fn eq_resolve(&self, field: &str, value: &Value, responses: &[Vec<u8>]) -> Result<Vec<DocId>, CoreError> {
-        Err(CoreError::UnsupportedOperation(format!("{}: equality resolution", self.descriptor().name)))
+        single_id_list(responses)
     }
 
     /// Builds the cloud calls for a boolean (DNF) search. (BoolQuery.)
@@ -218,13 +198,14 @@ pub trait GatewayTactic: Send {
         Err(CoreError::UnsupportedOperation(format!("{}: boolean search", self.descriptor().name)))
     }
 
-    /// Resolves boolean-search responses. (BoolResolution.)
+    /// Resolves boolean-search responses. (BoolResolution.) Default:
+    /// exactly one answer, an encoded id list.
     ///
     /// # Errors
     ///
     /// Malformed responses.
     fn bool_resolve(&self, dnf: &DnfLiterals, responses: &[Vec<u8>]) -> Result<Vec<DocId>, CoreError> {
-        Err(CoreError::UnsupportedOperation(format!("{}: boolean resolution", self.descriptor().name)))
+        single_id_list(responses)
     }
 
     /// Builds the cloud calls for a range search (inclusive bounds).
@@ -236,13 +217,14 @@ pub trait GatewayTactic: Send {
         Err(CoreError::UnsupportedOperation(format!("{}: range search", self.descriptor().name)))
     }
 
-    /// Resolves range-search responses.
+    /// Resolves range-search responses. Default: exactly one answer, an
+    /// encoded id list.
     ///
     /// # Errors
     ///
     /// Malformed responses.
     fn range_resolve(&self, responses: &[Vec<u8>]) -> Result<Vec<DocId>, CoreError> {
-        Err(CoreError::UnsupportedOperation(format!("{}: range resolution", self.descriptor().name)))
+        single_id_list(responses)
     }
 
     /// Builds the cloud calls for an aggregate over the whole collection or

@@ -239,15 +239,6 @@ impl BiexTactic {
 }
 
 impl GatewayTactic for BiexTactic {
-    fn attach_recorder(&mut self, recorder: &datablinder_obs::Recorder) {
-        // Mirror the base client's cipher-cache hit/miss counters
-        // (`primitives.cipher_cache.*`) into the gateway recorder.
-        match &mut self.base {
-            BaseClient::TwoLev(c) => c.set_recorder(recorder.clone()),
-            BaseClient::Zmf(c) => c.set_recorder(recorder.clone()),
-        }
-    }
-
     fn descriptor(&self) -> TacticDescriptor {
         match self.variant {
             BiexVariant::TwoLev => descriptor_2lev(),
@@ -272,7 +263,7 @@ impl GatewayTactic for BiexTactic {
         _rng: &mut dyn RngCore,
         literals: &[(String, Value)],
         id: DocId,
-    ) -> Result<Option<Vec<CloudCall>>, CoreError> {
+    ) -> Result<Vec<CloudCall>, CoreError> {
         let kws = Self::keywords(literals);
         let mut calls = Vec::new();
         for kw in &kws {
@@ -287,7 +278,7 @@ impl GatewayTactic for BiexTactic {
                 }
             }
         }
-        Ok(Some(calls))
+        Ok(calls)
     }
 
     /// Bulk migration: builds the *static* base structures over every
@@ -296,7 +287,7 @@ impl GatewayTactic for BiexTactic {
         &mut self,
         rng: &mut dyn RngCore,
         entries: &[(Vec<(String, Value)>, DocId)],
-    ) -> Result<Option<Vec<CloudCall>>, CoreError> {
+    ) -> Result<Vec<CloudCall>, CoreError> {
         use datablinder_sse::inverted::InvertedIndex;
         if self.base_seeded {
             // A second static build over the same prefix would leave stale
@@ -337,14 +328,10 @@ impl GatewayTactic for BiexTactic {
         }
         let mut w = Writer::new();
         w.list(&items);
-        Ok(Some(vec![CloudCall::new("kv/bulk_put", w.finish())]))
+        Ok(vec![CloudCall::new("kv/bulk_put", w.finish())])
     }
 
-    fn delete_document(
-        &mut self,
-        literals: &[(String, Value)],
-        id: DocId,
-    ) -> Result<Option<Vec<CloudCall>>, CoreError> {
+    fn delete_document(&mut self, literals: &[(String, Value)], id: DocId) -> Result<Vec<CloudCall>, CoreError> {
         let kws = Self::keywords(literals);
         let mut calls = Vec::new();
         for kw in &kws {
@@ -361,7 +348,7 @@ impl GatewayTactic for BiexTactic {
                 }
             }
         }
-        Ok(Some(calls))
+        Ok(calls)
     }
 
     fn eq_query(&mut self, field: &str, value: &Value) -> Result<Vec<CloudCall>, CoreError> {
@@ -559,7 +546,7 @@ mod tests {
         literals: &[(String, Value)],
         id: DocId,
     ) {
-        let calls = gw.protect_document(rng, literals, id).unwrap().unwrap();
+        let calls = gw.protect_document(rng, literals, id).unwrap();
         for c in &calls {
             run(cloud, c);
         }
@@ -596,8 +583,7 @@ mod tests {
         assert_eq!(query(&mut gw, &cloud, &dnf), vec![]);
 
         // Delete doc1 and requery.
-        let calls =
-            gw.delete_document(&lits(&[("status", "final"), ("code", "glucose")]), DocId([1; 16])).unwrap().unwrap();
+        let calls = gw.delete_document(&lits(&[("status", "final"), ("code", "glucose")]), DocId([1; 16])).unwrap();
         for c in &calls {
             run(&cloud, c);
         }
@@ -622,7 +608,7 @@ mod tests {
             (lits(&[("status", "final"), ("code", "glucose")]), DocId([1; 16])),
             (lits(&[("status", "final"), ("code", "insulin")]), DocId([2; 16])),
         ];
-        let calls = gw.bulk_index(&mut rng, &entries).unwrap().unwrap();
+        let calls = gw.bulk_index(&mut rng, &entries).unwrap();
         for c in &calls {
             run(&cloud, c);
         }
@@ -641,16 +627,14 @@ mod tests {
 
         // Deleting a *seeded* document masks it via tombstones even though
         // the static base is immutable.
-        let calls =
-            gw.delete_document(&lits(&[("status", "final"), ("code", "glucose")]), DocId([1; 16])).unwrap().unwrap();
+        let calls = gw.delete_document(&lits(&[("status", "final"), ("code", "glucose")]), DocId([1; 16])).unwrap();
         for c in &calls {
             run(&cloud, c);
         }
         let dnf = vec![lits(&[("status", "final"), ("code", "glucose")])];
         assert_eq!(query(&mut gw, &cloud, &dnf), vec![DocId([3; 16])]);
         // And deleting an overlay document works the same way.
-        let calls =
-            gw.delete_document(&lits(&[("status", "final"), ("code", "glucose")]), DocId([3; 16])).unwrap().unwrap();
+        let calls = gw.delete_document(&lits(&[("status", "final"), ("code", "glucose")]), DocId([3; 16])).unwrap();
         for c in &calls {
             run(&cloud, c);
         }
@@ -674,8 +658,8 @@ mod tests {
         let (mut g1, c1, mut r1) = setup(BiexVariant::TwoLev);
         let (mut g2, c2, mut r2) = setup(BiexVariant::Zmf);
         let l = lits(&[("a", "1"), ("b", "2"), ("c", "3")]);
-        let calls1 = g1.protect_document(&mut r1, &l, DocId([1; 16])).unwrap().unwrap();
-        let calls2 = g2.protect_document(&mut r2, &l, DocId([1; 16])).unwrap().unwrap();
+        let calls1 = g1.protect_document(&mut r1, &l, DocId([1; 16])).unwrap();
+        let calls2 = g2.protect_document(&mut r2, &l, DocId([1; 16])).unwrap();
         assert_eq!(calls1.len(), 3 + 6, "3 singles + 6 ordered pairs");
         assert_eq!(calls2.len(), 3, "singles only");
         // But 2lev conjunction queries need fewer chain fetches
@@ -723,7 +707,7 @@ mod tests {
     fn state_roundtrip_preserves_base_flag() {
         let (mut gw, cloud, mut rng) = setup(BiexVariant::TwoLev);
         let entries = vec![(lits(&[("s", "v")]), DocId([1; 16]))];
-        for c in gw.bulk_index(&mut rng, &entries).unwrap().unwrap() {
+        for c in gw.bulk_index(&mut rng, &entries).unwrap() {
             run(&cloud, &c);
         }
         let state = gw.export_state().unwrap();

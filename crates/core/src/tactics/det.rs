@@ -10,11 +10,11 @@ use datablinder_sse::det::DetCipher;
 use datablinder_sse::DocId;
 use rand::RngCore;
 
-use super::{decode_ids, shadow_field, TacticContext};
-use crate::cloudproto::{FindIdsDnf, FindIdsEq};
+use super::{shadow_field, TacticContext};
+use crate::cloudproto::FindIdsEq;
 use crate::error::CoreError;
 use crate::model::*;
-use crate::spi::{CloudCall, DnfLiterals, GatewayTactic, ProtectItem, ProtectedField};
+use crate::spi::{CloudCall, GatewayTactic, ProtectedField};
 use crate::wire::{canonical_bytes, decode_value};
 
 /// Descriptor for DET (Table 2: class 4, leakage *Equalities*,
@@ -81,24 +81,6 @@ impl GatewayTactic for DetTactic {
         Ok(ProtectedField { stored: vec![(shadow_field(field, "det"), Value::Bytes(ct))], index_calls: Vec::new() })
     }
 
-    fn protect_many(&mut self, items: &mut [ProtectItem<'_>]) -> Vec<Result<ProtectedField, CoreError>> {
-        // DET ignores the per-item RNGs entirely (deterministic), so the
-        // batch path is trivially byte-identical to the sequential one.
-        let plains: Vec<Vec<u8>> = items.iter().map(|it| canonical_bytes(it.value)).collect();
-        let refs: Vec<&[u8]> = plains.iter().map(|p| p.as_slice()).collect();
-        let cts = self.cipher.encrypt_many(&refs);
-        items
-            .iter()
-            .zip(cts)
-            .map(|(it, ct)| {
-                Ok(ProtectedField {
-                    stored: vec![(shadow_field(it.field, "det"), Value::Bytes(ct))],
-                    index_calls: Vec::new(),
-                })
-            })
-            .collect()
-    }
-
     fn recover(&self, ciphertext: &[u8]) -> Result<Value, CoreError> {
         let plain = self.cipher.decrypt(ciphertext)?;
         decode_value(&mut plain.as_slice())
@@ -108,26 +90,6 @@ impl GatewayTactic for DetTactic {
         let (f, v) = self.stored_literal(field, value);
         let req = FindIdsEq { collection: self.collection.clone(), field: f, value: v };
         Ok(vec![CloudCall::new("doc/find_ids_eq", req.encode())])
-    }
-
-    fn eq_resolve(&self, _field: &str, _value: &Value, responses: &[Vec<u8>]) -> Result<Vec<DocId>, CoreError> {
-        let [response] = responses else {
-            return Err(CoreError::Wire("det eq response arity"));
-        };
-        decode_ids(response)
-    }
-
-    fn bool_query(&mut self, dnf: &DnfLiterals) -> Result<Vec<CloudCall>, CoreError> {
-        let stored_dnf = dnf.iter().map(|conj| conj.iter().map(|(f, v)| self.stored_literal(f, v)).collect()).collect();
-        let req = FindIdsDnf { collection: self.collection.clone(), dnf: stored_dnf };
-        Ok(vec![CloudCall::new("doc/find_ids_dnf", req.encode())])
-    }
-
-    fn bool_resolve(&self, _dnf: &DnfLiterals, responses: &[Vec<u8>]) -> Result<Vec<DocId>, CoreError> {
-        let [response] = responses else {
-            return Err(CoreError::Wire("det bool response arity"));
-        };
-        decode_ids(response)
     }
 
     fn stored_literal(&self, field: &str, value: &Value) -> Option<(String, Value)> {
@@ -164,25 +126,6 @@ mod tests {
     }
 
     #[test]
-    fn protect_many_matches_sequential_protect() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let mut t = DetTactic::build(&ctx()).unwrap();
-        let values: Vec<Value> = (0..4).map(|i| Value::from(i as i64 * 1000)).collect();
-        let sequential: Vec<_> =
-            values.iter().map(|v| t.protect(&mut rng, "effective", v, DocId([1; 16])).unwrap()).collect();
-        let mut rngs: Vec<_> = (0..values.len()).map(|i| rand::rngs::StdRng::seed_from_u64(i as u64)).collect();
-        let mut items: Vec<ProtectItem<'_>> = rngs
-            .iter_mut()
-            .zip(&values)
-            .map(|(rng, value)| ProtectItem { rng, field: "effective", value, id: DocId([1; 16]) })
-            .collect();
-        let batched = t.protect_many(&mut items);
-        for (s, b) in sequential.iter().zip(&batched) {
-            assert_eq!(s.stored, b.as_ref().unwrap().stored);
-        }
-    }
-
-    #[test]
     fn eq_query_targets_shadow_field() {
         let mut t = DetTactic::build(&ctx()).unwrap();
         let calls = t.eq_query("effective", &Value::from(5i64)).unwrap();
@@ -191,18 +134,6 @@ mod tests {
         let req = FindIdsEq::decode(&calls[0].payload).unwrap();
         assert_eq!(req.field, "effective__det");
         assert_eq!(req.collection, "obs");
-    }
-
-    #[test]
-    fn bool_query_rewrites_literals() {
-        let mut t = DetTactic::build(&ctx()).unwrap();
-        let dnf =
-            vec![vec![("status".to_string(), Value::from("final")), ("code".to_string(), Value::from("glucose"))]];
-        let calls = t.bool_query(&dnf).unwrap();
-        let req = FindIdsDnf::decode(&calls[0].payload).unwrap();
-        assert_eq!(req.dnf[0][0].0, "status__det");
-        assert_eq!(req.dnf[0][1].0, "code__det");
-        assert!(matches!(req.dnf[0][0].1, Value::Bytes(_)));
     }
 
     #[test]

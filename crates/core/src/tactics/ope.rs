@@ -14,7 +14,7 @@ use datablinder_ope::{Ope, OpeParams};
 use datablinder_sse::DocId;
 use rand::RngCore;
 
-use super::{decode_ids, orderable_u64, shadow_field, TacticContext};
+use super::{orderable_u64, shadow_field, TacticContext};
 use crate::cloudproto::FindIdsRange;
 use crate::error::CoreError;
 use crate::model::*;
@@ -81,13 +81,6 @@ impl GatewayTactic for OpeTactic {
             hi: Value::Bytes(self.ciphertext_bytes(hi)?),
         };
         Ok(vec![CloudCall::new("doc/find_ids_range", req.encode())])
-    }
-
-    fn range_resolve(&self, responses: &[Vec<u8>]) -> Result<Vec<DocId>, CoreError> {
-        let [response] = responses else {
-            return Err(CoreError::Wire("ope range response arity"));
-        };
-        decode_ids(response)
     }
 }
 

@@ -13,7 +13,7 @@ use datablinder_ore::{Comparison, LewiWuLeft, LewiWuOre, LewiWuRight};
 use datablinder_sse::DocId;
 use rand::RngCore;
 
-use super::{decode_ids, encode_ids, orderable_u64, TacticContext};
+use super::{encode_ids, orderable_u64, TacticContext};
 use crate::error::CoreError;
 use crate::model::*;
 use crate::spi::{CloudCall, CloudTactic, GatewayTactic, ProtectedField};
@@ -92,13 +92,6 @@ impl GatewayTactic for OreTactic {
         let mut w = Writer::new();
         w.bytes(&lo.to_bytes()).bytes(&hi.to_bytes());
         Ok(vec![CloudCall::new(self.route_range.clone(), w.finish())])
-    }
-
-    fn range_resolve(&self, responses: &[Vec<u8>]) -> Result<Vec<DocId>, CoreError> {
-        let [response] = responses else {
-            return Err(CoreError::Wire("ore range response arity"));
-        };
-        decode_ids(response)
     }
 }
 

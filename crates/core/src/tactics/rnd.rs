@@ -1,7 +1,6 @@
 //! The RND tactic adapter: probabilistic payload encryption, class 1.
 
 use datablinder_docstore::Value;
-use datablinder_primitives::gcm::NONCE_LEN;
 use datablinder_sse::rnd::RndCipher;
 use datablinder_sse::DocId;
 use rand::RngCore;
@@ -9,7 +8,7 @@ use rand::RngCore;
 use super::{shadow_field, TacticContext};
 use crate::error::CoreError;
 use crate::model::*;
-use crate::spi::{GatewayTactic, ProtectItem, ProtectedField};
+use crate::spi::{GatewayTactic, ProtectedField};
 use crate::wire::{canonical_bytes, decode_value};
 
 /// Descriptor for RND (Table 2: class 1, leakage *Structure*, 6 gateway /
@@ -63,34 +62,6 @@ impl GatewayTactic for RndTactic {
         Ok(ProtectedField { stored: vec![(shadow_field(field, "rnd"), Value::Bytes(ct))], index_calls: Vec::new() })
     }
 
-    fn protect_many(&mut self, items: &mut [ProtectItem<'_>]) -> Vec<Result<ProtectedField, CoreError>> {
-        // Draw each item's nonce from its own RNG in item order — exactly
-        // the first (and only) bytes `encrypt` would draw — then seal the
-        // whole batch with one cipher context. Byte-identical to the
-        // sequential path by construction.
-        let plains: Vec<Vec<u8>> = items.iter().map(|it| canonical_bytes(it.value)).collect();
-        let batch: Vec<([u8; NONCE_LEN], &[u8])> = items
-            .iter_mut()
-            .zip(&plains)
-            .map(|(it, pt)| {
-                let mut nonce = [0u8; NONCE_LEN];
-                it.rng.fill_bytes(&mut nonce);
-                (nonce, pt.as_slice())
-            })
-            .collect();
-        let cts = self.cipher.encrypt_many(&batch);
-        items
-            .iter()
-            .zip(cts)
-            .map(|(it, ct)| {
-                Ok(ProtectedField {
-                    stored: vec![(shadow_field(it.field, "rnd"), Value::Bytes(ct))],
-                    index_calls: Vec::new(),
-                })
-            })
-            .collect()
-    }
-
     fn recover(&self, ciphertext: &[u8]) -> Result<Value, CoreError> {
         let plain = self.cipher.decrypt(ciphertext)?;
         decode_value(&mut plain.as_slice())
@@ -139,36 +110,6 @@ mod tests {
     fn search_unsupported() {
         let mut t = RndTactic::build(&ctx()).unwrap();
         assert!(matches!(t.eq_query("performer", &Value::from("x")), Err(CoreError::UnsupportedOperation(_))));
-    }
-
-    #[test]
-    fn protect_many_matches_sequential_protect() {
-        let mut seq = RndTactic::build(&ctx()).unwrap();
-        let mut bat = RndTactic::build(&ctx()).unwrap();
-        let values: Vec<Value> = (0..5).map(|i| Value::from(format!("value-{i}"))).collect();
-        // Same per-item rng streams on both paths (the gateway pre-forks
-        // one rng per item; reseeding per index models that).
-        let sequential: Vec<_> = values
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(100 + i as u64);
-                seq.protect(&mut rng, "f", v, DocId([i as u8; 16])).unwrap()
-            })
-            .collect();
-        let mut rngs: Vec<_> = (0..values.len()).map(|i| rand::rngs::StdRng::seed_from_u64(100 + i as u64)).collect();
-        let mut items: Vec<ProtectItem<'_>> = rngs
-            .iter_mut()
-            .zip(&values)
-            .enumerate()
-            .map(|(i, (rng, value))| ProtectItem { rng, field: "f", value, id: DocId([i as u8; 16]) })
-            .collect();
-        let batched = bat.protect_many(&mut items);
-        for (s, b) in sequential.iter().zip(&batched) {
-            let b = b.as_ref().unwrap();
-            assert_eq!(s.stored, b.stored);
-            assert!(b.index_calls.is_empty());
-        }
     }
 
     #[test]

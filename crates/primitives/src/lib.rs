@@ -9,7 +9,6 @@
 //! * [`aes`] — FIPS 197 AES-128/192/256 block cipher,
 //! * [`ctr`] — AES-CTR stream encryption,
 //! * [`gcm`] — AES-GCM authenticated encryption (GHASH over GF(2^128)),
-//! * [`cache`] — a bounded per-label cache of derived cipher contexts,
 //! * [`prf`] — the keyed PRF abstraction tactics are built on,
 //! * [`ct`] — constant-time comparison,
 //! * [`keys`] — symmetric key material with best-effort zeroization.
@@ -51,7 +50,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 pub mod aes;
-pub mod cache;
 pub mod ct;
 pub mod ctr;
 pub mod gcm;
@@ -126,19 +124,12 @@ pub fn backend() -> &'static str {
     NAMES[backend_bits() as usize]
 }
 
-/// [`backend`] as a bit set: 1 AES-NI, 2 PCLMULQDQ, 4 SHA-NI.
-fn backend_bits() -> u8 {
+/// [`backend`] as a bit set: 1 AES-NI, 2 PCLMULQDQ, 4 SHA-NI; 0 is the
+/// portable tier.
+pub fn backend_bits() -> u8 {
     u8::from(isa::AesNi::detect().is_some())
         | u8::from(isa::Clmul::detect().is_some()) << 1
         | u8::from(isa::ShaNi::detect().is_some()) << 2
-}
-
-/// Exports the running tier as the info gauge `primitives.backend`
-/// ([`backend`] as a bit set: 1 AES-NI, 2 PCLMULQDQ, 4 SHA-NI; 0 is the
-/// portable tier), so a slow host can be told from a slow build by what
-/// the process itself reports.
-pub fn record_backend(recorder: &datablinder_obs::Recorder) {
-    recorder.gauge_set("primitives.backend", i64::from(backend_bits()));
 }
 
 /// The portable tier by name, for `tests/isa_differential.rs`: the contexts

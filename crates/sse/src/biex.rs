@@ -17,11 +17,7 @@
 //! the union of its conjunctions' results. Protection class 3, leakage
 //! *Predicates* (the structure of the boolean query is visible).
 
-use std::sync::Arc;
-
 use datablinder_kvstore::KvStore;
-use datablinder_obs::Recorder;
-use datablinder_primitives::cache::{CacheStats, CipherCache};
 use datablinder_primitives::gcm::AesGcm;
 use datablinder_primitives::keys::SymmetricKey;
 use datablinder_primitives::prf::{HmacPrf, Prf};
@@ -173,16 +169,11 @@ pub fn decode_2lev_response(buf: &[u8]) -> Result<Biex2LevResponse, SseError> {
     Ok(out)
 }
 
-/// Cached per-pair ciphers kept per client (pairs grow quadratically in
-/// co-occurring keywords, so the bound is larger than the 2Lev one).
-const PAIR_CIPHER_CACHE: usize = 1024;
-
 /// The gateway-side half of BIEX-2Lev.
 pub struct Biex2LevClient {
     global: TwoLevClient,
     prf: HmacPrf,
     master: SymmetricKey,
-    ciphers: CipherCache<AesGcm>,
 }
 
 impl Biex2LevClient {
@@ -192,34 +183,21 @@ impl Biex2LevClient {
             global: TwoLevClient::new(&key.derive(b"biex/global", 32)),
             prf: HmacPrf::new(key.derive(b"biex/pairs", 32)),
             master: key.derive(b"biex/enc", 32),
-            ciphers: CipherCache::new(PAIR_CIPHER_CACHE),
         }
-    }
-
-    /// Attaches an observability recorder to the pair- and bucket-cipher
-    /// caches (`primitives.cipher_cache.*`).
-    pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.ciphers.set_recorder(recorder.clone());
-        self.global.set_recorder(recorder);
-    }
-
-    /// Counters of the pair-cipher cache.
-    pub fn cipher_cache_stats(&self) -> CacheStats {
-        self.ciphers.stats()
     }
 
     fn pair_label(&self, w1: &[u8], w2: &[u8]) -> [u8; 32] {
         self.prf.eval_parts(&[b"pair-label", w1, w2])
     }
 
-    /// Per-pair entry cipher, derived once per `(w1, w2)` and then served
-    /// from the bounded cache.
-    fn pair_cipher(&self, w1: &[u8], w2: &[u8]) -> Result<Arc<AesGcm>, SseError> {
+    /// Per-pair entry cipher: one derivation and key schedule per stored
+    /// or resolved `(w1, w2)` entry.
+    fn pair_cipher(&self, w1: &[u8], w2: &[u8]) -> Result<AesGcm, SseError> {
         let mut label = b"pair-enc/".to_vec();
         label.extend_from_slice(&(w1.len() as u64).to_be_bytes());
         label.extend_from_slice(w1);
         label.extend_from_slice(w2);
-        self.ciphers.get_or_try_build(&label, || Ok(AesGcm::new(&self.master.derive(&label, 32))?))
+        Ok(AesGcm::new(&self.master.derive(&label, 32))?)
     }
 
     /// Builds global + pair structures and installs them on the server.
@@ -475,12 +453,6 @@ impl BiexZmfClient {
             global: TwoLevClient::new(&key.derive(b"zmf/global", 32)),
             prf: HmacPrf::new(key.derive(b"zmf/prf", 32)),
         }
-    }
-
-    /// Attaches an observability recorder to the global bucket-cipher
-    /// cache (`primitives.cipher_cache.*`).
-    pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.global.set_recorder(recorder);
     }
 
     fn filter_label(&self, w: &[u8]) -> [u8; 32] {
@@ -778,27 +750,6 @@ mod tests {
         let s2 = BiexZmfServer::new(KvStore::new(), b"zmf:");
         c2.setup(&mut rng, &idx, &s2).unwrap();
         assert!(s1.pair_count() > s2.filter_count());
-    }
-
-    #[test]
-    fn one_key_schedule_per_pair_label() {
-        // Regression for the per-op rebuild: repeated conjunction searches
-        // reuse the pair ciphers built at setup instead of re-deriving.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(37);
-        let idx = index();
-        let client = Biex2LevClient::new(&SymmetricKey::from_bytes(&[1u8; 32]));
-        let server = Biex2LevServer::new(KvStore::new(), b"biex:");
-        client.setup(&mut rng, &idx, &server).unwrap();
-        let after_setup = client.cipher_cache_stats();
-        assert_eq!(after_setup.misses as usize, server.pair_count(), "one cipher per stored pair");
-        let q = BiexQuery::conjunction(vec![b"red".to_vec(), b"blue".to_vec()]);
-        for _ in 0..5 {
-            let resp = server.search(&client.search_token(&q)).unwrap();
-            client.resolve(&q, &resp).unwrap();
-        }
-        let s = client.cipher_cache_stats();
-        assert_eq!(s.misses, after_setup.misses, "searches never rebuild a pair schedule");
-        assert_eq!(s.hits, after_setup.hits + 5);
     }
 
     #[test]

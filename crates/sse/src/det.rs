@@ -65,14 +65,6 @@ impl DetCipher {
         out
     }
 
-    /// Encrypts a contiguous batch of plaintexts with one cipher context.
-    ///
-    /// Byte-identical to mapping [`DetCipher::encrypt`] over the batch
-    /// (DET is deterministic, so this is easy to verify — and tested).
-    pub fn encrypt_many(&self, plaintexts: &[&[u8]]) -> Vec<Vec<u8>> {
-        plaintexts.iter().map(|pt| self.encrypt(pt)).collect()
-    }
-
     /// Decrypts and verifies the synthetic IV.
     ///
     /// # Errors
@@ -149,18 +141,6 @@ mod tests {
     fn short_input_rejected() {
         let d = det();
         assert!(matches!(d.decrypt(&[0u8; 15]), Err(SseError::Malformed(_))));
-    }
-
-    #[test]
-    fn encrypt_many_matches_per_value_encrypt() {
-        let d = det();
-        let plains: Vec<Vec<u8>> = (0..6usize).map(|i| vec![i as u8; 5 * i]).collect();
-        let refs: Vec<&[u8]> = plains.iter().map(|p| p.as_slice()).collect();
-        let batch = d.encrypt_many(&refs);
-        for (pt, ct) in plains.iter().zip(&batch) {
-            assert_eq!(ct, &d.encrypt(pt));
-            assert_eq!(&d.decrypt(ct).unwrap(), pt);
-        }
     }
 
     #[test]

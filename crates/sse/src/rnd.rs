@@ -5,7 +5,7 @@
 //! granularity. The strongest tactic in Table 2 — and the least functional:
 //! no search at all (the paper assigns it to `performer`, ops `[I]` only).
 
-use datablinder_primitives::gcm::{AesGcm, NONCE_LEN};
+use datablinder_primitives::gcm::{AesGcm, NONCE_LEN, TAG_LEN};
 use datablinder_primitives::keys::SymmetricKey;
 use rand::RngCore;
 
@@ -60,49 +60,22 @@ impl RndCipher {
         Ok(RndCipher { gcm: AesGcm::new(&enc)?, bucket })
     }
 
-    /// Encrypts with a fresh nonce: `nonce(12) || gcm(len(8) || padded)`.
+    /// Encrypts with a fresh nonce: `nonce(12) || gcm(len(8) || padded)`,
+    /// sealed straight into the output after the nonce.
     pub fn encrypt<R: RngCore + ?Sized>(&self, rng: &mut R, plaintext: &[u8]) -> Vec<u8> {
         let mut nonce = [0u8; NONCE_LEN];
         rng.fill_bytes(&mut nonce);
-        let mut framed = Vec::with_capacity(8 + plaintext.len());
+        let mut framed = Vec::with_capacity(8 + plaintext.len() + self.bucket);
         framed.extend_from_slice(&(plaintext.len() as u64).to_be_bytes());
         framed.extend_from_slice(plaintext);
         if self.bucket > 0 {
             let target = framed.len().div_ceil(self.bucket) * self.bucket;
             framed.resize(target, 0);
         }
-        let sealed = self.gcm.seal(&nonce, b"rnd", &framed);
-        let mut out = Vec::with_capacity(NONCE_LEN + sealed.len());
+        let mut out = Vec::with_capacity(NONCE_LEN + framed.len() + TAG_LEN);
         out.extend_from_slice(&nonce);
-        out.extend_from_slice(&sealed);
+        self.gcm.seal_into(&nonce, b"rnd", &framed, &mut out);
         out
-    }
-
-    /// Encrypts a batch of `(nonce, plaintext)` pairs with one cipher
-    /// context and a reused framing buffer.
-    ///
-    /// Nonces are supplied by the caller (drawn from its RNG in item
-    /// order), so the output is byte-identical to calling
-    /// [`RndCipher::encrypt`] per item with the same RNG stream — the
-    /// batch path changes throughput, never ciphertexts.
-    pub fn encrypt_many(&self, items: &[([u8; NONCE_LEN], &[u8])]) -> Vec<Vec<u8>> {
-        let mut framed = Vec::new();
-        items
-            .iter()
-            .map(|(nonce, plaintext)| {
-                framed.clear();
-                framed.extend_from_slice(&(plaintext.len() as u64).to_be_bytes());
-                framed.extend_from_slice(plaintext);
-                if self.bucket > 0 {
-                    let target = framed.len().div_ceil(self.bucket) * self.bucket;
-                    framed.resize(target, 0);
-                }
-                let mut out = Vec::with_capacity(NONCE_LEN + framed.len() + datablinder_primitives::gcm::TAG_LEN);
-                out.extend_from_slice(nonce);
-                self.gcm.seal_into(nonce, b"rnd", &framed, &mut out);
-                out
-            })
-            .collect()
     }
 
     /// Decrypts, verifying the tag and stripping padding.
@@ -171,31 +144,6 @@ mod tests {
         let rnd = RndCipher::with_bucket(&SymmetricKey::from_bytes(&[4u8; 32]), 0).unwrap();
         let c = rnd.encrypt(&mut rng, b"abc");
         assert_eq!(rnd.decrypt(&c).unwrap(), b"abc");
-    }
-
-    #[test]
-    fn encrypt_many_matches_sequential_encrypt() {
-        let (rnd, _) = setup();
-        let plains: Vec<Vec<u8>> =
-            [0usize, 1, 20, 32, 40, 500].iter().map(|&len| (0..len as u32).map(|i| i as u8).collect()).collect();
-        // Same seed, two rngs: one drives the sequential path, one draws
-        // the nonces handed to the batch path.
-        let mut seq_rng = rand::rngs::StdRng::seed_from_u64(77);
-        let sequential: Vec<Vec<u8>> = plains.iter().map(|pt| rnd.encrypt(&mut seq_rng, pt)).collect();
-        let mut batch_rng = rand::rngs::StdRng::seed_from_u64(77);
-        let items: Vec<([u8; NONCE_LEN], &[u8])> = plains
-            .iter()
-            .map(|pt| {
-                let mut nonce = [0u8; NONCE_LEN];
-                batch_rng.fill_bytes(&mut nonce);
-                (nonce, pt.as_slice())
-            })
-            .collect();
-        let batched = rnd.encrypt_many(&items);
-        assert_eq!(batched, sequential);
-        for (ct, pt) in batched.iter().zip(&plains) {
-            assert_eq!(&rnd.decrypt(ct).unwrap(), pt);
-        }
     }
 
     #[test]

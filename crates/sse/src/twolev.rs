@@ -15,11 +15,7 @@
 //! keyword (its bucket positions and count), never document ids: postings
 //! buckets are encrypted under a client-only key.
 
-use std::sync::Arc;
-
 use datablinder_kvstore::KvStore;
-use datablinder_obs::Recorder;
-use datablinder_primitives::cache::{CacheStats, CipherCache};
 use datablinder_primitives::gcm::AesGcm;
 use datablinder_primitives::keys::SymmetricKey;
 use datablinder_primitives::prf::{HmacPrf, Prf};
@@ -69,35 +65,16 @@ impl TwoLevToken {
     }
 }
 
-/// Cached per-keyword bucket ciphers kept per client (bounded).
-const BUCKET_CIPHER_CACHE: usize = 512;
-
 /// The gateway-side half: key material and token/bucket cryptography.
 pub struct TwoLevClient {
     prf: HmacPrf,
     master: SymmetricKey,
-    ciphers: CipherCache<AesGcm>,
 }
 
 impl TwoLevClient {
     /// Creates a client.
     pub fn new(key: &SymmetricKey) -> Self {
-        TwoLevClient {
-            prf: HmacPrf::new(key.derive(b"2lev/prf", 32)),
-            master: key.derive(b"2lev/enc", 32),
-            ciphers: CipherCache::new(BUCKET_CIPHER_CACHE),
-        }
-    }
-
-    /// Attaches an observability recorder to the bucket-cipher cache
-    /// (`primitives.cipher_cache.*`).
-    pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.ciphers.set_recorder(recorder);
-    }
-
-    /// Counters of the bucket-cipher cache.
-    pub fn cipher_cache_stats(&self) -> CacheStats {
-        self.ciphers.stats()
+        TwoLevClient { prf: HmacPrf::new(key.derive(b"2lev/prf", 32)), master: key.derive(b"2lev/enc", 32) }
     }
 
     fn label(&self, keyword: &[u8]) -> [u8; 32] {
@@ -108,13 +85,12 @@ impl TwoLevClient {
         self.prf.eval_parts(&[b"unlock", keyword])
     }
 
-    /// Per-keyword bucket cipher (client-only), derived once per keyword
-    /// and then served from the bounded cache — the key schedule and GHASH
-    /// table are built exactly once per label.
-    fn bucket_cipher(&self, keyword: &[u8]) -> Result<Arc<AesGcm>, SseError> {
+    /// Per-keyword bucket cipher (client-only): one derivation and key
+    /// schedule per setup keyword or resolve, about a microsecond.
+    fn bucket_cipher(&self, keyword: &[u8]) -> Result<AesGcm, SseError> {
         let mut label = b"bucket/".to_vec();
         label.extend_from_slice(keyword);
-        self.ciphers.get_or_try_build(&label, || Ok(AesGcm::new(&self.master.derive(&label, 32))?))
+        Ok(AesGcm::new(&self.master.derive(&label, 32))?)
     }
 
     /// Builds the encrypted structures from a plaintext inverted index and
@@ -443,29 +419,6 @@ mod tests {
         let t = client.search_token(b"w");
         assert_eq!(TwoLevToken::decode(&t.encode()).unwrap(), t);
         assert!(TwoLevToken::decode(b"short").is_err());
-    }
-
-    #[test]
-    fn one_key_schedule_per_keyword_label() {
-        // Regression for the per-op rebuild: repeated searches over the
-        // same keywords must build each bucket cipher exactly once.
-        let mut idx = InvertedIndex::new();
-        for n in 0..40 {
-            idx.add(b"alpha", id(n));
-            idx.add(b"beta", id(n + 100));
-        }
-        let (client, server) = setup(&idx);
-        let after_setup = client.cipher_cache_stats();
-        assert_eq!(after_setup.misses, 2, "setup builds one cipher per keyword");
-        for _ in 0..5 {
-            for kw in [&b"alpha"[..], b"beta"] {
-                let buckets = server.search(&client.search_token(kw)).unwrap();
-                client.resolve(kw, &buckets).unwrap();
-            }
-        }
-        let s = client.cipher_cache_stats();
-        assert_eq!(s.misses, 2, "searches reuse the cached schedules");
-        assert_eq!(s.hits, after_setup.hits + 10);
     }
 
     #[test]

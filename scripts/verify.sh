@@ -81,7 +81,7 @@ fi
 [ "$(grep -c 'union_ids(' "$cluster"/read.rs)" = 3 ] ||
     { echo "union_ids( belongs in $cluster/read.rs three times: its definition and the doc/count and doc/list_ids callers" >&2; exit 1; }
 
-echo "==> one write path: gateway.rs seals and batches only in send_write_groups, protects only through protect_many, lists a collection in one place, and calls the channel only in call, send_write_groups and recover_pending"
+echo "==> one write path: gateway.rs seals and batches only in send_write_groups, protects only in protect_items, lists a collection in one place, and calls the channel only in call, send_write_groups and recover_pending"
 # Every write group (insert, delete, insert_many, migrate, a rotation, a
 # schema's indexes) ships as one sealed call from one function, protected
 # by one planner; reads go through `call`. Comments may name any of these;
@@ -92,7 +92,7 @@ write_path_leaks="$(awk '
     /^ *(pub(\([a-z]+\))? )?fn / { name = $0; sub(/^.*fn /, "", name); sub(/[^a-z0-9_].*$/, "", name) }
     /"batch"|(^|[^A-Z_])BATCH_ROUTE/ && name != "" && name != "send_write_groups" { print FILENAME ":" FNR ": a batch built in " name }
     /self\.seal\(/ && name != "send_write_groups" { print FILENAME ":" FNR ": a write sealed in " name }
-    /\.protect\(/ { print FILENAME ":" FNR ": a per-item protect in " name }
+    /\.protect\(/ && name != "protect_items" { print FILENAME ":" FNR ": a protect outside protect_items, in " name }
     /self\.channel\.call\(/ && name !~ /^(call|send_write_groups|recover_pending)$/ { print FILENAME ":" FNR ": the channel called in " name }
 ' "$gateway")"
 [ -z "$write_path_leaks" ] ||
@@ -101,6 +101,18 @@ write_path_leaks="$(awk '
     { echo "$gateway must list a collection's ids in one place, stored_documents" >&2; exit 1; }
 if grep -rnE 'protect_document_calls|protect_documents_batch|DeleteWork' crates/*/src src tests; then
     echo "the per-document protection paths are gone; every write protects through insert_group" >&2
+    exit 1
+fi
+
+echo "==> one path per tactic job: no batch-protect twin, no cipher cache, and the crypto crates record nothing"
+# A partition protects through one loop over `protect`; a per-label cipher
+# is built where it is used. Comments may name what is gone; code may not.
+batch_twins="$(grep -rnE 'protect_many|ProtectItem|encrypt_many|CipherCache|cipher_cache' crates/*/src |
+    grep -vE '^[^:]+:[0-9]+: *//' || true)"
+[ -z "$batch_twins" ] ||
+    { echo "a second protect path or a cipher cache is back:" >&2; echo "$batch_twins" >&2; exit 1; }
+if grep -n 'datablinder-obs' crates/primitives/Cargo.toml crates/sse/Cargo.toml; then
+    echo "primitives and sse do not depend on datablinder-obs; the gateway exports what they would" >&2
     exit 1
 fi
 

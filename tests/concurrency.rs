@@ -316,8 +316,8 @@ fn cloud_state(cloud: &CloudEngine) -> (Vec<(String, Vec<Document>)>, Vec<String
     (docs, kv)
 }
 
-/// `insert_many` with the planner's per-tactic partitions (one
-/// `protect_many` / `seal_many` call each) running on a worker pool must
+/// `insert_many` with the planner's per-tactic partitions (each one loop
+/// over `protect` under one hold of the instance lock) running on a worker pool must
 /// leave the cloud **byte-identical** to the same run with no pool, where
 /// they run on the caller's thread — same document ids, same shadow-field
 /// ciphertexts, same index records — at 1, 2 and 4 worker threads. The

@@ -65,6 +65,75 @@ fn boolean_search_matches_oracle() {
     assert_eq!(hits.len(), expect);
 }
 
+/// Boolean search over fields no cross-field tactic serves: two C5 fields,
+/// each selected as DET + OPE under its own key. Every literal is
+/// rewritten under its own field's DET key and the document store combines
+/// them in one `doc/find_ids_dnf`. The two fields share values, so a
+/// literal sealed under the wrong field's key would miss.
+#[test]
+fn det_boolean_search_across_fields_matches_oracle() {
+    use datablinder::core::model::{FieldAnnotation, FieldOp, FieldType, ProtectionClass, Schema};
+    use datablinder::netsim::{CloudService, NetError};
+    use std::sync::{Arc, Mutex};
+
+    struct Routes {
+        inner: CloudEngine,
+        seen: Mutex<Vec<String>>,
+    }
+    impl CloudService for Routes {
+        fn handle(&self, route: &str, payload: &[u8]) -> Result<Vec<u8>, NetError> {
+            self.seen.lock().unwrap().push(route.to_string());
+            self.inner.handle(route, payload)
+        }
+    }
+    let svc = Arc::new(Routes { inner: CloudEngine::new(), seen: Mutex::new(Vec::new()) });
+    let mut rng = StdRng::seed_from_u64(0xDE7);
+    let gw = GatewayEngine::new("e2e", Kms::generate(&mut rng), Channel::from_arc(svc.clone(), LatencyModel::lan()), 8);
+    use FieldOp::*;
+    let c5 = || FieldAnnotation::new(ProtectionClass::C5, vec![Insert, Equality, Boolean, Range]);
+    let schema = Schema::new("timeline")
+        .plain_field("n", FieldType::Integer, true)
+        .sensitive_field("effective", FieldType::Integer, true, c5())
+        .sensitive_field("issued", FieldType::Integer, true, c5());
+    gw.register_schema(schema).unwrap();
+    for field in ["effective", "issued"] {
+        let selection = gw.selection("timeline", field).unwrap();
+        assert_eq!(selection.all_tactics(), ["det", "ope"], "{field}");
+    }
+
+    let day = |d: i64| Value::from(1_400_000_000 + d * 86_400);
+    let corpus: Vec<Document> = (0..48i64)
+        .map(|n| {
+            Document::new("x").with("n", Value::from(n)).with("effective", day(n % 5)).with("issued", day(n % 3 + 2))
+        })
+        .collect();
+    gw.insert_many("timeline", &corpus).unwrap();
+
+    let holds = |d: &Document, (f, v): &(String, Value)| d.get(f) == Some(v);
+    let lit = |f: &str, d: i64| (f.to_string(), day(d));
+    for dnf in [
+        vec![vec![lit("effective", 2), lit("issued", 2)]],
+        vec![vec![lit("effective", 3)], vec![lit("issued", 3)]],
+        vec![vec![lit("effective", 4), lit("issued", 4)], vec![lit("issued", 2)]],
+        vec![vec![lit("effective", 9)]],
+        vec![vec![lit("effective", 1), lit("issued", 9)]],
+    ] {
+        let mut expect: Vec<i64> = corpus
+            .iter()
+            .filter(|d| dnf.iter().any(|conj| conj.iter().all(|l| holds(d, l))))
+            .map(|d| d.get("n").unwrap().as_i64().unwrap())
+            .collect();
+        svc.seen.lock().unwrap().clear();
+        let hits = gw.find_boolean("timeline", &dnf).unwrap();
+        let seen = std::mem::take(&mut *svc.seen.lock().unwrap());
+        assert_eq!(seen[0], "doc/find_ids_dnf", "{dnf:?}: {seen:?}");
+        let mut got: Vec<i64> = hits.iter().map(|d| d.get("n").unwrap().as_i64().unwrap()).collect();
+        got.sort_unstable();
+        expect.sort_unstable();
+        assert_eq!(got, expect, "{dnf:?}");
+    }
+}
+
 #[test]
 fn range_search_matches_oracle() {
     let (gw, corpus) = setup();

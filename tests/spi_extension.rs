@@ -14,7 +14,7 @@ use datablinder::core::gateway::GatewayEngine;
 use datablinder::core::model::*;
 use datablinder::core::registry::TacticRegistry;
 use datablinder::core::spi::{CloudCall, CloudTactic, GatewayTactic, ProtectedField};
-use datablinder::core::tactics::{decode_ids, encode_ids, shadow_field};
+use datablinder::core::tactics::{encode_ids, shadow_field};
 use datablinder::core::wire::{canonical_bytes, decode_value, field_keyword};
 use datablinder::core::CoreError;
 use datablinder::docstore::{Document, Value};
@@ -82,13 +82,6 @@ impl GatewayTactic for HmacIndexGateway {
     fn eq_query(&mut self, field: &str, value: &Value) -> Result<Vec<CloudCall>, CoreError> {
         let label = self.prf.eval(&field_keyword(field, value));
         Ok(vec![CloudCall::new(self.route_search.clone(), label.to_vec())])
-    }
-
-    fn eq_resolve(&self, _field: &str, _value: &Value, responses: &[Vec<u8>]) -> Result<Vec<DocId>, CoreError> {
-        let [response] = responses else {
-            return Err(CoreError::Wire("hmac-index response arity"));
-        };
-        decode_ids(response)
     }
 }
 
