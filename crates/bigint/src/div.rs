@@ -46,11 +46,6 @@ impl BigUint {
         }
         (BigUint::from_limbs(q), rem as u64)
     }
-
-    /// `self mod m`, convenience over [`BigUint::divrem`].
-    pub fn rem_of(&self, m: &BigUint) -> BigUint {
-        self.divrem(m).1
-    }
 }
 
 /// Knuth Algorithm D for multi-limb divisors.

@@ -62,11 +62,6 @@ impl BigInt {
         &self.mag
     }
 
-    /// Consumes `self`, returning the magnitude.
-    pub fn into_magnitude(self) -> BigUint {
-        self.mag
-    }
-
     /// Returns `true` if the value is zero.
     pub fn is_zero(&self) -> bool {
         self.mag.is_zero()

@@ -137,13 +137,6 @@ impl BigUint {
         }
     }
 
-    /// Addition with a single limb.
-    pub fn add_u64(&self, rhs: u64) -> BigUint {
-        let mut out = self.clone();
-        out.add_assign_u64(rhs);
-        out
-    }
-
     pub(crate) fn add_assign_u64(&mut self, rhs: u64) {
         let mut carry = rhs;
         for l in self.limbs.iter_mut() {

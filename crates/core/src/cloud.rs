@@ -246,11 +246,6 @@ impl CloudEngine {
         &self.recovery
     }
 
-    /// Whether this engine journals mutations to disk.
-    pub fn is_durable(&self) -> bool {
-        self.durability.is_some()
-    }
-
     /// Whether the crash injector has fired (the simulated machine is
     /// down; always `false` for volatile engines).
     pub fn crashed(&self) -> bool {

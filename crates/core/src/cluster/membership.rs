@@ -15,7 +15,7 @@ use super::repair::{entry_key, sync_put};
 use super::replica::{LocalNode, Replica};
 use super::ring::{gained_ranges, lost_ranges, Ring};
 use super::write::targets_node;
-use super::{token16, ClusterCloud, Topology};
+use super::{token16, ClusterCloud, Topology, DEFAULT_VNODES};
 use crate::cloudproto::{BlobList, RangeSelect, SyncEntries, SyncEntry, IDEM_ROUTE};
 use crate::durability::WalRecord;
 use crate::error::CoreError;
@@ -216,7 +216,7 @@ impl ClusterCloud {
         let joiner = Replica::new(&self.cfg, slot, node, self.obs.clone(), self.kills.clone());
         let mut new_members = topo.members.clone();
         new_members.push(slot);
-        let new_ring = Ring::new(&new_members, self.cfg.vnodes, self.cfg.replication, self.cfg.seed);
+        let new_ring = Ring::new(&new_members, DEFAULT_VNODES, self.cfg.replication, self.cfg.seed);
         self.hand_off(&topo, joiner.node(), None, &gained_ranges(&topo.ring, &new_ring, slot), true)?;
         for member in topo.live_members() {
             let lost = lost_ranges(&topo.ring, &new_ring, member.slot());
@@ -263,7 +263,7 @@ impl ClusterCloud {
             )));
         }
         let new_members: Vec<usize> = topo.members.iter().copied().filter(|&m| m != idx).collect();
-        let new_ring = Ring::new(&new_members, self.cfg.vnodes, self.cfg.replication, self.cfg.seed);
+        let new_ring = Ring::new(&new_members, DEFAULT_VNODES, self.cfg.replication, self.cfg.seed);
         // A dead member inherits its new ranges on rejoin, when its resync
         // consults the post-removal ring.
         for heir in topo.live_members().filter(|heir| heir.slot() != idx) {

@@ -22,10 +22,9 @@
 //!   owners before the new ring serves quorums. Operations arriving during
 //!   the transfer window fail fast with a typed
 //!   [`NetError::Unavailable`] instead of reading a half-moved ring.
-//! * A background anti-entropy pass ([`ClusterCloud::run_anti_entropy`],
-//!   optionally ticked every [`ClusterConfig::anti_entropy_every`] ops)
-//!   compares per-leaf Merkle digests pairwise across replicas and repairs
-//!   divergent keys through the idempotent `sync/put` envelope.
+//! * An anti-entropy pass ([`ClusterCloud::run_anti_entropy`], run on
+//!   demand) compares per-leaf Merkle digests pairwise across replicas and
+//!   repairs divergent keys through the idempotent `sync/put` envelope.
 //!
 //! # Layout
 //!
@@ -72,7 +71,6 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, TryLockError};
-use std::time::Duration;
 
 use datablinder_netsim::{CloudService, CrashInjector, NetError, NodeEvent, NodeFailureInjector, NodeFailurePlan};
 use datablinder_obs::{ClusterSnapshot, Recorder, Snapshot};
@@ -88,8 +86,9 @@ use crate::sync::doc_key;
 
 pub use self::repair::AntiEntropyRound;
 
-/// Default virtual nodes per physical node: enough to spread keys evenly
-/// for single-digit cluster sizes without making replica lookups slow.
+/// Virtual nodes per physical node on the hash ring: enough to spread keys
+/// evenly for single-digit cluster sizes without making replica lookups
+/// slow.
 pub const DEFAULT_VNODES: usize = 16;
 
 /// Shape of a [`ClusterCloud`]: node count, replication/quorum levels and
@@ -102,55 +101,28 @@ pub struct ClusterConfig {
     pub replication: usize,
     /// Durable acks required before a write succeeds (W ≤ R).
     pub write_quorum: usize,
-    /// Virtual nodes per physical node on the hash ring.
-    pub vnodes: usize,
     /// Seed for ring placement and per-node channel jitter; equal seeds
     /// give equal key placement.
     pub seed: u64,
-    /// Per-call deadline on every gateway→node hop (`None` = unbounded).
-    pub node_deadline: Option<Duration>,
     /// Base directory for per-node durability (`node<i>` subdirectories);
     /// `None` runs every node volatile.
     pub data_dir: Option<PathBuf>,
     /// Per-node auto-snapshot cadence (see
     /// [`crate::durability::DurabilityOptions::snapshot_every`]).
     pub snapshot_every: Option<u64>,
-    /// Per-node idempotency dedup-cache bound.
-    pub dedup_capacity: Option<usize>,
-    /// Run one background anti-entropy pass every this many handled ops
-    /// (`None` or `Some(0)` disables the cadence; explicit
-    /// [`ClusterCloud::run_anti_entropy`] calls always work).
-    pub anti_entropy_every: Option<u64>,
 }
 
 impl ClusterConfig {
     /// A volatile cluster: `nodes` nodes, `replication`-way replication,
     /// `write_quorum` acks per write.
     pub fn volatile(nodes: usize, replication: usize, write_quorum: usize, seed: u64) -> Self {
-        ClusterConfig {
-            nodes,
-            replication,
-            write_quorum,
-            vnodes: DEFAULT_VNODES,
-            seed,
-            node_deadline: None,
-            data_dir: None,
-            snapshot_every: None,
-            dedup_capacity: None,
-            anti_entropy_every: None,
-        }
+        ClusterConfig { nodes, replication, write_quorum, seed, data_dir: None, snapshot_every: None }
     }
 
     /// Builder: back every node with a WAL + snapshot under
     /// `dir/node<i>`.
     pub fn durable(mut self, dir: impl Into<PathBuf>) -> Self {
         self.data_dir = Some(dir.into());
-        self
-    }
-
-    /// Builder: run a background anti-entropy pass every `every` ops.
-    pub fn anti_entropy(mut self, every: u64) -> Self {
-        self.anti_entropy_every = Some(every);
         self
     }
 
@@ -227,7 +199,6 @@ pub struct ClusterCloud {
     /// an op that drains several injector events applies them atomically.
     membership: Mutex<()>,
     obs: Recorder,
-    ops: AtomicU64,
     transfer_seq: AtomicU64,
     kills: Arc<AtomicU64>,
     rejoins: AtomicU64,
@@ -237,8 +208,6 @@ pub struct ClusterCloud {
     resync_replayed: AtomicU64,
     resync_filled: AtomicU64,
     ae_rounds: AtomicU64,
-    ae_divergent: AtomicU64,
-    ae_repaired_bytes: AtomicU64,
 }
 
 impl ClusterCloud {
@@ -252,7 +221,7 @@ impl ClusterCloud {
     pub fn new(cfg: ClusterConfig) -> Result<Self, CoreError> {
         cfg.validate()?;
         let members: Vec<usize> = (0..cfg.nodes).collect();
-        let ring = Ring::new(&members, cfg.vnodes, cfg.replication, cfg.seed);
+        let ring = Ring::new(&members, DEFAULT_VNODES, cfg.replication, cfg.seed);
         let kills = Arc::new(AtomicU64::new(0));
         let mut replicas = Vec::with_capacity(cfg.nodes);
         for slot in 0..cfg.nodes {
@@ -268,7 +237,6 @@ impl ClusterCloud {
             rejoin_crash: Mutex::new(HashMap::new()),
             membership: Mutex::new(()),
             obs: Recorder::default(),
-            ops: AtomicU64::new(0),
             transfer_seq: AtomicU64::new(0),
             kills,
             rejoins: AtomicU64::new(0),
@@ -278,8 +246,6 @@ impl ClusterCloud {
             resync_replayed: AtomicU64::new(0),
             resync_filled: AtomicU64::new(0),
             ae_rounds: AtomicU64::new(0),
-            ae_divergent: AtomicU64::new(0),
-            ae_repaired_bytes: AtomicU64::new(0),
         })
     }
 
@@ -409,16 +375,6 @@ impl ClusterCloud {
         self.ae_rounds.load(Ordering::Relaxed)
     }
 
-    /// Divergent keys found across all anti-entropy passes.
-    pub fn anti_entropy_divergent(&self) -> u64 {
-        self.ae_divergent.load(Ordering::Relaxed)
-    }
-
-    /// Bytes shipped in anti-entropy repair writes.
-    pub fn anti_entropy_repaired_bytes(&self) -> u64 {
-        self.ae_repaired_bytes.load(Ordering::Relaxed)
-    }
-
     /// Write-holds the topology while `f` runs — exactly the transfer
     /// window an `add_node`/`remove_node` handoff opens. Concurrent
     /// operations observe a typed [`NetError::Unavailable`] instead of a
@@ -427,19 +383,6 @@ impl ClusterCloud {
         let _guard = self.membership.lock().unwrap_or_else(PoisonError::into_inner);
         let _topo = self.topo.write().unwrap_or_else(PoisonError::into_inner);
         f()
-    }
-
-    /// Ticks the background anti-entropy cadence, running one pass when it
-    /// comes due. Runs *before* the caller takes the topology read lock.
-    fn maybe_anti_entropy(&self) {
-        let Some(every) = self.cfg.anti_entropy_every else { return };
-        if every == 0 {
-            return;
-        }
-        let n = self.ops.fetch_add(1, Ordering::Relaxed) + 1;
-        if n.is_multiple_of(every) {
-            self.run_anti_entropy();
-        }
     }
 
     /// Drains pending membership events before handling an operation.
@@ -484,7 +427,6 @@ impl CloudService for ClusterCloud {
             return Ok(self.snapshot().to_json().into_bytes());
         }
         self.pump_events();
-        self.maybe_anti_entropy();
         self.obs.count("cluster.ops", 1);
         // A membership change write-holds the topology: fail fast with a
         // typed error instead of reading a half-moved ring.

@@ -68,7 +68,7 @@ impl LocalNode {
         let mut engine = match &self.dir {
             Some(dir) => CloudEngine::open_durable_with(
                 dir,
-                DurabilityOptions { snapshot_every: cfg.snapshot_every, dedup_capacity: cfg.dedup_capacity, crash },
+                DurabilityOptions { snapshot_every: cfg.snapshot_every, dedup_capacity: None, crash },
             )?,
             None => CloudEngine::new(),
         };
@@ -200,10 +200,9 @@ impl Replica {
                     base_backoff: Duration::from_micros(100),
                     max_backoff: Duration::from_millis(5),
                     jitter: 0.5,
-                    retry_remote: false,
                 },
                 breaker: BreakerConfig { failure_threshold: 4, cooldown: REJOIN_COOLDOWN },
-                deadline: cfg.node_deadline,
+                deadline: None,
                 seed: cfg.seed ^ 0xC10D_5EED ^ ((slot as u64) << 48),
             },
         );

@@ -386,11 +386,6 @@ impl GatewayEngine {
         self.pool = Some(pool);
     }
 
-    /// The attached worker pool, if any.
-    pub fn worker_pool(&self) -> Option<&Arc<WorkerPool>> {
-        self.pool.as_ref()
-    }
-
     /// The observability recorder (disabled unless
     /// [`GatewayEngine::set_recorder`] installed an enabled one).
     pub fn recorder(&self) -> &Recorder {

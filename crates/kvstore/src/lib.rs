@@ -24,10 +24,8 @@
 mod log;
 mod store;
 
-pub use log::{
-    read_frames, replay_log, replay_log_report, scan_frames, AppendLog, FrameScan, FrameWriter, LogRecord, ReplayReport,
-};
-pub use store::{KvStats, KvStore};
+pub use log::{read_frames, scan_frames, AppendLog, FrameScan, FrameWriter, LogRecord};
+pub use store::KvStore;
 
 /// Errors produced by the KV store.
 #[derive(Debug, Clone, PartialEq, Eq)]

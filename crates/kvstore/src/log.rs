@@ -134,11 +134,6 @@ impl FrameWriter {
         self.writer.flush()?;
         Ok(())
     }
-
-    /// Number of frames appended through this writer.
-    pub fn appended(&self) -> u64 {
-        self.appended
-    }
 }
 
 impl Drop for FrameWriter {
@@ -308,42 +303,6 @@ impl AppendLog {
     pub fn flush(&mut self) -> Result<(), KvError> {
         self.frames.flush()
     }
-}
-
-/// What [`replay_log_report`] found on disk.
-#[derive(Debug)]
-pub struct ReplayReport {
-    /// Records recovered from the valid prefix.
-    pub records: Vec<LogRecord>,
-    /// Byte length of the valid prefix.
-    pub valid_len: u64,
-    /// Whether a torn tail was dropped.
-    pub torn_tail: bool,
-}
-
-/// Reads every complete record from a log file; a trailing partial frame
-/// is ignored (crash-consistent semi-durability).
-///
-/// # Errors
-///
-/// Propagates I/O errors and corrupt (CRC-mismatch) records.
-pub fn replay_log(path: &Path) -> Result<Vec<LogRecord>, KvError> {
-    Ok(replay_log_report(path)?.records)
-}
-
-/// [`replay_log`] plus the valid prefix length, so callers can truncate a
-/// torn tail before appending again.
-///
-/// # Errors
-///
-/// Propagates I/O errors and corrupt (CRC-mismatch) records.
-pub fn replay_log_report(path: &Path) -> Result<ReplayReport, KvError> {
-    let scan = read_frames(path)?;
-    let mut records = Vec::with_capacity(scan.frames.len());
-    for body in &scan.frames {
-        records.push(LogRecord::from_body(body)?);
-    }
-    Ok(ReplayReport { records, valid_len: scan.valid_len, torn_tail: scan.torn_tail })
 }
 
 #[cfg(test)]

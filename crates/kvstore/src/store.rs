@@ -3,8 +3,10 @@
 //! Since the shared-gateway work the keyspace is sharded N ways by key
 //! hash: each shard holds its own `RwLock<BTreeMap>` so writes to
 //! independent keys (different fields, different collections) proceed in
-//! parallel. The append log stays a **single serialized append point** —
-//! sharding changes lock granularity, not durability semantics. Prefix
+//! parallel. The append log stays a **single serialized append point**,
+//! and a write appends its record while it holds its shard's write lock,
+//! so each key's records reach the log in the order they reached the map.
+//! Sharding changes lock granularity, not durability semantics. Prefix
 //! scans and exports gather across shards and sort, so observable
 //! ordering is identical to the unsharded store.
 
@@ -12,7 +14,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 
-use crate::log::{AppendLog, LogRecord};
+use crate::log::{read_frames, AppendLog, LogRecord};
 use crate::KvError;
 
 /// Default number of keyspace shards. Power of two so the hash mixes
@@ -27,31 +29,6 @@ enum Slot {
     Hash(HashMap<Vec<u8>, Vec<u8>>),
     Set(HashSet<Vec<u8>>),
     Counter(i64),
-}
-
-/// Operation counters, useful for the paper's "secure index operations"
-/// accounting (~350k per benchmark run).
-#[derive(Debug, Default)]
-pub struct KvStats {
-    reads: AtomicU64,
-    writes: AtomicU64,
-}
-
-impl KvStats {
-    /// Number of read operations served.
-    pub fn reads(&self) -> u64 {
-        self.reads.load(Ordering::Relaxed)
-    }
-
-    /// Number of write operations applied.
-    pub fn writes(&self) -> u64 {
-        self.writes.load(Ordering::Relaxed)
-    }
-
-    /// Total operations.
-    pub fn total(&self) -> u64 {
-        self.reads() + self.writes()
-    }
 }
 
 /// One keyspace shard: its own lock plus a counter of the times a lock
@@ -104,8 +81,9 @@ impl Default for KvStore {
 
 struct Inner {
     shards: Vec<Shard>,
-    stats: KvStats,
-    log: Mutex<Option<AppendLog>>,
+    /// Fixed when the store is opened: `Some` only for a semi-durable
+    /// store, attached after its replay and before any handle is shared.
+    log: Option<Mutex<AppendLog>>,
 }
 
 /// FNV-1a over the key bytes: deterministic across runs and platforms,
@@ -130,13 +108,7 @@ impl KvStore {
     /// observable behaviour is identical either way).
     pub fn with_shards(shards: usize) -> Self {
         let n = shards.max(1);
-        KvStore {
-            inner: Arc::new(Inner {
-                shards: (0..n).map(|_| Shard::default()).collect(),
-                stats: KvStats::default(),
-                log: Mutex::new(None),
-            }),
-        }
+        KvStore { inner: Arc::new(Inner { shards: (0..n).map(|_| Shard::default()).collect(), log: None }) }
     }
 
     /// Creates a store in the paper's *semi-durable* mode: every write is
@@ -146,27 +118,22 @@ impl KvStore {
     ///
     /// Propagates I/O and corrupt-log errors.
     pub fn open_semi_durable(path: &std::path::Path) -> Result<Self, KvError> {
-        let store = KvStore::new();
+        let mut store = KvStore::new();
         if path.exists() {
-            let report = crate::log::replay_log_report(path)?;
-            for record in &report.records {
-                store.apply(record, false);
+            let scan = read_frames(path)?;
+            for body in &scan.frames {
+                store.apply_record(&LogRecord::from_body(body)?);
             }
-            if report.torn_tail {
+            if scan.torn_tail {
                 // Drop the torn tail so the appender resumes at a frame
                 // boundary instead of extending garbage.
                 let file = std::fs::OpenOptions::new().write(true).open(path)?;
-                file.set_len(report.valid_len)?;
+                file.set_len(scan.valid_len)?;
             }
         }
-        let log = AppendLog::open(path)?;
-        *store.inner.log.lock().unwrap_or_else(PoisonError::into_inner) = Some(log);
+        let inner = Arc::get_mut(&mut store.inner).expect("a store being opened has no other handle");
+        inner.log = Some(Mutex::new(AppendLog::open(path)?));
         Ok(store)
-    }
-
-    /// Operation statistics.
-    pub fn stats(&self) -> &KvStats {
-        &self.inner.stats
     }
 
     /// Number of keyspace shards.
@@ -186,18 +153,44 @@ impl KvStore {
         &self.inner.shards[(key_hash(key) % n as u64) as usize]
     }
 
-    fn record(&self, rec: LogRecord) {
-        if let Some(log) = self.inner.log.lock().unwrap_or_else(PoisonError::into_inner).as_mut() {
+    /// Appends the record `rec` builds, if the store has a log. Callers
+    /// hold the written key's shard lock, so each key's records reach the
+    /// log in the order they reached the map (lock order: shard, then log).
+    fn log(&self, rec: impl FnOnce() -> LogRecord) {
+        if let Some(log) = &self.inner.log {
+            let rec = rec();
             // Semi-durable: buffered append through the single serialized
             // append point; production code would expose a flush error API.
-            let _ = log.append(&rec);
+            let _ = log.lock().unwrap_or_else(PoisonError::into_inner).append(&rec);
         }
     }
 
-    /// Applies a log record without journaling it — used by snapshot
-    /// restore and WAL replay, where the record is already durable.
+    /// Applies a log record through the matching write operation. Snapshot
+    /// restore and WAL replay run it on stores without a log, and
+    /// [`KvStore::open_semi_durable`] replays before it attaches its own,
+    /// so an applied record is never journaled a second time.
     pub fn apply_record(&self, rec: &LogRecord) {
-        self.apply(rec, false);
+        match rec {
+            LogRecord::Set { key, value } => self.set(key, value),
+            LogRecord::Del { key } => {
+                self.del(key);
+            }
+            LogRecord::HSet { key, field, value } => {
+                let _ = self.hset(key, field, value);
+            }
+            LogRecord::HDel { key, field } => {
+                let _ = self.hdel(key, field);
+            }
+            LogRecord::SAdd { key, member } => {
+                let _ = self.sadd(key, member);
+            }
+            LogRecord::SRem { key, member } => {
+                let _ = self.srem(key, member);
+            }
+            LogRecord::Incr { key, by } => {
+                let _ = self.incr_by(key, *by);
+            }
+        }
     }
 
     /// Dumps the live state as a deterministic record sequence: replaying
@@ -236,46 +229,13 @@ impl KvStore {
         out
     }
 
-    /// Applies a log record (used by recovery; `log_it` controls re-logging).
-    pub(crate) fn apply(&self, rec: &LogRecord, log_it: bool) {
-        match rec {
-            LogRecord::Set { key, value } => {
-                self.set_internal(key.clone(), value.clone(), log_it);
-            }
-            LogRecord::Del { key } => {
-                self.del_internal(key, log_it);
-            }
-            LogRecord::HSet { key, field, value } => {
-                let _ = self.hset_internal(key.clone(), field.clone(), value.clone(), log_it);
-            }
-            LogRecord::HDel { key, field } => {
-                let _ = self.hdel_internal(key, field, log_it);
-            }
-            LogRecord::SAdd { key, member } => {
-                let _ = self.sadd_internal(key.clone(), member.clone(), log_it);
-            }
-            LogRecord::SRem { key, member } => {
-                let _ = self.srem_internal(key, member, log_it);
-            }
-            LogRecord::Incr { key, by } => {
-                let _ = self.incr_by_internal(key.clone(), *by, log_it);
-            }
-        }
-    }
-
     // -------------------------------------------------------------- strings
 
     /// Sets a string value, replacing any previous slot.
     pub fn set(&self, key: &[u8], value: &[u8]) {
-        self.set_internal(key.to_vec(), value.to_vec(), true);
-    }
-
-    fn set_internal(&self, key: Vec<u8>, value: Vec<u8>, log_it: bool) {
-        self.inner.stats.writes.fetch_add(1, Ordering::Relaxed);
-        if log_it {
-            self.record(LogRecord::Set { key: key.clone(), value: value.clone() });
-        }
-        self.shard(&key).write().insert(key, Slot::Str(value));
+        let mut map = self.shard(key).write();
+        self.log(|| LogRecord::Set { key: key.to_vec(), value: value.to_vec() });
+        map.insert(key.to_vec(), Slot::Str(value.to_vec()));
     }
 
     /// Sets a string value only if no slot exists at `key` (compare-and-set
@@ -284,20 +244,17 @@ impl KvStore {
     /// changes. The check-and-insert happens under one shard lock, so two
     /// racing `set_nx` calls on the same key serialize: exactly one wins.
     pub fn set_nx(&self, key: &[u8], value: &[u8]) -> bool {
-        self.inner.stats.writes.fetch_add(1, Ordering::Relaxed);
         let mut map = self.shard(key).write();
         if map.contains_key(key) {
             return false;
         }
+        self.log(|| LogRecord::Set { key: key.to_vec(), value: value.to_vec() });
         map.insert(key.to_vec(), Slot::Str(value.to_vec()));
-        drop(map);
-        self.record(LogRecord::Set { key: key.to_vec(), value: value.to_vec() });
         true
     }
 
     /// Reads a string value.
     pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.inner.stats.reads.fetch_add(1, Ordering::Relaxed);
         match self.shard(key).read().get(key) {
             Some(Slot::Str(v)) => Some(v.clone()),
             _ => None,
@@ -306,15 +263,9 @@ impl KvStore {
 
     /// Deletes any slot at `key`; returns whether something was removed.
     pub fn del(&self, key: &[u8]) -> bool {
-        self.del_internal(key, true)
-    }
-
-    fn del_internal(&self, key: &[u8], log_it: bool) -> bool {
-        self.inner.stats.writes.fetch_add(1, Ordering::Relaxed);
-        if log_it {
-            self.record(LogRecord::Del { key: key.to_vec() });
-        }
-        self.shard(key).write().remove(key).is_some()
+        let mut map = self.shard(key).write();
+        self.log(|| LogRecord::Del { key: key.to_vec() });
+        map.remove(key).is_some()
     }
 
     /// Deletes every slot whose key starts with `prefix`; returns the
@@ -323,21 +274,19 @@ impl KvStore {
     pub fn del_prefix(&self, prefix: &[u8]) -> usize {
         let keys = self.keys_with_prefix(prefix);
         for k in &keys {
-            self.del_internal(k, true);
+            self.del(k);
         }
         keys.len()
     }
 
     /// Whether any slot exists at `key`.
     pub fn exists(&self, key: &[u8]) -> bool {
-        self.inner.stats.reads.fetch_add(1, Ordering::Relaxed);
         self.shard(key).read().contains_key(key)
     }
 
     /// All keys with the given prefix (lexicographic order, gathered
     /// across shards and sorted).
     pub fn keys_with_prefix(&self, prefix: &[u8]) -> Vec<Vec<u8>> {
-        self.inner.stats.reads.fetch_add(1, Ordering::Relaxed);
         let mut keys: Vec<Vec<u8>> = Vec::new();
         for shard in &self.inner.shards {
             let map = shard.read();
@@ -357,25 +306,16 @@ impl KvStore {
     ///
     /// [`KvError::WrongType`] if `key` holds a non-hash slot.
     pub fn hset(&self, key: &[u8], field: &[u8], value: &[u8]) -> Result<bool, KvError> {
-        self.hset_internal(key.to_vec(), field.to_vec(), value.to_vec(), true)
-    }
-
-    fn hset_internal(&self, key: Vec<u8>, field: Vec<u8>, value: Vec<u8>, log_it: bool) -> Result<bool, KvError> {
-        self.inner.stats.writes.fetch_add(1, Ordering::Relaxed);
-        if log_it {
-            self.record(LogRecord::HSet { key: key.clone(), field: field.clone(), value: value.clone() });
-        }
-        let shard = self.shard(&key);
-        let mut map = shard.write();
-        match map.entry(key.clone()).or_insert_with(|| Slot::Hash(HashMap::new())) {
-            Slot::Hash(h) => Ok(h.insert(field, value).is_none()),
-            _ => Err(KvError::WrongType { key, expected: "hash" }),
+        let mut map = self.shard(key).write();
+        self.log(|| LogRecord::HSet { key: key.to_vec(), field: field.to_vec(), value: value.to_vec() });
+        match map.entry(key.to_vec()).or_insert_with(|| Slot::Hash(HashMap::new())) {
+            Slot::Hash(h) => Ok(h.insert(field.to_vec(), value.to_vec()).is_none()),
+            _ => Err(KvError::WrongType { key: key.to_vec(), expected: "hash" }),
         }
     }
 
     /// Reads `field` from the hash at `key`.
     pub fn hget(&self, key: &[u8], field: &[u8]) -> Option<Vec<u8>> {
-        self.inner.stats.reads.fetch_add(1, Ordering::Relaxed);
         match self.shard(key).read().get(key) {
             Some(Slot::Hash(h)) => h.get(field).cloned(),
             _ => None,
@@ -384,16 +324,8 @@ impl KvStore {
 
     /// Removes `field` from the hash at `key`; `true` if it existed.
     pub fn hdel(&self, key: &[u8], field: &[u8]) -> Result<bool, KvError> {
-        self.hdel_internal(key, field, true)
-    }
-
-    fn hdel_internal(&self, key: &[u8], field: &[u8], log_it: bool) -> Result<bool, KvError> {
-        self.inner.stats.writes.fetch_add(1, Ordering::Relaxed);
-        if log_it {
-            self.record(LogRecord::HDel { key: key.to_vec(), field: field.to_vec() });
-        }
-        let shard = self.shard(key);
-        let mut map = shard.write();
+        let mut map = self.shard(key).write();
+        self.log(|| LogRecord::HDel { key: key.to_vec(), field: field.to_vec() });
         match map.get_mut(key) {
             Some(Slot::Hash(h)) => Ok(h.remove(field).is_some()),
             Some(_) => Err(KvError::WrongType { key: key.to_vec(), expected: "hash" }),
@@ -403,7 +335,6 @@ impl KvStore {
 
     /// All `(field, value)` pairs of the hash at `key`.
     pub fn hgetall(&self, key: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
-        self.inner.stats.reads.fetch_add(1, Ordering::Relaxed);
         match self.shard(key).read().get(key) {
             Some(Slot::Hash(h)) => h.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
             _ => Vec::new(),
@@ -412,7 +343,6 @@ impl KvStore {
 
     /// Number of fields in the hash at `key` (0 if absent).
     pub fn hlen(&self, key: &[u8]) -> usize {
-        self.inner.stats.reads.fetch_add(1, Ordering::Relaxed);
         match self.shard(key).read().get(key) {
             Some(Slot::Hash(h)) => h.len(),
             _ => 0,
@@ -427,34 +357,18 @@ impl KvStore {
     ///
     /// [`KvError::WrongType`] if `key` holds a non-set slot.
     pub fn sadd(&self, key: &[u8], member: &[u8]) -> Result<bool, KvError> {
-        self.sadd_internal(key.to_vec(), member.to_vec(), true)
-    }
-
-    fn sadd_internal(&self, key: Vec<u8>, member: Vec<u8>, log_it: bool) -> Result<bool, KvError> {
-        self.inner.stats.writes.fetch_add(1, Ordering::Relaxed);
-        if log_it {
-            self.record(LogRecord::SAdd { key: key.clone(), member: member.clone() });
-        }
-        let shard = self.shard(&key);
-        let mut map = shard.write();
-        match map.entry(key.clone()).or_insert_with(|| Slot::Set(HashSet::new())) {
-            Slot::Set(s) => Ok(s.insert(member)),
-            _ => Err(KvError::WrongType { key, expected: "set" }),
+        let mut map = self.shard(key).write();
+        self.log(|| LogRecord::SAdd { key: key.to_vec(), member: member.to_vec() });
+        match map.entry(key.to_vec()).or_insert_with(|| Slot::Set(HashSet::new())) {
+            Slot::Set(s) => Ok(s.insert(member.to_vec())),
+            _ => Err(KvError::WrongType { key: key.to_vec(), expected: "set" }),
         }
     }
 
     /// Removes `member` from the set at `key`; `true` if it was present.
     pub fn srem(&self, key: &[u8], member: &[u8]) -> Result<bool, KvError> {
-        self.srem_internal(key, member, true)
-    }
-
-    fn srem_internal(&self, key: &[u8], member: &[u8], log_it: bool) -> Result<bool, KvError> {
-        self.inner.stats.writes.fetch_add(1, Ordering::Relaxed);
-        if log_it {
-            self.record(LogRecord::SRem { key: key.to_vec(), member: member.to_vec() });
-        }
-        let shard = self.shard(key);
-        let mut map = shard.write();
+        let mut map = self.shard(key).write();
+        self.log(|| LogRecord::SRem { key: key.to_vec(), member: member.to_vec() });
         match map.get_mut(key) {
             Some(Slot::Set(s)) => Ok(s.remove(member)),
             Some(_) => Err(KvError::WrongType { key: key.to_vec(), expected: "set" }),
@@ -464,7 +378,6 @@ impl KvStore {
 
     /// Membership test.
     pub fn sismember(&self, key: &[u8], member: &[u8]) -> bool {
-        self.inner.stats.reads.fetch_add(1, Ordering::Relaxed);
         match self.shard(key).read().get(key) {
             Some(Slot::Set(s)) => s.contains(member),
             _ => false,
@@ -473,7 +386,6 @@ impl KvStore {
 
     /// All members of the set at `key`.
     pub fn smembers(&self, key: &[u8]) -> Vec<Vec<u8>> {
-        self.inner.stats.reads.fetch_add(1, Ordering::Relaxed);
         match self.shard(key).read().get(key) {
             Some(Slot::Set(s)) => s.iter().cloned().collect(),
             _ => Vec::new(),
@@ -482,7 +394,6 @@ impl KvStore {
 
     /// Set cardinality (0 if absent).
     pub fn scard(&self, key: &[u8]) -> usize {
-        self.inner.stats.reads.fetch_add(1, Ordering::Relaxed);
         match self.shard(key).read().get(key) {
             Some(Slot::Set(s)) => s.len(),
             _ => 0,
@@ -497,33 +408,24 @@ impl KvStore {
     ///
     /// [`KvError::WrongType`] if `key` holds a non-counter slot.
     pub fn incr(&self, key: &[u8]) -> Result<i64, KvError> {
-        self.incr_by_internal(key.to_vec(), 1, true)
+        self.incr_by(key, 1)
     }
 
     /// Atomically adds `by`, returning the new value.
     pub fn incr_by(&self, key: &[u8], by: i64) -> Result<i64, KvError> {
-        self.incr_by_internal(key.to_vec(), by, true)
-    }
-
-    fn incr_by_internal(&self, key: Vec<u8>, by: i64, log_it: bool) -> Result<i64, KvError> {
-        self.inner.stats.writes.fetch_add(1, Ordering::Relaxed);
-        if log_it {
-            self.record(LogRecord::Incr { key: key.clone(), by });
-        }
-        let shard = self.shard(&key);
-        let mut map = shard.write();
-        match map.entry(key.clone()).or_insert(Slot::Counter(0)) {
+        let mut map = self.shard(key).write();
+        self.log(|| LogRecord::Incr { key: key.to_vec(), by });
+        match map.entry(key.to_vec()).or_insert(Slot::Counter(0)) {
             Slot::Counter(c) => {
                 *c += by;
                 Ok(*c)
             }
-            _ => Err(KvError::WrongType { key, expected: "counter" }),
+            _ => Err(KvError::WrongType { key: key.to_vec(), expected: "counter" }),
         }
     }
 
     /// Reads the counter at `key` (`0` if absent).
     pub fn counter(&self, key: &[u8]) -> i64 {
-        self.inner.stats.reads.fetch_add(1, Ordering::Relaxed);
         match self.shard(key).read().get(key) {
             Some(Slot::Counter(c)) => *c,
             _ => 0,
@@ -539,23 +441,11 @@ impl KvStore {
     pub fn is_empty(&self) -> bool {
         self.inner.shards.iter().all(|s| s.read().is_empty())
     }
-
-    /// Drops everything (does not truncate the append log).
-    pub fn clear(&self) {
-        for shard in &self.inner.shards {
-            shard.write().clear();
-        }
-    }
 }
 
 impl std::fmt::Debug for KvStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("KvStore")
-            .field("slots", &self.len())
-            .field("shards", &self.shard_count())
-            .field("reads", &self.stats().reads())
-            .field("writes", &self.stats().writes())
-            .finish()
+        f.debug_struct("KvStore").field("slots", &self.len()).field("shards", &self.shard_count()).finish()
     }
 }
 
@@ -660,17 +550,6 @@ mod tests {
         kv.set(b"other", b"c");
         assert_eq!(kv.keys_with_prefix(b"idx:"), vec![b"idx:1".to_vec(), b"idx:2".to_vec()]);
         assert!(kv.keys_with_prefix(b"zzz").is_empty());
-    }
-
-    #[test]
-    fn stats_counted() {
-        let kv = KvStore::new();
-        kv.set(b"a", b"1");
-        kv.get(b"a");
-        kv.get(b"b");
-        assert_eq!(kv.stats().writes(), 1);
-        assert_eq!(kv.stats().reads(), 2);
-        assert_eq!(kv.stats().total(), 3);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 use std::collections::{HashMap, HashSet};
 
 use datablinder_codec::encode_frame;
-use datablinder_kvstore::{scan_frames, KvStore, LogRecord};
+use datablinder_kvstore::{scan_frames, KvError, KvStore, LogRecord};
+use datablinder_primitives::sha256;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -181,4 +182,88 @@ fn semi_durable_store_recovers_to_oracle() {
         check(case, &recovered, &oracle);
         std::fs::remove_file(&path).unwrap();
     }
+}
+
+fn log_path(name: &str) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(format!("datablinder-kv-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    path
+}
+
+/// The semi-durable log is stored output: a fixed script over every
+/// write operation, failures and misses included, leaves these bytes.
+#[test]
+fn semi_durable_log_bytes_are_pinned() {
+    let path = log_path("pinned");
+    {
+        let kv = KvStore::open_semi_durable(&path).unwrap();
+        kv.set(b"s/1", b"one");
+        kv.set(b"s/2", b"two");
+        assert!(kv.set_nx(b"nx", b"first"));
+        assert!(!kv.set_nx(b"nx", b"second"));
+        assert!(kv.del(b"s/2"));
+        assert!(!kv.del(b"missing"));
+        kv.set(b"p/a", b"x");
+        kv.set(b"p/b", b"y");
+        assert_eq!(kv.del_prefix(b"p/"), 2);
+        assert!(kv.hset(b"h", b"f1", b"v1").unwrap());
+        assert!(kv.hset(b"h", b"f2", b"v2").unwrap());
+        assert!(matches!(kv.hset(b"s/1", b"f", b"v"), Err(KvError::WrongType { .. })));
+        assert!(kv.hdel(b"h", b"f1").unwrap());
+        assert!(!kv.hdel(b"h", b"f1").unwrap());
+        assert!(kv.sadd(b"set", b"m1").unwrap());
+        assert!(kv.sadd(b"set", b"m2").unwrap());
+        assert!(kv.srem(b"set", b"m1").unwrap());
+        assert_eq!(kv.incr(b"c").unwrap(), 1);
+        assert_eq!(kv.incr_by(b"c", -7).unwrap(), -6);
+    }
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let hex: String = sha256::digest(&bytes).iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(hex, "f61881c0ec944131f1119be459dc2e1bd35ca913b78f7e59c4e785b7e13709b7");
+}
+
+/// Writers racing on a few keys: the log holds each key's writes in the
+/// order they reached the map, so a reopen rebuilds exactly the state the
+/// store held before it closed.
+#[test]
+fn racing_writes_are_logged_in_apply_order() {
+    let path = log_path("race");
+    let before = {
+        let kv = KvStore::open_semi_durable(&path).unwrap();
+        let start = std::sync::Arc::new(std::sync::Barrier::new(4));
+        let threads: Vec<_> = (0..4u8)
+            .map(|t| {
+                let (kv, start) = (kv.clone(), start.clone());
+                std::thread::spawn(move || {
+                    let rng = &mut StdRng::seed_from_u64(t as u64);
+                    start.wait();
+                    for i in 0..2_000u32 {
+                        let key = [b'k', rng.gen_range(0..4u8)];
+                        let value = [t, (i % 251) as u8];
+                        match rng.gen_range(0..4) {
+                            0 => kv.set(&key, &value),
+                            1 => {
+                                kv.set_nx(&key, &value);
+                            }
+                            2 => {
+                                let _ = kv.hset(&key, &[t], &value);
+                            }
+                            _ => {
+                                kv.del(&key);
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        kv.export_records()
+    };
+    let reopened = KvStore::open_semi_durable(&path).unwrap();
+    assert_eq!(reopened.export_records(), before);
+    drop(reopened);
+    std::fs::remove_file(&path).unwrap();
 }

@@ -180,11 +180,6 @@ impl NodeFailurePlan {
         NodeFailurePlan { events }
     }
 
-    /// An empty plan: the cluster never loses a node.
-    pub fn none() -> Self {
-        NodeFailurePlan { events: Vec::new() }
-    }
-
     /// Derives `cycles` kill/rejoin pairs over `nodes` nodes from `seed`,
     /// landing on the first `horizon` operations. Each cycle kills one
     /// node and rejoins it a seeded number of ops later; equal seeds give

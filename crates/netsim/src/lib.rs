@@ -252,19 +252,6 @@ impl ChannelMetrics {
         }
     }
 
-    /// Resets all counters.
-    pub fn reset(&self) {
-        self.round_trips.store(0, Ordering::Relaxed);
-        self.bytes_sent.store(0, Ordering::Relaxed);
-        self.bytes_received.store(0, Ordering::Relaxed);
-        self.virtual_nanos.store(0, Ordering::Relaxed);
-        self.attempts.store(0, Ordering::Relaxed);
-        self.retries.store(0, Ordering::Relaxed);
-        self.timeouts.store(0, Ordering::Relaxed);
-        self.breaker_opens.store(0, Ordering::Relaxed);
-        self.breaker_half_opens.store(0, Ordering::Relaxed);
-    }
-
     pub(crate) fn record_attempt(&self) {
         self.attempts.fetch_add(1, Ordering::Relaxed);
     }
@@ -412,12 +399,6 @@ impl Channel {
     /// Traffic counters.
     pub fn metrics(&self) -> &ChannelMetrics {
         &self.metrics
-    }
-
-    /// Shared handle to the traffic counters (e.g. to keep after the channel
-    /// moves into an engine).
-    pub fn metrics_handle(&self) -> Arc<ChannelMetrics> {
-        Arc::clone(&self.metrics)
     }
 
     /// The configured latency model.
@@ -602,16 +583,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_reset() {
-        let ch = echo_channel(LatencyModel::lan());
-        ch.call("echo", b"x").unwrap();
-        assert_ne!(ch.metrics().round_trips(), 0);
-        ch.metrics().reset();
-        assert_eq!(ch.metrics().round_trips(), 0);
-        assert_eq!(ch.metrics().bytes_sent(), 0);
-    }
-
-    #[test]
     fn clone_shares_metrics() {
         let ch = echo_channel(LatencyModel::instant());
         let ch2 = ch.clone();
@@ -685,7 +656,5 @@ mod tests {
         let snap = ch.metrics().snapshot();
         assert_eq!(snap.round_trips, 1);
         assert_eq!(snap, ch.metrics().snapshot());
-        ch.metrics().reset();
-        assert_eq!(ch.metrics().snapshot(), MetricsSnapshot::default());
     }
 }

@@ -23,7 +23,7 @@
 //!     plan,
 //!     7,
 //! );
-//! let ch = ResilientChannel::connect(svc, LatencyModel::lan(), ResilienceConfig::default());
+//! let ch = ResilientChannel::new(Channel::connect(svc, LatencyModel::lan()), ResilienceConfig::default());
 //! for i in 0..50u8 {
 //!     assert_eq!(ch.call("echo", &[i]).unwrap(), vec![i]); // drops retried away
 //! }
@@ -38,7 +38,7 @@ use datablinder_obs::Recorder;
 
 use crate::fault::SplitMix64;
 use crate::transport::Transport;
-use crate::{Channel, ChannelMetrics, CloudService, LatencyModel, NetError};
+use crate::{Channel, ChannelMetrics, NetError};
 
 /// When and how often to retry a failed call.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,10 +52,6 @@ pub struct RetryPolicy {
     /// Jitter fraction in `[0, 1]`: each backoff is scaled by a seeded
     /// uniform draw from `[1 - jitter, 1]`.
     pub jitter: f64,
-    /// Whether [`NetError::Remote`] failures are retried. Off by default:
-    /// a remote *application* error usually reproduces on retry, whereas
-    /// transport faults (timeout, corruption) usually do not.
-    pub retry_remote: bool,
 }
 
 impl Default for RetryPolicy {
@@ -65,7 +61,6 @@ impl Default for RetryPolicy {
             base_backoff: Duration::from_micros(500),
             max_backoff: Duration::from_millis(50),
             jitter: 0.5,
-            retry_remote: false,
         }
     }
 }
@@ -81,7 +76,8 @@ impl RetryPolicy {
     /// Timeouts, detected corruption, dropped connections and breaker
     /// rejections are transport conditions that a retry (after
     /// backoff/cooldown) may clear. Unknown routes and oversized frames are
-    /// deterministic bugs; remote failures are configurable.
+    /// deterministic bugs, and a remote *application* error reproduces on
+    /// retry: neither is retried.
     pub fn is_retryable(&self, err: &NetError) -> bool {
         match err {
             NetError::Timeout
@@ -89,8 +85,7 @@ impl RetryPolicy {
             | NetError::CircuitOpen
             | NetError::Unavailable(_)
             | NetError::Disconnected(_) => true,
-            NetError::Remote(_) => self.retry_remote,
-            NetError::UnknownRoute(_) | NetError::FrameTooLarge(_) => false,
+            NetError::Remote(_) | NetError::UnknownRoute(_) | NetError::FrameTooLarge(_) => false,
         }
     }
 
@@ -302,11 +297,6 @@ impl ResilientChannel {
         &self.obs
     }
 
-    /// Connects to `service` and wraps the channel in one step.
-    pub fn connect<S: CloudService + 'static>(service: S, model: LatencyModel, config: ResilienceConfig) -> Self {
-        ResilientChannel::new(Channel::connect(service, model), config)
-    }
-
     /// Calls with the configured deadline, retrying per policy.
     ///
     /// # Errors
@@ -516,6 +506,7 @@ fn finish_call_guard(
 mod tests {
     use super::*;
     use crate::fault::{FaultPlan, FaultyService, RouteFaults};
+    use crate::LatencyModel;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
@@ -547,8 +538,6 @@ mod tests {
         assert!(policy.is_retryable(&NetError::Unavailable("1/2 acks".into())));
         assert!(!policy.is_retryable(&NetError::Remote("app bug".into())));
         assert!(!policy.is_retryable(&NetError::UnknownRoute("x".into())));
-        let lenient = RetryPolicy { retry_remote: true, ..policy };
-        assert!(lenient.is_retryable(&NetError::Remote("blip".into())));
     }
 
     #[test]
@@ -590,9 +579,8 @@ mod tests {
     fn retries_absorb_transient_drops() {
         let plan = FaultPlan::uniform(RouteFaults::none().with_drop(0.4));
         let svc = FaultyService::new(|_: &str, p: &[u8]| -> Result<Vec<u8>, NetError> { Ok(p.to_vec()) }, plan, 11);
-        let ch = ResilientChannel::connect(
-            svc,
-            LatencyModel::lan(),
+        let ch = ResilientChannel::new(
+            Channel::connect(svc, LatencyModel::lan()),
             ResilienceConfig {
                 retry: RetryPolicy { max_attempts: 10, ..RetryPolicy::default() },
                 ..Default::default()
@@ -611,7 +599,7 @@ mod tests {
     #[test]
     fn non_retryable_error_returns_immediately() {
         let svc = |_: &str, _: &[u8]| -> Result<Vec<u8>, NetError> { Err(NetError::Remote("bug".into())) };
-        let ch = ResilientChannel::connect(svc, LatencyModel::instant(), ResilienceConfig::default());
+        let ch = ResilientChannel::new(Channel::connect(svc, LatencyModel::instant()), ResilienceConfig::default());
         assert_eq!(ch.call("r", b"x"), Err(NetError::Remote("bug".into())));
         assert_eq!(ch.metrics().attempts(), 1, "no retries for application errors");
     }
@@ -633,7 +621,7 @@ mod tests {
             deadline: Some(Duration::from_millis(1)),
             ..Default::default()
         };
-        let ch = ResilientChannel::connect(svc, LatencyModel::instant(), config);
+        let ch = ResilientChannel::new(Channel::connect(svc, LatencyModel::instant()), config);
 
         // Three timeouts trip the breaker...
         for _ in 0..3 {
@@ -673,7 +661,7 @@ mod tests {
             deadline: Some(Duration::from_millis(1)),
             ..Default::default()
         };
-        let ch = ResilientChannel::connect(svc, LatencyModel::instant(), config);
+        let ch = ResilientChannel::new(Channel::connect(svc, LatencyModel::instant()), config);
         assert_eq!(ch.call("r", b"x"), Err(NetError::Timeout));
         let m = ch.metrics();
         assert_eq!(m.attempts(), 6);
@@ -702,7 +690,8 @@ mod tests {
             ..Default::default()
         };
         let rec = Recorder::new();
-        let ch = ResilientChannel::connect(svc, LatencyModel::instant(), config).with_recorder(rec.clone());
+        let ch =
+            ResilientChannel::new(Channel::connect(svc, LatencyModel::instant()), config).with_recorder(rec.clone());
 
         for _ in 0..3 {
             let _ = ch.call("r", b"x");
@@ -740,7 +729,7 @@ mod tests {
             Ok(body.to_vec())
         };
         let rec = Recorder::new();
-        let ch = ResilientChannel::connect(svc, LatencyModel::instant(), ResilienceConfig::default())
+        let ch = ResilientChannel::new(Channel::connect(svc, LatencyModel::instant()), ResilienceConfig::default())
             .with_recorder(rec.clone());
         {
             let _root = rec.span("gateway.op");
@@ -766,7 +755,7 @@ mod tests {
             assert_eq!(route, "echo", "no envelope without a trace");
             Ok(p.to_vec())
         };
-        let ch = ResilientChannel::connect(svc, LatencyModel::instant(), ResilienceConfig::default())
+        let ch = ResilientChannel::new(Channel::connect(svc, LatencyModel::instant()), ResilienceConfig::default())
             .with_recorder(Recorder::new());
         assert_eq!(ch.call("echo", b"ping").unwrap(), b"ping");
     }
@@ -778,9 +767,8 @@ mod tests {
         let plan = FaultPlan::none().route("echo", RouteFaults::none().with_fail(1.0));
         let svc = FaultyService::new(|_: &str, p: &[u8]| -> Result<Vec<u8>, NetError> { Ok(p.to_vec()) }, plan, 5);
         let rec = Recorder::new();
-        let ch = ResilientChannel::connect(
-            svc,
-            LatencyModel::instant(),
+        let ch = ResilientChannel::new(
+            Channel::connect(svc, LatencyModel::instant()),
             ResilienceConfig { retry: RetryPolicy::none(), ..Default::default() },
         )
         .with_recorder(rec.clone());
@@ -794,9 +782,8 @@ mod tests {
         let plan = FaultPlan::uniform(RouteFaults::none().with_drop(0.4));
         let svc = FaultyService::new(|_: &str, p: &[u8]| -> Result<Vec<u8>, NetError> { Ok(p.to_vec()) }, plan, 11);
         let rec = Recorder::new();
-        let ch = ResilientChannel::connect(
-            svc,
-            LatencyModel::lan(),
+        let ch = ResilientChannel::new(
+            Channel::connect(svc, LatencyModel::lan()),
             ResilienceConfig {
                 retry: RetryPolicy { max_attempts: 10, ..RetryPolicy::default() },
                 ..Default::default()
@@ -823,7 +810,7 @@ mod tests {
             deadline: Some(Duration::from_millis(1)),
             ..Default::default()
         };
-        let ch = ResilientChannel::connect(svc, LatencyModel::instant(), config);
+        let ch = ResilientChannel::new(Channel::connect(svc, LatencyModel::instant()), config);
         let ch2 = ch.clone();
         let _ = ch.call("r", b"x");
         assert_eq!(ch2.breaker_state(), BreakerState::Open);

@@ -220,18 +220,17 @@ impl FrameDecoder {
 pub struct TcpConfig {
     /// Frame `len` cap, both directions.
     pub max_frame: u32,
-    /// Timeout establishing the TCP connection.
-    pub connect_timeout: Duration,
-    /// Whether to set `TCP_NODELAY` (on by default: the protocol is
-    /// request/response and Nagle only adds latency).
-    pub nodelay: bool,
 }
 
 impl Default for TcpConfig {
     fn default() -> Self {
-        TcpConfig { max_frame: DEFAULT_MAX_FRAME, connect_timeout: Duration::from_secs(2), nodelay: true }
+        TcpConfig { max_frame: DEFAULT_MAX_FRAME }
     }
 }
+
+/// How long dialing the cloud may take before the call fails as
+/// [`NetError::Disconnected`].
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 
 type ReplySender = mpsc::Sender<Result<Vec<u8>, NetError>>;
 
@@ -301,13 +300,6 @@ impl TcpChannel {
         self.addr
     }
 
-    /// Drops the current connection (if any); the next call reconnects.
-    pub fn disconnect(&self) {
-        if let Some(conn) = self.conn.lock().unwrap_or_else(PoisonError::into_inner).take() {
-            conn.fail_all(&NetError::Disconnected("connection closed locally".into()));
-        }
-    }
-
     /// The live (or freshly dialed) connection.
     fn ensure_conn(&self) -> Result<Arc<Conn>, NetError> {
         let mut slot = self.conn.lock().unwrap_or_else(PoisonError::into_inner);
@@ -316,11 +308,10 @@ impl TcpChannel {
                 return Ok(Arc::clone(conn));
             }
         }
-        let stream = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout)
+        let stream = TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT)
             .map_err(|e| NetError::Disconnected(format!("connect {}: {e}", self.addr)))?;
-        if self.config.nodelay {
-            let _ = stream.set_nodelay(true);
-        }
+        // Request/response: Nagle only adds latency.
+        let _ = stream.set_nodelay(true);
         let reader = stream.try_clone().map_err(|e| NetError::Disconnected(format!("clone stream: {e}")))?;
         let writer = stream.try_clone().map_err(|e| NetError::Disconnected(format!("clone stream: {e}")))?;
         let conn = Arc::new(Conn {

@@ -131,7 +131,7 @@ fn concurrent_callers_share_one_connection() {
 #[test]
 fn oversized_request_rejected_locally_without_sending() {
     let srv = server();
-    let ch = TcpChannel::connect(srv.local_addr(), TcpConfig { max_frame: 256, ..TcpConfig::default() }).unwrap();
+    let ch = TcpChannel::connect(srv.local_addr(), TcpConfig { max_frame: 256 }).unwrap();
     let err = ch.call("echo", &[0u8; 1024]);
     assert!(matches!(err, Err(NetError::FrameTooLarge(_))), "got {err:?}");
     assert_eq!(ch.metrics().bytes_sent(), 0, "nothing hit the wire");

@@ -66,13 +66,13 @@ impl Default for Recorder {
 }
 
 impl Recorder {
-    fn build(enabled: bool, span_capacity: usize) -> Self {
+    fn build(enabled: bool) -> Self {
         Recorder {
             inner: Arc::new(Inner {
                 enabled: AtomicBool::new(enabled),
                 op_ids: AtomicU64::new(0),
                 metrics: MetricsRegistry::new(),
-                spans: SpanSink::new(span_capacity),
+                spans: SpanSink::new(DEFAULT_SPAN_CAPACITY),
                 ledger: LeakageLedger::new(),
                 label: Mutex::new(None),
                 slow_threshold: AtomicU64::new(0),
@@ -83,18 +83,13 @@ impl Recorder {
 
     /// An enabled recorder with the default span-ring capacity.
     pub fn new() -> Self {
-        Recorder::build(true, DEFAULT_SPAN_CAPACITY)
-    }
-
-    /// An enabled recorder retaining up to `span_capacity` recent spans.
-    pub fn with_span_capacity(span_capacity: usize) -> Self {
-        Recorder::build(true, span_capacity)
+        Recorder::build(true)
     }
 
     /// A disabled recorder: every instrumentation call short-circuits
     /// after one atomic load.
     pub fn disabled() -> Self {
-        Recorder::build(false, DEFAULT_SPAN_CAPACITY)
+        Recorder::build(false)
     }
 
     /// Whether recording is on. This is the hot-path guard.

@@ -6,7 +6,9 @@
 //! timing depends on the data (table lookups indexed by key and state).
 //!
 //! The S-box is derived at first use from the GF(2^8) inverse + affine map
-//! rather than transcribed, eliminating table-transcription errors.
+//! rather than transcribed, eliminating table-transcription errors. Only
+//! the encrypt direction exists: CTR and GCM never run the block cipher
+//! backwards.
 
 use std::sync::OnceLock;
 
@@ -27,7 +29,7 @@ pub const BLOCK_LEN: usize = 16;
 fn enc_tables() -> &'static [[u32; 256]; 4] {
     static TABLES: OnceLock<[[u32; 256]; 4]> = OnceLock::new();
     TABLES.get_or_init(|| {
-        let (sbox, _) = sboxes();
+        let sbox = sbox();
         let mut te = [[0u32; 256]; 4];
         for x in 0..256usize {
             let s = sbox[x];
@@ -41,9 +43,9 @@ fn enc_tables() -> &'static [[u32; 256]; 4] {
     })
 }
 
-fn sboxes() -> &'static ([u8; 256], [u8; 256]) {
-    static TABLES: OnceLock<([u8; 256], [u8; 256])> = OnceLock::new();
-    TABLES.get_or_init(|| {
+fn sbox() -> &'static [u8; 256] {
+    static TABLE: OnceLock<[u8; 256]> = OnceLock::new();
+    TABLE.get_or_init(|| {
         // Multiplicative inverse in GF(2^8) via 3 as a generator:
         // 3^i enumerates all non-zero field elements.
         let mut log = [0u8; 256];
@@ -55,16 +57,14 @@ fn sboxes() -> &'static ([u8; 256], [u8; 256]) {
             p = gmul3(p);
         }
         let mut sbox = [0u8; 256];
-        let mut inv_sbox = [0u8; 256];
         for x in 0..256usize {
             let inv = if x == 0 { 0 } else { alog[(255 - log[x] as usize) % 255] };
             // Affine transform: b ^= rotl(b,1)^rotl(b,2)^rotl(b,3)^rotl(b,4) ^ 0x63
             let b = inv;
             let s = b ^ b.rotate_left(1) ^ b.rotate_left(2) ^ b.rotate_left(3) ^ b.rotate_left(4) ^ 0x63;
             sbox[x] = s;
-            inv_sbox[s as usize] = x as u8;
         }
-        (sbox, inv_sbox)
+        sbox
     })
 }
 
@@ -78,19 +78,6 @@ fn xtime(a: u8) -> u8 {
     (a << 1) ^ if a & 0x80 != 0 { 0x1B } else { 0 }
 }
 
-/// General GF(2^8) multiplication (Russian-peasant).
-fn gmul(mut a: u8, mut b: u8) -> u8 {
-    let mut p = 0u8;
-    while b != 0 {
-        if b & 1 != 0 {
-            p ^= a;
-        }
-        a = xtime(a);
-        b >>= 1;
-    }
-    p
-}
-
 /// An expanded-key AES instance.
 ///
 /// # Examples
@@ -100,18 +87,16 @@ fn gmul(mut a: u8, mut b: u8) -> u8 {
 ///
 /// # fn main() -> Result<(), datablinder_primitives::CryptoError> {
 /// let aes = Aes::new(&[0u8; 16])?;
-/// let mut block = *b"0123456789abcdef";
-/// let orig = block;
+/// let mut block = [0u8; 16];
 /// aes.encrypt_block(&mut block);
-/// aes.decrypt_block(&mut block);
-/// assert_eq!(block, orig);
+/// assert_eq!(block[..4], [0x66, 0xe9, 0x4b, 0xd4]);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Clone)]
 pub struct Aes {
     /// Round keys in FIPS 197 byte order; `rounds + 1` are in use. What
-    /// decryption and the AES-NI tier consume.
+    /// the AES-NI tier consumes.
     round_keys: [[u8; 16]; MAX_ROUND_KEYS],
     /// The same round keys as big-endian column words, the layout the
     /// T-table encrypt path consumes directly.
@@ -145,7 +130,7 @@ impl Aes {
             32 => (8, 14),
             n => return Err(CryptoError::InvalidKeyLength { expected: "16, 24 or 32", got: n }),
         };
-        let (sbox, _) = sboxes();
+        let sbox = sbox();
         let nwords = 4 * (rounds + 1);
         // The schedule as big-endian column words (a word is a register,
         // not four byte stores the next step must wait for).
@@ -223,7 +208,7 @@ impl Aes {
             (s0, s1, s2, s3) = (t0, t1, t2, t3);
         }
         // Final round: SubBytes + ShiftRows + AddRoundKey, no MixColumns.
-        let (sbox, _) = sboxes();
+        let sbox = sbox();
         let k = &rk[self.rounds];
         let sub = |a: u32, b: u32, c: u32, d: u32| -> u32 {
             (u32::from(sbox[(a >> 24) as usize]) << 24)
@@ -239,54 +224,6 @@ impl Aes {
         block[4..8].copy_from_slice(&t1.to_be_bytes());
         block[8..12].copy_from_slice(&t2.to_be_bytes());
         block[12..16].copy_from_slice(&t3.to_be_bytes());
-    }
-
-    /// Decrypts one 16-byte block in place.
-    pub fn decrypt_block(&self, block: &mut [u8; BLOCK_LEN]) {
-        let (_, inv_sbox) = sboxes();
-        add_round_key(block, &self.round_keys[self.rounds]);
-        inv_shift_rows(block);
-        sub_bytes(block, inv_sbox);
-        for r in (1..self.rounds).rev() {
-            add_round_key(block, &self.round_keys[r]);
-            inv_mix_columns(block);
-            inv_shift_rows(block);
-            sub_bytes(block, inv_sbox);
-        }
-        add_round_key(block, &self.round_keys[0]);
-    }
-}
-
-// State layout: FIPS column-major — byte index = 4*col + row.
-
-fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-    for i in 0..16 {
-        state[i] ^= rk[i];
-    }
-}
-
-fn sub_bytes(state: &mut [u8; 16], sbox: &[u8; 256]) {
-    for b in state.iter_mut() {
-        *b = sbox[*b as usize];
-    }
-}
-
-fn inv_shift_rows(state: &mut [u8; 16]) {
-    for r in 1..4 {
-        let row = [state[r], state[4 + r], state[8 + r], state[12 + r]];
-        for c in 0..4 {
-            state[4 * c + r] = row[(c + 4 - r) % 4];
-        }
-    }
-}
-
-fn inv_mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [state[4 * c], state[4 * c + 1], state[4 * c + 2], state[4 * c + 3]];
-        state[4 * c] = gmul(col[0], 14) ^ gmul(col[1], 11) ^ gmul(col[2], 13) ^ gmul(col[3], 9);
-        state[4 * c + 1] = gmul(col[0], 9) ^ gmul(col[1], 14) ^ gmul(col[2], 11) ^ gmul(col[3], 13);
-        state[4 * c + 2] = gmul(col[0], 13) ^ gmul(col[1], 9) ^ gmul(col[2], 14) ^ gmul(col[3], 11);
-        state[4 * c + 3] = gmul(col[0], 11) ^ gmul(col[1], 13) ^ gmul(col[2], 9) ^ gmul(col[3], 14);
     }
 }
 
@@ -308,14 +245,11 @@ mod tests {
 
     #[test]
     fn sbox_known_entries() {
-        let (sbox, inv) = sboxes();
+        let sbox = sbox();
         assert_eq!(sbox[0x00], 0x63);
         assert_eq!(sbox[0x01], 0x7c);
         assert_eq!(sbox[0x53], 0xed);
         assert_eq!(sbox[0xff], 0x16);
-        for x in 0..256 {
-            assert_eq!(inv[sbox[x] as usize] as usize, x);
-        }
     }
 
     #[test]
@@ -325,8 +259,6 @@ mod tests {
         let mut block = unhex16("00112233445566778899aabbccddeeff");
         aes.encrypt_block(&mut block);
         assert_eq!(block, unhex16("69c4e0d86a7b0430d8cdb78070b4c55a"));
-        aes.decrypt_block(&mut block);
-        assert_eq!(block, unhex16("00112233445566778899aabbccddeeff"));
     }
 
     #[test]
@@ -345,33 +277,11 @@ mod tests {
         let mut block = unhex16("00112233445566778899aabbccddeeff");
         aes.encrypt_block(&mut block);
         assert_eq!(block, unhex16("8ea2b7ca516745bfeafc49904b496089"));
-        aes.decrypt_block(&mut block);
-        assert_eq!(block, unhex16("00112233445566778899aabbccddeeff"));
     }
 
     #[test]
     fn invalid_key_length() {
         assert!(matches!(Aes::new(&[0u8; 15]), Err(CryptoError::InvalidKeyLength { .. })));
         assert!(matches!(Aes::new(&[0u8; 0]), Err(CryptoError::InvalidKeyLength { .. })));
-    }
-
-    #[test]
-    fn roundtrip_random_blocks() {
-        use rand::{RngCore, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-        for keylen in [16usize, 24, 32] {
-            let mut key = vec![0u8; keylen];
-            rng.fill_bytes(&mut key);
-            let aes = Aes::new(&key).unwrap();
-            for _ in 0..50 {
-                let mut block = [0u8; 16];
-                rng.fill_bytes(&mut block);
-                let orig = block;
-                aes.encrypt_block(&mut block);
-                assert_ne!(block, orig);
-                aes.decrypt_block(&mut block);
-                assert_eq!(block, orig);
-            }
-        }
     }
 }

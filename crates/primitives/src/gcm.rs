@@ -228,7 +228,7 @@ impl AesGcm {
     }
 
     /// Appends `ciphertext || tag` to `out` without any intermediate
-    /// allocation; one `reserve` covers the whole sealed record, so batch
+    /// allocation; one `reserve` covers the whole sealed record, so
     /// callers that pre-size `out` pay zero allocator round trips here.
     pub fn seal_into(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8], out: &mut Vec<u8>) {
         out.reserve(plaintext.len() + TAG_LEN);
@@ -237,23 +237,6 @@ impl AesGcm {
         ctr_xor(&self.aes, &counter_block(nonce, 2), &mut out[start..]);
         let tag = self.tag(nonce, aad, &out[start..]);
         out.extend_from_slice(&tag);
-    }
-
-    /// Seals a contiguous batch of `(nonce, plaintext)` items with one
-    /// cipher context, returning one `ciphertext || tag` record per item.
-    ///
-    /// Each record is produced with a single exact-capacity allocation via
-    /// [`AesGcm::seal_into`]; the AES schedule and the GHASH key are shared
-    /// across the whole batch.
-    pub fn seal_many(&self, aad: &[u8], items: &[(&[u8; NONCE_LEN], &[u8])]) -> Vec<Vec<u8>> {
-        items
-            .iter()
-            .map(|(nonce, plaintext)| {
-                let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
-                self.seal_into(nonce, aad, plaintext, &mut out);
-                out
-            })
-            .collect()
     }
 
     /// Decrypts and verifies `ciphertext || tag`.
@@ -296,24 +279,6 @@ impl AesGcm {
         out.extend_from_slice(ct);
         ctr_xor(&self.aes, &counter_block(nonce, 2), &mut out[start..]);
         Ok(())
-    }
-
-    /// Opens a contiguous batch of `(nonce, sealed)` records with one
-    /// cipher context.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first record that does not verify (same contract as
-    /// [`AesGcm::open`]); earlier plaintexts are discarded.
-    pub fn open_many(&self, aad: &[u8], items: &[(&[u8; NONCE_LEN], &[u8])]) -> Result<Vec<Vec<u8>>, CryptoError> {
-        items
-            .iter()
-            .map(|(nonce, sealed)| {
-                let mut out = Vec::with_capacity(sealed.len().saturating_sub(TAG_LEN));
-                self.open_into(nonce, aad, sealed, &mut out)?;
-                Ok(out)
-            })
-            .collect()
     }
 
     /// GHASH over `aad` and `ciphertext`.
@@ -397,20 +362,6 @@ mod tests {
             assert_eq!(sealed.len(), len + TAG_LEN);
             assert_eq!(cipher.open(&nonce, b"context", &sealed).unwrap(), pt, "len {len}");
         }
-    }
-
-    #[test]
-    fn seal_many_matches_per_field_seal() {
-        let cipher = AesGcm::new(&SymmetricKey::from_bytes(&[11u8; 16])).unwrap();
-        let nonces: Vec<[u8; 12]> = (0..5u8).map(|i| [i; 12]).collect();
-        let plains: Vec<Vec<u8>> = (0..5usize).map(|i| vec![i as u8; 7 * i + 1]).collect();
-        let items: Vec<(&[u8; 12], &[u8])> = nonces.iter().zip(&plains).map(|(n, p)| (n, p.as_slice())).collect();
-        let batch = cipher.seal_many(b"x", &items);
-        for ((nonce, plain), sealed) in nonces.iter().zip(&plains).zip(&batch) {
-            assert_eq!(sealed, &cipher.seal(nonce, b"x", plain));
-        }
-        let sealed_refs: Vec<(&[u8; 12], &[u8])> = nonces.iter().zip(&batch).map(|(n, s)| (n, s.as_slice())).collect();
-        assert_eq!(cipher.open_many(b"x", &sealed_refs).unwrap(), plains);
     }
 
     #[test]

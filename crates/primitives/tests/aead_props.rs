@@ -55,19 +55,6 @@ fn gcm_open_never_panics_on_garbage() {
 }
 
 #[test]
-fn aes_block_roundtrip() {
-    for case in 0..CASES {
-        let rng = &mut StdRng::seed_from_u64(case);
-        let aes = Aes::new(&array::<32>(rng)).unwrap();
-        let block: [u8; 16] = array(rng);
-        let mut b = block;
-        aes.encrypt_block(&mut b);
-        aes.decrypt_block(&mut b);
-        assert_eq!(b, block, "case {case}");
-    }
-}
-
-#[test]
 fn ctr_is_an_involution() {
     let aes = Aes::new(&[5u8; 16]).unwrap();
     for case in 0..CASES {

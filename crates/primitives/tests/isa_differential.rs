@@ -113,8 +113,6 @@ fn fips197_appendix_c_on_each_tier() {
             let mut block: [u8; 16] = plain.clone().try_into().unwrap();
             aes.encrypt_block(&mut block);
             assert_eq!(hex(&block), cipher, "{tier}, {}-byte key", key.len() / 2);
-            aes.decrypt_block(&mut block);
-            assert_eq!(block[..], plain[..], "{tier}, {}-byte key", key.len() / 2);
         }
     }
 }

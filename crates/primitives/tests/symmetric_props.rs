@@ -91,25 +91,6 @@ fn seal_matches_definition() {
 }
 
 #[test]
-fn seal_many_matches_per_field_seal() {
-    for case in 0..CASES {
-        let rng = &mut StdRng::seed_from_u64(case);
-        let cipher = AesGcm::new(&SymmetricKey::from_bytes(&any_key(rng))).unwrap();
-        let items: Vec<([u8; 12], Vec<u8>)> = (0..rng.gen_range(0..8)).map(|_| (array(rng), bytes(rng, 120))).collect();
-        let refs: Vec<(&[u8; 12], &[u8])> = items.iter().map(|(n, p)| (n, p.as_slice())).collect();
-        let batch = cipher.seal_many(b"aad", &refs);
-        assert_eq!(batch.len(), items.len(), "case {case}");
-        for ((nonce, pt), sealed) in items.iter().zip(&batch) {
-            assert_eq!(sealed, &cipher.seal(nonce, b"aad", pt), "case {case}");
-        }
-        let sealed_refs: Vec<(&[u8; 12], &[u8])> =
-            items.iter().zip(&batch).map(|((n, _), s)| (n, s.as_slice())).collect();
-        let opened = cipher.open_many(b"aad", &sealed_refs).unwrap();
-        assert_eq!(opened, items.into_iter().map(|(_, p)| p).collect::<Vec<_>>(), "case {case}");
-    }
-}
-
-#[test]
 fn seal_into_appends_without_disturbing_prefix() {
     let cipher = AesGcm::new(&SymmetricKey::from_bytes(&[9u8; 16])).unwrap();
     let nonce = [4u8; 12];

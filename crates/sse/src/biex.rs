@@ -597,13 +597,6 @@ impl BiexZmfServer {
         k.extend_from_slice(b"zmf:");
         self.kv.keys_with_prefix(&k).len()
     }
-
-    /// Total bytes of stored filters.
-    pub fn filter_bytes(&self) -> usize {
-        let mut k = self.prefix.clone();
-        k.extend_from_slice(b"zmf:");
-        self.kv.keys_with_prefix(&k).iter().map(|key| self.kv.get(key).map_or(0, |v| v.len())).sum()
-    }
 }
 
 #[cfg(test)]

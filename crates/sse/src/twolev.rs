@@ -181,20 +181,21 @@ impl TwoLevClient {
     /// Crypto failures on tampered buckets.
     pub fn resolve(&self, keyword: &[u8], buckets: &[Vec<u8>]) -> Result<Vec<DocId>, SseError> {
         let cipher = self.bucket_cipher(keyword)?;
-        let mut aad = b"2lev-bucket/".to_vec();
-        aad.extend_from_slice(keyword);
-        // Open the whole result set as one batch through the shared cipher.
-        let nonces: Vec<[u8; 12]> = (0..buckets.len() as u64).map(bucket_nonce).collect();
-        let items: Vec<(&[u8; 12], &[u8])> = nonces.iter().zip(buckets).map(|(n, b)| (n, b.as_slice())).collect();
-        let plains = cipher.open_many(&aad, &items)?;
+        let aad = bucket_aad(keyword);
         let mut out = Vec::new();
-        for plain in &plains {
-            out.extend(decode_bucket(plain)?);
+        for (bucket, index) in buckets.iter().zip(0u64..) {
+            out.extend(decode_bucket(&cipher.open(&bucket_nonce(index), &aad, bucket)?)?);
         }
         out.sort();
         out.dedup();
         Ok(out)
     }
+}
+
+fn bucket_aad(keyword: &[u8]) -> Vec<u8> {
+    let mut aad = b"2lev-bucket/".to_vec();
+    aad.extend_from_slice(keyword);
+    aad
 }
 
 fn bucket_nonce(index: u64) -> [u8; 12] {
@@ -215,20 +216,17 @@ fn bucket_plain(ids: &[DocId]) -> Vec<u8> {
 }
 
 fn seal_bucket(cipher: &AesGcm, keyword: &[u8], index: u64, ids: &[DocId]) -> Vec<u8> {
-    let mut aad = b"2lev-bucket/".to_vec();
-    aad.extend_from_slice(keyword);
-    cipher.seal(&bucket_nonce(index), &aad, &bucket_plain(ids))
+    cipher.seal(&bucket_nonce(index), &bucket_aad(keyword), &bucket_plain(ids))
 }
 
-/// Seals every [`BUCKET_CAPACITY`]-sized chunk of `ids` as one contiguous
-/// batch through [`AesGcm::seal_many`] — one cipher context, one pass.
+/// Seals every [`BUCKET_CAPACITY`]-sized chunk of `ids` through one cipher
+/// context, with the AAD built once.
 fn seal_buckets(cipher: &AesGcm, keyword: &[u8], ids: &[DocId]) -> Vec<Vec<u8>> {
-    let mut aad = b"2lev-bucket/".to_vec();
-    aad.extend_from_slice(keyword);
-    let plains: Vec<Vec<u8>> = ids.chunks(BUCKET_CAPACITY).map(bucket_plain).collect();
-    let nonces: Vec<[u8; 12]> = (0..plains.len() as u64).map(bucket_nonce).collect();
-    let items: Vec<(&[u8; 12], &[u8])> = nonces.iter().zip(&plains).map(|(n, p)| (n, p.as_slice())).collect();
-    cipher.seal_many(&aad, &items)
+    let aad = bucket_aad(keyword);
+    ids.chunks(BUCKET_CAPACITY)
+        .zip(0u64..)
+        .map(|(chunk, index)| cipher.seal(&bucket_nonce(index), &aad, &bucket_plain(chunk)))
+        .collect()
 }
 
 fn decode_bucket(plain: &[u8]) -> Result<Vec<DocId>, SseError> {

@@ -116,6 +116,21 @@ if grep -n 'datablinder-obs' crates/primitives/Cargo.toml crates/sse/Cargo.toml;
     exit 1
 fi
 
+echo "==> nothing without a caller: every pub fn is named somewhere besides its definition, and the deleted twins and knobs stay gone"
+# A name counts as used when it appears twice or more in the Rust sources,
+# comments and tests included; a name that appears once is its own
+# definition and nothing else.
+pub_fns="$(grep -rhoE '^\s*pub(\(crate\))? fn [a-z_][a-z0-9_]*' crates/*/src | sed -E 's/.* fn //' | LC_ALL=C sort -u)"
+once="$(grep -rhowE '[A-Za-z_][A-Za-z0-9_]*' --include='*.rs' crates src tests examples benchmark/src |
+    LC_ALL=C sort | uniq -c | awk '$1 == 1 { print $2 }')"
+uncalled="$(LC_ALL=C comm -12 <(echo "$pub_fns") <(echo "$once") | tr '\n' ' ')"
+[ -z "$uncalled" ] ||
+    { echo "pub fns nothing calls (delete them): $uncalled" >&2; exit 1; }
+dead_names="$(grep -rnwE 'KvStats|log_it|replay_log|ReplayReport|decrypt_block|seal_many|open_many|anti_entropy_every|retry_remote|node_deadline|with_span_capacity|metrics_handle' crates/*/src |
+    grep -vE '^[^:]+:[0-9]+: *//' || true)"
+[ -z "$dead_names" ] ||
+    { echo "a deleted write twin, batch call, decrypt path or one-value setting is back:" >&2; echo "$dead_names" >&2; exit 1; }
+
 echo "==> one OPE descent: ope/src/lib.rs samples a split in one place (descend), and builds the PRF input in coins on the stack"
 # encrypt and decrypt walk the tree through one loop that resumes from the
 # last descent; a second `self.split(` call is a second walk that does not.

@@ -358,8 +358,7 @@ fn payload_rotation_larger_than_a_frame_ships_in_bounded_groups() {
     });
     let server = CloudServer::bind("127.0.0.1:0", svc.clone(), ServerConfig { max_frame: FRAME, workers: 2 })
         .expect("bind loopback");
-    let transport = TcpChannel::connect(server.local_addr(), TcpConfig { max_frame: FRAME, ..TcpConfig::default() })
-        .expect("loopback resolve");
+    let transport = TcpChannel::connect(server.local_addr(), TcpConfig { max_frame: FRAME }).expect("loopback resolve");
     let config = ResilienceConfig { retry: RetryPolicy::none(), ..ResilienceConfig::default() };
     let gw = GatewayEngine::with_resilience(
         "rotframe",
