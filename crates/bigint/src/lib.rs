@@ -12,7 +12,8 @@
 //!   algorithm,
 //! * modular arithmetic: [`BigUint::modpow`], [`BigUint::modinv`],
 //! * amortized contexts: [`MontgomeryCtx`] (cached Montgomery domain for
-//!   one odd modulus, allocation-free CIOS kernels) and [`CrtCtx`]
+//!   one odd modulus, one CIOS kernel compiled per power-of-two width
+//!   from 1 to 256 limbs, on stack arrays) and [`CrtCtx`]
 //!   (two-prime residue systems for RSA/Paillier-style CRT),
 //! * primality testing (Miller–Rabin) and random prime generation in
 //!   [`prime`].

@@ -4,11 +4,13 @@
 //! Two context types let hot callers pay precomputation once:
 //!
 //! * [`MontgomeryCtx`] — a long-lived Montgomery domain for one odd
-//!   modulus. Its kernels are CIOS (coarsely integrated operand scanning)
-//!   over fixed-width limb buffers: one multiply-and-reduce pass, no
-//!   intermediate `Vec` growth and no division. [`MontgomeryCtx::modpow`]
-//!   allocates its window table and scratch once per call and reuses them
-//!   across every squaring.
+//!   modulus of up to 256 limbs. Every product goes through one kernel,
+//!   `mont_mul`: CIOS (coarsely integrated operand scanning) over `[u64; N]`
+//!   arrays, one multiply-and-reduce pass with no division. It is compiled
+//!   once per power-of-two width `N` from 1 to 256 limbs; a context pads
+//!   its modulus up to the next such width (a 5-limb modulus pays 8-limb
+//!   work) and picks its copy with one `match`. [`MontgomeryCtx::modpow`]
+//!   keeps its window table on the stack and allocates only its result.
 //! * [`CrtCtx`] — a pair of Montgomery domains for coprime odd moduli
 //!   `m1`, `m2` plus the precomputed `m1^{-1} mod m2`, so residue-system
 //!   exponentiation and recombination (RSA-CRT, Paillier-CRT) avoid ever
@@ -123,11 +125,11 @@ impl BigUint {
         if exp.is_zero() {
             return BigUint::one();
         }
-        if m.is_odd() {
+        if m.is_odd() && m.limbs.len() <= MAX_MONT_LIMBS {
             let ctx = MontgomeryCtx::new(m);
             return ctx.modpow(self, exp);
         }
-        // Fallback for even moduli: plain square-and-multiply.
+        // Fallback for even and over-wide moduli: plain square-and-multiply.
         let mut base = self % m;
         let mut result = BigUint::one();
         let bits = exp.bits();
@@ -170,7 +172,7 @@ impl BigUint {
     }
 }
 
-/// Fixed-width limb comparison: `a >= b`, both exactly `k` limbs.
+/// Fixed-width limb comparison: `a >= b`, both the same length.
 fn ge_fixed(a: &[u64], b: &[u64]) -> bool {
     for i in (0..a.len()).rev() {
         if a[i] != b[i] {
@@ -193,22 +195,87 @@ fn sub_fixed(a: &mut [u64], b: &[u64]) -> u64 {
     borrow
 }
 
+/// The one Montgomery multiply: CIOS (coarsely integrated operand scanning)
+/// `a · b · R⁻¹ mod n` with `R = 2^(64·N)`, for odd `n < R` and `a, b < n`.
+///
+/// `N` is a compile-time width, so the limb indices need no bounds checks
+/// and the loops unroll; a run-time width costs ~1.7× at 8 and 16 limbs.
+fn mont_mul<const N: usize>(a: &[u64; N], b: &[u64; N], n: &[u64; N], n_prime: u64) -> [u64; N] {
+    // The running sum is N + 2 limbs: `t`, then `hi`, whose own carry is at
+    // most one and is folded into `hi` after each shift.
+    let mut t = [0u64; N];
+    let mut hi = 0u64;
+    for &ai in a {
+        // t += ai · b
+        let mut carry = 0u64;
+        for j in 0..N {
+            let s = t[j] as u128 + ai as u128 * b[j] as u128 + carry as u128;
+            t[j] = s as u64;
+            carry = (s >> 64) as u64;
+        }
+        let (top, over) = hi.overflowing_add(carry);
+        // t += m · n with m killing the low limb, then t >>= 64.
+        let m = t[0].wrapping_mul(n_prime);
+        let mut carry = ((t[0] as u128 + m as u128 * n[0] as u128) >> 64) as u64;
+        for j in 1..N {
+            let s = t[j] as u128 + m as u128 * n[j] as u128 + carry as u128;
+            t[j - 1] = s as u64;
+            carry = (s >> 64) as u64;
+        }
+        let (low, c) = top.overflowing_add(carry);
+        t[N - 1] = low;
+        hi = over as u64 + c as u64;
+    }
+    // CIOS leaves a value < 2n: at most one subtraction, whose borrow
+    // consumes the overflow limb `hi`.
+    if hi != 0 || ge_fixed(&t, n) {
+        let borrow = sub_fixed(&mut t, n);
+        debug_assert_eq!(borrow, hi, "CIOS result out of the [0, 2n) range");
+    }
+    t
+}
+
+/// Widest modulus a [`MontgomeryCtx`] takes, in limbs (16,384 bits): room
+/// for `n²` of the widest Paillier modulus the cloud accepts (8,192 bits).
+const MAX_MONT_LIMBS: usize = 256;
+
+/// `$ctx.$method::<W>($args)` for the context's width `W`: one compiled
+/// copy of the kernel per power-of-two width.
+macro_rules! at_width {
+    ($ctx:expr, $method:ident($($arg:expr),*)) => {
+        match $ctx.n_pad.len() {
+            1 => $ctx.$method::<1>($($arg),*),
+            2 => $ctx.$method::<2>($($arg),*),
+            4 => $ctx.$method::<4>($($arg),*),
+            8 => $ctx.$method::<8>($($arg),*),
+            16 => $ctx.$method::<16>($($arg),*),
+            32 => $ctx.$method::<32>($($arg),*),
+            64 => $ctx.$method::<64>($($arg),*),
+            128 => $ctx.$method::<128>($($arg),*),
+            256 => $ctx.$method::<256>($($arg),*),
+            w => unreachable!("{w} limbs is not a Montgomery width"),
+        }
+    };
+}
+
 /// Montgomery-form modular arithmetic context for an odd modulus.
 ///
 /// Precomputes `n' = -n^{-1} mod 2^64`, `R² mod n` and `R mod n` (the
 /// Montgomery form of 1) so repeated multiplications avoid full divisions.
-/// All internal values are fixed-width `k`-limb buffers (`k` = limb count
-/// of `n`), letting the CIOS kernel run in place with caller-provided
-/// scratch — no per-multiply allocation.
+/// The context's width `W` is the limb count of `n` rounded up to a power
+/// of two, and `R = 2^(64·W)`: the modulus and both constants are padded
+/// to `W` limbs, and every product runs through `mont_mul` compiled for
+/// `W`, on stack arrays with no per-multiply allocation.
 #[derive(Clone, Debug)]
 pub struct MontgomeryCtx {
     n: BigUint,
-    n_limbs: usize,
     /// -n^{-1} mod 2^64
     n_prime: u64,
-    /// R² mod n where R = 2^(64 * n_limbs), padded to `n_limbs`.
+    /// `n`, padded to `W` limbs.
+    n_pad: Vec<u64>,
+    /// R² mod n, padded to `W` limbs.
     r2: Vec<u64>,
-    /// R mod n — the Montgomery form of 1, padded to `n_limbs`.
+    /// R mod n — the Montgomery form of 1, padded to `W` limbs.
     one: Vec<u64>,
 }
 
@@ -220,10 +287,13 @@ impl MontgomeryCtx {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is even or zero.
+    /// Panics if `n` is even or zero, and if `n` is wider than 256 limbs
+    /// (16,384 bits); [`BigUint::modpow`] takes such moduli through its
+    /// division-based loop instead.
     pub fn new(n: &BigUint) -> Self {
         assert!(n.is_odd(), "Montgomery context requires an odd modulus");
-        let n_limbs = n.limbs.len();
+        assert!(n.limbs.len() <= MAX_MONT_LIMBS, "Montgomery context takes at most {MAX_MONT_LIMBS} limbs");
+        let width = n.limbs.len().next_power_of_two();
         // Newton iteration for the inverse of n mod 2^64.
         let n0 = n.limbs[0];
         let mut inv = n0; // correct mod 2^3
@@ -232,66 +302,18 @@ impl MontgomeryCtx {
         }
         debug_assert_eq!(n0.wrapping_mul(inv), 1);
         let n_prime = inv.wrapping_neg();
-        let r = &BigUint::one() << (64 * n_limbs);
-        let r2 = pad(&(&(&r * &r) % n), n_limbs);
-        let one = pad(&(&r % n), n_limbs);
-        MontgomeryCtx { n: n.clone(), n_limbs, n_prime, r2, one }
+        let pad = |x: &BigUint| {
+            let mut v = x.limbs.clone();
+            v.resize(width, 0);
+            v
+        };
+        let r = &BigUint::one() << (64 * width);
+        MontgomeryCtx { n: n.clone(), n_prime, n_pad: pad(n), r2: pad(&(&(&r * &r) % n)), one: pad(&(&r % n)) }
     }
 
     /// The modulus this context reduces by.
     pub fn modulus(&self) -> &BigUint {
         &self.n
-    }
-
-    /// CIOS Montgomery multiplication: `out = a * b * R^{-1} mod n`.
-    ///
-    /// `a`, `b` and `out` are `k`-limb buffers holding values `< n`;
-    /// `t` is `k + 2` limbs of scratch. One fused multiply-and-reduce
-    /// pass — no intermediate product, no allocation.
-    fn mont_mul_into(&self, a: &[u64], b: &[u64], out: &mut [u64], t: &mut [u64]) {
-        let k = self.n_limbs;
-        debug_assert!(a.len() == k && b.len() == k && out.len() == k && t.len() == k + 2);
-        let nl = &self.n.limbs;
-        t.fill(0);
-        for &ai in a.iter() {
-            // t += ai * b
-            let mut carry: u128 = 0;
-            for j in 0..k {
-                let s = t[j] as u128 + ai as u128 * b[j] as u128 + carry;
-                t[j] = s as u64;
-                carry = s >> 64;
-            }
-            let s = t[k] as u128 + carry;
-            t[k] = s as u64;
-            t[k + 1] = (s >> 64) as u64;
-            // t += m * n with m killing the low limb, then t >>= 64.
-            let m = t[0].wrapping_mul(self.n_prime);
-            let s0 = t[0] as u128 + m as u128 * nl[0] as u128;
-            debug_assert_eq!(s0 as u64, 0);
-            let mut carry = s0 >> 64;
-            for j in 1..k {
-                let s = t[j] as u128 + m as u128 * nl[j] as u128 + carry;
-                t[j - 1] = s as u64;
-                carry = s >> 64;
-            }
-            let s = t[k] as u128 + carry;
-            t[k - 1] = s as u64;
-            t[k] = t[k + 1] + (s >> 64) as u64;
-            t[k + 1] = 0;
-        }
-        // CIOS leaves a value < 2n: at most one subtraction, whose borrow
-        // consumes the overflow limb t[k].
-        if t[k] != 0 || ge_fixed(&t[..k], nl) {
-            let borrow = sub_fixed(&mut t[..k], nl);
-            debug_assert_eq!(borrow, t[k], "CIOS result out of the [0, 2n) range");
-        }
-        out.copy_from_slice(&t[..k]);
-    }
-
-    /// Converts `x` (any width) into a `k`-limb Montgomery-form buffer.
-    fn to_mont_into(&self, x: &BigUint, out: &mut [u64], t: &mut [u64]) {
-        let reduced = pad(&(x % &self.n), self.n_limbs);
-        self.mont_mul_into(&reduced, &self.r2, out, t);
     }
 
     /// `(a * b) mod n` through the Montgomery domain: two CIOS passes
@@ -302,57 +324,57 @@ impl MontgomeryCtx {
         if self.n.is_one() {
             return BigUint::zero();
         }
-        let k = self.n_limbs;
-        let mut t = vec![0u64; k + 2];
-        let mut am = vec![0u64; k];
+        at_width!(self, mul_mod_at(a, b))
+    }
+
+    fn mul_mod_at<const N: usize>(&self, a: &BigUint, b: &BigUint) -> BigUint {
+        let n = fixed::<N>(&self.n_pad);
         // a * R (Montgomery form of a) ...
-        self.mont_mul_into(&pad(a, k), &self.r2, &mut am, &mut t);
+        let am = mont_mul(&padded(a), fixed(&self.r2), n, self.n_prime);
         // ... times b, leaving the domain again: a*R * b * R^{-1} = a*b.
-        let mut out = vec![0u64; k];
-        self.mont_mul_into(&am, &pad(b, k), &mut out, &mut t);
-        BigUint::from_limbs(out)
+        BigUint::from_limbs(mont_mul(&am, &padded(b), n, self.n_prime).to_vec())
     }
 
     /// Product of big-endian byte strings: `Π operands mod n` (1 for none).
     ///
     /// The streaming form of a [`MontgomeryCtx::mul_mod`] chain: each
-    /// operand is decoded straight into one reused `k`-limb buffer and
+    /// operand is decoded straight into one reused `W`-limb buffer and
     /// costs a single CIOS pass, with no allocation. Every pass divides the
     /// accumulator by `R`; starting from `R mod n`, after `count` operands
     /// it holds `Π · R^(1−count)`, and one closing pass with `R^count mod n`
     /// (`O(log count)` squarings) cancels the drift exactly. Operands `≥ n`
-    /// or wider than `k` limbs are reduced first (hostile input only), so
+    /// or wider than `W` limbs are reduced first (hostile input only), so
     /// the result equals the left-to-right `modmul` chain for any input.
     pub fn product_be<'a>(&self, operands: impl IntoIterator<Item = &'a [u8]>) -> BigUint {
         if self.n.is_one() {
             return BigUint::zero();
         }
-        let k = self.n_limbs;
-        let mut t = vec![0u64; k + 2];
-        let mut x = vec![0u64; k];
-        let mut acc = self.one.clone();
-        let mut tmp = vec![0u64; k];
+        at_width!(self, product_be_at(operands))
+    }
+
+    fn product_be_at<'a, const N: usize>(&self, operands: impl IntoIterator<Item = &'a [u8]>) -> BigUint {
+        let n = fixed::<N>(&self.n_pad);
+        let mut acc = *fixed(&self.one);
+        let mut x = [0u64; N];
         let mut count = 0u64;
         for bytes in operands {
             self.reduced_limbs_of_be(bytes, &mut x);
-            self.mont_mul_into(&acc, &x, &mut tmp, &mut t);
-            std::mem::swap(&mut acc, &mut tmp);
+            acc = mont_mul(&acc, &x, n, self.n_prime);
             count += 1;
         }
-        let r_count = self.modpow(&BigUint::from_limbs(self.one.clone()), &BigUint::from(count));
-        self.mont_mul_into(&acc, &pad(&r_count, k), &mut tmp, &mut t);
-        BigUint::from_limbs(tmp)
+        let r_count = self.modpow_at::<N>(&BigUint::from_limbs(self.one.clone()), &BigUint::from(count));
+        BigUint::from_limbs(mont_mul(&acc, &padded(&r_count), n, self.n_prime).to_vec())
     }
 
-    /// Decodes big-endian `bytes` into the `k`-limb buffer `out` as a value
-    /// `< n`. Only an operand `≥ n` or wider than `k` limbs pays an
+    /// Decodes big-endian `bytes` into the `W`-limb buffer `out` as a value
+    /// `< n`. Only an operand `≥ n` or wider than `W` limbs pays an
     /// allocation and a division.
     fn reduced_limbs_of_be(&self, bytes: &[u8], out: &mut [u64]) {
         let bytes = &bytes[bytes.iter().take_while(|&&b| b == 0).count()..];
         if bytes.len() <= 8 * out.len() {
             let limbs = limbs_of_be(bytes).chain(std::iter::repeat(0));
             out.iter_mut().zip(limbs).for_each(|(limb, v)| *limb = v);
-            if !ge_fixed(out, &self.n.limbs) {
+            if !ge_fixed(out, &self.n_pad) {
                 return;
             }
         }
@@ -363,9 +385,9 @@ impl MontgomeryCtx {
 
     /// `base^exp mod n` using a 4-bit fixed window.
     ///
-    /// The window table and both scratch buffers are allocated once per
-    /// call and reused across every squaring/multiplication, so the cost
-    /// per exponent bit is one allocation-free CIOS pass.
+    /// The window table (16 entries of `W` limbs, 32 KiB at 256 limbs) and
+    /// the accumulator live on the stack, so the cost per exponent bit is
+    /// one allocation-free CIOS pass.
     pub fn modpow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         if self.n.is_one() {
             return BigUint::zero();
@@ -373,28 +395,27 @@ impl MontgomeryCtx {
         if exp.is_zero() {
             return BigUint::one();
         }
-        let k = self.n_limbs;
-        let mut t = vec![0u64; k + 2];
-        let mut mbase = vec![0u64; k];
-        self.to_mont_into(base, &mut mbase, &mut t);
+        at_width!(self, modpow_at(base, exp))
+    }
 
-        // Precompute mbase^0..mbase^15 in Montgomery form, flat table.
-        let mut table = vec![0u64; 16 * k];
-        table[..k].copy_from_slice(&self.one);
+    fn modpow_at<const N: usize>(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        let n = fixed::<N>(&self.n_pad);
+        let mul = |a: &[u64; N], b: &[u64; N]| mont_mul(a, b, n, self.n_prime);
+        let mbase = mul(&padded(&(base % &self.n)), fixed(&self.r2));
+
+        // mbase^0..mbase^15 in Montgomery form.
+        let mut table = [[0u64; N]; 16];
+        table[0] = *fixed(&self.one);
         for i in 1..16 {
-            let (prev, cur) = table.split_at_mut(i * k);
-            self.mont_mul_into(&prev[(i - 1) * k..], &mbase, &mut cur[..k], &mut t);
+            table[i] = mul(&table[i - 1], &mbase);
         }
 
-        let bits = exp.bits();
-        let mut acc = self.one.clone();
-        let mut tmp = vec![0u64; k];
-        let mut i = bits;
+        let mut acc = table[0];
+        let mut i = exp.bits();
         while i > 0 {
             let take = i.min(4);
             for _ in 0..take {
-                self.mont_mul_into(&acc, &acc, &mut tmp, &mut t);
-                std::mem::swap(&mut acc, &mut tmp);
+                acc = mul(&acc, &acc);
             }
             i -= take;
             let mut window = 0usize;
@@ -402,25 +423,24 @@ impl MontgomeryCtx {
                 window = (window << 1) | exp.bit(i + take - 1 - b) as usize;
             }
             if window != 0 {
-                self.mont_mul_into(&acc, &table[window * k..(window + 1) * k], &mut tmp, &mut t);
-                std::mem::swap(&mut acc, &mut tmp);
+                acc = mul(&acc, &table[window]);
             }
         }
         // Leave the Montgomery domain: multiply by the plain value 1.
-        tmp.fill(0);
-        tmp[0] = 1;
-        let mut out = vec![0u64; k];
-        self.mont_mul_into(&acc, &tmp, &mut out, &mut t);
-        BigUint::from_limbs(out)
+        BigUint::from_limbs(mul(&acc, &padded(&BigUint::one())).to_vec())
     }
 }
 
-/// Pads a value to exactly `k` little-endian limbs.
-fn pad(x: &BigUint, k: usize) -> Vec<u64> {
-    debug_assert!(x.limbs.len() <= k);
-    let mut v = x.limbs.clone();
-    v.resize(k, 0);
-    v
+/// A context buffer (padded to the width) as a fixed-width array.
+fn fixed<const N: usize>(v: &[u64]) -> &[u64; N] {
+    v.try_into().expect("context buffers are padded to the dispatched width")
+}
+
+/// `x` zero-extended to `N` limbs; `x` must fit.
+fn padded<const N: usize>(x: &BigUint) -> [u64; N] {
+    let mut out = [0u64; N];
+    out[..x.limbs.len()].copy_from_slice(&x.limbs);
+    out
 }
 
 /// Residue-system context for a two-prime (or any coprime odd pair)

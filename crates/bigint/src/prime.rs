@@ -23,6 +23,11 @@ const MR_ROUNDS: usize = 40;
 /// Deterministic and exact for `n < 2^64`; probabilistic (error < 2^-80)
 /// above that.
 ///
+/// # Panics
+///
+/// Panics for an `n` wider than [`MontgomeryCtx::new`] takes (16,384 bits)
+/// that no small prime divides.
+///
 /// # Examples
 ///
 /// ```

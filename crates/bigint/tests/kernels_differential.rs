@@ -216,3 +216,69 @@ fn product_fold_matches_left_to_right_modmul() {
     }
     assert_eq!(MontgomeryCtx::new(&BigUint::one()).product_be([&[5u8][..]]), BigUint::zero(), "modulus 1");
 }
+
+/// Every width the Montgomery kernel is compiled for (1 to 256 limbs, the
+/// powers of two) and padded widths between them (a 3-limb modulus runs the
+/// 4-limb kernel), each with a random modulus and one whose top limb is
+/// `u64::MAX`, `n − 1` operands included. Above 16 limbs the exponents are
+/// 64 bits, which keeps the oracle quick in debug builds.
+#[test]
+fn every_kernel_width_matches_oracle() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x1D7);
+    for limbs in [1usize, 2, 3, 4, 5, 8, 9, 16, 17, 32, 64, 128, 256] {
+        let bits = 64 * limbs;
+        let exp_bits = if limbs <= 16 { bits } else { 64 };
+        for full_top in [false, true] {
+            let mut m = random_odd(&mut rng, bits);
+            if full_top {
+                (bits - 64..bits).for_each(|i| m.set_bit(i, true));
+            }
+            let what = format!("{limbs} limbs, top limb full: {full_top}");
+            let ctx = MontgomeryCtx::new(&m);
+            let n_minus_1 = &m - &BigUint::one();
+            let (a, b) = (BigUint::random_below(&mut rng, &m), BigUint::random_below(&mut rng, &m));
+            let exp = BigUint::random_bits(&mut rng, exp_bits);
+            for base in [&a, &n_minus_1] {
+                assert_eq!(ctx.modpow(base, &exp), oracle_modpow(base, &exp, &m), "modpow, {what}");
+            }
+            if limbs <= 16 {
+                assert_eq!(ctx.modpow(&n_minus_1, &n_minus_1), oracle_modpow(&n_minus_1, &n_minus_1, &m), "{what}");
+            }
+            for (x, y) in [(&a, &b), (&n_minus_1, &a), (&n_minus_1, &n_minus_1)] {
+                assert_eq!(ctx.mul_mod(x, y), x.modmul(y, &m), "mul_mod, {what}");
+            }
+            let operands = [n_minus_1.to_bytes_be(), a.to_bytes_be(), b.to_bytes_be(), n_minus_1.to_bytes_be()];
+            let expect = a.modmul(&b, &m).modmul(&n_minus_1.modmul(&n_minus_1, &m), &m);
+            assert_eq!(ctx.product_be(operands.iter().map(Vec::as_slice)), expect, "product_be, {what}");
+
+            // CRT with this modulus as one half: each residue against the
+            // oracle, which pins the recombined value below m·m2.
+            let m2 = random_odd(&mut rng, bits);
+            let Ok(crt) = CrtCtx::new(&m, &m2) else { continue };
+            let base = BigUint::random_below(&mut rng, crt.modulus());
+            let e2 = BigUint::random_bits(&mut rng, exp_bits);
+            let x = crt.modpow(&base, &exp, &e2);
+            assert!(&x < crt.modulus(), "CrtCtx::modpow range, {what}");
+            assert_eq!(&x % &m, oracle_modpow(&base, &exp, &m), "CrtCtx::modpow residue 1, {what}");
+            assert_eq!(&x % &m2, oracle_modpow(&base, &e2, &m2), "CrtCtx::modpow residue 2, {what}");
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "at most 256 limbs")]
+fn montgomery_ctx_refuses_257_limbs() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x257);
+    MontgomeryCtx::new(&random_odd(&mut rng, 64 * 257));
+}
+
+/// Past the widest kernel, `BigUint::modpow` still answers, through its
+/// division-based loop.
+#[test]
+fn modpow_answers_past_the_widest_kernel() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x258);
+    let m = random_odd(&mut rng, 64 * 257);
+    let base = BigUint::random_below(&mut rng, &m);
+    let exp = BigUint::random_bits(&mut rng, 24);
+    assert_eq!(base.modpow(&exp, &m), oracle_modpow(&base, &exp, &m));
+}

@@ -388,6 +388,24 @@ mod tests {
     }
 
     #[test]
+    fn setup_refuses_a_malformed_or_over_wide_modulus() {
+        let cloud = SophosCloud::new(KvStore::new());
+        let key = |n: &[u8]| {
+            let mut w = Writer::new();
+            w.bytes(n).bytes(&[1, 0, 1]);
+            w.finish()
+        };
+        // Odd, and one byte past the widest modulus a key may carry.
+        let too_wide = [vec![0xff; 1024], vec![1]].concat();
+        for bad in [vec![], vec![0, 0], vec![4], too_wide] {
+            let err = cloud.handle("obs:f", "setup", &key(&bad)).unwrap_err();
+            assert!(err.to_string().contains("sophos modulus"), "{err}");
+        }
+        assert_eq!(cloud.kv.get(&SophosCloud::pk_key("obs:f")), None, "a refused key is not stored");
+        assert!(cloud.handle("obs:f", "setup", &key(&[0xff; 1024])).is_ok(), "1,024 bytes is accepted");
+    }
+
+    #[test]
     fn update_without_setup_rejected() {
         let (_, cloud, _) = setup();
         let token = SophosUpdateToken { ut: [0; 32], masked_id: [0; 16] };

@@ -86,15 +86,12 @@ impl SophosPublicKey {
     /// # Errors
     ///
     /// [`SseError::Malformed`] on framing errors or a modulus that cannot
-    /// be an RSA modulus (zero or even).
+    /// be an RSA modulus (zero or even) or is over 1,024 bytes wide.
     pub fn decode(buf: &[u8]) -> Result<Self, SseError> {
         let mut r = Reader::new(buf);
-        let n = BigUint::from_bytes_be(r.bytes()?);
+        let n = decode_modulus(r.bytes()?)?;
         let e = BigUint::from_bytes_be(r.bytes()?);
         r.finish()?;
-        if n.is_zero() || n.is_even() {
-            return Err(SseError::Malformed("sophos modulus"));
-        }
         Ok(SophosPublicKey::assemble(n, e))
     }
 }
@@ -143,18 +140,29 @@ impl SophosKeypair {
     ///
     /// # Errors
     ///
-    /// [`SseError::Malformed`] on framing errors.
+    /// [`SseError::Malformed`] on framing errors or a modulus
+    /// [`SophosPublicKey::decode`] refuses.
     pub fn decode(buf: &[u8]) -> Result<Self, SseError> {
         let mut r = Reader::new(buf);
-        let n = BigUint::from_bytes_be(r.bytes()?);
+        let n = decode_modulus(r.bytes()?)?;
         let e = BigUint::from_bytes_be(r.bytes()?);
         let d = BigUint::from_bytes_be(r.bytes()?);
         r.finish()?;
-        if n.is_zero() || n.is_even() {
-            return Err(SseError::Malformed("sophos modulus"));
-        }
         Ok(SophosKeypair { public: SophosPublicKey::assemble(n, e), d })
     }
+}
+
+/// Widest modulus (8,192 bits) a Sophos key may carry: the cloud decodes
+/// keys off the wire, and each decode builds a Montgomery context, a
+/// full-width square and division.
+const MAX_MODULUS_BYTES: usize = 1024;
+
+/// An RSA modulus from its big-endian bytes: nonzero, odd and at most
+/// [`MAX_MODULUS_BYTES`] wide as sent.
+fn decode_modulus(bytes: &[u8]) -> Result<BigUint, SseError> {
+    let n = (bytes.len() <= MAX_MODULUS_BYTES).then(|| BigUint::from_bytes_be(bytes));
+    // Zero is not odd.
+    n.filter(BigUint::is_odd).ok_or(SseError::Malformed("sophos modulus"))
 }
 
 /// Hash H1 (update-token address) / H2 (payload mask), domain-separated.
