@@ -16,16 +16,16 @@ use datablinder_obs::Recorder;
 use datablinder_sse::DocId;
 
 use crate::cloudproto::{
-    batch_items, is_write_route, BlobList, DigestRequest, FindIdsDnf, FindIdsEq, FindIdsRange, Idempotent, RangeSelect,
-    RangedRead, SyncEntries, ENTRY_DOC, ENTRY_INDEX, ENTRY_KV, IDEM_ROUTE,
+    batch_items, check_inner, is_write_route, BlobList, DigestRequest, Fetch, FindIdsDnf, FindIdsEq, FindIdsRange,
+    GetMany, Idempotent, RangeSelect, RangedRead, SyncEntries, ENTRY_DOC, ENTRY_INDEX, ENTRY_KV, IDEM_ROUTE,
 };
 use crate::durability::{self, Durability, DurabilityOptions, JournalOutcome, RecoveryReport, WalRecord};
 use crate::error::CoreError;
 use crate::spi::CloudTactic;
 use crate::sync::{selects_doc, DigestCache, DigestWork, MutationScope, Selector};
 use crate::tactics;
-use crate::tactics::encode_ids;
-use crate::wire::{decode_document, encode_document, encode_documents};
+use crate::tactics::{decode_ids, encode_ids};
+use crate::wire::{decode_document, encode_document, encode_documents_without};
 
 /// Default capacity of the idempotency dedup cache: entries only need to
 /// outlive the retry window of their request, so a small FIFO bounded well
@@ -577,6 +577,13 @@ impl CloudEngine {
         coll.scan(filter, ids_of)
     }
 
+    /// The documents of `collection` under `ids`, encoded as one list
+    /// without the fields named in `leave_out`: unknown ids are skipped,
+    /// the rest keep the caller's order. One buffer, one lock hold, no clone.
+    fn documents<'i>(&self, collection: &str, ids: impl Iterator<Item = &'i str>, leave_out: &[&str]) -> Vec<u8> {
+        self.docs.collection(collection).lookup(ids, |docs| encode_documents_without(docs, leave_out))
+    }
+
     fn handle_doc(&self, op: &str, payload: &[u8]) -> Result<Vec<u8>, CoreError> {
         match op {
             "insert" => {
@@ -606,12 +613,17 @@ impl CloudEngine {
                     .ok_or_else(|| CoreError::NotFound(id.to_string()))
             }
             "get_many" => {
-                let (collection, rest) = split_collection(payload)?;
-                let ids = datablinder_codec::decode(rest, |r| Ok::<_, CoreError>(r.list()?))?;
-                // Unknown and non-UTF-8 ids are skipped; the rest keep the
-                // caller's order. One buffer, one lock hold, no clone.
-                let ids = ids.iter().filter_map(|id| std::str::from_utf8(id).ok());
-                Ok(self.docs.collection(collection).lookup(ids, |docs| encode_documents(docs)))
+                let req = GetMany::decode(payload)?;
+                // Non-UTF-8 ids name nothing.
+                let ids = req.ids.iter().filter_map(|id| std::str::from_utf8(id).ok());
+                Ok(self.documents(req.collection, ids, &req.leave_out))
+            }
+            "fetch" => {
+                let req = Fetch::decode(payload)?;
+                check_inner(req.route, true)?;
+                let ids: Vec<String> =
+                    decode_ids(&self.dispatch(req.route, req.payload)?)?.into_iter().map(DocId::to_hex).collect();
+                Ok(self.documents(req.collection, ids.iter().map(String::as_str), &req.leave_out))
             }
             "delete" => {
                 let (collection, rest) = split_collection(payload)?;
@@ -815,18 +827,13 @@ fn sum_plain(field: &str, docs: &mut dyn Iterator<Item = &Document>) -> Vec<u8> 
     out
 }
 
-/// Encodes a `get_many` request body.
-pub fn get_many_payload(collection: &str, ids: &[DocId]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.list(&ids.iter().map(|id| id.to_hex().into_bytes()).collect::<Vec<_>>());
-    with_collection(collection, &w.finish())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cloudproto::encode_batch;
+    use crate::cloudproto::{encode_batch, FETCH_ROUTE};
     use crate::spi::CloudCall;
+    use crate::wire::encode_documents;
+    use datablinder_obs::trace::{encode_traced, TraceCtx, TRACED_ROUTE};
 
     fn engine() -> CloudEngine {
         CloudEngine::new()
@@ -879,7 +886,9 @@ mod tests {
         let e = engine();
         let (id, payload) = doc(1, "x");
         e.dispatch("doc/insert", &payload).unwrap();
-        let req = get_many_payload("obs", &[id, DocId([9; 16])]);
+        let (held, unknown) = (id.to_hex(), DocId([9; 16]).to_hex());
+        let req = GetMany { collection: "obs", ids: vec![held.as_bytes(), unknown.as_bytes()], leave_out: vec![] };
+        let req = req.encode();
         let docs = crate::wire::decode_documents(&e.dispatch("doc/get_many", &req).unwrap()).unwrap();
         assert_eq!(docs.len(), 1);
     }
@@ -1010,6 +1019,91 @@ mod tests {
             assert!(matches!(err, Err(CoreError::UnsupportedOperation(_))), "{err:?}");
         }
         assert_eq!(e.docs().collection("obs").len(), 1, "nothing in a refused batch ran");
+    }
+
+    #[test]
+    fn get_many_leaves_out_the_listed_fields_and_without_a_list_is_the_same_request() {
+        let e = engine();
+        let docs: Vec<Document> = (1..=3u8)
+            .map(|i| {
+                Document::new(DocId([i; 16]).to_hex())
+                    .with("a__det", Value::Bytes(vec![i]))
+                    .with("a__ope", Value::Bytes(vec![i; 16]))
+                    .with("note", Value::from("kept"))
+                    .with("v__phe", Value::Bytes(vec![i; 64]))
+            })
+            .collect();
+        for d in &docs {
+            e.dispatch("doc/insert", &with_collection("obs", &encode_document(d))).unwrap();
+        }
+        let hex: Vec<String> = [3u8, 9, 1].iter().map(|&i| DocId([i; 16]).to_hex()).collect();
+        let ids: Vec<&[u8]> = hex.iter().map(String::as_bytes).collect();
+        let bare = GetMany { collection: "obs", ids: ids.clone(), leave_out: vec![] };
+        let mut today = Writer::new();
+        today.list(&ids);
+        assert_eq!(bare.encode(), with_collection("obs", &today.finish()), "an empty list adds no byte");
+        assert_eq!(e.dispatch("doc/get_many", &bare.encode()).unwrap(), encode_documents([&docs[2], &docs[0]]));
+
+        let projected = GetMany { leave_out: vec!["a__ope", "v__phe", "absent"], ..bare };
+        let answer = crate::wire::decode_documents(&e.dispatch("doc/get_many", &projected.encode()).unwrap()).unwrap();
+        let expected: Vec<Document> = [&docs[2], &docs[0]]
+            .iter()
+            .map(|d| {
+                let mut d = (*d).clone();
+                d.remove("a__ope");
+                d.remove("v__phe");
+                d
+            })
+            .collect();
+        assert_eq!(answer, expected);
+        assert_eq!(GetMany::decode(&projected.encode()).unwrap(), projected);
+        let mut trailing = projected.encode();
+        trailing.push(0);
+        assert!(matches!(e.dispatch("doc/get_many", &trailing), Err(CoreError::Wire(_))));
+    }
+
+    #[test]
+    fn fetch_answers_as_its_read_then_get_many_and_refuses_writes_batches_and_envelopes() {
+        let e = engine();
+        for (i, status) in [(1u8, "final"), (2, "draft"), (3, "final")] {
+            e.dispatch("doc/insert", &doc(i, status).1).unwrap();
+        }
+        let find = FindIdsEq { collection: "obs".into(), field: "status".into(), value: Value::from("final") };
+        let find = CloudCall::new("doc/find_ids_eq", find.encode());
+        let fetch = |route: &str, payload: &[u8], leave_out: Vec<&'static str>| {
+            Fetch { collection: "obs", leave_out, route, payload }.encode()
+        };
+        let hex: Vec<String> = decode_ids(&e.dispatch(&find.route, &find.payload).unwrap())
+            .unwrap()
+            .iter()
+            .map(|id| id.to_hex())
+            .collect();
+        assert_eq!(hex.len(), 2);
+        for leave_out in [vec![], vec!["status"]] {
+            let fused = e.dispatch(FETCH_ROUTE, &fetch(&find.route, &find.payload, leave_out.clone())).unwrap();
+            let two_calls = GetMany { collection: "obs", ids: hex.iter().map(String::as_bytes).collect(), leave_out };
+            assert_eq!(fused, e.dispatch("doc/get_many", &two_calls.encode()).unwrap());
+        }
+
+        // The wrapped route passes batch/read's checks before it runs.
+        let (_, insert) = doc(4, "final");
+        let count = CloudCall::new("doc/count", with_collection("obs", b""));
+        let envelope = Idempotent { token: [3; 16], route: "doc/insert".into(), payload: insert.clone() };
+        for (route, payload) in [
+            ("doc/insert", insert.clone()),
+            ("batch", encode_batch(std::slice::from_ref(&count))),
+            ("batch/read", encode_batch(std::slice::from_ref(&count))),
+            ("idem", envelope.encode()),
+            (TRACED_ROUTE, encode_traced(TraceCtx { trace_id: 1, span_id: 1 }, "doc/insert", &insert)),
+            (FETCH_ROUTE, fetch(&find.route, &find.payload, vec![])),
+        ] {
+            let err = e.dispatch(FETCH_ROUTE, &fetch(route, &payload, vec![])).unwrap_err();
+            assert!(matches!(err, CoreError::UnsupportedOperation(_)), "{route}: {err}");
+        }
+        assert_eq!(e.docs().collection("obs").len(), 3, "the refused write never ran");
+        // A wrapped read whose answer is not an id list.
+        let err = e.dispatch(FETCH_ROUTE, &fetch(&count.route, &count.payload, vec![])).unwrap_err();
+        assert!(matches!(err, CoreError::Wire(_)), "{err}");
     }
 
     #[test]

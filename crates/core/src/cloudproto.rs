@@ -3,6 +3,7 @@
 
 use datablinder_codec::{decode, Malformed, Reader, Writer};
 use datablinder_docstore::Value;
+use datablinder_obs::trace::TRACED_ROUTE;
 
 use crate::error::CoreError;
 use crate::spi::CloudCall;
@@ -116,6 +117,102 @@ impl FindIdsDnf {
                 dnf.push(conj);
             }
             Ok(FindIdsDnf { collection, dnf })
+        })
+    }
+}
+
+/// `doc/get_many`: the stored documents under `ids`, in request order,
+/// skipping ids the cloud does not hold (an id that is not UTF-8 names
+/// nothing). Each document comes back without the fields named in
+/// `leave_out`: the index-only shadows the gateway never opens. The list
+/// travels only when it is non-empty, so a request without one is the same
+/// bytes as before it existed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GetMany<'a> {
+    /// Target collection.
+    pub collection: &'a str,
+    /// Document ids (the gateway's are hex).
+    pub ids: Vec<&'a [u8]>,
+    /// Stored field names to leave out of every document.
+    pub leave_out: Vec<&'a str>,
+}
+
+impl<'a> GetMany<'a> {
+    /// Serializes.
+    pub fn encode(&self) -> Vec<u8> {
+        let len = self.ids.iter().map(|id| 4 + id.len()).sum::<usize>();
+        let mut w = Writer::from(Vec::with_capacity(8 + self.collection.len() + len));
+        w.str(self.collection).list(&self.ids);
+        if !self.leave_out.is_empty() {
+            w.list(&self.leave_out);
+        }
+        w.finish()
+    }
+
+    /// Deserializes, lending from `buf`.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Wire`] on malformed input.
+    pub fn decode(buf: &'a [u8]) -> Result<Self, CoreError> {
+        decode(buf, |r| {
+            let (collection, ids) = (r.str()?, r.list()?);
+            Ok(GetMany { collection, ids, leave_out: take_names(r)? })
+        })
+    }
+}
+
+/// An optional trailing list of field names: empty when nothing follows.
+fn take_names<'a>(r: &mut Reader<'a>) -> Result<Vec<&'a str>, CoreError> {
+    match r.rest() {
+        [] => Ok(Vec::new()),
+        tail => decode(tail, |r| names(r)),
+    }
+}
+
+/// A count-prefixed list of UTF-8 field names.
+fn names<'a>(r: &mut Reader<'a>) -> Result<Vec<&'a str>, CoreError> {
+    r.list()?.into_iter().map(|n| std::str::from_utf8(n).map_err(|_| CoreError::Wire("utf8 field"))).collect()
+}
+
+/// Route of a fetch ([`Fetch`]): one read whose answer is an id list, and
+/// the documents those ids name, in one round trip.
+pub const FETCH_ROUTE: &str = "doc/fetch";
+
+/// `doc/fetch`: runs `route` — a read whose answer is an encoded id list,
+/// such as `doc/find_ids_eq` — and answers with the documents those ids
+/// name, as `doc/get_many` over them with `leave_out` would. The gateway
+/// sends one for a tactic that resolves in the cloud
+/// ([`crate::spi::GatewayTactic::resolves_in_cloud`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fetch<'a> {
+    /// Target collection of the documents.
+    pub collection: &'a str,
+    /// Stored field names to leave out of every document.
+    pub leave_out: Vec<&'a str>,
+    /// The inner read's route.
+    pub route: &'a str,
+    /// The inner read's payload.
+    pub payload: &'a [u8],
+}
+
+impl<'a> Fetch<'a> {
+    /// Serializes.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::from(Vec::with_capacity(32 + self.route.len() + self.payload.len()));
+        w.str(self.collection).list(&self.leave_out).str(self.route).bytes(self.payload);
+        w.finish()
+    }
+
+    /// Deserializes, lending from `buf`.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Wire`] on malformed input.
+    pub fn decode(buf: &'a [u8]) -> Result<Self, CoreError> {
+        decode(buf, |r| {
+            let (collection, leave_out) = (r.str()?, names(r)?);
+            Ok(Fetch { collection, leave_out, route: r.str()?, payload: r.bytes()? })
         })
     }
 }
@@ -243,25 +340,39 @@ pub fn encode_batch(calls: &[CloudCall]) -> Vec<u8> {
 }
 
 /// The `(route, payload)` items of a batch payload, all checked before any
-/// runs: whole pairs, UTF-8 routes, no nested batch or envelope and — when
-/// `read_only` — no write route. The one item decoder of both batch routes,
-/// on an engine and on a cluster.
+/// runs: whole pairs, UTF-8 routes and each route one [`check_inner`]
+/// passes. The one item decoder of both batch routes, on an engine and on a
+/// cluster.
 ///
 /// # Errors
 ///
 /// [`CoreError::Wire`] on malformed input; [`CoreError::UnsupportedOperation`]
-/// on a nested batch or envelope, or a write inside a read-only batch.
+/// as [`check_inner`].
 pub fn batch_items(payload: &[u8], read_only: bool) -> Result<Vec<(&str, &[u8])>, CoreError> {
     let items = decode_calls(payload)?;
     for &(route, _) in &items {
-        if route == BATCH_ROUTE || route == READ_BATCH_ROUTE || route == IDEM_ROUTE {
-            return Err(CoreError::UnsupportedOperation(format!("nested {route} in a batch")));
-        }
-        if read_only && is_write_route(route) {
-            return Err(CoreError::UnsupportedOperation(format!("write {route} in a read-only batch")));
-        }
+        check_inner(route, read_only)?;
     }
     Ok(items)
+}
+
+/// Checks a route carried inside another — a batch item, or the read a
+/// [`Fetch`] wraps (`read_only`) — before anything runs: no nested batch,
+/// fetch or envelope (idempotent or traced: either hides the route it
+/// carries) and, when `read_only`, no write route.
+///
+/// # Errors
+///
+/// [`CoreError::UnsupportedOperation`] on a nested batch, fetch or envelope,
+/// or a write where only reads may go.
+pub fn check_inner(route: &str, read_only: bool) -> Result<(), CoreError> {
+    if [BATCH_ROUTE, READ_BATCH_ROUTE, IDEM_ROUTE, FETCH_ROUTE, TRACED_ROUTE].contains(&route) {
+        return Err(CoreError::UnsupportedOperation(format!("nested {route}")));
+    }
+    if read_only && is_write_route(route) {
+        return Err(CoreError::UnsupportedOperation(format!("write {route} where only reads may go")));
+    }
+    Ok(())
 }
 
 /// The `(route, payload)` pairs of an [`encode_batch`] list — a batch
@@ -667,6 +778,7 @@ mod tests {
         for read in [
             "doc/get",
             "doc/get_many",
+            "doc/fetch",
             "doc/count",
             "doc/extreme",
             "doc/list_ids",

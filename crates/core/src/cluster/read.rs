@@ -15,15 +15,16 @@ use super::replica::Reply;
 use super::{remote, ClusterCloud, Topology};
 use crate::cloud::{split_collection, with_collection};
 use crate::cloudproto::{
-    batch_items, PaillierCombine, PaillierSum, PaillierSumResponse, RangeSelect, RangedRead, READ_BATCH_ROUTE,
+    batch_items, check_inner, Fetch, GetMany, PaillierCombine, PaillierSum, PaillierSumResponse, RangeSelect,
+    RangedRead, FETCH_ROUTE, READ_BATCH_ROUTE,
 };
 use crate::error::CoreError;
 use crate::sync::doc_key;
 use crate::tactics::{decode_ids, encode_ids};
 use crate::wire::decode_document;
 
-/// A whole buffer as one count-prefixed list of byte fields: a `get_many`
-/// request's ids, a node's answer to it.
+/// A whole buffer as one count-prefixed list of byte fields: a node's
+/// `get_many` answer.
 fn byte_list(buf: &[u8]) -> Result<Vec<&[u8]>, NetError> {
     datablinder_codec::decode(buf, |r| Ok::<_, CoreError>(r.list()?)).map_err(remote)
 }
@@ -37,7 +38,15 @@ impl ClusterCloud {
     pub(super) fn clustered_read(&self, topo: &Topology, route: &str, payload: &[u8]) -> Result<Vec<u8>, NetError> {
         match route {
             "doc/get" => self.read_doc(topo, payload),
-            "doc/get_many" => self.read_get_many(topo, payload),
+            "doc/get_many" => self.read_get_many(topo, &GetMany::decode(payload).map_err(remote)?),
+            FETCH_ROUTE => {
+                let req = Fetch::decode(payload).map_err(remote)?;
+                check_inner(req.route, true).map_err(remote)?;
+                let ids = decode_ids(&self.clustered_read(topo, req.route, req.payload)?).map_err(remote)?;
+                let hex: Vec<String> = ids.into_iter().map(DocId::to_hex).collect();
+                let ids = hex.iter().map(String::as_bytes).collect();
+                self.read_get_many(topo, &GetMany { collection: req.collection, ids, leave_out: req.leave_out })
+            }
             "doc/count" => {
                 let (collection, _) = split_collection(payload).map_err(remote)?;
                 let ids = self.union_ids(topo, collection)?;
@@ -117,13 +126,14 @@ impl ClusterCloud {
     }
 
     /// Answers `get_many` from where the documents live: each id is asked of
-    /// its first live replica only, an id that node does not return is asked
-    /// of the id's next live replica, and the answer is the byte slices the
-    /// nodes sent, spliced together in request order — no document is
-    /// decoded or encoded here. Like one engine, it skips ids nobody holds;
-    /// an id none of whose replicas answered at all is
-    /// [`NetError::Unavailable`], since the document may exist.
-    fn read_get_many(&self, topo: &Topology, payload: &[u8]) -> Result<Vec<u8>, NetError> {
+    /// its first live replica only, with the request's leave-out list, an id
+    /// that node does not return is asked of the id's next live replica, and
+    /// the answer is the byte slices the nodes sent, spliced together in
+    /// request order — no document is decoded or encoded here. Like one
+    /// engine, it skips ids nobody holds; an id none of whose replicas
+    /// answered at all is [`NetError::Unavailable`], since the document may
+    /// exist.
+    fn read_get_many(&self, topo: &Topology, req: &GetMany<'_>) -> Result<Vec<u8>, NetError> {
         /// One requested id still looking for its document.
         struct Want {
             /// Position in the request.
@@ -134,8 +144,7 @@ impl ClusterCloud {
             answered: bool,
         }
 
-        let (collection, rest) = split_collection(payload).map_err(remote)?;
-        let requested = byte_list(rest)?;
+        let (collection, requested) = (req.collection, &req.ids);
         // Non-UTF-8 ids name nothing, here as on one engine.
         let mut wanted: Vec<Want> = (0..requested.len())
             .filter(|&pos| std::str::from_utf8(requested[pos]).is_ok())
@@ -163,11 +172,9 @@ impl ClusterCloud {
                 }
             }
             for (node, asked) in per_node {
-                let mut w = Writer::new();
-                w.list_with(&asked, |want, w| {
-                    w.raw(requested[want.pos]);
-                });
-                let reply = topo.replica(node).call("doc/get_many", &with_collection(collection, &w.finish()));
+                let ids = asked.iter().map(|want| requested[want.pos]).collect();
+                let sub = GetMany { collection, ids, leave_out: req.leave_out.clone() };
+                let reply = topo.replica(node).call("doc/get_many", &sub.encode());
                 let Some(answer) = reply.decided() else {
                     wanted.extend(asked);
                     continue;
@@ -466,10 +473,18 @@ mod tests {
         assert_eq!(answers[1], cluster.handle(&get.route, &get.payload).unwrap());
 
         let count_before = cluster.handle("doc/count", &count.payload).unwrap();
+        let traced = datablinder_obs::trace::encode_traced(
+            datablinder_obs::trace::TraceCtx { trace_id: 1, span_id: 1 },
+            "doc/insert",
+            &insert_payload("notes", 9),
+        );
         for refused in [
             CloudCall::new("doc/insert", insert_payload("notes", 9)),
             CloudCall::new("batch", encode_batch(std::slice::from_ref(&count))),
             CloudCall::new(READ_BATCH_ROUTE, encode_batch(std::slice::from_ref(&count))),
+            // A traced envelope would carry the write past the check to one
+            // node, outside any quorum.
+            CloudCall::new(datablinder_obs::trace::TRACED_ROUTE, traced),
         ] {
             let err = cluster.handle(READ_BATCH_ROUTE, &encode_batch(&[count.clone(), refused.clone()])).unwrap_err();
             assert!(
@@ -479,6 +494,38 @@ mod tests {
             );
         }
         assert_eq!(cluster.handle("doc/count", &count.payload).unwrap(), count_before, "the write never ran");
+    }
+
+    #[test]
+    fn fetch_refuses_an_inner_write_batch_or_envelope_before_it_runs() {
+        use crate::cloudproto::{encode_batch, Fetch, FindIdsEq, Idempotent, FETCH_ROUTE};
+        use crate::spi::CloudCall;
+        use datablinder_obs::trace::{encode_traced, TraceCtx, TRACED_ROUTE};
+
+        let cluster = ClusterCloud::new(ClusterConfig::volatile(5, 3, 2, 19)).unwrap();
+        for i in 1..=4u8 {
+            cluster.handle("doc/insert", &insert_payload("notes", i)).unwrap();
+        }
+        let find = FindIdsEq { collection: "notes".into(), field: "v".into(), value: Value::from(1i64) }.encode();
+        let fetch = |route: &'static str, payload: &[u8]| {
+            Fetch { collection: "notes", leave_out: vec![], route, payload }.encode()
+        };
+        let count = CloudCall::new("doc/count", with_collection("notes", &[]));
+        let count_before = cluster.handle(&count.route, &count.payload).unwrap();
+        let insert = insert_payload("notes", 99);
+        let envelope = Idempotent { token: [5; 16], route: "doc/insert".into(), payload: insert.clone() };
+        for (route, payload) in [
+            ("doc/insert", insert.clone()),
+            ("batch", encode_batch(std::slice::from_ref(&count))),
+            (READ_BATCH_ROUTE, encode_batch(std::slice::from_ref(&count))),
+            ("idem", envelope.encode()),
+            (TRACED_ROUTE, encode_traced(TraceCtx { trace_id: 1, span_id: 1 }, "doc/insert", &insert)),
+            (FETCH_ROUTE, fetch("doc/find_ids_eq", &find)),
+        ] {
+            let err = cluster.handle(FETCH_ROUTE, &fetch(route, &payload)).unwrap_err();
+            assert!(matches!(&err, NetError::Remote(m) if m.starts_with("unsupported operation")), "{route}: {err}");
+        }
+        assert_eq!(cluster.handle(&count.route, &count.payload).unwrap(), count_before, "the write never ran");
     }
 
     #[test]

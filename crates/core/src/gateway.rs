@@ -30,17 +30,18 @@ use datablinder_sse::DocId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::cloud::{get_many_payload, with_collection};
+use crate::cloud::with_collection;
 use crate::cloudproto::{
-    decode_batch_answer, decode_calls, encode_batch, Idempotent, BATCH_ROUTE, IDEM_ROUTE, READ_BATCH_ROUTE,
+    decode_batch_answer, decode_calls, encode_batch, Fetch, FindIdsDnf, GetMany, Idempotent, BATCH_ROUTE, FETCH_ROUTE,
+    IDEM_ROUTE, READ_BATCH_ROUTE,
 };
 use crate::error::CoreError;
 use crate::metadata::{validate_document, SchemaStore};
 use crate::model::{AggFn, FieldOp, Schema, TacticOp};
 use crate::pool::WorkerPool;
 use crate::registry::{Selection, TacticRegistry};
-use crate::spi::{CloudCall, DnfLiterals, DocIdGen, GatewayTactic, ProtectedField, RandomDocIdGen};
-use crate::tactics::{decode_ids, shadow_field, TacticContext};
+use crate::spi::{single_id_list, CloudCall, DnfLiterals, DocIdGen, GatewayTactic, ProtectedField, RandomDocIdGen};
+use crate::tactics::{shadow_field, TacticContext};
 use crate::wire::{decode_document, encode_document, skip_value, take_ciphertext, take_value};
 
 /// Scope name of the shared cross-field boolean tactic instance.
@@ -115,6 +116,10 @@ struct SchemaPlan {
     /// The recover table: one row per sensitive field, sorted by shadow
     /// name — the order the fields of a stored document arrive in.
     payloads: Vec<PayloadShadow>,
+    /// The leave-out list: every shadow a field's write tactics store other
+    /// than its payload shadow, sorted. A fetch leaves these in the cloud;
+    /// the gateway never opens them.
+    leave_out: Vec<String>,
 }
 
 /// One row of a plan's recover table: where a sensitive field's payload
@@ -526,12 +531,21 @@ impl GatewayEngine {
             })
             .collect();
         payloads.sort_by(|a, b| a.shadow.cmp(&b.shadow));
+        let mut leave_out: Vec<String> = {
+            let registry = self.registry.read().unwrap_or_else(PoisonError::into_inner);
+            let shadows = fields.iter().flat_map(|(field, fp)| {
+                let stores = fp.writes.iter().filter_map(|h| registry.descriptor(&h.name)?.shadow.clone());
+                stores.map(move |shadow| shadow_field(field, &shadow))
+            });
+            shadows.filter(|shadow| payloads.iter().all(|p| &p.shadow != shadow)).collect()
+        };
+        leave_out.sort();
 
         self.schema_store.put(&schema);
         self.plans
             .write()
             .unwrap_or_else(PoisonError::into_inner)
-            .insert(schema.name.clone(), Arc::new(SchemaPlan { schema, fields, bool_tactic, payloads }));
+            .insert(schema.name.clone(), Arc::new(SchemaPlan { schema, fields, bool_tactic, payloads, leave_out }));
         Ok(())
     }
 
@@ -778,7 +792,7 @@ impl GatewayEngine {
         self.obs.ledger().record(field, op_name, tactic, observed as u8, declared as u8);
     }
 
-    /// Asks `handle`'s tactic one query: its calls, built under the
+    /// Asks `handle`'s tactic one aggregate: its calls, built under the
     /// instance lock; one round trip, with the lock released; the answers,
     /// resolved under the lock again; then the query's observations.
     fn ask<T>(
@@ -796,6 +810,78 @@ impl GatewayEngine {
         let out = resolve(lock(&handle.tactic).as_ref(), &answers)?;
         self.observe_query(plan, started, op, fields, &handle.name);
         Ok(out)
+    }
+
+    /// Builds `handle`'s search: its calls, and whether the tactic resolves
+    /// in the cloud, under the instance lock; its resolve, to run under the
+    /// lock again once the answers are in.
+    fn search<'a>(
+        &self,
+        plan: Arc<SchemaPlan>,
+        handle: &Handle,
+        op: TacticOp,
+        fields: Vec<&'a str>,
+        query: impl FnOnce(&mut dyn GatewayTactic) -> Result<Vec<CloudCall>, CoreError>,
+        resolve: impl FnOnce(&dyn GatewayTactic, &[Vec<u8>]) -> Result<Vec<DocId>, CoreError> + 'a,
+    ) -> Result<Search<'a>, CoreError> {
+        let started = self.obs.start();
+        let (calls, in_cloud) = {
+            let mut tactic = lock(&handle.tactic);
+            (query(tactic.as_mut())?, tactic.resolves_in_cloud())
+        };
+        let tactic = Arc::clone(&handle.tactic);
+        Ok(Search {
+            plan,
+            tactic: handle.name.clone(),
+            op,
+            fields,
+            calls,
+            in_cloud,
+            started,
+            resolve: Box::new(move |answers| resolve(lock(&tactic).as_ref(), answers)),
+        })
+    }
+
+    /// The ids a search resolves to: its calls in one round trip, then the
+    /// tactic's resolve, then the query's observations.
+    fn ids(&self, search: Search<'_>) -> Result<Vec<DocId>, CoreError> {
+        let answers = self.read_calls(&search.calls)?;
+        let ids = (search.resolve)(&answers)?;
+        self.observe_query(&search.plan, search.started, search.op, &search.fields, &search.tactic);
+        Ok(ids)
+    }
+
+    /// The documents a search names, decrypted: the one read helper of the
+    /// `find_*` routes. A tactic that resolves in the cloud has its one call
+    /// wrapped in a `doc/fetch`, and the cloud answers with the documents:
+    /// one round trip. Any other search resolves its ids first and fetches
+    /// them with `doc/get_many`: two. Either way the documents arrive
+    /// without the plan's leave-out list, and a cloud that sends those
+    /// fields anyway only costs bytes — `recover_stored` passes over them.
+    fn documents(&self, search: Search<'_>) -> Result<Vec<Document>, CoreError> {
+        let plan = Arc::clone(&search.plan);
+        let collection = plan.schema.name.as_str();
+        let leave_out = plan.leave_out.iter().map(String::as_str).collect();
+        let stored = match search.calls.as_slice() {
+            [call] if search.in_cloud => {
+                let req = Fetch { collection, leave_out, route: &call.route, payload: &call.payload };
+                let stored = self.call(FETCH_ROUTE, &req.encode())?;
+                self.observe_query(&plan, search.started, search.op, &search.fields, &search.tactic);
+                stored
+            }
+            _ => {
+                let ids = self.ids(search)?;
+                if ids.is_empty() {
+                    return Ok(Vec::new());
+                }
+                let hex: Vec<String> = ids.into_iter().map(DocId::to_hex).collect();
+                let ids = hex.iter().map(String::as_bytes).collect();
+                self.call("doc/get_many", &GetMany { collection, ids, leave_out }.encode())?
+            }
+        };
+        datablinder_codec::decode(&stored, |r| {
+            (0..r.count()?).map(|_| plan.recover_stored(&plan.payloads, r.bytes()?)).collect()
+        })
     }
 
     /// One query's observations: the `tactic.<name>.<op>` EWMA since
@@ -1123,17 +1209,11 @@ impl GatewayEngine {
     /// [`CoreError::UnsupportedOperation`] if the field's annotation did
     /// not request equality.
     pub fn find_equal(&self, schema_name: &str, field: &str, value: &Value) -> Result<Vec<Document>, CoreError> {
-        self.observed("gateway.find_equal", |g| {
-            let ids = g.equality_ids(schema_name, field, value)?;
-            g.get_many(schema_name, &ids)
-        })
+        self.observed("gateway.find_equal", |g| g.documents(g.equality(schema_name, field, value)?))
     }
 
-    /// Equality search returning raw ids. Shared by
-    /// [`GatewayEngine::find_equal`] and [`GatewayEngine::fsck`], which
-    /// must see ids that do *not* resolve to stored documents (`get_many`
-    /// silently skips them).
-    fn equality_ids(&self, schema_name: &str, field: &str, value: &Value) -> Result<Vec<DocId>, CoreError> {
+    /// Equality search on one field.
+    fn equality<'a>(&self, schema_name: &str, field: &'a str, value: &'a Value) -> Result<Search<'a>, CoreError> {
         let plan = self.plan(schema_name)?;
         let fp = plan
             .fields
@@ -1141,15 +1221,15 @@ impl GatewayEngine {
             .ok_or_else(|| CoreError::UnsupportedOperation(format!("field {field} is not annotated")))?;
         let handle = fp
             .eq
-            .as_ref()
+            .clone()
             .ok_or_else(|| CoreError::UnsupportedOperation(format!("field {field} has no equality tactic")))?;
-        self.ask(
-            &plan,
-            handle,
+        self.search(
+            plan,
+            &handle,
             TacticOp::EqQuery,
-            &[field],
+            vec![field],
             |t| t.eq_query(field, value),
-            |t, answers| t.eq_resolve(field, value, answers),
+            move |t, answers| t.eq_resolve(field, value, answers),
         )
     }
 
@@ -1160,30 +1240,30 @@ impl GatewayEngine {
     /// [`CoreError::UnsupportedOperation`] when the touched fields have no
     /// common boolean capability.
     pub fn find_boolean(&self, schema_name: &str, dnf: &DnfLiterals) -> Result<Vec<Document>, CoreError> {
-        self.observed("gateway.find_boolean", |g| {
-            let ids = g.boolean_ids(schema_name, dnf)?;
-            g.get_many(schema_name, &ids)
-        })
+        self.observed("gateway.find_boolean", |g| g.documents(g.boolean(schema_name, dnf)?))
     }
 
-    /// Boolean search returning raw ids (see [`GatewayEngine::equality_ids`]).
-    fn boolean_ids(&self, schema_name: &str, dnf: &DnfLiterals) -> Result<Vec<DocId>, CoreError> {
+    /// Boolean search across fields: the schema's boolean tactic when it
+    /// serves every field, else each literal under its own field's DET key.
+    fn boolean<'a>(&self, schema_name: &str, dnf: &'a DnfLiterals) -> Result<Search<'a>, CoreError> {
         let plan = self.plan(schema_name)?;
         let fields: Vec<&str> = dnf.iter().flatten().map(|(f, _)| f.as_str()).collect();
         let all_boolean = fields.iter().all(|f| plan.fields.get(*f).is_some_and(|p| p.boolean));
-        if let (Some(bt), true) = (&plan.bool_tactic, all_boolean) {
-            return self.ask(
-                &plan,
-                bt,
+        if let (Some(bt), true) = (plan.bool_tactic.clone(), all_boolean) {
+            return self.search(
+                plan,
+                &bt,
                 TacticOp::BoolQuery,
-                &fields,
+                fields,
                 |t| t.bool_query(dnf),
-                |t, answers| t.bool_resolve(dnf, answers),
+                move |t, answers| t.bool_resolve(dnf, answers),
             );
         }
         // Legacy-friendly path: fields protected by DET are boolean-combined
-        // cloud-side, each literal rewritten under its own field's key.
+        // cloud-side, each literal rewritten under its own field's key. The
+        // document store answers with the ids in the clear.
         let started = self.obs.start();
+        let mut in_cloud = true;
         let mut rewritten: DnfLiterals = Vec::new();
         for conj in dnf {
             let mut out_conj = Vec::new();
@@ -1193,17 +1273,26 @@ impl GatewayEngine {
                         "boolean search requires all fields to share a boolean-capable tactic".into(),
                     )
                 })?;
-                let lit = lock(&det.tactic)
+                let det = lock(&det.tactic);
+                in_cloud &= det.resolves_in_cloud();
+                let lit = det
                     .stored_literal(f, v)
                     .ok_or_else(|| CoreError::UnsupportedOperation(format!("{f}: no stored literal")))?;
                 out_conj.push(lit);
             }
             rewritten.push(out_conj);
         }
-        let req = crate::cloudproto::FindIdsDnf { collection: schema_name.to_string(), dnf: rewritten };
-        let ids = decode_ids(&self.call("doc/find_ids_dnf", &req.encode())?)?;
-        self.observe_query(&plan, started, TacticOp::BoolQuery, &fields, "det");
-        Ok(ids)
+        let req = FindIdsDnf { collection: schema_name.to_string(), dnf: rewritten };
+        Ok(Search {
+            plan,
+            tactic: "det".into(),
+            op: TacticOp::BoolQuery,
+            fields,
+            calls: vec![CloudCall::new("doc/find_ids_dnf", req.encode())],
+            in_cloud,
+            started,
+            resolve: Box::new(single_id_list),
+        })
     }
 
     /// Range search on one field (inclusive bounds), returning decrypted
@@ -1220,25 +1309,28 @@ impl GatewayEngine {
         lo: &Value,
         hi: &Value,
     ) -> Result<Vec<Document>, CoreError> {
-        self.observed("gateway.find_range", |g| {
-            let ids = g.range_ids(schema_name, field, lo, hi)?;
-            g.get_many(schema_name, &ids)
-        })
+        self.observed("gateway.find_range", |g| g.documents(g.range(schema_name, field, lo, hi)?))
     }
 
-    /// Range search returning raw ids (see [`GatewayEngine::equality_ids`]).
-    fn range_ids(&self, schema_name: &str, field: &str, lo: &Value, hi: &Value) -> Result<Vec<DocId>, CoreError> {
+    /// Range search on one field (inclusive bounds).
+    fn range<'a>(
+        &self,
+        schema_name: &str,
+        field: &'a str,
+        lo: &'a Value,
+        hi: &'a Value,
+    ) -> Result<Search<'a>, CoreError> {
         let plan = self.plan(schema_name)?;
         let handle = plan
             .fields
             .get(field)
-            .and_then(|p| p.range.as_ref())
+            .and_then(|p| p.range.clone())
             .ok_or_else(|| CoreError::UnsupportedOperation(format!("field {field} has no range tactic")))?;
-        self.ask(
-            &plan,
-            handle,
+        self.search(
+            plan,
+            &handle,
             TacticOp::RangeQuery,
-            &[field],
+            vec![field],
             |t| t.range_query(field, lo, hi),
             |t, answers| t.range_resolve(answers),
         )
@@ -1268,7 +1360,7 @@ impl GatewayEngine {
             let ids = match filter {
                 None => Vec::new(),
                 Some(dnf) => {
-                    let ids = g.boolean_ids(schema_name, dnf)?;
+                    let ids = g.ids(g.boolean(schema_name, dnf)?)?;
                     if ids.is_empty() {
                         // To the cloud an empty id list is the whole collection.
                         return Ok(0.0);
@@ -1327,17 +1419,6 @@ impl GatewayEngine {
             g.plan(schema_name)?;
             let out = g.call("doc/count", &with_collection(schema_name, b""))?;
             out.try_into().map(u64::from_be_bytes).map_err(|_| CoreError::Wire("count response"))
-        })
-    }
-
-    fn get_many(&self, schema_name: &str, ids: &[DocId]) -> Result<Vec<Document>, CoreError> {
-        if ids.is_empty() {
-            return Ok(Vec::new());
-        }
-        let plan = self.plan(schema_name)?;
-        let bytes = self.call("doc/get_many", &get_many_payload(schema_name, ids))?;
-        datablinder_codec::decode(&bytes, |r| {
-            (0..r.count()?).map(|_| plan.recover_stored(&plan.payloads, r.bytes()?)).collect()
         })
     }
 
@@ -1519,16 +1600,16 @@ impl GatewayEngine {
                     }
                 };
                 if eq {
-                    let got = self.equality_ids(schema_name, &field, value)?;
+                    let got = self.ids(self.equality(schema_name, &field, value)?)?;
                     check("eq", &got, &mut report);
                 }
                 if range {
-                    let got = self.range_ids(schema_name, &field, value, value)?;
+                    let got = self.ids(self.range(schema_name, &field, value, value)?)?;
                     check("range", &got, &mut report);
                 }
                 if boolean {
                     let dnf = vec![vec![(field.clone(), value.clone())]];
-                    let got = self.boolean_ids(schema_name, &dnf)?;
+                    let got = self.ids(self.boolean(schema_name, &dnf)?)?;
                     check("bool", &got, &mut report);
                 }
             }
@@ -1602,6 +1683,29 @@ impl GatewayEngine {
         self.import_tactic_state(&entries)
     }
 }
+
+/// One search with its calls built and not yet sent. The `find_*` routes
+/// take the documents it names ([`GatewayEngine::documents`]); fsck and
+/// filtered aggregates take its raw ids ([`GatewayEngine::ids`]), which
+/// include ids that name no stored document — `get_many` skips those.
+struct Search<'a> {
+    plan: Arc<SchemaPlan>,
+    /// The answering tactic's name, for its EWMA and ledger cells.
+    tactic: String,
+    op: TacticOp,
+    fields: Vec<&'a str>,
+    calls: Vec<CloudCall>,
+    /// Whether the tactic resolves in the cloud
+    /// ([`GatewayTactic::resolves_in_cloud`]).
+    in_cloud: bool,
+    /// When the search began, when the recorder is enabled.
+    started: Option<Instant>,
+    /// The tactic's resolve, over the calls' answers.
+    resolve: Resolve<'a>,
+}
+
+/// A search's resolve: its calls' answers to the ids they name.
+type Resolve<'a> = Box<dyn FnOnce(&[Vec<u8>]) -> Result<Vec<DocId>, CoreError> + 'a>;
 
 /// How [`GatewayEngine::insert_group`] indexes documents for the schema's
 /// shared boolean tactic.

@@ -213,6 +213,11 @@ pub struct TacticDescriptor {
     /// Whether the scheme keeps state at the gateway (Sophos/Mitra's
     /// "local storage" / stateless-gateway discussion in §7).
     pub gateway_state: bool,
+    /// The suffix of the document field `protect` stores, `<field>__<shadow>`
+    /// (`det`, `rnd`, `ope`, `phe`); `None` for a tactic that keeps its
+    /// whole state in the cloud's KV store. The gateway reads it to leave
+    /// a field's index-only shadows in the cloud when it fetches documents.
+    pub shadow: Option<String>,
 }
 
 impl TacticDescriptor {
@@ -374,6 +379,7 @@ mod tests {
             gateway_interfaces: 2,
             cloud_interfaces: 1,
             gateway_state: false,
+            shadow: None,
         };
         assert_eq!(d.worst_leakage(), LeakageLevel::Equalities);
         assert_eq!(d.protection_class(), ProtectionClass::C4);

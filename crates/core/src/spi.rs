@@ -68,7 +68,7 @@ pub type DnfLiterals = Vec<Vec<(String, Value)>>;
 
 /// The answer of a query that made one call and got back an id list: the
 /// shape of every cloud route that holds ids in the clear.
-fn single_id_list(responses: &[Vec<u8>]) -> Result<Vec<DocId>, CoreError> {
+pub(crate) fn single_id_list(responses: &[Vec<u8>]) -> Result<Vec<DocId>, CoreError> {
     let [response] = responses else {
         return Err(CoreError::Wire("id-list response arity"));
     };
@@ -225,6 +225,16 @@ pub trait GatewayTactic: Send {
     /// Malformed responses.
     fn range_resolve(&self, responses: &[Vec<u8>]) -> Result<Vec<DocId>, CoreError> {
         single_id_list(responses)
+    }
+
+    /// Whether the cloud holds this tactic's search answers in the clear:
+    /// each equality, boolean or range query it builds is one call answered
+    /// by the matching ids as an encoded list, and its resolve methods are
+    /// the defaults. The engine then has the cloud fetch the documents those
+    /// ids name in the same round trip. Default: no — a forward-private
+    /// tactic's ids come back sealed, and only the gateway can open them.
+    fn resolves_in_cloud(&self) -> bool {
+        false
     }
 
     /// Builds the cloud calls for an aggregate over the whole collection or

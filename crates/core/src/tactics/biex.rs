@@ -80,6 +80,7 @@ pub fn descriptor_2lev() -> TacticDescriptor {
         gateway_interfaces: 8,
         cloud_interfaces: 5,
         gateway_state: true,
+        shadow: None,
     }
 }
 
@@ -103,6 +104,7 @@ pub fn descriptor_zmf() -> TacticDescriptor {
         gateway_interfaces: 8,
         cloud_interfaces: 5,
         gateway_state: true,
+        shadow: None,
     }
 }
 

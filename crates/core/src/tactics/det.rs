@@ -38,6 +38,7 @@ pub fn descriptor() -> TacticDescriptor {
         gateway_interfaces: 9,
         cloud_interfaces: 6,
         gateway_state: false,
+        shadow: Some("det".into()),
     }
 }
 
@@ -90,6 +91,10 @@ impl GatewayTactic for DetTactic {
         let (f, v) = self.stored_literal(field, value);
         let req = FindIdsEq { collection: self.collection.clone(), field: f, value: v };
         Ok(vec![CloudCall::new("doc/find_ids_eq", req.encode())])
+    }
+
+    fn resolves_in_cloud(&self) -> bool {
+        true
     }
 
     fn stored_literal(&self, field: &str, value: &Value) -> Option<(String, Value)> {

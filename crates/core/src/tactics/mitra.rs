@@ -29,6 +29,7 @@ pub fn descriptor() -> TacticDescriptor {
         gateway_interfaces: 7,
         cloud_interfaces: 5,
         gateway_state: true,
+        shadow: None,
     }
 }
 

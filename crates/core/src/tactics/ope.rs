@@ -35,6 +35,7 @@ pub fn descriptor() -> TacticDescriptor {
         gateway_interfaces: 3,
         cloud_interfaces: 3,
         gateway_state: false,
+        shadow: Some("ope".into()),
     }
 }
 
@@ -71,6 +72,10 @@ impl GatewayTactic for OpeTactic {
     ) -> Result<ProtectedField, CoreError> {
         let ct = self.ciphertext_bytes(value)?;
         Ok(ProtectedField { stored: vec![(shadow_field(field, "ope"), Value::Bytes(ct))], index_calls: Vec::new() })
+    }
+
+    fn resolves_in_cloud(&self) -> bool {
+        true
     }
 
     fn range_query(&mut self, field: &str, lo: &Value, hi: &Value) -> Result<Vec<CloudCall>, CoreError> {

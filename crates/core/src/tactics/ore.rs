@@ -34,6 +34,7 @@ pub fn descriptor() -> TacticDescriptor {
         gateway_interfaces: 3,
         cloud_interfaces: 3,
         gateway_state: false,
+        shadow: None,
     }
 }
 
@@ -84,6 +85,10 @@ impl GatewayTactic for OreTactic {
         let mut w = Writer::new();
         w.bytes(&id.0);
         Ok(vec![CloudCall::new(self.route_delete.clone(), w.finish())])
+    }
+
+    fn resolves_in_cloud(&self) -> bool {
+        true
     }
 
     fn range_query(&mut self, _field: &str, lo: &Value, hi: &Value) -> Result<Vec<CloudCall>, CoreError> {

@@ -50,6 +50,7 @@ pub fn descriptor() -> TacticDescriptor {
         gateway_interfaces: 3,
         cloud_interfaces: 3,
         gateway_state: false,
+        shadow: Some("phe".into()),
     }
 }
 

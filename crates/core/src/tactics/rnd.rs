@@ -26,6 +26,7 @@ pub fn descriptor() -> TacticDescriptor {
         gateway_interfaces: 6,
         cloud_interfaces: 4,
         gateway_state: false,
+        shadow: Some("rnd".into()),
     }
 }
 

@@ -43,6 +43,7 @@ pub fn descriptor() -> TacticDescriptor {
         gateway_interfaces: 6,
         cloud_interfaces: 4,
         gateway_state: true,
+        shadow: None,
     }
 }
 

@@ -136,13 +136,17 @@ pub(crate) fn take_ciphertext<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], Malfor
 /// Encodes a [`Document`] (id + fields).
 pub fn encode_document(doc: &Document) -> Vec<u8> {
     let mut w = Writer::new();
-    put_document(doc, &mut w);
+    put_document(doc, &[], &mut w);
     w.finish()
 }
 
-pub(crate) fn put_document(doc: &Document, w: &mut Writer) {
-    w.str(doc.id()).u32(doc.len() as u32);
-    for (name, value) in doc.iter() {
+/// Writes `doc` as [`encode_document`] does, without the fields named in
+/// `leave_out`.
+fn put_document(doc: &Document, leave_out: &[&str], w: &mut Writer) {
+    let kept = |(name, _): &(&String, &Value)| !leave_out.contains(&name.as_str());
+    let count = if leave_out.is_empty() { doc.len() } else { doc.iter().filter(kept).count() };
+    w.str(doc.id()).u32(count as u32);
+    for (name, value) in doc.iter().filter(kept) {
         put_value(value, w.str(name));
     }
 }
@@ -166,8 +170,17 @@ pub fn decode_document(buf: &[u8]) -> Result<Document, CoreError> {
 /// Encodes a list of documents: a count-prefixed list of
 /// [`encode_document`] byte fields, written into one buffer.
 pub fn encode_documents<'a>(docs: impl IntoIterator<Item = &'a Document>) -> Vec<u8> {
+    encode_documents_without(docs, &[])
+}
+
+/// Encodes a list of documents as [`encode_documents`] does, each without
+/// the fields named in `leave_out`: a `doc/get_many` or `doc/fetch` answer.
+pub(crate) fn encode_documents_without<'a>(
+    docs: impl IntoIterator<Item = &'a Document>,
+    leave_out: &[&str],
+) -> Vec<u8> {
     let mut w = Writer::new();
-    w.list_with(docs, put_document);
+    w.list_with(docs, |doc, w| put_document(doc, leave_out, w));
     w.finish()
 }
 

@@ -1051,3 +1051,134 @@ fn paillier_sum_equals_the_oracle_after_churn_and_a_new_member_needs_no_key() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The search fields a DET, OPE and Paillier schema selects, for
+/// [`gateway_searches_over_five_nodes_answer_as_one_engine`].
+fn labs_schema() -> Schema {
+    use FieldOp::*;
+    Schema::new("labs")
+        .plain_field("n", FieldType::Integer, true)
+        .sensitive_field(
+            "code",
+            FieldType::Text,
+            true,
+            FieldAnnotation::new(ProtectionClass::C4, vec![Insert, Equality]),
+        )
+        .sensitive_field(
+            "ward",
+            FieldType::Text,
+            true,
+            FieldAnnotation::new(ProtectionClass::C4, vec![Insert, Equality, Boolean]),
+        )
+        .sensitive_field(
+            "taken",
+            FieldType::Integer,
+            true,
+            FieldAnnotation::new(ProtectionClass::C5, vec![Insert, Equality, Range]),
+        )
+        .sensitive_field(
+            "dose",
+            FieldType::Integer,
+            true,
+            FieldAnnotation::new(ProtectionClass::C4, vec![Insert, Equality])
+                .with_aggs(vec![datablinder_core::model::AggFn::Sum]),
+        )
+}
+
+/// A gateway over a 5-node cluster (R = 3, W = 2) answers every search and
+/// aggregate of a DET, OPE and Paillier schema as a gateway over one engine
+/// does — the fused `doc/fetch` reads, the projected `get_many` and the
+/// clustered sum — also with a node killed.
+#[test]
+fn gateway_searches_over_five_nodes_answer_as_one_engine() {
+    use datablinder_core::model::AggFn;
+    use datablinder_core::spi::DnfLiterals;
+
+    let cluster = Arc::new(ClusterCloud::new(ClusterConfig::volatile(5, 3, 2, 0x1AB5)).unwrap());
+    let gateway = |channel: Channel| {
+        let mut rng = StdRng::seed_from_u64(0x1AB5);
+        let gw = GatewayEngine::new("labs-suite", Kms::generate(&mut rng), channel, 23);
+        gw.register_schema(labs_schema()).unwrap();
+        gw
+    };
+    let clustered = gateway(Channel::from_arc(cluster.clone(), LatencyModel::instant()));
+    let single = gateway(Channel::connect(CloudEngine::new(), LatencyModel::instant()));
+    for (field, tactics) in
+        [("code", ["det"].as_slice()), ("ward", &["det"]), ("taken", &["det", "ope"]), ("dose", &["det", "paillier"])]
+    {
+        assert_eq!(clustered.selection("labs", field).unwrap().all_tactics(), tactics, "{field}");
+    }
+    let doc = |n: i64| {
+        Document::new("x")
+            .with("n", Value::from(n))
+            .with("code", Value::from(["glucose", "sodium", "urea"][n as usize % 3]))
+            .with("ward", Value::from(["east", "west"][n as usize % 2]))
+            .with("taken", Value::from(1_400_000_000 + n * 3_600))
+            .with("dose", Value::from(n % 7))
+    };
+    for gw in [&clustered, &single] {
+        for n in 0..6 {
+            gw.insert("labs", &doc(n)).unwrap();
+        }
+        gw.insert_many("labs", &(6..30).map(doc).collect::<Vec<_>>()).unwrap();
+    }
+
+    let dnf: DnfLiterals = vec![
+        vec![("code".into(), Value::from("urea")), ("ward".into(), Value::from("east"))],
+        vec![("ward".into(), Value::from("west")), ("code".into(), Value::from("sodium"))],
+    ];
+    let (lo, hi) = (Value::from(1_400_000_000 + 4 * 3_600), Value::from(1_400_000_000 + 17 * 3_600));
+    let answers = |gw: &GatewayEngine| {
+        let found = [
+            gw.find_equal("labs", "code", &Value::from("sodium")).unwrap(),
+            gw.find_boolean("labs", &dnf).unwrap(),
+            gw.find_range("labs", "taken", &lo, &hi).unwrap(),
+        ];
+        let sums = [
+            gw.aggregate("labs", "dose", AggFn::Sum, None).unwrap(),
+            gw.aggregate("labs", "dose", AggFn::Sum, Some(&dnf)).unwrap(),
+        ];
+        (found, sums)
+    };
+    let expected = answers(&single);
+    assert_eq!(expected.0.iter().map(Vec::len).collect::<Vec<_>>(), [10, 10, 14]);
+    assert_eq!(answers(&clustered), expected);
+    cluster.kill_node(3);
+    assert_eq!(answers(&clustered), expected, "with node 3 killed");
+}
+
+/// A `doc/fetch` and a projected `doc/get_many` answer on five nodes
+/// (R = 3, W = 2) with the bytes one engine answers with, for every
+/// leave-out list, also with a node killed: each node leaves the listed
+/// fields out of its share, and the coordinator splices the shares.
+#[test]
+fn fetch_and_projected_get_many_answer_as_one_engine() {
+    use datablinder_core::cloudproto::{Fetch, FindIdsEq, GetMany, FETCH_ROUTE};
+
+    let cluster = ClusterCloud::new(ClusterConfig::volatile(5, 3, 2, 19)).unwrap();
+    let single = CloudEngine::new();
+    for i in 1..=12u8 {
+        let doc = Document::new(DocId([i; 16]).to_hex())
+            .with("k", Value::from(i64::from(i % 3)))
+            .with("v", Value::Bytes(vec![i; 8]));
+        let insert = with_collection("notes", &encode_document(&doc));
+        cluster.handle("doc/insert", &insert).unwrap();
+        single.handle("doc/insert", &insert).unwrap();
+    }
+    let find = FindIdsEq { collection: "notes".into(), field: "k".into(), value: Value::from(1i64) }.encode();
+    let hex: Vec<String> = (1..=12u8).rev().map(|i| DocId([i; 16]).to_hex()).collect();
+    for killed in [None, Some(2)] {
+        if let Some(node) = killed {
+            cluster.kill_node(node);
+        }
+        for leave_out in [vec![], vec!["v"], vec!["k", "v"]] {
+            let fused =
+                Fetch { collection: "notes", leave_out: leave_out.clone(), route: "doc/find_ids_eq", payload: &find };
+            let answer = cluster.handle(FETCH_ROUTE, &fused.encode()).unwrap();
+            assert_eq!(answer, single.handle(FETCH_ROUTE, &fused.encode()).unwrap(), "{killed:?} {leave_out:?}");
+            let get_many = GetMany { collection: "notes", ids: hex.iter().map(String::as_bytes).collect(), leave_out };
+            let answer = cluster.handle("doc/get_many", &get_many.encode()).unwrap();
+            assert_eq!(answer, single.handle("doc/get_many", &get_many.encode()).unwrap(), "{killed:?}");
+        }
+    }
+}

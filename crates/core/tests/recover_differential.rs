@@ -151,7 +151,7 @@ fn streaming_recover_equals_decode_then_recover_on_seeded_stored_documents() {
             Ok(match route {
                 "idem" => writes.handle(route, payload)?,
                 "doc/get" => served[0].clone(),
-                "doc/get_many" => {
+                "doc/get_many" | "doc/fetch" => {
                     let mut w = Writer::new();
                     w.list(&served);
                     w.finish()

@@ -15,9 +15,9 @@
 //! (S_B→S_C).
 
 use datablinder_codec::Reader;
-use datablinder_core::cloud::{get_many_payload, with_collection};
+use datablinder_core::cloud::with_collection;
 use datablinder_core::cloudproto::{
-    decode_batch_answer, encode_batch, FindIdsEq, PaillierSum, PaillierSumResponse, BATCH_ROUTE,
+    decode_batch_answer, encode_batch, FindIdsEq, GetMany, PaillierSum, PaillierSumResponse, BATCH_ROUTE,
 };
 use datablinder_core::gateway::GatewayEngine;
 use datablinder_core::model::{AggFn, FieldAnnotation, FieldOp, FieldType, ProtectionClass, Schema};
@@ -35,6 +35,12 @@ use datablinder_sse::rnd::RndCipher;
 use datablinder_sse::{DocId, UpdateOp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// A `doc/get_many` request for `ids`, every stored field included.
+fn get_many(collection: &str, ids: &[DocId]) -> Vec<u8> {
+    let hex: Vec<String> = ids.iter().map(|id| id.to_hex()).collect();
+    GetMany { collection, ids: hex.iter().map(String::as_bytes).collect(), leave_out: Vec::new() }.encode()
+}
 
 /// The operations the benchmark issues (the paper's balanced
 /// read / write / aggregate mix).
@@ -175,8 +181,7 @@ impl BenchClient for PlainClient {
         if ids.is_empty() {
             return Ok(0);
         }
-        let docs =
-            self.channel.call("doc/get_many", &get_many_payload(&self.collection, &ids)).map_err(|e| e.to_string())?;
+        let docs = self.channel.call("doc/get_many", &get_many(&self.collection, &ids)).map_err(|e| e.to_string())?;
         let docs = decode_documents(&docs).map_err(|e| e.to_string())?;
         Ok(docs.len())
     }
@@ -327,8 +332,7 @@ impl BenchClient for HardcodedClient {
         if ids.is_empty() {
             return Ok(0);
         }
-        let docs =
-            self.channel.call("doc/get_many", &get_many_payload(&self.collection, &ids)).map_err(|e| e.to_string())?;
+        let docs = self.channel.call("doc/get_many", &get_many(&self.collection, &ids)).map_err(|e| e.to_string())?;
         let docs = decode_documents(&docs).map_err(|e| e.to_string())?;
         // Decrypt the full documents like a real application (and like the
         // middleware's retrieval path) would: all five DET fields plus the

@@ -104,6 +104,20 @@ if grep -rnE 'protect_document_calls|protect_documents_batch|DeleteWork' crates/
     exit 1
 fi
 
+echo "==> one read path: gateway.rs builds \"doc/get_many\" in one function and the fused doc/fetch (FETCH_ROUTE) in one"
+# Every find_* route reads its documents through one helper, whichever of
+# the two requests its tactic needs. Comments may name either; code may not,
+# anywhere else.
+for route in '"doc/get_many"' 'FETCH_ROUTE'; do
+    builders="$(awk -v route="$route" '
+        /^ *\/\// { next }
+        /^ *(pub(\([a-z]+\))? )?fn / { name = $0; sub(/^.*fn /, "", name); sub(/[^a-z0-9_].*$/, "", name) }
+        index($0, route) && name != "" { print name }
+    ' "$gateway" | sort -u)"
+    [ "$(grep -c . <<< "$builders")" = 1 ] ||
+        { echo "$gateway must build $route in exactly one function, found: ${builders:-none}" >&2; exit 1; }
+done
+
 echo "==> one path per tactic job: no batch-protect twin, no cipher cache, and the crypto crates record nothing"
 # A partition protects through one loop over `protect`; a per-label cipher
 # is built where it is used. Comments may name what is gone; code may not.

@@ -68,10 +68,13 @@ fn boolean_search_matches_oracle() {
 /// Boolean search over fields no cross-field tactic serves: two C5 fields,
 /// each selected as DET + OPE under its own key. Every literal is
 /// rewritten under its own field's DET key and the document store combines
-/// them in one `doc/find_ids_dnf`. The two fields share values, so a
-/// literal sealed under the wrong field's key would miss.
+/// them in one `doc/find_ids_dnf`, which the gateway wraps in a `doc/fetch`:
+/// the ids stay in the cloud and the documents come back in the same round
+/// trip. The two fields share values, so a literal sealed under the wrong
+/// field's key would miss.
 #[test]
 fn det_boolean_search_across_fields_matches_oracle() {
+    use datablinder::core::cloudproto::{Fetch, FETCH_ROUTE};
     use datablinder::core::model::{FieldAnnotation, FieldOp, FieldType, ProtectionClass, Schema};
     use datablinder::netsim::{CloudService, NetError};
     use std::sync::{Arc, Mutex};
@@ -82,7 +85,13 @@ fn det_boolean_search_across_fields_matches_oracle() {
     }
     impl CloudService for Routes {
         fn handle(&self, route: &str, payload: &[u8]) -> Result<Vec<u8>, NetError> {
-            self.seen.lock().unwrap().push(route.to_string());
+            let mut seen = self.seen.lock().unwrap();
+            seen.push(route.to_string());
+            if route == FETCH_ROUTE {
+                // The read a fetch wraps, as the cloud runs it.
+                seen.push(Fetch::decode(payload).unwrap().route.to_string());
+            }
+            drop(seen);
             self.inner.handle(route, payload)
         }
     }
@@ -126,7 +135,7 @@ fn det_boolean_search_across_fields_matches_oracle() {
         svc.seen.lock().unwrap().clear();
         let hits = gw.find_boolean("timeline", &dnf).unwrap();
         let seen = std::mem::take(&mut *svc.seen.lock().unwrap());
-        assert_eq!(seen[0], "doc/find_ids_dnf", "{dnf:?}: {seen:?}");
+        assert_eq!(seen, ["doc/fetch", "doc/find_ids_dnf"], "{dnf:?}: one round trip, the search inside");
         let mut got: Vec<i64> = hits.iter().map(|d| d.get("n").unwrap().as_i64().unwrap()).collect();
         got.sort_unstable();
         expect.sort_unstable();

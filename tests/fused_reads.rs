@@ -1,0 +1,352 @@
+//! Search reads that fetch in the round trip they search in.
+//!
+//! DET, OPE and ORE resolve in the cloud: the ids a query matches lie there
+//! in the clear, so the gateway wraps the query in one `doc/fetch` and the
+//! cloud answers with the documents. Mitra, Sophos and BIEX seal their ids,
+//! so their reads keep a second round trip (`doc/get_many`). Either way the
+//! documents come back without the index-only shadows the gateway never
+//! opens.
+//!
+//! The suite pins the round trips of each query kind with the transport's
+//! own metrics over an in-process channel, a loopback socket and a 5-node
+//! cluster; checks that a fused read returns the documents, and records the
+//! leakage cells and tactic EWMAs, of the two-call read it replaces; and
+//! runs a cloud that forges a fused answer or ignores the leave-out list.
+
+use std::sync::{Arc, Mutex};
+
+use datablinder::codec::Writer;
+use datablinder::core::cloud::CloudEngine;
+use datablinder::core::cloudproto::{Fetch, GetMany, FETCH_ROUTE};
+use datablinder::core::cluster::{ClusterCloud, ClusterConfig};
+use datablinder::core::gateway::GatewayEngine;
+use datablinder::core::model::{FieldAnnotation, FieldOp, FieldType, ProtectionClass, Schema, TacticDescriptor};
+use datablinder::core::registry::TacticRegistry;
+use datablinder::core::spi::{CloudCall, DnfLiterals, GatewayTactic, ProtectedField};
+use datablinder::core::tactics::encode_ids;
+use datablinder::core::CoreError;
+use datablinder::docstore::{Document, Value};
+use datablinder::kms::Kms;
+use datablinder::netsim::{
+    Channel, CloudServer, CloudService, LatencyModel, NetError, ResilienceConfig, ResilientChannel, ServerConfig,
+    TcpChannel, TcpConfig, Transport,
+};
+use datablinder::obs::{LedgerEntry, Recorder};
+use datablinder::sse::DocId;
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
+
+const SCHEMA: &str = "labs";
+
+fn schema() -> Schema {
+    use FieldOp::*;
+    use ProtectionClass::*;
+    let field = |class, ops: &[FieldOp]| FieldAnnotation::new(class, ops.to_vec());
+    Schema::new(SCHEMA)
+        .plain_field("n", FieldType::Integer, true)
+        .sensitive_field("code", FieldType::Text, true, field(C4, &[Insert, Equality]))
+        .sensitive_field("a", FieldType::Integer, true, field(C5, &[Insert, Equality, Boolean, Range]))
+        .sensitive_field("b", FieldType::Integer, true, field(C5, &[Insert, Equality, Boolean]))
+        .sensitive_field("subject", FieldType::Text, true, field(C2, &[Insert, Equality]))
+        .sensitive_field("status", FieldType::Text, true, field(C3, &[Insert, Equality, Boolean]))
+        .sensitive_field("kind", FieldType::Text, true, field(C3, &[Insert, Equality, Boolean]))
+}
+
+fn doc(n: i64) -> Document {
+    Document::new("x")
+        .with("n", Value::from(n))
+        .with("code", Value::from(["glucose", "urea", "sodium"][n as usize % 3]))
+        .with("a", Value::from(100 + n))
+        .with("b", Value::from(n % 4))
+        .with("subject", Value::from(format!("p{}", n % 5)))
+        .with("status", Value::from(["final", "draft"][n as usize % 2]))
+        .with("kind", Value::from(["lab", "vital", "note"][n as usize % 3]))
+}
+
+const DOCS: i64 = 12;
+
+/// One search: its name, the expected number of hits, and the call.
+type Query = (&'static str, usize, Box<dyn Fn(&GatewayEngine) -> Result<Vec<Document>, CoreError>>);
+
+fn queries() -> Vec<Query> {
+    let literal = |f: &str, v: Value| (f.to_string(), v);
+    let det_bool: DnfLiterals =
+        vec![vec![literal("a", Value::from(103)), literal("b", Value::from(3))], vec![literal("b", Value::from(1))]];
+    let biex_bool: DnfLiterals =
+        vec![vec![literal("status", Value::from("final")), literal("kind", Value::from("lab"))]];
+    vec![
+        ("det equality", 4, Box::new(|gw| gw.find_equal(SCHEMA, "code", &Value::from("urea")))),
+        ("det boolean", 4, Box::new(move |gw| gw.find_boolean(SCHEMA, &det_bool))),
+        ("range", 8, Box::new(|gw| gw.find_range(SCHEMA, "a", &Value::from(104), &Value::from(112)))),
+        ("sse equality", 2, Box::new(|gw| gw.find_equal(SCHEMA, "subject", &Value::from("p2")))),
+        ("biex boolean", 2, Box::new(move |gw| gw.find_boolean(SCHEMA, &biex_bool))),
+    ]
+}
+
+/// Which built-ins serve the range and the `subject` equality.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Variant {
+    /// OPE ranges, Mitra equality.
+    Builtins,
+    /// OPE deprecated: ORE ranges.
+    Ore,
+    /// Mitra deprecated: Sophos equality.
+    Sophos,
+}
+
+/// A DET, OPE or ORE instance with its capability hidden: the engine reads
+/// through it as through a forward-private tactic, ids first and documents
+/// second — the two-call read the fused one replaces.
+struct TwoCall(Box<dyn GatewayTactic>);
+
+impl GatewayTactic for TwoCall {
+    fn descriptor(&self) -> TacticDescriptor {
+        self.0.descriptor()
+    }
+
+    fn protect(
+        &mut self,
+        rng: &mut dyn RngCore,
+        field: &str,
+        value: &Value,
+        id: DocId,
+    ) -> Result<ProtectedField, CoreError> {
+        self.0.protect(rng, field, value, id)
+    }
+
+    fn delete(&mut self, field: &str, value: &Value, id: DocId) -> Result<Vec<CloudCall>, CoreError> {
+        self.0.delete(field, value, id)
+    }
+
+    fn recover(&self, ciphertext: &[u8]) -> Result<Value, CoreError> {
+        self.0.recover(ciphertext)
+    }
+
+    fn eq_query(&mut self, field: &str, value: &Value) -> Result<Vec<CloudCall>, CoreError> {
+        self.0.eq_query(field, value)
+    }
+
+    fn range_query(&mut self, field: &str, lo: &Value, hi: &Value) -> Result<Vec<CloudCall>, CoreError> {
+        self.0.range_query(field, lo, hi)
+    }
+
+    fn stored_literal(&self, field: &str, value: &Value) -> Option<(String, Value)> {
+        self.0.stored_literal(field, value)
+    }
+}
+
+/// The built-in registry for `variant`, with DET, OPE and ORE registered
+/// last — wrapped in [`TwoCall`] when `two_call` — so both modes select the
+/// same tactics.
+fn registry(variant: Variant, two_call: bool) -> TacticRegistry {
+    let mut r = TacticRegistry::with_builtins();
+    for name in ["det", "ope", "ore"] {
+        let descriptor = r.descriptor(name).cloned().expect("a built-in");
+        r.deprecate(name);
+        let builtins = TacticRegistry::with_builtins();
+        r.register(
+            descriptor,
+            Box::new(move |ctx, rng| {
+                let tactic = builtins.build_gateway(name, ctx, rng)?;
+                Ok(if two_call { Box::new(TwoCall(tactic)) } else { tactic })
+            }),
+        );
+    }
+    match variant {
+        Variant::Builtins => {}
+        Variant::Ore => assert!(r.deprecate("ope")),
+        Variant::Sophos => assert!(r.deprecate("mitra")),
+    }
+    r
+}
+
+/// Where the cloud runs.
+#[derive(Clone, Copy, Debug)]
+enum Deployment {
+    Channel,
+    Tcp,
+    Cluster,
+}
+
+/// A transport to a fresh cloud, and the loopback server behind it, if any.
+fn transport(deployment: Deployment) -> (Arc<dyn Transport>, Option<CloudServer>) {
+    match deployment {
+        Deployment::Channel => (Arc::new(Channel::connect(CloudEngine::new(), LatencyModel::instant())), None),
+        Deployment::Tcp => {
+            let service: Arc<dyn CloudService> = Arc::new(CloudEngine::new());
+            let server = CloudServer::bind("127.0.0.1:0", service, ServerConfig::default()).expect("bind loopback");
+            let channel = TcpChannel::connect(server.local_addr(), TcpConfig::default()).expect("loopback");
+            (Arc::new(channel), Some(server))
+        }
+        Deployment::Cluster => {
+            let cluster = ClusterCloud::new(ClusterConfig::volatile(5, 3, 2, 0xF05E)).unwrap();
+            (Arc::new(Channel::from_arc(Arc::new(cluster), LatencyModel::instant())), None)
+        }
+    }
+}
+
+/// A seeded gateway over `transport`, loaded with the corpus; with
+/// `recorded`, it records (and traces: its calls travel in trace envelopes).
+fn loaded(transport: Arc<dyn Transport>, registry: TacticRegistry, recorded: bool) -> GatewayEngine {
+    let seed = 0xF05E;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let config = ResilienceConfig { seed, ..ResilienceConfig::default() };
+    let mut gw = GatewayEngine::with_registry_resilient(
+        "fused",
+        Kms::generate(&mut rng),
+        ResilientChannel::over(transport, config),
+        seed,
+        registry,
+    );
+    if recorded {
+        gw.set_recorder(Recorder::new());
+    }
+    gw.register_schema(schema()).unwrap();
+    gw.insert_many(SCHEMA, &(0..DOCS).map(doc).collect::<Vec<_>>()).unwrap();
+    gw
+}
+
+/// What one run of the queries saw: per query its round trips and the
+/// documents, then the leakage cells and the `tactic.*` EWMA samples.
+type Run = (Vec<(u64, Vec<Document>)>, Vec<LedgerEntry>, Vec<(String, u64)>);
+
+fn run(gw: &GatewayEngine) -> Run {
+    let mut answers = Vec::new();
+    for (name, hits, query) in queries() {
+        let before = gw.channel().metrics().round_trips();
+        let docs = query(gw).unwrap();
+        assert_eq!(docs.len(), hits, "{name}");
+        answers.push((gw.channel().metrics().round_trips() - before, docs));
+    }
+    let snapshot = gw.recorder().snapshot();
+    let ewmas = snapshot.ewmas.iter().filter(|e| e.name.starts_with("tactic.")).map(|e| (e.name.clone(), e.samples));
+    (answers, snapshot.ledger, ewmas.collect())
+}
+
+#[test]
+fn fused_reads_take_one_round_trip_and_answer_as_the_two_call_reads() {
+    for variant in [Variant::Builtins, Variant::Ore, Variant::Sophos] {
+        let (range, sse) = match variant {
+            Variant::Builtins => ("ope", "mitra"),
+            Variant::Ore => ("ore", "mitra"),
+            Variant::Sophos => ("ope", "sophos"),
+        };
+        for deployment in [Deployment::Channel, Deployment::Tcp, Deployment::Cluster] {
+            let at = format!("{variant:?} over {deployment:?}");
+            let (fused_transport, _server) = transport(deployment);
+            let fused = loaded(fused_transport, registry(variant, false), true);
+            assert_eq!(fused.selection(SCHEMA, "a").unwrap().all_tactics(), ["det", range], "{at}");
+            assert_eq!(fused.selection(SCHEMA, "subject").unwrap().search_tactics, [sse], "{at}");
+            let (two_call_transport, _server) = transport(deployment);
+            let two_call = loaded(two_call_transport, registry(variant, true), true);
+
+            let (fused_answers, fused_ledger, fused_ewmas) = run(&fused);
+            let (answers, ledger, ewmas) = run(&two_call);
+            let trips: Vec<u64> = fused_answers.iter().map(|(trips, _)| *trips).collect();
+            assert_eq!(trips, [1, 1, 1, 2, 2], "{at}: DET, DET-only boolean and {range} fuse; {sse} and BIEX do not");
+            assert!(answers.iter().all(|(trips, _)| *trips == 2), "{at}: the two-call reads");
+            for ((_, fused_docs), (_, docs)) in fused_answers.iter().zip(&answers) {
+                assert_eq!(fused_docs, docs, "{at}");
+            }
+            assert_eq!(fused_ledger, ledger, "{at}: the same leakage cells");
+            assert_eq!(fused_ewmas, ewmas, "{at}: the same tactic EWMAs");
+            assert!(fused_ledger.iter().any(|e| e.op == "range" && e.tactic == range), "{at}: {fused_ledger:?}");
+        }
+    }
+}
+
+/// How a [`HostileCloud`] answers a `doc/fetch`.
+#[derive(Clone, Copy, Debug)]
+enum Forgery {
+    /// The answer cut one byte short.
+    Truncated,
+    /// A count one more than the documents that follow.
+    CountTooHigh,
+    /// A count one less: the last document is trailing bytes.
+    CountTooLow,
+    /// The matching ids, as the wrapped read answered, not documents.
+    Ids,
+}
+
+/// A cloud that stores faithfully and, when armed, forges its `doc/fetch`
+/// answers; with `full_documents` it ignores every leave-out list and sends
+/// whole documents.
+struct HostileCloud {
+    inner: CloudEngine,
+    forgery: Mutex<Option<Forgery>>,
+    full_documents: bool,
+}
+
+impl CloudService for HostileCloud {
+    fn handle(&self, route: &str, payload: &[u8]) -> Result<Vec<u8>, NetError> {
+        let answer = match (route, self.full_documents) {
+            ("doc/get_many", true) => {
+                let req = GetMany::decode(payload).unwrap();
+                self.inner.handle(route, &GetMany { leave_out: Vec::new(), ..req }.encode())?
+            }
+            (FETCH_ROUTE, true) => {
+                let req = Fetch::decode(payload).unwrap();
+                self.inner.handle(route, &Fetch { leave_out: Vec::new(), ..req }.encode())?
+            }
+            _ => self.inner.handle(route, payload)?,
+        };
+        let (FETCH_ROUTE, Some(forgery)) = (route, *self.forgery.lock().unwrap()) else { return Ok(answer) };
+        let docs = datablinder::codec::Reader::new(&answer).list().unwrap();
+        assert!(docs.len() > 1, "a forgery needs documents to forge");
+        let mut w = Writer::new();
+        Ok(match forgery {
+            Forgery::Truncated => answer[..answer.len() - 1].to_vec(),
+            Forgery::CountTooHigh | Forgery::CountTooLow => {
+                let count = docs.len() as u32;
+                w.u32(if let Forgery::CountTooHigh = forgery { count + 1 } else { count - 1 });
+                for doc in &docs {
+                    w.bytes(doc);
+                }
+                w.finish()
+            }
+            Forgery::Ids => {
+                let ids: Vec<DocId> = docs
+                    .iter()
+                    .map(|doc| {
+                        let id = datablinder::codec::Reader::new(doc).str().unwrap();
+                        DocId::from_hex(id).unwrap()
+                    })
+                    .collect();
+                encode_ids(&ids)
+            }
+        })
+    }
+}
+
+fn hostile(full_documents: bool) -> (GatewayEngine, Arc<HostileCloud>) {
+    let cloud = Arc::new(HostileCloud { inner: CloudEngine::new(), forgery: Mutex::new(None), full_documents });
+    let transport: Arc<dyn Transport> = Arc::new(Channel::from_arc(cloud.clone(), LatencyModel::instant()));
+    (loaded(transport, registry(Variant::Builtins, false), false), cloud)
+}
+
+#[test]
+fn a_forged_fused_answer_is_a_wire_error() {
+    let (gw, cloud) = hostile(false);
+    for forgery in [Forgery::Truncated, Forgery::CountTooHigh, Forgery::CountTooLow, Forgery::Ids] {
+        *cloud.forgery.lock().unwrap() = Some(forgery);
+        for (name, _, query) in queries().into_iter().take(3) {
+            let err = query(&gw).expect_err(&format!("{name} accepted a {forgery:?} answer"));
+            assert!(matches!(err, CoreError::Wire(_)), "{name}, {forgery:?}: {err}");
+        }
+    }
+    *cloud.forgery.lock().unwrap() = None;
+    assert_eq!(gw.find_equal(SCHEMA, "code", &Value::from("urea")).unwrap().len(), 4);
+}
+
+#[test]
+fn a_cloud_that_ignores_the_leave_out_list_costs_bytes_not_documents() {
+    let (honest, _) = hostile(false);
+    let (ignoring, _) = hostile(true);
+    let received = |gw: &GatewayEngine| gw.channel().metrics().bytes_received();
+    let (honest_before, ignoring_before) = (received(&honest), received(&ignoring));
+    let (honest_answers, _, _) = run(&honest);
+    let (answers, _, _) = run(&ignoring);
+    assert_eq!(honest_answers, answers, "the same documents, round trips included");
+    let (honest_bytes, bytes) = (received(&honest) - honest_before, received(&ignoring) - ignoring_before);
+    assert!(honest_bytes < bytes, "the leave-out list saves bytes: {honest_bytes} against {bytes}");
+}

@@ -14,6 +14,11 @@
 //! unranged request as one byte field, then a `RangeSelect`'s fields. It is
 //! a read too.
 //!
+//! `GET_MANY` pins a `doc/get_many` request as it was before it could carry
+//! a leave-out list, and `GET_MANY_LEAVE_OUT` one that carries the list
+//! after the ids. `FETCH` pins a `doc/fetch`: the collection, the leave-out
+//! list, then the wrapped read's route and payload. All three are reads.
+//!
 //! `GATEWAY_SCRIPT_STATE` pins what a seeded gateway writes: the SHA-256 of
 //! the cloud's whole state after one fixed script of inserts, batch inserts
 //! (inline and on a worker pool), a migration, an update, a delete and key
@@ -66,6 +71,11 @@ const RANGED_READ: &str = concat!(
     "0000001f000000036f62730000000a76616c75655f5f70686500000002c50100000000000000000000002a0000000002",
     "00000000000000010000000000000002ffffffffffffffff0000000000000000"
 );
+const GET_MANY: &str = "000000036f627300000002000000026161000000026262";
+const GET_MANY_LEAVE_OUT: &str =
+    concat!("000000036f627300000002000000026161000000026262", "0000000200000006655f5f6f706500000006765f5f706865");
+const FETCH: &str =
+    concat!("000000036f62730000000100000006655f5f6f7065", "0000000f646f632f66696e645f6964735f657100000003010203");
 const BLOB_LIST: &str = "00000003000000010100000000000000020203";
 const DIGEST_REQUEST: &str = "000000000000000700000003000000000000000a0000000000000014ffffffffffffffff";
 const DIGEST_RESPONSE: &str = concat!(
@@ -263,6 +273,16 @@ fn cloud_protocol_messages() {
         RangedRead::encode,
         RangedRead::decode,
     );
+    // Borrowed messages: `pin`'s decode would outlive its buffer.
+    let get_many = GetMany { collection: "obs", ids: vec![b"aa", b"bb"], leave_out: vec![] };
+    assert_eq!(hex(&get_many.encode()), GET_MANY, "no leave-out list: the request as it was before one existed");
+    assert_eq!(GetMany::decode(&unhex(GET_MANY)).unwrap(), get_many);
+    let projected = GetMany { leave_out: vec!["e__ope", "v__phe"], ..get_many };
+    assert_eq!(hex(&projected.encode()), GET_MANY_LEAVE_OUT);
+    assert_eq!(GetMany::decode(&unhex(GET_MANY_LEAVE_OUT)).unwrap(), projected);
+    let fetch = Fetch { collection: "obs", leave_out: vec!["e__ope"], route: "doc/find_ids_eq", payload: &[1, 2, 3] };
+    assert_eq!(hex(&fetch.encode()), FETCH);
+    assert_eq!(Fetch::decode(&unhex(FETCH)).unwrap(), fetch);
     pin(BLOB_LIST, BlobList { items: vec![vec![1], vec![], vec![2, 3]] }, BlobList::encode, BlobList::decode);
     pin(
         DIGEST_REQUEST,

@@ -128,7 +128,8 @@ enum Forgery {
 }
 
 /// A cloud that stores faithfully and lies on the way back: every document
-/// in a `doc/get` or `doc/get_many` answer goes through the armed forgery.
+/// in a `doc/get`, `doc/get_many` or `doc/fetch` answer goes through the
+/// armed forgery.
 struct ForgingCloud {
     inner: CloudEngine,
     armed: Arc<Mutex<Option<Forgery>>>,
@@ -173,7 +174,8 @@ impl CloudService for ForgingCloud {
         let Some(forgery) = *self.armed.lock().unwrap() else { return Ok(answer) };
         Ok(match route {
             "doc/get" => Self::forge(forgery, &answer),
-            "doc/get_many" => {
+            // A fetch answers as `get_many` does.
+            "doc/get_many" | "doc/fetch" => {
                 let docs: Vec<Vec<u8>> =
                     Reader::new(&answer).list().unwrap().into_iter().map(|doc| Self::forge(forgery, doc)).collect();
                 let mut w = Writer::new();
