@@ -25,7 +25,7 @@ use crate::spi::CloudTactic;
 use crate::sync::{selects_doc, DigestCache, DigestWork, MutationScope, Selector};
 use crate::tactics;
 use crate::tactics::{decode_ids, encode_ids};
-use crate::wire::{decode_document, encode_document, encode_documents_without};
+use crate::wire::{decode_document, encode_answer, encode_document};
 
 /// Default capacity of the idempotency dedup cache: entries only need to
 /// outlive the retry window of their request, so a small FIFO bounded well
@@ -577,11 +577,12 @@ impl CloudEngine {
         coll.scan(filter, ids_of)
     }
 
-    /// The documents of `collection` under `ids`, encoded as one list
-    /// without the fields named in `leave_out`: unknown ids are skipped,
-    /// the rest keep the caller's order. One buffer, one lock hold, no clone.
-    fn documents<'i>(&self, collection: &str, ids: impl Iterator<Item = &'i str>, leave_out: &[&str]) -> Vec<u8> {
-        self.docs.collection(collection).lookup(ids, |docs| encode_documents_without(docs, leave_out))
+    /// The documents of `collection` under `ids`, encoded as one list,
+    /// whole or projected onto `keep` ([`GetMany`]): unknown ids are
+    /// skipped, the rest keep the caller's order. One buffer, one lock hold,
+    /// no clone.
+    fn documents<'i>(&self, collection: &str, ids: impl Iterator<Item = &'i str>, keep: &[&str]) -> Vec<u8> {
+        self.docs.collection(collection).lookup(ids, |docs| encode_answer(docs, keep))
     }
 
     fn handle_doc(&self, op: &str, payload: &[u8]) -> Result<Vec<u8>, CoreError> {
@@ -616,14 +617,14 @@ impl CloudEngine {
                 let req = GetMany::decode(payload)?;
                 // Non-UTF-8 ids name nothing.
                 let ids = req.ids.iter().filter_map(|id| std::str::from_utf8(id).ok());
-                Ok(self.documents(req.collection, ids, &req.leave_out))
+                Ok(self.documents(req.collection, ids, &req.keep))
             }
             "fetch" => {
                 let req = Fetch::decode(payload)?;
                 check_inner(req.route, true)?;
                 let ids: Vec<String> =
                     decode_ids(&self.dispatch(req.route, req.payload)?)?.into_iter().map(DocId::to_hex).collect();
-                Ok(self.documents(req.collection, ids.iter().map(String::as_str), &req.leave_out))
+                Ok(self.documents(req.collection, ids.iter().map(String::as_str), &req.keep))
             }
             "delete" => {
                 let (collection, rest) = split_collection(payload)?;
@@ -887,7 +888,7 @@ mod tests {
         let (id, payload) = doc(1, "x");
         e.dispatch("doc/insert", &payload).unwrap();
         let (held, unknown) = (id.to_hex(), DocId([9; 16]).to_hex());
-        let req = GetMany { collection: "obs", ids: vec![held.as_bytes(), unknown.as_bytes()], leave_out: vec![] };
+        let req = GetMany { collection: "obs", ids: vec![held.as_bytes(), unknown.as_bytes()], keep: vec![] };
         let req = req.encode();
         let docs = crate::wire::decode_documents(&e.dispatch("doc/get_many", &req).unwrap()).unwrap();
         assert_eq!(docs.len(), 1);
@@ -1022,7 +1023,7 @@ mod tests {
     }
 
     #[test]
-    fn get_many_leaves_out_the_listed_fields_and_without_a_list_is_the_same_request() {
+    fn get_many_answers_by_position_onto_a_keep_list_and_without_one_is_the_same_request() {
         let e = engine();
         let docs: Vec<Document> = (1..=3u8)
             .map(|i| {
@@ -1038,28 +1039,32 @@ mod tests {
         }
         let hex: Vec<String> = [3u8, 9, 1].iter().map(|&i| DocId([i; 16]).to_hex()).collect();
         let ids: Vec<&[u8]> = hex.iter().map(String::as_bytes).collect();
-        let bare = GetMany { collection: "obs", ids: ids.clone(), leave_out: vec![] };
+        let bare = GetMany { collection: "obs", ids: ids.clone(), keep: vec![] };
         let mut today = Writer::new();
         today.list(&ids);
         assert_eq!(bare.encode(), with_collection("obs", &today.finish()), "an empty list adds no byte");
         assert_eq!(e.dispatch("doc/get_many", &bare.encode()).unwrap(), encode_documents([&docs[2], &docs[0]]));
 
-        let projected = GetMany { leave_out: vec!["a__ope", "v__phe", "absent"], ..bare };
-        let answer = crate::wire::decode_documents(&e.dispatch("doc/get_many", &projected.encode()).unwrap()).unwrap();
-        let expected: Vec<Document> = [&docs[2], &docs[0]]
-            .iter()
-            .map(|d| {
-                let mut d = (*d).clone();
-                d.remove("a__ope");
-                d.remove("v__phe");
-                d
-            })
-            .collect();
-        assert_eq!(answer, expected);
+        // Per kept name the stored value, or the absent tag; no name, no
+        // count, and a__ope, v__phe stay behind.
+        let projected = GetMany { keep: vec!["a__det", "absent", "note"], ..bare };
+        let mut expected = Writer::new();
+        expected.list_with([&docs[2], &docs[0]], |d, w| {
+            w.str(d.id());
+            crate::wire::put_value(d.get("a__det").unwrap(), w);
+            w.u8(crate::wire::ABSENT);
+            crate::wire::put_value(d.get("note").unwrap(), w);
+        });
+        assert_eq!(e.dispatch("doc/get_many", &projected.encode()).unwrap(), expected.finish());
         assert_eq!(GetMany::decode(&projected.encode()).unwrap(), projected);
         let mut trailing = projected.encode();
         trailing.push(0);
         assert!(matches!(e.dispatch("doc/get_many", &trailing), Err(CoreError::Wire(_))));
+        for keep in [vec!["note", "a__det"], vec!["a__det", "a__det"]] {
+            let refused = GetMany { keep: keep.clone(), ..projected.clone() };
+            let err = e.dispatch("doc/get_many", &refused.encode());
+            assert_eq!(err, Err(CoreError::Wire("keep list not strictly ascending")), "{keep:?}");
+        }
     }
 
     #[test]
@@ -1070,8 +1075,8 @@ mod tests {
         }
         let find = FindIdsEq { collection: "obs".into(), field: "status".into(), value: Value::from("final") };
         let find = CloudCall::new("doc/find_ids_eq", find.encode());
-        let fetch = |route: &str, payload: &[u8], leave_out: Vec<&'static str>| {
-            Fetch { collection: "obs", leave_out, route, payload }.encode()
+        let fetch = |route: &str, payload: &[u8], keep: Vec<&'static str>| {
+            Fetch { collection: "obs", keep, route, payload }.encode()
         };
         let hex: Vec<String> = decode_ids(&e.dispatch(&find.route, &find.payload).unwrap())
             .unwrap()
@@ -1079,9 +1084,9 @@ mod tests {
             .map(|id| id.to_hex())
             .collect();
         assert_eq!(hex.len(), 2);
-        for leave_out in [vec![], vec!["status"]] {
-            let fused = e.dispatch(FETCH_ROUTE, &fetch(&find.route, &find.payload, leave_out.clone())).unwrap();
-            let two_calls = GetMany { collection: "obs", ids: hex.iter().map(String::as_bytes).collect(), leave_out };
+        for keep in [vec![], vec!["status"]] {
+            let fused = e.dispatch(FETCH_ROUTE, &fetch(&find.route, &find.payload, keep.clone())).unwrap();
+            let two_calls = GetMany { collection: "obs", ids: hex.iter().map(String::as_bytes).collect(), keep };
             assert_eq!(fused, e.dispatch("doc/get_many", &two_calls.encode()).unwrap());
         }
 

@@ -123,18 +123,23 @@ impl FindIdsDnf {
 
 /// `doc/get_many`: the stored documents under `ids`, in request order,
 /// skipping ids the cloud does not hold (an id that is not UTF-8 names
-/// nothing). Each document comes back without the fields named in
-/// `leave_out`: the index-only shadows the gateway never opens. The list
-/// travels only when it is non-empty, so a request without one is the same
-/// bytes as before it existed.
+/// nothing).
+///
+/// With an empty `keep` list each document comes back whole and named
+/// ([`crate::wire::encode_document`]). With a non-empty one — the stored
+/// names the gateway opens, strictly ascending — each comes back by
+/// position: its id, then per kept name the stored value or
+/// [`crate::wire::ABSENT`], and no name or count. The list travels only
+/// when it is non-empty, so a request without one is the same bytes as
+/// before it existed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GetMany<'a> {
     /// Target collection.
     pub collection: &'a str,
     /// Document ids (the gateway's are hex).
     pub ids: Vec<&'a [u8]>,
-    /// Stored field names to leave out of every document.
-    pub leave_out: Vec<&'a str>,
+    /// The keep list: stored names to answer by position, ascending.
+    pub keep: Vec<&'a str>,
 }
 
 impl<'a> GetMany<'a> {
@@ -143,8 +148,8 @@ impl<'a> GetMany<'a> {
         let len = self.ids.iter().map(|id| 4 + id.len()).sum::<usize>();
         let mut w = Writer::from(Vec::with_capacity(8 + self.collection.len() + len));
         w.str(self.collection).list(&self.ids);
-        if !self.leave_out.is_empty() {
-            w.list(&self.leave_out);
+        if !self.keep.is_empty() {
+            w.list(&self.keep);
         }
         w.finish()
     }
@@ -153,26 +158,32 @@ impl<'a> GetMany<'a> {
     ///
     /// # Errors
     ///
-    /// [`CoreError::Wire`] on malformed input.
+    /// [`CoreError::Wire`] on malformed input, or a keep list that does not
+    /// strictly ascend.
     pub fn decode(buf: &'a [u8]) -> Result<Self, CoreError> {
         decode(buf, |r| {
             let (collection, ids) = (r.str()?, r.list()?);
-            Ok(GetMany { collection, ids, leave_out: take_names(r)? })
+            let keep = match r.rest() {
+                [] => Vec::new(),
+                tail => decode(tail, |r| keep_list(r))?,
+            };
+            Ok(GetMany { collection, ids, keep })
         })
     }
 }
 
-/// An optional trailing list of field names: empty when nothing follows.
-fn take_names<'a>(r: &mut Reader<'a>) -> Result<Vec<&'a str>, CoreError> {
-    match r.rest() {
-        [] => Ok(Vec::new()),
-        tail => decode(tail, |r| names(r)),
+/// A keep list: count-prefixed UTF-8 names, each above the one before, so
+/// one merge walk against a document's sorted fields answers it.
+fn keep_list<'a>(r: &mut Reader<'a>) -> Result<Vec<&'a str>, CoreError> {
+    let names = r
+        .list()?
+        .into_iter()
+        .map(|n| std::str::from_utf8(n).map_err(|_| CoreError::Wire("utf8 field")))
+        .collect::<Result<Vec<_>, _>>()?;
+    if names.windows(2).any(|pair| pair[0] >= pair[1]) {
+        return Err(CoreError::Wire("keep list not strictly ascending"));
     }
-}
-
-/// A count-prefixed list of UTF-8 field names.
-fn names<'a>(r: &mut Reader<'a>) -> Result<Vec<&'a str>, CoreError> {
-    r.list()?.into_iter().map(|n| std::str::from_utf8(n).map_err(|_| CoreError::Wire("utf8 field"))).collect()
+    Ok(names)
 }
 
 /// Route of a fetch ([`Fetch`]): one read whose answer is an id list, and
@@ -181,15 +192,15 @@ pub const FETCH_ROUTE: &str = "doc/fetch";
 
 /// `doc/fetch`: runs `route` — a read whose answer is an encoded id list,
 /// such as `doc/find_ids_eq` — and answers with the documents those ids
-/// name, as `doc/get_many` over them with `leave_out` would. The gateway
-/// sends one for a tactic that resolves in the cloud
+/// name, as `doc/get_many` over them with `keep` would. The gateway sends
+/// one for a tactic that resolves in the cloud
 /// ([`crate::spi::GatewayTactic::resolves_in_cloud`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fetch<'a> {
     /// Target collection of the documents.
     pub collection: &'a str,
-    /// Stored field names to leave out of every document.
-    pub leave_out: Vec<&'a str>,
+    /// The keep list, as [`GetMany::keep`].
+    pub keep: Vec<&'a str>,
     /// The inner read's route.
     pub route: &'a str,
     /// The inner read's payload.
@@ -199,8 +210,9 @@ pub struct Fetch<'a> {
 impl<'a> Fetch<'a> {
     /// Serializes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::from(Vec::with_capacity(32 + self.route.len() + self.payload.len()));
-        w.str(self.collection).list(&self.leave_out).str(self.route).bytes(self.payload);
+        let names = self.keep.iter().map(|n| 4 + n.len()).sum::<usize>();
+        let mut w = Writer::from(Vec::with_capacity(16 + names + self.route.len() + self.payload.len()));
+        w.str(self.collection).list(&self.keep).str(self.route).bytes(self.payload);
         w.finish()
     }
 
@@ -208,11 +220,12 @@ impl<'a> Fetch<'a> {
     ///
     /// # Errors
     ///
-    /// [`CoreError::Wire`] on malformed input.
+    /// [`CoreError::Wire`] on malformed input, or a keep list that does not
+    /// strictly ascend.
     pub fn decode(buf: &'a [u8]) -> Result<Self, CoreError> {
         decode(buf, |r| {
-            let (collection, leave_out) = (r.str()?, names(r)?);
-            Ok(Fetch { collection, leave_out, route: r.str()?, payload: r.bytes()? })
+            let (collection, keep) = (r.str()?, keep_list(r)?);
+            Ok(Fetch { collection, keep, route: r.str()?, payload: r.bytes()? })
         })
     }
 }

@@ -45,7 +45,7 @@ impl ClusterCloud {
                 let ids = decode_ids(&self.clustered_read(topo, req.route, req.payload)?).map_err(remote)?;
                 let hex: Vec<String> = ids.into_iter().map(DocId::to_hex).collect();
                 let ids = hex.iter().map(String::as_bytes).collect();
-                self.read_get_many(topo, &GetMany { collection: req.collection, ids, leave_out: req.leave_out })
+                self.read_get_many(topo, &GetMany { collection: req.collection, ids, keep: req.keep })
             }
             "doc/count" => {
                 let (collection, _) = split_collection(payload).map_err(remote)?;
@@ -126,7 +126,7 @@ impl ClusterCloud {
     }
 
     /// Answers `get_many` from where the documents live: each id is asked of
-    /// its first live replica only, with the request's leave-out list, an id
+    /// its first live replica only, with the request's keep list, an id
     /// that node does not return is asked of the id's next live replica, and
     /// the answer is the byte slices the nodes sent, spliced together in
     /// request order — no document is decoded or encoded here. Like one
@@ -173,7 +173,7 @@ impl ClusterCloud {
             }
             for (node, asked) in per_node {
                 let ids = asked.iter().map(|want| requested[want.pos]).collect();
-                let sub = GetMany { collection, ids, leave_out: req.leave_out.clone() };
+                let sub = GetMany { collection, ids, keep: req.keep.clone() };
                 let reply = topo.replica(node).call("doc/get_many", &sub.encode());
                 let Some(answer) = reply.decided() else {
                     wanted.extend(asked);
@@ -507,9 +507,8 @@ mod tests {
             cluster.handle("doc/insert", &insert_payload("notes", i)).unwrap();
         }
         let find = FindIdsEq { collection: "notes".into(), field: "v".into(), value: Value::from(1i64) }.encode();
-        let fetch = |route: &'static str, payload: &[u8]| {
-            Fetch { collection: "notes", leave_out: vec![], route, payload }.encode()
-        };
+        let fetch =
+            |route: &'static str, payload: &[u8]| Fetch { collection: "notes", keep: vec![], route, payload }.encode();
         let count = CloudCall::new("doc/count", with_collection("notes", &[]));
         let count_before = cluster.handle(&count.route, &count.payload).unwrap();
         let insert = insert_payload("notes", 99);

@@ -37,12 +37,14 @@ use crate::cloudproto::{
 };
 use crate::error::CoreError;
 use crate::metadata::{validate_document, SchemaStore};
-use crate::model::{AggFn, FieldOp, Schema, TacticOp};
+use crate::model::{AggFn, FieldOp, FieldType, Schema, TacticOp};
 use crate::pool::WorkerPool;
 use crate::registry::{Selection, TacticRegistry};
 use crate::spi::{single_id_list, CloudCall, DnfLiterals, DocIdGen, GatewayTactic, ProtectedField, RandomDocIdGen};
 use crate::tactics::{shadow_field, TacticContext};
-use crate::wire::{decode_document, encode_document, skip_value, take_ciphertext, take_value};
+use crate::wire::{
+    ciphertext_after, decode_document, encode_document, skip_value, take_ciphertext, take_value, value_after, ABSENT,
+};
 
 /// Scope name of the shared cross-field boolean tactic instance.
 const BOOL_SCOPE: &str = "__bool__";
@@ -116,10 +118,11 @@ struct SchemaPlan {
     /// The recover table: one row per sensitive field, sorted by shadow
     /// name — the order the fields of a stored document arrive in.
     payloads: Vec<PayloadShadow>,
-    /// The leave-out list: every shadow a field's write tactics store other
-    /// than its payload shadow, sorted. A fetch leaves these in the cloud;
-    /// the gateway never opens them.
-    leave_out: Vec<String>,
+    /// The keep list: every stored name the gateway opens — each plain
+    /// field and each sensitive field's payload shadow — sorted, with how
+    /// the value at that position is opened. Search answers carry these
+    /// values by position; every other shadow stays in the cloud.
+    keep: Vec<Kept>,
 }
 
 /// One row of a plan's recover table: where a sensitive field's payload
@@ -130,6 +133,23 @@ struct PayloadShadow {
     field: String,
     /// The payload tactic's handle, as in the field's plan.
     tactic: SharedTactic,
+}
+
+/// One position of a plan's keep list.
+struct Kept {
+    /// The stored name the cloud projects onto.
+    stored: String,
+    /// The application field the value at this position becomes.
+    field: String,
+    open: Open,
+}
+
+/// How the gateway opens the value at one keep-list position.
+enum Open {
+    /// A plaintext field, copied when it has the schema's type.
+    Plain(FieldType),
+    /// A payload shadow: the ciphertext goes to the payload tactic.
+    Payload(SharedTactic),
 }
 
 impl SchemaPlan {
@@ -154,11 +174,10 @@ impl SchemaPlan {
     /// earlier one), are [`CoreError::Wire`]; a shadow the document lacks
     /// leaves its field out, as an optional field never written does.
     ///
-    /// Shadow fields are recognized as `<sensitive-base>__<suffix>`;
-    /// consequently a *plaintext* field named `<sensitive field>__x` would
-    /// be mistaken for a shadow field. Avoid such names (the schema is
-    /// under application control, so this is a naming convention, not an
-    /// attack surface).
+    /// Shadow fields are recognized as `<sensitive-base>__<suffix>`, a name
+    /// `register_schema` refuses to a plaintext field. Searches read through
+    /// [`SchemaPlan::open_projected`] instead; `get`, `fsck` and rotations
+    /// read whole stored documents here.
     fn recover_stored(&self, rows: &[PayloadShadow], stored: &[u8]) -> Result<Document, CoreError> {
         datablinder_codec::decode(stored, |r| {
             let mut doc = Document::new(r.str()?);
@@ -180,6 +199,34 @@ impl SchemaPlan {
                 } else {
                     doc.set(name, take_value(r, 0)?);
                 }
+            }
+            Ok(doc)
+        })
+    }
+
+    /// Decrypts one document a search answered by position onto the keep
+    /// list: its id, then per position a value or [`ABSENT`]. No name is
+    /// read and nothing is passed over. The cloud is not trusted to answer
+    /// as asked: a payload position that is not a byte string, a plain one
+    /// that is not of its field's type (a whole named document fails here,
+    /// its field count starting with a `Null` tag), a missing value or a
+    /// trailing byte is [`CoreError::Wire`].
+    fn open_projected(&self, stored: &[u8]) -> Result<Document, CoreError> {
+        datablinder_codec::decode(stored, |r| {
+            let mut doc = Document::new(r.str()?);
+            for kept in &self.keep {
+                let value = match (r.u8()?, &kept.open) {
+                    (ABSENT, _) => continue,
+                    (tag, Open::Payload(tactic)) => lock(tactic).recover(ciphertext_after(tag, r)?)?,
+                    (tag, Open::Plain(field_type)) => {
+                        let value = value_after(tag, r, 0)?;
+                        if !field_type.admits(&value) {
+                            return Err(CoreError::Wire("plain field of another type"));
+                        }
+                        value
+                    }
+                };
+                doc.set(kept.field.clone(), value);
             }
             Ok(doc)
         })
@@ -446,8 +493,17 @@ impl GatewayEngine {
     /// # Errors
     ///
     /// [`CoreError::PolicyUnsatisfiable`] when an annotation cannot be
-    /// served; channel errors during index preparation.
+    /// served; [`CoreError::SchemaViolation`] for a plain field named like
+    /// a sensitive field's shadow (`<field>__<suffix>`); channel errors
+    /// during index preparation.
     pub fn register_schema(&self, schema: Schema) -> Result<(), CoreError> {
+        // `<field>__<suffix>` names a sensitive field's shadows: a plain
+        // field may not take one, or the keep list could name it twice.
+        for (name, _) in schema.plain_fields() {
+            if name.rsplit_once("__").is_some_and(|(base, _)| schema.sensitive_fields().any(|(f, _)| f == base)) {
+                return Err(CoreError::SchemaViolation(format!("plain field {name} takes a shadow's name")));
+            }
+        }
         // (field, selection, equality tactic, range tactic) per sensitive field.
         let mut selected = Vec::new();
         let mut bool_tactic: Option<String> = None;
@@ -531,21 +587,22 @@ impl GatewayEngine {
             })
             .collect();
         payloads.sort_by(|a, b| a.shadow.cmp(&b.shadow));
-        let mut leave_out: Vec<String> = {
-            let registry = self.registry.read().unwrap_or_else(PoisonError::into_inner);
-            let shadows = fields.iter().flat_map(|(field, fp)| {
-                let stores = fp.writes.iter().filter_map(|h| registry.descriptor(&h.name)?.shadow.clone());
-                stores.map(move |shadow| shadow_field(field, &shadow))
-            });
-            shadows.filter(|shadow| payloads.iter().all(|p| &p.shadow != shadow)).collect()
-        };
-        leave_out.sort();
+        let mut keep: Vec<Kept> = schema
+            .plain_fields()
+            .map(|(name, field_type)| Kept { stored: name.clone(), field: name.clone(), open: Open::Plain(field_type) })
+            .chain(payloads.iter().map(|p| Kept {
+                stored: p.shadow.clone(),
+                field: p.field.clone(),
+                open: Open::Payload(Arc::clone(&p.tactic)),
+            }))
+            .collect();
+        keep.sort_by(|a, b| a.stored.cmp(&b.stored));
 
         self.schema_store.put(&schema);
         self.plans
             .write()
             .unwrap_or_else(PoisonError::into_inner)
-            .insert(schema.name.clone(), Arc::new(SchemaPlan { schema, fields, bool_tactic, payloads, leave_out }));
+            .insert(schema.name.clone(), Arc::new(SchemaPlan { schema, fields, bool_tactic, payloads, keep }));
         Ok(())
     }
 
@@ -855,16 +912,15 @@ impl GatewayEngine {
     /// `find_*` routes. A tactic that resolves in the cloud has its one call
     /// wrapped in a `doc/fetch`, and the cloud answers with the documents:
     /// one round trip. Any other search resolves its ids first and fetches
-    /// them with `doc/get_many`: two. Either way the documents arrive
-    /// without the plan's leave-out list, and a cloud that sends those
-    /// fields anyway only costs bytes — `recover_stored` passes over them.
+    /// them with `doc/get_many`: two. Either way the request carries the
+    /// plan's keep list, and each document comes back by position onto it.
     fn documents(&self, search: Search<'_>) -> Result<Vec<Document>, CoreError> {
         let plan = Arc::clone(&search.plan);
         let collection = plan.schema.name.as_str();
-        let leave_out = plan.leave_out.iter().map(String::as_str).collect();
+        let keep = plan.keep.iter().map(|k| k.stored.as_str()).collect();
         let stored = match search.calls.as_slice() {
             [call] if search.in_cloud => {
-                let req = Fetch { collection, leave_out, route: &call.route, payload: &call.payload };
+                let req = Fetch { collection, keep, route: &call.route, payload: &call.payload };
                 let stored = self.call(FETCH_ROUTE, &req.encode())?;
                 self.observe_query(&plan, search.started, search.op, &search.fields, &search.tactic);
                 stored
@@ -876,12 +932,10 @@ impl GatewayEngine {
                 }
                 let hex: Vec<String> = ids.into_iter().map(DocId::to_hex).collect();
                 let ids = hex.iter().map(String::as_bytes).collect();
-                self.call("doc/get_many", &GetMany { collection, ids, leave_out }.encode())?
+                self.call("doc/get_many", &GetMany { collection, ids, keep }.encode())?
             }
         };
-        datablinder_codec::decode(&stored, |r| {
-            (0..r.count()?).map(|_| plan.recover_stored(&plan.payloads, r.bytes()?)).collect()
-        })
+        datablinder_codec::decode(&stored, |r| (0..r.count()?).map(|_| plan.open_projected(r.bytes()?)).collect())
     }
 
     /// One query's observations: the `tactic.<name>.<op>` EWMA since

@@ -1,11 +1,11 @@
 //! The data protection metadata subsystem (Fig. 4): persistence of
 //! per-application schemas and annotation validation.
 
-use datablinder_docstore::{Document, Value};
+use datablinder_docstore::Document;
 use datablinder_kvstore::KvStore;
 
 use crate::error::CoreError;
-use crate::model::{FieldType, Schema};
+use crate::model::Schema;
 use crate::wire::{decode_schema, encode_schema};
 
 /// Gateway-local schema store over the KV substrate.
@@ -65,24 +65,14 @@ pub fn validate_document(schema: &Schema, doc: &Document) -> Result<(), CoreErro
             None if spec.required => {
                 return Err(CoreError::SchemaViolation(format!("missing required field {name}")));
             }
-            None => {}
-            Some(value) => {
-                let ok = matches!(
-                    (spec.field_type, value),
-                    (FieldType::Text, Value::Str(_))
-                        | (FieldType::Integer, Value::I64(_))
-                        | (FieldType::Float, Value::F64(_))
-                        | (FieldType::Float, Value::I64(_))
-                        | (FieldType::Boolean, Value::Bool(_))
-                );
-                if !ok {
-                    return Err(CoreError::SchemaViolation(format!(
-                        "field {name}: expected {:?}, got {}",
-                        spec.field_type,
-                        value.type_name()
-                    )));
-                }
+            Some(value) if !spec.field_type.admits(value) => {
+                return Err(CoreError::SchemaViolation(format!(
+                    "field {name}: expected {:?}, got {}",
+                    spec.field_type,
+                    value.type_name()
+                )));
             }
+            _ => {}
         }
     }
     for (name, _) in doc.iter() {
@@ -96,7 +86,8 @@ pub fn validate_document(schema: &Schema, doc: &Document) -> Result<(), CoreErro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{FieldAnnotation, FieldOp, ProtectionClass};
+    use crate::model::{FieldAnnotation, FieldOp, FieldType, ProtectionClass};
+    use datablinder_docstore::Value;
 
     fn schema() -> Schema {
         Schema::new("obs")

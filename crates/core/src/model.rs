@@ -9,6 +9,8 @@
 
 use std::collections::BTreeMap;
 
+use datablinder_docstore::Value;
+
 /// Leakage levels of Fuller et al. (SoK, IEEE S&P 2017), as adopted in
 /// §3.1. Ordered from most protective to least: `Structure` leaks only
 /// sizes, `Order` leaks numeric/lexicographic order.
@@ -213,11 +215,6 @@ pub struct TacticDescriptor {
     /// Whether the scheme keeps state at the gateway (Sophos/Mitra's
     /// "local storage" / stateless-gateway discussion in §7).
     pub gateway_state: bool,
-    /// The suffix of the document field `protect` stores, `<field>__<shadow>`
-    /// (`det`, `rnd`, `ope`, `phe`); `None` for a tactic that keeps its
-    /// whole state in the cloud's KV store. The gateway reads it to leave
-    /// a field's index-only shadows in the cloud when it fetches documents.
-    pub shadow: Option<String>,
 }
 
 impl TacticDescriptor {
@@ -287,6 +284,20 @@ pub enum FieldType {
     Boolean,
 }
 
+impl FieldType {
+    /// Whether a field of this type may hold `value`: a float field takes
+    /// integers too.
+    pub fn admits(self, value: &Value) -> bool {
+        matches!(
+            (self, value),
+            (FieldType::Text, Value::Str(_))
+                | (FieldType::Integer, Value::I64(_))
+                | (FieldType::Float, Value::F64(_) | Value::I64(_))
+                | (FieldType::Boolean, Value::Bool(_))
+        )
+    }
+}
+
 /// One field of a schema: type plus (for sensitive fields) the annotation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FieldSpec {
@@ -338,6 +349,11 @@ impl Schema {
     pub fn sensitive_fields(&self) -> impl Iterator<Item = (&String, &FieldAnnotation)> {
         self.fields.iter().filter_map(|(n, s)| s.annotation.as_ref().map(|a| (n, a)))
     }
+
+    /// Iterates plaintext (non-sensitive) fields with their types.
+    pub fn plain_fields(&self) -> impl Iterator<Item = (&String, FieldType)> {
+        self.fields.iter().filter(|(_, s)| s.annotation.is_none()).map(|(n, s)| (n, s.field_type))
+    }
 }
 
 #[cfg(test)]
@@ -379,7 +395,6 @@ mod tests {
             gateway_interfaces: 2,
             cloud_interfaces: 1,
             gateway_state: false,
-            shadow: None,
         };
         assert_eq!(d.worst_leakage(), LeakageLevel::Equalities);
         assert_eq!(d.protection_class(), ProtectionClass::C4);

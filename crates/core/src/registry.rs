@@ -397,31 +397,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    #[test]
-    fn every_builtin_stores_exactly_the_shadow_its_descriptor_declares() {
-        use crate::tactics::shadow_field;
-        use datablinder_docstore::Value;
-        use datablinder_sse::DocId;
-
-        let r = TacticRegistry::with_builtins();
-        let mut rng = StdRng::seed_from_u64(41);
-        let ctx = TacticContext {
-            application: "app".into(),
-            schema: "obs".into(),
-            scope: "f".into(),
-            kms: datablinder_kms::Kms::generate(&mut rng),
-        };
-        assert_eq!(r.descriptors().len(), 9);
-        for d in r.descriptors() {
-            let mut tactic = r.build_gateway(&d.name, &ctx, &mut rng).unwrap();
-            assert_eq!(tactic.descriptor(), *d);
-            let protected = tactic.protect(&mut rng, "f", &Value::from(42i64), DocId([1; 16])).unwrap();
-            let stored: Vec<String> = protected.stored.into_iter().map(|(name, _)| name).collect();
-            let declared: Vec<String> = d.shadow.iter().map(|s| shadow_field("f", s)).collect();
-            assert_eq!(stored, declared, "{}", d.name);
-        }
-    }
-
     fn annotation(class: ProtectionClass, ops: &[FieldOp]) -> FieldAnnotation {
         FieldAnnotation::new(class, ops.to_vec())
     }
@@ -576,7 +551,6 @@ mod tests {
             gateway_interfaces: 2,
             cloud_interfaces: 1,
             gateway_state: false,
-            shadow: Some("rnd".into()),
         };
         r.register(custom, Box::new(|ctx, _| Ok(Box::new(rnd::RndTactic::build(ctx)?))));
         let s = r.select("f", &annotation(ProtectionClass::C2, &[Insert, Equality])).unwrap();

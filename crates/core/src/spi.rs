@@ -231,8 +231,8 @@ pub trait GatewayTactic: Send {
     /// each equality, boolean or range query it builds is one call answered
     /// by the matching ids as an encoded list, and its resolve methods are
     /// the defaults. The engine then has the cloud fetch the documents those
-    /// ids name in the same round trip. Default: no — a forward-private
-    /// tactic's ids come back sealed, and only the gateway can open them.
+    /// ids name in the same round trip. Default: no — the gateway resolves
+    /// the answers (Mitra's and BIEX's ids come back sealed).
     fn resolves_in_cloud(&self) -> bool {
         false
     }

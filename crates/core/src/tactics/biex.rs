@@ -80,7 +80,6 @@ pub fn descriptor_2lev() -> TacticDescriptor {
         gateway_interfaces: 8,
         cloud_interfaces: 5,
         gateway_state: true,
-        shadow: None,
     }
 }
 
@@ -104,7 +103,6 @@ pub fn descriptor_zmf() -> TacticDescriptor {
         gateway_interfaces: 8,
         cloud_interfaces: 5,
         gateway_state: true,
-        shadow: None,
     }
 }
 
@@ -477,7 +475,7 @@ impl CloudTactic for BiexCloud {
         match op {
             "update" => {
                 let token = MitraUpdateToken::decode(payload)?;
-                self.chain_server(scope).apply_update(&token);
+                self.chain_server(scope).apply_update(&token)?;
                 Ok(Vec::new())
             }
             "search" => {

@@ -38,7 +38,6 @@ pub fn descriptor() -> TacticDescriptor {
         gateway_interfaces: 9,
         cloud_interfaces: 6,
         gateway_state: false,
-        shadow: Some("det".into()),
     }
 }
 

@@ -29,7 +29,6 @@ pub fn descriptor() -> TacticDescriptor {
         gateway_interfaces: 7,
         cloud_interfaces: 5,
         gateway_state: true,
-        shadow: None,
     }
 }
 
@@ -135,7 +134,7 @@ impl CloudTactic for MitraCloud {
         match op {
             "update" => {
                 let token = MitraUpdateToken::decode(payload)?;
-                server.apply_update(&token);
+                server.apply_update(&token)?;
                 Ok(Vec::new())
             }
             "search" => {

@@ -34,7 +34,6 @@ pub fn descriptor() -> TacticDescriptor {
         gateway_interfaces: 3,
         cloud_interfaces: 3,
         gateway_state: false,
-        shadow: None,
     }
 }
 

@@ -50,7 +50,6 @@ pub fn descriptor() -> TacticDescriptor {
         gateway_interfaces: 3,
         cloud_interfaces: 3,
         gateway_state: false,
-        shadow: Some("phe".into()),
     }
 }
 

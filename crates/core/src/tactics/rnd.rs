@@ -26,7 +26,6 @@ pub fn descriptor() -> TacticDescriptor {
         gateway_interfaces: 6,
         cloud_interfaces: 4,
         gateway_state: false,
-        shadow: Some("rnd".into()),
     }
 }
 

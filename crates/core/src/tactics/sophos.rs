@@ -43,7 +43,6 @@ pub fn descriptor() -> TacticDescriptor {
         gateway_interfaces: 6,
         cloud_interfaces: 4,
         gateway_state: true,
-        shadow: None,
     }
 }
 
@@ -252,7 +251,7 @@ impl CloudTactic for SophosCloud {
                     .ok_or_else(|| CoreError::Storage(format!("sophos scope {scope} not set up")))?;
                 let pk = SophosPublicKey::decode(&pk_bytes)?;
                 let server = SophosServer::new(self.kv.clone(), &Self::prefix(scope), pk);
-                server.apply_update(&token);
+                server.apply_update(&token)?;
                 Ok(Vec::new())
             }
             "search" => {

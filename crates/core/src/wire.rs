@@ -66,10 +66,16 @@ pub fn decode_value(buf: &mut &[u8]) -> Result<Value, CoreError> {
 }
 
 pub(crate) fn take_value(r: &mut Reader, depth: usize) -> Result<Value, Malformed> {
+    value_after(r.u8()?, r, depth)
+}
+
+/// The rest of an encoded [`Value`] whose tag was `tag`: what
+/// [`take_value`] reads after the tag byte.
+pub(crate) fn value_after(tag: u8, r: &mut Reader, depth: usize) -> Result<Value, Malformed> {
     if depth > MAX_VALUE_DEPTH {
         return Err(Malformed("value nesting"));
     }
-    Ok(match r.u8()? {
+    Ok(match tag {
         0 => Value::Null,
         1 => Value::Bool(r.u8()? != 0),
         2 => Value::I64(i64::from_be_bytes(r.raw()?)),
@@ -127,27 +133,52 @@ pub(crate) fn skip_value(r: &mut Reader, depth: usize) -> Result<(), Malformed> 
 /// Reads one encoded [`Value`] that has to be `Bytes` and lends its
 /// contents: how a ciphertext gets from a fetched document to its tactic.
 pub(crate) fn take_ciphertext<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], Malformed> {
-    match r.u8()? {
+    ciphertext_after(r.u8()?, r)
+}
+
+/// The contents of a `Bytes` value whose tag was `tag`, as
+/// [`take_ciphertext`] lends them.
+pub(crate) fn ciphertext_after<'a>(tag: u8, r: &mut Reader<'a>) -> Result<&'a [u8], Malformed> {
+    match tag {
         5 => r.bytes(),
         _ => Err(Malformed("ciphertext field is not bytes")),
     }
 }
 
+/// The tag a search answer by position (a `doc/get_many` or `doc/fetch`
+/// with a keep list) writes where a document lacks a kept name; no
+/// [`Value`] starts with it.
+pub const ABSENT: u8 = 0xFF;
+
 /// Encodes a [`Document`] (id + fields).
 pub fn encode_document(doc: &Document) -> Vec<u8> {
     let mut w = Writer::new();
-    put_document(doc, &[], &mut w);
+    put_document(doc, &mut w);
     w.finish()
 }
 
-/// Writes `doc` as [`encode_document`] does, without the fields named in
-/// `leave_out`.
-fn put_document(doc: &Document, leave_out: &[&str], w: &mut Writer) {
-    let kept = |(name, _): &(&String, &Value)| !leave_out.contains(&name.as_str());
-    let count = if leave_out.is_empty() { doc.len() } else { doc.iter().filter(kept).count() };
-    w.str(doc.id()).u32(count as u32);
-    for (name, value) in doc.iter().filter(kept) {
+fn put_document(doc: &Document, w: &mut Writer) {
+    w.str(doc.id()).u32(doc.len() as u32);
+    for (name, value) in doc.iter() {
         put_value(value, w.str(name));
+    }
+}
+
+/// Writes `doc` projected onto `keep` (strictly ascending): its id, then
+/// per kept name the stored value, or [`ABSENT`] where the document lacks
+/// the name. No name and no count travels, and fields outside `keep` stay
+/// behind. One merge walk of `keep` against the document's sorted fields.
+fn put_projected(doc: &Document, keep: &[&str], w: &mut Writer) {
+    w.str(doc.id());
+    let mut fields = doc.iter().peekable();
+    for &name in keep {
+        while fields.next_if(|(field, _)| field.as_str() < name).is_some() {}
+        match fields.next_if(|(field, _)| field.as_str() == name) {
+            Some((_, value)) => put_value(value, w),
+            None => {
+                w.u8(ABSENT);
+            }
+        }
     }
 }
 
@@ -170,17 +201,19 @@ pub fn decode_document(buf: &[u8]) -> Result<Document, CoreError> {
 /// Encodes a list of documents: a count-prefixed list of
 /// [`encode_document`] byte fields, written into one buffer.
 pub fn encode_documents<'a>(docs: impl IntoIterator<Item = &'a Document>) -> Vec<u8> {
-    encode_documents_without(docs, &[])
+    encode_answer(docs, &[])
 }
 
-/// Encodes a list of documents as [`encode_documents`] does, each without
-/// the fields named in `leave_out`: a `doc/get_many` or `doc/fetch` answer.
-pub(crate) fn encode_documents_without<'a>(
-    docs: impl IntoIterator<Item = &'a Document>,
-    leave_out: &[&str],
-) -> Vec<u8> {
+/// A `doc/get_many` or `doc/fetch` answer: the list [`encode_documents`]
+/// writes when `keep` is empty, else the same list of [`put_projected`]
+/// documents.
+pub(crate) fn encode_answer<'a>(docs: impl IntoIterator<Item = &'a Document>, keep: &[&str]) -> Vec<u8> {
     let mut w = Writer::new();
-    w.list_with(docs, |doc, w| put_document(doc, leave_out, w));
+    if keep.is_empty() {
+        w.list_with(docs, put_document);
+    } else {
+        w.list_with(docs, |doc, w| put_projected(doc, keep, w));
+    }
     w.finish()
 }
 

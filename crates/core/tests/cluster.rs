@@ -1148,9 +1148,10 @@ fn gateway_searches_over_five_nodes_answer_as_one_engine() {
 }
 
 /// A `doc/fetch` and a projected `doc/get_many` answer on five nodes
-/// (R = 3, W = 2) with the bytes one engine answers with, for every
-/// leave-out list, also with a node killed: each node leaves the listed
-/// fields out of its share, and the coordinator splices the shares.
+/// (R = 3, W = 2) with the bytes one engine answers with, for every keep
+/// list, also with a node killed: each node projects its share, and the
+/// coordinator splices the shares. A keep list that does not strictly
+/// ascend is refused, as one engine refuses it.
 #[test]
 fn fetch_and_projected_get_many_answer_as_one_engine() {
     use datablinder_core::cloudproto::{Fetch, FindIdsEq, GetMany, FETCH_ROUTE};
@@ -1158,9 +1159,10 @@ fn fetch_and_projected_get_many_answer_as_one_engine() {
     let cluster = ClusterCloud::new(ClusterConfig::volatile(5, 3, 2, 19)).unwrap();
     let single = CloudEngine::new();
     for i in 1..=12u8 {
-        let doc = Document::new(DocId([i; 16]).to_hex())
-            .with("k", Value::from(i64::from(i % 3)))
-            .with("v", Value::Bytes(vec![i; 8]));
+        let mut doc = Document::new(DocId([i; 16]).to_hex()).with("k", Value::from(i64::from(i % 3)));
+        if i % 4 != 0 {
+            doc.set("v", Value::Bytes(vec![i; 8]));
+        }
         let insert = with_collection("notes", &encode_document(&doc));
         cluster.handle("doc/insert", &insert).unwrap();
         single.handle("doc/insert", &insert).unwrap();
@@ -1171,14 +1173,25 @@ fn fetch_and_projected_get_many_answer_as_one_engine() {
         if let Some(node) = killed {
             cluster.kill_node(node);
         }
-        for leave_out in [vec![], vec!["v"], vec!["k", "v"]] {
-            let fused =
-                Fetch { collection: "notes", leave_out: leave_out.clone(), route: "doc/find_ids_eq", payload: &find };
+        for keep in [vec![], vec!["v"], vec!["absent", "k", "v"]] {
+            let fused = Fetch { collection: "notes", keep: keep.clone(), route: "doc/find_ids_eq", payload: &find };
             let answer = cluster.handle(FETCH_ROUTE, &fused.encode()).unwrap();
-            assert_eq!(answer, single.handle(FETCH_ROUTE, &fused.encode()).unwrap(), "{killed:?} {leave_out:?}");
-            let get_many = GetMany { collection: "notes", ids: hex.iter().map(String::as_bytes).collect(), leave_out };
+            assert_eq!(answer, single.handle(FETCH_ROUTE, &fused.encode()).unwrap(), "{killed:?} {keep:?}");
+            let get_many = GetMany { collection: "notes", ids: hex.iter().map(String::as_bytes).collect(), keep };
             let answer = cluster.handle("doc/get_many", &get_many.encode()).unwrap();
             assert_eq!(answer, single.handle("doc/get_many", &get_many.encode()).unwrap(), "{killed:?}");
+        }
+    }
+    for keep in [vec!["v", "k"], vec!["k", "k"]] {
+        let fused = Fetch { collection: "notes", keep: keep.clone(), route: "doc/find_ids_eq", payload: &find };
+        let get_many = GetMany { collection: "notes", ids: hex.iter().map(String::as_bytes).collect(), keep };
+        for (route, payload) in [(FETCH_ROUTE, fused.encode()), ("doc/get_many", get_many.encode())] {
+            let refusal = single.handle(route, &payload).unwrap_err();
+            assert!(
+                matches!(&refusal, NetError::Remote(m) if m.contains("keep list not strictly ascending")),
+                "{refusal}"
+            );
+            assert_eq!(cluster.handle(route, &payload).unwrap_err(), refusal, "{route}");
         }
     }
 }

@@ -67,6 +67,20 @@ fn fields_with_double_underscores_roundtrip() {
 }
 
 #[test]
+fn a_plain_field_named_like_a_shadow_is_refused() {
+    let gw = gateway();
+    for plain in ["a__rnd", "a__det", "a__anything"] {
+        let schema = Schema::new("s").plain_field(plain, FieldType::Text, false).sensitive_field(
+            "a",
+            FieldType::Text,
+            true,
+            FieldAnnotation::new(ProtectionClass::C1, vec![FieldOp::Insert]),
+        );
+        assert!(matches!(gw.register_schema(schema), Err(CoreError::SchemaViolation(_))), "{plain}");
+    }
+}
+
+#[test]
 fn selection_accessor_reports_only_sensitive_fields() {
     let gw = gateway();
     let schema = Schema::new("s").plain_field("meta", FieldType::Integer, false).sensitive_field(

@@ -1,8 +1,10 @@
-//! Differential oracle for the gateway's one-pass recover: what `get` and a
-//! search make of a stored document must be what the sequence it replaced
-//! made of it — decode the whole document, look each payload shadow up by
-//! name, decrypt, drop the shadows, put the values back — which is written
-//! out below as `decode_then_recover`.
+//! Differential oracle for the gateway's one-pass recover: what `get` makes
+//! of a stored document must be what the sequence it replaced made of it —
+//! decode the whole document, look each payload shadow up by name, decrypt,
+//! drop the shadows, put the values back — which is written out below as
+//! `decode_then_recover`. A search reads the same documents by position
+//! onto the schema's keep list (here its four payload shadows), and must
+//! return exactly the payloads' plaintexts.
 //!
 //! The stored documents are seeded random ones no gateway would write but
 //! every cloud may send: payload shadows missing, index-only shadows of any
@@ -16,13 +18,14 @@ use std::sync::{Arc, Mutex};
 
 use datablinder_codec::Writer;
 use datablinder_core::cloud::CloudEngine;
+use datablinder_core::cloudproto::{Fetch, GetMany};
 use datablinder_core::gateway::GatewayEngine;
 use datablinder_core::model::{FieldAnnotation, FieldOp, FieldType, ProtectionClass, Schema};
 use datablinder_core::spi::GatewayTactic;
 use datablinder_core::tactics::det::DetTactic;
 use datablinder_core::tactics::rnd::RndTactic;
 use datablinder_core::tactics::{encode_ids, shadow_field, TacticContext};
-use datablinder_core::wire::{decode_document, encode_document};
+use datablinder_core::wire::{decode_document, encode_document, encode_value, ABSENT};
 use datablinder_core::CoreError;
 use datablinder_docstore::{Document, Value};
 use datablinder_kms::Kms;
@@ -68,6 +71,24 @@ fn decode_then_recover(stored: &[u8], payloads: &[Payload]) -> Result<Document, 
         stored.set(field, value);
     }
     Ok(stored)
+}
+
+/// A search answer: each stored document by position onto `keep`.
+fn projected(served: &[Vec<u8>], keep: &[&str]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.list_with(served, |stored, w| {
+        let stored = decode_document(stored).unwrap();
+        w.str(stored.id());
+        for name in keep {
+            let mut value = Vec::new();
+            match stored.get(name) {
+                Some(v) => encode_value(v, &mut value),
+                None => value.push(ABSENT),
+            }
+            w.raw(&value);
+        }
+    });
+    w.finish()
 }
 
 /// A random value of any of the eight tags; containers nest up to `depth`.
@@ -151,11 +172,8 @@ fn streaming_recover_equals_decode_then_recover_on_seeded_stored_documents() {
             Ok(match route {
                 "idem" => writes.handle(route, payload)?,
                 "doc/get" => served[0].clone(),
-                "doc/get_many" | "doc/fetch" => {
-                    let mut w = Writer::new();
-                    w.list(&served);
-                    w.finish()
-                }
+                "doc/get_many" => projected(&served, &GetMany::decode(payload).unwrap().keep),
+                "doc/fetch" => projected(&served, &Fetch::decode(payload).unwrap().keep),
                 "doc/find_ids_eq" => encode_ids(&vec![DocId([7; 16]); served.len()]),
                 _ => Vec::new(),
             })
@@ -198,7 +216,20 @@ fn streaming_recover_equals_decode_then_recover_on_seeded_stored_documents() {
             batch.iter().map(|stored| decode_then_recover(stored, &payloads).unwrap()).collect();
         *served.lock().unwrap() = batch.clone();
         assert_eq!(gw.get(SCHEMA, DocId([7; 16])).unwrap(), expect[0], "case {case}: get");
-        assert_eq!(gw.find_equal(SCHEMA, "alpha", &Value::from("x")).unwrap(), expect, "case {case}: get_many");
+        let searched: Vec<Document> = batch
+            .iter()
+            .map(|stored| {
+                let stored = decode_document(stored).unwrap();
+                let mut doc = Document::new(stored.id());
+                for p in &payloads {
+                    if let Some(Value::Bytes(ciphertext)) = stored.get(&p.shadow) {
+                        doc.set(p.field, p.tactic.recover(ciphertext).unwrap());
+                    }
+                }
+                doc
+            })
+            .collect();
+        assert_eq!(gw.find_equal(SCHEMA, "alpha", &Value::from("x")).unwrap(), searched, "case {case}: fetch");
 
         // What neither accepts: every strict prefix, and a trailing byte.
         if case % 40 == 0 {

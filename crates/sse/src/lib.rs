@@ -108,6 +108,11 @@ pub enum SseError {
     Storage(String),
     /// A static index (2Lev/BIEX) was asked to update after setup.
     StaticScheme,
+    /// An update named an index address that already holds a different
+    /// entry. The stored entry stays: a client whose counters or chain went
+    /// back (a restart that lost its state) would otherwise overwrite an
+    /// acknowledged entry, reusing its pad.
+    AddressTaken,
 }
 
 impl std::fmt::Display for SseError {
@@ -117,6 +122,7 @@ impl std::fmt::Display for SseError {
             SseError::Crypto(e) => write!(f, "crypto failure: {e}"),
             SseError::Storage(e) => write!(f, "storage failure: {e}"),
             SseError::StaticScheme => write!(f, "static scheme does not support updates"),
+            SseError::AddressTaken => write!(f, "index address already holds a different entry"),
         }
     }
 }
@@ -138,6 +144,17 @@ impl From<CryptoError> for SseError {
 impl From<datablinder_kvstore::KvError> for SseError {
     fn from(e: datablinder_kvstore::KvError) -> Self {
         SseError::Storage(e.to_string())
+    }
+}
+
+/// Stores an index entry at an address nothing holds yet. Storing the entry
+/// an address already holds is `Ok` (a replayed update); a different one is
+/// [`SseError::AddressTaken`], and the stored entry stays.
+pub(crate) fn set_once(kv: &datablinder_kvstore::KvStore, key: &[u8], entry: &[u8]) -> Result<(), SseError> {
+    if kv.set_nx(key, entry) || kv.get(key).as_deref() == Some(entry) {
+        Ok(())
+    } else {
+        Err(SseError::AddressTaken)
     }
 }
 

@@ -25,7 +25,7 @@ use datablinder_kvstore::KvStore;
 use datablinder_primitives::keys::SymmetricKey;
 use datablinder_primitives::prf::{HmacPrf, Prf};
 
-use crate::{DocId, SseError, UpdateOp};
+use crate::{set_once, DocId, SseError, UpdateOp};
 use datablinder_codec::{Reader, Writer};
 
 /// One masked index entry travelling gateway → cloud.
@@ -226,9 +226,14 @@ impl MitraServer {
         MitraServer { kv, prefix: prefix.to_vec() }
     }
 
-    /// Stores one masked entry.
-    pub fn apply_update(&self, token: &MitraUpdateToken) {
-        self.kv.set(&self.key(&token.addr), &token.val);
+    /// Stores one masked entry. A replay of a stored entry is `Ok`.
+    ///
+    /// # Errors
+    ///
+    /// [`SseError::AddressTaken`] when the address holds a different entry,
+    /// which stays.
+    pub fn apply_update(&self, token: &MitraUpdateToken) -> Result<(), SseError> {
+        set_once(&self.kv, &self.key(&token.addr), &token.val)
     }
 
     /// Fetches the values for a search token, in address order.
@@ -268,9 +273,9 @@ mod tests {
         let (mut client, server) = setup();
         for n in 1..=3 {
             let t = client.update_token(b"cancer", id(n), UpdateOp::Add);
-            server.apply_update(&t);
+            server.apply_update(&t).unwrap();
         }
-        server.apply_update(&client.update_token(b"diabetes", id(9), UpdateOp::Add));
+        server.apply_update(&client.update_token(b"diabetes", id(9), UpdateOp::Add)).unwrap();
 
         let token = client.search_token(b"cancer");
         let results = server.search(&token);
@@ -282,11 +287,26 @@ mod tests {
     }
 
     #[test]
+    fn an_address_is_written_once_and_a_replay_is_ok() {
+        let (mut client, server) = setup();
+        let first = client.update_token(b"w", id(1), UpdateOp::Add);
+        server.apply_update(&first).unwrap();
+        server.apply_update(&first).unwrap();
+        // A client that lost its counters starts over at address 1.
+        let key = SymmetricKey::from_bytes(&[3u8; 32]);
+        let restarted = MitraClient::new(&key).update_token(b"w", id(2), UpdateOp::Add);
+        assert_eq!(restarted.addr, first.addr);
+        assert_eq!(server.apply_update(&restarted), Err(SseError::AddressTaken));
+        let ids = client.resolve(b"w", &server.search(&client.search_token(b"w"))).unwrap();
+        assert_eq!(ids, vec![id(1)], "the acknowledged entry survives");
+    }
+
+    #[test]
     fn delete_removes_from_results() {
         let (mut client, server) = setup();
-        server.apply_update(&client.update_token(b"w", id(1), UpdateOp::Add));
-        server.apply_update(&client.update_token(b"w", id(2), UpdateOp::Add));
-        server.apply_update(&client.update_token(b"w", id(1), UpdateOp::Delete));
+        server.apply_update(&client.update_token(b"w", id(1), UpdateOp::Add)).unwrap();
+        server.apply_update(&client.update_token(b"w", id(2), UpdateOp::Add)).unwrap();
+        server.apply_update(&client.update_token(b"w", id(1), UpdateOp::Delete)).unwrap();
         let ids = client.resolve(b"w", &server.search(&client.search_token(b"w"))).unwrap();
         assert_eq!(ids, vec![id(2)]);
     }
@@ -327,8 +347,8 @@ mod tests {
     #[test]
     fn state_export_import() {
         let (mut client, server) = setup();
-        server.apply_update(&client.update_token(b"w", id(1), UpdateOp::Add));
-        server.apply_update(&client.update_token(b"w", id(2), UpdateOp::Add));
+        server.apply_update(&client.update_token(b"w", id(1), UpdateOp::Add)).unwrap();
+        server.apply_update(&client.update_token(b"w", id(2), UpdateOp::Add)).unwrap();
         let state = client.export_state();
 
         // A fresh client (e.g. gateway restart) resumes from the state.
@@ -340,7 +360,7 @@ mod tests {
         assert_eq!(ids, vec![id(1), id(2)]);
 
         // Continue updating from restored state without address collisions.
-        server.apply_update(&client2.update_token(b"w", id(3), UpdateOp::Add));
+        server.apply_update(&client2.update_token(b"w", id(3), UpdateOp::Add)).unwrap();
         let ids = client2.resolve(b"w", &server.search(&client2.search_token(b"w"))).unwrap();
         assert_eq!(ids, vec![id(1), id(2), id(3)]);
     }
@@ -364,7 +384,7 @@ mod tests {
         // server: the gap resolves to "update lost", not an error.
         let (mut client, server) = setup();
         let _lost = client.update_token(b"w", id(1), UpdateOp::Add);
-        server.apply_update(&client.update_token(b"w", id(2), UpdateOp::Add));
+        server.apply_update(&client.update_token(b"w", id(2), UpdateOp::Add)).unwrap();
         let ids = client.resolve(b"w", &server.search(&client.search_token(b"w"))).unwrap();
         assert_eq!(ids, vec![id(2)]);
     }

@@ -32,7 +32,7 @@ use datablinder_primitives::prf::{HmacPrf, Prf};
 use datablinder_primitives::sha256::Sha256;
 use rand::Rng;
 
-use crate::{DocId, SseError};
+use crate::{set_once, DocId, SseError};
 use datablinder_codec::{Reader, Writer};
 
 /// The public half of the trapdoor permutation (cloud side).
@@ -382,9 +382,14 @@ impl SophosServer {
         SophosServer { kv, prefix: prefix.to_vec(), public }
     }
 
-    /// Files one update entry.
-    pub fn apply_update(&self, token: &SophosUpdateToken) {
-        self.kv.set(&self.key(&token.ut), &token.masked_id);
+    /// Files one update entry. A replay of a filed entry is `Ok`.
+    ///
+    /// # Errors
+    ///
+    /// [`SseError::AddressTaken`] when the address holds a different entry,
+    /// which stays.
+    pub fn apply_update(&self, token: &SophosUpdateToken) -> Result<(), SseError> {
+        set_once(&self.kv, &self.key(&token.ut), &token.masked_id)
     }
 
     /// Walks the permutation chain backwards, collecting
@@ -448,9 +453,9 @@ mod tests {
     fn add_and_search() {
         let (mut client, server, mut rng) = setup();
         for n in 1..=4 {
-            server.apply_update(&client.update_token(&mut rng, b"cancer", id(n)));
+            server.apply_update(&client.update_token(&mut rng, b"cancer", id(n))).unwrap();
         }
-        server.apply_update(&client.update_token(&mut rng, b"flu", id(9)));
+        server.apply_update(&client.update_token(&mut rng, b"flu", id(9))).unwrap();
 
         let token = client.search_token(b"cancer").unwrap();
         let results = server.search(&token);
@@ -460,6 +465,18 @@ mod tests {
 
         let ids = client.resolve(b"flu", &server.search(&client.search_token(b"flu").unwrap())).unwrap();
         assert_eq!(ids, vec![id(9)]);
+    }
+
+    #[test]
+    fn an_address_is_written_once_and_a_replay_is_ok() {
+        let (mut client, server, mut rng) = setup();
+        let first = client.update_token(&mut rng, b"w", id(1));
+        server.apply_update(&first).unwrap();
+        server.apply_update(&first).unwrap();
+        let other = SophosUpdateToken { masked_id: [0xAA; 16], ..first.clone() };
+        assert_eq!(server.apply_update(&other), Err(SseError::AddressTaken));
+        let ids = client.resolve(b"w", &server.search(&client.search_token(b"w").unwrap())).unwrap();
+        assert_eq!(ids, vec![id(1)], "the acknowledged entry survives");
     }
 
     #[test]
@@ -476,11 +493,11 @@ mod tests {
         let t1 = client.update_token(&mut rng, b"w", id(1));
         let t2 = client.update_token(&mut rng, b"w", id(2));
         assert_ne!(t1.ut, t2.ut);
-        server.apply_update(&t1);
-        server.apply_update(&t2);
+        server.apply_update(&t1).unwrap();
+        server.apply_update(&t2).unwrap();
         let token_at_2 = client.search_token(b"w").unwrap();
         // New update after the search token was issued:
-        server.apply_update(&client.update_token(&mut rng, b"w", id(3)));
+        server.apply_update(&client.update_token(&mut rng, b"w", id(3))).unwrap();
         // The old token cannot see the new entry (count = 2).
         let results = server.search(&token_at_2);
         let ids = client.resolve(b"w", &results).unwrap();
@@ -515,7 +532,7 @@ mod tests {
     #[test]
     fn state_export_import_continues_chain() {
         let (mut client, server, mut rng) = setup();
-        server.apply_update(&client.update_token(&mut rng, b"w", id(1)));
+        server.apply_update(&client.update_token(&mut rng, b"w", id(1))).unwrap();
         let state = client.export_state();
         let keypair = SophosKeypair::decode(&{
             // reuse same keypair bytes through encode/decode
@@ -526,7 +543,7 @@ mod tests {
         let mut client2 = SophosClient::new(&key, keypair);
         client2.import_state(&state).unwrap();
         assert_eq!(client2.counter(b"w"), 1);
-        server.apply_update(&client2.update_token(&mut rng, b"w", id(2)));
+        server.apply_update(&client2.update_token(&mut rng, b"w", id(2))).unwrap();
         let ids = client2.resolve(b"w", &server.search(&client2.search_token(b"w").unwrap())).unwrap();
         assert_eq!(ids, vec![id(1), id(2)]);
     }

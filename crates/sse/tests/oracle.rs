@@ -75,7 +75,7 @@ fn mitra_matches_oracle() {
                 Update::Add(k, d) => client.update_token(&kw(k), id(d), UpdateOp::Add),
                 Update::Delete(k, d) => client.update_token(&kw(k), id(d), UpdateOp::Delete),
             };
-            server.apply_update(&token);
+            server.apply_update(&token).unwrap();
         }
         let expect = oracle(&updates);
         for k in 0u8..6 {
@@ -99,7 +99,7 @@ fn sophos_matches_oracle_on_adds() {
         let mut expect = vec![BTreeSet::new(); 6];
         for u in &updates {
             if let Update::Add(k, d) = *u {
-                server.apply_update(&client.update_token(&mut rng, &kw(k), id(d)));
+                server.apply_update(&client.update_token(&mut rng, &kw(k), id(d))).unwrap();
                 expect[k as usize].insert(d);
             }
         }

@@ -39,7 +39,7 @@ use rand::SeedableRng;
 /// A `doc/get_many` request for `ids`, every stored field included.
 fn get_many(collection: &str, ids: &[DocId]) -> Vec<u8> {
     let hex: Vec<String> = ids.iter().map(|id| id.to_hex()).collect();
-    GetMany { collection, ids: hex.iter().map(String::as_bytes).collect(), leave_out: Vec::new() }.encode()
+    GetMany { collection, ids: hex.iter().map(String::as_bytes).collect(), keep: Vec::new() }.encode()
 }
 
 /// The operations the benchmark issues (the paper's balanced

@@ -76,7 +76,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         gateway_interfaces: 3,
         cloud_interfaces: 2,
         gateway_state: false,
-        shadow: Some("rnd".into()),
     };
     // The demo reuses RND's implementation under the custom descriptor;
     // a real provider would ship its own GatewayTactic/CloudTactic pair.

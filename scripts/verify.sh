@@ -45,6 +45,18 @@ done
 awk '/^[^\/]*unsafe \{/ && (p1 p2 p3) !~ /SAFETY:/ { print FILENAME ":" FNR ": unsafe block without a SAFETY comment"; bad = 1 }
      { p3 = p2; p2 = p1; p1 = $0 } END { exit bad }' $unsafe_inventory
 
+echo "==> every suite in the gate: each tests/*.rs and crates/*/tests/*.rs is a test target of a default member, so a bare cargo test runs it"
+# The workspace's default-members (Cargo.toml) make `cargo test -q` at the
+# root reach every crate; a suite outside them, or one with `test = false`,
+# would run in no gate.
+reached="$(cargo metadata --locked --offline --format-version 1 --no-deps | jq -r '
+    . as $m | $m.packages[] | select(.id as $id | $m.workspace_default_members | index($id))
+    | .targets[] | select((.kind | index("test")) and .test) | .src_path' | sed "s|^$PWD/||" | LC_ALL=C sort)"
+suites="$(printf '%s\n' tests/*.rs crates/*/tests/*.rs | LC_ALL=C sort)"
+unreached="$(LC_ALL=C comm -23 <(echo "$suites") <(echo "$reached") | tr '\n' ' ')"
+[ -z "$unreached" ] ||
+    { echo "suites a bare cargo test does not run: $unreached" >&2; exit 1; }
+
 echo "==> cluster layering: only cluster/replica.rs names the engine and its files on disk; one Vec per slot"
 # The coordinator's data path speaks routes to a Replica. Comments may name
 # the engine; code may not, beyond `with_node_engine`'s public signature.

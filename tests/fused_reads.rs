@@ -2,16 +2,19 @@
 //!
 //! DET, OPE and ORE resolve in the cloud: the ids a query matches lie there
 //! in the clear, so the gateway wraps the query in one `doc/fetch` and the
-//! cloud answers with the documents. Mitra, Sophos and BIEX seal their ids,
-//! so their reads keep a second round trip (`doc/get_many`). Either way the
-//! documents come back without the index-only shadows the gateway never
-//! opens.
+//! cloud answers with the documents. Mitra, Sophos and BIEX resolve their
+//! ids at the gateway, so their reads keep a second round trip
+//! (`doc/get_many`). Either way the
+//! request carries the plan's keep list — the stored names the gateway
+//! opens — and each document comes back by position onto it: its id, then
+//! one value or an absent tag per name.
 //!
 //! The suite pins the round trips of each query kind with the transport's
 //! own metrics over an in-process channel, a loopback socket and a 5-node
 //! cluster; checks that a fused read returns the documents, and records the
-//! leakage cells and tactic EWMAs, of the two-call read it replaces; and
-//! runs a cloud that forges a fused answer or ignores the leave-out list.
+//! leakage cells and tactic EWMAs, of the two-call read it replaces; runs
+//! a cloud that forges its answers; and checks that a search returns each
+//! document as `get` does.
 
 use std::sync::{Arc, Mutex};
 
@@ -24,6 +27,7 @@ use datablinder::core::model::{FieldAnnotation, FieldOp, FieldType, ProtectionCl
 use datablinder::core::registry::TacticRegistry;
 use datablinder::core::spi::{CloudCall, DnfLiterals, GatewayTactic, ProtectedField};
 use datablinder::core::tactics::encode_ids;
+use datablinder::core::wire::{decode_documents, encode_documents, encode_value, ABSENT};
 use datablinder::core::CoreError;
 use datablinder::docstore::{Document, Value};
 use datablinder::kms::Kms;
@@ -34,7 +38,7 @@ use datablinder::netsim::{
 use datablinder::obs::{LedgerEntry, Recorder};
 use datablinder::sse::DocId;
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 const SCHEMA: &str = "labs";
 
@@ -255,8 +259,8 @@ fn fused_reads_take_one_round_trip_and_answer_as_the_two_call_reads() {
     }
 }
 
-/// How a [`HostileCloud`] answers a `doc/fetch`.
-#[derive(Clone, Copy, Debug)]
+/// How a [`HostileCloud`] forges its answers.
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Forgery {
     /// The answer cut one byte short.
     Truncated,
@@ -266,31 +270,96 @@ enum Forgery {
     CountTooLow,
     /// The matching ids, as the wrapped read answered, not documents.
     Ids,
+    /// Each document one value short.
+    MissingValue,
+    /// Each document with one value after the last kept name.
+    ExtraValue,
+    /// Each document's payload positions holding a string.
+    PayloadNotBytes,
+    /// Whole named documents, as if no keep list had come.
+    NamedDocuments,
 }
 
-/// A cloud that stores faithfully and, when armed, forges its `doc/fetch`
-/// answers; with `full_documents` it ignores every leave-out list and sends
-/// whole documents.
+/// The forgeries that rebuild each document from its stored fields, and so
+/// apply to a `doc/get_many` answer as well as to a `doc/fetch` one.
+const POSITIONAL: [Forgery; 4] =
+    [Forgery::MissingValue, Forgery::ExtraValue, Forgery::PayloadNotBytes, Forgery::NamedDocuments];
+
+/// A cloud that stores faithfully and, when armed, forges its answers:
+/// every forgery on `doc/fetch`, the [`POSITIONAL`] ones on `doc/get_many`
+/// too.
 struct HostileCloud {
     inner: CloudEngine,
     forgery: Mutex<Option<Forgery>>,
-    full_documents: bool,
+}
+
+impl HostileCloud {
+    /// The stored documents a `doc/fetch` or `doc/get_many` names, whole,
+    /// and the keep list it carried.
+    fn stored<'a>(&self, route: &str, payload: &'a [u8]) -> (Vec<Document>, Vec<&'a str>) {
+        let (answer, keep) = if route == FETCH_ROUTE {
+            let req = Fetch::decode(payload).unwrap();
+            let keep = req.keep.clone();
+            (self.inner.handle(route, &Fetch { keep: Vec::new(), ..req }.encode()).unwrap(), keep)
+        } else {
+            let req = GetMany::decode(payload).unwrap();
+            let keep = req.keep.clone();
+            (self.inner.handle(route, &GetMany { keep: Vec::new(), ..req }.encode()).unwrap(), keep)
+        };
+        (decode_documents(&answer).unwrap(), keep)
+    }
+
+    /// `docs` answered by position onto `keep`, forged as `forgery` says.
+    fn positional(docs: &[Document], keep: &[&str], forgery: Forgery) -> Vec<u8> {
+        if let Forgery::NamedDocuments = forgery {
+            return encode_documents(docs);
+        }
+        let mut w = Writer::new();
+        w.list_with(docs, |doc, w| {
+            w.str(doc.id());
+            let mut values: Vec<Vec<u8>> = keep
+                .iter()
+                .map(|name| {
+                    let mut out = Vec::new();
+                    match doc.get(name) {
+                        Some(_) if matches!(forgery, Forgery::PayloadNotBytes) && name.contains("__") => {
+                            encode_value(&Value::from("not a ciphertext"), &mut out);
+                        }
+                        Some(value) => encode_value(value, &mut out),
+                        None => out.push(ABSENT),
+                    }
+                    out
+                })
+                .collect();
+            match forgery {
+                Forgery::MissingValue => drop(values.pop()),
+                Forgery::ExtraValue => {
+                    let mut extra = Vec::new();
+                    encode_value(&Value::from("x"), &mut extra);
+                    values.push(extra);
+                }
+                _ => {}
+            }
+            for value in &values {
+                w.raw(value);
+            }
+        });
+        w.finish()
+    }
 }
 
 impl CloudService for HostileCloud {
     fn handle(&self, route: &str, payload: &[u8]) -> Result<Vec<u8>, NetError> {
-        let answer = match (route, self.full_documents) {
-            ("doc/get_many", true) => {
-                let req = GetMany::decode(payload).unwrap();
-                self.inner.handle(route, &GetMany { leave_out: Vec::new(), ..req }.encode())?
-            }
-            (FETCH_ROUTE, true) => {
-                let req = Fetch::decode(payload).unwrap();
-                self.inner.handle(route, &Fetch { leave_out: Vec::new(), ..req }.encode())?
-            }
-            _ => self.inner.handle(route, payload)?,
-        };
-        let (FETCH_ROUTE, Some(forgery)) = (route, *self.forgery.lock().unwrap()) else { return Ok(answer) };
+        let Some(forgery) = *self.forgery.lock().unwrap() else { return self.inner.handle(route, payload) };
+        if (route == FETCH_ROUTE || route == "doc/get_many") && POSITIONAL.contains(&forgery) {
+            let (docs, keep) = self.stored(route, payload);
+            assert!(!docs.is_empty() && !keep.is_empty(), "a forgery needs documents and a keep list");
+            return Ok(Self::positional(&docs, &keep, forgery));
+        }
+        let answer = self.inner.handle(route, payload)?;
+        if route != FETCH_ROUTE {
+            return Ok(answer);
+        }
         let docs = datablinder::codec::Reader::new(&answer).list().unwrap();
         assert!(docs.len() > 1, "a forgery needs documents to forge");
         let mut w = Writer::new();
@@ -314,19 +383,20 @@ impl CloudService for HostileCloud {
                     .collect();
                 encode_ids(&ids)
             }
+            _ => unreachable!("{forgery:?} is positional"),
         })
     }
 }
 
-fn hostile(full_documents: bool) -> (GatewayEngine, Arc<HostileCloud>) {
-    let cloud = Arc::new(HostileCloud { inner: CloudEngine::new(), forgery: Mutex::new(None), full_documents });
+fn hostile() -> (GatewayEngine, Arc<HostileCloud>) {
+    let cloud = Arc::new(HostileCloud { inner: CloudEngine::new(), forgery: Mutex::new(None) });
     let transport: Arc<dyn Transport> = Arc::new(Channel::from_arc(cloud.clone(), LatencyModel::instant()));
     (loaded(transport, registry(Variant::Builtins, false), false), cloud)
 }
 
 #[test]
 fn a_forged_fused_answer_is_a_wire_error() {
-    let (gw, cloud) = hostile(false);
+    let (gw, cloud) = hostile();
     for forgery in [Forgery::Truncated, Forgery::CountTooHigh, Forgery::CountTooLow, Forgery::Ids] {
         *cloud.forgery.lock().unwrap() = Some(forgery);
         for (name, _, query) in queries().into_iter().take(3) {
@@ -338,15 +408,104 @@ fn a_forged_fused_answer_is_a_wire_error() {
     assert_eq!(gw.find_equal(SCHEMA, "code", &Value::from("urea")).unwrap().len(), 4);
 }
 
+/// Arms `forgery` on a fresh hostile cloud: every query, fused or two-call,
+/// is a typed wire error and nothing panics; disarmed, every query answers.
+fn refused_on_every_query(forgery: Forgery) {
+    let (gw, cloud) = hostile();
+    *cloud.forgery.lock().unwrap() = Some(forgery);
+    for (name, _, query) in queries() {
+        let err = query(&gw).expect_err(&format!("{name} accepted a {forgery:?} answer"));
+        assert!(matches!(err, CoreError::Wire(_)), "{name}, {forgery:?}: {err}");
+    }
+    *cloud.forgery.lock().unwrap() = None;
+    for (name, hits, query) in queries() {
+        assert_eq!(query(&gw).unwrap().len(), hits, "{name}");
+    }
+}
+
+/// A document answered by position with a value missing or extra, or with
+/// a payload position that is not a byte string.
 #[test]
-fn a_cloud_that_ignores_the_leave_out_list_costs_bytes_not_documents() {
-    let (honest, _) = hostile(false);
-    let (ignoring, _) = hostile(true);
-    let received = |gw: &GatewayEngine| gw.channel().metrics().bytes_received();
-    let (honest_before, ignoring_before) = (received(&honest), received(&ignoring));
-    let (honest_answers, _, _) = run(&honest);
-    let (answers, _, _) = run(&ignoring);
-    assert_eq!(honest_answers, answers, "the same documents, round trips included");
-    let (honest_bytes, bytes) = (received(&honest) - honest_before, received(&ignoring) - ignoring_before);
-    assert!(honest_bytes < bytes, "the leave-out list saves bytes: {honest_bytes} against {bytes}");
+fn a_forged_positional_answer_is_a_wire_error() {
+    for forgery in [Forgery::MissingValue, Forgery::ExtraValue, Forgery::PayloadNotBytes] {
+        refused_on_every_query(forgery);
+    }
+}
+
+/// Whole named documents in reply to a keep list are not extra bytes but a
+/// protocol error: read by position, the field count's leading zero byte is
+/// a `Null` where a ciphertext or a typed plain value has to be.
+#[test]
+fn a_cloud_that_sends_named_documents_for_a_keep_list_is_a_wire_error() {
+    refused_on_every_query(Forgery::NamedDocuments);
+}
+
+/// Random documents whose optional fields are often absent: every search
+/// returns each document exactly as `get` does — the positional read and
+/// the whole stored document open to the same `Document` — over an
+/// in-process channel, a loopback socket and a 5-node cluster.
+#[test]
+fn projected_reads_return_what_get_returns() {
+    use FieldOp::*;
+    use ProtectionClass::*;
+    let field = |class, ops: &[FieldOp]| FieldAnnotation::new(class, ops.to_vec());
+    let schema = Schema::new("sparse")
+        .plain_field("note", FieldType::Text, false)
+        .plain_field("seq", FieldType::Integer, true)
+        .plain_field("weight", FieldType::Float, false)
+        .sensitive_field("group", FieldType::Text, true, field(C4, &[Insert, Equality]))
+        .sensitive_field("owner", FieldType::Text, false, field(C2, &[Insert, Equality]))
+        .sensitive_field("level", FieldType::Integer, false, field(C5, &[Insert, Range]))
+        .sensitive_field("secret", FieldType::Text, false, field(C1, &[Insert]))
+        .sensitive_field("flag", FieldType::Boolean, false, field(C3, &[Insert, Equality]));
+    for deployment in [Deployment::Channel, Deployment::Tcp, Deployment::Cluster] {
+        let (transport, _server) = transport(deployment);
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let gw = GatewayEngine::with_registry_resilient(
+            "sparse",
+            Kms::generate(&mut rng),
+            ResilientChannel::over(transport, ResilienceConfig::default()),
+            7,
+            TacticRegistry::with_builtins(),
+        );
+        gw.register_schema(schema.clone()).unwrap();
+        let docs: Vec<Document> = (0..40)
+            .map(|i| {
+                let mut doc = Document::new("x")
+                    .with("seq", Value::from(i as i64))
+                    .with("group", Value::from(["g0", "g1", "g2"][rng.gen_range(0..3usize)]));
+                let optional: [(&str, Value); 6] = [
+                    ("note", Value::from(format!("n{}", rng.gen_range(0..100u32)))),
+                    ("weight", Value::F64(f64::from(rng.gen_range(0..1000u32)) / 8.0)),
+                    ("owner", Value::from(["ann", "bob"][rng.gen_range(0..2usize)])),
+                    ("level", Value::from(rng.gen_range(0..50i64))),
+                    ("secret", Value::from(format!("s{}", rng.gen_range(0..1000u32)))),
+                    ("flag", Value::Bool(rng.gen_range(0..2u32) == 1)),
+                ];
+                for (name, value) in optional {
+                    if rng.gen::<f64>() < 0.5 {
+                        doc.set(name, value);
+                    }
+                }
+                doc
+            })
+            .collect();
+        gw.insert_many("sparse", &docs).unwrap();
+        let mut seen = 0;
+        let searches: Vec<Result<Vec<Document>, CoreError>> = vec![
+            gw.find_equal("sparse", "group", &Value::from("g0")),
+            gw.find_equal("sparse", "group", &Value::from("g1")),
+            gw.find_equal("sparse", "group", &Value::from("g2")),
+            gw.find_equal("sparse", "owner", &Value::from("ann")),
+            gw.find_range("sparse", "level", &Value::from(0), &Value::from(49)),
+        ];
+        for found in searches {
+            for doc in found.unwrap() {
+                let id = DocId::from_hex(doc.id()).unwrap();
+                assert_eq!(doc, gw.get("sparse", id).unwrap(), "{deployment:?}");
+                seen += 1;
+            }
+        }
+        assert!(seen > docs.len(), "{deployment:?}: every document, several times over: {seen}");
+    }
 }

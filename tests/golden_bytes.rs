@@ -15,9 +15,12 @@
 //! a read too.
 //!
 //! `GET_MANY` pins a `doc/get_many` request as it was before it could carry
-//! a leave-out list, and `GET_MANY_LEAVE_OUT` one that carries the list
-//! after the ids. `FETCH` pins a `doc/fetch`: the collection, the leave-out
-//! list, then the wrapped read's route and payload. All three are reads.
+//! a name list, and `GET_MANY_KEEP` one that carries a keep list (the
+//! stored names the gateway opens, ascending) after the ids. `FETCH` pins
+//! a `doc/fetch`: the collection, the keep list, then the wrapped read's
+//! route and payload. `PROJECTED_ANSWER` pins the answer to a keep list:
+//! per document its id, then per kept name the value or the one-byte absent
+//! tag. All four are reads; they replaced the leave-out list's pins.
 //!
 //! `GATEWAY_SCRIPT_STATE` pins what a seeded gateway writes: the SHA-256 of
 //! the cloud's whole state after one fixed script of inserts, batch inserts
@@ -45,7 +48,7 @@ use datablinder::kms::Kms;
 use datablinder::kvstore::{scan_frames, LogRecord};
 use datablinder::netsim::tcp::{encode_wire_frame, Frame, FrameDecoder, DEFAULT_MAX_FRAME};
 use datablinder::netsim::{
-    decode_request, decode_response, encode_request, encode_response, Channel, LatencyModel, NetError,
+    decode_request, decode_response, encode_request, encode_response, Channel, CloudService, LatencyModel, NetError,
 };
 use datablinder::obs::trace::{decode_traced, encode_traced, TraceCtx};
 use datablinder::ope::{Ope, OpeParams};
@@ -72,10 +75,15 @@ const RANGED_READ: &str = concat!(
     "00000000000000010000000000000002ffffffffffffffff0000000000000000"
 );
 const GET_MANY: &str = "000000036f627300000002000000026161000000026262";
-const GET_MANY_LEAVE_OUT: &str =
-    concat!("000000036f627300000002000000026161000000026262", "0000000200000006655f5f6f706500000006765f5f706865");
-const FETCH: &str =
-    concat!("000000036f62730000000100000006655f5f6f7065", "0000000f646f632f66696e645f6964735f657100000003010203");
+const GET_MANY_KEEP: &str = concat!(
+    "000000036f627300000002000000026161000000026262",
+    "0000000300000006655f5f726e64000000046e6f746500000006765f5f726e64"
+);
+const FETCH: &str = concat!(
+    "000000036f62730000000200000006655f5f726e64000000046e6f7465",
+    "0000000f646f632f66696e645f6964735f657100000003010203"
+);
+const PROJECTED_ANSWER: &str = "0000000100000021000000026431050000000300ff07ff02ffffffffffffffd6040000000474657874";
 const BLOB_LIST: &str = "00000003000000010100000000000000020203";
 const DIGEST_REQUEST: &str = "000000000000000700000003000000000000000a0000000000000014ffffffffffffffff";
 const DIGEST_RESPONSE: &str = concat!(
@@ -274,13 +282,14 @@ fn cloud_protocol_messages() {
         RangedRead::decode,
     );
     // Borrowed messages: `pin`'s decode would outlive its buffer.
-    let get_many = GetMany { collection: "obs", ids: vec![b"aa", b"bb"], leave_out: vec![] };
-    assert_eq!(hex(&get_many.encode()), GET_MANY, "no leave-out list: the request as it was before one existed");
+    let get_many = GetMany { collection: "obs", ids: vec![b"aa", b"bb"], keep: vec![] };
+    assert_eq!(hex(&get_many.encode()), GET_MANY, "no keep list: the request as it was before one existed");
     assert_eq!(GetMany::decode(&unhex(GET_MANY)).unwrap(), get_many);
-    let projected = GetMany { leave_out: vec!["e__ope", "v__phe"], ..get_many };
-    assert_eq!(hex(&projected.encode()), GET_MANY_LEAVE_OUT);
-    assert_eq!(GetMany::decode(&unhex(GET_MANY_LEAVE_OUT)).unwrap(), projected);
-    let fetch = Fetch { collection: "obs", leave_out: vec!["e__ope"], route: "doc/find_ids_eq", payload: &[1, 2, 3] };
+    let projected = GetMany { keep: vec!["e__rnd", "note", "v__rnd"], ..get_many };
+    assert_eq!(hex(&projected.encode()), GET_MANY_KEEP);
+    assert_eq!(GetMany::decode(&unhex(GET_MANY_KEEP)).unwrap(), projected);
+    let fetch =
+        Fetch { collection: "obs", keep: vec!["e__rnd", "note"], route: "doc/find_ids_eq", payload: &[1, 2, 3] };
     assert_eq!(hex(&fetch.encode()), FETCH);
     assert_eq!(Fetch::decode(&unhex(FETCH)).unwrap(), fetch);
     pin(BLOB_LIST, BlobList { items: vec![vec![1], vec![], vec![2, 3]] }, BlobList::encode, BlobList::decode);
@@ -302,6 +311,13 @@ fn cloud_protocol_messages() {
 fn documents_schemas_and_id_lists() {
     pin(DOCUMENT, sample_doc(), encode_document, decode_document);
     pin(DOCUMENTS, vec![sample_doc(), Document::new("empty")], |d| encode_documents(d), decode_documents);
+    // A search answer by position: per kept name the value, `gone` absent.
+    let cloud = CloudEngine::new();
+    cloud
+        .handle("doc/insert", &datablinder::core::cloud::with_collection("obs", &encode_document(&sample_doc())))
+        .unwrap();
+    let projected = GetMany { collection: "obs", ids: vec![b"d1"], keep: vec!["b", "gone", "n", "s"] };
+    assert_eq!(hex(&cloud.handle("doc/get_many", &projected.encode()).unwrap()), PROJECTED_ANSWER);
     let schema = Schema::new("obs")
         .plain_field("note", FieldType::Text, false)
         .sensitive_field(

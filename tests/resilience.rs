@@ -829,28 +829,58 @@ fn fsck_detects_orphans_and_missing_index_entries() {
     assert!(!report.missing_index_entries.is_empty(), "missing entries flagged: {report:?}");
 }
 
+/// A gateway rebuilt without its tactic state restarts Mitra's counter at
+/// 1, so its next update names the address of an acknowledged entry, under
+/// the same pad, with another value. The cloud refuses that update loudly
+/// and the acknowledged entry survives. On a durable cloud the refused
+/// update is journaled ahead of its apply, and its replay refuses it the
+/// same way without failing recovery. The pad itself still crossed the wire
+/// once: journaling the state with the writes is what stops that.
 #[test]
-fn stale_state_is_detected_by_overwritten_chains() {
-    // Restoring *without* saved state after data was indexed loses the
-    // counters: the engine must fail searches cleanly or return the subset
-    // written after restore — never mix plaintexts up.
-    let channel = Channel::connect(CloudEngine::new(), LatencyModel::instant());
+fn stale_state_is_refused_before_it_overwrites_a_chain() {
+    let dir = crash_dir("stale-state");
+    let state = KvStore::new();
     let mut rng = StdRng::seed_from_u64(4);
     let kms = Kms::generate(&mut rng);
+    let o0 = Value::from("o0");
+    let note = |i: u32| Document::new("x").with("owner", o0.clone()).with("note", Value::from(format!("n{i}")));
+    let notes = |docs: Vec<Document>| {
+        let mut notes: Vec<Value> = docs.iter().map(|d| d.get("note").unwrap().clone()).collect();
+        notes.sort_by(|a, b| a.total_cmp(b));
+        notes
+    };
+    {
+        let channel = Channel::connect(CloudEngine::open_durable(&dir).unwrap(), LatencyModel::instant());
+        let gw = GatewayEngine::new("stale", kms.clone(), channel.clone(), 5);
+        gw.register_schema(simple_schema()).unwrap();
+        for i in 0..3 {
+            gw.insert("notes", &note(i)).unwrap();
+        }
+        assert_eq!(gw.find_equal("notes", "owner", &o0).unwrap().len(), 3);
+        gw.save_state(&state);
+        drop(gw);
 
-    let gw1 = GatewayEngine::new("stale", kms.clone(), channel.clone(), 5);
-    gw1.register_schema(simple_schema()).unwrap();
-    gw1.insert("notes", &Document::new("x").with("owner", Value::from("a"))).unwrap();
-    drop(gw1);
+        // Rebuilt without `load_state`: the counters are gone.
+        let restarted = GatewayEngine::new("stale", kms.clone(), channel, 6);
+        restarted.register_schema(simple_schema()).unwrap();
+        assert!(restarted.find_equal("notes", "owner", &o0).unwrap().is_empty());
+        let err = restarted.insert("notes", &note(3)).unwrap_err();
+        assert!(
+            matches!(&err, CoreError::Net(NetError::Remote(m)) if m.contains("index address already holds a different entry")),
+            "{err}"
+        );
+    }
 
-    // Fresh gateway, same keys, no state: its first update for "a"
-    // re-uses chain position 1 and overwrites the cloud entry.
-    let gw2 = GatewayEngine::new("stale", kms, channel, 6);
-    gw2.register_schema(simple_schema()).unwrap();
-    gw2.insert("notes", &Document::new("x").with("owner", Value::from("a"))).unwrap();
-    let hits = gw2.find_equal("notes", "owner", &Value::from("a")).unwrap();
-    // Exactly the post-restart document is visible through the index.
-    assert_eq!(hits.len(), 1);
+    let cloud = CloudEngine::open_durable(&dir).unwrap();
+    assert!(cloud.recovery_report().replayed > 0, "the refused write group was journaled and replayed");
+    let gw = GatewayEngine::new("stale", kms, Channel::connect(cloud, LatencyModel::instant()), 7);
+    gw.register_schema(simple_schema()).unwrap();
+    gw.load_state(&state).unwrap();
+    let survivors = notes(gw.find_equal("notes", "owner", &o0).unwrap());
+    assert_eq!(survivors, ["n0", "n1", "n2"].map(Value::from), "the acknowledged entries survive");
+    gw.insert("notes", &note(4)).unwrap();
+    assert_eq!(notes(gw.find_equal("notes", "owner", &o0).unwrap()), ["n0", "n1", "n2", "n4"].map(Value::from));
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 // ------------------------------------------------- observability integration

@@ -5,9 +5,9 @@ use std::sync::{Arc, Mutex};
 
 use datablinder::codec::{Reader, Writer};
 use datablinder::core::cloud::CloudEngine;
-use datablinder::core::cloudproto::Idempotent;
+use datablinder::core::cloudproto::{Fetch, GetMany, Idempotent};
 use datablinder::core::gateway::GatewayEngine;
-use datablinder::core::wire::{decode_document, encode_value};
+use datablinder::core::wire::{decode_document, decode_documents, encode_document, encode_value, ABSENT};
 use datablinder::core::CoreError;
 use datablinder::docstore::{Document, Filter, Value};
 use datablinder::fhir::{example_observation, observation_schema};
@@ -111,15 +111,18 @@ fn tampered_ciphertexts_fail_closed() {
     assert!(gw.get("observation", id).is_err());
 }
 
-/// How a [`ForgingCloud`] rewrites a stored document on its way out.
+/// How a [`ForgingCloud`] rewrites a stored document on its way out. A
+/// search answers by position onto the gateway's keep list, with no names,
+/// so there the forgeries act on positions.
 #[derive(Clone, Copy, Debug)]
 enum Forgery {
     /// The payload ciphertext of `subject` swapped for `Null`.
     WrongType,
     /// `subject__rnd` sent twice, the second time as `Null`: were the later
-    /// one to win, the field would vanish.
+    /// one to win, the field would vanish. By position: the ciphertext once
+    /// more after the last kept value.
     DuplicateName,
-    /// The first two fields swapped.
+    /// The first two fields swapped; by position, the first two values.
     OutOfOrder,
     /// The document cut short inside its last value.
     TruncatedValue,
@@ -166,24 +169,73 @@ impl ForgingCloud {
         }
         out
     }
+
+    /// `doc` answered by position onto `keep`, forged.
+    fn forge_positional(forgery: Forgery, doc: &Document, keep: &[&str]) -> Vec<u8> {
+        let encoded = |value: &Value| {
+            let mut out = Vec::new();
+            encode_value(value, &mut out);
+            out
+        };
+        let mut values: Vec<Vec<u8>> =
+            keep.iter().map(|name| doc.get(name).map_or_else(|| vec![ABSENT], encoded)).collect();
+        let subject = keep.iter().position(|name| *name == "subject__rnd").expect("a payload shadow to forge");
+        match forgery {
+            Forgery::WrongType => values[subject] = encoded(&Value::Null),
+            Forgery::DuplicateName => values.push(values[subject].clone()),
+            Forgery::OutOfOrder => values.swap(0, 1),
+            Forgery::FlippedBit => {
+                let Some(Value::Bytes(ct)) = doc.get("subject__rnd") else { panic!("payload shadows hold bytes") };
+                let mut ct = ct.clone();
+                let middle = ct.len() / 2;
+                ct[middle] ^= 1;
+                values[subject] = encoded(&Value::Bytes(ct));
+            }
+            Forgery::TruncatedValue => {}
+        }
+        let mut w = Writer::new();
+        w.str(doc.id());
+        for value in &values {
+            w.raw(value);
+        }
+        let mut out = w.finish();
+        if let Forgery::TruncatedValue = forgery {
+            out.truncate(out.len() - 3);
+        }
+        out
+    }
 }
 
 impl CloudService for ForgingCloud {
     fn handle(&self, route: &str, payload: &[u8]) -> Result<Vec<u8>, NetError> {
-        let answer = self.inner.handle(route, payload)?;
-        let Some(forgery) = *self.armed.lock().unwrap() else { return Ok(answer) };
-        Ok(match route {
-            "doc/get" => Self::forge(forgery, &answer),
-            // A fetch answers as `get_many` does.
-            "doc/get_many" | "doc/fetch" => {
-                let docs: Vec<Vec<u8>> =
-                    Reader::new(&answer).list().unwrap().into_iter().map(|doc| Self::forge(forgery, doc)).collect();
-                let mut w = Writer::new();
-                w.list(&docs);
-                w.finish()
+        let Some(forgery) = *self.armed.lock().unwrap() else { return self.inner.handle(route, payload) };
+        // A fetch answers as `get_many` does: the stored documents whole,
+        // then forged by position onto the request's keep list.
+        let (answer, keep) = match route {
+            "doc/get_many" => {
+                let req = GetMany::decode(payload).unwrap();
+                let keep = req.keep.clone();
+                (self.inner.handle(route, &GetMany { keep: Vec::new(), ..req }.encode())?, keep)
             }
-            _ => answer,
-        })
+            "doc/fetch" => {
+                let req = Fetch::decode(payload).unwrap();
+                let keep = req.keep.clone();
+                (self.inner.handle(route, &Fetch { keep: Vec::new(), ..req }.encode())?, keep)
+            }
+            "doc/get" => return Ok(Self::forge(forgery, &self.inner.handle(route, payload)?)),
+            _ => return self.inner.handle(route, payload),
+        };
+        let docs: Vec<Vec<u8>> = decode_documents(&answer)
+            .unwrap()
+            .iter()
+            .map(|doc| match keep.as_slice() {
+                [] => Self::forge(forgery, &encode_document(doc)),
+                keep => Self::forge_positional(forgery, doc, keep),
+            })
+            .collect();
+        let mut w = Writer::new();
+        w.list(&docs);
+        Ok(w.finish())
     }
 }
 
@@ -224,9 +276,15 @@ fn a_cloud_that_rewrites_its_answers_gets_an_error_never_a_shorter_document() {
         *armed.lock().unwrap() = Some(forgery);
         for (name, read) in &reads {
             let err = read().expect_err(&format!("{name} accepted a {forgery:?} answer"));
+            let by_position = name.starts_with("find");
             match forgery {
-                // Authentication, not parsing, catches a changed ciphertext.
+                // Authentication, not parsing, catches a changed ciphertext,
+                // and, by position, two swapped ones: each reaches another
+                // field's key.
                 Forgery::FlippedBit => assert!(matches!(err, CoreError::Sse(_)), "{name}, {forgery:?}: {err}"),
+                Forgery::OutOfOrder if by_position => {
+                    assert!(matches!(err, CoreError::Sse(_)), "{name}, {forgery:?}: {err}")
+                }
                 _ => assert!(matches!(err, CoreError::Wire(_)), "{name}, {forgery:?}: {err}"),
             }
         }

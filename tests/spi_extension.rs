@@ -40,7 +40,6 @@ fn descriptor() -> TacticDescriptor {
         gateway_interfaces: 5,
         cloud_interfaces: 3,
         gateway_state: false,
-        shadow: Some("hmacidx".into()),
     }
 }
 
