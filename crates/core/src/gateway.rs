@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
-use datablinder_docstore::{Document, Value};
+use datablinder_docstore::{Document, FieldName, Value};
 use datablinder_kms::Kms;
 use datablinder_kvstore::KvStore;
 use datablinder_netsim::tcp::DEFAULT_MAX_FRAME;
@@ -130,7 +130,7 @@ struct SchemaPlan {
 struct PayloadShadow {
     /// The stored name, `<field>__<payload tactic>`.
     shadow: String,
-    field: String,
+    field: FieldName,
     /// The payload tactic's handle, as in the field's plan.
     tactic: SharedTactic,
 }
@@ -139,8 +139,9 @@ struct PayloadShadow {
 struct Kept {
     /// The stored name the cloud projects onto.
     stored: String,
-    /// The application field the value at this position becomes.
-    field: String,
+    /// The application field the value at this position becomes, shared
+    /// with every document opened through the plan.
+    field: FieldName,
     open: Open,
 }
 
@@ -157,30 +158,35 @@ impl SchemaPlan {
     fn payload_of(&self, field: &str) -> Result<&PayloadShadow, CoreError> {
         self.payloads
             .iter()
-            .find(|p| p.field == field)
+            .find(|p| *p.field == *field)
             .ok_or_else(|| CoreError::UnsupportedOperation(format!("field {field} is not annotated")))
     }
 
-    /// Decrypts one stored document, as the cloud sent it, into application
-    /// form in a single pass over the bytes: the ciphertext under each name
-    /// in `rows` goes to its tactic as it lies in `stored` and comes back as
-    /// the sensitive field's value, every other shadow of a sensitive field
-    /// is passed over, and plaintext fields are copied. `rows` is the
-    /// plan's table, or one row of it when only that field is wanted.
+    /// Decrypts one stored document, as the cloud sent it for `id`, into
+    /// application form in a single pass over the bytes: the ciphertext
+    /// under each name in `rows` goes to its tactic as it lies in `stored`
+    /// and comes back as the sensitive field's value, every other shadow of
+    /// a sensitive field is passed over, and plaintext fields are copied.
+    /// `rows` is the plan's table, or one row of it when only that field is
+    /// wanted.
     ///
     /// The cloud is not trusted to send what was stored. A listed shadow
     /// that is not a byte string, and names that do not strictly ascend (as
     /// `put_document` writes them — so none can repeat and overwrite an
     /// earlier one), are [`CoreError::Wire`]; a shadow the document lacks
-    /// leaves its field out, as an optional field never written does.
+    /// leaves its field out, as an optional field never written does. A
+    /// payload bound to its document opens only under the `id` the gateway
+    /// asked for, so another document's ciphertext is [`CoreError::Sse`].
     ///
     /// Shadow fields are recognized as `<sensitive-base>__<suffix>`, a name
     /// `register_schema` refuses to a plaintext field. Searches read through
-    /// [`SchemaPlan::open_projected`] instead; `get`, `fsck` and rotations
+    /// [`SchemaPlan::open_answer`] instead; `get`, `fsck` and rotations
     /// read whole stored documents here.
-    fn recover_stored(&self, rows: &[PayloadShadow], stored: &[u8]) -> Result<Document, CoreError> {
+    fn recover_stored(&self, rows: &[PayloadShadow], id: DocId, stored: &[u8]) -> Result<Document, CoreError> {
+        let mut scratch = Vec::new();
         datablinder_codec::decode(stored, |r| {
-            let mut doc = Document::new(r.str()?);
+            let doc_id = r.str()?;
+            let mut fields = Vec::with_capacity(self.keep.len());
             let mut rows = rows.iter().peekable();
             let mut previous: Option<&str> = None;
             for _ in 0..r.count()? {
@@ -193,44 +199,98 @@ impl SchemaPlan {
                 // fall behind the cursor and are dropped.
                 while rows.next_if(|row| row.shadow.as_str() < name).is_some() {}
                 if let Some(row) = rows.next_if(|row| row.shadow == name) {
-                    doc.set(row.field.clone(), lock(&row.tactic).recover(take_ciphertext(r)?)?);
+                    let value = lock(&row.tactic).recover(id, take_ciphertext(r)?, &mut scratch)?;
+                    fields.push((row.field.clone(), value));
                 } else if name.rsplit_once("__").is_some_and(|(base, _)| self.fields.contains_key(base)) {
                     skip_value(r, 0)?;
                 } else {
-                    doc.set(name, take_value(r, 0)?);
+                    fields.push((name.into(), take_value(r, 0)?));
                 }
             }
-            Ok(doc)
+            Ok(Document::from_fields(doc_id, fields))
         })
     }
 
-    /// Decrypts one document a search answered by position onto the keep
-    /// list: its id, then per position a value or [`ABSENT`]. No name is
-    /// read and nothing is passed over. The cloud is not trusted to answer
-    /// as asked: a payload position that is not a byte string, a plain one
-    /// that is not of its field's type (a whole named document fails here,
-    /// its field count starting with a `Null` tag), a missing value or a
-    /// trailing byte is [`CoreError::Wire`].
-    fn open_projected(&self, stored: &[u8]) -> Result<Document, CoreError> {
-        datablinder_codec::decode(stored, |r| {
-            let mut doc = Document::new(r.str()?);
-            for kept in &self.keep {
-                let value = match (r.u8()?, &kept.open) {
-                    (ABSENT, _) => continue,
-                    (tag, Open::Payload(tactic)) => lock(tactic).recover(ciphertext_after(tag, r)?)?,
-                    (tag, Open::Plain(field_type)) => {
-                        let value = value_after(tag, r, 0)?;
-                        if !field_type.admits(&value) {
-                            return Err(CoreError::Wire("plain field of another type"));
-                        }
-                        value
+    /// Decrypts a search answer: a count, then per document its id and,
+    /// per keep-list position, a value or [`ABSENT`]. No name is read and
+    /// nothing is passed over.
+    ///
+    /// It works by column. Every document is first split into its
+    /// positions, plain values checked and copied and payload ciphertexts
+    /// left where they lie in `answer`; then each payload position is
+    /// opened for every document under one lock of its tactic (one lock
+    /// held at a time) with one scratch buffer; then each document is built
+    /// in one step. A rotation that swaps a tactic's instance therefore
+    /// waits for, or follows, a whole column, and nothing is cached past it.
+    ///
+    /// The cloud is not trusted to answer as asked: an id that is not a
+    /// document id, a payload position that is not a byte string, a plain
+    /// one that is not of its field's type (a whole named document fails
+    /// here, its field count starting with a `Null` tag), a missing value
+    /// or a trailing byte is [`CoreError::Wire`], a payload that does not
+    /// open under its document's id is [`CoreError::Sse`], and either fails
+    /// the whole answer.
+    fn open_answer(&self, answer: &[u8]) -> Result<Vec<Document>, CoreError> {
+        let width = self.keep.len();
+        datablinder_codec::decode(answer, |r| {
+            let count = r.count()?;
+            let mut ids = Vec::with_capacity(count);
+            let mut cells = Vec::with_capacity(count.saturating_mul(width).min(answer.len()));
+            for _ in 0..count {
+                let id = datablinder_codec::decode(r.bytes()?, |d| {
+                    let id = d.str()?;
+                    for kept in &self.keep {
+                        cells.push(match (d.u8()?, &kept.open) {
+                            (ABSENT, _) => Cell::Absent,
+                            (tag, Open::Payload(_)) => Cell::Sealed(ciphertext_after(tag, d)?),
+                            (tag, Open::Plain(field_type)) => {
+                                let value = value_after(tag, d, 0)?;
+                                if !field_type.admits(&value) {
+                                    return Err(CoreError::Wire("plain field of another type"));
+                                }
+                                Cell::Open(value)
+                            }
+                        });
                     }
-                };
-                doc.set(kept.field.clone(), value);
+                    Ok(id)
+                })?;
+                ids.push((id, DocId::from_hex(id).ok_or(CoreError::Wire("answer document id"))?));
             }
-            Ok(doc)
+            let mut scratch = Vec::new();
+            for (position, kept) in self.keep.iter().enumerate() {
+                let Open::Payload(tactic) = &kept.open else { continue };
+                let tactic = lock(tactic);
+                for (row, &(_, id)) in ids.iter().enumerate() {
+                    let cell = &mut cells[row * width + position];
+                    if let Cell::Sealed(ciphertext) = *cell {
+                        *cell = Cell::Open(tactic.recover(id, ciphertext, &mut scratch)?);
+                    }
+                }
+            }
+            let mut cells = cells.into_iter();
+            let documents = ids.into_iter().map(|(id, _)| {
+                let mut fields = Vec::with_capacity(width);
+                for (kept, cell) in self.keep.iter().zip(cells.by_ref().take(width)) {
+                    if let Cell::Open(value) = cell {
+                        fields.push((kept.field.clone(), value));
+                    }
+                }
+                Document::from_fields(id, fields)
+            });
+            Ok(documents.collect())
         })
     }
+}
+
+/// One keep-list position of a search answer while
+/// [`SchemaPlan::open_answer`] opens it.
+enum Cell<'a> {
+    /// The document lacks the kept name.
+    Absent,
+    /// A payload ciphertext, as it lies in the answer.
+    Sealed(&'a [u8]),
+    /// A plain value, or a payload opened.
+    Open(Value),
 }
 
 /// Key prefix of journaled write groups in the gateway's journal store.
@@ -578,7 +638,7 @@ impl GatewayEngine {
             .iter()
             .map(|(field, fp)| PayloadShadow {
                 shadow: shadow_field(field, &fp.selection.payload),
-                field: field.clone(),
+                field: field.as_str().into(),
                 tactic: fp
                     .write_handle(&fp.selection.payload)
                     .expect("every field is written through its payload")
@@ -589,7 +649,11 @@ impl GatewayEngine {
         payloads.sort_by(|a, b| a.shadow.cmp(&b.shadow));
         let mut keep: Vec<Kept> = schema
             .plain_fields()
-            .map(|(name, field_type)| Kept { stored: name.clone(), field: name.clone(), open: Open::Plain(field_type) })
+            .map(|(name, field_type)| Kept {
+                stored: name.clone(),
+                field: name.as_str().into(),
+                open: Open::Plain(field_type),
+            })
             .chain(payloads.iter().map(|p| Kept {
                 stored: p.shadow.clone(),
                 field: p.field.clone(),
@@ -935,7 +999,7 @@ impl GatewayEngine {
                 self.call("doc/get_many", &GetMany { collection, ids, keep }.encode())?
             }
         };
-        datablinder_codec::decode(&stored, |r| (0..r.count()?).map(|_| plan.open_projected(r.bytes()?)).collect())
+        plan.open_answer(&stored)
     }
 
     /// One query's observations: the `tactic.<name>.<op>` EWMA since
@@ -1191,7 +1255,7 @@ impl GatewayEngine {
     pub fn get(&self, schema_name: &str, id: DocId) -> Result<Document, CoreError> {
         self.observed("gateway.get", |g| {
             let plan = g.plan(schema_name)?;
-            plan.recover_stored(&plan.payloads, &g.fetch_stored(schema_name, &id.to_hex())?)
+            plan.recover_stored(&plan.payloads, id, &g.fetch_stored(schema_name, &id.to_hex())?)
         })
     }
 
@@ -1542,7 +1606,7 @@ impl GatewayEngine {
             plan.fields[field].write_handle(tactic).expect("a rotated tactic is one the field is written through");
         let mut recovered = Vec::new();
         for (id, stored) in self.stored_documents(schema_name)? {
-            if let Some(value) = plan.recover_stored(std::slice::from_ref(row), &stored)?.remove(field) {
+            if let Some(value) = plan.recover_stored(std::slice::from_ref(row), id, &stored)?.remove(field) {
                 recovered.push((id, value, stored));
             }
         }
@@ -1610,7 +1674,7 @@ impl GatewayEngine {
         let mut stored_ids: Vec<DocId> = Vec::new();
         let mut plaintext: Vec<(DocId, Document)> = Vec::new();
         for (id, stored) in self.stored_documents(schema_name)? {
-            plaintext.push((id, plan.recover_stored(&plan.payloads, &stored)?));
+            plaintext.push((id, plan.recover_stored(&plan.payloads, id, &stored)?));
             stored_ids.push(id);
         }
 
@@ -1821,12 +1885,12 @@ fn plan_field_work<'a>(
     plan: &'a SchemaPlan,
     doc: &'a Document,
     cloud_doc: &mut Document,
-) -> Vec<(&'a String, &'a Value, &'a FieldPlan)> {
+) -> Vec<(&'a str, &'a Value, &'a FieldPlan)> {
     let mut work = Vec::new();
     for (field, value) in doc.iter() {
         match plan.fields.get(field) {
             None => {
-                cloud_doc.set(field.clone(), value.clone());
+                cloud_doc.set(field, value.clone());
             }
             Some(fp) => work.push((field, value, fp)),
         }
@@ -1835,6 +1899,6 @@ fn plan_field_work<'a>(
 }
 
 /// The literals of `work` the shared boolean tactic indexes.
-fn bool_literals(work: &[(&String, &Value, &FieldPlan)]) -> Vec<(String, Value)> {
-    work.iter().filter(|(_, _, fp)| fp.boolean).map(|(f, v, _)| ((*f).clone(), (*v).clone())).collect()
+fn bool_literals(work: &[(&str, &Value, &FieldPlan)]) -> Vec<(String, Value)> {
+    work.iter().filter(|(_, _, fp)| fp.boolean).map(|(f, v, _)| (f.to_string(), (*v).clone())).collect()
 }

@@ -158,15 +158,18 @@ pub trait GatewayTactic: Send {
     }
 
     /// Recovers the plaintext value from the ciphertext this tactic stored
-    /// for its field — implemented by the tactics that own payload
-    /// encryption (DET, RND). The engine reads the ciphertext out of the
-    /// shadow field `<field>__<tactic name>` of a fetched document and
-    /// hands it over as it lies on the wire. (Retrieval + SecureEnc.)
+    /// for its field of document `id` — implemented by the tactics that own
+    /// payload encryption (DET, RND). The engine reads the ciphertext out of
+    /// the shadow field `<field>__<tactic name>` of a fetched document and
+    /// hands it over as it lies on the wire, with a `scratch` buffer it
+    /// reuses across a whole answer to decrypt in. (Retrieval + SecureEnc.)
     ///
     /// # Errors
     ///
-    /// Decryption failures; [`CoreError::UnsupportedOperation`] by default.
-    fn recover(&self, ciphertext: &[u8]) -> Result<Value, CoreError> {
+    /// Decryption failures — for a tactic that binds its ciphertexts to the
+    /// document, one stored under another `id` among them;
+    /// [`CoreError::UnsupportedOperation`] by default.
+    fn recover(&self, id: DocId, ciphertext: &[u8], scratch: &mut Vec<u8>) -> Result<Value, CoreError> {
         Err(CoreError::UnsupportedOperation(format!("{}: payload recovery", self.descriptor().name)))
     }
 

@@ -81,9 +81,11 @@ impl GatewayTactic for DetTactic {
         Ok(ProtectedField { stored: vec![(shadow_field(field, "det"), Value::Bytes(ct))], index_calls: Vec::new() })
     }
 
-    fn recover(&self, ciphertext: &[u8]) -> Result<Value, CoreError> {
-        let plain = self.cipher.decrypt(ciphertext)?;
-        decode_value(&mut plain.as_slice())
+    /// DET ignores `id`: equal values must stay equal ciphertexts across
+    /// documents for the cloud to match them, so a DET payload cannot be
+    /// bound to its document (DESIGN.md's threat model).
+    fn recover(&self, _id: DocId, ciphertext: &[u8], scratch: &mut Vec<u8>) -> Result<Value, CoreError> {
+        decode_value(&mut self.cipher.decrypt_in(ciphertext, scratch)?)
     }
 
     fn eq_query(&mut self, field: &str, value: &Value) -> Result<Vec<CloudCall>, CoreError> {
@@ -126,7 +128,9 @@ mod tests {
 
         assert_eq!(a.stored[0].0, "effective__det");
         let Value::Bytes(ct) = &a.stored[0].1 else { panic!("DET stores bytes") };
-        assert_eq!(t.recover(ct).unwrap(), Value::from(1359966610i64));
+        assert_eq!(t.recover(DocId([1; 16]), ct, &mut Vec::new()).unwrap(), Value::from(1359966610i64));
+        // Unbound: the same ciphertext opens under any document id.
+        assert_eq!(t.recover(DocId([2; 16]), ct, &mut Vec::new()).unwrap(), Value::from(1359966610i64));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The RND tactic adapter: probabilistic payload encryption, class 1.
 
+use datablinder_codec::Writer;
 use datablinder_docstore::Value;
 use datablinder_sse::rnd::RndCipher;
 use datablinder_sse::DocId;
@@ -40,9 +41,14 @@ impl RndTactic {
     /// # Errors
     ///
     /// Key-schedule failures.
+    ///
+    /// The cipher is bound to the instance's collection and field, and each
+    /// seal to its document id: a ciphertext opens only where it was stored.
     pub fn build(ctx: &TacticContext) -> Result<Self, CoreError> {
         let key = ctx.kms.key_for(&ctx.key_scope("rnd"));
-        Ok(RndTactic { cipher: RndCipher::new(&key)? })
+        let mut context = Writer::new();
+        context.str(&ctx.schema).str(&ctx.scope);
+        Ok(RndTactic { cipher: RndCipher::new(&key)?.bound(&context.finish()) })
     }
 }
 
@@ -56,15 +62,14 @@ impl GatewayTactic for RndTactic {
         rng: &mut dyn RngCore,
         field: &str,
         value: &Value,
-        _id: DocId,
+        id: DocId,
     ) -> Result<ProtectedField, CoreError> {
-        let ct = self.cipher.encrypt(rng, &canonical_bytes(value));
+        let ct = self.cipher.encrypt_for(rng, &id.0, &canonical_bytes(value));
         Ok(ProtectedField { stored: vec![(shadow_field(field, "rnd"), Value::Bytes(ct))], index_calls: Vec::new() })
     }
 
-    fn recover(&self, ciphertext: &[u8]) -> Result<Value, CoreError> {
-        let plain = self.cipher.decrypt(ciphertext)?;
-        decode_value(&mut plain.as_slice())
+    fn recover(&self, id: DocId, ciphertext: &[u8], scratch: &mut Vec<u8>) -> Result<Value, CoreError> {
+        decode_value(&mut self.cipher.decrypt_in(&id.0, ciphertext, scratch)?)
     }
 }
 
@@ -92,7 +97,16 @@ mod tests {
         assert!(p.index_calls.is_empty());
         assert_eq!(p.stored[0].0, "performer__rnd");
         let Value::Bytes(ct) = &p.stored[0].1 else { panic!("RND stores bytes") };
-        assert_eq!(t.recover(ct).unwrap(), Value::from("John Smith"));
+        assert_eq!(t.recover(DocId([1; 16]), ct, &mut Vec::new()).unwrap(), Value::from("John Smith"));
+    }
+
+    #[test]
+    fn recover_refuses_a_ciphertext_stored_for_another_document() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+        let mut t = RndTactic::build(&ctx()).unwrap();
+        let p = t.protect(&mut rng, "performer", &Value::from("John Smith"), DocId([1; 16])).unwrap();
+        let Value::Bytes(ct) = &p.stored[0].1 else { panic!("RND stores bytes") };
+        assert!(matches!(t.recover(DocId([2; 16]), ct, &mut Vec::new()), Err(CoreError::Sse(_))));
     }
 
     #[test]
@@ -102,8 +116,8 @@ mod tests {
         let p = t.protect(&mut rng, "performer", &Value::from("John Smith"), DocId([1; 16])).unwrap();
         let Value::Bytes(mut ct) = p.stored[0].1.clone() else { panic!("RND stores bytes") };
         *ct.last_mut().unwrap() ^= 1;
-        assert!(t.recover(&ct).is_err());
-        assert!(t.recover(&[]).is_err());
+        assert!(t.recover(DocId([1; 16]), &ct, &mut Vec::new()).is_err());
+        assert!(t.recover(DocId([1; 16]), &[], &mut Vec::new()).is_err());
     }
 
     #[test]

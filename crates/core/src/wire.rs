@@ -172,8 +172,8 @@ fn put_projected(doc: &Document, keep: &[&str], w: &mut Writer) {
     w.str(doc.id());
     let mut fields = doc.iter().peekable();
     for &name in keep {
-        while fields.next_if(|(field, _)| field.as_str() < name).is_some() {}
-        match fields.next_if(|(field, _)| field.as_str() == name) {
+        while fields.next_if(|&(field, _)| field < name).is_some() {}
+        match fields.next_if(|&(field, _)| field == name) {
             Some((_, value)) => put_value(value, w),
             None => {
                 w.u8(ABSENT);
@@ -189,12 +189,15 @@ fn put_projected(doc: &Document, keep: &[&str], w: &mut Writer) {
 /// [`CoreError::Wire`] on malformed input.
 pub fn decode_document(buf: &[u8]) -> Result<Document, CoreError> {
     datablinder_codec::decode(buf, |r| {
-        let mut doc = Document::new(r.str()?);
-        for _ in 0..r.count()? {
-            let name = r.str()?.to_string();
-            doc.set(name, take_value(r, 0)?);
+        let id = r.str()?;
+        let count = r.count()?;
+        // A field takes at least five bytes (its name's length prefix and a
+        // value tag), which bounds what a hostile count can reserve.
+        let mut fields = Vec::with_capacity(count.min(buf.len() / 5));
+        for _ in 0..count {
+            fields.push((r.str()?.into(), take_value(r, 0)?));
         }
-        Ok(doc)
+        Ok(Document::from_fields(id, fields))
     })
 }
 

@@ -57,13 +57,14 @@ struct Payload {
 }
 
 /// What `SchemaPlan::recover_document` and the `Document`-taking
-/// `GatewayTactic::recover` did until ISSUE 23, step for step.
-fn decode_then_recover(stored: &[u8], payloads: &[Payload]) -> Result<Document, CoreError> {
+/// `GatewayTactic::recover` did until ISSUE 23, step for step, for a
+/// document read as `id`.
+fn decode_then_recover(stored: &[u8], id: DocId, payloads: &[Payload]) -> Result<Document, CoreError> {
     let mut stored = decode_document(stored)?;
     let mut recovered = Vec::new();
     for p in payloads {
         if let Some(Value::Bytes(ciphertext)) = stored.get(&p.shadow) {
-            recovered.push((p.field, p.tactic.recover(ciphertext)?));
+            recovered.push((p.field, p.tactic.recover(id, ciphertext, &mut Vec::new())?));
         }
     }
     stored.retain(|name, _| !name.rsplit_once("__").is_some_and(|(base, _)| payloads.iter().any(|p| p.field == base)));
@@ -128,7 +129,7 @@ fn random_stored(rng: &mut StdRng, payloads: &mut [Payload], tags: &mut [usize; 
     for p in payloads {
         if rng.gen::<f64>() < 0.75 {
             let plain = if p.field == "gamma" { Value::I64(rng.gen()) } else { Value::Str(random_text(rng)) };
-            let protected = p.tactic.protect(rng, p.field, &plain, DocId([0; 16])).unwrap();
+            let protected = p.tactic.protect(rng, p.field, &plain, DocId(id)).unwrap();
             assert_eq!(protected.stored.len(), 1, "a payload tactic stores its ciphertext and nothing else");
             for (shadow, ciphertext) in protected.stored {
                 assert_eq!(shadow, p.shadow);
@@ -212,18 +213,21 @@ fn streaming_recover_equals_decode_then_recover_on_seeded_stored_documents() {
         let batch: Vec<Vec<u8>> = (0..rng.gen_range(1..5))
             .map(|_| encode_document(&random_stored(&mut rng, &mut payloads, &mut tags)))
             .collect();
+        let ids: Vec<DocId> =
+            batch.iter().map(|stored| DocId::from_hex(decode_document(stored).unwrap().id()).unwrap()).collect();
         let expect: Vec<Document> =
-            batch.iter().map(|stored| decode_then_recover(stored, &payloads).unwrap()).collect();
+            batch.iter().zip(&ids).map(|(stored, &id)| decode_then_recover(stored, id, &payloads).unwrap()).collect();
         *served.lock().unwrap() = batch.clone();
-        assert_eq!(gw.get(SCHEMA, DocId([7; 16])).unwrap(), expect[0], "case {case}: get");
+        assert_eq!(gw.get(SCHEMA, ids[0]).unwrap(), expect[0], "case {case}: get");
         let searched: Vec<Document> = batch
             .iter()
-            .map(|stored| {
+            .zip(&ids)
+            .map(|(stored, &id)| {
                 let stored = decode_document(stored).unwrap();
                 let mut doc = Document::new(stored.id());
                 for p in &payloads {
                     if let Some(Value::Bytes(ciphertext)) = stored.get(&p.shadow) {
-                        doc.set(p.field, p.tactic.recover(ciphertext).unwrap());
+                        doc.set(p.field, p.tactic.recover(id, ciphertext, &mut Vec::new()).unwrap());
                     }
                 }
                 doc
@@ -235,15 +239,18 @@ fn streaming_recover_equals_decode_then_recover_on_seeded_stored_documents() {
         if case % 40 == 0 {
             let whole = &batch[0];
             for cut in 0..whole.len() {
-                assert!(decode_then_recover(&whole[..cut], &payloads).is_err(), "case {case}: oracle took cut {cut}");
+                assert!(
+                    decode_then_recover(&whole[..cut], ids[0], &payloads).is_err(),
+                    "case {case}: oracle took cut {cut}"
+                );
                 *served.lock().unwrap() = vec![whole[..cut].to_vec()];
-                assert!(gw.get(SCHEMA, DocId([7; 16])).is_err(), "case {case}: get took cut {cut}");
+                assert!(gw.get(SCHEMA, ids[0]).is_err(), "case {case}: get took cut {cut}");
             }
             let mut longer = whole.clone();
             longer.push(0);
-            assert!(decode_then_recover(&longer, &payloads).is_err());
+            assert!(decode_then_recover(&longer, ids[0], &payloads).is_err());
             *served.lock().unwrap() = vec![longer];
-            assert!(gw.get(SCHEMA, DocId([7; 16])).is_err(), "case {case}: get took a trailing byte");
+            assert!(gw.get(SCHEMA, ids[0]).is_err(), "case {case}: get took a trailing byte");
         }
     }
     assert!(tags.iter().all(|&n| n > 50), "every Value tag was generated: {tags:?}");

@@ -32,7 +32,7 @@ mod value;
 
 pub use collection::{Collection, Cursor, DocStore};
 pub use filter::Filter;
-pub use value::{Document, Value};
+pub use value::{Document, FieldName, Value};
 
 /// Errors produced by the document store.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,6 +1,8 @@
 //! Schemaless document values.
 
 use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::Arc;
 
 /// A JSON-like value.
 ///
@@ -163,17 +165,42 @@ impl From<Vec<u8>> for Value {
     }
 }
 
+/// A field name as a document holds it: shared, so that documents built
+/// from one schema can hold the schema's names instead of a copy each.
+pub type FieldName = Arc<str>;
+
 /// A document: a string id plus named fields.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The fields are one vector sorted by name, no name twice. A document has
+/// a handful of fields, so a scan finds one, and building, cloning or
+/// dropping a document costs one allocation for all of them rather than a
+/// tree's nodes.
+#[derive(Clone, PartialEq)]
 pub struct Document {
     id: String,
-    fields: BTreeMap<String, Value>,
+    fields: Vec<(FieldName, Value)>,
 }
 
 impl Document {
     /// Creates an empty document with the given id.
     pub fn new(id: impl Into<String>) -> Self {
-        Document { id: id.into(), fields: BTreeMap::new() }
+        Document { id: id.into(), fields: Vec::new() }
+    }
+
+    /// A document built in one step from its fields. Fields already in
+    /// name order are kept as they come; otherwise they are sorted, and a
+    /// name given twice keeps its last value, as repeated
+    /// [`Document::set`]s would.
+    pub fn from_fields(id: impl Into<String>, mut fields: Vec<(FieldName, Value)>) -> Self {
+        if !fields.windows(2).all(|pair| pair[0].0 < pair[1].0) {
+            // A stable sort keeps equal names in arrival order; reversed,
+            // `dedup_by` keeps the first of each run, the last to arrive.
+            fields.sort_by(|a, b| a.0.cmp(&b.0));
+            fields.reverse();
+            fields.dedup_by(|later, kept| later.0 == kept.0);
+            fields.reverse();
+        }
+        Document { id: id.into(), fields }
     }
 
     /// The document id.
@@ -181,37 +208,48 @@ impl Document {
         &self.id
     }
 
+    /// Where `field` is. A scan comparing lengths first: on a document's
+    /// few fields it beats a binary search, whose every probe is a full
+    /// lexicographic comparison.
+    fn position(&self, field: &str) -> Option<usize> {
+        self.fields.iter().position(|(name, _)| **name == *field)
+    }
+
     /// Sets a field, returning `self` for chaining-free builder use.
-    pub fn set(&mut self, field: impl Into<String>, value: Value) -> &mut Self {
-        self.fields.insert(field.into(), value);
+    pub fn set(&mut self, field: impl Into<FieldName>, value: Value) -> &mut Self {
+        let field = field.into();
+        match self.fields.binary_search_by(|(name, _)| name.cmp(&field)) {
+            Ok(at) => self.fields[at].1 = value,
+            Err(at) => self.fields.insert(at, (field, value)),
+        }
         self
     }
 
     /// Builder-style field set.
     #[must_use]
-    pub fn with(mut self, field: impl Into<String>, value: Value) -> Self {
-        self.fields.insert(field.into(), value);
+    pub fn with(mut self, field: impl Into<FieldName>, value: Value) -> Self {
+        self.set(field, value);
         self
     }
 
     /// Reads a field.
     pub fn get(&self, field: &str) -> Option<&Value> {
-        self.fields.get(field)
+        self.position(field).map(|at| &self.fields[at].1)
     }
 
     /// Removes a field.
     pub fn remove(&mut self, field: &str) -> Option<Value> {
-        self.fields.remove(field)
+        self.position(field).map(|at| self.fields.remove(at).1)
     }
 
     /// Keeps only the fields `keep` returns `true` for.
     pub fn retain(&mut self, mut keep: impl FnMut(&str, &mut Value) -> bool) {
-        self.fields.retain(|name, value| keep(name, value));
+        self.fields.retain_mut(|(name, value)| keep(name, value));
     }
 
     /// Iterates fields in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&String, &Value)> {
-        self.fields.iter()
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
+        self.fields.iter().map(|(name, value)| (&**name, value))
     }
 
     /// Number of fields.
@@ -225,8 +263,21 @@ impl Document {
     }
 
     /// Field names.
-    pub fn field_names(&self) -> impl Iterator<Item = &String> {
-        self.fields.keys()
+    pub fn field_names(&self) -> impl Iterator<Item = &str> {
+        self.fields.iter().map(|(name, _)| &**name)
+    }
+}
+
+/// Prints as the map it is: `Document { id: .., fields: {name: value, ..} }`.
+impl fmt::Debug for Document {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Fields<'a>(&'a [(FieldName, Value)]);
+        impl fmt::Debug for Fields<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.iter().map(|(name, value)| (name, value))).finish()
+            }
+        }
+        f.debug_struct("Document").field("id", &self.id).field("fields", &Fields(&self.fields)).finish()
     }
 }
 
@@ -280,6 +331,50 @@ mod tests {
         assert_eq!(d.field_names().collect::<Vec<_>>(), ["c"]);
         let d2 = Document::new("d2").with("f", Value::from(true));
         assert_eq!(d2.get("f"), Some(&Value::from(true)));
+    }
+
+    #[test]
+    fn a_document_behaves_as_the_map_it_stores() {
+        use rand::{Rng, SeedableRng};
+        let names = ["a", "b", "b_", "c", "id", "z", "a__det"];
+        for case in 0..200 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(case);
+            let (mut doc, mut model) = (Document::new("d"), BTreeMap::new());
+            for step in 0..rng.gen_range(0..40) {
+                let name = names[rng.gen_range(0..names.len())];
+                match rng.gen_range(0..4) {
+                    0 => assert_eq!(doc.remove(name), model.remove(name), "case {case}"),
+                    1 => {
+                        doc.retain(|n, _| n != name);
+                        model.retain(|n: &String, _| n != name);
+                    }
+                    _ => {
+                        doc.set(name, Value::from(step as i64));
+                        model.insert(name.to_string(), Value::from(step as i64));
+                    }
+                }
+                assert!(doc.iter().eq(model.iter().map(|(n, v)| (n.as_str(), v))), "case {case}, step {step}");
+                assert_eq!(doc.get(name), model.get(name), "case {case}");
+            }
+            // Built in one step from the same fields, in any order and
+            // with repeats, it is the same document; the last repeat wins.
+            let mut fields: Vec<(FieldName, Value)> =
+                model.iter().map(|(n, v)| (n.as_str().into(), v.clone())).collect();
+            if let Some(first) = fields.first().cloned() {
+                fields.insert(0, (first.0, Value::Null));
+            }
+            fields.reverse();
+            let half = fields.len() / 2;
+            fields.rotate_left(half);
+            let set_one_by_one = fields.iter().fold(Document::new("d"), |d, (n, v)| d.with(n.clone(), v.clone()));
+            assert_eq!(Document::from_fields("d", fields), set_one_by_one, "case {case}");
+        }
+    }
+
+    #[test]
+    fn a_document_prints_as_a_map() {
+        let doc = Document::new("d").with("b", Value::from(2i64)).with("a", Value::Null);
+        assert_eq!(format!("{doc:?}"), r#"Document { id: "d", fields: {"a": Null, "b": I64(2)} }"#);
     }
 
     #[test]

@@ -1,12 +1,17 @@
 //! AES-GCM authenticated encryption (NIST SP 800-38D) with GHASH over
 //! GF(2^128).
 //!
+//! A tag is one GHASH pass over `aad ‖ ciphertext ‖ lengths` and one
+//! counter pass that also encrypts `J0`, the tag's mask. Seal and open run
+//! the same two passes in opposite order; [`AesGcm::open_in_place`] is the
+//! one open, and the allocating [`AesGcm::open`] wraps it.
+//!
 //! GHASH runs on one of two tiers, chosen once in [`AesGcm::new`]:
-//! carry-less multiplication where the CPU has PCLMULQDQ (`isa`; nothing
-//! per key but the subkey itself), and per-key multiplication tables
-//! everywhere else, so absorbing a block costs 16 table lookups instead of
-//! the 128-round bit loop of the definition. The AES tier is chosen
-//! independently by [`Aes`].
+//! carry-less multiplication where the CPU has PCLMULQDQ (`isa`; four
+//! blocks per reduction over `h…h⁴`, computed once per key), and per-key
+//! multiplication tables everywhere else, so absorbing a block costs 16
+//! table lookups instead of the 128-round bit loop of the definition. The
+//! AES tier is chosen independently by [`Aes`].
 
 use std::sync::OnceLock;
 
@@ -145,32 +150,57 @@ impl GhashTable {
 enum Ghash {
     /// Portable tier.
     Tables(GhashTable),
-    /// Hardware tier: the subkey as [`Clmul::ghash_key`] leaves it.
-    Clmul(Clmul, u128),
+    /// Hardware tier: the subkey's first four powers as
+    /// [`Clmul::ghash_powers`] leaves them.
+    Clmul(Clmul, [u128; 4]),
 }
 
 impl Ghash {
     fn new(hw: Option<Clmul>, h: u128) -> Self {
         match hw {
-            Some(hw) => Ghash::Clmul(hw, hw.ghash_key(h)),
+            Some(hw) => Ghash::Clmul(hw, hw.ghash_powers(h)),
             None => Ghash::Tables(GhashTable::new(h)),
         }
     }
 
-    /// Folds `data`, zero-padded to whole blocks, into the accumulator.
-    fn absorb(&self, mut y: u128, data: &[u8]) -> u128 {
+    /// SP 800-38D's `S`: GHASH over `aad` and `ciphertext`, each zero-padded
+    /// to whole blocks, then their bit lengths, in one pass.
+    fn hash(&self, aad: &[u8], ciphertext: &[u8]) -> u128 {
+        let blocks = blocks(aad, ciphertext);
         match self {
-            Ghash::Clmul(hw, key) => hw.ghash_absorb(*key, y, data),
-            Ghash::Tables(table) => {
-                for chunk in data.chunks(BLOCK_LEN) {
-                    let mut block = [0u8; BLOCK_LEN];
-                    block[..chunk.len()].copy_from_slice(chunk);
-                    y = table.mul_h(y ^ u128::from_be_bytes(block));
-                }
-                y
-            }
+            Ghash::Clmul(hw, powers) => hw.ghash(powers, blocks),
+            Ghash::Tables(table) => blocks.fold(0, |y, block| table.mul_h(y ^ block)),
         }
     }
+}
+
+/// The blocks GHASH absorbs for `S`, as big-endian integers.
+fn blocks<'a>(aad: &'a [u8], ciphertext: &'a [u8]) -> impl Iterator<Item = u128> + 'a {
+    let lengths = ((aad.len() as u128 * 8) << 64) | (ciphertext.len() as u128 * 8);
+    let block = |chunk: &[u8]| match <[u8; BLOCK_LEN]>::try_from(chunk) {
+        Ok(full) => u128::from_be_bytes(full),
+        Err(_) => {
+            let mut padded = [0u8; BLOCK_LEN];
+            padded[..chunk.len()].copy_from_slice(chunk);
+            u128::from_be_bytes(padded)
+        }
+    };
+    aad.chunks(BLOCK_LEN).chain(ciphertext.chunks(BLOCK_LEN)).map(block).chain(std::iter::once(lengths))
+}
+
+/// GCM's counter pass: XORs the keystream of counters 2, 3, … under
+/// `nonce` into `data` and returns the block of counter 1, `E(J0)`, which
+/// masks the tag. On the AES-NI tier it rides in the first batch.
+fn ctr_pass(aes: &Aes, nonce: &[u8; NONCE_LEN], data: &mut [u8]) -> u128 {
+    let mut j0 = counter_block(nonce, 1);
+    match aes.hw() {
+        Some((hw, round_keys)) => j0 = hw.ctr_xor_after(round_keys, &j0, data),
+        None => {
+            ctr_xor(aes, &counter_block(nonce, 2), data);
+            aes.encrypt_block(&mut j0);
+        }
+    }
+    u128::from_be_bytes(j0)
 }
 
 /// An AES-GCM AEAD instance.
@@ -183,8 +213,8 @@ impl Ghash {
 ///
 /// # fn main() -> Result<(), datablinder_primitives::CryptoError> {
 /// let cipher = AesGcm::new(&SymmetricKey::from_bytes(&[0u8; 32]))?;
-/// let sealed = cipher.seal(&[0u8; 12], b"", b"secret");
-/// assert_eq!(cipher.open(&[0u8; 12], b"", &sealed)?, b"secret");
+/// let mut sealed = cipher.seal(&[0u8; 12], b"", b"secret");
+/// assert_eq!(cipher.open_in_place(&[0u8; 12], b"", &mut sealed)?, b"secret");
 /// # Ok(())
 /// # }
 /// ```
@@ -198,8 +228,8 @@ impl AesGcm {
     /// Creates a GCM instance from a 16/24/32-byte key.
     ///
     /// Builds the AES key schedule and the GHASH key once (on the portable
-    /// tier an 8 KiB table, on the hardware tier 16 bytes); every
-    /// subsequent seal/open reuses both.
+    /// tier an 8 KiB table, on the hardware tier four powers of the
+    /// subkey); every subsequent seal/open reuses both.
     ///
     /// # Errors
     ///
@@ -227,76 +257,68 @@ impl AesGcm {
         out
     }
 
-    /// Appends `ciphertext || tag` to `out` without any intermediate
-    /// allocation; one `reserve` covers the whole sealed record, so
-    /// callers that pre-size `out` pay zero allocator round trips here.
+    /// Appends `ciphertext || tag` to `out`, encrypting in place where the
+    /// plaintext was copied; one `reserve` covers the whole sealed record,
+    /// so callers that pre-size `out` pay zero allocator round trips here.
     pub fn seal_into(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8], out: &mut Vec<u8>) {
         out.reserve(plaintext.len() + TAG_LEN);
         let start = out.len();
         out.extend_from_slice(plaintext);
-        ctr_xor(&self.aes, &counter_block(nonce, 2), &mut out[start..]);
-        let tag = self.tag(nonce, aad, &out[start..]);
-        out.extend_from_slice(&tag);
+        let mask = ctr_pass(&self.aes, nonce, &mut out[start..]);
+        let tag = self.ghash.hash(aad, &out[start..]) ^ mask;
+        out.extend_from_slice(&tag.to_be_bytes());
     }
 
-    /// Decrypts and verifies `ciphertext || tag`.
+    /// Decrypts and verifies `ciphertext || tag` into a new buffer: a copy,
+    /// then [`AesGcm::open_in_place`].
     ///
     /// # Errors
     ///
-    /// [`CryptoError::MalformedCiphertext`] if shorter than a tag,
-    /// [`CryptoError::AuthenticationFailed`] if the tag does not verify.
+    /// Same contract as [`AesGcm::open_in_place`].
     pub fn open(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], sealed: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        let mut out = Vec::new();
-        self.open_into(nonce, aad, sealed, &mut out)?;
-        Ok(out)
+        let mut buf = sealed.to_vec();
+        let len = self.open_in_place(nonce, aad, &mut buf)?.len();
+        buf.truncate(len);
+        Ok(buf)
     }
 
-    /// Verifies `ciphertext || tag` and appends the plaintext to `out`.
+    /// Verifies `ciphertext || tag`, held in `sealed`, and decrypts the
+    /// ciphertext where it lies; returns the plaintext, the first
+    /// `sealed.len() - TAG_LEN` bytes of `sealed`.
     ///
-    /// The tag is checked **before** any plaintext is written; on error
-    /// `out` is untouched.
+    /// GHASH reads the ciphertext before the counter pass overwrites it, and
+    /// the tag is compared before anything is returned. On a mismatch the
+    /// decrypted bytes are zeroed, so a failed open leaves no plaintext in
+    /// `sealed`.
     ///
     /// # Errors
     ///
-    /// Same contract as [`AesGcm::open`].
-    pub fn open_into(
+    /// [`CryptoError::MalformedCiphertext`] if shorter than a tag (`sealed`
+    /// untouched), [`CryptoError::AuthenticationFailed`] if the tag does not
+    /// verify.
+    pub fn open_in_place<'b>(
         &self,
         nonce: &[u8; NONCE_LEN],
         aad: &[u8],
-        sealed: &[u8],
-        out: &mut Vec<u8>,
-    ) -> Result<(), CryptoError> {
-        if sealed.len() < TAG_LEN {
-            return Err(CryptoError::MalformedCiphertext);
-        }
-        let (ct, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-        let expect = self.tag(nonce, aad, ct);
+        sealed: &'b mut [u8],
+    ) -> Result<&'b mut [u8], CryptoError> {
+        let ct_len = sealed.len().checked_sub(TAG_LEN).ok_or(CryptoError::MalformedCiphertext)?;
+        let (data, tag) = sealed.split_at_mut(ct_len);
+        let hash = self.ghash.hash(aad, data);
+        let expect = (hash ^ ctr_pass(&self.aes, nonce, data)).to_be_bytes();
         if !constant_time_eq(&expect, tag) {
+            data.fill(0);
             return Err(CryptoError::AuthenticationFailed);
         }
-        out.reserve(ct.len());
-        let start = out.len();
-        out.extend_from_slice(ct);
-        ctr_xor(&self.aes, &counter_block(nonce, 2), &mut out[start..]);
-        Ok(())
+        Ok(data)
     }
 
-    /// GHASH over `aad` and `ciphertext`.
+    /// GHASH over `aad` and `ciphertext`, the tag before its mask.
     ///
     /// Exposed for the differential tests; production callers go through
     /// seal/open.
     pub fn ghash(&self, aad: &[u8], ciphertext: &[u8]) -> [u8; BLOCK_LEN] {
-        let y = self.ghash.absorb(0, aad);
-        let y = self.ghash.absorb(y, ciphertext);
-        let lengths = ((aad.len() as u128 * 8) << 64) | (ciphertext.len() as u128 * 8);
-        self.ghash.absorb(y, &lengths.to_be_bytes()).to_be_bytes()
-    }
-
-    fn tag(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {
-        let s = self.ghash(aad, ciphertext);
-        let mut j0 = counter_block(nonce, 1);
-        self.aes.encrypt_block(&mut j0);
-        (u128::from_be_bytes(s) ^ u128::from_be_bytes(j0)).to_be_bytes()
+        self.ghash.hash(aad, ciphertext).to_be_bytes()
     }
 }
 
@@ -365,17 +387,19 @@ mod tests {
     }
 
     #[test]
-    fn open_into_leaves_out_untouched_on_failure() {
+    fn open_in_place_returns_the_plaintext_or_nothing() {
         let cipher = AesGcm::new(&SymmetricKey::from_bytes(&[3u8; 16])).unwrap();
         let nonce = [5u8; 12];
-        let mut sealed = cipher.seal(&nonce, b"aad", b"payload");
-        sealed[0] ^= 1;
-        let mut out = b"prefix".to_vec();
-        assert_eq!(cipher.open_into(&nonce, b"aad", &sealed, &mut out), Err(CryptoError::AuthenticationFailed));
-        assert_eq!(out, b"prefix");
-        sealed[0] ^= 1;
-        cipher.open_into(&nonce, b"aad", &sealed, &mut out).unwrap();
-        assert_eq!(out, b"prefixpayload");
+        let sealed = cipher.seal(&nonce, b"aad", b"payload");
+        let mut buf = sealed.clone();
+        assert_eq!(cipher.open_in_place(&nonce, b"aad", &mut buf).unwrap(), b"payload");
+        assert_eq!(&buf[..7], b"payload", "decrypted where it lay");
+        let mut forged = sealed.clone();
+        forged[0] ^= 1;
+        assert_eq!(cipher.open_in_place(&nonce, b"aad", &mut forged), Err(CryptoError::AuthenticationFailed));
+        assert_eq!(&forged[..7], &[0u8; 7], "a failed open leaves no plaintext behind");
+        let mut short = [0u8; 15];
+        assert_eq!(cipher.open_in_place(&nonce, b"aad", &mut short), Err(CryptoError::MalformedCiphertext));
     }
 
     #[test]

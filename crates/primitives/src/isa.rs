@@ -69,6 +69,16 @@ impl AesNi {
         // `sse4.1`, the features `ctr_xor` enables.
         unsafe { ctr_xor(round_keys, iv, data) }
     }
+
+    /// XORs the CTR keystream for `iv + 1`, `iv + 2`, … into `data` and
+    /// returns the keystream block of `iv` itself: GCM's tag mask `E(J0)`,
+    /// encrypted in the first batch beside the data rather than as a block
+    /// of its own.
+    pub(crate) fn ctr_xor_after(self, round_keys: &[[u8; 16]], iv: &[u8; 16], data: &mut [u8]) -> [u8; 16] {
+        // SAFETY: `self` exists only because `detect` saw `aes` and
+        // `sse4.1`, the features `ctr_xor_after` enables.
+        unsafe { ctr_xor_after(round_keys, iv, data) }
+    }
 }
 
 /// Blocks in flight in the CTR main loop: `AESENC` has a latency of several
@@ -144,17 +154,60 @@ fn ctr_xor(round_keys: &[[u8; 16]], iv: &[u8; 16], data: &mut [u8]) {
     }
 }
 
-/// Witness that this CPU has PCLMULQDQ (and the SSSE3 byte shuffle).
+#[target_feature(enable = "aes,sse4.1")]
+fn ctr_xor_after(round_keys: &[[u8; 16]], iv: &[u8; 16], data: &mut [u8]) -> [u8; 16] {
+    // A short payload (a sealed field value is two or three blocks) is one
+    // batch of four; a longer one fills a batch of WIDE, and the rest runs
+    // through the plain CTR loop from the next counter.
+    if data.len() <= 3 * 16 {
+        return first_batch::<4>(round_keys, iv, data);
+    }
+    let (head, rest) = data.split_at_mut(data.len().min((WIDE - 1) * 16));
+    let mask = first_batch::<WIDE>(round_keys, iv, head);
+    let mut next = *iv;
+    let count = u32::from_be_bytes([iv[12], iv[13], iv[14], iv[15]]).wrapping_add(WIDE as u32);
+    next[12..].copy_from_slice(&count.to_be_bytes());
+    ctr_xor(round_keys, &next, rest);
+    mask
+}
+
+/// Encrypts the `N` counters from `iv` in one pipelined pass, XORs all but
+/// the first into `head` (at most `N - 1` blocks) and returns the first.
+#[target_feature(enable = "aes,sse4.1")]
+#[inline]
+fn first_batch<const N: usize>(round_keys: &[[u8; 16]], iv: &[u8; 16], head: &mut [u8]) -> [u8; 16] {
+    let nonce = load(iv);
+    let count = u32::from_be_bytes([iv[12], iv[13], iv[14], iv[15]]);
+    let counters =
+        std::array::from_fn(|i| _mm_insert_epi32::<3>(nonce, count.wrapping_add(i as u32).swap_bytes() as i32));
+    let keystream: [__m128i; N] = encrypt_wide(round_keys, counters);
+    let (blocks, partial) = head.as_chunks_mut::<16>();
+    for (block, k) in blocks.iter_mut().zip(&keystream[1..]) {
+        store(block, _mm_xor_si128(load(block), *k));
+    }
+    if !partial.is_empty() {
+        let mut tail = [0u8; 16];
+        store(&mut tail, keystream[1 + blocks.len()]);
+        for (d, k) in partial.iter_mut().zip(tail) {
+            *d ^= k;
+        }
+    }
+    let mut mask = [0u8; 16];
+    store(&mut mask, keystream[0]);
+    mask
+}
+
+/// Witness that this CPU has PCLMULQDQ.
 #[derive(Clone, Copy)]
 pub(crate) struct Clmul(());
 
 impl Clmul {
     pub(crate) fn detect() -> Option<Self> {
-        (is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("ssse3")).then_some(Clmul(()))
+        is_x86_feature_detected!("pclmulqdq").then_some(Clmul(()))
     }
 
-    /// The hash subkey in the form [`Clmul::ghash_absorb`] multiplies by:
-    /// `h · x⁻¹`.
+    /// The first four powers of the hash subkey, `[h, h², h³, h⁴]`, each in
+    /// the form [`Clmul::ghash`] multiplies by: `hᵏ · x⁻¹`.
     ///
     /// A block read as a big-endian integer holds the coefficient of `x^i`
     /// in bit `127 - i`, so the carry-less product of two such integers
@@ -162,64 +215,112 @@ impl Clmul {
     /// Dividing one operand by `x` once per key (a left shift here, folding
     /// the bit that falls off back in through the field polynomial) puts
     /// every product in place without a 256-bit shift per block.
-    pub(crate) fn ghash_key(self, h: u128) -> u128 {
-        /// `x^128 + x^7 + x^2 + x + 1` after the shift: `x^128` lands in
-        /// bit 0.
-        const POLY: u128 = 0xC200_0000_0000_0000_0000_0000_0000_0001;
-        (h << 1) ^ (0u128.wrapping_sub(h >> 127) & POLY)
+    pub(crate) fn ghash_powers(self, h: u128) -> [u128; 4] {
+        // SAFETY: `self` exists only because `detect` saw `pclmulqdq`, the
+        // feature `ghash_powers` enables.
+        unsafe { ghash_powers(h) }
     }
 
-    /// Folds `data` (zero-padded to whole blocks) into the GHASH
-    /// accumulator `y`: `y ← (y ⊕ block) · h` per block. `key` is
-    /// [`Clmul::ghash_key`] of the hash subkey; `y` is the block read as a
-    /// big-endian integer, as in the portable tier.
-    pub(crate) fn ghash_absorb(self, key: u128, y: u128, data: &[u8]) -> u128 {
-        // SAFETY: `self` exists only because `detect` saw `pclmulqdq` and
-        // `ssse3`, the features `ghash_absorb` enables.
-        unsafe { ghash_absorb(key, y, data) }
+    /// GHASH from a zero accumulator over `blocks` (big-endian integers, as
+    /// in the portable tier): `y ← (y ⊕ block) · h` per block, computed four
+    /// blocks per reduction as `(y ⊕ b₀)·h⁴ ⊕ b₁·h³ ⊕ b₂·h² ⊕ b₃·h`, since
+    /// reduction is linear. `powers` is [`Clmul::ghash_powers`] of the hash
+    /// subkey.
+    pub(crate) fn ghash(self, powers: &[u128; 4], blocks: impl Iterator<Item = u128>) -> u128 {
+        // SAFETY: `self` exists only because `detect` saw `pclmulqdq`, the
+        // feature `ghash` enables.
+        unsafe { ghash(powers, blocks) }
     }
 }
 
-#[target_feature(enable = "pclmulqdq,ssse3")]
-fn ghash_absorb(key: u128, y: u128, data: &[u8]) -> u128 {
-    let from_int = |v: u128| _mm_set_epi64x((v >> 64) as i64, v as i64);
-    // Reverses the 16 bytes: memory order to big-endian integer.
-    let reverse = _mm_set_epi64x(0x0001_0203_0405_0607, 0x0809_0a0b_0c0d_0e0f);
-    let h = from_int(key);
-    let mut acc = from_int(y);
-    let mut absorb = |block: &[u8; 16]| {
-        acc = gf_mul(_mm_xor_si128(acc, _mm_shuffle_epi8(load(block), reverse)), h);
-    };
-    let (blocks, partial) = data.as_chunks::<16>();
-    for block in blocks {
-        absorb(block);
-    }
-    if !partial.is_empty() {
-        let mut block = [0u8; 16];
-        block[..partial.len()].copy_from_slice(partial);
-        absorb(&block);
-    }
+/// A big-endian block integer in a vector register.
+#[target_feature(enable = "sse2")]
+#[inline]
+fn from_int(v: u128) -> __m128i {
+    _mm_set_epi64x((v >> 64) as i64, v as i64)
+}
+
+/// The register [`from_int`] filled, back as an integer.
+#[inline(always)]
+fn to_int(v: __m128i) -> u128 {
     let mut out = [0u8; 16];
-    store(&mut out, acc);
+    store(&mut out, v);
     u128::from_le_bytes(out)
 }
 
+/// `h · x⁻¹` (see [`Clmul::ghash_powers`]).
+fn divide_by_x(h: u128) -> u128 {
+    /// `x^128 + x^7 + x^2 + x + 1` after the shift: `x^128` lands in bit 0.
+    const POLY: u128 = 0xC200_0000_0000_0000_0000_0000_0000_0001;
+    (h << 1) ^ (0u128.wrapping_sub(h >> 127) & POLY)
+}
+
+#[target_feature(enable = "pclmulqdq")]
+fn ghash_powers(h: u128) -> [u128; 4] {
+    let key = from_int(divide_by_x(h));
+    let mut powers = [divide_by_x(h); 4];
+    let mut power = from_int(h);
+    for slot in &mut powers[1..] {
+        power = gf_mul(power, key);
+        *slot = divide_by_x(to_int(power));
+    }
+    powers
+}
+
+#[target_feature(enable = "pclmulqdq")]
+fn ghash(powers: &[u128; 4], blocks: impl Iterator<Item = u128>) -> u128 {
+    let [h1, h2, h3, h4] = [0, 1, 2, 3].map(|i| from_int(powers[i]));
+    let mut acc = _mm_setzero_si128();
+    let mut group = [acc; 4];
+    let mut filled = 0;
+    for block in blocks {
+        group[filled] = from_int(block);
+        filled += 1;
+        if filled == 4 {
+            let (lo0, hi0) = clmul(_mm_xor_si128(acc, group[0]), h4);
+            let (lo1, hi1) = clmul(group[1], h3);
+            let (lo2, hi2) = clmul(group[2], h2);
+            let (lo3, hi3) = clmul(group[3], h1);
+            let lo = _mm_xor_si128(_mm_xor_si128(lo0, lo1), _mm_xor_si128(lo2, lo3));
+            let hi = _mm_xor_si128(_mm_xor_si128(hi0, hi1), _mm_xor_si128(hi2, hi3));
+            acc = reduce(lo, hi);
+            filled = 0;
+        }
+    }
+    for block in &group[..filled] {
+        acc = gf_mul(_mm_xor_si128(acc, *block), h1);
+    }
+    to_int(acc)
+}
+
 /// `a · h` in GF(2^128), GCM bit order, for `h` prepared by
-/// [`Clmul::ghash_key`].
-#[target_feature(enable = "pclmulqdq,ssse3")]
+/// [`Clmul::ghash_powers`].
+#[target_feature(enable = "pclmulqdq")]
 #[inline]
 fn gf_mul(a: __m128i, h: __m128i) -> __m128i {
-    // Schoolbook 128 × 128 → 256 bits from four 64 × 64 products.
+    let (lo, hi) = clmul(a, h);
+    reduce(lo, hi)
+}
+
+/// The unreduced 256-bit carry-less product of `a` and `h`, as its low and
+/// high halves: schoolbook, from four 64 × 64 products.
+#[target_feature(enable = "pclmulqdq")]
+#[inline]
+fn clmul(a: __m128i, h: __m128i) -> (__m128i, __m128i) {
     let lo = _mm_clmulepi64_si128::<0x00>(a, h);
     let hi = _mm_clmulepi64_si128::<0x11>(a, h);
     let mid = _mm_xor_si128(_mm_clmulepi64_si128::<0x10>(a, h), _mm_clmulepi64_si128::<0x01>(a, h));
-    let lo = _mm_xor_si128(lo, _mm_slli_si128::<8>(mid));
-    let hi = _mm_xor_si128(hi, _mm_srli_si128::<8>(mid));
-    // Reduction: in this bit order the field polynomial reads
-    // 1 + t^121 + t^126 + t^127 + t^128, which is 1 modulo t^64, so the low
-    // half folds away 64 bits at a time: each step adds (low qword) times
-    // the polynomial, whose middle terms are the constant below, and the
-    // qword swap carries the `1` and `t^128` terms.
+    (_mm_xor_si128(lo, _mm_slli_si128::<8>(mid)), _mm_xor_si128(hi, _mm_srli_si128::<8>(mid)))
+}
+
+/// A [`clmul`] product (or a sum of them) reduced into the field. In this
+/// bit order the field polynomial reads 1 + t^121 + t^126 + t^127 + t^128,
+/// which is 1 modulo t^64, so the low half folds away 64 bits at a time:
+/// each step adds (low qword) times the polynomial, whose middle terms are
+/// the constant below, and the qword swap carries the `1` and `t^128` terms.
+#[target_feature(enable = "pclmulqdq")]
+#[inline]
+fn reduce(lo: __m128i, hi: __m128i) -> __m128i {
     let poly = _mm_set_epi64x(0, 0xC200_0000_0000_0000_u64 as i64);
     let swapped = |v| _mm_shuffle_epi32::<0x4E>(v);
     let a = _mm_xor_si128(swapped(lo), _mm_clmulepi64_si128::<0x00>(lo, poly));

@@ -83,16 +83,19 @@ mod isa {
         pub(crate) fn ctr_xor(self, _: &[[u8; 16]], _: &[u8; 16], _: &mut [u8]) {
             match self {}
         }
+        pub(crate) fn ctr_xor_after(self, _: &[[u8; 16]], _: &[u8; 16], _: &mut [u8]) -> [u8; 16] {
+            match self {}
+        }
     }
 
     impl Clmul {
         pub(crate) fn detect() -> Option<Self> {
             None
         }
-        pub(crate) fn ghash_key(self, _: u128) -> u128 {
+        pub(crate) fn ghash_powers(self, _: u128) -> [u128; 4] {
             match self {}
         }
-        pub(crate) fn ghash_absorb(self, _: u128, _: u128, _: &[u8]) -> u128 {
+        pub(crate) fn ghash(self, _: &[u128; 4], _: impl Iterator<Item = u128>) -> u128 {
             match self {}
         }
     }

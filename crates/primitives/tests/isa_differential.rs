@@ -135,6 +135,38 @@ fn nist_gcm_cases_on_each_tier() {
             assert_eq!(gcm.open(&[0u8; 12], b"", &out).unwrap(), vec![0u8; plain_len], "{tier}");
         }
     }
+    // Cases 4 (AES-128) and 16 (AES-256): 20 bytes of AAD and a 60-byte
+    // plaintext, so both end in a partial block.
+    let plain = unhex(concat!(
+        "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72",
+        "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39"
+    ));
+    let aad = unhex("feedfacedeadbeeffeedfacedeadbeefabaddad2");
+    let nonce: [u8; 12] = unhex("cafebabefacedbaddecaf888").try_into().unwrap();
+    for (key, sealed) in [
+        (
+            "feffe9928665731c6d6a8f9467308308",
+            concat!(
+                "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e",
+                "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091",
+                "5bc94fbc3221a5db94fae95ae7121a47"
+            ),
+        ),
+        (
+            "feffe9928665731c6d6a8f9467308308feffe9928665731c6d6a8f9467308308",
+            concat!(
+                "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa",
+                "8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662",
+                "76fc6ece0f4e1768cddf8853bb2d551b"
+            ),
+        ),
+    ] {
+        for (tier, gcm) in gcm_tiers(&unhex(key)) {
+            assert_eq!(hex(&gcm.seal(&nonce, &aad, &plain)), sealed, "{tier}, key {}", key.len() / 2);
+            let mut buf = unhex(sealed);
+            assert_eq!(gcm.open_in_place(&nonce, &aad, &mut buf).unwrap(), &plain[..], "{tier}");
+        }
+    }
 }
 
 #[test]
@@ -318,27 +350,58 @@ fn ghash_tiers_agree_with_the_bit_loop_on_long_inputs() {
 }
 
 #[test]
-fn tampering_is_detected_on_each_tier_and_leaves_out_untouched() {
+fn one_pass_tags_and_in_place_opens_agree_with_the_definition() {
+    // Ciphertext lengths 0..=300 against AAD lengths on and off block
+    // boundaries: the hardware GHASH folds four blocks per reduction, so
+    // every count of blocks modulo four, split every way between the AAD
+    // and the ciphertext, meets the single-block tail.
+    let mut stream = Stream(17);
+    let key = stream.bytes(16);
+    let h = bitwise::hash_subkey(&bitwise::Aes::new(&key));
+    let tiers = gcm_tiers(&key);
+    for len in 0..=300usize {
+        for aad_len in [0usize, 3, 16, 17, 40, 64] {
+            let (nonce, aad, plain) = (stream.bytes(12).try_into().unwrap(), stream.bytes(aad_len), stream.bytes(len));
+            let expect = bitwise::seal(&key, &nonce, &aad, &plain);
+            let (ct, _) = expect.split_at(len);
+            for (tier, gcm) in &tiers {
+                let at = || format!("{tier}, len {len}, aad {aad_len}");
+                assert_eq!(gcm.ghash(&aad, ct), bitwise::ghash(h, &aad, ct), "{}", at());
+                assert_eq!(gcm.seal(&nonce, &aad, &plain), expect, "{}", at());
+                let mut buf = expect.clone();
+                assert_eq!(gcm.open_in_place(&nonce, &aad, &mut buf).unwrap(), &plain[..], "{}", at());
+            }
+        }
+    }
+}
+
+#[test]
+fn a_failed_open_in_place_returns_no_plaintext_on_each_tier() {
+    let plain = b"payload spanning more than one block";
+    let nonce = [5u8; 12];
     for (tier, gcm) in gcm_tiers(&[3u8; 32]) {
-        let nonce = [5u8; 12];
-        let sealed = gcm.seal(&nonce, b"aad", b"payload spanning more than one block");
+        let sealed = gcm.seal(&nonce, b"aad", plain);
+        let refused = |what: &str, aad: &[u8], nonce: &[u8; 12], mut buf: Vec<u8>| {
+            let result = gcm.open_in_place(nonce, aad, &mut buf).map(|_| ());
+            assert_eq!(result, Err(CryptoError::AuthenticationFailed), "{tier}, {what}");
+            // The decrypted bytes are zeroed: no plaintext byte survives in
+            // the caller's buffer.
+            assert!(buf[..plain.len()].iter().all(|&b| b == 0), "{tier}, {what}: plaintext left in the buffer");
+        };
         for bit in 0..sealed.len() * 8 {
             let mut forged = sealed.clone();
             forged[bit / 8] ^= 1 << (bit % 8);
-            let mut out = b"prefix".to_vec();
-            assert_eq!(
-                gcm.open_into(&nonce, b"aad", &forged, &mut out),
-                Err(CryptoError::AuthenticationFailed),
-                "{tier}, bit {bit}"
-            );
-            assert_eq!(out, b"prefix", "{tier}, bit {bit}: out written before the tag was checked");
+            let part = if bit / 8 < plain.len() { "ciphertext" } else { "tag" };
+            refused(&format!("{part} bit {bit}"), b"aad", &nonce, forged);
         }
-        assert_eq!(gcm.open(&nonce, b"other", &sealed), Err(CryptoError::AuthenticationFailed), "{tier}, aad");
-        assert_eq!(gcm.open(&[6u8; 12], b"aad", &sealed), Err(CryptoError::AuthenticationFailed), "{tier}, nonce");
-        assert_eq!(gcm.open(&nonce, b"aad", &sealed[..TAG_LEN - 1]), Err(CryptoError::MalformedCiphertext), "{tier}");
-        let mut out = b"prefix".to_vec();
-        gcm.open_into(&nonce, b"aad", &sealed, &mut out).unwrap();
-        assert_eq!(out, b"prefixpayload spanning more than one block", "{tier}");
+        refused("aad", b"other", &nonce, sealed.clone());
+        refused("nonce", b"aad", &[6u8; 12], sealed.clone());
+        let mut short = sealed[..TAG_LEN - 1].to_vec();
+        assert_eq!(gcm.open_in_place(&nonce, b"aad", &mut short), Err(CryptoError::MalformedCiphertext), "{tier}");
+        assert_eq!(short, sealed[..TAG_LEN - 1], "{tier}: a buffer too short for a tag is left alone");
+        let mut buf = sealed.clone();
+        assert_eq!(gcm.open_in_place(&nonce, b"aad", &mut buf).unwrap(), plain, "{tier}");
+        assert_eq!(gcm.open(&nonce, b"aad", &sealed).unwrap(), plain, "{tier}, allocating");
     }
 }
 

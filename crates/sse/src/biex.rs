@@ -277,7 +277,8 @@ impl Biex2LevClient {
                         Vec::new() // absent pair entry: empty intersection
                     } else {
                         let cipher = self.pair_cipher(w1, wi)?;
-                        let plain = cipher.open(&[0u8; 12], b"biex-pair", blob)?;
+                        let mut sealed = blob.clone();
+                        let plain = cipher.open_in_place(&[0u8; 12], b"biex-pair", &mut sealed)?;
                         if plain.len() % 16 != 0 {
                             return Err(SseError::Malformed("biex pair entry"));
                         }

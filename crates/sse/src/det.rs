@@ -65,26 +65,36 @@ impl DetCipher {
         out
     }
 
-    /// Decrypts and verifies the synthetic IV.
+    /// [`DetCipher::decrypt_in`] into a new buffer.
+    ///
+    /// # Errors
+    ///
+    /// As [`DetCipher::decrypt_in`].
+    pub fn decrypt(&self, ciphertext: &[u8]) -> Result<Vec<u8>, SseError> {
+        Ok(self.decrypt_in(ciphertext, &mut Vec::new())?.to_vec())
+    }
+
+    /// Decrypts inside `scratch`, which a caller reuses across many opens,
+    /// and verifies the synthetic IV over the result before returning it.
+    /// On a mismatch `scratch` is zeroed.
     ///
     /// # Errors
     ///
     /// [`SseError::Malformed`] for short inputs; [`SseError::Crypto`] when
     /// the recomputed SIV mismatches (tampering or wrong key).
-    pub fn decrypt(&self, ciphertext: &[u8]) -> Result<Vec<u8>, SseError> {
-        if ciphertext.len() < 16 {
+    pub fn decrypt_in<'s>(&self, ciphertext: &[u8], scratch: &'s mut Vec<u8>) -> Result<&'s [u8], SseError> {
+        let Some((siv, body)) = ciphertext.split_first_chunk::<16>() else {
             return Err(SseError::Malformed("det ciphertext"));
-        }
-        let (siv_bytes, body) = ciphertext.split_at(16);
-        let mut siv = [0u8; 16];
-        siv.copy_from_slice(siv_bytes);
-        let mut plaintext = body.to_vec();
-        ctr_xor(&self.aes, &siv, &mut plaintext);
-        let tag = self.mac.mac(&plaintext);
-        if !constant_time_eq(&tag[..16], siv_bytes) {
+        };
+        scratch.clear();
+        scratch.extend_from_slice(body);
+        ctr_xor(&self.aes, siv, scratch);
+        let tag = self.mac.mac(scratch);
+        if !constant_time_eq(&tag[..16], siv) {
+            scratch.fill(0);
             return Err(SseError::Crypto(datablinder_primitives::CryptoError::AuthenticationFailed));
         }
-        Ok(plaintext)
+        Ok(scratch)
     }
 
     /// The equality-search token for a value: its deterministic ciphertext.

@@ -34,6 +34,9 @@ use crate::SseError;
 pub struct RndCipher {
     gcm: AesGcm,
     bucket: usize,
+    /// The associated data every seal starts with: `rnd`, then the context
+    /// [`RndCipher::bound`] was given.
+    label: Vec<u8>,
 }
 
 /// Default padding bucket (bytes). Plaintexts are padded to the next
@@ -57,49 +60,90 @@ impl RndCipher {
     /// Propagates key-schedule errors.
     pub fn with_bucket(key: &SymmetricKey, bucket: usize) -> Result<Self, SseError> {
         let enc = key.derive(b"rnd/enc", 32);
-        Ok(RndCipher { gcm: AesGcm::new(&enc)?, bucket })
+        Ok(RndCipher { gcm: AesGcm::new(&enc)?, bucket, label: b"rnd".to_vec() })
+    }
+
+    /// The same cipher with `context` appended to its associated data: a
+    /// ciphertext sealed under one context does not open under another.
+    #[must_use]
+    pub fn bound(mut self, context: &[u8]) -> Self {
+        self.label.extend_from_slice(context);
+        self
+    }
+
+    /// [`RndCipher::encrypt_for`] with an empty item.
+    pub fn encrypt<R: RngCore + ?Sized>(&self, rng: &mut R, plaintext: &[u8]) -> Vec<u8> {
+        self.encrypt_for(rng, &[], plaintext)
     }
 
     /// Encrypts with a fresh nonce: `nonce(12) || gcm(len(8) || padded)`,
-    /// sealed straight into the output after the nonce.
-    pub fn encrypt<R: RngCore + ?Sized>(&self, rng: &mut R, plaintext: &[u8]) -> Vec<u8> {
+    /// sealed straight into the output after the nonce, under the
+    /// associated data `label ‖ item`.
+    pub fn encrypt_for<R: RngCore + ?Sized>(&self, rng: &mut R, item: &[u8], plaintext: &[u8]) -> Vec<u8> {
         let mut nonce = [0u8; NONCE_LEN];
         rng.fill_bytes(&mut nonce);
-        let mut framed = Vec::with_capacity(8 + plaintext.len() + self.bucket);
-        framed.extend_from_slice(&(plaintext.len() as u64).to_be_bytes());
-        framed.extend_from_slice(plaintext);
+        // One buffer holds the associated data and, after it, the framed
+        // plaintext.
+        let aad_len = self.label.len() + item.len();
+        let mut buf = Vec::with_capacity(aad_len + 8 + plaintext.len() + self.bucket);
+        buf.extend_from_slice(&self.label);
+        buf.extend_from_slice(item);
+        buf.extend_from_slice(&(plaintext.len() as u64).to_be_bytes());
+        buf.extend_from_slice(plaintext);
         if self.bucket > 0 {
-            let target = framed.len().div_ceil(self.bucket) * self.bucket;
-            framed.resize(target, 0);
+            let framed = buf.len() - aad_len;
+            buf.resize(aad_len + framed.div_ceil(self.bucket) * self.bucket, 0);
         }
+        let (aad, framed) = buf.split_at(aad_len);
         let mut out = Vec::with_capacity(NONCE_LEN + framed.len() + TAG_LEN);
         out.extend_from_slice(&nonce);
-        self.gcm.seal_into(&nonce, b"rnd", &framed, &mut out);
+        self.gcm.seal_into(&nonce, aad, framed, &mut out);
         out
     }
 
-    /// Decrypts, verifying the tag and stripping padding.
+    /// [`RndCipher::decrypt_in`] with an empty item, into a new buffer.
+    ///
+    /// # Errors
+    ///
+    /// As [`RndCipher::decrypt_in`].
+    pub fn decrypt(&self, ciphertext: &[u8]) -> Result<Vec<u8>, SseError> {
+        Ok(self.decrypt_in(&[], ciphertext, &mut Vec::new())?.to_vec())
+    }
+
+    /// Verifies a ciphertext sealed for `item` and decrypts it inside
+    /// `scratch`, which a caller reuses across many opens: `scratch` holds
+    /// the associated data and the sealed bytes, GCM opens them in place,
+    /// and the plaintext comes back as a slice of it with frame and padding
+    /// cut off.
     ///
     /// # Errors
     ///
     /// [`SseError::Malformed`] for structurally bad input,
-    /// [`SseError::Crypto`] for tag failures.
-    pub fn decrypt(&self, ciphertext: &[u8]) -> Result<Vec<u8>, SseError> {
-        if ciphertext.len() < NONCE_LEN {
+    /// [`SseError::Crypto`] for tag failures (a ciphertext sealed under
+    /// another key, context or item among them).
+    pub fn decrypt_in<'s>(
+        &self,
+        item: &[u8],
+        ciphertext: &[u8],
+        scratch: &'s mut Vec<u8>,
+    ) -> Result<&'s [u8], SseError> {
+        let Some((nonce, sealed)) = ciphertext.split_first_chunk::<NONCE_LEN>() else {
             return Err(SseError::Malformed("rnd ciphertext"));
-        }
-        let (nonce_bytes, sealed) = ciphertext.split_at(NONCE_LEN);
-        let mut nonce = [0u8; NONCE_LEN];
-        nonce.copy_from_slice(nonce_bytes);
-        let framed = self.gcm.open(&nonce, b"rnd", sealed)?;
-        if framed.len() < 8 {
+        };
+        scratch.clear();
+        scratch.extend_from_slice(&self.label);
+        scratch.extend_from_slice(item);
+        let aad_len = scratch.len();
+        scratch.extend_from_slice(sealed);
+        let (aad, sealed) = scratch.split_at_mut(aad_len);
+        let framed = self.gcm.open_in_place(nonce, aad, sealed)?;
+        let Some((len, body)) = framed.split_first_chunk::<8>() else {
             return Err(SseError::Malformed("rnd frame"));
-        }
-        let len = u64::from_be_bytes(framed[..8].try_into().unwrap()) as usize;
-        if framed.len() < 8 + len {
-            return Err(SseError::Malformed("rnd frame length"));
-        }
-        Ok(framed[8..8 + len].to_vec())
+        };
+        usize::try_from(u64::from_be_bytes(*len))
+            .ok()
+            .and_then(|len| body.get(..len))
+            .ok_or(SseError::Malformed("rnd frame length"))
     }
 }
 
@@ -153,6 +197,20 @@ mod tests {
         let mid = c.len() / 2;
         c[mid] ^= 1;
         assert!(matches!(rnd.decrypt(&c), Err(SseError::Crypto(_))));
+    }
+
+    #[test]
+    fn a_ciphertext_opens_only_for_its_context_and_item() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let key = SymmetricKey::from_bytes(&[4u8; 32]);
+        let here = RndCipher::new(&key).unwrap().bound(b"obs/performer");
+        let c = here.encrypt_for(&mut rng, b"doc-1", b"secret");
+        let mut scratch = Vec::new();
+        assert_eq!(here.decrypt_in(b"doc-1", &c, &mut scratch).unwrap(), b"secret");
+        assert!(matches!(here.decrypt_in(b"doc-2", &c, &mut scratch), Err(SseError::Crypto(_))));
+        let elsewhere = RndCipher::new(&key).unwrap().bound(b"obs/subject");
+        assert!(matches!(elsewhere.decrypt_in(b"doc-1", &c, &mut scratch), Err(SseError::Crypto(_))));
+        assert!(matches!(RndCipher::new(&key).unwrap().decrypt(&c), Err(SseError::Crypto(_))));
     }
 
     #[test]

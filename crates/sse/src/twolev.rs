@@ -182,9 +182,10 @@ impl TwoLevClient {
     pub fn resolve(&self, keyword: &[u8], buckets: &[Vec<u8>]) -> Result<Vec<DocId>, SseError> {
         let cipher = self.bucket_cipher(keyword)?;
         let aad = bucket_aad(keyword);
-        let mut out = Vec::new();
+        let (mut out, mut scratch) = (Vec::new(), Vec::new());
         for (bucket, index) in buckets.iter().zip(0u64..) {
-            out.extend(decode_bucket(&cipher.open(&bucket_nonce(index), &aad, bucket)?)?);
+            scratch.clone_from(bucket);
+            out.extend(decode_bucket(cipher.open_in_place(&bucket_nonce(index), &aad, &mut scratch)?)?);
         }
         out.sort();
         out.dedup();
@@ -289,12 +290,12 @@ impl TwoLevServer {
     /// [`SseError::Crypto`] if the unlock key does not open the entry,
     /// [`SseError::Malformed`] on corrupt entries.
     pub fn search(&self, token: &TwoLevToken) -> Result<Vec<Vec<u8>>, SseError> {
-        let Some(sealed) = self.kv.get(&self.dict_key(&token.label)) else {
+        let Some(mut sealed) = self.kv.get(&self.dict_key(&token.label)) else {
             return Ok(Vec::new());
         };
         let entry_cipher = AesGcm::new(&SymmetricKey::from_bytes(&token.unlock))?;
-        let plain = entry_cipher.open(&[0u8; 12], b"2lev-dict", &sealed)?;
-        let mut r = Reader::new(&plain);
+        let plain = entry_cipher.open_in_place(&[0u8; 12], b"2lev-dict", &mut sealed)?;
+        let mut r = Reader::new(plain);
         match r.u8()? {
             0 => {
                 let blob = r.bytes()?;

@@ -165,7 +165,7 @@ impl BenchClient for PlainClient {
         let id = self.next_id();
         let mut stored = Document::new(id.to_hex());
         for (f, v) in doc.iter() {
-            stored.set(f.clone(), v.clone());
+            stored.set(f, v.clone());
         }
         self.channel
             .call("doc/insert", &with_collection(&self.collection, &encode_document(&stored)))

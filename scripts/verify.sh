@@ -20,6 +20,14 @@ registry="$(grep -B2 '^source = ' Cargo.lock | sed -n 's/^name = "\(.*\)"$/\1/p'
 [ "$registry" = "rand " ] ||
     { echo "rand is the one registry crate; Cargo.lock sources: $registry" >&2; exit 1; }
 
+echo "==> one GCM open: product code outside gcm.rs opens in place (AesGcm::open_in_place), never through the allocating AesGcm::open"
+# Every other `.open(` in crates/*/src is a file open through OpenOptions.
+# Comments may name either.
+gcm_opens="$(grep -rnE '\.open\(' --include='*.rs' crates/*/src | grep -v '^crates/primitives/src/gcm\.rs:' |
+    grep -vE '^[^:]+:[0-9]+: *//' | grep -v 'OpenOptions' || true)"
+[ -z "$gcm_opens" ] ||
+    { echo "an allocating GCM open outside gcm.rs; open in place into a reused buffer:" >&2; echo "$gcm_opens" >&2; exit 1; }
+
 echo "==> unsafe inventory: the two std::arch files (primitives/src/isa.rs, codec/src/clmul.rs) and the key wipe in keys.rs, nowhere else"
 # Comments may say the word; code may not. primitives and codec deny unsafe
 # code outside these files (and allow it on those modules only); every
@@ -152,10 +160,10 @@ once="$(grep -rhowE '[A-Za-z_][A-Za-z0-9_]*' --include='*.rs' crates src tests e
 uncalled="$(LC_ALL=C comm -12 <(echo "$pub_fns") <(echo "$once") | tr '\n' ' ')"
 [ -z "$uncalled" ] ||
     { echo "pub fns nothing calls (delete them): $uncalled" >&2; exit 1; }
-dead_names="$(grep -rnwE 'KvStats|log_it|replay_log|ReplayReport|decrypt_block|seal_many|open_many|anti_entropy_every|retry_remote|node_deadline|with_span_capacity|metrics_handle|mont_mul_into|to_mont_into' crates/*/src |
+dead_names="$(grep -rnwE 'KvStats|log_it|replay_log|ReplayReport|decrypt_block|seal_many|open_many|open_into|anti_entropy_every|retry_remote|node_deadline|with_span_capacity|metrics_handle|mont_mul_into|to_mont_into' crates/*/src |
     grep -vE '^[^:]+:[0-9]+: *//' || true)"
 [ -z "$dead_names" ] ||
-    { echo "a deleted write twin, batch call, decrypt path, one-value setting or run-time-width Montgomery kernel is back:" >&2; echo "$dead_names" >&2; exit 1; }
+    { echo "a deleted write twin, batch call, decrypt or GCM open path, one-value setting or run-time-width Montgomery kernel is back:" >&2; echo "$dead_names" >&2; exit 1; }
 
 echo "==> one OPE descent: ope/src/lib.rs samples a split in one place (descend), and builds the PRF input in coins on the stack"
 # encrypt and decrypt walk the tree through one loop that resumes from the

@@ -239,7 +239,7 @@ fn searches_and_reads_decrypt_correctly_after_every_rotation() {
         stored.push((gw.insert("notes", &doc).unwrap(), doc));
     }
     let check = |stage: &str| {
-        let fields = |d: &Document| d.iter().map(|(f, v)| (f.clone(), v.clone())).collect::<Vec<_>>();
+        let fields = |d: &Document| d.iter().map(|(f, v)| (f.to_string(), v.clone())).collect::<Vec<_>>();
         for (id, doc) in &stored {
             assert_eq!(fields(&gw.get("notes", *id).unwrap()), fields(doc), "{stage}: get");
         }

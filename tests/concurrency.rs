@@ -17,13 +17,15 @@
 //! visible), and every concurrent query must complete without error.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 use datablinder::core::cloud::CloudEngine;
 use datablinder::core::gateway::GatewayEngine;
 use datablinder::core::model::{AggFn, FieldAnnotation, FieldOp, FieldType, ProtectionClass, Schema};
 use datablinder::core::pool::WorkerPool;
+use datablinder::core::CoreError;
 use datablinder::docstore::{Document, Value};
 use datablinder::kms::Kms;
 use datablinder::netsim::{Channel, LatencyModel};
@@ -390,4 +392,50 @@ fn first_insert_racing_an_aggregate_never_errors() {
         assert!(sum == 0.0 || sum == 7.0, "round {round}: sum {sum}");
         assert_eq!(gw.aggregate(SCHEMA, "score", AggFn::Sum, None).unwrap(), 7.0);
     }
+}
+
+/// A reader loops `find_equal` while the payload key of the field it reads
+/// rotates behind a barrier. A search answer is opened a column at a time,
+/// each column under one lock of its payload tactic, and rotation swaps
+/// the instance inside that lock: every answer is the right documents or a
+/// clean `CoreError::Sse` (a ciphertext read under the other key), never a
+/// wrong value, and once the rotation returns every answer is right again.
+#[test]
+fn reads_racing_a_payload_rotation_are_right_or_refused() {
+    let gw = Arc::new(engine(0x2071, 0));
+    gw.register_schema(schema()).unwrap();
+    let docs: Vec<Document> = (0..48).map(|i| doc_of(OWNERS[i % 2], i as i64 * 7 - 100)).collect();
+    gw.insert_many(SCHEMA, &docs).unwrap();
+    let want = contents(&gw.find_equal(SCHEMA, "owner", &Value::from("o0")).unwrap());
+    assert_eq!(want.len(), 24);
+
+    let (barrier, rotated) = (Arc::new(Barrier::new(2)), Arc::new(AtomicBool::new(false)));
+    let reader = {
+        let (gw, barrier, rotated, want) = (Arc::clone(&gw), Arc::clone(&barrier), Arc::clone(&rotated), want.clone());
+        thread::spawn(move || {
+            barrier.wait();
+            let (mut right, mut refused) = (0, 0);
+            while !rotated.load(Ordering::Acquire) || right + refused < 20 {
+                match gw.find_equal(SCHEMA, "owner", &Value::from("o0")) {
+                    Ok(docs) => {
+                        assert_eq!(contents(&docs), want, "a read during rotation returned a wrong value");
+                        right += 1;
+                    }
+                    Err(err) => {
+                        assert!(matches!(err, CoreError::Sse(_)), "not a clean refusal: {err}");
+                        refused += 1;
+                    }
+                }
+            }
+            (right, refused)
+        })
+    };
+    barrier.wait();
+    for _ in 0..3 {
+        gw.rotate_payload_key(SCHEMA, "owner").unwrap();
+    }
+    rotated.store(true, Ordering::Release);
+    let (right, refused) = reader.join().unwrap();
+    assert!(right > 0, "the reader saw {refused} refusals and no answer");
+    assert_eq!(contents(&gw.find_equal(SCHEMA, "owner", &Value::from("o0")).unwrap()), want, "after the rotation");
 }

@@ -122,8 +122,8 @@ impl GatewayTactic for TwoCall {
         self.0.delete(field, value, id)
     }
 
-    fn recover(&self, ciphertext: &[u8]) -> Result<Value, CoreError> {
-        self.0.recover(ciphertext)
+    fn recover(&self, id: DocId, ciphertext: &[u8], scratch: &mut Vec<u8>) -> Result<Value, CoreError> {
+        self.0.recover(id, ciphertext, scratch)
     }
 
     fn eq_query(&mut self, field: &str, value: &Value) -> Result<Vec<CloudCall>, CoreError> {
@@ -438,6 +438,142 @@ fn a_forged_positional_answer_is_a_wire_error() {
 #[test]
 fn a_cloud_that_sends_named_documents_for_a_keep_list_is_a_wire_error() {
     refused_on_every_query(Forgery::NamedDocuments);
+}
+
+/// What a [`Tamperer`] does to one document of a positional answer.
+#[derive(Clone, Copy, Debug)]
+enum Fault {
+    /// One bit of its first RND payload flipped.
+    CorruptPayload,
+    /// Its plain integer `n` sent as a string.
+    PlainOfAnotherType,
+    /// Its bytes cut one short.
+    Truncated,
+    /// One byte after its last value.
+    TrailingByte,
+}
+
+/// A cloud that answers faithfully, then, when armed, damages document
+/// `at` of every positional answer (`doc/fetch` and `doc/get_many`).
+struct Tamperer {
+    inner: CloudEngine,
+    armed: Mutex<Option<(Fault, usize)>>,
+}
+
+impl Tamperer {
+    /// `doc` (one positional document on `keep`) with `fault` applied.
+    fn damage(fault: Fault, doc: &[u8], keep: &[&str]) -> Vec<u8> {
+        match fault {
+            Fault::Truncated => return doc[..doc.len() - 1].to_vec(),
+            Fault::TrailingByte => return [doc, &[0]].concat(),
+            Fault::CorruptPayload | Fault::PlainOfAnotherType => {}
+        }
+        let mut r = datablinder::codec::Reader::new(doc);
+        let mut w = Writer::new();
+        w.str(r.str().unwrap());
+        let mut rest = r.rest();
+        let mut damaged = false;
+        for name in keep {
+            if rest[0] == ABSENT {
+                rest = &rest[1..];
+                w.raw(&[ABSENT]);
+                continue;
+            }
+            let mut value = datablinder::core::wire::decode_value(&mut rest).unwrap();
+            match (fault, &mut value) {
+                (Fault::CorruptPayload, Value::Bytes(ciphertext)) if name.ends_with("__rnd") && !damaged => {
+                    let middle = ciphertext.len() / 2;
+                    ciphertext[middle] ^= 1;
+                    damaged = true;
+                }
+                (Fault::PlainOfAnotherType, _) if *name == "n" => {
+                    value = Value::from("not a number");
+                    damaged = true;
+                }
+                _ => {}
+            }
+            let mut encoded = Vec::new();
+            encode_value(&value, &mut encoded);
+            w.raw(&encoded);
+        }
+        assert!(damaged && rest.is_empty(), "{fault:?} found its target");
+        w.finish()
+    }
+}
+
+impl CloudService for Tamperer {
+    fn handle(&self, route: &str, payload: &[u8]) -> Result<Vec<u8>, NetError> {
+        let answer = self.inner.handle(route, payload)?;
+        let Some((fault, at)) = *self.armed.lock().unwrap() else { return Ok(answer) };
+        let keep = match route {
+            FETCH_ROUTE => Fetch::decode(payload).unwrap().keep,
+            "doc/get_many" => GetMany::decode(payload).unwrap().keep,
+            _ => return Ok(answer),
+        };
+        let mut docs: Vec<Vec<u8>> =
+            datablinder::codec::Reader::new(&answer).list().unwrap().into_iter().map(<[u8]>::to_vec).collect();
+        docs[at] = Self::damage(fault, &docs[at], &keep);
+        let mut w = Writer::new();
+        w.list(&docs);
+        Ok(w.finish())
+    }
+}
+
+/// A search answer is opened a column at a time, under one lock per payload
+/// tactic. One damaged document among 64 — the first, one in the middle or
+/// the last — still fails the whole search, with the error kind of the
+/// damage, and no document list comes back: over an in-process channel and
+/// a loopback socket, on a fused read (`doc/fetch`) and a two-call one
+/// (`doc/get_many`).
+#[test]
+fn one_damaged_document_fails_a_64_document_answer_whole() {
+    const MANY: i64 = 64;
+    for deployment in [Deployment::Channel, Deployment::Tcp] {
+        let cloud = Arc::new(Tamperer { inner: CloudEngine::new(), armed: Mutex::new(None) });
+        let (transport, _server): (Arc<dyn Transport>, _) = match deployment {
+            Deployment::Channel => (Arc::new(Channel::from_arc(cloud.clone(), LatencyModel::instant())), None),
+            _ => {
+                let server = CloudServer::bind("127.0.0.1:0", cloud.clone(), ServerConfig::default()).expect("bind");
+                let channel = TcpChannel::connect(server.local_addr(), TcpConfig::default()).expect("loopback");
+                (Arc::new(channel), Some(server))
+            }
+        };
+        let kms = Kms::generate(&mut StdRng::seed_from_u64(64));
+        let config = ResilienceConfig { seed: 64, ..ResilienceConfig::default() };
+        let gw = GatewayEngine::with_resilience("tamper", kms, ResilientChannel::over(transport, config), 64);
+        gw.register_schema(schema()).unwrap();
+        let docs: Vec<Document> = (0..MANY).map(|n| doc(n).with("subject", Value::from("p0"))).collect();
+        gw.insert_many(SCHEMA, &docs).unwrap();
+
+        let searches: [Query; 2] = [
+            (
+                "fused range",
+                MANY as usize,
+                Box::new(|gw| gw.find_range(SCHEMA, "a", &Value::from(0), &Value::from(1_000))),
+            ),
+            ("two-call equality", MANY as usize, Box::new(|gw| gw.find_equal(SCHEMA, "subject", &Value::from("p0")))),
+        ];
+        for (name, hits, search) in &searches {
+            assert_eq!(search(&gw).unwrap().len(), *hits, "{deployment:?}, {name}: faithful first");
+        }
+        for fault in [Fault::CorruptPayload, Fault::PlainOfAnotherType, Fault::Truncated, Fault::TrailingByte] {
+            for at in [0, MANY as usize / 2, MANY as usize - 1] {
+                *cloud.armed.lock().unwrap() = Some((fault, at));
+                for (name, _, search) in &searches {
+                    let at = format!("{deployment:?}, {name}, {fault:?} at document {at}");
+                    let err = search(&gw).expect_err(&at);
+                    match fault {
+                        Fault::CorruptPayload => assert!(matches!(err, CoreError::Sse(_)), "{at}: {err}"),
+                        _ => assert!(matches!(err, CoreError::Wire(_)), "{at}: {err}"),
+                    }
+                }
+            }
+        }
+        *cloud.armed.lock().unwrap() = None;
+        for (name, hits, search) in &searches {
+            assert_eq!(search(&gw).unwrap().len(), *hits, "{deployment:?}, {name}: disarmed");
+        }
+    }
 }
 
 /// Random documents whose optional fields are often absent: every search

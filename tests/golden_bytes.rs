@@ -27,7 +27,12 @@
 //! (inline and on a worker pool), a migration, an update, a delete and key
 //! rotations. It was recorded while the gateway still protected a single
 //! insert through its own sequential path, and stands in for that path as
-//! the reference every write route must reproduce byte for byte.
+//! the reference every write route must reproduce byte for byte. It moved
+//! once, when RND payloads were bound to where they are stored: the
+//! associated data each RND tag covers grew from `rnd` to `rnd ‖
+//! collection ‖ field ‖ doc id`, so every RND tag in the script's state
+//! changed while no stored length or other byte did. `RND_PAYLOAD` pins one
+//! such payload.
 
 use std::fmt::Debug;
 use std::sync::Arc;
@@ -149,8 +154,16 @@ const OPE_TIMESTAMPS: [(i64, u128); 4] = [
     (1_900_000_000, 0x0000_0000_8000_0001_929f_0d83_0ef1_8b25),
     (1_900_000_060, 0x0000_0000_8000_0001_929f_0dc9_bf25_8c80),
 ];
+/// An RND payload as the tactic stores it: the nonce, then GCM over the
+/// length-framed value padded to 32 bytes, tagged under `rnd ‖ collection ‖
+/// field ‖ doc id` (see [`rnd_payload_is_bound_to_its_document`]).
+const RND_PAYLOAD: &str = concat!(
+    "befba86ae9e0c207865f7e24",
+    "3d29189fe7994081dc9db5af119e2b66cfdd8264d08088b6d398a49b40d675b7",
+    "fc06988f6f31b938eb1def8ce2245562"
+);
 /// SHA-256 of the cloud state [`gateway_script`] leaves behind.
-const GATEWAY_SCRIPT_STATE: &str = "049877c5c8181d7c8161b8765fd27e5a827a82d1cbab2d60222537aca83b508e";
+const GATEWAY_SCRIPT_STATE: &str = "a62bf06d2158dd7c0869af31e6fb589d9a65455bf0fd0a4df7180662509e4550";
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -492,4 +505,31 @@ fn gateway_writes() {
     let cloud = Arc::new(CloudEngine::new());
     gateway_script(&cloud);
     assert_eq!(cloud_state_digest(&cloud), GATEWAY_SCRIPT_STATE, "a gateway write route moved a byte");
+}
+
+#[test]
+fn rnd_payload_is_bound_to_its_document() {
+    use datablinder::core::spi::GatewayTactic;
+    use datablinder::core::tactics::rnd::RndTactic;
+    use datablinder::core::tactics::TacticContext;
+    use datablinder::primitives::gcm::AesGcm;
+    let kms = Kms::generate(&mut StdRng::seed_from_u64(0x601D));
+    let ctx = TacticContext { application: "golden".into(), schema: "ledger".into(), scope: "owner".into(), kms };
+    let mut tactic = RndTactic::build(&ctx).unwrap();
+    let id = DocId([9; 16]);
+    let protected = tactic.protect(&mut StdRng::seed_from_u64(7), "owner", &Value::from("ann"), id).unwrap();
+    let [(shadow, Value::Bytes(payload))] = &protected.stored[..] else { panic!("one RND payload") };
+    assert_eq!((shadow.as_str(), hex(payload).as_str()), ("owner__rnd", RND_PAYLOAD));
+    assert_eq!(tactic.recover(id, payload, &mut Vec::new()).unwrap(), Value::from("ann"));
+    assert!(tactic.recover(DocId([8; 16]), payload, &mut Vec::new()).is_err(), "another document's id");
+    // The same bytes opened by hand: the associated data is `rnd`, the
+    // collection and the field as length-prefixed strings, the id's 16
+    // bytes; the plaintext is the value's length frame, its canonical
+    // encoding (`Str` tag, length, bytes) and zero padding to 32.
+    let aad = [&b"rnd"[..], &[0, 0, 0, 6], b"ledger", &[0, 0, 0, 5], b"owner", &[9; 16]].concat();
+    let gcm = AesGcm::new(&ctx.kms.key_for(&ctx.key_scope("rnd")).derive(b"rnd/enc", 32)).unwrap();
+    let (nonce, sealed) = payload.split_first_chunk::<12>().unwrap();
+    let framed = gcm.open(nonce, &aad, sealed).unwrap();
+    assert_eq!(framed.len(), 32);
+    assert_eq!(framed[..16], [0, 0, 0, 0, 0, 0, 0, 8, 4, 0, 0, 0, 3, b'a', b'n', b'n']);
 }

@@ -9,10 +9,11 @@ use datablinder::core::cloudproto::{Fetch, GetMany, Idempotent};
 use datablinder::core::gateway::GatewayEngine;
 use datablinder::core::wire::{decode_document, decode_documents, encode_document, encode_value, ABSENT};
 use datablinder::core::CoreError;
-use datablinder::docstore::{Document, Filter, Value};
+use datablinder::docstore::{DocStore, Document, Filter, Value};
 use datablinder::fhir::{example_observation, observation_schema};
 use datablinder::kms::Kms;
 use datablinder::netsim::{Channel, CloudService, LatencyModel, NetError};
+use datablinder::sse::DocId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -111,6 +112,118 @@ fn tampered_ciphertexts_fail_closed() {
     assert!(gw.get("observation", id).is_err());
 }
 
+/// Two patients' records over a cloud the test can rewrite: `diagnosis`
+/// has an RND payload only, `owner` a Mitra index beside its RND payload,
+/// `tag` a BIEX index beside its RND payload, and `level` a DET payload
+/// beside an OPE index.
+fn two_patients(seed: u64) -> (GatewayEngine, DocStore, [DocId; 2]) {
+    use datablinder::core::model::{FieldAnnotation, FieldOp::*, FieldType, ProtectionClass::*, Schema};
+    let field = |class, ops: &[_]| FieldAnnotation::new(class, ops.to_vec());
+    let schema = Schema::new("ward")
+        .sensitive_field("owner", FieldType::Text, true, field(C2, &[Insert, Equality]))
+        .sensitive_field("diagnosis", FieldType::Text, true, field(C1, &[Insert]))
+        .sensitive_field("tag", FieldType::Text, true, field(C3, &[Insert, Equality, Boolean]))
+        .sensitive_field("level", FieldType::Integer, true, field(C5, &[Insert, Equality, Range]));
+    let cloud = CloudEngine::new();
+    let docs = cloud.docs().clone();
+    let channel = Channel::connect(cloud, LatencyModel::instant());
+    let gw = GatewayEngine::new("sec", Kms::generate(&mut StdRng::seed_from_u64(seed)), channel, seed);
+    gw.register_schema(schema).unwrap();
+    let payload = |f| gw.selection("ward", f).unwrap().payload;
+    assert_eq!(
+        [payload("owner"), payload("diagnosis"), payload("tag"), payload("level")],
+        ["rnd", "rnd", "rnd", "det"]
+    );
+    let patient = |owner: &str, diagnosis: &str, level: i64| {
+        let doc = Document::new("x")
+            .with("owner", Value::from(owner))
+            .with("diagnosis", Value::from(diagnosis))
+            .with("tag", Value::from("ward-7"))
+            .with("level", Value::from(level));
+        gw.insert("ward", &doc).unwrap()
+    };
+    let ids = [patient("alice", "healthy", 1), patient("bob", "cancer", 2)];
+    (gw, docs, ids)
+}
+
+/// Acting as the cloud: swaps the stored values of `shadow` between the two
+/// documents, each keeping its own id.
+fn swap_stored(docs: &DocStore, ids: [DocId; 2], shadow: &str) {
+    let coll = docs.collection("ward");
+    let [mut a, mut b] = ids.map(|id| coll.get(&id.to_hex()).unwrap());
+    let (va, vb) = (a.remove(shadow).unwrap(), b.remove(shadow).unwrap());
+    coll.update(a.with(shadow, vb)).unwrap();
+    coll.update(b.with(shadow, va)).unwrap();
+}
+
+/// An RND payload is sealed for its collection, field and document, so a
+/// cloud that swaps one field's ciphertexts between two documents (or
+/// serves one document's stored fields under the other's id) is caught by
+/// authentication on every read: `get`, each `find_*` route, and `fsck`.
+#[test]
+fn an_rnd_payload_swapped_between_documents_is_refused_on_every_read() {
+    let (gw, cloud, [alice, bob]) = two_patients(41);
+    let dnf = vec![vec![("tag".to_string(), Value::from("ward-7"))]];
+    type Read<'a> = (&'a str, Box<dyn Fn() -> Result<Vec<Document>, CoreError> + 'a>);
+    let reads: [Read<'_>; 8] = [
+        ("get alice", Box::new(|| gw.get("ward", alice).map(|doc| vec![doc]))),
+        ("get bob", Box::new(|| gw.get("ward", bob).map(|doc| vec![doc]))),
+        ("find_equal by Mitra", Box::new(|| gw.find_equal("ward", "owner", &Value::from("alice")))),
+        ("find_equal by DET", Box::new(|| gw.find_equal("ward", "level", &Value::from(2)))),
+        ("find_boolean", Box::new(|| gw.find_boolean("ward", &dnf))),
+        ("find_range", Box::new(|| gw.find_range("ward", "level", &Value::from(0), &Value::from(5)))),
+        ("find_extreme", Box::new(|| gw.find_extreme("ward", "level", true).map(|doc| doc.into_iter().collect()))),
+        ("fsck", Box::new(|| gw.fsck("ward").map(|_| Vec::new()))),
+    ];
+    for (name, read) in &reads {
+        assert!(read().is_ok(), "{name}: faithful answers first");
+    }
+    assert_eq!(gw.get("ward", alice).unwrap().get("diagnosis"), Some(&Value::from("healthy")));
+
+    swap_stored(&cloud, [alice, bob], "diagnosis__rnd");
+    for (name, read) in &reads {
+        let err = read().expect_err(&format!("{name} accepted a swapped payload"));
+        assert!(matches!(err, CoreError::Sse(_)), "{name}: {err}");
+    }
+    swap_stored(&cloud, [alice, bob], "diagnosis__rnd");
+    assert_eq!(gw.get("ward", alice).unwrap().get("diagnosis"), Some(&Value::from("healthy")), "swapped back");
+
+    // Bob's stored document served as alice's: every payload in it is
+    // bound to bob's id.
+    let coll = cloud.collection("ward");
+    let mut as_alice = Document::new(alice.to_hex());
+    for (name, value) in coll.get(&bob.to_hex()).unwrap().iter() {
+        as_alice.set(name, value.clone());
+    }
+    coll.update(as_alice).unwrap();
+    let err = gw.get("ward", alice).expect_err("another document's fields under alice's id");
+    assert!(matches!(err, CoreError::Sse(_)), "{err}");
+}
+
+/// The residual binding cannot close: a DET payload must stay one
+/// ciphertext per value across documents for the cloud to match it, so it
+/// carries no document id, and a swap between two documents opens as the
+/// other document's value without an error (DESIGN.md §20). Pinned so that
+/// a change to it is deliberate.
+#[test]
+fn a_det_payload_swapped_between_documents_opens_as_the_other_value() {
+    let (gw, cloud, [alice, bob]) = two_patients(42);
+    swap_stored(&cloud, [alice, bob], "level__det");
+    assert_eq!(gw.get("ward", alice).unwrap().get("level"), Some(&Value::from(2)));
+    assert_eq!(gw.get("ward", bob).unwrap().get("level"), Some(&Value::from(1)));
+    // DET equality matches the stored ciphertext itself, so it follows the
+    // swap; the OPE index beside it does not, and `fsck` sees the two
+    // disagree.
+    let by_det = gw.find_equal("ward", "level", &Value::from(2)).unwrap();
+    assert_eq!(by_det.len(), 1);
+    assert_eq!(by_det[0].get("owner"), Some(&Value::from("alice")));
+    let by_ope = gw.find_range("ward", "level", &Value::from(2), &Value::from(2)).unwrap();
+    assert_eq!(by_ope.len(), 1);
+    assert_eq!(by_ope[0].get("owner"), Some(&Value::from("bob")), "the OPE index still names bob");
+    assert_eq!(by_ope[0].get("level"), Some(&Value::from(1)), "whose payload now opens as alice's value");
+    assert!(!gw.fsck("ward").unwrap().is_clean());
+}
+
 /// How a [`ForgingCloud`] rewrites a stored document on its way out. A
 /// search answers by position onto the gateway's keep list, with no names,
 /// so there the forgeries act on positions.
@@ -141,7 +254,7 @@ struct ForgingCloud {
 impl ForgingCloud {
     fn forge(forgery: Forgery, stored: &[u8]) -> Vec<u8> {
         let doc = decode_document(stored).unwrap();
-        let mut fields: Vec<(String, Value)> = doc.iter().map(|(n, v)| (n.clone(), v.clone())).collect();
+        let mut fields: Vec<(String, Value)> = doc.iter().map(|(n, v)| (n.to_string(), v.clone())).collect();
         let subject = fields.iter().position(|(n, _)| n == "subject__rnd").expect("a payload shadow to forge");
         match forgery {
             Forgery::WrongType => fields[subject].1 = Value::Null,

@@ -68,15 +68,16 @@ impl GatewayTactic for HmacIndexGateway {
         Ok(ProtectedField {
             stored: vec![(
                 shadow_field(field, "hmacidx"),
-                Value::Bytes(self.payload.encrypt(rng, &canonical_bytes(value))),
+                Value::Bytes(self.payload.encrypt_for(rng, &id.0, &canonical_bytes(value))),
             )],
             index_calls: vec![CloudCall::new(self.route_insert.clone(), payload)],
         })
     }
 
-    fn recover(&self, ciphertext: &[u8]) -> Result<Value, CoreError> {
-        let plain = self.payload.decrypt(ciphertext).map_err(|e| CoreError::Sse(e.to_string()))?;
-        decode_value(&mut plain.as_slice())
+    fn recover(&self, id: DocId, ciphertext: &[u8], scratch: &mut Vec<u8>) -> Result<Value, CoreError> {
+        let mut plain =
+            self.payload.decrypt_in(&id.0, ciphertext, scratch).map_err(|e| CoreError::Sse(e.to_string()))?;
+        decode_value(&mut plain)
     }
 
     fn eq_query(&mut self, field: &str, value: &Value) -> Result<Vec<CloudCall>, CoreError> {
