@@ -97,8 +97,16 @@ pub(crate) fn crc32_update_portable(mut c: u32, data: &[u8]) -> u32 {
 
 /// Frames the concatenation of `parts` as `len ‖ covered ‖ crc32(covered)`.
 pub fn encode_frame(parts: &[&[u8]]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(parts.iter().map(|p| p.len()).sum::<usize>() + 8);
+    encode_frame_into(&mut out, parts);
+    out
+}
+
+/// [`encode_frame`] appended to `out`: the parts are copied once, straight
+/// into a buffer the caller keeps.
+pub fn encode_frame_into(out: &mut Vec<u8>, parts: &[&[u8]]) {
     let len: usize = parts.iter().map(|p| p.len()).sum();
-    let mut out = Vec::with_capacity(len + 8);
+    out.reserve(len + 8);
     out.extend_from_slice(&(len as u32).to_be_bytes());
     let mut crc = 0xFFFF_FFFF;
     for part in parts {
@@ -106,7 +114,6 @@ pub fn encode_frame(parts: &[&[u8]]) -> Vec<u8> {
         crc = crc32_update(crc, part);
     }
     out.extend_from_slice(&(crc ^ 0xFFFF_FFFF).to_be_bytes());
-    out
 }
 
 /// What the front of a byte stream holds.

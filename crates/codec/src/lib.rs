@@ -50,7 +50,7 @@ mod clmul {
     }
 }
 
-pub use frame::{crc32, crc_backend, encode_frame, split_frame, Split};
+pub use frame::{crc32, crc_backend, encode_frame, encode_frame_into, split_frame, Split};
 
 /// The portable CRC tier by name, for `tests/crc_differential.rs`. Not a
 /// configuration surface: nothing in the product calls it, and no argument

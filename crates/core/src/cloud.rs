@@ -346,43 +346,57 @@ impl CloudEngine {
         &self.kv
     }
 
+    /// Runs one route. A route is matched by splitting off its segments
+    /// in place: nothing is allocated before the route runs.
     pub(crate) fn dispatch(&self, route: &str, payload: &[u8]) -> Result<Vec<u8>, CoreError> {
-        let parts: Vec<&str> = route.split('/').collect();
-        match parts.as_slice() {
-            ["doc", op] => self.handle_doc(op, payload),
-            [r] if *r == IDEM_ROUTE => {
+        let (head, rest) = match route.split_once('/') {
+            Some((head, rest)) => (head, Some(rest)),
+            None => (route, None),
+        };
+        // The segments after the first, when there are exactly `N` of them.
+        fn segments<const N: usize>(rest: Option<&str>) -> Option<[&str; N]> {
+            let mut parts = rest?.split('/');
+            let mut out = [""; N];
+            for segment in &mut out {
+                *segment = parts.next()?;
+            }
+            parts.next().is_none().then_some(out)
+        }
+        match (head, rest) {
+            ("doc", _) if let Some([op]) = segments(rest) => self.handle_doc(op, payload),
+            (IDEM_ROUTE, None) => {
                 // Idempotent write envelope: execute once, record the
                 // outcome, and answer retries/duplicates from the record so
                 // a redelivered insert never double-applies index entries.
-                let req = Idempotent::decode(payload)?;
-                if req.route == IDEM_ROUTE {
+                let (token, inner_route, inner_payload) = Idempotent::parts(payload)?;
+                if inner_route == IDEM_ROUTE {
                     return Err(CoreError::UnsupportedOperation("nested idem".into()));
                 }
-                let fingerprint = request_fingerprint(&req.route, &req.payload);
-                let shard = self.dedup.shard_of(&req.token);
-                if let Some(outcome) = self.dedup.lock_shard(shard).get(&req.token, fingerprint) {
+                let fingerprint = request_fingerprint(inner_route, inner_payload);
+                let shard = self.dedup.shard_of(&token);
+                if let Some(outcome) = self.dedup.lock_shard(shard).get(&token, fingerprint) {
                     self.dedup_hits.fetch_add(1, Ordering::Relaxed);
                     self.obs.count("cloud.dedup.hits", 1);
                     return outcome;
                 }
-                let outcome = self.dispatch(&req.route, &req.payload);
-                self.dedup.lock_shard(shard).put(req.token, fingerprint, outcome.clone());
+                let outcome = self.dispatch(inner_route, inner_payload);
+                self.dedup.lock_shard(shard).put(token, fingerprint, outcome.clone());
                 outcome
             }
             // A list of (route, payload) calls in one round trip, answered in
             // order: a write group, or (read-only) the reads of one query.
-            ["batch"] => self.run_batch(payload, false),
-            ["batch", "read"] => self.run_batch(payload, true),
-            ["kv", "del_prefix"] => {
+            ("batch", None) => self.run_batch(payload, false),
+            ("batch", Some("read")) => self.run_batch(payload, true),
+            ("kv", Some("del_prefix")) => {
                 let n = self.kv.del_prefix(payload) as u64;
                 if n > 0 {
                     // A prefix can straddle scoped and broadcast keys;
                     // invalidate everything rather than under-mark.
-                    self.note(&MutationScope::All);
+                    self.note(|| MutationScope::All);
                 }
                 Ok(n.to_be_bytes().to_vec())
             }
-            ["kv", "bulk_put"] => {
+            ("kv", Some("bulk_put")) => {
                 let mut r = Reader::new(payload);
                 let pairs = r.list()?;
                 if pairs.len() % 2 != 0 {
@@ -390,37 +404,40 @@ impl CloudEngine {
                 }
                 for kv in pairs.chunks(2) {
                     self.kv.set(kv[0], kv[1]);
-                    self.note(&MutationScope::KvKey(kv[0].to_vec()));
+                    self.note(|| MutationScope::KvKey(kv[0].to_vec()));
                 }
                 Ok(Vec::new())
             }
-            ["obs", "snapshot"] => {
+            ("obs", Some("snapshot")) => {
                 // Metrics federation: export this node's recorder snapshot
                 // so a cluster coordinator can merge per-node observability
                 // into one cluster-wide view.
                 Ok(self.obs.snapshot().to_json().into_bytes())
             }
-            ["tactic", name, scope, op] => {
+            ("tactic", _) if let Some([name, scope, op]) = segments(rest) => {
                 let tactic = self
                     .tactics
                     .get(name)
                     .ok_or_else(|| CoreError::UnsupportedOperation(format!("unknown cloud tactic {name}")))?;
-                self.obs.count(&format!("cloud.tactic.{name}.ops"), 1);
+                if self.obs.is_enabled() {
+                    let ops = format!("cloud.tactic.{name}.ops");
+                    self.obs.count(&ops, 1);
+                }
                 let out = tactic.handle(scope, op, payload);
                 if out.is_ok() {
                     // Mirror the write-route classification: setups touch
                     // broadcast state, scoped writes touch their scope key.
-                    match *op {
-                        "setup" => self.note(&MutationScope::Broadcast),
+                    match op {
+                        "setup" => self.note(|| MutationScope::Broadcast),
                         "update" | "insert" | "delete" => {
-                            self.note(&MutationScope::Routing(format!("tactic/{name}/{scope}").into_bytes()));
+                            self.note(|| MutationScope::Routing(format!("tactic/{name}/{scope}").into_bytes()));
                         }
                         _ => {}
                     }
                 }
                 out
             }
-            ["sync", op] => self.handle_sync(op, payload),
+            ("sync", _) if let Some([op]) = segments(rest) => self.handle_sync(op, payload),
             _ => Err(CoreError::UnsupportedOperation(format!("unknown route {route}"))),
         }
     }
@@ -439,9 +456,13 @@ impl CloudEngine {
     }
 
     /// Marks the digest cache dirty for a mutation's scope (no-op until the
-    /// first `sync/digest` request builds the cache).
-    fn note(&self, scope: &MutationScope) {
-        DigestCache::note(&mut self.digests.lock().unwrap_or_else(PoisonError::into_inner), scope);
+    /// first `sync/digest` request builds the cache, and `scope` is built
+    /// only once it has been).
+    fn note(&self, scope: impl FnOnce() -> MutationScope) {
+        let mut slot = self.digests.lock().unwrap_or_else(PoisonError::into_inner);
+        if slot.is_some() {
+            DigestCache::note(&mut slot, &scope());
+        }
     }
 
     /// Cluster-synchronization routes: the WAL tail, Merkle digests, range
@@ -506,7 +527,7 @@ impl CloudEngine {
                     }
                 }
                 if removed > 0 {
-                    self.note(&MutationScope::All);
+                    self.note(|| MutationScope::All);
                 }
                 Ok(removed.to_be_bytes().to_vec())
             }
@@ -530,7 +551,7 @@ impl CloudEngine {
                     for body in BlobList::decode(&e.value)?.items {
                         self.kv.apply_record(&LogRecord::from_body(&body)?);
                     }
-                    self.note(&MutationScope::KvKey(e.key.clone()));
+                    self.note(|| MutationScope::KvKey(e.key.clone()));
                 }
                 ENTRY_DOC => {
                     let (collection, id) = split_doc_key(&e.key)?;
@@ -545,7 +566,7 @@ impl CloudEngine {
                             coll.insert(doc)?;
                         }
                     }
-                    self.note(&MutationScope::Routing(e.key.clone()));
+                    self.note(|| MutationScope::Routing(e.key.clone()));
                 }
                 ENTRY_INDEX => {
                     let name = std::str::from_utf8(&e.key).map_err(|_| CoreError::Wire("utf8 collection"))?;
@@ -554,7 +575,7 @@ impl CloudEngine {
                         let field = String::from_utf8(field).map_err(|_| CoreError::Wire("utf8 index field"))?;
                         coll.create_index(&field);
                     }
-                    self.note(&MutationScope::Broadcast);
+                    self.note(|| MutationScope::Broadcast);
                 }
                 _ => return Err(CoreError::Wire("unknown entry kind")),
             }
@@ -590,17 +611,18 @@ impl CloudEngine {
             "insert" => {
                 let (collection, rest) = split_collection(payload)?;
                 let doc = decode_document(rest)?;
-                let key = crate::sync::doc_key(collection, doc.id().as_bytes());
+                // The id as the payload holds it, so a note is all it costs.
+                let id = Reader::new(rest).str()?;
                 self.docs.collection(collection).insert(doc)?;
-                self.note(&MutationScope::Routing(key));
+                self.note(|| MutationScope::Routing(crate::sync::doc_key(collection, id.as_bytes())));
                 Ok(Vec::new())
             }
             "update" => {
                 let (collection, rest) = split_collection(payload)?;
                 let doc = decode_document(rest)?;
-                let key = crate::sync::doc_key(collection, doc.id().as_bytes());
+                let id = Reader::new(rest).str()?;
                 self.docs.collection(collection).update(doc)?;
-                self.note(&MutationScope::Routing(key));
+                self.note(|| MutationScope::Routing(crate::sync::doc_key(collection, id.as_bytes())));
                 Ok(Vec::new())
             }
             "get" => {
@@ -630,7 +652,7 @@ impl CloudEngine {
                 let (collection, rest) = split_collection(payload)?;
                 let id = std::str::from_utf8(rest).map_err(|_| CoreError::Wire("utf8 id"))?;
                 self.docs.collection(collection).delete(id)?;
-                self.note(&MutationScope::Routing(crate::sync::doc_key(collection, id.as_bytes())));
+                self.note(|| MutationScope::Routing(crate::sync::doc_key(collection, id.as_bytes())));
                 Ok(Vec::new())
             }
             "count" => {
@@ -669,7 +691,7 @@ impl CloudEngine {
                 let (collection, rest) = split_collection(payload)?;
                 let field = std::str::from_utf8(rest).map_err(|_| CoreError::Wire("utf8 field"))?;
                 self.docs.collection(collection).create_index(field);
-                self.note(&MutationScope::Broadcast);
+                self.note(|| MutationScope::Broadcast);
                 Ok(Vec::new())
             }
             "find_ids_eq" => {
@@ -1129,6 +1151,15 @@ mod tests {
         assert!(e.dispatch("nope", &[]).is_err());
         assert!(e.dispatch("doc/nope", &with_collection("c", b"")).is_err());
         assert!(e.dispatch("tactic/unknown/s/op", &[]).is_err());
+        // A known route with a segment too many or too few names nothing,
+        // and touches nothing.
+        let (_, ins) = doc(1, "final");
+        for route in ["doc/insert/x", "doc", "tactic/mitra/s", "tactic/mitra/s/update/x", "batch/", "sync", "idem/x"] {
+            let unknown = format!("unknown route {route}");
+            assert_eq!(e.dispatch(route, &ins), Err(CoreError::UnsupportedOperation(unknown)), "{route}");
+        }
+        assert_eq!(e.docs().collection("obs").len(), 0);
+        assert!(e.kv().keys_with_prefix(b"").is_empty());
     }
 
     fn idem(token: u8, route: &str, payload: &[u8]) -> Vec<u8> {

@@ -36,7 +36,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, TryLockError};
 
-use datablinder_codec::{encode_frame, Malformed, Writer};
+use datablinder_codec::{encode_frame, encode_frame_into, Malformed, Writer};
 use datablinder_docstore::DocStore;
 use datablinder_kvstore::{read_frames, FrameWriter, KvError, KvStore, LogRecord};
 use datablinder_netsim::{CloudService, CrashInjector, CrashVerdict, NetError};
@@ -85,15 +85,7 @@ impl WalRecord {
     /// Builds a record for `(route, payload)` at sequence `seq`, deriving
     /// the record id.
     pub fn new(seq: u64, route: &str, payload: &[u8]) -> Self {
-        let id = if route == IDEM_ROUTE {
-            match Idempotent::decode(payload) {
-                Ok(env) => env.token,
-                Err(_) => fingerprint_id(route, payload),
-            }
-        } else {
-            fingerprint_id(route, payload)
-        };
-        WalRecord { seq, id, route: route.to_string(), payload: payload.to_vec() }
+        WalRecord { seq, id: record_id(route, payload), route: route.to_string(), payload: payload.to_vec() }
     }
 
     /// Serializes the record body (frame-less; the WAL wraps it in a CRC
@@ -116,6 +108,25 @@ impl WalRecord {
         })
         .map_err(|e: Malformed| CoreError::Storage(format!("wal record: {e}")))
     }
+}
+
+/// The id a record of `(route, payload)` carries ([`WalRecord::id`]).
+fn record_id(route: &str, payload: &[u8]) -> [u8; 16] {
+    match route {
+        IDEM_ROUTE => Idempotent::parts(payload).map_or_else(|_| fingerprint_id(route, payload), |(token, _, _)| token),
+        _ => fingerprint_id(route, payload),
+    }
+}
+
+/// Appends to `out` the frame of the record `(seq, id, route, payload)`:
+/// the bytes `encode_frame(&[&record.encode()])` gives, with route and
+/// payload copied once and no record built.
+fn frame_record(out: &mut Vec<u8>, seq: u64, id: &[u8; 16], route: &str, payload: &[u8]) {
+    let len = |bytes: &[u8]| (bytes.len() as u32).to_be_bytes();
+    encode_frame_into(
+        out,
+        &[&seq.to_be_bytes(), &len(id), id, &len(route.as_bytes()), route.as_bytes(), &len(payload), payload],
+    );
 }
 
 fn fingerprint_id(route: &str, payload: &[u8]) -> [u8; 16] {
@@ -266,14 +277,16 @@ impl Durability {
             return Ok(JournalOutcome::Written);
         }
 
-        // Group commit: enqueue under the short queue lock...
+        // Group commit: frame the record straight into the queue under its
+        // short lock...
+        let id = record_id(route, payload);
         let seq = {
             let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
-            let rec = WalRecord::new(q.seq + 1, route, payload);
-            q.pending.extend_from_slice(&encode_frame(&[&rec.encode()]));
-            q.seq = rec.seq;
+            let seq = q.seq + 1;
+            frame_record(&mut q.pending, seq, &id, route, payload);
+            q.seq = seq;
             q.since_snapshot += 1;
-            rec.seq
+            seq
         };
         // ...then wait for a leader (possibly this thread) to flush it.
         self.commit_until(seq)?;
@@ -598,6 +611,19 @@ mod tests {
         let env = Idempotent { token: [0xAB; 16], route: "doc/insert".into(), payload: vec![1, 2, 3] };
         let rec = WalRecord::new(1, IDEM_ROUTE, &env.encode());
         assert_eq!(rec.id, [0xAB; 16]);
+    }
+
+    #[test]
+    fn a_journaled_frame_is_the_framed_record() {
+        let env = Idempotent { token: [0xCD; 16], route: "batch".into(), payload: vec![7; 300] }.encode();
+        for (route, payload) in
+            [("doc/insert", &b"payload"[..]), (IDEM_ROUTE, &env[..]), (IDEM_ROUTE, &b"not an envelope"[..])]
+        {
+            let mut pending = vec![0xEE];
+            frame_record(&mut pending, 42, &record_id(route, payload), route, payload);
+            let record = WalRecord::new(42, route, payload);
+            assert_eq!(pending[1..], encode_frame(&[&record.encode()]), "{route}");
+        }
     }
 
     #[test]

@@ -43,7 +43,8 @@ use crate::registry::{Selection, TacticRegistry};
 use crate::spi::{single_id_list, CloudCall, DnfLiterals, DocIdGen, GatewayTactic, ProtectedField, RandomDocIdGen};
 use crate::tactics::{shadow_field, TacticContext};
 use crate::wire::{
-    ciphertext_after, decode_document, encode_document, skip_value, take_ciphertext, take_value, value_after, ABSENT,
+    ciphertext_after, decode_document, document_payload, encode_document, skip_value, take_ciphertext, take_value,
+    value_after, ABSENT,
 };
 
 /// Scope name of the shared cross-field boolean tactic instance.
@@ -1122,13 +1123,17 @@ impl GatewayEngine {
     ///   stateful chains (Mitra counters, Sophos chains) advance as a
     ///   document-at-a-time loop would. Distinct instances share no state,
     ///   so partitions compose in any schedule.
-    /// * Results are reassembled doc-major in application order.
+    /// * Items sit in one list in application order, doc-major, and each
+    ///   keeps its own result, so the group is read back in that order.
     ///
-    /// The jobs run on the pool when one is attached and there is more than
-    /// one document; otherwise on the caller's thread. On failure nothing
-    /// ships and the error returned is the first in application order,
-    /// though later items may already have advanced local chain state — the
-    /// tolerated run-ahead [`GatewayEngine::insert_many`] documents.
+    /// Items borrow the documents' names and values. Without a pool, or for
+    /// one document, each partition runs in turn on the caller's thread;
+    /// a pool's jobs own copies. Each stored document is encoded once,
+    /// straight from its borrowed plain fields and the tactics' shadows.
+    /// On failure nothing ships and the error returned is the first in
+    /// application order, though later items may already have advanced
+    /// local chain state — the tolerated run-ahead
+    /// [`GatewayEngine::insert_many`] documents.
     fn insert_group(
         &self,
         plan: &SchemaPlan,
@@ -1137,8 +1142,12 @@ impl GatewayEngine {
         boolean: BoolIndex,
     ) -> Result<Vec<CloudCall>, CoreError> {
         let timing = self.obs.is_enabled();
-        let mut skeletons: Vec<Document> = Vec::with_capacity(docs.len());
-        let mut partitions: Vec<(&Handle, Vec<Item>)> = Vec::new();
+        let mut partitions: Vec<&Handle> = Vec::new();
+        let mut items: Vec<Item> = Vec::new();
+        // Per document: where its items start in `items`, and its plain
+        // fields in `plain`.
+        let mut starts: Vec<(usize, usize)> = Vec::with_capacity(docs.len() + 1);
+        let mut plain: Vec<(&str, &Value)> = Vec::new();
         // Each document's boolean literals, if it has some; indexed per
         // document, each also gets a fork, and a bulk build forks once.
         let mut entries: Vec<(Vec<(String, Value)>, DocId)> = Vec::new();
@@ -1147,104 +1156,143 @@ impl GatewayEngine {
         {
             let mut rng = self.rng.lock().unwrap_or_else(PoisonError::into_inner);
             for (d, (doc, id)) in docs.iter().zip(ids).enumerate() {
-                let mut cloud_doc = Document::new(id.to_hex());
-                let work = plan_field_work(plan, doc, &mut cloud_doc);
-                for (ord, (handle, field, value)) in
-                    work.iter().flat_map(|(f, v, fp)| fp.writes.iter().map(move |h| (h, f, v))).enumerate()
-                {
-                    let item = Item {
-                        at: (d, ord),
-                        field: field.to_string(),
-                        value: (*value).clone(),
-                        id: *id,
-                        rng: fork(&mut rng),
+                starts.push((items.len(), plain.len()));
+                let mut literals = Vec::new();
+                for (field, value) in doc.iter() {
+                    let Some(fp) = plan.fields.get(field) else {
+                        plain.push((field, value));
+                        continue;
                     };
-                    match partitions.iter_mut().find(|(h, _)| Arc::ptr_eq(&h.tactic, &handle.tactic)) {
-                        Some((_, items)) => items.push(item),
-                        None => partitions.push((handle, vec![item])),
+                    for handle in &fp.writes {
+                        let partition = match partitions.iter().position(|h| Arc::ptr_eq(&h.tactic, &handle.tactic)) {
+                            Some(p) => p,
+                            None => {
+                                partitions.push(handle);
+                                partitions.len() - 1
+                            }
+                        };
+                        items.push(Item { partition, field, value, id: *id, rng: fork(&mut rng), out: None });
+                    }
+                    if fp.boolean && plan.bool_tactic.is_some() {
+                        literals.push((field.to_string(), value.clone()));
                     }
                 }
-                let literals = bool_literals(&work);
-                if plan.bool_tactic.is_some() && !literals.is_empty() {
+                if !literals.is_empty() {
                     if boolean == BoolIndex::PerDocument {
                         bool_rngs.push((d, fork(&mut rng)));
                     }
                     entries.push((literals, *id));
                 }
-                skeletons.push(cloud_doc);
             }
+            starts.push((items.len(), plain.len()));
             if boolean == BoolIndex::Bulk && !entries.is_empty() {
                 bulk_rng = Some(fork(&mut rng));
             }
         }
 
-        let names: Vec<&str> = partitions.iter().map(|(h, _)| h.name.as_str()).collect();
-        let mut jobs: Vec<Box<dyn FnOnce() -> Vec<Out> + Send>> = Vec::new();
-        for (p, (handle, mut items)) in partitions.into_iter().enumerate() {
-            let tactic = handle.tactic.clone();
-            jobs.push(Box::new(move || {
-                let (results, took) = protect_items(&tactic, &mut items, timing);
-                let outs = items.into_iter().zip(results);
-                outs.map(|(it, result)| Out::Field { at: it.at, tactic: p, field: it.field, took, result }).collect()
-            }));
-        }
-        if let (Some(bt), false) = (&plan.bool_tactic, bool_rngs.is_empty()) {
-            let tactic = bt.tactic.clone();
-            let entries = std::mem::take(&mut entries);
-            jobs.push(Box::new(move || {
-                let mut t = lock(&tactic);
-                let docs = entries.into_iter().zip(bool_rngs);
-                docs.map(|((literals, id), (doc, mut rng))| Out::Boolean {
-                    doc,
-                    result: t.protect_document(&mut rng, &literals, id),
-                })
-                .collect()
-            }));
-        }
-        let outputs = match &self.pool {
+        let (took, bool_calls) = match &self.pool {
             Some(pool) if docs.len() > 1 => {
-                self.obs.count("gateway.pool.jobs", jobs.len() as u64);
-                // Queue depth at submission = the whole fan-out; the gauge
-                // captures the high-water mark of this batch.
-                self.obs.gauge_set("gateway.pool.queue_depth", jobs.len() as i64);
-                let outputs = pool.run_ordered(jobs);
-                self.obs.gauge_set("gateway.pool.queue_depth", pool.queue_depth());
-                outputs
+                self.protect_pooled(pool, plan, &partitions, &mut items, &mut entries, bool_rngs, timing)
             }
-            _ => jobs.into_iter().map(|job| job()).collect(),
+            _ => {
+                let took = partitions.iter().enumerate().map(|(p, h)| protect_items(&h.tactic, &mut items, p, timing));
+                let took = took.collect();
+                let bt = plan.bool_tactic.as_ref();
+                (took, bt.map_or_else(Vec::new, |bt| protect_documents(&bt.tactic, &entries, bool_rngs)))
+            }
         };
 
-        let mut outs: Vec<Out> = outputs.into_iter().flatten().collect();
-        outs.sort_by_key(|o| match o {
-            Out::Field { at, .. } => *at,
-            Out::Boolean { doc, .. } => (*doc, usize::MAX),
-        });
-        let mut index_calls: Vec<Vec<CloudCall>> = docs.iter().map(|_| Vec::new()).collect();
-        for out in outs {
-            match out {
-                Out::Field { at: (d, _), tactic, field, took, result } => {
-                    let protected = result?;
-                    for (f, v) in protected.stored {
-                        skeletons[d].set(f, v);
-                    }
-                    index_calls[d].extend(protected.index_calls);
-                    if timing {
-                        self.obs.ewma_observe(&format!("tactic.{}.update", names[tactic]), took);
-                    }
-                    self.audit_leakage(plan, &field, TacticOp::Update, "insert", names[tactic]);
-                }
-                Out::Boolean { doc, result } => index_calls[doc].extend(result?),
-            }
-        }
+        let mut bool_calls = bool_calls.into_iter().peekable();
         let mut group = Vec::new();
-        for (cloud_doc, calls) in skeletons.iter().zip(index_calls) {
-            group.extend(calls);
-            group.push(CloudCall::new("doc/insert", with_collection(&plan.schema.name, &encode_document(cloud_doc))));
+        for (d, id) in ids.iter().enumerate() {
+            let ((first, plain_from), (end, plain_to)) = (starts[d], starts[d + 1]);
+            let mut shadows = Vec::new();
+            for item in &mut items[first..end] {
+                let protected = item.out.take().expect("every item is protected")?;
+                shadows.extend(protected.stored);
+                group.extend(protected.index_calls);
+                let name = &partitions[item.partition].name;
+                if timing {
+                    self.obs.ewma_observe(&format!("tactic.{name}.update"), took[item.partition]);
+                }
+                self.audit_leakage(plan, item.field, TacticOp::Update, "insert", name);
+            }
+            if let Some((_, calls)) = bool_calls.next_if(|(doc, _)| *doc == d) {
+                group.extend(calls?);
+            }
+            let mut fields = plain[plain_from..plain_to].to_vec();
+            fields.extend(shadows.iter().map(|(name, value)| (&**name, value)));
+            group.push(CloudCall::new("doc/insert", document_payload(&plan.schema.name, &id.to_hex(), fields)));
         }
         if let (Some(bt), Some(mut rng)) = (&plan.bool_tactic, bulk_rng) {
             group.extend(lock(&bt.tactic).bulk_index(&mut rng, &entries)?);
         }
         Ok(group)
+    }
+
+    /// Runs [`GatewayEngine::insert_group`]'s partitions, and the boolean
+    /// tactic's documents if `bool_rngs` holds any, as jobs on `pool`, and
+    /// leaves each item's result in it. Jobs outlive no borrow, so each
+    /// takes copies of its partition's items, and the boolean job takes
+    /// `entries`. Returns each partition's per-item time share and the
+    /// boolean calls.
+    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
+    fn protect_pooled(
+        &self,
+        pool: &WorkerPool,
+        plan: &SchemaPlan,
+        partitions: &[&Handle],
+        items: &mut [Item],
+        entries: &mut Vec<(Vec<(String, Value)>, DocId)>,
+        bool_rngs: Vec<(usize, StdRng)>,
+        timing: bool,
+    ) -> (Vec<Duration>, Vec<(usize, Result<Vec<CloudCall>, CoreError>)>) {
+        let mut jobs: Vec<Box<dyn FnOnce() -> Done + Send>> = Vec::new();
+        for (p, handle) in partitions.iter().enumerate() {
+            let tactic = handle.tactic.clone();
+            let owned: Vec<(String, Value, DocId, StdRng)> = items
+                .iter()
+                .filter(|it| it.partition == p)
+                .map(|it| (it.field.to_string(), it.value.clone(), it.id, it.rng.clone()))
+                .collect();
+            jobs.push(Box::new(move || {
+                let items = owned.iter().map(|(field, value, id, rng)| Item {
+                    partition: 0,
+                    field,
+                    value,
+                    id: *id,
+                    rng: rng.clone(),
+                    out: None,
+                });
+                let mut items: Vec<Item> = items.collect();
+                let took = protect_items(&tactic, &mut items, 0, timing);
+                Done::Fields(items.into_iter().map(|it| it.out.expect("every item is protected")).collect(), took)
+            }));
+        }
+        if let (Some(bt), false) = (&plan.bool_tactic, bool_rngs.is_empty()) {
+            let tactic = bt.tactic.clone();
+            let entries = std::mem::take(entries);
+            jobs.push(Box::new(move || Done::Boolean(protect_documents(&tactic, &entries, bool_rngs))));
+        }
+        self.obs.count("gateway.pool.jobs", jobs.len() as u64);
+        // Queue depth at submission = the whole fan-out; the gauge captures
+        // the high-water mark of this batch.
+        self.obs.gauge_set("gateway.pool.queue_depth", jobs.len() as i64);
+        let outputs = pool.run_ordered(jobs);
+        self.obs.gauge_set("gateway.pool.queue_depth", pool.queue_depth());
+        let (mut took, mut bool_calls) = (Vec::new(), Vec::new());
+        for (p, done) in outputs.into_iter().enumerate() {
+            match done {
+                Done::Fields(outs, share) => {
+                    for (it, out) in items.iter_mut().filter(|it| it.partition == p).zip(outs) {
+                        it.out = Some(out);
+                    }
+                    took.push(share);
+                }
+                Done::Boolean(calls) => bool_calls = calls,
+            }
+        }
+        (took, bool_calls)
     }
 
     /// Fetches and decrypts a document.
@@ -1291,7 +1339,7 @@ impl GatewayEngine {
         // Recover plaintext values to produce the revocation tokens.
         let plaintext = self.get(schema_name, id)?;
         let plan = self.plan(schema_name)?;
-        let work = plan_field_work(&plan, &plaintext, &mut Document::new(""));
+        let work = plan_field_work(&plan, &plaintext);
         let mut calls = Vec::new();
         for (field, value, fp) in &work {
             for handle in &fp.writes {
@@ -1615,20 +1663,19 @@ impl GatewayEngine {
         let version = self.kms.rotate(&ctx.key_scope(tactic));
         *lock(&handle.tactic) = self.build_tactic(tactic, &ctx)?;
 
-        let (mut items, stored): (Vec<Item>, Vec<Vec<u8>>) = {
+        let mut items: Vec<Item> = {
             let mut rng = self.rng.lock().unwrap_or_else(PoisonError::into_inner);
-            let item = |(i, (id, value, stored))| {
-                (Item { at: (i, 0), field: field.to_string(), value, id, rng: fork(&mut rng) }, stored)
-            };
-            recovered.into_iter().enumerate().map(item).unzip()
+            let items = recovered.iter().map(|(id, value, _)| (id, value, fork(&mut rng)));
+            items.map(|(id, value, rng)| Item { partition: 0, field, value, id: *id, rng, out: None }).collect()
         };
-        let (results, _) = protect_items(&handle.tactic, &mut items, false);
+        protect_items(&handle.tactic, &mut items, 0, false);
+        let results = items.into_iter().map(|it| it.out.expect("every item is protected"));
 
         let (mut index, mut updates) = (Vec::new(), Vec::new());
         if tactic != plan.fields[field].selection.payload {
             index.push(CloudCall::new("kv/del_prefix", format!("t/{tactic}/{schema_name}:{field}/").into_bytes()));
         }
-        for (stored, result) in stored.iter().zip(results) {
+        for ((_, _, stored), result) in recovered.iter().zip(results) {
             let protected = result?;
             index.extend(protected.index_calls);
             if !protected.stored.is_empty() {
@@ -1836,66 +1883,62 @@ enum BoolIndex {
     Bulk,
 }
 
-/// One field value to protect, with the RNG forked for it and its place in
-/// the write group: (document, application order within the document).
-struct Item {
-    at: (usize, usize),
-    field: String,
-    value: Value,
+/// One field value to protect, borrowed from its document, with the RNG
+/// forked for it, the partition (tactic instance) that protects it, and,
+/// once protected, its result.
+struct Item<'a> {
+    partition: usize,
+    field: &'a str,
+    value: &'a Value,
     id: DocId,
     rng: StdRng,
+    out: Option<Result<ProtectedField, CoreError>>,
 }
 
-/// What one protection job produced: a field item's result, with its
-/// partition's index and its share of the partition's time, or a
-/// document's boolean index calls.
-enum Out {
-    Field {
-        at: (usize, usize),
-        tactic: usize,
-        field: String,
-        took: Duration,
-        result: Result<ProtectedField, CoreError>,
-    },
-    Boolean {
-        doc: usize,
-        result: Result<Vec<CloudCall>, CoreError>,
-    },
+/// What one pool job of [`GatewayEngine::protect_pooled`] produced.
+enum Done {
+    /// A partition's results, in item order, with each item's share of the
+    /// partition's time.
+    Fields(Vec<Result<ProtectedField, CoreError>>, Duration),
+    /// Each indexed document's boolean index calls.
+    Boolean(Vec<(usize, Result<Vec<CloudCall>, CoreError>)>),
 }
 
-/// Protects `items` in order under one hold of the instance lock, each
-/// through `protect` with its own forked RNG. The duration is each item's
-/// share of the loop when `timed`, zero otherwise.
-fn protect_items(
-    tactic: &SharedTactic,
-    items: &mut [Item],
-    timed: bool,
-) -> (Vec<Result<ProtectedField, CoreError>>, Duration) {
-    let n = items.len().max(1) as u32;
+/// Protects the items of `partition` in order under one hold of the
+/// instance lock, each through `protect` with its own forked RNG, and
+/// leaves each result in its item. Returns each item's share of the loop
+/// when `timed`, zero otherwise.
+fn protect_items(tactic: &SharedTactic, items: &mut [Item], partition: usize, timed: bool) -> Duration {
     let mut tactic = lock(tactic);
     let t0 = timed.then(Instant::now);
-    let results = items.iter_mut().map(|it| tactic.protect(&mut it.rng, &it.field, &it.value, it.id)).collect();
-    (results, t0.map_or(Duration::ZERO, |t0| t0.elapsed() / n))
+    let mut n = 0;
+    for it in items.iter_mut().filter(|it| it.partition == partition) {
+        it.out = Some(tactic.protect(&mut it.rng, it.field, it.value, it.id));
+        n += 1;
+    }
+    t0.map_or(Duration::ZERO, |t0| t0.elapsed() / n.max(1))
+}
+
+/// Indexes each document of `entries` through the boolean tactic's
+/// `protect_document`, under one hold of its lock, with the RNG `rngs`
+/// forked for it; nothing when `rngs` is empty (a bulk build).
+fn protect_documents(
+    tactic: &SharedTactic,
+    entries: &[(Vec<(String, Value)>, DocId)],
+    rngs: Vec<(usize, StdRng)>,
+) -> Vec<(usize, Result<Vec<CloudCall>, CoreError>)> {
+    if rngs.is_empty() {
+        return Vec::new();
+    }
+    let mut t = lock(tactic);
+    let docs = entries.iter().zip(rngs);
+    docs.map(|((literals, id), (doc, mut rng))| (doc, t.protect_document(&mut rng, literals, *id))).collect()
 }
 
 /// The annotated fields of a document with their plans, in document field
-/// order — the canonical application order; unannotated fields are copied
-/// straight into `cloud_doc`.
-fn plan_field_work<'a>(
-    plan: &'a SchemaPlan,
-    doc: &'a Document,
-    cloud_doc: &mut Document,
-) -> Vec<(&'a str, &'a Value, &'a FieldPlan)> {
-    let mut work = Vec::new();
-    for (field, value) in doc.iter() {
-        match plan.fields.get(field) {
-            None => {
-                cloud_doc.set(field, value.clone());
-            }
-            Some(fp) => work.push((field, value, fp)),
-        }
-    }
-    work
+/// order — the canonical application order.
+fn plan_field_work<'a>(plan: &'a SchemaPlan, doc: &'a Document) -> Vec<(&'a str, &'a Value, &'a FieldPlan)> {
+    doc.iter().filter_map(|(field, value)| plan.fields.get(field).map(|fp| (field, value, fp))).collect()
 }
 
 /// The literals of `work` the shared boolean tactic indexes.

@@ -165,7 +165,7 @@ mod tests {
             let p = tactic.protect(&mut rng, "f", &value, id).unwrap();
             let mut doc = Document::new(id.to_hex());
             for (f, stored) in p.stored {
-                shadow_name = f.clone();
+                shadow_name = f.to_string();
                 doc.set(f, stored);
             }
             coll.insert(doc).unwrap();

@@ -60,8 +60,16 @@ impl SchemaStore {
 ///
 /// [`CoreError::SchemaViolation`] listing the first offending field.
 pub fn validate_document(schema: &Schema, doc: &Document) -> Result<(), CoreError> {
+    // Both sides ascend by name, so one merge walk pairs them. A field the
+    // schema lacks is reported only after every schema field has passed,
+    // the first in document order.
+    let mut fields = doc.iter().peekable();
+    let mut unknown = None;
     for (name, spec) in &schema.fields {
-        match doc.get(name) {
+        while let Some((extra, _)) = fields.next_if(|&(field, _)| field < name.as_str()) {
+            unknown = unknown.or(Some(extra));
+        }
+        match fields.next_if(|&(field, _)| field == name).map(|(_, value)| value) {
             None if spec.required => {
                 return Err(CoreError::SchemaViolation(format!("missing required field {name}")));
             }
@@ -75,12 +83,10 @@ pub fn validate_document(schema: &Schema, doc: &Document) -> Result<(), CoreErro
             _ => {}
         }
     }
-    for (name, _) in doc.iter() {
-        if !schema.fields.contains_key(name) {
-            return Err(CoreError::SchemaViolation(format!("unknown field {name}")));
-        }
+    match unknown.or_else(|| fields.next().map(|(extra, _)| extra)) {
+        Some(name) => Err(CoreError::SchemaViolation(format!("unknown field {name}"))),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -140,5 +146,57 @@ mod tests {
             .with("status", Value::from("final"))
             .with("mystery", Value::Null);
         assert!(validate_document(&schema(), &doc).is_err());
+    }
+
+    /// The merge walk names the offending field a lookup per field would:
+    /// the first schema field that is missing or mistyped, else the first
+    /// document field the schema lacks.
+    #[test]
+    fn validation_reports_what_a_lookup_per_field_reports() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        fn by_lookup(schema: &Schema, doc: &Document) -> Result<(), CoreError> {
+            for (name, spec) in &schema.fields {
+                match doc.get(name) {
+                    None if spec.required => {
+                        return Err(CoreError::SchemaViolation(format!("missing required field {name}")));
+                    }
+                    Some(value) if !spec.field_type.admits(value) => {
+                        return Err(CoreError::SchemaViolation(format!(
+                            "field {name}: expected {:?}, got {}",
+                            spec.field_type,
+                            value.type_name()
+                        )));
+                    }
+                    _ => {}
+                }
+            }
+            match doc.iter().find(|(name, _)| !schema.fields.contains_key(*name)) {
+                Some((name, _)) => Err(CoreError::SchemaViolation(format!("unknown field {name}"))),
+                None => Ok(()),
+            }
+        }
+        let names = ["a", "a_b", "ab", "b", "ba", "c", "z"];
+        let types = [FieldType::Text, FieldType::Integer, FieldType::Float, FieldType::Boolean];
+        for case in 0..2_000 {
+            let rng = &mut StdRng::seed_from_u64(case);
+            let mut schema = Schema::new("s");
+            let mut doc = Document::new("d");
+            for name in names {
+                if rng.gen_range(0..3) > 0 {
+                    schema = schema.plain_field(name, types[rng.gen_range(0..4usize)], rng.gen());
+                }
+                if rng.gen_range(0..3) > 0 {
+                    let value = match rng.gen_range(0..4) {
+                        0 => Value::from("x"),
+                        1 => Value::from(1i64),
+                        2 => Value::from(0.5),
+                        _ => Value::from(true),
+                    };
+                    doc.set(name, value);
+                }
+            }
+            assert_eq!(validate_document(&schema, &doc), by_lookup(&schema, &doc), "case {case}");
+        }
     }
 }

@@ -28,7 +28,7 @@
 //! Cloud interfaces (Insertion, Update, Retrieval, Deletion, EqQuery,
 //! BoolQuery, AggFunction) are routes handled by [`CloudTactic::handle`].
 
-use datablinder_docstore::Value;
+use datablinder_docstore::{FieldName, Value};
 use datablinder_obs::Recorder;
 use datablinder_sse::DocId;
 use rand::RngCore;
@@ -57,8 +57,9 @@ impl CloudCall {
 #[derive(Debug, Clone, Default)]
 pub struct ProtectedField {
     /// Shadow fields to store in the cloud document
-    /// (e.g. `status__rnd` → ciphertext bytes).
-    pub stored: Vec<(String, Value)>,
+    /// (e.g. `status__rnd` → ciphertext bytes). A field-scoped instance
+    /// names the one shadow it stores once and hands out that name.
+    pub stored: Vec<(FieldName, Value)>,
     /// Secure-index operations to execute against the cloud.
     pub index_calls: Vec<CloudCall>,
 }

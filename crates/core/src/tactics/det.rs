@@ -10,12 +10,12 @@ use datablinder_sse::det::DetCipher;
 use datablinder_sse::DocId;
 use rand::RngCore;
 
-use super::{shadow_field, TacticContext};
+use super::{shadow_field, Shadow, TacticContext};
 use crate::cloudproto::FindIdsEq;
 use crate::error::CoreError;
 use crate::model::*;
 use crate::spi::{CloudCall, GatewayTactic, ProtectedField};
-use crate::wire::{canonical_bytes, decode_value};
+use crate::wire::{canonical_bytes, decode_value, encode_value};
 
 /// Descriptor for DET (Table 2: class 4, leakage *Equalities*,
 /// 9 gateway / 6 cloud interfaces).
@@ -45,6 +45,9 @@ pub fn descriptor() -> TacticDescriptor {
 pub struct DetTactic {
     cipher: DetCipher,
     collection: String,
+    shadow: Shadow,
+    /// The canonical bytes of the value being protected, reused.
+    plaintext: Vec<u8>,
 }
 
 impl DetTactic {
@@ -55,7 +58,12 @@ impl DetTactic {
     /// Key-schedule failures.
     pub fn build(ctx: &TacticContext) -> Result<Self, CoreError> {
         let key = ctx.kms.key_for(&ctx.key_scope("det"));
-        Ok(DetTactic { cipher: DetCipher::new(&key)?, collection: ctx.schema.clone() })
+        Ok(DetTactic {
+            cipher: DetCipher::new(&key)?,
+            collection: ctx.schema.clone(),
+            shadow: Shadow::new(ctx, "det"),
+            plaintext: Vec::new(),
+        })
     }
 
     /// The stored literal for a plaintext value — used by the engine to
@@ -77,8 +85,10 @@ impl GatewayTactic for DetTactic {
         value: &Value,
         _id: DocId,
     ) -> Result<ProtectedField, CoreError> {
-        let ct = self.cipher.encrypt(&canonical_bytes(value));
-        Ok(ProtectedField { stored: vec![(shadow_field(field, "det"), Value::Bytes(ct))], index_calls: Vec::new() })
+        self.plaintext.clear();
+        encode_value(value, &mut self.plaintext);
+        let ct = self.cipher.encrypt(&self.plaintext);
+        Ok(ProtectedField { stored: vec![(self.shadow.of(field), Value::Bytes(ct))], index_calls: Vec::new() })
     }
 
     /// DET ignores `id`: equal values must stay equal ciphertexts across
@@ -126,7 +136,7 @@ mod tests {
         let b = t.protect(&mut rng, "effective", &Value::from(1359966610i64), DocId([2; 16])).unwrap();
         assert_eq!(a.stored, b.stored, "determinism enables cloud equality");
 
-        assert_eq!(a.stored[0].0, "effective__det");
+        assert_eq!(&*a.stored[0].0, "effective__det");
         let Value::Bytes(ct) = &a.stored[0].1 else { panic!("DET stores bytes") };
         assert_eq!(t.recover(DocId([1; 16]), ct, &mut Vec::new()).unwrap(), Value::from(1359966610i64));
         // Unbound: the same ciphertext opens under any document id.

@@ -37,6 +37,8 @@ pub struct MitraTactic {
     client: MitraClient,
     route_update: String,
     route_search: String,
+    /// The keyword of the value being protected, reused.
+    keyword: Vec<u8>,
 }
 
 impl MitraTactic {
@@ -48,6 +50,7 @@ impl MitraTactic {
             client: MitraClient::new(&key),
             route_update: ctx.route("mitra", "update"),
             route_search: ctx.route("mitra", "search"),
+            keyword: Vec::new(),
         })
     }
 
@@ -68,7 +71,8 @@ impl GatewayTactic for MitraTactic {
         value: &Value,
         id: DocId,
     ) -> Result<ProtectedField, CoreError> {
-        let token = self.client.update_token(&Self::keyword(field, value), id, UpdateOp::Add);
+        crate::wire::field_keyword_into(field, value, &mut self.keyword);
+        let token = self.client.update_token(&self.keyword, id, UpdateOp::Add);
         Ok(ProtectedField {
             stored: Vec::new(),
             index_calls: vec![CloudCall::new(self.route_update.clone(), token.encode())],

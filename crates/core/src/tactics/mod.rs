@@ -13,7 +13,7 @@ pub mod rnd;
 pub mod sophos;
 
 use datablinder_codec::Writer;
-use datablinder_docstore::Value;
+use datablinder_docstore::{FieldName, Value};
 use datablinder_sse::DocId;
 
 use crate::error::CoreError;
@@ -52,6 +52,30 @@ impl TacticContext {
 /// The shadow-field name a tactic stores its ciphertext under.
 pub fn shadow_field(field: &str, suffix: &str) -> String {
     format!("{field}__{suffix}")
+}
+
+/// The shadow field a field-scoped instance stores under, named once when
+/// the instance is built: `protect` hands out the shared name instead of
+/// a new string per value.
+pub(crate) struct Shadow {
+    name: FieldName,
+    /// Where `<field>` ends in `name`.
+    field_len: usize,
+}
+
+impl Shadow {
+    pub(crate) fn new(ctx: &TacticContext, suffix: &str) -> Self {
+        Shadow { name: shadow_field(&ctx.scope, suffix).into(), field_len: ctx.scope.len() }
+    }
+
+    /// `<field>__<suffix>`: the shared name for the instance's own field.
+    pub(crate) fn of(&self, field: &str) -> FieldName {
+        if self.name.get(..self.field_len) == Some(field) {
+            self.name.clone()
+        } else {
+            format!("{field}{}", &self.name[self.field_len..]).into()
+        }
+    }
 }
 
 /// Encodes a list of [`DocId`]s.

@@ -14,7 +14,7 @@ use datablinder_ope::{Ope, OpeParams};
 use datablinder_sse::DocId;
 use rand::RngCore;
 
-use super::{orderable_u64, shadow_field, TacticContext};
+use super::{orderable_u64, shadow_field, Shadow, TacticContext};
 use crate::cloudproto::FindIdsRange;
 use crate::error::CoreError;
 use crate::model::*;
@@ -42,13 +42,18 @@ pub fn descriptor() -> TacticDescriptor {
 pub struct OpeTactic {
     ope: Ope,
     collection: String,
+    shadow: Shadow,
 }
 
 impl OpeTactic {
     /// Builds from context.
     pub fn build(ctx: &TacticContext) -> Result<Self, CoreError> {
         let key = ctx.kms.key_for(&ctx.key_scope("ope"));
-        Ok(OpeTactic { ope: Ope::new(key, OpeParams::default()), collection: ctx.schema.clone() })
+        Ok(OpeTactic {
+            ope: Ope::new(key, OpeParams::default()),
+            collection: ctx.schema.clone(),
+            shadow: Shadow::new(ctx, "ope"),
+        })
     }
 
     fn ciphertext_bytes(&self, value: &Value) -> Result<Vec<u8>, CoreError> {
@@ -70,7 +75,7 @@ impl GatewayTactic for OpeTactic {
         _id: DocId,
     ) -> Result<ProtectedField, CoreError> {
         let ct = self.ciphertext_bytes(value)?;
-        Ok(ProtectedField { stored: vec![(shadow_field(field, "ope"), Value::Bytes(ct))], index_calls: Vec::new() })
+        Ok(ProtectedField { stored: vec![(self.shadow.of(field), Value::Bytes(ct))], index_calls: Vec::new() })
     }
 
     fn resolves_in_cloud(&self) -> bool {

@@ -17,7 +17,7 @@ use datablinder_paillier::{Ciphertext, Keypair, PublicKey, RandomizerPool};
 use datablinder_sse::DocId;
 use rand::RngCore;
 
-use super::{aggregable_i64, shadow_field, TacticContext, AGG_SCALE};
+use super::{aggregable_i64, shadow_field, Shadow, TacticContext, AGG_SCALE};
 use crate::cloudproto::{PaillierCombine, PaillierSum, PaillierSumResponse, RangeSelect, RangedRead};
 use crate::error::CoreError;
 use crate::model::*;
@@ -65,6 +65,7 @@ pub struct PaillierTactic {
     pool: RandomizerPool,
     collection: String,
     route_sum: String,
+    shadow: Shadow,
 }
 
 impl PaillierTactic {
@@ -94,7 +95,13 @@ impl PaillierTactic {
             kp
         };
         let pool = RandomizerPool::new(keypair.clone(), POOL_BATCH);
-        Ok(PaillierTactic { keypair, pool, collection: ctx.schema.clone(), route_sum: ctx.route("paillier", "sum") })
+        Ok(PaillierTactic {
+            keypair,
+            pool,
+            collection: ctx.schema.clone(),
+            route_sum: ctx.route("paillier", "sum"),
+            shadow: Shadow::new(ctx, "phe"),
+        })
     }
 
     /// Encodes a signed scaled value into `Z_n` (upper half = negative).
@@ -149,7 +156,7 @@ impl GatewayTactic for PaillierTactic {
         let obfuscator = self.pool.take(rng);
         let ct = self.keypair.public().encrypt_with(&m, &obfuscator)?;
         Ok(ProtectedField {
-            stored: vec![(shadow_field(field, "phe"), Value::Bytes(ct.to_bytes()))],
+            stored: vec![(self.shadow.of(field), Value::Bytes(ct.to_bytes()))],
             index_calls: Vec::new(),
         })
     }

@@ -6,11 +6,11 @@ use datablinder_sse::rnd::RndCipher;
 use datablinder_sse::DocId;
 use rand::RngCore;
 
-use super::{shadow_field, TacticContext};
+use super::{Shadow, TacticContext};
 use crate::error::CoreError;
 use crate::model::*;
 use crate::spi::{GatewayTactic, ProtectedField};
-use crate::wire::{canonical_bytes, decode_value};
+use crate::wire::{decode_value, encode_value};
 
 /// Descriptor for RND (Table 2: class 1, leakage *Structure*, 6 gateway /
 /// 4 cloud interfaces, challenge "inefficiency" — no search at all).
@@ -33,6 +33,9 @@ pub fn descriptor() -> TacticDescriptor {
 /// Gateway half of RND.
 pub struct RndTactic {
     cipher: RndCipher,
+    shadow: Shadow,
+    /// The canonical bytes of the value being protected, reused.
+    plaintext: Vec<u8>,
 }
 
 impl RndTactic {
@@ -48,7 +51,11 @@ impl RndTactic {
         let key = ctx.kms.key_for(&ctx.key_scope("rnd"));
         let mut context = Writer::new();
         context.str(&ctx.schema).str(&ctx.scope);
-        Ok(RndTactic { cipher: RndCipher::new(&key)?.bound(&context.finish()) })
+        Ok(RndTactic {
+            cipher: RndCipher::new(&key)?.bound(&context.finish()),
+            shadow: Shadow::new(ctx, "rnd"),
+            plaintext: Vec::new(),
+        })
     }
 }
 
@@ -64,8 +71,10 @@ impl GatewayTactic for RndTactic {
         value: &Value,
         id: DocId,
     ) -> Result<ProtectedField, CoreError> {
-        let ct = self.cipher.encrypt_for(rng, &id.0, &canonical_bytes(value));
-        Ok(ProtectedField { stored: vec![(shadow_field(field, "rnd"), Value::Bytes(ct))], index_calls: Vec::new() })
+        self.plaintext.clear();
+        encode_value(value, &mut self.plaintext);
+        let ct = self.cipher.encrypt_for(rng, &id.0, &self.plaintext);
+        Ok(ProtectedField { stored: vec![(self.shadow.of(field), Value::Bytes(ct))], index_calls: Vec::new() })
     }
 
     fn recover(&self, id: DocId, ciphertext: &[u8], scratch: &mut Vec<u8>) -> Result<Value, CoreError> {
@@ -95,7 +104,7 @@ mod tests {
         let p = t.protect(&mut rng, "performer", &Value::from("John Smith"), DocId([1; 16])).unwrap();
         assert_eq!(p.stored.len(), 1);
         assert!(p.index_calls.is_empty());
-        assert_eq!(p.stored[0].0, "performer__rnd");
+        assert_eq!(&*p.stored[0].0, "performer__rnd");
         let Value::Bytes(ct) = &p.stored[0].1 else { panic!("RND stores bytes") };
         assert_eq!(t.recover(DocId([1; 16]), ct, &mut Vec::new()).unwrap(), Value::from("John Smith"));
     }

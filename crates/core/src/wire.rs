@@ -158,10 +158,42 @@ pub fn encode_document(doc: &Document) -> Vec<u8> {
 }
 
 fn put_document(doc: &Document, w: &mut Writer) {
-    w.str(doc.id()).u32(doc.len() as u32);
-    for (name, value) in doc.iter() {
+    put_fields(doc.id(), doc.iter(), w);
+}
+
+/// Writes a document as its `id`, then its `fields`, which ascend strictly
+/// by name.
+fn put_fields<'a>(id: &str, fields: impl ExactSizeIterator<Item = (&'a str, &'a Value)>, w: &mut Writer) {
+    w.str(id).u32(fields.len() as u32);
+    for (name, value) in fields {
         put_value(value, w.str(name));
     }
+}
+
+/// The payload of a `doc/insert` of the document `id` holding `fields`:
+/// the bytes of `with_collection(collection, &encode_document(..))`, in
+/// one buffer and without building the document. The fields come in any
+/// order; a name given twice keeps its last value, as
+/// [`Document::from_fields`] keeps it.
+pub(crate) fn document_payload(collection: &str, id: &str, mut fields: Vec<(&str, &Value)>) -> Vec<u8> {
+    if !fields.windows(2).all(|pair| pair[0].0 < pair[1].0) {
+        fields.sort_by(|a, b| a.0.cmp(b.0));
+        fields.reverse();
+        fields.dedup_by(|later, kept| later.0 == kept.0);
+        fields.reverse();
+    }
+    // Exact for the flat values a stored document holds; a nested one grows
+    // the buffer.
+    let size = |value: &Value| match value {
+        Value::Bytes(b) => 4 + b.len(),
+        Value::Str(s) => 4 + s.len(),
+        _ => 8,
+    };
+    let size: usize = fields.iter().map(|(name, value)| 4 + name.len() + 1 + size(value)).sum();
+    let mut w = Writer::from(Vec::with_capacity(4 + collection.len() + 8 + id.len() + size));
+    w.str(collection);
+    put_fields(id, fields.into_iter(), &mut w);
+    w.finish()
 }
 
 /// Writes `doc` projected onto `keep` (strictly ascending): its id, then
@@ -240,10 +272,16 @@ pub fn canonical_bytes(v: &Value) -> Vec<u8> {
 /// Canonical keyword for cross-field boolean indexes: `field || 0x1F || value`.
 pub fn field_keyword(field: &str, v: &Value) -> Vec<u8> {
     let mut out = Vec::with_capacity(field.len() + 1 + 16);
+    field_keyword_into(field, v, &mut out);
+    out
+}
+
+/// [`field_keyword`] written over `out`, whose allocation a caller reuses.
+pub fn field_keyword_into(field: &str, v: &Value, out: &mut Vec<u8>) {
+    out.clear();
     out.extend_from_slice(field.as_bytes());
     out.push(0x1F);
-    out.extend_from_slice(&canonical_bytes(v));
-    out
+    encode_value(v, out);
 }
 
 // ------------------------------------------------------------- schema codec
@@ -344,6 +382,26 @@ pub fn decode_schema(buf: &[u8]) -> Result<Schema, CoreError> {
 mod tests {
     use super::*;
     use crate::model::FieldAnnotation;
+
+    /// The insert payload written from borrowed fields is the payload of
+    /// the document built from them, whatever their order and repeats.
+    #[test]
+    fn document_payload_is_the_built_documents_encoding() {
+        use crate::cloud::with_collection;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let names = ["a", "a__det", "a_b", "b", "b__rnd", "z"];
+        let values = [Value::from("text"), Value::from(7i64), Value::Bytes(vec![1, 2, 3]), sample_value(), Value::Null];
+        for case in 0..500 {
+            let rng = &mut StdRng::seed_from_u64(case);
+            let fields: Vec<(&str, &Value)> = (0..rng.gen_range(0..9))
+                .map(|_| (names[rng.gen_range(0..names.len())], &values[rng.gen_range(0..values.len())]))
+                .collect();
+            let built = fields.iter().map(|&(name, value)| (name.into(), value.clone())).collect();
+            let expect = with_collection("obs", &encode_document(&Document::from_fields("d1", built)));
+            assert_eq!(document_payload("obs", "d1", fields), expect, "case {case}");
+        }
+    }
 
     fn sample_value() -> Value {
         let mut obj = BTreeMap::new();

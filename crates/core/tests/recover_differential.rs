@@ -132,7 +132,7 @@ fn random_stored(rng: &mut StdRng, payloads: &mut [Payload], tags: &mut [usize; 
             let protected = p.tactic.protect(rng, p.field, &plain, DocId(id)).unwrap();
             assert_eq!(protected.stored.len(), 1, "a payload tactic stores its ciphertext and nothing else");
             for (shadow, ciphertext) in protected.stored {
-                assert_eq!(shadow, p.shadow);
+                assert_eq!(&*shadow, p.shadow);
                 stored.set(shadow, ciphertext);
             }
         }

@@ -1,7 +1,8 @@
 //! Collections and the store root.
 
+use std::borrow::Borrow;
 use std::cmp::Ordering;
-use std::collections::{btree_map, BTreeMap, HashMap, HashSet};
+use std::collections::{btree_map, BTreeMap, HashMap};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, PoisonError, RwLock};
@@ -10,27 +11,135 @@ use crate::filter::{bounds_on, Filter};
 use crate::value::{Document, Value};
 use crate::DocStoreError;
 
-/// Wrapper giving [`Value`] the `Ord` a BTreeMap index key needs, using
-/// [`Value::total_cmp`].
-#[derive(Debug, Clone, PartialEq)]
-struct IndexKey(Value);
+/// A stored index key: the value, and its [`Head`] kept beside it, so a
+/// search down the index mostly compares the heads held in the tree's
+/// nodes and reads few keys' heap bytes.
+#[derive(Debug, Clone)]
+struct IndexKey {
+    head: Head,
+    value: Value,
+}
 
-impl Eq for IndexKey {}
+/// The first eight bytes of a byte string or a text, zero-padded and read
+/// big-endian. Where two of one kind differ, the values order as they do
+/// (a shorter value pads with zeros, and a prefix orders first); where
+/// they tie, or the kinds differ, only [`Value::total_cmp`] can tell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Head {
+    Bytes(u64),
+    Str(u64),
+    Other,
+}
 
-impl PartialOrd for IndexKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+impl Head {
+    fn of(value: &Value) -> Head {
+        let first8 = |bytes: &[u8]| {
+            let mut head = [0u8; 8];
+            let n = bytes.len().min(8);
+            head[..n].copy_from_slice(&bytes[..n]);
+            u64::from_be_bytes(head)
+        };
+        match value {
+            Value::Bytes(b) => Head::Bytes(first8(b)),
+            Value::Str(s) => Head::Str(first8(s.as_bytes())),
+            _ => Head::Other,
+        }
+    }
+}
+
+/// What an index is searched by: a stored key or a [`Probe`], both in
+/// [`Value::total_cmp`] order.
+trait Key {
+    fn value(&self) -> &Value;
+    fn head(&self) -> Head;
+}
+
+/// A borrowed value to search an index for, with its head worked out once:
+/// a lookup clones nothing.
+struct Probe<'a> {
+    head: Head,
+    value: &'a Value,
+}
+
+impl<'a> Probe<'a> {
+    fn of(value: &'a Value) -> Self {
+        Probe { head: Head::of(value), value }
+    }
+}
+
+impl Key for Probe<'_> {
+    fn value(&self) -> &Value {
+        self.value
+    }
+
+    fn head(&self) -> Head {
+        self.head
+    }
+}
+
+impl Key for IndexKey {
+    fn value(&self) -> &Value {
+        &self.value
+    }
+
+    fn head(&self) -> Head {
+        self.head
+    }
+}
+
+impl<'a> Borrow<dyn Key + 'a> for IndexKey {
+    fn borrow(&self) -> &(dyn Key + 'a) {
+        self
+    }
+}
+
+impl Ord for dyn Key + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        match (self.head(), other.head()) {
+            (Head::Bytes(a), Head::Bytes(b)) | (Head::Str(a), Head::Str(b)) if a != b => a.cmp(&b),
+            _ => self.value().total_cmp(other.value()),
+        }
+    }
+}
+
+impl PartialOrd for dyn Key + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for IndexKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
+impl PartialEq for dyn Key + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
     }
 }
 
-/// One secondary index: value -> ids, in [`Value::total_cmp`] order.
-type Index = BTreeMap<IndexKey, HashSet<String>>;
+impl Eq for dyn Key + '_ {}
+
+impl Ord for IndexKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self as &dyn Key).cmp(other)
+    }
+}
+
+impl PartialOrd for IndexKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for IndexKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for IndexKey {}
+
+/// One secondary index: value -> the positions in `docs` of the documents
+/// holding it, ascending, in [`Value::total_cmp`] order. A new document
+/// takes the highest position, so an insert appends to its entry.
+type Index = BTreeMap<IndexKey, Vec<usize>>;
 
 /// Source of collection epochs, unique across every collection of the
 /// process so that a [`Cursor`] taken from a dropped collection never
@@ -64,7 +173,8 @@ struct CollectionInner {
     docs: Vec<Document>,
     /// id -> position in `docs`
     positions: HashMap<String, usize>,
-    /// field -> index
+    /// field -> index; `delete` re-points the entries of the document it
+    /// moves.
     indexes: HashMap<String, Index>,
     /// Renewed whenever a stored document changes, moves or leaves: within
     /// one epoch `docs` only grows at its end.
@@ -89,7 +199,7 @@ impl CollectionInner {
     /// `None` when no index serves the filter and the caller must visit
     /// every document. The entries over-approximate — the caller still
     /// applies the whole filter.
-    fn index_walk(&self, filter: &Filter) -> Option<btree_map::Range<'_, IndexKey, HashSet<String>>> {
+    fn index_walk(&self, filter: &Filter) -> Option<btree_map::Range<'_, IndexKey, Vec<usize>>> {
         let conjuncts = filter.conjuncts();
         let indexed = |field: &String| self.indexes.get(field);
         let point = conjuncts.iter().find_map(|c| match c {
@@ -116,8 +226,11 @@ impl CollectionInner {
                 _ => {}
             }
         }
-        let key = |v: &Value| IndexKey(v.clone());
-        Some(index.range((lo.map(key), hi.map(key))))
+        let (lo, hi) = (lo.map(Probe::of), hi.map(Probe::of));
+        fn key<'p>(bound: &'p Bound<Probe<'_>>) -> Bound<&'p dyn Key> {
+            bound.as_ref().map(|probe| probe as &dyn Key)
+        }
+        Some(index.range::<dyn Key, _>((key(&lo), key(&hi))))
     }
 }
 
@@ -163,9 +276,9 @@ impl Collection {
             return;
         }
         let mut index = Index::new();
-        for doc in &inner.docs {
+        for (position, doc) in inner.docs.iter().enumerate() {
             if let Some(v) = doc.get(field) {
-                index.entry(IndexKey(v.clone())).or_default().insert(doc.id().to_string());
+                enter(&mut index, v, position);
             }
         }
         inner.indexes.insert(field.to_string(), index);
@@ -181,8 +294,13 @@ impl Collection {
         if inner.positions.contains_key(doc.id()) {
             return Err(DocStoreError::DuplicateId(doc.id().to_string()));
         }
-        index_doc(&mut inner.indexes, &doc, true);
-        inner.positions.insert(doc.id().to_string(), inner.docs.len());
+        let position = inner.docs.len();
+        for (field, index) in &mut inner.indexes {
+            if let Some(v) = doc.get(field) {
+                enter(index, v, position);
+            }
+        }
+        inner.positions.insert(doc.id().to_string(), position);
         inner.docs.push(doc);
         Ok(())
     }
@@ -200,8 +318,14 @@ impl Collection {
     pub fn update(&self, doc: Document) -> Result<(), DocStoreError> {
         let inner = &mut *self.inner.write().unwrap_or_else(PoisonError::into_inner);
         let position = *inner.positions.get(doc.id()).ok_or_else(|| DocStoreError::NotFound(doc.id().to_string()))?;
-        index_doc(&mut inner.indexes, &inner.docs[position], false);
-        index_doc(&mut inner.indexes, &doc, true);
+        for (field, index) in &mut inner.indexes {
+            if let Some(v) = inner.docs[position].get(field) {
+                leave(index, v, position);
+            }
+            if let Some(v) = doc.get(field) {
+                enter(index, v, position);
+            }
+        }
         inner.docs[position] = doc;
         inner.epoch = fresh_epoch();
         Ok(())
@@ -215,11 +339,21 @@ impl Collection {
     pub fn delete(&self, id: &str) -> Result<(), DocStoreError> {
         let inner = &mut *self.inner.write().unwrap_or_else(PoisonError::into_inner);
         let position = inner.positions.remove(id).ok_or_else(|| DocStoreError::NotFound(id.to_string()))?;
+        let last = inner.docs.len() - 1;
         let old = inner.docs.swap_remove(position);
-        if let Some(moved) = inner.docs.get(position) {
+        let moved = inner.docs.get(position);
+        if let Some(moved) = moved {
             *inner.positions.get_mut(moved.id()).expect("every stored document has a position") = position;
         }
-        index_doc(&mut inner.indexes, &old, false);
+        for (field, index) in &mut inner.indexes {
+            if let Some(v) = old.get(field) {
+                leave(index, v, position);
+            }
+            if let Some(v) = moved.and_then(|moved| moved.get(field)) {
+                leave(index, v, last);
+                enter(index, v, position);
+            }
+        }
         inner.epoch = fresh_epoch();
         Ok(())
     }
@@ -248,9 +382,10 @@ impl Collection {
     pub fn scan<R>(&self, filter: &Filter, f: impl FnOnce(&mut dyn Iterator<Item = &Document>) -> R) -> R {
         let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
         match inner.index_walk(filter) {
-            Some(entries) => {
-                f(&mut entries.flat_map(|(_, ids)| ids).filter_map(|id| inner.doc(id)).filter(|d| filter.matches(d)))
-            }
+            Some(entries) => f(&mut entries
+                .flat_map(|(_, positions)| positions)
+                .map(|&position| &inner.docs[position])
+                .filter(|d| filter.matches(d))),
             None => f(&mut inner.docs.iter().filter(|d| filter.matches(d))),
         }
     }
@@ -302,18 +437,30 @@ impl Collection {
     }
 }
 
-fn index_doc(indexes: &mut HashMap<String, Index>, doc: &Document, add: bool) {
-    for (field, index) in indexes.iter_mut() {
-        if let Some(v) = doc.get(field) {
-            let key = IndexKey(v.clone());
-            if add {
-                index.entry(key).or_default().insert(doc.id().to_string());
-            } else if let Some(set) = index.get_mut(&key) {
-                set.remove(doc.id());
-                if set.is_empty() {
-                    index.remove(&key);
-                }
+/// Files `position` under `v`, cloning `v` only for a key the index lacks.
+fn enter(index: &mut Index, v: &Value, position: usize) {
+    let probe = Probe::of(v);
+    match index.get_mut(&probe as &dyn Key) {
+        Some(positions) => {
+            if let Err(at) = positions.binary_search(&position) {
+                positions.insert(at, position);
             }
+        }
+        None => {
+            index.insert(IndexKey { head: probe.head, value: v.clone() }, vec![position]);
+        }
+    }
+}
+
+/// Takes `position` out of `v`'s entry, and the entry out when it empties.
+fn leave(index: &mut Index, v: &Value, position: usize) {
+    let probe = Probe::of(v);
+    if let Some(positions) = index.get_mut(&probe as &dyn Key) {
+        if let Ok(at) = positions.binary_search(&position) {
+            positions.remove(at);
+        }
+        if positions.is_empty() {
+            index.remove(&probe as &dyn Key);
         }
     }
 }
@@ -469,6 +616,30 @@ mod tests {
         let mixed = Filter::and(vec![Filter::gte("value", v(8)), Filter::eq("status", Value::from("final"))]);
         assert_eq!(indexed.find(&mixed).len(), 2);
         assert!(!indexed.index_serves(&Filter::or(vec![Filter::gte("value", v(8))])));
+    }
+
+    #[test]
+    fn index_keys_order_as_total_cmp_does() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Few distinct bytes and lengths around eight: heads tie, pad and
+        // differ past the eighth byte.
+        let rng = &mut StdRng::seed_from_u64(7);
+        let bytes = |rng: &mut StdRng| -> Vec<u8> {
+            (0..rng.gen_range(0..12usize)).map(|_| [0u8, 1, 0x7f, 0xff][rng.gen_range(0..4usize)]).collect()
+        };
+        let value = |rng: &mut StdRng| match rng.gen_range(0..4) {
+            0 => Value::Bytes(bytes(rng)),
+            1 => Value::Str(bytes(rng).into_iter().map(|b| char::from(b'a' + b % 3)).collect()),
+            2 => Value::from(rng.gen_range(-2i64..3)),
+            _ => Value::from(rng.gen_range(-4i64..5) as f64 / 2.0),
+        };
+        for _ in 0..20_000 {
+            let (a, b) = (value(rng), value(rng));
+            let stored = IndexKey { head: Head::of(&a), value: a.clone() };
+            assert_eq!((&Probe::of(&a) as &dyn Key).cmp(&Probe::of(&b)), a.total_cmp(&b), "{a:?} {b:?}");
+            assert_eq!((&stored as &dyn Key).cmp(&Probe::of(&b)), a.total_cmp(&b), "{a:?} {b:?}");
+        }
     }
 
     #[test]

@@ -248,7 +248,7 @@ impl Document {
     }
 
     /// Iterates fields in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&str, &Value)> {
         self.fields.iter().map(|(name, value)| (&**name, value))
     }
 

@@ -17,7 +17,7 @@ pub trait Prf: Send + Sync {
     /// Evaluates over multiple input parts without concatenation ambiguity
     /// (each part is length-prefixed).
     fn eval_parts(&self, parts: &[&[u8]]) -> [u8; 32] {
-        let mut buf = Vec::new();
+        let mut buf = Vec::with_capacity(parts.iter().map(|p| 8 + p.len()).sum());
         for p in parts {
             buf.extend_from_slice(&(p.len() as u64).to_be_bytes());
             buf.extend_from_slice(p);

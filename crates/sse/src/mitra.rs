@@ -40,7 +40,7 @@ pub struct MitraUpdateToken {
 impl MitraUpdateToken {
     /// Serializes for the channel.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Writer::from(Vec::with_capacity(8 + 32 + 17));
         w.bytes(&self.addr).bytes(&self.val);
         w.finish()
     }
@@ -106,10 +106,13 @@ impl MitraClient {
     /// Produces the update token for `(keyword, id, op)`, bumping the
     /// local counter.
     pub fn update_token(&mut self, keyword: &[u8], id: DocId, op: UpdateOp) -> MitraUpdateToken {
-        let c = {
-            let entry = self.counters.entry(keyword.to_vec()).or_insert(0);
-            *entry += 1;
-            *entry
+        // The keyword is copied only the first time it is seen.
+        let c = match self.counters.get_mut(keyword) {
+            Some(c) => {
+                *c += 1;
+                *c
+            }
+            None => *self.counters.entry(keyword.to_vec()).or_insert(1),
         };
         let addr = self.addr(keyword, c);
         let mask = self.prf.eval_parts(&[b"mask", keyword, &c.to_be_bytes()]);

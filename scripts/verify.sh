@@ -8,6 +8,14 @@ cd "$(dirname "$0")/.."
 echo "==> metric-name registry lint (scripts/check_metrics.sh)"
 bash scripts/check_metrics.sh
 
+echo "==> metric names are built only where the recorder is on: no .count(&format!( in crates/*/src"
+# A disabled recorder costs one atomic load per count; a name formatted in
+# the call's argument costs an allocation on every call even then. Build
+# the name inside `if obs.is_enabled()`, as insert_group's EWMAs do.
+formatted_counts="$(grep -rnF '.count(&format!(' crates/*/src || true)"
+[ -z "$formatted_counts" ] ||
+    { echo "a metric name formatted on every call; build it under is_enabled():" >&2; echo "$formatted_counts" >&2; exit 1; }
+
 echo "==> one CRC implementation, one external crate (rand, resolved from benchmark/vendor by .cargo/config.toml)"
 crc_files="$(grep -rl '0xEDB8_8320' crates/*/src)"
 [ "$crc_files" = crates/codec/src/frame.rs ] ||

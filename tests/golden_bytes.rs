@@ -519,7 +519,7 @@ fn rnd_payload_is_bound_to_its_document() {
     let id = DocId([9; 16]);
     let protected = tactic.protect(&mut StdRng::seed_from_u64(7), "owner", &Value::from("ann"), id).unwrap();
     let [(shadow, Value::Bytes(payload))] = &protected.stored[..] else { panic!("one RND payload") };
-    assert_eq!((shadow.as_str(), hex(payload).as_str()), ("owner__rnd", RND_PAYLOAD));
+    assert_eq!((&**shadow, hex(payload).as_str()), ("owner__rnd", RND_PAYLOAD));
     assert_eq!(tactic.recover(id, payload, &mut Vec::new()).unwrap(), Value::from("ann"));
     assert!(tactic.recover(DocId([8; 16]), payload, &mut Vec::new()).is_err(), "another document's id");
     // The same bytes opened by hand: the associated data is `rnd`, the

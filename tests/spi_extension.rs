@@ -67,7 +67,7 @@ impl GatewayTactic for HmacIndexGateway {
         payload.extend_from_slice(&id.0);
         Ok(ProtectedField {
             stored: vec![(
-                shadow_field(field, "hmacidx"),
+                shadow_field(field, "hmacidx").into(),
                 Value::Bytes(self.payload.encrypt_for(rng, &id.0, &canonical_bytes(value))),
             )],
             index_calls: vec![CloudCall::new(self.route_insert.clone(), payload)],
