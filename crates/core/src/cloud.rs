@@ -16,8 +16,9 @@ use datablinder_obs::Recorder;
 use datablinder_sse::DocId;
 
 use crate::cloudproto::{
-    batch_items, check_inner, is_write_route, BlobList, DigestRequest, Fetch, FindIdsDnf, FindIdsEq, FindIdsRange,
-    GetMany, Idempotent, RangeSelect, RangedRead, SyncEntries, ENTRY_DOC, ENTRY_INDEX, ENTRY_KV, IDEM_ROUTE,
+    batch_items, check_inner, BlobList, DigestRequest, Fetch, FindIdsDnf, FindIdsEq, FindIdsRange, GetMany, Idempotent,
+    RangeSelect, RangedRead, Route, RouteClass, SyncEntries, BATCH_ROUTE, ENTRY_DOC, ENTRY_INDEX, ENTRY_KV, IDEM_ROUTE,
+    READ_BATCH_ROUTE,
 };
 use crate::durability::{self, Durability, DurabilityOptions, JournalOutcome, RecoveryReport, WalRecord};
 use crate::error::CoreError;
@@ -224,7 +225,9 @@ impl CloudEngine {
         // Application-level errors are part of the recorded history (e.g.
         // a rolled-forward duplicate insert), not recovery failures.
         let (report, seq) = durability::recover_into(dir, &engine.kv, &engine.docs, |rec| {
-            let _ = engine.dispatch(&rec.route, &rec.payload);
+            if let Some(route) = Route::parse(&rec.route) {
+                let _ = engine.dispatch(route, &rec.payload);
+            }
         })?;
         let wal_backlog = report.replayed;
         let mut engine = engine;
@@ -346,48 +349,50 @@ impl CloudEngine {
         &self.kv
     }
 
-    /// Runs one route. A route is matched by splitting off its segments
-    /// in place: nothing is allocated before the route runs.
-    pub(crate) fn dispatch(&self, route: &str, payload: &[u8]) -> Result<Vec<u8>, CoreError> {
-        let (head, rest) = match route.split_once('/') {
-            Some((head, rest)) => (head, Some(rest)),
-            None => (route, None),
-        };
-        // The segments after the first, when there are exactly `N` of them.
-        fn segments<const N: usize>(rest: Option<&str>) -> Option<[&str; N]> {
-            let mut parts = rest?.split('/');
-            let mut out = [""; N];
-            for segment in &mut out {
-                *segment = parts.next()?;
+    /// Runs one parsed route.
+    pub(crate) fn dispatch(&self, route: Route<'_>, payload: &[u8]) -> Result<Vec<u8>, CoreError> {
+        if let Some(t) = route.tactic {
+            let tactic = self
+                .tactics
+                .get(t.name)
+                .ok_or_else(|| CoreError::UnsupportedOperation(format!("unknown cloud tactic {}", t.name)))?;
+            if self.obs.is_enabled() {
+                let ops = format!("cloud.tactic.{}.ops", t.name);
+                self.obs.count(&ops, 1);
             }
-            parts.next().is_none().then_some(out)
+            let out = tactic.handle(t.scope, t.op, payload);
+            if out.is_ok() {
+                // A setup touches broadcast state, an index write its scope's key.
+                match route.class {
+                    RouteClass::BroadcastWrite => self.note(|| MutationScope::Broadcast),
+                    RouteClass::KeyedWrite => self.note(|| MutationScope::Routing(t.key.as_bytes().to_vec())),
+                    _ => {}
+                }
+            }
+            return out;
         }
-        match (head, rest) {
-            ("doc", _) if let Some([op]) = segments(rest) => self.handle_doc(op, payload),
-            (IDEM_ROUTE, None) => {
+        match route.name {
+            IDEM_ROUTE => {
                 // Idempotent write envelope: execute once, record the
                 // outcome, and answer retries/duplicates from the record so
                 // a redelivered insert never double-applies index entries.
-                let (token, inner_route, inner_payload) = Idempotent::parts(payload)?;
-                if inner_route == IDEM_ROUTE {
-                    return Err(CoreError::UnsupportedOperation("nested idem".into()));
-                }
-                let fingerprint = request_fingerprint(inner_route, inner_payload);
+                let (token, inner, inner_payload) = Idempotent::open(payload)?;
+                let fingerprint = request_fingerprint(inner.name, inner_payload);
                 let shard = self.dedup.shard_of(&token);
                 if let Some(outcome) = self.dedup.lock_shard(shard).get(&token, fingerprint) {
                     self.dedup_hits.fetch_add(1, Ordering::Relaxed);
                     self.obs.count("cloud.dedup.hits", 1);
                     return outcome;
                 }
-                let outcome = self.dispatch(inner_route, inner_payload);
+                let outcome = self.dispatch(inner, inner_payload);
                 self.dedup.lock_shard(shard).put(token, fingerprint, outcome.clone());
                 outcome
             }
             // A list of (route, payload) calls in one round trip, answered in
             // order: a write group, or (read-only) the reads of one query.
-            ("batch", None) => self.run_batch(payload, false),
-            ("batch", Some("read")) => self.run_batch(payload, true),
-            ("kv", Some("del_prefix")) => {
+            BATCH_ROUTE => self.run_batch(payload, false),
+            READ_BATCH_ROUTE => self.run_batch(payload, true),
+            "kv/del_prefix" => {
                 let n = self.kv.del_prefix(payload) as u64;
                 if n > 0 {
                     // A prefix can straddle scoped and broadcast keys;
@@ -396,7 +401,7 @@ impl CloudEngine {
                 }
                 Ok(n.to_be_bytes().to_vec())
             }
-            ("kv", Some("bulk_put")) => {
+            "kv/bulk_put" => {
                 let mut r = Reader::new(payload);
                 let pairs = r.list()?;
                 if pairs.len() % 2 != 0 {
@@ -408,76 +413,22 @@ impl CloudEngine {
                 }
                 Ok(Vec::new())
             }
-            ("obs", Some("snapshot")) => {
+            "obs/snapshot" => {
                 // Metrics federation: export this node's recorder snapshot
                 // so a cluster coordinator can merge per-node observability
                 // into one cluster-wide view.
                 Ok(self.obs.snapshot().to_json().into_bytes())
             }
-            ("tactic", _) if let Some([name, scope, op]) = segments(rest) => {
-                let tactic = self
-                    .tactics
-                    .get(name)
-                    .ok_or_else(|| CoreError::UnsupportedOperation(format!("unknown cloud tactic {name}")))?;
-                if self.obs.is_enabled() {
-                    let ops = format!("cloud.tactic.{name}.ops");
-                    self.obs.count(&ops, 1);
-                }
-                let out = tactic.handle(scope, op, payload);
-                if out.is_ok() {
-                    // Mirror the write-route classification: setups touch
-                    // broadcast state, scoped writes touch their scope key.
-                    match op {
-                        "setup" => self.note(|| MutationScope::Broadcast),
-                        "update" | "insert" | "delete" => {
-                            self.note(|| MutationScope::Routing(format!("tactic/{name}/{scope}").into_bytes()));
-                        }
-                        _ => {}
-                    }
-                }
-                out
-            }
-            ("sync", _) if let Some([op]) = segments(rest) => self.handle_sync(op, payload),
-            _ => Err(CoreError::UnsupportedOperation(format!("unknown route {route}"))),
-        }
-    }
-
-    /// Executes a batch's items in order, aborting on the first failure,
-    /// and answers them as one list. Every item is checked before the first
-    /// runs ([`batch_items`]).
-    fn run_batch(&self, payload: &[u8], read_only: bool) -> Result<Vec<u8>, CoreError> {
-        let responses = batch_items(payload, read_only)?
-            .into_iter()
-            .map(|(route, payload)| self.dispatch(route, payload))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut w = Writer::new();
-        w.list(&responses);
-        Ok(w.finish())
-    }
-
-    /// Marks the digest cache dirty for a mutation's scope (no-op until the
-    /// first `sync/digest` request builds the cache, and `scope` is built
-    /// only once it has been).
-    fn note(&self, scope: impl FnOnce() -> MutationScope) {
-        let mut slot = self.digests.lock().unwrap_or_else(PoisonError::into_inner);
-        if slot.is_some() {
-            DigestCache::note(&mut slot, &scope());
-        }
-    }
-
-    /// Cluster-synchronization routes: the WAL tail, Merkle digests, range
-    /// exports, and the two journaled apply ops (`put`, `retire`). See
-    /// [`sync`](crate::sync) for the state model.
-    fn handle_sync(&self, op: &str, payload: &[u8]) -> Result<Vec<u8>, CoreError> {
-        match op {
-            "tail" => {
+            // Cluster synchronization: the WAL tail, Merkle digests, range
+            // exports, and the two journaled apply ops (see crate::sync).
+            "sync/tail" => {
                 let records = match &self.durability {
                     Some(d) => d.wal_tail()?,
                     None => Vec::new(),
                 };
                 Ok(BlobList { items: records.iter().map(WalRecord::encode).collect() }.encode())
             }
-            "digest" => {
+            "sync/digest" => {
                 let req = DigestRequest::decode(payload)?;
                 if req.boundaries.is_empty() {
                     return Err(CoreError::Wire("digest boundaries"));
@@ -495,14 +446,14 @@ impl CloudEngine {
                 }
                 Ok(resp.encode())
             }
-            "entries" => {
+            "sync/entries" => {
                 let req = RangeSelect::decode(payload)?;
                 let sel = Selector::Ranges { ranges: &req.ranges, include_broadcast: req.include_broadcast };
                 let entries = crate::sync::export_entries(&self.kv, &self.docs, req.seed, &sel);
                 Ok(SyncEntries { entries: entries.into_iter().map(|(e, _)| e).collect() }.encode())
             }
-            "put" => self.apply_sync_entries(payload),
-            "retire" => {
+            "sync/put" => self.apply_sync_entries(payload),
+            "sync/retire" => {
                 let req = RangeSelect::decode(payload)?;
                 // Drop scoped state in the given ranges (after a handoff the
                 // old owner no longer serves them; a node must never answer
@@ -531,7 +482,140 @@ impl CloudEngine {
                 }
                 Ok(removed.to_be_bytes().to_vec())
             }
-            other => Err(CoreError::UnsupportedOperation(format!("sync op {other}"))),
+            "doc/insert" | "doc/update" => {
+                let (collection, rest) = split_collection(payload)?;
+                let doc = decode_document(rest)?;
+                // The id as the payload holds it, so a note is all it costs.
+                let id = Reader::new(rest).str()?;
+                let coll = self.docs.collection(collection);
+                if route.name == "doc/insert" {
+                    coll.insert(doc)?;
+                } else {
+                    coll.update(doc)?;
+                }
+                self.note(|| MutationScope::Routing(crate::sync::doc_key(collection, id.as_bytes())));
+                Ok(Vec::new())
+            }
+            "doc/get" => {
+                let (collection, rest) = split_collection(payload)?;
+                let id = std::str::from_utf8(rest).map_err(|_| CoreError::Wire("utf8 id"))?;
+                // Encoded from the stored document, borrowed under the read
+                // lock: the answer is the only copy made.
+                self.docs
+                    .collection(collection)
+                    .lookup([id], |docs| docs.next().map(encode_document))
+                    .ok_or_else(|| CoreError::NotFound(id.to_string()))
+            }
+            "doc/get_many" => {
+                let req = GetMany::decode(payload)?;
+                // Non-UTF-8 ids name nothing.
+                let ids = req.ids.iter().filter_map(|id| std::str::from_utf8(id).ok());
+                Ok(self.documents(req.collection, ids, &req.keep))
+            }
+            "doc/fetch" => {
+                let req = Fetch::decode(payload)?;
+                let inner = check_inner(req.route, true)?;
+                let ids: Vec<String> =
+                    decode_ids(&self.dispatch(inner, req.payload)?)?.into_iter().map(DocId::to_hex).collect();
+                Ok(self.documents(req.collection, ids.iter().map(String::as_str), &req.keep))
+            }
+            "doc/delete" => {
+                let (collection, rest) = split_collection(payload)?;
+                let id = std::str::from_utf8(rest).map_err(|_| CoreError::Wire("utf8 id"))?;
+                self.docs.collection(collection).delete(id)?;
+                self.note(|| MutationScope::Routing(crate::sync::doc_key(collection, id.as_bytes())));
+                Ok(Vec::new())
+            }
+            "doc/count" => {
+                let (collection, _) = split_collection(payload)?;
+                let n = self.docs.collection(collection).len() as u64;
+                Ok(n.to_be_bytes().to_vec())
+            }
+            "doc/extreme" => {
+                // Min/max over a stored order-preserving field: the cloud
+                // picks the extreme *ciphertext* (byte order = plaintext
+                // order for OPE shadow fields) and returns the document id.
+                let (collection, rest) = split_collection(payload)?;
+                if rest.is_empty() {
+                    return Err(CoreError::Wire("extreme payload"));
+                }
+                let want_max = rest[0] == 1;
+                let field = std::str::from_utf8(&rest[1..]).map_err(|_| CoreError::Wire("utf8 field"))?;
+                let id = self.docs.collection(collection).scan(&Filter::Exists(field.to_string()), |docs| {
+                    let hits = docs.filter_map(|d| d.get(field).and_then(Value::as_bytes).map(|b| (b, d.id())));
+                    // Ties go to the smaller id, whatever order the scan visits in.
+                    let best =
+                        if want_max { hits.max_by_key(|&(b, id)| (b, std::cmp::Reverse(id))) } else { hits.min() };
+                    best.map(|(_, id)| id.as_bytes().to_vec())
+                });
+                Ok(id.unwrap_or_default())
+            }
+            "doc/list_ids" => {
+                let (collection, _) = split_collection(payload)?;
+                let mut ids = self.docs.collection(collection).ids();
+                ids.sort();
+                let mut w = Writer::new();
+                w.list(&ids);
+                Ok(w.finish())
+            }
+            "doc/ensure_index" => {
+                let (collection, rest) = split_collection(payload)?;
+                let field = std::str::from_utf8(rest).map_err(|_| CoreError::Wire("utf8 field"))?;
+                self.docs.collection(collection).create_index(field);
+                self.note(|| MutationScope::Broadcast);
+                Ok(Vec::new())
+            }
+            "doc/find_ids_eq" => {
+                let req = FindIdsEq::decode(payload)?;
+                Ok(self.find_ids(&req.collection, &Filter::eq(req.field, req.value)))
+            }
+            "doc/find_ids_range" => {
+                let req = FindIdsRange::decode(payload)?;
+                Ok(self.find_ids(&req.collection, &Filter::between(req.field, req.lo, req.hi)))
+            }
+            "doc/find_ids_dnf" => {
+                let req = FindIdsDnf::decode(payload)?;
+                let filter = Filter::or(
+                    req.dnf
+                        .into_iter()
+                        .map(|conj| Filter::and(conj.into_iter().map(|(f, v)| Filter::eq(f, v)).collect()))
+                        .collect(),
+                );
+                Ok(self.find_ids(&req.collection, &filter))
+            }
+            // Plaintext aggregate for the S_A baseline: avg/sum over a
+            // numeric field, like a database would compute natively.
+            "doc/agg_plain" => self.agg_plain(payload, None),
+            // The same over the ring ranges a cluster node serves first.
+            "doc/agg_plain_ranges" => {
+                let ranged = RangedRead::decode(payload)?;
+                self.agg_plain(&ranged.request, Some(&ranged.select))
+            }
+            // An envelope carried where none may go.
+            other => Err(CoreError::UnsupportedOperation(format!("nested {other}"))),
+        }
+    }
+
+    /// Executes a batch's items in order, aborting on the first failure,
+    /// and answers them as one list. Every item is checked before the first
+    /// runs ([`batch_items`]).
+    fn run_batch(&self, payload: &[u8], read_only: bool) -> Result<Vec<u8>, CoreError> {
+        let responses = batch_items(payload, read_only)?
+            .into_iter()
+            .map(|(route, payload)| self.dispatch(route, payload))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut w = Writer::new();
+        w.list(&responses);
+        Ok(w.finish())
+    }
+
+    /// Marks the digest cache dirty for a mutation's scope (no-op until the
+    /// first `sync/digest` request builds the cache, and `scope` is built
+    /// only once it has been).
+    fn note(&self, scope: impl FnOnce() -> MutationScope) {
+        let mut slot = self.digests.lock().unwrap_or_else(PoisonError::into_inner);
+        if slot.is_some() {
+            DigestCache::note(&mut slot, &scope());
         }
     }
 
@@ -606,124 +690,6 @@ impl CloudEngine {
         self.docs.collection(collection).lookup(ids, |docs| encode_answer(docs, keep))
     }
 
-    fn handle_doc(&self, op: &str, payload: &[u8]) -> Result<Vec<u8>, CoreError> {
-        match op {
-            "insert" => {
-                let (collection, rest) = split_collection(payload)?;
-                let doc = decode_document(rest)?;
-                // The id as the payload holds it, so a note is all it costs.
-                let id = Reader::new(rest).str()?;
-                self.docs.collection(collection).insert(doc)?;
-                self.note(|| MutationScope::Routing(crate::sync::doc_key(collection, id.as_bytes())));
-                Ok(Vec::new())
-            }
-            "update" => {
-                let (collection, rest) = split_collection(payload)?;
-                let doc = decode_document(rest)?;
-                let id = Reader::new(rest).str()?;
-                self.docs.collection(collection).update(doc)?;
-                self.note(|| MutationScope::Routing(crate::sync::doc_key(collection, id.as_bytes())));
-                Ok(Vec::new())
-            }
-            "get" => {
-                let (collection, rest) = split_collection(payload)?;
-                let id = std::str::from_utf8(rest).map_err(|_| CoreError::Wire("utf8 id"))?;
-                // Encoded from the stored document, borrowed under the read
-                // lock: the answer is the only copy made.
-                self.docs
-                    .collection(collection)
-                    .lookup([id], |docs| docs.next().map(encode_document))
-                    .ok_or_else(|| CoreError::NotFound(id.to_string()))
-            }
-            "get_many" => {
-                let req = GetMany::decode(payload)?;
-                // Non-UTF-8 ids name nothing.
-                let ids = req.ids.iter().filter_map(|id| std::str::from_utf8(id).ok());
-                Ok(self.documents(req.collection, ids, &req.keep))
-            }
-            "fetch" => {
-                let req = Fetch::decode(payload)?;
-                check_inner(req.route, true)?;
-                let ids: Vec<String> =
-                    decode_ids(&self.dispatch(req.route, req.payload)?)?.into_iter().map(DocId::to_hex).collect();
-                Ok(self.documents(req.collection, ids.iter().map(String::as_str), &req.keep))
-            }
-            "delete" => {
-                let (collection, rest) = split_collection(payload)?;
-                let id = std::str::from_utf8(rest).map_err(|_| CoreError::Wire("utf8 id"))?;
-                self.docs.collection(collection).delete(id)?;
-                self.note(|| MutationScope::Routing(crate::sync::doc_key(collection, id.as_bytes())));
-                Ok(Vec::new())
-            }
-            "count" => {
-                let (collection, _) = split_collection(payload)?;
-                let n = self.docs.collection(collection).len() as u64;
-                Ok(n.to_be_bytes().to_vec())
-            }
-            "extreme" => {
-                // Min/max over a stored order-preserving field: the cloud
-                // picks the extreme *ciphertext* (byte order = plaintext
-                // order for OPE shadow fields) and returns the document id.
-                let (collection, rest) = split_collection(payload)?;
-                if rest.is_empty() {
-                    return Err(CoreError::Wire("extreme payload"));
-                }
-                let want_max = rest[0] == 1;
-                let field = std::str::from_utf8(&rest[1..]).map_err(|_| CoreError::Wire("utf8 field"))?;
-                let id = self.docs.collection(collection).scan(&Filter::Exists(field.to_string()), |docs| {
-                    let hits = docs.filter_map(|d| d.get(field).and_then(Value::as_bytes).map(|b| (b, d.id())));
-                    // Ties go to the smaller id, whatever order the scan visits in.
-                    let best =
-                        if want_max { hits.max_by_key(|&(b, id)| (b, std::cmp::Reverse(id))) } else { hits.min() };
-                    best.map(|(_, id)| id.as_bytes().to_vec())
-                });
-                Ok(id.unwrap_or_default())
-            }
-            "list_ids" => {
-                let (collection, _) = split_collection(payload)?;
-                let mut ids = self.docs.collection(collection).ids();
-                ids.sort();
-                let mut w = Writer::new();
-                w.list(&ids);
-                Ok(w.finish())
-            }
-            "ensure_index" => {
-                let (collection, rest) = split_collection(payload)?;
-                let field = std::str::from_utf8(rest).map_err(|_| CoreError::Wire("utf8 field"))?;
-                self.docs.collection(collection).create_index(field);
-                self.note(|| MutationScope::Broadcast);
-                Ok(Vec::new())
-            }
-            "find_ids_eq" => {
-                let req = FindIdsEq::decode(payload)?;
-                Ok(self.find_ids(&req.collection, &Filter::eq(req.field, req.value)))
-            }
-            "find_ids_range" => {
-                let req = FindIdsRange::decode(payload)?;
-                Ok(self.find_ids(&req.collection, &Filter::between(req.field, req.lo, req.hi)))
-            }
-            "find_ids_dnf" => {
-                let req = FindIdsDnf::decode(payload)?;
-                let filter = Filter::or(
-                    req.dnf
-                        .into_iter()
-                        .map(|conj| Filter::and(conj.into_iter().map(|(f, v)| Filter::eq(f, v)).collect()))
-                        .collect(),
-                );
-                Ok(self.find_ids(&req.collection, &filter))
-            }
-            // Plaintext aggregate for the S_A baseline: avg/sum over a
-            // numeric field, like a database would compute natively.
-            "agg_plain" => self.agg_plain(payload, None),
-            // The same over the ring ranges a cluster node serves first.
-            "agg_plain_ranges" => {
-                let ranged = RangedRead::decode(payload)?;
-                self.agg_plain(&ranged.request, Some(&ranged.select))
-            }
-            other => Err(CoreError::UnsupportedOperation(format!("doc op {other}"))),
-        }
-    }
-
     /// The `agg_plain` answer over the documents of the payload's
     /// collection that have its field and, with `select`, route into its
     /// ranges — summed in id order, because f64 addition is not associative.
@@ -746,13 +712,17 @@ impl Default for CloudEngine {
 }
 
 impl CloudService for CloudEngine {
-    fn handle(&self, route: &str, payload: &[u8]) -> Result<Vec<u8>, NetError> {
-        if route == datablinder_obs::trace::TRACED_ROUTE {
+    /// Parses the route once; a route [`ROUTES`](crate::cloudproto::ROUTES)
+    /// does not name is [`NetError::UnknownRoute`] before anything is
+    /// journaled.
+    fn handle(&self, name: &str, payload: &[u8]) -> Result<Vec<u8>, NetError> {
+        let route = Route::parse(name).ok_or_else(|| NetError::UnknownRoute(name.into()))?;
+        if route.name == datablinder_obs::trace::TRACED_ROUTE {
             // Traced envelope: adopt the caller's trace context and recurse
             // on the inner route, so the crash check, journal and dedup all
             // see the real operation — the envelope never reaches the WAL.
-            let (ctx, inner_route, inner_payload) = datablinder_obs::trace::decode_traced(payload)
-                .map_err(|e| NetError::Remote(format!("trace envelope: {e}")))?;
+            let (ctx, inner_route, inner_payload) =
+                datablinder_obs::trace::decode_traced(payload).map_err(CoreError::from)?;
             let _scope = ctx.enter();
             let mut guard = self.obs.quiet_span("cloud.apply");
             guard.set_detail(inner_route);
@@ -763,16 +733,20 @@ impl CloudService for CloudEngine {
             }
             return out;
         }
-        let Some(d) = &self.durability else {
-            return self.dispatch(route, payload).map_err(|e| NetError::Remote(e.to_string()));
-        };
-        if d.crashed() {
+        if self.crashed() {
             // The simulated machine is down: everything times out until a
             // restart harness rebuilds the engine from disk.
             return Err(NetError::Timeout);
         }
-        if !is_write_route(route) {
-            return self.dispatch(route, payload).map_err(|e| NetError::Remote(e.to_string()));
+        let Some(d) = self.durability.as_ref().filter(|_| route.writes()) else {
+            return Ok(self.dispatch(route, payload)?);
+        };
+        // What an envelope carries is parsed before it is journaled too, as
+        // a cluster does before it fans out: the WAL holds only routes that
+        // apply.
+        let (_, inner, inner_payload) = route.unseal(payload)?;
+        if inner.name == BATCH_ROUTE {
+            batch_items(inner_payload, false)?;
         }
         // Journal-before-apply. The journaling sits here rather than in
         // `dispatch` so nested batch/idem sub-calls are covered by their
@@ -781,7 +755,7 @@ impl CloudService for CloudEngine {
         // it is the per-operation WAL fsync latency.
         let flush = {
             let mut guard = self.obs.quiet_span("cloud.wal.flush");
-            let outcome = d.journal(route, payload);
+            let outcome = d.journal(name, payload);
             if outcome.is_err() {
                 guard.fail();
             }
@@ -790,18 +764,18 @@ impl CloudService for CloudEngine {
         match flush {
             Ok(JournalOutcome::Written) => {
                 self.obs.count("cloud.wal.appends", 1);
-                self.obs.count("cloud.wal.bytes", (route.len() + payload.len()) as u64);
+                self.obs.count("cloud.wal.bytes", (name.len() + payload.len()) as u64);
             }
             // The crash point fired at this write: whatever reached disk
             // (nothing, a torn prefix, or a full never-applied frame), the
             // caller sees a retryable timeout and recovery sorts it out.
             Ok(JournalOutcome::Died) => return Err(NetError::Timeout),
-            Err(e) => return Err(NetError::Remote(format!("wal: {e}"))),
+            Err(e) => return Err(CoreError::Storage(format!("wal: {e}")).into()),
         }
-        let out = self.dispatch(route, payload).map_err(|e| NetError::Remote(e.to_string()));
+        let out = self.dispatch(route, payload).map_err(NetError::from);
         if d.snapshot_due() {
             if let Err(e) = d.snapshot(&self.kv, &self.docs) {
-                return Err(NetError::Remote(format!("snapshot: {e}")));
+                return Err(CoreError::Storage(format!("snapshot: {e}")).into());
             }
             self.obs.count("cloud.snapshot.compactions", 1);
         }
@@ -862,6 +836,14 @@ mod tests {
         CloudEngine::new()
     }
 
+    impl CloudEngine {
+        /// Runs `route` as a batch item reaches `dispatch`: parsed, and an
+        /// unknown one refused.
+        fn run(&self, route: &str, payload: &[u8]) -> Result<Vec<u8>, CoreError> {
+            self.dispatch(Route::carried(route)?, payload)
+        }
+    }
+
     fn doc(idx: u8, status: &str) -> (DocId, Vec<u8>) {
         let id = DocId([idx; 16]);
         let d = Document::new(id.to_hex()).with("status", Value::from(status));
@@ -872,19 +854,19 @@ mod tests {
     fn doc_crud_over_routes() {
         let e = engine();
         let (id, payload) = doc(1, "final");
-        e.dispatch("doc/insert", &payload).unwrap();
+        e.run("doc/insert", &payload).unwrap();
         // Duplicate insert fails.
-        assert!(e.dispatch("doc/insert", &payload).is_err());
+        assert!(e.run("doc/insert", &payload).is_err());
 
         let get = with_collection("obs", id.to_hex().as_bytes());
-        let fetched = decode_document(&e.dispatch("doc/get", &get).unwrap()).unwrap();
+        let fetched = decode_document(&e.run("doc/get", &get).unwrap()).unwrap();
         assert_eq!(fetched.get("status"), Some(&Value::from("final")));
 
-        let count = e.dispatch("doc/count", &with_collection("obs", b"")).unwrap();
+        let count = e.run("doc/count", &with_collection("obs", b"")).unwrap();
         assert_eq!(u64::from_be_bytes(count.try_into().unwrap()), 1);
 
-        e.dispatch("doc/delete", &get).unwrap();
-        assert!(e.dispatch("doc/get", &get).is_err());
+        e.run("doc/delete", &get).unwrap();
+        assert!(e.run("doc/get", &get).is_err());
     }
 
     #[test]
@@ -892,15 +874,15 @@ mod tests {
         let e = engine();
         for (i, s) in [(1u8, "final"), (2, "draft"), (3, "final")] {
             let (_, payload) = doc(i, s);
-            e.dispatch("doc/insert", &payload).unwrap();
+            e.run("doc/insert", &payload).unwrap();
         }
         let req = FindIdsEq { collection: "obs".into(), field: "status".into(), value: Value::from("final") };
-        let out = e.dispatch("doc/find_ids_eq", &req.encode()).unwrap();
+        let out = e.run("doc/find_ids_eq", &req.encode()).unwrap();
         let ids = crate::tactics::decode_ids(&out).unwrap();
         assert_eq!(ids, vec![DocId([1; 16]), DocId([3; 16])]);
 
         let req = FindIdsDnf { collection: "obs".into(), dnf: vec![vec![("status".into(), Value::from("draft"))]] };
-        let out = e.dispatch("doc/find_ids_dnf", &req.encode()).unwrap();
+        let out = e.run("doc/find_ids_dnf", &req.encode()).unwrap();
         assert_eq!(crate::tactics::decode_ids(&out).unwrap(), vec![DocId([2; 16])]);
     }
 
@@ -908,11 +890,11 @@ mod tests {
     fn get_many_skips_missing() {
         let e = engine();
         let (id, payload) = doc(1, "x");
-        e.dispatch("doc/insert", &payload).unwrap();
+        e.run("doc/insert", &payload).unwrap();
         let (held, unknown) = (id.to_hex(), DocId([9; 16]).to_hex());
         let req = GetMany { collection: "obs", ids: vec![held.as_bytes(), unknown.as_bytes()], keep: vec![] };
         let req = req.encode();
-        let docs = crate::wire::decode_documents(&e.dispatch("doc/get_many", &req).unwrap()).unwrap();
+        let docs = crate::wire::decode_documents(&e.run("doc/get_many", &req).unwrap()).unwrap();
         assert_eq!(docs.len(), 1);
     }
 
@@ -920,7 +902,7 @@ mod tests {
     fn get_many_bytes_are_the_list_of_the_stored_documents_in_request_order() {
         let e = engine();
         for (i, status) in [(1u8, "final"), (2, "draft"), (3, "amended")] {
-            e.dispatch("doc/insert", &doc(i, status).1).unwrap();
+            e.run("doc/insert", &doc(i, status).1).unwrap();
         }
         let hex = |i: u8| DocId([i; 16]).to_hex().into_bytes();
         // Out of order, repeated, unknown, not DocId-shaped and not UTF-8.
@@ -928,7 +910,7 @@ mod tests {
             vec![hex(3), hex(9), hex(1), b"no-such-id".to_vec(), vec![0xFF, 0xFE], hex(3), Vec::new(), hex(2)];
         let mut w = Writer::new();
         w.list(&asked);
-        let answer = e.dispatch("doc/get_many", &with_collection("obs", &w.finish())).unwrap();
+        let answer = e.run("doc/get_many", &with_collection("obs", &w.finish())).unwrap();
 
         let coll = e.docs().collection("obs");
         let expected: Vec<Document> =
@@ -936,12 +918,12 @@ mod tests {
         assert_eq!(expected.len(), 4);
         assert_eq!(answer, encode_documents(&expected));
         // `doc/get` answers with the same per-document bytes.
-        let one = e.dispatch("doc/get", &with_collection("obs", &hex(2))).unwrap();
+        let one = e.run("doc/get", &with_collection("obs", &hex(2))).unwrap();
         assert_eq!(one, encode_document(&coll.get(&DocId([2; 16]).to_hex()).unwrap()));
 
         let mut none = Writer::new();
         none.list(&[b"nope".to_vec()]);
-        let empty = e.dispatch("doc/get_many", &with_collection("obs", &none.finish())).unwrap();
+        let empty = e.run("doc/get_many", &with_collection("obs", &none.finish())).unwrap();
         assert_eq!(empty, encode_documents(&[]));
     }
 
@@ -950,24 +932,24 @@ mod tests {
         let mut e = engine();
         let recorder = Recorder::new();
         e.set_recorder(recorder.clone());
-        e.dispatch("doc/ensure_index", &with_collection("obs", b"status")).unwrap();
-        e.dispatch("doc/insert", &doc(1, "final").1).unwrap();
+        e.run("doc/ensure_index", &with_collection("obs", b"status")).unwrap();
+        e.run("doc/insert", &doc(1, "final").1).unwrap();
         let scans = |name: &str| recorder.snapshot().counter(name);
 
         let eq = |field: &str| FindIdsEq { collection: "obs".into(), field: field.into(), value: Value::from("final") };
-        e.dispatch("doc/find_ids_eq", &eq("status").encode()).unwrap();
+        e.run("doc/find_ids_eq", &eq("status").encode()).unwrap();
         let range = FindIdsRange {
             collection: "obs".into(),
             field: "status".into(),
             lo: Value::from("a"),
             hi: Value::from("z"),
         };
-        e.dispatch("doc/find_ids_range", &range.encode()).unwrap();
+        e.run("doc/find_ids_range", &range.encode()).unwrap();
         assert_eq!((scans("cloud.doc.scan.indexed"), scans("cloud.doc.scan.full")), (2, 0));
 
-        e.dispatch("doc/find_ids_eq", &eq("other").encode()).unwrap();
+        e.run("doc/find_ids_eq", &eq("other").encode()).unwrap();
         let dnf = FindIdsDnf { collection: "obs".into(), dnf: vec![vec![("status".into(), Value::from("final"))]] };
-        e.dispatch("doc/find_ids_dnf", &dnf.encode()).unwrap();
+        e.run("doc/find_ids_dnf", &dnf.encode()).unwrap();
         assert_eq!((scans("cloud.doc.scan.indexed"), scans("cloud.doc.scan.full")), (2, 2));
     }
 
@@ -976,13 +958,13 @@ mod tests {
         let e = engine();
         let mut w = Writer::new();
         w.list(&[b"k1".to_vec(), b"v1".to_vec(), b"k2".to_vec(), b"v2".to_vec()]);
-        e.dispatch("kv/bulk_put", &w.finish()).unwrap();
+        e.run("kv/bulk_put", &w.finish()).unwrap();
         assert_eq!(e.kv().get(b"k1"), Some(b"v1".to_vec()));
         assert_eq!(e.kv().get(b"k2"), Some(b"v2".to_vec()));
         // Odd pair count rejected.
         let mut w = Writer::new();
         w.list(&[b"k".to_vec()]);
-        assert!(e.dispatch("kv/bulk_put", &w.finish()).is_err());
+        assert!(e.run("kv/bulk_put", &w.finish()).is_err());
     }
 
     #[test]
@@ -991,7 +973,7 @@ mod tests {
         let (_, ins) = doc(1, "final");
         let mut w = Writer::new();
         w.list(&[b"doc/insert".to_vec(), ins, b"doc/count".to_vec(), with_collection("obs", b"")]);
-        let out = e.dispatch("batch", &w.finish()).unwrap();
+        let out = e.run("batch", &w.finish()).unwrap();
         let mut r = datablinder_codec::Reader::new(&out);
         let responses = r.list().unwrap();
         assert_eq!(responses.len(), 2);
@@ -1002,25 +984,25 @@ mod tests {
         inner.list(&[b"doc/count".to_vec(), with_collection("obs", b"")]);
         let mut outer = Writer::new();
         outer.list(&[b"batch".to_vec(), inner.finish()]);
-        assert!(e.dispatch("batch", &outer.finish()).is_err());
+        assert!(e.run("batch", &outer.finish()).is_err());
 
         // Odd item count rejected.
         let mut odd = Writer::new();
         odd.list(&[b"doc/count".to_vec()]);
-        assert!(e.dispatch("batch", &odd.finish()).is_err());
+        assert!(e.run("batch", &odd.finish()).is_err());
     }
 
     #[test]
     fn read_batch_answers_reads_and_refuses_writes_and_nesting_before_running_any() {
         let e = engine();
         let (id, ins) = doc(1, "final");
-        e.dispatch("doc/insert", &ins).unwrap();
+        e.run("doc/insert", &ins).unwrap();
         let count = || CloudCall::new("doc/count", with_collection("obs", b""));
         let get = CloudCall::new("doc/get", with_collection("obs", id.to_hex().as_bytes()));
-        let out = e.dispatch("batch/read", &encode_batch(&[count(), get.clone()])).unwrap();
+        let out = e.run("batch/read", &encode_batch(&[count(), get.clone()])).unwrap();
         let answers = crate::cloudproto::decode_batch_answer(&out, 2).unwrap();
         assert_eq!(u64::from_be_bytes(answers[0].clone().try_into().unwrap()), 1);
-        assert_eq!(answers[1], e.dispatch("doc/get", &get.payload).unwrap());
+        assert_eq!(answers[1], e.run("doc/get", &get.payload).unwrap());
 
         // A write item, a nested batch of either kind or an envelope is
         // refused.
@@ -1032,13 +1014,13 @@ mod tests {
             CloudCall::new("idem", envelope.encode()),
         ];
         for refused in nested.iter().cloned().chain([CloudCall::new("doc/insert", second.clone())]) {
-            let err = e.dispatch("batch/read", &encode_batch(&[count(), refused.clone()])).unwrap_err();
+            let err = e.run("batch/read", &encode_batch(&[count(), refused.clone()])).unwrap_err();
             assert!(matches!(err, CoreError::UnsupportedOperation(_)), "{}: {err}", refused.route);
         }
         // Every item is checked before the first runs: the insert ahead of
         // a nested batch never happens.
         for refused in nested {
-            let err = e.dispatch("batch", &encode_batch(&[CloudCall::new("doc/insert", second.clone()), refused]));
+            let err = e.run("batch", &encode_batch(&[CloudCall::new("doc/insert", second.clone()), refused]));
             assert!(matches!(err, Err(CoreError::UnsupportedOperation(_))), "{err:?}");
         }
         assert_eq!(e.docs().collection("obs").len(), 1, "nothing in a refused batch ran");
@@ -1057,7 +1039,7 @@ mod tests {
             })
             .collect();
         for d in &docs {
-            e.dispatch("doc/insert", &with_collection("obs", &encode_document(d))).unwrap();
+            e.run("doc/insert", &with_collection("obs", &encode_document(d))).unwrap();
         }
         let hex: Vec<String> = [3u8, 9, 1].iter().map(|&i| DocId([i; 16]).to_hex()).collect();
         let ids: Vec<&[u8]> = hex.iter().map(String::as_bytes).collect();
@@ -1065,7 +1047,7 @@ mod tests {
         let mut today = Writer::new();
         today.list(&ids);
         assert_eq!(bare.encode(), with_collection("obs", &today.finish()), "an empty list adds no byte");
-        assert_eq!(e.dispatch("doc/get_many", &bare.encode()).unwrap(), encode_documents([&docs[2], &docs[0]]));
+        assert_eq!(e.run("doc/get_many", &bare.encode()).unwrap(), encode_documents([&docs[2], &docs[0]]));
 
         // Per kept name the stored value, or the absent tag; no name, no
         // count, and a__ope, v__phe stay behind.
@@ -1077,14 +1059,14 @@ mod tests {
             w.u8(crate::wire::ABSENT);
             crate::wire::put_value(d.get("note").unwrap(), w);
         });
-        assert_eq!(e.dispatch("doc/get_many", &projected.encode()).unwrap(), expected.finish());
+        assert_eq!(e.run("doc/get_many", &projected.encode()).unwrap(), expected.finish());
         assert_eq!(GetMany::decode(&projected.encode()).unwrap(), projected);
         let mut trailing = projected.encode();
         trailing.push(0);
-        assert!(matches!(e.dispatch("doc/get_many", &trailing), Err(CoreError::Wire(_))));
+        assert!(matches!(e.run("doc/get_many", &trailing), Err(CoreError::Wire(_))));
         for keep in [vec!["note", "a__det"], vec!["a__det", "a__det"]] {
             let refused = GetMany { keep: keep.clone(), ..projected.clone() };
-            let err = e.dispatch("doc/get_many", &refused.encode());
+            let err = e.run("doc/get_many", &refused.encode());
             assert_eq!(err, Err(CoreError::Wire("keep list not strictly ascending")), "{keep:?}");
         }
     }
@@ -1093,23 +1075,20 @@ mod tests {
     fn fetch_answers_as_its_read_then_get_many_and_refuses_writes_batches_and_envelopes() {
         let e = engine();
         for (i, status) in [(1u8, "final"), (2, "draft"), (3, "final")] {
-            e.dispatch("doc/insert", &doc(i, status).1).unwrap();
+            e.run("doc/insert", &doc(i, status).1).unwrap();
         }
         let find = FindIdsEq { collection: "obs".into(), field: "status".into(), value: Value::from("final") };
         let find = CloudCall::new("doc/find_ids_eq", find.encode());
         let fetch = |route: &str, payload: &[u8], keep: Vec<&'static str>| {
             Fetch { collection: "obs", keep, route, payload }.encode()
         };
-        let hex: Vec<String> = decode_ids(&e.dispatch(&find.route, &find.payload).unwrap())
-            .unwrap()
-            .iter()
-            .map(|id| id.to_hex())
-            .collect();
+        let hex: Vec<String> =
+            decode_ids(&e.run(&find.route, &find.payload).unwrap()).unwrap().iter().map(|id| id.to_hex()).collect();
         assert_eq!(hex.len(), 2);
         for keep in [vec![], vec!["status"]] {
-            let fused = e.dispatch(FETCH_ROUTE, &fetch(&find.route, &find.payload, keep.clone())).unwrap();
+            let fused = e.run(FETCH_ROUTE, &fetch(&find.route, &find.payload, keep.clone())).unwrap();
             let two_calls = GetMany { collection: "obs", ids: hex.iter().map(String::as_bytes).collect(), keep };
-            assert_eq!(fused, e.dispatch("doc/get_many", &two_calls.encode()).unwrap());
+            assert_eq!(fused, e.run("doc/get_many", &two_calls.encode()).unwrap());
         }
 
         // The wrapped route passes batch/read's checks before it runs.
@@ -1124,12 +1103,12 @@ mod tests {
             (TRACED_ROUTE, encode_traced(TraceCtx { trace_id: 1, span_id: 1 }, "doc/insert", &insert)),
             (FETCH_ROUTE, fetch(&find.route, &find.payload, vec![])),
         ] {
-            let err = e.dispatch(FETCH_ROUTE, &fetch(route, &payload, vec![])).unwrap_err();
+            let err = e.run(FETCH_ROUTE, &fetch(route, &payload, vec![])).unwrap_err();
             assert!(matches!(err, CoreError::UnsupportedOperation(_)), "{route}: {err}");
         }
         assert_eq!(e.docs().collection("obs").len(), 3, "the refused write never ran");
         // A wrapped read whose answer is not an id list.
-        let err = e.dispatch(FETCH_ROUTE, &fetch(&count.route, &count.payload, vec![])).unwrap_err();
+        let err = e.run(FETCH_ROUTE, &fetch(&count.route, &count.payload, vec![])).unwrap_err();
         assert!(matches!(err, CoreError::Wire(_)), "{err}");
     }
 
@@ -1139,7 +1118,7 @@ mod tests {
         e.kv().set(b"t/mitra/s/one", b"1");
         e.kv().set(b"t/mitra/s/two", b"2");
         e.kv().set(b"t/mitra/other/x", b"3");
-        let out = e.dispatch("kv/del_prefix", b"t/mitra/s/").unwrap();
+        let out = e.run("kv/del_prefix", b"t/mitra/s/").unwrap();
         assert_eq!(u64::from_be_bytes(out.try_into().unwrap()), 2);
         assert!(e.kv().get(b"t/mitra/s/one").is_none());
         assert!(e.kv().get(b"t/mitra/other/x").is_some());
@@ -1148,15 +1127,25 @@ mod tests {
     #[test]
     fn unknown_routes_rejected() {
         let e = engine();
-        assert!(e.dispatch("nope", &[]).is_err());
-        assert!(e.dispatch("doc/nope", &with_collection("c", b"")).is_err());
-        assert!(e.dispatch("tactic/unknown/s/op", &[]).is_err());
-        // A known route with a segment too many or too few names nothing,
-        // and touches nothing.
+        assert!(e.run("doc/get", &with_collection("c", b"x")).is_err());
+        assert!(e.run("tactic/unknown/s/search", &[]).is_err());
+        // A route the table does not name — a segment too many or too few
+        // included — is refused before it runs, and touches nothing.
         let (_, ins) = doc(1, "final");
-        for route in ["doc/insert/x", "doc", "tactic/mitra/s", "tactic/mitra/s/update/x", "batch/", "sync", "idem/x"] {
+        for route in [
+            "nope",
+            "doc/nope",
+            "doc/insert/x",
+            "doc",
+            "tactic/mitra/s",
+            "tactic/mitra/s/update/x",
+            "batch/",
+            "sync",
+            "idem/x",
+        ] {
+            assert_eq!(e.handle(route, &ins), Err(NetError::UnknownRoute(route.into())), "{route}");
             let unknown = format!("unknown route {route}");
-            assert_eq!(e.dispatch(route, &ins), Err(CoreError::UnsupportedOperation(unknown)), "{route}");
+            assert_eq!(e.run(route, &ins), Err(CoreError::UnsupportedOperation(unknown)), "{route}");
         }
         assert_eq!(e.docs().collection("obs").len(), 0);
         assert!(e.kv().keys_with_prefix(b"").is_empty());
@@ -1171,13 +1160,13 @@ mod tests {
         let e = engine();
         let (_, ins) = doc(1, "final");
         let env = idem(7, "doc/insert", &ins);
-        e.dispatch("idem", &env).unwrap();
+        e.run("idem", &env).unwrap();
         // Replaying the same envelope (duplicate delivery / gateway retry)
         // is answered from the cache — a bare re-insert would error.
-        e.dispatch("idem", &env).unwrap();
-        e.dispatch("idem", &env).unwrap();
+        e.run("idem", &env).unwrap();
+        e.run("idem", &env).unwrap();
         assert_eq!(e.dedup_hits(), 2);
-        let count = e.dispatch("doc/count", &with_collection("obs", b"")).unwrap();
+        let count = e.run("doc/count", &with_collection("obs", b"")).unwrap();
         assert_eq!(u64::from_be_bytes(count.try_into().unwrap()), 1, "executed exactly once");
     }
 
@@ -1185,12 +1174,12 @@ mod tests {
     fn idem_records_errors_too() {
         let e = engine();
         let (_, ins) = doc(1, "final");
-        e.dispatch("doc/insert", &ins).unwrap();
+        e.run("doc/insert", &ins).unwrap();
         // This envelope's execution fails (duplicate document id)...
         let env = idem(8, "doc/insert", &ins);
-        let first = e.dispatch("idem", &env).unwrap_err();
+        let first = e.run("idem", &env).unwrap_err();
         // ...and the retry sees the *same* recorded error, not a fresh one.
-        let second = e.dispatch("idem", &env).unwrap_err();
+        let second = e.run("idem", &env).unwrap_err();
         assert_eq!(first, second);
         assert_eq!(e.dedup_hits(), 1);
     }
@@ -1202,10 +1191,10 @@ mod tests {
         let (_, ins2) = doc(2, "draft");
         // Same token, different request: the fingerprint guard must treat
         // this as a distinct request, not serve the cached outcome.
-        e.dispatch("idem", &idem(7, "doc/insert", &ins1)).unwrap();
-        e.dispatch("idem", &idem(7, "doc/insert", &ins2)).unwrap();
+        e.run("idem", &idem(7, "doc/insert", &ins1)).unwrap();
+        e.run("idem", &idem(7, "doc/insert", &ins2)).unwrap();
         assert_eq!(e.dedup_hits(), 0);
-        let count = e.dispatch("doc/count", &with_collection("obs", b"")).unwrap();
+        let count = e.run("doc/count", &with_collection("obs", b"")).unwrap();
         assert_eq!(u64::from_be_bytes(count.try_into().unwrap()), 2);
     }
 
@@ -1216,12 +1205,12 @@ mod tests {
         let (_, ins2) = doc(2, "b");
         let (_, ins3) = doc(3, "c");
         let env1 = idem(1, "doc/insert", &ins1);
-        e.dispatch("idem", &env1).unwrap();
-        e.dispatch("idem", &idem(2, "doc/insert", &ins2)).unwrap();
-        e.dispatch("idem", &idem(3, "doc/insert", &ins3)).unwrap();
+        e.run("idem", &env1).unwrap();
+        e.run("idem", &idem(2, "doc/insert", &ins2)).unwrap();
+        e.run("idem", &idem(3, "doc/insert", &ins3)).unwrap();
         // Token 1 was evicted: the replay re-executes and hits the duplicate
         // document error instead of the cached Ok.
-        assert!(e.dispatch("idem", &env1).is_err());
+        assert!(e.run("idem", &env1).is_err());
         assert_eq!(e.dedup_hits(), 0);
     }
 
@@ -1229,8 +1218,8 @@ mod tests {
     fn idem_rejects_nesting_and_garbage() {
         let e = engine();
         let inner = idem(1, "doc/count", &with_collection("obs", b""));
-        assert!(e.dispatch("idem", &idem(2, "idem", &inner)).is_err());
-        assert!(e.dispatch("idem", &[0; 5]).is_err());
+        assert!(e.run("idem", &idem(2, "idem", &inner)).is_err());
+        assert!(e.run("idem", &[0; 5]).is_err());
     }
 
     #[test]
@@ -1239,11 +1228,11 @@ mod tests {
         for t in 0..32u8 {
             let (_, ins) = doc(t, "x");
             let env = idem(t, "doc/insert", &ins);
-            e.dispatch("idem", &env).unwrap();
-            e.dispatch("idem", &env).unwrap(); // duplicate delivery
+            e.run("idem", &env).unwrap();
+            e.run("idem", &env).unwrap(); // duplicate delivery
         }
         assert_eq!(e.dedup_hits(), 32);
-        let count = e.dispatch("doc/count", &with_collection("obs", b"")).unwrap();
+        let count = e.run("doc/count", &with_collection("obs", b"")).unwrap();
         assert_eq!(u64::from_be_bytes(count.try_into().unwrap()), 32);
     }
 
@@ -1265,9 +1254,9 @@ mod tests {
         for (i, v) in [(1u8, 10.0f64), (2, 20.0)] {
             let id = DocId([i; 16]);
             let d = Document::new(id.to_hex()).with("value", Value::from(v));
-            e.dispatch("doc/insert", &with_collection("obs", &encode_document(&d))).unwrap();
+            e.run("doc/insert", &with_collection("obs", &encode_document(&d))).unwrap();
         }
-        let out = e.dispatch("doc/agg_plain", &with_collection("obs", b"value")).unwrap();
+        let out = e.run("doc/agg_plain", &with_collection("obs", b"value")).unwrap();
         let sum = f64::from_be_bytes(out[..8].try_into().unwrap());
         let count = u64::from_be_bytes(out[8..].try_into().unwrap());
         assert_eq!(sum, 30.0);
@@ -1282,14 +1271,14 @@ mod tests {
         let e = engine();
         for i in 1..=16u8 {
             let d = Document::new(DocId([i; 16]).to_hex()).with("value", Value::from(f64::from(i)));
-            e.dispatch("doc/insert", &with_collection("obs", &encode_document(&d))).unwrap();
+            e.run("doc/insert", &with_collection("obs", &encode_document(&d))).unwrap();
         }
         let mut totals = (0.0, 0);
         for half in [(u64::MAX, u64::MAX / 2), (u64::MAX / 2, u64::MAX)] {
             let select = RangeSelect { seed: 9, ranges: vec![half], include_broadcast: false };
             let held = (1..=16u8).filter(|&i| selects_doc(&select, "obs", &DocId([i; 16]).to_hex())).count() as u64;
             let ranged = RangedRead { request: with_collection("obs", b"value"), select };
-            let out = e.dispatch("doc/agg_plain_ranges", &ranged.encode()).unwrap();
+            let out = e.run("doc/agg_plain_ranges", &ranged.encode()).unwrap();
             let count = u64::from_be_bytes(out[8..].try_into().unwrap());
             assert!(count == held && count > 0, "{count} of {held}");
             totals = (totals.0 + f64::from_be_bytes(out[..8].try_into().unwrap()), totals.1 + count);
@@ -1322,7 +1311,7 @@ mod tests {
             flag[flag_at] = 2;
             let cuts = (flag_at + 1..honest.len()).map(|cut| honest[..cut].to_vec());
             for bad in cuts.chain([overcount, flag]) {
-                let out = e.dispatch(route, &bad);
+                let out = e.run(route, &bad);
                 assert!(matches!(out, Err(CoreError::Wire(_))), "{route}: {out:?} for {bad:02x?}");
             }
         }

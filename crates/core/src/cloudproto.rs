@@ -335,10 +335,142 @@ pub const IDEM_ROUTE: &str = "idem";
 pub const BATCH_ROUTE: &str = "batch";
 
 /// Route of a read-only batch: the independent reads one query needs, in
-/// one round trip. [`is_write_route`] calls it a read, so it is never
+/// one round trip. It carries no write ([`Route::writes`]), so it is never
 /// journaled, deduplicated or sealed, and an engine refuses any write item
 /// inside it.
 pub const READ_BATCH_ROUTE: &str = "batch/read";
+
+/// What a route does to cloud state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RouteClass {
+    /// Changes nothing: retried bare, never journaled.
+    Read,
+    /// Changes the state under one ring key — a document, or one tactic
+    /// scope's index — on that key's replicas.
+    KeyedWrite,
+    /// Changes state every node holds: index definitions, setup keys, raw
+    /// KV, a cluster's state transfers.
+    BroadcastWrite,
+    /// Carries other routes in its payload, and hides them from any check
+    /// that reads only the outer route.
+    Envelope,
+}
+
+/// The row prefix of a tactic route, `tactic/<name>/<scope>/<op>`: any
+/// registered cloud tactic serves the ops its rows list.
+const TACTIC_ROW: &str = "tactic/<name>/<scope>/";
+
+/// Every route the cloud serves, and its class: the cloud column of the
+/// paper's Table 1. A route not listed here is refused before anything
+/// journals or fans it out.
+#[rustfmt::skip]
+pub const ROUTES: &[(&str, RouteClass)] = {
+    use RouteClass::{BroadcastWrite, Envelope, KeyedWrite, Read};
+    &[
+        ("doc/insert", KeyedWrite), ("doc/update", KeyedWrite), ("doc/delete", KeyedWrite),
+        ("doc/ensure_index", BroadcastWrite), ("doc/get", Read), ("doc/get_many", Read), (FETCH_ROUTE, Envelope),
+        ("doc/count", Read), ("doc/extreme", Read), ("doc/list_ids", Read), ("doc/find_ids_eq", Read),
+        ("doc/find_ids_range", Read), ("doc/find_ids_dnf", Read), ("doc/agg_plain", Read),
+        ("doc/agg_plain_ranges", Read), ("kv/bulk_put", BroadcastWrite), ("kv/del_prefix", BroadcastWrite),
+        ("tactic/<name>/<scope>/insert", KeyedWrite), ("tactic/<name>/<scope>/update", KeyedWrite),
+        ("tactic/<name>/<scope>/delete", KeyedWrite), ("tactic/<name>/<scope>/setup", BroadcastWrite),
+        ("tactic/<name>/<scope>/search", Read), ("tactic/<name>/<scope>/base_search", Read),
+        ("tactic/<name>/<scope>/range", Read), ("tactic/<name>/<scope>/sum", Read),
+        ("tactic/<name>/<scope>/sum_ranges", Read), ("tactic/<name>/<scope>/combine", Read),
+        ("sync/tail", Read), ("sync/digest", Read), ("sync/entries", Read), ("sync/put", BroadcastWrite),
+        ("sync/retire", BroadcastWrite), ("obs/snapshot", Read), (TRACED_ROUTE, Envelope), (IDEM_ROUTE, Envelope),
+        (BATCH_ROUTE, Envelope), (READ_BATCH_ROUTE, Envelope),
+    ]
+};
+
+/// A route parsed against [`ROUTES`], lent from the string it arrived as.
+/// Everything that asks what a route is — engine dispatch, the journal, a
+/// batch's checks, a cluster's read/write split — asks this value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Route<'a> {
+    /// The route as sent; a route other than a tactic's is its row's name.
+    pub name: &'a str,
+    /// Its row's class.
+    pub class: RouteClass,
+    /// The segments of a tactic route.
+    pub tactic: Option<TacticRoute<'a>>,
+}
+
+/// A request with its idempotent envelope, if it came in one, taken off:
+/// the token it dedups on, and the route and payload it applies.
+pub type Unsealed<'a> = (Option<[u8; 16]>, Route<'a>, &'a [u8]);
+
+/// The segments of `tactic/<name>/<scope>/<op>`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TacticRoute<'a> {
+    /// The cloud tactic that serves it.
+    pub name: &'a str,
+    /// Its `schema:field` scope.
+    pub scope: &'a str,
+    /// The operation, one of the tactic rows of [`ROUTES`].
+    pub op: &'a str,
+    /// `tactic/<name>/<scope>`: the ring key the scope's index clusters
+    /// on, so its searches read the replicas its writes landed on.
+    pub key: &'a str,
+}
+
+impl<'a> Route<'a> {
+    /// The row of [`ROUTES`] `name` matches, allocating nothing; `None`
+    /// for a route no row names.
+    pub fn parse(name: &'a str) -> Option<Self> {
+        let tactic = match name.strip_prefix("tactic/") {
+            None => None,
+            Some(rest) => {
+                let mut segments = rest.split('/');
+                let (tactic, scope, op) = (segments.next()?, segments.next()?, segments.next()?);
+                if segments.next().is_some() {
+                    return None;
+                }
+                let key = &name[..name.len() - op.len() - 1];
+                Some(TacticRoute { name: tactic, scope, op, key })
+            }
+        };
+        let &(_, class) = ROUTES.iter().find(|&&(row, _)| match tactic {
+            None => row == name,
+            Some(t) => row.strip_prefix(TACTIC_ROW) == Some(t.op),
+        })?;
+        Some(Route { name, class, tactic })
+    }
+
+    /// [`Route::parse`] for a route carried inside another (a batch item,
+    /// the read a fetch wraps, an envelope's route).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::UnsupportedOperation`] for a route no row names.
+    pub fn carried(name: &'a str) -> Result<Self, CoreError> {
+        Route::parse(name).ok_or_else(|| CoreError::UnsupportedOperation(format!("unknown route {name}")))
+    }
+
+    /// What a request applies: an idempotent envelope's token and the
+    /// route and payload it carries ([`Idempotent::open`]), or the request
+    /// itself.
+    ///
+    /// # Errors
+    ///
+    /// As [`Idempotent::open`].
+    pub fn unseal(self, payload: &'a [u8]) -> Result<Unsealed<'a>, CoreError> {
+        if self.name != IDEM_ROUTE {
+            return Ok((None, self, payload));
+        }
+        let (token, route, payload) = Idempotent::open(payload)?;
+        Ok((Some(token), route, payload))
+    }
+
+    /// Whether the route changes cloud state: a write, or an envelope that
+    /// carries writes (`idem`, `batch`). Such a route is journaled before
+    /// it applies, and sealed in an [`Idempotent`] envelope before it may
+    /// be retried.
+    pub fn writes(&self) -> bool {
+        matches!(self.class, RouteClass::KeyedWrite | RouteClass::BroadcastWrite)
+            || matches!(self.name, IDEM_ROUTE | BATCH_ROUTE)
+    }
+}
 
 /// Encodes `calls` as the payload of either batch route: one list of
 /// route, payload, route, payload, …
@@ -361,31 +493,29 @@ pub fn encode_batch(calls: &[CloudCall]) -> Vec<u8> {
 ///
 /// [`CoreError::Wire`] on malformed input; [`CoreError::UnsupportedOperation`]
 /// as [`check_inner`].
-pub fn batch_items(payload: &[u8], read_only: bool) -> Result<Vec<(&str, &[u8])>, CoreError> {
-    let items = decode_calls(payload)?;
-    for &(route, _) in &items {
-        check_inner(route, read_only)?;
-    }
-    Ok(items)
+pub fn batch_items(payload: &[u8], read_only: bool) -> Result<Vec<(Route<'_>, &[u8])>, CoreError> {
+    decode_calls(payload)?.into_iter().map(|(route, payload)| Ok((check_inner(route, read_only)?, payload))).collect()
 }
 
-/// Checks a route carried inside another — a batch item, or the read a
-/// [`Fetch`] wraps (`read_only`) — before anything runs: no nested batch,
-/// fetch or envelope (idempotent or traced: either hides the route it
-/// carries) and, when `read_only`, no write route.
+/// Parses a route carried inside another — a batch item, or the read a
+/// [`Fetch`] wraps (`read_only`) — before anything runs: a route of
+/// [`ROUTES`], no envelope (a batch, a fetch, an idempotent or traced
+/// envelope: each hides the route it carries) and, when `read_only`, no
+/// write.
 ///
 /// # Errors
 ///
-/// [`CoreError::UnsupportedOperation`] on a nested batch, fetch or envelope,
-/// or a write where only reads may go.
-pub fn check_inner(route: &str, read_only: bool) -> Result<(), CoreError> {
-    if [BATCH_ROUTE, READ_BATCH_ROUTE, IDEM_ROUTE, FETCH_ROUTE, TRACED_ROUTE].contains(&route) {
-        return Err(CoreError::UnsupportedOperation(format!("nested {route}")));
+/// [`CoreError::UnsupportedOperation`] on an unknown route, a nested
+/// envelope, or a write where only reads may go.
+pub fn check_inner(route: &str, read_only: bool) -> Result<Route<'_>, CoreError> {
+    let route = Route::carried(route)?;
+    if route.class == RouteClass::Envelope {
+        return Err(CoreError::UnsupportedOperation(format!("nested {}", route.name)));
     }
-    if read_only && is_write_route(route) {
-        return Err(CoreError::UnsupportedOperation(format!("write {route} where only reads may go")));
+    if read_only && route.writes() {
+        return Err(CoreError::UnsupportedOperation(format!("write {} where only reads may go", route.name)));
     }
-    Ok(())
+    Ok(route)
 }
 
 /// The `(route, payload)` pairs of an [`encode_batch`] list — a batch
@@ -464,6 +594,22 @@ impl Idempotent {
     /// [`CoreError::Wire`] on malformed input.
     pub fn parts(buf: &[u8]) -> Result<([u8; 16], &str, &[u8]), CoreError> {
         decode(buf, |r| Ok((r.raw()?, r.str()?, r.bytes()?)))
+    }
+
+    /// [`Idempotent::parts`] with the carried route parsed: a route of
+    /// [`ROUTES`], and not another idempotent envelope.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Wire`] on malformed input;
+    /// [`CoreError::UnsupportedOperation`] on an unknown or nested route.
+    pub fn open(buf: &[u8]) -> Result<([u8; 16], Route<'_>, &[u8]), CoreError> {
+        let (token, route, payload) = Idempotent::parts(buf)?;
+        let route = Route::carried(route)?;
+        if route.name == IDEM_ROUTE {
+            return Err(CoreError::UnsupportedOperation("nested idem".into()));
+        }
+        Ok((token, route, payload))
     }
 }
 
@@ -727,48 +873,20 @@ impl DigestResponse {
     }
 }
 
-/// Whether `route` mutates cloud state, i.e. must be wrapped in an
-/// [`Idempotent`] envelope before it may be retried.
-///
-/// Reads (`doc/get`, `*/search`, `doc/count`, …) are naturally idempotent
-/// and retry bare; a conservative unknown-route default of `true` means a
-/// future write route degrades to "deduplicated" rather than
-/// "double-applied".
-pub fn is_write_route(route: &str) -> bool {
-    if let Some(op) = route.strip_prefix("doc/") {
-        return matches!(op, "insert" | "update" | "delete" | "ensure_index");
-    }
-    if route.starts_with("tactic/") {
-        // tactic/<name>/<schema>:<scope>/<op> — classify by the op suffix.
-        return matches!(route.rsplit('/').next(), Some("update" | "insert" | "delete" | "setup") | None);
-    }
-    if let Some(op) = route.strip_prefix("sync/") {
-        // WAL tails, digests and range exports are reads and retry bare;
-        // only the two applying ops mutate.
-        return matches!(op, "put" | "retire");
-    }
-    if route.starts_with("obs/") {
-        // Observability routes (snapshot export, traced envelopes) never
-        // mutate cloud state. The envelope's *inner* route is classified
-        // after the service unwraps it, before any journal decision.
-        return false;
-    }
-    if route == READ_BATCH_ROUTE {
-        // Engines refuse anything but reads inside one.
-        return false;
-    }
-    // kv/*, batch and idem envelopes mutate; unknown routes are assumed to
-    // mutate too — degrading to "needlessly deduplicated" is safer than
-    // "double-applied".
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn write_route_classification() {
+        // Every row parses to itself; a tactic row is a tactic route.
+        for &(row, class) in ROUTES {
+            let route = Route::parse(row).unwrap_or_else(|| panic!("{row} does not parse"));
+            assert_eq!((route.name, route.class), (row, class));
+            assert_eq!(route.tactic.is_some(), row.starts_with(TACTIC_ROW), "{row}");
+            let write = matches!(class, RouteClass::KeyedWrite | RouteClass::BroadcastWrite);
+            assert_eq!(route.writes(), write || [IDEM_ROUTE, BATCH_ROUTE].contains(&row), "{row}");
+        }
         for write in [
             "doc/insert",
             "doc/update",
@@ -784,9 +902,8 @@ mod tests {
             "tactic/sophos/notes:owner/setup",
             "sync/put",
             "sync/retire",
-            "something/new",
         ] {
-            assert!(is_write_route(write), "{write} should be a write");
+            assert!(Route::parse(write).is_some_and(|r| r.writes()), "{write} should be a write");
         }
         for read in [
             "doc/get",
@@ -813,10 +930,28 @@ mod tests {
             "obs/traced",
             "batch/read",
         ] {
-            assert!(!is_write_route(read), "{read} should be a read");
+            assert!(Route::parse(read).is_some_and(|r| !r.writes()), "{read} should be a read");
         }
-        // Only the exact route: anything else under `batch/` stays a write.
-        assert!(is_write_route("batch/other"));
+        // Only the exact route: anything else is refused, never guessed.
+        for refused in [
+            "something/new",
+            "batch/other",
+            "kv/nope",
+            "doc/nope",
+            "doc/insert/x",
+            "doc",
+            "batch/",
+            "idem/x",
+            "tactic/mitra/s",
+            "tactic/mitra/s/update/x",
+            "tactic/mitra/s/op",
+            "tactic/<name>/<scope>/",
+        ] {
+            assert_eq!(Route::parse(refused), None, "{refused}");
+        }
+        let search = Route::parse("tactic/mitra/notes:owner/search").unwrap().tactic.unwrap();
+        let parts = (search.name, search.scope, search.op, search.key);
+        assert_eq!(parts, ("mitra", "notes:owner", "search", "tactic/mitra/notes:owner"));
     }
 
     #[test]
@@ -824,7 +959,8 @@ mod tests {
         let calls = [CloudCall::new("doc/count", b"c".to_vec()), CloudCall::new("tactic/mitra/s:f/search", vec![1, 2])];
         let payload = encode_batch(&calls);
         let items = batch_items(&payload, true).unwrap();
-        assert_eq!(items, vec![("doc/count", &b"c"[..]), ("tactic/mitra/s:f/search", &[1u8, 2][..])]);
+        let routes: Vec<(&str, &[u8])> = items.iter().map(|(route, payload)| (route.name, *payload)).collect();
+        assert_eq!(routes, vec![("doc/count", &b"c"[..]), ("tactic/mitra/s:f/search", &[1u8, 2][..])]);
         let mut trailing = payload.clone();
         trailing.push(0);
         assert_eq!(batch_items(&trailing, false), Err(CoreError::Wire("trailing bytes")));

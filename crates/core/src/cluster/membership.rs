@@ -137,20 +137,23 @@ impl ClusterCloud {
             for item in &list.items {
                 let Ok(rec) = WalRecord::decode(item) else { continue };
                 // Sync-apply records are a peer's own resync history, not
-                // client writes: every acked client write is carried as a
-                // normal record by at least W original ackers.
-                if seen.contains(&rec.id)
-                    || rec.route.starts_with("sync/")
-                    || !targets_node(topo, &rec.route, &rec.payload, idx)
-                {
+                // client writes (`targets_node` skips them): every acked
+                // client write is carried as a normal record by at least W
+                // original ackers.
+                if seen.contains(&rec.id) || !targets_node(topo, &rec.route, &rec.payload, idx) {
                     continue;
                 }
                 seen.insert(rec.id);
                 match node.engine_call(&rec.route, &rec.payload) {
-                    // Application errors are recorded history (e.g. a
+                    // A deterministic refusal is recorded history (e.g. a
                     // duplicate insert whose first application was compacted
-                    // out of our own WAL) — not resync failures.
-                    Ok(_) | Err(NetError::Remote(_)) => replayed += 1,
+                    // out of our own WAL) — not a resync failure. A storage
+                    // refusal is this node failing to apply it.
+                    Ok(_) => replayed += 1,
+                    Err(NetError::Remote(kind, _)) if kind.is_deterministic() => replayed += 1,
+                    Err(NetError::Remote(_, m)) => {
+                        return Err(CoreError::Storage(format!("node {idx} failed replaying a peer's record: {m}")));
+                    }
                     Err(_) => return Err(CoreError::Storage(format!("node {idx} crashed during resync"))),
                 }
             }
@@ -176,13 +179,9 @@ impl ClusterCloud {
         for (batch_idx, batch) in missing.chunks(SYNC_PUT_BATCH).enumerate() {
             let salt = [salt, &(batch_idx as u64).to_be_bytes()[..]].concat();
             let put = sync_put(b"cluster-fill", &salt, batch.to_vec());
-            match node.engine_call(IDEM_ROUTE, &put) {
-                Ok(_) => applied += batch.len() as u64,
-                Err(NetError::Remote(m)) => {
-                    return Err(CoreError::Storage(format!("sync/put rejected during fill: {m}")));
-                }
-                Err(_) => return Err(CoreError::Storage("node crashed applying synced entries".into())),
-            }
+            node.engine_call(IDEM_ROUTE, &put)
+                .map_err(|e| CoreError::Storage(format!("node failed applying synced entries: {e}")))?;
+            applied += batch.len() as u64;
         }
         Ok(applied)
     }

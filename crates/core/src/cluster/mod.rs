@@ -78,9 +78,9 @@ use datablinder_primitives::sha256::Sha256;
 
 use self::replica::{LocalNode, Replica};
 use self::ring::Ring;
-use self::write::{unwrap_envelope, write_target};
+use self::write::write_replicas;
 use crate::cloud::CloudEngine;
-use crate::cloudproto::{is_write_route, BATCH_ROUTE};
+use crate::cloudproto::{Route, BATCH_ROUTE};
 use crate::error::CoreError;
 use crate::sync::doc_key;
 
@@ -166,10 +166,6 @@ impl Topology {
     fn live_members(&self) -> impl Iterator<Item = &Replica> {
         self.members.iter().map(|&m| &self.replicas[m]).filter(|r| r.is_alive())
     }
-}
-
-fn remote(e: CoreError) -> NetError {
-    NetError::Remote(e.to_string())
 }
 
 /// The first 16 bytes of SHA-256 over `parts` in order: every idempotency
@@ -412,16 +408,19 @@ impl ClusterCloud {
 }
 
 impl CloudService for ClusterCloud {
-    fn handle(&self, route: &str, payload: &[u8]) -> Result<Vec<u8>, NetError> {
-        if route == datablinder_obs::trace::TRACED_ROUTE {
+    /// Parses the route once; a route [`ROUTES`](crate::cloudproto::ROUTES)
+    /// does not name is [`NetError::UnknownRoute`] before any node sees it.
+    fn handle(&self, name: &str, payload: &[u8]) -> Result<Vec<u8>, NetError> {
+        let route = Route::parse(name).ok_or_else(|| NetError::UnknownRoute(name.into()))?;
+        if route.name == datablinder_obs::trace::TRACED_ROUTE {
             // Adopt the gateway's trace context before fanning out, so the
             // per-replica channel spans hang off the caller's tree.
-            let (ctx, inner_route, inner_payload) = datablinder_obs::trace::decode_traced(payload)
-                .map_err(|e| NetError::Remote(format!("trace envelope: {e}")))?;
+            let (ctx, inner_route, inner_payload) =
+                datablinder_obs::trace::decode_traced(payload).map_err(CoreError::from)?;
             let _scope = ctx.enter();
             return self.handle(inner_route, inner_payload);
         }
-        if route == "obs/snapshot" {
+        if route.name == "obs/snapshot" {
             // Metric scraping must not perturb the deterministic failure
             // schedule or op counters: answer before any event pump.
             return Ok(self.snapshot().to_json().into_bytes());
@@ -438,19 +437,19 @@ impl CloudService for ClusterCloud {
             }
         };
         let topo = &*topo;
-        let req = unwrap_envelope(route, payload).map_err(remote)?;
-        if req.route == BATCH_ROUTE {
+        let (token, inner, inner_payload) = route.unseal(payload)?;
+        if inner.name == BATCH_ROUTE {
             // A bare batch (no envelope) still decomposes; its item tokens
             // derive from the batch content so retries stay idempotent.
-            let token = req.token.unwrap_or_else(|| token16(&[req.payload]));
-            return self.handle_batch(topo, &token, req.payload);
+            let token = token.unwrap_or_else(|| token16(&[inner_payload]));
+            return self.handle_batch(topo, &token, inner_payload);
         }
-        if is_write_route(route) {
+        if route.writes() {
             // An envelope replicates whole: every replica dedups on the
             // same token, so a retry that lands on a different replica
             // subset cannot double-apply.
-            let target = write_target(req.route, req.payload).map_err(remote)?;
-            return self.quorum_write(topo, &target, route, payload);
+            let replicas = write_replicas(topo, inner, inner_payload)?;
+            return self.quorum_write(topo, &replicas, name, payload);
         }
         self.clustered_read(topo, route, payload)
     }

@@ -8,15 +8,15 @@ use std::sync::atomic::Ordering;
 
 use datablinder_codec::{Reader, Writer};
 use datablinder_docstore::Value;
-use datablinder_netsim::NetError;
+use datablinder_netsim::{NetError, Refusal};
 use datablinder_sse::DocId;
 
 use super::replica::Reply;
-use super::{remote, ClusterCloud, Topology};
+use super::{ClusterCloud, Topology};
 use crate::cloud::{split_collection, with_collection};
 use crate::cloudproto::{
     batch_items, check_inner, Fetch, GetMany, PaillierCombine, PaillierSum, PaillierSumResponse, RangeSelect,
-    RangedRead, FETCH_ROUTE, READ_BATCH_ROUTE,
+    RangedRead, Route, FETCH_ROUTE, READ_BATCH_ROUTE,
 };
 use crate::error::CoreError;
 use crate::sync::doc_key;
@@ -26,34 +26,34 @@ use crate::wire::decode_document;
 /// A whole buffer as one count-prefixed list of byte fields: a node's
 /// `get_many` answer.
 fn byte_list(buf: &[u8]) -> Result<Vec<&[u8]>, NetError> {
-    datablinder_codec::decode(buf, |r| Ok::<_, CoreError>(r.list()?)).map_err(remote)
-}
-
-/// Whether an engine's refusal says the document does not exist.
-fn is_not_found(refusal: &str) -> bool {
-    refusal.starts_with("document not found")
+    Ok(datablinder_codec::decode(buf, |r| Ok::<_, CoreError>(r.list()?))?)
 }
 
 impl ClusterCloud {
-    pub(super) fn clustered_read(&self, topo: &Topology, route: &str, payload: &[u8]) -> Result<Vec<u8>, NetError> {
-        match route {
+    pub(super) fn clustered_read(
+        &self,
+        topo: &Topology,
+        route: Route<'_>,
+        payload: &[u8],
+    ) -> Result<Vec<u8>, NetError> {
+        match route.name {
             "doc/get" => self.read_doc(topo, payload),
-            "doc/get_many" => self.read_get_many(topo, &GetMany::decode(payload).map_err(remote)?),
+            "doc/get_many" => self.read_get_many(topo, &GetMany::decode(payload)?),
             FETCH_ROUTE => {
-                let req = Fetch::decode(payload).map_err(remote)?;
-                check_inner(req.route, true).map_err(remote)?;
-                let ids = decode_ids(&self.clustered_read(topo, req.route, req.payload)?).map_err(remote)?;
+                let req = Fetch::decode(payload)?;
+                let inner = check_inner(req.route, true)?;
+                let ids = decode_ids(&self.clustered_read(topo, inner, req.payload)?)?;
                 let hex: Vec<String> = ids.into_iter().map(DocId::to_hex).collect();
                 let ids = hex.iter().map(String::as_bytes).collect();
                 self.read_get_many(topo, &GetMany { collection: req.collection, ids, keep: req.keep })
             }
             "doc/count" => {
-                let (collection, _) = split_collection(payload).map_err(remote)?;
+                let (collection, _) = split_collection(payload)?;
                 let ids = self.union_ids(topo, collection)?;
                 Ok((ids.len() as u64).to_be_bytes().to_vec())
             }
             "doc/list_ids" => {
-                let (collection, _) = split_collection(payload).map_err(remote)?;
+                let (collection, _) = split_collection(payload)?;
                 let ids = self.union_ids(topo, collection)?;
                 let mut w = Writer::new();
                 w.list(&ids);
@@ -61,8 +61,8 @@ impl ClusterCloud {
             }
             "doc/find_ids_eq" | "doc/find_ids_range" | "doc/find_ids_dnf" => {
                 let mut union: BTreeSet<DocId> = BTreeSet::new();
-                for resp in self.scatter(topo, route, payload)? {
-                    union.extend(decode_ids(&resp).map_err(remote)?);
+                for resp in self.scatter(topo, route.name, payload)? {
+                    union.extend(decode_ids(&resp)?);
                 }
                 Ok(encode_ids(&union.into_iter().collect::<Vec<_>>()))
             }
@@ -70,8 +70,7 @@ impl ClusterCloud {
             "doc/agg_plain" => self.read_agg_plain(topo, payload),
             READ_BATCH_ROUTE => {
                 // Each item is answered as if it had come alone.
-                let answers = batch_items(payload, true)
-                    .map_err(remote)?
+                let answers = batch_items(payload, true)?
                     .into_iter()
                     .map(|(route, payload)| self.clustered_read(topo, route, payload))
                     .collect::<Result<Vec<_>, _>>()?;
@@ -79,7 +78,16 @@ impl ClusterCloud {
                 w.list(&answers);
                 Ok(w.finish())
             }
-            _ => self.read_tactic(topo, route, payload),
+            // A tactic's read goes to the replicas its scope's writes
+            // clustered on, in ring order, failing over past dead nodes (a
+            // Paillier sum to every node's share); any other to any node.
+            _ => match route.tactic {
+                Some(t) if (t.name, t.op) == ("paillier", "sum") => {
+                    self.read_paillier_sum(topo, t.scope, route.name, payload)
+                }
+                Some(t) => self.first_live_of(topo, &topo.ring.replicas(t.key.as_bytes()), route.name, payload),
+                None => self.first_live_of(topo, &topo.members.clone(), route.name, payload),
+            },
         }
     }
 
@@ -87,7 +95,7 @@ impl ClusterCloud {
     /// value (lexicographically smallest on ties, so the answer is
     /// deterministic) and repairs divergent or missing replicas in place.
     fn read_doc(&self, topo: &Topology, payload: &[u8]) -> Result<Vec<u8>, NetError> {
-        let (collection, id) = split_collection(payload).map_err(remote)?;
+        let (collection, id) = split_collection(payload)?;
         let replicas = topo.ring.replicas(&doc_key(collection, id));
         let replies: Vec<(usize, Reply)> =
             replicas.iter().map(|&i| (i, topo.replica(i).call("doc/get", payload))).collect();
@@ -102,19 +110,19 @@ impl ClusterCloud {
             // No replica produced the document: "not found" first, then
             // any other refusal, else nobody answered at all.
             let mut refusals = replies.iter().filter_map(|(_, reply)| match reply {
-                Reply::Refused(m) => Some(m),
+                Reply::Refused(kind, m) => Some((*kind, m)),
                 _ => None,
             });
-            let refusal = refusals.clone().find(|m| is_not_found(m)).or_else(|| refusals.next());
+            let refusal = refusals.clone().find(|&(kind, _)| kind == Refusal::NotFound).or_else(|| refusals.next());
             return Err(match refusal {
-                Some(m) => NetError::Remote(m.clone()),
+                Some((kind, m)) => NetError::Remote(kind, m.clone()),
                 None => NetError::Unavailable(format!("no live replica answered doc/get in {collection}")),
             });
         };
         for (i, reply) in &replies {
             let repair_route = match reply {
                 Reply::Answered(body) if *body != winner => "doc/update",
-                Reply::Refused(m) if is_not_found(m) => "doc/insert",
+                Reply::Refused(Refusal::NotFound, _) => "doc/insert",
                 _ => continue,
             };
             if let Reply::Answered(_) = topo.replica(*i).call(repair_route, &with_collection(collection, &winner)) {
@@ -185,9 +193,9 @@ impl ClusterCloud {
                 let docs = byte_list(&answer)?;
                 let mut asked = asked.into_iter().map(|want| Want { answered: true, ..want });
                 for (at, doc) in docs.iter().enumerate() {
-                    let id = Reader::new(doc).bytes().map_err(|e| remote(e.into()))?;
+                    let id = Reader::new(doc).bytes().map_err(CoreError::from)?;
                     loop {
-                        let want = asked.next().ok_or_else(|| remote(CoreError::Wire("get_many answer")))?;
+                        let want = asked.next().ok_or_else(|| NetError::from(CoreError::Wire("get_many answer")))?;
                         if requested[want.pos] == id {
                             found[want.pos] = Some((answers.len(), at));
                             break;
@@ -212,16 +220,16 @@ impl ClusterCloud {
     /// the cluster fetches the candidates and compares their stored bytes
     /// (ties break toward the smaller id, so the answer is deterministic).
     fn read_extreme(&self, topo: &Topology, payload: &[u8]) -> Result<Vec<u8>, NetError> {
-        let (collection, rest) = split_collection(payload).map_err(remote)?;
+        let (collection, rest) = split_collection(payload)?;
         if rest.is_empty() {
-            return Err(remote(CoreError::Wire("extreme payload")));
+            return Err(NetError::from(CoreError::Wire("extreme payload")));
         }
         let want_max = rest[0] == 1;
-        let field = std::str::from_utf8(&rest[1..]).map_err(|_| remote(CoreError::Wire("utf8 field")))?;
+        let field = std::str::from_utf8(&rest[1..]).map_err(|_| NetError::from(CoreError::Wire("utf8 field")))?;
         let mut candidates: BTreeSet<String> = BTreeSet::new();
         for resp in self.scatter(topo, "doc/extreme", payload)? {
             if !resp.is_empty() {
-                candidates.insert(String::from_utf8(resp).map_err(|_| remote(CoreError::Wire("utf8 id")))?);
+                candidates.insert(String::from_utf8(resp).map_err(|_| NetError::from(CoreError::Wire("utf8 id")))?);
             }
         }
         let mut best: Option<(Vec<u8>, String)> = None;
@@ -229,10 +237,10 @@ impl ClusterCloud {
             let body = match self.read_doc(topo, &with_collection(collection, id.as_bytes())) {
                 Ok(body) => body,
                 // The candidate vanished between the scatter and the fetch.
-                Err(NetError::Remote(m)) if is_not_found(&m) => continue,
+                Err(NetError::Remote(Refusal::NotFound, _)) => continue,
                 Err(e) => return Err(e),
             };
-            let doc = decode_document(&body).map_err(remote)?;
+            let doc = decode_document(&body)?;
             let Some(bytes) = doc.get(field).and_then(Value::as_bytes).map(<[u8]>::to_vec) else {
                 continue;
             };
@@ -264,30 +272,14 @@ impl ClusterCloud {
         let mut count = 0u64;
         for (node, ranged) in self.first_live_reads(topo, payload)? {
             let resp = self.partial(topo, node, "doc/agg_plain_ranges", &ranged)?;
-            let (s, c) = datablinder_codec::decode(&resp, |r| Ok::<_, CoreError>((f64::from_bits(r.u64()?), r.u64()?)))
-                .map_err(remote)?;
+            let (s, c) =
+                datablinder_codec::decode(&resp, |r| Ok::<_, CoreError>((f64::from_bits(r.u64()?), r.u64()?)))?;
             sum += s;
             count += c;
         }
         let mut out = sum.to_be_bytes().to_vec();
         out.extend_from_slice(&count.to_be_bytes());
         Ok(out)
-    }
-
-    fn read_tactic(&self, topo: &Topology, route: &str, payload: &[u8]) -> Result<Vec<u8>, NetError> {
-        let parts: Vec<&str> = route.split('/').collect();
-        if let ["tactic", name, scope, op] = parts[..] {
-            if name == "paillier" && op == "sum" {
-                return self.read_paillier_sum(topo, scope, route, payload);
-            }
-            // Index reads go to the replicas its writes clustered on, in
-            // ring order, failing over past dead nodes.
-            let key = format!("tactic/{name}/{scope}").into_bytes();
-            let replicas = topo.ring.replicas(&key);
-            return self.first_live_of(topo, &replicas, route, payload);
-        }
-        // Unknown read route: any live node (replicated state or none).
-        self.first_live_of(topo, &topo.members.clone(), route, payload)
     }
 
     /// Distributes a Paillier sum: each node folds its share under the
@@ -305,7 +297,7 @@ impl ClusterCloud {
         route: &str,
         payload: &[u8],
     ) -> Result<Vec<u8>, NetError> {
-        let req = PaillierSum::decode(payload).map_err(remote)?;
+        let req = PaillierSum::decode(payload)?;
         let (route, calls) = if req.ids.is_empty() {
             (format!("tactic/paillier/{scope}/sum_ranges"), self.first_live_reads(topo, payload)?)
         } else {
@@ -368,7 +360,7 @@ impl ClusterCloud {
         for &i in &topo.members {
             match topo.replica(i).call(route, payload) {
                 Reply::Answered(resp) => out.push(resp),
-                Reply::Refused(m) => app_err = Some(NetError::Remote(m)),
+                Reply::Refused(kind, m) => app_err = Some(NetError::Remote(kind, m)),
                 Reply::Unreachable => unreachable += 1,
             }
         }
@@ -386,7 +378,7 @@ impl ClusterCloud {
     }
 
     /// Tries `candidates` in order; the first node that answers (success or
-    /// application error) decides.
+    /// deterministic refusal) decides.
     fn first_live_of(
         &self,
         topo: &Topology,
@@ -408,8 +400,8 @@ impl ClusterCloud {
         let mut union: BTreeSet<String> = BTreeSet::new();
         for resp in self.scatter(topo, "doc/list_ids", &payload)? {
             let mut r = Reader::new(&resp);
-            for id in r.list().map_err(|e| remote(e.into()))? {
-                union.insert(String::from_utf8(id.to_vec()).map_err(|_| remote(CoreError::Wire("utf8 id")))?);
+            for id in r.list().map_err(CoreError::from)? {
+                union.insert(String::from_utf8(id.to_vec()).map_err(|_| NetError::from(CoreError::Wire("utf8 id")))?);
             }
         }
         Ok(union.into_iter().collect())
@@ -487,11 +479,7 @@ mod tests {
             CloudCall::new(datablinder_obs::trace::TRACED_ROUTE, traced),
         ] {
             let err = cluster.handle(READ_BATCH_ROUTE, &encode_batch(&[count.clone(), refused.clone()])).unwrap_err();
-            assert!(
-                matches!(&err, NetError::Remote(m) if m.starts_with("unsupported operation")),
-                "{}: {err}",
-                refused.route
-            );
+            assert!(matches!(&err, NetError::Remote(Refusal::Unsupported, _)), "{}: {err}", refused.route);
         }
         assert_eq!(cluster.handle("doc/count", &count.payload).unwrap(), count_before, "the write never ran");
     }
@@ -522,7 +510,7 @@ mod tests {
             (FETCH_ROUTE, fetch("doc/find_ids_eq", &find)),
         ] {
             let err = cluster.handle(FETCH_ROUTE, &fetch(route, &payload)).unwrap_err();
-            assert!(matches!(&err, NetError::Remote(m) if m.starts_with("unsupported operation")), "{route}: {err}");
+            assert!(matches!(&err, NetError::Remote(Refusal::Unsupported, _)), "{route}: {err}");
         }
         assert_eq!(cluster.handle(&count.route, &count.payload).unwrap(), count_before, "the write never ran");
     }

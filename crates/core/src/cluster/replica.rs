@@ -11,8 +11,8 @@ use std::time::Duration;
 
 use datablinder_kvstore::read_frames;
 use datablinder_netsim::{
-    BreakerConfig, Channel, CloudService, CrashInjector, LatencyModel, NetError, ResilienceConfig, ResilientChannel,
-    RetryPolicy,
+    BreakerConfig, Channel, CloudService, CrashInjector, LatencyModel, NetError, Refusal, ResilienceConfig,
+    ResilientChannel, RetryPolicy,
 };
 use datablinder_obs::Recorder;
 
@@ -143,11 +143,12 @@ impl CloudService for LocalNode {
 pub(super) enum Reply {
     /// The member's answer.
     Answered(Vec<u8>),
-    /// The member's engine refused the request ([`NetError::Remote`]).
-    /// Engines are deterministic, so every replica refuses alike: this is
-    /// the application's answer, not an availability problem.
-    Refused(String),
-    /// The member is down, or the call to it failed in transport.
+    /// The member's engine refused the request deterministically
+    /// ([`Refusal::is_deterministic`]): every replica would, so it is the
+    /// application's answer, not an availability problem.
+    Refused(Refusal, String),
+    /// The member is down, the call to it failed in transport, or its
+    /// storage refused the request — another replica may answer.
     Unreachable,
 }
 
@@ -157,7 +158,7 @@ impl Reply {
     pub(super) fn decided(self) -> Option<Result<Vec<u8>, NetError>> {
         match self {
             Reply::Answered(answer) => Some(Ok(answer)),
-            Reply::Refused(refusal) => Some(Err(NetError::Remote(refusal))),
+            Reply::Refused(kind, refusal) => Some(Err(NetError::Remote(kind, refusal))),
             Reply::Unreachable => None,
         }
     }
@@ -266,7 +267,7 @@ impl Replica {
         }
         match self.channel.call(route, payload) {
             Ok(answer) => Reply::Answered(answer),
-            Err(NetError::Remote(refusal)) => Reply::Refused(refusal),
+            Err(NetError::Remote(kind, refusal)) if kind.is_deterministic() => Reply::Refused(kind, refusal),
             Err(_) => {
                 obs.count(&self.errors, 1);
                 if self.node.crashed() {
@@ -368,14 +369,26 @@ mod tests {
         let (replica, fake, obs) = scripted_replica(LocalNode::open(&cfg, 4, None).unwrap());
         replica.serve();
         *fake.answer.lock().unwrap_or_else(PoisonError::into_inner) =
-            Err(NetError::Remote("document not found: 00".into()));
-        assert_eq!(replica.call("doc/get", b""), Reply::Refused("document not found: 00".into()));
-        assert_eq!(replica.call_background("doc/get", b""), Reply::Refused("document not found: 00".into()));
+            Err(NetError::Remote(Refusal::NotFound, "00".into()));
+        assert_eq!(replica.call("doc/get", b""), Reply::Refused(Refusal::NotFound, "00".into()));
+        assert_eq!(replica.call_background("doc/get", b""), Reply::Refused(Refusal::NotFound, "00".into()));
         assert_eq!(fake.asked.load(Ordering::Relaxed), 2);
         let snap = obs.snapshot();
         assert_eq!(snap.counter("cluster.node.4.ops"), 1, "the client call, not the background one");
         assert_eq!(snap.counter("cluster.node.4.errors"), 0);
         assert!(replica.is_alive(), "a refusing member is a live member");
+    }
+
+    #[test]
+    fn a_storage_refusal_is_the_member_failing_not_the_answer() {
+        let cfg = ClusterConfig::volatile(1, 1, 1, 3);
+        let (replica, fake, obs) = scripted_replica(LocalNode::open(&cfg, 4, None).unwrap());
+        replica.serve();
+        *fake.answer.lock().unwrap_or_else(PoisonError::into_inner) =
+            Err(NetError::Remote(Refusal::Storage, "wal: disk full".into()));
+        assert_eq!(replica.call("doc/insert", b""), Reply::Unreachable);
+        assert_eq!(obs.snapshot().counter("cluster.node.4.errors"), 1);
+        assert!(replica.is_alive(), "its process is still there");
     }
 
     #[test]

@@ -6,40 +6,11 @@ use datablinder_codec::{Reader, Writer};
 use datablinder_netsim::NetError;
 
 use super::replica::Reply;
-use super::{remote, token16, ClusterCloud, Topology};
+use super::{token16, ClusterCloud, Topology};
 use crate::cloud::split_collection;
-use crate::cloudproto::{batch_items, is_write_route, Idempotent, IDEM_ROUTE};
+use crate::cloudproto::{batch_items, Idempotent, Route, RouteClass, IDEM_ROUTE};
 use crate::error::CoreError;
 use crate::sync::doc_key;
-
-/// Where a write lands: one key's replica set, or every node.
-pub(super) enum WriteTarget {
-    Key(Vec<u8>),
-    Broadcast,
-}
-
-/// A request with its idempotent envelope, if it came in one, taken off:
-/// the route and payload an engine will apply, and the token it dedups on.
-pub(super) struct Unwrapped<'a> {
-    pub(super) token: Option<[u8; 16]>,
-    pub(super) route: &'a str,
-    pub(super) payload: &'a [u8],
-}
-
-pub(super) fn unwrap_envelope<'a>(route: &'a str, payload: &'a [u8]) -> Result<Unwrapped<'a>, CoreError> {
-    if route != IDEM_ROUTE {
-        return Ok(Unwrapped { token: None, route, payload });
-    }
-    let (token, route, payload) = Idempotent::parts(payload)?;
-    Ok(Unwrapped { token: Some(token), route, payload })
-}
-
-/// The id prefix of an [`crate::wire::encode_document`] body (the id is its
-/// first length-prefixed field — by design, so routing never decodes the
-/// whole document).
-fn encoded_doc_id(rest: &[u8]) -> Result<&[u8], CoreError> {
-    Ok(Reader::new(rest).bytes()?)
-}
 
 /// Derives the idempotency token of batch item `idx` from the enclosing
 /// envelope's token: deterministic, so a retried batch re-derives the same
@@ -49,44 +20,34 @@ fn sub_token(token: &[u8; 16], idx: u64) -> [u8; 16] {
     token16(&[token, &idx.to_be_bytes()])
 }
 
-/// Where a write route lands: one key's replica set, or every node.
-pub(super) fn write_target(route: &str, payload: &[u8]) -> Result<WriteTarget, CoreError> {
-    if let Some(op) = route.strip_prefix("doc/") {
-        let (collection, rest) = split_collection(payload)?;
-        return Ok(match op {
-            "insert" | "update" => WriteTarget::Key(doc_key(collection, encoded_doc_id(rest)?)),
-            "delete" => WriteTarget::Key(doc_key(collection, rest)),
-            // ensure_index and future doc-level writes shape every
-            // replica's view of the collection.
-            _ => WriteTarget::Broadcast,
-        });
+/// The members a write lands on: the replicas of the one key a keyed write
+/// changes — a document, or a tactic scope's index, so the scope's searches
+/// read the replicas its updates wrote — or every member.
+pub(super) fn write_replicas(topo: &Topology, route: Route<'_>, payload: &[u8]) -> Result<Vec<usize>, CoreError> {
+    if route.class != RouteClass::KeyedWrite {
+        return Ok(topo.members.clone());
     }
-    let parts: Vec<&str> = route.split('/').collect();
-    if let ["tactic", name, scope, op] = parts[..] {
-        // Index mutations cluster on the scope so its search route reads
-        // the same replicas the updates wrote; setup broadcasts (every
-        // node may need the scope's public parameters).
-        return Ok(if op == "setup" {
-            WriteTarget::Broadcast
-        } else {
-            WriteTarget::Key(format!("tactic/{name}/{scope}").into_bytes())
-        });
+    if let Some(t) = route.tactic {
+        return Ok(topo.ring.replicas(t.key.as_bytes()));
     }
-    // kv/* and unknown write routes touch shared substrate state.
-    Ok(WriteTarget::Broadcast)
+    let (collection, rest) = split_collection(payload)?;
+    // A delete names its id; an insert or update carries it as the
+    // document's first field, by design, so routing never decodes the rest.
+    let id = if route.name == "doc/delete" { rest } else { Reader::new(rest).bytes()? };
+    Ok(topo.ring.replicas(&doc_key(collection, id)))
 }
 
 /// Whether a journaled `(route, payload)` belongs on node `idx` under the
-/// given topology. Sync-apply records never transfer between nodes.
+/// given topology. A record that does not parse names nothing to replay,
+/// and sync applies never transfer between nodes.
 pub(super) fn targets_node(topo: &Topology, route: &str, payload: &[u8], idx: usize) -> bool {
-    let Ok(req) = unwrap_envelope(route, payload) else { return true };
-    if req.route.starts_with("sync/") {
+    let Some((_, route, payload)) = Route::parse(route).and_then(|route| route.unseal(payload).ok()) else {
+        return false;
+    };
+    if matches!(route.name, "sync/put" | "sync/retire") {
         return false;
     }
-    match write_target(req.route, req.payload) {
-        Ok(WriteTarget::Key(k)) => topo.ring.replicas(&k).contains(&idx),
-        _ => true,
-    }
+    write_replicas(topo, route, payload).map_or(true, |replicas| replicas.contains(&idx))
 }
 
 impl ClusterCloud {
@@ -96,14 +57,10 @@ impl ClusterCloud {
     pub(super) fn quorum_write(
         &self,
         topo: &Topology,
-        target: &WriteTarget,
+        replicas: &[usize],
         route: &str,
         payload: &[u8],
     ) -> Result<Vec<u8>, NetError> {
-        let replicas: Vec<usize> = match target {
-            WriteTarget::Key(k) => topo.ring.replicas(k),
-            WriteTarget::Broadcast => topo.members.clone(),
-        };
         let quorum = self.cfg.write_quorum.min(replicas.len()).max(1);
         let mut span = self.obs.quiet_span("cluster.quorum_write");
         span.set_detail(route);
@@ -111,13 +68,13 @@ impl ClusterCloud {
         let mut acks = 0usize;
         let mut first: Option<Vec<u8>> = None;
         let mut app_err: Option<NetError> = None;
-        for &i in &replicas {
+        for &i in replicas {
             match topo.replica(i).call(route, payload) {
                 Reply::Answered(resp) => {
                     acks += 1;
                     first.get_or_insert(resp);
                 }
-                Reply::Refused(m) => app_err = Some(NetError::Remote(m)),
+                Reply::Refused(kind, m) => app_err = Some(NetError::Remote(kind, m)),
                 Reply::Unreachable => {}
             }
         }
@@ -148,17 +105,17 @@ impl ClusterCloud {
     /// keep the original order. Like the single-node engine, the batch
     /// aborts on the first failing item.
     pub(super) fn handle_batch(&self, topo: &Topology, token: &[u8; 16], batch: &[u8]) -> Result<Vec<u8>, NetError> {
-        let items = batch_items(batch, false).map_err(remote)?;
+        let items = batch_items(batch, false)?;
         let mut responses = Vec::with_capacity(items.len());
         for (idx, (route, payload)) in items.into_iter().enumerate() {
-            let resp = if is_write_route(route) {
-                let target = write_target(route, payload).map_err(remote)?;
+            let resp = if route.writes() {
+                let replicas = write_replicas(topo, route, payload)?;
                 let sub = Idempotent {
                     token: sub_token(token, idx as u64),
-                    route: route.to_string(),
+                    route: route.name.to_string(),
                     payload: payload.to_vec(),
                 };
-                self.quorum_write(topo, &target, IDEM_ROUTE, &sub.encode())?
+                self.quorum_write(topo, &replicas, IDEM_ROUTE, &sub.encode())?
             } else {
                 self.clustered_read(topo, route, payload)?
             };

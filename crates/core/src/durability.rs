@@ -586,7 +586,7 @@ impl CloudService for RestartableCloud {
                     *guard = Some(engine);
                     self.restarts.fetch_add(1, Ordering::SeqCst);
                 }
-                Err(e) => return Err(NetError::Remote(format!("cloud recovery failed: {e}"))),
+                Err(e) => return Err(CoreError::Storage(format!("cloud recovery failed: {e}")).into()),
             }
         }
         guard.as_ref().expect("engine rebuilt above").handle(route, payload)

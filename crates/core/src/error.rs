@@ -1,6 +1,6 @@
 //! The middleware error type.
 
-use datablinder_netsim::NetError;
+use datablinder_netsim::{NetError, Refusal};
 
 use crate::model::{FieldOp, ProtectionClass};
 
@@ -24,6 +24,10 @@ pub enum CoreError {
     UnsupportedOperation(String),
     /// A document id was not found.
     NotFound(String),
+    /// A write contradicts state the cloud already holds: a duplicate
+    /// document id, an index address holding another entry, a second key
+    /// for one scope.
+    Conflict(String),
     /// Wire (de)serialization failure.
     Wire(&'static str),
     /// Failure crossing the gateway↔cloud channel. Kept structured so
@@ -50,6 +54,7 @@ impl std::fmt::Display for CoreError {
             CoreError::UnknownSchema(name) => write!(f, "unknown schema: {name}"),
             CoreError::UnsupportedOperation(msg) => write!(f, "unsupported operation: {msg}"),
             CoreError::NotFound(id) => write!(f, "document not found: {id}"),
+            CoreError::Conflict(msg) => write!(f, "conflict: {msg}"),
             CoreError::Wire(what) => write!(f, "wire format error: {what}"),
             CoreError::Net(e) => write!(f, "channel error: {e}"),
             CoreError::Sse(e) => write!(f, "tactic error: {e}"),
@@ -84,7 +89,10 @@ impl From<datablinder_codec::Malformed> for CoreError {
 
 impl From<datablinder_sse::SseError> for CoreError {
     fn from(e: datablinder_sse::SseError) -> Self {
-        CoreError::Sse(e.to_string())
+        match e {
+            datablinder_sse::SseError::AddressTaken => CoreError::Conflict(e.to_string()),
+            e => CoreError::Sse(e.to_string()),
+        }
     }
 }
 
@@ -94,15 +102,39 @@ impl From<datablinder_primitives::CryptoError> for CoreError {
     }
 }
 
+/// A cloud's refusal is the one error that comes back as itself: a
+/// missing document is [`CoreError::NotFound`] whichever cloud answered.
 impl From<NetError> for CoreError {
     fn from(e: NetError) -> Self {
-        CoreError::Net(e)
+        match e {
+            NetError::Remote(Refusal::NotFound, id) => CoreError::NotFound(id),
+            e => CoreError::Net(e),
+        }
+    }
+}
+
+/// How a cloud refuses a request: the kind crosses the wire as one byte,
+/// the message after it. A refusal with no kind of its own (a tactic's or
+/// a schema's) is unsupported, and keeps its whole text.
+impl From<CoreError> for NetError {
+    fn from(e: CoreError) -> Self {
+        match e {
+            CoreError::NotFound(id) => NetError::Remote(Refusal::NotFound, id),
+            CoreError::Conflict(msg) => NetError::Remote(Refusal::Conflict, msg),
+            CoreError::Wire(what) => NetError::Remote(Refusal::Wire, what.into()),
+            CoreError::UnsupportedOperation(msg) => NetError::Remote(Refusal::Unsupported, msg),
+            CoreError::Storage(msg) => NetError::Remote(Refusal::Storage, msg),
+            e => NetError::Remote(Refusal::Unsupported, e.to_string()),
+        }
     }
 }
 
 impl From<datablinder_docstore::DocStoreError> for CoreError {
     fn from(e: datablinder_docstore::DocStoreError) -> Self {
-        CoreError::Storage(e.to_string())
+        match e {
+            datablinder_docstore::DocStoreError::NotFound(id) => CoreError::NotFound(id),
+            e => CoreError::Conflict(e.to_string()),
+        }
     }
 }
 

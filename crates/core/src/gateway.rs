@@ -801,15 +801,17 @@ impl GatewayEngine {
     /// Replays every pending journaled write group, oldest first. An entry
     /// is the sealed call its group shipped as: if it had applied before
     /// the crash the cloud's dedup cache answers it, otherwise it executes
-    /// now, rolling the group forward. An entry the cloud rejects with an
-    /// application error, one too large for the transport's frame, or one
-    /// that is not a sealed envelope, is reported failed and dropped, and
-    /// recovery carries on with the next.
+    /// now, rolling the group forward. An entry the cloud refuses
+    /// deterministically (not found, conflict, wire, unsupported), one too
+    /// large for the transport's frame, or one that is not a sealed
+    /// envelope, is reported failed and dropped, and recovery carries on
+    /// with the next.
     ///
     /// # Errors
     ///
-    /// Transport failures propagate and leave that entry and the ones after
-    /// it pending — call again once the cloud is reachable.
+    /// Transport failures and storage refusals propagate and leave that
+    /// entry and the ones after it pending — call again once the cloud is
+    /// reachable.
     pub fn recover_pending(&self) -> Result<PendingWriteReport, CoreError> {
         let Some(journal) = &self.journal else {
             return Ok(PendingWriteReport::default());
@@ -822,8 +824,11 @@ impl GatewayEngine {
                 Err(e) => Some(format!("malformed journal entry: {e}")),
                 Ok(sealed) => match self.channel.call(IDEM_ROUTE, sealed) {
                     Ok(_) => None,
-                    // No retry can ship an entry larger than the frame.
-                    Err(NetError::Remote(e) | NetError::FrameTooLarge(e)) => Some(e),
+                    // A deterministic refusal would come back on every
+                    // retry, and no retry can ship an entry larger than the
+                    // frame; a storage refusal may pass on the next.
+                    Err(NetError::Remote(kind, e)) if kind.is_deterministic() => Some(format!("{kind:?}: {e}")),
+                    Err(NetError::FrameTooLarge(e)) => Some(e),
                     Err(e) => return Err(e.into()),
                 },
             };

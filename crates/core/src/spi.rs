@@ -287,6 +287,10 @@ pub trait GatewayTactic: Send {
 /// Cloud-side tactic SPI (Table 1, right column): a named handler for the
 /// tactic's routes. The cloud engine dispatches
 /// `tactic/<name>/<scope>/<op>` to the handler registered under `<name>`.
+/// The ops are the tactic rows of [`crate::cloudproto::ROUTES`], each with
+/// its class (read, keyed or broadcast write): an engine or cluster refuses
+/// any other op as an unknown route before a handler sees it, so a tactic
+/// that needs a new op adds its row.
 pub trait CloudTactic: Send + Sync {
     /// The tactic name this handler serves.
     fn name(&self) -> &'static str;

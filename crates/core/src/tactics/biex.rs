@@ -531,8 +531,7 @@ mod tests {
             }
             return Vec::new();
         }
-        let parts: Vec<&str> = call.route.split('/').collect();
-        cloud.handle(parts[2], parts[3], &call.payload).unwrap()
+        crate::tactics::tests::run(cloud, call)
     }
 
     fn lits(pairs: &[(&str, &str)]) -> Vec<(String, Value)> {

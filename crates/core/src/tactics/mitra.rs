@@ -156,6 +156,7 @@ impl CloudTactic for MitraCloud {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tactics::tests::run;
     use rand::SeedableRng;
 
     fn setup() -> (MitraTactic, MitraCloud) {
@@ -167,12 +168,6 @@ mod tests {
             kms: datablinder_kms::Kms::generate(&mut rng),
         };
         (MitraTactic::build(&ctx).unwrap(), MitraCloud::new(KvStore::new()))
-    }
-
-    fn run(cloud: &MitraCloud, call: &CloudCall) -> Vec<u8> {
-        // route format: tactic/mitra/<scope>/<op>
-        let parts: Vec<&str> = call.route.split('/').collect();
-        cloud.handle(parts[2], parts[3], &call.payload).unwrap()
     }
 
     #[test]

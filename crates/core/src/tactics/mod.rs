@@ -149,6 +149,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Runs a tactic call on `cloud` as an engine dispatches it.
+    pub(crate) fn run(cloud: &dyn crate::spi::CloudTactic, call: &crate::spi::CloudCall) -> Vec<u8> {
+        let t = crate::cloudproto::Route::parse(&call.route).and_then(|route| route.tactic).expect("a tactic route");
+        cloud.handle(t.scope, t.op, &call.payload).unwrap()
+    }
+
     #[test]
     fn ids_roundtrip() {
         let ids = vec![DocId([1; 16]), DocId([2; 16])];

@@ -172,6 +172,7 @@ impl CloudTactic for OreCloud {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tactics::tests::run;
     use rand::SeedableRng;
 
     fn setup() -> (OreTactic, OreCloud) {
@@ -183,11 +184,6 @@ mod tests {
             kms: datablinder_kms::Kms::generate(&mut rng),
         };
         (OreTactic::build(&ctx).unwrap(), OreCloud::new(KvStore::new()))
-    }
-
-    fn run(cloud: &OreCloud, call: &CloudCall) -> Vec<u8> {
-        let parts: Vec<&str> = call.route.split('/').collect();
-        cloud.handle(parts[2], parts[3], &call.payload).unwrap()
     }
 
     #[test]

@@ -361,6 +361,7 @@ impl CloudTactic for PaillierCloud {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tactics::tests::run;
     use rand::SeedableRng;
 
     fn setup() -> (PaillierTactic, PaillierCloud, rand::rngs::StdRng) {
@@ -374,11 +375,6 @@ mod tests {
         let gw = PaillierTactic::build_with_bits(&ctx, &mut rng, 256).unwrap();
         let cloud = PaillierCloud::new(DocStore::new());
         (gw, cloud, rng)
-    }
-
-    fn run(cloud: &PaillierCloud, call: &CloudCall) -> Vec<u8> {
-        let parts: Vec<&str> = call.route.split('/').collect();
-        cloud.handle(parts[2], parts[3], &call.payload).unwrap()
     }
 
     fn store_doc(cloud: &PaillierCloud, gw: &mut PaillierTactic, rng: &mut rand::rngs::StdRng, id: u8, v: f64) {
@@ -653,7 +649,7 @@ mod tests {
             let doc = Document::new(DocId([id; 16]).to_hex()).with("value__phe", Value::Bytes(ct.clone()));
             cloud.docs.collection("obs").insert(doc).unwrap();
         }
-        let scope = gw.route_sum.split('/').nth(2).unwrap().to_string();
+        let scope = crate::cloudproto::Route::parse(&gw.route_sum).unwrap().tactic.unwrap().scope.to_string();
         let summed = PaillierSumResponse::decode(&cloud.handle(&scope, "sum", &whole(&gw).encode()).unwrap()).unwrap();
         assert_eq!(summed.count, 3);
         let n2 = gw.keypair.public().modulus_squared();

@@ -237,7 +237,7 @@ impl CloudTactic for SophosCloud {
                 // one (first-writer-wins race, ROADMAP item 3).
                 let key = Self::pk_key(scope);
                 if !self.kv.set_nx(&key, payload) && self.kv.get(&key).as_deref() != Some(payload) {
-                    return Err(CoreError::Storage(format!(
+                    return Err(CoreError::Conflict(format!(
                         "sophos scope {scope} already set up with a different key"
                     )));
                 }
@@ -248,7 +248,7 @@ impl CloudTactic for SophosCloud {
                 let pk_bytes = self
                     .kv
                     .get(&Self::pk_key(scope))
-                    .ok_or_else(|| CoreError::Storage(format!("sophos scope {scope} not set up")))?;
+                    .ok_or_else(|| CoreError::UnsupportedOperation(format!("sophos scope {scope} not set up")))?;
                 let pk = SophosPublicKey::decode(&pk_bytes)?;
                 let server = SophosServer::new(self.kv.clone(), &Self::prefix(scope), pk);
                 server.apply_update(&token)?;
@@ -259,7 +259,7 @@ impl CloudTactic for SophosCloud {
                 let pk_bytes = self
                     .kv
                     .get(&Self::pk_key(scope))
-                    .ok_or_else(|| CoreError::Storage(format!("sophos scope {scope} not set up")))?;
+                    .ok_or_else(|| CoreError::UnsupportedOperation(format!("sophos scope {scope} not set up")))?;
                 let pk = SophosPublicKey::decode(&pk_bytes)?;
                 let server = SophosServer::new(self.kv.clone(), &Self::prefix(scope), pk);
                 let entries = server.search(&token);
@@ -278,6 +278,7 @@ impl CloudTactic for SophosCloud {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tactics::tests::run;
     use rand::SeedableRng;
 
     fn setup() -> (SophosTactic, SophosCloud, rand::rngs::StdRng) {
@@ -290,11 +291,6 @@ mod tests {
         };
         let gw = SophosTactic::build_with_bits(&ctx, &mut rng, 256).unwrap();
         (gw, SophosCloud::new(KvStore::new()), rng)
-    }
-
-    fn run(cloud: &SophosCloud, call: &CloudCall) -> Vec<u8> {
-        let parts: Vec<&str> = call.route.split('/').collect();
-        cloud.handle(parts[2], parts[3], &call.payload).unwrap()
     }
 
     #[test]

@@ -23,7 +23,7 @@ use datablinder_kms::Kms;
 use datablinder_kvstore::read_frames;
 use datablinder_netsim::{
     Channel, CloudService, CrashInjector, CrashPlan, CrashPoint, LatencyModel, NetError, NodeEvent, NodeFailurePlan,
-    ResilienceConfig, ResilientChannel, RetryPolicy,
+    Refusal, ResilienceConfig, ResilientChannel, RetryPolicy,
 };
 use datablinder_paillier::{Ciphertext, Keypair};
 use datablinder_sse::DocId;
@@ -669,6 +669,91 @@ fn rejoin_applies_updates_and_deletes_missed_while_down() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A rejoining node that cannot persist a record it replays from a peer
+/// has not caught up: that storage refusal fails its resync and it stays
+/// down, where a deterministic refusal (a duplicate insert) is history.
+#[test]
+fn a_storage_refusal_while_replaying_tails_fails_the_rejoin() {
+    let dir = temp_dir("resync-storage");
+    let mut cfg = ClusterConfig::volatile(3, 3, 2, 0x5707).durable(&dir);
+    cfg.snapshot_every = Some(8);
+    let cluster = ClusterCloud::new(cfg).unwrap();
+    let insert = |i: u8| {
+        let doc = Document::new(DocId([i; 16]).to_hex()).with("v", Value::from(i64::from(i)));
+        cluster.handle("doc/insert", &with_collection("c", &encode_document(&doc))).unwrap();
+    };
+    insert(1);
+    insert(2);
+    // Five records behind the cluster's back leave node 2 one journaled
+    // record short of a snapshot; its peers stay far from theirs.
+    let mut put = Writer::new();
+    put.list(&[b"k".to_vec(), b"v".to_vec()]);
+    let put = put.finish();
+    for _ in 0..5 {
+        cluster.with_node_engine(2, |e| e.handle("kv/bulk_put", &put)).unwrap().unwrap();
+    }
+    cluster.kill_node(2);
+    insert(3);
+    insert(4);
+    // The first record node 2 replays makes its snapshot due, and the
+    // snapshot cannot be written.
+    let blocked = dir.join("node2").join("snapshot.tmp");
+    std::fs::create_dir_all(&blocked).unwrap();
+    let err = cluster.rejoin_node(2).unwrap_err();
+    assert!(matches!(err, CoreError::Storage(_)), "{err}");
+    assert!(!cluster.node_alive(2), "a node that failed its resync stays down");
+
+    // Once the snapshot can be written, the next rejoin catches up.
+    std::fs::remove_dir_all(&blocked).unwrap();
+    cluster.rejoin_node(2).unwrap();
+    let held = cluster.with_node_engine(2, |e| e.docs().collection("c").ids().len()).unwrap();
+    assert_eq!(held, 4);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A replica whose disk refuses a write has not answered it: short of a
+/// quorum, the write is the retryable `Unavailable`, not that replica's
+/// storage failure passed off as the application's answer.
+#[test]
+fn a_storage_refusal_is_no_answer_to_a_quorum_write() {
+    let dir = temp_dir("quorum-storage");
+    let mut cfg = ClusterConfig::volatile(3, 3, 2, 0x5708).durable(&dir);
+    cfg.snapshot_every = Some(1);
+    let cluster = ClusterCloud::new(cfg).unwrap();
+    cluster.kill_node(0);
+    cluster.kill_node(1);
+    // Node 2 journals and applies the insert, then cannot write the
+    // snapshot that record makes due.
+    std::fs::create_dir_all(dir.join("node2").join("snapshot.tmp")).unwrap();
+    let doc = Document::new(DocId([1; 16]).to_hex()).with("v", Value::from(1i64));
+    let err = cluster.handle("doc/insert", &with_collection("c", &encode_document(&doc))).unwrap_err();
+    assert!(matches!(err, NetError::Unavailable(_)), "{err}");
+    assert!(cluster.node_alive(2), "a refusing disk is not a dead node");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A route the table does not name — bare, sealed in an envelope, or an
+/// item of a batch — is refused before any node journals it.
+#[test]
+fn unknown_routes_reach_no_node() {
+    let dir = temp_dir("unknown-routes");
+    let cluster = ClusterCloud::new(ClusterConfig::volatile(5, 3, 2, 0x0DD).durable(&dir)).unwrap();
+    for route in ["kv/nope", "batch/other", "something/new"] {
+        assert_eq!(cluster.handle(route, b"payload"), Err(NetError::UnknownRoute(route.into())));
+        let sealed = Idempotent { token: [7; 16], route: route.into(), payload: b"payload".to_vec() };
+        let err = cluster.handle(IDEM_ROUTE, &sealed.encode()).unwrap_err();
+        assert!(matches!(err, NetError::Remote(Refusal::Unsupported, _)), "{route}: {err}");
+        let mut batch = Writer::new();
+        batch.list(&[b"doc/count".to_vec(), with_collection("c", b""), route.as_bytes().to_vec(), Vec::new()]);
+        let err = cluster.handle("batch", &batch.finish()).unwrap_err();
+        assert!(matches!(err, NetError::Remote(Refusal::Unsupported, _)), "{route}: {err}");
+    }
+    for node in cluster.members() {
+        assert_eq!(cluster.with_node_engine(node, CloudEngine::wal_seq), Some(0), "node {node} journaled nothing");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Elastic membership on durable nodes: growing the cluster hands the new
 /// member exactly its gained ranges before it serves, shrinking hands the
 /// leaving member's ranges to the survivors, and every document stays fully
@@ -1187,10 +1272,7 @@ fn fetch_and_projected_get_many_answer_as_one_engine() {
         let get_many = GetMany { collection: "notes", ids: hex.iter().map(String::as_bytes).collect(), keep };
         for (route, payload) in [(FETCH_ROUTE, fused.encode()), ("doc/get_many", get_many.encode())] {
             let refusal = single.handle(route, &payload).unwrap_err();
-            assert!(
-                matches!(&refusal, NetError::Remote(m) if m.contains("keep list not strictly ascending")),
-                "{refusal}"
-            );
+            assert_eq!(refusal, NetError::Remote(Refusal::Wire, "keep list not strictly ascending".into()));
             assert_eq!(cluster.handle(route, &payload).unwrap_err(), refusal, "{route}");
         }
     }

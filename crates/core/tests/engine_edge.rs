@@ -2,19 +2,25 @@
 //! integration suites.
 
 use datablinder_core::cloud::{with_collection, CloudEngine};
-use datablinder_core::cloudproto::FindIdsRange;
+use datablinder_core::cloudproto::{encode_batch, FindIdsRange, Idempotent, IDEM_ROUTE};
 use datablinder_core::cluster::{ClusterCloud, ClusterConfig};
 use datablinder_core::gateway::GatewayEngine;
 use datablinder_core::model::*;
+use datablinder_core::registry::TacticRegistry;
+use datablinder_core::spi::CloudCall;
 use datablinder_core::tactics::decode_ids;
 use datablinder_core::wire::encode_document;
 use datablinder_core::CoreError;
 use datablinder_docstore::{Document, Value};
 use datablinder_kms::Kms;
-use datablinder_netsim::{Channel, CloudService, LatencyModel};
+use datablinder_netsim::{
+    Channel, CloudServer, CloudService, LatencyModel, NetError, Refusal, ResilienceConfig, ResilientChannel,
+    ServerConfig, TcpChannel, TcpConfig, Transport,
+};
 use datablinder_sse::DocId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn gateway() -> GatewayEngine {
     let channel = Channel::connect(CloudEngine::new(), LatencyModel::instant());
@@ -32,19 +38,70 @@ fn unknown_schema_paths_error() {
     assert!(matches!(gw.find_equal("nope", "f", &Value::Null), Err(CoreError::UnknownSchema(_))));
 }
 
+/// A cloud's refusal keeps its kind across the wire: a missing document is
+/// the gateway's own `NotFound`, over a channel, a loopback socket and a
+/// cluster alike.
 #[test]
 fn get_unknown_id_is_not_found() {
-    let gw = gateway();
     let schema = Schema::new("s").sensitive_field(
         "f",
         FieldType::Text,
         true,
         FieldAnnotation::new(ProtectionClass::C1, vec![FieldOp::Insert]),
     );
-    gw.register_schema(schema).unwrap();
-    let err = gw.get("s", DocId([9; 16])).unwrap_err();
-    // Cloud-side NotFound travels back as a channel (remote) error.
-    assert!(matches!(err, CoreError::Net(_) | CoreError::NotFound(_)), "{err}");
+    let engine: Arc<dyn CloudService> = Arc::new(CloudEngine::new());
+    let server = CloudServer::bind("127.0.0.1:0", engine, ServerConfig::default()).expect("bind loopback");
+    let cluster = Arc::new(ClusterCloud::new(ClusterConfig::volatile(5, 3, 2, 0xEDE)).unwrap());
+    let transports: [(&str, Arc<dyn Transport>); 3] = [
+        ("channel", Arc::new(Channel::connect(CloudEngine::new(), LatencyModel::instant()))),
+        ("tcp", Arc::new(TcpChannel::connect(server.local_addr(), TcpConfig::default()).expect("loopback"))),
+        ("cluster", Arc::new(Channel::from_arc(cluster, LatencyModel::instant()))),
+    ];
+    for (name, transport) in transports {
+        let mut rng = StdRng::seed_from_u64(0xEDE);
+        let gw = GatewayEngine::with_registry_resilient(
+            "edge",
+            Kms::generate(&mut rng),
+            ResilientChannel::over(transport, ResilienceConfig::default()),
+            1,
+            TacticRegistry::with_builtins(),
+        );
+        gw.register_schema(schema.clone()).unwrap();
+        let missing = DocId([9; 16]);
+        assert_eq!(gw.get("s", missing).unwrap_err(), CoreError::NotFound(missing.to_hex()), "{name}");
+    }
+}
+
+/// A route the table does not name is refused before the journal: a
+/// durable engine writes no WAL record for it, and a reopen replays none.
+#[test]
+fn unknown_routes_leave_no_wal_record() {
+    let dir = std::env::temp_dir().join(format!("datablinder-unknown-routes-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let engine = CloudEngine::open_durable(&dir).unwrap();
+        for route in ["kv/nope", "batch/other", "something/new"] {
+            assert_eq!(engine.handle(route, b"payload"), Err(NetError::UnknownRoute(route.into())));
+            // Carried by an envelope, as the gateway ships writes: sealed,
+            // a batch item, and a batch item under a seal.
+            let batch = encode_batch(&[
+                CloudCall::new("doc/count", with_collection("c", b"")),
+                CloudCall::new(route, b"payload".to_vec()),
+            ]);
+            let seal = |route: &str, payload: &[u8]| {
+                Idempotent { token: [7; 16], route: route.into(), payload: payload.to_vec() }.encode()
+            };
+            for (outer, payload) in
+                [(IDEM_ROUTE, seal(route, b"payload")), ("batch", batch.clone()), (IDEM_ROUTE, seal("batch", &batch))]
+            {
+                let err = engine.handle(outer, &payload).unwrap_err();
+                assert!(matches!(err, NetError::Remote(Refusal::Unsupported, _)), "{outer}{{{route}}}: {err}");
+            }
+        }
+        assert_eq!(engine.wal_seq(), 0);
+    }
+    assert_eq!(CloudEngine::open_durable(&dir).unwrap().recovery_report().replayed, 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -25,7 +25,7 @@ use datablinder_core::wire::{
 };
 use datablinder_docstore::{Document, Value};
 use datablinder_kvstore::LogRecord;
-use datablinder_netsim::{decode_request, decode_response, encode_request, encode_response, NetError};
+use datablinder_netsim::{decode_request, decode_response, encode_request, encode_response, NetError, Refusal};
 use datablinder_obs::trace::{self, TraceCtx};
 use datablinder_sse::DocId;
 use rand::rngs::StdRng;
@@ -241,7 +241,10 @@ fn response(rng: &mut StdRng) -> Result<Vec<u8>, NetError> {
     match rng.gen_range(0..8) {
         0 => Ok(blob(rng, 48)),
         1 => Err(NetError::UnknownRoute(name(rng))),
-        2 => Err(NetError::Remote(name(rng))),
+        2 => {
+            let kinds = [Refusal::Storage, Refusal::NotFound, Refusal::Conflict, Refusal::Wire, Refusal::Unsupported];
+            Err(NetError::Remote(kinds[rng.gen_range(0..kinds.len())], name(rng)))
+        }
         3 => Err(NetError::Timeout),
         4 => Err(NetError::CircuitOpen),
         5 => Err(NetError::Unavailable(name(rng))),

@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
-use crate::{CloudService, NetError};
+use crate::{CloudService, NetError, Refusal};
 
 /// Sebastiano Vigna's SplitMix64 — tiny, seedable, and good enough for fault
 /// dice. Implemented inline so `netsim` stays free of a `rand` dependency.
@@ -337,7 +337,7 @@ impl<S: CloudService> CloudService for FaultyService<S> {
 
         if r_fail < faults.fail {
             self.stats.failures.fetch_add(1, Ordering::Relaxed);
-            return Err(NetError::Remote("injected transient failure".into()));
+            return Err(NetError::Remote(Refusal::Storage, "injected transient failure".into()));
         }
 
         let mut result = self.inner.handle(route, payload);

@@ -56,13 +56,43 @@ pub use resilient::{
 pub use tcp::{CloudServer, FrameDecoder, FrameError, ServerConfig, TcpChannel, TcpConfig};
 pub use transport::Transport;
 
+/// The kind of a [`NetError::Remote`] refusal, one wire byte: what a caller
+/// may conclude without reading the text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refusal {
+    /// The service's own storage failed (or the failure has no kind):
+    /// another attempt, or another replica, may answer.
+    Storage = 0,
+    /// What the request names does not exist.
+    NotFound = 1,
+    /// The request contradicts state already held: a duplicate id, an
+    /// index address holding another entry.
+    Conflict = 2,
+    /// The request did not decode.
+    Wire = 3,
+    /// The service does not do what the request asks.
+    Unsupported = 4,
+}
+
+impl Refusal {
+    const ALL: [Refusal; 5] =
+        [Refusal::Storage, Refusal::NotFound, Refusal::Conflict, Refusal::Wire, Refusal::Unsupported];
+
+    /// Whether the same request would be refused again, on any replica
+    /// holding the same state: every kind but [`Refusal::Storage`].
+    pub fn is_deterministic(self) -> bool {
+        self != Refusal::Storage
+    }
+}
+
 /// Errors crossing the simulated network.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetError {
     /// No handler for the route.
     UnknownRoute(String),
-    /// The remote handler failed; the message crossed the wire.
-    Remote(String),
+    /// The remote handler refused the request; its kind and message
+    /// crossed the wire.
+    Remote(Refusal, String),
     /// A frame could not be decoded.
     MalformedFrame,
     /// The request or response was lost, or the response missed the caller's
@@ -96,7 +126,7 @@ impl std::fmt::Display for NetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             NetError::UnknownRoute(r) => write!(f, "unknown route: {r}"),
-            NetError::Remote(e) => write!(f, "remote error: {e}"),
+            NetError::Remote(kind, e) => write!(f, "remote refusal ({kind:?}): {e}"),
             NetError::MalformedFrame => write!(f, "malformed frame"),
             NetError::Timeout => write!(f, "timed out"),
             NetError::CircuitOpen => write!(f, "circuit breaker open"),
@@ -436,7 +466,9 @@ pub fn decode_request(frame: &[u8]) -> Result<(String, Vec<u8>), NetError> {
 
 /// Encodes one response body: `tag: u8 | len: u32 | bytes`, where tag 0 is
 /// success (bytes = the payload) and tags 1–8 map onto [`NetError`]
-/// variants (bytes = the error message, possibly empty). Shared by every
+/// variants (bytes = the error message, possibly empty). A refusal's tag
+/// holds 2 in its low four bits and its [`Refusal`] kind in the high four,
+/// so an untyped (storage) refusal is tag 2 itself. Shared by every
 /// transport, like [`encode_request`].
 pub fn encode_response(result: &Result<Vec<u8>, NetError>) -> Vec<u8> {
     let (head, bytes) = response_parts(result);
@@ -454,7 +486,7 @@ pub(crate) fn response_parts(result: &Result<Vec<u8>, NetError>) -> ([u8; RESPON
     let (tag, bytes): (u8, &[u8]) = match result {
         Ok(payload) => (0, payload),
         Err(NetError::UnknownRoute(r)) => (1, r.as_bytes()),
-        Err(NetError::Remote(m)) => (2, m.as_bytes()),
+        Err(NetError::Remote(kind, m)) => (2 | (*kind as u8) << 4, m.as_bytes()),
         Err(NetError::MalformedFrame) => (3, &[]),
         Err(NetError::Timeout) => (4, &[]),
         Err(NetError::CircuitOpen) => (5, &[]),
@@ -484,7 +516,9 @@ pub fn decode_response(mut response: Vec<u8>) -> Result<Vec<u8>, NetError> {
             Ok(response)
         }
         1 => Err(NetError::UnknownRoute(text())),
-        2 => Err(NetError::Remote(text())),
+        t if t & 0x0f == 2 => Err(Refusal::ALL
+            .get(usize::from(t >> 4))
+            .map_or(NetError::MalformedFrame, |&k| NetError::Remote(k, text()))),
         3 => Err(NetError::MalformedFrame),
         4 => Err(NetError::Timeout),
         5 => Err(NetError::CircuitOpen),
@@ -504,7 +538,7 @@ mod tests {
             |route: &str, payload: &[u8]| -> Result<Vec<u8>, NetError> {
                 match route {
                     "echo" => Ok(payload.to_vec()),
-                    "fail" => Err(NetError::Remote("boom".into())),
+                    "fail" => Err(NetError::Remote(Refusal::NotFound, "boom".into())),
                     other => Err(NetError::UnknownRoute(other.to_string())),
                 }
             },
@@ -526,7 +560,7 @@ mod tests {
     #[test]
     fn remote_errors_propagate() {
         let ch = echo_channel(LatencyModel::instant());
-        assert_eq!(ch.call("fail", b""), Err(NetError::Remote("boom".into())));
+        assert_eq!(ch.call("fail", b""), Err(NetError::Remote(Refusal::NotFound, "boom".into())));
         assert_eq!(ch.call("nope", b""), Err(NetError::UnknownRoute("nope".into())));
         // Errors still count as round trips (they crossed the wire).
         assert_eq!(ch.metrics().round_trips(), 2);
@@ -553,6 +587,9 @@ mod tests {
         assert_eq!(decode_request(&[]), Err(NetError::MalformedFrame));
         assert_eq!(decode_request(&[0, 0, 0, 10, b'a']), Err(NetError::MalformedFrame));
         assert!(decode_response(vec![9, 0, 0, 0, 0]).is_err());
+        // A refusal kind past the last one, or a kind on another tag.
+        assert_eq!(decode_response(vec![0x52, 0, 0, 0, 0]), Err(NetError::MalformedFrame));
+        assert_eq!(decode_response(vec![0x14, 0, 0, 0, 0]), Err(NetError::MalformedFrame));
         assert_eq!(decode_response(vec![]), Err(NetError::MalformedFrame));
         // Bytes after the announced payload are as malformed as missing ones.
         let mut request = encode_request("echo", b"hi");

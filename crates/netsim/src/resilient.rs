@@ -85,7 +85,7 @@ impl RetryPolicy {
             | NetError::CircuitOpen
             | NetError::Unavailable(_)
             | NetError::Disconnected(_) => true,
-            NetError::Remote(_) | NetError::UnknownRoute(_) | NetError::FrameTooLarge(_) => false,
+            NetError::Remote(..) | NetError::UnknownRoute(_) | NetError::FrameTooLarge(_) => false,
         }
     }
 
@@ -506,7 +506,7 @@ fn finish_call_guard(
 mod tests {
     use super::*;
     use crate::fault::{FaultPlan, FaultyService, RouteFaults};
-    use crate::LatencyModel;
+    use crate::{LatencyModel, Refusal};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
@@ -536,7 +536,7 @@ mod tests {
         assert!(policy.is_retryable(&NetError::MalformedFrame));
         assert!(policy.is_retryable(&NetError::CircuitOpen));
         assert!(policy.is_retryable(&NetError::Unavailable("1/2 acks".into())));
-        assert!(!policy.is_retryable(&NetError::Remote("app bug".into())));
+        assert!(!policy.is_retryable(&NetError::Remote(Refusal::Unsupported, "app bug".into())));
         assert!(!policy.is_retryable(&NetError::UnknownRoute("x".into())));
     }
 
@@ -598,9 +598,11 @@ mod tests {
 
     #[test]
     fn non_retryable_error_returns_immediately() {
-        let svc = |_: &str, _: &[u8]| -> Result<Vec<u8>, NetError> { Err(NetError::Remote("bug".into())) };
+        let svc = |_: &str, _: &[u8]| -> Result<Vec<u8>, NetError> {
+            Err(NetError::Remote(Refusal::Unsupported, "bug".into()))
+        };
         let ch = ResilientChannel::new(Channel::connect(svc, LatencyModel::instant()), ResilienceConfig::default());
-        assert_eq!(ch.call("r", b"x"), Err(NetError::Remote("bug".into())));
+        assert_eq!(ch.call("r", b"x"), Err(NetError::Remote(Refusal::Unsupported, "bug".into())));
         assert_eq!(ch.metrics().attempts(), 1, "no retries for application errors");
     }
 
@@ -774,7 +776,7 @@ mod tests {
         .with_recorder(rec.clone());
         let _root = rec.span("gateway.op");
         let err = ch.call("echo", b"x");
-        assert_eq!(err, Err(NetError::Remote("injected transient failure".into())));
+        assert_eq!(err, Err(NetError::Remote(Refusal::Storage, "injected transient failure".into())));
     }
 
     #[test]

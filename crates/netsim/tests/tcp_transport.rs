@@ -11,7 +11,7 @@ use std::time::Duration;
 use datablinder_codec::crc32;
 use datablinder_netsim::tcp::{encode_wire_frame, Frame, CONN_ERROR_CORR, PING_ROUTE};
 use datablinder_netsim::{
-    decode_response, encode_request, CloudServer, FrameDecoder, NetError, ResilienceConfig, ResilientChannel,
+    decode_response, encode_request, CloudServer, FrameDecoder, NetError, Refusal, ResilienceConfig, ResilientChannel,
     RetryPolicy, ServerConfig, TcpChannel, TcpConfig, Transport,
 };
 
@@ -21,7 +21,7 @@ fn echo_service() -> Arc<dyn datablinder_netsim::CloudService> {
         match route {
             "echo" => Ok(payload.to_vec()),
             "rev" => Ok(payload.iter().rev().copied().collect()),
-            "fail" => Err(NetError::Remote("boom".into())),
+            "fail" => Err(NetError::Remote(Refusal::Unsupported, "boom".into())),
             other => Err(NetError::UnknownRoute(other.to_string())),
         }
     })
@@ -67,7 +67,7 @@ fn routes_and_errors_cross_the_wire_typed() {
     let ch = client(&srv);
     assert_eq!(ch.call("echo", b"x").unwrap(), b"x");
     assert_eq!(ch.call("rev", b"abc").unwrap(), b"cba");
-    assert_eq!(ch.call("fail", b""), Err(NetError::Remote("boom".into())));
+    assert_eq!(ch.call("fail", b""), Err(NetError::Remote(Refusal::Unsupported, "boom".into())));
     assert_eq!(ch.call("nope", b""), Err(NetError::UnknownRoute("nope".into())));
 }
 

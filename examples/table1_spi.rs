@@ -3,11 +3,15 @@
 //!
 //! The rows are the high-level operations of the data-access model; the
 //! columns map to the `datablinder_core::spi` trait surface (see the
-//! module docs of `spi` for the exact method mapping).
+//! module docs of `spi` for the exact method mapping). The cloud
+//! interfaces are the routes of `cloudproto::ROUTES`, printed with their
+//! classes from that table.
 //!
 //! ```sh
 //! cargo run --example table1_spi
 //! ```
+
+use datablinder::core::cloudproto::ROUTES;
 
 /// (operation, gateway interfaces, cloud interfaces) — Table 1 verbatim.
 const TABLE1: &[(&str, &str, &str)] = &[
@@ -48,8 +52,8 @@ fn main() {
     for (op, _, _) in TABLE1 {
         println!("{op:<17} -> {}", implemented_gateway_methods(op).join(", "));
     }
-    println!(
-        "\ncloud interfaces dispatch through CloudTactic::handle(scope, op, payload)\n\
-         on routes tactic/<name>/<scope>/<op>; document-level interfaces ride doc/* routes."
-    );
+    println!("\nCloud interfaces: the routes the cloud serves (datablinder_core::cloudproto::ROUTES)\n");
+    for (route, class) in ROUTES {
+        println!("{route:<36} {class:?}");
+    }
 }

@@ -158,6 +158,14 @@ if grep -n 'datablinder-obs' crates/primitives/Cargo.toml crates/sse/Cargo.toml;
     exit 1
 fi
 
+echo "==> one route table: only cloudproto.rs classifies a route string (Route::parse over ROUTES), and a refusal is matched by its kind, never its text"
+# Everything else matches the parsed Route and NetError::Remote's Refusal.
+# Comments may name any of these; code may not.
+route_strings="$(grep -rnE 'strip_prefix\("doc/"\)|starts_with\("(sync|tactic)/"\)|"document not found"' --include='*.rs' crates/*/src |
+    grep -v '^crates/core/src/cloudproto\.rs:' | grep -vE '^[^:]+:[0-9]+: *//' || true)"
+[ -z "$route_strings" ] ||
+    { echo "a route or a refusal classified by its text outside cloudproto.rs:" >&2; echo "$route_strings" >&2; exit 1; }
+
 echo "==> nothing without a caller: every pub fn is named somewhere besides its definition, and the deleted twins and knobs stay gone"
 # A name counts as used when it appears twice or more in the Rust sources,
 # comments and tests included; a name that appears once is its own
@@ -168,10 +176,10 @@ once="$(grep -rhowE '[A-Za-z_][A-Za-z0-9_]*' --include='*.rs' crates src tests e
 uncalled="$(LC_ALL=C comm -12 <(echo "$pub_fns") <(echo "$once") | tr '\n' ' ')"
 [ -z "$uncalled" ] ||
     { echo "pub fns nothing calls (delete them): $uncalled" >&2; exit 1; }
-dead_names="$(grep -rnwE 'KvStats|log_it|replay_log|ReplayReport|decrypt_block|seal_many|open_many|open_into|anti_entropy_every|retry_remote|node_deadline|with_span_capacity|metrics_handle|mont_mul_into|to_mont_into' crates/*/src |
+dead_names="$(grep -rnwE 'KvStats|log_it|replay_log|ReplayReport|decrypt_block|seal_many|open_many|open_into|anti_entropy_every|retry_remote|node_deadline|with_span_capacity|metrics_handle|mont_mul_into|to_mont_into|is_write_route|is_not_found' crates/*/src |
     grep -vE '^[^:]+:[0-9]+: *//' || true)"
 [ -z "$dead_names" ] ||
-    { echo "a deleted write twin, batch call, decrypt or GCM open path, one-value setting or run-time-width Montgomery kernel is back:" >&2; echo "$dead_names" >&2; exit 1; }
+    { echo "a deleted write twin, batch call, decrypt or GCM open path, one-value setting, run-time-width Montgomery kernel or route/refusal text match is back:" >&2; echo "$dead_names" >&2; exit 1; }
 
 echo "==> one OPE descent: ope/src/lib.rs samples a split in one place (descend), and builds the PRF input in coins on the stack"
 # encrypt and decrypt walk the tree through one loop that resumes from the

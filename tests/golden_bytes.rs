@@ -54,6 +54,7 @@ use datablinder::kvstore::{scan_frames, LogRecord};
 use datablinder::netsim::tcp::{encode_wire_frame, Frame, FrameDecoder, DEFAULT_MAX_FRAME};
 use datablinder::netsim::{
     decode_request, decode_response, encode_request, encode_response, Channel, CloudService, LatencyModel, NetError,
+    Refusal,
 };
 use datablinder::obs::trace::{decode_traced, encode_traced, TraceCtx};
 use datablinder::ope::{Ope, OpeParams};
@@ -114,6 +115,9 @@ const REQUEST: &str = "00000007646f632f67657400000003010203";
 const RESPONSE_OK: &str = "00000000020405";
 const RESPONSE_ERR: &str = "0200000004626f6f6d";
 const RESPONSE_ERR_BARE: &str = "0400000000";
+/// A typed refusal: tag 2 with kind 1 (not found) in its high four bits,
+/// then the missing id.
+const RESPONSE_NOT_FOUND: &str = "120000000430306666";
 const TCP_FRAME: &str = "0000001a0000000000000009000000087379732f70696e6700000002686944ceb937";
 const TRACED: &str = "000000000000002a0000000000000007000a646f632f696e73657274000000077061796c6f6164";
 const DOCUMENT: &str = concat!(
@@ -406,10 +410,17 @@ fn requests_responses_the_traced_envelope_and_the_tcp_frame() {
     );
     assert_eq!(hex(&encode_response(&Ok(vec![4, 5]))), RESPONSE_OK);
     assert_eq!(decode_response(unhex(RESPONSE_OK)), Ok(vec![4, 5]));
-    for (golden, error) in [(RESPONSE_ERR, NetError::Remote("boom".into())), (RESPONSE_ERR_BARE, NetError::Timeout)] {
+    for (golden, error) in [
+        (RESPONSE_ERR, NetError::Remote(Refusal::Storage, "boom".into())),
+        (RESPONSE_ERR_BARE, NetError::Timeout),
+        (RESPONSE_NOT_FOUND, NetError::Remote(Refusal::NotFound, "00ff".into())),
+    ] {
         assert_eq!(hex(&encode_response(&Err(error.clone()))), golden);
         assert_eq!(decode_response(unhex(golden)), Err(error));
     }
+    // An engine's own refusal of a missing document is those bytes.
+    let missing = CloudEngine::new().handle("doc/get", &datablinder::core::cloud::with_collection("c", b"00ff"));
+    assert_eq!(hex(&encode_response(&missing)), RESPONSE_NOT_FOUND);
 
     let ctx = TraceCtx { trace_id: 42, span_id: 7 };
     assert_eq!(hex(&encode_traced(ctx, "doc/insert", b"payload")), TRACED);

@@ -4,7 +4,7 @@
 //! crash storms recovered through the WAL + snapshot layer.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -18,8 +18,8 @@ use datablinder::kms::Kms;
 use datablinder::kvstore::KvStore;
 use datablinder::netsim::{
     BreakerConfig, BreakerState, Channel, CloudService, CrashInjector, CrashPlan, CrashPoint, FaultPlan,
-    FaultStatsSnapshot, FaultyService, LatencyModel, MetricsSnapshot, NetError, ResilienceConfig, ResilientChannel,
-    RetryPolicy, RouteFaults,
+    FaultStatsSnapshot, FaultyService, LatencyModel, MetricsSnapshot, NetError, Refusal, ResilienceConfig,
+    ResilientChannel, RetryPolicy, RouteFaults,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -593,15 +593,21 @@ fn concurrent_insert_many_crash_storm_leaves_no_partial_documents() {
 
 /// A cloud whose *write* intake can be cut off after a budget of write
 /// groups: reads keep flowing, writes time out — the shape of an outage
-/// that strands an insert between the gateway and the cloud.
+/// that strands an insert between the gateway and the cloud. With
+/// `disk_full`, writes are refused as a storage failure instead.
 struct MeteredCloud {
     inner: CloudEngine,
     write_budget: AtomicI64,
+    disk_full: AtomicBool,
 }
 
 impl MeteredCloud {
     fn healthy() -> Self {
-        MeteredCloud { inner: CloudEngine::new(), write_budget: AtomicI64::new(i64::MAX) }
+        MeteredCloud {
+            inner: CloudEngine::new(),
+            write_budget: AtomicI64::new(i64::MAX),
+            disk_full: AtomicBool::new(false),
+        }
     }
 }
 
@@ -612,6 +618,9 @@ impl CloudService for MeteredCloud {
         // write groups.
         if route == "idem" && self.write_budget.fetch_sub(1, Ordering::SeqCst) <= 0 {
             return Err(NetError::Timeout);
+        }
+        if route == "idem" && self.disk_full.load(Ordering::SeqCst) {
+            return Err(NetError::Remote(Refusal::Storage, "wal: no space left on device".into()));
         }
         self.inner.handle(route, payload)
     }
@@ -769,6 +778,24 @@ fn torn_journal_entry_is_reported_and_recovery_carries_on() {
 }
 
 #[test]
+fn a_storage_refusal_leaves_the_entry_and_those_after_it_pending() {
+    // A cloud whose disk refused a write has not decided it: unlike a
+    // conflict, the next attempt may pass. Recovery stops there and keeps
+    // that entry and the one after it for the next call.
+    let (svc, _, gw) = journal_with_pending(&["alice"], &["bob", "carol"]);
+    svc.disk_full.store(true, Ordering::SeqCst);
+    let err = gw.recover_pending().unwrap_err();
+    assert_eq!(err, CoreError::Net(NetError::Remote(Refusal::Storage, "wal: no space left on device".into())));
+    assert_eq!(gw.pending_writes(), 2, "nothing was dropped");
+
+    svc.disk_full.store(false, Ordering::SeqCst);
+    let report = gw.recover_pending().unwrap();
+    assert_eq!((report.entries, report.rolled_forward, report.failed), (2, 2, 0), "{report:?}");
+    assert_eq!((owners(&gw, "bob"), owners(&gw, "carol")), (1, 1));
+    assert!(gw.fsck("notes").unwrap().is_clean());
+}
+
+#[test]
 fn journal_entry_in_the_list_format_still_replays() {
     // Entries were once the call list `[idem, sealed]` around the envelope.
     // A gateway upgraded with such an entry pending rolls it forward; a
@@ -866,7 +893,7 @@ fn stale_state_is_refused_before_it_overwrites_a_chain() {
         assert!(restarted.find_equal("notes", "owner", &o0).unwrap().is_empty());
         let err = restarted.insert("notes", &note(3)).unwrap_err();
         assert!(
-            matches!(&err, CoreError::Net(NetError::Remote(m)) if m.contains("index address already holds a different entry")),
+            matches!(&err, CoreError::Net(NetError::Remote(Refusal::Conflict, m)) if m.contains("index address already holds a different entry")),
             "{err}"
         );
     }

@@ -1,7 +1,11 @@
 //! The paper's extensibility claim, exercised for real: a third-party
 //! "tactic provider" ships a brand-new tactic through the SPI — gateway
 //! half, cloud half, descriptor — registers it at runtime, and the
-//! middleware selects and drives it with zero engine changes.
+//! middleware selects and drives it with zero engine changes. The cloud
+//! half speaks the SPI's cloud ops, the tactic rows of
+//! `cloudproto::ROUTES` (insert, search, …); an op the table lacks is
+//! refused before any handler sees it, so a provider needing a new op adds
+//! its row.
 //!
 //! The toy scheme ("hmac-index") stores `PRF(keyword) → id` postings in
 //! the cloud KV store and encrypts payloads with the RND cipher: not
@@ -20,7 +24,7 @@ use datablinder::core::CoreError;
 use datablinder::docstore::{Document, Value};
 use datablinder::kms::Kms;
 use datablinder::kvstore::KvStore;
-use datablinder::netsim::{Channel, LatencyModel};
+use datablinder::netsim::{Channel, CloudService, LatencyModel, NetError};
 use datablinder::primitives::prf::{HmacPrf, Prf};
 use datablinder::sse::rnd::RndCipher;
 use datablinder::sse::DocId;
@@ -172,6 +176,16 @@ fn third_party_tactic_plugs_in_end_to_end() {
     }
     // Reads decrypt through the custom payload path.
     assert_eq!(gw.get("records", ids[1]).unwrap().get("owner"), Some(&Value::from("bob")));
+}
+
+#[test]
+fn a_tactic_op_the_route_table_lacks_is_refused() {
+    let mut cloud = CloudEngine::new();
+    cloud.register(Arc::new(HmacIndexCloud { kv: cloud.kv().clone() }));
+    let route = "tactic/hmac-index/records:owner/count";
+    assert_eq!(cloud.handle(route, &[0; 32]), Err(NetError::UnknownRoute(route.into())));
+    // The same handler answers an op the table lists.
+    assert_eq!(cloud.handle("tactic/hmac-index/records:owner/search", &[0; 32]), Ok(encode_ids(&[])));
 }
 
 #[test]
