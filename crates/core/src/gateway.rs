@@ -20,6 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
+use datablinder_codec::Reader;
 use datablinder_docstore::{Document, FieldName, Value};
 use datablinder_kms::Kms;
 use datablinder_kvstore::KvStore;
@@ -43,8 +44,7 @@ use crate::registry::{Selection, TacticRegistry};
 use crate::spi::{single_id_list, CloudCall, DnfLiterals, DocIdGen, GatewayTactic, ProtectedField, RandomDocIdGen};
 use crate::tactics::{shadow_field, TacticContext};
 use crate::wire::{
-    ciphertext_after, decode_document, document_payload, encode_document, skip_value, take_ciphertext, take_value,
-    value_after, ABSENT,
+    ciphertext_after, decode_document, document_payload, encode_document, skip_value, value_after, ABSENT,
 };
 
 /// Scope name of the shared cross-field boolean tactic instance.
@@ -116,24 +116,12 @@ struct SchemaPlan {
     /// The shared boolean tactic (e.g. `biex-2lev`), if any field
     /// requested boolean search served by a cross-field tactic.
     bool_tactic: Option<Handle>,
-    /// The recover table: one row per sensitive field, sorted by shadow
-    /// name — the order the fields of a stored document arrive in.
-    payloads: Vec<PayloadShadow>,
     /// The keep list: every stored name the gateway opens — each plain
     /// field and each sensitive field's payload shadow — sorted, with how
-    /// the value at that position is opened. Search answers carry these
-    /// values by position; every other shadow stays in the cloud.
+    /// the value at that position is opened. Every read of a document goes
+    /// through it, and every other stored name is left behind: a search
+    /// answer never carries one, a `doc/get` answer's is passed over.
     keep: Vec<Kept>,
-}
-
-/// One row of a plan's recover table: where a sensitive field's payload
-/// ciphertext is stored, and who opens it.
-struct PayloadShadow {
-    /// The stored name, `<field>__<payload tactic>`.
-    shadow: String,
-    field: FieldName,
-    /// The payload tactic's handle, as in the field's plan.
-    tactic: SharedTactic,
 }
 
 /// One position of a plan's keep list.
@@ -154,137 +142,23 @@ enum Open {
     Payload(SharedTactic),
 }
 
-impl SchemaPlan {
-    /// The recover-table row of `field`.
-    fn payload_of(&self, field: &str) -> Result<&PayloadShadow, CoreError> {
-        self.payloads
-            .iter()
-            .find(|p| *p.field == *field)
-            .ok_or_else(|| CoreError::UnsupportedOperation(format!("field {field} is not annotated")))
-    }
-
-    /// Decrypts one stored document, as the cloud sent it for `id`, into
-    /// application form in a single pass over the bytes: the ciphertext
-    /// under each name in `rows` goes to its tactic as it lies in `stored`
-    /// and comes back as the sensitive field's value, every other shadow of
-    /// a sensitive field is passed over, and plaintext fields are copied.
-    /// `rows` is the plan's table, or one row of it when only that field is
-    /// wanted.
-    ///
-    /// The cloud is not trusted to send what was stored. A listed shadow
-    /// that is not a byte string, and names that do not strictly ascend (as
-    /// `put_document` writes them — so none can repeat and overwrite an
-    /// earlier one), are [`CoreError::Wire`]; a shadow the document lacks
-    /// leaves its field out, as an optional field never written does. A
-    /// payload bound to its document opens only under the `id` the gateway
-    /// asked for, so another document's ciphertext is [`CoreError::Sse`].
-    ///
-    /// Shadow fields are recognized as `<sensitive-base>__<suffix>`, a name
-    /// `register_schema` refuses to a plaintext field. Searches read through
-    /// [`SchemaPlan::open_answer`] instead; `get`, `fsck` and rotations
-    /// read whole stored documents here.
-    fn recover_stored(&self, rows: &[PayloadShadow], id: DocId, stored: &[u8]) -> Result<Document, CoreError> {
-        let mut scratch = Vec::new();
-        datablinder_codec::decode(stored, |r| {
-            let doc_id = r.str()?;
-            let mut fields = Vec::with_capacity(self.keep.len());
-            let mut rows = rows.iter().peekable();
-            let mut previous: Option<&str> = None;
-            for _ in 0..r.count()? {
-                let name = r.str()?;
-                if previous.is_some_and(|p| p >= name) {
-                    return Err(CoreError::Wire("stored field names out of order"));
-                }
-                previous = Some(name);
-                // Both sides ascend: rows whose shadow this document lacks
-                // fall behind the cursor and are dropped.
-                while rows.next_if(|row| row.shadow.as_str() < name).is_some() {}
-                if let Some(row) = rows.next_if(|row| row.shadow == name) {
-                    let value = lock(&row.tactic).recover(id, take_ciphertext(r)?, &mut scratch)?;
-                    fields.push((row.field.clone(), value));
-                } else if name.rsplit_once("__").is_some_and(|(base, _)| self.fields.contains_key(base)) {
-                    skip_value(r, 0)?;
-                } else {
-                    fields.push((name.into(), take_value(r, 0)?));
-                }
-            }
-            Ok(Document::from_fields(doc_id, fields))
-        })
-    }
-
-    /// Decrypts a search answer: a count, then per document its id and,
-    /// per keep-list position, a value or [`ABSENT`]. No name is read and
-    /// nothing is passed over.
-    ///
-    /// It works by column. Every document is first split into its
-    /// positions, plain values checked and copied and payload ciphertexts
-    /// left where they lie in `answer`; then each payload position is
-    /// opened for every document under one lock of its tactic (one lock
-    /// held at a time) with one scratch buffer; then each document is built
-    /// in one step. A rotation that swaps a tactic's instance therefore
-    /// waits for, or follows, a whole column, and nothing is cached past it.
-    ///
-    /// The cloud is not trusted to answer as asked: an id that is not a
-    /// document id, a payload position that is not a byte string, a plain
-    /// one that is not of its field's type (a whole named document fails
-    /// here, its field count starting with a `Null` tag), a missing value
-    /// or a trailing byte is [`CoreError::Wire`], a payload that does not
-    /// open under its document's id is [`CoreError::Sse`], and either fails
-    /// the whole answer.
-    fn open_answer(&self, answer: &[u8]) -> Result<Vec<Document>, CoreError> {
-        let width = self.keep.len();
-        datablinder_codec::decode(answer, |r| {
-            let count = r.count()?;
-            let mut ids = Vec::with_capacity(count);
-            let mut cells = Vec::with_capacity(count.saturating_mul(width).min(answer.len()));
-            for _ in 0..count {
-                let id = datablinder_codec::decode(r.bytes()?, |d| {
-                    let id = d.str()?;
-                    for kept in &self.keep {
-                        cells.push(match (d.u8()?, &kept.open) {
-                            (ABSENT, _) => Cell::Absent,
-                            (tag, Open::Payload(_)) => Cell::Sealed(ciphertext_after(tag, d)?),
-                            (tag, Open::Plain(field_type)) => {
-                                let value = value_after(tag, d, 0)?;
-                                if !field_type.admits(&value) {
-                                    return Err(CoreError::Wire("plain field of another type"));
-                                }
-                                Cell::Open(value)
-                            }
-                        });
-                    }
-                    Ok(id)
-                })?;
-                ids.push((id, DocId::from_hex(id).ok_or(CoreError::Wire("answer document id"))?));
-            }
-            let mut scratch = Vec::new();
-            for (position, kept) in self.keep.iter().enumerate() {
-                let Open::Payload(tactic) = &kept.open else { continue };
-                let tactic = lock(tactic);
-                for (row, &(_, id)) in ids.iter().enumerate() {
-                    let cell = &mut cells[row * width + position];
-                    if let Cell::Sealed(ciphertext) = *cell {
-                        *cell = Cell::Open(tactic.recover(id, ciphertext, &mut scratch)?);
-                    }
-                }
-            }
-            let mut cells = cells.into_iter();
-            let documents = ids.into_iter().map(|(id, _)| {
-                let mut fields = Vec::with_capacity(width);
-                for (kept, cell) in self.keep.iter().zip(cells.by_ref().take(width)) {
-                    if let Cell::Open(value) = cell {
-                        fields.push((kept.field.clone(), value));
-                    }
-                }
-                Document::from_fields(id, fields)
-            });
-            Ok(documents.collect())
-        })
+impl Kept {
+    /// The cell of a value read at this position: a payload ciphertext lent
+    /// as it lies, or a plain value of the field's type. Anything else is
+    /// [`CoreError::Wire`].
+    #[inline]
+    fn cell<'a>(&self, tag: u8, r: &mut Reader<'a>) -> Result<Cell<'a>, CoreError> {
+        match &self.open {
+            Open::Payload(_) => Ok(Cell::Sealed(ciphertext_after(tag, r)?)),
+            Open::Plain(field_type) => match value_after(tag, r, 0)? {
+                value if field_type.admits(&value) => Ok(Cell::Open(value)),
+                _ => Err(CoreError::Wire("plain field of another type")),
+            },
+        }
     }
 }
 
-/// One keep-list position of a search answer while
-/// [`SchemaPlan::open_answer`] opens it.
+/// One keep-list position of a document while it is opened.
 enum Cell<'a> {
     /// The document lacks the kept name.
     Absent,
@@ -292,6 +166,118 @@ enum Cell<'a> {
     Sealed(&'a [u8]),
     /// A plain value, or a payload opened.
     Open(Value),
+}
+
+/// Opens split documents and builds each one: `ids` names each document
+/// (its id as the answer wrote it, and parsed), and `cells` holds
+/// `columns.len()` [`Cell`]s per document, one document after another.
+///
+/// It works by column: each payload column is opened for every document
+/// under one lock of its tactic (one lock held at a time) with one scratch
+/// buffer, then each document is built in one step. A rotation that swaps
+/// a tactic's instance therefore waits for, or follows, a whole column, and
+/// nothing is cached past it. A payload that does not open under its
+/// document's id is [`CoreError::Sse`] and fails every document.
+///
+/// The one place the gateway recovers a payload: searches, `get`, `fsck`
+/// and rotations all read through it.
+fn open(columns: &[Kept], ids: &[(&str, DocId)], mut cells: Vec<Cell<'_>>) -> Result<Vec<Document>, CoreError> {
+    let mut scratch = Vec::new();
+    for (position, kept) in columns.iter().enumerate() {
+        let Open::Payload(tactic) = &kept.open else { continue };
+        let tactic = lock(tactic);
+        for (row, &(_, id)) in ids.iter().enumerate() {
+            let cell = &mut cells[row * columns.len() + position];
+            if let Cell::Sealed(ciphertext) = *cell {
+                *cell = Cell::Open(tactic.recover(id, ciphertext, &mut scratch)?);
+            }
+        }
+    }
+    let mut cells = cells.into_iter();
+    let documents = ids.iter().map(|&(id, _)| {
+        let mut fields = Vec::with_capacity(columns.len());
+        for (kept, cell) in columns.iter().zip(cells.by_ref().take(columns.len())) {
+            if let Cell::Open(value) = cell {
+                fields.push((kept.field.clone(), value));
+            }
+        }
+        Document::from_fields(id, fields)
+    });
+    Ok(documents.collect())
+}
+
+/// A split search answer: each document's id, as the answer wrote it and
+/// parsed, and its cells.
+type Split<'a> = (Vec<(&'a str, DocId)>, Vec<Cell<'a>>);
+
+impl SchemaPlan {
+    /// Splits a search answer onto the keep list: a count, then per
+    /// document its id and, per keep-list position, a value or [`ABSENT`].
+    /// No name is read and nothing is passed over.
+    ///
+    /// The cloud is not trusted to answer as asked: an id that is not a
+    /// document id, a payload position that is not a byte string, a plain
+    /// one that is not of its field's type (a whole named document fails
+    /// here, its field count starting with a `Null` tag), a missing value
+    /// or a trailing byte is [`CoreError::Wire`] and fails the whole answer.
+    fn split_answer<'a>(&self, answer: &'a [u8]) -> Result<Split<'a>, CoreError> {
+        datablinder_codec::decode(answer, |r| {
+            let count = r.count()?;
+            let mut ids = Vec::with_capacity(count);
+            let mut cells = Vec::with_capacity(count.saturating_mul(self.keep.len()).min(answer.len()));
+            for _ in 0..count {
+                let id = datablinder_codec::decode(r.bytes()?, |d| {
+                    let id = d.str()?;
+                    for kept in &self.keep {
+                        cells.push(match d.u8()? {
+                            ABSENT => Cell::Absent,
+                            tag => kept.cell(tag, d)?,
+                        });
+                    }
+                    Ok::<_, CoreError>(id)
+                })?;
+                ids.push((id, DocId::from_hex(id).ok_or(CoreError::Wire("answer document id"))?));
+            }
+            Ok((ids, cells))
+        })
+    }
+
+    /// Splits one stored document, as `doc/get` answered it for the id
+    /// `asked`, onto the keep list and appends its cells to `cells`: one
+    /// merge walk of its names against the list. A kept name gives its
+    /// cell, any other name is passed over under the checks of a decode,
+    /// and a kept name the document lacks stays [`Cell::Absent`], as an
+    /// optional field never written does.
+    ///
+    /// The cloud is not trusted to send what was stored. A document under
+    /// another id than `asked`, names that do not strictly ascend (as
+    /// `put_document` writes them — so none can repeat and overwrite an
+    /// earlier one) and a cell [`Kept::cell`] refuses are
+    /// [`CoreError::Wire`].
+    fn split_stored<'a>(&self, asked: &str, stored: &'a [u8], cells: &mut Vec<Cell<'a>>) -> Result<(), CoreError> {
+        datablinder_codec::decode(stored, |r| {
+            if r.str()? != asked {
+                return Err(CoreError::Wire("stored document under another id"));
+            }
+            let start = cells.len();
+            cells.resize_with(start + self.keep.len(), || Cell::Absent);
+            let mut kept = self.keep.iter().zip(&mut cells[start..]).peekable();
+            let mut previous: Option<&str> = None;
+            for _ in 0..r.count()? {
+                let name = r.str()?;
+                if previous.is_some_and(|p| p >= name) {
+                    return Err(CoreError::Wire("stored field names out of order"));
+                }
+                previous = Some(name);
+                while kept.next_if(|(k, _)| k.stored.as_str() < name).is_some() {}
+                match kept.next_if(|(k, _)| k.stored == name) {
+                    Some((k, cell)) => *cell = k.cell(r.u8()?, r)?,
+                    None => skip_value(r, 0)?,
+                }
+            }
+            Ok(())
+        })
+    }
 }
 
 /// Key prefix of journaled write groups in the gateway's journal store.
@@ -635,19 +621,6 @@ impl GatewayEngine {
             .collect();
         self.send_write_groups(&[&index_calls])?;
 
-        let mut payloads: Vec<PayloadShadow> = fields
-            .iter()
-            .map(|(field, fp)| PayloadShadow {
-                shadow: shadow_field(field, &fp.selection.payload),
-                field: field.as_str().into(),
-                tactic: fp
-                    .write_handle(&fp.selection.payload)
-                    .expect("every field is written through its payload")
-                    .tactic
-                    .clone(),
-            })
-            .collect();
-        payloads.sort_by(|a, b| a.shadow.cmp(&b.shadow));
         let mut keep: Vec<Kept> = schema
             .plain_fields()
             .map(|(name, field_type)| Kept {
@@ -655,10 +628,14 @@ impl GatewayEngine {
                 field: name.as_str().into(),
                 open: Open::Plain(field_type),
             })
-            .chain(payloads.iter().map(|p| Kept {
-                stored: p.shadow.clone(),
-                field: p.field.clone(),
-                open: Open::Payload(Arc::clone(&p.tactic)),
+            .chain(fields.iter().map(|(field, fp)| {
+                let payload =
+                    fp.write_handle(&fp.selection.payload).expect("every field is written through its payload");
+                Kept {
+                    stored: shadow_field(field, &payload.name),
+                    field: field.as_str().into(),
+                    open: Open::Payload(payload.tactic.clone()),
+                }
             }))
             .collect();
         keep.sort_by(|a, b| a.stored.cmp(&b.stored));
@@ -667,7 +644,7 @@ impl GatewayEngine {
         self.plans
             .write()
             .unwrap_or_else(PoisonError::into_inner)
-            .insert(schema.name.clone(), Arc::new(SchemaPlan { schema, fields, bool_tactic, payloads, keep }));
+            .insert(schema.name.clone(), Arc::new(SchemaPlan { schema, fields, bool_tactic, keep }));
         Ok(())
     }
 
@@ -1005,7 +982,8 @@ impl GatewayEngine {
                 self.call("doc/get_many", &GetMany { collection, ids, keep }.encode())?
             }
         };
-        plan.open_answer(&stored)
+        let (ids, cells) = plan.split_answer(&stored)?;
+        open(&plan.keep, &ids, cells)
     }
 
     /// One query's observations: the `tactic.<name>.<op>` EWMA since
@@ -1300,33 +1278,36 @@ impl GatewayEngine {
         (took, bool_calls)
     }
 
-    /// Fetches and decrypts a document.
+    /// Fetches and decrypts a document: what a search returns for the same
+    /// stored bytes, the keep list's fields and nothing else.
     ///
     /// # Errors
     ///
-    /// [`CoreError::NotFound`], decryption failures.
+    /// [`CoreError::NotFound`], decryption failures; [`CoreError::Wire`]
+    /// for an answer that is not a stored document under `id`.
     pub fn get(&self, schema_name: &str, id: DocId) -> Result<Document, CoreError> {
         self.observed("gateway.get", |g| {
             let plan = g.plan(schema_name)?;
-            plan.recover_stored(&plan.payloads, id, &g.fetch_stored(schema_name, &id.to_hex())?)
+            let hex = id.to_hex();
+            let stored = g.call("doc/get", &with_collection(schema_name, hex.as_bytes()))?;
+            let mut cells = Vec::with_capacity(plan.keep.len());
+            plan.split_stored(&hex, &stored, &mut cells)?;
+            Ok(open(&plan.keep, &[(&hex, id)], cells)?.pop().expect("one document split, one opened"))
         })
     }
 
-    /// One stored document as the cloud holds it, still encoded.
-    fn fetch_stored(&self, schema_name: &str, id: &str) -> Result<Vec<u8>, CoreError> {
-        self.call("doc/get", &with_collection(schema_name, id.as_bytes()))
-    }
-
     /// Every stored document as the cloud holds it, still encoded, with its
-    /// id: the raw id list, then one `doc/get` each — not `get_many`, which
-    /// silently skips missing documents and would hide orphans.
-    fn stored_documents(&self, schema_name: &str) -> Result<Vec<(DocId, Vec<u8>)>, CoreError> {
+    /// id (as listed, and parsed): the raw id list, then one `doc/get` each
+    /// — not `get_many`, which silently skips missing documents and would
+    /// hide orphans.
+    fn stored_documents(&self, schema_name: &str) -> Result<Vec<(String, DocId, Vec<u8>)>, CoreError> {
         let ids = self.call("doc/list_ids", &with_collection(schema_name, b""))?;
-        let ids = datablinder_codec::Reader::new(&ids).list()?;
+        let ids = Reader::new(&ids).list()?;
         ids.into_iter()
-            .map(|id| {
-                let hex = std::str::from_utf8(id).map_err(|_| CoreError::Wire("utf8 id"))?;
-                Ok((DocId::from_hex(hex).ok_or(CoreError::Wire("doc id"))?, self.fetch_stored(schema_name, hex)?))
+            .map(|raw| {
+                let hex = std::str::from_utf8(raw).map_err(|_| CoreError::Wire("utf8 id"))?;
+                let id = DocId::from_hex(hex).ok_or(CoreError::Wire("doc id"))?;
+                Ok((hex.to_string(), id, self.call("doc/get", &with_collection(schema_name, raw))?))
             })
             .collect()
     }
@@ -1640,7 +1621,8 @@ impl GatewayEngine {
     /// Rotates the key of `tactic`, one of the tactics `field` is written
     /// through, and re-protects every stored value under the new version:
     ///
-    /// 1. recovers every document's value (payload tactic),
+    /// 1. decodes each stored document once and opens the field's payload
+    ///    shadow through its keep-list entry,
     /// 2. rotates the KMS scope,
     /// 3. rebuilds the instance *into* the existing handle, so the plan and
     ///    every other holder of it use the new key from here on,
@@ -1654,13 +1636,32 @@ impl GatewayEngine {
     ///    a large collection stays under the transport's frame cap.
     fn rotate(&self, schema_name: &str, field: &str, tactic: &str) -> Result<u64, CoreError> {
         let plan = self.plan(schema_name)?;
-        let row = plan.payload_of(field)?;
         let handle =
             plan.fields[field].write_handle(tactic).expect("a rotated tactic is one the field is written through");
+        let kept = plan.keep.iter().find(|k| *k.field == *field).expect("an annotated field has a payload shadow");
+        let mut docs = Vec::new();
+        for (hex, id, stored) in self.stored_documents(schema_name)? {
+            let doc = decode_document(&stored)?;
+            if doc.id() != hex {
+                return Err(CoreError::Wire("stored document under another id"));
+            }
+            docs.push((id, doc));
+        }
+        // One column, the field's payload shadow, opened as every read is.
+        let (mut ids, mut cells) = (Vec::new(), Vec::new());
+        for (id, doc) in &docs {
+            ids.push((doc.id(), *id));
+            cells.push(match doc.get(&kept.stored) {
+                None => Cell::Absent,
+                Some(Value::Bytes(ciphertext)) => Cell::Sealed(ciphertext),
+                Some(_) => return Err(CoreError::Wire("ciphertext field is not bytes")),
+            });
+        }
+        let opened = open(std::slice::from_ref(kept), &ids, cells)?;
         let mut recovered = Vec::new();
-        for (id, stored) in self.stored_documents(schema_name)? {
-            if let Some(value) = plan.recover_stored(std::slice::from_ref(row), id, &stored)?.remove(field) {
-                recovered.push((id, value, stored));
+        for ((id, doc), mut opened) in docs.into_iter().zip(opened) {
+            if let Some(value) = opened.remove(field) {
+                recovered.push((id, value, doc));
             }
         }
 
@@ -1674,17 +1675,16 @@ impl GatewayEngine {
             items.map(|(id, value, rng)| Item { partition: 0, field, value, id: *id, rng, out: None }).collect()
         };
         protect_items(&handle.tactic, &mut items, 0, false);
-        let results = items.into_iter().map(|it| it.out.expect("every item is protected"));
+        let results: Vec<_> = items.into_iter().map(|it| it.out.expect("every item is protected")).collect();
 
         let (mut index, mut updates) = (Vec::new(), Vec::new());
         if tactic != plan.fields[field].selection.payload {
             index.push(CloudCall::new("kv/del_prefix", format!("t/{tactic}/{schema_name}:{field}/").into_bytes()));
         }
-        for ((_, _, stored), result) in recovered.iter().zip(results) {
+        for ((_, _, mut doc), result) in recovered.into_iter().zip(results) {
             let protected = result?;
             index.extend(protected.index_calls);
             if !protected.stored.is_empty() {
-                let mut doc = decode_document(stored)?;
                 for (f, v) in protected.stored {
                     doc.set(f, v);
                 }
@@ -1723,12 +1723,13 @@ impl GatewayEngine {
             .collect();
         field_plans.sort_by(|a, b| a.0.cmp(&b.0));
 
-        let mut stored_ids: Vec<DocId> = Vec::new();
-        let mut plaintext: Vec<(DocId, Document)> = Vec::new();
-        for (id, stored) in self.stored_documents(schema_name)? {
-            plaintext.push((id, plan.recover_stored(&plan.payloads, id, &stored)?));
-            stored_ids.push(id);
+        let stored = self.stored_documents(schema_name)?;
+        let (mut ids, mut cells) = (Vec::new(), Vec::new());
+        for (hex, id, bytes) in &stored {
+            plan.split_stored(hex, bytes, &mut cells)?;
+            ids.push((hex.as_str(), *id));
         }
+        let plaintext = open(&plan.keep, &ids, cells)?;
 
         let mut report = FsckReport { docs_checked: plaintext.len(), ..FsckReport::default() };
         for (field, eq, range, boolean) in field_plans {
@@ -1738,7 +1739,7 @@ impl GatewayEngine {
             // Distinct values of this field and the docs expected to hold
             // them (linear grouping: Value is neither Hash nor Ord).
             let mut groups: Vec<(Value, Vec<DocId>)> = Vec::new();
-            for (id, doc) in &plaintext {
+            for ((_, id), doc) in ids.iter().zip(&plaintext) {
                 if let Some(v) = doc.get(&field) {
                     match groups.iter_mut().find(|(gv, _)| gv == v) {
                         Some((_, ids)) => ids.push(*id),
@@ -1758,7 +1759,7 @@ impl GatewayEngine {
                     }
                     for id in got {
                         if !expected.contains(id) {
-                            let diagnosis = if stored_ids.contains(id) {
+                            let diagnosis = if ids.iter().any(|(_, stored)| stored == id) {
                                 "stored under a different value"
                             } else {
                                 "orphan index entry"

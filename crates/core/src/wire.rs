@@ -130,14 +130,8 @@ pub(crate) fn skip_value(r: &mut Reader, depth: usize) -> Result<(), Malformed> 
     Ok(())
 }
 
-/// Reads one encoded [`Value`] that has to be `Bytes` and lends its
-/// contents: how a ciphertext gets from a fetched document to its tactic.
-pub(crate) fn take_ciphertext<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], Malformed> {
-    ciphertext_after(r.u8()?, r)
-}
-
-/// The contents of a `Bytes` value whose tag was `tag`, as
-/// [`take_ciphertext`] lends them.
+/// The contents of a `Bytes` value whose tag was `tag`, lent: how a
+/// ciphertext gets from a fetched document to its tactic.
 pub(crate) fn ciphertext_after<'a>(tag: u8, r: &mut Reader<'a>) -> Result<&'a [u8], Malformed> {
     match tag {
         5 => r.bytes(),
@@ -448,14 +442,18 @@ mod tests {
     }
 
     #[test]
-    fn take_ciphertext_lends_bytes_and_rejects_every_other_tag() {
+    fn ciphertext_after_lends_bytes_and_rejects_every_other_tag() {
+        let take = |buf: &[u8]| {
+            let mut r = Reader::new(buf);
+            ciphertext_after(r.u8()?, &mut r).map(<[u8]>::to_vec)
+        };
         let mut buf = Vec::new();
         encode_value(&Value::Bytes(vec![1, 2, 3]), &mut buf);
-        assert_eq!(take_ciphertext(&mut Reader::new(&buf)), Ok(&[1u8, 2, 3][..]));
+        assert_eq!(take(&buf), Ok(vec![1u8, 2, 3]));
         for other in [Value::Null, Value::from("ct"), Value::from(7i64), Value::Array(vec![])] {
             let mut buf = Vec::new();
             encode_value(&other, &mut buf);
-            assert!(take_ciphertext(&mut Reader::new(&buf)).is_err(), "{other:?}");
+            assert!(take(&buf).is_err(), "{other:?}");
         }
     }
 

@@ -1,17 +1,18 @@
-//! Differential oracle for the gateway's one-pass recover: what `get` makes
-//! of a stored document must be what the sequence it replaced made of it —
-//! decode the whole document, look each payload shadow up by name, decrypt,
-//! drop the shadows, put the values back — which is written out below as
-//! `decode_then_recover`. A search reads the same documents by position
-//! onto the schema's keep list (here its four payload shadows), and must
-//! return exactly the payloads' plaintexts.
+//! Differential oracle for the gateway's one document opener: what `get`
+//! and a search make of a stored document must be what the schema's keep
+//! list makes of it, written out below as `keep_then_recover` — decode the
+//! whole document, open each payload shadow by name, copy the one plain
+//! field when it has its type, leave every other name behind. `get` reads
+//! the named document (`doc/get`); a search reads it by position onto the
+//! keep list (`doc/get_many`, `doc/fetch`); both must agree on every
+//! document.
 //!
 //! The stored documents are seeded random ones no gateway would write but
 //! every cloud may send: payload shadows missing, index-only shadows of any
-//! type, plaintext fields of every `Value` tag (nested too), a plaintext
-//! field under a sensitive field's own name. A fake cloud serves them; the
-//! oracle opens the ciphertexts with tactic instances of its own, built
-//! over the same KMS.
+//! type, the plain field and names outside the schema with values of every
+//! `Value` tag (nested too), a plaintext field under a sensitive field's
+//! own name. A fake cloud serves them; the oracle opens the ciphertexts
+//! with tactic instances of its own, built over the same KMS.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -36,12 +37,16 @@ use rand::{Rng, RngCore, SeedableRng};
 
 const SCHEMA: &str = "records";
 
-/// Two DET payloads (one beside an OPE index) and two RND payloads (one
-/// beside a Mitra index).
+/// The schema's plain field.
+const PLAIN: &str = "note";
+
+/// Two DET payloads (one beside an OPE index), two RND payloads (one
+/// beside a Mitra index) and one plain text field.
 fn schema() -> Schema {
     use FieldOp::*;
     let field = |class, ops: &[FieldOp]| FieldAnnotation::new(class, ops.to_vec());
     Schema::new(SCHEMA)
+        .plain_field(PLAIN, FieldType::Text, false)
         .sensitive_field("alpha", FieldType::Text, false, field(ProtectionClass::C4, &[Insert, Equality]))
         .sensitive_field("beta", FieldType::Text, false, field(ProtectionClass::C1, &[Insert]))
         .sensitive_field("gamma", FieldType::Integer, false, field(ProtectionClass::C5, &[Insert, Equality, Range]))
@@ -56,22 +61,31 @@ struct Payload {
     tactic: Box<dyn GatewayTactic>,
 }
 
-/// What `SchemaPlan::recover_document` and the `Document`-taking
-/// `GatewayTactic::recover` did until ISSUE 23, step for step, for a
-/// document read as `id`.
-fn decode_then_recover(stored: &[u8], id: DocId, payloads: &[Payload]) -> Result<Document, CoreError> {
-    let mut stored = decode_document(stored)?;
-    let mut recovered = Vec::new();
+/// What the gateway makes of a stored document read as `id`, written
+/// with whole documents: the keep list's names only — each payload shadow
+/// opened, the plain field copied when it has its type — and a payload
+/// that is not bytes or a plain field of another type is
+/// [`CoreError::Wire`].
+fn keep_then_recover(stored: &[u8], id: DocId, payloads: &[Payload]) -> Result<Document, CoreError> {
+    let stored = decode_document(stored)?;
+    let mut doc = Document::new(stored.id());
     for p in payloads {
-        if let Some(Value::Bytes(ciphertext)) = stored.get(&p.shadow) {
-            recovered.push((p.field, p.tactic.recover(id, ciphertext, &mut Vec::new())?));
+        match stored.get(&p.shadow) {
+            None => {}
+            Some(Value::Bytes(ciphertext)) => {
+                doc.set(p.field, p.tactic.recover(id, ciphertext, &mut Vec::new())?);
+            }
+            Some(_) => return Err(CoreError::Wire("payload")),
         }
     }
-    stored.retain(|name, _| !name.rsplit_once("__").is_some_and(|(base, _)| payloads.iter().any(|p| p.field == base)));
-    for (field, value) in recovered {
-        stored.set(field, value);
+    match stored.get(PLAIN) {
+        None => {}
+        Some(value @ Value::Str(_)) => {
+            doc.set(PLAIN, value.clone());
+        }
+        Some(_) => return Err(CoreError::Wire("plain")),
     }
-    Ok(stored)
+    Ok(doc)
 }
 
 /// A search answer: each stored document by position onto `keep`.
@@ -149,7 +163,12 @@ fn random_stored(rng: &mut StdRng, payloads: &mut [Payload], tags: &mut [usize; 
             stored.set(p.field, random_value(rng, 1, tags));
         }
     }
-    for name in ["a", "note", "meta__x", "alpha_", "gamma_ope", "zz"] {
+    // The plain field: of its type half the time, else of any.
+    if rng.gen::<f64>() < 0.6 {
+        let value = if rng.gen::<f64>() < 0.5 { Value::Str(random_text(rng)) } else { random_value(rng, 3, tags) };
+        stored.set(PLAIN, value);
+    }
+    for name in ["a", "meta__x", "alpha_", "gamma_ope", "zz"] {
         if rng.gen::<f64>() < 0.4 {
             stored.set(name, random_value(rng, 3, tags));
         }
@@ -157,14 +176,19 @@ fn random_stored(rng: &mut StdRng, payloads: &mut [Payload], tags: &mut [usize; 
     stored
 }
 
-#[test]
-fn streaming_recover_equals_decode_then_recover_on_seeded_stored_documents() {
-    let kms = Kms::generate(&mut StdRng::seed_from_u64(1));
+/// The stored documents a fake cloud serves.
+type Served = Arc<Mutex<Vec<Vec<u8>>>>;
 
-    // A cloud that answers every read with the documents the test put in
-    // `served`; the writes (the schema's indexes, one sealed batch) go to an
-    // engine of their own, which acknowledges them.
-    let served: Arc<Mutex<Vec<Vec<u8>>>> = Arc::default();
+/// A gateway over a cloud that answers every read with the documents the
+/// test put in `Served`: `doc/get` with the one stored under the id asked
+/// for (or, when none decodes under it, the first), a search with all of
+/// them by position onto its keep list. The writes (the schema's indexes,
+/// one sealed batch) go to an engine of their own, which acknowledges them.
+/// With the gateway come the oracle's payload tactics, built over the same
+/// KMS.
+fn fake_cloud() -> (GatewayEngine, Served, Vec<Payload>) {
+    let kms = Kms::generate(&mut StdRng::seed_from_u64(1));
+    let served: Served = Arc::default();
     let cloud = {
         let served = Arc::clone(&served);
         let writes = CloudEngine::new();
@@ -172,7 +196,11 @@ fn streaming_recover_equals_decode_then_recover_on_seeded_stored_documents() {
             let served = served.lock().unwrap();
             Ok(match route {
                 "idem" => writes.handle(route, payload)?,
-                "doc/get" => served[0].clone(),
+                "doc/get" => {
+                    let asked = std::str::from_utf8(&payload[4 + SCHEMA.len()..]).unwrap();
+                    let named = |stored: &&Vec<u8>| decode_document(stored).is_ok_and(|doc| doc.id() == asked);
+                    served.iter().find(named).unwrap_or(&served[0]).clone()
+                }
                 "doc/get_many" => projected(&served, &GetMany::decode(payload).unwrap().keep),
                 "doc/fetch" => projected(&served, &Fetch::decode(payload).unwrap().keep),
                 "doc/find_ids_eq" => encode_ids(&vec![DocId([7; 16]); served.len()]),
@@ -183,7 +211,7 @@ fn streaming_recover_equals_decode_then_recover_on_seeded_stored_documents() {
     let gw = GatewayEngine::new("app", kms.clone(), Channel::connect(cloud, LatencyModel::instant()), 2);
     gw.register_schema(schema()).unwrap();
 
-    let mut payloads: Vec<Payload> = ["alpha", "beta", "delta", "gamma"]
+    let payloads: Vec<Payload> = ["alpha", "beta", "delta", "gamma"]
         .into_iter()
         .map(|field| {
             let ctx = TacticContext {
@@ -201,6 +229,30 @@ fn streaming_recover_equals_decode_then_recover_on_seeded_stored_documents() {
             Payload { field, shadow: shadow_field(field, &payload), tactic }
         })
         .collect();
+    (gw, served, payloads)
+}
+
+/// Asserts that a read came out as `expect` did: the same document, or a
+/// [`CoreError::Wire`] on both sides.
+fn assert_same(got: Result<Document, CoreError>, expect: &Result<Document, CoreError>, what: &str) {
+    match (got, expect) {
+        (Ok(got), Ok(expect)) => assert_eq!(&got, expect, "{what}"),
+        (Err(CoreError::Wire(_)), Err(CoreError::Wire(_))) => {}
+        (got, expect) => panic!("{what}: got {got:?}, expected {expect:?}"),
+    }
+}
+
+/// The one document a search over a lone stored document returns.
+fn searched_alone(gw: &GatewayEngine) -> Result<Document, CoreError> {
+    gw.find_equal(SCHEMA, "alpha", &Value::from("x")).map(|mut docs| {
+        assert_eq!(docs.len(), 1, "a search over one stored document");
+        docs.remove(0)
+    })
+}
+
+#[test]
+fn get_and_search_equal_keep_then_recover_on_seeded_stored_documents() {
+    let (gw, served, mut payloads) = fake_cloud();
     let by_payload: BTreeMap<&str, usize> = payloads.iter().fold(BTreeMap::new(), |mut counts, p| {
         *counts.entry(p.shadow.rsplit_once("__").unwrap().1).or_default() += 1;
         counts
@@ -209,38 +261,44 @@ fn streaming_recover_equals_decode_then_recover_on_seeded_stored_documents() {
 
     let mut rng = StdRng::seed_from_u64(23);
     let mut tags = [0usize; 8];
+    let (mut plain_copied, mut plain_refused) = (0, 0);
     for case in 0..400 {
         let batch: Vec<Vec<u8>> = (0..rng.gen_range(1..5))
             .map(|_| encode_document(&random_stored(&mut rng, &mut payloads, &mut tags)))
             .collect();
         let ids: Vec<DocId> =
             batch.iter().map(|stored| DocId::from_hex(decode_document(stored).unwrap().id()).unwrap()).collect();
-        let expect: Vec<Document> =
-            batch.iter().zip(&ids).map(|(stored, &id)| decode_then_recover(stored, id, &payloads).unwrap()).collect();
+        let expect: Vec<Result<Document, CoreError>> =
+            batch.iter().zip(&ids).map(|(stored, &id)| keep_then_recover(stored, id, &payloads)).collect();
+        for expect in &expect {
+            match expect {
+                Ok(doc) if doc.get(PLAIN).is_some() => plain_copied += 1,
+                Err(_) => plain_refused += 1,
+                Ok(_) => {}
+            }
+        }
+
+        // `get` and a search over that one document agree with the oracle,
+        // and so with each other.
+        for ((stored, &id), expect) in batch.iter().zip(&ids).zip(&expect) {
+            *served.lock().unwrap() = vec![stored.clone()];
+            assert_same(gw.get(SCHEMA, id), expect, &format!("case {case}: get"));
+            assert_same(searched_alone(&gw), expect, &format!("case {case}: search"));
+        }
+        // A search over the whole batch: every document, or the refusal.
         *served.lock().unwrap() = batch.clone();
-        assert_eq!(gw.get(SCHEMA, ids[0]).unwrap(), expect[0], "case {case}: get");
-        let searched: Vec<Document> = batch
-            .iter()
-            .zip(&ids)
-            .map(|(stored, &id)| {
-                let stored = decode_document(stored).unwrap();
-                let mut doc = Document::new(stored.id());
-                for p in &payloads {
-                    if let Some(Value::Bytes(ciphertext)) = stored.get(&p.shadow) {
-                        doc.set(p.field, p.tactic.recover(id, ciphertext, &mut Vec::new()).unwrap());
-                    }
-                }
-                doc
-            })
-            .collect();
-        assert_eq!(gw.find_equal(SCHEMA, "alpha", &Value::from("x")).unwrap(), searched, "case {case}: fetch");
+        let searched = gw.find_equal(SCHEMA, "alpha", &Value::from("x"));
+        match expect.into_iter().collect::<Result<Vec<_>, _>>() {
+            Ok(expect) => assert_eq!(searched.unwrap(), expect, "case {case}: fetch"),
+            Err(_) => assert!(matches!(searched, Err(CoreError::Wire(_))), "case {case}: fetch {searched:?}"),
+        }
 
         // What neither accepts: every strict prefix, and a trailing byte.
         if case % 40 == 0 {
             let whole = &batch[0];
             for cut in 0..whole.len() {
                 assert!(
-                    decode_then_recover(&whole[..cut], ids[0], &payloads).is_err(),
+                    keep_then_recover(&whole[..cut], ids[0], &payloads).is_err(),
                     "case {case}: oracle took cut {cut}"
                 );
                 *served.lock().unwrap() = vec![whole[..cut].to_vec()];
@@ -248,10 +306,51 @@ fn streaming_recover_equals_decode_then_recover_on_seeded_stored_documents() {
             }
             let mut longer = whole.clone();
             longer.push(0);
-            assert!(decode_then_recover(&longer, ids[0], &payloads).is_err());
+            assert!(keep_then_recover(&longer, ids[0], &payloads).is_err());
             *served.lock().unwrap() = vec![longer];
             assert!(gw.get(SCHEMA, ids[0]).is_err(), "case {case}: get took a trailing byte");
         }
     }
     assert!(tags.iter().all(|&n| n > 50), "every Value tag was generated: {tags:?}");
+    assert!(plain_copied > 100 && plain_refused > 100, "copied {plain_copied}, refused {plain_refused}");
+}
+
+#[test]
+fn get_opens_only_the_keep_list_of_the_document_it_asked_for() {
+    let (gw, served, mut payloads) = fake_cloud();
+    let asked = DocId([1; 16]);
+    let alpha = &mut payloads[0];
+    assert_eq!(alpha.field, "alpha");
+    let protected =
+        alpha.tactic.protect(&mut StdRng::seed_from_u64(2), "alpha", &Value::from("sealed"), asked).unwrap();
+    let mut stored = Document::new(asked.to_hex())
+        .with(PLAIN, Value::from("kept"))
+        .with("alpha", Value::from("in the clear"))
+        .with("gamma__ope", Value::Bytes(vec![9; 8]))
+        .with("zz", Value::from("outside the schema"));
+    for (shadow, ciphertext) in protected.stored {
+        stored.set(shadow, ciphertext);
+    }
+    let serve = |doc: &Document| *served.lock().unwrap() = vec![encode_document(doc)];
+
+    // Names outside the keep list stay behind; a sensitive field's value is
+    // its opened payload, never a plaintext stored under its name.
+    serve(&stored);
+    let expect = Document::new(asked.to_hex()).with("alpha", Value::from("sealed")).with(PLAIN, Value::from("kept"));
+    assert_eq!(gw.get(SCHEMA, asked).unwrap(), expect);
+    assert_eq!(searched_alone(&gw).unwrap(), expect, "a search opens the same");
+
+    // The answer to another id, which the cloud sends whole and intact.
+    let other = DocId([2; 16]);
+    let err = gw.get(SCHEMA, other).unwrap_err();
+    assert!(matches!(err, CoreError::Wire(_)), "{err}");
+
+    // A plain field of another type.
+    for wrong in [Value::from(5i64), Value::Null, Value::Bytes(b"kept".to_vec()), Value::Array(vec![])] {
+        let mut forged = stored.clone();
+        forged.set(PLAIN, wrong.clone());
+        serve(&forged);
+        let err = gw.get(SCHEMA, asked).unwrap_err();
+        assert!(matches!(err, CoreError::Wire(_)), "{wrong:?}: {err}");
+    }
 }

@@ -242,11 +242,6 @@ impl Document {
         self.position(field).map(|at| self.fields.remove(at).1)
     }
 
-    /// Keeps only the fields `keep` returns `true` for.
-    pub fn retain(&mut self, mut keep: impl FnMut(&str, &mut Value) -> bool) {
-        self.fields.retain_mut(|(name, value)| keep(name, value));
-    }
-
     /// Iterates fields in name order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (&str, &Value)> {
         self.fields.iter().map(|(name, value)| (&**name, value))
@@ -327,8 +322,7 @@ mod tests {
         assert_eq!(d.get("a"), None);
         assert!(!d.is_empty());
         d.set("c", Value::from(2i64));
-        d.retain(|name, _| name != "b");
-        assert_eq!(d.field_names().collect::<Vec<_>>(), ["c"]);
+        assert_eq!(d.field_names().collect::<Vec<_>>(), ["b", "c"]);
         let d2 = Document::new("d2").with("f", Value::from(true));
         assert_eq!(d2.get("f"), Some(&Value::from(true)));
     }
@@ -342,12 +336,8 @@ mod tests {
             let (mut doc, mut model) = (Document::new("d"), BTreeMap::new());
             for step in 0..rng.gen_range(0..40) {
                 let name = names[rng.gen_range(0..names.len())];
-                match rng.gen_range(0..4) {
+                match rng.gen_range(0..3) {
                     0 => assert_eq!(doc.remove(name), model.remove(name), "case {case}"),
-                    1 => {
-                        doc.retain(|n, _| n != name);
-                        model.retain(|n: &String, _| n != name);
-                    }
                     _ => {
                         doc.set(name, Value::from(step as i64));
                         model.insert(name.to_string(), Value::from(step as i64));

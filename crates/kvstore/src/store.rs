@@ -10,6 +10,7 @@
 //! scans and exports gather across shards and sort, so observable
 //! ordering is identical to the unsharded store.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
@@ -243,13 +244,12 @@ impl KvStore {
     /// key was already occupied (by any slot type) — in which case nothing
     /// changes. The check-and-insert happens under one shard lock, so two
     /// racing `set_nx` calls on the same key serialize: exactly one wins.
+    /// One lookup serves the check and the insert.
     pub fn set_nx(&self, key: &[u8], value: &[u8]) -> bool {
         let mut map = self.shard(key).write();
-        if map.contains_key(key) {
-            return false;
-        }
+        let Entry::Vacant(slot) = map.entry(key.to_vec()) else { return false };
         self.log(|| LogRecord::Set { key: key.to_vec(), value: value.to_vec() });
-        map.insert(key.to_vec(), Slot::Str(value.to_vec()));
+        slot.insert(Slot::Str(value.to_vec()));
         true
     }
 

@@ -176,10 +176,10 @@ once="$(grep -rhowE '[A-Za-z_][A-Za-z0-9_]*' --include='*.rs' crates src tests e
 uncalled="$(LC_ALL=C comm -12 <(echo "$pub_fns") <(echo "$once") | tr '\n' ' ')"
 [ -z "$uncalled" ] ||
     { echo "pub fns nothing calls (delete them): $uncalled" >&2; exit 1; }
-dead_names="$(grep -rnwE 'KvStats|log_it|replay_log|ReplayReport|decrypt_block|seal_many|open_many|open_into|anti_entropy_every|retry_remote|node_deadline|with_span_capacity|metrics_handle|mont_mul_into|to_mont_into|is_write_route|is_not_found' crates/*/src |
+dead_names="$(grep -rnwE 'KvStats|log_it|replay_log|ReplayReport|decrypt_block|seal_many|open_many|open_into|anti_entropy_every|retry_remote|node_deadline|with_span_capacity|metrics_handle|mont_mul_into|to_mont_into|is_write_route|is_not_found|recover_stored|PayloadShadow|payload_of|fetch_stored' crates/*/src |
     grep -vE '^[^:]+:[0-9]+: *//' || true)"
 [ -z "$dead_names" ] ||
-    { echo "a deleted write twin, batch call, decrypt or GCM open path, one-value setting, run-time-width Montgomery kernel or route/refusal text match is back:" >&2; echo "$dead_names" >&2; exit 1; }
+    { echo "a deleted write twin, batch call, decrypt or GCM open path, one-value setting, run-time-width Montgomery kernel, route/refusal text match or second document opener is back:" >&2; echo "$dead_names" >&2; exit 1; }
 
 echo "==> one OPE descent: ope/src/lib.rs samples a split in one place (descend), and builds the PRF input in coins on the stack"
 # encrypt and decrypt walk the tree through one loop that resumes from the
