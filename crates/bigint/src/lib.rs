@@ -15,6 +15,10 @@
 //!   one odd modulus, one CIOS kernel compiled per power-of-two width
 //!   from 1 to 256 limbs, on stack arrays) and [`CrtCtx`]
 //!   (two-prime residue systems for RSA/Paillier-style CRT),
+//! * a lane tier: [`MontgomeryCtx::modpow_lanes`] raises up to four bases
+//!   to one exponent per pass of an AVX-512 IFMA kernel on a CPU that has
+//!   one ([`lane_tier`] says which tier runs), and through the scalar
+//!   kernel everywhere else, with identical output,
 //! * primality testing (Miller–Rabin) and random prime generation in
 //!   [`prime`].
 //!
@@ -37,10 +41,37 @@
 //! protect real keys.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 mod convert;
 mod div;
 mod modular;
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod ifma;
+
+/// No lane tier off x86-64: the witness cannot exist, `detect` says so,
+/// and the kernel behind it is unreachable.
+#[cfg(not(target_arch = "x86_64"))]
+mod ifma {
+    use crate::uint::BigUint;
+
+    pub(crate) const LANES: usize = 4;
+    pub(crate) const DIGIT_BITS: usize = 52;
+    pub(crate) const WIDTHS: &[usize] = &[];
+
+    #[derive(Clone, Copy, Debug)]
+    pub(crate) enum Ifma {}
+
+    impl Ifma {
+        pub(crate) fn detect() -> Option<Self> {
+            None
+        }
+        pub(crate) fn modpow(self, _: &[u64], _: u64, _: &[u64], _: &mut [[u64; LANES]], _: &BigUint) {
+            match self {}
+        }
+    }
+}
 pub mod prime;
 mod signed;
 mod uint;
@@ -48,6 +79,21 @@ mod uint;
 pub use modular::{CrtCtx, MontgomeryCtx};
 pub use signed::{BigInt, Sign};
 pub use uint::BigUint;
+
+/// The 52-bit digit counts the lane kernel is compiled for (empty off
+/// x86-64); a modulus of `b` bits runs at the narrowest `L` with
+/// `52·L ≥ b + 2`, and a wider one runs the scalar kernel.
+pub const LANE_WIDTHS: &[usize] = ifma::WIDTHS;
+
+/// Which tier [`MontgomeryCtx::modpow_lanes`] runs on this CPU:
+/// `"avx512ifma"` (four lanes per pass) or `"scalar"`.
+pub fn lane_tier() -> &'static str {
+    if ifma::Ifma::detect().is_some() {
+        "avx512ifma"
+    } else {
+        "scalar"
+    }
+}
 
 /// Errors produced by this crate.
 #[derive(Debug, Clone, PartialEq, Eq)]

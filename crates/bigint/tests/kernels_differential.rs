@@ -282,3 +282,85 @@ fn modpow_answers_past_the_widest_kernel() {
     let exp = BigUint::random_bits(&mut rng, 24);
     assert_eq!(base.modpow(&exp, &m), oracle_modpow(&base, &exp, &m));
 }
+
+/// The lane tier against the scalar kernel, its oracle: every width the
+/// lane kernel is compiled for, each at its widest modulus (`52·L − 2`
+/// bits, so `4n` just fits `R`) and at a modulus whose top 64-bit limb is
+/// `u64::MAX`; 1 to 8 bases, so partial and whole passes run; the bases 0, 1,
+/// `n − 1` and one `≥ n`; the exponents 0, 1, `2^k − 1` and random ones;
+/// and powers that are 0 under a square modulus.
+/// Above 16 digits the exponents are 64 bits, which keeps debug builds
+/// quick. On a CPU without the lane kernel `modpow_lanes` is the scalar
+/// loop; the scalar half still runs, and stderr says the lane half did not.
+#[test]
+fn lanes_match_scalar_at_every_lane_width() {
+    let tier = datablinder_bigint::lane_tier();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x1A7E);
+    let widths: Vec<usize> = if tier == "scalar" {
+        eprintln!("kernels_differential: tier {tier}: no AVX-512 IFMA on this CPU, lane half skipped");
+        vec![2, 10, 40]
+    } else {
+        eprintln!("kernels_differential: tier {tier}, widths {:?}", datablinder_bigint::LANE_WIDTHS);
+        datablinder_bigint::LANE_WIDTHS.to_vec()
+    };
+    for &width in &widths {
+        let widest = 52 * width - 2;
+        let exp_bits = if width <= 16 { widest } else { 64 };
+        let mut full_top = random_odd(&mut rng, widest / 64 * 64);
+        (full_top.bits() - 64..full_top.bits()).for_each(|i| full_top.set_bit(i, true));
+        for m in [random_odd(&mut rng, widest), full_top] {
+            let what = format!("{tier}, {width} digits, {}-bit modulus", m.bits());
+            let ctx = MontgomeryCtx::new(&m);
+            if tier != "scalar" {
+                assert_eq!(ctx.lane_width(), Some(width), "{what}: runs at its own width");
+            }
+            let n_minus_1 = &m - &BigUint::one();
+            let bases = [
+                BigUint::zero(),
+                BigUint::one(),
+                n_minus_1.clone(),
+                &m + &BigUint::random_bits(&mut rng, 40),
+                BigUint::random_below(&mut rng, &m),
+                BigUint::random_below(&mut rng, &m),
+                n_minus_1.clone(),
+                BigUint::random_below(&mut rng, &m),
+            ];
+            let all_ones = &(&BigUint::one() << exp_bits) - &BigUint::one();
+            let exps = [BigUint::zero(), BigUint::one(), all_ones, BigUint::random_bits(&mut rng, exp_bits)];
+            for exp in &exps {
+                let scalar: Vec<BigUint> = bases.iter().map(|base| ctx.modpow(base, exp)).collect();
+                for count in 1..=bases.len() {
+                    let lanes = ctx.modpow_lanes(&bases[..count], exp);
+                    assert_eq!(lanes, scalar[..count], "{what}, {count} bases, {}-bit exponent", exp.bits());
+                }
+            }
+            // Several passes, the last one partial.
+            let many: Vec<BigUint> = (0..13).map(|_| BigUint::random_below(&mut rng, &m)).collect();
+            let exp = &exps[3];
+            let scalar: Vec<BigUint> = many.iter().map(|base| ctx.modpow(base, exp)).collect();
+            assert_eq!(ctx.modpow_lanes(&many, exp), scalar, "{what}, 13 bases");
+        }
+        // Powers ≡ 0 (mod n): under n = f², the bases f and 3f from the
+        // exponent 2 up. A ladder may end such a power at n, which the lanes
+        // must read as 0.
+        let f = random_odd(&mut rng, widest / 2);
+        let m = &f * &f;
+        let ctx = MontgomeryCtx::new(&m);
+        let bases = [f.clone(), &f * &BigUint::from(3u64), BigUint::random_below(&mut rng, &m)];
+        for exp in [BigUint::from(2u64), BigUint::from(15u64), BigUint::random_bits(&mut rng, 64)] {
+            let scalar: Vec<BigUint> = bases.iter().map(|base| ctx.modpow(base, &exp)).collect();
+            assert!(scalar[0].is_zero() && scalar[1].is_zero(), "{width} digits: f^e ≡ 0 mod f²");
+            assert_eq!(ctx.modpow_lanes(&bases, &exp), scalar, "{tier}, {width} digits, n = f², exponent {exp}");
+        }
+    }
+    // Past the widest lane width, and for the modulus 1, the scalar kernel
+    // answers.
+    let wide = random_odd(&mut rng, 52 * 80);
+    let ctx = MontgomeryCtx::new(&wide);
+    assert_eq!(ctx.lane_width(), None, "{} bits is past the widest lane width", wide.bits());
+    let base = BigUint::random_below(&mut rng, &wide);
+    let exp = BigUint::random_bits(&mut rng, 16);
+    assert_eq!(ctx.modpow_lanes(std::slice::from_ref(&base), &exp), [ctx.modpow(&base, &exp)]);
+    let one = MontgomeryCtx::new(&BigUint::one());
+    assert_eq!(one.modpow_lanes(&[BigUint::from(5u64)], &exp), [BigUint::zero()]);
+}

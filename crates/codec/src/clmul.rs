@@ -2,9 +2,10 @@
 //! multiply (PCLMULQDQ), after Gopal et al., "Fast CRC Computation for
 //! Generic Polynomials Using PCLMULQDQ Instruction".
 //!
-//! With `crates/primitives/src/isa.rs` and the key wipe in `keys.rs` this
-//! is the only home of `unsafe` in the workspace (`scripts/verify.sh`
-//! checks the inventory), and the safety argument is the one made there:
+//! With `crates/primitives/src/isa.rs`, `crates/bigint/src/ifma.rs` and the
+//! key wipe in `keys.rs` this is the only home of `unsafe` in the workspace
+//! (`scripts/verify.sh` checks the inventory), and the safety argument is
+//! the one made in `isa.rs`:
 //!
 //! * **CPU features.** The kernel is a `#[target_feature]` function
 //!   reachable only through a method of the witness [`Clmul`], which has a

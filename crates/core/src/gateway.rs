@@ -1621,8 +1621,9 @@ impl GatewayEngine {
     /// Rotates the key of `tactic`, one of the tactics `field` is written
     /// through, and re-protects every stored value under the new version:
     ///
-    /// 1. decodes each stored document once and opens the field's payload
-    ///    shadow through its keep-list entry,
+    /// 1. splits each stored document onto the keep list as `get` does,
+    ///    opens the field's payload shadow and decodes the documents that
+    ///    hold one,
     /// 2. rotates the KMS scope,
     /// 3. rebuilds the instance *into* the existing handle, so the plan and
     ///    every other holder of it use the new key from here on,
@@ -1638,30 +1639,24 @@ impl GatewayEngine {
         let plan = self.plan(schema_name)?;
         let handle =
             plan.fields[field].write_handle(tactic).expect("a rotated tactic is one the field is written through");
-        let kept = plan.keep.iter().find(|k| *k.field == *field).expect("an annotated field has a payload shadow");
-        let mut docs = Vec::new();
-        for (hex, id, stored) in self.stored_documents(schema_name)? {
-            let doc = decode_document(&stored)?;
-            if doc.id() != hex {
-                return Err(CoreError::Wire("stored document under another id"));
-            }
-            docs.push((id, doc));
-        }
-        // One column, the field's payload shadow, opened as every read is.
+        let position = plan.keep.iter().position(|k| *k.field == *field).expect("an annotated field is kept");
+        // Every stored document is split as `get` and `fsck` split it, so
+        // what they refuse (another id, a repeated or unordered name, a
+        // cell of the wrong kind) fails the rotation before anything is
+        // rotated or written; then one column, the field's payload shadow,
+        // is opened as every read is.
+        let stored = self.stored_documents(schema_name)?;
         let (mut ids, mut cells) = (Vec::new(), Vec::new());
-        for (id, doc) in &docs {
-            ids.push((doc.id(), *id));
-            cells.push(match doc.get(&kept.stored) {
-                None => Cell::Absent,
-                Some(Value::Bytes(ciphertext)) => Cell::Sealed(ciphertext),
-                Some(_) => return Err(CoreError::Wire("ciphertext field is not bytes")),
-            });
+        for (hex, id, bytes) in &stored {
+            plan.split_stored(hex, bytes, &mut cells)?;
+            ids.push((hex.as_str(), *id));
         }
-        let opened = open(std::slice::from_ref(kept), &ids, cells)?;
+        let column = cells.into_iter().skip(position).step_by(plan.keep.len()).collect();
+        let opened = open(std::slice::from_ref(&plan.keep[position]), &ids, column)?;
         let mut recovered = Vec::new();
-        for ((id, doc), mut opened) in docs.into_iter().zip(opened) {
+        for ((_, id, bytes), mut opened) in stored.iter().zip(opened) {
             if let Some(value) = opened.remove(field) {
-                recovered.push((id, value, doc));
+                recovered.push((*id, value, decode_document(bytes)?));
             }
         }
 

@@ -31,11 +31,11 @@ use datablinder_sse::biex::{
     decode_2lev_response, decode_zmf_response, encode_2lev_response, encode_zmf_response, Biex2LevClient,
     Biex2LevServer, Biex2LevToken, BiexQuery, BiexZmfClient, BiexZmfServer, BiexZmfToken,
 };
-use datablinder_sse::mitra::{MitraClient, MitraSearchToken, MitraServer, MitraUpdateToken};
+use datablinder_sse::mitra::{fetch_entries, store_entry, MitraClient, MitraSearchToken, MitraUpdateToken};
 use datablinder_sse::{DocId, UpdateOp};
 use rand::RngCore;
 
-use super::TacticContext;
+use super::{scope_key, TacticContext};
 use crate::error::CoreError;
 use crate::model::*;
 use crate::spi::{CloudCall, CloudTactic, DnfLiterals, GatewayTactic, ProtectedField};
@@ -454,13 +454,6 @@ impl BiexCloud {
         BiexCloud { kv, variant }
     }
 
-    fn chain_server(&self, scope: &str) -> MitraServer {
-        let mut prefix = format!("t/{}/", self.variant.name()).into_bytes();
-        prefix.extend_from_slice(scope.as_bytes());
-        prefix.push(b'/');
-        MitraServer::new(self.kv.clone(), &prefix)
-    }
-
     fn base_prefix(&self, scope: &str) -> Vec<u8> {
         format!("t/{}/{}/b/", self.variant.name(), scope).into_bytes()
     }
@@ -475,12 +468,12 @@ impl CloudTactic for BiexCloud {
         match op {
             "update" => {
                 let token = MitraUpdateToken::decode(payload)?;
-                self.chain_server(scope).apply_update(&token)?;
+                store_entry(&self.kv, &mut scope_key(self.variant.name(), scope), &token)?;
                 Ok(Vec::new())
             }
             "search" => {
                 let token = MitraSearchToken::decode(payload)?;
-                let values = self.chain_server(scope).search(&token);
+                let values = fetch_entries(&self.kv, &mut scope_key(self.variant.name(), scope), &token);
                 let mut w = Writer::new();
                 w.list(&values);
                 Ok(w.finish())

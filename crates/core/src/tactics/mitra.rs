@@ -4,11 +4,11 @@
 use datablinder_codec::{Reader, Writer};
 use datablinder_docstore::Value;
 use datablinder_kvstore::KvStore;
-use datablinder_sse::mitra::{MitraClient, MitraSearchToken, MitraServer, MitraUpdateToken};
+use datablinder_sse::mitra::{fetch_entries, store_entry, MitraClient, MitraSearchToken, MitraUpdateToken};
 use datablinder_sse::{DocId, UpdateOp};
 use rand::RngCore;
 
-use super::TacticContext;
+use super::{scope_key, TacticContext};
 use crate::error::CoreError;
 use crate::model::*;
 use crate::spi::{CloudCall, CloudTactic, GatewayTactic, ProtectedField};
@@ -119,13 +119,6 @@ impl MitraCloud {
     pub fn new(kv: KvStore) -> Self {
         MitraCloud { kv }
     }
-
-    fn server(&self, scope: &str) -> MitraServer {
-        let mut prefix = b"t/mitra/".to_vec();
-        prefix.extend_from_slice(scope.as_bytes());
-        prefix.push(b'/');
-        MitraServer::new(self.kv.clone(), &prefix)
-    }
 }
 
 impl CloudTactic for MitraCloud {
@@ -134,16 +127,16 @@ impl CloudTactic for MitraCloud {
     }
 
     fn handle(&self, scope: &str, op: &str, payload: &[u8]) -> Result<Vec<u8>, CoreError> {
-        let server = self.server(scope);
+        let mut key = scope_key("mitra", scope);
         match op {
             "update" => {
                 let token = MitraUpdateToken::decode(payload)?;
-                server.apply_update(&token)?;
+                store_entry(&self.kv, &mut key, &token)?;
                 Ok(Vec::new())
             }
             "search" => {
                 let token = MitraSearchToken::decode(payload)?;
-                let values = server.search(&token);
+                let values = fetch_entries(&self.kv, &mut key, &token);
                 let mut w = Writer::new();
                 w.list(&values);
                 Ok(w.finish())

@@ -78,6 +78,17 @@ impl Shadow {
     }
 }
 
+/// The one key buffer of a cloud tactic call over a per-scope map:
+/// `t/<tactic>/<scope>/` (the prefix `kv/del_prefix` drops on a rotation),
+/// with room for the 32-byte address every entry appends.
+pub(crate) fn scope_key(tactic: &str, scope: &str) -> Vec<u8> {
+    let mut key = Vec::with_capacity(2 + tactic.len() + 1 + scope.len() + 1 + 32);
+    for part in [b"t/", tactic.as_bytes(), b"/", scope.as_bytes(), b"/"] {
+        key.extend_from_slice(part);
+    }
+    key
+}
+
 /// Encodes a list of [`DocId`]s.
 pub fn encode_ids(ids: &[DocId]) -> Vec<u8> {
     let mut w = Writer::from(Vec::with_capacity(4 + ids.len() * 16));

@@ -11,7 +11,7 @@
 use std::collections::BTreeSet;
 
 use datablinder_bigint::BigUint;
-use datablinder_paillier::Keypair;
+use datablinder_paillier::{Keypair, RandomizerPool};
 use rand::{RngCore, SeedableRng};
 
 fn rng(seed: u64) -> rand::rngs::StdRng {
@@ -146,4 +146,37 @@ fn keypair_encrypt_matches_public_encrypt_semantics() {
     let mixed = kp.public().add(&c1, &kp.public().encrypt_u64(&mut r, 35));
     assert_eq!(kp.decrypt_u64(&mixed), Some(42));
     assert!(kp.encrypt(&mut r, &n).is_err(), "plaintext range is still checked");
+}
+
+/// A refill draws its batch at once, its powers in lanes where the CPU has
+/// the lane kernel; the pool it leaves must hold, in order, exactly what
+/// one `fresh_obfuscator` call per slot draws from the same generator, and
+/// leave the generator where those calls leave it. `take` pops the newest
+/// value, so the pool drained by takes reads back in reverse.
+#[test]
+fn batched_refill_equals_sequential_draws() {
+    eprintln!("obfuscator_differential: lane tier {}", datablinder_bigint::lane_tier());
+    for (bits, batches) in [(512usize, &[1usize, 7, 8, 9, 16][..]), (2048, &[9][..])] {
+        let kp = Keypair::generate(&mut rng(bits as u64), bits);
+        for &k in batches {
+            let seed = 1000 + k as u64;
+            let mut sequential_rng = rng(seed);
+            let mut expect: Vec<BigUint> = (0..k).map(|_| kp.fresh_obfuscator(&mut sequential_rng)).collect();
+            expect.reverse();
+
+            let pool = RandomizerPool::new(kp.clone(), k);
+            let mut batch_rng = rng(seed);
+            pool.refill(&mut batch_rng);
+            assert_eq!(pool.len(), k, "{bits} bits, batch {k}");
+            let got: Vec<BigUint> = (0..k).map(|_| pool.take(&mut batch_rng)).collect();
+            assert_eq!(got, expect, "{bits} bits, batch {k}: pool order");
+            let stats = pool.stats();
+            assert_eq!(
+                (stats.hits, stats.misses, stats.precomputed),
+                (k as u64, 0, k as u64),
+                "{bits} bits, batch {k}"
+            );
+            assert_eq!(batch_rng.next_u64(), sequential_rng.next_u64(), "{bits} bits, batch {k}: generator state");
+        }
+    }
 }

@@ -236,14 +236,14 @@ impl MitraServer {
     /// [`SseError::AddressTaken`] when the address holds a different entry,
     /// which stays.
     pub fn apply_update(&self, token: &MitraUpdateToken) -> Result<(), SseError> {
-        set_once(&self.kv, &self.key(&token.addr), &token.val)
+        store_entry(&self.kv, &mut self.key_buffer(), token)
     }
 
     /// Fetches the values for a search token, in address order.
     /// Missing addresses yield empty entries (malformed tokens are the
     /// gateway's problem, surfaced at resolution).
     pub fn search(&self, token: &MitraSearchToken) -> Vec<Vec<u8>> {
-        token.addrs.iter().map(|a| self.kv.get(&self.key(a)).unwrap_or_default()).collect()
+        fetch_entries(&self.kv, &mut self.key_buffer(), token)
     }
 
     /// Number of stored entries under this server's prefix.
@@ -251,11 +251,46 @@ impl MitraServer {
         self.kv.keys_with_prefix(&self.prefix).len()
     }
 
-    fn key(&self, addr: &[u8; 32]) -> Vec<u8> {
-        let mut k = self.prefix.clone();
-        k.extend_from_slice(addr);
-        k
+    fn key_buffer(&self) -> Vec<u8> {
+        let mut key = Vec::with_capacity(self.prefix.len() + 32);
+        key.extend_from_slice(&self.prefix);
+        key
     }
+}
+
+/// [`MitraServer::apply_update`] over a borrowed store: stores the entry at
+/// `key ‖ token.addr`, where `key` holds the entries' prefix, and leaves
+/// `key` holding the prefix again. A handler serving many prefixes builds
+/// each call's prefix into one buffer (with room for the address) and
+/// needs no server and no other key.
+///
+/// # Errors
+///
+/// As [`MitraServer::apply_update`].
+pub fn store_entry(kv: &KvStore, key: &mut Vec<u8>, token: &MitraUpdateToken) -> Result<(), SseError> {
+    let prefix = key.len();
+    key.extend_from_slice(&token.addr);
+    let stored = set_once(kv, key, &token.val);
+    key.truncate(prefix);
+    stored
+}
+
+/// [`MitraServer::search`] over a borrowed store: the entry at
+/// `key ‖ addr` for every address of `token`, in order, `key` holding the
+/// prefix as in [`store_entry`].
+pub fn fetch_entries(kv: &KvStore, key: &mut Vec<u8>, token: &MitraSearchToken) -> Vec<Vec<u8>> {
+    let prefix = key.len();
+    let entries = token
+        .addrs
+        .iter()
+        .map(|addr| {
+            key.truncate(prefix);
+            key.extend_from_slice(addr);
+            kv.get(key).unwrap_or_default()
+        })
+        .collect();
+    key.truncate(prefix);
+    entries
 }
 
 #[cfg(test)]

@@ -36,11 +36,11 @@ gcm_opens="$(grep -rnE '\.open\(' --include='*.rs' crates/*/src | grep -v '^crat
 [ -z "$gcm_opens" ] ||
     { echo "an allocating GCM open outside gcm.rs; open in place into a reused buffer:" >&2; echo "$gcm_opens" >&2; exit 1; }
 
-echo "==> unsafe inventory: the two std::arch files (primitives/src/isa.rs, codec/src/clmul.rs) and the key wipe in keys.rs, nowhere else"
-# Comments may say the word; code may not. primitives and codec deny unsafe
-# code outside these files (and allow it on those modules only); every
-# other crate root forbids it.
-unsafe_inventory="crates/codec/src/clmul.rs crates/primitives/src/isa.rs crates/primitives/src/keys.rs"
+echo "==> unsafe inventory: the three std::arch files (primitives/src/isa.rs, codec/src/clmul.rs, bigint/src/ifma.rs) and the key wipe in keys.rs, nowhere else"
+# Comments may say the word; code may not. primitives, codec and bigint deny
+# unsafe code outside these files (and allow it on those modules only);
+# every other crate root forbids it.
+unsafe_inventory="crates/bigint/src/ifma.rs crates/codec/src/clmul.rs crates/primitives/src/isa.rs crates/primitives/src/keys.rs"
 unsafe_files="$(grep -rlE '^[^/]*\bunsafe\b' --include='*.rs' crates/*/src src | sort | tr '\n' ' ')"
 [ "$unsafe_files" = "$unsafe_inventory " ] ||
     { echo "unsafe outside the inventory: $unsafe_files" >&2; exit 1; }
@@ -48,7 +48,7 @@ unsafe_files="$(grep -rlE '^[^/]*\bunsafe\b' --include='*.rs' crates/*/src src |
     { echo "keys.rs may hold one unsafe block, the zeroizing drop" >&2; exit 1; }
 for root in crates/*/src/lib.rs crates/cloudd/src/main.rs src/lib.rs; do
     case "$root" in
-        crates/primitives/src/lib.rs | crates/codec/src/lib.rs) lint=deny ;;
+        crates/primitives/src/lib.rs | crates/codec/src/lib.rs | crates/bigint/src/lib.rs) lint=deny ;;
         *) lint=forbid ;;
     esac
     grep -q "^#!\[$lint(unsafe_code)\]" "$root" ||
@@ -56,6 +56,8 @@ for root in crates/*/src/lib.rs crates/cloudd/src/main.rs src/lib.rs; do
 done
 [ "$(grep -c 'allow(unsafe_code)' crates/codec/src/lib.rs)" = 1 ] ||
     { echo "codec may allow unsafe code on one module, clmul" >&2; exit 1; }
+[ "$(grep -c 'allow(unsafe_code)' crates/bigint/src/lib.rs)" = 1 ] ||
+    { echo "bigint may allow unsafe code on one module, ifma" >&2; exit 1; }
 # Each unsafe block states why it is sound within the three lines above it.
 # shellcheck disable=SC2086
 awk '/^[^\/]*unsafe \{/ && (p1 p2 p3) !~ /SAFETY:/ { print FILENAME ":" FNR ": unsafe block without a SAFETY comment"; bad = 1 }
@@ -209,7 +211,7 @@ echo "==> cargo test --release: symmetric differentials (hardware tier ≡ porta
 cargo test --release -q -p datablinder-primitives --test isa_differential
 cargo test --release -q -p datablinder-primitives --test symmetric_props
 
-echo "==> cargo test --release: Paillier differentials (Montgomery product fold + linear decode, sum ≡ iterated add, factor-drawn obfuscators ≡ r^n mod n², carried cloud sum ≡ a fresh fold over 1,000 seeded schedules)"
+echo "==> cargo test --release: Paillier differentials (Montgomery product fold + linear decode, IFMA lanes ≡ scalar kernel, sum ≡ iterated add, factor-drawn obfuscators ≡ r^n mod n², batched refill ≡ sequential draws, carried cloud sum ≡ a fresh fold over 1,000 seeded schedules)"
 cargo test --release -q -p datablinder-bigint --test kernels_differential
 cargo test --release -q -p datablinder-paillier --test sum_differential
 cargo test --release -q -p datablinder-paillier --test obfuscator_differential

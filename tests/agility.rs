@@ -1,13 +1,15 @@
 //! Crypto-agility integration tests: tactic deprecation re-routing, the
 //! ORE fallback path, and key rotation with live re-encryption.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use datablinder::codec::Writer;
 use datablinder::core::cloud::CloudEngine;
 use datablinder::core::gateway::{GatewayEngine, PendingWriteReport};
 use datablinder::core::model::*;
 use datablinder::core::registry::TacticRegistry;
+use datablinder::core::wire::{decode_document, encode_value};
 use datablinder::core::CoreError;
 use datablinder::docstore::{Document, Filter, Value};
 use datablinder::kms::Kms;
@@ -290,6 +292,19 @@ struct WriteMeter {
     inner: CloudEngine,
     writes: AtomicU64,
     write_budget: AtomicI64,
+    /// When set, every `doc/get` answer carries its first name twice.
+    double_first_name: AtomicBool,
+}
+
+impl WriteMeter {
+    fn new() -> WriteMeter {
+        WriteMeter {
+            inner: CloudEngine::new(),
+            writes: AtomicU64::new(0),
+            write_budget: AtomicI64::new(i64::MAX),
+            double_first_name: AtomicBool::new(false),
+        }
+    }
 }
 
 impl CloudService for WriteMeter {
@@ -300,18 +315,27 @@ impl CloudService for WriteMeter {
                 return Err(NetError::Timeout);
             }
         }
-        self.inner.handle(route, payload)
+        let answer = self.inner.handle(route, payload)?;
+        if route != "doc/get" || !self.double_first_name.load(Ordering::SeqCst) {
+            return Ok(answer);
+        }
+        let doc = decode_document(&answer).unwrap();
+        let fields: Vec<_> = doc.iter().collect();
+        let mut w = Writer::new();
+        w.str(doc.id()).u32(fields.len() as u32 + 1);
+        for (name, value) in fields[..1].iter().chain(&fields) {
+            let mut encoded = Vec::new();
+            encode_value(value, &mut encoded);
+            w.str(name).raw(&encoded);
+        }
+        Ok(w.finish())
     }
 }
 
 /// A gateway whose channel never retries, over a [`WriteMeter`], with the
 /// Mitra-indexed `notes` schema registered and `owners` inserted.
 fn metered_gateway(owners: &[&str]) -> (Arc<WriteMeter>, GatewayEngine) {
-    let svc = Arc::new(WriteMeter {
-        inner: CloudEngine::new(),
-        writes: AtomicU64::new(0),
-        write_budget: AtomicI64::new(i64::MAX),
-    });
+    let svc = Arc::new(WriteMeter::new());
     let config = ResilienceConfig { retry: RetryPolicy::none(), ..ResilienceConfig::default() };
     let gw = GatewayEngine::with_resilience(
         "rotmeter",
@@ -341,6 +365,26 @@ fn payload_rotation_ships_one_write() {
     assert_eq!(gw.find_equal("notes", "owner", &Value::from("ann")).unwrap().len(), 2);
 }
 
+/// A stored document that names a field twice is refused by a rotation as
+/// `get` and `fsck` refuse it, before the KMS scope moves or anything is
+/// written back; a decode that let the last name win would rewrite the
+/// document without the first.
+#[test]
+fn payload_rotation_refuses_a_doubled_name_before_it_writes() {
+    let (svc, gw) = metered_gateway(&["ann", "bob", "cy"]);
+    svc.double_first_name.store(true, Ordering::SeqCst);
+    let before = svc.writes.load(Ordering::SeqCst);
+    let err = gw.rotate_payload_key("notes", "owner").unwrap_err();
+    assert!(matches!(err, CoreError::Wire(_)), "{err}");
+    assert_eq!(svc.writes.load(Ordering::SeqCst), before, "no doc/update shipped");
+    let err = gw.fsck("notes").unwrap_err();
+    assert!(matches!(err, CoreError::Wire(_)), "fsck refuses the same answers: {err}");
+
+    svc.double_first_name.store(false, Ordering::SeqCst);
+    assert_eq!(gw.rotate_payload_key("notes", "owner").unwrap(), 1, "the refused rotation moved no key version");
+    assert_eq!(gw.find_equal("notes", "owner", &Value::from("bob")).unwrap().len(), 1);
+}
+
 #[test]
 fn payload_rotation_larger_than_a_frame_ships_in_bounded_groups() {
     // Eight 200 kB documents are more than one 1.5 MiB frame holds, so the
@@ -351,11 +395,7 @@ fn payload_rotation_larger_than_a_frame_ships_in_bounded_groups() {
     const DOCS: usize = 8;
     const LEN: usize = 200_000;
     assert!(DOCS * LEN > FRAME as usize);
-    let svc = Arc::new(WriteMeter {
-        inner: CloudEngine::new(),
-        writes: AtomicU64::new(0),
-        write_budget: AtomicI64::new(i64::MAX),
-    });
+    let svc = Arc::new(WriteMeter::new());
     let server = CloudServer::bind("127.0.0.1:0", svc.clone(), ServerConfig { max_frame: FRAME, workers: 2 })
         .expect("bind loopback");
     let transport = TcpChannel::connect(server.local_addr(), TcpConfig { max_frame: FRAME }).expect("loopback resolve");
