@@ -16,14 +16,14 @@ use datablinder_obs::Recorder;
 use datablinder_sse::DocId;
 
 use crate::cloudproto::{
-    batch_items, check_inner, BlobList, DigestRequest, Fetch, FindIdsDnf, FindIdsEq, FindIdsRange, GetMany, Idempotent,
-    RangeSelect, RangedRead, Route, RouteClass, SyncEntries, BATCH_ROUTE, ENTRY_DOC, ENTRY_INDEX, ENTRY_KV, IDEM_ROUTE,
-    READ_BATCH_ROUTE,
+    batch_items, check_inner, BlobList, DigestRequest, DigestResponse, Fetch, FindIdsDnf, FindIdsEq, FindIdsRange,
+    GetMany, Idempotent, RangeSelect, RangedRead, Route, SyncEntries, BATCH_ROUTE, ENTRY_DOC, ENTRY_INDEX, ENTRY_KV,
+    IDEM_ROUTE, READ_BATCH_ROUTE,
 };
 use crate::durability::{self, Durability, DurabilityOptions, JournalOutcome, RecoveryReport, WalRecord};
 use crate::error::CoreError;
 use crate::spi::CloudTactic;
-use crate::sync::{selects_doc, DigestCache, DigestWork, MutationScope, Selector};
+use crate::sync::{selects_doc, Selector};
 use crate::tactics;
 use crate::tactics::{decode_ids, encode_ids};
 use crate::wire::{decode_document, encode_answer, encode_document};
@@ -142,9 +142,6 @@ pub struct CloudEngine {
     dedup_hits: AtomicU64,
     durability: Option<Durability>,
     recovery: RecoveryReport,
-    /// Incremental Merkle digest state (see [`DigestCache`]); populated on
-    /// the first `sync/digest` request, dirty-tracked by every write.
-    digests: Mutex<Option<DigestCache>>,
     /// Observability recorder (disabled by default; see
     /// [`CloudEngine::set_recorder`]).
     obs: Recorder,
@@ -168,7 +165,6 @@ impl CloudEngine {
             dedup_hits: AtomicU64::new(0),
             durability: None,
             recovery: RecoveryReport::default(),
-            digests: Mutex::new(None),
             obs: Recorder::default(),
         };
         engine.register(Arc::new(tactics::mitra::MitraCloud::new(kv.clone())));
@@ -360,16 +356,7 @@ impl CloudEngine {
                 let ops = format!("cloud.tactic.{}.ops", t.name);
                 self.obs.count(&ops, 1);
             }
-            let out = tactic.handle(t.scope, t.op, payload);
-            if out.is_ok() {
-                // A setup touches broadcast state, an index write its scope's key.
-                match route.class {
-                    RouteClass::BroadcastWrite => self.note(|| MutationScope::Broadcast),
-                    RouteClass::KeyedWrite => self.note(|| MutationScope::Routing(t.key.as_bytes().to_vec())),
-                    _ => {}
-                }
-            }
-            return out;
+            return tactic.handle(t.scope, t.op, payload);
         }
         match route.name {
             IDEM_ROUTE => {
@@ -392,15 +379,7 @@ impl CloudEngine {
             // order: a write group, or (read-only) the reads of one query.
             BATCH_ROUTE => self.run_batch(payload, false),
             READ_BATCH_ROUTE => self.run_batch(payload, true),
-            "kv/del_prefix" => {
-                let n = self.kv.del_prefix(payload) as u64;
-                if n > 0 {
-                    // A prefix can straddle scoped and broadcast keys;
-                    // invalidate everything rather than under-mark.
-                    self.note(|| MutationScope::All);
-                }
-                Ok(n.to_be_bytes().to_vec())
-            }
+            "kv/del_prefix" => Ok((self.kv.del_prefix(payload) as u64).to_be_bytes().to_vec()),
             "kv/bulk_put" => {
                 let mut r = Reader::new(payload);
                 let pairs = r.list()?;
@@ -409,7 +388,6 @@ impl CloudEngine {
                 }
                 for kv in pairs.chunks(2) {
                     self.kv.set(kv[0], kv[1]);
-                    self.note(|| MutationScope::KvKey(kv[0].to_vec()));
                 }
                 Ok(Vec::new())
             }
@@ -419,7 +397,7 @@ impl CloudEngine {
                 // into one cluster-wide view.
                 Ok(self.obs.snapshot().to_json().into_bytes())
             }
-            // Cluster synchronization: the WAL tail, Merkle digests, range
+            // Cluster synchronization: the WAL tail, leaf digests, range
             // exports, and the two journaled apply ops (see crate::sync).
             "sync/tail" => {
                 let records = match &self.durability {
@@ -433,18 +411,11 @@ impl CloudEngine {
                 if req.boundaries.is_empty() {
                     return Err(CoreError::Wire("digest boundaries"));
                 }
-                let mut slot = self.digests.lock().unwrap_or_else(PoisonError::into_inner);
-                let (resp, work) = DigestCache::respond(&mut slot, &self.kv, &self.docs, req.seed, &req.boundaries);
-                drop(slot);
-                match work {
-                    DigestWork::Cached => self.obs.count("cloud.sync.digest.cached", 1),
-                    DigestWork::Partial(n) => {
-                        self.obs.count("cloud.sync.digest.partial", 1);
-                        self.obs.count("cloud.sync.digest.leaves_rehashed", n);
-                    }
-                    DigestWork::Full => self.obs.count("cloud.sync.digest.full", 1),
-                }
-                Ok(resp.encode())
+                // Computed from the stores at each request, so the answer
+                // sees every change, made through this dispatch or not.
+                let entries = crate::sync::export_entries(&self.kv, &self.docs, req.seed, &Selector::All);
+                let (leaves, broadcast) = crate::sync::leaf_digests(&entries, req.seed, &req.boundaries);
+                Ok(DigestResponse { leaves, broadcast }.encode())
             }
             "sync/entries" => {
                 let req = RangeSelect::decode(payload)?;
@@ -477,23 +448,17 @@ impl CloudEngine {
                         _ => {}
                     }
                 }
-                if removed > 0 {
-                    self.note(|| MutationScope::All);
-                }
                 Ok(removed.to_be_bytes().to_vec())
             }
             "doc/insert" | "doc/update" => {
                 let (collection, rest) = split_collection(payload)?;
                 let doc = decode_document(rest)?;
-                // The id as the payload holds it, so a note is all it costs.
-                let id = Reader::new(rest).str()?;
                 let coll = self.docs.collection(collection);
                 if route.name == "doc/insert" {
                     coll.insert(doc)?;
                 } else {
                     coll.update(doc)?;
                 }
-                self.note(|| MutationScope::Routing(crate::sync::doc_key(collection, id.as_bytes())));
                 Ok(Vec::new())
             }
             "doc/get" => {
@@ -523,7 +488,6 @@ impl CloudEngine {
                 let (collection, rest) = split_collection(payload)?;
                 let id = std::str::from_utf8(rest).map_err(|_| CoreError::Wire("utf8 id"))?;
                 self.docs.collection(collection).delete(id)?;
-                self.note(|| MutationScope::Routing(crate::sync::doc_key(collection, id.as_bytes())));
                 Ok(Vec::new())
             }
             "doc/count" => {
@@ -562,7 +526,6 @@ impl CloudEngine {
                 let (collection, rest) = split_collection(payload)?;
                 let field = std::str::from_utf8(rest).map_err(|_| CoreError::Wire("utf8 field"))?;
                 self.docs.collection(collection).create_index(field);
-                self.note(|| MutationScope::Broadcast);
                 Ok(Vec::new())
             }
             "doc/find_ids_eq" => {
@@ -609,16 +572,6 @@ impl CloudEngine {
         Ok(w.finish())
     }
 
-    /// Marks the digest cache dirty for a mutation's scope (no-op until the
-    /// first `sync/digest` request builds the cache, and `scope` is built
-    /// only once it has been).
-    fn note(&self, scope: impl FnOnce() -> MutationScope) {
-        let mut slot = self.digests.lock().unwrap_or_else(PoisonError::into_inner);
-        if slot.is_some() {
-            DigestCache::note(&mut slot, &scope());
-        }
-    }
-
     /// Applies a batch of [`SyncEntries`]: each entry *replaces* this
     /// node's state for its key with the canonical bytes — KV slots are
     /// rebuilt from their record list (empty list = delete), docs are
@@ -635,7 +588,6 @@ impl CloudEngine {
                     for body in BlobList::decode(&e.value)?.items {
                         self.kv.apply_record(&LogRecord::from_body(&body)?);
                     }
-                    self.note(|| MutationScope::KvKey(e.key.clone()));
                 }
                 ENTRY_DOC => {
                     let (collection, id) = split_doc_key(&e.key)?;
@@ -650,7 +602,6 @@ impl CloudEngine {
                             coll.insert(doc)?;
                         }
                     }
-                    self.note(|| MutationScope::Routing(e.key.clone()));
                 }
                 ENTRY_INDEX => {
                     let name = std::str::from_utf8(&e.key).map_err(|_| CoreError::Wire("utf8 collection"))?;
@@ -659,7 +610,6 @@ impl CloudEngine {
                         let field = String::from_utf8(field).map_err(|_| CoreError::Wire("utf8 index field"))?;
                         coll.create_index(&field);
                     }
-                    self.note(|| MutationScope::Broadcast);
                 }
                 _ => return Err(CoreError::Wire("unknown entry kind")),
             }

@@ -797,11 +797,11 @@ impl BlobList {
     }
 }
 
-/// `sync/digest`: asks a node for its Merkle digests under the given ring
-/// layout. Boundaries are the sorted vnode hash points; leaf `j` covers
-/// `(boundaries[j-1], boundaries[j]]` with leaf 0 wrapping — the same
-/// intervals the ring uses for ownership, so "per-shard root" and "ring
-/// leaf digest" are the same thing.
+/// `sync/digest`: asks a node for its per-leaf digests under the given
+/// ring layout, computed from its stores when asked. Boundaries are the
+/// sorted vnode hash points; leaf `j` covers `(boundaries[j-1],
+/// boundaries[j]]` with leaf 0 wrapping — the same intervals the ring uses
+/// for ownership, so a leaf digest summarizes exactly one shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DigestRequest {
     /// Ring hash seed.
@@ -835,28 +835,26 @@ impl DigestRequest {
     }
 }
 
-/// `sync/digest` response: one 32-byte digest per ring leaf, one for the
-/// broadcast domain (state every node must replicate), and the Merkle root
-/// over the leaves — two nodes with equal roots need no further exchange.
+/// `sync/digest` response: one 32-byte digest per ring leaf and one for the
+/// broadcast domain (state every node must replicate). Two replicas agree
+/// on a leaf when its digests are equal; there is no tree above them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DigestResponse {
     /// Per-leaf digests, index-aligned with the request boundaries.
     pub leaves: Vec<[u8; 32]>,
     /// Digest over broadcast-domain state.
     pub broadcast: [u8; 32],
-    /// Merkle root over `leaves`.
-    pub root: [u8; 32],
 }
 
 impl DigestResponse {
     /// Serializes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::from(Vec::with_capacity(68 + self.leaves.len() * 32));
+        let mut w = Writer::from(Vec::with_capacity(36 + self.leaves.len() * 32));
         w.u32(self.leaves.len() as u32);
         for leaf in &self.leaves {
             w.raw(leaf);
         }
-        w.raw(&self.broadcast).raw(&self.root);
+        w.raw(&self.broadcast);
         w.finish()
     }
 
@@ -868,7 +866,7 @@ impl DigestResponse {
     pub fn decode(buf: &[u8]) -> Result<Self, CoreError> {
         decode(buf, |r| {
             let leaves = (0..r.count()?).map(|_| r.raw()).collect::<Result<_, _>>()?;
-            Ok(DigestResponse { leaves, broadcast: r.raw()?, root: r.raw()? })
+            Ok(DigestResponse { leaves, broadcast: r.raw()? })
         })
     }
 }

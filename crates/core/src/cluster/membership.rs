@@ -382,6 +382,47 @@ mod tests {
         assert!(on_new > 0, "the new member took over part of the keyspace");
     }
 
+    /// One replica silently loses its copy of acked writes, nothing reads
+    /// them, and a node holding some of them leaves. The handoff copies each
+    /// moved key from a replica that still has it, so nothing is lost; the
+    /// replica that lost its copies still lacks them afterwards, and only a
+    /// digest pass shows it and an anti-entropy pass restores them.
+    #[test]
+    fn removal_after_a_silent_replica_loss_keeps_every_acked_write() {
+        const R: usize = 3;
+        for seed in 1..=8u64 {
+            let cluster = ClusterCloud::new(ClusterConfig::volatile(5, R, 2, seed)).unwrap();
+            let ids: Vec<String> = (1..=40u8)
+                .map(|i| {
+                    cluster.handle("doc/insert", &insert_payload("notes", i)).unwrap();
+                    DocId([i; 16]).to_hex()
+                })
+                .collect();
+            let loser = 0;
+            let dropped: Vec<&String> =
+                ids.iter().filter(|id| cluster.doc_replicas("notes", id).contains(&loser)).collect();
+            for id in &dropped {
+                cluster.with_node_engine(loser, |e| e.docs().collection("notes").delete(id).unwrap()).unwrap();
+            }
+            let leaving = cluster.doc_replicas("notes", dropped[0]).into_iter().find(|&r| r != loser).unwrap();
+            cluster.remove_node(leaving).unwrap();
+
+            let copies = |id: &str| {
+                let held = |r| cluster.with_node_engine(r, |e| e.docs().collection("notes").get(id).is_some()).unwrap();
+                cluster.doc_replicas("notes", id).into_iter().filter(|&r| held(r)).count()
+            };
+            assert!(ids.iter().all(|id| copies(id) >= R - 1), "seed {seed}: an acked write fell below R - 1 copies");
+            assert!(!cluster.replica_digests_converged(), "seed {seed}: the silent loss shows in the digests");
+            let mut rounds = 0;
+            while !cluster.run_anti_entropy().converged() {
+                rounds += 1;
+                assert!(rounds < 8, "seed {seed}: anti-entropy must converge");
+            }
+            assert!(ids.iter().all(|id| copies(id) == R), "seed {seed}: anti-entropy restores R copies");
+            assert_eq!(cluster.read_repairs(), 0, "seed {seed}: no read repair was involved");
+        }
+    }
+
     #[test]
     fn remove_node_hands_off_and_refuses_below_replication() {
         let cluster = ClusterCloud::new(ClusterConfig::volatile(4, 2, 2, 23)).unwrap();

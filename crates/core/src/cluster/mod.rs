@@ -23,8 +23,9 @@
 //!   the transfer window fail fast with a typed
 //!   [`NetError::Unavailable`] instead of reading a half-moved ring.
 //! * An anti-entropy pass ([`ClusterCloud::run_anti_entropy`], run on
-//!   demand) compares per-leaf Merkle digests pairwise across replicas and
-//!   repairs divergent keys through the idempotent `sync/put` envelope.
+//!   demand; nothing in the cluster schedules one) compares the flat
+//!   per-leaf digests each replica computes when asked, and repairs
+//!   divergent keys through the idempotent `sync/put` envelope.
 //!
 //! # Layout
 //!

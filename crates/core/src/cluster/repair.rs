@@ -1,8 +1,10 @@
-//! Anti-entropy: every live member's Merkle digests compared leaf by leaf
-//! against the ring's owners, and what differs either reported
+//! Anti-entropy, run on demand: every live member's flat per-leaf digests,
+//! computed from its stores at each request, compared leaf by leaf against
+//! the ring's owners, and what differs either reported
 //! ([`ClusterCloud::replica_digests_converged`]) or repaired toward the
-//! majority ([`ClusterCloud::run_anti_entropy`]). Also the idempotent
-//! `sync/put` envelope every state transfer between members travels in.
+//! majority ([`ClusterCloud::run_anti_entropy`]). Nothing in the cluster
+//! schedules a pass. Also the idempotent `sync/put` envelope every state
+//! transfer between members travels in.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::Ordering;
@@ -111,7 +113,7 @@ fn tombstone(kind: u8, key: &[u8]) -> Option<SyncEntry> {
 
 impl ClusterCloud {
     /// One anti-entropy pass: every live member reports its per-leaf
-    /// Merkle digests over the ring's vnode boundaries, divergent leaves
+    /// digests over the ring's vnode boundaries, divergent leaves
     /// and the broadcast pseudo-leaf are diffed pairwise down to keys, and
     /// lagging replicas are repaired through the idempotent `sync/put`
     /// path. Leaves reported non-empty by a non-owner are retired as
@@ -144,8 +146,8 @@ impl ClusterCloud {
         round
     }
 
-    /// Whether every live member currently reports byte-identical Merkle
-    /// state: owners of each leaf agree on its digest, non-owners report
+    /// Whether every live member currently reports byte-identical leaf
+    /// digests: owners of each leaf agree on its digest, non-owners report
     /// the empty-bucket digest, and the broadcast pseudo-leaf matches
     /// everywhere.
     pub fn replica_digests_converged(&self) -> bool {
@@ -278,9 +280,10 @@ mod tests {
         }
         let id = DocId([5; 16]).to_hex();
         let replicas = cluster.doc_replicas("notes", &id);
-        // Tamper before any digest request so the digest cache never saw
-        // the pre-tamper state (behind-the-back writes bypass its
-        // invalidation hooks by construction).
+        // One digest pass before the tamper: a digest computed earlier must
+        // not hide a change made behind the engine's dispatch.
+        assert!(cluster.replica_digests_converged());
+        assert!(cluster.run_anti_entropy().converged());
         cluster.with_node_engine(replicas[0], |e| e.docs().collection("notes").delete(&id).unwrap()).unwrap();
         assert!(!cluster.replica_digests_converged(), "tampering must show up in the digests");
         let round = cluster.run_anti_entropy();

@@ -61,7 +61,7 @@ impl Ring {
         self.points.len()
     }
 
-    /// The sorted vnode hash points — the Merkle leaf boundaries every
+    /// The sorted vnode hash points — the digest leaf boundaries every
     /// digest request carries, so replicas bucket identically.
     pub(super) fn boundaries(&self) -> Vec<u64> {
         self.points.iter().map(|&(p, _)| p).collect()

@@ -4,8 +4,8 @@
 //! a node's state that routes into these hash ranges, in a canonical
 //! encoding": rejoin resync (a rejoining node pulls the ranges it owns),
 //! membership key handoff (a new owner pulls exactly the ranges
-//! it gained) and Merkle anti-entropy (replicas compare per-leaf digests
-//! and repair the keys that diverge). This module owns that primitive:
+//! it gained) and anti-entropy (replicas compare per-leaf digests and
+//! repair the keys that diverge). This module owns that primitive:
 //!
 //! * [`Domain`] classifies every piece of cloud state as *broadcast*
 //!   (replicated everywhere: tactic public keys, BIEX base builds, index
@@ -16,8 +16,9 @@
 //! * [`export_entries`] walks a node's KV store + doc store once and emits
 //!   canonical [`SyncEntry`]s for a [`Selector`];
 //! * [`leaf_digests`] buckets those entries into ring-leaf intervals and
-//!   hashes each bucket; [`MerkleTree`] folds leaf digests to a root and
-//!   diffs two trees by descending only differing subtrees.
+//!   hashes each bucket. A node computes them from its stores at each
+//!   `sync/digest` request: nothing is cached, so a digest sees every
+//!   change to the stores, whichever path made it.
 //!
 //! The hash ring primitives (`mix64`, `hash_bytes`, leaf intervals) live
 //! here too so the ring, the exports and the digests can never disagree on
@@ -145,16 +146,6 @@ pub(crate) enum Selector<'a> {
         /// Include broadcast-domain state.
         include_broadcast: bool,
     },
-    /// Only state landing in dirty ring leaves (incremental digest
-    /// recomputation: clean leaves skip value encoding entirely).
-    DirtyLeaves {
-        /// Sorted vnode hash points defining the leaves.
-        boundaries: &'a [u64],
-        /// Per-leaf dirty flags, index-aligned with `boundaries`.
-        dirty: &'a [bool],
-        /// Re-export the broadcast domain too.
-        include_broadcast: bool,
-    },
 }
 
 impl Selector<'_> {
@@ -164,10 +155,6 @@ impl Selector<'_> {
             Selector::Ranges { ranges, include_broadcast } => match domain {
                 Domain::Broadcast => *include_broadcast,
                 Domain::Scoped(key) => in_any_range(hash_bytes(seed, key), ranges),
-            },
-            Selector::DirtyLeaves { boundaries, dirty, include_broadcast } => match domain {
-                Domain::Broadcast => *include_broadcast,
-                Domain::Scoped(key) => dirty[leaf_of(hash_bytes(seed, key), boundaries)],
             },
         }
     }
@@ -294,201 +281,6 @@ pub(crate) fn leaf_digests(
     (leaves.iter().map(|b| bucket_digest(b)).collect(), bucket_digest(&broadcast))
 }
 
-/// What a mutation touched, for dirty-tracking the digest cache. Produced
-/// by the engine's write paths; granularity mirrors the write-route
-/// classification, so every journaled mutation maps to a scope.
-#[derive(Debug, Clone)]
-pub(crate) enum MutationScope {
-    /// Conservative: invalidate everything (prefix deletes, retires).
-    All,
-    /// Broadcast-domain state changed (setups, index defs, base builds).
-    Broadcast,
-    /// State with this *routing key* changed (doc key, tactic scope key).
-    Routing(Vec<u8>),
-    /// The KV slot at this key changed; its domain is derived.
-    KvKey(Vec<u8>),
-}
-
-/// Per-engine incremental digest state: leaf digests under one ring layout
-/// plus dirty bits set by [`DigestCache::note`] on every mutation. A
-/// digest request re-hashes only dirty leaves; a layout change (different
-/// seed or boundaries, i.e. a membership change) rebuilds from scratch.
-#[derive(Debug)]
-pub(crate) struct DigestCache {
-    seed: u64,
-    boundaries: Vec<u64>,
-    leaves: Vec<[u8; 32]>,
-    broadcast: [u8; 32],
-    dirty: Vec<bool>,
-    broadcast_dirty: bool,
-}
-
-/// How much work one digest request did (for obs counters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum DigestWork {
-    /// Everything clean: answered from cache.
-    Cached,
-    /// Re-hashed only the dirty leaves.
-    Partial(u64),
-    /// Cold or relaid-out: full rebuild.
-    Full,
-}
-
-impl DigestCache {
-    /// Marks the leaves a mutation touched as dirty. A `None` slot (no
-    /// digest requested yet) has nothing to invalidate.
-    pub(crate) fn note(slot: &mut Option<DigestCache>, scope: &MutationScope) {
-        let Some(c) = slot else { return };
-        match scope {
-            MutationScope::All => {
-                c.dirty.iter_mut().for_each(|d| *d = true);
-                c.broadcast_dirty = true;
-            }
-            MutationScope::Broadcast => c.broadcast_dirty = true,
-            MutationScope::Routing(key) => {
-                let j = leaf_of(hash_bytes(c.seed, key), &c.boundaries);
-                c.dirty[j] = true;
-            }
-            MutationScope::KvKey(key) => match kv_domain(key) {
-                Domain::Broadcast => c.broadcast_dirty = true,
-                Domain::Scoped(routing) => {
-                    let j = leaf_of(hash_bytes(c.seed, &routing), &c.boundaries);
-                    c.dirty[j] = true;
-                }
-            },
-        }
-    }
-
-    /// Answers a digest request from the cache, re-hashing only what's
-    /// dirty (or rebuilding on a layout change), and returns the response
-    /// plus how much work it took.
-    pub(crate) fn respond(
-        slot: &mut Option<DigestCache>,
-        kv: &KvStore,
-        docs: &DocStore,
-        seed: u64,
-        boundaries: &[u64],
-    ) -> (crate::cloudproto::DigestResponse, DigestWork) {
-        let work = match slot {
-            Some(c) if c.seed == seed && c.boundaries == boundaries => {
-                let dirty_count = c.dirty.iter().filter(|&&d| d).count() as u64;
-                if dirty_count == 0 && !c.broadcast_dirty {
-                    DigestWork::Cached
-                } else {
-                    let sel =
-                        Selector::DirtyLeaves { boundaries, dirty: &c.dirty, include_broadcast: c.broadcast_dirty };
-                    let entries = export_entries(kv, docs, seed, &sel);
-                    let (leaves, broadcast) = leaf_digests(&entries, seed, boundaries);
-                    for (j, leaf) in leaves.iter().enumerate().take(c.dirty.len()) {
-                        if c.dirty[j] {
-                            c.leaves[j] = *leaf;
-                            c.dirty[j] = false;
-                        }
-                    }
-                    if c.broadcast_dirty {
-                        c.broadcast = broadcast;
-                        c.broadcast_dirty = false;
-                    }
-                    DigestWork::Partial(dirty_count)
-                }
-            }
-            _ => {
-                let entries = export_entries(kv, docs, seed, &Selector::All);
-                let (leaves, broadcast) = leaf_digests(&entries, seed, boundaries);
-                *slot = Some(DigestCache {
-                    seed,
-                    boundaries: boundaries.to_vec(),
-                    dirty: vec![false; leaves.len()],
-                    broadcast_dirty: false,
-                    leaves,
-                    broadcast,
-                });
-                DigestWork::Full
-            }
-        };
-        let c = slot.as_ref().expect("cache populated");
-        let resp = crate::cloudproto::DigestResponse {
-            leaves: c.leaves.clone(),
-            broadcast: c.broadcast,
-            root: MerkleTree::build(&c.leaves).root(),
-        };
-        (resp, work)
-    }
-}
-
-/// A binary Merkle tree over leaf digests. Parents hash their two children
-/// (an odd node at the end of a level is promoted unchanged); `diff`
-/// descends only subtrees whose hashes differ, so two almost-equal replicas
-/// compare in O(log n) node visits per divergent leaf.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MerkleTree {
-    /// `levels[0]` = leaves, last level = root (singleton).
-    levels: Vec<Vec<[u8; 32]>>,
-}
-
-impl MerkleTree {
-    /// Builds the tree bottom-up from leaf digests.
-    pub fn build(leaves: &[[u8; 32]]) -> Self {
-        let mut levels = vec![leaves.to_vec()];
-        while levels.last().expect("nonempty").len() > 1 {
-            let below = levels.last().expect("nonempty");
-            let mut level = Vec::with_capacity(below.len().div_ceil(2));
-            for pair in below.chunks(2) {
-                match pair {
-                    [a, b] => {
-                        let mut h = Sha256::new();
-                        h.update(a);
-                        h.update(b);
-                        level.push(h.finalize());
-                    }
-                    [a] => level.push(*a),
-                    _ => unreachable!("chunks(2)"),
-                }
-            }
-            levels.push(level);
-        }
-        MerkleTree { levels }
-    }
-
-    /// The root digest (zero for an empty tree).
-    pub fn root(&self) -> [u8; 32] {
-        self.levels.last().and_then(|l| l.first()).copied().unwrap_or([0; 32])
-    }
-
-    /// Leaf indices at which the two trees differ, found by descending
-    /// only differing subtrees. Trees must cover the same leaf count.
-    pub fn diff(&self, other: &MerkleTree) -> Vec<usize> {
-        let leaves = self.levels.first().map_or(0, Vec::len);
-        assert_eq!(leaves, other.levels.first().map_or(0, Vec::len), "tree shape mismatch");
-        let mut out = Vec::new();
-        if leaves == 0 {
-            return out;
-        }
-        // (level, index) pairs, level counted from the top.
-        let top = self.levels.len() - 1;
-        let mut stack = vec![(top, 0usize)];
-        while let Some((level, idx)) = stack.pop() {
-            if self.levels[level][idx] == other.levels[level][idx] {
-                continue;
-            }
-            if level == 0 {
-                out.push(idx);
-                continue;
-            }
-            let below = self.levels[level - 1].len();
-            let left = idx * 2;
-            if left < below {
-                stack.push((level - 1, left));
-            }
-            if left + 1 < below {
-                stack.push((level - 1, left + 1));
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use datablinder_docstore::Document;
@@ -575,57 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn digest_cache_incremental_matches_full_rebuild() {
-        let seed = 11;
-        let boundaries: Vec<u64> = (1..=16).map(|i| i * (u64::MAX / 16)).collect();
-        let kv = KvStore::new();
-        let docs = DocStore::new();
-        for i in 0..20 {
-            docs.collection("c").insert(Document::new(format!("{i:02x}"))).unwrap();
-        }
-        kv.set(b"t/sophos/n:o/__pk__", b"pk");
-
-        let mut slot = None;
-        let (r1, w1) = DigestCache::respond(&mut slot, &kv, &docs, seed, &boundaries);
-        assert_eq!(w1, DigestWork::Full);
-        let (r2, w2) = DigestCache::respond(&mut slot, &kv, &docs, seed, &boundaries);
-        assert_eq!(w2, DigestWork::Cached);
-        assert_eq!(r1, r2);
-
-        // Mutate one doc + the broadcast domain; only those re-hash, and the
-        // result matches a from-scratch rebuild.
-        docs.collection("c").delete("07").unwrap();
-        DigestCache::note(&mut slot, &MutationScope::Routing(doc_key("c", b"07")));
-        kv.set(b"t/sophos/n:o/__pk__", b"pk2");
-        DigestCache::note(&mut slot, &MutationScope::KvKey(b"t/sophos/n:o/__pk__".to_vec()));
-        let (r3, w3) = DigestCache::respond(&mut slot, &kv, &docs, seed, &boundaries);
-        assert_eq!(w3, DigestWork::Partial(1));
-        let mut fresh = None;
-        let (r4, _) = DigestCache::respond(&mut fresh, &kv, &docs, seed, &boundaries);
-        assert_eq!(r3, r4, "incremental digest equals full rebuild");
-        assert_ne!(r2, r3);
-
-        // A layout change (membership change) rebuilds.
-        let wider: Vec<u64> = (1..=8).map(|i| i * (u64::MAX / 8)).collect();
-        let (_, w5) = DigestCache::respond(&mut slot, &kv, &docs, seed, &wider);
-        assert_eq!(w5, DigestWork::Full);
-    }
-
-    #[test]
-    fn merkle_diff_finds_exactly_the_divergent_leaves() {
-        let mut a: Vec<[u8; 32]> = (0..13u8).map(|i| [i; 32]).collect();
-        let t1 = MerkleTree::build(&a);
-        assert_eq!(t1.diff(&t1), Vec::<usize>::new());
-        a[3] = [99; 32];
-        a[12] = [98; 32];
-        let t2 = MerkleTree::build(&a);
-        assert_ne!(t1.root(), t2.root());
-        assert_eq!(t1.diff(&t2), vec![3, 12]);
-        assert_eq!(MerkleTree::build(&[]).root(), [0; 32]);
-        assert_eq!(MerkleTree::build(&[]).diff(&MerkleTree::build(&[])), Vec::<usize>::new());
-    }
-
-    #[test]
     fn leaf_digests_localize_differences() {
         let seed = 7;
         let kv = KvStore::new();
@@ -654,6 +395,5 @@ mod tests {
         let changed: Vec<usize> = (0..leaves.len()).filter(|&j| leaves[j] != leaves3[j]).collect();
         let expect = leaf_of(hash_bytes(seed, &doc_key("c", b"05")), &boundaries);
         assert_eq!(changed, vec![expect]);
-        assert_eq!(MerkleTree::build(&leaves).diff(&MerkleTree::build(&leaves3)), vec![expect]);
     }
 }

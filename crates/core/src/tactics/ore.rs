@@ -3,8 +3,10 @@
 //! Unlike OPE, ORE ciphertexts are not numerically comparable by the
 //! document store — a dedicated cloud component scans the stored *right*
 //! ciphertexts and evaluates the order against the query's *left*
-//! ciphertexts. Slower per query (linear scan) but leaks order only for
-//! compared pairs, not at rest.
+//! ciphertexts. Slower per query (linear scan). Order leaks between the
+//! compared pairs, and at rest more than that: right ciphertexts are
+//! deterministic, so the stored ones reveal equality and the common-prefix
+//! length (in blocks) of every stored pair without any query.
 
 use datablinder_codec::{Reader, Writer};
 use datablinder_docstore::Value;

@@ -866,7 +866,7 @@ fn membership_transfer_window_is_typed_unavailable() {
 
 /// The PR's acceptance storm: seeded churn mixes kills, rejoins, node
 /// additions and removals under a live workload. Afterwards every live
-/// replica reports byte-identical per-shard Merkle state, a full read
+/// replica reports byte-identical per-shard digests, a full read
 /// sweep finds zero lazy read repairs outstanding, no acknowledged quorum
 /// write is lost, and fsck holds.
 #[test]
@@ -904,7 +904,7 @@ fn membership_churn_storm_converges() {
         rounds += 1;
         assert!(rounds < 32, "anti-entropy must converge on a quiet cluster");
     }
-    assert!(cluster.replica_digests_converged(), "live replicas report byte-identical Merkle state");
+    assert!(cluster.replica_digests_converged(), "live replicas report byte-identical leaf digests");
 
     // Zero lazy read repairs outstanding: anti-entropy already healed
     // everything a read would have repaired.

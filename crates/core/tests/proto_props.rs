@@ -288,11 +288,7 @@ fn msg(rng: &mut StdRng) -> Msg {
         8 => Msg::RangedRead(RangedRead { request: blob(rng, 48), select: range_select(rng) }),
         9 => Msg::BlobList(BlobList { items: vec_of(rng, 0..5, |rng| blob(rng, 24)) }),
         10 => Msg::DigestRequest(DigestRequest { seed: rng.gen(), boundaries: vec_of(rng, 0..6, |rng| rng.gen()) }),
-        11 => Msg::DigestResponse(DigestResponse {
-            leaves: vec_of(rng, 0..4, digest),
-            broadcast: digest(rng),
-            root: digest(rng),
-        }),
+        11 => Msg::DigestResponse(DigestResponse { leaves: vec_of(rng, 0..4, digest), broadcast: digest(rng) }),
         12 => Msg::WalRecord(WalRecord { seq: rng.gen(), id: token(rng), route: name(rng), payload: blob(rng, 48) }),
         13 => Msg::LogRecord(log_record(rng)),
         14 => Msg::Request(name(rng), blob(rng, 48)),

@@ -127,7 +127,7 @@ enum Write {
 }
 
 /// Adds the values of `fields` to `written`, each once.
-fn note(written: &mut Vec<Value>, fields: [&Option<Value>; 2]) {
+fn remember(written: &mut Vec<Value>, fields: [&Option<Value>; 2]) {
     for v in fields.into_iter().flatten() {
         if !written.iter().any(|w| w.total_cmp(v) == std::cmp::Ordering::Equal) {
             written.push(v.clone());
@@ -181,7 +181,7 @@ fn index_survives_updates_and_deletes() {
                         coll.insert(doc(&id, x, y)).unwrap();
                     }
                     oracle.insert(id.clone(), doc(&id, x, y));
-                    note(&mut written, [x, y]);
+                    remember(&mut written, [x, y]);
                 }
                 Write::Update(i, x, y) => {
                     let Some(id) = pick(*i) else { continue };
@@ -189,7 +189,7 @@ fn index_survives_updates_and_deletes() {
                         coll.update(doc(&id, x, y)).unwrap();
                     }
                     oracle.insert(id.clone(), doc(&id, x, y));
-                    note(&mut written, [x, y]);
+                    remember(&mut written, [x, y]);
                 }
                 Write::Delete(i) => {
                     let Some(id) = pick(*i) else { continue };

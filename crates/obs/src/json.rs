@@ -24,6 +24,11 @@ pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The deepest nesting [`Json::parse`] accepts. A snapshot nests five
+/// containers deep, seven inside a federation; the cap keeps a hostile
+/// document from recursing the parser off its stack.
+const MAX_DEPTH: usize = 64;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -46,9 +51,10 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// A human-readable message with the byte offset of the first problem.
+    /// A human-readable message with the byte offset of the first problem,
+    /// including nesting deeper than 64 arrays and objects.
     pub fn parse(input: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -102,6 +108,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -126,8 +134,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos))
+            }
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),

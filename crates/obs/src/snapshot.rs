@@ -527,6 +527,19 @@ mod tests {
     }
 
     #[test]
+    fn deep_nesting_is_refused_not_a_stack_overflow() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let deep = nested(100_000);
+        assert!(Json::parse(&deep).unwrap_err().contains("nesting deeper than"));
+        assert!(Snapshot::from_json(&deep).is_err());
+        let deep_field = format!("{{\"counters\":{deep}}}");
+        assert!(Snapshot::from_json(&deep_field).is_err());
+        // The cap sits far above what a snapshot or a federation writes.
+        assert!(Json::parse(&nested(64)).is_ok());
+        assert!(Json::parse(&nested(65)).is_err());
+    }
+
+    #[test]
     fn summary_rebuilds_histogram_losslessly() {
         let mut h = LatencyHistogram::new();
         for us in [3, 50, 50, 900, 12_000] {

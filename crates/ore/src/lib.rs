@@ -1,29 +1,25 @@
-//! Order-revealing encryption (ORE).
+//! Order-revealing encryption (ORE): the left/right block ORE of Lewi and
+//! Wu (CCS 2016), instantiated per byte — the scheme behind the
+//! `kevinlewi/fastore` implementation the paper integrates (Table 2: Range
+//! Query, protection class 5, leakage level *Order*).
 //!
-//! Two schemes, matching Table 2 of the paper (Range Query, protection
-//! class 5, leakage level *Order*):
-//!
-//! * [`ClwwOre`] — the practical ORE of Chenette, Lewi, Weis and Wu
-//!   (FSE 2016): per-bit `Z_3` marks derived from a PRF over prefixes.
-//!   Leaks the index of the first differing bit between two plaintexts.
-//! * [`LewiWuOre`] — the left/right block ORE of Lewi and Wu (CCS 2016),
-//!   instantiated per-byte. Right ciphertexts alone leak only block-level
-//!   equality against *left* query ciphertexts; this is the scheme behind
-//!   the `kevinlewi/fastore` implementation the paper integrates.
-//!
-//! Unlike OPE, ORE ciphertexts are *not* numerically ordered — a public
-//! [`Comparison`]-returning routine evaluates order.
+//! Stored data holds *right* ciphertexts and queries carry *left* ones;
+//! unlike OPE, ORE ciphertexts are *not* numerically ordered, and a public
+//! [`Comparison`]-returning routine evaluates order. Right ciphertexts here
+//! take no randomness: two encryptions of one value are byte-identical, and
+//! two values sharing a prefix of blocks share those blocks' mark tables, so
+//! stored right ciphertexts leak equality and common-prefix length at rest.
 //!
 //! # Examples
 //!
 //! ```
-//! use datablinder_ore::{ClwwOre, Comparison};
+//! use datablinder_ore::{Comparison, LewiWuOre};
 //! use datablinder_primitives::keys::SymmetricKey;
 //!
-//! let ore = ClwwOre::new(SymmetricKey::from_bytes(&[1u8; 32]));
-//! let a = ore.encrypt(5);
-//! let b = ore.encrypt(9);
-//! assert_eq!(ClwwOre::compare(&a, &b), Comparison::Less);
+//! let ore = LewiWuOre::new(SymmetricKey::from_bytes(&[1u8; 32]));
+//! let query = ore.encrypt_left(5);
+//! let stored = ore.encrypt_right(9);
+//! assert_eq!(LewiWuOre::compare_left_right(&query, &stored), Comparison::Less);
 //! ```
 
 #![warn(missing_docs)]
@@ -50,69 +46,6 @@ impl From<std::cmp::Ordering> for Comparison {
             std::cmp::Ordering::Equal => Comparison::Equal,
             std::cmp::Ordering::Greater => Comparison::Greater,
         }
-    }
-}
-
-/// A CLWW ORE ciphertext: one `Z_3` mark per plaintext bit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClwwCiphertext {
-    marks: Vec<u8>, // 64 entries in {0,1,2}
-}
-
-impl ClwwCiphertext {
-    /// Serializes to bytes (one mark per byte; simple and inspectable).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.marks.clone()
-    }
-
-    /// Deserializes; returns `None` if any mark is out of `Z_3`.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() != 64 || bytes.iter().any(|&b| b > 2) {
-            return None;
-        }
-        Some(ClwwCiphertext { marks: bytes.to_vec() })
-    }
-}
-
-/// The CLWW "practical ORE" scheme over `u64` plaintexts.
-#[derive(Clone)]
-pub struct ClwwOre {
-    prf: HmacPrf,
-}
-
-impl ClwwOre {
-    /// Creates an instance from a key.
-    pub fn new(key: SymmetricKey) -> Self {
-        ClwwOre { prf: HmacPrf::new(key) }
-    }
-
-    /// Encrypts `m`: for bit `i` (MSB first), mark `= F(prefix_{<i}) + b_i (mod 3)`.
-    pub fn encrypt(&self, m: u64) -> ClwwCiphertext {
-        let mut marks = Vec::with_capacity(64);
-        for i in 0..64u32 {
-            let prefix = if i == 0 { 0 } else { m >> (64 - i) };
-            let mut input = [0u8; 13];
-            input[..4].copy_from_slice(&i.to_be_bytes());
-            input[4..12].copy_from_slice(&prefix.to_be_bytes());
-            input[12] = 0x01; // domain separation from other PRF uses
-            let f = self.prf.eval(&input)[0] % 3;
-            let bit = ((m >> (63 - i)) & 1) as u8;
-            marks.push((f + bit) % 3);
-        }
-        ClwwCiphertext { marks }
-    }
-
-    /// Compares two ciphertexts produced under the same key.
-    ///
-    /// Finds the first differing mark; `left = right + 1 (mod 3)` there
-    /// means the left plaintext has bit 1 where the right has bit 0.
-    pub fn compare(a: &ClwwCiphertext, b: &ClwwCiphertext) -> Comparison {
-        for (&ma, &mb) in a.marks.iter().zip(b.marks.iter()) {
-            if ma != mb {
-                return if ma == (mb + 1) % 3 { Comparison::Greater } else { Comparison::Less };
-            }
-        }
-        Comparison::Equal
     }
 }
 
@@ -188,8 +121,10 @@ impl LewiWuRight {
 /// The Lewi–Wu left/right block ORE.
 ///
 /// Stored data holds only right ciphertexts; queries carry left
-/// ciphertexts. `compare_left_right` reveals the order of exactly the
-/// compared pair (plus the index of the first differing block).
+/// ciphertexts. `compare_left_right` reveals the order of the compared
+/// pair (plus the index of the first differing block); right ciphertexts
+/// are deterministic, so stored ones also leak equality and common-prefix
+/// length among themselves.
 #[derive(Clone)]
 pub struct LewiWuOre {
     prf: HmacPrf,
@@ -303,38 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn clww_total_order() {
-        let ore = ClwwOre::new(key());
-        let values = [0u64, 1, 2, 255, 256, 1000, u32::MAX as u64, u64::MAX - 1, u64::MAX];
-        for &a in &values {
-            for &b in &values {
-                let ca = ore.encrypt(a);
-                let cb = ore.encrypt(b);
-                let expect = Comparison::from(a.cmp(&b));
-                assert_eq!(ClwwOre::compare(&ca, &cb), expect, "{a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn clww_deterministic_and_key_separated() {
-        let o1 = ClwwOre::new(SymmetricKey::from_bytes(&[1u8; 32]));
-        let o2 = ClwwOre::new(SymmetricKey::from_bytes(&[2u8; 32]));
-        assert_eq!(o1.encrypt(5), o1.encrypt(5));
-        assert_ne!(o1.encrypt(5), o2.encrypt(5));
-    }
-
-    #[test]
-    fn clww_bytes_roundtrip() {
-        let ore = ClwwOre::new(key());
-        let c = ore.encrypt(999);
-        let c2 = ClwwCiphertext::from_bytes(&c.to_bytes()).unwrap();
-        assert_eq!(c, c2);
-        assert!(ClwwCiphertext::from_bytes(&[3u8; 64]).is_none());
-        assert!(ClwwCiphertext::from_bytes(&[0u8; 10]).is_none());
-    }
-
-    #[test]
     fn lewi_wu_total_order() {
         let ore = LewiWuOre::new(key());
         let values = [0u64, 1, 255, 256, 257, 65535, 1 << 40, u64::MAX];
@@ -346,6 +249,17 @@ mod tests {
                 assert_eq!(LewiWuOre::compare_left_right(&l, &r), expect, "{a} vs {b}");
             }
         }
+    }
+
+    #[test]
+    fn lewi_wu_bytes_roundtrip() {
+        let ore = LewiWuOre::new(key());
+        let (l, r) = (ore.encrypt_left(999), ore.encrypt_right(999));
+        assert_eq!(LewiWuLeft::from_bytes(&l.to_bytes()), Some(l));
+        assert_eq!(LewiWuRight::from_bytes(&r.to_bytes()), Some(r));
+        assert!(LewiWuLeft::from_bytes(&[0u8; 10]).is_none());
+        assert!(LewiWuRight::from_bytes(&[3u8; LW_BLOCKS * LW_DOMAIN]).is_none(), "a mark outside Z_3");
+        assert!(LewiWuRight::from_bytes(&[0u8; 10]).is_none());
     }
 
     #[test]

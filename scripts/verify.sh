@@ -8,6 +8,18 @@ cd "$(dirname "$0")/.."
 echo "==> metric-name registry lint (scripts/check_metrics.sh)"
 bash scripts/check_metrics.sh
 
+echo "==> one ledger tree: a BENCH_<workload>.json for every workload of BENCHMARK.json, all naming one commit"
+# A claim lives in the ledgers; ledgers measured on different trees compare
+# nothing with each other. Regenerate all of them together
+# (scripts/bench_ledger.sh with no arguments).
+ledger_commits=""
+for w in $(jq -r '.workloads[].name' BENCHMARK.json); do
+    [ -f "BENCH_$w.json" ] || { echo "BENCH_$w.json is missing; run scripts/bench_ledger.sh" >&2; exit 1; }
+    ledger_commits+="$(jq -r .commit "BENCH_$w.json")"$'\n'
+done
+[ "$(sort -u <<< "$ledger_commits" | grep -c .)" = 1 ] ||
+    { echo "the BENCH_*.json ledgers name different commits; regenerate all four together:" >&2; echo "$ledger_commits" >&2; exit 1; }
+
 echo "==> metric names are built only where the recorder is on: no .count(&format!( in crates/*/src"
 # A disabled recorder costs one atomic load per count; a name formatted in
 # the call's argument costs an allocation on every call even then. Build
@@ -178,10 +190,10 @@ once="$(grep -rhowE '[A-Za-z_][A-Za-z0-9_]*' --include='*.rs' crates src tests e
 uncalled="$(LC_ALL=C comm -12 <(echo "$pub_fns") <(echo "$once") | tr '\n' ' ')"
 [ -z "$uncalled" ] ||
     { echo "pub fns nothing calls (delete them): $uncalled" >&2; exit 1; }
-dead_names="$(grep -rnwE 'KvStats|log_it|replay_log|ReplayReport|decrypt_block|seal_many|open_many|open_into|anti_entropy_every|retry_remote|node_deadline|with_span_capacity|metrics_handle|mont_mul_into|to_mont_into|is_write_route|is_not_found|recover_stored|PayloadShadow|payload_of|fetch_stored' crates/*/src |
+dead_names="$(grep -rnwE 'KvStats|log_it|replay_log|ReplayReport|decrypt_block|seal_many|open_many|open_into|anti_entropy_every|retry_remote|node_deadline|with_span_capacity|metrics_handle|mont_mul_into|to_mont_into|is_write_route|is_not_found|recover_stored|PayloadShadow|payload_of|fetch_stored|DigestCache|DigestWork|MutationScope|MerkleTree|DirtyLeaves|ClwwOre|ClwwCiphertext' crates/*/src |
     grep -vE '^[^:]+:[0-9]+: *//' || true)"
 [ -z "$dead_names" ] ||
-    { echo "a deleted write twin, batch call, decrypt or GCM open path, one-value setting, run-time-width Montgomery kernel, route/refusal text match or second document opener is back:" >&2; echo "$dead_names" >&2; exit 1; }
+    { echo "a deleted write twin, batch call, decrypt or GCM open path, one-value setting, run-time-width Montgomery kernel, route/refusal text match, second document opener, replica digest cache or CLWW ORE is back:" >&2; echo "$dead_names" >&2; exit 1; }
 
 echo "==> one OPE descent: ope/src/lib.rs samples a split in one place (descend), and builds the PRF input in coins on the stack"
 # encrypt and decrypt walk the tree through one loop that resumes from the

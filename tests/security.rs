@@ -576,13 +576,12 @@ fn range_search_is_exact_at_i64_boundaries() {
     assert_eq!(max.get("score"), Some(&Value::from(i64::MAX)));
 }
 
-/// Primitive-level order preservation for both OPE and the two ORE
-/// schemes, over a seeded sample salted with the u64 boundaries and
+/// Primitive-level order preservation for both OPE and Lewi–Wu ORE, over a seeded sample salted with the u64 boundaries and
 /// duplicated points.
 #[test]
 fn ope_and_ore_preserve_order_on_seeded_boundary_sample() {
     use datablinder::ope::{Ope, OpeParams};
-    use datablinder::ore::{ClwwOre, Comparison, LewiWuOre};
+    use datablinder::ore::{Comparison, LewiWuOre};
     use datablinder::primitives::keys::SymmetricKey;
     use rand::Rng;
 
@@ -592,14 +591,12 @@ fn ope_and_ore_preserve_order_on_seeded_boundary_sample() {
     sample.push(sample[5]); // a seeded duplicate
 
     let ope = Ope::new(SymmetricKey::from_bytes(&[7u8; 32]), OpeParams::default());
-    let clww = ClwwOre::new(SymmetricKey::from_bytes(&[8u8; 32]));
     let lewi = LewiWuOre::new(SymmetricKey::from_bytes(&[9u8; 32]));
 
     for (i, &a) in sample.iter().enumerate() {
         for &b in &sample[i..] {
             let expect = Comparison::from(a.cmp(&b));
             assert_eq!(Comparison::from(ope.encrypt(a).cmp(&ope.encrypt(b))), expect, "ope order for ({a}, {b})");
-            assert_eq!(ClwwOre::compare(&clww.encrypt(a), &clww.encrypt(b)), expect, "clww order for ({a}, {b})");
             assert_eq!(
                 LewiWuOre::compare_left_right(&lewi.encrypt_left(a), &lewi.encrypt_right(b)),
                 expect,
