@@ -7,6 +7,7 @@
 //! The WAL and snapshot files put a record body in `covered`; the TCP
 //! transport puts `corr_id:u64 ‖ body` there. `len` counts `covered` only.
 
+use std::io::{self, Seek, SeekFrom, Write};
 use std::ops::RangeInclusive;
 
 use crate::clmul::Clmul;
@@ -116,6 +117,62 @@ pub fn encode_frame_into(out: &mut Vec<u8>, parts: &[&[u8]]) {
     out.extend_from_slice(&(crc ^ 0xFFFF_FFFF).to_be_bytes());
 }
 
+/// One frame written to a seekable sink as its body comes, without the
+/// body ever being held: a length placeholder, then the body with its CRC
+/// and length running, then the CRC, and last the length written over the
+/// placeholder. The bytes are [`encode_frame`]'s over the concatenated
+/// body; `len` is the one field the CRC does not cover, so it alone is
+/// patched.
+pub struct StreamedFrame<W: Write + Seek> {
+    out: W,
+    start: u64,
+    len: u64,
+    crc: u32,
+}
+
+impl<W: Write + Seek> StreamedFrame<W> {
+    /// Starts a frame at `out`'s current position.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `out`'s errors.
+    pub fn begin(mut out: W) -> io::Result<Self> {
+        let start = out.stream_position()?;
+        out.write_all(&[0; 4])?;
+        Ok(StreamedFrame { out, start, len: 0, crc: 0xFFFF_FFFF })
+    }
+
+    /// Ends the frame: writes the CRC, patches the length, leaves `out`
+    /// positioned after the frame and hands it back.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `out`'s errors; [`io::ErrorKind::InvalidData`] for a
+    /// body longer than a frame's `u32` length can say.
+    pub fn finish(mut self) -> io::Result<W> {
+        let len = u32::try_from(self.len).map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame too long"))?;
+        self.out.write_all(&(self.crc ^ 0xFFFF_FFFF).to_be_bytes())?;
+        let end = self.out.stream_position()?;
+        self.out.seek(SeekFrom::Start(self.start))?;
+        self.out.write_all(&len.to_be_bytes())?;
+        self.out.seek(SeekFrom::Start(end))?;
+        Ok(self.out)
+    }
+}
+
+impl<W: Write + Seek> Write for StreamedFrame<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.out.write(buf)?;
+        self.crc = crc32_update(self.crc, &buf[..n]);
+        self.len += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.out.flush()
+    }
+}
+
 /// What the front of a byte stream holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Split<'a> {
@@ -174,6 +231,21 @@ mod tests {
         let mut two = frame.clone();
         two.extend_from_slice(&frame);
         assert_eq!(split_frame(&two, 0..=u32::MAX), Split::Frame { covered: b"123456789", total: 17 });
+    }
+
+    #[test]
+    fn a_streamed_frame_is_the_encoded_frame() {
+        for parts in [&[][..], &[&b""[..]], &[b"12345", b"", b"6789"], &[&[0xA5; 5000][..], b"tail"]] {
+            let mut sink = io::Cursor::new(b"head".to_vec());
+            sink.set_position(4);
+            let mut frame = StreamedFrame::begin(sink).unwrap();
+            for part in parts {
+                frame.write_all(part).unwrap();
+            }
+            let mut sink = frame.finish().unwrap();
+            sink.write_all(b"next").unwrap();
+            assert_eq!(sink.into_inner(), [&b"head"[..], &encode_frame(parts), b"next"].concat());
+        }
     }
 
     #[test]

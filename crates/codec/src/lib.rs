@@ -50,7 +50,7 @@ mod clmul {
     }
 }
 
-pub use frame::{crc32, crc_backend, encode_frame, encode_frame_into, split_frame, Split};
+pub use frame::{crc32, crc_backend, encode_frame, encode_frame_into, split_frame, Split, StreamedFrame};
 
 /// The portable CRC tier by name, for `tests/crc_differential.rs`. Not a
 /// configuration surface: nothing in the product calls it, and no argument
@@ -191,6 +191,19 @@ impl Writer {
         }
         self.buf[count_at..count_at + 4].copy_from_slice(&count.to_be_bytes());
         self
+    }
+
+    /// What has been written so far.
+    #[inline]
+    pub fn as_slice(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Empties the writer and keeps its allocation, so one writer can
+    /// encode one piece after another.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.buf.clear();
     }
 
     /// Finishes, returning the encoded buffer.

@@ -26,7 +26,7 @@ use crate::spi::CloudTactic;
 use crate::sync::{selects_doc, Selector};
 use crate::tactics;
 use crate::tactics::{decode_ids, encode_ids};
-use crate::wire::{decode_document, encode_answer, encode_document};
+use crate::wire::{decode_document_in, encode_answer, encode_document};
 
 /// Default capacity of the idempotency dedup cache: entries only need to
 /// outlive the retry window of their request, so a small FIFO bounded well
@@ -452,8 +452,8 @@ impl CloudEngine {
             }
             "doc/insert" | "doc/update" => {
                 let (collection, rest) = split_collection(payload)?;
-                let doc = decode_document(rest)?;
                 let coll = self.docs.collection(collection);
+                let doc = coll.names(|names| decode_document_in(rest, names))?;
                 if route.name == "doc/insert" {
                     coll.insert(doc)?;
                 } else {
@@ -595,12 +595,7 @@ impl CloudEngine {
                     if e.value.is_empty() {
                         let _ = coll.delete(&id);
                     } else {
-                        let doc = decode_document(&e.value)?;
-                        if coll.get(&id).is_some() {
-                            coll.update(doc)?;
-                        } else {
-                            coll.insert(doc)?;
-                        }
+                        coll.upsert(coll.names(|names| decode_document_in(&e.value, names))?);
                     }
                 }
                 ENTRY_INDEX => {
@@ -777,9 +772,9 @@ fn sum_plain(field: &str, docs: &mut dyn Iterator<Item = &Document>) -> Vec<u8> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cloudproto::{encode_batch, FETCH_ROUTE};
+    use crate::cloudproto::{encode_batch, SyncEntry, FETCH_ROUTE};
     use crate::spi::CloudCall;
-    use crate::wire::encode_documents;
+    use crate::wire::{decode_document, encode_documents};
     use datablinder_obs::trace::{encode_traced, TraceCtx, TRACED_ROUTE};
 
     fn engine() -> CloudEngine {
@@ -817,6 +812,68 @@ mod tests {
 
         e.run("doc/delete", &get).unwrap();
         assert!(e.run("doc/get", &get).is_err());
+    }
+
+    /// Documents that reach one collection by each storing path — an
+    /// insert, an update, a sync entry, a snapshot restore and a WAL
+    /// replay — hold one allocation per distinct name, the collection's. A
+    /// name the collection has not seen joins its table; a refused or
+    /// malformed write adds none, and a name leaves with its last holder.
+    #[test]
+    fn every_storing_path_shares_the_collections_names() {
+        let dir = std::env::temp_dir().join(format!("datablinder-shared-names-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let doc =
+            |id: &str, names: &[&str]| names.iter().fold(Document::new(id), |d, &name| d.with(name, Value::from(name)));
+        let insert = |id: &str, names: &[&str]| with_collection("obs", &encode_document(&doc(id, names)));
+        {
+            let e = CloudEngine::open_durable(&dir).unwrap();
+            e.handle("doc/insert", &insert("restored", &["a", "b"])).unwrap();
+            e.snapshot_now().unwrap();
+            e.handle("doc/insert", &insert("replayed", &["a", "b"])).unwrap();
+        }
+        let e = CloudEngine::open_durable(&dir).unwrap();
+        assert_eq!((e.recovery_report().snapshot_restored, e.recovery_report().replayed), (true, 1));
+        e.handle("doc/insert", &insert("inserted", &["a", "b"])).unwrap();
+        e.handle("doc/insert", &insert("updated", &["b"])).unwrap();
+        e.handle("doc/update", &insert("updated", &["a", "b", "c"])).unwrap();
+        let synced = SyncEntry {
+            kind: ENTRY_DOC,
+            key: crate::sync::doc_key("obs", b"synced"),
+            value: encode_document(&doc("synced", &["a", "b"])),
+        };
+        e.handle("sync/put", &SyncEntries { entries: vec![synced] }.encode()).unwrap();
+
+        let coll = e.docs().collection("obs");
+        let mut held: HashMap<String, *const u8> = HashMap::new();
+        let stored = coll.scan(&Filter::All, |docs| {
+            docs.map(|d| {
+                for name in d.field_names() {
+                    assert_eq!(*held.entry(name.to_string()).or_insert(name.as_ptr()), name.as_ptr(), "{name}");
+                }
+                d.id().to_string()
+            })
+            .collect::<Vec<_>>()
+        });
+        assert_eq!(stored.len(), 5);
+        assert_eq!(held.len(), 3);
+        assert_eq!(coll.names(|table| table.len()), 3);
+
+        let many: Vec<String> = (0..1000).map(|i| format!("n{i:04}")).collect();
+        let many: Vec<&str> = many.iter().map(String::as_str).collect();
+        let mut torn = insert("fresh", &many);
+        torn.pop();
+        for refused in [insert("inserted", &many), torn] {
+            assert!(e.handle("doc/insert", &refused).is_err());
+        }
+        assert!(e.handle("doc/update", &insert("absent", &many)).is_err());
+        assert_eq!(coll.names(|table| table.len()), 3);
+        e.handle("doc/insert", &insert("fresh", &many)).unwrap();
+        assert_eq!(coll.names(|table| table.len()), 1003);
+        e.handle("doc/delete", &with_collection("obs", b"fresh")).unwrap();
+        assert_eq!(coll.names(|table| table.len()), 3);
+        drop(e);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -371,7 +371,7 @@ mod tests {
         for i in 1..=20u8 {
             let id = DocId([i; 16]).to_hex();
             for r in cluster.doc_replicas("notes", &id) {
-                let held = cluster.with_node_engine(r, |e| e.docs().collection("notes").get(&id).is_some()).unwrap();
+                let held = cluster.with_node_engine(r, |e| e.docs().collection("notes").contains(&id)).unwrap();
                 assert!(held, "replica {r} of doc {i} holds it after the handoff");
             }
             let got = cluster.handle("doc/get", &with_collection("notes", id.as_bytes())).unwrap();
@@ -408,7 +408,7 @@ mod tests {
             cluster.remove_node(leaving).unwrap();
 
             let copies = |id: &str| {
-                let held = |r| cluster.with_node_engine(r, |e| e.docs().collection("notes").get(id).is_some()).unwrap();
+                let held = |r| cluster.with_node_engine(r, |e| e.docs().collection("notes").contains(id)).unwrap();
                 cluster.doc_replicas("notes", id).into_iter().filter(|&r| held(r)).count()
             };
             assert!(ids.iter().all(|id| copies(id) >= R - 1), "seed {seed}: an acked write fell below R - 1 copies");
@@ -438,7 +438,7 @@ mod tests {
             let replicas = cluster.doc_replicas("notes", &id);
             assert!(!replicas.contains(&1), "the ring forgot the removed member");
             for r in replicas {
-                let held = cluster.with_node_engine(r, |e| e.docs().collection("notes").get(&id).is_some()).unwrap();
+                let held = cluster.with_node_engine(r, |e| e.docs().collection("notes").contains(&id)).unwrap();
                 assert!(held, "replica {r} of doc {i} holds it after the removal");
             }
         }

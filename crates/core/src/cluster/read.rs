@@ -443,8 +443,7 @@ mod tests {
         cluster.with_node_engine(replicas[1], |e| e.docs().collection("notes").delete(&id).unwrap()).unwrap();
         cluster.handle("doc/get", &with_collection("notes", id.as_bytes())).unwrap();
         assert_eq!(cluster.read_repairs(), 1);
-        let healed =
-            cluster.with_node_engine(replicas[1], |e| e.docs().collection("notes").get(&id).is_some()).unwrap();
+        let healed = cluster.with_node_engine(replicas[1], |e| e.docs().collection("notes").contains(&id)).unwrap();
         assert!(healed, "read repair reinserted the lost replica");
     }
 

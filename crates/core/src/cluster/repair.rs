@@ -295,8 +295,7 @@ mod tests {
             assert!(rounds < 8, "anti-entropy must converge");
         }
         assert!(cluster.replica_digests_converged());
-        let healed =
-            cluster.with_node_engine(replicas[0], |e| e.docs().collection("notes").get(&id).is_some()).unwrap();
+        let healed = cluster.with_node_engine(replicas[0], |e| e.docs().collection("notes").contains(&id)).unwrap();
         assert!(healed, "anti-entropy restored the majority value");
         assert_eq!(cluster.read_repairs(), 0, "no read repair was involved");
     }

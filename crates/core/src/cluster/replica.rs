@@ -113,7 +113,7 @@ impl LocalNode {
         let Some(scan) = self.dir.as_ref().and_then(|dir| read_frames(&wal_path(dir)).ok()) else {
             return HashSet::new();
         };
-        scan.frames.iter().filter_map(|body| WalRecord::decode(body).ok()).map(|rec| rec.id).collect()
+        scan.frames().filter_map(|body| WalRecord::decode(body).ok()).map(|rec| rec.id).collect()
     }
 
     /// Calls the engine whether or not the node is serving — resync and

@@ -145,7 +145,7 @@ mod tests {
         let replicas = cluster.doc_replicas("notes", &id);
         assert_eq!(replicas.len(), 3);
         for &r in &replicas {
-            let held = cluster.with_node_engine(r, |e| e.docs().collection("notes").get(&id).is_some()).unwrap();
+            let held = cluster.with_node_engine(r, |e| e.docs().collection("notes").contains(&id)).unwrap();
             assert!(held, "replica {r} holds the document");
         }
         // Killing R-1 replicas leaves the read answerable.

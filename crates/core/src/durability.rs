@@ -32,19 +32,20 @@
 //! the engine from disk, invisibly to the gateway beyond a retryable
 //! timeout.
 
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, TryLockError};
 
-use datablinder_codec::{encode_frame, encode_frame_into, Malformed, Writer};
+use datablinder_codec::{encode_frame, encode_frame_into, Malformed, StreamedFrame, Writer};
 use datablinder_docstore::DocStore;
-use datablinder_kvstore::{read_frames, FrameWriter, KvError, KvStore, LogRecord};
+use datablinder_kvstore::{read_frames, ExportedSlot, FrameWriter, KvError, KvStore, LogRecord};
 use datablinder_netsim::{CloudService, CrashInjector, CrashVerdict, NetError};
 
 use crate::cloud::CloudEngine;
 use crate::cloudproto::{Idempotent, IDEM_ROUTE};
 use crate::error::CoreError;
-use crate::wire::{decode_document, encode_document};
+use crate::wire::{decode_document_in, document_len, put_document};
 
 /// WAL file name inside a durability directory.
 pub const WAL_FILE: &str = "wal.bin";
@@ -348,9 +349,8 @@ impl Durability {
         }
         io.flush()?;
         self.durable_seq.fetch_max(q.seq, Ordering::AcqRel);
-        let body = encode_snapshot(kv, docs, q.seq);
         let tmp = self.dir.join("snapshot.tmp");
-        std::fs::write(&tmp, encode_frame(&[&body])).map_err(KvError::from)?;
+        write_snapshot(&tmp, kv, docs, q.seq).map_err(KvError::from)?;
         // Atomic cutover: a crash before the rename leaves the old
         // snapshot + full WAL; after it, the new snapshot's high-water seq
         // makes any not-yet-truncated WAL prefix a no-op on replay.
@@ -392,36 +392,65 @@ impl Durability {
         // Still under the io lock: no append or compaction can interleave
         // with the file read below.
         let scan = read_frames(&wal_path(&self.dir))?;
-        scan.frames.iter().map(|body| WalRecord::decode(body)).collect()
+        scan.frames().map(WalRecord::decode).collect()
     }
 }
 
 // ------------------------------------------------------------- snapshots
 
-/// Encodes the full cloud state as a snapshot body (one CRC frame on disk).
-fn encode_snapshot(kv: &KvStore, docs: &DocStore, seq: u64) -> Vec<u8> {
+/// Writes the full cloud state to `path` as one CRC frame, streamed: the
+/// body goes to the file as it is encoded, its CRC and length running, so
+/// no copy of the state is built. The KV section is the store's own
+/// replayable records; the document section holds, per collection in name
+/// order, the name, the indexed fields and the documents in id order.
+fn write_snapshot(path: &Path, kv: &KvStore, docs: &DocStore, seq: u64) -> std::io::Result<()> {
+    let mut out = BufWriter::with_capacity(1 << 16, StreamedFrame::begin(std::fs::File::create(path)?)?);
+    write_state(&mut out, kv, docs, seq)?;
+    out.into_inner().map_err(std::io::IntoInnerError::into_error)?.finish()?;
+    Ok(())
+}
+
+/// The snapshot body: the bytes [`apply_snapshot`] reads. Each piece is
+/// encoded into one reused buffer and written out; every length prefix is
+/// worked out before what it counts, a collection's from its documents'
+/// lengths.
+fn write_state(out: &mut impl Write, kv: &KvStore, docs: &DocStore, seq: u64) -> std::io::Result<()> {
+    let len = |n: usize| (n as u32).to_be_bytes();
     let mut w = Writer::new();
     w.bytes(SNAP_MAGIC).u64(seq);
-    // KV section: the store's own replayable record dump.
-    let kv_records: Vec<Vec<u8>> = kv.export_records().iter().map(LogRecord::to_bytes).collect();
-    w.list(&kv_records);
-    // Document section: per collection, name + indexed fields + documents.
+    out.write_all(w.as_slice())?;
+    let mut scratch = Vec::new();
+    kv.export(|slots| {
+        out.write_all(&len(slots.iter().map(ExportedSlot::records).sum()))?;
+        for slot in slots {
+            slot.bodies(&mut scratch, |body| {
+                out.write_all(&len(body.len()))?;
+                out.write_all(body)
+            })?;
+        }
+        Ok::<_, std::io::Error>(())
+    })?;
     let mut collections = docs.collection_names();
     collections.sort();
-    let blobs: Vec<Vec<u8>> = collections
-        .iter()
-        .map(|name| {
-            let coll = docs.collection(name);
-            let mut cw = Writer::new();
-            cw.str(name).list(&coll.indexed_fields());
-            let mut ids = coll.ids();
-            ids.sort();
-            cw.list(&ids.iter().filter_map(|id| coll.get(id)).map(|d| encode_document(&d)).collect::<Vec<_>>());
-            cw.finish()
-        })
-        .collect();
-    w.list(&blobs);
-    w.finish()
+    out.write_all(&len(collections.len()))?;
+    for name in &collections {
+        docs.collection(name).in_id_order(|fields, stored| {
+            let head = 4 + name.len() + 4 + fields.iter().map(|f| 4 + f.len()).sum::<usize>() + 4;
+            let blob = head + stored.iter().map(|doc| 4 + document_len(doc)).sum::<usize>();
+            w.clear();
+            w.u32(blob as u32).str(name).list(fields).u32(stored.len() as u32);
+            out.write_all(w.as_slice())?;
+            for doc in stored {
+                w.clear();
+                w.u32(document_len(doc) as u32);
+                put_document(doc, &mut w);
+                debug_assert_eq!(w.as_slice().len(), 4 + document_len(doc));
+                out.write_all(w.as_slice())?;
+            }
+            Ok::<_, std::io::Error>(())
+        })?;
+    }
+    Ok(())
 }
 
 /// A malformed snapshot body sits inside a CRC-valid frame: that is storage
@@ -450,8 +479,10 @@ fn apply_snapshot(kv: &KvStore, docs: &DocStore, body: &[u8]) -> Result<u64, Cor
                 for field in cr.list()? {
                     coll.create_index(std::str::from_utf8(field).map_err(|_| Malformed("index field utf8"))?);
                 }
-                for doc in cr.list()? {
-                    coll.insert(decode_document(doc)?)?;
+                let stored = cr.list()?;
+                coll.reserve(stored.len());
+                for doc in stored {
+                    coll.insert(coll.names(|names| decode_document_in(doc, names))?)?;
                 }
                 Ok::<_, CoreError>(())
             })?;
@@ -489,7 +520,7 @@ pub(crate) fn recover_into(
     let snap = snapshot_path(dir);
     if snap.exists() {
         let scan = read_frames(&snap)?;
-        let body = scan.frames.first().ok_or_else(|| CoreError::Storage("snapshot: no complete frame".into()))?;
+        let body = scan.frames().next().ok_or_else(|| CoreError::Storage("snapshot: no complete frame".into()))?;
         high = apply_snapshot(kv, docs, body)?;
         report.snapshot_restored = true;
         report.snapshot_seq = high;
@@ -497,7 +528,7 @@ pub(crate) fn recover_into(
     let wal = wal_path(dir);
     if wal.exists() {
         let scan = read_frames(&wal)?;
-        for body in &scan.frames {
+        for body in scan.frames() {
             let rec = WalRecord::decode(body)?;
             if rec.seq <= high {
                 continue; // covered by the snapshot (rename-before-truncate crash window)
@@ -639,7 +670,7 @@ mod tests {
         coll.create_index("status__det");
         coll.insert(Document::new("a1").with("status__det", Value::from("final"))).unwrap();
 
-        let body = encode_snapshot(&kv, &docs, 42);
+        let body = encode_state(&kv, &docs, 42);
         let (kv2, docs2) = (KvStore::new(), DocStore::new());
         let seq = apply_snapshot(&kv2, &docs2, &body).unwrap();
         assert_eq!(seq, 42);
@@ -649,10 +680,65 @@ mod tests {
         assert_eq!(kv2.counter(b"c"), 9);
         let coll2 = docs2.collection("obs");
         assert_eq!(coll2.len(), 1);
-        assert_eq!(coll2.indexed_fields(), vec!["status__det".to_string()]);
-        assert!(coll2.get("a1").is_some());
+        coll2.in_id_order(|fields, _| assert_eq!(fields, ["status__det"]));
+        assert!(coll2.contains("a1"));
         // Determinism: equal state encodes byte-identically.
-        assert_eq!(body, encode_snapshot(&kv2, &docs2, 42));
+        assert_eq!(body, encode_state(&kv2, &docs2, 42));
+    }
+
+    fn encode_state(kv: &KvStore, docs: &DocStore, seq: u64) -> Vec<u8> {
+        let mut body = Vec::new();
+        write_state(&mut body, kv, docs, seq).unwrap();
+        body
+    }
+
+    /// A snapshot that is torn, has a flipped body byte or announces a
+    /// wrong length is refused as storage corruption, and nothing of it or
+    /// of the WAL behind it reaches the stores.
+    #[test]
+    fn a_damaged_snapshot_is_refused_before_anything_is_applied() {
+        use datablinder_docstore::{Document, Value};
+        let dir = std::env::temp_dir().join(format!("datablinder-damaged-snapshot-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (kv, docs) = (KvStore::new(), DocStore::new());
+        kv.hset(b"h", b"f", b"v").unwrap();
+        let coll = docs.collection("obs");
+        coll.create_index("s");
+        for i in 0..50 {
+            coll.insert(Document::new(format!("d{i:02}")).with("s", Value::from(i))).unwrap();
+        }
+        write_snapshot(&snapshot_path(&dir), &kv, &docs, 7).unwrap();
+        let whole = std::fs::read(snapshot_path(&dir)).unwrap();
+        assert_eq!(whole, encode_frame(&[&encode_state(&kv, &docs, 7)]), "the streamed frame");
+        let wal = WalRecord::new(8, "doc/delete", &crate::cloud::with_collection("obs", b"d00"));
+        std::fs::write(wal_path(&dir), encode_frame(&[&wal.encode()])).unwrap();
+
+        let body = whole.len() - 8;
+        let with_len = |len: usize| [&(len as u32).to_be_bytes()[..], &whole[4..]].concat();
+        let mut flipped = whole.clone();
+        flipped[4 + body / 2] ^= 0x10;
+        for (what, file) in [
+            ("torn", whole[..whole.len() - 1].to_vec()),
+            ("flipped body byte", flipped),
+            ("length too long", with_len(body + 1)),
+            ("length too short", with_len(body - 1)),
+        ] {
+            std::fs::write(snapshot_path(&dir), &file).unwrap();
+            let (kv2, docs2) = (KvStore::new(), DocStore::new());
+            let refused = recover_into(&dir, &kv2, &docs2, |rec| panic!("{what}: WAL record {} applied", rec.seq));
+            assert!(matches!(refused, Err(CoreError::Storage(_))), "{what}: {refused:?}");
+            assert!(kv2.is_empty() && docs2.collection_names().is_empty(), "{what}: state was applied");
+            let opened = CloudEngine::open_durable(&dir);
+            assert!(matches!(opened, Err(CoreError::Storage(_))), "{what}: the engine opened");
+        }
+        // Whole again, it restores, and the WAL rolls forward over it.
+        std::fs::write(snapshot_path(&dir), &whole).unwrap();
+        let engine = CloudEngine::open_durable(&dir).unwrap();
+        assert_eq!((engine.recovery_report().snapshot_seq, engine.recovery_report().replayed), (7, 1));
+        assert_eq!(engine.docs().collection("obs").len(), 49);
+        drop(engine);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -26,7 +26,7 @@
 
 use datablinder_codec::Writer;
 use datablinder_docstore::DocStore;
-use datablinder_kvstore::{KvStore, LogRecord};
+use datablinder_kvstore::KvStore;
 use datablinder_primitives::sha256::Sha256;
 
 use crate::cloudproto::{BlobList, RangeSelect, SyncEntry, ENTRY_DOC, ENTRY_INDEX, ENTRY_KV};
@@ -166,11 +166,12 @@ impl Selector<'_> {
 /// comparable across replicas.
 ///
 /// Encodings: docs carry their full encoded document; KV keys carry the
-/// [`LogRecord`] bodies that rebuild the slot from empty (a [`BlobList`]),
-/// which canonicalizes hashes/sets/counters the same way the snapshot
-/// format does; index entries carry the collection's sorted indexed-field
-/// names and are only emitted when non-empty (a bare collection with no
-/// indexes is not a divergence).
+/// [`LogRecord`](datablinder_kvstore::LogRecord) bodies that rebuild the
+/// slot from empty (a [`BlobList`]), which canonicalizes
+/// hashes/sets/counters the same way the snapshot format does; index
+/// entries carry the collection's sorted indexed-field names and are only
+/// emitted when non-empty (a bare collection with no indexes is not a
+/// divergence).
 pub(crate) fn export_entries(
     kv: &KvStore,
     docs: &DocStore,
@@ -178,59 +179,42 @@ pub(crate) fn export_entries(
     selector: &Selector<'_>,
 ) -> Vec<(SyncEntry, Domain)> {
     let mut out = Vec::new();
-    // KV slots: group the sorted export stream into per-key record lists.
-    let records = kv.export_records();
-    let mut i = 0;
-    while i < records.len() {
-        let key = record_key(&records[i]).to_vec();
-        let mut items = Vec::new();
-        while i < records.len() && record_key(&records[i]) == key.as_slice() {
-            items.push(records[i].to_bytes());
-            i += 1;
+    // KV slots: each key's records, as one list.
+    kv.export(|slots| {
+        let mut scratch = Vec::new();
+        for slot in slots {
+            let domain = kv_domain(slot.key());
+            if selector.keep(seed, &domain) {
+                let mut items = Vec::with_capacity(slot.records());
+                let Ok(()) = slot.bodies(&mut scratch, |body| {
+                    items.push(body.to_vec());
+                    Ok::<_, std::convert::Infallible>(())
+                });
+                let value = BlobList { items }.encode();
+                out.push((SyncEntry { kind: ENTRY_KV, key: slot.key().to_vec(), value }, domain));
+            }
         }
-        let domain = kv_domain(&key);
-        if selector.keep(seed, &domain) {
-            let value = BlobList { items }.encode();
-            out.push((SyncEntry { kind: ENTRY_KV, key, value }, domain));
-        }
-    }
-    // Documents + per-collection index definitions.
+    });
+    // Documents + per-collection index definitions, borrowed in id order.
     let mut names = docs.collection_names();
     names.sort();
     for name in names {
-        let coll = docs.collection(&name);
-        let mut fields = coll.indexed_fields();
-        fields.sort();
-        if !fields.is_empty() && selector.keep(seed, &Domain::Broadcast) {
-            let value = BlobList { items: fields.into_iter().map(String::into_bytes).collect() }.encode();
-            out.push((SyncEntry { kind: ENTRY_INDEX, key: name.clone().into_bytes(), value }, Domain::Broadcast));
-        }
-        let mut ids = coll.ids();
-        ids.sort();
-        for id in ids {
-            let key = doc_key(&name, id.as_bytes());
-            let domain = Domain::Scoped(key.clone());
-            if !selector.keep(seed, &domain) {
-                continue;
+        docs.collection(&name).in_id_order(|fields, stored| {
+            if !fields.is_empty() && selector.keep(seed, &Domain::Broadcast) {
+                let value = BlobList { items: fields.iter().map(|f| f.as_bytes().to_vec()).collect() }.encode();
+                out.push((SyncEntry { kind: ENTRY_INDEX, key: name.clone().into_bytes(), value }, Domain::Broadcast));
             }
-            let Some(doc) = coll.get(&id) else { continue };
-            out.push((SyncEntry { kind: ENTRY_DOC, key, value: crate::wire::encode_document(&doc) }, domain));
-        }
+            for doc in stored {
+                let key = doc_key(&name, doc.id().as_bytes());
+                let domain = Domain::Scoped(key.clone());
+                if selector.keep(seed, &domain) {
+                    out.push((SyncEntry { kind: ENTRY_DOC, key, value: crate::wire::encode_document(doc) }, domain));
+                }
+            }
+        });
     }
     out.sort_by(|(a, _), (b, _)| (a.kind, &a.key).cmp(&(b.kind, &b.key)));
     out
-}
-
-fn record_key(rec: &LogRecord) -> &[u8] {
-    match rec {
-        LogRecord::Set { key, .. }
-        | LogRecord::Del { key }
-        | LogRecord::HSet { key, .. }
-        | LogRecord::HDel { key, .. }
-        | LogRecord::SAdd { key, .. }
-        | LogRecord::SRem { key, .. }
-        | LogRecord::Incr { key, .. } => key,
-    }
 }
 
 /// Digest of one entry bucket: SHA-256 over the canonical entry encodings

@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 
 use datablinder_codec::{Malformed, Reader, Writer};
-use datablinder_docstore::{Document, Value};
+use datablinder_docstore::{Document, FieldName, Names, Value};
 
 use crate::error::CoreError;
 use crate::model::{AggFn, FieldAnnotation, FieldOp, FieldSpec, FieldType, ProtectionClass, Schema};
@@ -94,6 +94,19 @@ pub(crate) fn value_after(tag: u8, r: &mut Reader, depth: usize) -> Result<Value
     })
 }
 
+/// How many bytes [`encode_value`] writes for `v`.
+fn value_len(v: &Value) -> usize {
+    1 + match v {
+        Value::Null => 0,
+        Value::Bool(_) => 1,
+        Value::I64(_) | Value::F64(_) => 8,
+        Value::Str(s) => 4 + s.len(),
+        Value::Bytes(b) => 4 + b.len(),
+        Value::Array(items) => 4 + items.iter().map(value_len).sum::<usize>(),
+        Value::Object(map) => 4 + map.iter().map(|(k, v)| 4 + k.len() + value_len(v)).sum::<usize>(),
+    }
+}
+
 /// Passes over one encoded [`Value`] under the checks of [`take_value`] —
 /// tags, lengths, UTF-8, nesting — and builds nothing.
 pub(crate) fn skip_value(r: &mut Reader, depth: usize) -> Result<(), Malformed> {
@@ -151,8 +164,18 @@ pub fn encode_document(doc: &Document) -> Vec<u8> {
     w.finish()
 }
 
-fn put_document(doc: &Document, w: &mut Writer) {
+pub(crate) fn put_document(doc: &Document, w: &mut Writer) {
     put_fields(doc.id(), doc.iter(), w);
+}
+
+/// How many bytes [`encode_document`] writes for `doc`, worked out without
+/// writing them.
+pub(crate) fn document_len(doc: &Document) -> usize {
+    fields_len(doc.id(), doc.iter())
+}
+
+fn fields_len<'a>(id: &str, fields: impl Iterator<Item = (&'a str, &'a Value)>) -> usize {
+    4 + id.len() + 4 + fields.map(|(name, value)| 4 + name.len() + value_len(value)).sum::<usize>()
 }
 
 /// Writes a document as its `id`, then its `fields`, which ascend strictly
@@ -176,15 +199,8 @@ pub(crate) fn document_payload(collection: &str, id: &str, mut fields: Vec<(&str
         fields.dedup_by(|later, kept| later.0 == kept.0);
         fields.reverse();
     }
-    // Exact for the flat values a stored document holds; a nested one grows
-    // the buffer.
-    let size = |value: &Value| match value {
-        Value::Bytes(b) => 4 + b.len(),
-        Value::Str(s) => 4 + s.len(),
-        _ => 8,
-    };
-    let size: usize = fields.iter().map(|(name, value)| 4 + name.len() + 1 + size(value)).sum();
-    let mut w = Writer::from(Vec::with_capacity(4 + collection.len() + 8 + id.len() + size));
+    let size = fields_len(id, fields.iter().copied());
+    let mut w = Writer::from(Vec::with_capacity(4 + collection.len() + size));
     w.str(collection);
     put_fields(id, fields.into_iter(), &mut w);
     w.finish()
@@ -208,12 +224,29 @@ fn put_projected(doc: &Document, keep: &[&str], w: &mut Writer) {
     }
 }
 
-/// Decodes a [`Document`].
+/// Decodes a [`Document`]; each field name is an allocation of its own.
 ///
 /// # Errors
 ///
 /// [`CoreError::Wire`] on malformed input.
 pub fn decode_document(buf: &[u8]) -> Result<Document, CoreError> {
+    decode_named(buf, |name| name.into())
+}
+
+/// [`decode_document`] for a document bound for a collection: each field
+/// name is resolved against the collection's table, so only a name the
+/// table lacks is allocated.
+///
+/// # Errors
+///
+/// [`CoreError::Wire`] on malformed input.
+pub fn decode_document_in(buf: &[u8], names: &Names<'_>) -> Result<Document, CoreError> {
+    decode_named(buf, |name| names.resolve(name))
+}
+
+/// [`decode_document`] with each name handed to `name` for the allocation
+/// the document holds.
+fn decode_named(buf: &[u8], mut name: impl FnMut(&str) -> FieldName) -> Result<Document, CoreError> {
     datablinder_codec::decode(buf, |r| {
         let id = r.str()?;
         let count = r.count()?;
@@ -221,7 +254,7 @@ pub fn decode_document(buf: &[u8]) -> Result<Document, CoreError> {
         // value tag), which bounds what a hostile count can reserve.
         let mut fields = Vec::with_capacity(count.min(buf.len() / 5));
         for _ in 0..count {
-            fields.push((r.str()?.into(), take_value(r, 0)?));
+            fields.push((name(r.str()?), take_value(r, 0)?));
         }
         Ok(Document::from_fields(id, fields))
     })
@@ -391,8 +424,10 @@ mod tests {
             let fields: Vec<(&str, &Value)> = (0..rng.gen_range(0..9))
                 .map(|_| (names[rng.gen_range(0..names.len())], &values[rng.gen_range(0..values.len())]))
                 .collect();
-            let built = fields.iter().map(|&(name, value)| (name.into(), value.clone())).collect();
-            let expect = with_collection("obs", &encode_document(&Document::from_fields("d1", built)));
+            let built =
+                Document::from_fields("d1", fields.iter().map(|&(name, value)| (name.into(), value.clone())).collect());
+            let expect = with_collection("obs", &encode_document(&built));
+            assert_eq!(document_len(&built), expect.len() - 4 - "obs".len(), "case {case}");
             assert_eq!(document_payload("obs", "d1", fields), expect, "case {case}");
         }
     }

@@ -117,7 +117,7 @@ fn acked_writes_survive_single_node_failure() {
         let coll = engine.docs().collection("patients");
         for (id, reps) in &replicas {
             if reps.contains(&node) {
-                assert!(coll.get(&id.to_hex()).is_some(), "node {node} lost acked doc {}", id.to_hex());
+                assert!(coll.contains(&id.to_hex()), "node {node} lost acked doc {}", id.to_hex());
             }
         }
     }
@@ -306,7 +306,7 @@ fn quorum_timeout_retry_does_not_double_apply() {
     let dedup = cluster.with_node_engine(reps[1], CloudEngine::dedup_hits).unwrap();
     assert!(dedup > 0, "the retry was absorbed by the dedup cache");
     for &r in &reps[1..] {
-        let held = cluster.with_node_engine(r, |e| e.docs().collection("c").get(doc.id()).is_some());
+        let held = cluster.with_node_engine(r, |e| e.docs().collection("c").contains(doc.id()));
         assert_eq!(held, Some(true), "replica {r} holds exactly the retried doc");
     }
     // The first acker's disk still has its copy; after it rejoins all
@@ -618,11 +618,9 @@ fn rejoin_across_compacted_peers_leaves_no_gap() {
     }
     let compacted = {
         let scan = read_frames(&wal_path(&dir.join("node0"))).unwrap();
-        match scan.frames.first() {
-            // Fully truncated WAL: everything lives in the snapshot.
-            None => true,
-            Some(f) => datablinder_core::durability::WalRecord::decode(f).unwrap().seq > 1,
-        }
+        let first = scan.frames().next().map(|f| datablinder_core::durability::WalRecord::decode(f).unwrap().seq);
+        // Fully truncated WAL: everything lives in the snapshot.
+        first.is_none_or(|seq| seq > 1)
     };
     assert!(compacted, "the scenario requires peers with compacted WALs");
 
@@ -777,7 +775,7 @@ fn membership_change_hands_off_durably() {
     for i in 1..=20u8 {
         let id = DocId([i; 16]).to_hex();
         for r in cluster.doc_replicas("c", &id) {
-            let held = cluster.with_node_engine(r, |e| e.docs().collection("c").get(&id).is_some()).unwrap();
+            let held = cluster.with_node_engine(r, |e| e.docs().collection("c").contains(&id)).unwrap();
             assert!(held, "replica {r} of doc {i} holds it under the grown ring");
         }
     }
@@ -796,7 +794,7 @@ fn membership_change_hands_off_durably() {
         let replicas = cluster.doc_replicas("c", &id);
         assert!(!replicas.contains(&0), "the ring forgot the removed member");
         for r in replicas {
-            let held = cluster.with_node_engine(r, |e| e.docs().collection("c").get(&id).is_some()).unwrap();
+            let held = cluster.with_node_engine(r, |e| e.docs().collection("c").contains(&id)).unwrap();
             assert!(held, "replica {r} of doc {i} holds it under the shrunk ring");
         }
         cluster.handle("doc/get", &with_collection("c", id.as_bytes())).unwrap();
@@ -838,7 +836,7 @@ fn crash_during_add_node_handoff_leaves_ring_unchanged() {
     for i in 1..=20u8 {
         let id = DocId([i; 16]).to_hex();
         for r in cluster.doc_replicas("c", &id) {
-            let held = cluster.with_node_engine(r, |e| e.docs().collection("c").get(&id).is_some()).unwrap();
+            let held = cluster.with_node_engine(r, |e| e.docs().collection("c").contains(&id)).unwrap();
             assert!(held, "replica {r} of doc {i} holds it after the retried join");
         }
     }

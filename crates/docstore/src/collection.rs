@@ -1,14 +1,15 @@
 //! Collections and the store root.
 
 use std::borrow::Borrow;
+use std::cell::Cell;
 use std::cmp::Ordering;
-use std::collections::{btree_map, BTreeMap, HashMap};
+use std::collections::{btree_map, BTreeMap, HashMap, HashSet};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, PoisonError, RwLock};
 
 use crate::filter::{bounds_on, Filter};
-use crate::value::{Document, Value};
+use crate::value::{Document, FieldName, Value};
 use crate::DocStoreError;
 
 /// A stored index key: the value, and its [`Head`] kept beside it, so a
@@ -176,6 +177,13 @@ struct CollectionInner {
     /// field -> index; `delete` re-points the entries of the document it
     /// moves.
     indexes: HashMap<String, Index>,
+    /// The field names the stored documents hold, one allocation each:
+    /// every stored document holds these, not copies of its own.
+    names: HashSet<FieldName>,
+    /// The first [`HOT_NAMES`] names the table took in, sorted: a
+    /// document's names, which ascend too, are found here by one merge
+    /// walk, without hashing.
+    hot: Vec<FieldName>,
     /// Renewed whenever a stored document changes, moves or leaves: within
     /// one epoch `docs` only grows at its end.
     epoch: u64,
@@ -183,13 +191,95 @@ struct CollectionInner {
 
 impl Default for CollectionInner {
     fn default() -> Self {
-        CollectionInner { docs: Vec::new(), positions: HashMap::new(), indexes: HashMap::new(), epoch: fresh_epoch() }
+        CollectionInner {
+            docs: Vec::new(),
+            positions: HashMap::new(),
+            indexes: HashMap::new(),
+            names: HashSet::new(),
+            hot: Vec::new(),
+            epoch: fresh_epoch(),
+        }
     }
 }
 
 impl CollectionInner {
     fn doc(&self, id: &str) -> Option<&Document> {
         self.positions.get(id).map(|&position| &self.docs[position])
+    }
+
+    /// Stores `doc` as a new document: it takes the next position.
+    fn push(&mut self, mut doc: Document) {
+        self.adopt(&mut doc);
+        let position = self.docs.len();
+        for (field, index) in &mut self.indexes {
+            if let Some(v) = doc.get(field) {
+                enter(index, v, position);
+            }
+        }
+        self.positions.insert(doc.id().to_string(), position);
+        self.docs.push(doc);
+    }
+
+    /// Stores `doc` in place of the document at `position`.
+    fn replace(&mut self, position: usize, mut doc: Document) {
+        self.adopt(&mut doc);
+        for (field, index) in &mut self.indexes {
+            if let Some(v) = self.docs[position].get(field) {
+                leave(index, v, position);
+            }
+            if let Some(v) = doc.get(field) {
+                enter(index, v, position);
+            }
+        }
+        let old = std::mem::replace(&mut self.docs[position], doc);
+        self.release(old);
+        self.epoch = fresh_epoch();
+    }
+
+    /// Makes `doc` hold the table's names: each one the table has replaces
+    /// the document's own, and each one it lacks joins it.
+    fn adopt(&mut self, doc: &mut Document) {
+        let mut at = 0;
+        for name in doc.names_mut() {
+            let (hot, next) = walk(&self.hot, at, name);
+            at = next;
+            let shared = match hot {
+                Some(hot) => hot,
+                None => match self.names.get(&**name) {
+                    Some(shared) => shared,
+                    None => {
+                        self.names.insert(name.clone());
+                        if self.hot.len() < HOT_NAMES {
+                            self.hot.insert(at, name.clone());
+                            at += 1;
+                        }
+                        continue;
+                    }
+                },
+            };
+            if !Arc::ptr_eq(shared, name) {
+                *name = shared.clone();
+            }
+        }
+    }
+
+    /// Drops a document that leaves the collection, and with it every
+    /// table name no one else holds: the table keeps only names in use.
+    fn release(&mut self, doc: Document) {
+        for name in doc.names() {
+            // Its holders, if no one else uses it: the table, `doc`, and
+            // `hot` if the name is there.
+            if Arc::strong_count(name) > 3 || !self.names.get(&**name).is_some_and(|shared| Arc::ptr_eq(shared, name)) {
+                continue;
+            }
+            let hot = self.hot.binary_search_by(|hot| (**hot).cmp(name)).ok();
+            if Arc::strong_count(name) == 2 + usize::from(hot.is_some()) {
+                self.names.remove(&**name);
+                if let Some(at) = hot {
+                    self.hot.remove(at);
+                }
+            }
+        }
     }
 
     /// The index entries that hold every document `filter` can match, in
@@ -260,15 +350,6 @@ impl Collection {
         self.inner.read().unwrap_or_else(PoisonError::into_inner).docs.is_empty()
     }
 
-    /// Names of the fields with a secondary index, sorted — snapshot and
-    /// recovery flows persist these alongside the documents.
-    pub fn indexed_fields(&self) -> Vec<String> {
-        let mut fields: Vec<String> =
-            self.inner.read().unwrap_or_else(PoisonError::into_inner).indexes.keys().cloned().collect();
-        fields.sort();
-        fields
-    }
-
     /// Creates a secondary index on `field` (idempotent; backfills).
     pub fn create_index(&self, field: &str) {
         let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
@@ -284,6 +365,23 @@ impl Collection {
         inner.indexes.insert(field.to_string(), index);
     }
 
+    /// Runs `f` with the collection's table of field names under the read
+    /// lock: a decoder resolves each name it reads against it, so a stored
+    /// document shares the names the collection already holds. A storing
+    /// write adds a name the table lacks; `f` adds none.
+    pub fn names<R>(&self, f: impl FnOnce(&Names<'_>) -> R) -> R {
+        let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
+        f(&Names { table: &inner.names, hot: &inner.hot, at: Cell::new(0) })
+    }
+
+    /// Makes room for `additional` more documents, so a restore that knows
+    /// how many it brings grows nothing as it goes.
+    pub fn reserve(&self, additional: usize) {
+        let inner = &mut *self.inner.write().unwrap_or_else(PoisonError::into_inner);
+        inner.docs.reserve(additional);
+        inner.positions.reserve(additional);
+    }
+
     /// Inserts a new document.
     ///
     /// # Errors
@@ -294,20 +392,18 @@ impl Collection {
         if inner.positions.contains_key(doc.id()) {
             return Err(DocStoreError::DuplicateId(doc.id().to_string()));
         }
-        let position = inner.docs.len();
-        for (field, index) in &mut inner.indexes {
-            if let Some(v) = doc.get(field) {
-                enter(index, v, position);
-            }
-        }
-        inner.positions.insert(doc.id().to_string(), position);
-        inner.docs.push(doc);
+        inner.push(doc);
         Ok(())
     }
 
     /// Fetches by id.
     pub fn get(&self, id: &str) -> Option<Document> {
         self.inner.read().unwrap_or_else(PoisonError::into_inner).doc(id).cloned()
+    }
+
+    /// Whether a document with this id is stored.
+    pub fn contains(&self, id: &str) -> bool {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner).positions.contains_key(id)
     }
 
     /// Replaces the document with the same id.
@@ -318,17 +414,19 @@ impl Collection {
     pub fn update(&self, doc: Document) -> Result<(), DocStoreError> {
         let inner = &mut *self.inner.write().unwrap_or_else(PoisonError::into_inner);
         let position = *inner.positions.get(doc.id()).ok_or_else(|| DocStoreError::NotFound(doc.id().to_string()))?;
-        for (field, index) in &mut inner.indexes {
-            if let Some(v) = inner.docs[position].get(field) {
-                leave(index, v, position);
-            }
-            if let Some(v) = doc.get(field) {
-                enter(index, v, position);
-            }
-        }
-        inner.docs[position] = doc;
-        inner.epoch = fresh_epoch();
+        inner.replace(position, doc);
         Ok(())
+    }
+
+    /// Stores `doc`, replacing the document with the same id if there is
+    /// one: an insert or an update under one write lock, so no other write
+    /// can come between the lookup and the store.
+    pub fn upsert(&self, doc: Document) {
+        let inner = &mut *self.inner.write().unwrap_or_else(PoisonError::into_inner);
+        match inner.positions.get(doc.id()) {
+            Some(&position) => inner.replace(position, doc),
+            None => inner.push(doc),
+        }
     }
 
     /// Deletes by id.
@@ -354,6 +452,7 @@ impl Collection {
                 enter(index, v, position);
             }
         }
+        inner.release(old);
         inner.epoch = fresh_epoch();
         Ok(())
     }
@@ -434,6 +533,69 @@ impl Collection {
     /// All document ids (unordered).
     pub fn ids(&self) -> Vec<String> {
         self.inner.read().unwrap_or_else(PoisonError::into_inner).docs.iter().map(|d| d.id().to_string()).collect()
+    }
+
+    /// Runs `f` over the sorted names of the indexed fields and every
+    /// document in id order, all borrowed under one read lock: what a
+    /// snapshot or a sync export writes, with nothing cloned. `f` must not
+    /// write to this collection.
+    pub fn in_id_order<R>(&self, f: impl FnOnce(&[&str], &[&Document]) -> R) -> R {
+        let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
+        let mut fields: Vec<&str> = inner.indexes.keys().map(String::as_str).collect();
+        fields.sort_unstable();
+        let mut docs: Vec<&Document> = inner.docs.iter().collect();
+        docs.sort_unstable_by(|a, b| a.id().cmp(b.id()));
+        f(&fields, &docs)
+    }
+}
+
+/// How many names a collection keeps in its sorted list for walking.
+const HOT_NAMES: usize = 64;
+
+/// Looks for `name` in the sorted `hot` from `at` on, as a merge of two
+/// ascending lists does; returns it if there, and where the next, greater
+/// name's walk starts.
+fn walk<'h>(hot: &'h [FieldName], mut at: usize, name: &str) -> (Option<&'h FieldName>, usize) {
+    while let Some(candidate) = hot.get(at) {
+        match (**candidate).cmp(name) {
+            Ordering::Less => at += 1,
+            Ordering::Equal => return (Some(candidate), at + 1),
+            Ordering::Greater => break,
+        }
+    }
+    (None, at)
+}
+
+/// A collection's table of field names, lent by [`Collection::names`] for
+/// decoding one document.
+pub struct Names<'a> {
+    table: &'a HashSet<FieldName>,
+    hot: &'a [FieldName],
+    /// Where the walk for the next name starts: a document's names ascend.
+    at: Cell<usize>,
+}
+
+impl Names<'_> {
+    /// `name` as the table holds it, or a new allocation when the table
+    /// does not hold it. Names asked for in ascending order, as a
+    /// document's are, are found without hashing.
+    pub fn resolve(&self, name: &str) -> FieldName {
+        let (hot, next) = walk(self.hot, self.at.get(), name);
+        self.at.set(next);
+        match hot.or_else(|| self.table.get(name)) {
+            Some(shared) => shared.clone(),
+            None => name.into(),
+        }
+    }
+
+    /// How many names the table holds.
+    pub fn len(&self) -> usize {
+        self.table.len()
+    }
+
+    /// Whether the table holds no name.
+    pub fn is_empty(&self) -> bool {
+        self.table.is_empty()
     }
 }
 
@@ -655,6 +817,37 @@ mod tests {
         assert_eq!(names, vec!["a", "b"]);
         assert!(s.drop_collection("b"));
         assert!(!s.drop_collection("b"));
+    }
+
+    #[test]
+    fn stored_documents_share_one_allocation_per_name() {
+        let c = Collection::new();
+        c.insert(sample("1", "x", 1)).unwrap();
+        c.upsert(sample("2", "y", 2));
+        let names_of = |id: &str| -> Vec<*const u8> {
+            c.lookup([id], |docs| docs.next().unwrap().field_names().map(str::as_ptr).collect())
+        };
+        let shared = names_of("1");
+        assert_eq!(names_of("2"), shared);
+        // In ascending order or not.
+        let resolved = c.names(|names| ["value", "status", "value"].map(|name| names.resolve(name).as_ptr()));
+        assert_eq!(resolved, [shared[1], shared[0], shared[1]]);
+        // A name the table lacks is allocated for the caller, not added.
+        assert_eq!(c.names(|names| (names.resolve("extra").as_ptr() != shared[0], names.len())), (true, 2));
+        // A refused write adds nothing; a stored one adds its new names,
+        // and they go with the last document that holds them.
+        assert!(c.insert(sample("1", "z", 3).with("extra", Value::Null)).is_err());
+        assert!(c.update(sample("9", "z", 3).with("extra", Value::Null)).is_err());
+        assert_eq!(c.names(|names| names.len()), 2);
+        c.update(sample("2", "y", 2).with("extra", Value::Null)).unwrap();
+        c.upsert(sample("3", "y", 2).with("extra", Value::Null));
+        assert_eq!(c.names(|names| names.len()), 3);
+        assert_eq!(names_of("3"), names_of("2"));
+        assert_eq!(names_of("3")[1..], shared);
+        c.delete("2").unwrap();
+        c.upsert(sample("3", "y", 2));
+        assert_eq!(c.names(|names| names.len()), 2);
+        assert!(c.contains("3") && !c.contains("2"));
     }
 
     #[test]

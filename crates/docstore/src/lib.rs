@@ -30,7 +30,7 @@ mod collection;
 mod filter;
 mod value;
 
-pub use collection::{Collection, Cursor, DocStore};
+pub use collection::{Collection, Cursor, DocStore, Names};
 pub use filter::Filter;
 pub use value::{Document, FieldName, Value};
 

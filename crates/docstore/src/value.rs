@@ -261,6 +261,16 @@ impl Document {
     pub fn field_names(&self) -> impl Iterator<Item = &str> {
         self.fields.iter().map(|(name, _)| &**name)
     }
+
+    /// The shared names the fields hold, in name order.
+    pub(crate) fn names(&self) -> impl Iterator<Item = &FieldName> {
+        self.fields.iter().map(|(name, _)| name)
+    }
+
+    /// [`Document::names`], to swap a name for an equal one.
+    pub(crate) fn names_mut(&mut self) -> impl Iterator<Item = &mut FieldName> {
+        self.fields.iter_mut().map(|(name, _)| name)
+    }
 }
 
 /// Prints as the map it is: `Document { id: .., fields: {name: value, ..} }`.

@@ -25,7 +25,7 @@ mod log;
 mod store;
 
 pub use log::{read_frames, scan_frames, AppendLog, FrameScan, FrameWriter, LogRecord};
-pub use store::KvStore;
+pub use store::{ExportedSlot, KvStore};
 
 /// Errors produced by the KV store.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -11,7 +11,8 @@
 //! snapshots.
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufWriter, Write};
+use std::ops::Range;
 use std::path::Path;
 
 use datablinder_codec::{encode_frame, split_frame, Split, Writer};
@@ -20,15 +21,25 @@ use crate::KvError;
 
 // ------------------------------------------------------------- frame layer
 
-/// Outcome of scanning a frame file.
+/// Outcome of scanning a frame file: the file's bytes, read once, and
+/// where its complete, CRC-valid frames lie in them. The frame bodies are
+/// lent from that one buffer.
 #[derive(Debug)]
 pub struct FrameScan {
-    /// Bodies of every complete, CRC-valid frame, in file order.
-    pub frames: Vec<Vec<u8>>,
+    raw: Vec<u8>,
+    /// Where each frame's body lies in `raw`, in file order.
+    bodies: Vec<Range<usize>>,
     /// Byte length of the valid prefix (end of the last complete frame).
     pub valid_len: u64,
     /// Whether bytes past `valid_len` were dropped as a torn tail.
     pub torn_tail: bool,
+}
+
+impl FrameScan {
+    /// The bodies of every complete, CRC-valid frame, in file order.
+    pub fn frames(&self) -> impl ExactSizeIterator<Item = &[u8]> {
+        self.bodies.iter().map(|body| &self.raw[body.clone()])
+    }
 }
 
 /// Reads every complete frame from `path`.
@@ -42,24 +53,23 @@ pub struct FrameScan {
 /// Propagates I/O errors; [`KvError::CorruptLog`] at the offending
 /// frame's offset on CRC mismatch.
 pub fn read_frames(path: &Path) -> Result<FrameScan, KvError> {
-    let mut file = File::open(path)?;
-    let mut raw = Vec::new();
-    file.read_to_end(&mut raw)?;
-    scan_frames(&raw)
+    scan_frames(std::fs::read(path)?)
 }
 
-/// [`read_frames`] over an in-memory buffer.
+/// [`read_frames`] over an in-memory buffer, which the scan keeps. Every
+/// frame's CRC is checked before the scan returns, so a caller applies
+/// nothing from a file that holds a corrupt frame.
 ///
 /// # Errors
 ///
 /// [`KvError::CorruptLog`] at the offending frame's offset on CRC mismatch.
-pub fn scan_frames(raw: &[u8]) -> Result<FrameScan, KvError> {
-    let mut frames = Vec::new();
+pub fn scan_frames(raw: Vec<u8>) -> Result<FrameScan, KvError> {
+    let mut bodies = Vec::new();
     let mut offset = 0usize;
     loop {
         match split_frame(&raw[offset..], 0..=u32::MAX) {
             Split::Frame { covered, total } => {
-                frames.push(covered.to_vec());
+                bodies.push(offset + 4..offset + 4 + covered.len());
                 offset += total;
             }
             // Torn tail: frame announced but not fully on disk.
@@ -67,7 +77,8 @@ pub fn scan_frames(raw: &[u8]) -> Result<FrameScan, KvError> {
             Split::BadCrc | Split::BadLength(_) => return Err(KvError::CorruptLog { offset: offset as u64 }),
         }
     }
-    Ok(FrameScan { frames, valid_len: offset as u64, torn_tail: offset < raw.len() })
+    let torn_tail = offset < raw.len();
+    Ok(FrameScan { raw, bodies, valid_len: offset as u64, torn_tail })
 }
 
 /// A buffered appender of CRC-checked frames.
@@ -144,6 +155,23 @@ impl Drop for FrameWriter {
 
 // ----------------------------------------------------------- KV record log
 
+/// The tags of the records a [`crate::KvStore::export`] writes.
+pub(crate) const SET: u8 = 1;
+pub(crate) const HSET: u8 = 3;
+pub(crate) const SADD: u8 = 5;
+pub(crate) const INCR: u8 = 7;
+
+/// Appends to `out` the body of the record `tag` over `fields`:
+/// `tag:u8 || nfields:u8 || (len:u32 || bytes)*`.
+pub(crate) fn put_body(out: &mut Vec<u8>, tag: u8, fields: &[&[u8]]) {
+    let mut w = Writer::from(std::mem::take(out));
+    w.u8(tag).u8(fields.len() as u8);
+    for f in fields {
+        w.bytes(f);
+    }
+    *out = w.finish();
+}
+
 /// A single logged mutation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogRecord {
@@ -201,13 +229,13 @@ pub enum LogRecord {
 impl LogRecord {
     fn tag(&self) -> u8 {
         match self {
-            LogRecord::Set { .. } => 1,
+            LogRecord::Set { .. } => SET,
             LogRecord::Del { .. } => 2,
-            LogRecord::HSet { .. } => 3,
+            LogRecord::HSet { .. } => HSET,
             LogRecord::HDel { .. } => 4,
-            LogRecord::SAdd { .. } => 5,
+            LogRecord::SAdd { .. } => SADD,
             LogRecord::SRem { .. } => 6,
-            LogRecord::Incr { .. } => 7,
+            LogRecord::Incr { .. } => INCR,
         }
     }
 
@@ -231,12 +259,9 @@ impl LogRecord {
             by = delta.to_be_bytes();
             fields.push(&by);
         }
-        let mut w = Writer::from(Vec::with_capacity(64));
-        w.u8(self.tag()).u8(fields.len() as u8);
-        for f in fields {
-            w.bytes(f);
-        }
-        w.finish()
+        let mut body = Vec::with_capacity(64);
+        put_body(&mut body, self.tag(), &fields);
+        body
     }
 
     /// Decodes a record from a complete frame body.
@@ -361,7 +386,7 @@ mod tests {
         for pos in positions {
             let mut tampered = file.clone();
             tampered[pos] ^= 0xA5;
-            let outcome = scan_frames(&tampered);
+            let outcome = scan_frames(tampered);
             match outcome {
                 Err(KvError::CorruptLog { offset }) => {
                     assert_eq!(offset, 0, "flip at byte {pos} blamed the wrong frame");
@@ -370,8 +395,8 @@ mod tests {
             }
         }
         // Untampered file still scans clean.
-        let scan = scan_frames(&file).unwrap();
-        assert_eq!(scan.frames.len(), 2);
+        let scan = scan_frames(file).unwrap();
+        assert_eq!(scan.frames().len(), 2);
         assert!(!scan.torn_tail);
     }
 

@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 
-use crate::log::{read_frames, AppendLog, LogRecord};
+use crate::log::{put_body, read_frames, AppendLog, LogRecord, HSET, INCR, SADD, SET};
 use crate::KvError;
 
 /// Default number of keyspace shards. Power of two so the hash mixes
@@ -60,6 +60,59 @@ impl Shard {
             Err(TryLockError::WouldBlock) => {
                 self.contention.fetch_add(1, Ordering::Relaxed);
                 self.map.write().unwrap_or_else(PoisonError::into_inner)
+            }
+        }
+    }
+}
+
+/// One slot of a [`KvStore::export`], borrowed.
+pub struct ExportedSlot<'a> {
+    key: &'a [u8],
+    slot: &'a Slot,
+}
+
+impl<'a> ExportedSlot<'a> {
+    /// The slot's key.
+    pub fn key(&self) -> &'a [u8] {
+        self.key
+    }
+
+    /// How many records rebuild the slot: one per hash field or set
+    /// member, else one.
+    pub fn records(&self) -> usize {
+        match self.slot {
+            Slot::Hash(h) => h.len(),
+            Slot::Set(s) => s.len(),
+            Slot::Str(_) | Slot::Counter(_) => 1,
+        }
+    }
+
+    /// Runs `f` over the bodies ([`LogRecord::to_bytes`]) of the records
+    /// that rebuild the slot from empty, hash fields and set members in
+    /// sorted order, each written in turn into `scratch`; stops at the
+    /// first error `f` returns.
+    ///
+    /// # Errors
+    ///
+    /// The first error `f` returns.
+    pub fn bodies<E>(&self, scratch: &mut Vec<u8>, mut f: impl FnMut(&[u8]) -> Result<(), E>) -> Result<(), E> {
+        let mut put = |tag, fields: &[&[u8]]| {
+            scratch.clear();
+            put_body(scratch, tag, fields);
+            f(scratch)
+        };
+        match self.slot {
+            Slot::Str(v) => put(SET, &[self.key, v]),
+            Slot::Counter(c) => put(INCR, &[self.key, &c.to_be_bytes()]),
+            Slot::Hash(h) => {
+                let mut fields: Vec<_> = h.iter().collect();
+                fields.sort_unstable();
+                fields.into_iter().try_for_each(|(field, value)| put(HSET, &[self.key, field, value]))
+            }
+            Slot::Set(s) => {
+                let mut members: Vec<_> = s.iter().collect();
+                members.sort_unstable();
+                members.into_iter().try_for_each(|member| put(SADD, &[self.key, member]))
             }
         }
     }
@@ -122,7 +175,7 @@ impl KvStore {
         let mut store = KvStore::new();
         if path.exists() {
             let scan = read_frames(path)?;
-            for body in &scan.frames {
+            for body in scan.frames() {
                 store.apply_record(&LogRecord::from_body(body)?);
             }
             if scan.torn_tail {
@@ -195,39 +248,34 @@ impl KvStore {
     }
 
     /// Dumps the live state as a deterministic record sequence: replaying
-    /// the sequence into an empty store reproduces this store exactly.
-    /// Keys are gathered across shards and sorted; hash fields and set
-    /// members are sorted, so two equal stores export byte-identical
-    /// snapshots regardless of shard count.
+    /// the sequence into an empty store reproduces this store exactly. The
+    /// records of [`KvStore::export`], decoded.
     pub fn export_records(&self) -> Vec<LogRecord> {
-        let mut slots: Vec<(Vec<u8>, Slot)> = Vec::new();
-        for shard in &self.inner.shards {
-            let map = shard.read();
-            slots.extend(map.iter().map(|(k, v)| (k.clone(), v.clone())));
-        }
-        slots.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut out = Vec::with_capacity(slots.len());
-        for (key, slot) in slots {
-            match slot {
-                Slot::Str(v) => out.push(LogRecord::Set { key, value: v }),
-                Slot::Hash(h) => {
-                    let mut fields: Vec<_> = h.into_iter().collect();
-                    fields.sort();
-                    for (f, v) in fields {
-                        out.push(LogRecord::HSet { key: key.clone(), field: f, value: v });
-                    }
-                }
-                Slot::Set(s) => {
-                    let mut members: Vec<_> = s.into_iter().collect();
-                    members.sort();
-                    for m in members {
-                        out.push(LogRecord::SAdd { key: key.clone(), member: m });
-                    }
-                }
-                Slot::Counter(c) => out.push(LogRecord::Incr { key, by: c }),
+        self.export(|slots| {
+            let (mut out, mut scratch) = (Vec::new(), Vec::new());
+            for slot in slots {
+                slot.bodies(&mut scratch, |body| {
+                    out.push(LogRecord::from_body(body)?);
+                    Ok::<_, KvError>(())
+                })
+                .expect("an exported body decodes");
             }
-        }
-        out
+            out
+        })
+    }
+
+    /// Runs `f` over every slot, borrowed under every shard's read lock and
+    /// in key order: the live state as the records that rebuild it, with
+    /// nothing copied. Keys are gathered across shards and sorted, and
+    /// [`ExportedSlot::bodies`] sorts hash fields and set members, so two
+    /// equal stores export byte-identical records whatever their shard
+    /// count. `f` must not write to this store.
+    pub fn export<R>(&self, f: impl FnOnce(&[ExportedSlot<'_>]) -> R) -> R {
+        let maps: Vec<_> = self.inner.shards.iter().map(Shard::read).collect();
+        let mut slots: Vec<ExportedSlot<'_>> =
+            maps.iter().flat_map(|map| map.iter()).map(|(key, slot)| ExportedSlot { key, slot }).collect();
+        slots.sort_unstable_by(|a, b| a.key.cmp(b.key));
+        f(&slots)
     }
 
     // -------------------------------------------------------------- strings

@@ -144,11 +144,12 @@ fn framed_record_stream_roundtrips() {
         for rec in &recs {
             stream.extend_from_slice(&encode_frame(&[&rec.to_bytes()]));
         }
-        let scan = scan_frames(&stream).expect("a whole stream has no corrupt frames");
+        let len = stream.len();
+        let scan = scan_frames(stream).expect("a whole stream has no corrupt frames");
         assert!(!scan.torn_tail, "case {case}");
-        assert_eq!(scan.valid_len as usize, stream.len(), "case {case}");
+        assert_eq!(scan.valid_len as usize, len, "case {case}");
         let decoded: Vec<LogRecord> =
-            scan.frames.iter().map(|body| LogRecord::from_body(body).expect("frame body decodes")).collect();
+            scan.frames().map(|body| LogRecord::from_body(body).expect("frame body decodes")).collect();
         assert_eq!(decoded, recs, "case {case}");
     }
 }

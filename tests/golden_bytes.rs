@@ -395,8 +395,8 @@ fn wal_and_log_records_and_their_frames() {
     assert_eq!(hex(&encode_frame(&[&unhex(LOG_HSET)])), LOG_FRAME);
     let mut file = unhex(WAL_FRAME);
     file.extend_from_slice(&unhex(LOG_FRAME));
-    let scan = scan_frames(&file).unwrap();
-    assert_eq!(scan.frames, vec![unhex(WAL_RECORD), unhex(LOG_HSET)]);
+    let scan = scan_frames(file.clone()).unwrap();
+    assert_eq!(scan.frames().collect::<Vec<_>>(), [unhex(WAL_RECORD), unhex(LOG_HSET)]);
     assert_eq!((scan.valid_len, scan.torn_tail), (file.len() as u64, false));
 }
 
@@ -543,4 +543,77 @@ fn rnd_payload_is_bound_to_its_document() {
     let framed = gcm.open(nonce, &aad, sealed).unwrap();
     assert_eq!(framed.len(), 32);
     assert_eq!(framed[..16], [0, 0, 0, 0, 0, 0, 0, 8, 4, 0, 0, 0, 3, b'a', b'n', b'n']);
+}
+
+/// The snapshot file of [`snapshot_fixture`]'s store: one frame whose body
+/// is the magic, the WAL sequence, the KV records (a string, a hash of two
+/// fields) and the collections `alpha` (indexed on `s`, holding a document
+/// of every `Value` kind) and `beta`, each in name and id order.
+const SNAPSHOT_FILE: &str = concat!(
+    "00000159000000074442534e415031000000000000000400000003000000160303000000046861736800000002663100",
+    "00000276310000001603030000000468617368000000026632000000027632000000120102000000036b657900000005",
+    "76616c756500000002000000b200000005616c7068610000000100000001730000000200000018000000026130000000",
+    "0100000001730400000004746578740000007c0000000264310000000700000003617272060000000202000000000000",
+    "00010700000001000000016b0200000000000000010000000162050000000300ff0700000004666c6167010100000001",
+    "6e02ffffffffffffffd6000000046e756c6c000000000173040000000474657874000000017803400400000000000000",
+    "00003a000000046265746100000000000000010000002600000002623100000002000000016e02000000000000000700",
+    "000001730400000004626574615b647d29",
+);
+
+/// A durable cloud in a fresh `dir` holding a small fixed store, with a
+/// snapshot of it taken.
+fn snapshot_fixture(dir: &std::path::Path) -> CloudEngine {
+    let _ = std::fs::remove_dir_all(dir);
+    let cloud = CloudEngine::open_durable(dir).unwrap();
+    let with_collection = datablinder::core::cloud::with_collection;
+    cloud.handle("doc/ensure_index", &with_collection("alpha", b"s")).unwrap();
+    for (collection, doc) in [
+        ("alpha", sample_doc()),
+        ("beta", Document::new("b1").with("s", Value::from("beta")).with("n", Value::from(7i64))),
+        ("alpha", Document::new("a0").with("s", Value::from("text"))),
+    ] {
+        cloud.handle("doc/insert", &with_collection(collection, &encode_document(&doc))).unwrap();
+    }
+    cloud.kv().hset(b"hash", b"f2", b"v2").unwrap();
+    cloud.kv().hset(b"hash", b"f1", b"v1").unwrap();
+    cloud.kv().set(b"key", b"value");
+    cloud.snapshot_now().unwrap();
+    cloud
+}
+
+#[test]
+fn snapshot_file() {
+    let dir = std::env::temp_dir().join(format!("datablinder-golden-snapshot-{}", std::process::id()));
+    let cloud = snapshot_fixture(&dir);
+    let file = std::fs::read(dir.join("snapshot.bin")).unwrap();
+    assert_eq!(hex(&file), SNAPSHOT_FILE, "the snapshot moved a byte");
+    // Restored, the store is what was snapshotted, and snapshots the same.
+    let reopened = CloudEngine::open_durable(&dir).unwrap();
+    assert_eq!(cloud_state_digest(&reopened), cloud_state_digest(&cloud));
+    reopened.docs().collection("alpha").in_id_order(|fields, _| assert_eq!(fields, ["s"]));
+    reopened.snapshot_now().unwrap();
+    assert_eq!(hex(&std::fs::read(dir.join("snapshot.bin")).unwrap()), SNAPSHOT_FILE);
+    drop(reopened);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// SHA-256 of the snapshot file a durable cloud writes after
+/// [`gateway_script`]: every tactic's KV state and a collection of
+/// protected documents.
+const GATEWAY_SCRIPT_SNAPSHOT: &str = "6139f138ffa772ca0b886a2c922d89346da6037e4126e827e55a58052146f70d";
+
+#[test]
+fn gateway_script_snapshot() {
+    let dir = std::env::temp_dir().join(format!("datablinder-golden-script-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cloud = Arc::new(CloudEngine::open_durable(&dir).unwrap());
+    gateway_script(&cloud);
+    cloud.snapshot_now().unwrap();
+    let file = std::fs::read(dir.join("snapshot.bin")).unwrap();
+    assert_eq!(hex(&sha256::digest(&file)), GATEWAY_SCRIPT_SNAPSHOT, "the snapshot moved a byte");
+    drop(cloud);
+    let reopened = CloudEngine::open_durable(&dir).unwrap();
+    assert_eq!(cloud_state_digest(&reopened), GATEWAY_SCRIPT_STATE);
+    drop(reopened);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
