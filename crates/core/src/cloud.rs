@@ -188,8 +188,8 @@ impl CloudEngine {
         CloudEngine::open_durable_with(dir, DurabilityOptions::default())
     }
 
-    /// Like [`CloudEngine::open_durable`] with explicit snapshot cadence,
-    /// dedup bound and (for tests) a crash injector.
+    /// Like [`CloudEngine::open_durable`] with an explicit snapshot cadence
+    /// and (for tests) a crash injector.
     ///
     /// # Errors
     ///
@@ -211,7 +211,7 @@ impl CloudEngine {
     pub fn open_durable_observed(dir: &Path, opts: DurabilityOptions, recorder: Recorder) -> Result<Self, CoreError> {
         let started = recorder.start();
         std::fs::create_dir_all(dir).map_err(datablinder_kvstore::KvError::from)?;
-        let mut engine = CloudEngine::with_dedup_capacity(opts.dedup_capacity.unwrap_or(DEFAULT_DEDUP_CAPACITY));
+        let mut engine = CloudEngine::new();
         engine.set_recorder(recorder);
         let engine = engine;
         // Replay journaled mutations through the normal dispatcher so
@@ -261,10 +261,10 @@ impl CloudEngine {
         self.durability.as_ref().map_or(0, Durability::since_snapshot)
     }
 
-    /// WAL group flushes performed (0 for volatile engines or when a
-    /// crash injector forces the synchronous per-record path). Each group
-    /// commit covers one or more records, so under concurrent writers this
-    /// is strictly less than `wal_seq` when batching is effective.
+    /// WAL group flushes performed (0 for volatile engines), with or
+    /// without a crash injector armed. Each group commit covers one or more
+    /// records, so under concurrent writers this is strictly less than
+    /// `wal_seq` when batching is effective.
     pub fn wal_group_commits(&self) -> u64 {
         self.durability.as_ref().map_or(0, Durability::group_commits)
     }

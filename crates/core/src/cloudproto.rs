@@ -518,14 +518,10 @@ pub fn check_inner(route: &str, read_only: bool) -> Result<Route<'_>, CoreError>
     Ok(route)
 }
 
-/// The `(route, payload)` pairs of an [`encode_batch`] list — a batch
-/// payload, or a gateway journal entry.
-///
-/// # Errors
-///
-/// [`CoreError::Wire`] on trailing bytes, truncation, an odd field count
-/// or a non-UTF-8 route.
-pub fn decode_calls(payload: &[u8]) -> Result<Vec<(&str, &[u8])>, CoreError> {
+/// The `(route, payload)` pairs of an [`encode_batch`] list, a batch
+/// payload: [`CoreError::Wire`] on trailing bytes, truncation, an odd field
+/// count or a non-UTF-8 route.
+fn decode_calls(payload: &[u8]) -> Result<Vec<(&str, &[u8])>, CoreError> {
     let fields = decode(payload, |r| Ok::<_, CoreError>(r.list()?))?;
     if fields.len() % 2 != 0 {
         return Err(CoreError::Wire("batch item count"));

@@ -66,10 +66,9 @@ impl LocalNode {
     /// view. `crash` arms the new engine to die at a chosen append.
     pub(super) fn restart(&self, cfg: &ClusterConfig, crash: Option<Arc<CrashInjector>>) -> Result<(), CoreError> {
         let mut engine = match &self.dir {
-            Some(dir) => CloudEngine::open_durable_with(
-                dir,
-                DurabilityOptions { snapshot_every: cfg.snapshot_every, dedup_capacity: None, crash },
-            )?,
+            Some(dir) => {
+                CloudEngine::open_durable_with(dir, DurabilityOptions { snapshot_every: cfg.snapshot_every, crash })?
+            }
             None => CloudEngine::new(),
         };
         engine.set_recorder(self.obs.clone());

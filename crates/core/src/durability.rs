@@ -37,7 +37,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, TryLockError};
 
-use datablinder_codec::{encode_frame, encode_frame_into, Malformed, StreamedFrame, Writer};
+use datablinder_codec::{encode_frame_into, Malformed, StreamedFrame, Writer};
 use datablinder_docstore::DocStore;
 use datablinder_kvstore::{read_frames, ExportedSlot, FrameWriter, KvError, KvStore, LogRecord};
 use datablinder_netsim::{CloudService, CrashInjector, CrashVerdict, NetError};
@@ -146,8 +146,6 @@ pub struct DurabilityOptions {
     /// Auto-snapshot after this many journaled records (`None` = only on
     /// explicit [`CloudEngine::snapshot_now`] calls).
     pub snapshot_every: Option<u64>,
-    /// Idempotency dedup-cache bound (`None` = the engine default).
-    pub dedup_capacity: Option<usize>,
     /// Deterministic crash injection for the write path (tests). The
     /// injector is consulted on every WAL append; once it fires, the
     /// engine answers every call with [`NetError::Timeout`] until a
@@ -160,13 +158,20 @@ pub struct DurabilityOptions {
 /// Sequence assignment + the pending group-commit buffer. Held only for
 /// short enqueue/drain critical sections — never across disk I/O.
 struct WalQueue {
-    /// Encoded frames awaiting the next group flush (empty when the crash
-    /// injector forces the synchronous path).
+    /// Encoded frames awaiting the next group flush.
     pending: Vec<u8>,
     /// Last assigned sequence number.
     seq: u64,
     /// Records journaled since the last snapshot.
     since_snapshot: u64,
+}
+
+impl WalQueue {
+    /// Takes every queued frame, with the sequence number of the last one
+    /// assigned: what [`Durability::drain`] appends.
+    fn take(&mut self) -> (Vec<u8>, u64) {
+        (std::mem::take(&mut self.pending), self.seq)
+    }
 }
 
 /// The journal + snapshot state attached to a durable [`CloudEngine`].
@@ -184,10 +189,9 @@ struct WalQueue {
 /// Lock order where both are held: `io` → `queue` (enqueueing takes only
 /// `queue`).
 ///
-/// With a crash injector armed, group commit is **bypassed** — every record
-/// goes through the original synchronous per-record path under both locks,
-/// so the injector's byte-exact crash points (torn prefix at append N)
-/// keep their meaning.
+/// There is one write path. A crash injector judges each frame as it is
+/// enqueued, and [`Durability::drain`] is the only code that appends, so a
+/// crash storm exercises the group commit the product runs.
 pub(crate) struct Durability {
     dir: PathBuf,
     snapshot_every: Option<u64>,
@@ -198,8 +202,8 @@ pub(crate) struct Durability {
     durable_seq: AtomicU64,
     /// Group flushes performed (each covering ≥ 1 record).
     group_commits: AtomicU64,
-    /// Set when a leader's flush failed; followers abort instead of
-    /// spinning on a sequence that will never become durable.
+    /// Set when an append failed; every later drain fails instead of
+    /// publishing a sequence whose bytes never reached disk.
     io_failed: std::sync::atomic::AtomicBool,
 }
 
@@ -221,11 +225,10 @@ impl Durability {
         snapshot_every: Option<u64>,
         injector: Option<Arc<CrashInjector>>,
     ) -> Result<Self, CoreError> {
-        // Flush every frame: the WAL *is* the durability story, so a frame
+        // Every drain appends through `append_raw`, which flushes: a frame
         // buffered in userspace at crash time would break the acknowledged
-        // = durable invariant the recovery protocol relies on. (The group
-        // path flushes whole batches via `append_raw`.)
-        let writer = FrameWriter::with_flush_every(&wal_path(dir), 1)?;
+        // = durable invariant the recovery protocol relies on.
+        let writer = FrameWriter::open(&wal_path(dir))?;
         Ok(Durability {
             dir: dir.to_path_buf(),
             snapshot_every,
@@ -244,52 +247,41 @@ impl Durability {
     }
 
     /// Journals one mutation ahead of its application. Returns only after
-    /// the record (and, on the group path, every record enqueued before
-    /// it) is flushed to disk.
+    /// the record, and every record enqueued before it, is flushed to disk.
+    ///
+    /// An armed crash injector judges the frame under the queue lock, so in
+    /// sequence order: `Proceed` keeps it, `Refuse` drops it, `Torn(n)`
+    /// keeps its first `n` bytes and `DieAfterAppend` keeps it whole. A
+    /// dying writer drains what is queued, torn prefix last, so the disk
+    /// holds what a per-record append would have left at that point.
     pub(crate) fn journal(&self, route: &str, payload: &[u8]) -> Result<JournalOutcome, CoreError> {
-        if let Some(inj) = &self.injector {
-            // Synchronous bypass: crash points are defined per append, so
-            // batching would change which bytes hit disk at the Nth write.
-            let mut io = self.io.lock().unwrap_or_else(PoisonError::into_inner);
-            let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
-            let rec = WalRecord::new(q.seq + 1, route, payload);
-            let body = rec.encode();
-            let frame = encode_frame(&[&body]);
-            match inj.on_append(frame.len()) {
-                CrashVerdict::Proceed => {}
-                CrashVerdict::Refuse => return Ok(JournalOutcome::Died),
-                CrashVerdict::Torn(n) => {
-                    // The "kill -9 mid-write": a prefix of the frame hits
-                    // disk, recovery must truncate it away.
-                    io.append_raw(&frame[..n])?;
-                    return Ok(JournalOutcome::Died);
-                }
-                CrashVerdict::DieAfterAppend => {
-                    // Journaled in full but never applied: recovery must
-                    // roll this record forward.
-                    io.append_raw(&frame)?;
-                    return Ok(JournalOutcome::Died);
-                }
-            }
-            io.append(&body)?;
-            q.seq = rec.seq;
-            q.since_snapshot += 1;
-            self.durable_seq.fetch_max(rec.seq, Ordering::AcqRel);
-            return Ok(JournalOutcome::Written);
-        }
-
-        // Group commit: frame the record straight into the queue under its
-        // short lock...
         let id = record_id(route, payload);
-        let seq = {
+        let (seq, died) = {
             let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
-            let seq = q.seq + 1;
+            let (seq, start) = (q.seq + 1, q.pending.len());
             frame_record(&mut q.pending, seq, &id, route, payload);
-            q.seq = seq;
-            q.since_snapshot += 1;
-            seq
+            let verdict =
+                self.injector.as_ref().map_or(CrashVerdict::Proceed, |inj| inj.on_append(q.pending.len() - start));
+            match verdict {
+                CrashVerdict::Proceed => {
+                    q.seq = seq;
+                    q.since_snapshot += 1;
+                }
+                CrashVerdict::Refuse => q.pending.truncate(start),
+                CrashVerdict::Torn(n) => q.pending.truncate(start + n),
+                CrashVerdict::DieAfterAppend => {}
+            }
+            (seq, verdict != CrashVerdict::Proceed)
         };
-        // ...then wait for a leader (possibly this thread) to flush it.
+        if died {
+            // What reached the queue reaches disk; the mutation is not
+            // applied, and recovery truncates a torn frame or rolls a whole
+            // one forward.
+            let mut io = self.io.lock().unwrap_or_else(PoisonError::into_inner);
+            let queued = self.queue.lock().unwrap_or_else(PoisonError::into_inner).take();
+            self.drain(&mut io, queued)?;
+            return Ok(JournalOutcome::Died);
+        }
         self.commit_until(seq)?;
         Ok(JournalOutcome::Written)
     }
@@ -298,9 +290,6 @@ impl Durability {
     /// batches whenever this thread wins the io lock.
     fn commit_until(&self, seq: u64) -> Result<(), CoreError> {
         while self.durable_seq.load(Ordering::Acquire) < seq {
-            if self.io_failed.load(Ordering::Acquire) {
-                return Err(CoreError::Storage("wal: a group flush failed".into()));
-            }
             let mut io = match self.io.try_lock() {
                 Ok(io) => io,
                 Err(TryLockError::Poisoned(p)) => p.into_inner(),
@@ -310,21 +299,31 @@ impl Durability {
                     continue;
                 }
             };
-            let (buf, high) = {
-                let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
-                (std::mem::take(&mut q.pending), q.seq)
-            };
-            if !buf.is_empty() {
-                if let Err(e) = io.append_raw(&buf) {
-                    self.io_failed.store(true, Ordering::Release);
-                    return Err(e.into());
-                }
-                self.group_commits.fetch_add(1, Ordering::Relaxed);
-            }
-            // Everything assigned up to `high` was either in `buf` or
-            // flushed by a previous io holder — it is durable now.
-            self.durable_seq.fetch_max(high, Ordering::AcqRel);
+            // The queue lock is released before the disk write.
+            let queued = self.queue.lock().unwrap_or_else(PoisonError::into_inner).take();
+            self.drain(&mut io, queued)?;
         }
+        Ok(())
+    }
+
+    /// Appends `batch`, every frame queued up to sequence `high`, and
+    /// publishes `high` as durable: the one place queued bytes reach the
+    /// WAL. A failed append latches `io_failed`, after which every drain
+    /// fails and `durable_seq` never moves again, so no record is
+    /// acknowledged over bytes that were dropped and no frame lands after a
+    /// partial one.
+    fn drain(&self, io: &mut FrameWriter, (batch, high): (Vec<u8>, u64)) -> Result<(), CoreError> {
+        if self.io_failed.load(Ordering::Acquire) {
+            return Err(CoreError::Storage("wal: an earlier append failed".into()));
+        }
+        if !batch.is_empty() {
+            if let Err(e) = io.append_raw(&batch) {
+                self.io_failed.store(true, Ordering::Release);
+                return Err(e.into());
+            }
+            self.group_commits.fetch_add(1, Ordering::Relaxed);
+        }
+        self.durable_seq.fetch_max(high, Ordering::AcqRel);
         Ok(())
     }
 
@@ -342,13 +341,7 @@ impl Durability {
     pub(crate) fn snapshot(&self, kv: &KvStore, docs: &DocStore) -> Result<(), CoreError> {
         let mut io = self.io.lock().unwrap_or_else(PoisonError::into_inner);
         let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
-        if !q.pending.is_empty() {
-            let buf = std::mem::take(&mut q.pending);
-            io.append_raw(&buf)?;
-            self.group_commits.fetch_add(1, Ordering::Relaxed);
-        }
-        io.flush()?;
-        self.durable_seq.fetch_max(q.seq, Ordering::AcqRel);
+        self.drain(&mut io, q.take())?;
         let tmp = self.dir.join("snapshot.tmp");
         write_snapshot(&tmp, kv, docs, q.seq).map_err(KvError::from)?;
         // Atomic cutover: a crash before the rename leaves the old
@@ -379,16 +372,8 @@ impl Durability {
     /// tail reflects every record this node has acknowledged.
     pub(crate) fn wal_tail(&self) -> Result<Vec<WalRecord>, CoreError> {
         let mut io = self.io.lock().unwrap_or_else(PoisonError::into_inner);
-        {
-            let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
-            if !q.pending.is_empty() {
-                let buf = std::mem::take(&mut q.pending);
-                io.append_raw(&buf)?;
-                self.group_commits.fetch_add(1, Ordering::Relaxed);
-            }
-            io.flush()?;
-            self.durable_seq.fetch_max(q.seq, Ordering::AcqRel);
-        }
+        let queued = self.queue.lock().unwrap_or_else(PoisonError::into_inner).take();
+        self.drain(&mut io, queued)?;
         // Still under the io lock: no append or compaction can interleave
         // with the file read below.
         let scan = read_frames(&wal_path(&self.dir))?;
@@ -627,6 +612,7 @@ impl CloudService for RestartableCloud {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datablinder_codec::encode_frame;
 
     #[test]
     fn wal_record_roundtrip_and_fingerprint_id() {
@@ -655,6 +641,92 @@ mod tests {
             let record = WalRecord::new(42, route, payload);
             assert_eq!(pending[1..], encode_frame(&[&record.encode()]), "{route}");
         }
+    }
+
+    fn temp_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("datablinder-wal-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// A WAL whose file refuses every write (`/dev/full`), with record 1
+    /// queued and not yet drained.
+    fn queued_on_a_full_disk(name: &str) -> (PathBuf, Durability) {
+        let dir = temp_dir(name);
+        let mut d = Durability::attach(&dir, 0, 0, None, None).unwrap();
+        d.io = Mutex::new(FrameWriter::open(Path::new("/dev/full")).unwrap());
+        let mut q = d.queue.lock().unwrap();
+        frame_record(&mut q.pending, 1, &record_id("doc/delete", b"d0"), "doc/delete", b"d0");
+        q.seq = 1;
+        drop(q);
+        (dir, d)
+    }
+
+    #[test]
+    fn a_snapshot_that_fails_to_drain_acknowledges_nothing() {
+        let (dir, d) = queued_on_a_full_disk("full-snapshot");
+        assert!(d.snapshot(&KvStore::new(), &DocStore::new()).is_err());
+        assert!(d.commit_until(1).is_err(), "record 1 never reached disk");
+        assert_eq!(d.durable_seq.load(Ordering::Acquire), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_wal_tail_that_fails_to_drain_acknowledges_nothing() {
+        let (dir, d) = queued_on_a_full_disk("full-tail");
+        assert!(d.wal_tail().is_err());
+        assert!(d.commit_until(1).is_err(), "record 1 never reached disk");
+        assert_eq!(d.durable_seq.load(Ordering::Acquire), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An armed engine journals through the group commit an unarmed one
+    /// runs, and writes the same bytes. Each crash point leaves on disk
+    /// what a per-record append would have: the frames before it, plus
+    /// the torn prefix or the whole never-applied frame.
+    #[test]
+    fn crash_points_judge_the_group_commit() {
+        use datablinder_netsim::{CrashPlan, CrashPoint};
+        let dir = temp_dir("armed");
+        let run = |name: &str, point: Option<CrashPoint>| {
+            let at = dir.join(name);
+            let crash = point.map(|point| Arc::new(CrashInjector::new(CrashPlan::at(point))));
+            let engine =
+                CloudEngine::open_durable_with(&at, DurabilityOptions { snapshot_every: None, crash }).unwrap();
+            for i in 0..6 {
+                let doc = datablinder_docstore::Document::new(format!("d{i}"));
+                let insert = crate::cloud::with_collection("obs", &crate::wire::encode_document(&doc));
+                if engine.handle("doc/insert", &insert).is_err() {
+                    break;
+                }
+            }
+            let commits = engine.wal_group_commits();
+            drop(engine);
+            (std::fs::read(wal_path(&at)).unwrap(), commits)
+        };
+        let (unarmed, _) = run("unarmed", None);
+        let (armed, commits) = run("never", Some(CrashPoint::BeforeAppend(u64::MAX)));
+        assert!(commits > 0, "the armed engine ran group commit");
+        assert_eq!(armed, unarmed);
+
+        // Frame k of the unarmed WAL spans bounds[k]..bounds[k + 1].
+        let scan = read_frames(&wal_path(&dir.join("unarmed"))).unwrap();
+        let bounds: Vec<usize> = std::iter::once(0)
+            .chain(scan.frames().scan(0, |end, body| {
+                *end += 8 + body.len();
+                Some(*end)
+            }))
+            .collect();
+        for (name, point, kept) in [
+            ("before", CrashPoint::BeforeAppend(2), bounds[2]),
+            ("torn", CrashPoint::MidAppend { record: 3, byte: 9 }, bounds[3] + 9),
+            ("after", CrashPoint::AfterAppend(1), bounds[2]),
+        ] {
+            let (wal, _) = run(name, Some(point));
+            assert_eq!(wal, unarmed[..kept], "{point:?}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

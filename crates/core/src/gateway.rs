@@ -33,8 +33,8 @@ use rand::SeedableRng;
 
 use crate::cloud::with_collection;
 use crate::cloudproto::{
-    decode_batch_answer, decode_calls, encode_batch, Fetch, FindIdsDnf, GetMany, Idempotent, BATCH_ROUTE, FETCH_ROUTE,
-    IDEM_ROUTE, READ_BATCH_ROUTE,
+    decode_batch_answer, encode_batch, Fetch, FindIdsDnf, GetMany, Idempotent, BATCH_ROUTE, FETCH_ROUTE, IDEM_ROUTE,
+    READ_BATCH_ROUTE,
 };
 use crate::error::CoreError;
 use crate::metadata::{validate_document, SchemaStore};
@@ -282,19 +282,6 @@ impl SchemaPlan {
 
 /// Key prefix of journaled write groups in the gateway's journal store.
 const JOURNAL_PREFIX: &[u8] = b"gwj/";
-
-/// The sealed envelope a journal entry holds: the entry itself, or, in an
-/// entry written while entries were a call list, its lone `[idem, sealed]`
-/// pair.
-fn journaled_envelope(entry: &[u8]) -> Result<&[u8], CoreError> {
-    match Idempotent::parts(entry) {
-        Ok(_) => Ok(entry),
-        Err(e) => match decode_calls(entry).as_deref() {
-            Ok(&[(IDEM_ROUTE, sealed)]) if Idempotent::parts(sealed).is_ok() => Ok(sealed),
-            _ => Err(e),
-        },
-    }
-}
 
 fn journal_key(seq: u64) -> Vec<u8> {
     format!("gwj/{seq:016x}").into_bytes()
@@ -797,9 +784,10 @@ impl GatewayEngine {
         let mut report = PendingWriteReport::default();
         for key in kv.keys_with_prefix(JOURNAL_PREFIX) {
             let Some(entry) = kv.get(&key) else { continue };
-            let failure = match journaled_envelope(&entry) {
+            // An entry is the one sealed envelope its write group shipped as.
+            let failure = match Idempotent::parts(&entry) {
                 Err(e) => Some(format!("malformed journal entry: {e}")),
-                Ok(sealed) => match self.channel.call(IDEM_ROUTE, sealed) {
+                Ok(_) => match self.channel.call(IDEM_ROUTE, &entry) {
                     Ok(_) => None,
                     // A deterministic refusal would come back on every
                     // retry, and no retry can ship an entry larger than the

@@ -81,11 +81,13 @@ pub fn scan_frames(raw: Vec<u8>) -> Result<FrameScan, KvError> {
     Ok(FrameScan { raw, bodies, valid_len: offset as u64, torn_tail })
 }
 
+/// Frames [`FrameWriter::append`] buffers between flushes.
+const FLUSH_EVERY: u64 = 256;
+
 /// A buffered appender of CRC-checked frames.
 pub struct FrameWriter {
     writer: BufWriter<File>,
     appended: u64,
-    flush_every: u64,
 }
 
 impl FrameWriter {
@@ -95,18 +97,8 @@ impl FrameWriter {
     ///
     /// Propagates filesystem errors.
     pub fn open(path: &Path) -> Result<Self, KvError> {
-        Self::with_flush_every(path, 256)
-    }
-
-    /// [`FrameWriter::open`] with an explicit buffered-flush interval
-    /// (`0` flushes every append).
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn with_flush_every(path: &Path, flush_every: u64) -> Result<Self, KvError> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(FrameWriter { writer: BufWriter::new(file), appended: 0, flush_every })
+        Ok(FrameWriter { writer: BufWriter::new(file), appended: 0 })
     }
 
     /// Appends one framed body; returns the frame's on-disk length.
@@ -118,14 +110,14 @@ impl FrameWriter {
         let frame = encode_frame(&[body]);
         self.writer.write_all(&frame)?;
         self.appended += 1;
-        if self.flush_every == 0 || self.appended.is_multiple_of(self.flush_every.max(1)) {
+        if self.appended.is_multiple_of(FLUSH_EVERY) {
             self.writer.flush()?;
         }
         Ok(frame.len() as u64)
     }
 
-    /// Writes `raw` bytes verbatim and flushes — the crash injector uses
-    /// this to leave a deliberately torn frame prefix on disk.
+    /// Writes `raw` bytes verbatim and flushes: the cloud WAL appends its
+    /// queued frames (a crash injector's torn prefix among them) this way.
     ///
     /// # Errors
     ///
@@ -309,8 +301,8 @@ impl AppendLog {
         Ok(AppendLog { frames: FrameWriter::open(path)? })
     }
 
-    /// Appends one record (buffered; flushed every 256 records —
-    /// the "semi" in semi-durable).
+    /// Appends one record (buffered; flushed every 256 records, the
+    /// "semi" in semi-durable).
     ///
     /// # Errors
     ///

@@ -180,6 +180,24 @@ route_strings="$(grep -rnE 'strip_prefix\("doc/"\)|starts_with\("(sync|tactic)/"
 [ -z "$route_strings" ] ||
     { echo "a route or a refusal classified by its text outside cloudproto.rs:" >&2; echo "$route_strings" >&2; exit 1; }
 
+echo "==> one WAL write path: core consults the crash injector once, durability.rs appends only in drain, and the flush and dedup knobs stay gone"
+# A crash storm runs the group commit the product runs, and every queued
+# byte reaches the WAL through one function, the one that latches a failed
+# append. Comments may name any of these; code may not.
+[ "$(grep -rn 'on_append(' crates/core/src | grep -cvE '^[^:]+:[0-9]+: *//')" = 1 ] ||
+    { echo "crates/core/src consults the crash injector in one place, Durability::journal" >&2; exit 1; }
+wal_appends="$(awk '
+    /^ *\/\// { next }
+    /^ *(pub(\([a-z]+\))? )?fn / { name = $0; sub(/^.*fn /, "", name); sub(/[^a-z0-9_].*$/, "", name) }
+    /append_raw\(/ { print name }
+' crates/core/src/durability.rs)"
+[ "$wal_appends" = drain ] ||
+    { echo "crates/core/src/durability.rs appends once, in drain; found in: ${wal_appends:-none}" >&2; exit 1; }
+if grep -rnwE 'with_flush_every|dedup_capacity' crates src tests; then
+    echo "FrameWriter::with_flush_every and DurabilityOptions::dedup_capacity are gone; the WAL drains through append_raw" >&2
+    exit 1
+fi
+
 echo "==> nothing without a caller: every pub fn is named somewhere besides its definition, and the deleted twins and knobs stay gone"
 # A name counts as used when it appears twice or more in the Rust sources,
 # comments and tests included; a name that appears once is its own

@@ -449,7 +449,7 @@ fn crash_storm_recovers_to_oracle_at_every_kth_mutation() {
     // Durable but uncrashed run: measures the journaled-write horizon and
     // proves the WAL+snapshot layer is invisible when nothing goes wrong.
     let base = crash_dir("base");
-    let opts = DurabilityOptions { snapshot_every: Some(64), dedup_capacity: Some(4096), crash: None };
+    let opts = DurabilityOptions { snapshot_every: Some(64), crash: None };
     let svc = Arc::new(RestartableCloud::open(&base, opts).unwrap());
     let durable = run_crash_workload(Channel::from_arc(svc.clone(), LatencyModel::instant()), CRASH_SEED);
     assert_eq!(durable, oracle, "durability layer must not change results");
@@ -479,7 +479,6 @@ fn crash_storm_recovers_to_oracle_at_every_kth_mutation() {
         let dir = crash_dir(&format!("p{i}"));
         let opts = DurabilityOptions {
             snapshot_every: Some(64),
-            dedup_capacity: Some(4096),
             crash: Some(Arc::new(CrashInjector::new(CrashPlan::at(point)))),
         };
         let svc = Arc::new(RestartableCloud::open(&dir, opts).unwrap());
@@ -524,7 +523,6 @@ fn concurrent_insert_many_crash_storm_leaves_no_partial_documents() {
         let dir = crash_dir(&format!("conc{i}"));
         let opts = DurabilityOptions {
             snapshot_every: Some(64),
-            dedup_capacity: Some(4096),
             crash: Some(Arc::new(CrashInjector::new(CrashPlan::at(point)))),
         };
         let svc = Arc::new(RestartableCloud::open(&dir, opts).unwrap());
@@ -796,26 +794,21 @@ fn a_storage_refusal_leaves_the_entry_and_those_after_it_pending() {
 }
 
 #[test]
-fn journal_entry_in_the_list_format_still_replays() {
-    // Entries were once the call list `[idem, sealed]` around the envelope.
-    // A gateway upgraded with such an entry pending rolls it forward; a
-    // list whose envelope is torn is still reported malformed.
-    let (svc, journal, gw) = journal_with_pending(&["alice"], &["bob"]);
-    let key = journal.keys_with_prefix(b"gwj/").pop().unwrap();
-    let sealed = journal.get(&key).unwrap();
-    let listed = |sealed: &[u8]| {
-        let mut w = datablinder::codec::Writer::new();
-        w.list(&[b"idem".as_slice(), sealed]);
-        w.finish()
-    };
-    journal.set(&key, &listed(&sealed));
-    journal.set(b"gwj/", &listed(&sealed[..9]));
+fn journal_entry_in_the_list_format_is_malformed() {
+    // Entries were once the call list `[idem, sealed]` around the envelope;
+    // an entry is now the envelope alone. A list is reported malformed and
+    // dropped, and the entry behind it still rolls forward.
+    let (svc, journal, gw) = journal_with_pending(&["alice"], &["bob", "carol"]);
+    let key = journal.keys_with_prefix(b"gwj/").swap_remove(0);
+    let mut listed = datablinder::codec::Writer::new();
+    listed.list(&[b"idem".as_slice(), &journal.get(&key).unwrap()]);
+    journal.set(&key, &listed.finish());
 
     let report = gw.recover_pending().unwrap();
     assert_eq!((report.entries, report.rolled_forward, report.failed), (2, 1, 1), "{report:?}");
     assert!(report.failures[0].starts_with("malformed journal entry"), "{:?}", report.failures);
     assert_eq!(gw.pending_writes(), 0);
-    assert_eq!((owners(&gw, "alice"), owners(&gw, "bob")), (1, 1));
+    assert_eq!((owners(&gw, "alice"), owners(&gw, "bob"), owners(&gw, "carol")), (1, 0, 1));
     assert!(gw.fsck("notes").unwrap().is_clean());
     assert_eq!(svc.inner.dedup_hits(), 0, "nothing had applied: the group ran once");
 }
@@ -993,7 +986,7 @@ fn wal_and_recovery_counters_reach_the_recorder() {
     use datablinder::obs::Recorder;
 
     let dir = crash_dir("obs");
-    let opts = DurabilityOptions { snapshot_every: Some(1000), dedup_capacity: Some(1024), crash: None };
+    let opts = DurabilityOptions { snapshot_every: Some(1000), crash: None };
 
     // Live run: count WAL appends while the workload writes.
     let live = Recorder::new();
@@ -1086,7 +1079,7 @@ fn aggregates_write_nothing_and_are_exact_across_a_restart() {
     };
 
     let dir = crash_dir("agg");
-    let opts = DurabilityOptions { snapshot_every: Some(1000), dedup_capacity: Some(1024), crash: None };
+    let opts = DurabilityOptions { snapshot_every: Some(1000), crash: None };
     let obs = Recorder::new();
     let engine = CloudEngine::open_durable_observed(&dir, opts.clone(), obs.clone()).unwrap();
     let svc = Arc::new(Routes { inner: engine, seen: Mutex::new(Vec::new()) });
